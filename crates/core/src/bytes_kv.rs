@@ -390,18 +390,22 @@ impl SegmentBuf {
     /// is how reducers sort unsorted (hash-path) segments without touching
     /// payload bytes.
     pub fn sorted_by_key(&self) -> SegmentBuf {
-        let mut entries: Vec<SegEntry> = self.entries.as_ref().clone();
+        self.sorted_range_by_key(0..self.len())
+    }
+
+    /// [`SegmentBuf::sorted_by_key`] restricted to the records in `range`
+    /// (entry order): a key-sorted sub-segment sharing this arena. Lets a
+    /// memory-bounded consumer cut an oversized batch into budget-sized
+    /// sort buffers without copying payload.
+    pub fn sorted_range_by_key(&self, range: std::ops::Range<usize>) -> SegmentBuf {
+        let mut entries: Vec<SegEntry> = self.entries[range].to_vec();
         let arena = &self.arena;
         entries.sort_unstable_by(|a, b| {
             let ka = &arena[a.key_off as usize..(a.key_off + a.key_len) as usize];
             let kb = &arena[b.key_off as usize..(b.key_off + b.key_len) as usize];
             ka.cmp(kb)
         });
-        SegmentBuf {
-            arena: Arc::clone(&self.arena),
-            entries: Arc::new(entries),
-            payload: self.payload,
-        }
+        SegmentBuf::from_parts(Arc::clone(&self.arena), entries)
     }
 
     /// Order-invariant 64-bit content fingerprint over `(partition, key,
@@ -666,6 +670,11 @@ mod tests {
         assert!(Arc::ptr_eq(&seg.arena, &sorted.arena), "arena is shared");
         let keys: Vec<&[u8]> = (0..sorted.len()).map(|i| sorted.key(i)).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b", b"c"]);
+        // A range sorts (and accounts for) only its own records.
+        let head = seg.sorted_range_by_key(0..2);
+        assert!(Arc::ptr_eq(&seg.arena, &head.arena));
+        assert_eq!(head.iter().collect::<Vec<_>>(), [seg.get(1), seg.get(0)]);
+        assert_eq!(head.payload_bytes(), 4);
         // The original is untouched.
         assert_eq!(seg.key(0), b"b");
         assert_eq!(

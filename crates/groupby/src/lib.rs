@@ -6,10 +6,10 @@
 //! reduce function to each group" (§II). How that group-by is implemented
 //! is precisely what the paper investigates:
 //!
-//! * [`sortmerge`] — the Hadoop baseline: buffer, sort on the key, spill
-//!   sorted runs, **multi-pass merge** with factor `F`, then stream the
-//!   single sorted run through the reduce function. Blocking; heavy CPU
-//!   (sort) and I/O (merge) — §III's findings.
+//! * [`sortmerge`] — the Hadoop baseline: buffer key-sorted segments,
+//!   merge-spill sorted runs, **multi-pass merge** with factor `F`, then
+//!   stream the single sorted run through the reduce function. Blocking;
+//!   heavy CPU (sort) and I/O (merge) — §III's findings.
 //! * [`hybrid_hash`] — Shapiro's Hybrid Hash: bucket 0 resident, other
 //!   buckets spilled and recursively processed. No sort CPU, I/O
 //!   comparable to sort-merge, still blocking (§V reduce technique 1).
@@ -86,6 +86,25 @@ pub trait GroupBy: Send {
     /// sort-merge comes from (§V). Key/value slices borrow straight from
     /// the segment's arena; no per-record copies are required.
     fn push_batch(&mut self, batch: &SegmentBuf, sink: &mut dyn Sink) -> Result<()>;
+
+    /// [`GroupBy::push_batch`] for a batch the caller guarantees is sorted
+    /// by key (sort-spill map output). Order is only a hint: the default
+    /// ignores it, while sort-merge buffers the segment as-is instead of
+    /// re-sorting it. Output is identical either way.
+    fn push_sorted(&mut self, batch: &SegmentBuf, sink: &mut dyn Sink) -> Result<()> {
+        self.push_batch(batch, sink)
+    }
+
+    /// Emit an approximate answer over everything pushed so far as
+    /// [`EmitKind::Early`], leaving the operator's state (and so its final
+    /// output) untouched — MapReduce Online's snapshot (§III-D). Only a
+    /// blocking operator needs it: sort-merge re-reads its runs and buffer
+    /// and pays that I/O; the default emits nothing, since incremental
+    /// operators publish early answers on their own during `push_batch`.
+    fn snapshot(&mut self, sink: &mut dyn Sink) -> Result<()> {
+        let _ = sink;
+        Ok(())
+    }
 
     /// Shed at least `target_bytes` of resident state through the
     /// operator's own spill path, returning the bytes actually freed.

@@ -124,6 +124,13 @@ impl MultiPassMerger {
     /// the on-disk files exceed F"), then return a streaming grouped
     /// iterator over the single logical sorted sequence.
     pub fn into_grouped(mut self) -> Result<GroupedMerge> {
+        self.drain_grouped()
+    }
+
+    /// [`MultiPassMerger::into_grouped`] for an owner that cannot give the
+    /// merger up by value: the runs move into the returned iterator and
+    /// the merger is left empty.
+    pub fn drain_grouped(&mut self) -> Result<GroupedMerge> {
         while self.runs.len() > self.factor {
             self.merge_pass(self.factor)?;
         }

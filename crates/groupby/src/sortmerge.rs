@@ -1,37 +1,56 @@
-//! Sort-merge group-by — the Hadoop baseline (§II-A / §III).
+//! Sort-merge group-by — the Hadoop baseline (§II-A / §III), and the
+//! engine's one sort-merge reducer (Fig. 1 right half).
 //!
-//! Records are buffered until the memory budget is exhausted, then the
-//! buffer is **sorted on the key** (the CPU cost Table II quantifies),
-//! partially aggregated (Hadoop applies the combine function "in a reducer
-//! when its data buffer fills up"), and written to disk as a sorted run.
-//! On-disk runs go through [`MultiPassMerger`]'s progressive multi-pass
-//! merge (the blocking, I/O-heavy phase of Fig. 2), and the final merge
-//! streams fully grouped data through the aggregate.
+//! The operator buffers **key-sorted segments** that share their arenas
+//! with whoever produced them (map-side sorted output arrives through
+//! [`GroupBy::push_sorted`] and is buffered as-is; unsorted input through
+//! [`GroupBy::push_batch`] is sorted by entry permutation first — the CPU
+//! cost Table II quantifies, charged to the reduce side as HOP does,
+//! §III-D). When the memory budget or the segment-count threshold fills,
+//! the buffered segments are heap-merged, partially aggregated (Hadoop
+//! applies the combine function "in a reducer when its data buffer fills
+//! up") and written to disk as one sorted run. On-disk runs go through
+//! [`MultiPassMerger`]'s progressive multi-pass merge (the blocking,
+//! I/O-heavy phase of Fig. 2), and the final merge streams fully grouped
+//! data through the aggregate.
 //!
 //! Faithful behavioural details reproduced here:
 //! * once *any* spill has happened, the final buffer is also written to
 //!   disk before merging — "even if there is ample memory […] the
 //!   multi-pass merge still causes I/O" (§III-B.4);
-//! * if the budget is never exhausted, grouping completes fully in memory
-//!   with zero I/O (the properly-tuned small-job fast path);
-//! * the operator is fully **blocking**: no output before `finish`.
+//! * if nothing ever spilled, grouping completes fully in memory with
+//!   zero I/O (the properly-tuned small-job fast path);
+//! * the operator is **blocking**: no output before `finish`, except
+//!   MapReduce Online's snapshots ([`GroupBy::snapshot`], §III-D), which
+//!   "repeat the merge operation for each snapshot" and pay the re-read.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
-use onepass_core::bytes_kv::{KvBuf, SegmentBuf};
+use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
 use onepass_core::error::Result;
+use onepass_core::hashlib::ByteMap;
 use onepass_core::io::{IoStats, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile};
+use onepass_core::trace::LocalTracer;
 
 use crate::aggregate::Aggregator;
 use crate::merge::MultiPassMerger;
 use crate::sink::{EmitKind, OpStats, Sink};
 use crate::GroupBy;
 
-/// Approximate per-record bookkeeping overhead charged to the budget
-/// (entry table slot + map/allocator slack).
-const RECORD_OVERHEAD: usize = 24;
+/// Bookkeeping bytes charged to the budget per buffered record (its
+/// 12-byte entry-table slot plus slack).
+const RECORD_OVERHEAD: usize = 16;
+
+/// Budget charge for holding `seg` in the buffer.
+fn seg_cost(seg: &SegmentBuf) -> usize {
+    seg.payload_bytes() + RECORD_OVERHEAD * seg.len()
+}
 
 /// The sort-merge (Hadoop-style) group-by operator.
 pub struct SortMergeGrouper {
@@ -39,15 +58,17 @@ pub struct SortMergeGrouper {
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
     merger: MultiPassMerger,
-    buf: KvBuf,
+    /// Key-sorted in-memory segments awaiting the next merge.
+    buffered: Vec<SegmentBuf>,
+    inmem_merge_threshold: usize,
     reserved: usize,
     peak_reserved: usize,
     records_in: u64,
-    groups_out: u64,
+    early_emits: u64,
     spills: u64,
     profile: Profile,
     io_base: IoStats,
-    finished: bool,
+    trace: LocalTracer,
 }
 
 impl std::fmt::Debug for SortMergeGrouper {
@@ -65,8 +86,7 @@ impl SortMergeGrouper {
     /// * `store` — spill destination for sorted runs.
     /// * `budget` — in-memory buffer bound (may be shared with peers).
     /// * `merge_factor` — Hadoop's `io.sort.factor` F.
-    /// * `agg` — the reduce (and, when [`Aggregator::combinable`],
-    ///   buffer-fill combine) function.
+    /// * `agg` — the reduce (and buffer-fill combine) function.
     pub fn new(
         store: Arc<dyn SpillStore>,
         budget: MemoryBudget,
@@ -80,170 +100,258 @@ impl SortMergeGrouper {
             budget,
             agg,
             merger,
-            buf: KvBuf::new(),
+            buffered: Vec::new(),
+            inmem_merge_threshold: usize::MAX,
             reserved: 0,
             peak_reserved: 0,
             records_in: 0,
-            groups_out: 0,
+            early_emits: 0,
             spills: 0,
             profile: Profile::new(),
             io_base,
-            finished: false,
+            trace: LocalTracer::disabled(),
         })
     }
 
-    fn record_cost(key: &[u8], value: &[u8]) -> usize {
-        key.len() + value.len() + RECORD_OVERHEAD
+    /// Also spill once `n` segments are buffered, regardless of memory
+    /// headroom (Hadoop's `mapred.inmem.merge.threshold`; off by default).
+    pub fn with_inmem_merge_threshold(mut self, n: usize) -> Self {
+        self.inmem_merge_threshold = n;
+        self
     }
 
-    /// Sort the buffer, collapse equal keys through the aggregate, and
-    /// write the result as one sorted on-disk run.
-    fn spill_buffer(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
+    /// Attach a trace buffer; merge spans and spill events land on its
+    /// track.
+    pub fn set_tracer(&mut self, trace: LocalTracer) {
+        self.trace = trace;
+    }
+
+    /// Take one key-sorted segment into the buffer, spilling first when
+    /// the budget or the segment-count threshold says so.
+    fn buffer(&mut self, seg: SegmentBuf) -> Result<()> {
+        if seg.is_empty() {
             return Ok(());
         }
-        {
-            let _t = self.profile.timed(Phase::MapSort);
-            self.buf.sort_by_key();
-        }
-        let combine_start = std::time::Instant::now();
-        let mut writer = self.store.begin_run()?;
-        let mut i = 0;
-        while i < self.buf.len() {
-            let key_range_start = i;
-            let mut state = self.agg.init(self.buf.key(i), self.buf.value(i));
-            i += 1;
-            while i < self.buf.len() && self.buf.key(i) == self.buf.key(key_range_start) {
-                self.agg
-                    .update(self.buf.key(key_range_start), &mut state, self.buf.value(i));
-                i += 1;
-            }
-            writer.write_record(self.buf.key(key_range_start), &state)?;
-        }
-        self.profile
-            .add_time(Phase::Combine, combine_start.elapsed());
-        let meta = writer.finish()?;
-        self.merger.add_run(meta)?;
-        self.buf.clear();
-        self.budget.release(self.reserved);
-        self.reserved = 0;
-        self.spills += 1;
-        Ok(())
-    }
-
-    /// Fully-in-memory completion: sort, group, emit — no I/O.
-    fn finish_in_memory(&mut self, sink: &mut dyn Sink) -> Result<()> {
-        {
-            let _t = self.profile.timed(Phase::MapSort);
-            self.buf.sort_by_key();
-        }
-        let reduce_start = std::time::Instant::now();
-        let mut i = 0;
-        while i < self.buf.len() {
-            let start = i;
-            let mut state = self.agg.init(self.buf.key(i), self.buf.value(i));
-            i += 1;
-            while i < self.buf.len() && self.buf.key(i) == self.buf.key(start) {
-                self.agg
-                    .update(self.buf.key(start), &mut state, self.buf.value(i));
-                i += 1;
-            }
-            let out = self.agg.finish(self.buf.key(start), state);
-            sink.emit(self.buf.key(start), &out, EmitKind::Final);
-            self.groups_out += 1;
-        }
-        self.profile
-            .add_time(Phase::ReduceFn, reduce_start.elapsed());
-        self.buf.clear();
-        self.budget.release(self.reserved);
-        self.reserved = 0;
-        Ok(())
-    }
-}
-
-impl SortMergeGrouper {
-    fn push_one(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        debug_assert!(!self.finished, "push after finish");
-        let cost = Self::record_cost(key, value);
-        // Ask the governor (if leased) for more headroom before falling
-        // back to a local sort+spill of the buffer.
-        if !self.budget.try_grant_or_request(cost) {
-            self.spill_buffer()?;
+        self.records_in += seg.len() as u64;
+        let cost = seg_cost(&seg);
+        let count_trigger = self.buffered.len() + 1 >= self.inmem_merge_threshold;
+        // Under a governor lease, ask for more budget before giving up
+        // and spilling; a static budget rejects escalation outright.
+        if count_trigger || !self.budget.try_grant_or_request(cost) {
+            self.spill_buffered()?;
             if !self.budget.try_grant(cost) {
-                // A leased budget can still fail here after spilling: the
-                // shared pool may be saturated by sibling leases. Overshoot
-                // softly (bounded: the buffer is empty) instead of failing
-                // the task; the governor's shed requests drain the pool.
-                if self.budget.is_leased() {
-                    self.budget.force_grant(cost);
-                } else {
-                    self.budget.grant(cost)?;
-                }
+                // A single segment larger than the whole budget (or a
+                // lease pool saturated by siblings): the reducer must be
+                // able to hold at least one segment, so take it (soft
+                // limit) and flush it to disk right below.
+                self.budget.force_grant(cost);
             }
         }
         self.reserved += cost;
         self.peak_reserved = self.peak_reserved.max(self.reserved);
-        self.buf.push(0, key, value);
-        self.records_in += 1;
+        self.buffered.push(seg);
+        if self.budget.over_limit() {
+            self.spill_buffered()?;
+        }
         Ok(())
+    }
+
+    /// Merge all buffered segments into one on-disk run, collapsing
+    /// key-streaks through the aggregate (Hadoop applies combine on
+    /// reducer buffer fill — and writes the data out regardless,
+    /// §III-B.4), and release their budget. The combined output is staged
+    /// in one arena and written as a single batch.
+    fn spill_buffered(&mut self) -> Result<()> {
+        if self.buffered.is_empty() {
+            return Ok(());
+        }
+        self.trace.begin(Phase::Merge.label(), "phase");
+        let t = Instant::now();
+        let mut out = SegmentBufBuilder::new();
+        merge_groups(&self.buffered, self.agg.as_ref(), |key, state| {
+            out.push(key, &state)
+        });
+        let written = self.store.begin_run().and_then(|mut writer| {
+            writer.write_segment(&out.finish())?;
+            writer.finish()
+        });
+        self.profile.add_time(Phase::Merge, t.elapsed());
+        self.trace.end(Phase::Merge.label(), "phase");
+        let meta = written?;
+        self.trace.instant(
+            "reduce_spill",
+            "spill",
+            &[
+                ("bytes", meta.bytes as f64),
+                ("records", meta.records as f64),
+            ],
+        );
+        self.clear_buffer();
+        self.spills += 1;
+        self.merger.add_run(meta)
+    }
+
+    /// Drop the buffered segments and hand their reservation back.
+    fn clear_buffer(&mut self) {
+        self.buffered.clear();
+        self.budget.release(self.reserved);
+        self.reserved = 0;
+    }
+}
+
+/// Ranges cutting `batch` into pieces whose budget charge stays within
+/// `limit` (at least one record each) — the sort buffers an unsorted
+/// batch larger than the budget is processed in.
+fn budget_sized_ranges(batch: &SegmentBuf, limit: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let (mut start, mut cost) = (0, 0);
+    for i in 0..batch.len() {
+        let (k, v) = batch.get(i);
+        let rec = k.len() + v.len() + RECORD_OVERHEAD;
+        if cost + rec > limit && i > start {
+            ranges.push(start..i);
+            (start, cost) = (i, 0);
+        }
+        cost += rec;
+    }
+    ranges.push(start..batch.len());
+    ranges
+}
+
+/// The one heap merge over in-memory segments: stream the key-sorted
+/// `segs` in global key order, fold each key-streak through
+/// `agg.init`/`agg.update`, and hand every `(key, state)` to `each`.
+/// Fully borrowed — keys and values are slices into the segments' arenas.
+fn merge_groups(segs: &[SegmentBuf], agg: &dyn Aggregator, mut each: impl FnMut(&[u8], Vec<u8>)) {
+    let mut heap: BinaryHeap<Reverse<(&[u8], usize, usize)>> = segs
+        .iter()
+        .enumerate()
+        .filter(|(_, seg)| !seg.is_empty())
+        .map(|(s, seg)| Reverse((seg.key(0), s, 0)))
+        .collect();
+    let mut current: Option<(&[u8], Vec<u8>)> = None;
+    while let Some(Reverse((key, s, i))) = heap.pop() {
+        if i + 1 < segs[s].len() {
+            heap.push(Reverse((segs[s].key(i + 1), s, i + 1)));
+        }
+        let value = segs[s].value(i);
+        match &mut current {
+            Some((ck, state)) if *ck == key => agg.update(key, state, value),
+            _ => {
+                if let Some((ck, state)) = current.replace((key, agg.init(key, value))) {
+                    each(ck, state);
+                }
+            }
+        }
+    }
+    if let Some((ck, state)) = current {
+        each(ck, state);
     }
 }
 
 impl GroupBy for SortMergeGrouper {
     fn push_batch(&mut self, batch: &SegmentBuf, _sink: &mut dyn Sink) -> Result<()> {
-        for (key, value) in batch.iter() {
-            self.push_one(key, value)?;
+        for range in budget_sized_ranges(batch, self.budget.limit()) {
+            let t = Instant::now();
+            let sorted = batch.sorted_range_by_key(range);
+            self.profile.add_time(Phase::ReduceGroup, t.elapsed());
+            self.buffer(sorted)?;
         }
         Ok(())
     }
 
-    fn shed(&mut self, target_bytes: usize) -> Result<usize> {
-        let _ = target_bytes;
-        // The whole buffer is one sorted-run spill away from free; partial
-        // sheds would sort twice for no I/O saving.
+    fn push_sorted(&mut self, batch: &SegmentBuf, _sink: &mut dyn Sink) -> Result<()> {
+        debug_assert!(
+            (1..batch.len()).all(|i| batch.key(i - 1) <= batch.key(i)),
+            "push_sorted needs a key-sorted batch"
+        );
+        self.buffer(batch.clone())
+    }
+
+    fn shed(&mut self, _target_bytes: usize) -> Result<usize> {
+        // The whole buffer is one merged-run spill away from free; partial
+        // sheds would merge twice for no I/O saving.
         let freed = self.reserved;
-        self.spill_buffer()?;
+        self.spill_buffered()?;
         Ok(freed)
     }
 
+    /// MapReduce Online snapshot: non-destructively re-read everything
+    /// received so far (on-disk runs + in-memory segments), aggregate, and
+    /// emit approximate answers. The re-read is the snapshot's I/O cost.
+    fn snapshot(&mut self, sink: &mut dyn Sink) -> Result<()> {
+        let t = Instant::now();
+        let mut states: ByteMap<Vec<u8>> = ByteMap::default();
+        for run in self.merger.runs() {
+            let mut reader = self.store.open_run(run.id)?;
+            while let Some(rec) = reader.next_record()? {
+                // Run records are already aggregate states.
+                match states.get_mut(rec.key) {
+                    Some(s) => self.agg.merge(rec.key, s, rec.value),
+                    None => {
+                        states.insert(rec.key.to_vec(), rec.value.to_vec());
+                    }
+                }
+            }
+        }
+        for (k, v) in self.buffered.iter().flat_map(SegmentBuf::iter) {
+            match states.get_mut(k) {
+                Some(s) => self.agg.update(k, s, v),
+                None => {
+                    states.insert(k.to_vec(), self.agg.init(k, v));
+                }
+            }
+        }
+        self.early_emits += states.len() as u64;
+        for (k, state) in states {
+            let out = self.agg.finish(&k, state);
+            sink.emit(&k, &out, EmitKind::Early);
+        }
+        self.profile.add_time(Phase::Merge, t.elapsed());
+        Ok(())
+    }
+
     fn finish(&mut self, sink: &mut dyn Sink) -> Result<OpStats> {
-        self.finished = true;
-        if self.merger.runs().is_empty() && self.merger.merge_passes() == 0 {
-            // Never spilled: complete in memory.
-            self.finish_in_memory(sink)?;
+        let mut groups_out = 0u64;
+        let mut passes = 0u64;
+        if self.spills == 0 {
+            // Never spilled: merge and reduce directly from memory.
+            let t = Instant::now();
+            merge_groups(&self.buffered, self.agg.as_ref(), |key, state| {
+                sink.emit(key, &self.agg.finish(key, state), EmitKind::Final);
+                groups_out += 1;
+            });
+            self.profile.add_time(Phase::ReduceFn, t.elapsed());
+            self.clear_buffer();
         } else {
-            // Hadoop behaviour: the tail of the data is written to disk
-            // too, so the final merge sees only on-disk runs (§III-B.4).
-            self.spill_buffer()?;
-            let merger = std::mem::replace(
-                &mut self.merger,
-                MultiPassMerger::new(Arc::clone(&self.store), 2)?,
-            );
-            let mut grouped = merger.into_grouped()?;
-            let reduce_start = std::time::Instant::now();
+            // Hadoop behaviour: the in-memory tail is spilled too, then the
+            // final (multi-pass if needed) merge feeds the reduce function.
+            self.spill_buffered()?;
+            let mut grouped = self.merger.drain_grouped()?;
+            let t = Instant::now();
             while let Some((key, states)) = grouped.next_group()? {
-                let mut iter = states.into_iter();
-                let mut state = iter.next().expect("groups are non-empty");
-                for other in iter {
+                let mut states = states.into_iter();
+                // `next_group` yields a key with at least one value.
+                let Some(mut state) = states.next() else {
+                    continue;
+                };
+                for other in states {
                     self.agg.merge(&key, &mut state, &other);
                 }
-                let out = self.agg.finish(&key, state);
-                sink.emit(&key, &out, EmitKind::Final);
-                self.groups_out += 1;
+                sink.emit(&key, &self.agg.finish(&key, state), EmitKind::Final);
+                groups_out += 1;
             }
-            self.profile
-                .add_time(Phase::ReduceFn, reduce_start.elapsed());
+            self.profile.add_time(Phase::ReduceFn, t.elapsed());
             self.profile.merge(grouped.profile());
-            let passes = grouped.merge_passes();
+            passes = grouped.merge_passes();
             grouped.cleanup()?;
-            self.profile.add_count("merge_passes", passes);
         }
 
         let io_now = self.store.stats();
         Ok(OpStats {
             records_in: self.records_in,
-            groups_out: self.groups_out,
-            early_emits: 0, // sort-merge is blocking: no early output, ever
+            groups_out,
+            early_emits: self.early_emits,
             io: IoStats {
                 bytes_written: io_now.bytes_written - self.io_base.bytes_written,
                 bytes_read: io_now.bytes_read - self.io_base.bytes_read,
@@ -253,12 +361,21 @@ impl GroupBy for SortMergeGrouper {
             profile: self.profile.clone(),
             peak_mem: self.peak_reserved,
             spills: self.spills,
-            passes: self.profile.count("merge_passes"),
+            passes,
         })
     }
 
     fn name(&self) -> &'static str {
         "sort-merge"
+    }
+}
+
+impl Drop for SortMergeGrouper {
+    /// A failed attempt drops its operator mid-stream: give the buffered
+    /// segments' reservation back so a shared budget is not starved (spill
+    /// runs stay on disk until the store is dropped).
+    fn drop(&mut self) {
+        self.clear_buffer();
     }
 }
 
@@ -396,7 +513,7 @@ mod tests {
         let recs = records(20_000, 1000);
         let (_, stats, _) = run_op(&mut g, pairs(&recs));
         assert!(
-            stats.profile.time(Phase::MapSort) > std::time::Duration::ZERO,
+            stats.profile.time(Phase::ReduceGroup) > std::time::Duration::ZERO,
             "sorting must register CPU time"
         );
     }
@@ -408,6 +525,46 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(stats.records_in, 0);
         assert_eq!(stats.groups_out, 0);
+    }
+
+    #[test]
+    fn segment_count_threshold_spills_despite_ample_memory() {
+        // §III-B.4: "even if there is ample memory […] the multi-pass
+        // merge still causes I/O".
+        let store = SharedMemStore::new();
+        let mut g = SortMergeGrouper::new(
+            Arc::new(store),
+            MemoryBudget::new(1 << 20),
+            4,
+            Arc::new(CountAgg),
+        )
+        .unwrap()
+        .with_inmem_merge_threshold(2);
+        let mut sink = crate::VecSink::default();
+        for chunk in records(30, 5).chunks(10) {
+            g.push_batch(&SegmentBuf::from_pairs(pairs(chunk)), &mut sink)
+                .unwrap();
+        }
+        let stats = g.finish(&mut sink).unwrap();
+        assert!(stats.spills >= 2, "every second segment forces a run");
+        assert_eq!(stats.groups_out, 5);
+    }
+
+    #[test]
+    fn dropping_mid_stream_returns_the_reservation() {
+        let budget = MemoryBudget::new(1 << 20);
+        let store = SharedMemStore::new();
+        let mut g =
+            SortMergeGrouper::new(Arc::new(store), budget.clone(), 4, Arc::new(CountAgg)).unwrap();
+        let recs = records(100, 10);
+        g.push_batch(
+            &SegmentBuf::from_pairs(pairs(&recs)),
+            &mut crate::VecSink::default(),
+        )
+        .unwrap();
+        assert!(budget.used() > 0);
+        drop(g); // a failed reduce attempt abandons its operator like this
+        assert_eq!(budget.used(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use onepass_core::io::SharedMemStore;
+use onepass_core::io::{SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_groupby::{
     Aggregator, CountAgg, EmitKind, FreqHashGrouper, GroupBy, HybridHashGrouper, IncHashGrouper,
@@ -110,8 +110,139 @@ fn all_ops(budget_bytes: usize) -> Vec<(&'static str, Box<dyn GroupBy>)> {
     ]
 }
 
+/// How a batch sequence reaches the operator.
+#[derive(Debug, Clone, Copy)]
+enum Intake {
+    /// Every batch key-sorted and pushed through `push_sorted`.
+    Sorted,
+    /// Every batch in arrival order through `push_batch`.
+    Unsorted,
+    /// Alternating, starting with `push_sorted`.
+    Mixed,
+}
+
+/// Feed `recs` to `op` in `batch_len`-record batches as `intake` says.
+fn run_batched(
+    mut op: Box<dyn GroupBy>,
+    recs: &Records,
+    batch_len: usize,
+    intake: Intake,
+) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let mut sink = VecSink::default();
+    for (i, chunk) in recs.chunks(batch_len).enumerate() {
+        let batch =
+            onepass_core::SegmentBuf::from_pairs(chunk.iter().map(|(k, v)| (&k[..], &v[..])));
+        let sorted = match intake {
+            Intake::Sorted => true,
+            Intake::Unsorted => false,
+            Intake::Mixed => i % 2 == 0,
+        };
+        if sorted {
+            op.push_sorted(&batch.sorted_by_key(), &mut sink).unwrap();
+        } else {
+            op.push_batch(&batch, &mut sink).unwrap();
+        }
+    }
+    op.finish(&mut sink).unwrap();
+    finals(&sink)
+}
+
+fn early(sink: &VecSink) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for (k, v, kind) in &sink.emitted {
+        if *kind == EmitKind::Early {
+            let dup = out.insert(k.clone(), v.clone());
+            assert!(dup.is_none(), "one snapshot emitted {k:?} twice");
+        }
+    }
+    out
+}
+
+/// `snapshot` on the sort-merge operator: Early output is the aggregate of
+/// the prefix pushed so far, costs a re-read once a run is on disk, and
+/// leaves the final answer alone.
+#[test]
+fn sortmerge_snapshot_is_prefix_aggregate_and_nondestructive() {
+    let recs: Records = (0u64..600)
+        .map(|i| {
+            (
+                format!("k{:02}", (i * 7) % 45).into_bytes(),
+                i.to_le_bytes().to_vec(),
+            )
+        })
+        .collect();
+    let batches: Vec<onepass_core::SegmentBuf> = recs
+        .chunks(100)
+        .map(|c| onepass_core::SegmentBuf::from_pairs(c.iter().map(|(k, v)| (&k[..], &v[..]))))
+        .collect();
+    let expect = reference(&SumAgg, &recs);
+
+    for budget in [1 << 20, 2500] {
+        let store = SharedMemStore::new();
+        let mut op = SortMergeGrouper::new(
+            Arc::new(store.clone()),
+            MemoryBudget::new(budget),
+            3,
+            Arc::new(SumAgg),
+        )
+        .unwrap();
+        let mut sink = VecSink::default();
+        for (i, batch) in batches.iter().enumerate() {
+            op.push_batch(batch, &mut sink).unwrap();
+            assert!(sink.emitted.is_empty(), "sort-merge is blocking");
+            let read_before = store.stats().bytes_read;
+            let spilled = store.stats().runs_created > 0;
+            let mut snap = VecSink::default();
+            op.snapshot(&mut snap).unwrap();
+            assert_eq!(snap.final_count(), 0);
+            let prefix: Records = recs[..(i + 1) * 100].to_vec();
+            assert_eq!(early(&snap), reference(&SumAgg, &prefix), "snapshot {i}");
+            let reread = store.stats().bytes_read - read_before;
+            assert_eq!(
+                reread > 0,
+                spilled,
+                "snapshot {i}: re-read iff a run exists"
+            );
+        }
+        let stats = op.finish(&mut sink).unwrap();
+        assert_eq!(finals(&sink), expect, "budget {budget}");
+        assert_eq!(stats.spills > 0, budget == 2500);
+        assert_eq!(stats.early_emits, 45 * batches.len() as u64);
+    }
+
+    // Hash operators publish early answers on their own: no-op default.
+    for (name, mut op) in all_ops(1 << 20).into_iter().skip(1) {
+        let mut sink = VecSink::default();
+        op.push_batch(&batches[0], &mut sink).unwrap();
+        op.snapshot(&mut sink).unwrap();
+        assert!(sink.emitted.is_empty(), "{name} snapshot must be a no-op");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sorted_unsorted_and_mixed_intake_match_reference(
+        recs in skewed_stream(),
+        batch_len in 1usize..90,
+        budget_kb in 1usize..24,
+        fit in 0u8..2,
+    ) {
+        // A key-sorted batch is a hint, never a different answer: every
+        // operator (sort-merge buffers it as-is, the hash operators take
+        // the `push_batch` default) must agree with the reference whether
+        // its input arrives sorted, unsorted or interleaved, fitting in
+        // memory or spilling.
+        let expect = reference(&SumAgg, &recs);
+        let budget = if fit == 1 { 1 << 20 } else { budget_kb * 256 };
+        for intake in [Intake::Sorted, Intake::Unsorted, Intake::Mixed] {
+            for (name, op) in all_ops(budget) {
+                let got = run_batched(op, &recs, batch_len, intake);
+                prop_assert_eq!(&got, &expect, "{} diverged under {:?}", name, intake);
+            }
+        }
+    }
 
     #[test]
     fn all_operators_match_reference_sum(recs in skewed_stream(), budget_kb in 1usize..24) {

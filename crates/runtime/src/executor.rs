@@ -24,6 +24,7 @@ use onepass_core::metrics::Phase;
 use onepass_core::trace::{LocalTracer, Track};
 use onepass_groupby::{
     Aggregator, EmitKind, FreqHashGrouper, GroupBy, HybridHashGrouper, IncHashGrouper, Sink,
+    SortMergeGrouper,
 };
 
 use crate::driver::{EngineConfig, SpillBackend};
@@ -79,47 +80,42 @@ pub(crate) fn make_store(spill: SpillBackend) -> Result<Arc<dyn SpillStore>> {
     })
 }
 
-/// Build a hash group-by operator for `backend`. The shared construction
-/// service used by reduce attempts and (via
+/// Build the group-by operator for `job`'s reduce backend. The shared
+/// construction service used by reduce attempts and (via
 /// [`build_incremental_grouper`]) stream sessions, so backend wiring
 /// lives in exactly one place.
-pub(crate) fn build_hash_grouper(
-    backend: &ReduceBackend,
+pub(crate) fn build_grouper(
+    job: &JobSpec,
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-    tracer: Option<LocalTracer>,
+    tracer: LocalTracer,
     family: HashFamily,
 ) -> Result<Box<dyn GroupBy>> {
     let seeded = SeededFamily::of(family);
-    Ok(match backend {
+    Ok(match &job.backend {
+        ReduceBackend::SortMerge { merge_factor, .. } => {
+            let mut g = SortMergeGrouper::new(store, budget, *merge_factor, agg)?
+                .with_inmem_merge_threshold(job.inmem_merge_threshold);
+            g.set_tracer(tracer);
+            Box::new(g)
+        }
         ReduceBackend::HybridHash { fanout } => {
             let mut g = HybridHashGrouper::with_family(store, budget, *fanout, agg, seeded)?;
-            if let Some(t) = tracer {
-                g.set_tracer(t);
-            }
+            g.set_tracer(tracer);
             Box::new(g)
         }
         ReduceBackend::IncHash { early } => {
             // Incremental hash probes only its resident table (no bucket
             // routing), so the family choice has nothing to configure.
             let mut g = IncHashGrouper::with_early(store, budget, agg, early.clone());
-            if let Some(t) = tracer {
-                g.set_tracer(t);
-            }
+            g.set_tracer(tracer);
             Box::new(g)
         }
         ReduceBackend::FreqHash(cfg) => {
             let mut g = FreqHashGrouper::with_family(store, budget, agg, cfg.clone(), seeded);
-            if let Some(t) = tracer {
-                g.set_tracer(t);
-            }
+            g.set_tracer(tracer);
             Box::new(g)
-        }
-        ReduceBackend::SortMerge { .. } => {
-            return Err(Error::InvalidState(
-                "sort-merge is not a hash backend".into(),
-            ))
         }
     })
 }
@@ -128,15 +124,15 @@ pub(crate) fn build_hash_grouper(
 /// backends with a config error. Used by
 /// [`StreamSession`](crate::stream::StreamSession).
 pub(crate) fn build_incremental_grouper(
-    backend: &ReduceBackend,
+    job: &JobSpec,
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
     family: HashFamily,
 ) -> Result<Box<dyn GroupBy>> {
-    match backend {
+    match &job.backend {
         ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash(_) => {
-            build_hash_grouper(backend, store, budget, agg, None, family)
+            build_grouper(job, store, budget, agg, LocalTracer::disabled(), family)
         }
         other => Err(Error::Config(format!(
             "incremental grouping requires an incremental backend; {} is blocking",

@@ -1,17 +1,16 @@
 //! Reduce task execution: receive shuffle segments, drive the configured
 //! group-by backend, emit output.
 //!
-//! The sort-merge backend here is the runtime-level reproduction of
-//! Hadoop's reducer (Fig. 1 right half): it buffers *pre-sorted* map
-//! segments, merges-and-spills them when its memory budget fills, lets
-//! [`MultiPassMerger`] run progressive background merges, and performs the
-//! blocking final merge at the end. It also implements MapReduce Online's
-//! snapshot mechanism (§III-D): at configured map-completion fractions it
-//! re-reads everything received so far and emits approximate answers —
-//! "this is done by repeating the merge operation for each snapshot",
-//! with the corresponding I/O charge.
-//!
-//! Hash backends delegate to the `onepass-groupby` operators.
+//! The task is a backend-agnostic driver over one
+//! [`GroupBy`] operator from `onepass-groupby`:
+//! sort-merge (Hadoop's reducer, Fig. 1 right half) and the three hash
+//! backends are fed the same way — key-sorted segments through
+//! `push_sorted`, the rest through `push_batch`. What the driver owns is
+//! everything around the operator: the shuffle loop, attempt dedup,
+//! retry-and-replay, governor duties, and MapReduce Online's snapshot
+//! *schedule* (§III-D) — at configured map-completion fractions it asks
+//! the operator for a `snapshot`, which sort-merge answers by re-reading
+//! everything received so far, with the corresponding I/O charge.
 //!
 //! # Attempts, dedup, and retry
 //!
@@ -26,32 +25,27 @@
 //!   segments precede its `MapDone`). Segments from losing attempts are
 //!   dropped, so re-execution never double-counts records.
 //! * **Its own failures.** A failing spill store (or an injected fault)
-//!   aborts the in-flight backend state. Under a retry budget the wrapper
-//!   rebuilds fresh backend state from a resources factory and *replays*
-//!   the committed segments it retained, with early emissions muted so
-//!   downstream consumers never see the same snapshot twice. Final output
-//!   is staged and only released once `finish` succeeds, so a failed
-//!   final merge cannot double-emit.
+//!   aborts the in-flight operator. Under a retry budget the task builds a
+//!   fresh operator from a resources factory and *replays* the committed
+//!   segments it retained, with early emissions muted so downstream
+//!   consumers never see the same snapshot twice. Final output is staged
+//!   and only released once `finish` succeeds, so a failed final merge
+//!   cannot double-emit.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Receiver;
 
-use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
-use onepass_core::hashlib::{ByteMap, HashFamily};
-use onepass_core::io::{IoStats, SpillStore};
+use onepass_core::hashlib::HashFamily;
+use onepass_core::io::SpillStore;
 use onepass_core::memory::MemoryBudget;
-use onepass_core::metrics::{gauges, Phase, Profile};
+use onepass_core::metrics::{gauges, Phase};
 use onepass_core::trace::LocalTracer;
 use onepass_groupby::aggregate::StateInput;
-use onepass_groupby::{
-    Aggregator, EmitKind, GroupBy, MultiPassMerger, OpStats, Sink, SortMergeGrouper, VecSink,
-};
+use onepass_groupby::{EmitKind, GroupBy, OpStats, Sink, VecSink};
 
 use crate::job::{JobSpec, ReduceBackend};
 use crate::shuffle::{Segment, ShuffleMsg};
@@ -69,7 +63,7 @@ pub struct ReduceResult {
     pub attempts: usize,
 }
 
-/// Fault-tolerance knobs for [`run_reduce_task_ft`].
+/// Fault-tolerance knobs for one reduce task.
 #[derive(Debug, Clone)]
 pub struct ReduceRetryOpts {
     /// Total attempts allowed, including the first (1 = no retries).
@@ -97,16 +91,6 @@ impl Default for ReduceRetryOpts {
             injector: FaultInjector::none(),
             hash_family: HashFamily::default(),
         }
-    }
-}
-
-/// The aggregate the backend should run: raw job aggregate when segments
-/// carry raw values; a [`StateInput`] wrapper when map-side combine ran.
-fn effective_agg(job: &JobSpec, combined: bool) -> Arc<dyn Aggregator> {
-    if combined {
-        Arc::new(StateInput(Arc::clone(&job.agg)))
-    } else {
-        Arc::clone(&job.agg)
     }
 }
 
@@ -156,17 +140,6 @@ fn check_injector(
     }
 }
 
-/// Per-task governance bookkeeping for [`run_reduce_task_ft`].
-struct GovState {
-    /// Lease limit at the last check; a change means the governor
-    /// rebalanced this task's share.
-    last_limit: usize,
-    /// Shed requests this task honoured.
-    sheds: u64,
-    /// Bytes those sheds actually freed.
-    shed_bytes: u64,
-}
-
 /// Sink adapter that drops [`EmitKind::Early`] emissions. Used while
 /// replaying retained segments into a rebuilt attempt, so snapshots /
 /// early answers the first attempt already published are not repeated.
@@ -182,71 +155,31 @@ impl Sink for MuteEarly<'_> {
     }
 }
 
-/// Run one reduce task until all `total_map_tasks` map tasks have
-/// reported done, then finish the backend into `sink`. Single-attempt
-/// compatibility entry point: no retries, no attempt dedup.
-#[allow(clippy::too_many_arguments)]
-pub fn run_reduce_task(
-    job: &JobSpec,
-    partition: usize,
-    rx: &Receiver<ShuffleMsg>,
-    total_map_tasks: usize,
-    store: Arc<dyn SpillStore>,
-    budget: MemoryBudget,
-    sink: &mut dyn Sink,
-    trace: &mut LocalTracer,
-) -> Result<ReduceResult> {
-    let mut first = Some((store, budget));
-    run_reduce_task_ft(
-        job,
-        partition,
-        rx,
-        total_map_tasks,
-        &mut move || {
-            first
-                .take()
-                .ok_or_else(|| Error::InvalidState("single-attempt reduce cannot rebuild".into()))
-        },
-        sink,
-        trace,
-        &ReduceRetryOpts::default(),
-    )
-}
-
 /// Factory producing the spill store + memory budget for one reduce
 /// attempt. Called once up front and once per retry; handing each attempt
 /// a *fresh* budget guarantees reservations abandoned by a failed attempt
 /// cannot starve its successor.
 pub type ReduceResources<'a> = dyn FnMut() -> Result<(Arc<dyn SpillStore>, MemoryBudget)> + 'a;
 
-/// Fault-tolerant reduce task: attempt-dedups shuffle input, retries the
-/// backend on failure (rebuilding state and replaying retained committed
-/// segments), and never double-emits output across attempts.
-#[allow(clippy::too_many_arguments)]
-pub fn run_reduce_task_ft(
-    job: &JobSpec,
-    partition: usize,
-    rx: &Receiver<ShuffleMsg>,
-    total_map_tasks: usize,
-    resources: &mut ReduceResources<'_>,
-    sink: &mut dyn Sink,
-    trace: &mut LocalTracer,
-    opts: &ReduceRetryOpts,
-) -> Result<ReduceResult> {
-    run_reduce_task_open(
-        job,
-        partition,
-        rx,
-        Some(total_map_tasks),
-        resources,
-        sink,
-        trace,
-        opts,
-    )
+/// Convert snapshot fractions into sorted, deduped map-completion
+/// trigger counts for a known map-task total.
+fn plan_from_fracs(fracs: &[f64], total_map_tasks: usize) -> Vec<usize> {
+    let mut plan: Vec<usize> = fracs
+        .iter()
+        .map(|f| ((f * total_map_tasks as f64).ceil() as usize).max(1))
+        .collect();
+    plan.sort_unstable();
+    plan.dedup();
+    plan
 }
 
-/// [`run_reduce_task_ft`] generalised over an *unknown* map-task count:
-/// with `total_map_tasks == None` (a streamed split feed), the task keeps
+/// Run one reduce task: absorb shuffle segments until every map task has
+/// a committed attempt, then finish the backend into `sink`. Attempt-dedups
+/// shuffle input, retries the backend on failure (building a fresh operator
+/// and replaying retained committed segments), and never double-emits
+/// output across attempts.
+///
+/// With `total_map_tasks == None` (a streamed split feed), the task keeps
 /// absorbing until a [`ShuffleMsg::InputExhausted`] broadcast tells it how
 /// many map tasks the job ended up with. Per-task bookkeeping grows on
 /// demand since task ids are discovered as segments arrive.
@@ -261,26 +194,6 @@ pub(crate) fn run_reduce_task_open(
     trace: &mut LocalTracer,
     opts: &ReduceRetryOpts,
 ) -> Result<ReduceResult> {
-    let retain = opts.max_attempts > 1;
-    let dedup = opts.dedup_attempts;
-    let mut total = total_map_tasks;
-    let mut attempt = 0usize;
-    // Records absorbed by the *current* attempt; the injector's trigger
-    // counter. Reset (to the replayed total) when an attempt is rebuilt.
-    let mut attempt_records = 0u64;
-    // Committed segments kept for replay; only populated when retries are
-    // actually possible, so the common single-attempt path pays nothing.
-    let mut retained: Vec<Segment> = Vec::new();
-    let sized = total.unwrap_or(0);
-    // Per map task: the committed attempt id, once its MapDone arrived.
-    let mut committed: Vec<Option<usize>> = vec![None; sized];
-    // Segments from not-yet-committed attempts, buffered until a MapDone
-    // picks the winner.
-    let mut pending: Vec<Vec<Segment>> = (0..sized).map(|_| Vec::new()).collect();
-    let mut maps_done = 0usize;
-    let mut snapshots_taken = 0u64;
-    let mut shuffle_wait = Duration::ZERO;
-
     let (store, budget) = resources()?;
     if budget.is_leased() {
         trace.instant(
@@ -292,886 +205,382 @@ pub(crate) fn run_reduce_task_open(
             ],
         );
     }
-    // Governance bookkeeping: the last lease limit we observed (to spot
-    // governor rebalances) and shed totals for the profile counters.
-    let mut gov = GovState {
+    let sized = total_map_tasks.unwrap_or(0);
+    let mut task = ReduceTask {
+        job,
+        partition,
+        opts,
+        resources,
+        sink,
+        trace,
+        attempt: 0,
+        absorbed: 0,
         last_limit: budget.limit(),
+        store,
+        budget,
+        grouper: None,
+        retained: Vec::new(),
+        committed: vec![None; sized],
+        pending: vec![Vec::new(); sized],
+        total: None,
+        maps_done: 0,
+        snapshot_plan: Vec::new(),
+        snapshots_taken: 0,
         sheds: 0,
         shed_bytes: 0,
     };
-    let mut state = Some(AttemptState::new(
-        job,
-        store,
-        budget,
-        total,
-        opts.hash_family,
-    )?);
-
-    // Retry ladder shared by absorb / snapshot / finish failures: burn an
-    // attempt, back off, rebuild state, replay retained segments. Returns
-    // the original error once the budget is exhausted.
-    macro_rules! recover {
-        ($err:expr) => {{
-            let mut err = $err;
-            loop {
-                trace.instant(
-                    "task_failed",
-                    "fault",
-                    &[("partition", partition as f64), ("attempt", attempt as f64)],
-                );
-                attempt += 1;
-                if attempt >= opts.max_attempts {
-                    return Err(err);
-                }
-                if !opts.backoff.is_zero() {
-                    std::thread::sleep(opts.backoff);
-                }
-                trace.instant(
-                    "retry",
-                    "fault",
-                    &[("partition", partition as f64), ("attempt", attempt as f64)],
-                );
-                match rebuild(
-                    job, resources, total, maps_done, &retained, opts, partition, attempt, sink,
-                ) {
-                    Ok((st, replayed)) => {
-                        gov.last_limit = st.budget_ref().limit();
-                        state = Some(st);
-                        attempt_records = replayed;
-                        break;
-                    }
-                    Err(e2) => err = e2,
-                }
-            }
-        }};
-    }
-
-    // Service governor demands between segments: record an observed lease
-    // rebalance and honour a posted shed request (spill victim duty).
-    // Static budgets never carry either, so this is branch-only overhead.
-    macro_rules! govern {
-        () => {{
-            let (lim, target) = {
-                let st = state.as_ref().expect("attempt state present");
-                let b = st.budget_ref();
-                (b.limit(), b.take_shed_request())
-            };
-            if lim != gov.last_limit {
-                gov.last_limit = lim;
-                trace.instant(
-                    "mem_rebalance",
-                    "mem",
-                    &[("partition", partition as f64), ("limit_bytes", lim as f64)],
-                );
-            }
-            if target > 0 {
-                let res = {
-                    let st = state.as_mut().expect("attempt state present");
-                    guarded(|| st.shed(target, trace))
-                };
-                match res {
-                    Ok(freed) => {
-                        gov.sheds += 1;
-                        gov.shed_bytes += freed as u64;
-                        trace.instant(
-                            "mem_shed",
-                            "mem",
-                            &[
-                                ("partition", partition as f64),
-                                ("target_bytes", target as f64),
-                                ("freed_bytes", freed as f64),
-                            ],
-                        );
-                    }
-                    Err(e) => {
-                        if let Some(st) = state.as_mut() {
-                            st.abandon();
-                        }
-                        recover!(e);
-                    }
-                }
-            }
-        }};
-    }
-
-    // Absorb one committed segment into the current attempt's state,
-    // recovering on failure.
-    macro_rules! deliver {
-        ($seg:expr) => {{
-            let seg = $seg;
-            if retain {
-                retained.push(seg.clone());
-            }
-            let n = seg.len() as u64;
-            let res = {
-                let st = state.as_mut().expect("attempt state present");
-                guarded(|| {
-                    check_injector(&opts.injector, partition, attempt, attempt_records)?;
-                    st.absorb(job, seg, sink, trace)
-                })
-            };
-            match res {
-                Ok(()) => {
-                    attempt_records += n;
-                    govern!();
-                }
-                Err(e) => {
-                    if let Some(st) = state.as_mut() {
-                        st.abandon();
-                    }
-                    recover!(e);
-                }
-            }
-        }};
-    }
-
-    // Bookkeeping after a map task commits: snapshots may be due.
-    macro_rules! after_commit {
-        () => {{
-            let res = {
-                let st = state.as_mut().expect("attempt state present");
-                guarded(|| st.on_map_committed(maps_done, total, sink, trace))
-            };
-            match res {
-                Ok(n) => snapshots_taken += n,
-                Err(e) => {
-                    if let Some(st) = state.as_mut() {
-                        st.abandon();
-                    }
-                    recover!(e);
-                }
-            }
-        }};
-    }
-
-    // Grow per-task bookkeeping on demand: under a streamed feed, map
-    // task ids are discovered as their segments arrive.
-    macro_rules! ensure_task {
-        ($id:expr) => {{
-            let id = $id;
-            if id >= committed.len() {
-                committed.resize(id + 1, None);
-                pending.resize_with(id + 1, Vec::new);
-            }
-        }};
+    if let Some(total) = total_map_tasks {
+        task.set_total(total);
     }
 
     // The shuffle phase (Fig. 2a lane): from task start until every map
-    // task has a committed attempt. With an unknown total (streamed
-    // feed), keep going until InputExhausted pins it down.
-    trace.begin(Phase::Shuffle.label(), "phase");
-    while total.is_none_or(|t| maps_done < t) {
-        let wait_start = Instant::now();
-        let msg = rx
-            .recv()
-            .map_err(|_| Error::InvalidState("shuffle channel closed early".into()))?;
-        shuffle_wait += wait_start.elapsed();
-        match msg {
-            ShuffleMsg::Abort => {
-                trace.end(Phase::Shuffle.label(), "phase");
-                return Err(Error::InvalidState("job aborted by driver".into()));
-            }
-            ShuffleMsg::InputExhausted { total_map_tasks: t } => {
-                total = Some(t);
-                // Snapshot fractions become concrete map-completion
-                // triggers now; triggers already passed are dropped so a
-                // late-arriving total can't cause stale snapshots.
-                if let Some(st) = state.as_mut() {
-                    st.install_snapshot_plan(t, maps_done);
-                }
-            }
-            ShuffleMsg::Segment(seg) => {
-                if !dedup {
-                    // Fast path: exactly one attempt per map task exists,
-                    // consume eagerly (pipelined reduce).
-                    deliver!(seg);
-                } else {
-                    ensure_task!(seg.map_task);
-                    match committed[seg.map_task] {
-                        Some(a) if a == seg.attempt => deliver!(seg),
-                        Some(_) => {} // losing attempt: drop
-                        None => pending[seg.map_task].push(seg),
-                    }
-                }
-            }
-            ShuffleMsg::MapDone {
-                map_task,
-                attempt: map_attempt,
-            } => {
-                if !dedup {
-                    maps_done += 1;
-                    after_commit!();
-                } else {
-                    ensure_task!(map_task);
-                    if committed[map_task].is_none() {
-                        committed[map_task] = Some(map_attempt);
-                        maps_done += 1;
-                        for seg in std::mem::take(&mut pending[map_task]) {
-                            if seg.attempt == map_attempt {
-                                deliver!(seg);
-                            }
-                        }
-                        after_commit!();
-                    }
-                    // else: a duplicate MapDone from a losing attempt —
-                    // ignore.
-                }
-            }
-        }
-    }
-    trace.end(Phase::Shuffle.label(), "phase");
+    // task has a committed attempt. The span closes on every exit.
+    task.trace.begin(Phase::Shuffle.label(), "phase");
+    let shuffled = task.shuffle(rx);
+    task.trace.end(Phase::Shuffle.label(), "phase");
+    let shuffle_wait = shuffled?;
 
-    // Finish, retrying on failure. While retries remain, finals are staged
-    // and only flushed on success so a mid-merge failure cannot leave half
-    // the output already emitted.
-    let mut stats = loop {
-        let st = state.take().expect("attempt state present");
-        let can_retry = attempt + 1 < opts.max_attempts;
-        let res = if can_retry {
-            let mut staged = VecSink::default();
-            let r = guarded(|| {
-                check_injector(&opts.injector, partition, attempt, attempt_records)?;
-                st.finish(job, &mut staged, trace)
-            });
-            r.inspect(|_| {
-                for (k, v, kind) in staged.emitted {
-                    sink.emit(&k, &v, kind);
-                }
-            })
-        } else {
-            guarded(|| {
-                check_injector(&opts.injector, partition, attempt, attempt_records)?;
-                st.finish(job, sink, trace)
-            })
-        };
-        match res {
-            Ok(stats) => break stats,
-            Err(e) => recover!(e),
-        }
-    };
+    let mut stats = task.finish()?;
     stats.profile.add_time(Phase::Shuffle, shuffle_wait);
-    if gov.sheds > 0 {
-        stats.profile.add_count(gauges::MEM_SHED, gov.sheds);
+    if task.sheds > 0 {
+        stats.profile.add_count(gauges::MEM_SHED, task.sheds);
         stats
             .profile
-            .add_count(gauges::MEM_SHED_BYTES, gov.shed_bytes);
+            .add_count(gauges::MEM_SHED_BYTES, task.shed_bytes);
     }
     Ok(ReduceResult {
         partition,
         stats,
-        snapshots_taken,
-        attempts: attempt + 1,
+        snapshots_taken: task.snapshots_taken,
+        attempts: task.attempt + 1,
     })
 }
 
-/// Build fresh attempt state and replay the retained committed segments
-/// into it. Early emissions are muted (already published by a previous
-/// attempt) and pending snapshots that were already due are suppressed.
-#[allow(clippy::too_many_arguments)]
-fn rebuild(
-    job: &JobSpec,
-    resources: &mut ReduceResources<'_>,
-    total_map_tasks: Option<usize>,
-    maps_done: usize,
-    retained: &[Segment],
-    opts: &ReduceRetryOpts,
+/// One reduce task's state: what survives across attempts (retained
+/// segments, dedup bookkeeping, the snapshot schedule, governance totals)
+/// and the current attempt's operator and resources, which a retry
+/// replaces wholesale so it never trusts data structures a failure may
+/// have corrupted.
+struct ReduceTask<'a> {
+    job: &'a JobSpec,
     partition: usize,
+    opts: &'a ReduceRetryOpts,
+    resources: &'a mut ReduceResources<'a>,
+    sink: &'a mut dyn Sink,
+    trace: &'a mut LocalTracer,
+
+    /// Current attempt number (0 = first run).
     attempt: usize,
-    sink: &mut dyn Sink,
-) -> Result<(AttemptState, u64)> {
-    let (store, budget) = resources()?;
-    let mut st = AttemptState::new(job, store, budget, total_map_tasks, opts.hash_family)?;
-    st.skip_snapshots_up_to(maps_done, total_map_tasks);
-    let mut records = 0u64;
-    // Replay runs under a disabled tracer: the phases were already traced
-    // by the failed attempt and re-tracing them would double the spans.
-    let mut replay_trace = LocalTracer::disabled();
-    let mut mute = MuteEarly { inner: sink };
-    for seg in retained {
-        let n = seg.len() as u64;
-        let res = guarded(|| {
-            check_injector(&opts.injector, partition, attempt, records)?;
-            st.absorb(job, seg.clone(), &mut mute, &mut replay_trace)
-        });
-        if let Err(e) = res {
-            st.abandon();
-            return Err(e);
-        }
-        records += n;
-    }
-    Ok((st, records))
-}
-
-// ---------------------------------------------------------------------------
-// Per-attempt backend state
-// ---------------------------------------------------------------------------
-
-/// One attempt's worth of backend state. Built fresh per attempt so a
-/// retry never trusts data structures a failure may have corrupted.
-enum AttemptState {
-    Sort(Box<SortState>),
-    Hash(HashState),
-}
-
-impl AttemptState {
-    fn new(
-        job: &JobSpec,
-        store: Arc<dyn SpillStore>,
-        budget: MemoryBudget,
-        total_map_tasks: Option<usize>,
-        family: HashFamily,
-    ) -> Result<Self> {
-        match &job.backend {
-            ReduceBackend::SortMerge {
-                merge_factor,
-                snapshots,
-            } => {
-                let io_base = store.stats();
-                let merger = MultiPassMerger::new(Arc::clone(&store), *merge_factor)?;
-                // Snapshot fractions only become concrete map-completion
-                // triggers once the total is known; under a streamed feed
-                // that happens at InputExhausted.
-                let snapshot_plan = match total_map_tasks {
-                    Some(total) => plan_from_fracs(snapshots, total),
-                    None => Vec::new(),
-                };
-                Ok(AttemptState::Sort(Box::new(SortState {
-                    store,
-                    budget,
-                    io_base,
-                    merger,
-                    buffered: Vec::new(),
-                    reserved: 0,
-                    peak_reserved: 0,
-                    profile: Profile::new(),
-                    records_in: 0,
-                    spills: 0,
-                    agg: None,
-                    snapshot_fracs: snapshots.clone(),
-                    snapshot_plan,
-                })))
-            }
-            _ => Ok(AttemptState::Hash(HashState {
-                store,
-                budget,
-                family,
-                grouper: None,
-            })),
-        }
-    }
-
-    /// The map-task total just became known (streamed feed): compute the
-    /// snapshot triggers, dropping any already passed.
-    fn install_snapshot_plan(&mut self, total_map_tasks: usize, maps_done: usize) {
-        if let AttemptState::Sort(s) = self {
-            let mut plan = plan_from_fracs(&s.snapshot_fracs, total_map_tasks);
-            plan.retain(|&t| t > maps_done);
-            s.snapshot_plan = plan;
-        }
-    }
-
-    /// Drop snapshot triggers that already fired (or can no longer fire)
-    /// in a previous attempt.
-    fn skip_snapshots_up_to(&mut self, maps_done: usize, total_map_tasks: Option<usize>) {
-        if let AttemptState::Sort(s) = self {
-            match total_map_tasks {
-                Some(total) if maps_done >= total => s.snapshot_plan.clear(),
-                _ => s.snapshot_plan.retain(|&t| t > maps_done),
-            }
-        }
-    }
-
-    /// Release memory reservations held by a failed attempt so the next
-    /// one starts from a clean budget (best effort; spill runs the failed
-    /// attempt created stay on disk until the store is dropped).
-    fn abandon(&mut self) {
-        if let AttemptState::Sort(s) = self {
-            s.budget.release(s.reserved);
-            s.reserved = 0;
-        }
-    }
-
-    /// The attempt's memory budget (a governor lease when adaptive).
-    fn budget_ref(&self) -> &MemoryBudget {
-        match self {
-            AttemptState::Sort(s) => &s.budget,
-            AttemptState::Hash(h) => &h.budget,
-        }
-    }
-
-    /// Honour a governor shed request: move in-memory state to spill,
-    /// freeing budget. Returns bytes freed.
-    fn shed(&mut self, target_bytes: usize, trace: &mut LocalTracer) -> Result<usize> {
-        match self {
-            AttemptState::Sort(s) => s.shed(trace),
-            AttemptState::Hash(h) => match &mut h.grouper {
-                Some(g) => g.shed(target_bytes),
-                None => Ok(0),
-            },
-        }
-    }
-
-    /// Absorb one committed segment.
-    fn absorb(
-        &mut self,
-        job: &JobSpec,
-        seg: Segment,
-        sink: &mut dyn Sink,
-        trace: &mut LocalTracer,
-    ) -> Result<()> {
-        match self {
-            AttemptState::Sort(s) => s.absorb(job, seg, trace),
-            AttemptState::Hash(h) => h.absorb(job, seg, sink, trace),
-        }
-    }
-
-    /// A map task just committed; take any snapshots that are now due.
-    /// Returns the number of snapshots emitted.
-    fn on_map_committed(
-        &mut self,
-        maps_done: usize,
-        total_map_tasks: Option<usize>,
-        sink: &mut dyn Sink,
-        trace: &mut LocalTracer,
-    ) -> Result<u64> {
-        match self {
-            AttemptState::Sort(s) => s.on_map_committed(maps_done, total_map_tasks, sink, trace),
-            AttemptState::Hash(_) => Ok(0),
-        }
-    }
-
-    /// All input absorbed: run the final merge / reduce into `sink`.
-    fn finish(
-        self,
-        job: &JobSpec,
-        sink: &mut dyn Sink,
-        trace: &mut LocalTracer,
-    ) -> Result<OpStats> {
-        match self {
-            AttemptState::Sort(s) => s.finish(job, sink, trace),
-            AttemptState::Hash(h) => h.finish(sink, trace),
-        }
-    }
-}
-
-/// Hash-backend state: a lazily-built `onepass-groupby` operator.
-struct HashState {
+    /// Records absorbed by the current attempt; the injector's trigger
+    /// counter. Restarts at the replayed total when an attempt is rebuilt.
+    absorbed: u64,
+    /// Lease limit at the last check; a change means the governor
+    /// rebalanced this task's share.
+    last_limit: usize,
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
-    family: HashFamily,
+    /// The backend, built when the first segment says whether its values
+    /// are raw or combined states; `None` until any data arrives.
     grouper: Option<Box<dyn GroupBy>>,
-}
 
-impl HashState {
-    fn absorb(
-        &mut self,
-        job: &JobSpec,
-        seg: Segment,
-        sink: &mut dyn Sink,
-        trace: &mut LocalTracer,
-    ) -> Result<()> {
-        let g = match &mut self.grouper {
-            Some(g) => g,
-            None => {
-                // Lazily build the backend now that the first segment
-                // tells us whether input is combined. Construction goes
-                // through the executor's shared service.
-                let agg = effective_agg(job, seg.combined);
-                let g = crate::executor::build_hash_grouper(
-                    &job.backend,
-                    Arc::clone(&self.store),
-                    self.budget.clone(),
-                    agg,
-                    Some(trace.fork()),
-                    self.family,
-                )?;
-                self.grouper.insert(g)
-            }
-        };
-        g.push_batch(&seg.records, sink)?;
-        Ok(())
-    }
-
-    fn finish(self, sink: &mut dyn Sink, trace: &mut LocalTracer) -> Result<OpStats> {
-        trace.begin(Phase::ReduceFn.label(), "phase");
-        let stats = match self.grouper {
-            Some(mut g) => g.finish(sink),
-            None => Ok(OpStats::default()), // received no data at all
-        };
-        trace.end(Phase::ReduceFn.label(), "phase");
-        stats
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sort-merge reduce (Hadoop / HOP)
-// ---------------------------------------------------------------------------
-
-/// Sort-merge backend state for one attempt. Buffered segments are the
-/// arena-backed [`SegmentBuf`]s straight off the shuffle channel — sorted
-/// in place (entry permutation only) when a segment arrives unsorted.
-struct SortState {
-    store: Arc<dyn SpillStore>,
-    budget: MemoryBudget,
-    io_base: IoStats,
-    merger: MultiPassMerger,
-    buffered: Vec<SegmentBuf>,
-    reserved: usize,
-    peak_reserved: usize,
-    profile: Profile,
-    records_in: u64,
-    spills: u64,
-    agg: Option<Arc<dyn Aggregator>>,
-    /// Configured snapshot fractions, kept so the trigger plan can be
-    /// (re)computed when a streamed feed's total arrives late.
-    snapshot_fracs: Vec<f64>,
+    /// Committed segments kept for replay; only populated when retries are
+    /// actually possible, so the common single-attempt path pays nothing.
+    retained: Vec<Segment>,
+    /// Per map task: the committed attempt id, once its MapDone arrived.
+    committed: Vec<Option<usize>>,
+    /// Segments from not-yet-committed attempts, buffered until a MapDone
+    /// picks the winner.
+    pending: Vec<Vec<Segment>>,
+    total: Option<usize>,
+    maps_done: usize,
+    /// Map-completion counts at which a snapshot is still due, ascending.
+    /// A trigger leaves the plan when it fires, so a rebuilt attempt never
+    /// repeats a snapshot its predecessor published.
     snapshot_plan: Vec<usize>,
+    snapshots_taken: u64,
+    /// Shed requests this task honoured, and the bytes they freed.
+    sheds: u64,
+    shed_bytes: u64,
 }
 
-/// Convert snapshot fractions into sorted, deduped map-completion
-/// trigger counts for a known map-task total.
-fn plan_from_fracs(fracs: &[f64], total_map_tasks: usize) -> Vec<usize> {
-    let mut plan: Vec<usize> = fracs
-        .iter()
-        .map(|f| ((f * total_map_tasks as f64).ceil() as usize).max(1))
-        .collect();
-    plan.sort_unstable();
-    plan.dedup();
-    plan
-}
-
-impl SortState {
-    fn absorb(&mut self, job: &JobSpec, seg: Segment, trace: &mut LocalTracer) -> Result<()> {
-        let a = self
-            .agg
-            .get_or_insert_with(|| effective_agg(job, seg.combined))
-            .clone();
-        let records = if seg.sorted {
-            seg.records
-        } else {
-            // HOP "moves some of the sorting work to reducers"
-            // (§III-D); charge it to the reduce side. Sorting permutes
-            // the entry table only — the arena stays shared.
-            let t = Instant::now();
-            let sorted = seg.records.sorted_by_key();
-            self.profile.add_time(Phase::ReduceGroup, t.elapsed());
-            sorted
-        };
-        self.records_in += records.len() as u64;
-        let bytes: usize = records.payload_bytes() + 16 * records.len();
-        let count_trigger = self.buffered.len() + 1 >= job.inmem_merge_threshold;
-        // Under a governor lease, ask for more budget before giving up
-        // and spilling; a static budget rejects escalation outright.
-        if count_trigger || !self.budget.try_grant_or_request(bytes) {
-            spill_buffered(
-                &mut self.buffered,
-                &mut self.merger,
-                &self.store,
-                &a,
-                &mut self.profile,
-                trace,
-            )?;
-            self.spills += 1;
-            self.budget.release(self.reserved);
-            self.reserved = 0;
-            if !self.budget.try_grant(bytes) {
-                // A single segment larger than the whole budget: a
-                // reducer must be able to hold at least one
-                // segment, so take it (soft limit) and flush it to
-                // disk right below.
-                self.budget.force_grant(bytes);
-            }
+impl ReduceTask<'_> {
+    /// The map-task total is known (up front, or from `InputExhausted`
+    /// under a streamed feed): snapshot fractions become concrete
+    /// map-completion triggers. Triggers already passed are dropped so a
+    /// late-arriving total can't cause stale snapshots.
+    fn set_total(&mut self, total: usize) {
+        self.total = Some(total);
+        if let ReduceBackend::SortMerge { snapshots, .. } = &self.job.backend {
+            self.snapshot_plan = plan_from_fracs(snapshots, total);
+            self.snapshot_plan.retain(|&t| t > self.maps_done);
         }
-        self.reserved += bytes;
-        self.peak_reserved = self.peak_reserved.max(self.reserved);
-        self.buffered.push(records);
-        if self.budget.over_limit() {
-            spill_buffered(
-                &mut self.buffered,
-                &mut self.merger,
-                &self.store,
-                &a,
-                &mut self.profile,
-                trace,
-            )?;
-            self.spills += 1;
-            self.budget.release(self.reserved);
-            self.reserved = 0;
-        }
-        Ok(())
     }
 
-    /// Governor shed duty: merge-spill the whole buffered tail (the
-    /// smallest spillable unit this backend has) and release its budget.
-    fn shed(&mut self, trace: &mut LocalTracer) -> Result<usize> {
-        if self.buffered.is_empty() {
-            return Ok(0);
+    /// Grow per-task bookkeeping on demand: under a streamed feed, map
+    /// task ids are discovered as their segments arrive.
+    fn ensure_task(&mut self, id: usize) {
+        if id >= self.committed.len() {
+            self.committed.resize(id + 1, None);
+            self.pending.resize_with(id + 1, Vec::new);
         }
-        let Some(a) = self.agg.clone() else {
-            return Ok(0);
-        };
-        let freed = self.reserved;
-        spill_buffered(
-            &mut self.buffered,
-            &mut self.merger,
-            &self.store,
-            &a,
-            &mut self.profile,
-            trace,
-        )?;
-        self.spills += 1;
-        self.budget.release(self.reserved);
-        self.reserved = 0;
-        Ok(freed)
     }
 
-    fn on_map_committed(
-        &mut self,
-        maps_done: usize,
-        total_map_tasks: Option<usize>,
-        sink: &mut dyn Sink,
-        trace: &mut LocalTracer,
-    ) -> Result<u64> {
-        let mut taken = 0u64;
-        // Snapshots are mid-stream approximations: none fire while the
-        // total is unknown (empty plan) or once every map has committed.
-        if total_map_tasks.is_some_and(|t| maps_done < t) {
-            while self.snapshot_plan.first().is_some_and(|&t| maps_done >= t) {
-                self.snapshot_plan.remove(0);
-                if let Some(a) = &self.agg {
-                    trace.begin("snapshot", "phase");
-                    take_snapshot(
-                        &self.buffered,
-                        &self.merger,
-                        &self.store,
-                        a,
-                        sink,
-                        &mut self.profile,
-                    )?;
-                    trace.end("snapshot", "phase");
-                    taken += 1;
+    /// Receive until every map task has a committed attempt (with an
+    /// unknown total, until `InputExhausted` pins it down). Returns the
+    /// time spent blocked on the channel.
+    fn shuffle(&mut self, rx: &Receiver<ShuffleMsg>) -> Result<Duration> {
+        let dedup = self.opts.dedup_attempts;
+        let mut waited = Duration::ZERO;
+        while self.total.is_none_or(|t| self.maps_done < t) {
+            let wait_start = Instant::now();
+            let msg = rx
+                .recv()
+                .map_err(|_| Error::InvalidState("shuffle channel closed early".into()))?;
+            waited += wait_start.elapsed();
+            match msg {
+                ShuffleMsg::Abort => {
+                    return Err(Error::InvalidState("job aborted by driver".into()));
                 }
-            }
-        }
-        Ok(taken)
-    }
-
-    fn finish(
-        mut self,
-        job: &JobSpec,
-        sink: &mut dyn Sink,
-        trace: &mut LocalTracer,
-    ) -> Result<OpStats> {
-        let a = self.agg.take().unwrap_or_else(|| effective_agg(job, false));
-        let mut groups_out = 0u64;
-        trace.begin(Phase::ReduceFn.label(), "phase");
-        if self.merger.runs().is_empty() && self.merger.merge_passes() == 0 {
-            // All data still in memory: merge and reduce directly.
-            let t = Instant::now();
-            let mut cursor = VecMergeCursor::new(&self.buffered);
-            let mut current: Option<(Vec<u8>, Vec<u8>)> = None;
-            while let Some((k, v)) = cursor.next_pair() {
-                match &mut current {
-                    Some((ck, state)) if ck.as_slice() == k => a.update(k, state, v),
-                    _ => {
-                        if let Some((ck, state)) = current.take() {
-                            let out = a.finish(&ck, state);
-                            sink.emit(&ck, &out, EmitKind::Final);
-                            groups_out += 1;
+                ShuffleMsg::InputExhausted { total_map_tasks } => self.set_total(total_map_tasks),
+                // Fast path: exactly one attempt per map task exists,
+                // consume eagerly (pipelined reduce).
+                ShuffleMsg::Segment(seg) if !dedup => self.deliver(seg)?,
+                ShuffleMsg::Segment(seg) => {
+                    self.ensure_task(seg.map_task);
+                    match self.committed[seg.map_task] {
+                        Some(a) if a == seg.attempt => self.deliver(seg)?,
+                        Some(_) => {} // losing attempt: drop
+                        None => self.pending[seg.map_task].push(seg),
+                    }
+                }
+                ShuffleMsg::MapDone { .. } if !dedup => {
+                    self.maps_done += 1;
+                    self.after_commit()?;
+                }
+                ShuffleMsg::MapDone { map_task, attempt } => {
+                    self.ensure_task(map_task);
+                    // A duplicate MapDone from a losing attempt is ignored.
+                    if self.committed[map_task].is_none() {
+                        self.committed[map_task] = Some(attempt);
+                        self.maps_done += 1;
+                        for seg in std::mem::take(&mut self.pending[map_task]) {
+                            if seg.attempt == attempt {
+                                self.deliver(seg)?;
+                            }
                         }
-                        current = Some((k.to_vec(), a.init(k, v)));
+                        self.after_commit()?;
                     }
                 }
             }
-            if let Some((ck, state)) = current.take() {
-                let out = a.finish(&ck, state);
-                sink.emit(&ck, &out, EmitKind::Final);
-                groups_out += 1;
-            }
-            self.profile.add_time(Phase::ReduceFn, t.elapsed());
+        }
+        Ok(waited)
+    }
+
+    /// Push one segment into the current attempt's operator, building it
+    /// on first use. `replay` mutes early output: a previous attempt
+    /// already published it.
+    fn absorb(&mut self, seg: &Segment, replay: bool) -> Result<()> {
+        let mut mute;
+        let sink: &mut dyn Sink = if replay {
+            mute = MuteEarly {
+                inner: &mut *self.sink,
+            };
+            &mut mute
         } else {
-            // Hadoop behaviour: the in-memory tail is spilled too, then the
-            // final (multi-pass if needed) merge feeds the reduce function.
-            if !self.buffered.is_empty() {
-                spill_buffered(
-                    &mut self.buffered,
-                    &mut self.merger,
-                    &self.store,
-                    &a,
-                    &mut self.profile,
-                    trace,
+            &mut *self.sink
+        };
+        guarded(|| {
+            check_injector(
+                &self.opts.injector,
+                self.partition,
+                self.attempt,
+                self.absorbed,
+            )?;
+            let g = match &mut self.grouper {
+                Some(g) => g,
+                slot => {
+                    // The aggregate the backend runs: the raw job aggregate
+                    // when segments carry raw values; a `StateInput` wrapper
+                    // when map-side combine ran.
+                    let agg = if seg.combined {
+                        Arc::new(StateInput(Arc::clone(&self.job.agg)))
+                    } else {
+                        Arc::clone(&self.job.agg)
+                    };
+                    slot.insert(crate::executor::build_grouper(
+                        self.job,
+                        Arc::clone(&self.store),
+                        self.budget.clone(),
+                        agg,
+                        self.trace.fork(),
+                        self.opts.hash_family,
+                    )?)
+                }
+            };
+            if seg.sorted {
+                g.push_sorted(&seg.records, sink)
+            } else {
+                g.push_batch(&seg.records, sink)
+            }
+        })?;
+        self.absorbed += seg.len() as u64;
+        Ok(())
+    }
+
+    /// Retry ladder shared by absorb / shed / snapshot / finish failures:
+    /// burn an attempt, back off, take fresh resources, replay the
+    /// retained segments into a fresh operator. Returns the latest error
+    /// once the attempt budget is exhausted.
+    fn recover(&mut self, mut err: Error) -> Result<()> {
+        loop {
+            // Dropping the failed operator releases what it had reserved.
+            self.grouper = None;
+            let partition = ("partition", self.partition as f64);
+            let failed = ("attempt", self.attempt as f64);
+            self.trace
+                .instant("task_failed", "fault", &[partition, failed]);
+            self.attempt += 1;
+            if self.attempt >= self.opts.max_attempts {
+                return Err(err);
+            }
+            if !self.opts.backoff.is_zero() {
+                std::thread::sleep(self.opts.backoff);
+            }
+            let next = ("attempt", self.attempt as f64);
+            self.trace.instant("retry", "fault", &[partition, next]);
+            match self.replay() {
+                Ok(()) => return Ok(()),
+                Err(e) => err = e,
+            }
+        }
+    }
+
+    /// Start the next attempt on fresh resources and feed it everything
+    /// committed so far.
+    fn replay(&mut self) -> Result<()> {
+        (self.store, self.budget) = (self.resources)()?;
+        self.last_limit = self.budget.limit();
+        self.absorbed = 0;
+        let retained = std::mem::take(&mut self.retained);
+        let replayed = retained.iter().try_for_each(|seg| self.absorb(seg, true));
+        self.retained = retained;
+        replayed
+    }
+
+    /// Absorb one committed segment, recovering on failure, then service
+    /// the governor.
+    fn deliver(&mut self, seg: Segment) -> Result<()> {
+        let absorbed = self.absorb(&seg, false);
+        if self.opts.max_attempts > 1 {
+            self.retained.push(seg);
+        }
+        match absorbed {
+            Ok(()) => self.govern(),
+            Err(e) => self.recover(e),
+        }
+    }
+
+    /// Service governor demands between segments: record an observed lease
+    /// rebalance and honour a posted shed request (spill victim duty).
+    /// Static budgets never carry either, so this is branch-only overhead.
+    fn govern(&mut self) -> Result<()> {
+        let at = ("partition", self.partition as f64);
+        let limit = self.budget.limit();
+        if limit != self.last_limit {
+            self.last_limit = limit;
+            self.trace
+                .instant("mem_rebalance", "mem", &[at, ("limit_bytes", limit as f64)]);
+        }
+        let target = self.budget.take_shed_request();
+        if target == 0 {
+            return Ok(());
+        }
+        let shed = match &mut self.grouper {
+            Some(g) => guarded(|| g.shed(target)),
+            None => Ok(0),
+        };
+        match shed {
+            Ok(freed) => {
+                self.sheds += 1;
+                self.shed_bytes += freed as u64;
+                self.trace.instant(
+                    "mem_shed",
+                    "mem",
+                    &[
+                        at,
+                        ("target_bytes", target as f64),
+                        ("freed_bytes", freed as f64),
+                    ],
+                );
+                Ok(())
+            }
+            Err(e) => self.recover(e),
+        }
+    }
+
+    /// A map task just committed: take the snapshots that are now due.
+    /// Snapshots are mid-stream approximations — none fire while the total
+    /// is unknown (empty plan) or once every map has committed.
+    fn after_commit(&mut self) -> Result<()> {
+        while self.total.is_some_and(|t| self.maps_done < t)
+            && self
+                .snapshot_plan
+                .first()
+                .is_some_and(|&t| self.maps_done >= t)
+        {
+            self.snapshot_plan.remove(0);
+            let Some(g) = &mut self.grouper else {
+                continue; // nothing received yet: nothing to approximate
+            };
+            self.trace.begin("snapshot", "phase");
+            let taken = guarded(|| g.snapshot(&mut *self.sink));
+            self.trace.end("snapshot", "phase");
+            match taken {
+                Ok(()) => self.snapshots_taken += 1,
+                Err(e) => self.recover(e)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// All input absorbed: run the final merge / reduce into the sink,
+    /// retrying on failure. While retries remain, finals are staged and
+    /// only flushed on success so a mid-merge failure cannot leave half
+    /// the output already emitted.
+    fn finish(&mut self) -> Result<OpStats> {
+        loop {
+            let staging = self.attempt + 1 < self.opts.max_attempts;
+            let mut staged = VecSink::default();
+            let out: &mut dyn Sink = if staging {
+                &mut staged
+            } else {
+                &mut *self.sink
+            };
+            self.trace.begin(Phase::ReduceFn.label(), "phase");
+            let finished = guarded(|| {
+                check_injector(
+                    &self.opts.injector,
+                    self.partition,
+                    self.attempt,
+                    self.absorbed,
                 )?;
-                self.spills += 1;
-            }
-            let mut grouped = self.merger.into_grouped()?;
-            let t = Instant::now();
-            while let Some((key, states)) = grouped.next_group()? {
-                let mut iter = states.into_iter();
-                let mut state = iter.next().expect("non-empty group");
-                for other in iter {
-                    a.merge(&key, &mut state, &other);
+                match &mut self.grouper {
+                    Some(g) => g.finish(out),
+                    None => Ok(OpStats::default()), // received no data at all
                 }
-                let out = a.finish(&key, state);
-                sink.emit(&key, &out, EmitKind::Final);
-                groups_out += 1;
-            }
-            self.profile.add_time(Phase::ReduceFn, t.elapsed());
-            self.profile.merge(grouped.profile());
-            grouped.cleanup()?;
-        }
-        trace.end(Phase::ReduceFn.label(), "phase");
-        self.budget.release(self.reserved);
-
-        let io_now = self.store.stats();
-        Ok(OpStats {
-            records_in: self.records_in,
-            groups_out,
-            early_emits: 0, // snapshots are counted separately
-            io: IoStats {
-                bytes_written: io_now.bytes_written - self.io_base.bytes_written,
-                bytes_read: io_now.bytes_read - self.io_base.bytes_read,
-                runs_created: io_now.runs_created - self.io_base.runs_created,
-                runs_deleted: io_now.runs_deleted - self.io_base.runs_deleted,
-            },
-            profile: self.profile,
-            peak_mem: self.peak_reserved,
-            spills: self.spills,
-            passes: 0,
-        })
-    }
-}
-
-/// Streaming k-way merge over sorted in-memory segments. Fully borrowed:
-/// keys and values are served as slices into the segments' arenas.
-struct VecMergeCursor<'a> {
-    segs: &'a [SegmentBuf],
-    heap: BinaryHeap<Reverse<(&'a [u8], usize, usize)>>, // (key, seg, idx)
-}
-
-impl<'a> VecMergeCursor<'a> {
-    fn new(segs: &'a [SegmentBuf]) -> Self {
-        let mut heap = BinaryHeap::new();
-        for (s, seg) in segs.iter().enumerate() {
-            if !seg.is_empty() {
-                heap.push(Reverse((seg.key(0), s, 0)));
-            }
-        }
-        VecMergeCursor { segs, heap }
-    }
-
-    fn next_pair(&mut self) -> Option<(&'a [u8], &'a [u8])> {
-        let Reverse((key, s, i)) = self.heap.pop()?;
-        if i + 1 < self.segs[s].len() {
-            self.heap.push(Reverse((self.segs[s].key(i + 1), s, i + 1)));
-        }
-        Some((key, self.segs[s].value(i)))
-    }
-}
-
-/// Merge all buffered sorted segments into one on-disk run, collapsing
-/// key-streaks through the aggregate (Hadoop applies combine on reducer
-/// buffer fill — and writes the data out regardless, §III-B.4). The
-/// combined output is staged in one arena and written as a single batch.
-fn spill_buffered(
-    buffered: &mut Vec<SegmentBuf>,
-    merger: &mut MultiPassMerger,
-    store: &Arc<dyn SpillStore>,
-    agg: &Arc<dyn Aggregator>,
-    profile: &mut Profile,
-    trace: &mut LocalTracer,
-) -> Result<()> {
-    if buffered.is_empty() {
-        return Ok(());
-    }
-    trace.begin(Phase::Merge.label(), "phase");
-    let t = Instant::now();
-    let mut writer = store.begin_run()?;
-    let mut cursor = VecMergeCursor::new(buffered);
-    let mut out = SegmentBufBuilder::new();
-    let mut current: Option<(Vec<u8>, Vec<u8>)> = None;
-    while let Some((k, v)) = cursor.next_pair() {
-        match &mut current {
-            Some((ck, state)) if ck.as_slice() == k => agg.update(k, state, v),
-            _ => {
-                if let Some((ck, state)) = current.take() {
-                    out.push(&ck, &state);
+            });
+            self.trace.end(Phase::ReduceFn.label(), "phase");
+            match finished {
+                Ok(stats) => {
+                    for (k, v, kind) in staged.emitted {
+                        self.sink.emit(&k, &v, kind);
+                    }
+                    return Ok(stats);
                 }
-                current = Some((k.to_vec(), agg.init(k, v)));
+                Err(e) => self.recover(e)?,
             }
         }
     }
-    if let Some((ck, state)) = current.take() {
-        out.push(&ck, &state);
-    }
-    writer.write_segment(&out.finish())?;
-    let meta = writer.finish()?;
-    profile.add_time(Phase::Merge, t.elapsed());
-    trace.end(Phase::Merge.label(), "phase");
-    trace.instant(
-        "reduce_spill",
-        "spill",
-        &[
-            ("bytes", meta.bytes as f64),
-            ("records", meta.records as f64),
-        ],
-    );
-    buffered.clear();
-    merger.add_run(meta)
-}
-
-/// MapReduce Online snapshot: non-destructively re-read everything
-/// received so far (on-disk runs + in-memory segments), aggregate, and
-/// emit approximate answers. The re-read is the snapshot's I/O cost.
-fn take_snapshot(
-    buffered: &[SegmentBuf],
-    merger: &MultiPassMerger,
-    store: &Arc<dyn SpillStore>,
-    agg: &Arc<dyn Aggregator>,
-    sink: &mut dyn Sink,
-    profile: &mut Profile,
-) -> Result<()> {
-    let t = Instant::now();
-    let mut states: ByteMap<Vec<u8>> = ByteMap::default();
-    for run in merger.runs() {
-        let mut reader = store.open_run(run.id)?;
-        while let Some(rec) = reader.next_record()? {
-            // Run records are already aggregate states.
-            match states.get_mut(rec.key) {
-                Some(s) => agg.merge(rec.key, s, rec.value),
-                None => {
-                    states.insert(rec.key.to_vec(), rec.value.to_vec());
-                }
-            }
-        }
-    }
-    for seg in buffered {
-        for (k, v) in seg.iter() {
-            match states.get_mut(k) {
-                Some(s) => agg.update(k, s, v),
-                None => {
-                    states.insert(k.to_vec(), agg.init(k, v));
-                }
-            }
-        }
-    }
-    for (k, state) in states {
-        let out = agg.finish(&k, state);
-        sink.emit(&k, &out, EmitKind::Early);
-    }
-    profile.add_time(Phase::Merge, t.elapsed());
-    Ok(())
-}
-
-/// In-memory sort-merge reduce used by tests and by the capability matrix;
-/// delegates to [`SortMergeGrouper`]. Exposed mainly so downstream crates
-/// can run a standalone sort-merge reduce outside a full job.
-pub fn standalone_sortmerge(
-    store: Arc<dyn SpillStore>,
-    budget: MemoryBudget,
-    merge_factor: usize,
-    agg: Arc<dyn Aggregator>,
-) -> Result<SortMergeGrouper> {
-    SortMergeGrouper::new(store, budget, merge_factor, agg)
 }
 
 #[cfg(test)]
@@ -1179,6 +588,7 @@ mod tests {
     use super::*;
     use crate::job::{JobSpec, ShuffleMode};
     use crate::shuffle::{shuffle_fabric, Segment};
+    use onepass_core::bytes_kv::SegmentBuf;
     use onepass_core::fault::FaultPlan;
     use onepass_core::io::SharedMemStore;
     use onepass_groupby::{SumAgg, VecSink};
@@ -1216,6 +626,38 @@ mod tests {
         u64::from_le_bytes(v.try_into().unwrap())
     }
 
+    /// A per-attempt resources factory: each attempt gets a fresh memory
+    /// store and its own copy of `budget`, like the engine's.
+    fn resources(
+        budget: MemoryBudget,
+    ) -> impl FnMut() -> Result<(Arc<dyn SpillStore>, MemoryBudget)> {
+        move || {
+            let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
+            Ok((store, MemoryBudget::new(budget.limit())))
+        }
+    }
+
+    /// Run partition 0 through the task's single entry point, untraced.
+    fn reduce(
+        job: &JobSpec,
+        rx: &Receiver<ShuffleMsg>,
+        total_map_tasks: usize,
+        resources: &mut ReduceResources<'_>,
+        sink: &mut dyn Sink,
+        opts: &ReduceRetryOpts,
+    ) -> Result<ReduceResult> {
+        run_reduce_task_open(
+            job,
+            0,
+            rx,
+            Some(total_map_tasks),
+            resources,
+            sink,
+            &mut LocalTracer::disabled(),
+            opts,
+        )
+    }
+
     #[test]
     fn sortmerge_reduce_in_memory() {
         let job = job_sortmerge(vec![]);
@@ -1225,16 +667,13 @@ mod tests {
         tx.map_done(0, 0);
         tx.map_done(1, 0);
         let mut sink = VecSink::default();
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let res = run_reduce_task(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             2,
-            store,
-            MemoryBudget::unlimited(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
+            &ReduceRetryOpts::default(),
         )
         .unwrap();
         assert_eq!(res.stats.groups_out, 3);
@@ -1251,7 +690,11 @@ mod tests {
 
     #[test]
     fn sortmerge_reduce_spills_and_merges() {
-        let job = job_sortmerge(vec![]);
+        let mut job = job_sortmerge(vec![]);
+        job.backend = ReduceBackend::SortMerge {
+            merge_factor: 2,
+            snapshots: vec![],
+        };
         let (tx, rxs) = shuffle_fabric(1, 1024);
         let n_maps = 12;
         for m in 0..n_maps {
@@ -1263,20 +706,18 @@ mod tests {
             tx.map_done(m, 0);
         }
         let mut sink = VecSink::default();
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let res = run_reduce_task(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             n_maps,
-            store,
-            MemoryBudget::new(700),
+            &mut resources(MemoryBudget::new(700)),
             &mut sink,
-            &mut LocalTracer::disabled(),
+            &ReduceRetryOpts::default(),
         )
         .unwrap();
         assert_eq!(res.stats.groups_out, 40);
         assert!(res.stats.spills >= 2);
+        assert!(res.stats.passes >= 1, "F=2 with several runs must merge");
         assert!(res.stats.io.bytes_written > 0);
         let total: u64 = sink
             .emitted
@@ -1297,16 +738,13 @@ mod tests {
             tx.map_done(m, 0);
         }
         let mut sink = VecSink::default();
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let res = run_reduce_task(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             n_maps,
-            store,
-            MemoryBudget::unlimited(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
+            &ReduceRetryOpts::default(),
         )
         .unwrap();
         assert_eq!(res.snapshots_taken, 1);
@@ -1347,16 +785,13 @@ mod tests {
         tx.map_done(0, 0);
         tx.map_done(1, 0);
         let mut sink = VecSink::default();
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let res = run_reduce_task(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             2,
-            store,
-            MemoryBudget::unlimited(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
+            &ReduceRetryOpts::default(),
         )
         .unwrap();
         assert_eq!(res.stats.groups_out, 2);
@@ -1375,29 +810,17 @@ mod tests {
         let (tx, rxs) = shuffle_fabric(1, 8);
         tx.map_done(0, 0);
         let mut sink = VecSink::default();
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let res = run_reduce_task(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             1,
-            store,
-            MemoryBudget::unlimited(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
+            &ReduceRetryOpts::default(),
         )
         .unwrap();
         assert_eq!(res.stats.groups_out, 0);
         assert!(sink.emitted.is_empty());
-    }
-
-    /// Build a per-attempt resources factory over fresh memory stores
-    /// (each attempt gets its own store + budget, like the FT driver).
-    fn fresh_resources() -> impl FnMut() -> Result<(Arc<dyn SpillStore>, MemoryBudget)> {
-        move || {
-            let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-            Ok((store, MemoryBudget::unlimited()))
-        }
     }
 
     #[test]
@@ -1414,16 +837,13 @@ mod tests {
         let (tx, rxs) = shuffle_fabric(1, 64);
         feed(&tx);
         let mut clean = VecSink::default();
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        run_reduce_task(
+        reduce(
             &job,
-            0,
             &rxs[0],
             2,
-            store,
-            MemoryBudget::unlimited(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut clean,
-            &mut LocalTracer::disabled(),
+            &ReduceRetryOpts::default(),
         )
         .unwrap();
 
@@ -1436,14 +856,12 @@ mod tests {
             injector: FaultPlan::new().fail_reduce(0, 0, 1).into_injector(),
             ..Default::default()
         };
-        let res = run_reduce_task_ft(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             2,
-            &mut fresh_resources(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
             &opts,
         )
         .unwrap();
@@ -1467,14 +885,12 @@ mod tests {
                 .into_injector(),
             ..Default::default()
         };
-        let err = run_reduce_task_ft(
+        let err = reduce(
             &job,
-            0,
             &rxs[0],
             1,
-            &mut fresh_resources(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
             &opts,
         )
         .unwrap_err();
@@ -1510,14 +926,12 @@ mod tests {
             dedup_attempts: true,
             ..Default::default()
         };
-        let res = run_reduce_task_ft(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             2,
-            &mut fresh_resources(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
             &opts,
         )
         .unwrap();
@@ -1538,19 +952,63 @@ mod tests {
         tx.send_segment(sorted_seg(0, &[("a", 1)]));
         tx.abort();
         let mut sink = VecSink::default();
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let err = run_reduce_task(
+        let err = reduce(
             &job,
-            0,
             &rxs[0],
-            4, // would otherwise wait for 3 more map tasks
-            store,
-            MemoryBudget::unlimited(),
+            4,
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
+            &ReduceRetryOpts::default(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("aborted"));
+    }
+
+    #[test]
+    fn failing_reduce_leaves_no_span_open() {
+        use onepass_core::trace::{complete_spans, EventKind, Tracer, Track};
+        let job = job_sortmerge(vec![]);
+        // Three ways out of the shuffle loop: retries exhausted mid-absorb,
+        // the channel closing early, and a driver abort.
+        let exhausted = ReduceRetryOpts {
+            max_attempts: 2,
+            injector: FaultPlan::new()
+                .fail_reduce(0, 0, 0)
+                .fail_reduce(0, 1, 0)
+                .into_injector(),
+            ..Default::default()
+        };
+        for (opts, abort) in [
+            (exhausted, false),
+            (ReduceRetryOpts::default(), false),
+            (ReduceRetryOpts::default(), true),
+        ] {
+            let (tx, rxs) = shuffle_fabric(1, 8);
+            tx.send_segment(sorted_seg(0, &[("a", 1)]));
+            if abort {
+                tx.abort();
+            }
+            drop(tx); // two map tasks expected, none will ever report done
+            let tracer = Tracer::enabled();
+            let mut trace = tracer.local(Track::new("reduce", 0));
+            run_reduce_task_open(
+                &job,
+                0,
+                &rxs[0],
+                Some(2),
+                &mut resources(MemoryBudget::unlimited()),
+                &mut VecSink::default(),
+                &mut trace,
+                &opts,
+            )
+            .unwrap_err();
+            drop(trace);
+            let events = tracer.drain();
+            let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+            assert!(count(EventKind::Begin) > 0);
+            assert_eq!(count(EventKind::Begin), count(EventKind::End));
+            complete_spans(&events).expect("every span closed");
+        }
     }
 
     #[test]
@@ -1572,14 +1030,12 @@ mod tests {
             injector: FaultPlan::new().fail_reduce(0, 0, 3).into_injector(),
             ..Default::default()
         };
-        let res = run_reduce_task_ft(
+        let res = reduce(
             &job,
-            0,
             &rxs[0],
             n_maps,
-            &mut fresh_resources(),
+            &mut resources(MemoryBudget::unlimited()),
             &mut sink,
-            &mut LocalTracer::disabled(),
             &opts,
         )
         .unwrap();

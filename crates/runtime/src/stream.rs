@@ -185,7 +185,7 @@ impl StreamSession {
             // error: with those, no answer can be produced until the
             // stream closes, defeating the purpose.
             groupers.push(executor::build_incremental_grouper(
-                &job.backend,
+                &job,
                 store,
                 budget,
                 agg,

@@ -1,10 +1,11 @@
 //! Ablation: the hash-function family (§V's "hash function library") —
-//! multiply-shift vs tabulation vs std's SipHash, on short byte keys.
+//! multiply-shift vs the `ByteMap` hasher vs std's SipHash, on short byte
+//! keys.
 
 use std::hash::{BuildHasher, Hasher};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use onepass_core::hashlib::{FastBuildHasher, KeyHasher, MultiplyShift, Tabulation};
+use onepass_core::hashlib::{FastBuildHasher, MultiplyShift};
 
 fn keys(n: usize) -> Vec<Vec<u8>> {
     (0..n as u32)
@@ -25,17 +26,6 @@ fn hash_families(c: &mut Criterion) {
             let mut acc = 0u64;
             for k in &ks {
                 acc ^= ms.hash(k);
-            }
-            acc
-        })
-    });
-
-    let tab = Tabulation::new(42);
-    group.bench_function("tabulation", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for k in &ks {
-                acc ^= tab.hash(k);
             }
             acc
         })

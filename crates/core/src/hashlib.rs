@@ -6,32 +6,10 @@
 //! bucket re-hashes into a single sub-bucket and recursion never
 //! terminates), and the frequent-items sketches need seeded families.
 //!
-//! Two families are provided:
-//!
-//! * [`MultiplyShift`] — Dietzfelbinger's multiply-shift scheme over a
-//!   64-bit mixed fingerprint. Extremely fast; pair-wise independent over
-//!   the fingerprint domain.
-//! * [`Tabulation`] — 8-per-byte table lookup hashing, 3-independent and
-//!   empirically far stronger; slower to seed, similar evaluation speed.
-//!
-//! Both operate on `&[u8]` keys via a common [`KeyHasher`] trait so callers
-//! can be generic over the family (the `bench_hashlib` benchmark compares
-//! them).
-
-/// A seeded hash function over byte-string keys.
-pub trait KeyHasher: Send + Sync {
-    /// Hash `key` to a 64-bit value.
-    fn hash(&self, key: &[u8]) -> u64;
-
-    /// Map `key` into one of `buckets` bins (uniformly, given a good hash).
-    ///
-    /// Uses the fixed-point multiply trick (`(h * n) >> 64`) instead of
-    /// modulo: no division on the hot path and no modulo bias.
-    fn bucket(&self, key: &[u8], buckets: usize) -> usize {
-        debug_assert!(buckets > 0);
-        (((self.hash(key) as u128) * (buckets as u128)) >> 64) as usize
-    }
-}
+//! One family is provided: [`MultiplyShift`], Dietzfelbinger's
+//! multiply-shift scheme over a 64-bit mixed fingerprint — extremely fast
+//! and pair-wise independent over the fingerprint domain.
+//! [`SeededFamily`] hands out its independent members.
 
 /// A 64→64 bit finalization mixer (SplitMix64's finalizer). Used to reduce
 /// variable-length byte strings to a well-mixed 64-bit fingerprint before
@@ -106,202 +84,46 @@ impl MultiplyShift {
         (self.a.wrapping_mul(fp as u128).wrapping_add(self.b) >> 64) as u64
     }
 
-    /// Bucket a precomputed [`fingerprint`] into `buckets` bins.
+    /// Bucket a precomputed [`fingerprint`] into `buckets` bins
+    /// (uniformly, given a good hash).
+    ///
+    /// Uses the fixed-point multiply trick (`(h * n) >> 64`) instead of
+    /// modulo: no division on the hot path and no modulo bias.
     #[inline]
     pub fn bucket_fp(&self, fp: u64, buckets: usize) -> usize {
         debug_assert!(buckets > 0);
         (((self.hash_fp(fp) as u128) * (buckets as u128)) >> 64) as usize
     }
-}
 
-impl KeyHasher for MultiplyShift {
+    /// Hash `key` to a 64-bit value.
     #[inline]
-    fn hash(&self, key: &[u8]) -> u64 {
+    pub fn hash(&self, key: &[u8]) -> u64 {
         self.hash_fp(fingerprint(key))
     }
-}
 
-/// Simple tabulation hashing: the 8 bytes of the key fingerprint index
-/// eight 256-entry tables of random 64-bit words which are XORed together.
-/// 3-independent; behaves like a fully random function for hashing with
-/// chaining, linear probing, and frequency sketches.
-#[derive(Clone)]
-pub struct Tabulation {
-    tables: Box<[[u64; 256]; 8]>,
-}
-
-impl std::fmt::Debug for Tabulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tabulation").finish_non_exhaustive()
-    }
-}
-
-impl Tabulation {
-    /// Construct from a seed, filling the tables with a SplitMix64 stream.
-    pub fn new(seed: u64) -> Self {
-        let mut state = seed ^ 0x1234_5678_9abc_def0;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            mix64(state)
-        };
-        let mut tables = Box::new([[0u64; 256]; 8]);
-        for t in tables.iter_mut() {
-            for e in t.iter_mut() {
-                *e = next();
-            }
-        }
-        Tabulation { tables }
-    }
-}
-
-impl Tabulation {
-    /// Hash a precomputed [`fingerprint`] (see
-    /// [`MultiplyShift::hash_fp`]).
+    /// Map `key` into one of `buckets` bins.
     #[inline]
-    pub fn hash_fp(&self, fp: u64) -> u64 {
-        let fp = fp.to_le_bytes();
-        let mut h = 0u64;
-        for (i, b) in fp.iter().enumerate() {
-            h ^= self.tables[i][*b as usize];
-        }
-        h
-    }
-
-    /// Bucket a precomputed [`fingerprint`] into `buckets` bins.
-    #[inline]
-    pub fn bucket_fp(&self, fp: u64, buckets: usize) -> usize {
-        debug_assert!(buckets > 0);
-        (((self.hash_fp(fp) as u128) * (buckets as u128)) >> 64) as usize
-    }
-}
-
-impl KeyHasher for Tabulation {
-    #[inline]
-    fn hash(&self, key: &[u8]) -> u64 {
-        self.hash_fp(fingerprint(key))
-    }
-}
-
-/// Which pair-wise independent hash family the engine uses for partition
-/// routing and group-by bucket decisions.
-///
-/// This is the *configuration* type exposed through
-/// `EngineConfigBuilder::hash_family` and the CLI `--hash-family` flag;
-/// the seeded machinery behind it lives in [`SeededFamily`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HashFamily {
-    /// Dietzfelbinger multiply-shift over the key fingerprint. Pair-wise
-    /// independent, essentially free to evaluate and to seed. The default.
-    #[default]
-    MultiplyShift,
-    /// Simple tabulation hashing: 3-independent and empirically far
-    /// stronger, at the cost of 16 KiB of tables per member function.
-    Tabulation,
-}
-
-impl HashFamily {
-    /// Stable lowercase label (used by CLI parsing and reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            HashFamily::MultiplyShift => "multiply-shift",
-            HashFamily::Tabulation => "tabulation",
-        }
-    }
-
-    /// Parse a CLI label; accepts the `label()` forms.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "multiply-shift" | "multiplyshift" | "ms" => Some(HashFamily::MultiplyShift),
-            "tabulation" | "tab" => Some(HashFamily::Tabulation),
-            _ => None,
-        }
-    }
-}
-
-/// One member function drawn from a [`SeededFamily`] — either family
-/// evaluated over the shared key [`fingerprint`], so batched loops can
-/// hash once per record and reuse the fingerprint for every routing
-/// decision.
-#[derive(Debug, Clone)]
-pub enum FamilyHasher {
-    /// A multiply-shift member.
-    MultiplyShift(MultiplyShift),
-    /// A tabulation member.
-    Tabulation(Tabulation),
-}
-
-impl FamilyHasher {
-    /// Hash a precomputed [`fingerprint`].
-    #[inline]
-    pub fn hash_fp(&self, fp: u64) -> u64 {
-        match self {
-            FamilyHasher::MultiplyShift(h) => h.hash_fp(fp),
-            FamilyHasher::Tabulation(h) => h.hash_fp(fp),
-        }
-    }
-
-    /// Bucket a precomputed [`fingerprint`] into `buckets` bins.
-    #[inline]
-    pub fn bucket_fp(&self, fp: u64, buckets: usize) -> usize {
-        debug_assert!(buckets > 0);
-        (((self.hash_fp(fp) as u128) * (buckets as u128)) >> 64) as usize
-    }
-}
-
-impl KeyHasher for FamilyHasher {
-    #[inline]
-    fn hash(&self, key: &[u8]) -> u64 {
-        self.hash_fp(fingerprint(key))
+    pub fn bucket(&self, key: &[u8], buckets: usize) -> usize {
+        self.bucket_fp(fingerprint(key), buckets)
     }
 }
 
 /// A seeded *family* of hash functions: level `i` of a recursive algorithm
 /// (hybrid hash) or row `i` of a sketch asks for `family.member(i)`.
-///
-/// The family's [`HashFamily`] kind decides which scheme members use.
-/// Tabulation members cost 16 KiB of tables each — cache the member, do
-/// not construct one per record.
 #[derive(Debug, Clone)]
 pub struct SeededFamily {
     seed: u64,
-    kind: HashFamily,
 }
 
 impl SeededFamily {
-    /// Create a multiply-shift family rooted at `seed`.
+    /// Create a family rooted at `seed`.
     pub fn new(seed: u64) -> Self {
-        SeededFamily {
-            seed,
-            kind: HashFamily::MultiplyShift,
-        }
-    }
-
-    /// Create a family of the given kind rooted at `seed`.
-    pub fn with_kind(seed: u64, kind: HashFamily) -> Self {
-        SeededFamily { seed, kind }
-    }
-
-    /// The default-seeded family of the given kind — how engine config
-    /// (`hash_family`) maps onto concrete hashers.
-    pub fn of(kind: HashFamily) -> Self {
-        SeededFamily {
-            seed: DEFAULT_FAMILY_SEED,
-            kind,
-        }
-    }
-
-    /// The family kind.
-    pub fn kind(&self) -> HashFamily {
-        self.kind
+        SeededFamily { seed }
     }
 
     /// The `i`-th member function.
-    pub fn member(&self, i: u64) -> FamilyHasher {
-        let seed = mix64(self.seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        match self.kind {
-            HashFamily::MultiplyShift => FamilyHasher::MultiplyShift(MultiplyShift::new(seed)),
-            HashFamily::Tabulation => FamilyHasher::Tabulation(Tabulation::new(seed)),
-        }
+    pub fn member(&self, i: u64) -> MultiplyShift {
+        MultiplyShift::new(mix64(self.seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
     }
 }
 
@@ -391,7 +213,7 @@ mod tests {
 
     #[test]
     fn bucket_is_in_range_and_covers_all_buckets() {
-        let h = Tabulation::new(42);
+        let h = MultiplyShift::new(42);
         let n = 16;
         let mut seen = vec![false; n];
         for i in 0..10_000u32 {
@@ -420,73 +242,55 @@ mod tests {
 
     #[test]
     fn family_members_are_distinct() {
-        for kind in [HashFamily::MultiplyShift, HashFamily::Tabulation] {
-            let fam = SeededFamily::with_kind(99, kind);
-            let a = fam.member(0);
-            let b = fam.member(1);
-            let k = b"some key";
-            assert_ne!(a.hash(k), b.hash(k), "{}", kind.label());
-            // Same index is the same function.
-            assert_eq!(fam.member(3).hash(k), fam.member(3).hash(k));
-        }
+        let fam = SeededFamily::new(99);
+        let a = fam.member(0);
+        let b = fam.member(1);
+        let k = b"some key";
+        assert_ne!(a.hash(k), b.hash(k));
+        // Same index is the same function.
+        assert_eq!(fam.member(3).hash(k), fam.member(3).hash(k));
     }
 
     #[test]
-    fn family_hasher_fp_path_matches_key_path() {
-        for kind in [HashFamily::MultiplyShift, HashFamily::Tabulation] {
-            let h = SeededFamily::of(kind).member(7);
-            for i in 0..500u32 {
-                let k = i.to_le_bytes();
-                let fp = fingerprint(&k);
-                assert_eq!(h.hash(&k), h.hash_fp(fp));
-                assert_eq!(h.bucket(&k, 13), h.bucket_fp(fp, 13));
-            }
+    fn member_fp_path_matches_key_path() {
+        let h = SeededFamily::default().member(7);
+        for i in 0..500u32 {
+            let k = i.to_le_bytes();
+            let fp = fingerprint(&k);
+            assert_eq!(h.hash(&k), h.hash_fp(fp));
+            assert_eq!(h.bucket(&k, 13), h.bucket_fp(fp, 13));
         }
     }
 
-    #[test]
-    fn hash_family_labels_round_trip() {
-        for kind in [HashFamily::MultiplyShift, HashFamily::Tabulation] {
-            assert_eq!(HashFamily::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(HashFamily::parse("ms"), Some(HashFamily::MultiplyShift));
-        assert_eq!(HashFamily::parse("tab"), Some(HashFamily::Tabulation));
-        assert_eq!(HashFamily::parse("bogus"), None);
-        assert_eq!(HashFamily::default(), HashFamily::MultiplyShift);
-    }
-
-    /// Property: `KeyHasher::bucket` is unbiased — over a large keyset,
-    /// every bucket count of every family stays within a chi-square-style
+    /// Property: `MultiplyShift::bucket` is unbiased — over a large keyset,
+    /// every bucket count stays within a chi-square-style
     /// bound of the uniform expectation, including non-power-of-two bucket
     /// counts where modulo reduction would skew.
     #[test]
-    fn bucket_is_unbiased_for_both_families() {
+    fn bucket_is_unbiased() {
         let trials = 60_000u32;
-        for kind in [HashFamily::MultiplyShift, HashFamily::Tabulation] {
-            for n in [3usize, 7, 16, 61] {
-                let h = SeededFamily::of(kind).member(11);
-                let mut counts = vec![0u64; n];
-                for i in 0..trials {
-                    counts[h.bucket(&i.to_le_bytes(), n)] += 1;
-                }
-                let expect = trials as f64 / n as f64;
-                let chi2: f64 = counts
-                    .iter()
-                    .map(|&c| {
-                        let d = c as f64 - expect;
-                        d * d / expect
-                    })
-                    .sum();
-                // 99.9th percentile of chi-square with n-1 dof is well
-                // under 3x dof for these sizes; 2.5x gives slack without
-                // masking real bias (a mod-reduced 61-bucket split fails
-                // this by orders of magnitude).
-                assert!(
-                    chi2 < 2.5 * (n as f64 - 1.0).max(6.0),
-                    "{} buckets={n}: chi2={chi2:.1}",
-                    kind.label()
-                );
+        for n in [3usize, 7, 16, 61] {
+            let h = SeededFamily::default().member(11);
+            let mut counts = vec![0u64; n];
+            for i in 0..trials {
+                counts[h.bucket(&i.to_le_bytes(), n)] += 1;
             }
+            let expect = trials as f64 / n as f64;
+            let chi2: f64 = counts
+                .iter()
+                .map(|&c| {
+                    let d = c as f64 - expect;
+                    d * d / expect
+                })
+                .sum();
+            // 99.9th percentile of chi-square with n-1 dof is well
+            // under 3x dof for these sizes; 2.5x gives slack without
+            // masking real bias (a mod-reduced 61-bucket split fails
+            // this by orders of magnitude).
+            assert!(
+                chi2 < 2.5 * (n as f64 - 1.0).max(6.0),
+                "buckets={n}: chi2={chi2:.1}"
+            );
         }
     }
 
@@ -535,14 +339,5 @@ mod tests {
         *m.entry(b"alpha".to_vec()).or_insert(0) += 10;
         assert_eq!(m[b"alpha".as_slice()], 11);
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn tabulation_collision_rate_is_low() {
-        let h = Tabulation::new(5);
-        let mut hashes: Vec<u64> = (0..20_000u32).map(|i| h.hash(&i.to_le_bytes())).collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(hashes.len(), 20_000, "no 64-bit collisions expected");
     }
 }

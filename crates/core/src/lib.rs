@@ -10,9 +10,9 @@
 //! * [`bytes_kv`] — the *byte-array based memory management library*: all
 //!   key/value records live in contiguous byte arenas with offset tables, so
 //!   no per-record heap allocations occur on the hot path.
-//! * [`hashlib`] — the *hash function library*: pair-wise independent hash
-//!   families (multiply-shift and tabulation) used for partitioning,
-//!   hybrid-hash bucket splits, and sketches.
+//! * [`hashlib`] — the *hash function library*: the pair-wise independent
+//!   multiply-shift family used for partitioning, hybrid-hash bucket
+//!   splits, and sketches.
 //! * [`memory`] — budgeted memory accounting, the mechanism by which
 //!   operators detect "buffer full" (Hadoop's `io.sort.mb` analogue).
 //! * [`governor`] — the adaptive memory governor: a job-wide pool leasing

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::{ByteMap, FamilyHasher, KeyHasher, SeededFamily};
+use onepass_core::hashlib::{ByteMap, MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile};
@@ -103,10 +103,10 @@ pub struct FreqHashGrouper {
     agg: Arc<dyn Aggregator>,
     sketch: Box<dyn FrequentItems>,
     config: FreqHashConfig,
-    family: SeededFamily,
-    /// Cached cold-bucket hasher (member 1_000_003 of `family`) — built
-    /// once so per-record cold routing never re-derives the member.
-    cold_hasher: FamilyHasher,
+    /// Cached cold-bucket hasher (member 1_000_003 of the default
+    /// [`SeededFamily`]) — built once so per-record cold routing never
+    /// re-derives the member.
+    cold_hasher: MultiplyShift,
     states: ByteMap<Vec<u8>>,
     reserved: usize,
     peak_reserved: usize,
@@ -147,20 +147,6 @@ impl FreqHashGrouper {
         agg: Arc<dyn Aggregator>,
         config: FreqHashConfig,
     ) -> Self {
-        Self::with_family(store, budget, agg, config, SeededFamily::default())
-    }
-
-    /// Create with explicit configuration and hash family (see
-    /// `EngineConfigBuilder::hash_family`). The family routes cold-spill
-    /// buckets here and probe buckets in the hybrid-hash children that
-    /// resolve them.
-    pub fn with_family(
-        store: Arc<dyn SpillStore>,
-        budget: MemoryBudget,
-        agg: Arc<dyn Aggregator>,
-        config: FreqHashConfig,
-        family: SeededFamily,
-    ) -> Self {
         let io_base = store.stats();
         let k = config.sketch_capacity.max(1);
         let sketch: Box<dyn FrequentItems> = match config.detector {
@@ -170,13 +156,12 @@ impl FreqHashGrouper {
         };
         // Member index chosen not to collide with the hybrid children's
         // level-0 function (they start at member 0).
-        let cold_hasher = family.member(1_000_003);
+        let cold_hasher = SeededFamily::default().member(1_000_003);
         FreqHashGrouper {
             store,
             budget,
             agg,
             sketch,
-            family,
             cold_hasher,
             config,
             states: ByteMap::default(),
@@ -470,12 +455,11 @@ impl GroupBy for FreqHashGrouper {
                     ("records", meta.records as f64),
                 ],
             );
-            let mut child = HybridHashGrouper::with_family(
+            let mut child = HybridHashGrouper::new(
                 Arc::clone(&self.store),
                 self.budget.clone(),
                 self.config.resolve_fanout,
                 Arc::clone(&self.agg),
-                self.family.clone(),
             )?;
             {
                 let mut reader = self.store.open_run(meta.id)?;

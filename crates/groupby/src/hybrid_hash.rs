@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::{fingerprint, ByteMap, FamilyHasher, KeyHasher, SeededFamily};
+use onepass_core::hashlib::{fingerprint, ByteMap, MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile};
@@ -55,12 +55,10 @@ pub struct HybridHashGrouper {
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-    family: SeededFamily,
-    /// Cached member hasher for this recursion level. Constructed once in
-    /// [`Self::at_level`]; per-record probes reuse it via the fingerprint
-    /// fast path instead of re-deriving the member (which for tabulation
-    /// hashing would rebuild 16 KiB of tables per call).
-    hasher: FamilyHasher,
+    /// This recursion level's member of the default [`SeededFamily`],
+    /// constructed once in [`Self::at_level`]; per-record probes reuse it
+    /// via the fingerprint fast path.
+    hasher: MultiplyShift,
     fanout: usize,
     level: u32,
     resident: ByteMap<Vec<u8>>,
@@ -106,19 +104,7 @@ impl HybridHashGrouper {
         fanout: usize,
         agg: Arc<dyn Aggregator>,
     ) -> Result<Self> {
-        Self::at_level(store, budget, fanout, agg, SeededFamily::default(), 0)
-    }
-
-    /// Like [`Self::new`] but probing with an explicit hash family (see
-    /// `EngineConfigBuilder::hash_family`).
-    pub fn with_family(
-        store: Arc<dyn SpillStore>,
-        budget: MemoryBudget,
-        fanout: usize,
-        agg: Arc<dyn Aggregator>,
-        family: SeededFamily,
-    ) -> Result<Self> {
-        Self::at_level(store, budget, fanout, agg, family, 0)
+        Self::at_level(store, budget, fanout, agg, 0)
     }
 
     fn at_level(
@@ -126,7 +112,6 @@ impl HybridHashGrouper {
         budget: MemoryBudget,
         fanout: usize,
         agg: Arc<dyn Aggregator>,
-        family: SeededFamily,
         level: u32,
     ) -> Result<Self> {
         if fanout < 2 {
@@ -140,12 +125,11 @@ impl HybridHashGrouper {
             )));
         }
         let io_base = store.stats();
-        let hasher = family.member(level as u64);
+        let hasher = SeededFamily::default().member(level as u64);
         Ok(HybridHashGrouper {
             store,
             budget,
             agg,
-            family,
             hasher,
             fanout,
             level,
@@ -436,7 +420,6 @@ impl GroupBy for HybridHashGrouper {
                     self.budget.clone(),
                     self.fanout,
                     Arc::clone(&self.agg),
-                    self.family.clone(),
                     self.level + 1,
                 )?;
                 child.set_tracer(self.trace.fork());

@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 use onepass_core::error::Result;
 use onepass_core::fault::{FaultInjector, FaultPlan};
 use onepass_core::governor::MemoryPolicy;
-use onepass_core::hashlib::HashFamily;
 use onepass_core::trace::Tracer;
 
 use crate::executor;
@@ -150,8 +149,6 @@ pub struct EngineConfig {
     /// available parallelism (min 2 so speculation and straggler tests
     /// still overlap attempts), capped at 4.
     pub map_workers: usize,
-    /// Reducer channel depth (shuffle backpressure). Default 64.
-    pub channel_depth: usize,
     /// Spill-run backend. Default memory.
     pub spill: SpillBackend,
     /// Persist map output before task completion (Hadoop fault-tolerance
@@ -183,12 +180,6 @@ pub struct EngineConfig {
     /// [`MetricsServer`](onepass_core::obs::MetricsServer)) to get live
     /// per-stage progress, phase cost, shuffle volume, and TTFA metrics.
     pub metrics: Option<onepass_core::obs::MetricsRegistry>,
-    /// Hash family for the engine's hash groupers (reduce-side hybrid /
-    /// frequent-key tables and their recursive children). Default
-    /// [`HashFamily::MultiplyShift`] — one multiply + shift per probe;
-    /// [`HashFamily::Tabulation`] trades a table lookup per byte for
-    /// stronger independence guarantees.
-    pub hash_family: HashFamily,
     /// Worker-scoped in-node combining of map output (see
     /// [`crate::in_node`]). Default [`InNodeCombine::On`]: eligible jobs
     /// (hash-combine map side, combinable aggregate, speculation off)
@@ -217,7 +208,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             map_workers: default_map_workers(),
-            channel_depth: 64,
             spill: SpillBackend::Memory,
             persist_map_output: MapOutputPersistence::Persist,
             tracer: Tracer::disabled(),
@@ -226,7 +216,6 @@ impl Default for EngineConfig {
             faults: FaultInjector::none(),
             memory_policy: MemoryPolicy::Static,
             metrics: None,
-            hash_family: HashFamily::default(),
             in_node_combine: InNodeCombine::default(),
             transport: Transport::default(),
         }
@@ -250,12 +239,6 @@ impl EngineConfigBuilder {
     /// Concurrent map workers (task slots).
     pub fn map_workers(mut self, n: usize) -> Self {
         self.cfg.map_workers = n;
-        self
-    }
-
-    /// Reducer channel depth (shuffle backpressure).
-    pub fn channel_depth(mut self, depth: usize) -> Self {
-        self.cfg.channel_depth = depth;
         self
     }
 
@@ -304,12 +287,6 @@ impl EngineConfigBuilder {
     /// Publish live metrics into `registry` while jobs run.
     pub fn metrics(mut self, registry: onepass_core::obs::MetricsRegistry) -> Self {
         self.cfg.metrics = Some(registry);
-        self
-    }
-
-    /// Hash family for the engine's hash groupers.
-    pub fn hash_family(mut self, family: HashFamily) -> Self {
-        self.cfg.hash_family = family;
         self
     }
 
@@ -574,7 +551,6 @@ mod tests {
     fn builder_covers_every_knob() {
         let cfg = EngineConfig::builder()
             .map_workers(2)
-            .channel_depth(8)
             .spill(SpillBackend::TempFiles)
             .map_output(MapOutputPersistence::Volatile)
             .retry(RetryPolicy::attempts(3))
@@ -582,14 +558,12 @@ mod tests {
             .faults(FaultPlan::new().fail_map(0, 0, 1))
             .memory_policy(MemoryPolicy::adaptive())
             .metrics(onepass_core::obs::MetricsRegistry::new())
-            .hash_family(HashFamily::Tabulation)
             .in_node_combine(InNodeCombine::Off)
             .transport(Transport::Tcp {
                 workers: vec!["127.0.0.1:7777".into()],
             })
             .build();
         assert_eq!(cfg.map_workers, 2);
-        assert_eq!(cfg.channel_depth, 8);
         assert_eq!(cfg.spill, SpillBackend::TempFiles);
         assert!(!cfg.persist_map_output.is_persist());
         assert_eq!(cfg.retry.max_attempts, 3);
@@ -597,13 +571,11 @@ mod tests {
         assert!(cfg.faults.is_active());
         assert!(matches!(cfg.memory_policy, MemoryPolicy::Adaptive { .. }));
         assert!(cfg.metrics.is_some());
-        assert_eq!(cfg.hash_family, HashFamily::Tabulation);
         assert_eq!(cfg.in_node_combine, InNodeCombine::Off);
         assert!(matches!(cfg.transport, Transport::Tcp { ref workers } if workers.len() == 1));
         let defaults = EngineConfig::builder().build();
         assert!(matches!(defaults.memory_policy, MemoryPolicy::Static));
         assert!(defaults.metrics.is_none());
-        assert_eq!(defaults.hash_family, HashFamily::MultiplyShift);
         assert!(matches!(defaults.transport, Transport::InProc));
         assert!(
             defaults.in_node_combine.is_on(),

@@ -17,7 +17,6 @@ use crossbeam::channel::unbounded;
 use onepass_core::bytes_kv::KvBuf;
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
-use onepass_core::hashlib::{HashFamily, SeededFamily};
 use onepass_core::io::{FileSpillStore, SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::Phase;
@@ -34,10 +33,9 @@ use crate::map_task::{run_map_task_with, MapAttemptCtx};
 use crate::reduce_task::{panic_message, run_reduce_task_open, ReduceResult, ReduceRetryOpts};
 use crate::report::{JobOutput, JobReport, TaskKind, TaskSpan};
 use crate::scheduler::{schedule_maps, MapAssignment, MapEvent, SchedulerCtx, SplitFeed};
-use crate::shuffle::shuffle_fabric;
+use crate::shuffle::{shuffle_fabric, CHANNEL_DEPTH};
 use crate::telemetry::{SinkObs, StageTelemetry};
 use crate::transport::coordinator::{SinkFactory, TcpCluster};
-use crate::transport::wire::WireJob;
 use crate::transport::Transport;
 
 /// Per-partition observer invoked on every sink emission, in addition to
@@ -90,9 +88,7 @@ pub(crate) fn build_grouper(
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
     tracer: LocalTracer,
-    family: HashFamily,
 ) -> Result<Box<dyn GroupBy>> {
-    let seeded = SeededFamily::of(family);
     Ok(match &job.backend {
         ReduceBackend::SortMerge { merge_factor, .. } => {
             let mut g = SortMergeGrouper::new(store, budget, *merge_factor, agg)?
@@ -101,19 +97,17 @@ pub(crate) fn build_grouper(
             Box::new(g)
         }
         ReduceBackend::HybridHash { fanout } => {
-            let mut g = HybridHashGrouper::with_family(store, budget, *fanout, agg, seeded)?;
+            let mut g = HybridHashGrouper::new(store, budget, *fanout, agg)?;
             g.set_tracer(tracer);
             Box::new(g)
         }
         ReduceBackend::IncHash { early } => {
-            // Incremental hash probes only its resident table (no bucket
-            // routing), so the family choice has nothing to configure.
             let mut g = IncHashGrouper::with_early(store, budget, agg, early.clone());
             g.set_tracer(tracer);
             Box::new(g)
         }
         ReduceBackend::FreqHash(cfg) => {
-            let mut g = FreqHashGrouper::with_family(store, budget, agg, cfg.clone(), seeded);
+            let mut g = FreqHashGrouper::with_config(store, budget, agg, cfg.clone());
             g.set_tracer(tracer);
             Box::new(g)
         }
@@ -128,11 +122,10 @@ pub(crate) fn build_incremental_grouper(
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-    family: HashFamily,
 ) -> Result<Box<dyn GroupBy>> {
     match &job.backend {
         ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash(_) => {
-            build_grouper(job, store, budget, agg, LocalTracer::disabled(), family)
+            build_grouper(job, store, budget, agg, LocalTracer::disabled())
         }
         other => Err(Error::Config(format!(
             "incremental grouping requires an incremental backend; {} is blocking",
@@ -192,7 +185,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     } else {
         None
     };
-    let (shuffle_tx, shuffle_rxs) = shuffle_fabric(job.reducers, config.channel_depth);
+    let (shuffle_tx, shuffle_rxs) = shuffle_fabric(job.reducers, CHANNEL_DEPTH);
 
     // Adaptive governance: pool the per-reducer budgets job-wide and gate
     // map pushes on pool pressure. Static keeps the seed behaviour: a
@@ -210,7 +203,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         },
     };
     let shuffle_tx = match &governor {
-        Some(g) => shuffle_tx.with_pressure(g.clone(), config.channel_depth),
+        Some(g) => shuffle_tx.with_pressure(g.clone(), CHANNEL_DEPTH),
         None => shuffle_tx,
     };
 
@@ -238,7 +231,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         None
     };
     let spill = config.spill;
-    let hash_family = config.hash_family;
     // In-node combining: map tasks on the same worker drain into one
     // shared combine table that flushes far less often than per-task
     // combining ships (see `crate::in_node` for eligibility + protocol).
@@ -262,7 +254,13 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     let remote_reduce = tcp_workers.is_some() && tap.is_none();
     let cluster = match tcp_workers {
         Some(addrs) => {
-            let wire = WireJob::from_job(job, retry.max_attempts, spill, hash_family);
+            // What travels: the job's name plus the table's travelling
+            // rows, with the retry depth as floored above.
+            let engine = EngineConfig {
+                retry,
+                ..config.clone()
+            };
+            let knobs = crate::knobs::pairs(job, &engine);
             let collect = job.collect_output.is_collect();
             let sink_telemetry = telemetry.clone();
             let sink_factory: SinkFactory<'_> = Box::new(move |_p| {
@@ -276,7 +274,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             Some(TcpCluster::connect(
                 addrs,
                 &job.name,
-                wire,
+                knobs,
                 job.reducers,
                 remote_reduce,
                 start,
@@ -496,7 +494,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     backoff: retry.backoff,
                     dedup_attempts: ft_active,
                     injector,
-                    hash_family,
                 };
                 let res = run_reduce_task_open(
                     job,

@@ -89,23 +89,6 @@ impl InNodeCombine {
     pub fn is_on(self) -> bool {
         matches!(self, InNodeCombine::On)
     }
-
-    /// Lowercase label for reports and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            InNodeCombine::On => "on",
-            InNodeCombine::Off => "off",
-        }
-    }
-
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "on" | "innode" | "in-node" => Some(InNodeCombine::On),
-            "off" | "per-task" => Some(InNodeCombine::Off),
-            _ => None,
-        }
-    }
 }
 
 /// Per-entry bookkeeping overhead charged to the combine budget on top of

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use onepass_core::config::{DEFAULT_MERGE_FACTOR, MIB};
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::{FamilyHasher, HashFamily, KeyHasher, SeededFamily};
+use onepass_core::hashlib::{MultiplyShift, SeededFamily};
 use onepass_groupby::freq_hash::FreqHashConfig;
 use onepass_groupby::inc_hash::EarlyEmit;
 use onepass_groupby::Aggregator;
@@ -63,24 +63,16 @@ pub trait Partitioner: Send + Sync {
 /// Default hash partitioner.
 #[derive(Debug, Clone)]
 pub struct HashPartitioner {
-    hasher: FamilyHasher,
-}
-
-impl HashPartitioner {
-    /// Partitioner drawing its hash function from `family` (the engine's
-    /// configured [`HashFamily`]).
-    pub fn with_family(family: HashFamily) -> Self {
-        // A family member distinct from those used inside the group-by
-        // operators, so partition and bucket decisions are independent.
-        HashPartitioner {
-            hasher: SeededFamily::of(family).member(7_777_777),
-        }
-    }
+    hasher: MultiplyShift,
 }
 
 impl Default for HashPartitioner {
     fn default() -> Self {
-        Self::with_family(HashFamily::default())
+        // A family member distinct from those used inside the group-by
+        // operators, so partition and bucket decisions are independent.
+        HashPartitioner {
+            hasher: SeededFamily::default().member(7_777_777),
+        }
     }
 }
 
@@ -277,13 +269,15 @@ pub struct JobSpec {
 
 impl std::fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobSpec")
-            .field("name", &self.name)
-            .field("reducers", &self.reducers)
-            .field("map_side", &self.map_side)
-            .field("shuffle", &self.shuffle)
-            .field("backend", &self.backend)
-            .finish_non_exhaustive()
+        // The job rows of the knob table; closures have nothing to print.
+        let mut d = f.debug_struct("JobSpec");
+        d.field("name", &self.name);
+        for knob in crate::knobs::KNOBS {
+            if let crate::knobs::Access::Job(get, _) = knob.access {
+                d.field(knob.name, &format_args!("{}", get(self)));
+            }
+        }
+        d.finish_non_exhaustive()
     }
 }
 

@@ -1,0 +1,627 @@
+//! The one table of a job's knobs.
+//!
+//! The paper's method is a controlled comparison: the same job with one
+//! knob changed (§III Tables I–II, §V). Every scalar that can be changed
+//! that way — on [`JobSpec`] or on [`EngineConfig`] — is one row of
+//! [`KNOBS`]: its spelling, its value syntax, a line of help, whether it
+//! travels to remote workers, which commands take it as a flag, and a
+//! `get`/`set` pair converting between the field and its text form.
+//! Nothing else in the repository spells a knob or parses one:
+//!
+//! * the CLI takes `--<name> <value>` through one loop over the rows that
+//!   are flags and prints [`usage`] as its help;
+//! * the TCP coordinator ships `JobInit { name, knobs }` with the
+//!   [`pairs`] of the travelling rows, and the worker [`apply`]s them onto
+//!   the spec its registry rebuilt from the name (closures don't travel);
+//! * `--report-jsonl` leads with [`to_json`], and [`JobSpec`]'s `Debug`
+//!   prints the job rows.
+//!
+//! A field-exhaustive destructuring at the bottom of this file names every
+//! field of both structs as either a row or "not a knob", so a new field
+//! does not compile until someone decides which it is.
+
+use std::time::Duration;
+
+use onepass_core::error::{Error, Result};
+use onepass_core::governor::{policy_by_name, MemoryPolicy, DEFAULT_HIGH_WATER};
+use onepass_core::json::escape;
+use onepass_groupby::freq_hash::FreqHashConfig;
+
+use crate::driver::{
+    EngineConfig, MapOutputPersistence, RetryPolicy, SpeculationConfig, SpillBackend,
+};
+use crate::in_node::InNodeCombine;
+use crate::job::{CollectOutput, Combine, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
+
+/// Everything the table can read or write: one job and the engine that
+/// runs it.
+#[derive(Debug, Clone)]
+pub struct Settings {
+    /// The job's specification.
+    pub job: JobSpec,
+    /// The engine's configuration.
+    pub engine: EngineConfig,
+}
+
+/// Which struct a row lives on, with its `get` (field → text) and `set`
+/// (text → field) functions.
+#[derive(Clone, Copy)]
+pub enum Access {
+    /// A [`JobSpec`] scalar.
+    Job(fn(&JobSpec) -> String, fn(&mut JobSpec, &str) -> Result<()>),
+    /// An [`EngineConfig`] scalar.
+    Engine(
+        fn(&EngineConfig) -> String,
+        fn(&mut EngineConfig, &str) -> Result<()>,
+    ),
+}
+
+/// One settable scalar.
+pub struct Knob {
+    /// The knob's only spelling: `--<name>` on the CLI, `<name>` on the
+    /// wire and in reports.
+    pub name: &'static str,
+    /// Value syntax for the usage text. Empty for a switch: the bare flag
+    /// means `on` (the text form is still `on|off`).
+    pub syntax: &'static str,
+    /// One line of help.
+    pub help: &'static str,
+    /// Sent to TCP workers in `JobInit`. Rows that stay behind configure
+    /// machinery a worker does not run (see DESIGN.md "Closures don't
+    /// travel").
+    pub travels: bool,
+    /// Space-separated commands that take the row as a `--<name>` flag:
+    /// `run`, `plan` (stages build their own specs, so of the job rows only
+    /// `reducers`), `serve` (the catalog's `reducers` and the tenant pool's
+    /// policy). Empty for a row with no flag: `--system`'s preset or a
+    /// builder sets it, and it still travels, prints and reports by name.
+    pub takers: &'static str,
+    /// Where the value lives and how it converts.
+    pub access: Access,
+}
+
+impl Knob {
+    /// The current value in text form.
+    pub fn get(&self, job: &JobSpec, engine: &EngineConfig) -> String {
+        match self.access {
+            Access::Job(get, _) => get(job),
+            Access::Engine(get, _) => get(engine),
+        }
+    }
+
+    /// Set from text. The error names the knob, the offending value and
+    /// the syntax it should have had.
+    pub fn set(&self, s: &mut Settings, value: &str) -> Result<()> {
+        match self.access {
+            Access::Job(_, set) => set(&mut s.job, value),
+            Access::Engine(_, set) => set(&mut s.engine, value),
+        }
+        .map_err(|e| {
+            let syntax = if self.syntax.is_empty() {
+                SWITCH
+            } else {
+                self.syntax
+            };
+            let why = match e {
+                Error::Config(why) => why,
+                other => other.to_string(),
+            };
+            bad(format!(
+                "knob {} cannot be {value:?} ({why}); syntax: {} {syntax}",
+                self.name,
+                self.spelled()
+            ))
+        })
+    }
+
+    /// True when `command` (`run`, `plan` or `serve`) takes this row as a
+    /// flag.
+    pub fn taken_by(&self, command: &str) -> bool {
+        self.takers.split(' ').any(|t| t == command)
+    }
+
+    /// `--name` for a row some command takes as a flag, else the bare name.
+    fn spelled(&self) -> String {
+        let dashes = if self.takers.is_empty() { "" } else { "--" };
+        format!("{dashes}{}", self.name)
+    }
+}
+
+/// The row spelled `name`.
+pub fn find(name: &str) -> Option<&'static Knob> {
+    KNOBS.iter().find(|k| k.name == name)
+}
+
+/// `(name, value)` for every travelling row: what `JobInit` carries.
+pub fn pairs(job: &JobSpec, engine: &EngineConfig) -> Vec<(String, String)> {
+    KNOBS
+        .iter()
+        .filter(|k| k.travels)
+        .map(|k| (k.name.to_string(), k.get(job, engine)))
+        .collect()
+}
+
+/// Worker side of `JobInit`: set each pair onto `s`, then validate the
+/// job. A name that is not a travelling row is an error, not a no-op — it
+/// means the two ends disagree about the table.
+pub fn apply(s: &mut Settings, pairs: &[(String, String)]) -> Result<()> {
+    for (name, value) in pairs {
+        let knob = find(name)
+            .filter(|k| k.travels)
+            .ok_or_else(|| bad(format!("knob {name:?} is not one a worker takes")))?;
+        knob.set(s, value)?;
+    }
+    s.job.validate()
+}
+
+/// The knob section of the CLI usage text: every row once.
+pub fn usage() -> String {
+    let mut out = String::new();
+    for k in KNOBS {
+        let takers = if k.takers.is_empty() {
+            "no flag"
+        } else {
+            k.takers
+        };
+        let travels = if k.travels { "; travels" } else { "" };
+        let head = format!("  {} {}", k.spelled(), k.syntax);
+        out.push_str(&format!(
+            "{}\n        {} [{takers}{travels}]\n",
+            head.trim_end(),
+            k.help
+        ));
+    }
+    out
+}
+
+/// One `{"type":"knobs",…}` JSONL line holding `rows`, so a report names
+/// the configuration that produced it.
+pub fn to_json<'a>(s: &Settings, rows: impl IntoIterator<Item = &'a Knob>) -> String {
+    let mut out = String::from("{\"type\":\"knobs\"");
+    for k in rows {
+        out.push_str(&format!(
+            ",\"{}\":\"{}\"",
+            k.name,
+            escape(&k.get(&s.job, &s.engine))
+        ));
+    }
+    out.push_str("}\n");
+    out
+}
+
+fn bad(why: impl Into<String>) -> Error {
+    Error::Config(why.into())
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Result<T> {
+    v.parse().map_err(|_| bad("not a valid number"))
+}
+
+/// A scalar type with an exact text form.
+trait Text: Sized {
+    fn show(&self) -> String;
+    fn read(v: &str) -> Result<Self>;
+}
+
+impl Text for usize {
+    fn show(&self) -> String {
+        self.to_string()
+    }
+    fn read(v: &str) -> Result<Self> {
+        num(v)
+    }
+}
+
+/// Text form of a fieldless type, spelled once: `$syntax` for the usage
+/// text, an exhaustive `match` for `show` (a new variant does not compile
+/// until it has a label) and a lookup for `read`.
+macro_rules! choices {
+    ($syntax:ident, $ty:ty { $l0:literal => $($v0:tt)::+ $(, $l:literal => $($v:tt)::+)* }) => {
+        const $syntax: &str = concat!($l0 $(, "|", $l)*);
+        impl Text for $ty {
+            fn show(&self) -> String {
+                match self {
+                    $($v0)::+ => $l0,
+                    $($($v)::+ => $l,)*
+                }
+                .to_string()
+            }
+            fn read(v: &str) -> Result<Self> {
+                match v {
+                    $l0 => Ok($($v0)::+),
+                    $($l => Ok($($v)::+),)*
+                    _ => Err(bad("not one of the choices")),
+                }
+            }
+        }
+    };
+}
+
+choices!(MAP_SIDE, MapSideMode {
+    "sort-spill" => MapSideMode::SortSpill,
+    "hash-partition" => MapSideMode::HashPartitionOnly,
+    "hash-combine" => MapSideMode::HashCombine
+});
+choices!(COMBINE, Combine { "on" => Combine::On, "off" => Combine::Off });
+choices!(COLLECT, CollectOutput {
+    "collect" => CollectOutput::Collect,
+    "discard" => CollectOutput::Discard
+});
+choices!(SPILL, SpillBackend {
+    "memory" => SpillBackend::Memory,
+    "temp-files" => SpillBackend::TempFiles
+});
+choices!(MAP_OUTPUT, MapOutputPersistence {
+    "persist" => MapOutputPersistence::Persist,
+    "volatile" => MapOutputPersistence::Volatile
+});
+choices!(IN_NODE, InNodeCombine { "on" => InNodeCombine::On, "off" => InNodeCombine::Off });
+// A switch: the CLI reads the bare flag as `on`.
+choices!(SWITCH, bool { "on" => true, "off" => false });
+
+impl Text for ShuffleMode {
+    fn show(&self) -> String {
+        match self {
+            ShuffleMode::Pull => "pull".into(),
+            ShuffleMode::Push { granularity } => format!("push:{granularity}"),
+        }
+    }
+    fn read(v: &str) -> Result<Self> {
+        match v.split_once(':') {
+            None if v == "pull" => Ok(ShuffleMode::Pull),
+            Some(("push", n)) => Ok(ShuffleMode::Push {
+                granularity: num(n)?,
+            }),
+            _ => Err(bad("not a shuffle mode")),
+        }
+    }
+}
+
+/// The access pair of a field whose type has a [`Text`] form.
+macro_rules! field {
+    ($layer:ident . $($f:ident).+) => {
+        $layer(
+            |s| s.$($f).+.show(),
+            |s, v| Text::read(v).map(|x| s.$($f).+ = x),
+        )
+    };
+}
+
+/// Byte counts read and print as KiB. Fractions are allowed so that every
+/// byte count has an exact text form (dividing by 1024 is exact in `f64`).
+fn kib_get(bytes: usize) -> String {
+    (bytes as f64 / 1024.0).to_string()
+}
+
+fn kib_set(v: &str) -> Result<usize> {
+    let kib: f64 = num(v)?;
+    if !kib.is_finite() || kib < 0.0 {
+        return Err(bad("must be a non-negative size"));
+    }
+    Ok((kib * 1024.0).round() as usize)
+}
+
+fn backend_get(j: &JobSpec) -> String {
+    match &j.backend {
+        ReduceBackend::SortMerge {
+            merge_factor,
+            snapshots,
+        } => {
+            let mut out = format!("sort-merge:{merge_factor}");
+            for (i, s) in snapshots.iter().enumerate() {
+                out.push(if i == 0 { ':' } else { ',' });
+                out.push_str(&s.to_string());
+            }
+            out
+        }
+        ReduceBackend::HybridHash { fanout } => format!("hybrid-hash:{fanout}"),
+        ReduceBackend::IncHash { .. } => "inc-hash".into(),
+        ReduceBackend::FreqHash(_) => "freq-hash".into(),
+    }
+}
+
+fn backend_set(j: &mut JobSpec, v: &str) -> Result<()> {
+    let mut parts = v.splitn(3, ':');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some("sort-merge"), Some(f), snaps) => {
+            j.backend = ReduceBackend::SortMerge {
+                merge_factor: num(f)?,
+                snapshots: snaps
+                    .map_or(Ok(Vec::new()), |s| s.split(',').map(num::<f64>).collect())?,
+            }
+        }
+        (Some("hybrid-hash"), Some(f), None) => {
+            j.backend = ReduceBackend::HybridHash { fanout: num(f)? }
+        }
+        // An early-emit policy is a closure and the sketch configuration
+        // has no text form: when the spec already runs this kind of
+        // backend, keep its own; otherwise take the defaults.
+        (Some("inc-hash"), None, None) => {
+            if !matches!(j.backend, ReduceBackend::IncHash { .. }) {
+                j.backend = ReduceBackend::IncHash { early: None };
+            }
+        }
+        (Some("freq-hash"), None, None) => {
+            if !matches!(j.backend, ReduceBackend::FreqHash(_)) {
+                j.backend = ReduceBackend::FreqHash(FreqHashConfig::default());
+            }
+        }
+        _ => return Err(bad("not a reduce backend")),
+    }
+    Ok(())
+}
+
+fn mem_policy_get(e: &EngineConfig) -> String {
+    match &e.memory_policy {
+        MemoryPolicy::Static => "static".into(),
+        MemoryPolicy::Adaptive { policy, .. } => policy.name().into(),
+    }
+}
+
+fn mem_policy_set(e: &mut EngineConfig, v: &str) -> Result<()> {
+    e.memory_policy = if v == "static" {
+        MemoryPolicy::Static
+    } else {
+        MemoryPolicy::Adaptive {
+            policy: policy_by_name(v).ok_or_else(|| bad("not a memory policy"))?,
+            high_water: high_water(e),
+        }
+    };
+    Ok(())
+}
+
+/// The high-water fraction in force, or the one an adaptive policy would
+/// start with.
+fn high_water(e: &EngineConfig) -> f64 {
+    match e.memory_policy {
+        MemoryPolicy::Static => DEFAULT_HIGH_WATER,
+        MemoryPolicy::Adaptive { high_water, .. } => high_water,
+    }
+}
+
+fn high_water_set(e: &mut EngineConfig, v: &str) -> Result<()> {
+    let f: f64 = num(v)?;
+    if !(f > 0.0 && f <= 1.0) {
+        return Err(bad("must lie in (0, 1]"));
+    }
+    match &mut e.memory_policy {
+        MemoryPolicy::Adaptive { high_water, .. } => *high_water = f,
+        // Static budgets have no pool to fill: only the value an adaptive
+        // policy would start with is accepted, anything else would be
+        // dropped silently.
+        MemoryPolicy::Static if f == DEFAULT_HIGH_WATER => {}
+        MemoryPolicy::Static => return Err(bad("only an adaptive memory policy has one")),
+    }
+    Ok(())
+}
+
+use Access::{Engine, Job};
+
+/// Every knob, in the order flags are applied and pairs are sent.
+pub const KNOBS: &[Knob] = &[
+    Knob {
+        name: "reducers",
+        syntax: "N",
+        help: "reduce tasks, one per shuffle partition",
+        travels: true,
+        takers: "run plan serve",
+        access: field!(Job.reducers),
+    },
+    Knob {
+        name: "map-side",
+        syntax: MAP_SIDE,
+        help: "how a map task turns its buffer into shuffle segments",
+        travels: true,
+        takers: "",
+        access: field!(Job.map_side),
+    },
+    Knob {
+        name: "shuffle",
+        syntax: "pull|push:RECORDS",
+        help: "reducers fetch finished map output, or mappers push batches of RECORDS",
+        travels: true,
+        takers: "",
+        access: field!(Job.shuffle),
+    },
+    Knob {
+        name: "backend",
+        syntax: "sort-merge:F[:FRAC,FRAC,..]|hybrid-hash:FANOUT|inc-hash|freq-hash",
+        help: "reduce-side group-by (merge factor F, snapshot fractions; bucket fanout)",
+        travels: true,
+        takers: "",
+        access: Job(backend_get, backend_set),
+    },
+    Knob {
+        name: "map-buffer-kb",
+        syntax: "KIB",
+        help: "map output buffer per map task (Hadoop io.sort.mb)",
+        travels: true,
+        takers: "",
+        access: Job(
+            |j| kib_get(j.map_buffer_bytes),
+            |j, v| kib_set(v).map(|b| j.map_buffer_bytes = b),
+        ),
+    },
+    Knob {
+        name: "budget-kb",
+        syntax: "KIB",
+        help: "memory budget per reduce task",
+        travels: true,
+        takers: "run",
+        access: Job(
+            |j| kib_get(j.reduce_budget_bytes),
+            |j, v| kib_set(v).map(|b| j.reduce_budget_bytes = b),
+        ),
+    },
+    Knob {
+        name: "combine",
+        syntax: COMBINE,
+        help: "apply the combine function map-side when the aggregate allows",
+        travels: true,
+        takers: "",
+        access: field!(Job.combine),
+    },
+    Knob {
+        name: "inmem-merge-threshold",
+        syntax: "SEGMENTS",
+        help: "sort-merge reducers also spill once this many segments are buffered",
+        travels: true,
+        takers: "",
+        access: Job(
+            |j| j.inmem_merge_threshold.to_string(),
+            |j, v| num(v).map(|n: usize| j.inmem_merge_threshold = n.max(1)),
+        ),
+    },
+    Knob {
+        name: "collect-output",
+        syntax: COLLECT,
+        help: "keep output pairs in the report, or only count them",
+        // Workers stream every emission back; collecting is the
+        // coordinator's sink.
+        travels: false,
+        takers: "",
+        access: field!(Job.collect_output),
+    },
+    Knob {
+        name: "map-workers",
+        syntax: "N",
+        help: "concurrent map task slots (a TCP worker sizes its own with --slots)",
+        travels: false,
+        takers: "",
+        access: field!(Engine.map_workers),
+    },
+    Knob {
+        name: "spill",
+        syntax: SPILL,
+        help: "where spill runs live",
+        travels: true,
+        takers: "",
+        access: field!(Engine.spill),
+    },
+    Knob {
+        name: "map-output",
+        syntax: MAP_OUTPUT,
+        help: "write map output to the store before a task completes (Hadoop), or not",
+        // Remote maps never persist: recovery is re-execution from the
+        // split the coordinator holds.
+        travels: false,
+        takers: "",
+        access: field!(Engine.persist_map_output),
+    },
+    Knob {
+        name: "retries",
+        syntax: "N",
+        help: "attempts allowed per task, the first included",
+        travels: true,
+        takers: "run",
+        access: Engine(
+            |e| e.retry.max_attempts.to_string(),
+            |e, v| match num(v)? {
+                0 => Err(bad("must be at least 1")),
+                n => {
+                    e.retry.max_attempts = n;
+                    Ok(())
+                }
+            },
+        ),
+    },
+    Knob {
+        name: "backoff-ms",
+        syntax: "MS",
+        help: "delay before a retry attempt is scheduled",
+        // Paces the coordinator's scheduler; a worker's own reduce retry
+        // replays segments it already holds.
+        travels: false,
+        takers: "run",
+        access: Engine(
+            |e| e.retry.backoff.as_millis().to_string(),
+            |e, v| num(v).map(|ms| e.retry.backoff = Duration::from_millis(ms)),
+        ),
+    },
+    Knob {
+        name: "speculate",
+        syntax: "",
+        help: "launch backup attempts of straggling map tasks",
+        travels: false,
+        takers: "run",
+        access: field!(Engine.speculation.enabled),
+    },
+    Knob {
+        name: "mem-policy",
+        syntax: "static|largest-consumer|largest-bucket|coldest-keys|round-robin",
+        help: "fixed private reduce budgets, or one pool shed by the named policy",
+        // A worker's hosted partitions get private budgets; the pool and
+        // its governor live in the coordinator's executor.
+        travels: false,
+        takers: "run plan serve",
+        access: Engine(mem_policy_get, mem_policy_set),
+    },
+    Knob {
+        name: "mem-high-water",
+        syntax: "FRACTION",
+        help: "pool fill above which map-side pushes wait (adaptive policies)",
+        travels: false,
+        takers: "run plan serve",
+        access: Engine(|e| high_water(e).to_string(), high_water_set),
+    },
+    Knob {
+        name: "in-node-combine",
+        syntax: IN_NODE,
+        help: "combine across the map tasks sharing an executor worker before shuffling",
+        // The shared table lives in the executor's map-worker loop, which
+        // a TCP worker does not run (per-task combining still applies).
+        travels: false,
+        takers: "run plan",
+        access: field!(Engine.in_node_combine),
+    },
+];
+
+/// Every field of both structs, classified. Adding a field to either
+/// struct fails to compile here until it is given a row above or listed
+/// as not a knob.
+const _: fn(Settings) = |Settings { job, engine }| {
+    let JobSpec {
+        // Not knobs: the job's identity (travels as `JobInit.name`) and
+        // its closures (rebuilt from the worker's registry by that name).
+        name: _,
+        map_fn: _,
+        agg: _,
+        partitioner: _,
+        // Rows.
+        reducers: _,
+        map_side: _,
+        shuffle: _,
+        backend: _,
+        map_buffer_bytes: _,
+        reduce_budget_bytes: _,
+        combine: _,
+        inmem_merge_threshold: _,
+        collect_output: _,
+    } = job;
+    let EngineConfig {
+        // Not knobs: process-local handles (tracer, metrics registry), the
+        // test-only fault schedule, and the deployment's worker addresses.
+        tracer: _,
+        metrics: _,
+        faults: _,
+        transport: _,
+        // Rows.
+        map_workers: _,
+        spill: _,
+        persist_map_output: _,
+        retry: RetryPolicy {
+            max_attempts: _,
+            backoff: _,
+        },
+        speculation:
+            SpeculationConfig {
+                enabled: _,
+                // Not knobs: straggler-detection thresholds only tests tune.
+                slow_factor: _,
+                min_completed: _,
+                poll: _,
+            },
+        memory_policy: _,
+        in_node_combine: _,
+    } = engine;
+};

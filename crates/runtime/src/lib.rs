@@ -30,6 +30,7 @@ mod executor;
 pub mod in_node;
 pub mod iterate;
 pub mod job;
+pub mod knobs;
 pub mod map_task;
 pub mod plan;
 pub mod reduce_task;
@@ -96,6 +97,5 @@ pub mod prelude {
         policy_by_name, ColdestKeys, LargestBucket, LargestConsumer, MemoryGovernor, MemoryPolicy,
         RoundRobin, SpillPolicy,
     };
-    pub use onepass_core::hashlib::HashFamily;
     pub use onepass_core::{OwnedKv, SegmentBuf, SegmentBufBuilder};
 }

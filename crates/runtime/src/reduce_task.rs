@@ -39,7 +39,6 @@ use crossbeam::channel::Receiver;
 
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
-use onepass_core::hashlib::HashFamily;
 use onepass_core::io::SpillStore;
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{gauges, Phase};
@@ -77,9 +76,6 @@ pub struct ReduceRetryOpts {
     pub dedup_attempts: bool,
     /// Planned fault schedule consulted per absorbed segment.
     pub injector: FaultInjector,
-    /// Hash family used to construct hash-backend groupers (the engine's
-    /// [`EngineConfig::hash_family`](crate::EngineConfig::hash_family)).
-    pub hash_family: HashFamily,
 }
 
 impl Default for ReduceRetryOpts {
@@ -89,7 +85,6 @@ impl Default for ReduceRetryOpts {
             backoff: Duration::ZERO,
             dedup_attempts: false,
             injector: FaultInjector::none(),
-            hash_family: HashFamily::default(),
         }
     }
 }
@@ -413,7 +408,6 @@ impl ReduceTask<'_> {
                         self.budget.clone(),
                         agg,
                         self.trace.fork(),
-                        self.opts.hash_family,
                     )?)
                 }
             };

@@ -24,7 +24,6 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::MemoryGovernor;
-use onepass_core::hashlib::HashFamily;
 use onepass_core::obs::MetricsRegistry;
 
 use crate::shuffle::PressureGate;
@@ -53,8 +52,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-tenant dead-letter queue knobs.
     pub dlq: DlqConfig,
-    /// Hash family for every tenant session's groupers.
-    pub hash_family: HashFamily,
 }
 
 impl Default for ServeConfig {
@@ -68,7 +65,6 @@ impl Default for ServeConfig {
             shards: 4,
             queue_depth: 64,
             dlq: DlqConfig::default(),
-            hash_family: HashFamily::default(),
         }
     }
 }
@@ -284,7 +280,6 @@ impl Server {
         })?;
         let partitions = compiled.total_partitions().max(1);
         let opts = SessionOptions {
-            hash_family: self.config.hash_family,
             governor: Some(self.governor.clone()),
             lease_bytes: Some((share / partitions).max(1024)),
         };

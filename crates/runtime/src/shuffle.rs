@@ -100,7 +100,7 @@ pub enum ShuffleMsg {
 ///
 /// When the memory governor reports pool utilization above its high-water
 /// fraction, map-side pushes stop filling reducer queues to their full
-/// `channel_depth` and instead wait for them to drain below a shrunken
+/// [`CHANNEL_DEPTH`] and instead wait for them to drain below a shrunken
 /// depth. Reducers under memory pressure are usually pressure *sources*
 /// (large in-flight hash state); slowing the mappers gives the governor's
 /// rebalancing and shedding a chance to act before more segments pile up
@@ -275,6 +275,10 @@ impl ShuffleTx {
         self.segments.load(Ordering::Relaxed)
     }
 }
+
+/// The engine's reducer queue depth, in segments. Every caller outside
+/// tests ran with this value, so it is a constant rather than a knob.
+pub const CHANNEL_DEPTH: usize = 64;
 
 /// Build the shuffle fabric for `reducers` partitions. Returns the shared
 /// sender plus one receiver per reducer. `depth` bounds each reducer's

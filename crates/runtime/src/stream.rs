@@ -36,8 +36,6 @@ use crate::plan::PairMap;
 /// partitions in the batch engine.
 #[derive(Clone, Default)]
 pub struct SessionOptions {
-    /// Hash family for the session's groupers.
-    pub hash_family: onepass_core::hashlib::HashFamily,
     /// When set, per-partition budgets are leases from this governor's
     /// pool instead of private budgets; shed requests the governor posts
     /// are serviced at feed-batch boundaries.
@@ -50,7 +48,6 @@ pub struct SessionOptions {
 impl std::fmt::Debug for SessionOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionOptions")
-            .field("hash_family", &self.hash_family)
             .field("governed", &self.governor.is_some())
             .field("lease_bytes", &self.lease_bytes)
             .finish()
@@ -141,23 +138,7 @@ impl StreamSession {
     /// ([`ReduceBackend::IncHash`](crate::job::ReduceBackend::IncHash) or
     /// [`ReduceBackend::FreqHash`](crate::job::ReduceBackend::FreqHash)).
     pub fn new(job: JobSpec) -> Result<Self> {
-        Self::with_hash_family(job, onepass_core::hashlib::HashFamily::default())
-    }
-
-    /// [`StreamSession::new`] with an explicit hash family for the
-    /// session's groupers (the streaming analogue of
-    /// [`EngineConfigBuilder::hash_family`](crate::EngineConfigBuilder::hash_family)).
-    pub fn with_hash_family(
-        job: JobSpec,
-        family: onepass_core::hashlib::HashFamily,
-    ) -> Result<Self> {
-        Self::with_options(
-            job,
-            SessionOptions {
-                hash_family: family,
-                ..SessionOptions::default()
-            },
-        )
+        Self::with_options(job, SessionOptions::default())
     }
 
     /// Open a session with full [`SessionOptions`] — in particular, with
@@ -185,11 +166,7 @@ impl StreamSession {
             // error: with those, no answer can be produced until the
             // stream closes, defeating the purpose.
             groupers.push(executor::build_incremental_grouper(
-                &job,
-                store,
-                budget,
-                agg,
-                opts.hash_family,
+                &job, store, budget, agg,
             )?);
         }
         Ok(StreamSession {
@@ -491,7 +468,6 @@ mod tests {
                 SessionOptions {
                     governor: Some(gov.clone()),
                     lease_bytes: Some(8 * 1024),
-                    ..SessionOptions::default()
                 },
             )
             .unwrap()

@@ -39,7 +39,7 @@ use onepass_core::trace::{Tracer, Track};
 use onepass_groupby::{EmitKind, OpStats, Sink};
 
 use super::tcp::Conn;
-use super::wire::{Frame, WireJob, WireMapStats, WireReduceStats};
+use super::wire::{Frame, WireMapStats, WireReduceStats};
 use crate::executor::TimedSink;
 use crate::map_task::MapTaskStats;
 use crate::reduce_task::ReduceResult;
@@ -107,6 +107,10 @@ pub(crate) struct TcpCluster<'a> {
     start: Instant,
     aborting: AtomicBool,
     closing: AtomicBool,
+    /// Wakes the heartbeat loop at `close`, so a job's wall time is not
+    /// rounded up to the next `PING_EVERY`.
+    close_tx: Sender<()>,
+    close_rx: Receiver<()>,
     /// Serializes death handling (and replay) so two concurrent failure
     /// detections can't both re-home the same partition.
     death_lock: Mutex<()>,
@@ -132,7 +136,7 @@ impl<'a> TcpCluster<'a> {
     pub(crate) fn connect(
         workers: &[String],
         job_name: &str,
-        wire: WireJob,
+        knobs: Vec<(String, String)>,
         reducers: usize,
         remote_reduce: bool,
         start: Instant,
@@ -162,7 +166,10 @@ impl<'a> TcpCluster<'a> {
             if let Some((tx, rx, _)) = &obs {
                 conn.set_metrics(tx.clone(), rx.clone());
             }
-            conn.send(&Frame::JobInit(wire.clone()))?;
+            conn.send(&Frame::JobInit {
+                name: job_name.to_string(),
+                knobs: knobs.clone(),
+            })?;
             links.push(WorkerLink {
                 id,
                 conn: Arc::new(conn),
@@ -191,6 +198,7 @@ impl<'a> TcpCluster<'a> {
             }
         }
         let (done_tx, done_rx) = unbounded();
+        let (close_tx, close_rx) = unbounded();
         Ok(TcpCluster {
             links,
             parts,
@@ -198,6 +206,8 @@ impl<'a> TcpCluster<'a> {
             start,
             aborting: AtomicBool::new(false),
             closing: AtomicBool::new(false),
+            close_tx,
+            close_rx,
             death_lock: Mutex::new(()),
             sink_factory,
             done_tx,
@@ -230,6 +240,7 @@ impl<'a> TcpCluster<'a> {
     /// and sever every connection so reader threads unblock and exit.
     pub(crate) fn close(&self) {
         self.closing.store(true, Ordering::SeqCst);
+        let _ = self.close_tx.send(());
         for link in &self.links {
             if link.alive.load(Ordering::SeqCst) {
                 let _ = link.conn.send(&Frame::FeedClosed);
@@ -437,8 +448,8 @@ impl<'a> TcpCluster<'a> {
 
     fn heartbeat_loop(&self) {
         let mut nonce = 0u64;
-        while !self.closing.load(Ordering::SeqCst) {
-            std::thread::sleep(PING_EVERY);
+        // A timeout is a heartbeat tick; a message is `close`.
+        while self.close_rx.recv_timeout(PING_EVERY) == Err(RecvTimeoutError::Timeout) {
             for link in &self.links {
                 if !link.alive.load(Ordering::SeqCst) {
                     continue;

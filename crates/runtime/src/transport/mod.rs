@@ -85,9 +85,9 @@ pub trait SegmentSink: Send + Sync {
 ///
 /// A [`JobSpec`] carries closures (map function, aggregator, partitioner)
 /// and therefore cannot travel over the wire. Instead, both sides agree on
-/// a job *name*: the coordinator ships the name plus its scalar knobs, and
-/// the worker rebuilds the spec from a factory registered here, then
-/// overlays the wire knobs. A job submitted under an unregistered name is
+/// a job *name*: the coordinator ships the name plus the travelling rows
+/// of [`crate::knobs::KNOBS`] as text pairs, and the worker rebuilds the
+/// spec from a factory registered here, then sets the pairs onto it. A job submitted under an unregistered name is
 /// rejected with a [`Config`](onepass_core::error::Error::Config) error.
 #[derive(Clone, Default)]
 pub struct JobRegistry {

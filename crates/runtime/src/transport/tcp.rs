@@ -7,7 +7,7 @@
 //! backpressures senders through the socket buffer, the distributed
 //! analogue of the in-proc bounded channels).
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use onepass_core::error::{Error, Result};
 use onepass_core::obs::Counter;
 
-use super::wire::{Frame, MAX_FRAME};
+use super::wire::{read_body, Frame};
 use super::SegmentSink;
 use crate::shuffle::{PressureGate, Segment, ShuffleTx};
 
@@ -85,21 +85,7 @@ impl Conn {
 
     /// Block until one whole frame arrives (or the peer hangs up).
     pub(crate) fn recv(&self) -> Result<Frame> {
-        let body = {
-            let mut r = self.reader.lock().unwrap();
-            let mut len = [0u8; 4];
-            r.read_exact(&mut len)?;
-            let len = u32::from_le_bytes(len) as usize;
-            if len > MAX_FRAME {
-                return Err(Error::Corrupt(format!(
-                    "frame length {len} from {} exceeds limit",
-                    self.peer
-                )));
-            }
-            let mut body = vec![0u8; len];
-            r.read_exact(&mut body)?;
-            body
-        };
+        let body = read_body(&mut *self.reader.lock().unwrap())?;
         self.rx_bytes
             .fetch_add(4 + body.len() as u64, Ordering::Relaxed);
         if let Some((_, rx)) = self.obs.lock().unwrap().as_ref() {

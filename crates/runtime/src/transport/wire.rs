@@ -7,24 +7,54 @@
 //! per record — the same bytes spill files hold), so a received payload
 //! decodes zero-copy via [`SegmentBuf::from_framed`].
 //!
-//! A [`JobSpec`] carries closures and cannot travel whole; [`WireJob`]
-//! ships the job *name* plus every scalar knob, and the worker overlays
-//! those knobs on the spec its [`JobRegistry`](super::JobRegistry)
-//! rebuilt from the name.
+//! A [`JobSpec`](crate::JobSpec) carries closures and cannot travel
+//! whole; [`Frame::JobInit`] ships the job *name* plus the `(name, value)`
+//! text pairs of the travelling rows of [`crate::knobs::KNOBS`], and the
+//! worker applies them to the spec its
+//! [`JobRegistry`](super::JobRegistry) rebuilt from the name. This module
+//! knows nothing about individual knobs.
 
+use std::io::Read;
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::HashFamily;
 use onepass_core::SegmentBuf;
-use onepass_groupby::freq_hash::FreqHashConfig;
 
-use crate::driver::SpillBackend;
-use crate::job::{Combine, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
+use crate::knobs::KNOBS;
 
 /// Upper bound on a single frame body; a larger length prefix means the
 /// stream is corrupt (or not speaking this protocol).
 pub(crate) const MAX_FRAME: usize = 1 << 30;
+
+/// Largest allocation made on the strength of a length prefix alone;
+/// bodies longer than this grow as their bytes actually arrive.
+const READ_CHUNK: usize = 1 << 20;
+
+/// Upper bounds on the text in a `JobInit`, bytes: the job's or a knob's
+/// name, and a knob's value (the longest is a sort-merge backend listing
+/// its snapshot fractions, some 20 bytes each).
+const MAX_NAME: usize = 256;
+const MAX_KNOB_VALUE: usize = 64 << 10;
+
+/// Read one frame body (`[u32 LE length][body]`) from `r`. A clean EOF
+/// before the prefix is the peer hanging up (`Error::Io`); a prefix over
+/// [`MAX_FRAME`], or a body that ends early, is `Error::Corrupt`.
+pub(crate) fn read_body(r: &mut impl Read) -> Result<Vec<u8>> {
+    let mut len = [0u8; 4];
+    r.read_exact(&mut len)?;
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME {
+        return Err(Error::Corrupt(format!("frame length {len} exceeds limit")));
+    }
+    let mut body = Vec::with_capacity(len.min(READ_CHUNK));
+    let got = r.take(len as u64).read_to_end(&mut body)?;
+    if got < len {
+        return Err(Error::Corrupt(format!(
+            "frame truncated: {got} of {len} bytes"
+        )));
+    }
+    Ok(body)
+}
 
 /// Map-task stats that travel in a [`Frame::MapOk`]. CPU profiles stay
 /// worker-local; only the counters the report aggregates are shipped.
@@ -55,161 +85,18 @@ pub(crate) struct WireReduceStats {
     pub attempts: u64,
 }
 
-/// Everything the coordinator ships to instantiate a job on a worker.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WireJob {
-    pub name: String,
-    pub reducers: u64,
-    /// 0 = SortSpill, 1 = HashPartitionOnly, 2 = HashCombine.
-    pub map_side: u8,
-    /// 0 = Pull, 1 = Push.
-    pub shuffle: u8,
-    pub granularity: u64,
-    /// 0 = Off, 1 = On.
-    pub combine: u8,
-    /// 0 = SortMerge, 1 = HybridHash, 2 = IncHash, 3 = FreqHash.
-    pub backend: u8,
-    /// merge_factor / fanout, depending on `backend`.
-    pub backend_arg: u64,
-    pub snapshots: Vec<f64>,
-    pub map_buffer_bytes: u64,
-    pub reduce_budget_bytes: u64,
-    pub inmem_merge_threshold: u64,
-    /// Worker-internal reduce retry budget.
-    pub max_attempts: u64,
-    /// 0 = Memory, 1 = TempFiles.
-    pub spill: u8,
-    /// 0 = MultiplyShift, 1 = Tabulation.
-    pub hash_family: u8,
-}
-
-impl WireJob {
-    /// Capture `job`'s scalar knobs plus the engine knobs a worker needs.
-    pub(crate) fn from_job(
-        job: &JobSpec,
-        max_attempts: usize,
-        spill: SpillBackend,
-        hash_family: HashFamily,
-    ) -> Self {
-        let (backend, backend_arg, snapshots) = match &job.backend {
-            ReduceBackend::SortMerge {
-                merge_factor,
-                snapshots,
-            } => (0, *merge_factor as u64, snapshots.clone()),
-            ReduceBackend::HybridHash { fanout } => (1, *fanout as u64, Vec::new()),
-            ReduceBackend::IncHash { .. } => (2, 0, Vec::new()),
-            ReduceBackend::FreqHash(c) => (3, c.cold_fanout as u64, Vec::new()),
-        };
-        let (shuffle, granularity) = match job.shuffle {
-            ShuffleMode::Pull => (0, 0),
-            ShuffleMode::Push { granularity } => (1, granularity as u64),
-        };
-        WireJob {
-            name: job.name.clone(),
-            reducers: job.reducers as u64,
-            map_side: match job.map_side {
-                MapSideMode::SortSpill => 0,
-                MapSideMode::HashPartitionOnly => 1,
-                MapSideMode::HashCombine => 2,
-            },
-            shuffle,
-            granularity,
-            combine: job.combine.is_on() as u8,
-            backend,
-            backend_arg,
-            snapshots,
-            map_buffer_bytes: job.map_buffer_bytes as u64,
-            reduce_budget_bytes: job.reduce_budget_bytes as u64,
-            inmem_merge_threshold: job.inmem_merge_threshold as u64,
-            max_attempts: max_attempts as u64,
-            spill: match spill {
-                SpillBackend::Memory => 0,
-                SpillBackend::TempFiles => 1,
-            },
-            hash_family: match hash_family {
-                HashFamily::MultiplyShift => 0,
-                HashFamily::Tabulation => 1,
-            },
-        }
-    }
-
-    /// Overlay these knobs on `base` (the registry-built spec). Closures
-    /// (map fn, aggregate, partitioner, early-emit policies) always come
-    /// from `base`; when the wire backend kind matches `base`'s, backend
-    /// sub-config the wire can't carry is preserved too.
-    pub(crate) fn apply(&self, base: JobSpec) -> Result<JobSpec> {
-        let mut job = base;
-        job.reducers = self.reducers as usize;
-        job.map_side = match self.map_side {
-            0 => MapSideMode::SortSpill,
-            1 => MapSideMode::HashPartitionOnly,
-            2 => MapSideMode::HashCombine,
-            n => return Err(Error::Corrupt(format!("bad map_side tag {n}"))),
-        };
-        job.shuffle = match self.shuffle {
-            0 => ShuffleMode::Pull,
-            1 => ShuffleMode::Push {
-                granularity: self.granularity as usize,
-            },
-            n => return Err(Error::Corrupt(format!("bad shuffle tag {n}"))),
-        };
-        job.combine = if self.combine == 1 {
-            Combine::On
-        } else {
-            Combine::Off
-        };
-        job.backend = match (self.backend, &job.backend) {
-            (0, _) => ReduceBackend::SortMerge {
-                merge_factor: self.backend_arg as usize,
-                snapshots: self.snapshots.clone(),
-            },
-            (1, _) => ReduceBackend::HybridHash {
-                fanout: self.backend_arg as usize,
-            },
-            // Keep the registry's early-emit policy / sketch config when
-            // the kinds line up; otherwise fall back to defaults.
-            (2, ReduceBackend::IncHash { early }) => ReduceBackend::IncHash {
-                early: early.clone(),
-            },
-            (2, _) => ReduceBackend::IncHash { early: None },
-            (3, ReduceBackend::FreqHash(c)) => ReduceBackend::FreqHash(c.clone()),
-            (3, _) => ReduceBackend::FreqHash(FreqHashConfig::default()),
-            (n, _) => return Err(Error::Corrupt(format!("bad backend tag {n}"))),
-        };
-        job.map_buffer_bytes = self.map_buffer_bytes as usize;
-        job.reduce_budget_bytes = self.reduce_budget_bytes as usize;
-        job.inmem_merge_threshold = self.inmem_merge_threshold as usize;
-        job.validate()?;
-        Ok(job)
-    }
-
-    /// The engine spill backend this job's reduces should use.
-    pub(crate) fn spill_backend(&self) -> SpillBackend {
-        if self.spill == 1 {
-            SpillBackend::TempFiles
-        } else {
-            SpillBackend::Memory
-        }
-    }
-
-    /// The hash family the worker's group-by operators should draw from.
-    pub(crate) fn family(&self) -> HashFamily {
-        if self.hash_family == 1 {
-            HashFamily::Tabulation
-        } else {
-            HashFamily::MultiplyShift
-        }
-    }
-}
-
 /// One protocol message. Direction is implied by the variant: the
 /// coordinator sends `JobInit`/`NewSplit`/`FeedClosed`/`ReduceTask`/
 /// `Red*`/`Ping`; workers send `Segment`/`MapDone`/`MapOk`/`MapFailed`/
 /// `FinalBatch`/`ReduceDone`/`Pong`/`JobRejected`/`Abort`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Frame {
-    /// Instantiate the named job on the worker connection.
-    JobInit(WireJob),
+    /// Instantiate the named job on the worker connection: the registry
+    /// name plus `(knob, value)` text pairs (see [`crate::knobs`]).
+    JobInit {
+        name: String,
+        knobs: Vec<(String, String)>,
+    },
     /// Dispatch one map task attempt with its input records.
     NewSplit {
         task: u64,
@@ -312,9 +199,6 @@ impl Enc {
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
     fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(v);
@@ -347,42 +231,45 @@ impl<'a> Dec<'a> {
     fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
+    fn blob(&mut self) -> Result<&'a [u8]> {
+        let n = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
+        self.take(n)
     }
     fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
-        Ok(self.take(n)?.to_vec())
+        Ok(self.blob()?.to_vec())
     }
     fn str(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| Error::Corrupt("non-utf8 string".into()))
+        utf8(self.blob()?)
     }
+    /// `JobInit` text: checked against `max` before it is copied.
+    fn short_str(&mut self, max: usize) -> Result<String> {
+        let b = self.blob()?;
+        if b.len() > max {
+            return Err(Error::Corrupt(format!(
+                "{}-byte job or knob text exceeds {max}",
+                b.len()
+            )));
+        }
+        utf8(b)
+    }
+}
+
+fn utf8(b: &[u8]) -> Result<String> {
+    String::from_utf8(b.to_vec()).map_err(|_| Error::Corrupt("non-utf8 string".into()))
 }
 
 impl Frame {
     /// Serialize the frame body (everything after the length prefix).
     pub(crate) fn encode(&self) -> Vec<u8> {
         match self {
-            Frame::JobInit(j) => {
+            Frame::JobInit { name, knobs } => {
                 let mut e = Enc::new(T_JOB_INIT);
-                e.str(&j.name);
-                e.u64(j.reducers);
-                e.u8(j.map_side);
-                e.u8(j.shuffle);
-                e.u64(j.granularity);
-                e.u8(j.combine);
-                e.u8(j.backend);
-                e.u64(j.backend_arg);
-                e.u64(j.snapshots.len() as u64);
-                for s in &j.snapshots {
-                    e.f64(*s);
+                e.str(name);
+                e.u64(knobs.len() as u64);
+                for (k, v) in knobs {
+                    e.str(k);
+                    e.str(v);
                 }
-                e.u64(j.map_buffer_bytes);
-                e.u64(j.reduce_budget_bytes);
-                e.u64(j.inmem_merge_threshold);
-                e.u64(j.max_attempts);
-                e.u8(j.spill);
-                e.u8(j.hash_family);
                 e.buf
             }
             Frame::NewSplit {
@@ -537,39 +424,19 @@ impl Frame {
         let mut d = Dec::new(body);
         let frame = match d.u8()? {
             T_JOB_INIT => {
-                let name = d.str()?;
-                let reducers = d.u64()?;
-                let map_side = d.u8()?;
-                let shuffle = d.u8()?;
-                let granularity = d.u64()?;
-                let combine = d.u8()?;
-                let backend = d.u8()?;
-                let backend_arg = d.u64()?;
-                let n = d.u64()? as usize;
-                if n > body.len() {
-                    return Err(Error::Corrupt("snapshot count exceeds frame".into()));
+                let name = d.short_str(MAX_NAME)?;
+                let n = d.u64()?;
+                if n > KNOBS.len() as u64 {
+                    return Err(Error::Corrupt(format!(
+                        "{n} knob pairs, the table has {}",
+                        KNOBS.len()
+                    )));
                 }
-                let mut snapshots = Vec::with_capacity(n);
+                let mut knobs = Vec::with_capacity(n as usize);
                 for _ in 0..n {
-                    snapshots.push(d.f64()?);
+                    knobs.push((d.short_str(MAX_NAME)?, d.short_str(MAX_KNOB_VALUE)?));
                 }
-                Frame::JobInit(WireJob {
-                    name,
-                    reducers,
-                    map_side,
-                    shuffle,
-                    granularity,
-                    combine,
-                    backend,
-                    backend_arg,
-                    snapshots,
-                    map_buffer_bytes: d.u64()?,
-                    reduce_budget_bytes: d.u64()?,
-                    inmem_merge_threshold: d.u64()?,
-                    max_attempts: d.u64()?,
-                    spill: d.u8()?,
-                    hash_family: d.u8()?,
-                })
+                Frame::JobInit { name, knobs }
             }
             T_NEW_SPLIT => {
                 let task = d.u64()?;
@@ -708,6 +575,15 @@ mod tests {
             attempt: 1,
             records: vec![b"a b".to_vec(), vec![], b"c".to_vec()],
         });
+        roundtrip(Frame::JobInit {
+            name: "wc".into(),
+            knobs: vec![("a".into(), "1".into()), ("b".into(), String::new())],
+        });
+        // A value far longer than a name may be: 200 snapshot fractions.
+        roundtrip(Frame::JobInit {
+            name: "wc".into(),
+            knobs: vec![("a".into(), "0.0123456789012345,".repeat(200))],
+        });
         roundtrip(Frame::FeedClosed);
         roundtrip(Frame::ReduceTask { partition: 2 });
         roundtrip(Frame::Segment {
@@ -772,27 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_job_roundtrips_and_applies() {
-        let base = JobSpec::builder("wc")
-            .reducers(3)
-            .preset_onepass()
-            .build()
-            .unwrap();
-        let wire = WireJob::from_job(&base, 4, SpillBackend::TempFiles, HashFamily::Tabulation);
-        roundtrip(Frame::JobInit(wire.clone()));
-
-        // Apply onto a default-shaped registry spec: scalars come from the
-        // wire, closures from the base.
-        let registry_spec = JobSpec::builder("wc").build().unwrap();
-        let applied = wire.apply(registry_spec).unwrap();
-        assert_eq!(applied.reducers, 3);
-        assert_eq!(applied.map_side, base.map_side);
-        assert_eq!(applied.shuffle, base.shuffle);
-        assert!(matches!(applied.backend, ReduceBackend::FreqHash(_)));
-        assert_eq!(wire.spill_backend(), SpillBackend::TempFiles);
-    }
-
-    #[test]
     fn kv_payload_decodes_zero_copy() {
         let mut b = SegmentBufBuilder::new();
         b.push(b"key", b"value");
@@ -823,5 +678,48 @@ mod tests {
         let mut body = Frame::Abort.encode();
         body.push(0);
         assert!(Frame::decode(&body).is_err());
+
+        // A JobInit claiming more pairs than the table has rows is
+        // rejected before anything is sized from the count.
+        let mut e = Enc::new(T_JOB_INIT);
+        e.str("wc");
+        e.u64(u64::MAX);
+        assert!(matches!(Frame::decode(&e.buf), Err(Error::Corrupt(_))));
+        // So is one whose text is longer than any name or value could be.
+        for (name, value) in [(MAX_NAME + 1, 1), (1, MAX_KNOB_VALUE + 1)] {
+            let long = Frame::JobInit {
+                name: "wc".into(),
+                knobs: vec![("a".repeat(name), "x".repeat(value))],
+            };
+            assert!(matches!(
+                Frame::decode(&long.encode()),
+                Err(Error::Corrupt(_))
+            ));
+        }
+
+        // The largest legal length prefix followed by a few bytes and
+        // EOF: a typed error, with nothing sized from the claim.
+        let mut stream = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(b"abc");
+        assert!(matches!(
+            read_body(&mut stream.as_slice()),
+            Err(Error::Corrupt(_))
+        ));
+        // Over the limit.
+        let stream = u32::MAX.to_le_bytes();
+        assert!(matches!(
+            read_body(&mut stream.as_slice()),
+            Err(Error::Corrupt(_))
+        ));
+        // Peer hung up between frames: not corruption.
+        assert!(matches!(read_body(&mut &[][..]), Err(Error::Io(_))));
+    }
+
+    #[test]
+    fn read_body_reads_past_one_chunk() {
+        let body = vec![7u8; READ_CHUNK + 5];
+        let mut stream = (body.len() as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&body);
+        assert_eq!(read_body(&mut stream.as_slice()).unwrap(), body);
     }
 }

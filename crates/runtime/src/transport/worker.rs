@@ -1,8 +1,8 @@
 //! The worker side of the TCP transport: `onepass worker --listen ADDR`.
 //!
 //! A worker process accepts one connection per job from a coordinator.
-//! Over that connection it receives a `JobInit` (job name + scalar knobs,
-//! resolved against its [`JobRegistry`]), map task dispatches
+//! Over that connection it receives a `JobInit` (job name + knob pairs,
+//! resolved against its [`JobRegistry`] and [`crate::knobs`]), map task dispatches
 //! (`NewSplit`), and reduce partition assignments (`ReduceTask`); it sends
 //! back shuffle segments, `MapDone`/`MapOk`/`MapFailed`, reduce output
 //! batches, and `ReduceDone`.
@@ -36,13 +36,15 @@ use onepass_core::trace::LocalTracer;
 use onepass_groupby::{EmitKind, Sink};
 
 use super::tcp::{Conn, TcpSink};
-use super::wire::{Frame, WireJob, WireMapStats, WireReduceStats};
+use super::wire::{Frame, WireMapStats, WireReduceStats};
 use super::JobRegistry;
+use crate::driver::{EngineConfig, SpillBackend};
 use crate::executor::make_store;
 use crate::job::JobSpec;
+use crate::knobs::{self, Settings};
 use crate::map_task::{run_map_task_with, MapAttemptCtx, MapTaskStats, Split};
 use crate::reduce_task::{panic_message, run_reduce_task_open, ReduceResult, ReduceRetryOpts};
-use crate::shuffle::{Segment, ShuffleMsg, ShuffleTx};
+use crate::shuffle::{Segment, ShuffleMsg, ShuffleTx, CHANNEL_DEPTH};
 
 /// Knobs for a worker process.
 #[derive(Debug, Clone)]
@@ -157,13 +159,15 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
     };
     let conn = Arc::new(conn);
 
-    // First frame must name the job.
-    let wire = match conn.recv() {
-        Ok(Frame::JobInit(w)) => w,
+    // First frame must name the job. One that does not decode is answered
+    // like one that does not apply: the coordinator learns why.
+    let settings = match conn.recv() {
+        Ok(Frame::JobInit { name, knobs }) => instantiate(&registry, &name, &knobs),
+        Err(e @ Error::Corrupt(_)) => Err(e),
         _ => return,
     };
-    let job = match instantiate(&registry, &wire) {
-        Ok(j) => Arc::new(j),
+    let Settings { job, engine } = match settings {
+        Ok(s) => s,
         Err(e) => {
             let _ = conn.send(&Frame::JobRejected {
                 reason: e.to_string(),
@@ -171,6 +175,7 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
             return;
         }
     };
+    let job = Arc::new(job);
 
     // Map tasks: a slot pool draining one dispatch queue, shuffling
     // straight back over the connection.
@@ -217,13 +222,13 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
                 let _ = map_tx.send((task as usize, attempt as usize, Split::new(records)));
             }
             Frame::ReduceTask { partition } => {
-                let (rtx, rrx) = bounded::<ShuffleMsg>(64);
+                let (rtx, rrx) = bounded::<ShuffleMsg>(CHANNEL_DEPTH);
                 reduce_txs.insert(partition, rtx);
                 let conn = Arc::clone(&conn);
                 let job = Arc::clone(&job);
-                let wire = wire.clone();
+                let (spill, max_attempts) = (engine.spill, engine.retry.max_attempts);
                 joins.push(std::thread::spawn(move || {
-                    reduce_partition(&conn, &job, &wire, partition, &rrx)
+                    reduce_partition(&conn, &job, spill, max_attempts, partition, &rrx)
                 }));
             }
             Frame::Segment {
@@ -294,15 +299,18 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
     }
 }
 
-/// Resolve a `JobInit` against the registry and overlay its wire knobs.
-fn instantiate(registry: &JobRegistry, wire: &WireJob) -> Result<JobSpec> {
-    let base = registry.build(&wire.name).ok_or_else(|| {
-        Error::Config(format!(
-            "job '{}' is not registered on this worker",
-            wire.name
-        ))
-    })?;
-    wire.apply(base)
+/// Resolve a `JobInit` against the registry and apply its knob pairs:
+/// closures come from the registered spec, scalars from the wire.
+fn instantiate(registry: &JobRegistry, name: &str, pairs: &[(String, String)]) -> Result<Settings> {
+    let job = registry
+        .build(name)
+        .ok_or_else(|| Error::Config(format!("job '{name}' is not registered on this worker")))?;
+    let mut settings = Settings {
+        job,
+        engine: EngineConfig::default(),
+    };
+    knobs::apply(&mut settings, pairs)?;
+    Ok(settings)
 }
 
 /// One map slot: run dispatched attempts until the queue closes (or this
@@ -373,11 +381,11 @@ fn map_slot(
 fn reduce_partition(
     conn: &Arc<Conn>,
     job: &JobSpec,
-    wire: &WireJob,
+    spill: SpillBackend,
+    max_attempts: usize,
     partition: u64,
     rx: &Receiver<ShuffleMsg>,
 ) {
-    let spill = wire.spill_backend();
     let mut resources = || -> Result<(Arc<dyn onepass_core::io::SpillStore>, MemoryBudget)> {
         Ok((
             make_store(spill)?,
@@ -385,11 +393,10 @@ fn reduce_partition(
         ))
     };
     let opts = ReduceRetryOpts {
-        max_attempts: (wire.max_attempts as usize).max(1),
+        max_attempts,
         backoff: Duration::ZERO,
         dedup_attempts: true,
         injector: FaultInjector::none(),
-        hash_family: wire.family(),
     };
     let mut sink = FrameSink::new(Arc::clone(conn), partition);
     let mut trace = LocalTracer::disabled();
@@ -494,5 +501,28 @@ impl Sink for FrameSink {
         if self.buf.len() >= Self::FLUSH_BYTES {
             self.flush();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A first frame the worker cannot decode is answered with the reason,
+    /// not with a closed socket the coordinator would read as a dead worker.
+    #[test]
+    fn undecodable_job_init_is_rejected_with_the_reason() {
+        let worker = spawn_local(JobRegistry::new(), WorkerOptions::default()).unwrap();
+        let conn = Conn::connect(worker.addr()).unwrap();
+        conn.send(&Frame::JobInit {
+            name: "n".repeat(1000),
+            knobs: Vec::new(),
+        })
+        .unwrap();
+        match conn.recv() {
+            Ok(Frame::JobRejected { reason }) => assert!(reason.contains("exceeds"), "{reason}"),
+            other => panic!("expected JobRejected, got {other:?}"),
+        }
+        worker.shutdown();
     }
 }

@@ -59,8 +59,8 @@ pub struct WindowedSession {
     job: JobSpec,
     timestamper: Arc<dyn EventTime>,
     config: WindowConfig,
-    /// Options applied to every per-window session (hash family, shared
-    /// memory governor lease).
+    /// Options applied to every per-window session (shared memory
+    /// governor lease).
     options: SessionOptions,
     /// Open windows by window index (start = idx * window_len).
     windows: BTreeMap<u64, StreamSession>,

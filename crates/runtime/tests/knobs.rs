@@ -1,0 +1,280 @@
+//! The knob table is the only text form of a job's configuration, so its
+//! `get`/`set` pairs must be exact inverses: whatever a [`Settings`] holds,
+//! sending its rows as text and setting them onto a default-built spec
+//! (what a TCP worker does with `JobInit`) reproduces every scalar.
+
+use onepass_runtime::knobs::{apply, find, pairs, Settings, KNOBS};
+use onepass_runtime::prelude::*;
+
+/// The three systems of Table III as settings (default closures).
+fn presets() -> Vec<(&'static str, Settings)> {
+    let b = || JobSpec::builder("t");
+    [
+        ("hadoop", b().preset_hadoop()),
+        ("hop", b().preset_hop()),
+        ("onepass", b().preset_onepass()),
+    ]
+    .into_iter()
+    .map(|(name, builder)| (name, fresh(builder.build().unwrap())))
+    .collect()
+}
+
+fn fresh(job: JobSpec) -> Settings {
+    Settings {
+        job,
+        engine: EngineConfig::default(),
+    }
+}
+
+/// What a worker starts from: the registry's default-built spec.
+fn default_built() -> Settings {
+    fresh(JobSpec::builder("t").build().unwrap())
+}
+
+/// A non-default value for every row (the last pair of each entry; earlier
+/// pairs put the settings in a state where that value is legal).
+const PERTURBED: &[&[(&str, &str)]] = &[
+    &[("reducers", "3")],
+    &[("map-side", "hash-partition")],
+    &[("shuffle", "push:77")],
+    &[("backend", "hybrid-hash:5")],
+    &[("backend", "sort-merge:3:0.1,0.6")],
+    &[("backend", "inc-hash")],
+    &[("map-buffer-kb", "96")],
+    &[("budget-kb", "1.4658203125")], // 1501 bytes: not a whole KiB
+    &[("map-side", "hash-partition"), ("combine", "off")],
+    &[("inmem-merge-threshold", "7")],
+    &[("collect-output", "discard")],
+    &[("map-workers", "1")],
+    &[("spill", "temp-files")],
+    &[("map-output", "volatile")],
+    &[("retries", "5")],
+    &[("backoff-ms", "12")],
+    &[("speculate", "on")],
+    &[("mem-policy", "coldest-keys")],
+    &[("mem-policy", "round-robin"), ("mem-high-water", "0.6")],
+    &[("in-node-combine", "off")],
+];
+
+/// Every scalar the table claims to describe, read from the fields — not
+/// through `get`, which is what is under test.
+fn scalars(s: &Settings) -> String {
+    let (j, e) = (&s.job, &s.engine);
+    format!(
+        "{:?} {:?}",
+        (
+            j.reducers,
+            j.map_side,
+            j.shuffle,
+            &j.backend,
+            j.map_buffer_bytes,
+            j.reduce_budget_bytes,
+            j.combine,
+            j.inmem_merge_threshold,
+            j.collect_output,
+        ),
+        (
+            e.map_workers,
+            e.spill,
+            e.persist_map_output,
+            e.retry,
+            e.speculation,
+            &e.memory_policy,
+            e.in_node_combine,
+        )
+    )
+}
+
+/// The scalars of the travelling rows only.
+fn travelling_scalars(s: &Settings) -> String {
+    let mut s = s.clone();
+    let blank = default_built();
+    s.job.collect_output = blank.job.collect_output;
+    s.engine = EngineConfig {
+        spill: s.engine.spill,
+        retry: RetryPolicy::attempts(s.engine.retry.max_attempts),
+        ..blank.engine
+    };
+    scalars(&s)
+}
+
+fn set_all(s: &mut Settings, values: &[(&str, &str)]) {
+    for (name, value) in values {
+        find(name)
+            .unwrap_or_else(|| panic!("no row {name}"))
+            .set(s, value)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Every preset, alone and with each perturbation applied.
+fn cases() -> Vec<(String, Settings)> {
+    let mut out = Vec::new();
+    for (name, base) in presets() {
+        out.push((name.to_string(), base.clone()));
+        for p in PERTURBED {
+            let mut s = base.clone();
+            set_all(&mut s, p);
+            out.push((format!("{name} + {p:?}"), s));
+        }
+    }
+    out
+}
+
+#[test]
+fn perturbations_cover_every_row_and_change_it() {
+    for knob in KNOBS {
+        let p = PERTURBED
+            .iter()
+            .find(|p| p.last().unwrap().0 == knob.name)
+            .unwrap_or_else(|| panic!("row {} has no perturbed value", knob.name));
+        let base = default_built();
+        let mut s = base.clone();
+        set_all(&mut s, p);
+        assert_ne!(
+            knob.get(&s.job, &s.engine),
+            knob.get(&base.job, &base.engine),
+            "{} was not perturbed",
+            knob.name
+        );
+        assert_ne!(scalars(&s), scalars(&base), "{} set nothing", knob.name);
+    }
+    let mut names: Vec<_> = KNOBS.iter().map(|k| k.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), KNOBS.len(), "row names must be unique");
+}
+
+#[test]
+fn every_rows_own_text_is_accepted_and_changes_nothing() {
+    for (label, s) in cases() {
+        for knob in KNOBS {
+            let mut again = s.clone();
+            knob.set(&mut again, &knob.get(&s.job, &s.engine))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(scalars(&again), scalars(&s), "{label}: {}", knob.name);
+        }
+    }
+}
+
+#[test]
+fn text_of_every_row_reproduces_every_scalar() {
+    for (label, s) in cases() {
+        let mut rebuilt = default_built();
+        for knob in KNOBS {
+            knob.set(&mut rebuilt, &knob.get(&s.job, &s.engine))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+        assert_eq!(scalars(&rebuilt), scalars(&s), "{label}");
+    }
+}
+
+/// The wire round trip: the pairs a coordinator
+/// sends, applied the way a worker applies them.
+#[test]
+fn travelling_pairs_applied_to_a_default_spec_reproduce_the_job() {
+    for (label, s) in cases() {
+        let sent = pairs(&s.job, &s.engine);
+        assert!(sent.len() < KNOBS.len(), "some rows stay behind");
+        let mut worker = default_built();
+        apply(&mut worker, &sent).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(
+            travelling_scalars(&worker),
+            travelling_scalars(&s),
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn apply_keeps_what_has_no_text_form_when_the_backend_kind_matches() {
+    use onepass_groupby::freq_hash::FreqHashConfig;
+    use onepass_groupby::inc_hash::CountThreshold;
+    let registered = |backend| fresh(JobSpec::builder("t").backend(backend).build().unwrap());
+    let sent = |text: &str| vec![("backend".to_string(), text.to_string())];
+
+    let mut s = registered(ReduceBackend::IncHash {
+        early: Some(std::sync::Arc::new(CountThreshold(3))),
+    });
+    apply(&mut s, &sent("inc-hash")).unwrap();
+    assert!(s.job.backend.incremental(), "early-emit policy was dropped");
+
+    let mut s = registered(ReduceBackend::FreqHash(FreqHashConfig {
+        cold_fanout: 5,
+        ..FreqHashConfig::default()
+    }));
+    apply(&mut s, &sent("freq-hash")).unwrap();
+    assert!(matches!(&s.job.backend, ReduceBackend::FreqHash(c) if c.cold_fanout == 5));
+    apply(&mut s, &sent("inc-hash")).unwrap();
+    assert!(
+        !s.job.backend.incremental(),
+        "a different kind takes defaults"
+    );
+}
+
+#[test]
+fn bad_pairs_are_errors_that_name_the_knob() {
+    let err = |name: &str, value: &str| {
+        apply(
+            &mut default_built(),
+            &[(name.to_string(), value.to_string())],
+        )
+        .unwrap_err()
+        .to_string()
+    };
+    assert!(err("reducers", "four").contains("reducers"));
+    assert!(
+        err("reducers", "four").contains("--reducers N"),
+        "syntax shown"
+    );
+    assert!(err("reducer", "8").contains("\"reducer\""), "unknown name");
+    assert!(
+        err("map-workers", "2").contains("map-workers"),
+        "stays behind"
+    );
+    assert!(err("backend", "sort-merge").contains("backend"));
+    assert!(err("shuffle", "push").contains("shuffle"));
+    assert!(err("retries", "0").contains("at least 1"));
+    assert!(err("budget-kb", "-1").contains("budget-kb"));
+    // Values that parse but make an invalid job are caught by validation.
+    assert!(err("reducers", "0").contains("reducers"));
+    // Stale values cannot hide behind static budgets.
+    let mut s = default_built();
+    assert!(find("mem-high-water").unwrap().set(&mut s, "0.5").is_err());
+    assert!(find("mem-high-water").unwrap().set(&mut s, "1.5").is_err());
+}
+
+#[test]
+fn every_listed_choice_is_accepted() {
+    for knob in KNOBS {
+        let literal = |c: &str| c.chars().all(|ch| ch.is_ascii_lowercase() || ch == '-');
+        if knob.syntax.is_empty() || !knob.syntax.split('|').all(literal) {
+            continue;
+        }
+        for choice in knob.syntax.split('|') {
+            let mut s = default_built();
+            knob.set(&mut s, choice).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(knob.get(&s.job, &s.engine), choice);
+        }
+    }
+}
+
+#[test]
+fn job_debug_prints_the_job_rows() {
+    let job = JobSpec::builder("t")
+        .reducers(3)
+        .preset_hop()
+        .build()
+        .unwrap();
+    let text = format!("{job:?}");
+    assert!(text.contains("reducers: 3"), "{text}");
+    assert!(text.contains("shuffle: push:4096"), "{text}");
+    assert!(
+        text.contains("backend: sort-merge:10:0.25,0.5,0.75"),
+        "{text}"
+    );
+    assert!(
+        !text.contains("retries"),
+        "engine rows are not the job's: {text}"
+    );
+}

@@ -6,7 +6,7 @@
 //! hand-chained [`Engine::run`] calls with the edge encoded manually
 //! through the edge codec — and all four match a pure-Rust reference.
 //! The property sweeps all four reduce backends, both spill backends,
-//! the memory-governor policies, both hash families, in-node combining
+//! the memory-governor policies, in-node combining
 //! on/off, and a seeded fault plan that kills a map and a reduce task
 //! mid-run, so edge streaming (and a cached round's replay) must
 //! survive retries, spills, worker combine-table flushes, and
@@ -126,13 +126,11 @@ fn mk_config(
     spill: SpillBackend,
     policy: MemoryPolicy,
     faults: Option<FaultPlan>,
-    family: HashFamily,
     in_node: InNodeCombine,
 ) -> EngineConfig {
     let mut b = EngineConfig::builder()
         .spill(spill)
         .memory_policy(policy)
-        .hash_family(family)
         .in_node_combine(in_node);
     if let Some(f) = faults {
         b = b
@@ -161,13 +159,7 @@ proptest! {
         // exercise batching. Either way the answer must not move.
         records_per_split in 1usize..64,
         innode_off in any::<bool>(),
-        tabulation in any::<bool>(),
     ) {
-        let family = if tabulation {
-            HashFamily::Tabulation
-        } else {
-            HashFamily::MultiplyShift
-        };
         let in_node = if innode_off {
             InNodeCombine::Off
         } else {
@@ -202,7 +194,7 @@ proptest! {
 
         let mut outputs = Vec::new();
         for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), family, in_node);
+            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), in_node);
             let mut pc = PlanConfig::new(mode);
             pc.records_per_split = records_per_split;
             let report = Engine::with_config(cfg)
@@ -222,7 +214,7 @@ proptest! {
         // cache without changing bytes.
         {
             let cache = DatasetCache::new(CacheConfig::default());
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), family, in_node);
+            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), in_node);
             let engine = Engine::with_config(cfg);
             let mut pc = PlanConfig::new(if policy_tag % 2 == 0 {
                 PlanMode::Pipelined
@@ -264,7 +256,7 @@ proptest! {
         // Manual chaining: run each stage as a standalone job and carry
         // the edge by hand through the public edge codec. No faults —
         // this leg is the engine-level reference, kept deterministic.
-        let r1 = Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, family, in_node))
+        let r1 = Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, in_node))
             .run(&count_job(backend, reducers), splits)
             .unwrap();
         let edge: Vec<Vec<u8>> = r1
@@ -286,7 +278,7 @@ proptest! {
             None
         } else {
             Some(
-                Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, family, in_node))
+                Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, in_node))
                     .run(&job2, edge_splits)
                     .unwrap(),
             )

@@ -1,7 +1,7 @@
 //! Equivalence property: jobs shuffled over the arena-backed
 //! [`SegmentBuf`] path produce output whose unordered fingerprint is
 //! byte-identical to the reference computation — across all four reduce
-//! backends, both spill backends, both hash families, in-node combining
+//! backends, both spill backends, in-node combining
 //! on and off (with map-side hash combine engaged so the worker combine
 //! table actually runs), and with a seeded fault plan forcing a map and
 //! a reduce retry mid-run. A single flipped, dropped, or duplicated byte
@@ -86,11 +86,10 @@ proptest! {
         // governor rebalancing + shedding under the same fingerprint check.
         policy_tag in 0u8..5,
         // Map-side hash combine (the in-node-eligible configuration) vs
-        // the sort-spill default, crossed with in-node on/off and both
-        // hash families: answers must not move.
+        // the sort-spill default, crossed with in-node on/off: answers
+        // must not move.
         hash_combine_map in any::<bool>(),
         innode_off in any::<bool>(),
-        tabulation in any::<bool>(),
     ) {
         let mut builder = JobSpec::builder("seg-eq")
             .map_fn(Arc::new(word_map))
@@ -145,11 +144,6 @@ proptest! {
             })
             .faults(FaultPlan::seeded(fault_seed, splits.len(), reducers))
             .memory_policy(memory_policy)
-            .hash_family(if tabulation {
-                HashFamily::Tabulation
-            } else {
-                HashFamily::MultiplyShift
-            })
             .in_node_combine(if innode_off {
                 InNodeCombine::Off
             } else {
@@ -192,8 +186,7 @@ proptest! {
     /// fabric — including with a worker seeded to sever its connection
     /// mid-job (the moral equivalent of `kill -9`) — produces output
     /// byte-identical to the in-proc run, across all four reduce
-    /// backends, the three map-side modes, both spill backends and both
-    /// hash families.
+    /// backends, the three map-side modes and both spill backends.
     #[test]
     fn tcp_loopback_matches_inproc(
         records in docs(),
@@ -206,7 +199,6 @@ proptest! {
         // hosted) reduce-side log replay onto the survivor.
         die_after_tag in 0u64..3,
         mapside_tag in 0u8..3,
-        tabulation in any::<bool>(),
     ) {
         let mut builder = JobSpec::builder("seg-eq-tcp")
             .map_fn(Arc::new(word_map))
@@ -224,11 +216,6 @@ proptest! {
                 .shuffle(ShuffleMode::Push { granularity: 512 }),
         };
         let job = builder.build().unwrap();
-        let family = if tabulation {
-            HashFamily::Tabulation
-        } else {
-            HashFamily::MultiplyShift
-        };
         let spill = if temp_files {
             SpillBackend::TempFiles
         } else {
@@ -243,7 +230,6 @@ proptest! {
 
         let base_cfg = EngineConfig::builder()
             .spill(spill)
-            .hash_family(family)
             .in_node_combine(InNodeCombine::Off)
             .build();
         let base = Engine::with_config(base_cfg).run(&job, mk_splits()).unwrap();
@@ -262,7 +248,6 @@ proptest! {
         let w2 = spawn_local(registry, WorkerOptions::default()).unwrap();
         let tcp_cfg = EngineConfig::builder()
             .spill(spill)
-            .hash_family(family)
             .transport(Transport::Tcp {
                 workers: vec![w1.addr().to_string(), w2.addr().to_string()],
             })

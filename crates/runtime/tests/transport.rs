@@ -165,3 +165,134 @@ fn empty_worker_list_is_a_config_error() {
         .unwrap_err();
     assert!(err.to_string().contains("worker address"), "got: {err}");
 }
+
+/// The coordinator's heartbeat thread lives inside the executor's thread
+/// scope and sleeps 250 ms between pings; `close` must wake it, or every
+/// job's wall is rounded up to the next tick and `JOBS` jobs take at least
+/// `JOBS` ticks however small they are. Woken, the whole run fits in that
+/// bound many times over, which leaves a loaded host its slack.
+#[test]
+fn tiny_tcp_jobs_are_not_rounded_up_to_the_heartbeat_period() {
+    const JOBS: u32 = 8;
+    let heartbeat = std::time::Duration::from_millis(250);
+    let w1 = spawn_local(registry(), WorkerOptions::default()).unwrap();
+    let w2 = spawn_local(registry(), WorkerOptions::default()).unwrap();
+    let started = std::time::Instant::now();
+    for _ in 0..JOBS {
+        run_tcp(&[w1.addr(), w2.addr()]);
+    }
+    let total = started.elapsed();
+    assert!(
+        total < heartbeat * JOBS,
+        "{JOBS} tiny jobs took {total:?}: each waits out a heartbeat tick"
+    );
+    w1.shutdown();
+    w2.shutdown();
+}
+
+/// [`SumAgg`] that also notes, whenever it renders a group, whether a
+/// spill run of this process exists on disk: the only way to tell a
+/// temp-file spill store from an in-memory one through a job.
+struct SpillSpy(Arc<std::sync::atomic::AtomicBool>);
+
+impl onepass_groupby::Aggregator for SpillSpy {
+    fn init(&self, key: &[u8], value: &[u8]) -> Vec<u8> {
+        SumAgg.init(key, value)
+    }
+    fn update(&self, key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+        SumAgg.update(key, state, value)
+    }
+    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+        SumAgg.merge(key, state, other)
+    }
+    fn finish(&self, key: &[u8], state: Vec<u8>) -> Vec<u8> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let mine = format!("onepass-spill-{}-", std::process::id());
+        let run_on_disk = || {
+            std::fs::read_dir(std::env::temp_dir())
+                .into_iter()
+                .flatten()
+                .flatten()
+                .filter(|d| d.file_name().to_string_lossy().starts_with(&mine))
+                .any(|d| std::fs::read_dir(d.path()).is_ok_and(|mut runs| runs.next().is_some()))
+        };
+        if !self.0.load(Relaxed) && run_on_disk() {
+            self.0.store(true, Relaxed);
+        }
+        SumAgg.finish(key, state)
+    }
+}
+
+/// Every travelling knob set away from what the workers' registry holds:
+/// the output (which is knob-invariant by design) must match the in-proc
+/// run, and the counters must show that the knobs arrived.
+#[test]
+fn non_default_knobs_reach_the_workers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let on_disk = Arc::new(AtomicBool::new(false));
+    let builder = || {
+        JobSpec::builder("wc-knobs")
+            .map_fn(Arc::new(word_map))
+            .aggregate(Arc::new(SpillSpy(Arc::clone(&on_disk))))
+    };
+    // The workers know the job by name, with the builder's defaults.
+    let registry = JobRegistry::new();
+    registry.register_spec(builder().build().unwrap());
+    let job = builder()
+        .reducers(3)
+        .map_side(MapSideMode::HashPartitionOnly)
+        .shuffle(ShuffleMode::Push { granularity: 64 })
+        .combine_mode(Combine::Off)
+        .backend(ReduceBackend::HybridHash { fanout: 4 })
+        .reduce_budget_bytes(1024)
+        .build()
+        .unwrap();
+
+    // Enough distinct words that no reducer's groups fit in 1 KiB.
+    let splits = || -> Vec<Split> {
+        (0..6)
+            .map(|s| {
+                Split::new(
+                    (0..150)
+                        .map(|i| format!("w{} w{i}", s * 150 + i).into_bytes())
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+
+    let base = Engine::new().run(&job, splits()).unwrap();
+    assert!(
+        base.reduce_spill_io.bytes_written > 0,
+        "budget is not tight"
+    );
+    assert!(
+        !on_disk.load(Ordering::Relaxed),
+        "in-memory runs touch no disk"
+    );
+
+    let w1 = spawn_local(registry.clone(), WorkerOptions::default()).unwrap();
+    let w2 = spawn_local(registry, WorkerOptions::default()).unwrap();
+    let cfg = EngineConfig::builder()
+        .spill(SpillBackend::TempFiles)
+        .retry(RetryPolicy::attempts(3))
+        .transport(Transport::Tcp {
+            workers: vec![w1.addr().to_string(), w2.addr().to_string()],
+        })
+        .build();
+    let dist = Engine::with_config(cfg).run(&job, splits()).unwrap();
+    w1.shutdown();
+    w2.shutdown();
+
+    assert_eq!(finals(&base), finals(&dist), "distributed output differs");
+    assert_eq!(dist.reduce_tasks, 3);
+    // (How much spills depends on arrival order; that it spills does not.)
+    assert!(
+        dist.reduce_spill_io.bytes_written > 0,
+        "the reduce budget did not travel"
+    );
+    assert!(
+        on_disk.load(Ordering::Relaxed),
+        "the spill backend did not travel: no run file was ever on disk"
+    );
+}

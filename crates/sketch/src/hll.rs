@@ -12,7 +12,7 @@
 //! bias-corrected estimator of Flajolet et al., and linear counting for
 //! the small range.
 
-use onepass_core::hashlib::{KeyHasher, MultiplyShift};
+use onepass_core::hashlib::MultiplyShift;
 
 /// A HyperLogLog distinct-count sketch.
 #[derive(Debug, Clone)]

@@ -88,7 +88,9 @@ FAILED=0
 CHECKED=0
 for f in "$OUT"/dumps/*.dump; do
     q=$(basename "$f" .dump | cut -d. -f2)
-    if ! cmp -s "$f" "$OUT/solo.$q.dump"; then
+    # The catalog's broadcast `join` has no solo `--dump-out` counterpart;
+    # loadgen above already held its tenants byte-identical to each other.
+    if [ "$q" != join ] && ! cmp -s "$f" "$OUT/solo.$q.dump"; then
         echo "FAIL: $(basename "$f") differs from the solo $q run"
         FAILED=1
     fi

@@ -6,6 +6,9 @@
 #      (each worker prints its bound address; fixed ports collide on
 #      shared CI hosts) and run the same job with `--workers`; the dump
 #      must be byte-identical,
+#   2b. run sessionization under a tight --budget-kb both ways: outputs
+#      are knob-invariant by design, so a knob that failed to travel
+#      shows only in the counters — the distributed run must spill,
 #   3. restart one worker with --die-after-maps so it severs its
 #      connection mid-job (the scripted `kill -9`); replay onto the
 #      survivor must still produce byte-identical output.
@@ -76,6 +79,22 @@ if ! cmp -s "$OUT/solo.tsv" "$OUT/dist.tsv"; then
     exit 1
 fi
 echo "ok: two-worker output is byte-identical"
+
+# 2b. A budget tight enough to spill, solo and on the same two workers.
+TIGHT="./target/release/onepass run sessionization --records 100000 --budget-kb 256"
+$TIGHT --dump-out "$OUT/tight-solo.tsv" > /dev/null
+$TIGHT --workers "$W1,$W2" --dump-out "$OUT/tight-dist.tsv" > "$OUT/tight-dist.out"
+if ! cmp -s "$OUT/tight-solo.tsv" "$OUT/tight-dist.tsv"; then
+    echo "FAIL: tight-budget distributed output differs from single-process"
+    exit 1
+fi
+if ! grep -q '^reduce spill:' "$OUT/tight-dist.out" ||
+    grep -q '^reduce spill: *0 B' "$OUT/tight-dist.out"; then
+    echo "FAIL: the reduce budget did not reach the workers (no reduce spill)"
+    cat "$OUT/tight-dist.out"
+    exit 1
+fi
+echo "ok: the tight budget travelled ($(grep '^reduce spill:' "$OUT/tight-dist.out"))"
 
 # 3. Worker loss mid-job: the first worker dies cold after one completed
 # map; the survivor absorbs the replayed maps and reduce partitions.

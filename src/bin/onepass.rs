@@ -1,32 +1,10 @@
 //! `onepass` — command-line front end: run the paper's workloads on the
 //! real engine or simulate them at cluster scale.
 //!
-//! ```text
-//! onepass run <workload> [--system hadoop|hop|onepass] [--records N]
-//!              [--reducers R] [--budget-kb K]
-//!              [--hash-family multiply-shift|tabulation]
-//!              [--in-node-combine on|off]
-//!              [--mem-policy static|largest-consumer|largest-bucket|coldest-keys|round-robin]
-//!              [--mem-high-water F]
-//!              [--retries N] [--backoff-ms MS] [--speculate]
-//!              [--kill-map T] [--kill-reduce P] [--straggle-map T:MS]
-//!              [--fault-seed S] [--workers ADDR,ADDR,...]
-//!              [--trace-out trace.json] [--report-jsonl report.jsonl]
-//! onepass worker --listen ADDR [--slots N] [--die-after-maps N]
-//! onepass plan <top-k|df-histogram> [--pipeline|--barrier] [--records N]
-//!              [--reducers R] [--k K]
-//!              [--hash-family multiply-shift|tabulation]
-//!              [--in-node-combine on|off]
-//!              [--mem-policy <policy>] [--mem-high-water F]
-//!              [--trace-out trace.json] [--report-jsonl report.jsonl]
-//! onepass sim <workload> [--system hadoop|hop|onepass]
-//!              [--storage single-hdd|hdd+ssd|separated] [--scale F]
-//!              [--adaptive-memory]
-//!              [--kill-map T] [--kill-reduce P] [--straggle-map T:X]
-//!              [--speculate]
-//!              [--trace-out trace.json] [--report-jsonl report.jsonl]
-//! onepass workloads
-//! ```
+//! Run `onepass` with no arguments for the usage text. Its knob section is
+//! printed from the one table of knobs (`onepass::runtime::knobs::KNOBS`),
+//! which is also what `run`/`plan`/`serve` parse their knob flags with, so
+//! this file spells no knob. A malformed value or an unknown flag exits 2.
 //!
 //! `onepass plan` runs a multi-stage query plan: `top-k` (count clicks
 //! per URL, then keep the k most-clicked) or `df-histogram` (build the
@@ -46,26 +24,15 @@
 //! `--trace-out` writes a Chrome trace-event JSON file (open it in
 //! Perfetto or `chrome://tracing`); real and simulated runs share one
 //! schema, so their timelines render identically. `--report-jsonl`
-//! writes a machine-readable job report, one JSON object per line.
+//! writes a machine-readable job report, one JSON object per line; on
+//! `run` and `plan` the first line (`"type":"knobs"`) names the
+//! configuration that produced the rest.
 //!
 //! Fault injection: `--kill-map T` / `--kill-reduce P` make the first
 //! attempt of that task fail mid-run (the driver retries it);
 //! `--straggle-map T:X` slows the task (a delay in ms on the engine, a
-//! compute multiplier in the sim) so `--speculate` has something to
-//! race; `--retries` defaults to 3 whenever a fault flag is present.
-//!
-//! Hashing & combining: `--hash-family` selects the engine-wide hash
-//! family (multiply-shift, the default, or tabulation) used by the
-//! partitioner and every hash group-by; `--in-node-combine off` disables
-//! the worker-scoped combine table that map tasks on the same executor
-//! worker drain into before shuffle (it is on by default on every
-//! combiner-friendly hash-combine job).
-//!
-//! Memory governance: `--mem-policy <policy>` pools the reduce budgets
-//! under the adaptive governor with the named spill policy (`static`,
-//! the default, keeps fixed private budgets); `--mem-high-water F` sets
-//! the pool fraction above which map-side pushes backpressure. The sim
-//! mirrors the governor with `--adaptive-memory`.
+//! compute multiplier in the sim) so speculation has something to race;
+//! the retry depth defaults to 3 whenever a fault flag is present.
 //!
 //! Live metrics: `--metrics-addr HOST:PORT` serves Prometheus text
 //! exposition over HTTP for the duration of the run (add
@@ -83,87 +50,161 @@
 //! mid-job (`kill -9`, or `--die-after-maps N` for a scripted drill) is
 //! survived: the coordinator replays lost work on survivors and the
 //! output stays byte-identical to a single-process run.
-//!
-//! Workloads: sessionization, page-frequency, per-user-count,
-//! inverted-index.
 
 use std::time::Duration;
 
 use onepass::prelude::*;
+use onepass::runtime::knobs::{self, Settings, KNOBS};
 use onepass::runtime::JobSpecBuilder;
 use onepass_core::config::{fmt_bytes, fmt_secs};
 use onepass_workloads::{
-    inverted_index, join as join_wl, kmeans, make_splits, page_frequency, pagerank,
-    per_user_count, sessionization, top_k, ClickGen, ClickGenConfig, DocGen, DocGenConfig,
+    inverted_index, join as join_wl, kmeans, make_splits, page_frequency, pagerank, per_user_count,
+    sessionization, top_k, ClickGen, ClickGenConfig, DocGen, DocGenConfig,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         onepass run <workload> [--system hadoop|hop|onepass] [--records N] [--reducers R] [--budget-kb K]\n  \
-         \x20           [--hash-family multiply-shift|tabulation] [--in-node-combine on|off]\n  \
-         \x20           [--mem-policy static|largest-consumer|largest-bucket|coldest-keys|round-robin] [--mem-high-water F]\n  \
-         \x20           [--retries N] [--backoff-ms MS] [--speculate] [--kill-map T] [--kill-reduce P]\n  \
-         \x20           [--straggle-map T:MS] [--fault-seed S] [--workers ADDR,ADDR,...]\n  \
-         \x20           [--trace-out trace.json] [--report-jsonl report.jsonl] [--dump-out FILE]\n  \
+         onepass run <workload> [--system hadoop|hop|onepass] [--records N] [KNOBS]\n  \
+         \x20           [--kill-map T] [--kill-reduce P] [--straggle-map T:MS] [--fault-seed S]\n  \
+         \x20           [--workers ADDR,ADDR,...] [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass worker --listen ADDR [--slots N] [--die-after-maps N]\n  \
-         onepass plan <top-k|df-histogram|pagerank|kmeans|join> [--pipeline|--barrier] [--records N] [--reducers R] [--k K]\n  \
-         \x20           [--rounds N] [--converge-eps E] [--users N]\n  \
-         \x20           [--hash-family multiply-shift|tabulation] [--in-node-combine on|off]\n  \
-         \x20           [--mem-policy <policy>] [--mem-high-water F] [--trace-out trace.json] [--report-jsonl report.jsonl]\n  \
+         onepass plan <top-k|df-histogram|pagerank|kmeans|join> [--pipeline|--barrier] [--records N] [--k K]\n  \
+         \x20           [--rounds N] [--converge-eps E] [--users N] [KNOBS]\n  \
+         \x20           [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass sim <workload> [--system hadoop|hop|onepass] [--storage single-hdd|hdd+ssd|separated] [--scale F]\n  \
-         \x20           [--adaptive-memory] [--kill-map T] [--kill-reduce P] [--straggle-map T:FACTOR] [--speculate]\n  \
-         \x20           [--trace-out trace.json] [--report-jsonl report.jsonl]\n  \
-         onepass serve [--listen HOST:PORT] [--records N] [--doc-records N] [--batch B]\n  \
-         \x20           [--pool-mb MB] [--mem-policy <policy>] [--mem-high-water F] [--max-tenants N]\n  \
-         \x20           [--shards S] [--reducers R] [--k K] [--early-every N] [--dlq-retries R]\n  \
-         \x20           [--await-tenants N] [--await-timeout-ms MS] [--hash-family F]\n  \
+         \x20           [--adaptive-memory] [--kill-map T] [--kill-reduce P] [--straggle-map T:FACTOR]\n  \
+         \x20           [--trace-out FILE] [--report-jsonl FILE]\n  \
+         onepass serve [--listen HOST:PORT] [--records N] [--doc-records N] [--batch B] [--pool-mb MB]\n  \
+         \x20           [--max-tenants N] [--shards S] [--k K] [--early-every N] [--dlq-retries R]\n  \
+         \x20           [--await-tenants N] [--await-timeout-ms MS] [KNOBS]\n  \
          onepass loadgen --server HOST:PORT --tenants N [--queries a,b,...] [--zipf S] [--seed S]\n  \
          \x20           [--dump-dir DIR] [--report FILE]\n  \
          onepass metrics-validate <snapshots.jsonl>\n  \
          onepass workloads\n\n\
-         run/plan/sim/serve also take [--metrics-addr HOST:PORT] [--metrics-out FILE] [--metrics-linger-ms MS]\n\
-         plan also takes [--dump-out FILE]\n\n\
-         workloads: sessionization | page-frequency | per-user-count | inverted-index"
+         run/plan/sim/serve also take [--metrics-addr HOST:PORT] [--metrics-out FILE] [--metrics-linger-ms MS]\n\n\
+         workloads: sessionization | page-frequency | per-user-count | inverted-index\n\
+         sim takes none of the knobs below except the bare speculate switch\n\n\
+         KNOBS, applied after --system's preset; in brackets the commands that take the knob as a flag\n\
+         (`no flag`: set by the preset, shown in reports) and whether it travels to --workers:\n{}",
+        knobs::usage()
     );
     std::process::exit(2);
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == &format!("--{name}"))
-        .and_then(|i| args.get(i + 1).cloned())
+/// Report a command-line mistake and exit 2.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("onepass: {msg}");
+    std::process::exit(2);
 }
 
-/// A value-less boolean switch (`--speculate`).
-fn switch(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == &format!("--{name}"))
+/// The command line after the subcommand: positionals plus `--name
+/// [value]` flags. The command that runs claims each flag it knows;
+/// whatever [`Args::finish`] finds unclaimed is a misspelling, and is
+/// reported instead of being ignored.
+struct Args {
+    cmd: &'static str,
+    positional: Vec<String>,
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    fn parse(cmd: &'static str, raw: &[String]) -> Args {
+        let mut args = Args {
+            cmd,
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = raw.iter().peekable();
+        while let Some(tok) = it.next() {
+            match tok.strip_prefix("--") {
+                Some(name) => {
+                    let value = it.next_if(|v| !v.starts_with("--")).cloned();
+                    args.flags.push((name.to_string(), value));
+                }
+                None => args.positional.push(tok.clone()),
+            }
+        }
+        args
+    }
+
+    /// The leading positional argument (workload name, file, ...).
+    fn subject(&mut self) -> String {
+        if self.positional.is_empty() {
+            usage();
+        }
+        self.positional.remove(0)
+    }
+
+    /// Claim `--name`: `None` when absent, `Some(None)` when given bare.
+    fn take(&mut self, name: &str) -> Option<Option<String>> {
+        let at = self.flags.iter().position(|(n, _)| n == name)?;
+        Some(self.flags.remove(at).1)
+    }
+
+    /// Claim a flag that takes a value.
+    fn value(&mut self, name: &str) -> Option<String> {
+        self.take(name)
+            .map(|v| v.unwrap_or_else(|| die(format!("--{name} needs a value"))))
+    }
+
+    /// Claim a flag that takes a number.
+    fn num<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        self.value(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| die(format!("--{name} {v:?} is not a valid number")))
+        })
+    }
+
+    /// Claim a value-less switch.
+    fn switch(&mut self, name: &str) -> bool {
+        match self.take(name) {
+            None => false,
+            Some(None) => true,
+            Some(Some(v)) => die(format!("--{name} takes no value (got {v:?})")),
+        }
+    }
+
+    /// Claim the knob flags this command takes and set them onto
+    /// `settings` — the only knob parsing in this file. Rows are applied in
+    /// table order; a row that is no flag here stays unclaimed for
+    /// [`Args::finish`] to report.
+    fn knobs(&mut self, settings: &mut Settings) {
+        for knob in KNOBS.iter().filter(|k| k.taken_by(self.cmd)) {
+            let value = match self.take(knob.name) {
+                None => continue,
+                Some(Some(v)) => v,
+                Some(None) if knob.syntax.is_empty() => "on".to_string(),
+                Some(None) => die(format!("--{} needs a value: {}", knob.name, knob.syntax)),
+            };
+            if let Err(e) = knob.set(settings, &value) {
+                die(e);
+            }
+        }
+    }
+
+    /// Everything the command knows has been claimed: anything left is a
+    /// mistake.
+    fn finish(self) {
+        if let Some((name, _)) = self.flags.first() {
+            die(format!(
+                "unknown (or repeated) flag --{name} for `onepass {}`; the knobs are:\n{}",
+                self.cmd,
+                knobs::usage()
+            ));
+        }
+        if let Some(extra) = self.positional.first() {
+            die(format!("unexpected argument {extra:?}"));
+        }
+    }
 }
 
 /// Parse a `TASK:VALUE` pair (e.g. `--straggle-map 0:50`).
-fn task_value(spec: &str) -> Option<(usize, f64)> {
-    let (t, v) = spec.split_once(':')?;
-    Some((t.parse().ok()?, v.parse().ok()?))
-}
-
-fn hash_family_flag(args: &[String]) -> HashFamily {
-    match flag(args, "hash-family") {
-        None => HashFamily::default(),
-        Some(v) => HashFamily::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --hash-family {v:?} (multiply-shift | tabulation)");
-            usage();
-        }),
-    }
-}
-
-fn in_node_flag(args: &[String]) -> InNodeCombine {
-    match flag(args, "in-node-combine") {
-        None => InNodeCombine::default(),
-        Some(v) => InNodeCombine::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --in-node-combine {v:?} (on | off)");
-            usage();
-        }),
-    }
+fn task_value(args: &mut Args, name: &str) -> Option<(usize, f64)> {
+    let spec = args.value(name)?;
+    spec.split_once(':')
+        .and_then(|(t, v)| Some((t.parse().ok()?, v.parse().ok()?)))
+        .or_else(|| die(format!("--{name} {spec:?} is not TASK:VALUE")))
 }
 
 /// Live-metrics plumbing shared by `run`, `plan`, and `sim`: a registry
@@ -178,15 +219,13 @@ struct MetricsRig {
 }
 
 impl MetricsRig {
-    fn from_args(args: &[String]) -> Option<MetricsRig> {
-        let addr = flag(args, "metrics-addr");
-        let out_path = flag(args, "metrics-out");
+    fn from_args(args: &mut Args) -> Option<MetricsRig> {
+        let addr = args.value("metrics-addr");
+        let out_path = args.value("metrics-out");
+        let linger: u64 = args.num("metrics-linger-ms").unwrap_or(0);
         if addr.is_none() && out_path.is_none() {
             return None;
         }
-        let linger: u64 = flag(args, "metrics-linger-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         let registry = MetricsRegistry::new();
         let server = addr.map(|a| {
             let s = MetricsServer::serve(registry.clone(), &a).expect("bind --metrics-addr");
@@ -225,13 +264,65 @@ impl MetricsRig {
     }
 }
 
+/// What `run`, `plan` and `sim` leave behind besides their console
+/// summary: a Chrome trace, a JSONL report, live metrics.
+struct Outputs {
+    tracer: Tracer,
+    trace_out: Option<String>,
+    report_jsonl: Option<String>,
+    rig: Option<MetricsRig>,
+}
+
+impl Outputs {
+    fn from_args(args: &mut Args) -> Outputs {
+        let trace_out = args.value("trace-out");
+        Outputs {
+            tracer: if trace_out.is_some() {
+                Tracer::enabled()
+            } else {
+                Tracer::disabled()
+            },
+            trace_out,
+            report_jsonl: args.value("report-jsonl"),
+            rig: MetricsRig::from_args(args),
+        }
+    }
+
+    /// An engine configuration reporting into these outputs.
+    fn engine(&self) -> EngineConfigBuilder {
+        let builder = EngineConfig::builder().tracer(self.tracer.clone());
+        match &self.rig {
+            Some(r) => builder.metrics(r.registry.clone()),
+            None => builder,
+        }
+    }
+
+    /// After the run: flush the metrics exporters, then write the trace
+    /// and the report (`report` renders its JSONL lines).
+    fn finish(self, report: impl FnOnce() -> String) {
+        if let Some(r) = self.rig {
+            r.finish();
+        }
+        if let Some(path) = &self.trace_out {
+            std::fs::write(path, chrome_trace_json(&self.tracer.drain()))
+                .expect("write trace file");
+            eprintln!("wrote Chrome trace to {path}");
+        }
+        if let Some(path) = &self.report_jsonl {
+            std::fs::write(path, report()).expect("write report file");
+            eprintln!("wrote JSONL report to {path}");
+        }
+    }
+}
+
 /// `onepass metrics-validate FILE` — check every line of a
 /// `--metrics-out` file against the snapshot schema. Exits nonzero (with
 /// the first offending line) on any violation; prints a summary on
 /// success.
-fn cmd_metrics_validate(args: &[String]) {
+fn cmd_metrics_validate(mut args: Args) {
     use onepass_core::json::Json;
-    let path = args.first().cloned().unwrap_or_else(|| usage());
+    let path = args.subject();
+    args.finish();
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
@@ -293,14 +384,15 @@ fn cmd_metrics_validate(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = |cmd| Args::parse(cmd, &args[1..]);
     match args.first().map(|s| s.as_str()) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("plan") => cmd_plan(&args[1..]),
-        Some("sim") => cmd_sim(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("metrics-validate") => cmd_metrics_validate(&args[1..]),
+        Some("run") => cmd_run(parsed("run")),
+        Some("plan") => cmd_plan(parsed("plan")),
+        Some("sim") => cmd_sim(parsed("sim")),
+        Some("worker") => cmd_worker(parsed("worker")),
+        Some("serve") => cmd_serve(parsed("serve")),
+        Some("loadgen") => cmd_loadgen(parsed("loadgen")),
+        Some("metrics-validate") => cmd_metrics_validate(parsed("metrics-validate")),
         Some("workloads") => {
             println!("sessionization    reorder click logs into user sessions (no combiner, heavy intermediate data)");
             println!("page-frequency    COUNT(*) GROUP BY url (combiner-friendly)");
@@ -325,18 +417,17 @@ fn job_builder(workload: &str) -> JobSpecBuilder {
 
 /// `onepass worker --listen ADDR`: serve jobs to a coordinator. Every
 /// benchmark workload is registered by name; the coordinator's `JobInit`
-/// overlays its scalar knobs (reducers, map side, backend, budgets) onto
-/// the registered spec, so one worker fleet serves any `onepass run
-/// --workers` configuration of these workloads.
-fn cmd_worker(args: &[String]) {
-    let listen = flag(args, "listen").unwrap_or_else(|| usage());
-    let slots: usize = flag(args, "slots")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
+/// sets the travelling knobs onto the registered spec, so one worker
+/// fleet serves any `onepass run --workers` configuration of these
+/// workloads.
+fn cmd_worker(mut args: Args) {
+    let listen = args.value("listen").unwrap_or_else(|| usage());
+    let slots: usize = args.num("slots").unwrap_or(2);
     // Deterministic fault injection for recovery drills: exit the job
     // connection cold after N completed maps (the scripted stand-in for
     // `kill -9` mid-job).
-    let die_after_maps = flag(args, "die-after-maps").and_then(|v| v.parse().ok());
+    let die_after_maps = args.num("die-after-maps");
+    args.finish();
     let registry = JobRegistry::new();
     for job in [
         sessionization::job,
@@ -370,36 +461,19 @@ fn cmd_worker(args: &[String]) {
     .expect("worker accept loop failed");
 }
 
-fn cmd_run(args: &[String]) {
-    let workload = args.first().cloned().unwrap_or_else(|| usage());
-    let system = flag(args, "system").unwrap_or_else(|| "onepass".into());
-    let records: usize = flag(args, "records")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
-    let reducers: usize = flag(args, "reducers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let budget_kb: usize = flag(args, "budget-kb")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64 * 1024);
-
-    let hash_family = hash_family_flag(args);
+fn cmd_run(mut args: Args) {
+    let workload = args.subject();
+    let system = args.value("system").unwrap_or_else(|| "onepass".into());
+    let records: usize = args.num("records").unwrap_or(200_000);
     // --dump-out FILE: retain the final output pairs and write them,
     // sorted, to FILE — the hook the distributed smoke test diffs across
     // single-process and multi-worker runs.
-    let dump_out = flag(args, "dump-out");
-    let collect_mode = if dump_out.is_some() {
+    let dump_out = args.value("dump-out");
+    let builder = job_builder(&workload).collect_mode(if dump_out.is_some() {
         CollectOutput::Collect
     } else {
         CollectOutput::Discard
-    };
-    let builder = job_builder(&workload)
-        .reducers(reducers)
-        .collect_mode(collect_mode)
-        .reduce_budget_bytes(budget_kb * 1024)
-        .partitioner(std::sync::Arc::new(
-            onepass::runtime::job::HashPartitioner::with_family(hash_family),
-        ));
+    });
     let job = match system.as_str() {
         "hadoop" => builder.preset_hadoop(),
         "hop" => builder.preset_hop(),
@@ -418,74 +492,11 @@ fn cmd_run(args: &[String]) {
     };
     let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
 
-    let trace_out = flag(args, "trace-out");
-    let report_jsonl = flag(args, "report-jsonl");
-    let tracer = if trace_out.is_some() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
-    };
-
-    // Fault-tolerance knobs: build a deterministic fault plan from the
-    // kill/straggle flags (first attempt of the named task dies after a
-    // handful of records), then retry/speculation policy around it.
-    let mut faults = FaultPlan::new();
-    if let Some(seed) = flag(args, "fault-seed").and_then(|v| v.parse().ok()) {
-        faults = FaultPlan::seeded(seed, splits.len(), reducers);
-    }
-    if let Some(t) = flag(args, "kill-map").and_then(|v| v.parse().ok()) {
-        faults = faults.fail_map(t, 0, 3);
-    }
-    if let Some(p) = flag(args, "kill-reduce").and_then(|v| v.parse().ok()) {
-        faults = faults.fail_reduce(p, 0, 3);
-    }
-    if let Some((t, ms)) = flag(args, "straggle-map").as_deref().and_then(task_value) {
-        faults = faults.straggle_map(t, 0, Duration::from_millis(ms as u64));
-    }
-    let retries: usize = flag(args, "retries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if faults.is_empty() { 1 } else { 3 });
-    let backoff_ms: u64 = flag(args, "backoff-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let speculate = switch(args, "speculate");
-
-    let memory_policy = match flag(args, "mem-policy").as_deref() {
-        None | Some("static") => MemoryPolicy::Static,
-        Some(name) => {
-            let Some(policy) = policy_by_name(name) else {
-                eprintln!("unknown --mem-policy {name:?}");
-                usage();
-            };
-            let high_water = flag(args, "mem-high-water")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(onepass_core::governor::DEFAULT_HIGH_WATER);
-            MemoryPolicy::Adaptive { policy, high_water }
-        }
-    };
-
-    let mut config = EngineConfig::builder()
-        .tracer(tracer.clone())
-        .memory_policy(memory_policy)
-        .hash_family(hash_family)
-        .in_node_combine(in_node_flag(args))
-        .retry(RetryPolicy {
-            max_attempts: retries.max(1),
-            backoff: Duration::from_millis(backoff_ms),
-        });
-    if speculate {
-        config = config.speculation(SpeculationConfig::on());
-    }
-    if !faults.is_empty() {
-        config = config.faults(faults);
-    }
-    let rig = MetricsRig::from_args(args);
-    if let Some(r) = &rig {
-        config = config.metrics(r.registry.clone());
-    }
+    let outputs = Outputs::from_args(&mut args);
     // Distributed mode: place map/reduce tasks on `onepass worker`
     // processes instead of in-process threads.
-    let workers: Vec<String> = flag(args, "workers")
+    let workers: Vec<String> = args
+        .value("workers")
         .map(|v| {
             v.split(',')
                 .map(|s| s.trim().to_string())
@@ -493,27 +504,55 @@ fn cmd_run(args: &[String]) {
                 .collect()
         })
         .unwrap_or_default();
+
+    // Fault-tolerance flags: a deterministic fault plan (first attempt of
+    // the named task dies after a handful of records). Any of them raises
+    // the default retry depth so the run recovers.
+    let fault_seed: Option<u64> = args.num("fault-seed");
+    let kill_map: Option<usize> = args.num("kill-map");
+    let kill_reduce: Option<usize> = args.num("kill-reduce");
+    let straggle = task_value(&mut args, "straggle-map");
+    let any_fault =
+        fault_seed.is_some() || kill_map.is_some() || kill_reduce.is_some() || straggle.is_some();
+
+    let mut engine = outputs
+        .engine()
+        .retry(RetryPolicy::attempts(if any_fault { 3 } else { 1 }));
     if !workers.is_empty() {
-        config = config.transport(Transport::Tcp { workers });
+        engine = engine.transport(Transport::Tcp { workers });
     }
-    let config = config.build();
+    let mut settings = Settings {
+        job,
+        engine: engine.build(),
+    };
+    args.knobs(&mut settings);
+    args.finish();
+    if let Err(e) = settings.job.validate() {
+        die(e);
+    }
+
+    let mut faults = match fault_seed {
+        Some(seed) => FaultPlan::seeded(seed, splits.len(), settings.job.reducers),
+        None => FaultPlan::new(),
+    };
+    if let Some(t) = kill_map {
+        faults = faults.fail_map(t, 0, 3);
+    }
+    if let Some(p) = kill_reduce {
+        faults = faults.fail_reduce(p, 0, 3);
+    }
+    if let Some((t, ms)) = straggle {
+        faults = faults.straggle_map(t, 0, Duration::from_millis(ms as u64));
+    }
+    settings.engine.faults = faults.into_injector();
+    let knobs_line = knobs::to_json(&settings, KNOBS);
+    let Settings { job, engine } = settings;
 
     eprintln!("running {workload} on the {system} configuration ({input_records} records)...");
-    let report = Engine::with_config(config)
+    let report = Engine::with_config(engine)
         .run(&job, splits)
         .expect("job failed");
-    if let Some(r) = rig {
-        r.finish();
-    }
-
-    if let Some(path) = &trace_out {
-        std::fs::write(path, chrome_trace_json(&tracer.drain())).expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = &report_jsonl {
-        std::fs::write(path, report.to_jsonl()).expect("write report file");
-        eprintln!("wrote JSONL report to {path}");
-    }
+    outputs.finish(|| knobs_line + &report.to_jsonl());
     if let Some(path) = &dump_out {
         let mut lines: Vec<String> = report
             .outputs
@@ -585,58 +624,44 @@ fn cmd_run(args: &[String]) {
     }
 }
 
-/// The engine config every `plan` variant shares: tracer, memory
-/// policy, hash family, in-node combine, optional metrics rig.
-fn plan_engine_parts(args: &[String]) -> (EngineConfig, Option<MetricsRig>, Tracer, Option<String>) {
-    let trace_out = flag(args, "trace-out");
-    let tracer = if trace_out.is_some() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
-    };
-    let memory_policy = match flag(args, "mem-policy").as_deref() {
-        None | Some("static") => MemoryPolicy::Static,
-        Some(name) => {
-            let Some(policy) = policy_by_name(name) else {
-                eprintln!("unknown --mem-policy {name:?}");
-                usage();
-            };
-            let high_water = flag(args, "mem-high-water")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(onepass_core::governor::DEFAULT_HIGH_WATER);
-            MemoryPolicy::Adaptive { policy, high_water }
-        }
-    };
-    let mut config = EngineConfig::builder()
-        .tracer(tracer.clone())
-        .memory_policy(memory_policy)
-        .hash_family(hash_family_flag(args))
-        .in_node_combine(in_node_flag(args));
-    let rig = MetricsRig::from_args(args);
-    if let Some(r) = &rig {
-        config = config.metrics(r.registry.clone());
-    }
-    (config.build(), rig, tracer, trace_out)
-}
-
-fn cmd_plan(args: &[String]) {
-    let workload = args.first().cloned().unwrap_or_else(|| usage());
-    let records: usize = flag(args, "records")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
-    let reducers: usize = flag(args, "reducers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let k: usize = flag(args, "k").and_then(|v| v.parse().ok()).unwrap_or(10);
-    let mode = if switch(args, "barrier") {
+fn cmd_plan(mut args: Args) {
+    let workload = args.subject();
+    let records: usize = args.num("records").unwrap_or(200_000);
+    let k: Option<usize> = args.num("k");
+    let (barrier, pipeline) = (args.switch("barrier"), args.switch("pipeline"));
+    let mode = if barrier && !pipeline {
         PlanMode::Barrier
     } else {
         PlanMode::Pipelined
     };
+    let dump_out = args.value("dump-out");
+    let outputs = Outputs::from_args(&mut args);
+
+    // The stages build their own job specs; of the job rows a plan reads
+    // only the reducer count, which this placeholder spec holds.
+    let mut settings = Settings {
+        job: JobSpecBuilder::new("plan").build().expect("default job"),
+        engine: outputs.engine().build(),
+    };
+    args.knobs(&mut settings);
+    let knobs_line = knobs::to_json(&settings, KNOBS.iter().filter(|k| k.taken_by("plan")));
+    let reducers = settings.job.reducers;
+    let engine = Engine::with_config(settings.engine);
 
     if matches!(workload.as_str(), "pagerank" | "kmeans" | "join") {
-        return cmd_plan_iterative(&workload, args, records, reducers, mode);
+        let sizes = IterativeSizes {
+            records,
+            reducers,
+            k,
+            rounds: args.num("rounds").unwrap_or(10),
+            eps: args.num("converge-eps"),
+            users: args.num("users").unwrap_or(1000),
+        };
+        args.finish();
+        return cmd_plan_iterative(&workload, sizes, mode, &engine, outputs, knobs_line);
     }
+    args.finish();
+    let k = k.unwrap_or(10);
 
     let (plan, splits) = match workload.as_str() {
         "top-k" => {
@@ -657,30 +682,16 @@ fn cmd_plan(args: &[String]) {
     };
     let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
 
-    let report_jsonl = flag(args, "report-jsonl");
-    let (config, rig, tracer, trace_out) = plan_engine_parts(args);
-
     eprintln!(
         "running the {workload} plan ({} stages, {} mode, {input_records} records)...",
         plan.stage_count(),
         mode.label()
     );
-    let report = Engine::with_config(config)
+    let report = engine
         .run_plan(&plan, splits, &PlanConfig::new(mode))
         .expect("plan failed");
-    if let Some(r) = rig {
-        r.finish();
-    }
-
-    if let Some(path) = &trace_out {
-        std::fs::write(path, chrome_trace_json(&tracer.drain())).expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = &report_jsonl {
-        std::fs::write(path, report.to_jsonl()).expect("write report file");
-        eprintln!("wrote JSONL report to {path}");
-    }
-    if let Some(path) = flag(args, "dump-out") {
+    outputs.finish(|| knobs_line + &report.to_jsonl());
+    if let Some(path) = dump_out {
         // Same format as `run --dump-out`: the sink stage's finals,
         // sorted, key<TAB>hex(value), trailing newline.
         let mut lines: Vec<String> = report
@@ -737,48 +748,54 @@ fn cmd_plan(args: &[String]) {
     }
 }
 
+/// Input sizes and loop bounds of the iterative / two-input plans.
+struct IterativeSizes {
+    records: usize,
+    reducers: usize,
+    k: Option<usize>,
+    rounds: usize,
+    eps: Option<u64>,
+    users: usize,
+}
+
 /// The iterative / two-input plans: PageRank and k-means as cached
 /// multi-round loops, and the hybrid-hash clicks ⋈ users join probing a
 /// cached build side.
 fn cmd_plan_iterative(
     workload: &str,
-    args: &[String],
-    records: usize,
-    reducers: usize,
+    n: IterativeSizes,
     mode: PlanMode,
+    engine: &Engine,
+    outputs: Outputs,
+    knobs_line: String,
 ) {
-    let rounds: usize = flag(args, "rounds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let eps: Option<u64> = flag(args, "converge-eps").and_then(|v| v.parse().ok());
-    let (config, rig, tracer, trace_out) = plan_engine_parts(args);
-    let engine = Engine::with_config(config);
     let mut cache = DatasetCache::new(CacheConfig::default());
-    if let Some(r) = &rig {
+    if let Some(r) = &outputs.rig {
         cache.attach_metrics(&r.registry);
     }
-    cache.attach_tracer(&tracer);
+    cache.attach_tracer(&outputs.tracer);
     let plan_cfg = PlanConfig::new(mode);
     let started = std::time::Instant::now();
 
     let rounds_run = match workload {
         "pagerank" => {
-            let nodes = records.max(1);
+            let nodes = n.records.max(1);
             let graph = pagerank::graph_records(pagerank::GraphConfig {
                 nodes,
                 ..Default::default()
             });
             let mut cfg = pagerank::PageRankConfig::new(nodes);
-            cfg.rounds = rounds;
-            cfg.eps = eps;
-            cfg.reducers = reducers;
+            cfg.rounds = n.rounds;
+            cfg.eps = n.eps;
+            cfg.reducers = n.reducers;
             cfg.plan = plan_cfg;
             eprintln!(
-                "running cached pagerank ({nodes} nodes, ≤{rounds} rounds, {} mode)...",
+                "running cached pagerank ({nodes} nodes, ≤{} rounds, {} mode)...",
+                n.rounds,
                 mode.label()
             );
             let (ranks, rounds_run) =
-                pagerank::run_cached(&engine, &cache, &graph, &cfg).expect("pagerank failed");
+                pagerank::run_cached(engine, &cache, &graph, &cfg).expect("pagerank failed");
             let mut top: Vec<(u64, u32)> = ranks.iter().map(|&(n, r)| (r, n)).collect();
             top.sort_unstable_by(|a, b| b.cmp(a));
             println!("top ranks (rank × 1e9):");
@@ -788,20 +805,21 @@ fn cmd_plan_iterative(
             rounds_run
         }
         "kmeans" => {
-            let k: usize = flag(args, "k").and_then(|v| v.parse().ok()).unwrap_or(3);
-            let points = pagerank_like_points(records, k);
+            let k = n.k.unwrap_or(3);
+            let points = pagerank_like_points(n.records, k);
             let mut cfg = kmeans::KMeansConfig::new(k);
-            cfg.rounds = rounds;
-            cfg.eps = eps.map(|e| e as i64).or(Some(0));
-            cfg.reducers = reducers;
+            cfg.rounds = n.rounds;
+            cfg.eps = n.eps.map(|e| e as i64).or(Some(0));
+            cfg.reducers = n.reducers;
             cfg.plan = plan_cfg;
             eprintln!(
-                "running cached k-means ({} points, k={k}, ≤{rounds} rounds, {} mode)...",
-                records.max(k),
+                "running cached k-means ({} points, k={k}, ≤{} rounds, {} mode)...",
+                n.records.max(k),
+                n.rounds,
                 mode.label()
             );
             let (centroids, rounds_run) =
-                kmeans::run_cached(&engine, &cache, &points, &cfg).expect("k-means failed");
+                kmeans::run_cached(engine, &cache, &points, &cfg).expect("k-means failed");
             println!("centroids:");
             for (cid, coords) in &centroids {
                 println!("  c{cid}: {coords:?}");
@@ -809,24 +827,23 @@ fn cmd_plan_iterative(
             rounds_run
         }
         "join" => {
-            let users: usize = flag(args, "users")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1000);
             let mut gen = ClickGen::new(ClickGenConfig {
-                users: users * 2, // half the clicks miss the dimension table
+                users: n.users * 2, // half the clicks miss the dimension table
                 ..Default::default()
             });
-            let clicks = gen.text_records(records);
+            let clicks = gen.text_records(n.records);
             eprintln!(
-                "running hybrid-hash join ({records} clicks ⋈ {users} users, {} mode)...",
+                "running hybrid-hash join ({} clicks ⋈ {} users, {} mode)...",
+                n.records,
+                n.users,
                 mode.label()
             );
             let joined = join_wl::run_join(
-                &engine,
+                engine,
                 &cache,
-                &join_wl::user_records(users),
+                &join_wl::user_records(n.users),
                 &clicks,
-                reducers,
+                n.reducers,
                 8,
                 &plan_cfg,
             )
@@ -857,14 +874,7 @@ fn cmd_plan_iterative(
         stats.reloads
     );
 
-    if let Some(r) = rig {
-        r.finish();
-    }
-    if let Some(path) = &trace_out {
-        std::fs::write(path, chrome_trace_json(&tracer.drain())).expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = flag(args, "report-jsonl") {
+    outputs.finish(|| {
         use onepass_core::json::fmt_f64;
         let line = format!(
             concat!(
@@ -882,9 +892,8 @@ fn cmd_plan_iterative(
             evictions = stats.evictions,
             reloads = stats.reloads,
         );
-        std::fs::write(&path, line).expect("write report file");
-        eprintln!("wrote JSONL report to {path}");
-    }
+        knobs_line + &line
+    });
 }
 
 /// Deterministic k-means input sized from `--records`.
@@ -896,23 +905,21 @@ fn pagerank_like_points(records: usize, k: usize) -> Vec<Vec<u8>> {
     })
 }
 
-fn cmd_sim(args: &[String]) {
-    let workload_name = args.first().cloned().unwrap_or_else(|| usage());
-    let system = match flag(args, "system").as_deref().unwrap_or("hadoop") {
+fn cmd_sim(mut args: Args) {
+    let workload_name = args.subject();
+    let system = match args.value("system").as_deref().unwrap_or("hadoop") {
         "hadoop" => SystemType::StockHadoop,
         "hop" => SystemType::Hop,
         "onepass" => SystemType::HashOnePass,
         _ => usage(),
     };
-    let storage = match flag(args, "storage").as_deref().unwrap_or("single-hdd") {
+    let storage = match args.value("storage").as_deref().unwrap_or("single-hdd") {
         "single-hdd" => StorageConfig::SingleHdd,
         "hdd+ssd" => StorageConfig::HddPlusSsd,
         "separated" => StorageConfig::Separated,
         _ => usage(),
     };
-    let scale: f64 = flag(args, "scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let scale: f64 = args.num("scale").unwrap_or(1.0);
 
     let workload = match workload_name.as_str() {
         "sessionization" => WorkloadProfile::sessionization(),
@@ -929,42 +936,29 @@ fn cmd_sim(args: &[String]) {
         system.label(),
         storage.label()
     );
-    let trace_out = flag(args, "trace-out");
-    let report_jsonl = flag(args, "report-jsonl");
-    let tracer = if trace_out.is_some() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
-    };
+    let outputs = Outputs::from_args(&mut args);
     let mut spec = SimJobSpec::new(system, ClusterSpec::paper_cluster(storage), workload);
-    if let Some(t) = flag(args, "kill-map").and_then(|v| v.parse().ok()) {
+    if let Some(t) = args.num("kill-map") {
         spec.faults.map_failures.push((t, 1));
     }
-    if let Some(p) = flag(args, "kill-reduce").and_then(|v| v.parse().ok()) {
+    if let Some(p) = args.num("kill-reduce") {
         spec.faults.reduce_failures.push((p, 1));
     }
-    if let Some((t, f)) = flag(args, "straggle-map").as_deref().and_then(task_value) {
+    if let Some((t, f)) = task_value(&mut args, "straggle-map") {
         spec.faults.map_stragglers.push((t, f));
     }
-    spec.faults.speculation = switch(args, "speculate");
-    spec.adaptive_memory = switch(args, "adaptive-memory");
-    let rig = MetricsRig::from_args(args);
-    let r = run_sim_job_traced(spec, tracer.clone());
-    if let Some(rig) = rig {
+    // The simulator mirrors these two engine knobs as plain switches
+    // (`SimJobSpec` is outside the knob table).
+    spec.faults.speculation = args.switch("speculate");
+    spec.adaptive_memory = args.switch("adaptive-memory");
+    args.finish();
+    let r = run_sim_job_traced(spec, outputs.tracer.clone());
+    if let Some(rig) = &outputs.rig {
         // Mirror the finished run into the registry under the engine's
         // metric names (labeled source="sim"), then export as requested.
         r.publish_metrics(&rig.registry);
-        rig.finish();
     }
-
-    if let Some(path) = &trace_out {
-        std::fs::write(path, chrome_trace_json(&tracer.drain())).expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = &report_jsonl {
-        std::fs::write(path, r.to_jsonl()).expect("write report file");
-        eprintln!("wrote JSONL report to {path}");
-    }
+    outputs.finish(|| r.to_jsonl());
 
     println!("completion:        {}", fmt_secs(r.completion_secs));
     println!(
@@ -1009,60 +1003,49 @@ fn cmd_sim(args: &[String]) {
 /// then streams the synthetic click + document feeds through every
 /// tenant and closes. Final answers per tenant are byte-identical to a
 /// solo `onepass run`/`onepass plan` over the same generator settings.
-fn cmd_serve(args: &[String]) {
+fn cmd_serve(mut args: Args) {
     use onepass_workloads::serving::{standard_catalog, CatalogConfig, CLICKS_INGEST, DOCS_INGEST};
     use std::sync::Arc;
 
-    let listen = flag(args, "listen").unwrap_or_else(|| "127.0.0.1:0".into());
-    let records: usize = flag(args, "records")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let doc_records: usize = flag(args, "doc-records")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(records / 100 + 1);
-    let batch: usize = flag(args, "batch")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
-        .max(1);
-    let pool_mb: usize = flag(args, "pool-mb")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
-    let policy_name = flag(args, "mem-policy").unwrap_or_else(|| "largest-consumer".into());
-    let Some(policy) = policy_by_name(&policy_name) else {
-        eprintln!("unknown --mem-policy {policy_name:?}");
-        usage();
+    let listen = args.value("listen").unwrap_or_else(|| "127.0.0.1:0".into());
+    let records: usize = args.num("records").unwrap_or(100_000);
+    let doc_records: usize = args.num("doc-records").unwrap_or(records / 100 + 1);
+    let batch: usize = args.num("batch").unwrap_or(1024).max(1);
+    let pool_mb: usize = args.num("pool-mb").unwrap_or(256);
+    let max_tenants: usize = args.num("max-tenants").unwrap_or(1024);
+    let shards: usize = args.num("shards").unwrap_or(4).max(1);
+    let k: usize = args.num("k").unwrap_or(10);
+    let early_every: u64 = args.num("early-every").unwrap_or(256);
+    let dlq_retries: u32 = args.num("dlq-retries").unwrap_or(2);
+    let await_tenants: usize = args.num("await-tenants").unwrap_or(0);
+    let await_timeout = Duration::from_millis(args.num("await-timeout-ms").unwrap_or(120_000));
+    let rig = MetricsRig::from_args(&mut args);
+
+    // The serving tier reads three knobs: the catalog's reducer count and
+    // the tenant pool's shed policy and high-water mark. They start from
+    // the serving defaults and go through the same table as everywhere.
+    let defaults = ServeConfig::default();
+    let mut settings = Settings {
+        job: JobSpecBuilder::new("serve")
+            .reducers(CatalogConfig::default().reducers)
+            .build()
+            .expect("default job"),
+        engine: EngineConfig::builder()
+            .memory_policy(MemoryPolicy::Adaptive {
+                policy: defaults.policy.clone(),
+                high_water: defaults.high_water,
+            })
+            .build(),
     };
-    let high_water: f64 = flag(args, "mem-high-water")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(onepass_core::governor::DEFAULT_HIGH_WATER);
-    let max_tenants: usize = flag(args, "max-tenants")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024);
-    let shards: usize = flag(args, "shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let reducers: usize = flag(args, "reducers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let k: usize = flag(args, "k").and_then(|v| v.parse().ok()).unwrap_or(10);
-    let early_every: u64 = flag(args, "early-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
-    let dlq_retries: u32 = flag(args, "dlq-retries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let await_tenants: usize = flag(args, "await-tenants")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let await_timeout = Duration::from_millis(
-        flag(args, "await-timeout-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120_000),
-    );
+    args.knobs(&mut settings);
+    args.finish();
+    let MemoryPolicy::Adaptive { policy, high_water } = settings.engine.memory_policy else {
+        die("`onepass serve` pools tenant memory: its memory policy cannot be static");
+    };
+    let policy_name = policy.name();
 
     let catalog = standard_catalog(CatalogConfig {
-        reducers,
+        reducers: settings.job.reducers,
         k,
         early_every,
         ..CatalogConfig::default()
@@ -1080,10 +1063,8 @@ fn cmd_serve(args: &[String]) {
             max_retries: dlq_retries,
             ..DlqConfig::default()
         },
-        hash_family: hash_family_flag(args),
-        ..ServeConfig::default()
+        ..defaults
     };
-    let rig = MetricsRig::from_args(args);
     let server = Arc::new(
         Server::start(config, catalog, rig.as_ref().map(|r| r.registry.clone()))
             .expect("start serving core"),
@@ -1187,28 +1168,27 @@ struct LoadgenOutcome {
 /// of the same query disagree on their final answers (they must be
 /// byte-identical — the server runs one isolated plan per tenant over
 /// one shared stream).
-fn cmd_loadgen(args: &[String]) {
+fn cmd_loadgen(mut args: Args) {
     use onepass_workloads::serving::{standard_catalog, CatalogConfig};
     use onepass_workloads::tenantgen::{assign_tenants, TenantGenConfig};
     use std::io::Write;
 
-    let server_addr = flag(args, "server").unwrap_or_else(|| usage());
-    let tenants: usize = flag(args, "tenants")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| usage());
-    let queries: Vec<String> = match flag(args, "queries") {
+    let server_addr = args.value("server").unwrap_or_else(|| usage());
+    let tenants: usize = args.num("tenants").unwrap_or_else(|| usage());
+    let queries: Vec<String> = match args.value("queries") {
         Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
         None => standard_catalog(CatalogConfig::default()).names(),
     };
     let mut gen_config = TenantGenConfig::default();
-    if let Some(s) = flag(args, "zipf").and_then(|v| v.parse().ok()) {
+    if let Some(s) = args.num("zipf") {
         gen_config.zipf_s = s;
     }
-    if let Some(s) = flag(args, "seed").and_then(|v| v.parse().ok()) {
+    if let Some(s) = args.num("seed") {
         gen_config.seed = s;
     }
-    let dump_dir = flag(args, "dump-dir");
-    let report_path = flag(args, "report");
+    let dump_dir = args.value("dump-dir");
+    let report_path = args.value("report");
+    args.finish();
 
     let population = assign_tenants(tenants, &queries, &gen_config);
     eprintln!(

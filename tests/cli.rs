@@ -1,0 +1,117 @@
+//! The `onepass` binary's command line is derived from the knob table:
+//! its usage text names every knob exactly once, the rows that are flags
+//! are its only knob flags, and a flag it cannot parse stops the run
+//! instead of silently running the default.
+
+use std::process::{Command, Output};
+
+use onepass::runtime::knobs::KNOBS;
+
+/// Run `onepass` with a whitespace-separated command line.
+fn onepass(line: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_onepass"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("spawn onepass")
+}
+
+/// Occurrences of `--name` as a whole flag (not a prefix of a longer one).
+fn mentions(text: &str, name: &str) -> usize {
+    let flag = format!("--{name}");
+    text.match_indices(&flag)
+        .filter(|(at, _)| {
+            !text[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+        .count()
+}
+
+#[test]
+fn usage_names_every_knob_exactly_once() {
+    let out = onepass("");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "usage goes to stderr");
+    let usage = String::from_utf8(out.stderr).unwrap();
+    for knob in KNOBS {
+        // A row heads one entry of the knob section, spelled as a flag
+        // exactly when some command takes it as one.
+        let spelled = if knob.takers.is_empty() {
+            knob.name.to_string()
+        } else {
+            format!("--{}", knob.name)
+        };
+        let heads = usage
+            .lines()
+            .filter(|l| l.strip_prefix("  ").and_then(|l| l.split(' ').next()) == Some(&spelled))
+            .count();
+        assert_eq!(heads, 1, "{spelled} in the usage text:\n{usage}");
+        assert_eq!(
+            mentions(&usage, knob.name),
+            usize::from(!knob.takers.is_empty()),
+            "--{} in the usage text:\n{usage}",
+            knob.name
+        );
+    }
+}
+
+/// README.md quotes the knob section; keep the quote a checked copy.
+#[test]
+fn readme_quotes_the_knob_section_verbatim() {
+    let readme = include_str!("../README.md");
+    assert!(
+        readme.contains(&onepass::runtime::knobs::usage()),
+        "README.md \"Knobs\" is stale: paste the knob section of `onepass`'s usage text"
+    );
+}
+
+#[test]
+fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
+    let bad_value = onepass("run per-user-count --records 1000 --reducers four");
+    assert_eq!(bad_value.status.code(), Some(2));
+    let msg = String::from_utf8(bad_value.stderr).unwrap();
+    assert!(
+        msg.contains("reducers") && msg.contains("\"four\""),
+        "{msg}"
+    );
+    assert!(msg.contains("--reducers N"), "value syntax shown: {msg}");
+
+    let misspelt = onepass("run per-user-count --records 1000 --reducer 8");
+    assert_eq!(misspelt.status.code(), Some(2));
+    let msg = String::from_utf8(misspelt.stderr).unwrap();
+    assert!(msg.contains("--reducer "), "{msg}");
+    assert!(msg.contains("--reducers N"), "the knobs are listed: {msg}");
+
+    // A knob the command does not take as a flag is a mistake too (a row
+    // without a flag anywhere, a row only `run` takes), as is a value
+    // that would be dropped.
+    for line in [
+        "run per-user-count --records 1000 --backend inc-hash",
+        "plan top-k --records 1000 --budget-kb 64",
+        "serve --records 1000 --retries 3",
+    ] {
+        assert_eq!(onepass(line).status.code(), Some(2), "{line}");
+    }
+    let dropped = onepass("run per-user-count --records 1000 --mem-high-water 0.5");
+    assert_eq!(dropped.status.code(), Some(2));
+}
+
+#[test]
+fn report_leads_with_the_knobs_that_produced_it() {
+    let path = std::env::temp_dir().join(format!("onepass-cli-{}.jsonl", std::process::id()));
+    let out = onepass(&format!(
+        "run per-user-count --records 2000 --reducers 3 --budget-kb 512 --report-jsonl {}",
+        path.display()
+    ));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let report = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let first = onepass::core::json::Json::parse(report.lines().next().unwrap()).unwrap();
+    assert_eq!(first.get("type").and_then(|t| t.as_str()), Some("knobs"));
+    assert_eq!(first.get("reducers").and_then(|t| t.as_str()), Some("3"));
+    assert_eq!(first.get("budget-kb").and_then(|t| t.as_str()), Some("512"));
+    for knob in KNOBS {
+        assert!(first.get(knob.name).is_some(), "{} missing", knob.name);
+    }
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("job:"), "{stdout}");
+}

@@ -5,12 +5,11 @@
 //! runtime uses — per-record counts accumulate in task-local integers
 //! and flush to shared atomics every ~1k records — so the hot path
 //! costs no atomics and the probe sites cost one `Option` branch.
-//! Mirrors `bench_trace_overhead`'s noise-robust dual estimator, then
-//! reports both variants through Criterion for the record.
+//! Mirrors `bench_trace_overhead`'s noise-robust dual estimator.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use onepass_core::obs::MetricsRegistry;
 use onepass_runtime::map_task::Split;
 use onepass_runtime::{CollectOutput, Engine, EngineConfig, JobSpec};
@@ -40,7 +39,7 @@ fn run_once(engine: &Engine, job: &JobSpec, splits: &[Split]) -> Duration {
     t.elapsed()
 }
 
-fn metrics_overhead(c: &mut Criterion) {
+fn main() {
     let job = make_job();
     let splits = make_input();
     let plain_engine = Engine::new();
@@ -81,18 +80,4 @@ fn metrics_overhead(c: &mut Criterion) {
         !registry.snapshot().metrics.is_empty(),
         "metered engine published no metrics — the guard measured nothing"
     );
-
-    let mut group = c.benchmark_group("metrics_overhead");
-    group.throughput(Throughput::Elements(RECORDS as u64));
-    group.sample_size(10);
-    group.bench_function("engine/no-metrics", |b| {
-        b.iter(|| run_once(&plain_engine, &job, &splits))
-    });
-    group.bench_function("engine/metrics-registry", |b| {
-        b.iter(|| run_once(&metered_engine, &job, &splits))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, metrics_overhead);
-criterion_main!(benches);

@@ -55,9 +55,7 @@ pub use job::{
     ReduceBackend, ShuffleMode,
 };
 pub use plan::{PairMap, Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
-pub use report::{
-    JobOutput, JobReport, PhaseBreakdown, PlanReport, StageReport, TaskKind, TaskSpan,
-};
+pub use report::{dump_pairs, JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
 pub use serve::{
     AdmissionConfig, DlqConfig, Frontend, QueryCatalog, ServeConfig, Server, StreamingQuery,
     TenantEvent, TenantHandle, TenantSession,
@@ -84,9 +82,7 @@ pub mod prelude {
     };
     pub use crate::map_task::Split;
     pub use crate::plan::{PairMap, Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
-    pub use crate::report::{
-        JobOutput, JobReport, PhaseBreakdown, PlanReport, StageReport, TaskKind, TaskSpan,
-    };
+    pub use crate::report::{JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
     pub use crate::serve::{
         AdmissionConfig, DlqConfig, Frontend, QueryCatalog, ServeConfig, Server, StreamingQuery,
         TenantEvent, TenantHandle, TenantSession,

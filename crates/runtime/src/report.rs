@@ -9,6 +9,7 @@ use onepass_groupby::{EmitKind, OpStats};
 
 use crate::map_task::MapTaskStats;
 use crate::reduce_task::ReduceResult;
+use crate::serve::front::hex;
 
 /// What kind of task a [`TaskSpan`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,98 +368,16 @@ impl PlanReport {
     }
 }
 
-/// Per-phase CPU busy time of one job, folded into the five buckets the
-/// paper's cost analysis uses (§II-B): parse+map+combine, map-side sort,
-/// spill write, reduce-side merge/group, and the final reduce+write.
-///
-/// [`Phase::Shuffle`] is deliberately excluded — in this engine it is
-/// idle wait on the shuffle channel, not CPU, so including it would
-/// inflate whichever side happens to block.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseBreakdown {
-    /// Input parse + user map + combine + hash-partition time.
-    pub map: Duration,
-    /// Map-side sort on `(partition, key)` — zero on the hash paths.
-    pub sort: Duration,
-    /// Map-output / spill write time.
-    pub spill: Duration,
-    /// Reduce-side multi-pass merge (sort-merge) or bucket spill/reload
-    /// plus grouping work (hash paths).
-    pub merge: Duration,
-    /// User reduce function + final output write.
-    pub reduce: Duration,
-}
-
-impl PhaseBreakdown {
-    /// Fold a finished job's map+reduce profiles into the five buckets.
-    pub fn from_report(report: &JobReport) -> Self {
-        let t = |phase: Phase| report.map_profile.time(phase) + report.reduce_profile.time(phase);
-        PhaseBreakdown {
-            map: t(Phase::Read) + t(Phase::MapFn) + t(Phase::Combine) + t(Phase::MapHash),
-            sort: t(Phase::MapSort),
-            spill: t(Phase::MapWrite),
-            merge: t(Phase::Merge) + t(Phase::ReduceGroup),
-            reduce: t(Phase::ReduceFn) + t(Phase::FinalWrite),
-        }
-    }
-
-    /// Total CPU across the five buckets (excludes shuffle wait).
-    pub fn total(&self) -> Duration {
-        self.map + self.sort + self.spill + self.merge + self.reduce
-    }
-
-    /// Bucket labels, in the order [`Self::seconds`] reports them.
-    pub fn labels() -> &'static [&'static str] {
-        &["map", "sort", "spill", "merge", "reduce"]
-    }
-
-    /// Bucket values in seconds, in [`Self::labels`] order.
-    pub fn seconds(&self) -> [f64; 5] {
-        [
-            self.map.as_secs_f64(),
-            self.sort.as_secs_f64(),
-            self.spill.as_secs_f64(),
-            self.merge.as_secs_f64(),
-            self.reduce.as_secs_f64(),
-        ]
-    }
-
-    /// CSV column header matching [`Self::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "map_s,sort_s,spill_s,merge_s,reduce_s,total_s"
-    }
-
-    /// Comma-separated bucket seconds plus the total.
-    pub fn csv_row(&self) -> String {
-        let s = self.seconds();
-        format!(
-            "{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}",
-            s[0],
-            s[1],
-            s[2],
-            s[3],
-            s[4],
-            self.total().as_secs_f64()
-        )
-    }
-
-    /// One JSON object with bucket seconds and the total.
-    pub fn to_json(&self) -> String {
-        use onepass_core::json::fmt_f64;
-        let s = self.seconds();
-        format!(
-            concat!(
-                "{{\"map_s\":{},\"sort_s\":{},\"spill_s\":{},",
-                "\"merge_s\":{},\"reduce_s\":{},\"total_s\":{}}}"
-            ),
-            fmt_f64(s[0]),
-            fmt_f64(s[1]),
-            fmt_f64(s[2]),
-            fmt_f64(s[3]),
-            fmt_f64(s[4]),
-            fmt_f64(self.total().as_secs_f64())
-        )
-    }
+/// Render `(key, value)` pairs in the one dump format `run --dump-out`,
+/// `plan --dump-out` and the serving layer share: a `key<TAB>hex(value)`
+/// line per pair (key as lossy UTF-8), lines sorted, trailing newline.
+/// Byte-equality of two dumps is how runs are compared across modes.
+pub fn dump_pairs<'a>(pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) -> String {
+    let line = |(key, value)| format!("{}\t{}", String::from_utf8_lossy(key), hex(value));
+    let mut lines: Vec<String> = pairs.into_iter().map(line).collect();
+    lines.sort();
+    lines.push(String::new()); // trailing newline
+    lines.join("\n")
 }
 
 pub(crate) fn add_io(acc: &mut IoStats, other: &IoStats) {
@@ -623,41 +542,6 @@ mod tests {
         assert_eq!(plan.get("mode").and_then(Json::as_str), Some("pipelined"));
         assert_eq!(plan.get("wall_s").and_then(Json::as_f64), Some(0.25));
         assert_eq!(plan.get("first_final_s").and_then(Json::as_f64), Some(0.09));
-    }
-
-    #[test]
-    fn phase_breakdown_buckets_and_formats() {
-        let mut r = JobReport::default();
-        r.map_profile.add_time(Phase::Read, Duration::from_secs(1));
-        r.map_profile.add_time(Phase::MapFn, Duration::from_secs(2));
-        r.map_profile
-            .add_time(Phase::MapSort, Duration::from_secs(4));
-        r.map_profile
-            .add_time(Phase::MapWrite, Duration::from_secs(1));
-        r.map_profile
-            .add_time(Phase::Shuffle, Duration::from_secs(9));
-        r.reduce_profile
-            .add_time(Phase::Merge, Duration::from_secs(3));
-        r.reduce_profile
-            .add_time(Phase::ReduceGroup, Duration::from_secs(1));
-        r.reduce_profile
-            .add_time(Phase::ReduceFn, Duration::from_secs(2));
-        let b = PhaseBreakdown::from_report(&r);
-        assert_eq!(b.map, Duration::from_secs(3));
-        assert_eq!(b.sort, Duration::from_secs(4));
-        assert_eq!(b.spill, Duration::from_secs(1));
-        assert_eq!(b.merge, Duration::from_secs(4));
-        assert_eq!(b.reduce, Duration::from_secs(2));
-        // Shuffle wait is idle time, never CPU.
-        assert_eq!(b.total(), Duration::from_secs(14));
-
-        let row = b.csv_row();
-        assert_eq!(row.split(',').count(), PhaseBreakdown::labels().len() + 1);
-        assert!(row.starts_with("3.000000,4.000000,"));
-        let doc = onepass_core::json::Json::parse(&b.to_json()).expect("valid json");
-        use onepass_core::json::Json;
-        assert_eq!(doc.get("sort_s").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(doc.get("total_s").and_then(Json::as_f64), Some(14.0));
     }
 
     #[test]

@@ -77,25 +77,16 @@ pub(crate) fn install_poison_panic_filter() {
     });
 }
 
-/// Render final answers in the exact format `onepass run --dump-out`
-/// writes: sorted `key<TAB>hex(value)` lines with a trailing newline.
-/// Byte-equality of two dumps is the serving layer's isolation check.
+/// A tenant's final answers in the `--dump-out` format
+/// ([`dump_pairs`](crate::report::dump_pairs)). Byte-equality of two
+/// dumps is the serving layer's isolation check.
 pub fn dump_final_answers(answers: &[StreamAnswer]) -> String {
-    let mut lines: Vec<String> = answers
-        .iter()
-        .filter(|a| a.kind == EmitKind::Final)
-        .map(|a| {
-            let mut l = String::from_utf8_lossy(&a.key).into_owned();
-            l.push('\t');
-            for b in &a.value {
-                l.push_str(&format!("{b:02x}"));
-            }
-            l
-        })
-        .collect();
-    lines.sort();
-    lines.push(String::new()); // trailing newline
-    lines.join("\n")
+    crate::report::dump_pairs(
+        answers
+            .iter()
+            .filter(|a| a.kind == EmitKind::Final)
+            .map(|a| (&a.key[..], &a.value[..])),
+    )
 }
 
 #[cfg(test)]

@@ -10,13 +10,16 @@
 //! on/off, and a seeded fault plan that kills a map and a reduce task
 //! mid-run, so edge streaming (and a cached round's replay) must
 //! survive retries, spills, worker combine-table flushes, and
-//! rebalancing without changing answers.
+//! rebalancing without changing answers. A last test holds the modes'
+//! one structural difference: a pipelined sink starts inside its
+//! upstream stage's lifetime, a barrier sink after it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use onepass_groupby::SumAgg;
+use onepass_groupby::{Aggregator, SumAgg};
 use onepass_runtime::codec::{decode_pair, encode_pair};
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
@@ -410,5 +413,105 @@ proptest! {
             backend_tag,
             die_after
         );
+    }
+}
+
+/// Set once the sink stage has mapped its first pair.
+type SinkRan = Arc<(Mutex<bool>, Condvar)>;
+
+/// [`SumAgg`] whose `finish` holds every stage-1 group after the first
+/// until the sink stage has mapped a pair, so the overlap under test is
+/// forced rather than raced. The deadline only turns a plan that cannot
+/// overlap into a failed assertion instead of a hang.
+struct GatedSum {
+    finished: AtomicUsize,
+    sink_ran: SinkRan,
+}
+
+impl Aggregator for GatedSum {
+    fn init(&self, key: &[u8], value: &[u8]) -> Vec<u8> {
+        SumAgg.init(key, value)
+    }
+    fn update(&self, key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+        SumAgg.update(key, state, value)
+    }
+    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+        SumAgg.merge(key, state, other)
+    }
+    fn finish(&self, key: &[u8], state: Vec<u8>) -> Vec<u8> {
+        if self.finished.fetch_add(1, Ordering::SeqCst) > 0 {
+            let (ran, cv) = &*self.sink_ran;
+            let _held = cv
+                .wait_timeout_while(ran.lock().unwrap(), Duration::from_secs(20), |ran| !*ran)
+                .unwrap();
+        }
+        SumAgg.finish(key, state)
+    }
+}
+
+/// The modes' structural difference, on the plan clock both stage
+/// reports share: a pipelined sink's first map task starts before its
+/// upstream stage completes (the first edge split arrives while the
+/// upstream reducer is still emitting finals); a barrier sink's never
+/// does. Answers are identical either way.
+#[test]
+fn pipelined_sink_overlaps_its_upstream_and_barrier_sink_never_does() {
+    let records: Vec<Vec<u8>> = (0..32)
+        .map(|i| format!("w{i} w{}", i / 2).into_bytes())
+        .collect();
+    let splits: Vec<Split> = records.chunks(4).map(|c| Split::new(c.to_vec())).collect();
+
+    for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
+        let sink_ran: SinkRan = Arc::default();
+        let mut counts = count_job(mk_backend(2), 1);
+        if mode == PlanMode::Pipelined {
+            counts.agg = Arc::new(GatedSum {
+                finished: AtomicUsize::new(0),
+                sink_ran: Arc::clone(&sink_ran),
+            });
+        }
+        let mut b = Plan::builder();
+        let counts = b.add_stage(counts);
+        let hist = b.add_pair_stage(
+            histogram_job(),
+            Arc::new(move |_key: &[u8], value: &[u8], out: &mut dyn MapEmitter| {
+                let (ran, cv) = &*sink_ran;
+                *ran.lock().unwrap() = true;
+                cv.notify_all();
+                histogram_pair(value, out);
+            }),
+        );
+        b.connect(counts, hist);
+        let plan = b.build().unwrap();
+
+        let mut pc = PlanConfig::new(mode);
+        pc.records_per_split = 1; // the first final is a whole edge split
+        let report = Engine::new().run_plan(&plan, splits.clone(), &pc).unwrap();
+        assert_eq!(
+            report.sorted_final_outputs(),
+            reference(&records),
+            "{mode:?}"
+        );
+
+        let upstream_done = report.stages[0].report.wall;
+        let sink_start = report
+            .stages
+            .iter()
+            .filter(|s| s.is_sink)
+            .flat_map(|s| s.report.task_spans.iter())
+            .filter(|t| t.kind == TaskKind::Map)
+            .map(|t| t.start)
+            .min()
+            .expect("sink stage ran map tasks");
+        match mode {
+            PlanMode::Pipelined => assert!(
+                sink_start < upstream_done,
+                "pipelined sink started at {sink_start:?}, after its upstream finished at {upstream_done:?}"
+            ),
+            PlanMode::Barrier => assert!(
+                sink_start >= upstream_done,
+                "barrier sink started at {sink_start:?}, before its upstream finished at {upstream_done:?}"
+            ),
+        }
     }
 }

@@ -1,18 +1,16 @@
 #!/bin/sh
-# Regenerate every table and figure of the paper plus the supplementary
-# experiments. Outputs: console tables/charts + results/*.csv + results/*.svg.
+# Regenerate the ten paper artefacts: every table and figure, §V, the
+# calibration and the ablation. Outputs: console tables/charts +
+# results/*.csv + results/*.svg.
 #
 # All flags are forwarded to every binary, e.g.:
 #   ./run_all_experiments.sh --records 100000
 #   ./run_all_experiments.sh --report-jsonl results/jobs.jsonl   # append JSONL job reports
-#   ./run_all_experiments.sh --trace-out results/trace.json      # Chrome trace (engine timeline)
-# (`onepass run`/`onepass sim` accept the same --trace-out/--report-jsonl flags.)
+# (`onepass run`/`onepass sim` take --report-jsonl too, and --trace-out for a Chrome trace.)
 set -e
 cargo build --release -p onepass-bench
 for exp in exp_table1 exp_table2 exp_fig2 exp_fig3 exp_fig4 exp_table3 \
-           exp_section5 exp_parsing exp_mapwrite exp_calibrate exp_ablation \
-           exp_engine_timeline exp_plan exp_phase_breakdown exp_innode \
-           exp_serving exp_iterative; do
+           exp_section5 exp_calibrate exp_ablation; do
     echo "=================================================================="
     ./target/release/$exp "$@"
     echo

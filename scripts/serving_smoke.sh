@@ -88,8 +88,13 @@ FAILED=0
 CHECKED=0
 for f in "$OUT"/dumps/*.dump; do
     q=$(basename "$f" .dump | cut -d. -f2)
-    # The catalog's broadcast `join` has no solo `--dump-out` counterpart;
-    # loadgen above already held its tenants byte-identical to each other.
+    # `join` tenants have no solo reference and cannot get one from
+    # `plan join --dump-out`: the catalog's broadcast join reads the
+    # served click stream (10,000 users) against 1,000 dimension rows and
+    # dumps one arrival-ordered list per user, while `plan join --users N`
+    # generates clicks over 2N users for N rows and dumps one sorted line
+    # per joined row. Different inputs and shapes, so no byte comparison;
+    # loadgen above already held the join tenants identical to each other.
     if [ "$q" != join ] && ! cmp -s "$f" "$OUT/solo.$q.dump"; then
         echo "FAIL: $(basename "$f") differs from the solo $q run"
         FAILED=1

@@ -55,7 +55,7 @@ use std::time::Duration;
 
 use onepass::prelude::*;
 use onepass::runtime::knobs::{self, Settings, KNOBS};
-use onepass::runtime::JobSpecBuilder;
+use onepass::runtime::{dump_pairs, JobSpecBuilder};
 use onepass_core::config::{fmt_bytes, fmt_secs};
 use onepass_workloads::{
     inverted_index, join as join_wl, kmeans, make_splits, page_frequency, pagerank, per_user_count,
@@ -554,23 +554,11 @@ fn cmd_run(mut args: Args) {
         .expect("job failed");
     outputs.finish(|| knobs_line + &report.to_jsonl());
     if let Some(path) = &dump_out {
-        let mut lines: Vec<String> = report
+        let finals = report
             .outputs
             .iter()
-            .filter(|o| o.kind == onepass::groupby::EmitKind::Final)
-            .map(|o| {
-                let mut l = String::from_utf8_lossy(&o.key).into_owned();
-                l.push('\t');
-                for b in &o.value {
-                    l.push_str(&format!("{b:02x}"));
-                }
-                l
-            })
-            .collect();
-        lines.sort();
-        lines.push(String::new()); // trailing newline
-        std::fs::write(path, lines.join("\n")).expect("write output dump");
-        eprintln!("wrote {} final pairs to {path}", lines.len() - 1);
+            .filter(|o| o.kind == onepass::groupby::EmitKind::Final);
+        write_dump(path, finals.map(|o| (&o.key[..], &o.value[..])));
     }
 
     println!("job:               {} [{}]", report.name, report.backend);
@@ -624,6 +612,15 @@ fn cmd_run(mut args: Args) {
     }
 }
 
+/// `--dump-out FILE`: write `pairs` in the one dump format
+/// ([`dump_pairs`]) every surface compares runs by.
+fn write_dump<'a>(path: &str, pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) {
+    let mut n = 0;
+    let dump = dump_pairs(pairs.into_iter().inspect(|_| n += 1));
+    std::fs::write(path, dump).expect("write output dump");
+    eprintln!("wrote {n} final pairs to {path}");
+}
+
 fn cmd_plan(mut args: Args) {
     let workload = args.subject();
     let records: usize = args.num("records").unwrap_or(200_000);
@@ -658,7 +655,9 @@ fn cmd_plan(mut args: Args) {
             users: args.num("users").unwrap_or(1000),
         };
         args.finish();
-        return cmd_plan_iterative(&workload, sizes, mode, &engine, outputs, knobs_line);
+        return cmd_plan_iterative(
+            &workload, sizes, mode, &engine, outputs, knobs_line, dump_out,
+        );
     }
     args.finish();
     let k = k.unwrap_or(10);
@@ -692,24 +691,8 @@ fn cmd_plan(mut args: Args) {
         .expect("plan failed");
     outputs.finish(|| knobs_line + &report.to_jsonl());
     if let Some(path) = dump_out {
-        // Same format as `run --dump-out`: the sink stage's finals,
-        // sorted, key<TAB>hex(value), trailing newline.
-        let mut lines: Vec<String> = report
-            .sorted_final_outputs()
-            .iter()
-            .map(|(key, value)| {
-                let mut l = String::from_utf8_lossy(key).into_owned();
-                l.push('\t');
-                for b in value {
-                    l.push_str(&format!("{b:02x}"));
-                }
-                l
-            })
-            .collect();
-        lines.sort();
-        lines.push(String::new());
-        std::fs::write(&path, lines.join("\n")).expect("write output dump");
-        eprintln!("wrote {} final pairs to {path}", lines.len() - 1);
+        let finals = report.sorted_final_outputs();
+        write_dump(&path, finals.iter().map(|(k, v)| (&k[..], &v[..])));
     }
 
     println!("plan:              {workload} [{}]", report.mode);
@@ -768,6 +751,7 @@ fn cmd_plan_iterative(
     engine: &Engine,
     outputs: Outputs,
     knobs_line: String,
+    dump_out: Option<String>,
 ) {
     let mut cache = DatasetCache::new(CacheConfig::default());
     if let Some(r) = &outputs.rig {
@@ -777,7 +761,12 @@ fn cmd_plan_iterative(
     let plan_cfg = PlanConfig::new(mode);
     let started = std::time::Instant::now();
 
-    let rounds_run = match workload {
+    // With `--dump-out`, each arm also renders its answer as pairs: node
+    // → rank, `c<id>` → coordinates, uid → country+url (a line per row).
+    let want = dump_out.is_some();
+    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+    let le = |xs: &[i64]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    let (rounds_run, dump): (usize, Pairs) = match workload {
         "pagerank" => {
             let nodes = n.records.max(1);
             let graph = pagerank::graph_records(pagerank::GraphConfig {
@@ -802,7 +791,11 @@ fn cmd_plan_iterative(
             for &(r, n) in top.iter().take(5) {
                 println!("  node {n:<8} {r}");
             }
-            rounds_run
+            let dump = ranks
+                .iter()
+                .filter(|_| want)
+                .map(|&(n, r)| (n.to_string().into_bytes(), r.to_le_bytes().to_vec()));
+            (rounds_run, dump.collect())
         }
         "kmeans" => {
             let k = n.k.unwrap_or(3);
@@ -824,7 +817,11 @@ fn cmd_plan_iterative(
             for (cid, coords) in &centroids {
                 println!("  c{cid}: {coords:?}");
             }
-            rounds_run
+            let dump = centroids
+                .iter()
+                .filter(|_| want)
+                .map(|(cid, coords)| (format!("c{cid}").into_bytes(), le(coords)));
+            (rounds_run, dump.collect())
         }
         "join" => {
             let mut gen = ClickGen::new(ClickGenConfig {
@@ -852,12 +849,21 @@ fn cmd_plan_iterative(
             for (uid, cc, url) in joined.iter().take(5) {
                 println!("  user {uid:<6} {} url {url}", String::from_utf8_lossy(cc));
             }
-            2 // build + probe
+            let dump = joined.iter().filter(|_| want).map(|(uid, cc, url)| {
+                (
+                    uid.to_string().into_bytes(),
+                    [&cc[..], &url.to_le_bytes()].concat(),
+                )
+            });
+            (2, dump.collect()) // build + probe
         }
         _ => unreachable!("gated by cmd_plan"),
     };
 
     let wall = started.elapsed();
+    if let Some(path) = dump_out {
+        write_dump(&path, dump.iter().map(|(k, v)| (&k[..], &v[..])));
+    }
     let stats = cache.stats();
     println!("plan:              {workload} [{}]", mode.label());
     println!("rounds run:        {rounds_run}");
@@ -1340,7 +1346,7 @@ fn drive_tenant(addr: &str, id: &str, query: &str) -> LoadgenOutcome {
         return outcome;
     }
     let mut admitted_at = None;
-    let mut finals: Vec<String> = Vec::new();
+    let mut finals: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     for line in BufReader::new(stream).lines() {
         let line = match line {
             Ok(l) => l,
@@ -1371,13 +1377,11 @@ fn drive_tenant(addr: &str, id: &str, query: &str) -> LoadgenOutcome {
                 if kind == "EARLY" {
                     outcome.early += 1;
                 } else {
-                    // Reassemble the server-side `--dump-out` line: the
-                    // raw key (lossy utf-8), a tab, the value as hex.
-                    let Some(key) = unhex(hexkey) else {
-                        fail(&mut outcome, format!("malformed key hex: {hexkey}"));
+                    let (Some(key), Some(value)) = (unhex(hexkey), unhex(hexval)) else {
+                        fail(&mut outcome, format!("malformed hex: {hexkey} {hexval}"));
                         return outcome;
                     };
-                    finals.push(format!("{}\t{hexval}", String::from_utf8_lossy(&key)));
+                    finals.push((key, value));
                 }
             }
             (Some("DONE"), _, _) => {
@@ -1390,9 +1394,7 @@ fn drive_tenant(addr: &str, id: &str, query: &str) -> LoadgenOutcome {
                         }
                     }
                 }
-                finals.sort();
-                finals.push(String::new());
-                outcome.dump = finals.join("\n");
+                outcome.dump = dump_pairs(finals.iter().map(|(k, v)| (&k[..], &v[..])));
                 return outcome;
             }
             (Some("ERROR"), _, _) => {

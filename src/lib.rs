@@ -82,9 +82,9 @@ pub mod prelude {
     pub use onepass_runtime::{
         CacheConfig, CollectOutput, Combine, DatasetCache, Engine, EngineConfig,
         EngineConfigBuilder, InNodeCombine, IterativePlan, JobRegistry, JobSpec, MapEmitter, MapFn,
-        MapOutputPersistence, MapSideMode, PairMap, PhaseBreakdown, Plan, PlanBuilder, PlanConfig,
-        PlanMode, PlanReport, ReduceBackend, RetryPolicy, RoundContext, ShuffleMode,
-        SpeculationConfig, SpillBackend, StageId, StageReport, Transport, WorkerOptions,
+        MapOutputPersistence, MapSideMode, PairMap, Plan, PlanBuilder, PlanConfig, PlanMode,
+        PlanReport, ReduceBackend, RetryPolicy, RoundContext, ShuffleMode, SpeculationConfig,
+        SpillBackend, StageId, StageReport, Transport, WorkerOptions,
     };
     pub use onepass_simcluster::{
         run_sim_job, run_sim_job_traced, ClusterSpec, SimFaults, SimJobSpec, StorageConfig,

@@ -63,6 +63,72 @@ fn readme_quotes_the_knob_section_verbatim() {
     );
 }
 
+/// The docs, the run-all script and CI name only `exp_*`/`bench_*`
+/// targets and `*.sh` scripts that exist, and EXPERIMENTS.md names every
+/// target of `crates/bench` — so a deleted binary cannot live on in a
+/// list, nor a new one go unlisted.
+#[test]
+fn docs_scripts_and_ci_name_the_targets_and_scripts_that_exist() {
+    use std::path::Path;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let listing = |dir: &str| -> Vec<String> {
+        let entries = std::fs::read_dir(root.join(dir)).expect(dir);
+        entries
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect()
+    };
+    let targets: Vec<String> = ["crates/bench/src/bin", "crates/bench/benches"]
+        .iter()
+        .flat_map(|dir| listing(dir))
+        .filter_map(|f| f.strip_suffix(".rs").map(str::to_string))
+        .collect();
+
+    let mut files: Vec<String> = ["README.md", "EXPERIMENTS.md", "DESIGN.md"]
+        .map(String::from)
+        .to_vec();
+    files.push("run_all_experiments.sh".into());
+    let workflows = listing(".github/workflows").into_iter();
+    files.extend(workflows.map(|f| format!(".github/workflows/{f}")));
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    for file in &files {
+        let text = std::fs::read_to_string(root.join(file)).expect(file);
+        for token in text.split(|c: char| !(ident(c) || "./-".contains(c))) {
+            if let Some(script) = token.trim_end_matches('.').strip_suffix(".sh") {
+                let path = format!("{}.sh", script.trim_start_matches("./"));
+                assert!(root.join(&path).is_file(), "{file} names {path}");
+            }
+        }
+        for (at, _) in text
+            .match_indices("exp_")
+            .chain(text.match_indices("bench_"))
+        {
+            // Not inside a longer word or a dot-directory (`.bench_build`).
+            if text[..at].ends_with(|c: char| ident(c) || c == '.') {
+                continue;
+            }
+            let rest = &text[at..];
+            let (name, after) = rest.split_at(rest.find(|c| !ident(c)).unwrap_or(rest.len()));
+            // `exp_fig*` names a family; `bench_pairs.sh` was checked above.
+            let known = match after {
+                a if a.starts_with(".sh") => true,
+                a if a.starts_with('*') => targets.iter().any(|t| t.starts_with(name)),
+                _ => targets.iter().any(|t| t == name),
+            };
+            assert!(
+                known,
+                "{file} names {name}, which crates/bench does not build"
+            );
+        }
+    }
+    let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+    for t in &targets {
+        assert!(
+            experiments.contains(&format!("`{t}`")),
+            "EXPERIMENTS.md omits `{t}`"
+        );
+    }
+}
+
 #[test]
 fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
     let bad_value = onepass("run per-user-count --records 1000 --reducers four");

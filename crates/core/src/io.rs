@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,6 +76,42 @@ impl StatsCell {
             runs_created: self.runs_created.load(Ordering::Relaxed),
             runs_deleted: self.runs_deleted.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// One reader's bytes-read count, added to the store's shared counter once
+/// per [`ReadTally::FLUSH_BYTES`], at end-of-run and on drop — a record
+/// read costs no atomic operation.
+struct ReadTally {
+    stats: Arc<StatsCell>,
+    pending: u64,
+}
+
+impl ReadTally {
+    const FLUSH_BYTES: u64 = 1 << 16;
+
+    fn new(stats: Arc<StatsCell>) -> Self {
+        ReadTally { stats, pending: 0 }
+    }
+
+    #[inline]
+    fn add(&mut self, bytes: u64) {
+        self.pending += bytes;
+        if self.pending >= Self::FLUSH_BYTES {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        self.stats
+            .bytes_read
+            .fetch_add(std::mem::take(&mut self.pending), Ordering::Relaxed);
+    }
+}
+
+impl Drop for ReadTally {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -154,6 +190,20 @@ pub fn encoded_len(key: &[u8], value: &[u8]) -> u64 {
     8 + key.len() as u64 + value.len() as u64
 }
 
+/// The 8-byte record header `[u32 klen][u32 vlen]`, little-endian: one
+/// little-endian `u64` with `klen` in the low half.
+#[inline]
+fn record_header(key: &[u8], value: &[u8]) -> [u8; 8] {
+    (u64::from(key.len() as u32) | u64::from(value.len() as u32) << 32).to_le_bytes()
+}
+
+/// `(klen, vlen)` out of a record header.
+#[inline]
+fn record_lens(header: &[u8; 8]) -> (usize, usize) {
+    let h = u64::from_le_bytes(*header);
+    ((h & 0xffff_ffff) as usize, (h >> 32) as usize)
+}
+
 // ---------------------------------------------------------------------------
 // In-memory backend
 // ---------------------------------------------------------------------------
@@ -169,7 +219,7 @@ struct MemWriter {
 struct MemStoreInner {
     runs: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
     next_id: AtomicU64,
-    stats: StatsCell,
+    stats: Arc<StatsCell>,
 }
 
 /// Spill store keeping runs in memory. Cheap and deterministic; used by
@@ -226,7 +276,7 @@ impl SpillStore for SharedMemStore {
             .cloned()
             .ok_or_else(|| Error::NotFound(format!("mem run {}", id.0)))?;
         Ok(Box::new(MemReader {
-            store: Arc::clone(&self.inner),
+            read: ReadTally::new(Arc::clone(&self.inner.stats)),
             data,
             pos: 0,
         }))
@@ -252,10 +302,7 @@ impl SpillStore for SharedMemStore {
 
 impl RunWriter for MemWriter {
     fn write_record(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.buf
-            .extend_from_slice(&(key.len() as u32).to_le_bytes());
-        self.buf
-            .extend_from_slice(&(value.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(&record_header(key, value));
         self.buf.extend_from_slice(key);
         self.buf.extend_from_slice(value);
         self.records += 1;
@@ -267,8 +314,7 @@ impl RunWriter for MemWriter {
         // below can never reallocate.
         self.buf.reserve(seg.payload_bytes() + 8 * seg.len());
         for (k, v) in seg.iter() {
-            self.buf.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            self.buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            self.buf.extend_from_slice(&record_header(k, v));
             self.buf.extend_from_slice(k);
             self.buf.extend_from_slice(v);
         }
@@ -292,7 +338,7 @@ impl RunWriter for MemWriter {
 }
 
 struct MemReader {
-    store: Arc<MemStoreInner>,
+    read: ReadTally,
     data: Arc<Vec<u8>>,
     pos: usize,
 }
@@ -300,24 +346,19 @@ struct MemReader {
 impl RunReader for MemReader {
     fn next_record(&mut self) -> Result<Option<Record<'_>>> {
         if self.pos == self.data.len() {
+            self.read.flush();
             return Ok(None);
         }
-        if self.data.len() - self.pos < 8 {
+        let Some((header, rest)) = self.data[self.pos..].split_first_chunk::<8>() else {
             return Err(Error::Corrupt("truncated record header".into()));
-        }
-        let klen =
-            u32::from_le_bytes(self.data[self.pos..self.pos + 4].try_into().unwrap()) as usize;
-        let vlen =
-            u32::from_le_bytes(self.data[self.pos + 4..self.pos + 8].try_into().unwrap()) as usize;
-        let start = self.pos + 8;
-        if self.data.len() - start < klen + vlen {
+        };
+        let (klen, vlen) = record_lens(header);
+        if rest.len() < klen + vlen {
             return Err(Error::Corrupt("truncated record payload".into()));
         }
+        let start = self.pos + 8;
         self.pos = start + klen + vlen;
-        self.store
-            .stats
-            .bytes_read
-            .fetch_add((8 + klen + vlen) as u64, Ordering::Relaxed);
+        self.read.add((8 + klen + vlen) as u64);
         Ok(Some(Record {
             key: &self.data[start..start + klen],
             value: &self.data[start + klen..start + klen + vlen],
@@ -333,12 +374,9 @@ impl RunReader for MemReader {
             return Ok(None);
         }
         let seg = SegmentBuf::from_framed(Arc::clone(&self.data), self.pos)?;
-        let consumed = (self.data.len() - self.pos) as u64;
+        self.read.add((self.data.len() - self.pos) as u64);
+        self.read.flush();
         self.pos = self.data.len();
-        self.store
-            .stats
-            .bytes_read
-            .fetch_add(consumed, Ordering::Relaxed);
         Ok(Some(seg))
     }
 }
@@ -420,7 +458,7 @@ impl SpillStore for FileSpillStore {
             input: BufReader::with_capacity(1 << 16, file),
             scratch: Vec::new(),
             klen: 0,
-            stats: Arc::clone(&self.stats),
+            read: ReadTally::new(Arc::clone(&self.stats)),
         }))
     }
 
@@ -447,8 +485,7 @@ struct FileWriter {
 
 impl RunWriter for FileWriter {
     fn write_record(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.out.write_all(&(key.len() as u32).to_le_bytes())?;
-        self.out.write_all(&(value.len() as u32).to_le_bytes())?;
+        self.out.write_all(&record_header(key, value))?;
         self.out.write_all(key)?;
         self.out.write_all(value)?;
         self.records += 1;
@@ -463,10 +500,7 @@ impl RunWriter for FileWriter {
         self.scratch.clear();
         self.scratch.reserve(encoded);
         for (k, v) in seg.iter() {
-            self.scratch
-                .extend_from_slice(&(k.len() as u32).to_le_bytes());
-            self.scratch
-                .extend_from_slice(&(v.len() as u32).to_le_bytes());
+            self.scratch.extend_from_slice(&record_header(k, v));
             self.scratch.extend_from_slice(k);
             self.scratch.extend_from_slice(v);
         }
@@ -493,30 +527,28 @@ struct FileReader {
     input: BufReader<File>,
     scratch: Vec<u8>,
     klen: usize,
-    stats: Arc<StatsCell>,
+    read: ReadTally,
 }
 
 impl RunReader for FileReader {
     fn next_record(&mut self) -> Result<Option<Record<'_>>> {
-        let mut header = [0u8; 8];
-        match self.input.read_exact(&mut header[..1]) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
+        // An empty buffer after a refill is the clean end-of-run; anything
+        // short of a whole record after that is corruption.
+        if self.input.fill_buf()?.is_empty() {
+            self.read.flush();
+            return Ok(None);
         }
+        let mut header = [0u8; 8];
         self.input
-            .read_exact(&mut header[1..])
+            .read_exact(&mut header)
             .map_err(|_| Error::Corrupt("truncated record header".into()))?;
-        let klen = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let vlen = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
+        let (klen, vlen) = record_lens(&header);
         self.scratch.resize(klen + vlen, 0);
         self.input
             .read_exact(&mut self.scratch)
             .map_err(|_| Error::Corrupt("truncated record payload".into()))?;
         self.klen = klen;
-        self.stats
-            .bytes_read
-            .fetch_add((8 + klen + vlen) as u64, Ordering::Relaxed);
+        self.read.add((8 + klen + vlen) as u64);
         Ok(Some(Record {
             key: &self.scratch[..self.klen],
             value: &self.scratch[self.klen..],
@@ -761,6 +793,25 @@ mod tests {
 
         store.delete_run(batch_meta.id).unwrap();
         store.delete_run(record_meta.id).unwrap();
+    }
+
+    /// The bytes-read counter is tallied per reader and reaches the store
+    /// at end-of-run or when the reader is dropped, never later.
+    fn partial_read_is_counted_on_drop(store: &dyn SpillStore) {
+        let mut w = store.begin_run().unwrap();
+        w.write_record(b"k1", b"v1").unwrap();
+        w.write_record(b"k2", b"v2").unwrap();
+        let meta = w.finish().unwrap();
+        let mut r = store.open_run(meta.id).unwrap();
+        assert_eq!(r.next_record().unwrap().unwrap().key, b"k1");
+        drop(r);
+        assert_eq!(store.stats().bytes_read, encoded_len(b"k1", b"v1"));
+    }
+
+    #[test]
+    fn partial_reads_are_counted_on_drop() {
+        partial_read_is_counted_on_drop(&SharedMemStore::new());
+        partial_read_is_counted_on_drop(&FileSpillStore::temp().unwrap());
     }
 
     #[test]

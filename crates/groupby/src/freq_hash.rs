@@ -11,20 +11,28 @@
 //! data has arrived."
 //!
 //! Mechanics:
-//! * every record updates an online frequent-items summary
-//!   ([`SpaceSaving`] by default);
-//! * resident states absorb their records in place (incremental hash);
-//! * when a *new* key arrives under a full budget, a **hotness gate**
-//!   decides: if the summary ranks it above the coldest resident keys, a
-//!   batch of the coldest residents is evicted (partial states spilled)
-//!   to make room; otherwise the record itself spills. Cold spill is
-//!   hash-partitioned into buckets up front;
-//! * `finish` first emits the resident hot keys' states as **early
-//!   (approximate) answers** — available the moment input ends, without
-//!   touching disk — then flushes those states into their cold buckets
-//!   and resolves each bucket exactly with a
-//!   [`HybridHashGrouper`] child,
-//!   so every key gets exactly one exact final answer.
+//! * a record whose key is resident updates that state in place
+//!   (incremental hash) and bumps the entry's own hit counter — the
+//!   common case touches one hash table and nothing else;
+//! * a record whose key is *not* resident is inserted while the budget
+//!   has room; once it is full, the miss is counted in an online
+//!   frequent-items summary ([`MisraGries`]) and a **hotness gate**
+//!   decides: if the key's guaranteed miss count exceeds the hit count of
+//!   the residents last evicted, an eviction round makes room; otherwise
+//!   the record itself spills. Cold spill is hash-partitioned into
+//!   buckets up front;
+//! * an eviction round ranks residents by hit count and spills the
+//!   coldest partial states until a **byte target** is free (the table
+//!   back under 90% of its budget). States of a holistic aggregate grow
+//!   with their hits, so a round sized in keys would free almost nothing;
+//! * `finish` first answers the resident hot keys straight from memory,
+//!   the moment input ends: a state that was inserted before the first
+//!   cold write and never evicted is its key's complete group and goes
+//!   out as its **final** answer; every other resident state goes out as
+//!   an **early (approximate) answer** and is flushed into its cold
+//!   bucket. Each bucket is then resolved exactly with a
+//!   [`HybridHashGrouper`] child, so every key gets exactly one exact
+//!   final answer.
 //!
 //! On skewed data the cold spill carries only the distribution's tail, so
 //! spill I/O drops by orders of magnitude versus sort-merge — the §V
@@ -32,39 +40,27 @@
 
 use std::sync::Arc;
 
-use onepass_core::error::{Error, Result};
+use onepass_core::error::Result;
 use onepass_core::hashlib::{ByteMap, MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile};
 use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
-use onepass_sketch::{FrequentItems, LossyCounting, MisraGries, SpaceSaving};
+use onepass_sketch::{FrequentItems, MisraGries};
 
 use crate::aggregate::Aggregator;
-use crate::hybrid_hash::{HybridHashGrouper, TAG_RAW, TAG_STATE};
+use crate::hybrid_hash::{
+    spill_entries, split_tagged, write_tagged, HybridHashGrouper, TAG_RAW, TAG_STATE,
+};
 use crate::sink::{EmitKind, OpStats, Sink};
 use crate::GroupBy;
 
 /// Per-key bookkeeping overhead charged to the budget.
 const STATE_OVERHEAD: usize = 48;
 
-/// Fraction of resident keys evicted per eviction batch.
-const EVICT_FRACTION: f64 = 0.10;
-
-/// Which online frequent-items algorithm identifies hot keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Detector {
-    /// Misra-Gries: O(1) amortized updates, lower-bound counts — the
-    /// default (the hotness gate wants guaranteed counts, and the
-    /// update cost sits on the per-record hot path).
-    MisraGries,
-    /// Space-Saving: upper-bound counts with per-item error; guaranteed
-    /// coverage of every key above N/k, at a higher per-update cost.
-    SpaceSaving,
-    /// Lossy Counting with the given ε.
-    Lossy(f64),
-}
+/// Share of the budget an eviction round leaves free.
+const EVICT_HEADROOM_DIV: usize = 10;
 
 /// Configuration for [`FreqHashGrouper`].
 #[derive(Debug, Clone)]
@@ -72,8 +68,6 @@ pub struct FreqHashConfig {
     /// Counters in the frequent-items summary (more ⇒ finer hot/cold
     /// discrimination, more sketch memory). Default 1024.
     pub sketch_capacity: usize,
-    /// Hot-key detection algorithm. Default Misra-Gries.
-    pub detector: Detector,
     /// Emit resident (hot-key) states as early answers at the start of
     /// `finish`, before any disk pass. Default true.
     pub early_hot_answers: bool,
@@ -88,7 +82,6 @@ impl Default for FreqHashConfig {
     fn default() -> Self {
         FreqHashConfig {
             sketch_capacity: 1024,
-            detector: Detector::MisraGries,
             early_hot_answers: true,
             cold_fanout: 16,
             resolve_fanout: 8,
@@ -96,24 +89,44 @@ impl Default for FreqHashConfig {
     }
 }
 
+/// One resident key: its partial state and how many records it absorbed
+/// (seeded with the key's guaranteed miss count when the hotness gate
+/// admitted it). Eviction ranks on `hits`.
+struct Resident {
+    state: Vec<u8>,
+    hits: u64,
+    /// Inserted before the first cold write and resident ever since: no
+    /// record of this key is on disk, so the state is its exact group.
+    complete: bool,
+}
+
+/// The cold side, opened at the first spill: one run per hash bucket and
+/// the buffer tagged payloads are framed in.
+struct ColdRuns {
+    writers: Vec<Box<dyn RunWriter>>,
+    scratch: Vec<u8>,
+}
+
 /// The frequent-key incremental hash group-by operator.
 pub struct FreqHashGrouper {
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-    sketch: Box<dyn FrequentItems>,
+    /// Counts misses only: records whose key was not resident while the
+    /// budget was full.
+    sketch: MisraGries,
     config: FreqHashConfig,
     /// Cached cold-bucket hasher (member 1_000_003 of the default
     /// [`SeededFamily`]) — built once so per-record cold routing never
     /// re-derives the member.
     cold_hasher: MultiplyShift,
-    states: ByteMap<Vec<u8>>,
+    states: ByteMap<Resident>,
     reserved: usize,
     peak_reserved: usize,
-    /// Cold-bucket writers, created lazily on first spill.
-    cold: Option<Vec<Box<dyn RunWriter>>>,
-    /// Sketch-count floor below which new keys spill without attempting
-    /// eviction; refreshed at each eviction batch.
+    cold: Option<ColdRuns>,
+    /// Hit count of the hottest resident the last eviction round spilled;
+    /// a missing key must be guaranteed hotter than this to start another
+    /// round.
     cold_threshold: u64,
     records_in: u64,
     groups_out: u64,
@@ -148,12 +161,7 @@ impl FreqHashGrouper {
         config: FreqHashConfig,
     ) -> Self {
         let io_base = store.stats();
-        let k = config.sketch_capacity.max(1);
-        let sketch: Box<dyn FrequentItems> = match config.detector {
-            Detector::MisraGries => Box::new(MisraGries::new(k)),
-            Detector::SpaceSaving => Box::new(SpaceSaving::new(k)),
-            Detector::Lossy(eps) => Box::new(LossyCounting::new(eps)),
-        };
+        let sketch = MisraGries::new(config.sketch_capacity.max(1));
         // Member index chosen not to collide with the hybrid children's
         // level-0 function (they start at member 0).
         let cold_hasher = SeededFamily::default().member(1_000_003);
@@ -190,44 +198,29 @@ impl FreqHashGrouper {
         self.states.len()
     }
 
-    /// Eviction batches performed so far.
+    /// Eviction rounds performed so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// Read access to the resident state of `key` (tests/diagnostics).
     pub fn resident_state(&self, key: &[u8]) -> Option<&[u8]> {
-        self.states.get(key).map(|s| s.as_slice())
+        self.states.get(key).map(|r| r.state.as_slice())
     }
 
     fn state_cost(key: &[u8], state: &[u8]) -> usize {
         key.len() + state.len() + STATE_OVERHEAD
     }
 
-    /// Hotness of a key: the sketch's *guaranteed* count lower bound
-    /// (`count − error`), 0 when untracked. Using an upper bound here
-    /// would make every newly-inserted Space-Saving entry (which inherits
-    /// the evicted minimum as its count) look hot and trigger eviction
-    /// storms; the lower bound only credits observed occurrences.
-    fn heat(&self, key: &[u8]) -> u64 {
-        self.sketch
-            .estimate(key)
-            .map(|h| h.count.saturating_sub(h.error))
-            .unwrap_or(0)
-    }
-
-    /// Update resident state in place; true if the key was resident.
-    fn update_resident(&mut self, key: &[u8], payload: &[u8], is_state: bool) -> bool {
-        let Some(state) = self.states.get_mut(key) else {
+    /// Absorb `value` into `key`'s resident state; false if not resident.
+    fn update_resident(&mut self, key: &[u8], value: &[u8]) -> bool {
+        let Some(resident) = self.states.get_mut(key) else {
             return false;
         };
-        let before = state.len();
-        if is_state {
-            self.agg.merge(key, state, payload);
-        } else {
-            self.agg.update(key, state, payload);
-        }
-        let after = state.len();
+        resident.hits += 1;
+        let before = resident.state.len();
+        self.agg.update(key, &mut resident.state, value);
+        let after = resident.state.len();
         if after > before {
             self.budget.force_grant(after - before);
             self.reserved += after - before;
@@ -240,49 +233,74 @@ impl FreqHashGrouper {
     }
 
     /// Insert a new resident state if the budget allows.
-    fn try_insert(&mut self, key: &[u8], payload: &[u8], is_state: bool) -> bool {
-        let state = if is_state {
-            payload.to_vec()
-        } else {
-            self.agg.init(key, payload)
-        };
-        let cost = Self::state_cost(key, &state);
-        // Escalate to the governor (if leased) before the hotness gate
-        // decides between eviction and cold spill.
-        if !self.budget.try_grant_or_request(cost) {
+    fn try_insert(&mut self, key: &[u8], value: &[u8], hits: u64) -> bool {
+        // The entry's fixed part is charged first, so on a full budget —
+        // every cold record — this fails before `init` allocates a state.
+        // Escalates to the governor (if leased) before the hotness gate
+        // decides between eviction and cold spill. The state itself is
+        // charged like in-place growth: softly.
+        let fixed = key.len() + STATE_OVERHEAD;
+        if !self.budget.try_grant_or_request(fixed) {
             return false;
         }
-        self.reserved += cost;
+        let state = self.agg.init(key, value);
+        self.budget.force_grant(state.len());
+        self.reserved += fixed + state.len();
         self.peak_reserved = self.peak_reserved.max(self.reserved);
-        self.states.insert(key.to_vec(), state);
+        let complete = self.cold.is_none();
+        self.states.insert(
+            key.to_vec(),
+            Resident {
+                state,
+                hits,
+                complete,
+            },
+        );
         true
     }
 
-    /// Evict the coldest `EVICT_FRACTION` of resident keys, spilling their
-    /// partial states, and refresh the cold threshold.
-    fn evict_batch(&mut self) -> Result<usize> {
-        if self.states.is_empty() {
+    /// One eviction round: spill resident partial states, fewest hits
+    /// first, until `target_bytes` are free, and move the cold threshold
+    /// to the hottest state spilled. Returns the bytes freed.
+    fn evict_bytes(&mut self, target_bytes: usize) -> Result<usize> {
+        let group_start = std::time::Instant::now();
+        let mut ranked: Vec<(u64, &[u8], usize)> = self
+            .states
+            .iter()
+            .map(|(k, r)| (r.hits, k.as_slice(), Self::state_cost(k, &r.state)))
+            .collect();
+        ranked.sort_unstable();
+        if ranked.is_empty() {
             return Ok(0);
         }
-        let group_start = std::time::Instant::now();
-        let mut ranked: Vec<(u64, Vec<u8>)> = self
-            .states
-            .keys()
-            .map(|k| (self.heat(k), k.clone()))
-            .collect();
-        ranked.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let n_evict =
-            ((ranked.len() as f64 * EVICT_FRACTION).ceil() as usize).clamp(1, ranked.len());
-        // New keys colder than the hottest key just evicted shouldn't
-        // re-trigger an eviction scan.
-        self.cold_threshold = ranked[n_evict - 1].0;
-        for (_, key) in ranked.into_iter().take(n_evict) {
-            let state = self.states.remove(&key).expect("ranked key resident");
-            self.write_cold(&key, &state, true)?;
-            let cost = Self::state_cost(&key, &state);
+        let mut planned = 0usize;
+        let last = ranked
+            .iter()
+            .position(|&(_, _, cost)| {
+                planned += cost;
+                planned >= target_bytes
+            })
+            .unwrap_or(ranked.len() - 1);
+        // `(hits, key)` is a total order, so the victims are exactly the
+        // entries at or below the cut.
+        let cut = (ranked[last].0, ranked[last].1.to_vec());
+        let before = (self.states.len(), self.reserved);
+        let mut states = std::mem::take(&mut self.states);
+        let result = spill_entries(&mut states, |key, r| {
+            if (r.hits, key) > (cut.0, cut.1.as_slice()) {
+                return Ok(false);
+            }
+            self.write_cold(key, &r.state, TAG_STATE)?;
+            let cost = Self::state_cost(key, &r.state);
             self.budget.release(cost);
             self.reserved -= cost;
-        }
+            Ok(true)
+        });
+        self.states = states;
+        result?;
+        // New keys no hotter than the hottest key just evicted shouldn't
+        // start another round.
+        self.cold_threshold = cut.0;
         self.evictions += 1;
         self.profile
             .add_time(Phase::ReduceGroup, group_start.elapsed());
@@ -293,104 +311,95 @@ impl FreqHashGrouper {
             "evict",
             "freq",
             &[
-                ("keys", n_evict as f64),
+                ("keys", (before.0 - self.states.len()) as f64),
                 ("cold_threshold", self.cold_threshold as f64),
             ],
         );
-        Ok(n_evict)
+        Ok(before.1 - self.reserved)
     }
 
-    fn cold_bucket(&self, key: &[u8]) -> usize {
-        self.cold_hasher.bucket(key, self.config.cold_fanout)
-    }
-
-    fn write_cold(&mut self, key: &[u8], payload: &[u8], is_state: bool) -> Result<()> {
-        if self.cold.is_none() {
-            let mut writers = Vec::with_capacity(self.config.cold_fanout);
-            for _ in 0..self.config.cold_fanout {
-                writers.push(self.store.begin_run()?);
+    fn write_cold(&mut self, key: &[u8], payload: &[u8], tag: u8) -> Result<()> {
+        let cold = match &mut self.cold {
+            Some(cold) => cold,
+            slot => {
+                let mut writers = Vec::with_capacity(self.config.cold_fanout);
+                for _ in 0..self.config.cold_fanout {
+                    writers.push(self.store.begin_run()?);
+                }
+                self.spills += 1;
+                slot.insert(ColdRuns {
+                    writers,
+                    scratch: Vec::new(),
+                })
             }
-            self.cold = Some(writers);
-            self.spills += 1;
-        }
-        let b = self.cold_bucket(key);
-        let mut tagged = Vec::with_capacity(1 + payload.len());
-        tagged.push(if is_state { TAG_STATE } else { TAG_RAW });
-        tagged.extend_from_slice(payload);
-        self.cold.as_mut().expect("just created")[b].write_record(key, &tagged)
+        };
+        let b = self.cold_hasher.bucket(key, cold.writers.len());
+        write_tagged(
+            cold.writers[b].as_mut(),
+            &mut cold.scratch,
+            key,
+            tag,
+            payload,
+        )
     }
 
-    /// Emit a snapshot of every resident (hot) state as an early answer.
-    fn emit_resident_early(&mut self, sink: &mut dyn Sink) {
-        let reduce_start = std::time::Instant::now();
-        for (key, state) in &self.states {
-            let out = self.agg.finish(key, state.clone());
-            sink.emit(key, &out, EmitKind::Early);
-            self.early_emits += 1;
-        }
-        self.profile
-            .add_time(Phase::ReduceFn, reduce_start.elapsed());
-    }
-
-    /// Emit every resident group as exact final output and free memory.
-    fn emit_resident_final(&mut self, sink: &mut dyn Sink) {
-        let reduce_start = std::time::Instant::now();
-        let states = std::mem::take(&mut self.states);
-        for (key, state) in states {
-            let out = self.agg.finish(&key, state);
-            sink.emit(&key, &out, EmitKind::Final);
-            self.groups_out += 1;
+    /// Empty the table at end of input, straight from memory. A complete
+    /// state is its key's exact group and goes out as final output. Any
+    /// other partial state is published as an early (approximate) answer,
+    /// then joins the rest of its key's data in its cold bucket.
+    fn drain_residents(&mut self, sink: &mut dyn Sink) -> Result<()> {
+        let mut reduce = std::time::Duration::ZERO;
+        for (key, r) in std::mem::take(&mut self.states) {
+            let reduce_start = std::time::Instant::now();
+            if r.complete {
+                let out = self.agg.finish(&key, r.state);
+                sink.emit(&key, &out, EmitKind::Final);
+                self.groups_out += 1;
+                reduce += reduce_start.elapsed();
+                continue;
+            }
+            if self.config.early_hot_answers {
+                let out = self.agg.finish(&key, r.state.clone());
+                sink.emit(&key, &out, EmitKind::Early);
+                self.early_emits += 1;
+                reduce += reduce_start.elapsed();
+            }
+            self.write_cold(&key, &r.state, TAG_STATE)?;
         }
         self.budget.release(self.reserved);
         self.reserved = 0;
-        self.profile
-            .add_time(Phase::ReduceFn, reduce_start.elapsed());
-    }
-
-    /// Flush all resident partial states into their cold buckets so each
-    /// key's complete data lives in exactly one bucket.
-    fn flush_resident_to_cold(&mut self) -> Result<()> {
-        let keys: Vec<Vec<u8>> = self.states.keys().cloned().collect();
-        for key in keys {
-            let state = self.states.remove(&key).expect("listed");
-            self.write_cold(&key, &state, true)?;
-            let cost = Self::state_cost(&key, &state);
-            self.budget.release(cost);
-            self.reserved -= cost;
-        }
+        self.profile.add_time(Phase::ReduceFn, reduce);
         Ok(())
     }
-}
 
-impl FreqHashGrouper {
     fn push_one(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        // The sketch exists to rank evictions. Until the table nears its
-        // budget (or has already spilled), per-record sketch maintenance
-        // is pure overhead on the no-pressure fast path — so it stays
-        // cold while used < limit/2. Estimates are lower bounds either
-        // way; activating late only makes early evictions rank on less
-        // history, never produces wrong answers.
-        if self.cold.is_some() || self.budget.used() >= self.budget.limit() / 2 {
-            self.sketch.offer(key);
-        }
-        if self.update_resident(key, value, false) {
+        if self.update_resident(key, value) || self.try_insert(key, value, 1) {
             return Ok(());
         }
-        if self.try_insert(key, value, false) {
-            return Ok(());
-        }
-        // Budget full and key not resident: hotness gate.
-        let heat = self.heat(key);
-        if heat > self.cold_threshold {
-            self.evict_batch()?;
-            if self.try_insert(key, value, false) {
+        // Budget full and key not resident: count the miss, then the
+        // hotness gate. The sketch sees misses only — a resident key's
+        // heat is its own hit counter — so the common (hit) path never
+        // pays for it. Its count is a guaranteed lower bound; an upper
+        // bound would make every newly tracked key look hot and start
+        // eviction storms.
+        self.sketch.offer(key);
+        let heat = self.sketch.lower_bound(key);
+        let limit = self.budget.limit();
+        let headroom = limit / EVICT_HEADROOM_DIV;
+        let used = self.budget.used();
+        // Resident states grow past the limit in place (soft charges); a
+        // table that far over is cut back whatever this key's heat.
+        if heat > self.cold_threshold || used > limit.saturating_add(headroom) {
+            self.evict_bytes(used.saturating_sub(limit - headroom))?;
+            // (A full summary may have discarded this very miss.)
+            if self.try_insert(key, value, heat.max(1)) {
                 self.trace
                     .instant("admit", "freq", &[("heat", heat as f64)]);
                 return Ok(());
             }
-            // Even after eviction it does not fit (giant state): spill.
+            // Another holder of a shared budget took the room: spill.
         }
-        self.write_cold(key, value, false)
+        self.write_cold(key, value, TAG_RAW)
     }
 }
 
@@ -404,42 +413,32 @@ impl GroupBy for FreqHashGrouper {
     }
 
     fn shed(&mut self, target_bytes: usize) -> Result<usize> {
-        // Shed = repeated coldest-first eviction batches: the shed states
-        // land in the cold buckets the exact pass already resolves, so
-        // re-admitted keys stay correct (finish flushes residents to cold
-        // whenever any cold spill exists).
-        let start = self.reserved;
-        while start - self.reserved < target_bytes {
-            if self.evict_batch()? == 0 {
-                break;
-            }
-        }
-        Ok(start - self.reserved)
+        // Shed = one coldest-first eviction round sized by the request:
+        // the shed states land in the cold buckets the exact pass already
+        // resolves, so re-admitted keys stay correct (they come back
+        // incomplete, and finish moves every incomplete resident to its
+        // bucket).
+        self.evict_bytes(target_bytes)
     }
 
     fn finish(&mut self, sink: &mut dyn Sink) -> Result<OpStats> {
-        if self.cold.is_none() {
-            // Everything fit in memory: resident states are exact already.
-            self.emit_resident_final(sink);
+        // 1. Hot-key answers, straight from memory: exact for the keys that
+        //    never left it, early for the rest, whose partial states move
+        //    into their buckets so the exact pass sees each remaining
+        //    key's complete data in one place.
+        self.drain_residents(sink)?;
+        let Some(cold) = self.cold.take() else {
+            // Everything fit in memory.
             let io_now = self.store.stats();
             return Ok(self.stats_snapshot(io_now, 0));
-        }
-
-        // 1. Hot-key early answers, straight from memory.
-        if self.config.early_hot_answers {
-            self.emit_resident_early(sink);
-        }
-
-        // 2. Move the hot partial states into their buckets, so the exact
-        //    pass sees each key's complete data in one place.
-        self.flush_resident_to_cold()?;
-        let writers = self.cold.take().expect("cold spill exists");
-        let metas: Vec<RunMeta> = writers
+        };
+        let metas: Vec<RunMeta> = cold
+            .writers
             .into_iter()
             .map(|w| w.finish())
             .collect::<Result<_>>()?;
 
-        // 3. Resolve each bucket exactly with a hybrid-hash child.
+        // 2. Resolve each bucket exactly with a hybrid-hash child.
         let mut passes = 0u64;
         for meta in metas {
             if meta.records == 0 {
@@ -464,14 +463,8 @@ impl GroupBy for FreqHashGrouper {
             {
                 let mut reader = self.store.open_run(meta.id)?;
                 while let Some(rec) = reader.next_record()? {
-                    let (tag, payload) = rec
-                        .value
-                        .split_first()
-                        .ok_or_else(|| Error::Corrupt("untagged cold record".into()))?;
-                    let key = rec.key.to_vec();
-                    let payload = payload.to_vec();
-                    let tag = *tag;
-                    child.push_tagged(&key, &payload, tag)?;
+                    let (tag, payload) = split_tagged(rec.value)?;
+                    child.push_tagged(rec.key, payload, tag)?;
                 }
             }
             self.store.delete_run(meta.id)?;
@@ -574,32 +567,103 @@ mod tests {
     }
 
     #[test]
-    fn early_hot_answers_precede_final() {
+    fn hot_keys_are_answered_before_any_disk_pass() {
         let store = SharedMemStore::new();
         let mut g = FreqHashGrouper::new(
-            Arc::new(store),
+            Arc::new(store.clone()),
             MemoryBudget::new(10 * (8 + 9 + STATE_OVERHEAD)),
             Arc::new(CountAgg),
         );
         let recs = skewed_records(2000, 300);
-        let (out, stats, sink) = run_op(&mut g, pairs(&recs));
-        assert!(stats.early_emits > 0, "hot keys should be answered early");
-        // The early answer for the hottest key must be close to its truth
-        // (only pre-residency records can be missing from it).
-        let truth = count_truth(pairs(&recs));
-        let early_hot = sink
-            .emitted
-            .iter()
-            .find(|(k, _, kind)| *kind == EmitKind::Early && k == b"key00000")
-            .map(|(_, v, _)| dec_u64(v))
-            .expect("hottest key answered early");
-        let t = truth[b"key00000".as_slice()];
+        // Every emission with the spill bytes read back so far.
+        let mut emitted: Vec<(Vec<u8>, u64, EmitKind, u64)> = Vec::new();
+        let mut sink = crate::sink::FnSink(|k: &[u8], v: &[u8], kind| {
+            emitted.push((k.to_vec(), dec_u64(v), kind, store.stats().bytes_read));
+        });
+        g.push_batch(&SegmentBuf::from_pairs(pairs(&recs)), &mut sink)
+            .unwrap();
+        let stats = g.finish(&mut sink).unwrap();
+        assert!(stats.spills >= 1, "the budget must force a cold spill");
         assert!(
-            early_hot * 10 >= t * 9,
-            "early answer {early_hot} too far from truth {t}"
+            stats.early_emits > 0,
+            "partial hot states are answered early"
         );
-        // And the final answer is exact.
-        assert_eq!(dec_u64(&out[b"key00000".as_slice()]), t);
+        let truth = count_truth(pairs(&recs));
+        // The hottest key arrived first and never left memory: one exact
+        // answer, straight from the table.
+        let hot: Vec<_> = emitted.iter().filter(|e| e.0 == b"key00000").collect();
+        assert_eq!(hot.len(), 1, "a complete state needs no early duplicate");
+        let (_, count, kind, read_before) = hot[0];
+        assert_eq!(
+            (*count, *kind),
+            (truth[b"key00000".as_slice()], EmitKind::Final)
+        );
+        assert_eq!(*read_before, 0, "answered before any run was read back");
+        // Early answers also come from memory, and each is a lower bound
+        // its key's final answer later completes.
+        for (key, count, kind, read_before) in &emitted {
+            if *kind == EmitKind::Early {
+                assert_eq!(*read_before, 0);
+                assert!(*count <= truth[key.as_slice()]);
+            }
+        }
+        let finals = emitted.iter().filter(|e| e.2 == EmitKind::Final);
+        assert_eq!(finals.count(), truth.len(), "one final per key");
+    }
+
+    /// Resident `key`'s hit count, if resident.
+    fn hits(g: &FreqHashGrouper, key: &[u8]) -> Option<u64> {
+        g.states.get(key).map(|r| r.hits)
+    }
+
+    /// A key that keeps hitting while resident outranks every resident
+    /// with fewer hits, whether the state grows with its hits (list) or
+    /// not (count): rounds evict strictly coldest-first.
+    fn eviction_is_coldest_first(agg: Arc<dyn Aggregator>) {
+        let mut g = FreqHashGrouper::new(
+            Arc::new(SharedMemStore::new()),
+            MemoryBudget::unlimited(),
+            agg,
+        );
+        let mut sink = VecSink::default();
+        // Key i absorbs i + 1 records.
+        let recs: Vec<(Vec<u8>, Vec<u8>)> = (0..40u32)
+            .flat_map(|i| (0..=i).map(move |j| (format!("k{i:02}").into_bytes(), vec![j as u8; 8])))
+            .collect();
+        g.push_batch(&SegmentBuf::from_pairs(pairs(&recs)), &mut sink)
+            .unwrap();
+        // A 200-byte round takes at most four of the smallest entries.
+        while g.resident_keys() > 4 {
+            let before: Vec<(Vec<u8>, u64)> =
+                g.states.iter().map(|(k, r)| (k.clone(), r.hits)).collect();
+            assert!(g.shed(200).unwrap() > 0);
+            let coldest_left = g.states.values().map(|r| r.hits).min().unwrap_or(u64::MAX);
+            for (key, had) in before {
+                if hits(&g, &key).is_none() {
+                    assert!(
+                        had < coldest_left,
+                        "{had} hits evicted before {coldest_left}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            hits(&g, b"k39"),
+            Some(40),
+            "the hottest key outlasts the rest"
+        );
+        g.finish(&mut sink).unwrap();
+        assert_eq!(sink.final_count(), 40);
+    }
+
+    #[test]
+    fn eviction_is_coldest_first_for_constant_size_states() {
+        eviction_is_coldest_first(Arc::new(CountAgg));
+    }
+
+    #[test]
+    fn eviction_is_coldest_first_for_growing_states() {
+        eviction_is_coldest_first(Arc::new(crate::aggregate::ListAgg));
     }
 
     #[test]

@@ -45,6 +45,52 @@ pub(crate) const TAG_RAW: u8 = 0;
 /// Tag byte for spilled payloads: a partial aggregate state.
 pub(crate) const TAG_STATE: u8 = 1;
 
+/// Append `(key, [tag][payload])` to `writer`, framing the tagged payload
+/// in the caller's reusable `scratch` instead of a fresh `Vec` per record.
+pub(crate) fn write_tagged(
+    writer: &mut dyn RunWriter,
+    scratch: &mut Vec<u8>,
+    key: &[u8],
+    tag: u8,
+    payload: &[u8],
+) -> Result<()> {
+    scratch.clear();
+    scratch.push(tag);
+    scratch.extend_from_slice(payload);
+    writer.write_record(key, scratch)
+}
+
+/// Split a spilled payload back into `(tag, payload)`.
+pub(crate) fn split_tagged(value: &[u8]) -> Result<(u8, &[u8])> {
+    match value.split_first() {
+        Some((&tag, payload)) => Ok((tag, payload)),
+        None => Err(Error::Corrupt("untagged spill record".into())),
+    }
+}
+
+/// Remove from `table` every entry `spill` writes out (`Ok(true)`), keep
+/// the ones it declines (`Ok(false)`). The first error stops the sweep,
+/// leaves the remaining entries in place and is returned.
+pub(crate) fn spill_entries<V>(
+    table: &mut ByteMap<V>,
+    mut spill: impl FnMut(&[u8], &V) -> Result<bool>,
+) -> Result<()> {
+    let mut result = Ok(());
+    table.retain(|key, value| {
+        if result.is_err() {
+            return true;
+        }
+        match spill(key, value) {
+            Ok(spilled) => !spilled,
+            Err(e) => {
+                result = Err(e);
+                true
+            }
+        }
+    });
+    result
+}
+
 /// Recursion-depth safety valve. With pairwise-independent per-level hash
 /// functions, depth grows logarithmically; hitting this indicates a broken
 /// hash family rather than data skew (a single giant key stays resident).
@@ -70,6 +116,8 @@ pub struct HybridHashGrouper {
     /// not stay resident (they redistribute under the next level's hash),
     /// indices 1..fanout hold their buckets' records.
     spill: Option<Vec<Box<dyn RunWriter>>>,
+    /// Framing buffer for tagged spill payloads ([`write_tagged`]).
+    scratch: Vec<u8>,
     /// Bucket-0 keys with records in run 0 (the bucket-0 overflow). A
     /// resident key in this set is incomplete: at emit time its partial
     /// state is flushed to run 0 for the child pass to merge, instead of
@@ -137,6 +185,7 @@ impl HybridHashGrouper {
             reserved: 0,
             peak_reserved: 0,
             spill: None,
+            scratch: Vec::new(),
             run0_keys: ByteMap::default(),
             records_in: 0,
             groups_out: 0,
@@ -213,6 +262,38 @@ impl HybridHashGrouper {
         self.hasher.bucket_fp(fp, self.fanout)
     }
 
+    /// Append a tagged record to `bucket`'s run.
+    fn write_spill(&mut self, bucket: usize, key: &[u8], tag: u8, payload: &[u8]) -> Result<()> {
+        let writer = self
+            .spill
+            .as_mut()
+            .and_then(|writers| writers.get_mut(bucket))
+            .ok_or_else(|| Error::InvalidState("hybrid hash spilled before partitioning".into()))?;
+        write_tagged(writer.as_mut(), &mut self.scratch, key, tag, payload)
+    }
+
+    /// Move every resident state for which `pick` names a bucket into
+    /// that bucket's run as a partial state, releasing its budget. Stops
+    /// at the first write error, leaving the remaining states resident.
+    fn spill_residents(
+        &mut self,
+        mut pick: impl FnMut(&mut Self, &[u8], &[u8]) -> Option<usize>,
+    ) -> Result<()> {
+        let mut resident = std::mem::take(&mut self.resident);
+        let result = spill_entries(&mut resident, |key, state| {
+            let Some(bucket) = pick(self, key, state) else {
+                return Ok(false);
+            };
+            self.write_spill(bucket, key, TAG_STATE, state)?;
+            let cost = Self::state_cost(key, state);
+            self.budget.release(cost);
+            self.reserved -= cost;
+            Ok(true)
+        });
+        self.resident = resident;
+        result
+    }
+
     /// First budget exhaustion: open spill writers and evict every
     /// resident state whose key does not hash to bucket 0.
     fn partition(&mut self) -> Result<()> {
@@ -221,32 +302,18 @@ impl HybridHashGrouper {
         for _ in 0..self.fanout {
             writers.push(self.store.begin_run()?);
         }
-        let evicted: Vec<(Vec<u8>, usize)> = self
-            .resident
-            .keys()
-            .map(|k| (k.clone(), self.hasher.bucket(k, self.fanout)))
-            .filter(|(_, b)| *b != 0)
-            .collect();
+        self.spill = Some(writers);
+        self.spills += 1;
+        let before = self.resident.len();
+        self.spill_residents(|g, key, _| Some(g.hasher.bucket(key, g.fanout)).filter(|&b| b != 0))?;
         self.trace.instant(
             "partition",
             "spill",
             &[
                 ("level", self.level as f64),
-                ("evicted_keys", evicted.len() as f64),
+                ("evicted_keys", (before - self.resident.len()) as f64),
             ],
         );
-        for (key, b) in evicted {
-            let state = self.resident.remove(&key).expect("key just listed");
-            let mut payload = Vec::with_capacity(1 + state.len());
-            payload.push(TAG_STATE);
-            payload.extend_from_slice(&state);
-            writers[b].write_record(&key, &payload)?;
-            let cost = Self::state_cost(&key, &state);
-            self.budget.release(cost);
-            self.reserved -= cost;
-        }
-        self.spill = Some(writers);
-        self.spills += 1;
         self.profile.add_time(Phase::MapHash, hash_start.elapsed());
         Ok(())
     }
@@ -258,14 +325,10 @@ impl HybridHashGrouper {
         // into another bucket would let tiny budgets recurse almost
         // without shrinking).
         let b = self.bucket_fp(fp);
-        if b == 0 {
+        if b == 0 && !self.run0_keys.contains_key(key) {
             self.run0_keys.insert(key.to_vec(), ());
         }
-        let writers = self.spill.as_mut().expect("partitioned");
-        let mut payload = Vec::with_capacity(1 + value.len());
-        payload.push(tag);
-        payload.extend_from_slice(value);
-        writers[b].write_record(key, &payload)
+        self.write_spill(b, key, tag, value)
     }
 
     /// Push a record whose payload is either a raw value (`tag` =
@@ -311,11 +374,7 @@ impl HybridHashGrouper {
         let resident = std::mem::take(&mut self.resident);
         for (key, state) in resident {
             if !self.run0_keys.is_empty() && self.run0_keys.contains_key(&key) {
-                let mut payload = Vec::with_capacity(1 + state.len());
-                payload.push(TAG_STATE);
-                payload.extend_from_slice(&state);
-                self.spill.as_mut().expect("run0_keys implies partitioned")[0]
-                    .write_record(&key, &payload)?;
+                self.write_spill(0, &key, TAG_STATE, &state)?;
                 continue;
             }
             let out = self.agg.finish(&key, state);
@@ -355,35 +414,22 @@ impl GroupBy for HybridHashGrouper {
             // state moves to its bucket's run.
             self.partition()?;
         }
-        let mut freed = start - self.reserved;
-        if freed < target_bytes && !self.resident.is_empty() {
+        if start - self.reserved < target_bytes && !self.resident.is_empty() {
             // Still short: evict bucket-0 residents into run 0 (their
             // overflow run) as partial states. `run0_keys` keeps any
             // later re-admission of these keys correct.
-            let mut victims: Vec<Vec<u8>> = Vec::new();
-            let mut planned = freed;
-            for (k, v) in self.resident.iter() {
+            let mut planned = start - self.reserved;
+            self.spill_residents(|g, key, state| {
                 if planned >= target_bytes {
-                    break;
+                    return None;
                 }
-                planned += Self::state_cost(k, v);
-                victims.push(k.clone());
-            }
-            for k in victims {
-                let state = self.resident.remove(&k).expect("key just listed");
-                let mut payload = Vec::with_capacity(1 + state.len());
-                payload.push(TAG_STATE);
-                payload.extend_from_slice(&state);
-                self.run0_keys.insert(k.clone(), ());
-                self.spill.as_mut().expect("partitioned")[0].write_record(&k, &payload)?;
-                let cost = Self::state_cost(&k, &state);
-                self.budget.release(cost);
-                self.reserved -= cost;
-                freed += cost;
-            }
+                planned += Self::state_cost(key, state);
+                g.run0_keys.insert(key.to_vec(), ());
+                Some(0)
+            })?;
         }
         self.budget.publish_shed_unit(self.reserved);
-        Ok(freed)
+        Ok(start - self.reserved)
     }
 
     fn finish(&mut self, sink: &mut dyn Sink) -> Result<OpStats> {
@@ -426,16 +472,8 @@ impl GroupBy for HybridHashGrouper {
                 {
                     let mut reader = self.store.open_run(meta.id)?;
                     while let Some(rec) = reader.next_record()? {
-                        let (tag, payload) = rec
-                            .value
-                            .split_first()
-                            .ok_or_else(|| Error::Corrupt("untagged spill record".into()))?;
-                        // Borrow juggling: copy key/payload out of the
-                        // reader's scratch before pushing into the child.
-                        let key = rec.key.to_vec();
-                        let payload = payload.to_vec();
-                        let tag = *tag;
-                        child.push_tagged(&key, &payload, tag)?;
+                        let (tag, payload) = split_tagged(rec.value)?;
+                        child.push_tagged(rec.key, payload, tag)?;
                     }
                 }
                 self.store.delete_run(meta.id)?;

@@ -40,10 +40,10 @@ pub mod sortmerge;
 pub use aggregate::{
     Aggregator, AvgAgg, CountAgg, DistinctAgg, FirstAgg, ListAgg, MaxAgg, StateInput, SumAgg,
 };
-pub use join::{JoinAgg, TAG_BUILD, TAG_PROBE};
 pub use freq_hash::FreqHashGrouper;
 pub use hybrid_hash::HybridHashGrouper;
 pub use inc_hash::{CountThreshold, EarlyEmit, IncHashGrouper, PeriodicCount};
+pub use join::{JoinAgg, TAG_BUILD, TAG_PROBE};
 pub use merge::MultiPassMerger;
 pub use sink::{EmitKind, OpStats, Sink, VecSink};
 pub use sortmerge::SortMergeGrouper;

@@ -628,8 +628,7 @@ mod tests {
 
     #[test]
     fn partition_pairs_routes_stably() {
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> =
-            (0..10u8).map(|i| (vec![i], vec![i, i])).collect();
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..10u8).map(|i| (vec![i], vec![i, i])).collect();
         let parts = partition_pairs(
             pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
             3,

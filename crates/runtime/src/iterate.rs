@@ -164,7 +164,10 @@ mod tests {
                     let state = ctx.cache.get("state").unwrap().unwrap();
                     let v: u64 = state
                         .iter()
-                        .flat_map(|p| p.iter().map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap())))
+                        .flat_map(|p| {
+                            p.iter()
+                                .map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap()))
+                        })
                         .sum();
                     Ok(v >= 40) // 5 -> 10 -> 20 -> 40: stops after round 3
                 })
@@ -173,7 +176,10 @@ mod tests {
             let state = cache.get("state").unwrap().unwrap();
             let total: u64 = state
                 .iter()
-                .flat_map(|p| p.iter().map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap())))
+                .flat_map(|p| {
+                    p.iter()
+                        .map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap()))
+                })
                 .sum();
             assert_eq!(total, 40, "{mode:?}");
             assert!(cache.stats().hits > 0, "{mode:?}");

@@ -4,12 +4,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use onepass_core::bytes_kv::{KvBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
 use onepass_core::hashlib::ByteMap;
-use onepass_core::io::SpillStore;
+use onepass_core::io::{RunWriter, SpillStore};
 use onepass_core::metrics::{Phase, Profile};
 use onepass_core::trace::LocalTracer;
 
@@ -167,6 +168,43 @@ fn check_fault(ctx: &MapAttemptCtx, task_id: usize, record_idx: usize) -> Result
     }
 }
 
+/// The one map-output run of an attempt: opened by the first flush that
+/// has something to persist, appended to by every flush, sealed and
+/// deleted before the attempt announces `MapDone` — "a mapper completes
+/// after its output has been persisted" (§II-A). Dropped unsealed (a
+/// failed, cancelled or panicking attempt) it still deletes its run, so
+/// no attempt leaves a live run in the map store.
+struct MapRun<'a> {
+    store: &'a Arc<dyn SpillStore>,
+    writer: Option<Box<dyn RunWriter>>,
+}
+
+impl MapRun<'_> {
+    fn writer(&mut self) -> Result<&mut dyn RunWriter> {
+        let writer = match &mut self.writer {
+            Some(w) => w,
+            slot => slot.insert(self.store.begin_run()?),
+        };
+        Ok(writer.as_mut())
+    }
+
+    /// Flush the run to the store, then drop it: reducers get the data
+    /// over the channel, as Hadoop reducers usually get it from the
+    /// mapper's memory (§II-A).
+    fn seal(&mut self) -> Result<()> {
+        match self.writer.take() {
+            Some(w) => self.store.delete_run(w.finish()?.id),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Drop for MapRun<'_> {
+    fn drop(&mut self) {
+        let _ = self.seal();
+    }
+}
+
 /// Execute one map task over `split`, sending segments through `tx`.
 ///
 /// * `SortSpill` — sort the buffer on `(partition, key)` (the Table II
@@ -228,11 +266,34 @@ pub(crate) fn run_map_task_with(
         ShuffleMode::Pull => None,
     };
     let mut since_flush = 0usize;
+    let mut map_run = map_store.map(|store| MapRun {
+        store,
+        writer: None,
+    });
 
     // The aligned short-circuit only applies on the routed (non-
     // deferred) path; the in-node fold routes from its own fingerprints
     // either way, which agrees with the partitioner by construction.
     let fixed = if defer { None } else { split.aligned };
+
+    // The clock is read at flush boundaries only, never per record:
+    // `Phase::MapFn` is the stretch since the previous flush ended.
+    let mut map_fn_since = Instant::now();
+    macro_rules! flush {
+        () => {{
+            stats.profile.add_time(Phase::MapFn, map_fn_since.elapsed());
+            flush_buffer(
+                job,
+                task_id,
+                ctx.attempt,
+                buf,
+                tx,
+                map_run.as_mut(),
+                &mut stats,
+                trace,
+            )?;
+        }};
+    }
 
     // Raw records and cached pairs share one flush/fault/stat protocol;
     // cached pairs continue the record index so fault schedules hit the
@@ -243,7 +304,6 @@ pub(crate) fn run_map_task_with(
                 return Err(Error::Cancelled);
             }
             check_fault(ctx, task_id, $record_idx)?;
-            let map_start = std::time::Instant::now();
             let mut emitter = BufEmitter {
                 buf,
                 partitioner: (!defer).then(|| job.partitioner.as_ref()),
@@ -256,7 +316,6 @@ pub(crate) fn run_map_task_with(
             let emitted = emitter.emitted;
             stats.output_records += emitted;
             since_flush += emitted as usize;
-            stats.profile.add_time(Phase::MapFn, map_start.elapsed());
 
             // Deferred mode buffers the whole attempt: granularity and
             // buffer-bytes checkpoints don't apply (the arena is bounded
@@ -266,16 +325,8 @@ pub(crate) fn run_map_task_with(
                 let buffer_full = buf.arena_bytes() >= job.map_buffer_bytes;
                 let push_due = push_granularity.is_some_and(|g| since_flush >= g);
                 if buffer_full || push_due {
-                    flush_buffer(
-                        job,
-                        task_id,
-                        ctx.attempt,
-                        buf,
-                        tx,
-                        map_store,
-                        &mut stats,
-                        trace,
-                    )?;
+                    flush!();
+                    map_fn_since = Instant::now();
                     since_flush = 0;
                 }
             }
@@ -299,17 +350,14 @@ pub(crate) fn run_map_task_with(
     if ctx.cancelled() {
         return Err(Error::Cancelled);
     }
-    if !defer {
-        flush_buffer(
-            job,
-            task_id,
-            ctx.attempt,
-            buf,
-            tx,
-            map_store,
-            &mut stats,
-            trace,
-        )?;
+    if defer {
+        stats.profile.add_time(Phase::MapFn, map_fn_since.elapsed());
+    } else {
+        flush!();
+        if let Some(run) = &mut map_run {
+            let _t = stats.profile.timed(Phase::MapWrite);
+            run.seal()?;
+        }
         tx.map_done(task_id, ctx.attempt);
     }
     Ok(stats)
@@ -323,7 +371,7 @@ fn flush_buffer(
     attempt: usize,
     buf: &mut KvBuf,
     tx: &ShuffleTx,
-    map_store: Option<&Arc<dyn SpillStore>>,
+    map_run: Option<&mut MapRun<'_>>,
     stats: &mut MapTaskStats,
     trace: &mut LocalTracer,
 ) -> Result<()> {
@@ -459,24 +507,16 @@ fn flush_buffer(
     };
     buf.clear();
 
-    // Persist map output for fault tolerance — "a mapper completes after
-    // its output has been persisted" (§II-A). The write is synchronous and
-    // attributed to MapWrite; data is dropped immediately after (reducers
-    // get it via the channel, as Hadoop reducers usually get it from the
-    // mapper's memory, §II-A). Each segment goes down as one batched
-    // framed write.
-    if let Some(store) = map_store {
-        let write_start = std::time::Instant::now();
+    // Persist map output for fault tolerance. The write is synchronous
+    // and attributed to MapWrite: each segment goes down as one batched
+    // framed write, appended to the attempt's single run.
+    if let Some(run) = map_run {
+        let _t = stats.profile.timed(Phase::MapWrite);
         trace.begin(Phase::MapWrite.label(), "phase");
-        let mut w = store.begin_run()?;
+        let w = run.writer()?;
         for seg in &segments {
             w.write_segment(&seg.records)?;
         }
-        let meta = w.finish()?;
-        store.delete_run(meta.id)?;
-        stats
-            .profile
-            .add_time(Phase::MapWrite, write_start.elapsed());
         trace.end(Phase::MapWrite.label(), "phase");
     }
 
@@ -664,6 +704,124 @@ mod tests {
             "map output must be persisted"
         );
         assert!(stats.profile.time(Phase::MapWrite) > std::time::Duration::ZERO);
+    }
+
+    /// 100 three-word records under `Push { granularity: 2 }`: a flush
+    /// after every record.
+    fn push_job(map_fn: Arc<dyn crate::job::MapFn>) -> (JobSpec, Split) {
+        let job = JobSpec::builder("t")
+            .map_fn(map_fn)
+            .aggregate(Arc::new(SumAgg))
+            .reducers(2)
+            .map_side(MapSideMode::HashPartitionOnly)
+            .shuffle(ShuffleMode::Push { granularity: 2 })
+            .build()
+            .unwrap();
+        let split = Split::new(
+            (0..100u32)
+                .map(|i| format!("w{} x{} y", i % 7, i % 3).into_bytes())
+                .collect(),
+        );
+        (job, split)
+    }
+
+    #[test]
+    fn one_map_output_run_per_attempt_whatever_the_flush_count() {
+        let (job, split) = push_job(Arc::new(word_map));
+        let mem = onepass_core::io::SharedMemStore::new();
+        let store: Arc<dyn SpillStore> = Arc::new(mem.clone());
+        let (tx, rxs) = shuffle_fabric(2, 1024);
+        let wall = Instant::now();
+        let stats = run_map_task(
+            &job,
+            0,
+            &split,
+            &tx,
+            Some(&store),
+            &mut LocalTracer::disabled(),
+            &MapAttemptCtx::first(),
+        )
+        .unwrap();
+        let wall = wall.elapsed();
+        assert!(stats.flushes >= 100, "granularity 2 flushes per record");
+        let io = store.stats();
+        assert_eq!((io.runs_created, io.runs_deleted), (1, 1));
+        assert_eq!(mem.live_runs(), 0, "the run is dropped once sealed");
+        // Same bytes as a run per flush: every shuffled record, framed.
+        let (segs, _) = drain_segments(rxs);
+        let framed: u64 = segs
+            .iter()
+            .flat_map(|s| s.records.iter())
+            .map(|(k, v)| onepass_core::io::encoded_len(k, v))
+            .sum();
+        assert_eq!(stats.shuffled_records, 300);
+        assert_eq!(io.bytes_written, framed);
+        // The map function's time is still reported, from flush-boundary
+        // clock reads alone.
+        let map_fn = stats.profile.time(Phase::MapFn);
+        assert!(map_fn > std::time::Duration::ZERO && map_fn <= wall);
+        assert!(stats.profile.time(Phase::MapWrite) <= wall - map_fn);
+    }
+
+    #[test]
+    fn failed_or_cancelled_attempt_leaves_no_live_run() {
+        // Both attempts stop at record 50, after 50 flushes into their
+        // run: one by an injected fault, one cancelled from inside its
+        // own map function (no race with the driver).
+        let cancel = Arc::new(AtomicBool::new(false));
+        let failing = MapAttemptCtx {
+            attempt: 0,
+            injector: onepass_core::fault::FaultPlan::new()
+                .fail_map(0, 0, 50)
+                .into_injector(),
+            cancel: None,
+        };
+        let cancelled = MapAttemptCtx {
+            attempt: 1,
+            injector: FaultInjector::none(),
+            cancel: Some(Arc::clone(&cancel)),
+        };
+        let seen = std::sync::atomic::AtomicUsize::new(0);
+        let cancelling_map = move |record: &[u8], out: &mut dyn MapEmitter| {
+            if seen.fetch_add(1, Ordering::Relaxed) == 50 {
+                cancel.store(true, Ordering::Relaxed);
+            }
+            word_map(record, out);
+        };
+        let cases: [(_, Arc<dyn crate::job::MapFn>, _); 2] = [
+            (failing, Arc::new(word_map), false),
+            (cancelled, Arc::new(cancelling_map), true),
+        ];
+        for (ctx, map_fn, want_cancelled) in cases {
+            let (job, split) = push_job(map_fn);
+            // A file store: an unsealed run there is a file left behind.
+            let dir = std::env::temp_dir().join(format!(
+                "onepass-map-run-{}-{want_cancelled}",
+                std::process::id()
+            ));
+            let store: Arc<dyn SpillStore> =
+                Arc::new(onepass_core::io::FileSpillStore::new(&dir).unwrap());
+            let (tx, _rxs) = shuffle_fabric(2, 1024);
+            let err = run_map_task(
+                &job,
+                0,
+                &split,
+                &tx,
+                Some(&store),
+                &mut LocalTracer::disabled(),
+                &ctx,
+            )
+            .unwrap_err();
+            assert_eq!(matches!(err, Error::Cancelled), want_cancelled, "{err}");
+            let io = store.stats();
+            assert_eq!((io.runs_created, io.runs_deleted), (1, 1));
+            assert_eq!(
+                std::fs::read_dir(&dir).unwrap().count(),
+                0,
+                "no run file outlives the attempt"
+            );
+            std::fs::remove_dir(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! if needed.
 //!
 //! Plans also have **cache edges** against a job-wide
-//! [`DatasetCache`](crate::cache::DatasetCache):
+//! [`DatasetCache`]:
 //! [`PlanBuilder::cache_output`] captures a stage's finals as a named,
 //! partition-stable dataset, and [`PlanBuilder::cached_input`] feeds a
 //! cached dataset into a stage as zero-copy map splits (no re-scan, no
@@ -232,8 +232,7 @@ impl PlanBuilder {
     /// handed to `pairs` (see [`PairMap`]). The job's own `map_fn` is
     /// ignored.
     pub fn add_pair_stage(&mut self, job: JobSpec, pairs: Arc<dyn PairMap>) -> StageId {
-        self.stages
-            .push(Stage::new(job, StageInput::Pairs(pairs)));
+        self.stages.push(Stage::new(job, StageInput::Pairs(pairs)));
         StageId(self.stages.len() - 1)
     }
 
@@ -244,7 +243,7 @@ impl PlanBuilder {
     }
 
     /// Capture `stage`'s finals into the run's
-    /// [`DatasetCache`](crate::cache::DatasetCache) under `name`,
+    /// [`DatasetCache`] under `name`,
     /// partitioned by the stage's own partitioner over its reducer
     /// count — so a successor round consuming the dataset with the same
     /// partitioner and reducer count gets partition-stable placement.
@@ -256,7 +255,7 @@ impl PlanBuilder {
 
     /// Feed the cached dataset `name` into `stage` as zero-copy map
     /// splits (each partition one split of framed pairs, mapped through
-    /// [`MapFn::map_pair`](crate::job::MapFn::map_pair) — no re-scan,
+    /// [`MapFn::map_pair`] — no re-scan,
     /// no input decode). Requires running the plan through
     /// [`Engine::run_plan_with_cache`].
     pub fn cached_input(&mut self, stage: StageId, name: &str) -> &mut Self {
@@ -362,9 +361,8 @@ impl Plan {
     /// shape (e.g. a hybrid-hash join probing records against a cached
     /// build side).
     fn record_source(&self) -> Option<usize> {
-        let pure = (0..self.stages.len()).find(|&s| {
-            self.incoming[s].is_empty() && self.stages[s].cached_inputs.is_empty()
-        });
+        let pure = (0..self.stages.len())
+            .find(|&s| self.incoming[s].is_empty() && self.stages[s].cached_inputs.is_empty());
         pure.or_else(|| {
             let mut roots = (0..self.stages.len()).filter(|&s| self.incoming[s].is_empty());
             match (roots.next(), roots.next()) {

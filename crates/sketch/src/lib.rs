@@ -7,12 +7,12 @@
 //! keys in memory". This crate provides three interchangeable such
 //! algorithms behind the [`FrequentItems`] trait:
 //!
-//! * [`SpaceSaving`] (Metwally et al.) — the usual choice and the default
-//!   in `onepass-groupby`'s frequent hash: with `k` counters, every key
+//! * [`SpaceSaving`] (Metwally et al.) — with `k` counters, every key
 //!   with true frequency above `N/k` is guaranteed to be tracked, and each
 //!   estimate carries an explicit over-count bound.
 //! * [`MisraGries`] — deterministic under-counting summary with the
-//!   classic `N/(k+1)` error bound.
+//!   classic `N/(k+1)` error bound; the one `onepass-groupby`'s frequent
+//!   hash uses (cheapest update, and its counts are guaranteed).
 //! * [`LossyCounting`] (Manku & Motwani) — ε-deficient counts with
 //!   windowed pruning.
 //!
@@ -58,6 +58,12 @@ pub trait FrequentItems: Send {
 
     /// Estimated count for `key`, if currently tracked.
     fn estimate(&self, key: &[u8]) -> Option<HeavyHitter>;
+
+    /// Occurrences of `key` the summary *guarantees* it has seen
+    /// (`count − error`), 0 when untracked. Unlike
+    /// [`FrequentItems::estimate`] it copies no key, so it can sit on a
+    /// per-record path.
+    fn lower_bound(&self, key: &[u8]) -> u64;
 
     /// Is `key` currently tracked?
     fn contains(&self, key: &[u8]) -> bool {
@@ -124,6 +130,9 @@ mod trait_tests {
         assert!(sk.contains(b"hot"));
         let hot = sk.estimate(b"hot").unwrap();
         assert!(hot.count >= 60 - 30, "hot estimate {} too low", hot.count);
+        assert_eq!(sk.lower_bound(b"hot"), hot.count - hot.error);
+        assert!(sk.lower_bound(b"hot") <= 60, "lower bound above the truth");
+        assert_eq!(sk.lower_bound(b"never offered"), 0);
         let items = sk.items();
         assert_eq!(items[0].key, b"hot".to_vec());
         for w in items.windows(2) {

@@ -72,9 +72,14 @@ impl FrequentItems for MisraGries {
             }
             // Summary full: decrement everything by the smallest live
             // count or by n, whichever is less — a batched version of the
-            // classic one-at-a-time decrement with identical outcome.
-            let min = self.counters.values().copied().min().unwrap_or(0).max(1);
-            let step = min.min(n);
+            // classic one-at-a-time decrement with identical outcome. A
+            // single occurrence always steps by 1: no scan for the minimum.
+            let step = if n == 1 {
+                1
+            } else {
+                let min = self.counters.values().copied().min().unwrap_or(0).max(1);
+                min.min(n)
+            };
             self.decrement_all(step);
             n -= step;
             if n > 0 && self.counters.len() < self.capacity {
@@ -90,6 +95,10 @@ impl FrequentItems for MisraGries {
             count: c,
             error: 0, // lower-bound estimate: no over-count by construction
         })
+    }
+
+    fn lower_bound(&self, key: &[u8]) -> u64 {
+        self.counters.get(key).copied().unwrap_or(0)
     }
 
     fn items(&self) -> Vec<HeavyHitter> {

@@ -267,7 +267,11 @@ mod tests {
     #[test]
     fn streaming_broadcast_join_agrees_with_reference() {
         let users = 25;
-        let job = streaming_job(users).reducers(2).preset_onepass().build().unwrap();
+        let job = streaming_job(users)
+            .reducers(2)
+            .preset_onepass()
+            .build()
+            .unwrap();
         let mut gen = ClickGen::new(ClickGenConfig {
             users: 40,
             urls: 10,
@@ -290,7 +294,11 @@ mod tests {
                 let len = u32::from_le_bytes(value[i..i + 4].try_into().unwrap()) as usize;
                 let row = &value[i + 4..i + 4 + len];
                 let (cc, url) = row.split_at(len - 4);
-                got.push((uid, cc.to_vec(), u32::from_le_bytes(url.try_into().unwrap())));
+                got.push((
+                    uid,
+                    cc.to_vec(),
+                    u32::from_le_bytes(url.try_into().unwrap()),
+                ));
                 i += 4 + len;
             }
         }

@@ -8,7 +8,7 @@
 //! Coordinates are `i64` fixed-point; distances accumulate in `i128`;
 //! new centroids are truncating integer means and assignment ties break
 //! toward the lowest centroid id — all byte-deterministic, matching
-//! [`reference`] exactly. A centroid that attracts no points is
+//! [`reference()`] exactly. A centroid that attracts no points is
 //! dropped (its id simply stops appearing), exactly as in the
 //! reference.
 //!
@@ -170,7 +170,10 @@ impl Aggregator for MeanAgg {
         let n = u64::from_le_bytes(state[..8].try_into().unwrap())
             + u64::from_le_bytes(value[..8].try_into().unwrap());
         state[..8].copy_from_slice(&n.to_le_bytes());
-        for (s, v) in state[8..].chunks_exact_mut(8).zip(value[8..].chunks_exact(8)) {
+        for (s, v) in state[8..]
+            .chunks_exact_mut(8)
+            .zip(value[8..].chunks_exact(8))
+        {
             let sum = i64::from_le_bytes(s.try_into().unwrap())
                 + i64::from_le_bytes(v.try_into().unwrap());
             s.copy_from_slice(&sum.to_le_bytes());

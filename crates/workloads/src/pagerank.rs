@@ -17,7 +17,7 @@
 //! All arithmetic is fixed-point `u64` at [`SCALE`] with damping
 //! 85/100, so results are byte-identical regardless of execution mode,
 //! reduction order, or cached-vs-uncached path — the property
-//! `exp_iterative` asserts against [`reference`].
+//! `exp_iterative` asserts against [`reference()`].
 //!
 //! Graph encoding (text records): `"<src>\t<dst>,<dst>,..."`, one line
 //! per node; every node has at least one out-edge. Cached state per
@@ -377,7 +377,7 @@ fn converged(prev: &HashMap<u32, u64>, cur: &Ranks, eps: Option<u64>) -> bool {
         None => false,
         Some(eps) => cur
             .iter()
-            .all(|&(n, r)| prev.get(&n).map_or(false, |&p| r.abs_diff(p) <= eps)),
+            .all(|&(n, r)| prev.get(&n).is_some_and(|&p| r.abs_diff(p) <= eps)),
     }
 }
 
@@ -399,7 +399,7 @@ fn merge_new_ranks(cache: &DatasetCache, nodes: usize) -> Result<u64> {
         let mut ni = np.iter().peekable();
         let mut nv = Vec::new();
         for (k, v) in sp.iter() {
-            while ni.peek().map_or(false, |&(nk, _)| nk < k) {
+            while ni.peek().is_some_and(|&(nk, _)| nk < k) {
                 ni.next(); // rank for a node outside the state: drop
             }
             nv.clear();
@@ -456,7 +456,7 @@ pub fn run_cached(
             return Ok(false); // parse round: state already in place
         }
         let delta = merge_new_ranks(ctx.cache, nodes)?;
-        Ok(eps.map_or(false, |eps| delta <= eps))
+        Ok(eps.is_some_and(|eps| delta <= eps))
     })?;
     let parts = cache.get(RANKS_DATASET)?.expect("ranks cached");
     let ranks = ranks_of(

@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::hashlib::fingerprint;
+use crate::io::{record_header, record_lens};
 
 /// One logical record inside a [`KvBuf`]: which reducer partition it
 /// belongs to plus the location of its key/value bytes in the arena.
@@ -278,6 +279,11 @@ pub struct SegmentBuf {
     arena: Arc<Vec<u8>>,
     entries: Arc<Vec<SegEntry>>,
     payload: usize,
+    /// `Some(start)` when `arena[start..]` is exactly this segment's
+    /// framed encoding, records in entry order: set by
+    /// [`SegmentBuf::from_framed`] alone, so [`SegmentBuf::append_framed`]
+    /// can copy those bytes instead of re-framing each record.
+    framed_from: Option<u32>,
 }
 
 impl SegmentBuf {
@@ -290,6 +296,7 @@ impl SegmentBuf {
             arena,
             entries: Arc::new(entries),
             payload,
+            framed_from: None,
         }
     }
 
@@ -308,20 +315,27 @@ impl SegmentBuf {
     /// `[u32 klen][u32 vlen][key][value]`, little-endian — starting at
     /// byte `start` of `data`, **sharing `data` as the arena**. Entries
     /// point directly into the framed bytes (payload offsets skip each
-    /// 8-byte header), so no payload is copied.
+    /// 8-byte header), so no payload is copied. `data` is foreign bytes (a
+    /// spill run, a wire frame): a `start` past its end, or a header whose
+    /// lengths overrun it, is `Error::Corrupt`.
     pub fn from_framed(data: Arc<Vec<u8>>, start: usize) -> Result<Self> {
         let n = data.len();
+        // Entries (and `framed_from`) hold `u32` offsets into the arena.
+        if start > n || u32::try_from(n).is_err() {
+            return Err(Error::Corrupt(format!(
+                "framed records at {start} of a {n}-byte buffer"
+            )));
+        }
         let mut entries = Vec::new();
         let mut payload = 0usize;
         let mut pos = start;
         while pos < n {
-            if n - pos < 8 {
+            let Some((header, rest)) = data[pos..].split_first_chunk::<8>() else {
                 return Err(Error::Corrupt("truncated record header".into()));
-            }
-            let klen = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            let vlen = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap()) as usize;
+            };
+            let (klen, vlen) = record_lens(header);
             let body = pos + 8;
-            if n - body < klen + vlen {
+            if rest.len() < klen + vlen {
                 return Err(Error::Corrupt("truncated record payload".into()));
             }
             entries.push(SegEntry {
@@ -336,7 +350,38 @@ impl SegmentBuf {
             arena: data,
             entries: Arc::new(entries),
             payload,
+            framed_from: Some(start as u32),
         })
+    }
+
+    /// Bytes [`SegmentBuf::append_framed`] appends: an 8-byte header per
+    /// record plus the payload.
+    pub fn framed_len(&self) -> usize {
+        self.payload + 8 * self.len()
+    }
+
+    /// This segment's framed encoding where the arena already holds it:
+    /// the bytes [`SegmentBuf::from_framed`] read the segment from.
+    pub fn framed_bytes(&self) -> Option<&[u8]> {
+        self.framed_from.map(|start| &self.arena[start as usize..])
+    }
+
+    /// Append this segment's framed encoding (what
+    /// [`SegmentBuf::from_framed`] reads back) to `out`. A segment that
+    /// was itself read from framed bytes appends them as they are — a
+    /// forwarded or replayed wire segment is never re-framed; any other
+    /// frames its records one by one.
+    pub fn append_framed(&self, out: &mut Vec<u8>) {
+        if let Some(framed) = self.framed_bytes() {
+            out.extend_from_slice(framed);
+            return;
+        }
+        out.reserve(self.framed_len());
+        for (k, v) in self.iter() {
+            out.extend_from_slice(&record_header(k, v));
+            out.extend_from_slice(k);
+            out.extend_from_slice(v);
+        }
     }
 
     /// Number of records.
@@ -693,11 +738,43 @@ mod tests {
             data.extend_from_slice(k);
             data.extend_from_slice(v);
         }
-        let seg = SegmentBuf::from_framed(Arc::new(data), 0).unwrap();
+        let seg = SegmentBuf::from_framed(Arc::new(data.clone()), 0).unwrap();
         assert_eq!(seg.len(), 2);
         assert_eq!(seg.get(0), (b"ka".as_slice(), b"v1".as_slice()));
         assert_eq!(seg.get(1), (b"key2".as_slice(), b"".as_slice()));
         assert_eq!(seg.payload_bytes(), 2 + 2 + 4);
+
+        // Read from framed bytes, the segment re-frames as those bytes
+        // (from wherever it started); built any other way, record by record.
+        let data = Arc::new(data);
+        assert_eq!(seg.framed_bytes(), Some(&data[..]));
+        let tail = SegmentBuf::from_framed(Arc::clone(&data), 12).unwrap();
+        assert_eq!(tail.get(0), seg.get(1));
+        assert_eq!(tail.framed_bytes(), Some(&data[12..]));
+        let rebuilt = SegmentBuf::from_pairs(seg.iter());
+        assert_eq!(rebuilt.framed_bytes(), None);
+        assert_eq!(seg.sorted_by_key().framed_bytes(), None);
+        for s in [&seg, &rebuilt] {
+            let mut out = vec![0xaa];
+            s.append_framed(&mut out);
+            assert_eq!(out[1..], data[..]);
+            assert_eq!(s.framed_len(), data.len());
+        }
+        // The end of the buffer is an empty segment; past it is corrupt,
+        // not an empty segment whose framed bytes cannot be sliced.
+        let end = SegmentBuf::from_framed(Arc::clone(&data), data.len()).unwrap();
+        assert!(end.is_empty() && end.framed_bytes() == Some(&[][..]));
+        assert!(matches!(
+            SegmentBuf::from_framed(Arc::clone(&data), data.len() + 1),
+            Err(Error::Corrupt(_))
+        ));
+        // A header claiming more than the buffer holds (here 4 GiB - 1).
+        let mut lying = data.to_vec();
+        lying[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            SegmentBuf::from_framed(Arc::new(lying), 0),
+            Err(Error::Corrupt(_))
+        ));
 
         // Truncation surfaces as Corrupt.
         let bad = vec![3u8, 0, 0];

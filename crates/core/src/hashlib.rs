@@ -130,11 +130,16 @@ impl SeededFamily {
 /// Seed used by [`SeededFamily::default`].
 pub const DEFAULT_FAMILY_SEED: u64 = 0x0e70_37ed_1a0b_428d;
 
-/// A `std::hash` adapter over [`mix64`]: a fast, non-cryptographic hasher
-/// for the engine's internal byte-key hash tables (the per-key state maps
-/// of the incremental hash paths). Not DoS-hardened — these tables hold
-/// engine-internal intermediate keys, not attacker-controlled map keys of
-/// a long-lived service.
+/// A `std::hash` adapter over [`fingerprint`]: a fast, non-cryptographic
+/// hasher for the engine's internal byte-key hash tables (the per-key
+/// state maps of the incremental hash paths). Not DoS-hardened — these
+/// tables hold engine-internal intermediate keys, not attacker-controlled
+/// map keys of a long-lived service.
+///
+/// A byte-string key hashes as `write_usize(len)` then `write(bytes)`.
+/// [`fingerprint`] already folds the length in and ends in a full
+/// [`mix64`], so the length prefix is dropped and the hash *is* the
+/// fingerprint: two mixes for a key of up to eight bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastHasher {
     state: u64,
@@ -143,23 +148,16 @@ pub struct FastHasher {
 impl std::hash::Hasher for FastHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        mix64(self.state)
+        self.state
     }
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        self.state = mix64(self.state ^ fingerprint(bytes));
+        self.state = fingerprint(bytes);
     }
 
     #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.state = mix64(self.state ^ i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.write_u64(i as u64);
-    }
+    fn write_usize(&mut self, _len: usize) {}
 }
 
 /// `BuildHasher` for [`FastHasher`].
@@ -339,5 +337,16 @@ mod tests {
         *m.entry(b"alpha".to_vec()).or_insert(0) += 10;
         assert_eq!(m[b"alpha".as_slice()], 11);
         assert_eq!(m.len(), 2);
+    }
+
+    /// A `ByteMap` probe costs one `fingerprint`: no length prefix mixed
+    /// in before it, no re-mix after.
+    #[test]
+    fn byte_map_hash_is_the_fingerprint() {
+        use std::hash::BuildHasher;
+        for key in [&b""[..], b"\0", b"user", b"a key longer than one word"] {
+            assert_eq!(FastBuildHasher.hash_one(key.to_vec()), fingerprint(key));
+            assert_eq!(FastBuildHasher.hash_one(key), fingerprint(key));
+        }
     }
 }

@@ -193,13 +193,13 @@ pub fn encoded_len(key: &[u8], value: &[u8]) -> u64 {
 /// The 8-byte record header `[u32 klen][u32 vlen]`, little-endian: one
 /// little-endian `u64` with `klen` in the low half.
 #[inline]
-fn record_header(key: &[u8], value: &[u8]) -> [u8; 8] {
+pub(crate) fn record_header(key: &[u8], value: &[u8]) -> [u8; 8] {
     (u64::from(key.len() as u32) | u64::from(value.len() as u32) << 32).to_le_bytes()
 }
 
 /// `(klen, vlen)` out of a record header.
 #[inline]
-fn record_lens(header: &[u8; 8]) -> (usize, usize) {
+pub(crate) fn record_lens(header: &[u8; 8]) -> (usize, usize) {
     let h = u64::from_le_bytes(*header);
     ((h & 0xffff_ffff) as usize, (h >> 32) as usize)
 }
@@ -310,14 +310,7 @@ impl RunWriter for MemWriter {
     }
 
     fn write_segment(&mut self, seg: &SegmentBuf) -> Result<()> {
-        // One reservation for the whole batch; the per-record extends
-        // below can never reallocate.
-        self.buf.reserve(seg.payload_bytes() + 8 * seg.len());
-        for (k, v) in seg.iter() {
-            self.buf.extend_from_slice(&record_header(k, v));
-            self.buf.extend_from_slice(k);
-            self.buf.extend_from_slice(v);
-        }
+        seg.append_framed(&mut self.buf);
         self.records += seg.len() as u64;
         Ok(())
     }
@@ -496,17 +489,11 @@ impl RunWriter for FileWriter {
     fn write_segment(&mut self, seg: &SegmentBuf) -> Result<()> {
         // Encode the batch into one contiguous buffer and hand it to the
         // writer in a single write, instead of 4 small writes per record.
-        let encoded = seg.payload_bytes() + 8 * seg.len();
         self.scratch.clear();
-        self.scratch.reserve(encoded);
-        for (k, v) in seg.iter() {
-            self.scratch.extend_from_slice(&record_header(k, v));
-            self.scratch.extend_from_slice(k);
-            self.scratch.extend_from_slice(v);
-        }
+        seg.append_framed(&mut self.scratch);
         self.out.write_all(&self.scratch)?;
         self.records += seg.len() as u64;
-        self.bytes += encoded as u64;
+        self.bytes += self.scratch.len() as u64;
         Ok(())
     }
 

@@ -12,11 +12,21 @@
 /// Encode a `(key, value)` pair as an edge record:
 /// `[u32 klen][key][value]`.
 pub fn encode_pair(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(4 + key.len() + value.len());
-    rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    rec.extend_from_slice(key);
-    rec.extend_from_slice(value);
+    let mut rec = Vec::with_capacity(pair_len(key, value));
+    append_pair(&mut rec, key, value);
     rec
+}
+
+/// Bytes [`append_pair`] appends for this pair.
+pub(crate) fn pair_len(key: &[u8], value: &[u8]) -> usize {
+    4 + key.len() + value.len()
+}
+
+/// [`encode_pair`] onto the end of `out`.
+pub(crate) fn append_pair(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
 }
 
 /// Decode an edge record back into `(key, value)`.

@@ -17,16 +17,107 @@ use onepass_core::trace::LocalTracer;
 use crate::job::{JobSpec, MapEmitter, MapSideMode, ShuffleMode};
 use crate::shuffle::{Segment, ShuffleTx};
 
+/// Raw input records packed end to end in one buffer, each behind a
+/// `u32` little-endian length — how a split arrives off the wire: the
+/// frame body is the arena and a record is a slice of it, never a `Vec`
+/// of its own.
+#[derive(Debug, Clone, Default)]
+pub struct PackedRecords {
+    arena: Vec<u8>,
+    /// Offset of the first length prefix in `arena`.
+    start: usize,
+    count: usize,
+    /// Record bytes, length prefixes excluded.
+    bytes: u64,
+}
+
+impl PackedRecords {
+    /// Take `arena[start..]` as exactly `count` length-prefixed records.
+    /// The bytes are foreign: a `start`, count or length that does not
+    /// fit the buffer is `Error::Corrupt`, found by walking the prefixes —
+    /// nothing is sized from `count`.
+    pub fn from_len_prefixed(arena: Vec<u8>, start: usize, count: u64) -> Result<Self> {
+        let corrupt = |what: &str| Error::Corrupt(format!("packed records: {what}"));
+        let mut rest = arena
+            .get(start..)
+            .ok_or_else(|| corrupt("start past the end"))?;
+        let mut bytes = 0u64;
+        for _ in 0..count {
+            let (len, tail) = rest
+                .split_first_chunk::<4>()
+                .ok_or_else(|| corrupt("record count exceeds the block"))?;
+            let len = u32::from_le_bytes(*len) as usize;
+            rest = tail
+                .get(len..)
+                .ok_or_else(|| corrupt("record length exceeds the block"))?;
+            bytes += len as u64;
+        }
+        if !rest.is_empty() {
+            return Err(corrupt("bytes after the last record"));
+        }
+        Ok(PackedRecords {
+            arena,
+            start,
+            count: count as usize,
+            bytes,
+        })
+    }
+
+    /// Pack `records` the way a `NewSplit` frame carries them.
+    #[cfg(test)]
+    pub(crate) fn pack(records: &[&[u8]]) -> Self {
+        let mut arena = Vec::new();
+        for r in records {
+            arena.extend_from_slice(&(r.len() as u32).to_le_bytes());
+            arena.extend_from_slice(r);
+        }
+        Self::from_len_prefixed(arena, 0, records.len() as u64).expect("well-formed block")
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True when the block holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Total record bytes (length prefixes excluded).
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The records, in order, as slices of the arena.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut rest = &self.arena[self.start..];
+        (0..self.count).map(move |_| {
+            // `from_len_prefixed` walked these same prefixes.
+            let (len, tail) = rest
+                .split_first_chunk::<4>()
+                .expect("prefix validated at construction");
+            let (record, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            rest = tail;
+            record
+        })
+    }
+}
+
 /// One unit of input: a block of records, the granularity of a map task
-/// (Hadoop's 64 MB HDFS block, §II-A).
+/// (Hadoop's 64 MB HDFS block, §II-A). The three representations are
+/// mapped in field order — `records`, `packed`, `pairs` — under one
+/// contiguous record index.
 #[derive(Debug, Clone, Default)]
 pub struct Split {
     /// The input records (e.g. click-log lines or documents).
     pub records: Vec<Vec<u8>>,
+    /// More raw records, packed in one arena: a split received over TCP.
+    pub packed: Option<PackedRecords>,
     /// Already-framed `(key, value)` pairs — a cache-hit split. The
     /// segment is Arc-shared straight out of the
     /// [`DatasetCache`](crate::cache::DatasetCache): no input decode,
-    /// no copy. Pairs are mapped after `records` via
+    /// no copy. Pairs are mapped last, via
     /// [`MapFn::map_pair`](crate::job::MapFn::map_pair).
     pub pairs: Option<onepass_core::SegmentBuf>,
     /// When set, every emission of this split routes to this one
@@ -55,15 +146,18 @@ impl Split {
         }
     }
 
-    /// Total input records (raw + cached pairs).
+    /// Total input records (raw, packed and cached pairs).
     pub fn record_count(&self) -> usize {
-        self.records.len() + self.pairs.as_ref().map_or(0, |p| p.len())
+        self.records.len()
+            + self.packed.as_ref().map_or(0, |p| p.len())
+            + self.pairs.as_ref().map_or(0, |p| p.len())
     }
 
     /// Total payload bytes.
     pub fn bytes(&self) -> u64 {
         let raw: u64 = self.records.iter().map(|r| r.len() as u64).sum();
-        raw + self.pairs.as_ref().map_or(0, |p| p.payload_bytes() as u64)
+        raw + self.packed.as_ref().map_or(0, |p| p.bytes())
+            + self.pairs.as_ref().map_or(0, |p| p.payload_bytes() as u64)
     }
 }
 
@@ -295,9 +389,10 @@ pub(crate) fn run_map_task_with(
         }};
     }
 
-    // Raw records and cached pairs share one flush/fault/stat protocol;
-    // cached pairs continue the record index so fault schedules hit the
-    // same logical positions either way.
+    // Raw records, packed records and cached pairs share one
+    // flush/fault/stat protocol; each continues the record index where
+    // the one before stopped, so fault schedules hit the same logical
+    // positions whichever representation holds a record.
     macro_rules! map_one {
         ($record_idx:expr, $apply:expr) => {{
             if ctx.cancelled() {
@@ -338,8 +433,16 @@ pub(crate) fn run_map_task_with(
             .map_fn
             .map(record, em));
     }
+    let mut base = split.records.len();
+    if let Some(packed) = &split.packed {
+        for (i, record) in packed.iter().enumerate() {
+            map_one!(base + i, |em: &mut BufEmitter<'_>| job
+                .map_fn
+                .map(record, em));
+        }
+        base += packed.len();
+    }
     if let Some(pairs) = &split.pairs {
-        let base = split.records.len();
         for i in 0..pairs.len() {
             let (key, value) = pairs.get(i);
             map_one!(base + i, |em: &mut BufEmitter<'_>| job
@@ -924,6 +1027,96 @@ mod tests {
         assert_eq!(ctx.injector.triggered(), 1);
         let (_segs, dones) = drain_segments(rxs);
         assert_eq!(dones, 0, "failed attempt must not announce MapDone");
+    }
+
+    /// `records`, then `packed`, then `pairs`, under one record index: an
+    /// injected fault at index *k* fires at the same logical record
+    /// whichever representation holds it.
+    #[test]
+    fn three_representations_map_in_order_under_one_record_index() {
+        // Emits each input as `(position seen, input)`, so the shuffled
+        // segment is the order the loop visited them in.
+        let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let job = |seen: &Arc<std::sync::atomic::AtomicUsize>| {
+            let seen = Arc::clone(seen);
+            JobSpec::builder("t")
+                .map_fn(Arc::new(move |record: &[u8], out: &mut dyn MapEmitter| {
+                    let at = seen.fetch_add(1, Ordering::Relaxed) as u64;
+                    out.emit(&at.to_be_bytes(), record);
+                }))
+                .aggregate(Arc::new(SumAgg))
+                .reducers(1)
+                .map_side(MapSideMode::HashPartitionOnly)
+                .build()
+                .unwrap()
+        };
+        // The same six logical records held one way and three ways. (A
+        // pair reaches the default `map_pair` re-encoded as an edge record.)
+        let all_raw = Split::new(
+            [b"r0", b"r1", b"p2", b"p3", b"k4", b"k5"]
+                .map(|w| w.to_vec())
+                .into(),
+        );
+        let mixed = Split {
+            records: vec![b"r0".to_vec(), b"r1".to_vec()],
+            packed: Some(PackedRecords::pack(&[b"p2", b"p3"])),
+            pairs: Some(onepass_core::SegmentBuf::from_pairs([
+                (&b"k"[..], &b"4"[..]),
+                (b"k", b"5"),
+            ])),
+            aligned: None,
+        };
+        assert_eq!(mixed.record_count(), 6);
+        assert_eq!(mixed.bytes(), 12);
+        assert_eq!(mixed.bytes(), all_raw.bytes());
+
+        let visit = |split: &Split, ctx: &MapAttemptCtx| {
+            seen.store(0, Ordering::Relaxed);
+            let (tx, rxs) = shuffle_fabric(1, 64);
+            let result = run_map_task(
+                &job(&seen),
+                0,
+                split,
+                &tx,
+                None,
+                &mut LocalTracer::disabled(),
+                ctx,
+            );
+            let (segs, _) = drain_segments(rxs);
+            let visited: Vec<Vec<u8>> = segs
+                .iter()
+                .flat_map(|s| s.records.iter())
+                .map(|(_, v)| v.to_vec())
+                .collect();
+            (result, visited, seen.load(Ordering::Relaxed))
+        };
+        let (stats, visited, _) = visit(&mixed, &MapAttemptCtx::first());
+        assert_eq!(stats.unwrap().input_records, 6);
+        let edge = |v: &[u8]| crate::codec::encode_pair(b"k", v);
+        let want = [
+            b"r0".to_vec(),
+            b"r1".to_vec(),
+            b"p2".to_vec(),
+            b"p3".to_vec(),
+        ];
+        assert_eq!(visited[..4], want);
+        assert_eq!(visited[4..], [edge(b"4"), edge(b"5")]);
+
+        for k in 0..6u64 {
+            let faulty = || MapAttemptCtx {
+                attempt: 0,
+                injector: onepass_core::fault::FaultPlan::new()
+                    .fail_map(0, 0, k)
+                    .into_injector(),
+                cancel: None,
+            };
+            for split in [&all_raw, &mixed] {
+                let (result, _, mapped) = visit(split, &faulty());
+                let err = result.unwrap_err().to_string();
+                assert!(err.contains(&format!("at record {k}")), "{err}");
+                assert_eq!(mapped as u64, k, "records mapped before the fault");
+            }
+        }
     }
 
     #[test]

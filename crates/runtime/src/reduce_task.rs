@@ -50,7 +50,7 @@ use crate::job::{JobSpec, ReduceBackend};
 use crate::shuffle::{Segment, ShuffleMsg};
 
 /// Result of one reduce task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReduceResult {
     /// The partition this task served.
     pub partition: usize,

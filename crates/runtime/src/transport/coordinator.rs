@@ -33,13 +33,13 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use crossbeam::thread::Scope;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::io::IoStats;
 use onepass_core::obs::{Histogram, MetricsRegistry};
 use onepass_core::trace::{Tracer, Track};
-use onepass_groupby::{EmitKind, OpStats, Sink};
+use onepass_core::SegmentBuf;
+use onepass_groupby::{EmitKind, Sink};
 
 use super::tcp::Conn;
-use super::wire::{Frame, WireMapStats, WireReduceStats};
+use super::wire::Frame;
 use crate::executor::TimedSink;
 use crate::map_task::MapTaskStats;
 use crate::reduce_task::ReduceResult;
@@ -279,21 +279,20 @@ impl<'a> TcpCluster<'a> {
                     partition,
                     sorted,
                     combined,
-                    payload,
+                    records,
                 } => {
-                    if let Ok(records) = super::wire::decode_kv(payload) {
-                        // Into the coordinator fabric: accounting and
-                        // backpressure happen here, exactly as for local
-                        // map workers.
-                        shuffle_tx.send_segment(Segment {
-                            map_task: map_task as usize,
-                            attempt: attempt as usize,
-                            partition: partition as usize,
-                            sorted,
-                            combined,
-                            records,
-                        });
-                    }
+                    // Into the coordinator fabric: accounting and
+                    // backpressure happen here, exactly as for local map
+                    // workers. `records` still points into the frame body
+                    // it arrived in, and is forwarded as those bytes.
+                    shuffle_tx.send_segment(Segment {
+                        map_task: map_task as usize,
+                        attempt: attempt as usize,
+                        partition: partition as usize,
+                        sorted,
+                        combined,
+                        records,
+                    });
                 }
                 Frame::MapDone { map_task, attempt } => {
                     shuffle_tx.map_done(map_task as usize, attempt as usize);
@@ -303,12 +302,7 @@ impl<'a> TcpCluster<'a> {
                     attempt,
                     stats,
                 } => {
-                    self.complete_inflight(
-                        link,
-                        task as usize,
-                        attempt as usize,
-                        Ok(map_stats(&stats)),
-                    );
+                    self.complete_inflight(link, task as usize, attempt as usize, Ok(stats));
                 }
                 Frame::MapFailed {
                     task,
@@ -325,11 +319,9 @@ impl<'a> TcpCluster<'a> {
                 Frame::FinalBatch {
                     partition,
                     kind,
-                    payload,
-                } => self.stage_batch(link, partition as usize, kind, payload),
-                Frame::ReduceDone { partition, stats } => {
-                    self.finish_partition(link, partition as usize, &stats, red_res_tx)
-                }
+                    records,
+                } => self.stage_batch(link, partition as usize, kind, &records),
+                Frame::ReduceDone { result } => self.finish_partition(link, result, red_res_tx),
                 Frame::Pong { nonce } => {
                     let (sent_nonce, sent_at) = *link.ping.lock().unwrap();
                     if sent_nonce == nonce {
@@ -369,16 +361,13 @@ impl<'a> TcpCluster<'a> {
 
     /// Stage a batch of reduce output from `link`, unless the partition
     /// has since been re-homed (stale batches from a dying owner).
-    fn stage_batch(&self, link: &WorkerLink, partition: usize, kind: u8, payload: Vec<u8>) {
+    fn stage_batch(&self, link: &WorkerLink, partition: usize, kind: u8, records: &SegmentBuf) {
         let Some(part) = self.parts.get(partition) else {
             return;
         };
         if part.done.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(records) = super::wire::decode_kv(payload) else {
-            return;
-        };
         let emit_kind = if kind == 0 {
             EmitKind::Early
         } else {
@@ -400,10 +389,10 @@ impl<'a> TcpCluster<'a> {
     fn finish_partition(
         &self,
         link: &WorkerLink,
-        partition: usize,
-        stats: &WireReduceStats,
+        mut result: ReduceResult,
         red_res_tx: &Sender<Result<(ReduceResult, TaskSpan, TimedSink)>>,
     ) {
+        let partition = result.partition;
         let Some(part) = self.parts.get(partition) else {
             return;
         };
@@ -414,26 +403,7 @@ impl<'a> TcpCluster<'a> {
         let Some(sink) = inner.stage.take() else {
             return;
         };
-        let result = ReduceResult {
-            partition,
-            stats: OpStats {
-                records_in: stats.records_in,
-                groups_out: stats.groups_out,
-                early_emits: stats.early_emits,
-                io: IoStats {
-                    bytes_written: stats.bytes_written,
-                    bytes_read: stats.bytes_read,
-                    runs_created: stats.runs_created,
-                    runs_deleted: stats.runs_deleted,
-                },
-                peak_mem: stats.peak_mem as usize,
-                spills: stats.spills,
-                passes: stats.passes,
-                ..OpStats::default()
-            },
-            snapshots_taken: stats.snapshots_taken,
-            attempts: (stats.attempts as usize).max(1),
-        };
+        result.attempts = result.attempts.max(1);
         let span = TaskSpan {
             kind: TaskKind::Reduce,
             id: partition,
@@ -549,7 +519,7 @@ impl<'a> TcpCluster<'a> {
                 .send(&Frame::NewSplit {
                     task: asg.task as u64,
                     attempt: asg.attempt as u64,
-                    records: flatten_split(&asg.split),
+                    split: Arc::clone(&asg.split),
                 })
                 .is_ok();
         if !sent {
@@ -608,10 +578,25 @@ impl<'a> TcpCluster<'a> {
                     ))));
                     continue;
                 };
+                // `verbatim` of the log's `segments` arrived over the wire
+                // and are replayed as the framed bytes they came in as.
+                let segments = inner.log.iter().filter_map(|m| match m {
+                    ShuffleMsg::Segment(seg) => Some(&seg.records),
+                    _ => None,
+                });
+                let verbatim = segments
+                    .clone()
+                    .filter(|r| r.framed_bytes().is_some())
+                    .count();
                 trace.instant(
                     "reduce_replay",
                     "transport",
-                    &[("partition", p as f64), ("to", new_owner as f64)],
+                    &[
+                        ("partition", p as f64),
+                        ("to", new_owner as f64),
+                        ("segments", segments.count() as f64),
+                        ("verbatim", verbatim as f64),
+                    ],
                 );
                 inner.owner = new_owner;
                 // Discard anything the dead owner staged; the replacement
@@ -754,19 +739,9 @@ impl<'a> TcpCluster<'a> {
     }
 }
 
-/// Encode one fabric message as its partition-addressed wire frame.
-/// Wire splits carry raw records only: a cache-hit split's framed pairs
-/// are re-encoded as edge records for the trip (remote workers decode
-/// them through the stage's normal [`MapFn::map`](crate::job::MapFn)
-/// path — correct, just not zero-copy).
-fn flatten_split(split: &crate::map_task::Split) -> Vec<Vec<u8>> {
-    let mut records = split.records.clone();
-    if let Some(pairs) = &split.pairs {
-        records.extend(pairs.iter().map(|(k, v)| crate::codec::encode_pair(k, v)));
-    }
-    records
-}
-
+/// Send one fabric message as its partition-addressed wire frame. A
+/// segment that arrived over the wire (every remote map's output, and so
+/// most of a retained log) goes out as the framed bytes it came in as.
 fn send_shuffle_frame(conn: &Conn, partition: usize, msg: &ShuffleMsg) -> Result<()> {
     match msg {
         ShuffleMsg::Segment(seg) => conn.send(&Frame::Segment {
@@ -775,7 +750,7 @@ fn send_shuffle_frame(conn: &Conn, partition: usize, msg: &ShuffleMsg) -> Result
             partition: partition as u64,
             sorted: seg.sorted,
             combined: seg.combined,
-            payload: super::wire::encode_kv(&seg.records),
+            records: seg.records.clone(),
         }),
         ShuffleMsg::MapDone { map_task, attempt } => conn.send(&Frame::RedMapDone {
             partition: partition as u64,
@@ -789,17 +764,5 @@ fn send_shuffle_frame(conn: &Conn, partition: usize, msg: &ShuffleMsg) -> Result
         ShuffleMsg::Abort => conn.send(&Frame::RedAbort {
             partition: partition as u64,
         }),
-    }
-}
-
-fn map_stats(w: &WireMapStats) -> MapTaskStats {
-    MapTaskStats {
-        input_records: w.input_records,
-        input_bytes: w.input_bytes,
-        output_records: w.output_records,
-        shuffled_records: w.shuffled_records,
-        shuffled_bytes: w.shuffled_bytes,
-        flushes: w.flushes,
-        ..MapTaskStats::default()
     }
 }

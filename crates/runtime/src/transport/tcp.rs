@@ -3,19 +3,20 @@
 //! A [`Conn`] wraps one socket with independently locked read and write
 //! halves, so a reader thread can block in [`Conn::recv`] while other
 //! threads interleave whole frames through [`Conn::send`]. Frames are
-//! `[u32 LE length][body]`; flow control is TCP's own (a slow receiver
-//! backpressures senders through the socket buffer, the distributed
-//! analogue of the in-proc bounded channels).
+//! `[u32 LE length][body]`, encoded once into the buffer that is written
+//! and received once into the buffer that is decoded; flow control is
+//! TCP's own (a slow receiver backpressures senders through the socket
+//! buffer, the distributed analogue of the in-proc bounded channels).
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use onepass_core::error::{Error, Result};
 use onepass_core::obs::Counter;
 
-use super::wire::{read_body, Frame};
+use super::wire::{read_body, Frame, MAX_FRAME};
 use super::SegmentSink;
 use crate::shuffle::{PressureGate, Segment, ShuffleTx};
 
@@ -29,7 +30,13 @@ pub(crate) struct Conn {
     tx_bytes: AtomicU64,
     rx_bytes: AtomicU64,
     /// Live mirrors of tx/rx byte totals, when metrics are enabled.
-    obs: Mutex<Option<(Counter, Counter)>>,
+    obs: OnceLock<(Counter, Counter)>,
+}
+
+/// A panic while one of this connection's locks was held: the stream may
+/// hold half a frame, so the connection is as good as lost.
+fn poisoned<T>(_: std::sync::PoisonError<T>) -> Error {
+    Error::InvalidState("connection lock poisoned by a panicked thread".into())
 }
 
 impl Conn {
@@ -45,7 +52,7 @@ impl Conn {
             raw: stream,
             tx_bytes: AtomicU64::new(0),
             rx_bytes: AtomicU64::new(0),
-            obs: Mutex::new(None),
+            obs: OnceLock::new(),
         })
     }
 
@@ -58,7 +65,8 @@ impl Conn {
 
     /// Mirror per-direction byte totals into live metrics counters.
     pub(crate) fn set_metrics(&self, tx: Counter, rx: Counter) {
-        *self.obs.lock().unwrap() = Some((tx, rx));
+        // Set once, by whoever connected, before the first frame.
+        let _ = self.obs.set((tx, rx));
     }
 
     /// The remote address this connection talks to.
@@ -66,32 +74,40 @@ impl Conn {
         &self.peer
     }
 
-    /// Write one frame (length prefix + body) as a single `write_all`.
+    /// Encode `frame` and write it.
     pub(crate) fn send(&self, frame: &Frame) -> Result<()> {
-        let body = frame.encode();
-        let mut buf = Vec::with_capacity(4 + body.len());
-        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&body);
-        {
-            let mut w = self.writer.lock().unwrap();
-            w.write_all(&buf)?;
+        self.send_encoded(&frame.encode())
+    }
+
+    /// Write one whole encoded frame — length prefix included, as
+    /// [`Frame::encode`] or [`Enc::seal`](super::wire::Enc::seal) built it
+    /// — with a single `write_all` of that buffer.
+    pub(crate) fn send_encoded(&self, buf: &[u8]) -> Result<()> {
+        if buf.len() > 4 + MAX_FRAME {
+            return Err(Error::InvalidState(format!(
+                "{}-byte frame exceeds the {MAX_FRAME}-byte body limit",
+                buf.len()
+            )));
         }
+        self.writer.lock().map_err(poisoned)?.write_all(buf)?;
         self.tx_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        if let Some((tx, _)) = self.obs.lock().unwrap().as_ref() {
+        if let Some((tx, _)) = self.obs.get() {
             tx.inc(buf.len() as u64);
         }
         Ok(())
     }
 
-    /// Block until one whole frame arrives (or the peer hangs up).
+    /// Block until one whole frame arrives (or the peer hangs up). The
+    /// received body is handed to the decoder, which keeps it as the
+    /// arena of any records the frame carries.
     pub(crate) fn recv(&self) -> Result<Frame> {
-        let body = read_body(&mut *self.reader.lock().unwrap())?;
+        let body = read_body(&mut *self.reader.lock().map_err(poisoned)?)?;
         self.rx_bytes
             .fetch_add(4 + body.len() as u64, Ordering::Relaxed);
-        if let Some((_, rx)) = self.obs.lock().unwrap().as_ref() {
+        if let Some((_, rx)) = self.obs.get() {
             rx.inc(4 + body.len() as u64);
         }
-        Frame::decode(&body)
+        Frame::decode(body)
     }
 
     /// Bytes written so far (frames included, length prefixes included).
@@ -143,7 +159,7 @@ impl SegmentSink for TcpSink {
             partition: seg.partition as u64,
             sorted: seg.sorted,
             combined: seg.combined,
-            payload: super::wire::encode_kv(&seg.records),
+            records: seg.records,
         });
     }
 
@@ -184,11 +200,44 @@ mod tests {
         let conn = Conn::connect(&addr).unwrap();
         let sent = Frame::Ping { nonce: 7 };
         conn.send(&sent).unwrap();
-        assert_eq!(conn.recv().unwrap(), sent);
+        assert!(matches!(conn.recv().unwrap(), Frame::Ping { nonce: 7 }));
         assert!(conn.tx_bytes() > 0);
         assert_eq!(conn.tx_bytes(), conn.rx_bytes(), "echo is symmetric");
         conn.shutdown();
         server.join().unwrap();
+    }
+
+    /// The bytes of a `NewSplit` are written once: prefix, 25-byte header
+    /// and each record behind its length, nothing sent twice or padded.
+    #[test]
+    fn new_split_goes_out_as_exactly_its_encoding() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let records: Vec<Vec<u8>> = (0..1000u32)
+            .map(|i| format!("click {i} of a thousand").into_bytes())
+            .collect();
+        let payload: u64 = records.iter().map(|r| 4 + r.len() as u64).sum();
+        let want = records.clone();
+        let server = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            let conn = Conn::new(s, "client".into()).unwrap();
+            let Frame::NewSplit { task, split, .. } = conn.recv().unwrap() else {
+                panic!("not a NewSplit");
+            };
+            assert_eq!(task, 7);
+            let got: Vec<&[u8]> = split.packed.as_ref().unwrap().iter().collect();
+            assert_eq!(got, want);
+            conn.rx_bytes()
+        });
+        let conn = Conn::connect(&addr).unwrap();
+        conn.send(&Frame::NewSplit {
+            task: 7,
+            attempt: 0,
+            split: std::sync::Arc::new(crate::map_task::Split::new(records)),
+        })
+        .unwrap();
+        assert_eq!(conn.tx_bytes(), 4 + 25 + payload);
+        assert_eq!(server.join().unwrap(), conn.tx_bytes());
     }
 
     #[test]

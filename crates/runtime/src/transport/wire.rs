@@ -4,8 +4,15 @@
 //! Integers are little-endian `u64`s, strings and byte blobs carry a
 //! `u32` length prefix. Segment and final-output payloads reuse the
 //! engine's framed key/value encoding (`[u32 klen][u32 vlen][key][value]`
-//! per record — the same bytes spill files hold), so a received payload
-//! decodes zero-copy via [`SegmentBuf::from_framed`].
+//! per record — the same bytes spill files hold).
+//!
+//! A bulk frame (`NewSplit`, `Segment`, `FinalBatch`) is one buffer on
+//! each side of the socket. [`Frame::encode`] writes prefix, header and
+//! records into the one `Vec` the connection then writes as is;
+//! [`Frame::decode`] owns the received body and hands it on as the arena
+//! the task reads — [`SegmentBuf::from_framed`] over the body for framed
+//! records, [`PackedRecords`] over it for a split's raw records — so no
+//! record is copied between the socket and the map or reduce function.
 //!
 //! A [`JobSpec`](crate::JobSpec) carries closures and cannot travel
 //! whole; [`Frame::JobInit`] ships the job *name* plus the `(name, value)`
@@ -20,7 +27,10 @@ use std::sync::Arc;
 use onepass_core::error::{Error, Result};
 use onepass_core::SegmentBuf;
 
+use crate::codec;
 use crate::knobs::KNOBS;
+use crate::map_task::{MapTaskStats, PackedRecords, Split};
+use crate::reduce_task::ReduceResult;
 
 /// Upper bound on a single frame body; a larger length prefix means the
 /// stream is corrupt (or not speaking this protocol).
@@ -53,43 +63,65 @@ pub(crate) fn read_body(r: &mut impl Read) -> Result<Vec<u8>> {
             "frame truncated: {got} of {len} bytes"
         )));
     }
+    if len > READ_CHUNK {
+        // The body becomes an arena that segments (and the coordinator's
+        // replay log) keep alive: give back what doubling over-reserved.
+        body.shrink_to_fit();
+    }
     Ok(body)
 }
 
-/// Map-task stats that travel in a [`Frame::MapOk`]. CPU profiles stay
-/// worker-local; only the counters the report aggregates are shipped.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct WireMapStats {
-    pub input_records: u64,
-    pub input_bytes: u64,
-    pub output_records: u64,
-    pub shuffled_records: u64,
-    pub shuffled_bytes: u64,
-    pub flushes: u64,
+/// One ordered field list per stats struct: the counters that travel (in
+/// a `MapOk` / `ReduceDone`) as a run of `u64`s, in wire order. CPU
+/// profiles stay worker-local. A new stat is one more line here.
+macro_rules! wire_stats {
+    ($enc:ident, $dec:ident, $ty:ty { $($($field:ident).+),+ $(,)? }) => {
+        #[allow(clippy::unnecessary_cast)]
+        fn $enc(e: &mut Enc, s: &$ty) {
+            $( e.u64(s.$($field).+ as u64); )+
+        }
+        #[allow(clippy::unnecessary_cast)]
+        fn $dec(d: &mut Dec<'_>) -> Result<$ty> {
+            let mut s = <$ty>::default();
+            $( s.$($field).+ = d.u64()? as _; )+
+            Ok(s)
+        }
+    };
 }
 
-/// Reduce-task stats that travel in a [`Frame::ReduceDone`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct WireReduceStats {
-    pub records_in: u64,
-    pub groups_out: u64,
-    pub early_emits: u64,
-    pub bytes_written: u64,
-    pub bytes_read: u64,
-    pub runs_created: u64,
-    pub runs_deleted: u64,
-    pub peak_mem: u64,
-    pub spills: u64,
-    pub passes: u64,
-    pub snapshots_taken: u64,
-    pub attempts: u64,
-}
+wire_stats!(
+    enc_map_stats,
+    dec_map_stats,
+    MapTaskStats {
+        input_records,
+        input_bytes,
+        output_records,
+        shuffled_records,
+        shuffled_bytes,
+        flushes,
+    }
+);
+
+wire_stats!(enc_reduce_stats, dec_reduce_stats, ReduceResult {
+    stats.records_in,
+    stats.groups_out,
+    stats.early_emits,
+    stats.io.bytes_written,
+    stats.io.bytes_read,
+    stats.io.runs_created,
+    stats.io.runs_deleted,
+    stats.peak_mem,
+    stats.spills,
+    stats.passes,
+    snapshots_taken,
+    attempts,
+});
 
 /// One protocol message. Direction is implied by the variant: the
 /// coordinator sends `JobInit`/`NewSplit`/`FeedClosed`/`ReduceTask`/
 /// `Red*`/`Ping`; workers send `Segment`/`MapDone`/`MapOk`/`MapFailed`/
 /// `FinalBatch`/`ReduceDone`/`Pong`/`JobRejected`/`Abort`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) enum Frame {
     /// Instantiate the named job on the worker connection: the registry
     /// name plus `(knob, value)` text pairs (see [`crate::knobs`]).
@@ -97,11 +129,15 @@ pub(crate) enum Frame {
         name: String,
         knobs: Vec<(String, String)>,
     },
-    /// Dispatch one map task attempt with its input records.
+    /// Dispatch one map task attempt with its input records. Every
+    /// representation the split holds is sent as raw records (a cache-hit
+    /// split's pairs as edge records, which remote workers decode through
+    /// the stage's normal [`MapFn::map`](crate::job::MapFn) path); a
+    /// received split holds them all in one [`PackedRecords`] block.
     NewSplit {
         task: u64,
         attempt: u64,
-        records: Vec<Vec<u8>>,
+        split: Arc<Split>,
     },
     /// No further map tasks will arrive on this connection.
     FeedClosed,
@@ -115,17 +151,17 @@ pub(crate) enum Frame {
         partition: u64,
         sorted: bool,
         combined: bool,
-        /// Framed key/value records.
-        payload: Vec<u8>,
+        /// Travels as framed key/value records.
+        records: SegmentBuf,
     },
     /// Map attempt completed (worker → coordinator; fans out to every
     /// partition through the coordinator's fabric).
     MapDone { map_task: u64, attempt: u64 },
-    /// Map attempt succeeded; its stats follow.
+    /// Map attempt succeeded; its counters follow.
     MapOk {
         task: u64,
         attempt: u64,
-        stats: WireMapStats,
+        stats: MapTaskStats,
     },
     /// Map attempt failed (error or panic) on the worker.
     MapFailed {
@@ -134,17 +170,14 @@ pub(crate) enum Frame {
         error: String,
     },
     /// A batch of reduce output records (worker → coordinator).
-    /// `kind` 0 = early, 1 = final; `payload` is framed key/value records.
+    /// `kind` 0 = early, 1 = final; `records` travel framed.
     FinalBatch {
         partition: u64,
         kind: u8,
-        payload: Vec<u8>,
+        records: SegmentBuf,
     },
-    /// Hosted reduce partition finished; its stats follow.
-    ReduceDone {
-        partition: u64,
-        stats: WireReduceStats,
-    },
+    /// Hosted reduce partition finished; its counters follow.
+    ReduceDone { result: ReduceResult },
     /// Heartbeat probe (coordinator → worker).
     Ping { nonce: u64 },
     /// Heartbeat reply.
@@ -185,27 +218,87 @@ const T_RED_MAP_DONE: u8 = 15;
 const T_RED_INPUT_EXHAUSTED: u8 = 16;
 const T_RED_ABORT: u8 = 17;
 
-struct Enc {
+/// A frame under construction, length prefix included: the buffer
+/// [`Enc::seal`] returns is what goes on the socket, unchanged.
+pub(crate) struct Enc {
+    /// `[u32 body length, patched by seal][tag][fields…]`.
     buf: Vec<u8>,
+    /// Where the trailing record blob's own `u32` length sits, once
+    /// [`Enc::open_blob`] has run.
+    blob_at: Option<usize>,
 }
 
 impl Enc {
     fn new(tag: u8) -> Self {
-        Enc { buf: vec![tag] }
+        Self::with_capacity(tag, 0)
+    }
+    /// A frame whose fields will take `fields` bytes.
+    fn with_capacity(tag: u8, fields: usize) -> Self {
+        let mut buf = Vec::with_capacity(5 + fields);
+        buf.extend_from_slice(&[0; 4]);
+        buf.push(tag);
+        Enc { buf, blob_at: None }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+    fn u32(&mut self, v: usize) {
+        self.buf.extend_from_slice(&(v as u32).to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        self.u32(v.len());
         self.buf.extend_from_slice(v);
     }
     fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+    /// Start the frame's last field: a blob of framed records that runs
+    /// to the end of the frame, its length patched by [`Enc::seal`].
+    fn open_blob(&mut self) {
+        self.blob_at = Some(self.buf.len());
+        self.u32(0);
+    }
+    /// Append one framed key/value record to the open blob.
+    pub(crate) fn kv(&mut self, key: &[u8], value: &[u8]) {
+        self.u32(key.len());
+        self.u32(value.len());
+        self.buf.extend_from_slice(key);
+        self.buf.extend_from_slice(value);
+    }
+    /// Bytes in the open blob so far.
+    pub(crate) fn blob_len(&self) -> usize {
+        self.blob_at.map_or(0, |at| self.buf.len() - at - 4)
+    }
+    /// Empty the open blob, keeping the header (and the allocation) for
+    /// the next batch.
+    pub(crate) fn clear_blob(&mut self) {
+        if let Some(at) = self.blob_at {
+            self.buf.truncate(at + 4);
+        }
+    }
+    /// Patch the length prefixes; the result is the whole wire frame.
+    pub(crate) fn seal(&mut self) -> &[u8] {
+        if let Some(at) = self.blob_at {
+            let n = self.blob_len() as u32;
+            self.buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        }
+        let body = (self.buf.len() - 4) as u32;
+        self.buf[..4].copy_from_slice(&body.to_le_bytes());
+        &self.buf
+    }
+}
+
+/// An empty `FinalBatch` for `partition`, blob open: the worker's output
+/// sink appends records with [`Enc::kv`] and sends [`Enc::seal`]'s bytes.
+pub(crate) fn final_batch(partition: u64, kind: u8) -> Enc {
+    let mut e = Enc::new(T_FINAL_BATCH);
+    e.u64(partition);
+    e.u8(kind);
+    e.open_blob();
+    e
 }
 
 struct Dec<'a> {
@@ -218,25 +311,42 @@ impl<'a> Dec<'a> {
         Dec { b, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.b.len() {
+        if self.b.len() - self.pos < n {
             return Err(Error::Corrupt("truncated frame".into()));
         }
         let s = &self.b[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
+    fn u32(&mut self) -> Result<usize> {
+        Ok(u32::from_le_bytes(self.array()?) as usize)
+    }
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn blob(&mut self) -> Result<&'a [u8]> {
-        let n = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
+        let n = self.u32()?;
         self.take(n)
     }
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        Ok(self.blob()?.to_vec())
+    /// The frame's last field, a blob that must run exactly to the end of
+    /// the body: returns the offset its payload starts at.
+    fn blob_to_end(&mut self) -> Result<usize> {
+        let n = self.u32()?;
+        if self.b.len() - self.pos != n {
+            return Err(Error::Corrupt(format!(
+                "{n}-byte record blob in a frame with {} bytes left",
+                self.b.len() - self.pos
+            )));
+        }
+        Ok(self.pos)
     }
     fn str(&mut self) -> Result<String> {
         utf8(self.blob()?)
@@ -259,9 +369,10 @@ fn utf8(b: &[u8]) -> Result<String> {
 }
 
 impl Frame {
-    /// Serialize the frame body (everything after the length prefix).
+    /// Serialize the whole wire frame, length prefix included, into the
+    /// one buffer the connection writes.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        match self {
+        let mut e = match self {
             Frame::JobInit { name, knobs } => {
                 let mut e = Enc::new(T_JOB_INIT);
                 e.str(name);
@@ -270,27 +381,37 @@ impl Frame {
                     e.str(k);
                     e.str(v);
                 }
-                e.buf
+                e
             }
             Frame::NewSplit {
                 task,
                 attempt,
-                records,
+                split,
             } => {
-                let mut e = Enc::new(T_NEW_SPLIT);
+                let n = split.record_count();
+                let pairs = split.pairs.as_ref().map_or(0, |p| p.len());
+                let mut e =
+                    Enc::with_capacity(T_NEW_SPLIT, 24 + split.bytes() as usize + 4 * (n + pairs));
                 e.u64(*task);
                 e.u64(*attempt);
-                e.u64(records.len() as u64);
-                for r in records {
+                e.u64(n as u64);
+                for r in &split.records {
                     e.bytes(r);
                 }
-                e.buf
+                for r in split.packed.iter().flat_map(|p| p.iter()) {
+                    e.bytes(r);
+                }
+                for (k, v) in split.pairs.iter().flat_map(|p| p.iter()) {
+                    e.u32(codec::pair_len(k, v));
+                    codec::append_pair(&mut e.buf, k, v);
+                }
+                e
             }
-            Frame::FeedClosed => Enc::new(T_FEED_CLOSED).buf,
+            Frame::FeedClosed => Enc::new(T_FEED_CLOSED),
             Frame::ReduceTask { partition } => {
                 let mut e = Enc::new(T_REDUCE_TASK);
                 e.u64(*partition);
-                e.buf
+                e
             }
             Frame::Segment {
                 map_task,
@@ -298,22 +419,23 @@ impl Frame {
                 partition,
                 sorted,
                 combined,
-                payload,
+                records,
             } => {
-                let mut e = Enc::new(T_SEGMENT);
+                let mut e = Enc::with_capacity(T_SEGMENT, 30 + records.framed_len());
                 e.u64(*map_task);
                 e.u64(*attempt);
                 e.u64(*partition);
                 e.u8(*sorted as u8);
                 e.u8(*combined as u8);
-                e.bytes(payload);
-                e.buf
+                e.open_blob();
+                records.append_framed(&mut e.buf);
+                e
             }
             Frame::MapDone { map_task, attempt } => {
                 let mut e = Enc::new(T_MAP_DONE);
                 e.u64(*map_task);
                 e.u64(*attempt);
-                e.buf
+                e
             }
             Frame::MapOk {
                 task,
@@ -323,17 +445,8 @@ impl Frame {
                 let mut e = Enc::new(T_MAP_OK);
                 e.u64(*task);
                 e.u64(*attempt);
-                for v in [
-                    stats.input_records,
-                    stats.input_bytes,
-                    stats.output_records,
-                    stats.shuffled_records,
-                    stats.shuffled_bytes,
-                    stats.flushes,
-                ] {
-                    e.u64(v);
-                }
-                e.buf
+                enc_map_stats(&mut e, stats);
+                e
             }
             Frame::MapFailed {
                 task,
@@ -344,56 +457,39 @@ impl Frame {
                 e.u64(*task);
                 e.u64(*attempt);
                 e.str(error);
-                e.buf
+                e
             }
             Frame::FinalBatch {
                 partition,
                 kind,
-                payload,
+                records,
             } => {
-                let mut e = Enc::new(T_FINAL_BATCH);
-                e.u64(*partition);
-                e.u8(*kind);
-                e.bytes(payload);
-                e.buf
+                let mut e = final_batch(*partition, *kind);
+                records.append_framed(&mut e.buf);
+                e
             }
-            Frame::ReduceDone { partition, stats } => {
+            Frame::ReduceDone { result } => {
                 let mut e = Enc::new(T_REDUCE_DONE);
-                e.u64(*partition);
-                for v in [
-                    stats.records_in,
-                    stats.groups_out,
-                    stats.early_emits,
-                    stats.bytes_written,
-                    stats.bytes_read,
-                    stats.runs_created,
-                    stats.runs_deleted,
-                    stats.peak_mem,
-                    stats.spills,
-                    stats.passes,
-                    stats.snapshots_taken,
-                    stats.attempts,
-                ] {
-                    e.u64(v);
-                }
-                e.buf
+                e.u64(result.partition as u64);
+                enc_reduce_stats(&mut e, result);
+                e
             }
             Frame::Ping { nonce } => {
                 let mut e = Enc::new(T_PING);
                 e.u64(*nonce);
-                e.buf
+                e
             }
             Frame::Pong { nonce } => {
                 let mut e = Enc::new(T_PONG);
                 e.u64(*nonce);
-                e.buf
+                e
             }
             Frame::JobRejected { reason } => {
                 let mut e = Enc::new(T_JOB_REJECTED);
                 e.str(reason);
-                e.buf
+                e
             }
-            Frame::Abort => Enc::new(T_ABORT).buf,
+            Frame::Abort => Enc::new(T_ABORT),
             Frame::RedMapDone {
                 partition,
                 map_task,
@@ -403,25 +499,30 @@ impl Frame {
                 e.u64(*partition);
                 e.u64(*map_task);
                 e.u64(*attempt);
-                e.buf
+                e
             }
             Frame::RedInputExhausted { partition, total } => {
                 let mut e = Enc::new(T_RED_INPUT_EXHAUSTED);
                 e.u64(*partition);
                 e.u64(*total);
-                e.buf
+                e
             }
             Frame::RedAbort { partition } => {
                 let mut e = Enc::new(T_RED_ABORT);
                 e.u64(*partition);
-                e.buf
+                e
             }
-        }
+        };
+        e.seal();
+        e.buf
     }
 
-    /// Parse a frame body produced by [`encode`](Self::encode).
-    pub(crate) fn decode(body: &[u8]) -> Result<Frame> {
-        let mut d = Dec::new(body);
+    /// Parse a frame body (what [`encode`](Self::encode) wrote after the
+    /// length prefix). The body is foreign bytes: anything that does not
+    /// parse is `Error::Corrupt`. A bulk frame keeps `body` as the arena
+    /// of the records it carries.
+    pub(crate) fn decode(body: Vec<u8>) -> Result<Frame> {
+        let mut d = Dec::new(&body);
         let frame = match d.u8()? {
             T_JOB_INIT => {
                 let name = d.short_str(MAX_NAME)?;
@@ -439,34 +540,35 @@ impl Frame {
                 Frame::JobInit { name, knobs }
             }
             T_NEW_SPLIT => {
-                let task = d.u64()?;
-                let attempt = d.u64()?;
-                let n = d.u64()? as usize;
-                if n > body.len() {
-                    return Err(Error::Corrupt("record count exceeds frame".into()));
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    records.push(d.bytes()?);
-                }
-                Frame::NewSplit {
+                let (task, attempt, n) = (d.u64()?, d.u64()?, d.u64()?);
+                let at = d.pos;
+                let packed = PackedRecords::from_len_prefixed(body, at, n)?;
+                return Ok(Frame::NewSplit {
                     task,
                     attempt,
-                    records,
-                }
+                    split: Arc::new(Split {
+                        packed: Some(packed),
+                        ..Split::default()
+                    }),
+                });
             }
             T_FEED_CLOSED => Frame::FeedClosed,
             T_REDUCE_TASK => Frame::ReduceTask {
                 partition: d.u64()?,
             },
-            T_SEGMENT => Frame::Segment {
-                map_task: d.u64()?,
-                attempt: d.u64()?,
-                partition: d.u64()?,
-                sorted: d.u8()? != 0,
-                combined: d.u8()? != 0,
-                payload: d.bytes()?,
-            },
+            T_SEGMENT => {
+                let (map_task, attempt, partition) = (d.u64()?, d.u64()?, d.u64()?);
+                let (sorted, combined) = (d.u8()? != 0, d.u8()? != 0);
+                let at = d.blob_to_end()?;
+                return Ok(Frame::Segment {
+                    map_task,
+                    attempt,
+                    partition,
+                    sorted,
+                    combined,
+                    records: SegmentBuf::from_framed(Arc::new(body), at)?,
+                });
+            }
             T_MAP_DONE => Frame::MapDone {
                 map_task: d.u64()?,
                 attempt: d.u64()?,
@@ -474,42 +576,31 @@ impl Frame {
             T_MAP_OK => Frame::MapOk {
                 task: d.u64()?,
                 attempt: d.u64()?,
-                stats: WireMapStats {
-                    input_records: d.u64()?,
-                    input_bytes: d.u64()?,
-                    output_records: d.u64()?,
-                    shuffled_records: d.u64()?,
-                    shuffled_bytes: d.u64()?,
-                    flushes: d.u64()?,
-                },
+                stats: dec_map_stats(&mut d)?,
             },
             T_MAP_FAILED => Frame::MapFailed {
                 task: d.u64()?,
                 attempt: d.u64()?,
                 error: d.str()?,
             },
-            T_FINAL_BATCH => Frame::FinalBatch {
-                partition: d.u64()?,
-                kind: d.u8()?,
-                payload: d.bytes()?,
-            },
-            T_REDUCE_DONE => Frame::ReduceDone {
-                partition: d.u64()?,
-                stats: WireReduceStats {
-                    records_in: d.u64()?,
-                    groups_out: d.u64()?,
-                    early_emits: d.u64()?,
-                    bytes_written: d.u64()?,
-                    bytes_read: d.u64()?,
-                    runs_created: d.u64()?,
-                    runs_deleted: d.u64()?,
-                    peak_mem: d.u64()?,
-                    spills: d.u64()?,
-                    passes: d.u64()?,
-                    snapshots_taken: d.u64()?,
-                    attempts: d.u64()?,
-                },
-            },
+            T_FINAL_BATCH => {
+                let (partition, kind) = (d.u64()?, d.u8()?);
+                let at = d.blob_to_end()?;
+                return Ok(Frame::FinalBatch {
+                    partition,
+                    kind,
+                    records: SegmentBuf::from_framed(Arc::new(body), at)?,
+                });
+            }
+            T_REDUCE_DONE => {
+                let partition = d.u64()? as usize;
+                Frame::ReduceDone {
+                    result: ReduceResult {
+                        partition,
+                        ..dec_reduce_stats(&mut d)?
+                    },
+                }
+            }
             T_PING => Frame::Ping { nonce: d.u64()? },
             T_PONG => Frame::Pong { nonce: d.u64()? },
             T_JOB_REJECTED => Frame::JobRejected { reason: d.str()? },
@@ -535,156 +626,360 @@ impl Frame {
     }
 }
 
-/// Encode a [`SegmentBuf`] as framed key/value records — byte-compatible
-/// with spill files and with [`SegmentBuf::from_framed`].
-pub(crate) fn encode_kv(records: &SegmentBuf) -> Vec<u8> {
-    let mut out = Vec::with_capacity(records.payload_bytes() + records.len() * 8);
-    for (k, v) in records.iter() {
-        append_kv(&mut out, k, v);
-    }
-    out
-}
-
-/// Append one framed key/value record to `out`.
-pub(crate) fn append_kv(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(value);
-}
-
-/// Decode framed key/value records into a zero-copy [`SegmentBuf`].
-pub(crate) fn decode_kv(payload: Vec<u8>) -> Result<SegmentBuf> {
-    SegmentBuf::from_framed(Arc::new(payload), 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onepass_core::SegmentBufBuilder;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
-    fn roundtrip(f: Frame) {
-        let body = f.encode();
-        assert_eq!(Frame::decode(&body).unwrap(), f);
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn pairs() -> SegmentBuf {
+        SegmentBuf::from_pairs([
+            (b"key".as_slice(), b"value".as_slice()),
+            (b"", b"v2"),
+            (b"k3", b""),
+        ])
+    }
+
+    fn new_split(task: u64, attempt: u64, split: Split) -> Frame {
+        Frame::NewSplit {
+            task,
+            attempt,
+            split: Arc::new(split),
+        }
+    }
+
+    /// Decode what [`Frame::encode`] wrote, through the socket's read path.
+    fn decode_wire(wire: &[u8]) -> Result<Frame> {
+        Frame::decode(read_body(&mut &wire[..])?)
+    }
+
+    /// One of every variant, bulk frames in each of their representations.
+    fn one_of_each() -> Vec<Frame> {
+        vec![
+            new_split(
+                3,
+                1,
+                Split::new(vec![b"a b".to_vec(), vec![], b"c".to_vec()]),
+            ),
+            new_split(
+                6,
+                0,
+                Split {
+                    records: vec![b"raw".to_vec()],
+                    packed: Some(PackedRecords::pack(&[b"pk1", b"", b"pack2"])),
+                    pairs: Some(pairs()),
+                    aligned: None,
+                },
+            ),
+            Frame::JobInit {
+                name: "wc".into(),
+                knobs: vec![("a".into(), "1".into()), ("b".into(), String::new())],
+            },
+            // A value far longer than a name may be: 200 snapshot fractions.
+            Frame::JobInit {
+                name: "wc".into(),
+                knobs: vec![("a".into(), "0.0123456789012345,".repeat(200))],
+            },
+            Frame::FeedClosed,
+            Frame::ReduceTask { partition: 2 },
+            Frame::Segment {
+                map_task: 1,
+                attempt: 0,
+                partition: 3,
+                sorted: true,
+                combined: false,
+                records: pairs(),
+            },
+            Frame::MapDone {
+                map_task: 9,
+                attempt: 2,
+            },
+            Frame::MapOk {
+                task: 1,
+                attempt: 0,
+                stats: MapTaskStats {
+                    input_records: 10,
+                    input_bytes: 100,
+                    output_records: 20,
+                    shuffled_records: 21,
+                    shuffled_bytes: 200,
+                    flushes: 1,
+                    ..Default::default()
+                },
+            },
+            Frame::MapFailed {
+                task: 1,
+                attempt: 1,
+                error: "boom".into(),
+            },
+            Frame::FinalBatch {
+                partition: 0,
+                kind: 1,
+                records: pairs(),
+            },
+            Frame::ReduceDone {
+                result: ReduceResult {
+                    partition: 1,
+                    snapshots_taken: 4,
+                    attempts: 2,
+                    ..Default::default()
+                },
+            },
+            Frame::Ping { nonce: 42 },
+            Frame::Pong { nonce: 42 },
+            Frame::JobRejected {
+                reason: "unknown job".into(),
+            },
+            Frame::Abort,
+            Frame::RedMapDone {
+                partition: 1,
+                map_task: 2,
+                attempt: 0,
+            },
+            Frame::RedInputExhausted {
+                partition: 1,
+                total: 8,
+            },
+            Frame::RedAbort { partition: 0 },
+        ]
     }
 
     #[test]
     fn frames_roundtrip() {
-        roundtrip(Frame::NewSplit {
-            task: 3,
-            attempt: 1,
-            records: vec![b"a b".to_vec(), vec![], b"c".to_vec()],
-        });
-        roundtrip(Frame::JobInit {
-            name: "wc".into(),
-            knobs: vec![("a".into(), "1".into()), ("b".into(), String::new())],
-        });
-        // A value far longer than a name may be: 200 snapshot fractions.
-        roundtrip(Frame::JobInit {
-            name: "wc".into(),
-            knobs: vec![("a".into(), "0.0123456789012345,".repeat(200))],
-        });
-        roundtrip(Frame::FeedClosed);
-        roundtrip(Frame::ReduceTask { partition: 2 });
-        roundtrip(Frame::Segment {
+        for f in one_of_each() {
+            let wire = f.encode();
+            let back = decode_wire(&wire).unwrap_or_else(|e| panic!("{f:?}: {e}"));
+            assert_eq!(
+                std::mem::discriminant(&back),
+                std::mem::discriminant(&f),
+                "{f:?}"
+            );
+            assert_eq!(back.encode(), wire, "{f:?} re-encodes differently");
+        }
+    }
+
+    #[test]
+    fn stats_travel_field_for_field() {
+        let mut result = ReduceResult {
+            partition: 7,
+            snapshots_taken: 11,
+            attempts: 12,
+            ..Default::default()
+        };
+        result.stats.records_in = 1;
+        result.stats.groups_out = 2;
+        result.stats.early_emits = 3;
+        result.stats.io.bytes_written = 4;
+        result.stats.io.bytes_read = 5;
+        result.stats.io.runs_created = 6;
+        result.stats.io.runs_deleted = 7;
+        result.stats.peak_mem = 8;
+        result.stats.spills = 9;
+        result.stats.passes = 10;
+        let wire = Frame::ReduceDone { result }.encode();
+        // [len][tag][partition] then the twelve counters in wire order.
+        let counters: Vec<u64> = wire[13..]
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(counters, (1..=12).collect::<Vec<u64>>());
+        let Frame::ReduceDone { result } = decode_wire(&wire).unwrap() else {
+            panic!("not a ReduceDone");
+        };
+        assert_eq!(
+            (result.partition, result.stats.peak_mem, result.attempts),
+            (7, 8, 12)
+        );
+        assert_eq!(
+            (result.stats.io.runs_deleted, result.snapshots_taken),
+            (7, 11)
+        );
+
+        let Frame::MapOk { stats, .. } = decode_wire(&one_of_each()[8].encode()).unwrap() else {
+            panic!("not a MapOk");
+        };
+        assert_eq!(
+            (stats.input_records, stats.input_bytes, stats.output_records),
+            (10, 100, 20)
+        );
+        assert_eq!(
+            (stats.shuffled_records, stats.shuffled_bytes, stats.flushes),
+            (21, 200, 1)
+        );
+    }
+
+    // Whole wire frames as commit 26379b8's `Frame::encode` + `Conn::send`
+    // wrote them (captured by running that commit).
+    const NEW_SPLIT_RECORDS: &str = "290000000203000000000000000100000000000000030000000000000003000000612062000000000100000063";
+    const NEW_SPLIT_PACKED: &str = "2d0000000204000000000000000000000000000000030000000000000003000000706b3100000000050000007061636b32";
+    const NEW_SPLIT_PAIRS: &str = "3d000000020500000000000000020000000000000003000000000000000c000000030000006b657976616c75650600000000000000763206000000020000006b33";
+    const NEW_SPLIT_MIXED: &str = "61000000020600000000000000000000000000000009000000000000000300000061206200000000010000006303000000706b3100000000050000007061636b320c000000030000006b657976616c75650600000000000000763206000000020000006b33";
+    const SEGMENT: &str = "430000000501000000000000000000000000000000030000000000000001002400000003000000050000006b657976616c75650000000002000000763202000000000000006b33";
+    const FINAL_BATCH: &str = "32000000090200000000000000002400000003000000050000006b657976616c75650000000002000000763202000000000000006b33";
+
+    /// The single-pass encoders write the bytes the parent's two-pass
+    /// encoding wrote, so peers on either side of this change interoperate.
+    #[test]
+    fn bulk_frames_are_byte_identical_to_the_two_pass_encoding() {
+        let raw = || vec![b"a b".to_vec(), vec![], b"c".to_vec()];
+        let pk = || Some(PackedRecords::pack(&[b"pk1", b"", b"pack2"]));
+        let mixed = Split {
+            records: raw(),
+            packed: pk(),
+            pairs: Some(pairs()),
+            aligned: None,
+        };
+        let packed_only = Split {
+            packed: pk(),
+            ..Default::default()
+        };
+        let segment = Frame::Segment {
             map_task: 1,
             attempt: 0,
             partition: 3,
             sorted: true,
             combined: false,
-            payload: b"xyz".to_vec(),
-        });
-        roundtrip(Frame::MapDone {
-            map_task: 9,
-            attempt: 2,
-        });
-        roundtrip(Frame::MapOk {
-            task: 1,
-            attempt: 0,
-            stats: WireMapStats {
-                input_records: 10,
-                input_bytes: 100,
-                output_records: 20,
-                shuffled_records: 20,
-                shuffled_bytes: 200,
-                flushes: 1,
-            },
-        });
-        roundtrip(Frame::MapFailed {
-            task: 1,
-            attempt: 1,
-            error: "boom".into(),
-        });
-        roundtrip(Frame::FinalBatch {
-            partition: 0,
-            kind: 1,
-            payload: vec![1, 2, 3],
-        });
-        roundtrip(Frame::ReduceDone {
-            partition: 1,
-            stats: WireReduceStats {
-                records_in: 5,
-                groups_out: 3,
-                attempts: 1,
-                ..Default::default()
-            },
-        });
-        roundtrip(Frame::Ping { nonce: 42 });
-        roundtrip(Frame::Pong { nonce: 42 });
-        roundtrip(Frame::JobRejected {
-            reason: "unknown job".into(),
-        });
-        roundtrip(Frame::Abort);
-        roundtrip(Frame::RedMapDone {
-            partition: 1,
-            map_task: 2,
-            attempt: 0,
-        });
-        roundtrip(Frame::RedInputExhausted {
-            partition: 1,
-            total: 8,
-        });
-        roundtrip(Frame::RedAbort { partition: 0 });
+            records: pairs(),
+        };
+        let batch = Frame::FinalBatch {
+            partition: 2,
+            kind: 0,
+            records: pairs(),
+        };
+        for (frame, golden) in [
+            (new_split(3, 1, Split::new(raw())), NEW_SPLIT_RECORDS),
+            (new_split(4, 0, packed_only), NEW_SPLIT_PACKED),
+            (
+                new_split(5, 2, Split::from_segment(pairs())),
+                NEW_SPLIT_PAIRS,
+            ),
+            (new_split(6, 0, mixed), NEW_SPLIT_MIXED),
+            (segment, SEGMENT),
+            (batch, FINAL_BATCH),
+        ] {
+            assert_eq!(frame.encode(), hex(golden), "{frame:?}");
+        }
+        // The worker's output sink builds its FinalBatch record by record;
+        // sealed, cleared and refilled, the buffer is a fresh frame.
+        let mut sink = final_batch(2, 0);
+        for _ in 0..2 {
+            assert_eq!(sink.blob_len(), 0);
+            for (k, v) in pairs().iter() {
+                sink.kv(k, v);
+            }
+            assert_eq!(sink.seal(), hex(FINAL_BATCH));
+            sink.clear_blob();
+        }
     }
 
+    /// A received segment *is* its frame body: entries point into the one
+    /// buffer the socket filled, and re-encoding it (the coordinator's
+    /// forward, a replay) copies those framed bytes as they are.
     #[test]
-    fn kv_payload_decodes_zero_copy() {
-        let mut b = SegmentBufBuilder::new();
-        b.push(b"key", b"value");
-        b.push(b"", b"v2");
-        let seg = b.finish();
-        let payload = encode_kv(&seg);
-        let back = decode_kv(payload).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.get(0), (&b"key"[..], &b"value"[..]));
-        assert_eq!(back.get(1), (&b""[..], &b"v2"[..]));
+    fn received_segment_shares_the_frame_body_and_forwards_it_verbatim() {
+        let sent = Frame::Segment {
+            map_task: 1,
+            attempt: 0,
+            partition: 3,
+            sorted: false,
+            combined: true,
+            records: pairs(),
+        };
+        let wire = sent.encode();
+        let body = read_body(&mut &wire[..]).unwrap();
+        let (at, end) = (body.as_ptr() as usize, body.as_ptr() as usize + body.len());
+        let Frame::Segment { records, .. } = Frame::decode(body).unwrap() else {
+            panic!("not a Segment");
+        };
+        assert_eq!(records.len(), 3);
+        assert_eq!(records.get(0), (&b"key"[..], &b"value"[..]));
+        assert_eq!(records.get(2), (&b"k3"[..], &b""[..]));
+        // No second allocation of payload size: every slice lies inside
+        // the body the socket read filled.
+        for (k, v) in records.iter() {
+            for s in [k, v] {
+                let p = s.as_ptr() as usize;
+                assert!(
+                    at <= p && p + s.len() <= end,
+                    "record copied out of the body"
+                );
+            }
+        }
+        let framed = records.framed_bytes().expect("read from framed bytes");
+        assert_eq!(
+            framed.as_ptr() as usize,
+            at + 31,
+            "payload starts after the header"
+        );
+        assert_eq!(framed, &wire[35..]);
+        // A locally built segment has no framed bytes to reuse.
+        assert!(pairs().framed_bytes().is_none());
+        assert!(records.sorted_by_key().framed_bytes().is_none());
+
+        // The forward re-addresses the header and carries the payload on.
+        let forwarded = Frame::Segment {
+            map_task: 1,
+            attempt: 0,
+            partition: 9,
+            sorted: false,
+            combined: true,
+            records: records.clone(),
+        }
+        .encode();
+        assert_eq!(forwarded[35..], wire[35..]);
+        assert_eq!(forwarded[21], 9);
+
+        // Same for a FinalBatch and a NewSplit.
+        let wire = Frame::FinalBatch {
+            partition: 0,
+            kind: 1,
+            records: pairs(),
+        }
+        .encode();
+        let Frame::FinalBatch { records, .. } = decode_wire(&wire).unwrap() else {
+            panic!("not a FinalBatch");
+        };
+        assert_eq!(records.framed_bytes(), Some(&wire[18..]));
+        let Frame::NewSplit { split, .. } = decode_wire(&one_of_each()[1].encode()).unwrap() else {
+            panic!("not a NewSplit");
+        };
+        assert!(split.records.is_empty() && split.pairs.is_none());
+        let got: Vec<&[u8]> = split.packed.as_ref().unwrap().iter().collect();
+        assert_eq!(got[..4], [&b"raw"[..], b"pk1", b"", b"pack2"]);
+        assert_eq!(got[4], crate::codec::encode_pair(b"key", b"value"));
+        assert_eq!((split.record_count(), got.len()), (7, 7));
     }
 
     #[test]
     fn corrupt_frames_are_rejected() {
-        assert!(Frame::decode(&[]).is_err());
-        assert!(Frame::decode(&[0]).is_err());
-        assert!(Frame::decode(&[99]).is_err());
+        assert!(Frame::decode(vec![]).is_err());
+        assert!(Frame::decode(vec![0]).is_err());
+        assert!(Frame::decode(vec![99]).is_err());
         // Truncated NewSplit.
-        let mut body = Frame::NewSplit {
-            task: 1,
-            attempt: 0,
-            records: vec![b"abc".to_vec()],
-        }
-        .encode();
-        body.truncate(body.len() - 1);
-        assert!(Frame::decode(&body).is_err());
+        let mut wire = new_split(1, 0, Split::new(vec![b"abc".to_vec()])).encode();
+        wire.truncate(wire.len() - 1);
+        assert!(Frame::decode(wire[4..].to_vec()).is_err());
         // Trailing garbage.
-        let mut body = Frame::Abort.encode();
-        body.push(0);
-        assert!(Frame::decode(&body).is_err());
+        let mut wire = Frame::Abort.encode();
+        wire.push(0);
+        assert!(Frame::decode(wire[4..].to_vec()).is_err());
 
         // A JobInit claiming more pairs than the table has rows is
         // rejected before anything is sized from the count.
         let mut e = Enc::new(T_JOB_INIT);
         e.str("wc");
         e.u64(u64::MAX);
-        assert!(matches!(Frame::decode(&e.buf), Err(Error::Corrupt(_))));
+        assert!(matches!(
+            Frame::decode(e.seal()[4..].to_vec()),
+            Err(Error::Corrupt(_))
+        ));
         // So is one whose text is longer than any name or value could be.
         for (name, value) in [(MAX_NAME + 1, 1), (1, MAX_KNOB_VALUE + 1)] {
             let long = Frame::JobInit {
@@ -692,9 +987,24 @@ mod tests {
                 knobs: vec![("a".repeat(name), "x".repeat(value))],
             };
             assert!(matches!(
-                Frame::decode(&long.encode()),
+                decode_wire(&long.encode()),
                 Err(Error::Corrupt(_))
             ));
+        }
+
+        // A NewSplit whose count lies — in either direction — is found by
+        // the walk over its length prefixes; nothing is sized from it.
+        for n in [0, 1, 3, u64::MAX] {
+            let mut wire = new_split(1, 0, Split::new(vec![b"ab".to_vec(); 2])).encode();
+            wire[21..29].copy_from_slice(&n.to_le_bytes());
+            assert!(matches!(decode_wire(&wire), Err(Error::Corrupt(_))), "{n}");
+        }
+        // A record blob shorter or longer than the rest of its frame.
+        for delta in [-1i32, 1] {
+            let mut wire = one_of_each()[6].encode();
+            let n = u32::from_le_bytes(wire[31..35].try_into().unwrap());
+            wire[31..35].copy_from_slice(&n.wrapping_add_signed(delta).to_le_bytes());
+            assert!(matches!(decode_wire(&wire), Err(Error::Corrupt(_))));
         }
 
         // The largest legal length prefix followed by a few bytes and
@@ -716,10 +1026,243 @@ mod tests {
     }
 
     #[test]
-    fn read_body_reads_past_one_chunk() {
+    fn read_body_reads_past_one_chunk_and_keeps_no_slack() {
         let body = vec![7u8; READ_CHUNK + 5];
         let mut stream = (body.len() as u32).to_le_bytes().to_vec();
         stream.extend_from_slice(&body);
-        assert_eq!(read_body(&mut stream.as_slice()).unwrap(), body);
+        let got = read_body(&mut stream.as_slice()).unwrap();
+        assert_eq!(got, body);
+        assert_eq!(got.capacity(), got.len(), "a retained arena holds no slack");
+    }
+
+    /// An arbitrary frame of variant `pick`, its payload drawn from `recs`
+    /// and its scalars from `nums`.
+    fn arbitrary_frame(
+        pick: usize,
+        recs: Vec<Vec<u8>>,
+        nums: (u64, u64, u64),
+        flag: bool,
+    ) -> Frame {
+        let (a, b, c) = nums;
+        let text =
+            |i: usize| String::from_utf8_lossy(recs.get(i).map_or(&[][..], |r| r)).into_owned();
+        let kv = || {
+            SegmentBuf::from_pairs(
+                recs.chunks(2)
+                    .map(|c| (c[0].as_slice(), c.last().unwrap().as_slice())),
+            )
+        };
+        match pick % 17 {
+            0 => Frame::JobInit {
+                name: text(0),
+                knobs: (1..recs.len().min(KNOBS.len()))
+                    .map(|i| (text(i), text(i - 1)))
+                    .collect(),
+            },
+            1 => {
+                let refs: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
+                new_split(
+                    a,
+                    b,
+                    Split {
+                        records: if flag { recs.clone() } else { Vec::new() },
+                        packed: (c % 2 == 0).then(|| PackedRecords::pack(&refs)),
+                        pairs: (c % 3 == 0).then(kv),
+                        aligned: None,
+                    },
+                )
+            }
+            2 => Frame::FeedClosed,
+            3 => Frame::ReduceTask { partition: a },
+            4 => Frame::Segment {
+                map_task: a,
+                attempt: b,
+                partition: c,
+                sorted: flag,
+                combined: !flag,
+                records: kv(),
+            },
+            5 => Frame::MapDone {
+                map_task: a,
+                attempt: b,
+            },
+            6 => Frame::MapOk {
+                task: a,
+                attempt: b,
+                stats: MapTaskStats {
+                    input_records: c,
+                    flushes: a ^ b,
+                    ..Default::default()
+                },
+            },
+            7 => Frame::MapFailed {
+                task: a,
+                attempt: b,
+                error: text(0),
+            },
+            8 => Frame::FinalBatch {
+                partition: a,
+                kind: flag as u8,
+                records: kv(),
+            },
+            9 => Frame::ReduceDone {
+                result: ReduceResult {
+                    partition: a as usize,
+                    snapshots_taken: b,
+                    attempts: c as usize,
+                    ..Default::default()
+                },
+            },
+            10 => Frame::Ping { nonce: a },
+            11 => Frame::Pong { nonce: a },
+            12 => Frame::JobRejected { reason: text(0) },
+            13 => Frame::Abort,
+            14 => Frame::RedMapDone {
+                partition: a,
+                map_task: b,
+                attempt: c,
+            },
+            15 => Frame::RedInputExhausted {
+                partition: a,
+                total: b,
+            },
+            _ => Frame::RedAbort { partition: a },
+        }
+    }
+
+    /// Every record a decoded frame carries, touched: an entry or span
+    /// that pointed outside its arena would panic here.
+    fn touch(frame: &Frame) -> usize {
+        match frame {
+            Frame::NewSplit { split, .. } => {
+                let packed = split.packed.as_ref().expect("received splits are packed");
+                packed.iter().map(<[u8]>::len).sum::<usize>() + split.record_count()
+            }
+            Frame::Segment { records, .. } | Frame::FinalBatch { records, .. } => {
+                records.iter().map(|(k, v)| k.len() + v.len()).sum()
+            }
+            _ => 0,
+        }
+    }
+
+    fn ok_or_corrupt<T>(r: Result<T>) -> std::result::Result<Option<T>, String> {
+        match r {
+            Ok(v) => Ok(Some(v)),
+            Err(Error::Corrupt(_)) => Ok(None),
+            Err(e) => Err(format!("neither Ok nor Corrupt: {e}")),
+        }
+    }
+
+    fn records() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 1..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every variant round-trips; truncated, extended or bit-flipped,
+        /// its body decodes to `Ok` or `Error::Corrupt` — never a panic —
+        /// and whatever decodes can be read and re-encoded.
+        #[test]
+        fn mutated_frames_decode_or_are_corrupt(
+            pick in 0usize..17,
+            recs in records(),
+            nums in (any::<u64>(), any::<u64>(), any::<u64>()),
+            flag in any::<bool>(),
+            cut in any::<usize>(),
+            tail in prop::collection::vec(any::<u8>(), 1..9),
+        ) {
+            let frame = arbitrary_frame(pick, recs, nums, flag);
+            let wire = frame.encode();
+            let back = decode_wire(&wire).map_err(|e| TestCaseError::fail(format!("{frame:?}: {e}")))?;
+            prop_assert_eq!(back.encode(), wire.clone(), "{:?}", frame);
+            touch(&back);
+
+            let body = &wire[4..];
+            let truncated = body[..cut % body.len()].to_vec();
+            let extended = [body, tail.as_slice()].concat();
+            let mut flipped = body.to_vec();
+            flipped[(cut / 8) % body.len()] ^= 1 << (cut % 8);
+            for mutant in [truncated, extended, flipped] {
+                let outcome = ok_or_corrupt(Frame::decode(mutant.clone()))
+                    .map_err(|e| TestCaseError::fail(format!("{frame:?} as {mutant:?}: {e}")))?;
+                // (A flipped flag byte decodes; it need not re-encode alike.)
+                if let Some(f) = outcome {
+                    touch(&f);
+                    f.encode();
+                }
+            }
+        }
+
+        /// `SegmentBuf::from_framed` over bytes it did not write: any
+        /// `start`, any overwritten header.
+        #[test]
+        fn from_framed_never_trusts_a_length(
+            recs in records(),
+            start in 0usize..64,
+            at in any::<usize>(),
+            lie in any::<u32>(),
+        ) {
+            let mut data = Vec::new();
+            SegmentBuf::from_pairs(recs.iter().map(|r| (r.as_slice(), r.as_slice())))
+                .append_framed(&mut data);
+            let honest = SegmentBuf::from_framed(Arc::new(data.clone()), 0).unwrap();
+            prop_assert_eq!(honest.len(), recs.len());
+            prop_assert_eq!(honest.framed_bytes(), Some(data.as_slice()));
+            // `start` past the end is corrupt, not an empty segment whose
+            // framed bytes cannot be sliced.
+            let past = data.len() + 1 + start;
+            prop_assert!(matches!(
+                SegmentBuf::from_framed(Arc::new(data.clone()), past),
+                Err(Error::Corrupt(_))
+            ));
+            let at = at % (data.len() - 3);
+            data[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+            for start in [0, start % data.len(), data.len()] {
+                let seg = ok_or_corrupt(SegmentBuf::from_framed(Arc::new(data.clone()), start))
+                    .map_err(TestCaseError::fail)?;
+                if let Some(seg) = seg {
+                    let read: usize = seg.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    prop_assert_eq!(read, seg.payload_bytes());
+                    prop_assert_eq!(seg.framed_bytes(), Some(&data[start..]));
+                }
+            }
+        }
+
+        /// The packed-split walk under a lying count, start or length.
+        #[test]
+        fn packed_records_never_trust_a_count(
+            recs in records(),
+            count in any::<u64>(),
+            start in 0usize..64,
+            at in any::<usize>(),
+            lie in any::<u32>(),
+        ) {
+            let refs: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
+            let mut arena = Vec::new();
+            for r in &refs {
+                arena.extend_from_slice(&(r.len() as u32).to_le_bytes());
+                arena.extend_from_slice(r);
+            }
+            let n = recs.len() as u64;
+            let honest = PackedRecords::from_len_prefixed(arena.clone(), 0, n).unwrap();
+            prop_assert_eq!(honest.iter().collect::<Vec<_>>(), refs);
+            for lying in [count, n - 1, n + 1, (arena.len() / 4) as u64, u64::MAX] {
+                prop_assert!(lying == n || matches!(
+                    PackedRecords::from_len_prefixed(arena.clone(), 0, lying),
+                    Err(Error::Corrupt(_))
+                ));
+            }
+            let at = at % (arena.len() - 3);
+            arena[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+            for (start, count) in [(0, n), (start, n), (start, count % 16), (arena.len() + start, 0)] {
+                let got = ok_or_corrupt(PackedRecords::from_len_prefixed(arena.clone(), start, count))
+                    .map_err(TestCaseError::fail)?;
+                if let Some(p) = got {
+                    prop_assert_eq!(p.iter().count(), p.len());
+                    prop_assert_eq!(p.iter().map(|r| r.len() as u64).sum::<u64>(), p.bytes());
+                }
+            }
+        }
     }
 }

@@ -36,14 +36,14 @@ use onepass_core::trace::LocalTracer;
 use onepass_groupby::{EmitKind, Sink};
 
 use super::tcp::{Conn, TcpSink};
-use super::wire::{Frame, WireMapStats, WireReduceStats};
+use super::wire::{self, Frame};
 use super::JobRegistry;
 use crate::driver::{EngineConfig, SpillBackend};
 use crate::executor::make_store;
 use crate::job::JobSpec;
 use crate::knobs::{self, Settings};
-use crate::map_task::{run_map_task_with, MapAttemptCtx, MapTaskStats, Split};
-use crate::reduce_task::{panic_message, run_reduce_task_open, ReduceResult, ReduceRetryOpts};
+use crate::map_task::{run_map_task_with, MapAttemptCtx, Split};
+use crate::reduce_task::{panic_message, run_reduce_task_open, ReduceRetryOpts};
 use crate::shuffle::{Segment, ShuffleMsg, ShuffleTx, CHANNEL_DEPTH};
 
 /// Knobs for a worker process.
@@ -182,7 +182,7 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
     let shuffle_tx = TcpSink::shuffle_tx(Arc::clone(&conn));
     let dead = Arc::new(AtomicBool::new(false));
     let completed = Arc::new(AtomicU64::new(0));
-    let (map_tx, map_rx) = unbounded::<(usize, usize, Split)>();
+    let (map_tx, map_rx) = unbounded::<(usize, usize, Arc<Split>)>();
     let mut joins = Vec::new();
     for _ in 0..opts.map_slots.max(1) {
         let conn = Arc::clone(&conn);
@@ -217,9 +217,9 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
             Frame::NewSplit {
                 task,
                 attempt,
-                records,
+                split,
             } => {
-                let _ = map_tx.send((task as usize, attempt as usize, Split::new(records)));
+                let _ = map_tx.send((task as usize, attempt as usize, split));
             }
             Frame::ReduceTask { partition } => {
                 let (rtx, rrx) = bounded::<ShuffleMsg>(CHANNEL_DEPTH);
@@ -237,11 +237,9 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
                 partition,
                 sorted,
                 combined,
-                payload,
+                records,
             } => {
-                if let (Some(tx), Ok(records)) =
-                    (reduce_txs.get(&partition), super::wire::decode_kv(payload))
-                {
+                if let Some(tx) = reduce_txs.get(&partition) {
                     let _ = tx.send(ShuffleMsg::Segment(Segment {
                         map_task: map_task as usize,
                         attempt: attempt as usize,
@@ -319,7 +317,7 @@ fn map_slot(
     conn: &Conn,
     job: &JobSpec,
     shuffle_tx: &ShuffleTx,
-    map_rx: &Receiver<(usize, usize, Split)>,
+    map_rx: &Receiver<(usize, usize, Arc<Split>)>,
     dead: &AtomicBool,
     completed: &AtomicU64,
     die_after: Option<u64>,
@@ -353,7 +351,7 @@ fn map_slot(
                 let _ = conn.send(&Frame::MapOk {
                     task: task as u64,
                     attempt: attempt as u64,
-                    stats: wire_map_stats(&stats),
+                    stats,
                 });
                 if let Some(n) = die_after {
                     if completed.fetch_add(1, Ordering::Relaxed) + 1 >= n {
@@ -412,10 +410,7 @@ fn reduce_partition(
     ) {
         Ok(res) => {
             sink.flush();
-            let _ = conn.send(&Frame::ReduceDone {
-                partition,
-                stats: wire_reduce_stats(&res),
-            });
+            let _ = conn.send(&Frame::ReduceDone { result: res });
         }
         Err(_) => {
             // Aborted or exhausted its worker-internal retries. The
@@ -425,42 +420,15 @@ fn reduce_partition(
     }
 }
 
-fn wire_map_stats(s: &MapTaskStats) -> WireMapStats {
-    WireMapStats {
-        input_records: s.input_records,
-        input_bytes: s.input_bytes,
-        output_records: s.output_records,
-        shuffled_records: s.shuffled_records,
-        shuffled_bytes: s.shuffled_bytes,
-        flushes: s.flushes,
-    }
-}
-
-fn wire_reduce_stats(r: &ReduceResult) -> WireReduceStats {
-    WireReduceStats {
-        records_in: r.stats.records_in,
-        groups_out: r.stats.groups_out,
-        early_emits: r.stats.early_emits,
-        bytes_written: r.stats.io.bytes_written,
-        bytes_read: r.stats.io.bytes_read,
-        runs_created: r.stats.io.runs_created,
-        runs_deleted: r.stats.io.runs_deleted,
-        peak_mem: r.stats.peak_mem as u64,
-        spills: r.stats.spills,
-        passes: r.stats.passes,
-        snapshots_taken: r.snapshots_taken,
-        attempts: r.attempts as u64,
-    }
-}
-
-/// Buffers reduce emissions into framed batches (~64 KiB, split on
+/// Buffers reduce emissions into `FinalBatch` frames (~64 KiB, split on
 /// early/final boundaries so emission kind survives the wire, order
-/// preserved).
+/// preserved). Each record is framed once, straight into the buffer the
+/// connection writes.
 struct FrameSink {
     conn: Arc<Conn>,
     partition: u64,
     kind: u8,
-    buf: Vec<u8>,
+    frame: wire::Enc,
 }
 
 impl FrameSink {
@@ -471,19 +439,16 @@ impl FrameSink {
             conn,
             partition,
             kind: 1,
-            buf: Vec::new(),
+            frame: wire::final_batch(partition, 1),
         }
     }
 
     fn flush(&mut self) {
-        if self.buf.is_empty() {
+        if self.frame.blob_len() == 0 {
             return;
         }
-        let _ = self.conn.send(&Frame::FinalBatch {
-            partition: self.partition,
-            kind: self.kind,
-            payload: std::mem::take(&mut self.buf),
-        });
+        let _ = self.conn.send_encoded(self.frame.seal());
+        self.frame.clear_blob();
     }
 }
 
@@ -496,9 +461,10 @@ impl Sink for FrameSink {
         if k != self.kind {
             self.flush();
             self.kind = k;
+            self.frame = wire::final_batch(self.partition, k);
         }
-        super::wire::append_kv(&mut self.buf, key, value);
-        if self.buf.len() >= Self::FLUSH_BYTES {
+        self.frame.kv(key, value);
+        if self.frame.blob_len() >= Self::FLUSH_BYTES {
             self.flush();
         }
     }

@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use onepass_core::trace::Tracer;
 use onepass_groupby::{EmitKind, SumAgg};
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
@@ -17,10 +18,14 @@ fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
 }
 
 fn splits() -> Vec<Split> {
-    (0..6)
+    splits_of(6, 150)
+}
+
+fn splits_of(count: usize, records: usize) -> Vec<Split> {
+    (0..count)
         .map(|s| {
             Split::new(
-                (0..150)
+                (0..records)
                     .map(|i| format!("w{} w{} common", (s * 7 + i) % 23, i % 11).into_bytes())
                     .collect(),
             )
@@ -60,22 +65,31 @@ fn finals(report: &JobReport) -> BTreeMap<Vec<u8>, Vec<u8>> {
 }
 
 fn run_inproc() -> JobReport {
+    run_inproc_on(splits())
+}
+
+fn run_inproc_on(splits: Vec<Split>) -> JobReport {
     Engine::with_config(
         EngineConfig::builder()
             .in_node_combine(InNodeCombine::Off)
             .build(),
     )
-    .run(&wc_job(), splits())
+    .run(&wc_job(), splits)
     .unwrap()
 }
 
 fn run_tcp(workers: &[&str]) -> JobReport {
+    run_tcp_on(workers, splits(), Tracer::disabled())
+}
+
+fn run_tcp_on(workers: &[&str], splits: Vec<Split>, tracer: Tracer) -> JobReport {
     let cfg = EngineConfig::builder()
         .transport(Transport::Tcp {
             workers: workers.iter().map(|s| s.to_string()).collect(),
         })
+        .tracer(tracer)
         .build();
-    Engine::with_config(cfg).run(&wc_job(), splits()).unwrap()
+    Engine::with_config(cfg).run(&wc_job(), splits).unwrap()
 }
 
 #[test]
@@ -112,26 +126,48 @@ fn shuffle_accounting_is_transport_agnostic() {
     w2.shutdown();
 }
 
-/// Kill one worker after its first completed map (the moral equivalent of
-/// `kill -9` mid-job): the survivor absorbs replayed map attempts and
-/// reduce partitions, and the output stays byte-identical.
+/// Kill one worker after its third completed map (the moral equivalent
+/// of `kill -9` mid-job): the survivor absorbs replayed map attempts and
+/// reduce partitions, and the output stays byte-identical. Every segment
+/// in a dead owner's retained log arrived over the wire, and is replayed
+/// as the framed bytes it came in as, never re-framed.
 #[test]
 fn worker_killed_mid_job_is_byte_identical() {
-    let base = run_inproc();
+    // Enough maps behind the third that the job is far from done at the
+    // kill, and enough segments before it that the log is not empty.
+    let input = || splits_of(24, 600);
+    let base = run_inproc_on(input());
     let dying = spawn_local(
         registry(),
         WorkerOptions {
             map_slots: 1,
-            die_after_maps: Some(1),
+            die_after_maps: Some(3),
         },
     )
     .unwrap();
     let survivor = spawn_local(registry(), WorkerOptions::default()).unwrap();
-    let dist = run_tcp(&[dying.addr(), survivor.addr()]);
+    let tracer = Tracer::enabled();
+    let dist = run_tcp_on(&[dying.addr(), survivor.addr()], input(), tracer.clone());
     assert_eq!(
         finals(&base),
         finals(&dist),
         "output diverged after worker loss"
+    );
+    let events = tracer.drain();
+    let replays: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "reduce_replay")
+        .collect();
+    assert!(!replays.is_empty(), "the dead worker's partitions re-home");
+    let arg = |e: &onepass_core::trace::TraceEvent, name: &str| {
+        e.args.iter().find(|(k, _)| *k == name).expect(name).1
+    };
+    for r in &replays {
+        assert_eq!(arg(r, "verbatim"), arg(r, "segments"));
+    }
+    assert!(
+        replays.iter().any(|r| arg(r, "verbatim") > 0.0),
+        "a replayed log held segments"
     );
     survivor.shutdown();
     dying.shutdown();

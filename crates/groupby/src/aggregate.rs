@@ -62,8 +62,17 @@ impl<T: Aggregator + ?Sized> Aggregator for std::sync::Arc<T> {
     }
 }
 
+/// Little-endian u64 from exactly eight bytes; `None` at any other length.
+pub(crate) fn le_u64(bytes: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+}
+
 fn dec_u64(state: &[u8]) -> u64 {
-    u64::from_le_bytes(state.try_into().expect("8-byte aggregate state"))
+    // Invariant: every u64 state here was built by `enc_u64`, and a u64
+    // aggregate's input values are eight bytes by the job's own contract
+    // with its map function — any other length is a bug in the job, not
+    // data to skip.
+    le_u64(state).expect("8-byte aggregate state")
 }
 
 fn enc_u64(x: u64) -> Vec<u8> {
@@ -157,35 +166,40 @@ impl Aggregator for FirstAgg {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ListAgg;
 
+/// Append `entry` to a framed list: `[u32 len][bytes]`…, the layout of
+/// [`ListAgg`] and [`JoinAgg`](crate::JoinAgg) states.
+pub(crate) fn push_frame(list: &mut Vec<u8>, entry: &[u8]) {
+    list.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+    list.extend_from_slice(entry);
+}
+
+/// The entries of a framed list. [`push_frame`] only ever writes whole
+/// frames; a tail that is not one (foreign bytes) ends the walk.
+pub(crate) fn frames(mut list: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (len, tail) = list.split_first_chunk::<4>()?;
+        let (entry, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+        list = tail;
+        Some(entry)
+    })
+}
+
 impl ListAgg {
     /// Decode a list state back into its elements.
     pub fn decode(state: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut pos = 0;
-        while pos < state.len() {
-            let len = u32::from_le_bytes(state[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            out.push(state[pos..pos + len].to_vec());
-            pos += len;
-        }
-        out
-    }
-
-    fn append(state: &mut Vec<u8>, value: &[u8]) {
-        state.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        state.extend_from_slice(value);
+        frames(state).map(<[u8]>::to_vec).collect()
     }
 }
 
 impl Aggregator for ListAgg {
     fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
         let mut s = Vec::with_capacity(4 + value.len());
-        Self::append(&mut s, value);
+        push_frame(&mut s, value);
         s
     }
 
     fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        Self::append(state, value);
+        push_frame(state, value);
     }
 
     fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
@@ -213,10 +227,9 @@ pub struct AvgAgg;
 
 impl AvgAgg {
     fn decode(state: &[u8]) -> (u64, u64) {
-        (
-            u64::from_le_bytes(state[0..8].try_into().expect("16-byte avg state")),
-            u64::from_le_bytes(state[8..16].try_into().expect("16-byte avg state")),
-        )
+        // Invariant: only `encode` builds an AVG state — sum then count,
+        // eight bytes each.
+        (dec_u64(&state[..8]), dec_u64(&state[8..]))
     }
 
     fn encode(sum: u64, count: u64) -> Vec<u8> {
@@ -228,7 +241,7 @@ impl AvgAgg {
 
     /// Decode a finished output value back into the mean.
     pub fn decode_mean(out: &[u8]) -> f64 {
-        f64::from_le_bytes(out.try_into().expect("8-byte mean"))
+        f64::from_bits(dec_u64(out))
     }
 }
 
@@ -281,7 +294,7 @@ impl Default for DistinctAgg {
 impl DistinctAgg {
     /// Decode a finished output value back into the distinct estimate.
     pub fn decode_estimate(out: &[u8]) -> u64 {
-        u64::from_le_bytes(out.try_into().expect("8-byte estimate"))
+        dec_u64(out)
     }
 }
 

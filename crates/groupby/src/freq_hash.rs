@@ -1,38 +1,65 @@
-//! Incremental hash with frequent-key residency — §V reduce technique 3.
+//! Incremental hash, with or without frequent-key residency — §V reduce
+//! techniques 2 and 3, one operator.
 //!
-//! "For the case that the memory cannot hold the states of all the keys,
-//! we further optimize the incremental hash by borrowing an existing
-//! online frequent algorithm to identify hot keys, and keep hot keys in
-//! memory. As the size of a state is usually sublinear in the number of
-//! values aggregated, maintaining hot keys instead of random keys in
-//! memory results in less I/Os. Moreover, hot keys are typically of
-//! greater importance to the users. This technique can return
+//! Technique 2: "we further implement an incremental hash technique, which
+//! maintains a state for each key, and updates it incrementally." The
+//! reduce computation is applied "to all groups simultaneously" (§IV-3) as
+//! records stream in, an optional [`EarlyEmit`] policy may publish a group
+//! *while input is still arriving* ("output a group as soon as the count of
+//! its items has reached the threshold"), and states that fit in memory
+//! cost zero I/O.
+//!
+//! Technique 3: "For the case that the memory cannot hold the states of
+//! all the keys, we further optimize the incremental hash by borrowing an
+//! existing online frequent algorithm to identify hot keys, and keep hot
+//! keys in memory. As the size of a state is usually sublinear in the
+//! number of values aggregated, maintaining hot keys instead of random
+//! keys in memory results in less I/Os. Moreover, hot keys are typically
+//! of greater importance to the users. This technique can return
 //! (approximate) results for these keys as early as when all the input
 //! data has arrived."
 //!
+//! Technique 2 is technique 3 with the summary off, so there is one
+//! operator, [`FreqHashGrouper`], and [`IncHashGrouper`] is the spelling
+//! that builds it with the hot-key gate off.
+//!
 //! Mechanics:
 //! * a record whose key is resident updates that state in place
-//!   (incremental hash) and bumps the entry's own hit counter — the
-//!   common case touches one hash table and nothing else;
+//!   (incremental hash), bumps the entry's own hit counter and, if there
+//!   is an early-emit policy, shows it the updated state — the common case
+//!   touches one hash table and nothing else;
 //! * a record whose key is *not* resident is inserted while the budget
 //!   has room; once it is full, the miss is counted in an online
 //!   frequent-items summary ([`MisraGries`]) and a **hotness gate**
 //!   decides: if the key's guaranteed miss count exceeds the hit count of
 //!   the residents last evicted, an eviction round makes room; otherwise
 //!   the record itself spills. Cold spill is hash-partitioned into
-//!   buckets up front;
+//!   buckets up front. With the gate off there is no summary and every
+//!   such miss spills: first come, first kept;
 //! * an eviction round ranks residents by hit count and spills the
 //!   coldest partial states until a **byte target** is free (the table
 //!   back under 90% of its budget). States of a holistic aggregate grow
-//!   with their hits, so a round sized in keys would free almost nothing;
-//! * `finish` first answers the resident hot keys straight from memory,
-//!   the moment input ends: a state that was inserted before the first
-//!   cold write and never evicted is its key's complete group and goes
-//!   out as its **final** answer; every other resident state goes out as
-//!   an **early (approximate) answer** and is flushed into its cold
-//!   bucket. Each bucket is then resolved exactly with a
+//!   with their hits, so a round sized in keys would free almost nothing.
+//!   Either way a miss that finds the table more than the eviction
+//!   headroom over its limit — in-place growth is charged softly — starts
+//!   a round, so `peak_mem` stays within limit + headroom + what the hits
+//!   since the last miss added. The cut reads the budget's current limit
+//!   and runs the same on a private budget and on a governor lease: a
+//!   lease's `shed` requests arrive only at batch boundaries and only when
+//!   a *sibling* escalates, which bounds nothing about this operator's own
+//!   growth. `serve_200` is the evidence that leased sessions lose nothing
+//!   by it: its growing-state sessions (sessionization, inverted-index,
+//!   join) have always run gate-on with the cut, and its gate-off sessions
+//!   hold fixed-size counts, which cannot outgrow a lease in place;
+//! * `finish` first answers the resident keys straight from memory, the
+//!   moment input ends: a state that was inserted before the first cold
+//!   write and never evicted is its key's complete group and goes out as
+//!   its **final** answer; every other resident state is flushed into its
+//!   cold bucket, after going out as an **early (approximate) answer**
+//!   when the gate is on. Each bucket is then resolved exactly with a
 //!   [`HybridHashGrouper`] child, so every key gets exactly one exact
-//!   final answer.
+//!   final answer — even on a budget smaller than one state, which the
+//!   children's first-key exemption absorbs.
 //!
 //! On skewed data the cold spill carries only the distribution's tail, so
 //! spill I/O drops by orders of magnitude versus sort-merge — the §V
@@ -49,44 +76,71 @@ use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
 use onepass_sketch::{FrequentItems, MisraGries};
 
-use crate::aggregate::Aggregator;
+use crate::aggregate::{le_u64, Aggregator};
 use crate::hybrid_hash::{
-    spill_entries, split_tagged, write_tagged, HybridHashGrouper, TAG_RAW, TAG_STATE,
+    charge_resize, io_since, spill_entries, split_tagged, state_cost, write_tagged,
+    HybridHashGrouper, STATE_OVERHEAD, TAG_RAW, TAG_STATE,
 };
 use crate::sink::{EmitKind, OpStats, Sink};
 use crate::GroupBy;
 
-/// Per-key bookkeeping overhead charged to the budget.
-const STATE_OVERHEAD: usize = 48;
-
 /// Share of the budget an eviction round leaves free.
 const EVICT_HEADROOM_DIV: usize = 10;
 
-/// Configuration for [`FreqHashGrouper`].
-#[derive(Debug, Clone)]
-pub struct FreqHashConfig {
-    /// Counters in the frequent-items summary (more ⇒ finer hot/cold
-    /// discrimination, more sketch memory). Default 1024.
-    pub sketch_capacity: usize,
-    /// Emit resident (hot-key) states as early answers at the start of
-    /// `finish`, before any disk pass. Default true.
-    pub early_hot_answers: bool,
-    /// Number of hash buckets for the cold spill. Default 16.
-    pub cold_fanout: usize,
-    /// Fanout of the hybrid-hash children that resolve cold buckets.
-    /// Default 8.
-    pub resolve_fanout: usize,
+/// Counters in the frequent-items summary.
+const SKETCH_CAPACITY: usize = 1024;
+
+/// Hash buckets for the cold spill.
+const COLD_FANOUT: usize = 16;
+
+/// Fanout of the hybrid-hash children that resolve cold buckets.
+const RESOLVE_FANOUT: usize = 8;
+
+/// Decides whether an updated group should be emitted early.
+pub trait EarlyEmit: Send + Sync {
+    /// Inspect `(key, state)` after an update; return `true` to emit the
+    /// current (finished copy of the) state as an early answer.
+    fn ready(&self, key: &[u8], state: &[u8]) -> bool;
 }
 
-impl Default for FreqHashConfig {
-    fn default() -> Self {
-        FreqHashConfig {
-            sketch_capacity: 1024,
-            early_hot_answers: true,
-            cold_fanout: 16,
-            resolve_fanout: 8,
-        }
+/// Early-emit policy: fire whenever a little-endian u64 state crosses
+/// `threshold` (exactly once, at the crossing — the §IV-3 example query
+/// "return all groups where the count of items exceeds a threshold").
+#[derive(Debug, Clone, Copy)]
+pub struct CountThreshold(pub u64);
+
+impl EarlyEmit for CountThreshold {
+    fn ready(&self, _key: &[u8], state: &[u8]) -> bool {
+        le_u64(state) == Some(self.0)
     }
+}
+
+/// Early-emit policy: fire every time a little-endian u64 state reaches
+/// a multiple of `period` — a periodic refresh of hot groups while input
+/// is still arriving (the serving front-end's per-tenant early answers).
+#[derive(Debug, Clone, Copy)]
+pub struct PeriodicCount(pub u64);
+
+impl EarlyEmit for PeriodicCount {
+    fn ready(&self, _key: &[u8], state: &[u8]) -> bool {
+        self.0 != 0 && le_u64(state).is_some_and(|n| n > 0 && n % self.0 == 0)
+    }
+}
+
+/// Publish `state` as an early answer if `policy` fires on it; returns the
+/// number of answers published.
+fn emit_if_ready(
+    policy: &dyn EarlyEmit,
+    agg: &dyn Aggregator,
+    key: &[u8],
+    state: &[u8],
+    sink: &mut dyn Sink,
+) -> u64 {
+    if !policy.ready(key, state) {
+        return 0;
+    }
+    sink.emit(key, &agg.finish(key, state.to_vec()), EmitKind::Early);
+    1
 }
 
 /// One resident key: its partial state and how many records it absorbed
@@ -107,15 +161,16 @@ struct ColdRuns {
     scratch: Vec<u8>,
 }
 
-/// The frequent-key incremental hash group-by operator.
+/// The incremental hash group-by operator, frequent-key residency on
+/// ([`FreqHashGrouper::new`]) or off ([`IncHashGrouper`]).
 pub struct FreqHashGrouper {
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-    /// Counts misses only: records whose key was not resident while the
-    /// budget was full.
-    sketch: MisraGries,
-    config: FreqHashConfig,
+    /// The hot-key gate's summary; `None` = gate off. Counts misses only:
+    /// records whose key was not resident while the budget was full.
+    sketch: Option<MisraGries>,
+    early: Option<Arc<dyn EarlyEmit>>,
     /// Cached cold-bucket hasher (member 1_000_003 of the default
     /// [`SeededFamily`]) — built once so per-record cold routing never
     /// re-derives the member.
@@ -147,21 +202,49 @@ impl std::fmt::Debug for FreqHashGrouper {
     }
 }
 
-impl FreqHashGrouper {
-    /// Create with default configuration.
-    pub fn new(store: Arc<dyn SpillStore>, budget: MemoryBudget, agg: Arc<dyn Aggregator>) -> Self {
-        Self::with_config(store, budget, agg, FreqHashConfig::default())
-    }
+/// §V technique 2 by name: builds a [`FreqHashGrouper`] with the hot-key
+/// gate off — no summary, a miss on a full table goes straight to the
+/// cold buckets, and `finish` publishes no hot-key early answers — and an
+/// optional per-update [`EarlyEmit`] policy.
+pub enum IncHashGrouper {}
 
-    /// Create with explicit configuration.
-    pub fn with_config(
+#[allow(clippy::new_ret_no_self)]
+impl IncHashGrouper {
+    /// An incremental hash grouper without early emission.
+    pub fn new(
         store: Arc<dyn SpillStore>,
         budget: MemoryBudget,
         agg: Arc<dyn Aggregator>,
-        config: FreqHashConfig,
+    ) -> FreqHashGrouper {
+        Self::with_early(store, budget, agg, None)
+    }
+
+    /// An incremental hash grouper with an optional early-emit policy.
+    pub fn with_early(
+        store: Arc<dyn SpillStore>,
+        budget: MemoryBudget,
+        agg: Arc<dyn Aggregator>,
+        early: Option<Arc<dyn EarlyEmit>>,
+    ) -> FreqHashGrouper {
+        FreqHashGrouper::build(store, budget, agg, None, early)
+    }
+}
+
+impl FreqHashGrouper {
+    /// Create with the hot-key gate on.
+    pub fn new(store: Arc<dyn SpillStore>, budget: MemoryBudget, agg: Arc<dyn Aggregator>) -> Self {
+        let sketch = MisraGries::new(SKETCH_CAPACITY);
+        Self::build(store, budget, agg, Some(sketch), None)
+    }
+
+    fn build(
+        store: Arc<dyn SpillStore>,
+        budget: MemoryBudget,
+        agg: Arc<dyn Aggregator>,
+        sketch: Option<MisraGries>,
+        early: Option<Arc<dyn EarlyEmit>>,
     ) -> Self {
         let io_base = store.stats();
-        let sketch = MisraGries::new(config.sketch_capacity.max(1));
         // Member index chosen not to collide with the hybrid children's
         // level-0 function (they start at member 0).
         let cold_hasher = SeededFamily::default().member(1_000_003);
@@ -170,8 +253,8 @@ impl FreqHashGrouper {
             budget,
             agg,
             sketch,
+            early,
             cold_hasher,
-            config,
             states: ByteMap::default(),
             reserved: 0,
             peak_reserved: 0,
@@ -208,12 +291,9 @@ impl FreqHashGrouper {
         self.states.get(key).map(|r| r.state.as_slice())
     }
 
-    fn state_cost(key: &[u8], state: &[u8]) -> usize {
-        key.len() + state.len() + STATE_OVERHEAD
-    }
-
-    /// Absorb `value` into `key`'s resident state; false if not resident.
-    fn update_resident(&mut self, key: &[u8], value: &[u8]) -> bool {
+    /// Absorb `value` into `key`'s resident state and show the early-emit
+    /// policy the result; false if not resident.
+    fn update_resident(&mut self, key: &[u8], value: &[u8], sink: &mut dyn Sink) -> bool {
         let Some(resident) = self.states.get_mut(key) else {
             return false;
         };
@@ -221,19 +301,22 @@ impl FreqHashGrouper {
         let before = resident.state.len();
         self.agg.update(key, &mut resident.state, value);
         let after = resident.state.len();
-        if after > before {
-            self.budget.force_grant(after - before);
-            self.reserved += after - before;
-        } else if before > after {
-            self.budget.release(before - after);
-            self.reserved -= before - after;
-        }
+        charge_resize(&self.budget, &mut self.reserved, before, after);
         self.peak_reserved = self.peak_reserved.max(self.reserved);
+        if let Some(policy) = &self.early {
+            self.early_emits += emit_if_ready(
+                policy.as_ref(),
+                self.agg.as_ref(),
+                key,
+                &resident.state,
+                sink,
+            );
+        }
         true
     }
 
     /// Insert a new resident state if the budget allows.
-    fn try_insert(&mut self, key: &[u8], value: &[u8], hits: u64) -> bool {
+    fn try_insert(&mut self, key: &[u8], value: &[u8], hits: u64, sink: &mut dyn Sink) -> bool {
         // The entry's fixed part is charged first, so on a full budget —
         // every cold record — this fails before `init` allocates a state.
         // Escalates to the governor (if leased) before the hotness gate
@@ -247,6 +330,10 @@ impl FreqHashGrouper {
         self.budget.force_grant(state.len());
         self.reserved += fixed + state.len();
         self.peak_reserved = self.peak_reserved.max(self.reserved);
+        if let Some(policy) = &self.early {
+            self.early_emits +=
+                emit_if_ready(policy.as_ref(), self.agg.as_ref(), key, &state, sink);
+        }
         let complete = self.cold.is_none();
         self.states.insert(
             key.to_vec(),
@@ -263,11 +350,10 @@ impl FreqHashGrouper {
     /// first, until `target_bytes` are free, and move the cold threshold
     /// to the hottest state spilled. Returns the bytes freed.
     fn evict_bytes(&mut self, target_bytes: usize) -> Result<usize> {
-        let group_start = std::time::Instant::now();
         let mut ranked: Vec<(u64, &[u8], usize)> = self
             .states
             .iter()
-            .map(|(k, r)| (r.hits, k.as_slice(), Self::state_cost(k, &r.state)))
+            .map(|(k, r)| (r.hits, k.as_slice(), state_cost(k, &r.state)))
             .collect();
         ranked.sort_unstable();
         if ranked.is_empty() {
@@ -291,7 +377,7 @@ impl FreqHashGrouper {
                 return Ok(false);
             }
             self.write_cold(key, &r.state, TAG_STATE)?;
-            let cost = Self::state_cost(key, &r.state);
+            let cost = state_cost(key, &r.state);
             self.budget.release(cost);
             self.reserved -= cost;
             Ok(true)
@@ -302,8 +388,6 @@ impl FreqHashGrouper {
         // start another round.
         self.cold_threshold = cut.0;
         self.evictions += 1;
-        self.profile
-            .add_time(Phase::ReduceGroup, group_start.elapsed());
         // Advertise how cold this operator's evictable tail is, so the
         // governor's ColdestKeys policy can rank victims.
         self.budget.publish_heat(self.cold_threshold);
@@ -322,8 +406,8 @@ impl FreqHashGrouper {
         let cold = match &mut self.cold {
             Some(cold) => cold,
             slot => {
-                let mut writers = Vec::with_capacity(self.config.cold_fanout);
-                for _ in 0..self.config.cold_fanout {
+                let mut writers = Vec::with_capacity(COLD_FANOUT);
+                for _ in 0..COLD_FANOUT {
                     writers.push(self.store.begin_run()?);
                 }
                 self.spills += 1;
@@ -345,8 +429,9 @@ impl FreqHashGrouper {
 
     /// Empty the table at end of input, straight from memory. A complete
     /// state is its key's exact group and goes out as final output. Any
-    /// other partial state is published as an early (approximate) answer,
-    /// then joins the rest of its key's data in its cold bucket.
+    /// other partial state joins the rest of its key's data in its cold
+    /// bucket — published first as an early (approximate) hot-key answer
+    /// when the gate is on.
     fn drain_residents(&mut self, sink: &mut dyn Sink) -> Result<()> {
         let mut reduce = std::time::Duration::ZERO;
         for (key, r) in std::mem::take(&mut self.states) {
@@ -358,7 +443,7 @@ impl FreqHashGrouper {
                 reduce += reduce_start.elapsed();
                 continue;
             }
-            if self.config.early_hot_answers {
+            if self.sketch.is_some() {
                 let out = self.agg.finish(&key, r.state.clone());
                 sink.emit(&key, &out, EmitKind::Early);
                 self.early_emits += 1;
@@ -372,8 +457,8 @@ impl FreqHashGrouper {
         Ok(())
     }
 
-    fn push_one(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if self.update_resident(key, value) || self.try_insert(key, value, 1) {
+    fn push_one(&mut self, key: &[u8], value: &[u8], sink: &mut dyn Sink) -> Result<()> {
+        if self.update_resident(key, value, sink) || self.try_insert(key, value, 1, sink) {
             return Ok(());
         }
         // Budget full and key not resident: count the miss, then the
@@ -381,9 +466,11 @@ impl FreqHashGrouper {
         // heat is its own hit counter — so the common (hit) path never
         // pays for it. Its count is a guaranteed lower bound; an upper
         // bound would make every newly tracked key look hot and start
-        // eviction storms.
-        self.sketch.offer(key);
-        let heat = self.sketch.lower_bound(key);
+        // eviction storms. With the gate off no key is ever hot enough.
+        let heat = self.sketch.as_mut().map_or(0, |sketch| {
+            sketch.offer(key);
+            sketch.lower_bound(key)
+        });
         let limit = self.budget.limit();
         let headroom = limit / EVICT_HEADROOM_DIV;
         let used = self.budget.used();
@@ -392,7 +479,7 @@ impl FreqHashGrouper {
         if heat > self.cold_threshold || used > limit.saturating_add(headroom) {
             self.evict_bytes(used.saturating_sub(limit - headroom))?;
             // (A full summary may have discarded this very miss.)
-            if self.try_insert(key, value, heat.max(1)) {
+            if self.try_insert(key, value, heat.max(1), sink) {
                 self.trace
                     .instant("admit", "freq", &[("heat", heat as f64)]);
                 return Ok(());
@@ -404,11 +491,15 @@ impl FreqHashGrouper {
 }
 
 impl GroupBy for FreqHashGrouper {
-    fn push_batch(&mut self, batch: &SegmentBuf, _sink: &mut dyn Sink) -> Result<()> {
+    fn push_batch(&mut self, batch: &SegmentBuf, sink: &mut dyn Sink) -> Result<()> {
+        // Grouping time is read once per batch, never per record.
+        let group_start = std::time::Instant::now();
         self.records_in += batch.len() as u64;
         for (key, value) in batch.iter() {
-            self.push_one(key, value)?;
+            self.push_one(key, value, sink)?;
         }
+        self.profile
+            .add_time(Phase::ReduceGroup, group_start.elapsed());
         Ok(())
     }
 
@@ -418,19 +509,22 @@ impl GroupBy for FreqHashGrouper {
         // resolves, so re-admitted keys stay correct (they come back
         // incomplete, and finish moves every incomplete resident to its
         // bucket).
-        self.evict_bytes(target_bytes)
+        let group_start = std::time::Instant::now();
+        let freed = self.evict_bytes(target_bytes);
+        self.profile
+            .add_time(Phase::ReduceGroup, group_start.elapsed());
+        freed
     }
 
     fn finish(&mut self, sink: &mut dyn Sink) -> Result<OpStats> {
-        // 1. Hot-key answers, straight from memory: exact for the keys that
-        //    never left it, early for the rest, whose partial states move
-        //    into their buckets so the exact pass sees each remaining
-        //    key's complete data in one place.
+        // 1. Resident answers, straight from memory: exact for the keys
+        //    that never left it; the rest (early hot-key answers, gate on)
+        //    move their partial states into their buckets so the exact
+        //    pass sees each remaining key's complete data in one place.
         self.drain_residents(sink)?;
         let Some(cold) = self.cold.take() else {
             // Everything fit in memory.
-            let io_now = self.store.stats();
-            return Ok(self.stats_snapshot(io_now, 0));
+            return Ok(self.stats_snapshot(0));
         };
         let metas: Vec<RunMeta> = cold
             .writers
@@ -457,7 +551,7 @@ impl GroupBy for FreqHashGrouper {
             let mut child = HybridHashGrouper::new(
                 Arc::clone(&self.store),
                 self.budget.clone(),
-                self.config.resolve_fanout,
+                RESOLVE_FANOUT,
                 Arc::clone(&self.agg),
             )?;
             {
@@ -474,27 +568,24 @@ impl GroupBy for FreqHashGrouper {
             self.profile.merge(&child_stats.profile);
         }
 
-        let io_now = self.store.stats();
-        Ok(self.stats_snapshot(io_now, passes))
+        Ok(self.stats_snapshot(passes))
     }
 
     fn name(&self) -> &'static str {
-        "frequent-hash"
+        match self.sketch {
+            Some(_) => "frequent-hash",
+            None => "incremental-hash",
+        }
     }
 }
 
 impl FreqHashGrouper {
-    fn stats_snapshot(&self, io_now: IoStats, passes: u64) -> OpStats {
+    fn stats_snapshot(&self, passes: u64) -> OpStats {
         OpStats {
             records_in: self.records_in,
             groups_out: self.groups_out,
             early_emits: self.early_emits,
-            io: IoStats {
-                bytes_written: io_now.bytes_written - self.io_base.bytes_written,
-                bytes_read: io_now.bytes_read - self.io_base.bytes_read,
-                runs_created: io_now.runs_created - self.io_base.runs_created,
-                runs_deleted: io_now.runs_deleted - self.io_base.runs_deleted,
-            },
+            io: io_since(self.store.as_ref(), &self.io_base),
             profile: self.profile.clone(),
             peak_mem: self.peak_reserved,
             spills: self.spills,
@@ -506,11 +597,12 @@ impl FreqHashGrouper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::CountAgg;
+    use crate::aggregate::{CountAgg, ListAgg};
     use crate::sink::VecSink;
     use crate::test_support::{count_truth, dec_u64, pairs, run_op};
     use crate::SortMergeGrouper;
     use onepass_core::io::SharedMemStore;
+    use std::collections::BTreeMap;
 
     /// Skewed stream: 50% of records hit key 0; the rest cycle uniformly
     /// over the remaining `distinct - 1` keys.
@@ -528,23 +620,161 @@ mod tests {
         recs
     }
 
+    type Make = fn(Arc<dyn SpillStore>, MemoryBudget, Arc<dyn Aggregator>) -> FreqHashGrouper;
+
+    /// The operator's two spellings: hot-key gate on, and off.
+    const SPELLINGS: [(&str, Make); 2] = [
+        ("freq-hash", FreqHashGrouper::new),
+        ("inc-hash", IncHashGrouper::new),
+    ];
+
     #[test]
     fn exact_results_under_memory_pressure() {
-        let store = SharedMemStore::new();
-        let mut g = FreqHashGrouper::new(
-            Arc::new(store.clone()),
-            MemoryBudget::new(30 * (8 + 9 + STATE_OVERHEAD)),
-            Arc::new(CountAgg),
-        );
-        let recs = skewed_records(4000, 500);
-        let (out, stats, _) = run_op(&mut g, pairs(&recs));
-        let truth = count_truth(pairs(&recs));
-        assert_eq!(out.len(), truth.len());
-        for (k, c) in truth {
-            assert_eq!(dec_u64(&out[&k]), c, "count mismatch for {k:?}");
+        for (name, make) in SPELLINGS {
+            let store = SharedMemStore::new();
+            let mut g = make(
+                Arc::new(store.clone()),
+                MemoryBudget::new(30 * (8 + 9 + STATE_OVERHEAD)),
+                Arc::new(CountAgg),
+            );
+            let recs = skewed_records(4000, 500);
+            let (out, stats, _) = run_op(&mut g, pairs(&recs));
+            let truth = count_truth(pairs(&recs));
+            assert_eq!(out.len(), truth.len(), "{name}");
+            for (k, c) in truth {
+                assert_eq!(dec_u64(&out[&k]), c, "{name}: count mismatch for {k:?}");
+            }
+            assert!(stats.spills >= 1, "{name}");
+            assert_eq!(store.live_runs(), 0, "{name}");
         }
-        assert!(stats.spills >= 1);
-        assert_eq!(store.live_runs(), 0);
+    }
+
+    #[test]
+    fn budget_smaller_than_one_state_still_answers_exactly() {
+        // No state ever fits, so every record goes cold; each bucket's
+        // hybrid child keeps its first key resident whatever the budget
+        // (the first-key exemption), and that is what terminates.
+        for (name, make) in SPELLINGS {
+            let store = SharedMemStore::new();
+            let budget = MemoryBudget::new(8);
+            let mut g = make(Arc::new(store.clone()), budget.clone(), Arc::new(CountAgg));
+            let recs: Vec<_> = (0..50u32)
+                .map(|i| (i.to_le_bytes().to_vec(), b"v".to_vec()))
+                .collect();
+            let (out, _, _) = run_op(&mut g, pairs(&recs));
+            assert_eq!(out.len(), 50, "{name}");
+            assert!(out.values().all(|v| dec_u64(v) == 1), "{name}");
+            assert_eq!(store.live_runs(), 0, "{name}");
+            assert_eq!(budget.used(), 0, "{name}");
+        }
+    }
+
+    /// 16 hot keys share every other record; the rest are singletons, so
+    /// once the table is over its limit every record between two hot hits
+    /// is a miss.
+    fn hot_and_singletons(n: u32) -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..n)
+            .map(|i| {
+                let key = if i % 2 == 0 {
+                    format!("hot{:02}", (i / 2) % 16)
+                } else {
+                    format!("one{i:06}")
+                };
+                (key.into_bytes(), format!("v{i:06}").into_bytes())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn growing_states_stay_within_the_budget_on_both_spellings() {
+        // List states grow in place under soft charges. The table must be
+        // cut back at the first miss that finds it more than the eviction
+        // headroom over its limit, so the peak is the limit, the headroom
+        // and what one hit adds — not the hot keys' whole lists.
+        let recs = hot_and_singletons(8000);
+        let one_record = 4 + "v000000".len();
+        for (name, make) in SPELLINGS {
+            let fit = |budget| {
+                let mut g = make(Arc::new(SharedMemStore::new()), budget, Arc::new(ListAgg));
+                run_op(&mut g, pairs(&recs))
+            };
+            let (fit_out, fit_stats, _) = fit(MemoryBudget::unlimited());
+            assert_eq!(fit_stats.io.bytes_written, 0, "{name}");
+            let limit = fit_stats.peak_mem / 8;
+            let (out, stats, _) = fit(MemoryBudget::new(limit));
+            assert!(
+                stats.peak_mem <= limit + limit / EVICT_HEADROOM_DIV + one_record,
+                "{name}: peak {} on a {limit}-byte budget",
+                stats.peak_mem
+            );
+            let sorted = |out: BTreeMap<Vec<u8>, Vec<u8>>| -> Vec<_> {
+                out.into_iter()
+                    .map(|(k, v)| {
+                        let mut items = ListAgg::decode(&v);
+                        items.sort();
+                        (k, items)
+                    })
+                    .collect()
+            };
+            assert_eq!(sorted(out), sorted(fit_out), "{name}");
+        }
+    }
+
+    /// One key per record, alternating `a` and `b`, 8 records each.
+    fn alternating() -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..16u32)
+            .map(|i| (vec![b"ab"[i as usize % 2]], (i / 2).to_le_bytes().to_vec()))
+            .collect()
+    }
+
+    fn with_threshold(at: u64) -> FreqHashGrouper {
+        IncHashGrouper::with_early(
+            Arc::new(SharedMemStore::new()),
+            MemoryBudget::unlimited(),
+            Arc::new(CountAgg),
+            Some(Arc::new(CountThreshold(at))),
+        )
+    }
+
+    #[test]
+    fn early_emission_fires_once_at_the_crossing_with_the_state_at_the_crossing() {
+        // Single-record batches on purpose: early emission must interleave
+        // with individual records, not land at bulk-batch boundaries.
+        let mut g = with_threshold(5);
+        let mut sink = VecSink::default();
+        for rec in alternating() {
+            g.push_batch(&SegmentBuf::from_pairs(pairs(&[rec])), &mut sink)
+                .unwrap();
+        }
+        // Each key reaches 5 at its 5th record — records 9 and 10 of 16 —
+        // and the answer goes out then, carrying the count at the crossing.
+        let early = |k: &[u8]| (k.to_vec(), 5u64.to_le_bytes().to_vec(), EmitKind::Early);
+        assert_eq!(sink.emitted, [early(b"a"), early(b"b")]);
+        let stats = g.finish(&mut sink).unwrap();
+        assert_eq!((stats.early_emits, stats.groups_out), (2, 2));
+        assert_eq!(sink.final_count(), 2);
+        for (_, v, kind) in &sink.emitted[2..] {
+            assert_eq!((dec_u64(v), *kind), (8, EmitKind::Final));
+        }
+    }
+
+    #[test]
+    fn single_record_batches_match_one_bulk_batch() {
+        let recs = alternating();
+        let mut bulk = VecSink::default();
+        let mut g = with_threshold(3);
+        g.push_batch(&SegmentBuf::from_pairs(pairs(&recs)), &mut bulk)
+            .unwrap();
+        g.finish(&mut bulk).unwrap();
+        let mut single = VecSink::default();
+        let mut g = with_threshold(3);
+        for rec in recs {
+            g.push_batch(&SegmentBuf::from_pairs(pairs(&[rec])), &mut single)
+                .unwrap();
+        }
+        g.finish(&mut single).unwrap();
+        assert_eq!(bulk.early_count(), 2);
+        assert_eq!(bulk.emitted, single.emitted);
     }
 
     #[test]
@@ -704,42 +934,35 @@ mod tests {
 
     #[test]
     fn all_in_memory_zero_io() {
-        let store = SharedMemStore::new();
-        let mut g = FreqHashGrouper::new(
-            Arc::new(store),
-            MemoryBudget::unlimited(),
-            Arc::new(CountAgg),
-        );
-        let recs = skewed_records(1000, 100);
-        let (out, stats, sink) = run_op(&mut g, pairs(&recs));
-        assert_eq!(out.len(), count_truth(pairs(&recs)).len());
-        assert_eq!(stats.io.bytes_written, 0);
-        assert_eq!(sink.early_count(), 0, "no early pass needed when exact");
+        for (name, make) in SPELLINGS {
+            let mut g = make(
+                Arc::new(SharedMemStore::new()),
+                MemoryBudget::unlimited(),
+                Arc::new(CountAgg),
+            );
+            let recs = skewed_records(1000, 100);
+            let (out, stats, sink) = run_op(&mut g, pairs(&recs));
+            assert_eq!(out.len(), count_truth(pairs(&recs)).len(), "{name}");
+            assert_eq!(stats.io.bytes_written, 0, "{name}");
+            assert_eq!((stats.spills, stats.passes), (0, 0), "{name}");
+            assert_eq!(sink.early_count(), 0, "{name}: exact needs no early pass");
+        }
     }
 
     #[test]
-    fn budget_released() {
-        let budget = MemoryBudget::new(3000);
-        let store = SharedMemStore::new();
-        let mut g = FreqHashGrouper::new(Arc::new(store), budget.clone(), Arc::new(CountAgg));
-        let _ = run_op(&mut g, pairs(&skewed_records(3000, 400)));
-        assert_eq!(budget.used(), 0);
-    }
-
-    #[test]
-    fn disabling_early_answers_suppresses_them() {
-        let store = SharedMemStore::new();
-        let mut g = FreqHashGrouper::with_config(
-            Arc::new(store),
-            MemoryBudget::new(2000),
-            Arc::new(CountAgg),
-            FreqHashConfig {
-                early_hot_answers: false,
-                ..Default::default()
-            },
-        );
-        let (_, stats, sink) = run_op(&mut g, pairs(&skewed_records(3000, 400)));
-        assert_eq!(stats.early_emits, 0);
-        assert_eq!(sink.early_count(), 0);
+    fn budget_released_and_no_sort_phase_ever() {
+        for (name, make) in SPELLINGS {
+            let budget = MemoryBudget::new(3000);
+            let store = SharedMemStore::new();
+            let mut g = make(Arc::new(store), budget.clone(), Arc::new(CountAgg));
+            let (_, stats, _) = run_op(&mut g, pairs(&skewed_records(3000, 400)));
+            assert!(stats.spills >= 1, "{name}");
+            assert_eq!(budget.used(), 0, "{name}");
+            assert_eq!(
+                stats.profile.time(Phase::MapSort),
+                std::time::Duration::ZERO,
+                "{name}"
+            );
+        }
     }
 }

@@ -38,7 +38,43 @@ use crate::sink::{EmitKind, OpStats, Sink};
 use crate::GroupBy;
 
 /// Per-key bookkeeping overhead charged to the budget (hash table slot).
-const STATE_OVERHEAD: usize = 48;
+pub(crate) const STATE_OVERHEAD: usize = 48;
+
+/// Budget charge for one resident `(key, state)` entry.
+pub(crate) fn state_cost(key: &[u8], state: &[u8]) -> usize {
+    key.len() + state.len() + STATE_OVERHEAD
+}
+
+/// Settle the budget after an in-place `update`/`merge` took a resident
+/// state from `before` to `after` bytes. Growth must not fail mid-update,
+/// so it is force-charged (soft limit); the overshoot makes the next new
+/// key take the operator's spill path.
+pub(crate) fn charge_resize(
+    budget: &MemoryBudget,
+    reserved: &mut usize,
+    before: usize,
+    after: usize,
+) {
+    if after > before {
+        budget.force_grant(after - before);
+        *reserved += after - before;
+    } else if before > after {
+        budget.release(before - after);
+        *reserved -= before - after;
+    }
+}
+
+/// Spill I/O on `store` since the snapshot `base` — an operator's own
+/// share, for [`OpStats::io`].
+pub(crate) fn io_since(store: &dyn SpillStore, base: &IoStats) -> IoStats {
+    let now = store.stats();
+    IoStats {
+        bytes_written: now.bytes_written - base.bytes_written,
+        bytes_read: now.bytes_read - base.bytes_read,
+        runs_created: now.runs_created - base.runs_created,
+        runs_deleted: now.runs_deleted - base.runs_deleted,
+    }
+}
 
 /// Tag byte for spilled payloads: a raw, un-aggregated value.
 pub(crate) const TAG_RAW: u8 = 0;
@@ -202,10 +238,6 @@ impl HybridHashGrouper {
         self.trace = trace;
     }
 
-    fn state_cost(key: &[u8], state: &[u8]) -> usize {
-        key.len() + state.len() + STATE_OVERHEAD
-    }
-
     /// Update or create the resident state for `key`, charging the budget
     /// for growth. Returns `false` (leaving state untouched) if the key is
     /// new and the budget cannot take it.
@@ -216,18 +248,7 @@ impl HybridHashGrouper {
                 TAG_RAW => self.agg.update(key, state, payload),
                 _ => self.agg.merge(key, state, payload),
             }
-            let after = state.len();
-            if after > before {
-                // In-place growth of an existing resident state must not
-                // fail mid-update; force the charge (soft limit) — the
-                // overshoot makes the next new key trigger partitioning.
-                let diff = after - before;
-                self.budget.force_grant(diff);
-                self.reserved += diff;
-            } else if before > after {
-                self.budget.release(before - after);
-                self.reserved -= before - after;
-            }
+            charge_resize(&self.budget, &mut self.reserved, before, state.len());
             self.peak_reserved = self.peak_reserved.max(self.reserved);
             return Ok(true);
         }
@@ -236,7 +257,7 @@ impl HybridHashGrouper {
             TAG_RAW => self.agg.init(key, payload),
             _ => payload.to_vec(),
         };
-        let cost = Self::state_cost(key, &state);
+        let cost = state_cost(key, &state);
         // Escalate to the governor (if leased) before partitioning or
         // spilling the record. The *first* key of a level is exempt and
         // force-charged (soft limit): recursion only terminates if every
@@ -285,7 +306,7 @@ impl HybridHashGrouper {
                 return Ok(false);
             };
             self.write_spill(bucket, key, TAG_STATE, state)?;
-            let cost = Self::state_cost(key, state);
+            let cost = state_cost(key, state);
             self.budget.release(cost);
             self.reserved -= cost;
             Ok(true)
@@ -423,7 +444,7 @@ impl GroupBy for HybridHashGrouper {
                 if planned >= target_bytes {
                     return None;
                 }
-                planned += Self::state_cost(key, state);
+                planned += state_cost(key, state);
                 g.run0_keys.insert(key.to_vec(), ());
                 Some(0)
             })?;
@@ -485,17 +506,11 @@ impl GroupBy for HybridHashGrouper {
             }
         }
 
-        let io_now = self.store.stats();
         Ok(OpStats {
             records_in: self.records_in,
             groups_out,
             early_emits: 0, // hybrid hash is blocking, like sort-merge
-            io: IoStats {
-                bytes_written: io_now.bytes_written - self.io_base.bytes_written,
-                bytes_read: io_now.bytes_read - self.io_base.bytes_read,
-                runs_created: io_now.runs_created - self.io_base.runs_created,
-                runs_deleted: io_now.runs_deleted - self.io_base.runs_deleted,
-            },
+            io: io_since(self.store.as_ref(), &self.io_base),
             profile,
             peak_mem: self.peak_reserved,
             spills,

@@ -18,7 +18,7 @@
 //! merge order — the determinism contract the plan-equivalence suite
 //! relies on.
 
-use crate::aggregate::Aggregator;
+use crate::aggregate::{frames, push_frame, Aggregator};
 
 /// Value tag for the build (dimension) side of a join.
 pub const TAG_BUILD: u8 = 0;
@@ -50,26 +50,9 @@ pub fn decode_tagged(value: &[u8]) -> Option<(u8, &[u8])> {
 pub struct JoinAgg;
 
 impl JoinAgg {
-    fn frame(out: &mut Vec<u8>, entry: &[u8]) {
-        out.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-        out.extend_from_slice(entry);
-    }
-
-    fn unframe(buf: &[u8]) -> Vec<&[u8]> {
-        let mut entries = Vec::new();
-        let mut i = 0;
-        while i + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[i..i + 4].try_into().unwrap()) as usize;
-            let end = (i + 4 + len).min(buf.len());
-            entries.push(&buf[i + 4..end]);
-            i = end;
-        }
-        entries
-    }
-
     /// Decode a final output into `(build, probe)` payload pairs.
     pub fn decode_joined(out: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let entries = Self::unframe(out);
+        let entries: Vec<&[u8]> = frames(out).collect();
         entries
             .chunks_exact(2)
             .map(|p| (p[0].to_vec(), p[1].to_vec()))
@@ -80,12 +63,12 @@ impl JoinAgg {
 impl Aggregator for JoinAgg {
     fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
         let mut state = Vec::with_capacity(4 + value.len());
-        Self::frame(&mut state, value);
+        push_frame(&mut state, value);
         state
     }
 
     fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        Self::frame(state, value);
+        push_frame(state, value);
     }
 
     fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
@@ -95,7 +78,7 @@ impl Aggregator for JoinAgg {
     fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
         let mut build = Vec::new();
         let mut probe = Vec::new();
-        for entry in Self::unframe(&state) {
+        for entry in frames(&state) {
             match decode_tagged(entry) {
                 Some((TAG_BUILD, payload)) => build.push(payload),
                 Some((TAG_PROBE, payload)) => probe.push(payload),
@@ -107,8 +90,8 @@ impl Aggregator for JoinAgg {
         let mut out = Vec::new();
         for b in &build {
             for p in &probe {
-                Self::frame(&mut out, b);
-                Self::frame(&mut out, p);
+                push_frame(&mut out, b);
+                push_frame(&mut out, p);
             }
         }
         out

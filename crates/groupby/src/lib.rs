@@ -13,12 +13,13 @@
 //! * [`hybrid_hash`] — Shapiro's Hybrid Hash: bucket 0 resident, other
 //!   buckets spilled and recursively processed. No sort CPU, I/O
 //!   comparable to sort-merge, still blocking (§V reduce technique 1).
-//! * [`inc_hash`] — incremental hash: one in-memory state per key, updated
-//!   in place; pipelined, supports early emission (§V technique 2).
-//! * [`freq_hash`] — incremental hash + an online frequent-items summary:
-//!   hot keys keep resident state, cold records spill; delivers early
-//!   answers for hot keys with orders-of-magnitude less spill I/O
-//!   (§V technique 3).
+//! * [`freq_hash`] — incremental hash: one in-memory state per key, updated
+//!   in place; pipelined, supports early emission (§V technique 2, spelled
+//!   [`IncHashGrouper`]). With its online frequent-items summary on
+//!   ([`FreqHashGrouper::new`]) hot keys keep resident state and cold
+//!   records spill: early answers for hot keys with orders-of-magnitude
+//!   less spill I/O (§V technique 3). One operator; technique 2 is
+//!   technique 3 with the summary off.
 //!
 //! All operators implement [`GroupBy`], consume byte-string records, are
 //! bounded by a [`MemoryBudget`](onepass_core::memory::MemoryBudget), spill
@@ -31,7 +32,6 @@
 pub mod aggregate;
 pub mod freq_hash;
 pub mod hybrid_hash;
-pub mod inc_hash;
 pub mod join;
 pub mod merge;
 pub mod sink;
@@ -40,9 +40,8 @@ pub mod sortmerge;
 pub use aggregate::{
     Aggregator, AvgAgg, CountAgg, DistinctAgg, FirstAgg, ListAgg, MaxAgg, StateInput, SumAgg,
 };
-pub use freq_hash::FreqHashGrouper;
+pub use freq_hash::{CountThreshold, EarlyEmit, FreqHashGrouper, IncHashGrouper, PeriodicCount};
 pub use hybrid_hash::HybridHashGrouper;
-pub use inc_hash::{CountThreshold, EarlyEmit, IncHashGrouper, PeriodicCount};
 pub use join::{JoinAgg, TAG_BUILD, TAG_PROBE};
 pub use merge::MultiPassMerger;
 pub use sink::{EmitKind, OpStats, Sink, VecSink};
@@ -58,9 +57,9 @@ use onepass_core::{Result, SegmentBuf};
 /// use std::sync::Arc;
 /// use onepass_core::io::SharedMemStore;
 /// use onepass_core::memory::MemoryBudget;
-/// use onepass_groupby::{CountAgg, GroupBy, IncHashGrouper, VecSink};
+/// use onepass_groupby::{CountAgg, FreqHashGrouper, GroupBy, VecSink};
 ///
-/// let mut op = IncHashGrouper::new(
+/// let mut op = FreqHashGrouper::new(
 ///     Arc::new(SharedMemStore::new()),
 ///     MemoryBudget::new(1 << 20),
 ///     Arc::new(CountAgg),

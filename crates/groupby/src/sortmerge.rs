@@ -39,6 +39,7 @@ use onepass_core::metrics::{Phase, Profile};
 use onepass_core::trace::LocalTracer;
 
 use crate::aggregate::Aggregator;
+use crate::hybrid_hash::io_since;
 use crate::merge::MultiPassMerger;
 use crate::sink::{EmitKind, OpStats, Sink};
 use crate::GroupBy;
@@ -347,17 +348,11 @@ impl GroupBy for SortMergeGrouper {
             grouped.cleanup()?;
         }
 
-        let io_now = self.store.stats();
         Ok(OpStats {
             records_in: self.records_in,
             groups_out,
             early_emits: self.early_emits,
-            io: IoStats {
-                bytes_written: io_now.bytes_written - self.io_base.bytes_written,
-                bytes_read: io_now.bytes_read - self.io_base.bytes_read,
-                runs_created: io_now.runs_created - self.io_base.runs_created,
-                runs_deleted: io_now.runs_deleted - self.io_base.runs_deleted,
-            },
+            io: io_since(self.store.as_ref(), &self.io_base),
             profile: self.profile.clone(),
             peak_mem: self.peak_reserved,
             spills: self.spills,

@@ -245,6 +245,33 @@ proptest! {
     }
 
     #[test]
+    fn inc_hash_without_a_policy_never_answers_early(
+        recs in skewed_stream(),
+        batch_len in 1usize..90,
+        budget_kb in 1usize..24,
+    ) {
+        // Table III's capability row and the serving tier's tenant ≡ solo
+        // event streams both read "no policy, no Early": the gate-off mode
+        // publishes no hot-key answers, during input or at `finish`,
+        // however much it spills.
+        let mut op = IncHashGrouper::new(
+            Arc::new(SharedMemStore::new()),
+            MemoryBudget::new(budget_kb * 256),
+            Arc::new(SumAgg),
+        );
+        let mut sink = VecSink::default();
+        for chunk in recs.chunks(batch_len) {
+            let batch =
+                onepass_core::SegmentBuf::from_pairs(chunk.iter().map(|(k, v)| (&k[..], &v[..])));
+            op.push_batch(&batch, &mut sink).unwrap();
+            prop_assert!(sink.emitted.is_empty(), "output before finish");
+        }
+        let stats = op.finish(&mut sink).unwrap();
+        prop_assert_eq!((sink.early_count(), stats.early_emits), (0, 0));
+        prop_assert_eq!(finals(&sink), reference(&SumAgg, &recs));
+    }
+
+    #[test]
     fn all_operators_match_reference_sum(recs in skewed_stream(), budget_kb in 1usize..24) {
         let expect = reference(&SumAgg, &recs);
         for (name, op) in all_ops(budget_kb * 256) {

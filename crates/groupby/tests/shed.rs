@@ -35,8 +35,13 @@ fn truth(recs: &[(Vec<u8>, Vec<u8>)]) -> BTreeMap<Vec<u8>, u64> {
 
 /// Push `recs` in batches of `every` records, shedding `target` bytes at
 /// each batch boundary, then finish. Asserts no duplicate finals and
-/// exact counts.
-fn run_with_sheds(op: &mut dyn GroupBy, recs: &[(Vec<u8>, Vec<u8>)], every: usize, target: usize) {
+/// exact counts; returns the finals as emitted.
+fn run_with_sheds(
+    op: &mut dyn GroupBy,
+    recs: &[(Vec<u8>, Vec<u8>)],
+    every: usize,
+    target: usize,
+) -> BTreeMap<Vec<u8>, Vec<u8>> {
     let mut sink = VecSink::default();
     let mut shed_calls = 0u32;
     let mut shed_freed = 0usize;
@@ -55,13 +60,10 @@ fn run_with_sheds(op: &mut dyn GroupBy, recs: &[(Vec<u8>, Vec<u8>)], every: usiz
         op.name()
     );
 
-    let mut out: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    let mut out: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for (k, v, kind) in &sink.emitted {
         if *kind == EmitKind::Final {
-            let prev = out.insert(
-                k.clone(),
-                u64::from_le_bytes(v.as_slice().try_into().unwrap()),
-            );
+            let prev = out.insert(k.clone(), v.clone());
             assert!(
                 prev.is_none(),
                 "{}: duplicate Final for key {:?} after shed",
@@ -75,12 +77,13 @@ fn run_with_sheds(op: &mut dyn GroupBy, recs: &[(Vec<u8>, Vec<u8>)], every: usiz
     for (k, c) in want {
         assert_eq!(
             out[&k],
-            c,
+            c.to_le_bytes(),
             "{}: count mismatch for {:?}",
             op.name(),
             String::from_utf8_lossy(&k)
         );
     }
+    out
 }
 
 #[test]
@@ -95,8 +98,8 @@ fn sortmerge_shed_is_correct() {
 
 #[test]
 fn inc_hash_shed_is_correct() {
-    // Ample budget: without the shed_keys re-admission gate every shed key
-    // would be re-admitted and double-emitted.
+    // Ample budget: every shed key is re-admitted; it comes back
+    // incomplete, so it is not emitted twice.
     let store = SharedMemStore::new();
     let budget = MemoryBudget::new(1 << 16);
     let mut g = IncHashGrouper::new(Arc::new(store), budget.clone(), Arc::new(CountAgg));
@@ -144,6 +147,36 @@ fn freq_hash_shed_is_correct() {
     let mut g = FreqHashGrouper::new(Arc::new(store), budget.clone(), Arc::new(CountAgg));
     run_with_sheds(&mut g, &records(4000, 500), 600, 1 << 12);
     assert_eq!(budget.used(), 0);
+}
+
+#[test]
+fn both_incremental_spellings_agree_after_interleaved_sheds() {
+    // Gate on or off, ample budget or tight, small sheds or ones that
+    // empty the table: a shed is a reordering, so the finals are the same
+    // bytes.
+    let recs = records(4000, 500);
+    for limit in [1800, 1 << 14, 1 << 20] {
+        for (every, target) in [(150, 300), (600, 1 << 12), (1000, 1 << 20)] {
+            let budget = MemoryBudget::new(limit);
+            let mut freq = FreqHashGrouper::new(
+                Arc::new(SharedMemStore::new()),
+                budget.clone(),
+                Arc::new(CountAgg),
+            );
+            let gate_on = run_with_sheds(&mut freq, &recs, every, target);
+            let mut inc = IncHashGrouper::new(
+                Arc::new(SharedMemStore::new()),
+                budget.clone(),
+                Arc::new(CountAgg),
+            );
+            let gate_off = run_with_sheds(&mut inc, &recs, every, target);
+            assert_eq!(
+                gate_on, gate_off,
+                "limit {limit}, shed {target} per {every}"
+            );
+            assert_eq!(budget.used(), 0);
+        }
+    }
 }
 
 #[test]

@@ -474,7 +474,7 @@ mod tests {
             },
             ReduceBackend::HybridHash { fanout: 4 },
             ReduceBackend::IncHash { early: None },
-            ReduceBackend::FreqHash(Default::default()),
+            ReduceBackend::FreqHash,
         ];
         for backend in backends {
             let label = backend.label();
@@ -592,7 +592,7 @@ mod tests {
             },
             ReduceBackend::HybridHash { fanout: 4 },
             ReduceBackend::IncHash { early: None },
-            ReduceBackend::FreqHash(Default::default()),
+            ReduceBackend::FreqHash,
         ] {
             let label = backend.label();
             let job = JobSpec::builder("wc")

@@ -106,8 +106,8 @@ pub(crate) fn build_grouper(
             g.set_tracer(tracer);
             Box::new(g)
         }
-        ReduceBackend::FreqHash(cfg) => {
-            let mut g = FreqHashGrouper::with_config(store, budget, agg, cfg.clone());
+        ReduceBackend::FreqHash => {
+            let mut g = FreqHashGrouper::new(store, budget, agg);
             g.set_tracer(tracer);
             Box::new(g)
         }
@@ -124,7 +124,7 @@ pub(crate) fn build_incremental_grouper(
     agg: Arc<dyn Aggregator>,
 ) -> Result<Box<dyn GroupBy>> {
     match &job.backend {
-        ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash(_) => {
+        ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash => {
             build_grouper(job, store, budget, agg, LocalTracer::disabled())
         }
         other => Err(Error::Config(format!(

@@ -6,9 +6,8 @@ use std::sync::Arc;
 use onepass_core::config::{DEFAULT_MERGE_FACTOR, MIB};
 use onepass_core::error::{Error, Result};
 use onepass_core::hashlib::{MultiplyShift, SeededFamily};
-use onepass_groupby::freq_hash::FreqHashConfig;
-use onepass_groupby::inc_hash::EarlyEmit;
 use onepass_groupby::Aggregator;
+use onepass_groupby::EarlyEmit;
 
 /// Receives the key/value pairs a map function emits.
 pub trait MapEmitter {
@@ -177,12 +176,13 @@ pub enum ReduceBackend {
         fanout: usize,
     },
     /// §V technique 2: incremental hash; optional early-emit policy.
+    /// The frequent-key operator with its hot-key gate off.
     IncHash {
         /// Early-emission policy applied after each state update.
         early: Option<Arc<dyn EarlyEmit>>,
     },
     /// §V technique 3: incremental hash + frequent-key residency.
-    FreqHash(FreqHashConfig),
+    FreqHash,
 }
 
 impl std::fmt::Debug for ReduceBackend {
@@ -204,7 +204,7 @@ impl std::fmt::Debug for ReduceBackend {
                 .debug_struct("IncHash")
                 .field("early", &early.is_some())
                 .finish(),
-            ReduceBackend::FreqHash(c) => f.debug_tuple("FreqHash").field(c).finish(),
+            ReduceBackend::FreqHash => f.write_str("FreqHash"),
         }
     }
 }
@@ -217,7 +217,7 @@ impl ReduceBackend {
             ReduceBackend::SortMerge { .. } => "sort-merge+snapshots (HOP)",
             ReduceBackend::HybridHash { .. } => "hybrid-hash",
             ReduceBackend::IncHash { .. } => "incremental-hash",
-            ReduceBackend::FreqHash(_) => "frequent-hash",
+            ReduceBackend::FreqHash => "frequent-hash",
         }
     }
 
@@ -226,7 +226,7 @@ impl ReduceBackend {
         match self {
             ReduceBackend::SortMerge { .. } | ReduceBackend::HybridHash { .. } => false,
             ReduceBackend::IncHash { early } => early.is_some(),
-            ReduceBackend::FreqHash(c) => c.early_hot_answers,
+            ReduceBackend::FreqHash => true,
         }
     }
 }
@@ -465,7 +465,7 @@ impl JobSpecBuilder {
         };
         self.map_side(map_side)
             .shuffle(ShuffleMode::Push { granularity: 4096 })
-            .backend(ReduceBackend::FreqHash(FreqHashConfig::default()))
+            .backend(ReduceBackend::FreqHash)
     }
 }
 

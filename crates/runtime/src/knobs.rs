@@ -25,7 +25,6 @@ use std::time::Duration;
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{policy_by_name, MemoryPolicy, DEFAULT_HIGH_WATER};
 use onepass_core::json::escape;
-use onepass_groupby::freq_hash::FreqHashConfig;
 
 use crate::driver::{
     EngineConfig, MapOutputPersistence, RetryPolicy, SpeculationConfig, SpillBackend,
@@ -316,7 +315,7 @@ fn backend_get(j: &JobSpec) -> String {
         }
         ReduceBackend::HybridHash { fanout } => format!("hybrid-hash:{fanout}"),
         ReduceBackend::IncHash { .. } => "inc-hash".into(),
-        ReduceBackend::FreqHash(_) => "freq-hash".into(),
+        ReduceBackend::FreqHash => "freq-hash".into(),
     }
 }
 
@@ -333,19 +332,14 @@ fn backend_set(j: &mut JobSpec, v: &str) -> Result<()> {
         (Some("hybrid-hash"), Some(f), None) => {
             j.backend = ReduceBackend::HybridHash { fanout: num(f)? }
         }
-        // An early-emit policy is a closure and the sketch configuration
-        // has no text form: when the spec already runs this kind of
-        // backend, keep its own; otherwise take the defaults.
+        // An early-emit policy is a closure and has no text form: a spec
+        // that already runs inc-hash keeps its own; any other takes none.
         (Some("inc-hash"), None, None) => {
             if !matches!(j.backend, ReduceBackend::IncHash { .. }) {
                 j.backend = ReduceBackend::IncHash { early: None };
             }
         }
-        (Some("freq-hash"), None, None) => {
-            if !matches!(j.backend, ReduceBackend::FreqHash(_)) {
-                j.backend = ReduceBackend::FreqHash(FreqHashConfig::default());
-            }
-        }
+        (Some("freq-hash"), None, None) => j.backend = ReduceBackend::FreqHash,
         _ => return Err(bad("not a reduce backend")),
     }
     Ok(())
@@ -426,7 +420,8 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "backend",
         syntax: "sort-merge:F[:FRAC,FRAC,..]|hybrid-hash:FANOUT|inc-hash|freq-hash",
-        help: "reduce-side group-by (merge factor F, snapshot fractions; bucket fanout)",
+        help: "reduce-side group-by (merge factor F, snapshot fractions; bucket fanout; \
+               inc-hash = freq-hash with the hot-key summary off)",
         travels: true,
         takers: "",
         access: Job(backend_get, backend_set),

@@ -73,7 +73,7 @@ pub struct StreamAnswer {
 /// use onepass_runtime::job::identity_map;
 /// use onepass_runtime::stream::StreamSession;
 /// use onepass_groupby::{CountAgg, EmitKind};
-/// use onepass_groupby::inc_hash::CountThreshold;
+/// use onepass_groupby::CountThreshold;
 ///
 /// let job = JobSpec::builder("alerts")
 ///     .map_fn(Arc::new(identity_map))
@@ -363,8 +363,8 @@ impl StreamSession {
 mod tests {
     use super::*;
     use crate::job::ReduceBackend;
-    use onepass_groupby::inc_hash::CountThreshold;
     use onepass_groupby::CountAgg;
+    use onepass_groupby::CountThreshold;
 
     fn session(backend: ReduceBackend) -> StreamSession {
         let job = JobSpec::builder("stream")
@@ -409,7 +409,7 @@ mod tests {
 
     #[test]
     fn feed_after_close_fails() {
-        let s = session(ReduceBackend::FreqHash(Default::default()));
+        let s = session(ReduceBackend::FreqHash);
         let (_, stats) = s.close().unwrap();
         assert_eq!(stats.len(), 2);
 
@@ -530,7 +530,7 @@ mod tests {
 
     #[test]
     fn counts_are_exact_across_partitions() {
-        let mut s = session(ReduceBackend::FreqHash(Default::default()));
+        let mut s = session(ReduceBackend::FreqHash);
         for i in 0..50u32 {
             let key = format!("k{}", i % 7);
             let batch: Vec<&[u8]> = vec![key.as_bytes()];

@@ -46,7 +46,7 @@ fn mk_backend(tag: u8) -> ReduceBackend {
         },
         1 => ReduceBackend::HybridHash { fanout: 4 },
         2 => ReduceBackend::IncHash { early: None },
-        _ => ReduceBackend::FreqHash(Default::default()),
+        _ => ReduceBackend::FreqHash,
     }
 }
 

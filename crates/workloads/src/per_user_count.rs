@@ -58,7 +58,7 @@ mod tests {
         }
         let splits = crate::make_splits(records, 64);
         let job = job().reducers(2).preset_onepass().build().unwrap();
-        assert!(matches!(job.backend, ReduceBackend::FreqHash(_)));
+        assert!(matches!(job.backend, ReduceBackend::FreqHash));
         let report = Engine::new().run(&job, splits).unwrap();
         let mut total = 0u64;
         for o in report

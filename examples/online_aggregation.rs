@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use onepass::prelude::*;
-use onepass_groupby::inc_hash::CountThreshold;
+use onepass_groupby::CountThreshold;
 use onepass_workloads::top_k::TopKUrls;
 use onepass_workloads::{ClickGen, ClickGenConfig};
 

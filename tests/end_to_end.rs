@@ -102,7 +102,7 @@ fn sessionization_agrees_across_backends_and_memory_pressure() {
     for backend in [
         ReduceBackend::HybridHash { fanout: 4 },
         ReduceBackend::IncHash { early: None },
-        ReduceBackend::FreqHash(Default::default()),
+        ReduceBackend::FreqHash,
     ] {
         let label = backend.label();
         let job = sessionization::job()

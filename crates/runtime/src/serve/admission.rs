@@ -1,8 +1,9 @@
 //! Fair-share admission control for the serving front-end.
 //!
-//! Admission answers one question: *may this tenant open sessions right
-//! now, and with how much memory?* The pool is fixed; the fair share is
-//! `pool / max_tenants` (floored), so a full house of tenants exactly
+//! Admission answers one question: *may this tenant take a seat right
+//! now, and how much memory does it bring?* The pool is fixed; the fair
+//! share is `pool / max_tenants` (floored) and goes to the leases of the
+//! session the tenant joins, so a full house of tenants exactly
 //! subscribes the pool and the governor's spill policies arbitrate the
 //! inevitable overcommit *within* leases rather than admission
 //! over-promising. When the house is full, subscribers wait (bounded
@@ -19,7 +20,7 @@ pub struct AdmissionConfig {
     pub max_tenants: usize,
     /// Tenants allowed to wait for a seat before outright rejection.
     pub max_waiting: usize,
-    /// Floor on the per-tenant lease, bytes (tiny pools still admit).
+    /// Floor on a tenant's fair share, bytes (tiny pools still admit).
     pub min_lease_bytes: usize,
     /// How long a queued tenant waits before giving up.
     pub wait_timeout: Duration,
@@ -94,7 +95,7 @@ impl FairShareAdmission {
         }
     }
 
-    /// The per-tenant fair-share lease, bytes.
+    /// The fair share each tenant brings to its session's leases, bytes.
     pub fn fair_share_bytes(&self) -> usize {
         (self.pool_bytes / self.config.max_tenants).max(self.config.min_lease_bytes)
     }

@@ -1,9 +1,9 @@
-//! Per-tenant dead-letter queue with bounded retry.
+//! Per-session dead-letter queue with bounded retry.
 //!
 //! The plan layer already counts and bounds *decode* errors centrally;
 //! serving promotes poison handling to a real queue: a record whose map
-//! function panics is quarantined here instead of killing the tenant's
-//! session, retried a bounded number of times at later feed boundaries
+//! function panics is quarantined here instead of killing the session
+//! (and every tenant subscribed to it), retried a bounded number of times at later feed boundaries
 //! (transient poisons — e.g. a dependency hiccup — recover), and finally
 //! declared dead. Dead records are retained (bounded) for inspection.
 
@@ -36,8 +36,8 @@ impl Default for DlqConfig {
     }
 }
 
-/// A bounded-retry dead-letter queue (single-tenant; the shard worker
-/// owns it together with the tenant's sessions, so no locking).
+/// A bounded-retry dead-letter queue (one per session; the shard worker
+/// owns it together with the session's cascade, so no locking).
 #[derive(Debug, Default)]
 pub struct DeadLetterQueue {
     config: DlqConfig,

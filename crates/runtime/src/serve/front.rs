@@ -194,7 +194,7 @@ fn pump_events(handle: &TenantHandle, w: &mut impl Write) -> std::io::Result<()>
         match handle.events().recv() {
             Ok(TenantEvent::Early(answers)) => {
                 early += answers.len() as u64;
-                for a in answers {
+                for a in answers.iter() {
                     writeln!(w, "EARLY {} {}", hex(&a.key), hex(&a.value))?;
                 }
                 w.flush()?;

@@ -19,6 +19,7 @@ use super::tenant::TenantClose;
 pub(crate) struct ServeMetrics {
     registry: Option<MetricsRegistry>,
     tenants_active: Gauge,
+    sessions: Gauge,
     admitted_total: Counter,
     rejected_total: Counter,
     ingest_records_total: Counter,
@@ -42,6 +43,7 @@ impl ServeMetrics {
             None => ServeMetrics {
                 registry: None,
                 tenants_active: Gauge::detached(),
+                sessions: Gauge::detached(),
                 admitted_total: Counter::detached(),
                 rejected_total: Counter::detached(),
                 ingest_records_total: Counter::detached(),
@@ -59,6 +61,7 @@ impl ServeMetrics {
             },
             Some(r) => ServeMetrics {
                 tenants_active: r.gauge("onepass_serve_tenants", &[]),
+                sessions: r.gauge("onepass_serve_sessions", &[]),
                 admitted_total: r.counter("onepass_serve_admitted_total", &[]),
                 rejected_total: r.counter("onepass_serve_rejected_total", &[]),
                 ingest_records_total: r.counter("onepass_serve_ingest_records_total", &[]),
@@ -98,6 +101,12 @@ impl ServeMetrics {
         self.tenants_active.set(active_now as f64);
     }
 
+    /// Shared sessions opened (`+`) or dropped (`-`); tenants ÷ sessions
+    /// is how many subscribers one pass over the stream serves.
+    pub(crate) fn on_sessions(&self, delta: i64) {
+        self.sessions.add(delta as f64);
+    }
+
     pub(crate) fn on_ingest(&self, records: u64) {
         self.ingest_records_total.inc(records);
     }
@@ -125,6 +134,8 @@ impl ServeMetrics {
         self.staleness_seconds.observe_duration(gap);
     }
 
+    /// A session closed: its DLQ totals and sheds, counted once however
+    /// many tenants subscribed to it.
     pub(crate) fn on_close(&self, close: &TenantClose, sheds: u64, shed_bytes: u64) {
         self.dlq_poisoned_total.inc(close.dlq_poisoned);
         self.dlq_recovered_total.inc(close.dlq_recovered);

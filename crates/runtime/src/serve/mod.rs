@@ -1,35 +1,39 @@
 //! Multi-tenant streaming serving front-end.
 //!
 //! `serve` turns the one-pass engine from a batch tool into a long-lived
-//! front-end: one shared ingest stream fans out to thousands of
-//! concurrent tenant queries, each an independent
-//! [`StreamSession`](crate::stream::StreamSession)
-//! cascade leasing memory from a single job-wide
-//! [`MemoryGovernor`](onepass_core::governor::MemoryGovernor) pool. The
-//! pieces:
+//! front-end: one shared ingest stream serves thousands of concurrent
+//! tenant queries. The work is done once per distinct (query, start
+//! offset) — a *shared session*, one
+//! [`StreamSession`](crate::stream::StreamSession) cascade leasing memory
+//! from a single job-wide
+//! [`MemoryGovernor`](onepass_core::governor::MemoryGovernor) pool — and
+//! its answers fan out to every tenant subscribed to it. The pieces:
 //!
 //! * [`query`] — named streaming queries ([`StreamingQuery`]) compiled
 //!   from jobs or multi-stage [`Plan`](crate::plan::Plan)s, looked up in
 //!   a [`QueryCatalog`].
 //! * [`admission`] — [`FairShareAdmission`]: a seat-count cap that also
-//!   fixes each tenant's fair-share memory lease (`pool / max_tenants`),
-//!   with a bounded FIFO wait queue and outright rejection beyond it.
-//! * [`tenant`] — [`TenantSession`]: one tenant's session cascade plus a
-//!   per-tenant dead-letter queue for poison records.
+//!   fixes each tenant's fair share of memory (`pool / max_tenants`), the
+//!   bytes it brings to the leases of the session it joins, with a
+//!   bounded FIFO wait queue and outright rejection beyond it.
+//! * [`tenant`] — [`TenantSession`]: one session cascade plus its
+//!   dead-letter queue for poison records; [`TenantClose`], what every
+//!   subscriber receives at close.
 //! * [`dlq`] — [`DeadLetterQueue`]: bounded-retry quarantine; records
 //!   that keep panicking the map function are buried, not fatal.
-//! * [`server`] — [`Server`]: shard workers multiplexing many tenants
-//!   over the shared ingest, backpressure via the engine's
+//! * [`server`] — [`Server`]: shard workers owning the shared sessions
+//!   and seating tenants in them, backpressure via the engine's
 //!   [`PressureGate`](crate::shuffle), per-tenant TTFA / staleness
 //!   metrics in the `obs` registry.
 //! * [`front`] — a line-oriented TCP face (`SUBSCRIBE`/`EARLY`/`FINAL`)
 //!   used by `onepass serve` + `onepass loadgen`.
 //!
 //! Fairness and correctness contract: every admitted tenant's final
-//! answer is byte-identical to running its query solo over the same
-//! ingest — governor sheds, backpressure, and poison isolation are all
-//! correctness-neutral (sheds spill, never drop; poisons never touch
-//! grouper state).
+//! answer is byte-identical to running its query solo over the batches
+//! fed after it subscribed — sharing a session, governor sheds,
+//! backpressure, and poison isolation are all correctness-neutral (sheds
+//! spill, never drop; poisons never touch grouper state). A tenant that
+//! stops draining its events slows only its own channel.
 
 pub mod admission;
 pub mod dlq;

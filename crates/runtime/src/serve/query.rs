@@ -34,7 +34,7 @@ pub struct StreamingQuery {
     pub routes: Vec<Arc<dyn PairMap>>,
     /// Ingest family this query consumes (e.g. `"clicks"` vs `"docs"`):
     /// a server multiplexes several record streams and only feeds each
-    /// tenant batches whose family matches.
+    /// session batches whose family matches.
     pub ingest: String,
 }
 
@@ -128,20 +128,20 @@ impl StreamingQuery {
             .collect()
     }
 
-    /// Total partitions across all stages — the number of leases a tenant
+    /// Total partitions across all stages — the number of leases a session
     /// running this query holds.
     pub fn total_partitions(&self) -> usize {
         self.stages.iter().map(|j| j.reducers).sum()
     }
 }
 
-/// A factory producing a fresh [`StreamingQuery`] per tenant.
+/// A factory producing a fresh [`StreamingQuery`] per session.
 pub type QueryFactory = Arc<dyn Fn() -> Result<StreamingQuery> + Send + Sync>;
 
 /// Named queries a serving front-end admits tenants for.
 ///
-/// Factories (not cached instances) because each tenant needs its own
-/// `JobSpec` clones and sessions; the catalog itself is cheap to share.
+/// Factories (not cached instances) because each session needs its own
+/// `JobSpec` clones; the catalog itself is cheap to share.
 #[derive(Clone, Default)]
 pub struct QueryCatalog {
     factories: BTreeMap<String, QueryFactory>,
@@ -174,11 +174,24 @@ impl QueryCatalog {
     pub fn resolve(&self, name: &str) -> Result<StreamingQuery> {
         match self.factories.get(name) {
             Some(f) => f(),
-            None => Err(Error::Config(format!(
-                "unknown query {name:?} (catalog: {})",
-                self.names().join(", ")
-            ))),
+            None => Err(self.unknown(name)),
         }
+    }
+
+    /// `name`'s rank among the registered names — a stable small integer
+    /// per query (the server shards sessions by it).
+    pub(crate) fn position(&self, name: &str) -> Result<usize> {
+        self.factories
+            .keys()
+            .position(|k| k == name)
+            .ok_or_else(|| self.unknown(name))
+    }
+
+    fn unknown(&self, name: &str) -> Error {
+        Error::Config(format!(
+            "unknown query {name:?} (catalog: {})",
+            self.names().join(", ")
+        ))
     }
 
     /// Registered query names, sorted.
@@ -243,6 +256,8 @@ mod tests {
         assert!(cat.contains("sum"));
         assert_eq!(cat.resolve("sum").unwrap().stages.len(), 1);
         assert!(cat.resolve("nope").is_err());
+        assert_eq!(cat.position("sum").unwrap(), 0);
+        assert!(cat.position("nope").is_err());
         assert_eq!(cat.names(), vec!["sum".to_string()]);
     }
 }

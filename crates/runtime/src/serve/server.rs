@@ -2,21 +2,30 @@
 //!
 //! One [`Server`] owns a shared ingest stream, a job-wide
 //! [`MemoryGovernor`] pool, fair-share admission, and a fixed set of
-//! *shard* worker threads. Tenants are sharded at admission; each shard
-//! worker owns its tenants' [`TenantSession`]s outright (no per-tenant
-//! locking) and feeds every ingest batch to each of them in turn. Early
-//! answers flow to per-tenant event channels as they surface; finals flow
-//! at close.
+//! *shard* worker threads. The unit of work is the *shared session*: one
+//! [`TenantSession`] cascade per distinct (query, start offset), owned
+//! outright by the shard worker its query maps to (no locking), with
+//! tenants as its subscribers. Every ingest batch is mapped, hashed and
+//! aggregated once per session; its subscribers share each batch of early
+//! answers as it surfaces and the finals at close, behind an [`Arc`].
+//!
+//! Join rule: a tenant joins its query's session iff that session has not
+//! yet been fed a batch of its ingest family; otherwise a new session
+//! opens for it. The shard queue's FIFO order (subscription vs batch) is
+//! the only arbiter, so a tenant sees exactly the batches enqueued after
+//! its subscription, and a lone tenant is a group of one. A joining
+//! tenant brings its fair share to the session's leases, a leaving one
+//! takes it away, and the last one out drops the session and its leases.
 //!
 //! Backpressure: every shard queue is gated by the engine's
-//! [`PressureGate`] on the shared governor — when tenant hash state
+//! [`PressureGate`] on the shared governor — when session hash state
 //! pushes the pool over its high-water mark, ingest stalls on a shrunken
-//! queue depth until the governor's cross-tenant rebalancing and shedding
-//! catch up. A tenant that stops draining its events slows only its own
-//! channel; a disconnected tenant (dropped receiver) is detached and its
-//! seat and leases are released.
+//! queue depth until the governor's cross-session rebalancing and
+//! shedding catch up. A tenant that stops draining its events slows only
+//! its own channel; a disconnected tenant (dropped receiver) is detached
+//! and its seat and share are released.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -38,19 +47,19 @@ use super::tenant::{TenantClose, TenantSession};
 /// Serving configuration.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Global memory pool shared by every tenant's sessions, bytes.
+    /// Global memory pool shared by every session, bytes.
     pub pool_bytes: usize,
-    /// Spill policy arbitrating shed victims *across* tenants.
+    /// Spill policy arbitrating shed victims *across* sessions.
     pub policy: Arc<dyn onepass_core::governor::SpillPolicy>,
     /// Pool fraction above which ingest backpressure engages.
     pub high_water: f64,
     /// Admission control knobs.
     pub admission: AdmissionConfig,
-    /// Shard worker threads tenants are distributed over.
+    /// Shard worker threads queries are distributed over.
     pub shards: usize,
     /// Bounded depth of each shard's ingest queue, in batches.
     pub queue_depth: usize,
-    /// Per-tenant dead-letter queue knobs.
+    /// Per-session dead-letter queue knobs.
     pub dlq: DlqConfig,
 }
 
@@ -79,15 +88,19 @@ impl std::fmt::Debug for ServeConfig {
     }
 }
 
-/// What a tenant's event channel delivers.
+/// What a tenant's event channel delivers. Answers arrive behind an
+/// [`Arc`]: every subscriber of a session holds the same allocation, so
+/// fanning a batch out costs a reference count per tenant whatever its
+/// size.
 #[derive(Debug)]
 pub enum TenantEvent {
     /// Early answers surfaced mid-stream by stage 0's incremental hash.
-    Early(Vec<StreamAnswer>),
+    Early(Arc<[StreamAnswer]>),
     /// The tenant's final answers and accounting, delivered once at
     /// stream close. The channel closes afterwards.
-    Final(TenantClose),
-    /// The tenant's session failed; the tenant has been detached.
+    Final(Arc<TenantClose>),
+    /// The tenant's session failed (or could not open); the tenant has
+    /// been detached.
     Error(String),
 }
 
@@ -118,11 +131,11 @@ impl TenantHandle {
     /// Block until the final answers arrive, collecting any early
     /// answers seen on the way. Errors if the tenant failed or the
     /// server went away without closing.
-    pub fn wait_final(&self) -> Result<(Vec<StreamAnswer>, TenantClose)> {
+    pub fn wait_final(&self) -> Result<(Vec<StreamAnswer>, Arc<TenantClose>)> {
         let mut earlies = Vec::new();
         loop {
             match self.events.recv() {
-                Ok(TenantEvent::Early(a)) => earlies.extend(a),
+                Ok(TenantEvent::Early(a)) => earlies.extend_from_slice(&a),
                 Ok(TenantEvent::Final(close)) => return Ok((earlies, close)),
                 Ok(TenantEvent::Error(e)) => {
                     return Err(Error::InvalidState(format!(
@@ -141,11 +154,9 @@ impl TenantHandle {
     }
 }
 
-struct TenantState {
-    session: TenantSession,
-    /// Ingest family the tenant's query consumes; batches of any other
-    /// family skip this tenant.
-    ingest: Arc<str>,
+/// One tenant's seat in a shared session.
+struct Subscriber {
+    id: String,
     events: Sender<TenantEvent>,
     admitted_at: Instant,
     answered: bool,
@@ -153,16 +164,16 @@ struct TenantState {
 }
 
 enum ShardMsg {
-    Admit(Box<TenantState>),
+    /// A tenant for the named query; joins or opens a session.
+    Subscribe(String, Subscriber),
     Batch(Arc<str>, Arc<Vec<Vec<u8>>>),
     Close,
 }
 
-struct Shard {
-    tx: Sender<ShardMsg>,
-}
-
 struct Shared {
+    catalog: QueryCatalog,
+    governor: MemoryGovernor,
+    dlq: DlqConfig,
     admission: FairShareAdmission,
     metrics: ServeMetrics,
 }
@@ -171,13 +182,11 @@ struct Shared {
 /// — share via `Arc<Server>` or borrow.
 pub struct Server {
     config: ServeConfig,
-    catalog: QueryCatalog,
-    governor: MemoryGovernor,
     gate: PressureGate,
     shared: Arc<Shared>,
-    shards: Vec<Shard>,
+    /// One queue per shard worker.
+    shards: Vec<Sender<ShardMsg>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next_shard: AtomicUsize,
     closed: AtomicBool,
     ingest_records: AtomicU64,
 }
@@ -216,6 +225,9 @@ impl Server {
             None => gate,
         };
         let shared = Arc::new(Shared {
+            catalog,
+            governor,
+            dlq: config.dlq,
             admission: FairShareAdmission::new(config.admission, config.pool_bytes),
             metrics,
         });
@@ -228,18 +240,15 @@ impl Server {
                 .name(format!("serve-shard-{i}"))
                 .spawn(move || shard_worker(rx, shared))
                 .expect("spawn shard worker");
-            shards.push(Shard { tx });
+            shards.push(tx);
             workers.push(handle);
         }
         Ok(Server {
             config,
-            catalog,
-            governor,
             gate,
             shared,
             shards,
             workers: Mutex::new(workers),
-            next_shard: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             ingest_records: AtomicU64::new(0),
         })
@@ -247,12 +256,12 @@ impl Server {
 
     /// The serving catalog.
     pub fn catalog(&self) -> &QueryCatalog {
-        &self.catalog
+        &self.shared.catalog
     }
 
     /// The shared governor (for introspection).
     pub fn governor(&self) -> &MemoryGovernor {
-        &self.governor
+        &self.shared.governor
     }
 
     /// Active tenants right now.
@@ -266,42 +275,34 @@ impl Server {
     }
 
     /// Admit a tenant for `query`. Blocks (bounded) while the house is
-    /// full; errors on rejection or unknown query. The returned handle's
-    /// event channel delivers early answers as they surface and the final
+    /// full; errors on rejection or unknown query. The tenant joins its
+    /// query's session if that has not started on the stream yet, else a
+    /// new session opens at the current offset (one that cannot open
+    /// reports [`TenantEvent::Error`]). The returned handle's event
+    /// channel delivers early answers as they surface and the final
     /// answers at [`Server::close`].
     pub fn subscribe(&self, tenant_id: &str, query: &str) -> Result<TenantHandle> {
         if self.closed.load(Ordering::Acquire) {
             return Err(Error::InvalidState("server is closed".into()));
         }
-        let compiled = self.catalog.resolve(query)?;
-        let share = self.shared.admission.admit().map_err(|e| {
+        // One shard per query, so its queue orders every subscription to
+        // the query against every batch.
+        let shard = self.shared.catalog.position(query)? % self.shards.len();
+        self.shared.admission.admit().map_err(|e| {
             self.shared.metrics.on_rejected();
             Error::InvalidState(format!("tenant {tenant_id} rejected: {e}"))
         })?;
-        let partitions = compiled.total_partitions().max(1);
-        let opts = SessionOptions {
-            governor: Some(self.governor.clone()),
-            lease_bytes: Some((share / partitions).max(1024)),
-        };
-        let session = match TenantSession::open(tenant_id, query, &compiled, &opts, self.config.dlq)
-        {
-            Ok(s) => s,
-            Err(e) => {
-                self.shared.admission.release();
-                return Err(e);
-            }
-        };
         let (tx, rx) = unbounded();
-        let state = Box::new(TenantState {
-            session,
-            ingest: Arc::from(compiled.ingest.as_str()),
+        let now = Instant::now();
+        let subscriber = Subscriber {
+            id: tenant_id.to_string(),
             events: tx,
-            admitted_at: Instant::now(),
+            admitted_at: now,
             answered: false,
-            last_emit: Instant::now(),
-        });
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        if self.shards[shard].tx.send(ShardMsg::Admit(state)).is_err() {
+            last_emit: now,
+        };
+        let msg = ShardMsg::Subscribe(query.to_string(), subscriber);
+        if self.shards[shard].send(msg).is_err() {
             self.shared.admission.release();
             return Err(Error::InvalidState("server shards are gone".into()));
         }
@@ -315,7 +316,7 @@ impl Server {
         })
     }
 
-    /// Feed one ingest batch of `family` records to every tenant whose
+    /// Feed one ingest batch of `family` records to every session whose
     /// query consumes that family. Applies governor backpressure per
     /// shard queue before enqueueing.
     pub fn feed(&self, family: &str, records: Vec<Vec<u8>>) -> Result<()> {
@@ -328,9 +329,8 @@ impl Server {
         let family: Arc<str> = Arc::from(family);
         let batch = Arc::new(records);
         for shard in &self.shards {
-            self.gate.admit(&shard.tx);
+            self.gate.admit(shard);
             shard
-                .tx
                 .send(ShardMsg::Batch(Arc::clone(&family), Arc::clone(&batch)))
                 .map_err(|_| Error::InvalidState("server shards are gone".into()))?;
         }
@@ -342,16 +342,16 @@ impl Server {
         self.ingest_records.load(Ordering::Relaxed)
     }
 
-    /// Close the ingest stream: every tenant's cascade closes and its
-    /// finals are delivered on its event channel; shard workers exit.
-    /// Idempotent.
+    /// Close the ingest stream: every session's cascade closes and its
+    /// finals are delivered on each subscriber's event channel; shard
+    /// workers exit. Idempotent.
     pub fn close(&self) -> Result<()> {
         if self.closed.swap(true, Ordering::AcqRel) {
             return Ok(());
         }
         for shard in &self.shards {
             // A shard whose worker already exited has hung up; ignore.
-            let _ = shard.tx.send(ShardMsg::Close);
+            let _ = shard.send(ShardMsg::Close);
         }
         let workers = std::mem::take(&mut *self.workers.lock().expect("workers lock"));
         for w in workers {
@@ -368,101 +368,181 @@ impl Drop for Server {
     }
 }
 
-/// One shard worker: owns its tenants, feeds them every batch, ships
-/// events, and closes them at end of stream.
-fn shard_worker(rx: Receiver<ShardMsg>, shared: Arc<Shared>) {
-    let mut tenants: Vec<TenantState> = Vec::new();
-    let release = |n: usize| {
+impl Shared {
+    /// Free `n` seats (tenants closed, failed or detached).
+    fn release_seats(&self, n: usize) {
         for _ in 0..n {
-            shared.admission.release();
+            self.admission.release();
         }
-        shared.metrics.set_active(shared.admission.active());
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Admit(state) => tenants.push(*state),
-            ShardMsg::Batch(family, batch) => {
-                let mut dropped = 0;
-                tenants.retain_mut(|t| {
-                    let keep = feed_tenant(t, &family, &batch, &shared);
-                    if !keep {
-                        dropped += 1;
-                    }
-                    keep
-                });
-                if dropped > 0 {
-                    release(dropped);
+        self.metrics.set_active(self.admission.active());
+    }
+}
+
+impl Subscriber {
+    /// Account one delivery: TTFA on the tenant's first answer,
+    /// inter-answer staleness on the rest.
+    fn observe_answer(&mut self, now: Instant, metrics: &ServeMetrics) {
+        if self.answered {
+            metrics.on_staleness(now - self.last_emit);
+        } else {
+            self.answered = true;
+            metrics.on_first_answer(&self.id, now - self.admitted_at);
+        }
+        self.last_emit = now;
+    }
+}
+
+/// One cascade per (query, start offset) and the tenants subscribed to
+/// it.
+struct SharedSession {
+    query: String,
+    cascade: TenantSession,
+    /// Ingest family the query consumes; other batches skip the session.
+    ingest: String,
+    /// Bytes per partition lease each subscriber brings and takes away.
+    share: isize,
+    /// Fed a batch of its family already: closed to new subscribers.
+    started: bool,
+    subscribers: Vec<Subscriber>,
+}
+
+impl SharedSession {
+    /// Open `query`'s cascade on its first subscriber's fair share; the
+    /// caller seats that founder.
+    fn open(query: String, founder: &str, shared: &Shared) -> Result<SharedSession> {
+        let compiled = shared.catalog.resolve(&query)?;
+        let partitions = compiled.total_partitions().max(1);
+        let share = (shared.admission.fair_share_bytes() / partitions).max(1024);
+        let opts = SessionOptions {
+            governor: Some(shared.governor.clone()),
+            lease_bytes: Some(share),
+        };
+        let cascade = TenantSession::open(founder, &query, &compiled, &opts, shared.dlq)?;
+        Ok(SharedSession {
+            query,
+            cascade,
+            ingest: compiled.ingest,
+            share: share as isize,
+            started: false,
+            subscribers: Vec::new(),
+        })
+    }
+
+    /// Seat one more tenant; its fair share grows every lease.
+    fn join(&mut self, subscriber: Subscriber) {
+        self.cascade.resize_leases(self.share);
+        self.subscribers.push(subscriber);
+    }
+
+    /// Feed one batch; returns whether the session lives on (false = it
+    /// failed, or its last subscriber left).
+    fn feed(&mut self, family: &str, batch: &[Vec<u8>], shared: &Shared) -> bool {
+        if self.ingest != family {
+            return true;
+        }
+        self.started = true;
+        match self.cascade.feed(batch) {
+            Ok(answers) => {
+                if !answers.is_empty() {
+                    self.publish(answers, shared);
                 }
+                !self.subscribers.is_empty()
             }
-            ShardMsg::Close => {
-                let n = tenants.len();
-                for t in tenants.drain(..) {
-                    let TenantState {
-                        session,
-                        ingest: _,
-                        events,
-                        admitted_at,
-                        answered,
-                        last_emit,
-                    } = t;
-                    let (sheds, shed_bytes) = session.shed_stats();
-                    let tenant_id = session.id().to_string();
-                    match session.close() {
-                        Ok(close) => {
-                            let now = Instant::now();
-                            if !answered {
-                                shared
-                                    .metrics
-                                    .on_first_answer(&tenant_id, now - admitted_at);
-                            } else {
-                                shared.metrics.on_staleness(now - last_emit);
-                            }
-                            shared.metrics.on_answers(close.answers.len() as u64, true);
-                            shared.metrics.on_close(&close, sheds, shed_bytes);
-                            let _ = events.send(TenantEvent::Final(close));
-                        }
-                        Err(e) => {
-                            let _ = events.send(TenantEvent::Error(e.to_string()));
-                        }
-                    }
+            Err(e) => {
+                fail(&self.subscribers, &e, shared);
+                false
+            }
+        }
+    }
+
+    /// Hand one batch of early answers to every subscriber. A dropped
+    /// receiver means the subscriber went away — it is detached, and its
+    /// seat and share with it.
+    fn publish(&mut self, answers: Vec<StreamAnswer>, shared: &Shared) {
+        let now = Instant::now();
+        let before = self.subscribers.len();
+        shared
+            .metrics
+            .on_answers((answers.len() * before) as u64, false);
+        let answers: Arc<[StreamAnswer]> = answers.into();
+        self.subscribers.retain_mut(|sub| {
+            sub.observe_answer(now, &shared.metrics);
+            sub.events
+                .send(TenantEvent::Early(Arc::clone(&answers)))
+                .is_ok()
+        });
+        let left = before - self.subscribers.len();
+        if left > 0 {
+            self.cascade.resize_leases(-self.share * left as isize);
+            shared.release_seats(left);
+        }
+    }
+
+    /// Close the cascade and deliver its finals (or its error) to every
+    /// subscriber.
+    fn close(mut self, shared: &Shared) {
+        let (sheds, shed_bytes) = self.cascade.shed_stats();
+        match self.cascade.close() {
+            Ok(close) => {
+                shared.metrics.on_close(&close, sheds, shed_bytes);
+                let finals = (close.answers.len() * self.subscribers.len()) as u64;
+                shared.metrics.on_answers(finals, true);
+                let now = Instant::now();
+                let close = Arc::new(close);
+                for sub in &mut self.subscribers {
+                    sub.observe_answer(now, &shared.metrics);
+                    let _ = sub.events.send(TenantEvent::Final(Arc::clone(&close)));
                 }
-                release(n);
-                break;
+                shared.release_seats(self.subscribers.len());
             }
+            Err(e) => fail(&self.subscribers, &e, shared),
         }
     }
 }
 
-/// Feed one tenant; returns whether to keep it (false = failed or
-/// disconnected).
-fn feed_tenant(t: &mut TenantState, family: &str, batch: &[Vec<u8>], shared: &Shared) -> bool {
-    if t.ingest.as_ref() != family {
-        return true;
+/// Tell every subscriber its session failed, and free their seats.
+fn fail(subscribers: &[Subscriber], e: &Error, shared: &Shared) {
+    for sub in subscribers {
+        let _ = sub.events.send(TenantEvent::Error(e.to_string()));
     }
-    match t.session.feed(batch) {
-        Ok(answers) => {
-            if answers.is_empty() {
-                return true;
+    shared.release_seats(subscribers.len());
+}
+
+/// One shard worker: owns its queries' sessions, seats tenants in them,
+/// feeds each session every batch once, and closes them at end of stream.
+fn shard_worker(rx: Receiver<ShardMsg>, shared: Arc<Shared>) {
+    let mut sessions: Vec<SharedSession> = Vec::new();
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            ShardMsg::Subscribe(query, subscriber) => {
+                // At most one session per query has yet to start.
+                let joinable = sessions.iter_mut().find(|s| !s.started && s.query == query);
+                match joinable {
+                    Some(session) => session.join(subscriber),
+                    None => match SharedSession::open(query, &subscriber.id, &shared) {
+                        Ok(mut session) => {
+                            session.subscribers.push(subscriber);
+                            shared.metrics.on_sessions(1);
+                            sessions.push(session);
+                        }
+                        Err(e) => fail(&[subscriber], &e, &shared),
+                    },
+                }
             }
-            // TTFA on a tenant's first answer, inter-answer staleness on
-            // the rest.
-            let now = Instant::now();
-            if !t.answered {
-                t.answered = true;
+            ShardMsg::Batch(family, batch) => {
+                let before = sessions.len();
+                sessions.retain_mut(|s| s.feed(&family, &batch, &shared));
                 shared
                     .metrics
-                    .on_first_answer(t.session.id(), now - t.admitted_at);
-            } else {
-                shared.metrics.on_staleness(now - t.last_emit);
+                    .on_sessions(sessions.len() as i64 - before as i64);
             }
-            t.last_emit = now;
-            shared.metrics.on_answers(answers.len() as u64, false);
-            // A dropped receiver means the subscriber went away — detach.
-            t.events.send(TenantEvent::Early(answers)).is_ok()
-        }
-        Err(e) => {
-            let _ = t.events.send(TenantEvent::Error(e.to_string()));
-            false
+            ShardMsg::Close => {
+                shared.metrics.on_sessions(-(sessions.len() as i64));
+                for session in sessions.drain(..) {
+                    session.close(&shared);
+                }
+                break;
+            }
         }
     }
 }

@@ -1,12 +1,13 @@
-//! One tenant's live query state: a cascade of [`StreamSession`]s plus a
-//! dead-letter queue.
+//! One query's live state: a cascade of [`StreamSession`]s plus a
+//! dead-letter queue. The server runs one per (query, start offset) and
+//! every tenant subscribed to it receives its answers; run alone, it is
+//! the solo reference a served tenant must match.
 //!
 //! Stage 0 stays open against the shared ingest stream and produces the
-//! tenant's *early* answers (the paper's incremental-hash payoff). At
-//! close, each stage's finals pour through the connecting
-//! [`PairMap`] into the next stage's session — the
-//! streaming equivalent of a pipelined plan edge — and the last stage's
-//! finals are the tenant's answer.
+//! *early* answers (the paper's incremental-hash payoff). At close, each
+//! stage's finals pour through the connecting [`PairMap`] into the next
+//! stage's session — the streaming equivalent of a pipelined plan edge —
+//! and the last stage's finals are the answer.
 //!
 //! Poison containment: a record whose map function panics is isolated by
 //! re-feeding the offending batch record-by-record (the map phase runs
@@ -25,14 +26,18 @@ use crate::stream::{SessionOptions, StreamAnswer, StreamSession};
 use super::dlq::{DeadLetterQueue, DlqConfig};
 use super::query::StreamingQuery;
 
-/// Everything a tenant's close produces.
+/// Everything a tenant's close produces. Tenants sharing a session share
+/// one of these: the answers, the record count and the DLQ accounting
+/// are the session's (a poison record is poison under the query's map
+/// function, whoever subscribed).
 #[derive(Debug)]
 pub struct TenantClose {
     /// Final answers of the cascade's last stage.
     pub answers: Vec<StreamAnswer>,
     /// Per-partition operator stats across all stages.
     pub stats: Vec<OpStats>,
-    /// Records fed into stage 0 (poisons excluded).
+    /// Records fed into stage 0 of the session this answer covers
+    /// (poisons excluded).
     pub records_in: u64,
     /// Records quarantined, ever.
     pub dlq_poisoned: u64,
@@ -42,8 +47,9 @@ pub struct TenantClose {
     pub dlq_dead: u64,
 }
 
-/// A tenant's open query: session cascade + DLQ.
+/// An open query: session cascade + DLQ.
 pub struct TenantSession {
+    /// The tenant that opened it (a shared session's first subscriber).
     id: String,
     query_name: String,
     sessions: Vec<StreamSession>,
@@ -82,7 +88,7 @@ impl TenantSession {
         })
     }
 
-    /// Tenant id.
+    /// Id of the tenant that opened the session.
     pub fn id(&self) -> &str {
         &self.id
     }
@@ -97,9 +103,18 @@ impl TenantSession {
         &self.dlq
     }
 
-    /// Total bytes of governor lease this tenant holds across stages.
+    /// Total bytes of governor lease the session holds across stages.
     pub fn lease_bytes(&self) -> usize {
         self.sessions.iter().map(|s| s.budget_bytes()).sum()
+    }
+
+    /// Move every partition lease of every stage by `delta` bytes: a
+    /// tenant joining the session brings its fair share, one leaving
+    /// takes it away.
+    pub(crate) fn resize_leases(&self, delta: isize) {
+        for s in &self.sessions {
+            s.resize_budgets(delta);
+        }
     }
 
     /// Governor-requested sheds serviced across all stages.

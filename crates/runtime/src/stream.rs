@@ -345,6 +345,15 @@ impl StreamSession {
         self.budgets.iter().map(|b| b.limit()).sum()
     }
 
+    /// Move every partition's budget limit by `delta` bytes (floored at
+    /// 1 KiB): a serving session that pools its subscribers' fair shares
+    /// grows when a tenant joins it and shrinks when one leaves.
+    pub(crate) fn resize_budgets(&self, delta: isize) {
+        for b in &self.budgets {
+            b.set_limit(b.limit().saturating_add_signed(delta).max(1024));
+        }
+    }
+
     /// Close the stream: flush every group's final answer plus per-
     /// partition operator statistics.
     pub fn close(mut self) -> Result<(Vec<StreamAnswer>, Vec<OpStats>)> {

@@ -3,7 +3,7 @@
 //!
 //! Queries are tagged with the ingest family they consume — the click
 //! stream ([`CLICKS_INGEST`]) or the document stream ([`DOCS_INGEST`]) —
-//! so a server multiplexing both streams feeds each tenant only records
+//! so a server multiplexing both streams feeds each session only records
 //! its map function understands. The per-query jobs are byte-identical to
 //! the batch presets `onepass run`/`onepass plan` use, which is what
 //! makes a tenant's served finals comparable (byte-for-byte) to a solo
@@ -27,8 +27,8 @@ pub const DOCS_INGEST: &str = "docs";
 /// Serving knobs the catalog's queries take.
 #[derive(Debug, Clone, Copy)]
 pub struct CatalogConfig {
-    /// Reducers per stage-0 job (per-tenant partitions; small keeps the
-    /// per-tenant lease count down).
+    /// Reducers per stage-0 job (partitions per session; small keeps the
+    /// lease count down).
     pub reducers: usize,
     /// `k` for the exact top-k query.
     pub k: usize,

@@ -14,11 +14,16 @@
 #      for every tenant.
 #
 # Set SMOKE_OUT_DIR to keep logs/dumps/reports (CI uploads it on
-# failure). TENANTS/RECORDS scale the load (nightly runs them up).
+# failure). TENANTS/RECORDS scale the load and POOL_MB sizes the shared
+# memory pool (nightly runs the load up and the pool down). Same-query
+# tenants pool their shares into one session, so a soak sheds only under
+# a pool smaller than a handful of sessions' state: with SOAK=1 the
+# script fails unless the server counted at least one governor shed.
 set -e
 
 TENANTS=${TENANTS:-200}
 RECORDS=${RECORDS:-20000}
+POOL_MB=${POOL_MB:-64}
 # `run inverted-index --records N` generates N/100+1 documents; the
 # served doc feed must match for byte-identity.
 DOCS=$((RECORDS / 100 + 1))
@@ -34,7 +39,7 @@ trap cleanup EXIT
 cargo build --release --bin onepass
 
 ./target/release/onepass serve --listen 127.0.0.1:0 \
-    --records "$RECORDS" --doc-records "$DOCS" --batch 512 --pool-mb 64 \
+    --records "$RECORDS" --doc-records "$DOCS" --batch 512 --pool-mb "$POOL_MB" \
     --reducers 2 --await-tenants "$TENANTS" --await-timeout-ms 120000 \
     --metrics-addr 127.0.0.1:0 --metrics-linger-ms 20000 \
     > "$OUT/serve.log" 2> "$OUT/serve.err" &
@@ -72,6 +77,12 @@ if grep '^onepass_serve_tenant_ttfa_seconds{' "$OUT/metrics.prom" | grep -q '} 0
     exit 1
 fi
 echo "ok: $SEEN nonzero per-tenant TTFA gauges"
+SHEDS=$(sed -n 's/^onepass_serve_sheds_total \([0-9]*\).*/\1/p' "$OUT/metrics.prom")
+echo "governor sheds serviced at a ${POOL_MB} MiB pool: ${SHEDS:-none reported}"
+if [ "${SOAK:-0}" = 1 ] && [ "${SHEDS:-0}" -eq 0 ]; then
+    echo "FAIL: SOAK=1 but no session shed; lower POOL_MB until the pool is contended"
+    exit 1
+fi
 
 # Solo references over the same generator settings, then the
 # byte-identity sweep across every tenant dump.

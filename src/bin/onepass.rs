@@ -1007,7 +1007,7 @@ fn cmd_sim(mut args: Args) {
 /// (port 0 picks an ephemeral port; the bound address is printed on a
 /// parseable line), optionally waits for `--await-tenants` subscribers,
 /// then streams the synthetic click + document feeds through every
-/// tenant and closes. Final answers per tenant are byte-identical to a
+/// query's session and closes. Final answers per tenant are byte-identical to a
 /// solo `onepass run`/`onepass plan` over the same generator settings.
 fn cmd_serve(mut args: Args) {
     use onepass_workloads::serving::{standard_catalog, CatalogConfig, CLICKS_INGEST, DOCS_INGEST};
@@ -1172,8 +1172,8 @@ struct LoadgenOutcome {
 /// Zipf-distributed tenant population and report latency + fairness.
 /// Exits nonzero if any tenant is rejected or errors, or if two tenants
 /// of the same query disagree on their final answers (they must be
-/// byte-identical — the server runs one isolated plan per tenant over
-/// one shared stream).
+/// byte-identical — tenants that subscribed before ingest started
+/// share one session per query).
 fn cmd_loadgen(mut args: Args) {
     use onepass_workloads::serving::{standard_catalog, CatalogConfig};
     use onepass_workloads::tenantgen::{assign_tenants, TenantGenConfig};

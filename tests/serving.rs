@@ -8,17 +8,19 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use onepass::prelude::*;
+use onepass_core::obs::MetricsRegistry;
 use onepass_groupby::SumAgg;
 use onepass_runtime::serve::{dump_final_answers, DEFAULT_INGEST};
 use onepass_runtime::stream::SessionOptions;
 use onepass_workloads::serving::{
     ingest_family, standard_catalog, CatalogConfig, CLICKS_INGEST, DOCS_INGEST,
 };
-use onepass_workloads::tenantgen::{assign_tenants, TenantGenConfig};
+use onepass_workloads::tenantgen::{assign_tenants, TenantGenConfig, TenantSpec};
 use onepass_workloads::{ClickGen, ClickGenConfig, DocGen, DocGenConfig};
 
 fn click_records(n: usize) -> Vec<Vec<u8>> {
@@ -143,6 +145,27 @@ fn admission_rejects_beyond_capacity_and_frees_seats_on_close() {
     assert_eq!(server.active_tenants(), 0);
 }
 
+/// A single-stage query counting records by their first word, run
+/// through `probe` first (which may panic, or count the call).
+fn count_query(
+    name: &str,
+    probe: impl Fn(&[u8]) + Send + Sync + 'static,
+) -> onepass_core::error::Result<StreamingQuery> {
+    let map = move |record: &[u8], out: &mut dyn MapEmitter| {
+        probe(record);
+        let key = record.split(|&b| b == b' ').next().unwrap_or(b"?");
+        out.emit(key, &1u64.to_le_bytes());
+    };
+    Ok(StreamingQuery::single(
+        JobSpec::builder(name)
+            .map_fn(Arc::new(map))
+            .aggregate(Arc::new(SumAgg))
+            .reducers(2)
+            .preset_onepass()
+            .build()?,
+    ))
+}
+
 /// A query whose map panics on records tagged `POISON` — permanently, or
 /// only for the first `transient` attempts per record (0 = always).
 fn poisonable_catalog(transient: u32) -> QueryCatalog {
@@ -150,7 +173,7 @@ fn poisonable_catalog(transient: u32) -> QueryCatalog {
     let attempts = Arc::new(AtomicUsize::new(0));
     cat.register("poisonable-count", move || {
         let attempts = Arc::clone(&attempts);
-        let map = move |record: &[u8], out: &mut dyn MapEmitter| {
+        count_query("poisonable-count", move |record| {
             if record.starts_with(b"POISON") {
                 if transient == 0 {
                     panic!("permanent poison");
@@ -160,17 +183,7 @@ fn poisonable_catalog(transient: u32) -> QueryCatalog {
                     panic!("transient poison");
                 }
             }
-            let key = record.split(|&b| b == b' ').next().unwrap_or(b"?");
-            out.emit(key, &1u64.to_le_bytes());
-        };
-        Ok(StreamingQuery::single(
-            JobSpec::builder("poisonable-count")
-                .map_fn(Arc::new(map))
-                .aggregate(Arc::new(SumAgg))
-                .reducers(2)
-                .preset_onepass()
-                .build()?,
-        ))
+        })
     });
     cat
 }
@@ -234,19 +247,243 @@ fn transient_poison_recovers_and_is_counted() {
     );
 }
 
+/// Poll `cond` (the shard workers act on their queues asynchronously)
+/// until it holds; panics with `what` after five seconds.
+fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A one-query catalog (`counted`) whose map function counts its calls.
+fn counting_catalog(calls: Arc<AtomicUsize>) -> QueryCatalog {
+    let mut cat = QueryCatalog::new();
+    cat.register("counted", move || {
+        let calls = Arc::clone(&calls);
+        count_query("counted", move |_| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        })
+    });
+    cat
+}
+
+#[test]
+fn same_query_tenants_share_one_pass_over_the_stream() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let catalog = counting_catalog(Arc::clone(&calls));
+    let records: Vec<Vec<u8>> = (0..3_000u32)
+        .map(|i| format!("k{} x", i % 37).into_bytes())
+        .collect();
+    let config = ServeConfig {
+        shards: 3,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, catalog.clone(), None).expect("start");
+    let handles: Vec<TenantHandle> = (0..8)
+        .map(|i| {
+            server
+                .subscribe(&format!("t{i}"), "counted")
+                .expect("admit")
+        })
+        .collect();
+    for chunk in records.chunks(256) {
+        server.feed(DEFAULT_INGEST, chunk.to_vec()).expect("feed");
+    }
+    server.close().expect("close");
+    // Eight tenants, one query: every record went through the map
+    // function once, not eight times.
+    assert_eq!(calls.load(Ordering::Relaxed), records.len());
+    let solo = solo_dump(&catalog, "counted", &records);
+    for h in handles {
+        let (_earlies, close) = h.wait_final().expect("final");
+        assert_eq!(dump_final_answers(&close.answers), solo, "tenant {}", h.id);
+        assert_eq!(close.records_in, records.len() as u64);
+    }
+}
+
+#[test]
+fn mid_stream_subscriber_gets_its_own_session_over_the_suffix() {
+    let catalog = standard_catalog(CatalogConfig::default());
+    let clicks = click_records(4_096);
+    let registry = MetricsRegistry::new();
+    let sessions = registry.gauge("onepass_serve_sessions", &[]);
+    let server =
+        Server::start(ServeConfig::default(), catalog.clone(), Some(registry)).expect("start");
+
+    let early: Vec<TenantHandle> = ["e0", "e1"]
+        .iter()
+        .map(|id| server.subscribe(id, "per-user-count").expect("admit"))
+        .collect();
+    let (head, tail) = clicks.split_at(5 * 512);
+    for chunk in head.chunks(512) {
+        server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed");
+    }
+    let late = server.subscribe("late", "per-user-count").expect("admit");
+    for chunk in tail.chunks(512) {
+        server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed");
+    }
+    // The early pair shares one session; the latecomer could not join it
+    // (it had been fed), so a second one opened at its offset.
+    eventually("the late tenant's session", || sessions.value() == 2.0);
+    server.close().expect("close");
+    assert_eq!(sessions.value(), 0.0);
+
+    let whole = solo_dump(&catalog, "per-user-count", &clicks);
+    let mut shared = Vec::new();
+    for h in early {
+        let (_earlies, close) = h.wait_final().expect("final");
+        assert_eq!(dump_final_answers(&close.answers), whole, "tenant {}", h.id);
+        assert_eq!(close.records_in, clicks.len() as u64);
+        shared.push(close);
+    }
+    let (_earlies, close) = late.wait_final().expect("final");
+    // Session-mates hold one close between them, not a copy each.
+    assert!(Arc::ptr_eq(&shared[0], &shared[1]));
+    assert!(!Arc::ptr_eq(&shared[0], &close));
+    assert_eq!(
+        dump_final_answers(&close.answers),
+        solo_dump(&catalog, "per-user-count", tail)
+    );
+    assert_eq!(close.records_in, tail.len() as u64);
+}
+
+/// A catalog whose count queries refresh early answers often enough that
+/// every batch publishes — a dropped handle is noticed at the next one.
+fn chatty_catalog() -> QueryCatalog {
+    standard_catalog(CatalogConfig {
+        early_every: 4,
+        ..CatalogConfig::default()
+    })
+}
+
+#[test]
+fn dropped_subscriber_frees_its_seat_and_leaves_session_mates_intact() {
+    let catalog = chatty_catalog();
+    let clicks = click_records(6_000);
+    let registry = MetricsRegistry::new();
+    let sessions = registry.gauge("onepass_serve_sessions", &[]);
+    let server =
+        Server::start(ServeConfig::default(), catalog.clone(), Some(registry)).expect("start");
+    let stay_a = server.subscribe("stay-a", "page-frequency").expect("admit");
+    let leaver = server.subscribe("leaver", "page-frequency").expect("admit");
+    let stay_b = server.subscribe("stay-b", "page-frequency").expect("admit");
+    assert_eq!(server.active_tenants(), 3);
+
+    let mut chunks = clicks.chunks(256);
+    for chunk in chunks.by_ref().take(4) {
+        server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed");
+    }
+    drop(leaver);
+    // The next publish finds the receiver gone and detaches the tenant.
+    let mut fed_all = false;
+    eventually("the leaver's seat to free", || {
+        match chunks.next() {
+            Some(chunk) => server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed"),
+            None => fed_all = true,
+        }
+        server.active_tenants() == 2
+    });
+    assert!(!fed_all, "the seat must free mid-stream, not at the end");
+    assert_eq!(sessions.value(), 1.0, "the three were one session's seats");
+    for chunk in chunks {
+        server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed");
+    }
+    server.close().expect("close");
+    assert_eq!(server.active_tenants(), 0);
+
+    let solo = solo_dump(&catalog, "page-frequency", &clicks);
+    for h in [stay_a, stay_b] {
+        let (_earlies, close) = h.wait_final().expect("final");
+        assert_eq!(dump_final_answers(&close.answers), solo, "tenant {}", h.id);
+        assert_eq!(close.records_in, clicks.len() as u64);
+    }
+}
+
+#[test]
+fn last_subscriber_out_drops_the_session_and_its_leases() {
+    let clicks = click_records(4_000);
+    let server = Server::start(ServeConfig::default(), chatty_catalog(), None).expect("start");
+    let leases_before = server.governor().live_leases();
+    let first = server.subscribe("first", "page-frequency").expect("admit");
+    let second = server.subscribe("second", "page-frequency").expect("admit");
+    let mut chunks = clicks.chunks(128);
+    server
+        .feed(CLICKS_INGEST, chunks.next().expect("chunk").to_vec())
+        .expect("feed");
+    // Two tenants, one session: one lease per partition, not per tenant.
+    let partitions = CatalogConfig::default().reducers;
+    eventually("the session's leases", || {
+        server.governor().live_leases() == leases_before + partitions
+    });
+
+    drop(first);
+    drop(second);
+    eventually("both seats and every lease to free", || {
+        if let Some(chunk) = chunks.next() {
+            server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed");
+        }
+        server.active_tenants() == 0 && server.governor().live_leases() == leases_before
+    });
+    server.close().expect("close");
+}
+
+#[test]
+fn poison_is_the_records_not_the_tenants() {
+    let registry = MetricsRegistry::new();
+    let server = Server::start(
+        ServeConfig::default(),
+        poisonable_catalog(0),
+        Some(registry.clone()),
+    )
+    .expect("start");
+    let handles: Vec<TenantHandle> = ["one", "two"]
+        .iter()
+        .map(|id| server.subscribe(id, "poisonable-count").expect("admit"))
+        .collect();
+    let mut records: Vec<Vec<u8>> = (0..400u32)
+        .map(|i| format!("k{} x", i % 7).into_bytes())
+        .collect();
+    records.insert(50, b"POISON one".to_vec());
+    records.insert(250, b"POISON two".to_vec());
+    records.insert(251, b"POISON three".to_vec());
+    server.feed(DEFAULT_INGEST, records).expect("feed");
+    server.close().expect("close");
+
+    // Both tenants see the session's accounting...
+    for h in handles {
+        let (_earlies, close) = h.wait_final().expect("final");
+        assert_eq!(
+            (close.dlq_poisoned, close.dlq_dead, close.dlq_recovered),
+            (3, 3, 0),
+            "tenant {}",
+            h.id
+        );
+        assert_eq!(close.records_in, 400);
+    }
+    // ...and the registry counts each poison record once, not per tenant.
+    let count = |name: &str| registry.counter(name, &[]).value();
+    assert_eq!(count("onepass_serve_dlq_poisoned_total"), 3);
+    assert_eq!(count("onepass_serve_dlq_dead_total"), 3);
+    assert_eq!(count("onepass_serve_admitted_total"), 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The tentpole isolation property: N concurrent tenants over a
     /// shared governor pool under shed pressure, with seeded poison in
     /// the stream, all produce finals byte-identical to their solo runs —
-    /// across spill policies.
+    /// across spill policies, with at least two tenants sharing a session
+    /// and one subscribing mid-stream to a session of its own.
     #[test]
     fn tenant_isolation_under_pressure_and_poison(
         policy_idx in 0usize..3,
         tenants in 2usize..5,
         poison_every in 40usize..90,
         records_n in 2_000usize..4_000,
+        late_eighth in 1usize..8,
     ) {
         let policy_name = ["largest-consumer", "round-robin", "coldest-keys"][policy_idx];
         let catalog = standard_catalog(CatalogConfig::default());
@@ -269,21 +506,30 @@ proptest! {
             "sessionization".into(),
             "top-k".into(),
         ];
-        let specs = assign_tenants(tenants, &queries, &TenantGenConfig::default());
+        let mut specs = assign_tenants(tenants, &queries, &TenantGenConfig::default());
+        // Whatever the draw, the first tenant's query gets a session-mate.
+        let shared_query = specs[0].query.clone();
+        specs.push(TenantSpec { id: "twin".into(), query: shared_query.clone() });
         let handles: Vec<TenantHandle> = specs
             .iter()
             .map(|t| server.subscribe(&t.id, &t.query).expect("admit"))
             .collect();
 
         // Click maps skip malformed records, so poison here exercises the
-        // graceful-skip path inside every tenant at once.
+        // graceful-skip path inside every session at once.
         let mut stream = clicks.clone();
         let mut i = poison_every;
         while i < stream.len() {
             stream.insert(i, b"\xff\xfenot a click".to_vec());
             i += poison_every;
         }
-        for chunk in stream.chunks(256) {
+        let chunks: Vec<&[Vec<u8>]> = stream.chunks(256).collect();
+        let late_at = (chunks.len() * late_eighth / 8).max(1);
+        let mut late = None;
+        for (n, chunk) in chunks.iter().enumerate() {
+            if n == late_at {
+                late = Some(server.subscribe("late", &shared_query).expect("admit"));
+            }
             server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed");
         }
         server.close().expect("close");
@@ -300,5 +546,14 @@ proptest! {
                 &spec.id, &spec.query, policy_name
             );
         }
+        // The latecomer's answer covers exactly the batches fed after it
+        // subscribed.
+        let (_earlies, close) = late.expect("subscribed mid-stream").wait_final().expect("final");
+        prop_assert_eq!(
+            dump_final_answers(&close.answers),
+            solo_dump(&catalog, &shared_query, &stream[late_at * 256..]),
+            "late tenant ({}) diverged under policy {}",
+            &shared_query, policy_name
+        );
     }
 }

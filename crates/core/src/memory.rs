@@ -17,7 +17,7 @@
 //! more *before* falling back to spilling
 //! ([`MemoryBudget::try_grant_or_request`]).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use crate::error::{Error, Result};
@@ -61,12 +61,6 @@ struct Inner {
     parent: Option<MemoryBudget>,
     /// Bytes the governor has asked this budget's operator to shed.
     shed_requested: AtomicUsize,
-    /// Policy hint published by the operator: bytes its largest shedable
-    /// unit (e.g. a hybrid-hash resident bucket) would free at once.
-    shed_unit_hint: AtomicUsize,
-    /// Policy hint published by the operator: heat of its coldest
-    /// resident key (`u64::MAX` = unknown / no cold data).
-    heat_hint: AtomicU64,
     /// Escalation link + lease id, set when created by a governor.
     escalator: Option<(Weak<dyn Escalator>, usize)>,
 }
@@ -130,8 +124,6 @@ impl MemoryBudget {
                 high_water: AtomicUsize::new(0),
                 parent,
                 shed_requested: AtomicUsize::new(0),
-                shed_unit_hint: AtomicUsize::new(0),
-                heat_hint: AtomicU64::new(u64::MAX),
                 escalator,
             }),
         }
@@ -272,11 +264,6 @@ impl MemoryBudget {
         }
     }
 
-    /// Would a grant of `bytes` succeed right now?
-    pub fn would_fit(&self, bytes: usize) -> bool {
-        bytes <= self.available()
-    }
-
     /// Reserve `bytes` unconditionally, allowing `used` to overshoot the
     /// limit. For in-place growth of existing state that cannot fail
     /// mid-operation; the overshoot makes subsequent `try_grant` calls
@@ -311,30 +298,6 @@ impl MemoryBudget {
     /// Consume the outstanding shed request, returning its size.
     pub fn take_shed_request(&self) -> usize {
         self.inner.shed_requested.swap(0, Ordering::Relaxed)
-    }
-
-    /// Publish how many bytes this budget's operator could free in one
-    /// shed unit (e.g. its resident hybrid-hash bucket). Read by the
-    /// `LargestBucket` spill policy.
-    pub fn publish_shed_unit(&self, bytes: usize) {
-        self.inner.shed_unit_hint.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Last published shed-unit size (0 = nothing published).
-    pub fn shed_unit_hint(&self) -> usize {
-        self.inner.shed_unit_hint.load(Ordering::Relaxed)
-    }
-
-    /// Publish the heat (frequent-items count) of the operator's coldest
-    /// resident key. Read by the `ColdestKeys` spill policy; budgets that
-    /// never publish report `u64::MAX` (treated as hot / unknown).
-    pub fn publish_heat(&self, heat: u64) {
-        self.inner.heat_hint.store(heat, Ordering::Relaxed);
-    }
-
-    /// Last published coldest-key heat (`u64::MAX` = unknown).
-    pub fn heat_hint(&self) -> u64 {
-        self.inner.heat_hint.load(Ordering::Relaxed)
     }
 
     /// A non-owning handle for governor bookkeeping.

@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use crate::json::fmt_f64;
-use crate::metrics::Series;
 
 /// Registration shards; updates never touch these locks.
 const NUM_SHARDS: usize = 8;
@@ -708,24 +707,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Extract one metric's trajectory across a snapshot series as a
-/// [`Series`] (x = `at_s`, y = counter value / gauge value / histogram
-/// count). Snapshots where the metric is absent are skipped.
-pub fn snapshots_series(snaps: &[MetricsSnapshot], name: &str, labels: &[(&str, &str)]) -> Series {
-    let mut s = Series::new("metric");
-    for snap in snaps {
-        if let Some(m) = snap.find(name, labels) {
-            let y = match &m.value {
-                SampleValue::Counter(v) => *v as f64,
-                SampleValue::Gauge(v) => *v,
-                SampleValue::Histogram(h) => h.count as f64,
-            };
-            s.push(snap.at_s, y);
-        }
-    }
-    s
-}
-
 /// Background thread snapshotting a registry on a period.
 ///
 /// Snapshots accumulate in memory and are returned by
@@ -745,13 +726,8 @@ impl fmt::Debug for MetricsSampler {
 }
 
 impl MetricsSampler {
-    /// Start sampling `registry` every `period`.
-    pub fn start(registry: MetricsRegistry, period: Duration) -> Self {
-        Self::start_streaming(registry, period, None)
-    }
-
-    /// Start sampling; when `writer` is given, each snapshot is streamed
-    /// to it as one JSONL line (flushed on stop).
+    /// Start sampling `registry` every `period`; when `writer` is given,
+    /// each snapshot is streamed to it as one JSONL line (flushed on stop).
     pub fn start_streaming(
         registry: MetricsRegistry,
         period: Duration,
@@ -1083,10 +1059,10 @@ mod tests {
     }
 
     #[test]
-    fn sampler_collects_snapshots_and_series() {
+    fn sampler_collects_snapshots() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("onepass_work_total", &[]);
-        let sampler = MetricsSampler::start(reg.clone(), Duration::from_millis(5));
+        let sampler = MetricsSampler::start_streaming(reg.clone(), Duration::from_millis(5), None);
         c.inc(10);
         std::thread::sleep(Duration::from_millis(25));
         let snaps = sampler.stop();
@@ -1096,9 +1072,6 @@ mod tests {
             SampleValue::Counter(v) => assert_eq!(*v, 10),
             other => panic!("wrong kind: {other:?}"),
         }
-        let series = snapshots_series(&snaps, "onepass_work_total", &[]);
-        assert_eq!(series.len(), snaps.len());
-        assert_eq!(series.points.last().unwrap().1, 10.0);
     }
 
     #[test]

@@ -273,20 +273,6 @@ impl LocalTracer {
         }
     }
 
-    /// Run `f` inside a `name` span.
-    #[inline]
-    pub fn in_span<R>(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        self.begin(name, cat);
-        let out = f(self);
-        self.end(name, cat);
-        out
-    }
-
     /// A second buffer on the same tracer and track, for handing to a
     /// helper object (e.g. a group-by operator owned by a task) without
     /// giving up this one. Both flush into the same shared stream.

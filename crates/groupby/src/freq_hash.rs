@@ -388,9 +388,6 @@ impl FreqHashGrouper {
         // start another round.
         self.cold_threshold = cut.0;
         self.evictions += 1;
-        // Advertise how cold this operator's evictable tail is, so the
-        // governor's ColdestKeys policy can rank victims.
-        self.budget.publish_heat(self.cold_threshold);
         self.trace.instant(
             "evict",
             "freq",

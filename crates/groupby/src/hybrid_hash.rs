@@ -419,9 +419,6 @@ impl GroupBy for HybridHashGrouper {
             let fp = fingerprint(key);
             self.push_tagged_fp(key, fp, value, TAG_RAW)?;
         }
-        // Advertise how much one shed would free (the whole resident
-        // table) so the governor's LargestBucket policy can rank victims.
-        self.budget.publish_shed_unit(self.reserved);
         Ok(())
     }
 
@@ -449,7 +446,6 @@ impl GroupBy for HybridHashGrouper {
                 Some(0)
             })?;
         }
-        self.budget.publish_shed_unit(self.reserved);
         Ok(start - self.reserved)
     }
 

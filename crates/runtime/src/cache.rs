@@ -464,29 +464,10 @@ impl DatasetCache {
     }
 
     fn publish_locked(&self, inner: &Inner) {
-        let resident: usize = inner.datasets.values().map(|d| d.resident_bytes).sum();
         if let Some(g) = &self.resident_gauge {
+            let resident: usize = inner.datasets.values().map(|d| d.resident_bytes).sum();
             g.set(resident as f64);
         }
-        // Tell spill policies how big one shedable unit is and how cold
-        // we are, so ColdestKeys/LargestBucket-style policies can reason
-        // about the cache the way they reason about reducer tables.
-        let coldest = inner
-            .datasets
-            .values()
-            .filter(|d| d.resident_bytes > 0)
-            .map(|d| d.last_use)
-            .min();
-        if let Some(stamp) = coldest {
-            self.budget.publish_heat(stamp);
-        }
-        let max_unit = inner
-            .datasets
-            .values()
-            .map(|d| d.resident_bytes)
-            .max()
-            .unwrap_or(0);
-        self.budget.publish_shed_unit(max_unit);
     }
 }
 

@@ -37,7 +37,6 @@ use onepass_core::governor::MemoryPolicy;
 use onepass_core::trace::Tracer;
 
 use crate::executor;
-use crate::in_node::InNodeCombine;
 use crate::job::JobSpec;
 use crate::map_task::Split;
 use crate::report::JobReport;
@@ -53,29 +52,6 @@ pub enum SpillBackend {
     /// Real temp files with buffered I/O — for experiments that should
     /// touch disk.
     TempFiles,
-}
-
-/// Whether map output is synchronously persisted before task completion —
-/// the Hadoop fault-tolerance write of §II-A. Replaces the old
-/// `persist_map_output: bool` field with a self-documenting two-variant
-/// type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MapOutputPersistence {
-    /// Write map output to the map-side store before completing the task
-    /// (Hadoop behaviour). The default.
-    #[default]
-    Persist,
-    /// Skip the map-output write — the paper's one-pass configuration;
-    /// failed map tasks are recovered by re-running them from the input
-    /// split instead.
-    Volatile,
-}
-
-impl MapOutputPersistence {
-    /// True when map output is persisted.
-    pub fn is_persist(self) -> bool {
-        matches!(self, MapOutputPersistence::Persist)
-    }
 }
 
 /// Per-task retry budget for failed attempts.
@@ -151,9 +127,6 @@ pub struct EngineConfig {
     pub map_workers: usize,
     /// Spill-run backend. Default memory.
     pub spill: SpillBackend,
-    /// Persist map output before task completion (Hadoop fault-tolerance
-    /// write, §II-A). Default [`MapOutputPersistence::Persist`].
-    pub persist_map_output: MapOutputPersistence,
     /// Trace collection point. Default disabled: every probe site in the
     /// engine then costs a single branch. Hand in [`Tracer::enabled`] and
     /// drain it after [`Engine::run`] to get the event stream.
@@ -180,11 +153,6 @@ pub struct EngineConfig {
     /// [`MetricsServer`](onepass_core::obs::MetricsServer)) to get live
     /// per-stage progress, phase cost, shuffle volume, and TTFA metrics.
     pub metrics: Option<onepass_core::obs::MetricsRegistry>,
-    /// Worker-scoped in-node combining of map output (see
-    /// [`crate::in_node`]). Default [`InNodeCombine::On`]: eligible jobs
-    /// (hash-combine map side, combinable aggregate, speculation off)
-    /// combine across all map tasks sharing a worker before shuffling.
-    pub in_node_combine: InNodeCombine,
     /// Executor/shuffle transport. [`Transport::InProc`] (default) runs
     /// map and reduce tasks on in-process worker threads over the
     /// zero-copy channel fabric. [`Transport::Tcp`] places tasks on
@@ -209,14 +177,12 @@ impl Default for EngineConfig {
         EngineConfig {
             map_workers: default_map_workers(),
             spill: SpillBackend::Memory,
-            persist_map_output: MapOutputPersistence::Persist,
             tracer: Tracer::disabled(),
             retry: RetryPolicy::default(),
             speculation: SpeculationConfig::default(),
             faults: FaultInjector::none(),
             memory_policy: MemoryPolicy::Static,
             metrics: None,
-            in_node_combine: InNodeCombine::default(),
             transport: Transport::default(),
         }
     }
@@ -245,12 +211,6 @@ impl EngineConfigBuilder {
     /// Spill-run backend.
     pub fn spill(mut self, spill: SpillBackend) -> Self {
         self.cfg.spill = spill;
-        self
-    }
-
-    /// Map-output persistence mode.
-    pub fn map_output(mut self, mode: MapOutputPersistence) -> Self {
-        self.cfg.persist_map_output = mode;
         self
     }
 
@@ -287,12 +247,6 @@ impl EngineConfigBuilder {
     /// Publish live metrics into `registry` while jobs run.
     pub fn metrics(mut self, registry: onepass_core::obs::MetricsRegistry) -> Self {
         self.cfg.metrics = Some(registry);
-        self
-    }
-
-    /// Worker-scoped in-node combining of map output.
-    pub fn in_node_combine(mut self, mode: InNodeCombine) -> Self {
-        self.cfg.in_node_combine = mode;
         self
     }
 
@@ -552,35 +506,27 @@ mod tests {
         let cfg = EngineConfig::builder()
             .map_workers(2)
             .spill(SpillBackend::TempFiles)
-            .map_output(MapOutputPersistence::Volatile)
             .retry(RetryPolicy::attempts(3))
             .speculation(SpeculationConfig::on())
             .faults(FaultPlan::new().fail_map(0, 0, 1))
             .memory_policy(MemoryPolicy::adaptive())
             .metrics(onepass_core::obs::MetricsRegistry::new())
-            .in_node_combine(InNodeCombine::Off)
             .transport(Transport::Tcp {
                 workers: vec!["127.0.0.1:7777".into()],
             })
             .build();
         assert_eq!(cfg.map_workers, 2);
         assert_eq!(cfg.spill, SpillBackend::TempFiles);
-        assert!(!cfg.persist_map_output.is_persist());
         assert_eq!(cfg.retry.max_attempts, 3);
         assert!(cfg.speculation.enabled);
         assert!(cfg.faults.is_active());
         assert!(matches!(cfg.memory_policy, MemoryPolicy::Adaptive { .. }));
         assert!(cfg.metrics.is_some());
-        assert_eq!(cfg.in_node_combine, InNodeCombine::Off);
         assert!(matches!(cfg.transport, Transport::Tcp { ref workers } if workers.len() == 1));
         let defaults = EngineConfig::builder().build();
         assert!(matches!(defaults.memory_policy, MemoryPolicy::Static));
         assert!(defaults.metrics.is_none());
         assert!(matches!(defaults.transport, Transport::InProc));
-        assert!(
-            defaults.in_node_combine.is_on(),
-            "in-node combining is the default fast path"
-        );
     }
 
     #[test]
@@ -622,17 +568,6 @@ mod tests {
                 "{label}: adaptive governance changed the output"
             );
         }
-    }
-
-    #[test]
-    fn map_output_knob_sets_persistence() {
-        let cfg = EngineConfig::builder()
-            .map_output(MapOutputPersistence::Volatile)
-            .build();
-        assert_eq!(cfg.persist_map_output, MapOutputPersistence::Volatile);
-        assert!(!cfg.persist_map_output.is_persist());
-        let defaults = EngineConfig::builder().build();
-        assert_eq!(defaults.persist_map_output, MapOutputPersistence::Persist);
     }
 
     #[test]

@@ -14,12 +14,10 @@ use std::time::Instant;
 
 use crossbeam::channel::unbounded;
 
-use onepass_core::bytes_kv::KvBuf;
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
 use onepass_core::io::{FileSpillStore, SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
-use onepass_core::metrics::Phase;
 use onepass_core::trace::{LocalTracer, Track};
 use onepass_groupby::{
     Aggregator, EmitKind, FreqHashGrouper, GroupBy, HybridHashGrouper, IncHashGrouper, Sink,
@@ -27,10 +25,10 @@ use onepass_groupby::{
 };
 
 use crate::driver::{EngineConfig, SpillBackend};
-use crate::in_node::{innode_eligible, WorkerCombiner};
+use crate::in_node::{CombineScope, MapSlot};
 use crate::job::{JobSpec, ReduceBackend};
-use crate::map_task::{run_map_task_with, MapAttemptCtx};
-use crate::reduce_task::{panic_message, run_reduce_task_open, ReduceResult, ReduceRetryOpts};
+use crate::map_task::MapAttemptCtx;
+use crate::reduce_task::{run_reduce_task_open, ReduceResult, ReduceRetryOpts};
 use crate::report::{JobOutput, JobReport, TaskKind, TaskSpan};
 use crate::scheduler::{schedule_maps, MapAssignment, MapEvent, SchedulerCtx, SplitFeed};
 use crate::shuffle::{shuffle_fabric, CHANNEL_DEPTH};
@@ -222,21 +220,22 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         None => shuffle_tx,
     };
 
-    // Map-side persistence store (shared; only totals are read). Remote
+    // Map-side persistence store (shared; only totals are read): every
+    // in-proc map writes its output before it completes (§II-A). Remote
     // map tasks never persist output — recovery is re-execution from the
     // coordinator-held split.
-    let map_store = if tcp_workers.is_none() && config.persist_map_output.is_persist() {
-        Some(make_store(config.spill)?)
-    } else {
-        None
+    let map_store = match tcp_workers {
+        None => Some(make_store(config.spill)?),
+        Some(_) => None,
     };
     let spill = config.spill;
-    // In-node combining: map tasks on the same worker drain into one
-    // shared combine table that flushes far less often than per-task
-    // combining ships (see `crate::in_node` for eligibility + protocol).
-    // Worker-scoped combining doesn't cross process boundaries, so it's
-    // off for remote maps (per-task HashCombine still applies there).
-    let innode = tcp_workers.is_none() && innode_eligible(config, job);
+    // A `HashCombine` job's table spans the map worker unless two
+    // attempts of one task can race (see `crate::in_node`).
+    let combine_scope = if spec.enabled {
+        CombineScope::Task
+    } else {
+        CombineScope::Worker
+    };
 
     // Work queue + event stream between coordinator and map workers.
     let (task_tx, task_rx) = unbounded::<MapAssignment>();
@@ -313,23 +312,19 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             let task_rx = task_rx.clone();
             let shuffle_tx = shuffle_tx.clone();
             let evt_tx = evt_tx.clone();
-            let map_store = map_store.clone();
+            let map_store = map_store.as_ref();
             let injector = injector.clone();
-            let governor = governor.clone();
+            let governor = governor.as_ref();
             let innode_ratio = telemetry.as_ref().map(|t| t.innode_combine_ratio.clone());
             scope.spawn(move |_| {
-                // Worker-scoped combine table, governor-leased so its
-                // bytes are debited from the same pool as reduce tables.
-                let mut combiner = innode.then(|| {
-                    let budget = match &governor {
-                        Some(g) => g.lease(job.map_buffer_bytes),
-                        None => MemoryBudget::new(job.map_buffer_bytes),
-                    };
-                    WorkerCombiner::new(job.reducers, budget)
-                });
-                // Reusable deferred-output arena: each attempt's full map
-                // output lands here before the post-success fold.
-                let mut deferred_buf = KvBuf::new();
+                let mut slot = MapSlot::new(
+                    job,
+                    &shuffle_tx,
+                    map_store,
+                    combine_scope,
+                    governor,
+                    innode_ratio,
+                );
                 while let Ok(asg) = task_rx.recv() {
                     if !asg.delay.is_zero() {
                         std::thread::sleep(asg.delay);
@@ -355,59 +350,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                         injector: injector.clone(),
                         cancel: Some(cancel),
                     };
-                    // In deferred mode persistence moves to the worker
-                    // flush (what goes down is what actually shuffles).
-                    let task_store = if combiner.is_some() {
-                        None
-                    } else {
-                        map_store.as_ref()
-                    };
-                    deferred_buf.clear();
-                    let deferred = combiner.as_ref().map(|_| &mut deferred_buf);
-                    // A panicking map function is a task failure, not an
-                    // engine failure: convert it to Err so the retry
-                    // budget applies.
-                    let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_map_task_with(
-                            job,
-                            task,
-                            &split,
-                            &shuffle_tx,
-                            task_store,
-                            &mut trace,
-                            &ctx,
-                            deferred,
-                        )
-                    }))
-                    .unwrap_or_else(|p| {
-                        Err(Error::InvalidState(format!(
-                            "map task panicked: {}",
-                            panic_message(p.as_ref())
-                        )))
-                    });
-                    // Only a *successful* attempt reaches the shared
-                    // table — a failed or cancelled attempt's buffer is
-                    // simply discarded, exactly as a failed attempt never
-                    // announces MapDone.
-                    if let (Some(c), Ok(stats)) = (combiner.as_mut(), result.as_mut()) {
-                        let fold_start = std::time::Instant::now();
-                        trace.begin(Phase::MapHash.label(), "phase");
-                        c.fold_task(
-                            task,
-                            attempt,
-                            &deferred_buf,
-                            job.partitioner.as_ref(),
-                            job.agg.as_ref(),
-                        );
-                        trace.end(Phase::MapHash.label(), "phase");
-                        stats.profile.add_time(Phase::MapHash, fold_start.elapsed());
-                        if c.should_flush()
-                            && c.flush(&shuffle_tx, map_store.as_ref(), innode_ratio.as_ref())
-                                .is_err()
-                        {
-                            shuffle_tx.abort();
-                        }
-                    }
+                    let result = slot.run_attempt(task, &split, &mut trace, &ctx);
                     trace.end("map_task", "task");
                     drop(trace);
                     let span = TaskSpan {
@@ -425,16 +368,8 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                         result,
                     });
                 }
-                // Task queue closed (scheduler exited): drain the table.
-                // Segments ship first, then the deferred MapDones, so the
-                // reducers waiting on those tasks can now finish.
-                if let Some(mut c) = combiner {
-                    if c.flush(&shuffle_tx, map_store.as_ref(), innode_ratio.as_ref())
-                        .is_err()
-                    {
-                        shuffle_tx.abort();
-                    }
-                }
+                // Task queue closed (scheduler exited).
+                slot.drain();
             });
         }
 

@@ -1,46 +1,55 @@
-//! Worker-scoped in-node combining: map tasks running on the same
-//! executor worker fold their output into one shared, governor-leased
-//! combine table that is flushed to the shuffle far less often than
-//! per-task flushing would — the "in-node combiner" idea (cf.
-//! in-node/in-mapper combining and M3R's partition-local aggregation).
+//! The map-side hash combiner — §V's map option 2, "in-memory hash combine
+//! per partition" — and its scope. Every
+//! [`MapSideMode::HashCombine`] job combines through one table type,
+//! `WorkerCombiner`; the only thing that varies is how many task attempts
+//! share a table before it ships ([`CombineScope`]): all the attempts a
+//! map worker completes (the "in-node combiner" idea, cf. in-node/in-mapper
+//! combining and M3R's partition-local aggregation), or one.
 //!
 //! # Protocol
 //!
-//! Per-task map-side combine
-//! ([`MapSideMode::HashCombine`](crate::job::MapSideMode::HashCombine))
-//! ships one
-//! combined segment set per *flush* of every task. With many small tasks
-//! (or a small push granularity) the same hot keys are rebuilt and
-//! re-shipped over and over. In-node combining instead:
-//!
-//! 1. Each map *attempt* buffers its entire output in its partition-
-//!    tagged arena ([`KvBuf`]) and ships nothing — no segments, no
+//! 1. Each map *attempt* buffers its entire output in the slot's
+//!    reusable arena ([`KvBuf`]) and ships nothing — no segments, no
 //!    `MapDone`.
-//! 2. When the attempt **succeeds**, its worker folds the buffer into
-//!    the worker's `WorkerCombiner` (one hash probe per record, via
-//!    `WorkerCombiner::fold_task`) and records the `(task, attempt)`
-//!    pair as a contributor. A failed or cancelled attempt never reaches
-//!    the fold, so the shared table cannot be contaminated by partial
-//!    output — exactly mirroring how a failed attempt never announces
-//!    `MapDone`, so replay under retries stays output-identical. (The
-//!    fold being post-success is also what makes this *cheap*: no undo
-//!    log, and no per-task table that would have to be re-probed into
-//!    the shared one.)
-//! 3. The combiner flushes when its leased budget runs over (or the
-//!    governor posts a shed request), and once more when the worker
-//!    drains: it ships one combined segment per non-empty partition —
-//!    stamped with the *triggering* contributor's `(task, attempt)` —
-//!    and only then announces `MapDone` for **every** contributor.
-//!    Per-channel FIFO ordering guarantees reducers see the segments
-//!    before any of those `MapDone`s, so attempt-deduping reducers commit
-//!    the data exactly once; the non-triggering contributors commit as
-//!    zero-segment tasks, which the reducer already handles.
+//! 2. When the attempt **succeeds**, its [`MapSlot`] folds the buffer into
+//!    the slot's `WorkerCombiner` (one fingerprint, one partition decision
+//!    and one probe per record, via `WorkerCombiner::fold_task`) and
+//!    records the `(task, attempt)` pair as a contributor. A failed or
+//!    cancelled attempt never reaches the fold, so the table cannot be
+//!    contaminated by partial output — exactly mirroring how a failed
+//!    attempt never announces `MapDone`, so replay under retries stays
+//!    output-identical. (The fold being post-success is also what makes
+//!    this *cheap*: no undo log, and no per-task table that would have to
+//!    be re-probed into the shared one.)
+//! 3. The combiner flushes: it ships one combined segment per non-empty
+//!    partition — stamped with the *triggering* contributor's
+//!    `(task, attempt)` — and only then announces `MapDone` for **every**
+//!    contributor. Per-channel FIFO ordering guarantees reducers see the
+//!    segments before any of those `MapDone`s, so attempt-deduping reducers
+//!    commit the data exactly once; the non-triggering contributors commit
+//!    as zero-segment tasks, which the reducer already handles.
 //!
-//! Speculative execution is the one scheduler feature in-node combining
-//! steps aside for: with two racing attempts of the same task, the loser
-//! may already be folded into a worker table by the time the winner's
-//! `MapDone` commits, which would double-count. The executor therefore
-//! falls back to per-task combining whenever speculation is enabled.
+//! # Scope
+//!
+//! *When* step 3 happens is the scope, computed by the caller and never
+//! configured:
+//!
+//! * [`CombineScope::Worker`] — when the table's leased budget runs over,
+//!   when the governor posts a shed request against it, and once more
+//!   when the worker drains. Hot keys are built and shipped once per
+//!   worker rather than once per task. This is every in-proc job without
+//!   speculation: a committed attempt's data can then be neither lost
+//!   (worker threads do not die alone) nor counted twice.
+//! * [`CombineScope::Task`] — at once, after every fold: a lone task is a
+//!   group of one. Two situations need it. With speculative execution two
+//!   attempts of one task race, and the loser may already sit in a shared
+//!   table by the time the winner's `MapDone` commits, which would
+//!   double-count; flushed alone, the loser's segments carry its own
+//!   attempt id and the reducers drop them. And a TCP worker's map slot
+//!   must have its segments and `MapDone` on the wire before the `MapOk`
+//!   that commits the attempt to the scheduler (Segments → `MapDone` →
+//!   `MapOk`): a table outliving the attempt would die with the worker
+//!   after the coordinator was told the data is safe.
 //!
 //! # Memory accounting
 //!
@@ -48,47 +57,41 @@
 //! the executor hands it a governor *lease*, so map-side combine state is
 //! debited from the same pool as reduce-side hash tables and the
 //! governor can demand a flush (via a shed request) under global
-//! pressure. Under the static policy the table gets a private budget of
+//! pressure. Otherwise the table gets a private budget of
 //! `job.map_buffer_bytes`. Note the attempt's arena is bounded by its
-//! split's output, not by the push granularity — deferred mode trades
-//! that buffering for one fold per record.
+//! split's output, not by the push granularity — buffering the attempt
+//! whole is what buys one fold per record.
 //!
 //! [`KvBuf`]: onepass_core::bytes_kv::KvBuf
+//! [`MapSideMode::HashCombine`]: crate::job::MapSideMode::HashCombine
 
 use std::sync::Arc;
 
 use onepass_core::bytes_kv::{KvBuf, SegmentBufBuilder};
-use onepass_core::error::Result;
+use onepass_core::error::{Error, Result};
+use onepass_core::governor::MemoryGovernor;
 use onepass_core::hashlib::{fingerprint, mix64};
 use onepass_core::io::SpillStore;
 use onepass_core::memory::MemoryBudget;
+use onepass_core::metrics::Phase;
 use onepass_core::obs::Histogram;
+use onepass_core::trace::LocalTracer;
 use onepass_groupby::Aggregator;
 
-use crate::job::{JobSpec, Partitioner};
+use crate::job::{JobSpec, MapSideMode, Partitioner};
+use crate::map_task::{run_map_task, MapAttemptCtx, MapTaskStats, Split};
+use crate::reduce_task::panic_message;
 use crate::shuffle::{Segment, ShuffleTx};
 
-/// Whether map output is combined across tasks inside each executor
-/// worker before it is shuffled (see the module docs for the protocol).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InNodeCombine {
-    /// Combine across same-worker map tasks whenever the job is eligible:
-    /// map-side mode is [`MapSideMode::HashCombine`], the aggregate is
-    /// combinable, and speculative execution is off. The default — this
-    /// is the fast path the paper's one-pass configuration wants.
-    ///
-    /// [`MapSideMode::HashCombine`]: crate::job::MapSideMode::HashCombine
-    #[default]
-    On,
-    /// Always combine per task (the pre-0.7 behaviour).
-    Off,
-}
-
-impl InNodeCombine {
-    /// True when in-node combining is requested.
-    pub fn is_on(self) -> bool {
-        matches!(self, InNodeCombine::On)
-    }
+/// How many task attempts share a combine table before it ships (see the
+/// module docs for when each applies).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CombineScope {
+    /// Every attempt a map worker completes, until the budget runs over
+    /// or the worker drains.
+    Worker,
+    /// One attempt: the table ships as soon as it is folded.
+    Task,
 }
 
 /// Per-entry bookkeeping overhead charged to the combine budget on top of
@@ -342,13 +345,119 @@ impl WorkerCombiner {
     }
 }
 
-/// Whether a job + config combination runs the in-node combiner.
-pub(crate) fn innode_eligible(config: &crate::driver::EngineConfig, job: &JobSpec) -> bool {
-    config.in_node_combine.is_on()
-        && matches!(job.map_side, crate::job::MapSideMode::HashCombine)
-        && job.combine.is_on()
-        && job.agg.combinable()
-        && !config.speculation.enabled
+/// One map slot — an executor map-worker thread, or a map slot of a TCP
+/// worker: the reusable output arena every attempt maps into and, for a
+/// `HashCombine` job, the combine table its attempts fold into.
+pub(crate) struct MapSlot<'a> {
+    job: &'a JobSpec,
+    tx: &'a ShuffleTx,
+    map_store: Option<&'a Arc<dyn SpillStore>>,
+    buf: KvBuf,
+    combiner: Option<WorkerCombiner>,
+    scope: CombineScope,
+    /// `onepass_innode_combine_ratio`, observed once per table flush.
+    ratio: Option<Histogram>,
+}
+
+impl<'a> MapSlot<'a> {
+    /// A slot shipping through `tx`. A `HashCombine` job's table charges
+    /// a `governor` lease when there is one, so its bytes are debited
+    /// from the same pool as reduce tables.
+    pub fn new(
+        job: &'a JobSpec,
+        tx: &'a ShuffleTx,
+        map_store: Option<&'a Arc<dyn SpillStore>>,
+        scope: CombineScope,
+        governor: Option<&MemoryGovernor>,
+        ratio: Option<Histogram>,
+    ) -> Self {
+        let combiner = (job.map_side == MapSideMode::HashCombine).then(|| {
+            let budget = match governor {
+                Some(g) => g.lease(job.map_buffer_bytes),
+                None => MemoryBudget::new(job.map_buffer_bytes),
+            };
+            WorkerCombiner::new(job.reducers, budget)
+        });
+        MapSlot {
+            job,
+            tx,
+            map_store,
+            buf: KvBuf::new(),
+            combiner,
+            scope,
+            ratio,
+        }
+    }
+
+    /// Run one attempt: map the split, then — for a `HashCombine` job —
+    /// fold a successful attempt's output into the table and flush the
+    /// table if its scope or its budget says so.
+    pub fn run_attempt(
+        &mut self,
+        task: usize,
+        split: &Split,
+        trace: &mut LocalTracer,
+        ctx: &MapAttemptCtx,
+    ) -> Result<MapTaskStats> {
+        self.buf.clear();
+        // A panicking map function is a task failure, not an engine
+        // failure: convert it to Err so the retry budget applies.
+        let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_map_task(
+                self.job,
+                task,
+                split,
+                self.tx,
+                self.map_store,
+                trace,
+                ctx,
+                &mut self.buf,
+            )
+        }))
+        .unwrap_or_else(|p| {
+            Err(Error::InvalidState(format!(
+                "map task panicked: {}",
+                panic_message(p.as_ref())
+            )))
+        });
+        // Only a *successful* attempt reaches the table — a failed or
+        // cancelled attempt's buffer is simply discarded, exactly as a
+        // failed attempt never announces MapDone.
+        if let (Some(c), Ok(stats)) = (self.combiner.as_mut(), result.as_mut()) {
+            let fold_start = std::time::Instant::now();
+            trace.begin(Phase::MapHash.label(), "phase");
+            c.fold_task(
+                task,
+                ctx.attempt,
+                &self.buf,
+                self.job.partitioner.as_ref(),
+                self.job.agg.as_ref(),
+            );
+            trace.end(Phase::MapHash.label(), "phase");
+            stats.profile.add_time(Phase::MapHash, fold_start.elapsed());
+            if c.should_flush() || self.scope == CombineScope::Task {
+                self.flush();
+            }
+        }
+        result
+    }
+
+    /// The slot takes no more attempts: ship what the table still holds.
+    /// Segments go first, then the held-back `MapDone`s, so the reducers
+    /// waiting on those tasks can now finish.
+    pub fn drain(mut self) {
+        self.flush();
+    }
+
+    fn flush(&mut self) {
+        if let Some(c) = &mut self.combiner {
+            if c.flush(self.tx, self.map_store, self.ratio.as_ref())
+                .is_err()
+            {
+                self.tx.abort();
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -356,6 +465,7 @@ mod tests {
     use super::*;
     use crate::shuffle::{shuffle_fabric, ShuffleMsg};
     use onepass_groupby::SumAgg;
+    use std::time::Duration;
 
     /// Deferred-mode buffer: pairs land unrouted in partition 0; the
     /// fold does the routing.
@@ -468,6 +578,126 @@ mod tests {
         c.flush(&tx, None, None).unwrap();
         assert_eq!(budget.used(), 0, "flush returns the lease");
         assert!(!c.should_flush());
+    }
+
+    fn word_map(record: &[u8], out: &mut dyn crate::job::MapEmitter) {
+        for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
+            out.emit(w, &1u64.to_le_bytes());
+        }
+    }
+
+    fn hash_combine_job() -> JobSpec {
+        JobSpec::builder("t")
+            .map_fn(Arc::new(word_map))
+            .aggregate(Arc::new(SumAgg))
+            .reducers(2)
+            .map_side(MapSideMode::HashCombine)
+            .build()
+            .unwrap()
+    }
+
+    fn word_splits() -> [Split; 2] {
+        [
+            Split::new(vec![b"a b a".to_vec(), b"b c".to_vec(), b"a".to_vec()]),
+            Split::new(vec![b"a c".to_vec()]),
+        ]
+    }
+
+    /// A task-scoped slot is the per-task hash combine: each attempt ships
+    /// its own combined, unsorted segments and its own `MapDone` before
+    /// `run_attempt` returns — and the attempt itself reports nothing
+    /// shipped, the table did the shipping.
+    #[test]
+    fn task_scope_ships_each_attempt_combined_and_unsorted() {
+        let job = hash_combine_job();
+        let (tx, rxs) = shuffle_fabric(2, 1024);
+        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, None, None);
+        for (task, split) in word_splits().iter().enumerate() {
+            let stats = slot
+                .run_attempt(
+                    task,
+                    split,
+                    &mut LocalTracer::disabled(),
+                    &MapAttemptCtx::first(),
+                )
+                .unwrap();
+            assert_eq!((stats.shuffled_records, stats.flushes), (0, 0));
+            assert_eq!(stats.profile.time(Phase::MapSort), Duration::ZERO);
+            if task == 0 {
+                assert_eq!((stats.input_records, stats.output_records), (3, 6));
+                // Nothing waits for a second attempt or for the drain.
+                assert_eq!(tx.shuffled_records(), 3, "a, b, c collapsed");
+            }
+        }
+        slot.drain();
+        let (segs, dones) = drain(rxs);
+        assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), 3 + 2);
+        for seg in &segs {
+            assert!(!seg.sorted && seg.combined);
+        }
+        assert!(segs.iter().any(|s| s.map_task == 1), "own stamps");
+        let count = |task: usize, key: &[u8]| {
+            segs.iter()
+                .filter(|s| s.map_task == task)
+                .flat_map(|s| s.records.iter())
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap()))
+        };
+        assert_eq!(count(0, b"a"), Some(3));
+        assert_eq!(count(1, b"a"), Some(1), "tasks are not combined together");
+        assert_eq!(dones.len(), 2 * 2, "each MapDone reaches every reducer");
+    }
+
+    /// The same attempts at worker scope: one table, nothing on the wire
+    /// until the slot drains, then `a` once for both tasks.
+    #[test]
+    fn worker_scope_holds_attempts_until_the_slot_drains() {
+        let job = hash_combine_job();
+        let (tx, rxs) = shuffle_fabric(2, 1024);
+        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Worker, None, None);
+        for (task, split) in word_splits().iter().enumerate() {
+            slot.run_attempt(
+                task,
+                split,
+                &mut LocalTracer::disabled(),
+                &MapAttemptCtx::first(),
+            )
+            .unwrap();
+        }
+        assert_eq!(tx.shuffled_records(), 0);
+        slot.drain();
+        let (segs, dones) = drain(rxs);
+        assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), 3);
+        assert_eq!(dones.len(), 2 * 2);
+    }
+
+    /// A failed attempt folds nothing and announces nothing, at either
+    /// scope; the slot's arena is clean for the retry.
+    #[test]
+    fn failed_attempt_never_reaches_the_table() {
+        let job = hash_combine_job();
+        let (tx, rxs) = shuffle_fabric(2, 1024);
+        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, None, None);
+        let [split, _] = word_splits();
+        let failing = MapAttemptCtx {
+            attempt: 0,
+            injector: onepass_core::fault::FaultPlan::new()
+                .fail_map(0, 0, 2)
+                .into_injector(),
+            cancel: None,
+        };
+        let trace = &mut LocalTracer::disabled();
+        assert!(slot.run_attempt(0, &split, trace, &failing).is_err());
+        assert_eq!(tx.shuffled_records(), 0);
+        let retry = MapAttemptCtx {
+            attempt: 1,
+            ..MapAttemptCtx::first()
+        };
+        slot.run_attempt(0, &split, trace, &retry).unwrap();
+        let (segs, dones) = drain(rxs);
+        assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), 3);
+        assert!(segs.iter().all(|s| s.attempt == 1));
+        assert_eq!(dones, vec![(0, 1), (0, 1)]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub trait Partitioner: Send + Sync {
     /// Partition a key whose [`onepass_core::hashlib::fingerprint`] is
     /// already in hand. Must agree with [`Partitioner::partition`] for
     /// every key; hash partitioners route straight from `fp` so callers
-    /// that fingerprint anyway (the in-node combiner's fold) pay for one
+    /// that fingerprint anyway (the map-side combiner's fold) pay for one
     /// fingerprint per record, not two. The default ignores `fp`.
     fn partition_fp(&self, fp: u64, key: &[u8], reducers: usize) -> usize {
         let _ = fp;
@@ -361,12 +361,6 @@ impl JobSpecBuilder {
     /// Set the reduce/combine aggregate.
     pub fn aggregate(mut self, a: Arc<dyn Aggregator>) -> Self {
         self.spec.agg = a;
-        self
-    }
-
-    /// Set the partitioner.
-    pub fn partitioner(mut self, p: Arc<dyn Partitioner>) -> Self {
-        self.spec.partitioner = p;
         self
     }
 

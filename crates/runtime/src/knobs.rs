@@ -26,10 +26,7 @@ use onepass_core::error::{Error, Result};
 use onepass_core::governor::{policy_by_name, MemoryPolicy, DEFAULT_HIGH_WATER};
 use onepass_core::json::escape;
 
-use crate::driver::{
-    EngineConfig, MapOutputPersistence, RetryPolicy, SpeculationConfig, SpillBackend,
-};
-use crate::in_node::InNodeCombine;
+use crate::driver::{EngineConfig, RetryPolicy, SpeculationConfig, SpillBackend};
 use crate::job::{CollectOutput, Combine, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
 
 /// Everything the table can read or write: one job and the engine that
@@ -250,11 +247,6 @@ choices!(SPILL, SpillBackend {
     "memory" => SpillBackend::Memory,
     "temp-files" => SpillBackend::TempFiles
 });
-choices!(MAP_OUTPUT, MapOutputPersistence {
-    "persist" => MapOutputPersistence::Persist,
-    "volatile" => MapOutputPersistence::Volatile
-});
-choices!(IN_NODE, InNodeCombine { "on" => InNodeCombine::On, "off" => InNodeCombine::Off });
 // A switch: the CLI reads the bare flag as `on`.
 choices!(SWITCH, bool { "on" => true, "off" => false });
 
@@ -494,16 +486,6 @@ pub const KNOBS: &[Knob] = &[
         access: field!(Engine.spill),
     },
     Knob {
-        name: "map-output",
-        syntax: MAP_OUTPUT,
-        help: "write map output to the store before a task completes (Hadoop), or not",
-        // Remote maps never persist: recovery is re-execution from the
-        // split the coordinator holds.
-        travels: false,
-        takers: "",
-        access: field!(Engine.persist_map_output),
-    },
-    Knob {
         name: "retries",
         syntax: "N",
         help: "attempts allowed per task, the first included",
@@ -543,8 +525,8 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "mem-policy",
-        syntax: "static|largest-consumer|largest-bucket|coldest-keys|round-robin",
-        help: "fixed private reduce budgets, or one pool shed by the named policy",
+        syntax: "static|largest-consumer",
+        help: "fixed private reduce budgets, or one pool that sheds from its largest lease",
         // A worker's hosted partitions get private budgets; the pool and
         // its governor live in the coordinator's executor.
         travels: false,
@@ -554,20 +536,10 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "mem-high-water",
         syntax: "FRACTION",
-        help: "pool fill above which map-side pushes wait (adaptive policies)",
+        help: "pool fill above which map-side pushes wait (a pooled mem-policy)",
         travels: false,
         takers: "run plan serve",
         access: Engine(|e| high_water(e).to_string(), high_water_set),
-    },
-    Knob {
-        name: "in-node-combine",
-        syntax: IN_NODE,
-        help: "combine across the map tasks sharing an executor worker before shuffling",
-        // The shared table lives in the executor's map-worker loop, which
-        // a TCP worker does not run (per-task combining still applies).
-        travels: false,
-        takers: "run plan",
-        access: field!(Engine.in_node_combine),
     },
 ];
 
@@ -603,7 +575,6 @@ const _: fn(Settings) = |Settings { job, engine }| {
         // Rows.
         map_workers: _,
         spill: _,
-        persist_map_output: _,
         retry: RetryPolicy {
             max_attempts: _,
             backoff: _,
@@ -617,6 +588,5 @@ const _: fn(Settings) = |Settings { job, engine }| {
                 poll: _,
             },
         memory_policy: _,
-        in_node_combine: _,
     } = engine;
 };

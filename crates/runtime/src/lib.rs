@@ -27,7 +27,7 @@ pub mod cache;
 pub mod codec;
 pub mod driver;
 mod executor;
-pub mod in_node;
+mod in_node;
 pub mod iterate;
 pub mod job;
 pub mod knobs;
@@ -45,10 +45,8 @@ pub mod window;
 
 pub use cache::{CacheConfig, DatasetCache};
 pub use driver::{
-    Engine, EngineConfig, EngineConfigBuilder, MapOutputPersistence, RetryPolicy,
-    SpeculationConfig, SpillBackend,
+    Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpeculationConfig, SpillBackend,
 };
-pub use in_node::InNodeCombine;
 pub use iterate::{IterativePlan, RoundContext};
 pub use job::{
     CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode, Partitioner,
@@ -71,10 +69,8 @@ pub mod prelude {
     pub use crate::cache::{CacheConfig, DatasetCache};
     pub use crate::codec::{decode_pair, encode_pair};
     pub use crate::driver::{
-        Engine, EngineConfig, EngineConfigBuilder, MapOutputPersistence, RetryPolicy,
-        SpeculationConfig, SpillBackend,
+        Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpeculationConfig, SpillBackend,
     };
-    pub use crate::in_node::InNodeCombine;
     pub use crate::iterate::{IterativePlan, RoundContext};
     pub use crate::job::{
         CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,
@@ -90,8 +86,7 @@ pub mod prelude {
     pub use crate::transport::{worker::WorkerOptions, JobRegistry, Transport};
     pub use onepass_core::fault::{FaultInjector, FaultPlan};
     pub use onepass_core::governor::{
-        policy_by_name, ColdestKeys, LargestBucket, LargestConsumer, MemoryGovernor, MemoryPolicy,
-        RoundRobin, SpillPolicy,
+        policy_by_name, LargestConsumer, MemoryGovernor, MemoryPolicy, SpillPolicy,
     };
     pub use onepass_core::{OwnedKv, SegmentBuf, SegmentBufBuilder};
 }

@@ -9,7 +9,6 @@ use std::time::Instant;
 use onepass_core::bytes_kv::{KvBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
-use onepass_core::hashlib::ByteMap;
 use onepass_core::io::{RunWriter, SpillStore};
 use onepass_core::metrics::{Phase, Profile};
 use onepass_core::trace::LocalTracer;
@@ -210,11 +209,11 @@ impl MapAttemptCtx {
 
 /// Emitter collecting map output into a [`KvBuf`], partitioned up front.
 ///
-/// With `partitioner: None` (deferred mode) every pair lands in partition
-/// 0 unrouted: the in-node fold fingerprints each key anyway, so it
+/// With `partitioner: None` (a `HashCombine` job) every pair lands
+/// unrouted: the combiner's fold fingerprints each key anyway, so it
 /// routes from that fingerprint via
-/// [`crate::job::Partitioner::partition_fp`] and the
-/// per-emit partition call would be a second hash of the same bytes.
+/// [`crate::job::Partitioner::partition_fp`] and the per-emit partition
+/// call would be a second hash of the same bytes.
 struct BufEmitter<'a> {
     buf: &'a mut KvBuf,
     partitioner: Option<&'a dyn crate::job::Partitioner>,
@@ -300,6 +299,7 @@ impl Drop for MapRun<'_> {
 }
 
 /// Execute one map task over `split`, sending segments through `tx`.
+/// `buf` is the slot's reusable output arena, handed in empty.
 ///
 /// * `SortSpill` — sort the buffer on `(partition, key)` (the Table II
 ///   CPU cost), combine key-streaks when enabled, persist the output via
@@ -307,34 +307,17 @@ impl Drop for MapRun<'_> {
 ///   ship per-partition sorted segments.
 /// * `HashPartitionOnly` — single partition-clustering scan, no sort, no
 ///   combine; raw segments.
-/// * `HashCombine` — per-partition in-memory hash combine; combined
-///   segments.
+/// * `HashCombine` — the attempt's whole output stays in `buf`, unrouted,
+///   and nothing ships: no segments, no `MapDone`, no mid-task flushes.
+///   The caller (`in_node::MapSlot`) folds a successful attempt's buffer
+///   into its combine table, which ships the segments and announces the
+///   `MapDone`; `in_node.rs` has the protocol.
 ///
-/// Under push shuffle the buffer is additionally flushed every
+/// Under push shuffle a shipping task additionally flushes every
 /// `granularity` emitted records, so reducers receive data while the task
 /// is still running.
-pub fn run_map_task(
-    job: &JobSpec,
-    task_id: usize,
-    split: &Split,
-    tx: &ShuffleTx,
-    map_store: Option<&Arc<dyn SpillStore>>,
-    trace: &mut LocalTracer,
-    ctx: &MapAttemptCtx,
-) -> Result<MapTaskStats> {
-    run_map_task_with(job, task_id, split, tx, map_store, trace, ctx, None)
-}
-
-/// [`run_map_task`] with an optional deferred-output buffer. When
-/// `deferred` is `Some` (the executor only passes one for `HashCombine`
-/// jobs running under the in-node combiner), the attempt's entire
-/// output accumulates in that buffer (unrouted — the fold partitions
-/// from its own fingerprints) and nothing is
-/// shipped — no segments, no `MapDone`, no mid-task flushes. On success
-/// the executor folds the buffer into the worker's shared combine table;
-/// see [`crate::in_node`] for the full protocol.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_map_task_with(
+pub(crate) fn run_map_task(
     job: &JobSpec,
     task_id: usize,
     split: &Split,
@@ -342,33 +325,31 @@ pub(crate) fn run_map_task_with(
     map_store: Option<&Arc<dyn SpillStore>>,
     trace: &mut LocalTracer,
     ctx: &MapAttemptCtx,
-    deferred: Option<&mut KvBuf>,
+    buf: &mut KvBuf,
 ) -> Result<MapTaskStats> {
     let mut stats = MapTaskStats {
         input_records: split.record_count() as u64,
         input_bytes: split.bytes(),
         ..Default::default()
     };
-    let mut local = KvBuf::new();
-    let defer = deferred.is_some();
-    let buf: &mut KvBuf = match deferred {
-        Some(b) => b,
-        None => &mut local,
+    // A `HashCombine` attempt buffers whole, so neither checkpoint applies
+    // to it (the arena is bounded by the split's output; the combiner's
+    // budget governs the table instead).
+    let ships = job.map_side != MapSideMode::HashCombine;
+    let buffer_limit = if ships {
+        job.map_buffer_bytes
+    } else {
+        usize::MAX
     };
     let push_granularity = match job.shuffle {
-        ShuffleMode::Push { granularity } => Some(granularity.max(1)),
-        ShuffleMode::Pull => None,
+        ShuffleMode::Push { granularity } if ships => Some(granularity.max(1)),
+        _ => None,
     };
     let mut since_flush = 0usize;
     let mut map_run = map_store.map(|store| MapRun {
         store,
         writer: None,
     });
-
-    // The aligned short-circuit only applies on the routed (non-
-    // deferred) path; the in-node fold routes from its own fingerprints
-    // either way, which agrees with the partitioner by construction.
-    let fixed = if defer { None } else { split.aligned };
 
     // The clock is read at flush boundaries only, never per record:
     // `Phase::MapFn` is the stretch since the previous flush ended.
@@ -401,9 +382,9 @@ pub(crate) fn run_map_task_with(
             check_fault(ctx, task_id, $record_idx)?;
             let mut emitter = BufEmitter {
                 buf,
-                partitioner: (!defer).then(|| job.partitioner.as_ref()),
+                partitioner: ships.then(|| job.partitioner.as_ref()),
                 reducers: job.reducers,
-                fixed,
+                fixed: split.aligned,
                 emitted: 0,
             };
             #[allow(clippy::redundant_closure_call)]
@@ -412,18 +393,12 @@ pub(crate) fn run_map_task_with(
             stats.output_records += emitted;
             since_flush += emitted as usize;
 
-            // Deferred mode buffers the whole attempt: granularity and
-            // buffer-bytes checkpoints don't apply (the arena is bounded
-            // by the split's output; the worker's combine budget governs
-            // the shared table instead).
-            if !defer {
-                let buffer_full = buf.arena_bytes() >= job.map_buffer_bytes;
-                let push_due = push_granularity.is_some_and(|g| since_flush >= g);
-                if buffer_full || push_due {
-                    flush!();
-                    map_fn_since = Instant::now();
-                    since_flush = 0;
-                }
+            let buffer_full = buf.arena_bytes() >= buffer_limit;
+            let push_due = push_granularity.is_some_and(|g| since_flush >= g);
+            if buffer_full || push_due {
+                flush!();
+                map_fn_since = Instant::now();
+                since_flush = 0;
             }
         }};
     }
@@ -453,15 +428,15 @@ pub(crate) fn run_map_task_with(
     if ctx.cancelled() {
         return Err(Error::Cancelled);
     }
-    if defer {
-        stats.profile.add_time(Phase::MapFn, map_fn_since.elapsed());
-    } else {
+    if ships {
         flush!();
         if let Some(run) = &mut map_run {
             let _t = stats.profile.timed(Phase::MapWrite);
             run.seal()?;
         }
         tx.map_done(task_id, ctx.attempt);
+    } else {
+        stats.profile.add_time(Phase::MapFn, map_fn_since.elapsed());
     }
     Ok(stats)
 }
@@ -489,124 +464,70 @@ fn flush_buffer(
     );
     let combine_on = job.combine.is_on() && job.agg.combinable();
 
-    let segments: Vec<Segment> = match job.map_side {
-        MapSideMode::SortSpill => {
-            {
-                let _t = stats.profile.timed(Phase::MapSort);
-                trace.begin(Phase::MapSort.label(), "phase");
-                buf.sort_by_partition_key();
-                trace.end(Phase::MapSort.label(), "phase");
+    // A `HashCombine` buffer never comes here: the combiner ships it.
+    let sorted = job.map_side == MapSideMode::SortSpill;
+    if sorted {
+        let _t = stats.profile.timed(Phase::MapSort);
+        trace.begin(Phase::MapSort.label(), "phase");
+        buf.sort_by_partition_key();
+        trace.end(Phase::MapSort.label(), "phase");
+    }
+    let segments: Vec<Segment> = if sorted && combine_on {
+        let ranges = buf.partition_ranges(job.reducers);
+        let combine_start = std::time::Instant::now();
+        trace.begin(Phase::Combine.label(), "phase");
+        let mut segs = Vec::new();
+        for (p, range) in ranges.into_iter().enumerate() {
+            if range.is_empty() {
+                continue;
             }
-            if combine_on {
-                let ranges = buf.partition_ranges(job.reducers);
-                let combine_start = std::time::Instant::now();
-                trace.begin(Phase::Combine.label(), "phase");
-                let mut segs = Vec::new();
-                for (p, range) in ranges.into_iter().enumerate() {
-                    if range.is_empty() {
-                        continue;
-                    }
-                    // Collapse each key streak into one partial state.
-                    let mut records = SegmentBufBuilder::new();
-                    let mut i = range.start;
-                    while i < range.end {
-                        let start = i;
-                        let mut state = job.agg.init(buf.key(i), buf.value(i));
-                        i += 1;
-                        while i < range.end && buf.key(i) == buf.key(start) {
-                            job.agg.update(buf.key(start), &mut state, buf.value(i));
-                            i += 1;
-                        }
-                        records.push(buf.key(start), &state);
-                    }
-                    segs.push(Segment {
-                        map_task: task_id,
-                        attempt,
-                        partition: p,
-                        sorted: true,
-                        combined: true,
-                        records: records.finish(),
-                    });
+            // Collapse each key streak into one partial state.
+            let mut records = SegmentBufBuilder::new();
+            let mut i = range.start;
+            while i < range.end {
+                let start = i;
+                let mut state = job.agg.init(buf.key(i), buf.value(i));
+                i += 1;
+                while i < range.end && buf.key(i) == buf.key(start) {
+                    job.agg.update(buf.key(start), &mut state, buf.value(i));
+                    i += 1;
                 }
-                stats
-                    .profile
-                    .add_time(Phase::Combine, combine_start.elapsed());
-                trace.end(Phase::Combine.label(), "phase");
-                segs
-            } else {
-                // Zero copy: the sorted arena is frozen in place and every
-                // per-partition segment shares it behind an `Arc`.
-                buf.freeze_into_segments(job.reducers)
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, r)| !r.is_empty())
-                    .map(|(p, records)| Segment {
-                        map_task: task_id,
-                        attempt,
-                        partition: p,
-                        sorted: true,
-                        combined: false,
-                        records,
-                    })
-                    .collect()
+                records.push(buf.key(start), &state);
             }
+            segs.push(Segment {
+                map_task: task_id,
+                attempt,
+                partition: p,
+                sorted: true,
+                combined: true,
+                records: records.finish(),
+            });
         }
-        MapSideMode::HashPartitionOnly => {
-            // "The map output is scanned once for partitioning, and no
-            // effort is spent for grouping" (§V): the buffer is frozen as
-            // is — per-partition entry tables over the shared arena, in
-            // arrival order. No sort, no record copies; this mode's
-            // grouping CPU is genuinely ~zero.
-            buf.freeze_into_segments(job.reducers)
-                .into_iter()
-                .enumerate()
-                .filter(|(_, r)| !r.is_empty())
-                .map(|(p, records)| Segment {
-                    map_task: task_id,
-                    attempt,
-                    partition: p,
-                    sorted: false,
-                    combined: false,
-                    records,
-                })
-                .collect()
-        }
-        MapSideMode::HashCombine => {
-            let _t = stats.profile.timed(Phase::MapHash);
-            trace.begin(Phase::MapHash.label(), "phase");
-            let mut tables: Vec<ByteMap<Vec<u8>>> =
-                (0..job.reducers).map(|_| ByteMap::default()).collect();
-            for (p, key, value) in buf.iter() {
-                let table = &mut tables[p as usize];
-                match table.get_mut(key) {
-                    Some(state) => job.agg.update(key, state, value),
-                    None => {
-                        table.insert(key.to_vec(), job.agg.init(key, value));
-                    }
-                }
-            }
-            let segs: Vec<Segment> = tables
-                .into_iter()
-                .enumerate()
-                .filter(|(_, t)| !t.is_empty())
-                .map(|(p, table)| {
-                    let mut records = SegmentBufBuilder::new();
-                    for (k, state) in table {
-                        records.push(&k, &state);
-                    }
-                    Segment {
-                        map_task: task_id,
-                        attempt,
-                        partition: p,
-                        sorted: false,
-                        combined: true,
-                        records: records.finish(),
-                    }
-                })
-                .collect();
-            trace.end(Phase::MapHash.label(), "phase");
-            segs
-        }
+        stats
+            .profile
+            .add_time(Phase::Combine, combine_start.elapsed());
+        trace.end(Phase::Combine.label(), "phase");
+        segs
+    } else {
+        // Zero copy: the arena is frozen in place — sorted, or as it
+        // arrived — and every per-partition segment shares it behind an
+        // `Arc`. For `HashPartitionOnly` that is the whole of the work:
+        // "the map output is scanned once for partitioning, and no effort
+        // is spent for grouping" (§V), so this mode's grouping CPU is
+        // genuinely ~zero.
+        buf.freeze_into_segments(job.reducers)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, r)| !r.is_empty())
+            .map(|(p, records)| Segment {
+                map_task: task_id,
+                attempt,
+                partition: p,
+                sorted,
+                combined: false,
+                records,
+            })
+            .collect()
     };
     buf.clear();
 
@@ -686,6 +607,7 @@ mod tests {
             None,
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
+            &mut KvBuf::new(),
         )
         .unwrap();
         let (segs, dones) = drain_segments(rxs);
@@ -744,26 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_combine_collapses_without_sorting() {
-        let job = JobSpec::builder("t")
-            .map_fn(Arc::new(word_map))
-            .aggregate(Arc::new(SumAgg))
-            .reducers(2)
-            .map_side(MapSideMode::HashCombine)
-            .build()
-            .unwrap();
-        let (segs, stats) = run_with(job);
-        assert_eq!(stats.shuffled_records, 3);
-        for seg in &segs {
-            assert!(!seg.sorted && seg.combined);
-        }
-        assert_eq!(
-            stats.profile.time(Phase::MapSort),
-            std::time::Duration::ZERO
-        );
-    }
-
-    #[test]
     fn push_mode_flushes_mid_task() {
         let job = JobSpec::builder("t")
             .map_fn(Arc::new(word_map))
@@ -800,6 +702,7 @@ mod tests {
             Some(&store),
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
+            &mut KvBuf::new(),
         )
         .unwrap();
         assert!(
@@ -843,6 +746,7 @@ mod tests {
             Some(&store),
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
+            &mut KvBuf::new(),
         )
         .unwrap();
         let wall = wall.elapsed();
@@ -913,6 +817,7 @@ mod tests {
                 Some(&store),
                 &mut LocalTracer::disabled(),
                 &ctx,
+                &mut KvBuf::new(),
             )
             .unwrap_err();
             assert_eq!(matches!(err, Error::Cancelled), want_cancelled, "{err}");
@@ -948,6 +853,7 @@ mod tests {
             None,
             &mut trace,
             &MapAttemptCtx::first(),
+            &mut KvBuf::new(),
         )
         .unwrap();
         drop(trace);
@@ -986,6 +892,7 @@ mod tests {
             None,
             &mut LocalTracer::disabled(),
             &ctx,
+            &mut KvBuf::new(),
         )
         .unwrap_err();
         assert!(matches!(err, Error::Cancelled));
@@ -1021,6 +928,7 @@ mod tests {
             None,
             &mut LocalTracer::disabled(),
             &ctx,
+            &mut KvBuf::new(),
         )
         .unwrap_err();
         assert!(matches!(err, Error::Io(_)));
@@ -1081,6 +989,7 @@ mod tests {
                 None,
                 &mut LocalTracer::disabled(),
                 ctx,
+                &mut KvBuf::new(),
             );
             let (segs, _) = drain_segments(rxs);
             let visited: Vec<Vec<u8>> = segs
@@ -1131,6 +1040,7 @@ mod tests {
             None,
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
+            &mut KvBuf::new(),
         )
         .unwrap();
         assert_eq!(stats.output_records, 0);

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use onepass_core::io::IoStats;
 use onepass_core::metrics::{Phase, Profile};
-use onepass_groupby::{EmitKind, OpStats};
+use onepass_groupby::EmitKind;
 
 use crate::map_task::MapTaskStats;
 use crate::reduce_task::ReduceResult;
@@ -185,12 +185,6 @@ impl JobReport {
         // early output and HOP snapshots uniformly); not accumulated here.
         self.snapshots += r.snapshots_taken;
         add_io(&mut self.reduce_spill_io, &r.stats.io);
-    }
-
-    /// Summarize reduce OpStats (used by tests to cross-check invariants).
-    pub fn reduce_stats_invariants_hold(&self, reduce_stats: &[OpStats]) -> bool {
-        let spill: u64 = reduce_stats.iter().map(|s| s.io.bytes_written).sum();
-        spill == self.reduce_spill_io.bytes_written
     }
 
     /// Render the report as JSONL: one `{"type":"task",...}` line per

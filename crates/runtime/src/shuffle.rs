@@ -265,7 +265,7 @@ impl ShuffleTx {
     }
 
     /// Total records shuffled so far. Counted at the fabric (not per map
-    /// task) so worker-scoped in-node combine flushes are included.
+    /// task) so combine-table flushes are included.
     pub fn shuffled_records(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
     }

@@ -49,10 +49,12 @@ pub(crate) struct StageTelemetry {
     /// stalled on memory pressure (shuffle pushes and plan edges).
     pub backpressure_stalls: Counter,
     /// `onepass_engine_combine_ratio{stage}` — shuffled / emitted records
-    /// per map task (1.0 = combiner saved nothing).
+    /// per map task that shipped its own output (1.0 = combiner saved
+    /// nothing).
     pub combine_ratio: Histogram,
     /// `onepass_innode_combine_ratio{stage}` — shuffled / absorbed records
-    /// per worker combine-table flush (in-node combiner effectiveness).
+    /// per combine-table flush: the ratio of every `HashCombine` task,
+    /// whose attempts ship nothing themselves.
     pub innode_combine_ratio: Histogram,
     /// `onepass_plan_ttfa_seconds{stage}` — time to each partition's first
     /// final answer, measured against the job (or plan) clock.
@@ -96,7 +98,9 @@ impl StageTelemetry {
     /// scheduler loop as each task completes, not at end of job.
     pub fn on_map_finished(&self, stats: &MapTaskStats) {
         self.records_in.inc(stats.input_records);
-        if stats.output_records > 0 {
+        // An attempt that never flushed shipped nothing itself (empty, or
+        // folded into a combine table whose flush observes the true ratio).
+        if stats.flushes > 0 {
             self.combine_ratio
                 .observe(stats.shuffled_records as f64 / stats.output_records as f64);
         }
@@ -198,5 +202,64 @@ impl SinkObs {
             self.records_out.inc(self.pending);
             self.pending = 0;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use onepass_core::obs::MetricsRegistry;
+    use onepass_groupby::SumAgg;
+
+    use crate::job::{JobSpec, MapEmitter, MapSideMode};
+    use crate::map_task::Split;
+    use crate::{Engine, EngineConfig};
+
+    fn key_map(record: &[u8], out: &mut dyn MapEmitter) {
+        out.emit(&record[..1], &1u64.to_le_bytes());
+    }
+
+    /// Ten records over three keys in each of four splits, counted.
+    fn run(map_side: MapSideMode) -> MetricsRegistry {
+        let job = JobSpec::builder("ratio")
+            .map_fn(Arc::new(key_map))
+            .aggregate(Arc::new(SumAgg))
+            .reducers(2)
+            .map_side(map_side)
+            .build()
+            .unwrap();
+        let splits = (0..4)
+            .map(|_| Split::new((0..10u8).map(|i| vec![b'a' + i % 3]).collect()))
+            .collect();
+        let registry = MetricsRegistry::new();
+        let cfg = EngineConfig::builder().metrics(registry.clone()).build();
+        Engine::with_config(cfg).run(&job, splits).unwrap();
+        registry
+    }
+
+    /// A `HashCombine` attempt ships nothing itself, so it has no ratio of
+    /// its own to observe: the per-task histogram must not record a 0.0
+    /// for it. The table's flush observes the ratio that is true.
+    #[test]
+    fn attempts_folded_into_a_combine_table_observe_no_ratio_of_their_own() {
+        let l: &[(&str, &str)] = &[("stage", "ratio")];
+        let registry = run(MapSideMode::HashCombine);
+        let per_task = registry
+            .histogram("onepass_engine_combine_ratio", l)
+            .snapshot();
+        assert_eq!((per_task.count, per_task.sum), (0, 0.0));
+        let per_flush = registry
+            .histogram("onepass_innode_combine_ratio", l)
+            .snapshot();
+        assert!(per_flush.count > 0 && per_flush.sum > 0.0);
+
+        // A task that ships its own output still observes 3 / 10.
+        let registry = run(MapSideMode::SortSpill);
+        let per_task = registry
+            .histogram("onepass_engine_combine_ratio", l)
+            .snapshot();
+        assert_eq!(per_task.count, 4);
+        assert!((per_task.sum - 4.0 * 0.3).abs() < 1e-9, "{}", per_task.sum);
     }
 }

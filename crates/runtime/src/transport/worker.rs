@@ -7,19 +7,19 @@
 //! back shuffle segments, `MapDone`/`MapOk`/`MapFailed`, reduce output
 //! batches, and `ReduceDone`.
 //!
-//! Map tasks run through the exact same
-//! [`run_map_task_with`](crate::map_task) code path as in-process workers
-//! — only the [`ShuffleTx`] sink differs (a `TcpSink` framing segments
-//! back to the coordinator instead of in-proc channels). Likewise reduce partitions
-//! run the stock attempt-aware
+//! Map tasks run through the exact same `in_node::MapSlot` attempt helper
+//! as in-process map workers — only the [`ShuffleTx`] sink differs (a
+//! `TcpSink` framing segments back to the coordinator instead of in-proc
+//! channels). Likewise reduce partitions run the stock attempt-aware
 //! [`run_reduce_task_open`](crate::reduce_task) loop, so worker-internal
 //! reduce retries (fresh store + budget, replayed retained segments) work
 //! unchanged.
 //!
-//! Two deliberate simplifications versus in-process execution: remote map
-//! tasks skip worker-scoped in-node combining (per-task `HashCombine`
-//! still applies) and never persist map output (recovery is re-execution
-//! from the coordinator-held input split).
+//! Two deliberate simplifications versus in-process execution: a remote
+//! map slot's combine table is task-scoped (it ships before the `MapOk`
+//! that commits the attempt; see `in_node.rs`) and remote maps never
+//! persist map output (recovery is re-execution from the
+//! coordinator-held input split).
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -40,10 +40,11 @@ use super::wire::{self, Frame};
 use super::JobRegistry;
 use crate::driver::{EngineConfig, SpillBackend};
 use crate::executor::make_store;
+use crate::in_node::{CombineScope, MapSlot};
 use crate::job::JobSpec;
 use crate::knobs::{self, Settings};
-use crate::map_task::{run_map_task_with, MapAttemptCtx, Split};
-use crate::reduce_task::{panic_message, run_reduce_task_open, ReduceRetryOpts};
+use crate::map_task::{MapAttemptCtx, Split};
+use crate::reduce_task::{run_reduce_task_open, ReduceRetryOpts};
 use crate::shuffle::{Segment, ShuffleMsg, ShuffleTx, CHANNEL_DEPTH};
 
 /// Knobs for a worker process.
@@ -322,6 +323,9 @@ fn map_slot(
     completed: &AtomicU64,
     die_after: Option<u64>,
 ) {
+    // Task-scoped: an attempt's segments and `MapDone` must be on the wire
+    // before its `MapOk`.
+    let mut slot = MapSlot::new(job, shuffle_tx, None, CombineScope::Task, None, None);
     while let Ok((task, attempt, split)) = map_rx.recv() {
         if dead.load(Ordering::Relaxed) {
             break;
@@ -331,23 +335,14 @@ fn map_slot(
             injector: FaultInjector::none(),
             cancel: None,
         };
-        let mut trace = LocalTracer::disabled();
         // Same containment as in-process workers: a panicking map function
         // is a task failure, reported as such, not a worker crash.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_map_task_with(job, task, &split, shuffle_tx, None, &mut trace, &ctx, None)
-        }))
-        .unwrap_or_else(|p| {
-            Err(Error::InvalidState(format!(
-                "map task panicked: {}",
-                panic_message(p.as_ref())
-            )))
-        });
+        let result = slot.run_attempt(task, &split, &mut LocalTracer::disabled(), &ctx);
         match result {
             Ok(stats) => {
-                // `run_map_task_with` already framed the segments and the
-                // MapDone; the MapOk (with stats) commits the attempt to
-                // the scheduler.
+                // The slot already framed the segments and the MapDone;
+                // the MapOk (with stats) commits the attempt to the
+                // scheduler.
                 let _ = conn.send(&Frame::MapOk {
                     task: task as u64,
                     attempt: attempt as u64,

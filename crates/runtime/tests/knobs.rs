@@ -47,13 +47,14 @@ const PERTURBED: &[&[(&str, &str)]] = &[
     &[("collect-output", "discard")],
     &[("map-workers", "1")],
     &[("spill", "temp-files")],
-    &[("map-output", "volatile")],
     &[("retries", "5")],
     &[("backoff-ms", "12")],
     &[("speculate", "on")],
-    &[("mem-policy", "coldest-keys")],
-    &[("mem-policy", "round-robin"), ("mem-high-water", "0.6")],
-    &[("in-node-combine", "off")],
+    &[("mem-policy", "largest-consumer")],
+    &[
+        ("mem-policy", "largest-consumer"),
+        ("mem-high-water", "0.6"),
+    ],
 ];
 
 /// Every scalar the table claims to describe, read from the fields — not
@@ -76,11 +77,9 @@ fn scalars(s: &Settings) -> String {
         (
             e.map_workers,
             e.spill,
-            e.persist_map_output,
             e.retry,
             e.speculation,
             &e.memory_policy,
-            e.in_node_combine,
         )
     )
 }
@@ -272,4 +271,39 @@ fn job_debug_prints_the_job_rows() {
         !text.contains("retries"),
         "engine rows are not the job's: {text}"
     );
+}
+
+/// What `JobInit` carries for each preset, pinned as text: removing a
+/// row that does not travel must leave these strings — and so the wire,
+/// and old/new binary interoperation — untouched.
+#[test]
+fn travelling_pairs_of_every_preset_are_pinned() {
+    let sent: Vec<String> = presets()
+        .iter()
+        .map(|(name, s)| {
+            let pairs: Vec<String> = pairs(&s.job, &s.engine)
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            format!("{name}: {}", pairs.join(" "))
+        })
+        .collect();
+    const TAIL: &str = "map-buffer-kb=16384 budget-kb=65536 combine=on \
+                        inmem-merge-threshold=1000 spill=memory retries=1";
+    let want = [
+        (
+            "hadoop",
+            "map-side=sort-spill shuffle=pull backend=sort-merge:10",
+        ),
+        (
+            "hop",
+            "map-side=sort-spill shuffle=push:4096 backend=sort-merge:10:0.25,0.5,0.75",
+        ),
+        (
+            "onepass",
+            "map-side=hash-combine shuffle=push:4096 backend=freq-hash",
+        ),
+    ]
+    .map(|(name, head)| format!("{name}: reducers=4 {head} {TAIL}"));
+    assert_eq!(sent, want);
 }

@@ -6,11 +6,12 @@
 //! hand-chained [`Engine::run`] calls with the edge encoded manually
 //! through the edge codec — and all four match a pure-Rust reference.
 //! The property sweeps all four reduce backends, both spill backends,
-//! the memory-governor policies, in-node combining
-//! on/off, and a seeded fault plan that kills a map and a reduce task
-//! mid-run, so edge streaming (and a cached round's replay) must
-//! survive retries, spills, worker combine-table flushes, and
-//! rebalancing without changing answers. A last test holds the modes'
+//! static and pooled memory (the shipped victim rule and a rotating
+//! one), both scopes of the map-side combiner (speculation off/on), and
+//! a seeded fault plan that kills a map and a reduce task mid-run, so
+//! edge streaming (and a cached round's replay) must survive retries,
+//! spills, combine-table flushes, and rebalancing without changing
+//! answers. A last test holds the modes'
 //! one structural difference: a pipelined sink starts inside its
 //! upstream stage's lifetime, a barrier sink after it.
 
@@ -24,6 +25,9 @@ use onepass_runtime::codec::{decode_pair, encode_pair};
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 use proptest::prelude::*;
+
+mod common;
+use common::Rotating;
 
 fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
     for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -69,20 +73,12 @@ fn mk_backend(tag: u8) -> ReduceBackend {
 fn mk_policy(tag: u8) -> MemoryPolicy {
     match tag {
         0 => MemoryPolicy::Static,
-        1 => MemoryPolicy::Adaptive {
+        1..=3 => MemoryPolicy::Adaptive {
             policy: policy_by_name("largest-consumer").unwrap(),
-            high_water: 0.85,
-        },
-        2 => MemoryPolicy::Adaptive {
-            policy: policy_by_name("largest-bucket").unwrap(),
-            high_water: 0.75,
-        },
-        3 => MemoryPolicy::Adaptive {
-            policy: policy_by_name("coldest-keys").unwrap(),
-            high_water: 0.85,
+            high_water: [0.85, 0.75, 0.5][tag as usize - 1],
         },
         _ => MemoryPolicy::Adaptive {
-            policy: policy_by_name("round-robin").unwrap(),
+            policy: Arc::new(Rotating::default()),
             high_water: 0.5,
         },
     }
@@ -129,12 +125,17 @@ fn mk_config(
     spill: SpillBackend,
     policy: MemoryPolicy,
     faults: Option<FaultPlan>,
-    in_node: InNodeCombine,
+    speculate: bool,
 ) -> EngineConfig {
     let mut b = EngineConfig::builder()
         .spill(spill)
         .memory_policy(policy)
-        .in_node_combine(in_node);
+        .speculation(SpeculationConfig {
+            enabled: speculate,
+            slow_factor: 1.0,
+            min_completed: 1,
+            poll: Duration::from_millis(1),
+        });
     if let Some(f) = faults {
         b = b
             .retry(RetryPolicy {
@@ -161,13 +162,9 @@ proptest! {
         // Tiny edge splits exercise the streaming hand-off; larger ones
         // exercise batching. Either way the answer must not move.
         records_per_split in 1usize..64,
-        innode_off in any::<bool>(),
+        // The combiner's scope: worker (off) or task (on).
+        speculate in any::<bool>(),
     ) {
-        let in_node = if innode_off {
-            InNodeCombine::Off
-        } else {
-            InNodeCombine::On
-        };
         let splits: Vec<Split> = records
             .chunks(per_split)
             .map(|c| Split::new(c.to_vec()))
@@ -197,7 +194,7 @@ proptest! {
 
         let mut outputs = Vec::new();
         for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), in_node);
+            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), speculate);
             let mut pc = PlanConfig::new(mode);
             pc.records_per_split = records_per_split;
             let report = Engine::with_config(cfg)
@@ -217,7 +214,7 @@ proptest! {
         // cache without changing bytes.
         {
             let cache = DatasetCache::new(CacheConfig::default());
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), in_node);
+            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), speculate);
             let engine = Engine::with_config(cfg);
             let mut pc = PlanConfig::new(if policy_tag % 2 == 0 {
                 PlanMode::Pipelined
@@ -259,7 +256,7 @@ proptest! {
         // Manual chaining: run each stage as a standalone job and carry
         // the edge by hand through the public edge codec. No faults —
         // this leg is the engine-level reference, kept deterministic.
-        let r1 = Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, in_node))
+        let r1 = Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, speculate))
             .run(&count_job(backend, reducers), splits)
             .unwrap();
         let edge: Vec<Vec<u8>> = r1
@@ -281,7 +278,7 @@ proptest! {
             None
         } else {
             Some(
-                Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, in_node))
+                Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, speculate))
                     .run(&job2, edge_splits)
                     .unwrap(),
             )

@@ -1,12 +1,12 @@
 //! Equivalence property: jobs shuffled over the arena-backed
 //! [`SegmentBuf`] path produce output whose unordered fingerprint is
 //! byte-identical to the reference computation — across all four reduce
-//! backends, both spill backends, in-node combining
-//! on and off (with map-side hash combine engaged so the worker combine
-//! table actually runs), and with a seeded fault plan forcing a map and
-//! a reduce retry mid-run. A single flipped, dropped, or duplicated byte
-//! anywhere on the record path (arena framing, shuffle, spill, merge,
-//! worker combine-table replay) changes the fingerprint.
+//! backends, both spill backends, both scopes of the map-side combiner
+//! (worker: speculation off; task: speculation on, and every TCP map
+//! slot), and with a seeded fault plan forcing a map and a reduce retry
+//! mid-run. A single flipped, dropped, or duplicated byte anywhere on
+//! the record path (arena framing, shuffle, spill, merge, combine-table
+//! replay) changes the fingerprint.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,6 +17,9 @@ use onepass_groupby::{EmitKind, SumAgg};
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 use proptest::prelude::*;
+
+mod common;
+use common::Rotating;
 
 fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
     for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -82,14 +85,15 @@ proptest! {
         fault_seed in any::<u64>(),
         reducers in 1usize..4,
         per_split in 1usize..10,
-        // 0 = static; 1..=4 index the pluggable spill policies, exercising
-        // governor rebalancing + shedding under the same fingerprint check.
+        // 0 = static; 1..=3 the shipped victim rule at three high-water
+        // marks; 4 a rotating rule — governor rebalancing + shedding under
+        // the same fingerprint check.
         policy_tag in 0u8..5,
-        // Map-side hash combine (the in-node-eligible configuration) vs
-        // the sort-spill default, crossed with in-node on/off: answers
-        // must not move.
+        // Map-side hash combine vs the sort-spill default, crossed with
+        // the combiner's scope (speculation off = worker, on = task):
+        // answers must not move.
         hash_combine_map in any::<bool>(),
-        innode_off in any::<bool>(),
+        speculate in any::<bool>(),
     ) {
         let mut builder = JobSpec::builder("seg-eq")
             .map_fn(Arc::new(word_map))
@@ -98,8 +102,6 @@ proptest! {
             .backend(mk_backend(backend_tag))
             .reduce_budget_bytes(2048); // small: force spills through the arena path
         if hash_combine_map {
-            // Small push granularity: many flush points per task, so the
-            // worker combine table absorbs multiple partial deltas.
             builder = builder
                 .map_side(MapSideMode::HashCombine)
                 .shuffle(ShuffleMode::Push { granularity: 512 });
@@ -119,20 +121,12 @@ proptest! {
         // path (retained SegmentBuf clones) must reproduce the same bytes.
         let memory_policy = match policy_tag {
             0 => MemoryPolicy::Static,
-            1 => MemoryPolicy::Adaptive {
+            1..=3 => MemoryPolicy::Adaptive {
                 policy: policy_by_name("largest-consumer").unwrap(),
-                high_water: 0.85,
-            },
-            2 => MemoryPolicy::Adaptive {
-                policy: policy_by_name("largest-bucket").unwrap(),
-                high_water: 0.75,
-            },
-            3 => MemoryPolicy::Adaptive {
-                policy: policy_by_name("coldest-keys").unwrap(),
-                high_water: 0.85,
+                high_water: [0.85, 0.75, 0.5][policy_tag as usize - 1],
             },
             _ => MemoryPolicy::Adaptive {
-                policy: policy_by_name("round-robin").unwrap(),
+                policy: Arc::new(Rotating::default()),
                 high_water: 0.5,
             },
         };
@@ -144,10 +138,11 @@ proptest! {
             })
             .faults(FaultPlan::seeded(fault_seed, splits.len(), reducers))
             .memory_policy(memory_policy)
-            .in_node_combine(if innode_off {
-                InNodeCombine::Off
-            } else {
-                InNodeCombine::On
+            .speculation(SpeculationConfig {
+                enabled: speculate,
+                slow_factor: 1.0,
+                min_completed: 1,
+                poll: Duration::from_millis(1),
             })
             .build();
         let report = Engine::with_config(cfg).run(&job, splits).unwrap();
@@ -228,10 +223,7 @@ proptest! {
                 .collect()
         };
 
-        let base_cfg = EngineConfig::builder()
-            .spill(spill)
-            .in_node_combine(InNodeCombine::Off)
-            .build();
+        let base_cfg = EngineConfig::builder().spill(spill).build();
         let base = Engine::with_config(base_cfg).run(&job, mk_splits()).unwrap();
 
         let die_after = (die_after_tag > 0).then_some(die_after_tag);

@@ -69,13 +69,7 @@ fn run_inproc() -> JobReport {
 }
 
 fn run_inproc_on(splits: Vec<Split>) -> JobReport {
-    Engine::with_config(
-        EngineConfig::builder()
-            .in_node_combine(InNodeCombine::Off)
-            .build(),
-    )
-    .run(&wc_job(), splits)
-    .unwrap()
+    Engine::new().run(&wc_job(), splits).unwrap()
 }
 
 fn run_tcp(workers: &[&str]) -> JobReport {

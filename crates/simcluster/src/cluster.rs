@@ -95,11 +95,6 @@ impl ClusterSpec {
         self.compute_nodes() * self.cores_per_node
     }
 
-    /// Total concurrent map slots.
-    pub fn total_map_slots(&self) -> usize {
-        self.compute_nodes() * self.map_slots_per_node
-    }
-
     /// Does reading DFS data traverse the network?
     pub fn dfs_is_remote(&self) -> bool {
         self.storage == StorageConfig::Separated

@@ -55,11 +55,6 @@ impl LossyCounting {
         self.epsilon
     }
 
-    /// Window width `w = ⌈1/ε⌉`.
-    pub fn window_width(&self) -> u64 {
-        self.window
-    }
-
     /// Most counters ever simultaneously live.
     pub fn peak_counters(&self) -> usize {
         self.peak_counters

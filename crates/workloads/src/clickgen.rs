@@ -2,13 +2,10 @@
 //! stream the paper replicates to 256–508 GB.
 //!
 //! Each record is one page visit with the schema the paper quotes
-//! (`timestamp, user, url`, §II). Two encodings are produced:
-//!
-//! * **text lines** — `"<epoch_secs>\t<user>\t<url>"`, matching the paper's
-//!   "original line-oriented text files" whose parsing falls to a regex /
-//!   split in the map function;
-//! * **binary records** — fixed-layout `[u32 ts][u32 user][u32 url]`,
-//!   matching the pre-parsed SequenceFile variant of §III-B.1.
+//! (`timestamp, user, url`, §II), encoded as a text line —
+//! `"<epoch_secs>\t<user>\t<url>"`, matching the paper's "original
+//! line-oriented text files" whose parsing falls to a regex / split in
+//! the map function.
 //!
 //! Users and URLs are Zipf-distributed (real click streams are heavily
 //! skewed — that skew is precisely what the frequent-key technique
@@ -74,15 +71,6 @@ impl Click {
         format!("{}\tu{}\t/page/{}", self.ts, self.user, self.url).into_bytes()
     }
 
-    /// Fixed-layout binary encoding (12 bytes).
-    pub fn to_binary(self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(12);
-        b.extend_from_slice(&self.ts.to_le_bytes());
-        b.extend_from_slice(&self.user.to_le_bytes());
-        b.extend_from_slice(&self.url.to_le_bytes());
-        b
-    }
-
     /// Parse the text encoding.
     pub fn from_text(line: &[u8]) -> Option<Click> {
         let mut fields = line.split(|&b| b == b'\t');
@@ -92,18 +80,6 @@ impl Click {
         let url_f = fields.next()?;
         let url = parse_u32(url_f.strip_prefix(b"/page/")?)?;
         Some(Click { ts, user, url })
-    }
-
-    /// Parse the binary encoding.
-    pub fn from_binary(rec: &[u8]) -> Option<Click> {
-        if rec.len() != 12 {
-            return None;
-        }
-        Some(Click {
-            ts: u32::from_le_bytes(rec[0..4].try_into().ok()?),
-            user: u32::from_le_bytes(rec[4..8].try_into().ok()?),
-            url: u32::from_le_bytes(rec[8..12].try_into().ok()?),
-        })
     }
 }
 
@@ -177,11 +153,6 @@ impl ClickGen {
         (0..n).map(|_| self.next_click().to_text()).collect()
     }
 
-    /// Generate `n` clicks as binary records.
-    pub fn binary_records(&mut self, n: usize) -> Vec<Vec<u8>> {
-        (0..n).map(|_| self.next_click().to_binary()).collect()
-    }
-
     /// The configured session gap (seconds).
     pub fn session_gap_s(&self) -> u32 {
         self.config.session_gap_s
@@ -203,17 +174,6 @@ mod tests {
         let line = c.to_text();
         assert_eq!(line, b"123456\tu42\t/page/7".to_vec());
         assert_eq!(Click::from_text(&line), Some(c));
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let c = Click {
-            ts: u32::MAX,
-            user: 0,
-            url: 99,
-        };
-        assert_eq!(Click::from_binary(&c.to_binary()), Some(c));
-        assert_eq!(Click::from_binary(b"short"), None);
     }
 
     #[test]

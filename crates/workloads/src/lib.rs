@@ -12,9 +12,8 @@
 //! The generators produce Zipf-skewed synthetic equivalents — what drives
 //! every conclusion in the paper is the *volume ratio* of intermediate
 //! data to input and the key-frequency skew, both of which are explicit
-//! parameters here. Each workload module provides the map function (text
-//! and pre-parsed binary input variants — §III-B.1's parsing-cost check),
-//! the reduce aggregate, and a ready-made
+//! parameters here. Each workload module provides the map function, the
+//! reduce aggregate, and a ready-made
 //! [`JobSpec`](onepass_runtime::JobSpec) builder.
 
 #![warn(missing_docs)]

@@ -24,18 +24,6 @@ impl MapFn for PageFreqMapText {
     }
 }
 
-/// Map function over binary click logs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PageFreqMapBinary;
-
-impl MapFn for PageFreqMapBinary {
-    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        if let Some(c) = Click::from_binary(record) {
-            out.emit(&c.url.to_le_bytes(), &1u64.to_le_bytes());
-        }
-    }
-}
-
 /// Job builder preset: page-frequency over text click logs, combine on.
 pub fn job() -> JobSpecBuilder {
     JobSpec::builder("page-frequency")

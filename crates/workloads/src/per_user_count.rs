@@ -22,18 +22,6 @@ impl MapFn for PerUserMapText {
     }
 }
 
-/// Map function over binary click logs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerUserMapBinary;
-
-impl MapFn for PerUserMapBinary {
-    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        if let Some(c) = Click::from_binary(record) {
-            out.emit(&c.user.to_le_bytes(), &1u64.to_le_bytes());
-        }
-    }
-}
-
 /// Job builder preset: per-user counting over text logs, combine on.
 pub fn job() -> JobSpecBuilder {
     JobSpec::builder("per-user-count")

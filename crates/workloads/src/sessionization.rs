@@ -35,19 +35,6 @@ impl MapFn for SessionizeMapText {
     }
 }
 
-/// Map function over pre-parsed binary click logs (§III-B.1's
-/// SequenceFile variant — same emissions, no text parsing).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SessionizeMapBinary;
-
-impl MapFn for SessionizeMapBinary {
-    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        if let Some(c) = Click::from_binary(record) {
-            emit_click(c, out);
-        }
-    }
-}
-
 fn emit_click(c: Click, out: &mut dyn MapEmitter) {
     let mut value = [0u8; 8];
     value[..4].copy_from_slice(&c.ts.to_le_bytes());
@@ -154,14 +141,6 @@ pub fn job() -> JobSpecBuilder {
         .combine_mode(Combine::Off)
 }
 
-/// Job builder preset over pre-parsed binary click logs.
-pub fn job_binary() -> JobSpecBuilder {
-    JobSpec::builder("sessionization-binary")
-        .map_fn(Arc::new(SessionizeMapBinary))
-        .aggregate(Arc::new(SessionizeAgg::default()))
-        .combine_mode(Combine::Off)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn map_functions_agree_across_encodings() {
+    fn map_emits_one_user_keyed_pair_per_click() {
         use onepass_runtime::MapEmitter;
         struct Cap(Vec<(Vec<u8>, Vec<u8>)>);
         impl MapEmitter for Cap {
@@ -228,9 +207,6 @@ mod tests {
         };
         let mut a = Cap(Vec::new());
         SessionizeMapText.map(&c.to_text(), &mut a);
-        let mut b = Cap(Vec::new());
-        SessionizeMapBinary.map(&c.to_binary(), &mut b);
-        assert_eq!(a.0, b.0);
         assert_eq!(a.0.len(), 1);
         assert_eq!(a.0[0].0, 5u32.to_le_bytes().to_vec());
 

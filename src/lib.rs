@@ -64,8 +64,7 @@ pub mod prelude {
     pub use onepass_core::memory::MemoryBudget;
     pub use onepass_core::metrics::Phase;
     pub use onepass_core::obs::{
-        snapshots_series, MetricsRegistry, MetricsSampler, MetricsServer, MetricsSnapshot,
-        SampleValue,
+        MetricsRegistry, MetricsSampler, MetricsServer, MetricsSnapshot, SampleValue,
     };
     pub use onepass_core::trace::{chrome_trace_json, complete_spans, Tracer, Track};
     pub use onepass_groupby::{
@@ -81,10 +80,10 @@ pub mod prelude {
     pub use onepass_runtime::window::{WindowConfig, WindowedSession};
     pub use onepass_runtime::{
         CacheConfig, CollectOutput, Combine, DatasetCache, Engine, EngineConfig,
-        EngineConfigBuilder, InNodeCombine, IterativePlan, JobRegistry, JobSpec, MapEmitter, MapFn,
-        MapOutputPersistence, MapSideMode, PairMap, Plan, PlanBuilder, PlanConfig, PlanMode,
-        PlanReport, ReduceBackend, RetryPolicy, RoundContext, ShuffleMode, SpeculationConfig,
-        SpillBackend, StageId, StageReport, Transport, WorkerOptions,
+        EngineConfigBuilder, IterativePlan, JobRegistry, JobSpec, MapEmitter, MapFn, MapSideMode,
+        PairMap, Plan, PlanBuilder, PlanConfig, PlanMode, PlanReport, ReduceBackend, RetryPolicy,
+        RoundContext, ShuffleMode, SpeculationConfig, SpillBackend, StageId, StageReport,
+        Transport, WorkerOptions,
     };
     pub use onepass_simcluster::{
         run_sim_job, run_sim_job_traced, ClusterSpec, SimFaults, SimJobSpec, StorageConfig,

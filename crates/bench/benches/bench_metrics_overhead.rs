@@ -4,7 +4,8 @@
 //! The instrumentation strategy under test is the batched one the
 //! runtime uses — per-record counts accumulate in task-local integers
 //! and flush to shared atomics every ~1k records — so the hot path
-//! costs no atomics and the probe sites cost one `Option` branch.
+//! costs no atomics, and with metrics off every handle is a detached
+//! cell updated the same way (no probe site branches on an `Option`).
 //! Mirrors `bench_trace_overhead`'s noise-robust dual estimator.
 
 use std::hint::black_box;

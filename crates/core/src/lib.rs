@@ -21,8 +21,9 @@
 //! * [`io`] — the *file management library*: spill-run files with counted
 //!   sequential I/O, backed either by real temp files or by an in-memory
 //!   store for tests.
-//! * [`metrics`] — phase-attributed CPU timers, counters and time-series
-//!   samplers (the paper's `iostat`/`ps` profiling harness analogue).
+//! * [`metrics`] — the phase stamp (one clock pair → profile entry, trace
+//!   span and metric), per-phase profiles and time-series samplers (the
+//!   paper's `iostat`/`ps` profiling harness analogue).
 //! * [`obs`] — live metrics: a sharded lock-free registry of atomic
 //!   counters/gauges/histograms with a background sampler, Prometheus
 //!   text exposition, and JSONL snapshot streaming.

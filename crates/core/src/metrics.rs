@@ -1,4 +1,4 @@
-//! Phase-attributed timing, counters and time series.
+//! Phase-attributed timing and time series.
 //!
 //! The paper's methodology rests on attributing CPU time to *phases* of a
 //! MapReduce job (map function vs sort in Table II; map / shuffle / merge /
@@ -7,9 +7,11 @@
 //! measurement vocabulary used across the workspace:
 //!
 //! * [`Phase`] — the canonical phase names.
-//! * [`Profile`] — per-phase durations plus named counters, mergeable
-//!   across tasks/threads.
-//! * [`ScopedTimer`] — RAII accumulation into a profile.
+//! * [`Stamp`] — the one way a phase is timed: two clock readings that
+//!   become the task's [`Profile`] entry *and* its `phase` trace span.
+//! * [`Profile`] — per-phase durations, mergeable across tasks/threads,
+//!   published as `onepass_engine_phase_micros_total` by
+//!   [`Profile::publish`].
 //! * [`Series`] — an `(x, y)` time series with CSV emission, used by both
 //!   the simulator samplers and the experiment drivers.
 //!
@@ -19,23 +21,15 @@
 //! faithful proxy for CPU seconds, matching the paper's `ps`-based
 //! profiling granularity.
 
-use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Canonical counter names for the memory-governor gauges, shared by the
-/// engine profile counters, the JSONL report fields, and the trace
-/// instants so dashboards key off one vocabulary.
-pub mod gauges {
-    /// A lease-limit raise granted by the governor (slack or reclaim).
-    pub const MEM_REBALANCE: &str = "mem_rebalance";
-    /// A shed request honoured by an operator (`GroupBy::shed`).
-    pub const MEM_SHED: &str = "mem_shed";
-    /// Bytes actually freed by honoured shed requests.
-    pub const MEM_SHED_BYTES: &str = "mem_shed_bytes";
-    /// Map-side shuffle pushes stalled by high-water backpressure.
-    pub const BACKPRESSURE_STALLS: &str = "backpressure_stalls";
-}
+use crate::obs::{names, MetricsRegistry};
+use crate::trace::LocalTracer;
+
+/// The word for "a phase": the category of every span a [`Stamp`] emits
+/// and the label key of `onepass_engine_phase_micros_total`. A `phase`
+/// span named `p` is, by construction, an interval of the profile's `p`.
+pub const PHASE: &str = "phase";
 
 /// Canonical phases of a MapReduce job, following the paper's timeline
 /// plots (Fig. 2a: map, shuffle, merge, reduce) and Table II's map-phase
@@ -68,6 +62,9 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// How many phases there are ([`Phase::all`]'s length).
+    pub const COUNT: usize = Phase::FinalWrite as usize + 1;
+
     /// Short label for table output.
     pub fn label(self) -> &'static str {
         match self {
@@ -85,7 +82,7 @@ impl Phase {
         }
     }
 
-    /// All phases in canonical order.
+    /// All phases in canonical (declaration) order.
     pub fn all() -> &'static [Phase] {
         &[
             Phase::Read,
@@ -103,12 +100,42 @@ impl Phase {
     }
 }
 
-/// Per-phase durations plus named counters for one task (or, after
-/// merging, a whole job).
-#[derive(Debug, Default, Clone)]
+/// One timing of one phase. The clock is read once at [`Stamp::start`]
+/// and once at [`Stamp::stop`]; those two readings are the interval added
+/// to the task's [`Profile`] and, when the tracer is on, the [`PHASE`]
+/// span — both events are recorded at `stop`, so an interval abandoned by
+/// an early return leaves neither a profile entry nor an open span.
+/// Stamps are per flush, per segment batch or per `finish`, never per
+/// record, and do not nest (nested time would be charged twice).
+#[derive(Debug)]
+#[must_use = "a stamp records nothing until it is stopped"]
+pub struct Stamp {
+    phase: Phase,
+    start: Instant,
+}
+
+impl Stamp {
+    /// Start timing `phase` now.
+    #[inline]
+    pub fn start(phase: Phase) -> Stamp {
+        Stamp {
+            phase,
+            start: Instant::now(),
+        }
+    }
+
+    /// Stop now: charge the interval to `profile` and span it on `trace`.
+    #[inline]
+    pub fn stop(self, profile: &mut Profile, trace: &mut LocalTracer) {
+        profile.record(self.phase, self.start, Instant::now(), trace);
+    }
+}
+
+/// Per-phase durations for one task (or, after merging, a whole job).
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Profile {
-    phases: BTreeMap<Phase, Duration>,
-    counters: BTreeMap<Cow<'static, str>, u64>,
+    /// Indexed by `Phase as usize`.
+    phases: [Duration; Phase::COUNT],
 }
 
 impl Profile {
@@ -117,103 +144,71 @@ impl Profile {
         Self::default()
     }
 
-    /// Add `d` to `phase`'s accumulated time.
-    pub fn add_time(&mut self, phase: Phase, d: Duration) {
-        *self.phases.entry(phase).or_default() += d;
+    /// Charge `[start, end]` to `phase` and emit the same two readings as
+    /// a [`PHASE`] span on `trace`. [`Stamp`] is the usual way in.
+    #[inline]
+    pub fn record(&mut self, phase: Phase, start: Instant, end: Instant, trace: &mut LocalTracer) {
+        self.phases[phase as usize] += end.saturating_duration_since(start);
+        trace.span(phase.label(), PHASE, start, end);
     }
 
     /// Accumulated time for `phase`.
     pub fn time(&self, phase: Phase) -> Duration {
-        self.phases.get(&phase).copied().unwrap_or_default()
+        self.phases[phase as usize]
     }
 
     /// Sum of all phase times.
     pub fn total_time(&self) -> Duration {
-        self.phases.values().copied().sum()
-    }
-
-    /// Increment counter `name` by `n`. Engine call sites pass string
-    /// literals (no allocation); deserialized profiles carry owned names.
-    pub fn add_count(&mut self, name: impl Into<Cow<'static, str>>, n: u64) {
-        *self.counters.entry(name.into()).or_default() += n;
-    }
-
-    /// Current value of counter `name` (0 if never incremented).
-    pub fn count(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.phases.iter().sum()
     }
 
     /// Fold another profile into this one.
     pub fn merge(&mut self, other: &Profile) {
-        for (p, d) in &other.phases {
-            *self.phases.entry(*p).or_default() += *d;
-        }
-        for (name, n) in &other.counters {
-            *self.counters.entry(name.clone()).or_default() += *n;
+        for (mine, theirs) in self.phases.iter_mut().zip(other.phases) {
+            *mine += theirs;
         }
     }
 
     /// Iterate phases with non-zero time, canonical order.
     pub fn phases(&self) -> impl Iterator<Item = (Phase, Duration)> + '_ {
-        self.phases.iter().map(|(p, d)| (*p, *d))
+        let nonzero = |&(_, d): &(Phase, Duration)| !d.is_zero();
+        Phase::all()
+            .iter()
+            .copied()
+            .zip(self.phases)
+            .filter(nonzero)
     }
 
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(n, v)| (n.as_ref(), *v))
-    }
-
-    /// Render as a JSON object: `{"phases":{label:secs,...},
-    /// "counters":{name:value,...}}`. Phase times are emitted in seconds
-    /// with all entries in canonical (label / name) order, so output is
-    /// deterministic.
+    /// Render as a JSON object: `{"phases":{label:secs,...}}`, the
+    /// non-zero phases in seconds, in canonical order.
     pub fn to_json(&self) -> String {
-        use crate::json::{escape, fmt_f64};
-        let mut s = String::from("{\"phases\":{");
-        for (i, (p, d)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\"{}\":{}",
-                escape(p.label()),
-                fmt_f64(d.as_secs_f64())
-            ));
-        }
-        s.push_str("},\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{v}", escape(name)));
-        }
-        s.push_str("}}");
-        s
+        use crate::json::fmt_f64;
+        let phases: Vec<String> = self
+            .phases()
+            .map(|(p, d)| format!("\"{}\":{}", p.label(), fmt_f64(d.as_secs_f64())))
+            .collect();
+        format!("{{\"phases\":{{{}}}}}", phases.join(","))
     }
 
-    /// Start a scoped timer that accumulates into `phase` on drop.
-    pub fn timed(&mut self, phase: Phase) -> ScopedTimer<'_> {
-        ScopedTimer {
-            profile: self,
-            phase,
-            start: Instant::now(),
+    /// Add each non-zero phase, in microseconds, to its
+    /// `onepass_engine_phase_micros_total{phase, ..labels}` counter.
+    pub fn publish(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+        for (phase, d) in self.phases() {
+            phase_micros(registry, phase, labels).inc(d.as_micros() as u64);
         }
     }
 }
 
-/// RAII timer: adds the elapsed time to its phase when dropped.
-#[derive(Debug)]
-pub struct ScopedTimer<'a> {
-    profile: &'a mut Profile,
+/// The `onepass_engine_phase_micros_total` cell of `phase` under `labels`
+/// (`stage`, `side`, and `source` for the simulator's mirror).
+pub fn phase_micros(
+    registry: &MetricsRegistry,
     phase: Phase,
-    start: Instant,
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        let d = self.start.elapsed();
-        self.profile.add_time(self.phase, d);
-    }
+    labels: &[(&str, &str)],
+) -> crate::obs::Counter {
+    let mut labels = labels.to_vec();
+    labels.push((PHASE, phase.label()));
+    registry.counter(names::ENGINE_PHASE_MICROS, &labels)
 }
 
 /// A named `(x, y)` series — simulator samples or sweep results.
@@ -341,35 +336,48 @@ pub fn series_to_csv(series: &[Series]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn profile_accumulates_and_merges() {
-        let mut a = Profile::new();
-        a.add_time(Phase::MapFn, Duration::from_millis(100));
-        a.add_time(Phase::MapFn, Duration::from_millis(50));
-        a.add_count("records", 10);
-
-        let mut b = Profile::new();
-        b.add_time(Phase::MapSort, Duration::from_millis(75));
-        b.add_count("records", 5);
-        b.add_count("spills", 1);
-
-        a.merge(&b);
-        assert_eq!(a.time(Phase::MapFn), Duration::from_millis(150));
-        assert_eq!(a.time(Phase::MapSort), Duration::from_millis(75));
-        assert_eq!(a.total_time(), Duration::from_millis(225));
-        assert_eq!(a.count("records"), 15);
-        assert_eq!(a.count("spills"), 1);
-        assert_eq!(a.count("missing"), 0);
+    /// A profile holding exactly `times`, stamped through the one door.
+    fn profile(times: &[(Phase, Duration)]) -> Profile {
+        let mut p = Profile::new();
+        let t0 = Instant::now();
+        for &(phase, d) in times {
+            p.record(phase, t0, t0 + d, &mut LocalTracer::disabled());
+        }
+        p
     }
 
     #[test]
-    fn scoped_timer_records_elapsed() {
+    fn profile_accumulates_and_merges() {
+        let ms = Duration::from_millis;
+        let mut a = profile(&[(Phase::MapFn, ms(100)), (Phase::MapFn, ms(50))]);
+        let b = profile(&[(Phase::MapSort, ms(75))]);
+        a.merge(&b);
+        assert_eq!(a.time(Phase::MapFn), ms(150));
+        assert_eq!(a.time(Phase::MapSort), ms(75));
+        assert_eq!(a.time(Phase::Merge), Duration::ZERO);
+        assert_eq!(a.total_time(), ms(225));
+        let nonzero: Vec<Phase> = a.phases().map(|(p, _)| p).collect();
+        assert_eq!(nonzero, [Phase::MapFn, Phase::MapSort]);
+    }
+
+    #[test]
+    fn a_stamp_is_the_profile_entry_and_the_span() {
+        use crate::trace::{complete_spans, Tracer, Track};
+        let tracer = Tracer::enabled();
+        let mut trace = tracer.local(Track::new("map", 0));
         let mut p = Profile::new();
-        {
-            let _t = p.timed(Phase::MapSort);
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(p.time(Phase::MapSort) >= Duration::from_millis(4));
+        let t = Stamp::start(Phase::MapSort);
+        std::thread::sleep(Duration::from_millis(2));
+        t.stop(&mut p, &mut trace);
+        // An abandoned stamp leaves nothing behind.
+        let _ = Stamp::start(Phase::Merge);
+        drop(trace);
+        let spans = complete_spans(&tracer.drain()).unwrap();
+        assert_eq!(spans.len(), 1);
+        assert_eq!((spans[0].name, spans[0].cat), ("map_sort", PHASE));
+        assert!(p.time(Phase::MapSort) >= Duration::from_millis(2));
+        assert_eq!(spans[0].duration(), p.time(Phase::MapSort));
+        assert_eq!(p.total_time(), p.time(Phase::MapSort));
     }
 
     #[test]
@@ -404,17 +412,15 @@ mod tests {
 
     #[test]
     fn profile_and_series_render_canonical_json() {
-        let mut p = Profile::new();
-        p.add_time(Phase::Merge, Duration::from_micros(250));
-        p.add_time(Phase::MapFn, Duration::from_millis(1500));
-        p.add_count("spills", 3);
-        p.add_count("records", 12345);
+        let p = profile(&[
+            (Phase::Merge, Duration::from_micros(250)),
+            (Phase::MapFn, Duration::from_millis(1500)),
+        ]);
         assert_eq!(
             p.to_json(),
-            "{\"phases\":{\"map_fn\":1.5,\"merge\":0.00025},\
-             \"counters\":{\"records\":12345,\"spills\":3}}"
+            "{\"phases\":{\"map_fn\":1.5,\"merge\":0.00025}}"
         );
-        assert_eq!(Profile::new().to_json(), "{\"phases\":{},\"counters\":{}}");
+        assert_eq!(Profile::new().to_json(), "{\"phases\":{}}");
 
         let mut s = Series::new("cpu \"busy\"");
         s.push(0.0, 10.5);
@@ -426,7 +432,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_labels_are_unique() {
+    fn phase_labels_are_unique_and_indexed_in_canonical_order() {
+        assert_eq!(Phase::all().len(), Phase::COUNT);
+        for (i, p) in Phase::all().iter().enumerate() {
+            assert_eq!(*p as usize, i);
+        }
         let mut labels: Vec<&str> = Phase::all().iter().map(|p| p.label()).collect();
         let n = labels.len();
         labels.sort_unstable();

@@ -38,7 +38,7 @@
 //! side, phase) are labels, never name fragments. The simulator
 //! publishes mirrors of engine metrics under the same names with a
 //! `source="sim"` label, so predicted-vs-actual comparison is a join on
-//! metric name.
+//! metric name. Every name is minted once, in [`names`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -52,6 +52,101 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use crate::json::fmt_f64;
+
+/// Every metric name the workspace publishes, minted here and nowhere
+/// else, so the engine, the serving tier and the simulator's
+/// `source="sim"` mirror cannot drift apart. Labels in braces.
+pub mod names {
+    /// Gauge `{stage}`: input splits known so far.
+    pub const STAGE_SPLITS_TOTAL: &str = "onepass_stage_splits_total";
+    /// Gauge `{stage}`: splits with a winning attempt.
+    pub const STAGE_SPLITS_DONE: &str = "onepass_stage_splits_done";
+    /// Gauge `{stage}`: done / total, 0..=1.
+    pub const STAGE_PROGRESS_RATIO: &str = "onepass_stage_progress_ratio";
+    /// Counter `{stage}`: speculative clones launched.
+    pub const STAGE_STRAGGLERS: &str = "onepass_stage_stragglers_total";
+    /// Counter `{stage}`: map attempts enqueued, retries and clones included.
+    pub const STAGE_MAP_ATTEMPTS: &str = "onepass_stage_map_attempts_total";
+    /// Counter `{stage}`: attempts that errored.
+    pub const STAGE_FAILED_ATTEMPTS: &str = "onepass_stage_failed_attempts_total";
+    /// Counter `{stage}`: map input records.
+    pub const ENGINE_RECORDS_IN: &str = "onepass_engine_records_in_total";
+    /// Counter `{stage}`: sink emissions.
+    pub const ENGINE_RECORDS_OUT: &str = "onepass_engine_records_out_total";
+    /// Counter `{stage}`: shuffled payload bytes.
+    pub const ENGINE_SHUFFLE_BYTES: &str = "onepass_engine_shuffle_bytes_total";
+    /// Counter `{stage}`: shuffle segments.
+    pub const ENGINE_SHUFFLE_SEGMENTS: &str = "onepass_engine_shuffle_segments_total";
+    /// Counter `{stage}`: sends that stalled on memory pressure (shuffle
+    /// pushes and plan edges).
+    pub const ENGINE_BACKPRESSURE_STALLS: &str = "onepass_engine_backpressure_stalls_total";
+    /// Counter `{stage,side,phase}`: per-phase busy time — a task's
+    /// [`Profile`](crate::metrics::Profile), published when it finishes.
+    pub const ENGINE_PHASE_MICROS: &str = "onepass_engine_phase_micros_total";
+    /// Histogram `{stage}`: shuffled / emitted records per map task that
+    /// shipped its own output (1.0 = the combiner saved nothing).
+    pub const ENGINE_COMBINE_RATIO: &str = "onepass_engine_combine_ratio";
+    /// Histogram `{stage}`: shuffled / absorbed records per combine-table
+    /// flush — the ratio of every `HashCombine` task.
+    pub const INNODE_COMBINE_RATIO: &str = "onepass_innode_combine_ratio";
+    /// Histogram `{stage}`: time to each partition's first final answer,
+    /// against the job (or plan) clock.
+    pub const PLAN_TTFA_SECONDS: &str = "onepass_plan_ttfa_seconds";
+    /// Gauge `{stage}`: splits queued on the stage's outgoing plan edges,
+    /// sampled after each flush.
+    pub const PLAN_EDGE_DEPTH: &str = "onepass_plan_edge_depth";
+    /// Gauge `{stage}`: the finished job's wall clock.
+    pub const JOB_WALL_SECONDS: &str = "onepass_job_wall_seconds";
+    /// Gauge `{stage}`: governor lease-limit rebalances of the finished job.
+    pub const GOVERNOR_REBALANCES: &str = "onepass_governor_rebalances";
+    /// Gauge `{stage}`: shed requests the governor posted.
+    pub const GOVERNOR_SHEDS: &str = "onepass_governor_sheds";
+    /// Gauge `{stage}`: bytes of shedding those requests asked for.
+    pub const GOVERNOR_SHED_BYTES: &str = "onepass_governor_shed_bytes";
+    /// Gauge `{stage}`: high-water mark of the governed pool.
+    pub const GOVERNOR_POOL_HIGH_WATER: &str = "onepass_governor_pool_high_water_bytes";
+    /// Counter `{stage,dir}`: bytes on the coordinator's worker sockets.
+    pub const TRANSPORT_BYTES: &str = "onepass_transport_bytes_total";
+    /// Histogram `{stage}`: heartbeat round trips.
+    pub const TRANSPORT_RTT_SECONDS: &str = "onepass_transport_rtt_seconds";
+    /// Gauge: bytes resident in the dataset cache.
+    pub const CACHE_RESIDENT_BYTES: &str = "onepass_cache_resident_bytes";
+    /// Counter: fully-resident dataset fetches.
+    pub const CACHE_HITS: &str = "onepass_cache_hits_total";
+    /// Gauge: tenants seated.
+    pub const SERVE_TENANTS: &str = "onepass_serve_tenants";
+    /// Gauge: shared sessions open; tenants ÷ sessions is how many
+    /// subscribers one pass over the stream serves.
+    pub const SERVE_SESSIONS: &str = "onepass_serve_sessions";
+    /// Counter: subscriptions admitted.
+    pub const SERVE_ADMITTED: &str = "onepass_serve_admitted_total";
+    /// Counter: subscriptions rejected.
+    pub const SERVE_REJECTED: &str = "onepass_serve_rejected_total";
+    /// Counter: records fed.
+    pub const SERVE_INGEST_RECORDS: &str = "onepass_serve_ingest_records_total";
+    /// Counter: early answers fanned out.
+    pub const SERVE_EARLY_ANSWERS: &str = "onepass_serve_early_answers_total";
+    /// Counter: final answers fanned out.
+    pub const SERVE_FINAL_ANSWERS: &str = "onepass_serve_final_answers_total";
+    /// Histogram: subscribe → first answer, over tenants.
+    pub const SERVE_TTFA_SECONDS: &str = "onepass_serve_ttfa_seconds";
+    /// Gauge `{tenant}`: that tenant's time to first answer.
+    pub const SERVE_TENANT_TTFA_SECONDS: &str = "onepass_serve_tenant_ttfa_seconds";
+    /// Histogram: gap between consecutive answers of a subscription.
+    pub const SERVE_STALENESS_SECONDS: &str = "onepass_serve_answer_staleness_seconds";
+    /// Counter: records a session's DLQ took in.
+    pub const SERVE_DLQ_POISONED: &str = "onepass_serve_dlq_poisoned_total";
+    /// Counter: DLQ records that succeeded on retry.
+    pub const SERVE_DLQ_RECOVERED: &str = "onepass_serve_dlq_recovered_total";
+    /// Counter: DLQ records given up on.
+    pub const SERVE_DLQ_DEAD: &str = "onepass_serve_dlq_dead_total";
+    /// Counter: governor sheds sessions honoured.
+    pub const SERVE_SHEDS: &str = "onepass_serve_sheds_total";
+    /// Counter: bytes those sheds freed.
+    pub const SERVE_SHED_BYTES: &str = "onepass_serve_shed_bytes_total";
+    /// Counter: feeds that stalled on the ingest pressure gate.
+    pub const SERVE_BACKPRESSURE_STALLS: &str = "onepass_serve_backpressure_stalls_total";
+}
 
 /// Registration shards; updates never touch these locks.
 const NUM_SHARDS: usize = 8;
@@ -87,11 +182,17 @@ pub struct Counter {
 
 impl Counter {
     /// A counter not registered anywhere — updates go to a private cell.
-    /// Useful as a no-op default in contexts where metrics are optional.
     pub fn detached() -> Self {
         Counter {
             cell: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// The gate for optional metrics: `registry`'s cell when there is a
+    /// registry, a detached one when metrics are off — so a probe site
+    /// holds a handle, never an `Option` of one.
+    pub fn of(registry: Option<&MetricsRegistry>, name: &str, labels: &[(&str, &str)]) -> Self {
+        registry.map_or_else(Self::detached, |r| r.counter(name, labels))
     }
 
     /// Add `n` to the counter.
@@ -124,6 +225,11 @@ impl Gauge {
         Gauge {
             bits: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// `registry`'s cell, or a detached one (see [`Counter::of`]).
+    pub fn of(registry: Option<&MetricsRegistry>, name: &str, labels: &[(&str, &str)]) -> Self {
+        registry.map_or_else(Self::detached, |r| r.gauge(name, labels))
     }
 
     /// Set the gauge to `v`.
@@ -216,6 +322,11 @@ impl Histogram {
         Histogram {
             core: Arc::new(HistogramCore::new()),
         }
+    }
+
+    /// `registry`'s cell, or a detached one (see [`Counter::of`]).
+    pub fn of(registry: Option<&MetricsRegistry>, name: &str, labels: &[(&str, &str)]) -> Self {
+        registry.map_or_else(Self::detached, |r| r.histogram(name, labels))
     }
 
     /// Record one observation.
@@ -791,6 +902,12 @@ impl Drop for MetricsSampler {
     }
 }
 
+/// Longest request head [`MetricsServer`] reads before it answers anyway
+/// (`GET /metrics` with a scraper's headers is a few hundred bytes).
+const MAX_HEAD: usize = 8 << 10;
+/// Longest [`MetricsServer`] waits for a request head, however it drips.
+const HEAD_DEADLINE: Duration = Duration::from_secs(1);
+
 /// A minimal blocking HTTP listener serving Prometheus text exposition.
 ///
 /// Every request — the path is ignored — is answered `200 OK` with
@@ -827,19 +944,24 @@ impl MetricsServer {
                         Ok((mut conn, _)) => {
                             let _ = conn.set_nonblocking(false);
                             let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-                            // Drain the request line + headers, best effort.
-                            let mut buf = [0u8; 4096];
-                            let mut seen = Vec::new();
-                            loop {
-                                match conn.read(&mut buf) {
-                                    Ok(0) => break,
+                            // Drain the request line + headers, best effort
+                            // and bounded: a client that never terminates
+                            // its head is answered (and closed) all the same.
+                            let deadline = Instant::now() + HEAD_DEADLINE;
+                            let mut head = [0u8; MAX_HEAD];
+                            let mut filled = 0;
+                            while filled < MAX_HEAD && Instant::now() < deadline {
+                                match conn.read(&mut head[filled..]) {
+                                    Ok(0) | Err(_) => break,
                                     Ok(n) => {
-                                        seen.extend_from_slice(&buf[..n]);
-                                        if seen.windows(4).any(|w| w == b"\r\n\r\n") {
+                                        // Scan the new bytes only, plus the
+                                        // three a terminator may straddle.
+                                        let from = filled.saturating_sub(3);
+                                        filled += n;
+                                        if head[from..filled].windows(4).any(|w| w == b"\r\n\r\n") {
                                             break;
                                         }
                                     }
-                                    Err(_) => break,
                                 }
                             }
                             let body = registry.render_prometheus();
@@ -1088,6 +1210,36 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 200 OK"));
         assert!(resp.contains("text/plain; version=0.0.4"));
         assert!(resp.contains("onepass_http_total 42\n"));
+    }
+
+    /// A client that streams a request head with no terminator is cut off
+    /// at the head cap instead of being buffered (and rescanned) for as
+    /// long as it cares to send, and the accept thread serves the next
+    /// scraper.
+    #[test]
+    fn http_server_cuts_off_a_head_that_never_ends() {
+        use std::io::{Read, Write};
+        let reg = MetricsRegistry::new();
+        reg.counter("onepass_http_total", &[]).inc(7);
+        let server = MetricsServer::serve(reg, "127.0.0.1:0").expect("bind");
+        let mut hostile = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let started = Instant::now();
+        let chunk = [b'x'; 4096];
+        let mut sent = 0usize;
+        // Stream until the server hangs up (a write fails) or 5 s pass.
+        while started.elapsed() < Duration::from_secs(5) && hostile.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "server took {sent} bytes of request head and never hung up"
+        );
+        drop(hostile);
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        conn.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let mut resp = String::new();
+        conn.read_to_string(&mut resp).unwrap();
+        assert!(resp.contains("onepass_http_total 7\n"), "{resp}");
     }
 
     #[test]

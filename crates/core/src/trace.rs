@@ -1,5 +1,5 @@
-//! Structured trace events: task spans, phase sub-spans, instants and
-//! counters, exportable as Chrome trace-event JSON.
+//! Structured trace events: task spans, lane and phase sub-spans,
+//! instants and counters, exportable as Chrome trace-event JSON.
 //!
 //! The paper's argument is built on *seeing* where a MapReduce job spends
 //! its time — per-phase CPU attribution (Table II) and task timelines
@@ -23,6 +23,14 @@ use crate::json::{escape, fmt_f64};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Category of the reducer's timeline spans, in the engine's trace and
+/// the simulator's: the Fig. 2a lanes `shuffle` (task start → last
+/// committed map) and `finish` (the final merge and reduce), plus each
+/// HOP `snapshot`. A lane says *when* a task was in a stage of its life;
+/// the [`crate::metrics::PHASE`] spans nested inside say what the time
+/// went to (Table II's attribution), and only those are in the profile.
+pub const LANE: &str = "lane";
 
 /// What a [`TraceEvent`] marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +69,9 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Event name (span name, instant name, or counter name).
     pub name: &'static str,
-    /// Category — by convention a [`crate::metrics::Phase`] label or an
-    /// operator family like `"spill"`.
+    /// Category — `"task"`, `"lane"`, [`crate::metrics::PHASE`] (spans
+    /// only a [`crate::metrics::Stamp`] emits) or an operator family like
+    /// `"spill"`.
     pub cat: &'static str,
     /// The lane this event belongs to.
     pub track: Track,
@@ -189,6 +198,12 @@ impl LocalTracer {
         self.tracer.elapsed()
     }
 
+    /// A clock reading as a timestamp on this tracer's time base.
+    #[inline]
+    fn at(&self, t: Instant) -> Duration {
+        t.saturating_duration_since(self.tracer.inner.epoch)
+    }
+
     #[inline]
     fn push(&mut self, kind: EventKind, name: &'static str, cat: &'static str, ts: Duration) {
         self.buf.push(TraceEvent {
@@ -230,6 +245,16 @@ impl LocalTracer {
     pub fn end_at(&mut self, name: &'static str, cat: &'static str, ts: Duration) {
         if self.enabled {
             self.push(EventKind::End, name, cat, ts);
+        }
+    }
+
+    /// Record a whole span from two clock readings the caller already
+    /// took (see [`crate::metrics::Stamp`]).
+    #[inline]
+    pub fn span(&mut self, name: &'static str, cat: &'static str, start: Instant, end: Instant) {
+        if self.enabled {
+            self.push(EventKind::Begin, name, cat, self.at(start));
+            self.push(EventKind::End, name, cat, self.at(end));
         }
     }
 
@@ -490,8 +515,8 @@ mod tests {
         let tracer = Tracer::enabled();
         let mut local = tracer.local(Track::new("map", 1));
         local.begin_at("outer", "task", Duration::from_micros(10));
-        local.begin_at("inner", "phase", Duration::from_micros(20));
-        local.end_at("inner", "phase", Duration::from_micros(30));
+        local.begin_at("inner", "lane", Duration::from_micros(20));
+        local.end_at("inner", "lane", Duration::from_micros(30));
         local.end_at("outer", "task", Duration::from_micros(50));
         drop(local);
         let spans = complete_spans(&tracer.drain()).unwrap();

@@ -71,7 +71,7 @@ use onepass_core::error::Result;
 use onepass_core::hashlib::{ByteMap, MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
-use onepass_core::metrics::{Phase, Profile};
+use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
 use onepass_sketch::{FrequentItems, MisraGries};
@@ -430,27 +430,30 @@ impl FreqHashGrouper {
     /// bucket — published first as an early (approximate) hot-key answer
     /// when the gate is on.
     fn drain_residents(&mut self, sink: &mut dyn Sink) -> Result<()> {
-        let mut reduce = std::time::Duration::ZERO;
+        // Answers first, under one stamp; the partial states' cold writes
+        // follow outside it — spill I/O, not reduce-function time.
+        let t = Stamp::start(Phase::ReduceFn);
+        let mut partial = Vec::new();
         for (key, r) in std::mem::take(&mut self.states) {
-            let reduce_start = std::time::Instant::now();
             if r.complete {
                 let out = self.agg.finish(&key, r.state);
                 sink.emit(&key, &out, EmitKind::Final);
                 self.groups_out += 1;
-                reduce += reduce_start.elapsed();
                 continue;
             }
             if self.sketch.is_some() {
                 let out = self.agg.finish(&key, r.state.clone());
                 sink.emit(&key, &out, EmitKind::Early);
                 self.early_emits += 1;
-                reduce += reduce_start.elapsed();
             }
-            self.write_cold(&key, &r.state, TAG_STATE)?;
+            partial.push((key, r.state));
+        }
+        t.stop(&mut self.profile, &mut self.trace);
+        for (key, state) in partial {
+            self.write_cold(&key, &state, TAG_STATE)?;
         }
         self.budget.release(self.reserved);
         self.reserved = 0;
-        self.profile.add_time(Phase::ReduceFn, reduce);
         Ok(())
     }
 
@@ -490,13 +493,12 @@ impl FreqHashGrouper {
 impl GroupBy for FreqHashGrouper {
     fn push_batch(&mut self, batch: &SegmentBuf, sink: &mut dyn Sink) -> Result<()> {
         // Grouping time is read once per batch, never per record.
-        let group_start = std::time::Instant::now();
+        let t = Stamp::start(Phase::ReduceGroup);
         self.records_in += batch.len() as u64;
         for (key, value) in batch.iter() {
             self.push_one(key, value, sink)?;
         }
-        self.profile
-            .add_time(Phase::ReduceGroup, group_start.elapsed());
+        t.stop(&mut self.profile, &mut self.trace);
         Ok(())
     }
 
@@ -506,10 +508,9 @@ impl GroupBy for FreqHashGrouper {
         // resolves, so re-admitted keys stay correct (they come back
         // incomplete, and finish moves every incomplete resident to its
         // bucket).
-        let group_start = std::time::Instant::now();
+        let t = Stamp::start(Phase::ReduceGroup);
         let freed = self.evict_bytes(target_bytes);
-        self.profile
-            .add_time(Phase::ReduceGroup, group_start.elapsed());
+        t.stop(&mut self.profile, &mut self.trace);
         freed
     }
 
@@ -551,6 +552,7 @@ impl GroupBy for FreqHashGrouper {
                 RESOLVE_FANOUT,
                 Arc::clone(&self.agg),
             )?;
+            child.set_tracer(self.trace.fork());
             {
                 let mut reader = self.store.open_run(meta.id)?;
                 while let Some(rec) = reader.next_record()? {

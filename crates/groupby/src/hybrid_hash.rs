@@ -29,7 +29,7 @@ use onepass_core::error::{Error, Result};
 use onepass_core::hashlib::{fingerprint, ByteMap, MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
-use onepass_core::metrics::{Phase, Profile};
+use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
 
@@ -318,7 +318,7 @@ impl HybridHashGrouper {
     /// First budget exhaustion: open spill writers and evict every
     /// resident state whose key does not hash to bucket 0.
     fn partition(&mut self) -> Result<()> {
-        let hash_start = std::time::Instant::now();
+        let t = Stamp::start(Phase::MapHash);
         let mut writers = Vec::with_capacity(self.fanout);
         for _ in 0..self.fanout {
             writers.push(self.store.begin_run()?);
@@ -335,7 +335,7 @@ impl HybridHashGrouper {
                 ("evicted_keys", (before - self.resident.len()) as f64),
             ],
         );
-        self.profile.add_time(Phase::MapHash, hash_start.elapsed());
+        t.stop(&mut self.profile, &mut self.trace);
         Ok(())
     }
 
@@ -391,7 +391,7 @@ impl HybridHashGrouper {
     /// state goes to run 0 for the child pass to merge and emit exactly
     /// once.
     fn emit_resident(&mut self, sink: &mut dyn Sink) -> Result<()> {
-        let reduce_start = std::time::Instant::now();
+        let t = Stamp::start(Phase::ReduceFn);
         let resident = std::mem::take(&mut self.resident);
         for (key, state) in resident {
             if !self.run0_keys.is_empty() && self.run0_keys.contains_key(&key) {
@@ -404,8 +404,7 @@ impl HybridHashGrouper {
         }
         self.budget.release(self.reserved);
         self.reserved = 0;
-        self.profile
-            .add_time(Phase::ReduceFn, reduce_start.elapsed());
+        t.stop(&mut self.profile, &mut self.trace);
         Ok(())
     }
 }

@@ -19,7 +19,8 @@ use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
 use onepass_core::io::{RunMeta, RunReader, SpillStore};
-use onepass_core::metrics::{Phase, Profile};
+use onepass_core::metrics::{Phase, Profile, Stamp};
+use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
 
 /// Bytes of arena data pulled from each run per [`RunReader::read_batch`]
@@ -33,6 +34,7 @@ pub struct MultiPassMerger {
     factor: usize,
     runs: Vec<RunMeta>,
     profile: Profile,
+    trace: LocalTracer,
     merge_passes: u64,
 }
 
@@ -59,8 +61,14 @@ impl MultiPassMerger {
             factor,
             runs: Vec::new(),
             profile: Profile::new(),
+            trace: LocalTracer::disabled(),
             merge_passes: 0,
         })
+    }
+
+    /// Attach a trace buffer; merge-pass spans land on its track.
+    pub fn set_tracer(&mut self, trace: LocalTracer) {
+        self.trace = trace;
     }
 
     /// Register a sorted run. If the on-disk run count reaches `F`, a
@@ -100,7 +108,7 @@ impl MultiPassMerger {
         self.runs.sort_by_key(|r| std::cmp::Reverse(r.bytes));
         let victims: Vec<RunMeta> = self.runs.split_off(self.runs.len() - width);
 
-        let timer_start = std::time::Instant::now();
+        let t = Stamp::start(Phase::Merge);
         let mut writer = self.store.begin_run()?;
         {
             let mut cursor = MergeCursor::open(self.store.as_ref(), &victims)?;
@@ -113,7 +121,7 @@ impl MultiPassMerger {
         for v in &victims {
             self.store.delete_run(v.id)?;
         }
-        self.profile.add_time(Phase::Merge, timer_start.elapsed());
+        t.stop(&mut self.profile, &mut self.trace);
         self.merge_passes += 1;
         self.runs.push(merged);
         Ok(())

@@ -28,14 +28,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
 use onepass_core::error::Result;
 use onepass_core::hashlib::ByteMap;
 use onepass_core::io::{IoStats, SpillStore};
 use onepass_core::memory::MemoryBudget;
-use onepass_core::metrics::{Phase, Profile};
+use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 
 use crate::aggregate::Aggregator;
@@ -124,6 +123,7 @@ impl SortMergeGrouper {
     /// Attach a trace buffer; merge spans and spill events land on its
     /// track.
     pub fn set_tracer(&mut self, trace: LocalTracer) {
+        self.merger.set_tracer(trace.fork());
         self.trace = trace;
     }
 
@@ -166,8 +166,7 @@ impl SortMergeGrouper {
         if self.buffered.is_empty() {
             return Ok(());
         }
-        self.trace.begin(Phase::Merge.label(), "phase");
-        let t = Instant::now();
+        let t = Stamp::start(Phase::Merge);
         let mut out = SegmentBufBuilder::new();
         merge_groups(&self.buffered, self.agg.as_ref(), |key, state| {
             out.push(key, &state)
@@ -176,8 +175,7 @@ impl SortMergeGrouper {
             writer.write_segment(&out.finish())?;
             writer.finish()
         });
-        self.profile.add_time(Phase::Merge, t.elapsed());
-        self.trace.end(Phase::Merge.label(), "phase");
+        t.stop(&mut self.profile, &mut self.trace);
         let meta = written?;
         self.trace.instant(
             "reduce_spill",
@@ -253,9 +251,9 @@ fn merge_groups(segs: &[SegmentBuf], agg: &dyn Aggregator, mut each: impl FnMut(
 impl GroupBy for SortMergeGrouper {
     fn push_batch(&mut self, batch: &SegmentBuf, _sink: &mut dyn Sink) -> Result<()> {
         for range in budget_sized_ranges(batch, self.budget.limit()) {
-            let t = Instant::now();
+            let t = Stamp::start(Phase::ReduceGroup);
             let sorted = batch.sorted_range_by_key(range);
-            self.profile.add_time(Phase::ReduceGroup, t.elapsed());
+            t.stop(&mut self.profile, &mut self.trace);
             self.buffer(sorted)?;
         }
         Ok(())
@@ -281,7 +279,7 @@ impl GroupBy for SortMergeGrouper {
     /// received so far (on-disk runs + in-memory segments), aggregate, and
     /// emit approximate answers. The re-read is the snapshot's I/O cost.
     fn snapshot(&mut self, sink: &mut dyn Sink) -> Result<()> {
-        let t = Instant::now();
+        let t = Stamp::start(Phase::Merge);
         let mut states: ByteMap<Vec<u8>> = ByteMap::default();
         for run in self.merger.runs() {
             let mut reader = self.store.open_run(run.id)?;
@@ -308,7 +306,7 @@ impl GroupBy for SortMergeGrouper {
             let out = self.agg.finish(&k, state);
             sink.emit(&k, &out, EmitKind::Early);
         }
-        self.profile.add_time(Phase::Merge, t.elapsed());
+        t.stop(&mut self.profile, &mut self.trace);
         Ok(())
     }
 
@@ -317,19 +315,19 @@ impl GroupBy for SortMergeGrouper {
         let mut passes = 0u64;
         if self.spills == 0 {
             // Never spilled: merge and reduce directly from memory.
-            let t = Instant::now();
+            let t = Stamp::start(Phase::ReduceFn);
             merge_groups(&self.buffered, self.agg.as_ref(), |key, state| {
                 sink.emit(key, &self.agg.finish(key, state), EmitKind::Final);
                 groups_out += 1;
             });
-            self.profile.add_time(Phase::ReduceFn, t.elapsed());
+            t.stop(&mut self.profile, &mut self.trace);
             self.clear_buffer();
         } else {
             // Hadoop behaviour: the in-memory tail is spilled too, then the
             // final (multi-pass if needed) merge feeds the reduce function.
             self.spill_buffered()?;
             let mut grouped = self.merger.drain_grouped()?;
-            let t = Instant::now();
+            let t = Stamp::start(Phase::ReduceFn);
             while let Some((key, states)) = grouped.next_group()? {
                 let mut states = states.into_iter();
                 // `next_group` yields a key with at least one value.
@@ -342,7 +340,7 @@ impl GroupBy for SortMergeGrouper {
                 sink.emit(&key, &self.agg.finish(&key, state), EmitKind::Final);
                 groups_out += 1;
             }
-            self.profile.add_time(Phase::ReduceFn, t.elapsed());
+            t.stop(&mut self.profile, &mut self.trace);
             self.profile.merge(grouped.profile());
             passes = grouped.merge_passes();
             grouped.cleanup()?;

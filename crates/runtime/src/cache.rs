@@ -33,7 +33,7 @@ use onepass_core::error::{Error, Result};
 use onepass_core::governor::MemoryGovernor;
 use onepass_core::io::{RunId, SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
-use onepass_core::obs::{Counter, Gauge, MetricsRegistry};
+use onepass_core::obs::{names, Counter, Gauge, MetricsRegistry};
 use onepass_core::trace::{Tracer, Track};
 use onepass_core::SegmentBuf;
 
@@ -110,8 +110,8 @@ pub struct DatasetCache {
     store: Arc<dyn SpillStore>,
     config: CacheConfig,
     tracer: Tracer,
-    resident_gauge: Option<Gauge>,
-    hits_counter: Option<Counter>,
+    resident_gauge: Gauge,
+    hits_counter: Counter,
 }
 
 impl std::fmt::Debug for DatasetCache {
@@ -156,15 +156,15 @@ impl DatasetCache {
             store,
             config,
             tracer: Tracer::disabled(),
-            resident_gauge: None,
-            hits_counter: None,
+            resident_gauge: Gauge::detached(),
+            hits_counter: Counter::detached(),
         }
     }
 
     /// Export cache gauges/counters through `metrics`.
     pub fn attach_metrics(&mut self, metrics: &MetricsRegistry) {
-        self.resident_gauge = Some(metrics.gauge("onepass_cache_resident_bytes", &[]));
-        self.hits_counter = Some(metrics.counter("onepass_cache_hits_total", &[]));
+        self.resident_gauge = metrics.gauge(names::CACHE_RESIDENT_BYTES, &[]);
+        self.hits_counter = metrics.counter(names::CACHE_HITS, &[]);
     }
 
     /// Record eviction instants (`mem_cache_evict`) on `tracer`.
@@ -231,9 +231,7 @@ impl DatasetCache {
         let fully_resident = ds.is_resident();
         if fully_resident {
             inner.hits += 1;
-            if let Some(c) = &self.hits_counter {
-                c.inc(1);
-            }
+            self.hits_counter.inc(1);
             let ds = &inner.datasets[name];
             let out = ds
                 .parts
@@ -464,10 +462,8 @@ impl DatasetCache {
     }
 
     fn publish_locked(&self, inner: &Inner) {
-        if let Some(g) = &self.resident_gauge {
-            let resident: usize = inner.datasets.values().map(|d| d.resident_bytes).sum();
-            g.set(resident as f64);
-        }
+        let resident: usize = inner.datasets.values().map(|d| d.resident_bytes).sum();
+        self.resident_gauge.set(resident as f64);
     }
 }
 
@@ -593,13 +589,13 @@ mod tests {
         let resident = snap
             .metrics
             .iter()
-            .find(|s| s.name == "onepass_cache_resident_bytes")
+            .find(|s| s.name == names::CACHE_RESIDENT_BYTES)
             .expect("gauge exported");
         assert!(matches!(resident.value, onepass_core::obs::SampleValue::Gauge(v) if v > 0.0));
         let hits = snap
             .metrics
             .iter()
-            .find(|s| s.name == "onepass_cache_hits_total")
+            .find(|s| s.name == names::CACHE_HITS)
             .expect("counter exported");
         assert!(
             matches!(hits.value, onepass_core::obs::SampleValue::Counter(v) if v == 1),

@@ -207,18 +207,12 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
 
     // Live metrics: one handle set per executed job, labeled by job name
     // (which is the stage name inside a plan).
-    let telemetry = config
-        .metrics
-        .as_ref()
-        .map(|m| StageTelemetry::new(m, &job.name));
-    let shuffle_tx = match &telemetry {
-        Some(t) => shuffle_tx.with_metrics(
-            t.shuffle_bytes.clone(),
-            t.shuffle_segments.clone(),
-            t.backpressure_stalls.clone(),
-        ),
-        None => shuffle_tx,
-    };
+    let telemetry = StageTelemetry::new(config.metrics.as_ref(), &job.name);
+    let shuffle_tx = shuffle_tx.with_metrics(
+        telemetry.shuffle_bytes.clone(),
+        telemetry.shuffle_segments.clone(),
+        telemetry.backpressure_stalls.clone(),
+    );
 
     // Map-side persistence store (shared; only totals are read): every
     // in-proc map writes its output before it completes (§II-A). Remote
@@ -263,12 +257,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             let collect = job.collect_output.is_collect();
             let sink_telemetry = telemetry.clone();
             let sink_factory: SinkFactory<'_> = Box::new(move |_p| {
-                TimedSink::new(
-                    start,
-                    collect,
-                    None,
-                    sink_telemetry.as_ref().map(SinkObs::new),
-                )
+                TimedSink::new(start, collect, None, SinkObs::new(&sink_telemetry))
             });
             Some(TcpCluster::connect(
                 addrs,
@@ -315,7 +304,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             let map_store = map_store.as_ref();
             let injector = injector.clone();
             let governor = governor.as_ref();
-            let innode_ratio = telemetry.as_ref().map(|t| t.innode_combine_ratio.clone());
+            let innode_ratio = telemetry.innode_combine_ratio.clone();
             scope.spawn(move |_| {
                 let mut slot = MapSlot::new(
                     job,
@@ -337,29 +326,19 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                         cancel,
                         ..
                     } = asg;
-                    let t0 = start.elapsed();
+                    let mut open = TaskSpan::open(TaskKind::Map, task, tracer, track_offset);
                     let _ = evt_tx.send(MapEvent::Started {
                         task,
                         attempt,
-                        at: t0,
+                        at: open.started(start),
                     });
-                    let mut trace = tracer.local(Track::new("map", track_offset + task as u64));
-                    trace.begin("map_task", "task");
                     let ctx = MapAttemptCtx {
                         attempt,
                         injector: injector.clone(),
                         cancel: Some(cancel),
                     };
-                    let result = slot.run_attempt(task, &split, &mut trace, &ctx);
-                    trace.end("map_task", "task");
-                    drop(trace);
-                    let span = TaskSpan {
-                        kind: TaskKind::Map,
-                        id: task,
-                        attempt,
-                        start: t0,
-                        end: start.elapsed(),
-                    };
+                    let result = slot.run_attempt(task, &split, &mut open.trace, &ctx);
+                    let span = open.close(attempt, start);
                     let _ = evt_tx.send(MapEvent::Finished {
                         task,
                         attempt,
@@ -401,11 +380,9 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             let injector = injector.clone();
             let governor = governor.clone();
             let tap = tap.clone();
-            let sink_obs = telemetry.as_ref().map(SinkObs::new);
+            let sink_obs = SinkObs::new(&telemetry);
             scope.spawn(move |_| {
-                let mut trace = tracer.local(Track::new("reduce", track_offset + partition as u64));
-                trace.begin("reduce_task", "task");
-                let t0 = start.elapsed();
+                let mut open = TaskSpan::open(TaskKind::Reduce, partition, tracer, track_offset);
                 let tap = tap.as_ref().map(|factory| factory(partition));
                 let mut sink =
                     TimedSink::new(start, job.collect_output.is_collect(), tap, sink_obs);
@@ -437,21 +414,13 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     known_total,
                     &mut resources,
                     &mut sink,
-                    &mut trace,
+                    &mut open.trace,
                     &opts,
                 );
                 let attempt = res
                     .as_ref()
                     .map_or(retry.max_attempts.saturating_sub(1), |r| r.attempts - 1);
-                let span = TaskSpan {
-                    kind: TaskKind::Reduce,
-                    id: partition,
-                    attempt,
-                    start: t0,
-                    end: start.elapsed(),
-                };
-                trace.end("reduce_task", "task");
-                drop(trace);
+                let span = open.close(attempt, start);
                 let _ = red_res_tx.send(res.map(|r| (r, span, sink)));
             });
         }
@@ -465,7 +434,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             evt_rx,
             shuffle_tx: &shuffle_tx,
             clock: start,
-            telemetry: telemetry.as_ref(),
+            telemetry: &telemetry,
         };
         let feed_open = known_total.is_none();
         let mut out = schedule_maps(ctx, initial, feed_open, &mut driver_trace);
@@ -539,9 +508,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     for res in red_res_rx.iter() {
         let (result, span, mut sink) = res?;
         sink.flush_obs();
-        if let Some(t) = &telemetry {
-            t.publish_profile("reduce", &result.stats.profile);
-        }
+        telemetry.publish_profile("reduce", &result.stats.profile);
         report.absorb_reduce(&result);
         report.task_spans.push(span);
         early_total += sink.early_seen;
@@ -577,15 +544,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     }
     report.backpressure_stalls = shuffle_tx.backpressure_stalls();
     report.wall = start.elapsed();
-    if let Some(t) = &telemetry {
-        t.publish_governor(
-            report.mem_rebalances,
-            report.mem_sheds,
-            report.mem_shed_bytes,
-            report.mem_pool_high_water,
-        );
-        t.publish_wall(report.wall);
-    }
+    telemetry.publish_report(&report);
     Ok(report)
 }
 
@@ -595,7 +554,7 @@ pub(crate) struct TimedSink {
     start: Instant,
     collect: bool,
     tap: Option<ReduceTap>,
-    obs: Option<SinkObs>,
+    obs: SinkObs,
     pub(crate) outputs: Vec<JobOutput>,
     pub(crate) early_seen: u64,
     pub(crate) final_seen: u64,
@@ -615,7 +574,7 @@ impl std::fmt::Debug for TimedSink {
 }
 
 impl TimedSink {
-    fn new(start: Instant, collect: bool, tap: Option<ReduceTap>, obs: Option<SinkObs>) -> Self {
+    fn new(start: Instant, collect: bool, tap: Option<ReduceTap>, obs: SinkObs) -> Self {
         TimedSink {
             start,
             collect,
@@ -631,9 +590,7 @@ impl TimedSink {
 
     /// Flush buffered emission counts to the live registry (end of task).
     pub(crate) fn flush_obs(&mut self) {
-        if let Some(o) = self.obs.as_mut() {
-            o.flush();
-        }
+        self.obs.flush();
     }
 }
 
@@ -650,9 +607,7 @@ impl Sink for TimedSink {
                 self.first_final.get_or_insert(at);
             }
         }
-        if let Some(o) = self.obs.as_mut() {
-            o.on_emit(kind == EmitKind::Final, at);
-        }
+        self.obs.on_emit(kind == EmitKind::Final, at);
         if let Some(tap) = self.tap.as_mut() {
             tap(key, value, kind);
         }

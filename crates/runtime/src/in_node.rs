@@ -73,7 +73,7 @@ use onepass_core::governor::MemoryGovernor;
 use onepass_core::hashlib::{fingerprint, mix64};
 use onepass_core::io::SpillStore;
 use onepass_core::memory::MemoryBudget;
-use onepass_core::metrics::Phase;
+use onepass_core::metrics::{Phase, Stamp};
 use onepass_core::obs::Histogram;
 use onepass_core::trace::LocalTracer;
 use onepass_groupby::Aggregator;
@@ -289,7 +289,7 @@ impl WorkerCombiner {
         &mut self,
         tx: &ShuffleTx,
         map_store: Option<&Arc<dyn SpillStore>>,
-        ratio: Option<&Histogram>,
+        ratio: &Histogram,
     ) -> Result<()> {
         if self.contributors.is_empty() {
             return Ok(());
@@ -333,10 +333,8 @@ impl WorkerCombiner {
         for (task, attempt) in self.contributors.drain(..) {
             tx.map_done(task, attempt);
         }
-        if let Some(h) = ratio {
-            if self.absorbed > 0 {
-                h.observe(sent_records as f64 / self.absorbed as f64);
-            }
+        if self.absorbed > 0 {
+            ratio.observe(sent_records as f64 / self.absorbed as f64);
         }
         self.absorbed = 0;
         self.budget.release(self.reserved);
@@ -356,7 +354,7 @@ pub(crate) struct MapSlot<'a> {
     combiner: Option<WorkerCombiner>,
     scope: CombineScope,
     /// `onepass_innode_combine_ratio`, observed once per table flush.
-    ratio: Option<Histogram>,
+    ratio: Histogram,
 }
 
 impl<'a> MapSlot<'a> {
@@ -369,7 +367,7 @@ impl<'a> MapSlot<'a> {
         map_store: Option<&'a Arc<dyn SpillStore>>,
         scope: CombineScope,
         governor: Option<&MemoryGovernor>,
-        ratio: Option<Histogram>,
+        ratio: Histogram,
     ) -> Self {
         let combiner = (job.map_side == MapSideMode::HashCombine).then(|| {
             let budget = match governor {
@@ -424,8 +422,7 @@ impl<'a> MapSlot<'a> {
         // cancelled attempt's buffer is simply discarded, exactly as a
         // failed attempt never announces MapDone.
         if let (Some(c), Ok(stats)) = (self.combiner.as_mut(), result.as_mut()) {
-            let fold_start = std::time::Instant::now();
-            trace.begin(Phase::MapHash.label(), "phase");
+            let t = Stamp::start(Phase::MapHash);
             c.fold_task(
                 task,
                 ctx.attempt,
@@ -433,8 +430,7 @@ impl<'a> MapSlot<'a> {
                 self.job.partitioner.as_ref(),
                 self.job.agg.as_ref(),
             );
-            trace.end(Phase::MapHash.label(), "phase");
-            stats.profile.add_time(Phase::MapHash, fold_start.elapsed());
+            t.stop(&mut stats.profile, trace);
             if c.should_flush() || self.scope == CombineScope::Task {
                 self.flush();
             }
@@ -451,9 +447,7 @@ impl<'a> MapSlot<'a> {
 
     fn flush(&mut self) {
         if let Some(c) = &mut self.combiner {
-            if c.flush(self.tx, self.map_store, self.ratio.as_ref())
-                .is_err()
-            {
+            if c.flush(self.tx, self.map_store, &self.ratio).is_err() {
                 self.tx.abort();
             }
         }
@@ -509,7 +503,7 @@ mod tests {
         c.fold_task(0, 0, &buf(&[("a", 1), ("b", 2)]), &ByFirstByte, &SumAgg);
         c.fold_task(1, 0, &buf(&[("a", 10), ("c", 3)]), &ByFirstByte, &SumAgg);
         let (tx, rxs) = shuffle_fabric(2, 64);
-        c.flush(&tx, None, None).unwrap();
+        c.flush(&tx, None, &Histogram::detached()).unwrap();
         let (segs, dones) = drain(rxs);
         // "a" collapsed across both tasks: 3 distinct keys total.
         let total: usize = segs.iter().map(|s| s.len()).sum();
@@ -538,7 +532,7 @@ mod tests {
         let mut c = WorkerCombiner::new(1, MemoryBudget::unlimited());
         c.fold_task(3, 1, &buf(&[("k", 1)]), &ByFirstByte, &SumAgg);
         let (tx, rxs) = shuffle_fabric(1, 64);
-        c.flush(&tx, None, None).unwrap();
+        c.flush(&tx, None, &Histogram::detached()).unwrap();
         let mut msgs = Vec::new();
         while let Ok(m) = rxs[0].try_recv() {
             msgs.push(m);
@@ -557,7 +551,7 @@ mod tests {
     fn flush_with_no_contributors_is_silent() {
         let mut c = WorkerCombiner::new(2, MemoryBudget::unlimited());
         let (tx, rxs) = shuffle_fabric(2, 8);
-        c.flush(&tx, None, None).unwrap();
+        c.flush(&tx, None, &Histogram::detached()).unwrap();
         let (segs, dones) = drain(rxs);
         assert!(segs.is_empty() && dones.is_empty());
     }
@@ -575,7 +569,7 @@ mod tests {
         );
         assert!(c.should_flush(), "tiny budget must run over");
         let (tx, _rxs) = shuffle_fabric(1, 8);
-        c.flush(&tx, None, None).unwrap();
+        c.flush(&tx, None, &Histogram::detached()).unwrap();
         assert_eq!(budget.used(), 0, "flush returns the lease");
         assert!(!c.should_flush());
     }
@@ -611,7 +605,14 @@ mod tests {
     fn task_scope_ships_each_attempt_combined_and_unsorted() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, None, None);
+        let mut slot = MapSlot::new(
+            &job,
+            &tx,
+            None,
+            CombineScope::Task,
+            None,
+            Histogram::detached(),
+        );
         for (task, split) in word_splits().iter().enumerate() {
             let stats = slot
                 .run_attempt(
@@ -654,7 +655,14 @@ mod tests {
     fn worker_scope_holds_attempts_until_the_slot_drains() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Worker, None, None);
+        let mut slot = MapSlot::new(
+            &job,
+            &tx,
+            None,
+            CombineScope::Worker,
+            None,
+            Histogram::detached(),
+        );
         for (task, split) in word_splits().iter().enumerate() {
             slot.run_attempt(
                 task,
@@ -677,7 +685,14 @@ mod tests {
     fn failed_attempt_never_reaches_the_table() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, None, None);
+        let mut slot = MapSlot::new(
+            &job,
+            &tx,
+            None,
+            CombineScope::Task,
+            None,
+            Histogram::detached(),
+        );
         let [split, _] = word_splits();
         let failing = MapAttemptCtx {
             attempt: 0,
@@ -705,7 +720,7 @@ mod tests {
         let mut c = WorkerCombiner::new(1, MemoryBudget::unlimited());
         c.fold_task(7, 0, &KvBuf::new(), &ByFirstByte, &SumAgg);
         let (tx, rxs) = shuffle_fabric(1, 8);
-        c.flush(&tx, None, None).unwrap();
+        c.flush(&tx, None, &Histogram::detached()).unwrap();
         let (segs, dones) = drain(rxs);
         assert!(segs.is_empty());
         assert_eq!(dones, vec![(7, 0)]);

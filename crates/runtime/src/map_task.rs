@@ -4,13 +4,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use onepass_core::bytes_kv::{KvBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
 use onepass_core::io::{RunWriter, SpillStore};
-use onepass_core::metrics::{Phase, Profile};
+use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 
 use crate::job::{JobSpec, MapEmitter, MapSideMode, ShuffleMode};
@@ -353,10 +352,10 @@ pub(crate) fn run_map_task(
 
     // The clock is read at flush boundaries only, never per record:
     // `Phase::MapFn` is the stretch since the previous flush ended.
-    let mut map_fn_since = Instant::now();
+    let mut map_fn = Stamp::start(Phase::MapFn);
     macro_rules! flush {
         () => {{
-            stats.profile.add_time(Phase::MapFn, map_fn_since.elapsed());
+            map_fn.stop(&mut stats.profile, trace);
             flush_buffer(
                 job,
                 task_id,
@@ -397,7 +396,7 @@ pub(crate) fn run_map_task(
             let push_due = push_granularity.is_some_and(|g| since_flush >= g);
             if buffer_full || push_due {
                 flush!();
-                map_fn_since = Instant::now();
+                map_fn = Stamp::start(Phase::MapFn);
                 since_flush = 0;
             }
         }};
@@ -431,12 +430,13 @@ pub(crate) fn run_map_task(
     if ships {
         flush!();
         if let Some(run) = &mut map_run {
-            let _t = stats.profile.timed(Phase::MapWrite);
+            let t = Stamp::start(Phase::MapWrite);
             run.seal()?;
+            t.stop(&mut stats.profile, trace);
         }
         tx.map_done(task_id, ctx.attempt);
     } else {
-        stats.profile.add_time(Phase::MapFn, map_fn_since.elapsed());
+        map_fn.stop(&mut stats.profile, trace);
     }
     Ok(stats)
 }
@@ -467,15 +467,13 @@ fn flush_buffer(
     // A `HashCombine` buffer never comes here: the combiner ships it.
     let sorted = job.map_side == MapSideMode::SortSpill;
     if sorted {
-        let _t = stats.profile.timed(Phase::MapSort);
-        trace.begin(Phase::MapSort.label(), "phase");
+        let t = Stamp::start(Phase::MapSort);
         buf.sort_by_partition_key();
-        trace.end(Phase::MapSort.label(), "phase");
+        t.stop(&mut stats.profile, trace);
     }
     let segments: Vec<Segment> = if sorted && combine_on {
         let ranges = buf.partition_ranges(job.reducers);
-        let combine_start = std::time::Instant::now();
-        trace.begin(Phase::Combine.label(), "phase");
+        let t = Stamp::start(Phase::Combine);
         let mut segs = Vec::new();
         for (p, range) in ranges.into_iter().enumerate() {
             if range.is_empty() {
@@ -503,10 +501,7 @@ fn flush_buffer(
                 records: records.finish(),
             });
         }
-        stats
-            .profile
-            .add_time(Phase::Combine, combine_start.elapsed());
-        trace.end(Phase::Combine.label(), "phase");
+        t.stop(&mut stats.profile, trace);
         segs
     } else {
         // Zero copy: the arena is frozen in place — sorted, or as it
@@ -535,13 +530,12 @@ fn flush_buffer(
     // and attributed to MapWrite: each segment goes down as one batched
     // framed write, appended to the attempt's single run.
     if let Some(run) = map_run {
-        let _t = stats.profile.timed(Phase::MapWrite);
-        trace.begin(Phase::MapWrite.label(), "phase");
+        let t = Stamp::start(Phase::MapWrite);
         let w = run.writer()?;
         for seg in &segments {
             w.write_segment(&seg.records)?;
         }
-        trace.end(Phase::MapWrite.label(), "phase");
+        t.stop(&mut stats.profile, trace);
     }
 
     let mut sent_records = 0u64;
@@ -572,6 +566,7 @@ mod tests {
     use crate::job::{JobSpec, MapEmitter};
     use crate::shuffle::{shuffle_fabric, ShuffleMsg};
     use onepass_groupby::SumAgg;
+    use std::time::Instant;
 
     fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
         for w in record.split(|&b| b == b' ') {

@@ -52,6 +52,7 @@ use std::time::Instant;
 use crossbeam::channel::{bounded, Sender};
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
+use onepass_core::obs::{names, Gauge};
 use onepass_core::trace::Track;
 use onepass_groupby::EmitKind;
 
@@ -554,7 +555,7 @@ struct EdgeWriter {
     gate: Option<PressureGate>,
     /// `onepass_plan_edge_depth{stage}` — sampled after each flush so a
     /// scraper sees how far ahead this stage runs of its consumers.
-    depth: Option<onepass_core::obs::Gauge>,
+    depth: Gauge,
 }
 
 impl EdgeWriter {
@@ -587,10 +588,8 @@ impl EdgeWriter {
             g.admit(tx);
         }
         let _ = tx.send(Ok(split));
-        if let Some(d) = &self.depth {
-            let deepest = self.outs.iter().map(|tx| tx.len()).max().unwrap_or(0);
-            d.set(deepest as f64);
-        }
+        let deepest = self.outs.iter().map(|tx| tx.len()).max().unwrap_or(0);
+        self.depth.set(deepest as f64);
     }
 
     /// Flush the remainder and hang up, closing the downstream feeds.
@@ -936,12 +935,11 @@ fn run_pipelined(
         let gate = governor
             .as_ref()
             .map(|g| PressureGate::new(g.clone(), cfg.edge_depth.max(1)));
-        let depth = config.metrics.as_ref().map(|m| {
-            m.gauge(
-                "onepass_plan_edge_depth",
-                &[("stage", &plan.stages[s].job.name)],
-            )
-        });
+        let depth = Gauge::of(
+            config.metrics.as_ref(),
+            names::PLAN_EDGE_DEPTH,
+            &[("stage", &plan.stages[s].job.name)],
+        );
         let writer = Arc::new(Mutex::new(EdgeWriter {
             per_split: cfg.records_per_split.max(1),
             buf: Vec::new(),

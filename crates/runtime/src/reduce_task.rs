@@ -33,7 +33,7 @@
 //!   cannot double-emit.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 
@@ -41,8 +41,8 @@ use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
 use onepass_core::io::SpillStore;
 use onepass_core::memory::MemoryBudget;
-use onepass_core::metrics::{gauges, Phase};
-use onepass_core::trace::LocalTracer;
+use onepass_core::metrics::{Phase, Profile, Stamp};
+use onepass_core::trace::{LocalTracer, LANE};
 use onepass_groupby::aggregate::StateInput;
 use onepass_groupby::{EmitKind, GroupBy, OpStats, Sink, VecSink};
 
@@ -58,6 +58,11 @@ pub struct ReduceResult {
     pub stats: OpStats,
     /// Snapshots emitted (sort-merge + snapshots backend only).
     pub snapshots_taken: u64,
+    /// Governor shed requests this task honoured (worker-local: like the
+    /// profile, it does not travel in a `ReduceDone`).
+    pub sheds_honoured: u64,
+    /// Bytes those sheds freed (worker-local).
+    pub shed_bytes_freed: u64,
     /// Execution attempts consumed (1 = succeeded first try).
     pub attempts: usize,
 }
@@ -223,30 +228,29 @@ pub(crate) fn run_reduce_task_open(
         snapshots_taken: 0,
         sheds: 0,
         shed_bytes: 0,
+        waited: Profile::new(),
     };
     if let Some(total) = total_map_tasks {
         task.set_total(total);
     }
 
-    // The shuffle phase (Fig. 2a lane): from task start until every map
-    // task has a committed attempt. The span closes on every exit.
-    task.trace.begin(Phase::Shuffle.label(), "phase");
+    // The shuffle lane (Fig. 2a): from task start until every map task has
+    // a committed attempt. `Phase::Shuffle` is the part of it spent blocked
+    // on the channel, stamped wait by wait inside. The span closes on every
+    // exit.
+    task.trace.begin("shuffle", LANE);
     let shuffled = task.shuffle(rx);
-    task.trace.end(Phase::Shuffle.label(), "phase");
-    let shuffle_wait = shuffled?;
+    task.trace.end("shuffle", LANE);
+    shuffled?;
 
     let mut stats = task.finish()?;
-    stats.profile.add_time(Phase::Shuffle, shuffle_wait);
-    if task.sheds > 0 {
-        stats.profile.add_count(gauges::MEM_SHED, task.sheds);
-        stats
-            .profile
-            .add_count(gauges::MEM_SHED_BYTES, task.shed_bytes);
-    }
+    stats.profile.merge(&task.waited);
     Ok(ReduceResult {
         partition,
         stats,
         snapshots_taken: task.snapshots_taken,
+        sheds_honoured: task.sheds,
+        shed_bytes_freed: task.shed_bytes,
         attempts: task.attempt + 1,
     })
 }
@@ -296,6 +300,9 @@ struct ReduceTask<'a> {
     /// Shed requests this task honoured, and the bytes they freed.
     sheds: u64,
     shed_bytes: u64,
+    /// `Phase::Shuffle`: time blocked on the shuffle channel. Kept apart
+    /// from the operator's profile, which a retry replaces.
+    waited: Profile,
 }
 
 impl ReduceTask<'_> {
@@ -321,17 +328,15 @@ impl ReduceTask<'_> {
     }
 
     /// Receive until every map task has a committed attempt (with an
-    /// unknown total, until `InputExhausted` pins it down). Returns the
-    /// time spent blocked on the channel.
-    fn shuffle(&mut self, rx: &Receiver<ShuffleMsg>) -> Result<Duration> {
+    /// unknown total, until `InputExhausted` pins it down).
+    fn shuffle(&mut self, rx: &Receiver<ShuffleMsg>) -> Result<()> {
         let dedup = self.opts.dedup_attempts;
-        let mut waited = Duration::ZERO;
         while self.total.is_none_or(|t| self.maps_done < t) {
-            let wait_start = Instant::now();
+            let wait = Stamp::start(Phase::Shuffle);
             let msg = rx
                 .recv()
                 .map_err(|_| Error::InvalidState("shuffle channel closed early".into()))?;
-            waited += wait_start.elapsed();
+            wait.stop(&mut self.waited, self.trace);
             match msg {
                 ShuffleMsg::Abort => {
                     return Err(Error::InvalidState("job aborted by driver".into()));
@@ -368,7 +373,7 @@ impl ReduceTask<'_> {
                 }
             }
         }
-        Ok(waited)
+        Ok(())
     }
 
     /// Push one segment into the current attempt's operator, building it
@@ -526,9 +531,9 @@ impl ReduceTask<'_> {
             let Some(g) = &mut self.grouper else {
                 continue; // nothing received yet: nothing to approximate
             };
-            self.trace.begin("snapshot", "phase");
+            self.trace.begin("snapshot", LANE);
             let taken = guarded(|| g.snapshot(&mut *self.sink));
-            self.trace.end("snapshot", "phase");
+            self.trace.end("snapshot", LANE);
             match taken {
                 Ok(()) => self.snapshots_taken += 1,
                 Err(e) => self.recover(e)?,
@@ -550,7 +555,7 @@ impl ReduceTask<'_> {
             } else {
                 &mut *self.sink
             };
-            self.trace.begin(Phase::ReduceFn.label(), "phase");
+            self.trace.begin("finish", LANE);
             let finished = guarded(|| {
                 check_injector(
                     &self.opts.injector,
@@ -563,7 +568,7 @@ impl ReduceTask<'_> {
                     None => Ok(OpStats::default()), // received no data at all
                 }
             });
-            self.trace.end(Phase::ReduceFn.label(), "phase");
+            self.trace.end("finish", LANE);
             match finished {
                 Ok(stats) => {
                     for (k, v, kind) in staged.emitted {

@@ -1,10 +1,11 @@
 //! Job execution reports: everything the paper's profiling harness
 //! measured, per job.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use onepass_core::io::IoStats;
 use onepass_core::metrics::{Phase, Profile};
+use onepass_core::trace::{LocalTracer, Tracer, Track};
 use onepass_groupby::EmitKind;
 
 use crate::map_task::MapTaskStats;
@@ -28,6 +29,14 @@ impl TaskKind {
             TaskKind::Reduce => "reduce",
         }
     }
+
+    /// Name of the `task`-category trace span around a task of this kind.
+    pub fn span_name(self) -> &'static str {
+        match self {
+            TaskKind::Map => "map_task",
+            TaskKind::Reduce => "reduce_task",
+        }
+    }
 }
 
 /// One task's lifetime relative to job start — the raw material of the
@@ -45,6 +54,53 @@ pub struct TaskSpan {
     pub start: Duration,
     /// End offset from job start.
     pub end: Duration,
+}
+
+/// A running task whose lifetime is being stamped; see [`TaskSpan::open`].
+pub(crate) struct OpenTask {
+    kind: TaskKind,
+    id: usize,
+    began: Instant,
+    /// The task's trace buffer, on track `(kind, track_offset + id)`.
+    pub trace: LocalTracer,
+}
+
+impl TaskSpan {
+    /// Stamp a task's start: the clock is read once here and once in
+    /// [`OpenTask::close`], and those two readings are both the report's
+    /// `TaskSpan` and the trace's `task` span — wherever the task runs,
+    /// an executor thread or a remote worker the coordinator waits on.
+    pub(crate) fn open(kind: TaskKind, id: usize, tracer: &Tracer, track_offset: u64) -> OpenTask {
+        OpenTask {
+            kind,
+            id,
+            trace: tracer.local(Track::new(kind.label(), track_offset + id as u64)),
+            began: Instant::now(),
+        }
+    }
+}
+
+impl OpenTask {
+    /// The task's start as an offset from `clock` (the job or plan start).
+    pub fn started(&self, clock: Instant) -> Duration {
+        self.began.saturating_duration_since(clock)
+    }
+
+    /// The task ended as execution attempt `attempt`. Both ends of the
+    /// span are recorded here, so a task that never ends leaves no span
+    /// open.
+    pub fn close(mut self, attempt: usize, clock: Instant) -> TaskSpan {
+        let ended = Instant::now();
+        self.trace
+            .span(self.kind.span_name(), "task", self.began, ended);
+        TaskSpan {
+            kind: self.kind,
+            id: self.id,
+            attempt,
+            start: self.started(clock),
+            end: ended.saturating_duration_since(clock),
+        }
+    }
 }
 
 /// One output emission.
@@ -385,6 +441,13 @@ pub(crate) fn add_io(acc: &mut IoStats, other: &IoStats) {
 mod tests {
     use super::*;
 
+    /// Charge `secs` to `phase` through the profile's one door.
+    fn charge(profile: &mut Profile, phase: Phase, secs: u64) {
+        let t = Instant::now();
+        let end = t + Duration::from_secs(secs);
+        profile.record(phase, t, end, &mut LocalTracer::disabled());
+    }
+
     #[test]
     fn ratios_and_totals() {
         let mut r = JobReport {
@@ -412,30 +475,15 @@ mod tests {
         };
         r.map_tasks = 2;
         r.reduce_tasks = 1;
-        r.map_profile.add_time(Phase::MapFn, Duration::from_secs(1));
-        r.task_spans = vec![
-            TaskSpan {
-                kind: TaskKind::Map,
-                id: 0,
-                attempt: 0,
-                start: Duration::ZERO,
-                end: Duration::from_millis(500),
-            },
-            TaskSpan {
-                kind: TaskKind::Map,
-                id: 1,
-                attempt: 1,
-                start: Duration::from_millis(100),
-                end: Duration::from_millis(700),
-            },
-            TaskSpan {
-                kind: TaskKind::Reduce,
-                id: 0,
-                attempt: 0,
-                start: Duration::ZERO,
-                end: Duration::from_millis(1500),
-            },
-        ];
+        charge(&mut r.map_profile, Phase::MapFn, 1);
+        let (clock, tracer) = (Instant::now(), Tracer::disabled());
+        r.task_spans = [
+            (TaskKind::Map, 0, 0),
+            (TaskKind::Map, 1, 1),
+            (TaskKind::Reduce, 0, 0),
+        ]
+        .map(|(kind, id, attempt)| TaskSpan::open(kind, id, &tracer, 0).close(attempt, clock))
+        .to_vec();
         let jsonl = r.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4, "3 tasks + 1 summary");
@@ -541,11 +589,9 @@ mod tests {
     #[test]
     fn cpu_excludes_shuffle_wait() {
         let mut r = JobReport::default();
-        r.map_profile.add_time(Phase::MapFn, Duration::from_secs(2));
-        r.reduce_profile
-            .add_time(Phase::Shuffle, Duration::from_secs(3));
-        r.reduce_profile
-            .add_time(Phase::ReduceFn, Duration::from_secs(1));
+        charge(&mut r.map_profile, Phase::MapFn, 2);
+        charge(&mut r.reduce_profile, Phase::Shuffle, 3);
+        charge(&mut r.reduce_profile, Phase::ReduceFn, 1);
         assert_eq!(r.total_cpu(), Duration::from_secs(6));
         assert_eq!(r.total_compute_cpu(), Duration::from_secs(3));
     }

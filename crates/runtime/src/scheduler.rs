@@ -121,10 +121,10 @@ pub(crate) struct SchedulerCtx<'a> {
     pub shuffle_tx: &'a ShuffleTx,
     /// Job (or plan) start time; straggler ages are measured against it.
     pub clock: Instant,
-    /// Live metrics for this stage, when the registry is enabled.
-    /// Progress gauges and per-task stats publish from inside the loop,
-    /// so scrapers see them while the job runs.
-    pub telemetry: Option<&'a StageTelemetry>,
+    /// Live metrics for this stage. Progress gauges and per-task stats
+    /// publish from inside the loop, so scrapers see them while the job
+    /// runs.
+    pub telemetry: &'a StageTelemetry,
 }
 
 /// Run the map coordinator loop until every known split has a winning
@@ -184,9 +184,7 @@ pub(crate) fn schedule_maps(
             cancel,
             delay,
         });
-        if let Some(t) = ctx.telemetry {
-            t.map_attempts.inc(1);
-        }
+        ctx.telemetry.map_attempts.inc(1);
         *outstanding += 1;
     };
 
@@ -201,9 +199,7 @@ pub(crate) fn schedule_maps(
             &mut outstanding,
         );
     }
-    if let Some(t) = ctx.telemetry {
-        t.set_progress(0, splits.len());
-    }
+    ctx.telemetry.set_progress(0, splits.len());
 
     while outstanding > 0 || !feed_closed {
         let evt = if spec.enabled {
@@ -237,9 +233,7 @@ pub(crate) fn schedule_maps(
                         &mut outstanding,
                     );
                 }
-                if let Some(t) = ctx.telemetry {
-                    t.set_progress(completed_count, splits.len());
-                }
+                ctx.telemetry.set_progress(completed_count, splits.len());
             }
             Some(MapEvent::NewSplit(Err(e))) if out.fatal.is_none() => {
                 // Upstream producer failed: this job must not complete on
@@ -296,10 +290,8 @@ pub(crate) fn schedule_maps(
                             for r in &tasks[task].running {
                                 r.cancel.store(true, Ordering::Relaxed);
                             }
-                            if let Some(t) = ctx.telemetry {
-                                t.on_map_finished(&stats);
-                                t.set_progress(completed_count, splits.len());
-                            }
+                            ctx.telemetry.on_map_finished(&stats);
+                            ctx.telemetry.set_progress(completed_count, splits.len());
                             out.map_results.push((stats, span));
                         }
                     }
@@ -309,9 +301,7 @@ pub(crate) fn schedule_maps(
                     }
                     Err(e) => {
                         out.failed_attempts += 1;
-                        if let Some(t) = ctx.telemetry {
-                            t.failed_attempts.inc(1);
-                        }
+                        ctx.telemetry.failed_attempts.inc(1);
                         out.extra_spans.push(span);
                         driver_trace.instant(
                             "task_failed",
@@ -386,9 +376,7 @@ pub(crate) fn schedule_maps(
                 }
                 tasks[task].spec_cloned = true;
                 out.speculative_launched += 1;
-                if let Some(t) = ctx.telemetry {
-                    t.stragglers.inc(1);
-                }
+                ctx.telemetry.stragglers.inc(1);
                 let a = tasks[task].next_attempt;
                 tasks[task].next_attempt += 1;
                 driver_trace.instant(

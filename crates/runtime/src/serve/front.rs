@@ -32,9 +32,14 @@ use super::server::{Server, TenantEvent, TenantHandle};
 
 /// Hex-encode bytes for the wire.
 pub fn hex(bytes: &[u8]) -> String {
+    // A digit table: this runs per byte of every dump and every wire
+    // answer (tens of kilobytes a tenant), so it allocates once, not per
+    // byte.
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0x0f)]));
     }
     s
 }
@@ -229,6 +234,7 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let bytes = [0x00, 0x0a, 0xff, 0x41];
+        assert_eq!(hex(&bytes), "000aff41");
         assert_eq!(unhex(&hex(&bytes)).unwrap(), bytes);
         assert_eq!(unhex("zz"), None);
         assert_eq!(unhex("abc"), None);

@@ -11,11 +11,12 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use onepass_core::obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use onepass_core::obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
 
 use super::tenant::TenantClose;
 
-/// Registered instruments; every probe no-ops when the registry is off.
+/// The family's instruments, each the [`names`] constant of the same
+/// name: registered cells, or detached ones when the registry is off.
 pub(crate) struct ServeMetrics {
     registry: Option<MetricsRegistry>,
     tenants_active: Gauge,
@@ -32,59 +33,40 @@ pub(crate) struct ServeMetrics {
     dlq_dead_total: Counter,
     sheds_total: Counter,
     shed_bytes_total: Counter,
-    backpressure_stalls_total: Option<Counter>,
+    backpressure_stalls_total: Counter,
     /// Guards per-tenant gauge creation (shard workers race).
     tenant_gauge_lock: Mutex<()>,
 }
 
 impl ServeMetrics {
     pub(crate) fn new(registry: Option<MetricsRegistry>) -> ServeMetrics {
-        match registry {
-            None => ServeMetrics {
-                registry: None,
-                tenants_active: Gauge::detached(),
-                sessions: Gauge::detached(),
-                admitted_total: Counter::detached(),
-                rejected_total: Counter::detached(),
-                ingest_records_total: Counter::detached(),
-                early_answers_total: Counter::detached(),
-                final_answers_total: Counter::detached(),
-                ttfa_seconds: Histogram::detached(),
-                staleness_seconds: Histogram::detached(),
-                dlq_poisoned_total: Counter::detached(),
-                dlq_recovered_total: Counter::detached(),
-                dlq_dead_total: Counter::detached(),
-                sheds_total: Counter::detached(),
-                shed_bytes_total: Counter::detached(),
-                backpressure_stalls_total: None,
-                tenant_gauge_lock: Mutex::new(()),
-            },
-            Some(r) => ServeMetrics {
-                tenants_active: r.gauge("onepass_serve_tenants", &[]),
-                sessions: r.gauge("onepass_serve_sessions", &[]),
-                admitted_total: r.counter("onepass_serve_admitted_total", &[]),
-                rejected_total: r.counter("onepass_serve_rejected_total", &[]),
-                ingest_records_total: r.counter("onepass_serve_ingest_records_total", &[]),
-                early_answers_total: r.counter("onepass_serve_early_answers_total", &[]),
-                final_answers_total: r.counter("onepass_serve_final_answers_total", &[]),
-                ttfa_seconds: r.histogram("onepass_serve_ttfa_seconds", &[]),
-                staleness_seconds: r.histogram("onepass_serve_answer_staleness_seconds", &[]),
-                dlq_poisoned_total: r.counter("onepass_serve_dlq_poisoned_total", &[]),
-                dlq_recovered_total: r.counter("onepass_serve_dlq_recovered_total", &[]),
-                dlq_dead_total: r.counter("onepass_serve_dlq_dead_total", &[]),
-                sheds_total: r.counter("onepass_serve_sheds_total", &[]),
-                shed_bytes_total: r.counter("onepass_serve_shed_bytes_total", &[]),
-                backpressure_stalls_total: Some(
-                    r.counter("onepass_serve_backpressure_stalls_total", &[]),
-                ),
-                tenant_gauge_lock: Mutex::new(()),
-                registry: Some(r),
-            },
+        let r = registry.as_ref();
+        let counter = |name| Counter::of(r, name, &[]);
+        let gauge = |name| Gauge::of(r, name, &[]);
+        let histogram = |name| Histogram::of(r, name, &[]);
+        ServeMetrics {
+            tenants_active: gauge(names::SERVE_TENANTS),
+            sessions: gauge(names::SERVE_SESSIONS),
+            admitted_total: counter(names::SERVE_ADMITTED),
+            rejected_total: counter(names::SERVE_REJECTED),
+            ingest_records_total: counter(names::SERVE_INGEST_RECORDS),
+            early_answers_total: counter(names::SERVE_EARLY_ANSWERS),
+            final_answers_total: counter(names::SERVE_FINAL_ANSWERS),
+            ttfa_seconds: histogram(names::SERVE_TTFA_SECONDS),
+            staleness_seconds: histogram(names::SERVE_STALENESS_SECONDS),
+            dlq_poisoned_total: counter(names::SERVE_DLQ_POISONED),
+            dlq_recovered_total: counter(names::SERVE_DLQ_RECOVERED),
+            dlq_dead_total: counter(names::SERVE_DLQ_DEAD),
+            sheds_total: counter(names::SERVE_SHEDS),
+            shed_bytes_total: counter(names::SERVE_SHED_BYTES),
+            backpressure_stalls_total: counter(names::SERVE_BACKPRESSURE_STALLS),
+            tenant_gauge_lock: Mutex::new(()),
+            registry,
         }
     }
 
     /// The ingest backpressure stall counter, for the pressure gate.
-    pub(crate) fn backpressure_stalls(&self) -> Option<Counter> {
+    pub(crate) fn backpressure_stalls(&self) -> Counter {
         self.backpressure_stalls_total.clone()
     }
 
@@ -125,7 +107,7 @@ impl ServeMetrics {
         self.ttfa_seconds.observe_duration(ttfa);
         if let Some(r) = &self.registry {
             let _guard = self.tenant_gauge_lock.lock().expect("tenant gauge lock");
-            r.gauge("onepass_serve_tenant_ttfa_seconds", &[("tenant", tenant)])
+            r.gauge(names::SERVE_TENANT_TTFA_SECONDS, &[("tenant", tenant)])
                 .set(ttfa.as_secs_f64().max(f64::MIN_POSITIVE));
         }
     }

@@ -219,11 +219,8 @@ impl Server {
             config.high_water,
         );
         let metrics = ServeMetrics::new(registry);
-        let gate = PressureGate::new(governor.clone(), config.queue_depth);
-        let gate = match metrics.backpressure_stalls() {
-            Some(c) => gate.with_stall_metric(c),
-            None => gate,
-        };
+        let gate = PressureGate::new(governor.clone(), config.queue_depth)
+            .with_stall_metric(metrics.backpressure_stalls());
         let shared = Arc::new(Shared {
             catalog,
             governor,

@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use onepass_core::governor::MemoryGovernor;
+use onepass_core::obs::Counter;
 use onepass_core::SegmentBuf;
 
 /// A batch of intermediate records for one reducer partition.
@@ -112,8 +113,8 @@ pub struct PressureGate {
     /// Effective queue depth while over high water.
     shrunk_depth: usize,
     stalls: Arc<AtomicU64>,
-    /// Live mirror of `stalls` in the metrics registry, when enabled.
-    stall_metric: Option<onepass_core::obs::Counter>,
+    /// Live mirror of `stalls` (a detached cell when metrics are off).
+    stall_metric: Counter,
 }
 
 impl PressureGate {
@@ -129,13 +130,13 @@ impl PressureGate {
             governor,
             shrunk_depth: (depth / 8).max(1),
             stalls: Arc::new(AtomicU64::new(0)),
-            stall_metric: None,
+            stall_metric: Counter::detached(),
         }
     }
 
     /// Also mirror each stall into a live metrics counter.
-    pub(crate) fn with_stall_metric(mut self, counter: onepass_core::obs::Counter) -> Self {
-        self.stall_metric = Some(counter);
+    pub(crate) fn with_stall_metric(mut self, counter: Counter) -> Self {
+        self.stall_metric = counter;
         self
     }
 
@@ -152,9 +153,7 @@ impl PressureGate {
             if !stalled {
                 stalled = true;
                 self.stalls.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = &self.stall_metric {
-                    c.inc(1);
-                }
+                self.stall_metric.inc(1);
             }
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
@@ -176,8 +175,10 @@ pub struct ShuffleTx {
     records: Arc<AtomicU64>,
     segments: Arc<AtomicU64>,
     pressure: Option<PressureGate>,
-    /// Live registry mirrors of `bytes` / `segments`, when enabled.
-    obs: Option<(onepass_core::obs::Counter, onepass_core::obs::Counter)>,
+    /// Live mirrors of `bytes` / `segments` (detached when metrics are
+    /// off; a job's own totals are read from the fields above, which no
+    /// other round or same-named stage shares).
+    obs: (Counter, Counter),
 }
 
 impl ShuffleTx {
@@ -191,7 +192,7 @@ impl ShuffleTx {
             records: Arc::new(AtomicU64::new(0)),
             segments: Arc::new(AtomicU64::new(0)),
             pressure: None,
-            obs: None,
+            obs: (Counter::detached(), Counter::detached()),
         }
     }
 
@@ -210,11 +211,11 @@ impl ShuffleTx {
     /// out to map workers.
     pub(crate) fn with_metrics(
         mut self,
-        bytes: onepass_core::obs::Counter,
-        segments: onepass_core::obs::Counter,
-        stalls: onepass_core::obs::Counter,
+        bytes: Counter,
+        segments: Counter,
+        stalls: Counter,
     ) -> Self {
-        self.obs = Some((bytes, segments));
+        self.obs = (bytes, segments);
         self.pressure = self.pressure.map(|g| g.with_stall_metric(stalls));
         self
     }
@@ -227,10 +228,8 @@ impl ShuffleTx {
         self.bytes.fetch_add(seg.payload_bytes(), Ordering::Relaxed);
         self.records.fetch_add(seg.len() as u64, Ordering::Relaxed);
         self.segments.fetch_add(1, Ordering::Relaxed);
-        if let Some((bytes, segments)) = &self.obs {
-            bytes.inc(seg.payload_bytes());
-            segments.inc(1);
-        }
+        self.obs.0.inc(seg.payload_bytes());
+        self.obs.1.inc(1);
         self.sink.send_segment(seg, self.pressure.as_ref());
     }
 

@@ -1,86 +1,75 @@
 //! Stage-scoped live-metric handles over [`onepass_core::obs`].
 //!
-//! When [`EngineConfig::metrics`](crate::EngineConfig::metrics) carries a
-//! [`MetricsRegistry`], the executor builds one [`StageTelemetry`] per
-//! executed job (per plan stage), labeled `stage=<job name>`, and threads
-//! its handles into the scheduler loop, the shuffle fabric, and the
-//! reduce sinks. Without a registry nothing is built and every probe site
-//! costs one `Option` branch — mirroring how tracing is gated.
+//! The executor builds one [`StageTelemetry`] per executed job (per plan
+//! stage), labeled `stage=<job name>`, and threads its handles into the
+//! scheduler loop, the shuffle fabric, and the reduce sinks. The gating
+//! rule is the workspace's one rule: handles are always present, minted
+//! through [`Counter::of`] and its siblings — the cells of
+//! [`EngineConfig::metrics`](crate::EngineConfig::metrics)'s registry
+//! when there is one, detached cells when metrics are off — so no probe
+//! site branches on an `Option`. Only the families whose label sets are
+//! not known up front (`phase` here, `tenant` in `serve`) need the
+//! registry itself, and skip the publication without one.
 //!
-//! Metric names follow `onepass_<layer>_<name>` (see `DESIGN.md`
-//! "Observability" for the full catalogue). Stages that share a job name
-//! share label sets and therefore series; give stages distinct names when
-//! that matters.
+//! Names are minted in [`onepass_core::obs::names`] (see `DESIGN.md`
+//! "Observability" for the catalogue). Stages that share a job name share
+//! label sets and therefore series; give stages distinct names when that
+//! matters.
 
 use std::time::Duration;
 
 use onepass_core::metrics::Profile;
-use onepass_core::obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use onepass_core::obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::map_task::MapTaskStats;
+use crate::report::JobReport;
 
-/// Live-metric handles for one executing job / plan stage.
+/// Live-metric handles for one executing job / plan stage; each field is
+/// the [`names`] constant of the same name, labeled `{stage}`.
 #[derive(Debug, Clone)]
 pub(crate) struct StageTelemetry {
-    registry: MetricsRegistry,
+    registry: Option<MetricsRegistry>,
     stage: String,
-    /// `onepass_stage_splits_total{stage}` — input splits known so far.
-    pub splits_total: Gauge,
-    /// `onepass_stage_splits_done{stage}` — splits with a winning attempt.
-    pub splits_done: Gauge,
-    /// `onepass_stage_progress_ratio{stage}` — done / total, 0..=1.
-    pub progress: Gauge,
-    /// `onepass_stage_stragglers_total{stage}` — speculative clones launched.
+    splits_total: Gauge,
+    splits_done: Gauge,
+    progress: Gauge,
     pub stragglers: Counter,
-    /// `onepass_stage_map_attempts_total{stage}` — attempts enqueued,
-    /// including retries and clones.
     pub map_attempts: Counter,
-    /// `onepass_stage_failed_attempts_total{stage}` — attempts that errored.
     pub failed_attempts: Counter,
-    /// `onepass_engine_records_in_total{stage}` — map input records.
-    pub records_in: Counter,
-    /// `onepass_engine_records_out_total{stage}` — sink emissions.
-    pub records_out: Counter,
-    /// `onepass_engine_shuffle_bytes_total{stage}` — shuffled payload bytes.
+    records_in: Counter,
+    records_out: Counter,
     pub shuffle_bytes: Counter,
-    /// `onepass_engine_shuffle_segments_total{stage}` — shuffle segments.
     pub shuffle_segments: Counter,
-    /// `onepass_engine_backpressure_stalls_total{stage}` — sends that
-    /// stalled on memory pressure (shuffle pushes and plan edges).
     pub backpressure_stalls: Counter,
-    /// `onepass_engine_combine_ratio{stage}` — shuffled / emitted records
-    /// per map task that shipped its own output (1.0 = combiner saved
-    /// nothing).
-    pub combine_ratio: Histogram,
-    /// `onepass_innode_combine_ratio{stage}` — shuffled / absorbed records
-    /// per combine-table flush: the ratio of every `HashCombine` task,
-    /// whose attempts ship nothing themselves.
+    combine_ratio: Histogram,
     pub innode_combine_ratio: Histogram,
-    /// `onepass_plan_ttfa_seconds{stage}` — time to each partition's first
-    /// final answer, measured against the job (or plan) clock.
-    pub ttfa: Histogram,
+    ttfa: Histogram,
 }
 
 impl StageTelemetry {
-    /// Register (or re-attach to) the stage's metric set.
-    pub fn new(registry: &MetricsRegistry, stage: &str) -> Self {
+    /// Register (or re-attach to) the stage's metric set in `registry`;
+    /// without one every handle is a detached cell.
+    pub fn new(registry: Option<&MetricsRegistry>, stage: &str) -> Self {
         let l: &[(&str, &str)] = &[("stage", stage)];
+        let counter = |name| Counter::of(registry, name, l);
+        let gauge = |name| Gauge::of(registry, name, l);
+        let histogram = |name| Histogram::of(registry, name, l);
         StageTelemetry {
-            splits_total: registry.gauge("onepass_stage_splits_total", l),
-            splits_done: registry.gauge("onepass_stage_splits_done", l),
-            progress: registry.gauge("onepass_stage_progress_ratio", l),
-            stragglers: registry.counter("onepass_stage_stragglers_total", l),
-            map_attempts: registry.counter("onepass_stage_map_attempts_total", l),
-            failed_attempts: registry.counter("onepass_stage_failed_attempts_total", l),
-            records_in: registry.counter("onepass_engine_records_in_total", l),
-            records_out: registry.counter("onepass_engine_records_out_total", l),
-            shuffle_bytes: registry.counter("onepass_engine_shuffle_bytes_total", l),
-            shuffle_segments: registry.counter("onepass_engine_shuffle_segments_total", l),
-            backpressure_stalls: registry.counter("onepass_engine_backpressure_stalls_total", l),
-            combine_ratio: registry.histogram("onepass_engine_combine_ratio", l),
-            innode_combine_ratio: registry.histogram("onepass_innode_combine_ratio", l),
-            ttfa: registry.histogram("onepass_plan_ttfa_seconds", l),
-            registry: registry.clone(),
+            splits_total: gauge(names::STAGE_SPLITS_TOTAL),
+            splits_done: gauge(names::STAGE_SPLITS_DONE),
+            progress: gauge(names::STAGE_PROGRESS_RATIO),
+            stragglers: counter(names::STAGE_STRAGGLERS),
+            map_attempts: counter(names::STAGE_MAP_ATTEMPTS),
+            failed_attempts: counter(names::STAGE_FAILED_ATTEMPTS),
+            records_in: counter(names::ENGINE_RECORDS_IN),
+            records_out: counter(names::ENGINE_RECORDS_OUT),
+            shuffle_bytes: counter(names::ENGINE_SHUFFLE_BYTES),
+            shuffle_segments: counter(names::ENGINE_SHUFFLE_SEGMENTS),
+            backpressure_stalls: counter(names::ENGINE_BACKPRESSURE_STALLS),
+            combine_ratio: histogram(names::ENGINE_COMBINE_RATIO),
+            innode_combine_ratio: histogram(names::INNODE_COMBINE_RATIO),
+            ttfa: histogram(names::PLAN_TTFA_SECONDS),
+            registry: registry.cloned(),
             stage: stage.to_string(),
         }
     }
@@ -107,51 +96,30 @@ impl StageTelemetry {
         self.publish_profile("map", &stats.profile);
     }
 
-    /// Fold a task profile into the per-phase busy-time counters
-    /// (`onepass_engine_phase_micros_total{stage,side,phase}`).
+    /// Fold a finished task's profile into the per-phase busy-time
+    /// counters (`onepass_engine_phase_micros_total{stage,side,phase}`).
     pub fn publish_profile(&self, side: &str, profile: &Profile) {
-        for (phase, d) in profile.phases() {
-            self.registry
-                .counter(
-                    "onepass_engine_phase_micros_total",
-                    &[
-                        ("phase", phase.label()),
-                        ("side", side),
-                        ("stage", &self.stage),
-                    ],
-                )
-                .inc(d.as_micros() as u64);
+        if let Some(registry) = &self.registry {
+            profile.publish(registry, &[("side", side), ("stage", &self.stage)]);
         }
     }
 
-    /// End-of-run governor state gauges.
-    pub fn publish_governor(
-        &self,
-        rebalances: u64,
-        sheds: u64,
-        shed_bytes: u64,
-        pool_high_water: u64,
-    ) {
+    /// End of run: the gauges that restate the finished job's report
+    /// (wall clock and governor state).
+    pub fn publish_report(&self, report: &JobReport) {
+        let Some(registry) = &self.registry else {
+            return;
+        };
         let l: &[(&str, &str)] = &[("stage", &self.stage)];
-        self.registry
-            .gauge("onepass_governor_rebalances", l)
-            .set(rebalances as f64);
-        self.registry
-            .gauge("onepass_governor_sheds", l)
-            .set(sheds as f64);
-        self.registry
-            .gauge("onepass_governor_shed_bytes", l)
-            .set(shed_bytes as f64);
-        self.registry
-            .gauge("onepass_governor_pool_high_water_bytes", l)
-            .set(pool_high_water as f64);
-    }
-
-    /// End-of-run wall clock gauge (`onepass_job_wall_seconds{stage}`).
-    pub fn publish_wall(&self, wall: Duration) {
-        self.registry
-            .gauge("onepass_job_wall_seconds", &[("stage", &self.stage)])
-            .set(wall.as_secs_f64());
+        let gauge = |name, v: f64| registry.gauge(name, l).set(v);
+        gauge(names::JOB_WALL_SECONDS, report.wall.as_secs_f64());
+        gauge(names::GOVERNOR_REBALANCES, report.mem_rebalances as f64);
+        gauge(names::GOVERNOR_SHEDS, report.mem_sheds as f64);
+        gauge(names::GOVERNOR_SHED_BYTES, report.mem_shed_bytes as f64);
+        gauge(
+            names::GOVERNOR_POOL_HIGH_WATER,
+            report.mem_pool_high_water as f64,
+        );
     }
 }
 
@@ -209,7 +177,7 @@ impl SinkObs {
 mod tests {
     use std::sync::Arc;
 
-    use onepass_core::obs::MetricsRegistry;
+    use onepass_core::obs::{names, MetricsRegistry};
     use onepass_groupby::SumAgg;
 
     use crate::job::{JobSpec, MapEmitter, MapSideMode};
@@ -246,18 +214,18 @@ mod tests {
         let l: &[(&str, &str)] = &[("stage", "ratio")];
         let registry = run(MapSideMode::HashCombine);
         let per_task = registry
-            .histogram("onepass_engine_combine_ratio", l)
+            .histogram(names::ENGINE_COMBINE_RATIO, l)
             .snapshot();
         assert_eq!((per_task.count, per_task.sum), (0, 0.0));
         let per_flush = registry
-            .histogram("onepass_innode_combine_ratio", l)
+            .histogram(names::INNODE_COMBINE_RATIO, l)
             .snapshot();
         assert!(per_flush.count > 0 && per_flush.sum > 0.0);
 
         // A task that ships its own output still observes 3 / 10.
         let registry = run(MapSideMode::SortSpill);
         let per_task = registry
-            .histogram("onepass_engine_combine_ratio", l)
+            .histogram(names::ENGINE_COMBINE_RATIO, l)
             .snapshot();
         assert_eq!(per_task.count, 4);
         assert!((per_task.sum - 4.0 * 0.3).abs() < 1e-9, "{}", per_task.sum);

@@ -33,7 +33,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use crossbeam::thread::Scope;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::obs::{Histogram, MetricsRegistry};
+use onepass_core::obs::{names, Counter, Histogram, MetricsRegistry};
 use onepass_core::trace::{Tracer, Track};
 use onepass_core::SegmentBuf;
 use onepass_groupby::{EmitKind, Sink};
@@ -43,7 +43,7 @@ use super::wire::Frame;
 use crate::executor::TimedSink;
 use crate::map_task::MapTaskStats;
 use crate::reduce_task::ReduceResult;
-use crate::report::{TaskKind, TaskSpan};
+use crate::report::{OpenTask, TaskKind, TaskSpan};
 use crate::scheduler::{MapAssignment, MapEvent};
 use crate::shuffle::{Segment, ShuffleMsg, ShuffleTx};
 
@@ -88,8 +88,9 @@ struct PartInner {
     /// Output staged from the current owner; discarded wholesale (and
     /// rebuilt) on replay so a half-emitted dead owner leaves no trace.
     stage: Option<TimedSink>,
-    /// When this partition's reduce first started (span bookkeeping).
-    started: Duration,
+    /// The partition's lifetime, open since its reduce was first placed
+    /// (a replay onto a new owner continues it); taken when it finishes.
+    task: Option<OpenTask>,
 }
 
 struct PartitionState {
@@ -124,7 +125,7 @@ pub(crate) struct TcpCluster<'a> {
     bail: Mutex<Option<(Receiver<MapAssignment>, Sender<MapEvent>)>>,
     /// First job rejection reason seen, surfaced as the fatal error.
     rejection: Mutex<Option<String>>,
-    rtt: Option<Histogram>,
+    rtt: Histogram,
     tracer: &'a Tracer,
     track_offset: u64,
 }
@@ -150,22 +151,14 @@ impl<'a> TcpCluster<'a> {
                 "transport tcp requires at least one worker address".into(),
             ));
         }
-        let obs = metrics.map(|m| {
-            let stage: &[(&str, &str)] = &[("stage", job_name)];
-            let tx_l: &[(&str, &str)] = &[("stage", job_name), ("dir", "tx")];
-            let rx_l: &[(&str, &str)] = &[("stage", job_name), ("dir", "rx")];
-            (
-                m.counter("onepass_transport_bytes_total", tx_l),
-                m.counter("onepass_transport_bytes_total", rx_l),
-                m.histogram("onepass_transport_rtt_seconds", stage),
-            )
-        });
+        let bytes = |dir| {
+            let labels = [("stage", job_name), ("dir", dir)];
+            Counter::of(metrics, names::TRANSPORT_BYTES, &labels)
+        };
+        let (tx_bytes, rx_bytes) = (bytes("tx"), bytes("rx"));
         let mut links = Vec::with_capacity(workers.len());
         for (id, addr) in workers.iter().enumerate() {
-            let conn = Conn::connect(addr)?;
-            if let Some((tx, rx, _)) = &obs {
-                conn.set_metrics(tx.clone(), rx.clone());
-            }
+            let conn = Conn::connect(addr, tx_bytes.clone(), rx_bytes.clone())?;
             conn.send(&Frame::JobInit {
                 name: job_name.to_string(),
                 knobs: knobs.clone(),
@@ -192,7 +185,7 @@ impl<'a> TcpCluster<'a> {
                         owner,
                         log: Vec::new(),
                         stage: Some(sink_factory(p)),
-                        started: start.elapsed(),
+                        task: Some(TaskSpan::open(TaskKind::Reduce, p, tracer, track_offset)),
                     }),
                 });
             }
@@ -214,7 +207,11 @@ impl<'a> TcpCluster<'a> {
             done_rx,
             bail: Mutex::new(None),
             rejection: Mutex::new(None),
-            rtt: obs.map(|(_, _, rtt)| rtt),
+            rtt: Histogram::of(
+                metrics,
+                names::TRANSPORT_RTT_SECONDS,
+                &[("stage", job_name)],
+            ),
             tracer,
             track_offset,
         })
@@ -325,9 +322,7 @@ impl<'a> TcpCluster<'a> {
                 Frame::Pong { nonce } => {
                     let (sent_nonce, sent_at) = *link.ping.lock().unwrap();
                     if sent_nonce == nonce {
-                        if let Some(rtt) = &self.rtt {
-                            rtt.observe_duration(sent_at.elapsed());
-                        }
+                        self.rtt.observe_duration(sent_at.elapsed());
                     }
                     *link.last_pong.lock().unwrap() = Instant::now();
                 }
@@ -400,18 +395,12 @@ impl<'a> TcpCluster<'a> {
         if inner.owner != link.id || part.done.swap(true, Ordering::SeqCst) {
             return;
         }
-        let Some(sink) = inner.stage.take() else {
+        let (Some(sink), Some(task)) = (inner.stage.take(), inner.task.take()) else {
             return;
         };
-        result.attempts = result.attempts.max(1);
-        let span = TaskSpan {
-            kind: TaskKind::Reduce,
-            id: partition,
-            attempt: result.attempts - 1,
-            start: inner.started,
-            end: self.start.elapsed(),
-        };
         drop(inner);
+        result.attempts = result.attempts.max(1);
+        let span = task.close(result.attempts - 1, self.start);
         let _ = red_res_tx.send(Ok((result, span, sink)));
         let _ = self.done_tx.send(Ok(()));
     }
@@ -469,11 +458,11 @@ impl<'a> TcpCluster<'a> {
             if !asg.delay.is_zero() {
                 std::thread::sleep(asg.delay);
             }
-            let t0 = self.start.elapsed();
+            let task = TaskSpan::open(TaskKind::Map, asg.task, self.tracer, self.track_offset);
             let _ = evt_tx.send(MapEvent::Started {
                 task: asg.task,
                 attempt: asg.attempt,
-                at: t0,
+                at: task.started(self.start),
             });
             let result = match self.run_remote_map(link, &asg) {
                 // A worker-lost failure of a cancelled (speculative
@@ -482,13 +471,7 @@ impl<'a> TcpCluster<'a> {
                 Err(_) if asg.cancel.load(Ordering::SeqCst) => Err(Error::Cancelled),
                 other => other,
             };
-            let span = TaskSpan {
-                kind: TaskKind::Map,
-                id: asg.task,
-                attempt: asg.attempt,
-                start: t0,
-                end: self.start.elapsed(),
-            };
+            let span = task.close(asg.attempt, self.start);
             let _ = evt_tx.send(MapEvent::Finished {
                 task: asg.task,
                 attempt: asg.attempt,
@@ -639,22 +622,16 @@ impl<'a> TcpCluster<'a> {
             // scheduler's retry budget exhausts (fatal) instead of the
             // job hanging on an empty pool. Detached thread; exits when
             // the scheduler drops its sender.
-            let start = self.start;
+            let (start, tracer, offset) = (self.start, self.tracer.clone(), self.track_offset);
             std::thread::spawn(move || {
                 while let Ok(asg) = task_rx.recv() {
-                    let at = start.elapsed();
+                    let task = TaskSpan::open(TaskKind::Map, asg.task, &tracer, offset);
                     let _ = evt_tx.send(MapEvent::Started {
                         task: asg.task,
                         attempt: asg.attempt,
-                        at,
+                        at: task.started(start),
                     });
-                    let span = TaskSpan {
-                        kind: TaskKind::Map,
-                        id: asg.task,
-                        attempt: asg.attempt,
-                        start: at,
-                        end: start.elapsed(),
-                    };
+                    let span = task.close(asg.attempt, start);
                     let _ = evt_tx.send(MapEvent::Finished {
                         task: asg.task,
                         attempt: asg.attempt,

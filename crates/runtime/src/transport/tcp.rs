@@ -10,8 +10,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use onepass_core::error::{Error, Result};
 use onepass_core::obs::Counter;
@@ -27,10 +26,11 @@ pub(crate) struct Conn {
     reader: Mutex<BufReader<TcpStream>>,
     /// Kept solely so either side can force-unblock the reader.
     raw: TcpStream,
-    tx_bytes: AtomicU64,
-    rx_bytes: AtomicU64,
-    /// Live mirrors of tx/rx byte totals, when metrics are enabled.
-    obs: OnceLock<(Counter, Counter)>,
+    /// Bytes written and read, length prefixes included: the cells of
+    /// `onepass_transport_bytes_total{dir}` when the coordinator dialled
+    /// with metrics on, detached cells otherwise.
+    tx_bytes: Counter,
+    rx_bytes: Counter,
 }
 
 /// A panic while one of this connection's locks was held: the stream may
@@ -40,8 +40,14 @@ fn poisoned<T>(_: std::sync::PoisonError<T>) -> Error {
 }
 
 impl Conn {
-    /// Wrap an established socket. `peer` is used in error messages.
-    pub(crate) fn new(stream: TcpStream, peer: String) -> Result<Self> {
+    /// Wrap an established socket. `peer` is used in error messages;
+    /// `tx_bytes` / `rx_bytes` count what crosses it.
+    pub(crate) fn new(
+        stream: TcpStream,
+        peer: String,
+        tx_bytes: Counter,
+        rx_bytes: Counter,
+    ) -> Result<Self> {
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let reader = stream.try_clone()?;
@@ -50,23 +56,16 @@ impl Conn {
             writer: Mutex::new(writer),
             reader: Mutex::new(BufReader::new(reader)),
             raw: stream,
-            tx_bytes: AtomicU64::new(0),
-            rx_bytes: AtomicU64::new(0),
-            obs: OnceLock::new(),
+            tx_bytes,
+            rx_bytes,
         })
     }
 
     /// Dial `addr` and wrap the socket.
-    pub(crate) fn connect(addr: &str) -> Result<Self> {
+    pub(crate) fn connect(addr: &str, tx_bytes: Counter, rx_bytes: Counter) -> Result<Self> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| Error::Io(std::io::Error::new(e.kind(), format!("{addr}: {e}"))))?;
-        Conn::new(stream, addr.to_string())
-    }
-
-    /// Mirror per-direction byte totals into live metrics counters.
-    pub(crate) fn set_metrics(&self, tx: Counter, rx: Counter) {
-        // Set once, by whoever connected, before the first frame.
-        let _ = self.obs.set((tx, rx));
+        Conn::new(stream, addr.to_string(), tx_bytes, rx_bytes)
     }
 
     /// The remote address this connection talks to.
@@ -90,10 +89,7 @@ impl Conn {
             )));
         }
         self.writer.lock().map_err(poisoned)?.write_all(buf)?;
-        self.tx_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        if let Some((tx, _)) = self.obs.get() {
-            tx.inc(buf.len() as u64);
-        }
+        self.tx_bytes.inc(buf.len() as u64);
         Ok(())
     }
 
@@ -102,24 +98,20 @@ impl Conn {
     /// arena of any records the frame carries.
     pub(crate) fn recv(&self) -> Result<Frame> {
         let body = read_body(&mut *self.reader.lock().map_err(poisoned)?)?;
-        self.rx_bytes
-            .fetch_add(4 + body.len() as u64, Ordering::Relaxed);
-        if let Some((_, rx)) = self.obs.get() {
-            rx.inc(4 + body.len() as u64);
-        }
+        self.rx_bytes.inc(4 + body.len() as u64);
         Frame::decode(body)
     }
 
     /// Bytes written so far (frames included, length prefixes included).
     #[cfg(test)]
     pub(crate) fn tx_bytes(&self) -> u64 {
-        self.tx_bytes.load(Ordering::Relaxed)
+        self.tx_bytes.value()
     }
 
     /// Bytes read so far.
     #[cfg(test)]
     pub(crate) fn rx_bytes(&self) -> u64 {
-        self.rx_bytes.load(Ordering::Relaxed)
+        self.rx_bytes.value()
     }
 
     /// Force-close both directions; any blocked `recv`/`send` unblocks
@@ -191,13 +183,14 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (s, _) = listener.accept().unwrap();
-            let conn = Conn::new(s, "client".into()).unwrap();
+            let conn =
+                Conn::new(s, "client".into(), Counter::detached(), Counter::detached()).unwrap();
             let f = conn.recv().unwrap();
             conn.send(&f).unwrap(); // echo
             conn.recv().unwrap_err(); // peer shut down
         });
 
-        let conn = Conn::connect(&addr).unwrap();
+        let conn = Conn::connect(&addr, Counter::detached(), Counter::detached()).unwrap();
         let sent = Frame::Ping { nonce: 7 };
         conn.send(&sent).unwrap();
         assert!(matches!(conn.recv().unwrap(), Frame::Ping { nonce: 7 }));
@@ -220,7 +213,8 @@ mod tests {
         let want = records.clone();
         let server = std::thread::spawn(move || {
             let (s, _) = listener.accept().unwrap();
-            let conn = Conn::new(s, "client".into()).unwrap();
+            let conn =
+                Conn::new(s, "client".into(), Counter::detached(), Counter::detached()).unwrap();
             let Frame::NewSplit { task, split, .. } = conn.recv().unwrap() else {
                 panic!("not a NewSplit");
             };
@@ -229,7 +223,7 @@ mod tests {
             assert_eq!(got, want);
             conn.rx_bytes()
         });
-        let conn = Conn::connect(&addr).unwrap();
+        let conn = Conn::connect(&addr, Counter::detached(), Counter::detached()).unwrap();
         conn.send(&Frame::NewSplit {
             task: 7,
             attempt: 0,
@@ -249,7 +243,7 @@ mod tests {
             use std::io::Write as _;
             s.write_all(&u32::MAX.to_le_bytes()).unwrap();
         });
-        let conn = Conn::connect(&addr).unwrap();
+        let conn = Conn::connect(&addr, Counter::detached(), Counter::detached()).unwrap();
         assert!(matches!(conn.recv(), Err(Error::Corrupt(_))));
         server.join().unwrap();
     }

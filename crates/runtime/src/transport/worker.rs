@@ -32,6 +32,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver};
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::FaultInjector;
 use onepass_core::memory::MemoryBudget;
+use onepass_core::obs::{Counter, Histogram};
 use onepass_core::trace::LocalTracer;
 use onepass_groupby::{EmitKind, Sink};
 
@@ -155,7 +156,7 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "coordinator".into());
-    let Ok(conn) = Conn::new(stream, peer) else {
+    let Ok(conn) = Conn::new(stream, peer, Counter::detached(), Counter::detached()) else {
         return;
     };
     let conn = Arc::new(conn);
@@ -325,7 +326,14 @@ fn map_slot(
 ) {
     // Task-scoped: an attempt's segments and `MapDone` must be on the wire
     // before its `MapOk`.
-    let mut slot = MapSlot::new(job, shuffle_tx, None, CombineScope::Task, None, None);
+    let mut slot = MapSlot::new(
+        job,
+        shuffle_tx,
+        None,
+        CombineScope::Task,
+        None,
+        Histogram::detached(),
+    );
     while let Ok((task, attempt, split)) = map_rx.recv() {
         if dead.load(Ordering::Relaxed) {
             break;
@@ -474,7 +482,7 @@ mod tests {
     #[test]
     fn undecodable_job_init_is_rejected_with_the_reason() {
         let worker = spawn_local(JobRegistry::new(), WorkerOptions::default()).unwrap();
-        let conn = Conn::connect(worker.addr()).unwrap();
+        let conn = Conn::connect(worker.addr(), Counter::detached(), Counter::detached()).unwrap();
         conn.send(&Frame::JobInit {
             name: "n".repeat(1000),
             knobs: Vec::new(),

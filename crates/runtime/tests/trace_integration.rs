@@ -4,14 +4,18 @@
 //! Chrome trace JSON.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use onepass_core::json::Json;
-use onepass_core::trace::{chrome_trace_json, complete_spans, Tracer};
+use onepass_core::metrics::{Phase, PHASE};
+use onepass_core::trace::{chrome_trace_json, complete_spans, TraceEvent, Tracer, LANE};
 use onepass_groupby::SumAgg;
 use onepass_runtime::driver::EngineConfig;
-use onepass_runtime::job::{JobSpec, MapEmitter, ReduceBackend};
+use onepass_runtime::job::{JobSpec, JobSpecBuilder, MapEmitter, MapSideMode, ReduceBackend};
 use onepass_runtime::map_task::Split;
-use onepass_runtime::{Engine, TaskKind};
+use onepass_runtime::{Engine, JobReport};
+use onepass_workloads::clickgen::{ClickGen, ClickGenConfig};
+use onepass_workloads::{make_splits, per_user_count, sessionization};
 
 fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
     for w in record.split(|&b| b == b' ') {
@@ -28,14 +32,14 @@ fn input() -> Vec<Split> {
         .collect()
 }
 
-fn run_traced(
-    backend: Option<ReduceBackend>,
-) -> (
-    onepass_runtime::JobReport,
-    Vec<onepass_core::trace::TraceEvent>,
-) {
+fn run_job(job: &JobSpec, splits: Vec<Split>) -> (JobReport, Vec<TraceEvent>) {
     let tracer = Tracer::enabled();
     let config = EngineConfig::builder().tracer(tracer.clone()).build();
+    let report = Engine::with_config(config).run(job, splits).unwrap();
+    (report, tracer.drain())
+}
+
+fn run_traced(backend: Option<ReduceBackend>) -> (JobReport, Vec<TraceEvent>) {
     let mut builder = JobSpec::builder("wc-traced")
         .map_fn(Arc::new(word_map))
         .aggregate(Arc::new(SumAgg))
@@ -43,9 +47,91 @@ fn run_traced(
     if let Some(b) = backend {
         builder = builder.backend(b);
     }
-    let job = builder.build().unwrap();
-    let report = Engine::with_config(config).run(&job, input()).unwrap();
-    (report, tracer.drain())
+    run_job(&builder.build().unwrap(), input())
+}
+
+/// The two readings of one run agree: every `phase` span is named by a
+/// [`Phase`], per phase the spans add up to the report's profile to the
+/// nanosecond (they are the same clock readings), and every task the
+/// report lists has its `task` span over the same two instants.
+fn assert_trace_is_the_report(what: &str, report: &JobReport, events: &[TraceEvent]) {
+    let spans = complete_spans(events).expect("every begin must be closed");
+    let labels: Vec<&str> = Phase::all().iter().map(|p| p.label()).collect();
+    for s in spans.iter().filter(|s| s.cat == PHASE) {
+        assert!(labels.contains(&s.name), "{what}: phase span `{}`", s.name);
+    }
+    for &phase in Phase::all() {
+        let in_trace: Duration = spans
+            .iter()
+            .filter(|s| s.cat == PHASE && s.name == phase.label())
+            .map(|s| s.duration())
+            .sum();
+        let in_report = report.map_profile.time(phase) + report.reduce_profile.time(phase);
+        assert_eq!(in_trace, in_report, "{what}: {}", phase.label());
+    }
+
+    let tasks: Vec<_> = spans.iter().filter(|s| s.cat == "task").collect();
+    assert_eq!(tasks.len(), report.task_spans.len(), "{what}: task spans");
+    // The report counts from the job clock, the trace from the tracer's
+    // epoch: one constant apart, whichever task it is read off.
+    let mut epoch_to_clock = None;
+    for t in &report.task_spans {
+        let track = (t.kind.label(), t.id as u64);
+        let s = tasks
+            .iter()
+            .find(|s| {
+                (s.track.group, s.track.id) == track
+                    && s.name == t.kind.span_name()
+                    && s.duration() == t.end - t.start
+            })
+            .unwrap_or_else(|| panic!("{what}: no task span for {t:?}"));
+        let offset = s.start - t.start;
+        assert_eq!(
+            *epoch_to_clock.get_or_insert(offset),
+            offset,
+            "{what}: {t:?}"
+        );
+    }
+}
+
+/// 20k text clicks over 500 skewed users in 2k-record splits, and a
+/// reduce budget small enough that every backend spills.
+fn clicks(job: JobSpecBuilder) -> (JobSpec, Vec<Split>) {
+    let mut gen = ClickGen::new(ClickGenConfig {
+        users: 500,
+        ..ClickGenConfig::default()
+    });
+    let splits = make_splits(gen.text_records(20_000), 2_000);
+    let job = job.reducers(2).reduce_budget_bytes(16 << 10);
+    (job.build().unwrap(), splits)
+}
+
+#[test]
+fn phase_spans_are_the_profile_on_every_preset() {
+    type Preset = fn(JobSpecBuilder) -> JobSpecBuilder;
+    let presets: [(&str, Preset); 3] = [
+        ("hadoop", JobSpecBuilder::preset_hadoop),
+        ("hop", JobSpecBuilder::preset_hop),
+        ("onepass", JobSpecBuilder::preset_onepass),
+    ];
+    for (name, preset) in presets {
+        let (job, splits) = clicks(preset(sessionization::job()));
+        let (report, events) = run_job(&job, splits);
+        assert!(report.reduce_spill_traffic() > 0, "{name} must spill");
+        assert_trace_is_the_report(name, &report, &events);
+        // The phases the report charges all have spans — the map function
+        // and the reduce-side grouping among them, which had none.
+        let charged = |p| report.map_profile.time(p) + report.reduce_profile.time(p);
+        assert!(charged(Phase::MapFn) > Duration::ZERO, "{name}");
+        assert!(charged(Phase::Shuffle) > Duration::ZERO, "{name}");
+        assert!(charged(Phase::ReduceFn) > Duration::ZERO, "{name}");
+    }
+
+    let (job, splits) = clicks(per_user_count::job().preset_onepass());
+    assert_eq!(job.map_side, MapSideMode::HashCombine);
+    let (report, events) = run_job(&job, splits);
+    assert_trace_is_the_report("per-user count", &report, &events);
+    assert!(report.map_profile.time(Phase::MapHash) > Duration::ZERO);
 }
 
 #[test]
@@ -61,20 +147,7 @@ fn traced_job_produces_complete_spans_matching_the_report() {
         "one task span per task"
     );
 
-    // Each report task span has a matching trace span on its track.
-    for t in &report.task_spans {
-        let (group, name) = match t.kind {
-            TaskKind::Map => ("map", "map_task"),
-            TaskKind::Reduce => ("reduce", "reduce_task"),
-        };
-        assert!(
-            task_spans
-                .iter()
-                .any(|s| s.name == name && s.track.group == group && s.track.id == t.id as u64),
-            "missing trace span for {group} task {}",
-            t.id
-        );
-    }
+    assert_trace_is_the_report("word count", &report, &events);
 
     // The driver's job span encloses every task span.
     let job = spans.iter().find(|s| s.name == "job").expect("job span");
@@ -82,12 +155,11 @@ fn traced_job_produces_complete_spans_matching_the_report() {
         assert!(s.start >= job.start && s.end <= job.end);
     }
 
-    // Phase sub-spans exist (shuffle on every reducer, at minimum).
-    let shuffles = spans
-        .iter()
-        .filter(|s| s.name == "shuffle" && s.cat == "phase")
-        .count();
-    assert_eq!(shuffles, report.reduce_tasks);
+    // Every reducer shows the Fig. 2a lanes, shuffle then finish.
+    for lane in ["shuffle", "finish"] {
+        let n = spans.iter().filter(|s| (s.name, s.cat) == (lane, LANE));
+        assert_eq!(n.count(), report.reduce_tasks, "{lane} lanes");
+    }
 }
 
 #[test]

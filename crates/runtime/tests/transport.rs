@@ -99,6 +99,33 @@ fn tcp_two_workers_matches_inproc_byte_for_byte() {
     w2.shutdown();
 }
 
+/// The coordinator stamps the lifetime of every task it waits on, so a
+/// traced `--workers` run has a `task` lane per remote map and reduce
+/// over the very instants the report's `TaskSpan` holds (what happens
+/// inside stays on the worker: its buffers do not travel yet).
+#[test]
+fn traced_tcp_run_has_a_task_span_per_remote_task() {
+    let w1 = spawn_local(registry(), WorkerOptions::default()).unwrap();
+    let w2 = spawn_local(registry(), WorkerOptions::default()).unwrap();
+    let tracer = Tracer::enabled();
+    let report = run_tcp_on(&[w1.addr(), w2.addr()], splits(), tracer.clone());
+    let spans = onepass_core::trace::complete_spans(&tracer.drain()).unwrap();
+    let tasks: Vec<_> = spans.iter().filter(|s| s.cat == "task").collect();
+    assert_eq!(tasks.len(), report.map_tasks + report.reduce_tasks);
+    assert_eq!(tasks.len(), report.task_spans.len());
+    for t in &report.task_spans {
+        let track = (t.kind.label(), t.id as u64);
+        assert!(
+            tasks.iter().any(|s| (s.track.group, s.track.id) == track
+                && s.name == t.kind.span_name()
+                && s.duration() == t.end - t.start),
+            "no task span for {t:?}"
+        );
+    }
+    w1.shutdown();
+    w2.shutdown();
+}
+
 /// Satellite: `shuffled_records`/`shuffled_bytes` are counted at the
 /// fabric, above the transport — the same job shuffles the same counted
 /// volume on both transports.

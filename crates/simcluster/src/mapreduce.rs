@@ -14,8 +14,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use onepass_core::metrics::Phase;
-use onepass_core::trace::{Tracer, Track};
+use onepass_core::trace::{Tracer, Track, LANE};
 
 use crate::cluster::ClusterSpec;
 use crate::dfs::{Dfs, DfsConfig};
@@ -1155,7 +1154,7 @@ impl World {
     fn on_snapshot_cpu_done(&mut self, reducer: usize) {
         let now = self.q.now();
         self.sampler.adjust(Gauge::MergeTasks, now, -1.0);
-        self.trace_instant("reduce", reducer, "snapshot", "phase", now, &[]);
+        self.trace_instant("reduce", reducer, "snapshot", LANE, now, &[]);
         self.reducers[reducer].snapshotting = false;
         self.maybe_start_final(reducer);
     }
@@ -1227,8 +1226,8 @@ impl World {
         self.reducers[reducer].state = ReducerState::Finalizing;
         let now = self.q.now();
         self.sampler.adjust(Gauge::ReduceTasks, now, 1.0);
-        self.trace_end("reduce", reducer, Phase::Shuffle.label(), "phase", now);
-        self.trace_begin("reduce", reducer, Phase::ReduceFn.label(), "phase", now);
+        self.trace_end("reduce", reducer, "shuffle", LANE, now);
+        self.trace_begin("reduce", reducer, "finish", LANE, now);
         let node = self.reducers[reducer].node;
         let read_mb = match self.spec.system {
             SystemType::StockHadoop | SystemType::Hop => {
@@ -1354,7 +1353,7 @@ impl World {
             / self.reducers.len() as f64;
         self.sampler.count(Counter::DiskWriteMb, now, out_mb);
         self.sampler.adjust(Gauge::ReduceTasks, now, -1.0);
-        self.trace_end("reduce", reducer, Phase::ReduceFn.label(), "phase", now);
+        self.trace_end("reduce", reducer, "finish", LANE, now);
         self.trace_end("reduce", reducer, "reduce_task", "task", now);
         self.reducers[reducer].state = ReducerState::Done;
         self.reducers_done += 1;
@@ -1416,7 +1415,7 @@ impl World {
         self.trace_begin("driver", 0, "job", "job", 0);
         for r in 0..self.reducers.len() {
             self.trace_begin("reduce", r, "reduce_task", "task", 0);
-            self.trace_begin("reduce", r, Phase::Shuffle.label(), "phase", 0);
+            self.trace_begin("reduce", r, "shuffle", LANE, 0);
         }
         self.sampler
             .set(Gauge::ShuffleTasks, 0, self.reducers.len() as f64);
@@ -1470,7 +1469,7 @@ pub fn run_sim_job(spec: SimJobSpec) -> SimReport {
 /// sim time. Drain the tracer afterwards and feed
 /// [`onepass_core::trace::chrome_trace_json`] to get a timeline on the
 /// exact schema a real engine run produces (map/reduce/driver lanes,
-/// `shuffle`/`reduce_fn` phase spans, spill instants with volumes).
+/// `shuffle`/`finish` lane spans, spill instants with volumes).
 pub fn run_sim_job_traced(spec: SimJobSpec, tracer: Tracer) -> SimReport {
     World::new(spec, tracer).run()
 }
@@ -1659,9 +1658,11 @@ mod tests {
         assert_eq!(maps, report.map_tasks);
         let reduces = spans.iter().filter(|s| s.name == "reduce_task").count();
         assert_eq!(reduces, report.reduce_tasks);
-        // Every reducer shows the shuffle → final phase structure.
-        let shuffles = spans.iter().filter(|s| s.name == "shuffle").count();
-        assert_eq!(shuffles, report.reduce_tasks);
+        // Every reducer shows the engine's shuffle → finish lanes.
+        for lane in ["shuffle", "finish"] {
+            let n = spans.iter().filter(|s| (s.name, s.cat) == (lane, LANE));
+            assert_eq!(n.count(), report.reduce_tasks, "{lane} lanes");
+        }
         // The job span covers the whole run, in sim time.
         let job = spans.iter().find(|s| s.name == "job").expect("job span");
         assert!((job.end.as_secs_f64() - report.completion_secs).abs() < 1e-9);

@@ -2,7 +2,8 @@
 //! series behind every figure panel.
 
 use onepass_core::json::{escape, fmt_f64};
-use onepass_core::metrics::Series;
+use onepass_core::metrics::{phase_micros, Phase, Series};
+use onepass_core::obs::names;
 
 use crate::engine::{to_secs, SimTime};
 use crate::mapreduce::SimJobSpec;
@@ -197,51 +198,36 @@ impl SimReport {
     /// time in that phase, folded onto the nearest engine phase label.
     pub fn publish_metrics(&self, registry: &onepass_core::obs::MetricsRegistry) {
         let l: &[(&str, &str)] = &[("source", "sim"), ("stage", self.workload)];
-        registry
-            .gauge("onepass_stage_splits_total", l)
-            .set(self.map_tasks as f64);
-        registry
-            .gauge("onepass_stage_splits_done", l)
-            .set(self.map_tasks as f64);
-        registry.gauge("onepass_stage_progress_ratio", l).set(1.0);
-        registry
-            .counter("onepass_stage_map_attempts_total", l)
-            .inc(self.faults.map_attempts as u64);
-        registry
-            .counter("onepass_stage_failed_attempts_total", l)
-            .inc(self.faults.retries as u64);
-        registry
-            .counter("onepass_stage_stragglers_total", l)
-            .inc(self.faults.speculative_launched as u64);
-        registry
-            .counter("onepass_engine_shuffle_bytes_total", l)
-            .inc((self.map_output_mb * 1048576.0) as u64);
-        registry
-            .gauge("onepass_job_wall_seconds", l)
-            .set(self.completion_secs);
+        let gauge = |name, v: f64| registry.gauge(name, l).set(v);
+        let counter = |name, v: u64| registry.counter(name, l).inc(v);
+        gauge(names::STAGE_SPLITS_TOTAL, self.map_tasks as f64);
+        gauge(names::STAGE_SPLITS_DONE, self.map_tasks as f64);
+        gauge(names::STAGE_PROGRESS_RATIO, 1.0);
+        counter(names::STAGE_MAP_ATTEMPTS, self.faults.map_attempts as u64);
+        counter(names::STAGE_FAILED_ATTEMPTS, self.faults.retries as u64);
+        counter(
+            names::STAGE_STRAGGLERS,
+            self.faults.speculative_launched as u64,
+        );
+        counter(
+            names::ENGINE_SHUFFLE_BYTES,
+            (self.map_output_mb * 1048576.0) as u64,
+        );
+        gauge(names::JOB_WALL_SECONDS, self.completion_secs);
 
         // ∫ tasks dt ≈ mean concurrency × duration = task-seconds busy.
         let busy = |s: &Series| {
             s.mean_y_in(0.0, self.completion_secs).unwrap_or(0.0) * self.completion_secs
         };
-        let phases: [(&str, &str, f64); 4] = [
-            ("map_fn", "map", busy(&self.series.map_tasks)),
-            ("shuffle", "reduce", busy(&self.series.shuffle_tasks)),
-            ("merge", "reduce", busy(&self.series.merge_tasks)),
-            ("reduce_fn", "reduce", busy(&self.series.reduce_tasks)),
+        let phases: [(Phase, &str, f64); 4] = [
+            (Phase::MapFn, "map", busy(&self.series.map_tasks)),
+            (Phase::Shuffle, "reduce", busy(&self.series.shuffle_tasks)),
+            (Phase::Merge, "reduce", busy(&self.series.merge_tasks)),
+            (Phase::ReduceFn, "reduce", busy(&self.series.reduce_tasks)),
         ];
         for (phase, side, secs) in phases {
-            registry
-                .counter(
-                    "onepass_engine_phase_micros_total",
-                    &[
-                        ("phase", phase),
-                        ("side", side),
-                        ("source", "sim"),
-                        ("stage", self.workload),
-                    ],
-                )
-                .inc((secs * 1e6) as u64);
+            let labels = [("side", side), ("source", "sim"), ("stage", self.workload)];
+            phase_micros(registry, phase, &labels).inc((secs * 1e6) as u64);
         }
     }
 
@@ -368,6 +354,7 @@ mod tests {
 
     #[test]
     fn publish_metrics_mirrors_engine_names_with_sim_label() {
+        use onepass_core::metrics::PHASE;
         use onepass_core::obs::{MetricsRegistry, SampleValue};
         let r = report();
         let registry = MetricsRegistry::new();
@@ -375,14 +362,14 @@ mod tests {
         let snap = registry.snapshot();
         let labels: &[(&str, &str)] = &[("source", "sim"), ("stage", r.workload)];
         let splits = snap
-            .find("onepass_stage_splits_total", labels)
+            .find(names::STAGE_SPLITS_TOTAL, labels)
             .expect("sim mirror registered under the engine's metric name");
         match splits.value {
             SampleValue::Gauge(v) => assert_eq!(v, r.map_tasks as f64),
             ref other => panic!("expected gauge, got {other:?}"),
         }
         let wall = snap
-            .find("onepass_job_wall_seconds", labels)
+            .find(names::JOB_WALL_SECONDS, labels)
             .expect("wall gauge");
         match wall.value {
             SampleValue::Gauge(v) => assert!((v - r.completion_secs).abs() < 1e-9),
@@ -393,8 +380,10 @@ mod tests {
             .metrics
             .iter()
             .find(|m| {
-                m.name == "onepass_engine_phase_micros_total"
-                    && m.labels.iter().any(|(k, v)| k == "phase" && v == "map_fn")
+                m.name == names::ENGINE_PHASE_MICROS
+                    && m.labels
+                        .iter()
+                        .any(|(k, v)| k == PHASE && v == Phase::MapFn.label())
             })
             .expect("map phase mirror");
         match map_busy.value {

@@ -32,22 +32,43 @@ pub fn mix64(mut z: u64) -> u64 {
 /// `w1 ^ w2`). Spreading the length across all 64 bits makes such
 /// trivial zero-padding / length-extension collisions impossible for any
 /// key shorter than a full word.
+///
+/// The values are a contract: every partition, golden dump and wire frame
+/// follows from them, so the function may get faster but a key's value
+/// never changes (the tests pin a table and a byte-at-a-time reference).
 #[inline]
 pub fn fingerprint(key: &[u8]) -> u64 {
     let mut acc: u64 =
         0x9e37_79b9_7f4a_7c15 ^ (key.len() as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    let mut chunks = key.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
-        acc = mix64(acc ^ w);
+    let mut rest = key;
+    while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+        acc = mix64(acc ^ u64::from_le_bytes(*word));
+        rest = tail;
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = [0u8; 8];
-        w[..rem.len()].copy_from_slice(rem);
-        acc = mix64(acc ^ u64::from_le_bytes(w));
+    if !rest.is_empty() {
+        acc = mix64(acc ^ tail_word(key, rest));
     }
     mix64(acc)
+}
+
+/// The last 1–7 bytes of `key` (`rem`) as a zero-padded little-endian
+/// word, assembled from loads that overlap instead of a byte copy into a
+/// zeroed buffer: a variable-length copy is a `memcpy` call plus a load
+/// the store cannot forward to, and every 4-byte user id pays it.
+#[inline]
+fn tail_word(key: &[u8], rem: &[u8]) -> u64 {
+    let r = rem.len();
+    if let Some(last) = key.last_chunk::<8>() {
+        // The key's last eight bytes end with `rem`: shift the rest out.
+        u64::from_le_bytes(*last) >> (8 * (8 - r))
+    } else if let (Some(lo), Some(hi)) = (rem.first_chunk::<4>(), rem.last_chunk::<4>()) {
+        u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << (8 * (r - 4))
+    } else {
+        // 1–3 bytes: first, middle and last cover every position.
+        u64::from(rem[0])
+            | u64::from(rem[r / 2]) << (8 * (r / 2))
+            | u64::from(rem[r - 1]) << (8 * (r - 1))
+    }
 }
 
 /// Dietzfelbinger multiply-shift hashing: `h(x) = (a*x + b) >> (64 - out)`
@@ -73,9 +94,7 @@ impl MultiplyShift {
             b: ((b_hi as u128) << 64) | b_lo as u128,
         }
     }
-}
 
-impl MultiplyShift {
     /// Hash a precomputed [`fingerprint`]. Batched probe loops compute the
     /// fingerprint once per record and reuse it across partition routing
     /// and table probes instead of re-reducing the key bytes each time.
@@ -93,18 +112,6 @@ impl MultiplyShift {
     pub fn bucket_fp(&self, fp: u64, buckets: usize) -> usize {
         debug_assert!(buckets > 0);
         (((self.hash_fp(fp) as u128) * (buckets as u128)) >> 64) as usize
-    }
-
-    /// Hash `key` to a 64-bit value.
-    #[inline]
-    pub fn hash(&self, key: &[u8]) -> u64 {
-        self.hash_fp(fingerprint(key))
-    }
-
-    /// Map `key` into one of `buckets` bins.
-    #[inline]
-    pub fn bucket(&self, key: &[u8], buckets: usize) -> usize {
-        self.bucket_fp(fingerprint(key), buckets)
     }
 }
 
@@ -130,52 +137,6 @@ impl SeededFamily {
 /// Seed used by [`SeededFamily::default`].
 pub const DEFAULT_FAMILY_SEED: u64 = 0x0e70_37ed_1a0b_428d;
 
-/// A `std::hash` adapter over [`fingerprint`]: a fast, non-cryptographic
-/// hasher for the engine's internal byte-key hash tables (the per-key
-/// state maps of the incremental hash paths). Not DoS-hardened — these
-/// tables hold engine-internal intermediate keys, not attacker-controlled
-/// map keys of a long-lived service.
-///
-/// A byte-string key hashes as `write_usize(len)` then `write(bytes)`.
-/// [`fingerprint`] already folds the length in and ends in a full
-/// [`mix64`], so the length prefix is dropped and the hash *is* the
-/// fingerprint: two mixes for a key of up to eight bytes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastHasher {
-    state: u64,
-}
-
-impl std::hash::Hasher for FastHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.state = fingerprint(bytes);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, _len: usize) {}
-}
-
-/// `BuildHasher` for [`FastHasher`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastBuildHasher;
-
-impl std::hash::BuildHasher for FastBuildHasher {
-    type Hasher = FastHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> FastHasher {
-        FastHasher::default()
-    }
-}
-
-/// A `HashMap` keyed by byte strings using [`FastHasher`].
-pub type ByteMap<V> = std::collections::HashMap<Vec<u8>, V, FastBuildHasher>;
-
 impl Default for SeededFamily {
     fn default() -> Self {
         SeededFamily::new(DEFAULT_FAMILY_SEED)
@@ -185,6 +146,55 @@ impl Default for SeededFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The value contract, spelled the slow way: the last partial word is
+    /// zero-padded one byte at a time.
+    fn reference_fingerprint(key: &[u8]) -> u64 {
+        let mut acc: u64 =
+            0x9e37_79b9_7f4a_7c15 ^ (key.len() as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        for chunk in key.chunks(8) {
+            let mut w = 0u64;
+            for (i, &b) in chunk.iter().enumerate() {
+                w |= u64::from(b) << (8 * i);
+            }
+            acc = mix64(acc ^ w);
+        }
+        mix64(acc)
+    }
+
+    proptest! {
+        #[test]
+        fn fingerprint_equals_the_reference_at_every_length(
+            bytes in prop::collection::vec(any::<u8>(), 64..65),
+        ) {
+            for len in 0..=64 {
+                // A prefix and a suffix: same lengths, different alignment.
+                for key in [&bytes[..len], &bytes[64 - len..]] {
+                    prop_assert_eq!(fingerprint(key), reference_fingerprint(key), "len {}", len);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tail_length_with_and_without_a_full_word_before_it() {
+        let bytes: Vec<u8> = (0..15u8)
+            .map(|i| 0xf1u8.wrapping_sub(i.wrapping_mul(37)))
+            .collect();
+        for tail in 1..=7 {
+            for key in [&bytes[..tail], &bytes[..8 + tail]] {
+                assert_eq!(fingerprint(key), reference_fingerprint(key), "{key:?}");
+            }
+        }
+        for key in [&b""[..], &bytes[..8]] {
+            assert_eq!(fingerprint(key), reference_fingerprint(key), "{key:?}");
+        }
+        // A tail whose high bytes are set must not leak past its length.
+        assert_eq!(fingerprint(&[0xff; 3]), reference_fingerprint(&[0xff; 3]));
+        assert_eq!(fingerprint(&[0xff; 7]), reference_fingerprint(&[0xff; 7]));
+        assert_eq!(fingerprint(&[0xff; 13]), reference_fingerprint(&[0xff; 13]));
+    }
 
     #[test]
     fn fingerprint_distinguishes_lengths_and_content() {
@@ -202,7 +212,7 @@ mod tests {
         let mut same = 0;
         for i in 0..1000u32 {
             let k = i.to_le_bytes();
-            if h1.hash(&k) == h2.hash(&k) {
+            if h1.hash_fp(fingerprint(&k)) == h2.hash_fp(fingerprint(&k)) {
                 same += 1;
             }
         }
@@ -215,7 +225,7 @@ mod tests {
         let n = 16;
         let mut seen = vec![false; n];
         for i in 0..10_000u32 {
-            let b = h.bucket(&i.to_le_bytes(), n);
+            let b = h.bucket_fp(fingerprint(&i.to_le_bytes()), n);
             assert!(b < n);
             seen[b] = true;
         }
@@ -229,7 +239,7 @@ mod tests {
         let trials = 80_000u32;
         let mut counts = vec![0usize; n];
         for i in 0..trials {
-            counts[h.bucket(&i.to_le_bytes(), n)] += 1;
+            counts[h.bucket_fp(fingerprint(&i.to_le_bytes()), n)] += 1;
         }
         let expect = trials as f64 / n as f64;
         for c in counts {
@@ -243,21 +253,10 @@ mod tests {
         let fam = SeededFamily::new(99);
         let a = fam.member(0);
         let b = fam.member(1);
-        let k = b"some key";
-        assert_ne!(a.hash(k), b.hash(k));
+        let fp = fingerprint(b"some key");
+        assert_ne!(a.hash_fp(fp), b.hash_fp(fp));
         // Same index is the same function.
-        assert_eq!(fam.member(3).hash(k), fam.member(3).hash(k));
-    }
-
-    #[test]
-    fn member_fp_path_matches_key_path() {
-        let h = SeededFamily::default().member(7);
-        for i in 0..500u32 {
-            let k = i.to_le_bytes();
-            let fp = fingerprint(&k);
-            assert_eq!(h.hash(&k), h.hash_fp(fp));
-            assert_eq!(h.bucket(&k, 13), h.bucket_fp(fp, 13));
-        }
+        assert_eq!(fam.member(3).hash_fp(fp), fam.member(3).hash_fp(fp));
     }
 
     /// Property: `MultiplyShift::bucket` is unbiased — over a large keyset,
@@ -271,7 +270,7 @@ mod tests {
             let h = SeededFamily::default().member(11);
             let mut counts = vec![0u64; n];
             for i in 0..trials {
-                counts[h.bucket(&i.to_le_bytes(), n)] += 1;
+                counts[h.bucket_fp(fingerprint(&i.to_le_bytes()), n)] += 1;
             }
             let expect = trials as f64 / n as f64;
             let chi2: f64 = counts
@@ -326,27 +325,5 @@ mod tests {
         assert_ne!(fingerprint(b"a"), fingerprint(b"a\0"));
         assert_ne!(fingerprint(b"ab"), fingerprint(b"ab\0"));
         assert_ne!(fingerprint(b"abcdefg"), fingerprint(b"abcdefg\0"));
-    }
-
-    #[test]
-    fn byte_map_basic_usage() {
-        let mut m: ByteMap<u32> = ByteMap::default();
-        m.insert(b"alpha".to_vec(), 1);
-        m.insert(b"beta".to_vec(), 2);
-        assert_eq!(m.get(b"alpha".as_slice()), Some(&1));
-        *m.entry(b"alpha".to_vec()).or_insert(0) += 10;
-        assert_eq!(m[b"alpha".as_slice()], 11);
-        assert_eq!(m.len(), 2);
-    }
-
-    /// A `ByteMap` probe costs one `fingerprint`: no length prefix mixed
-    /// in before it, no re-mix after.
-    #[test]
-    fn byte_map_hash_is_the_fingerprint() {
-        use std::hash::BuildHasher;
-        for key in [&b""[..], b"\0", b"user", b"a key longer than one word"] {
-            assert_eq!(FastBuildHasher.hash_one(key.to_vec()), fingerprint(key));
-            assert_eq!(FastBuildHasher.hash_one(key), fingerprint(key));
-        }
     }
 }

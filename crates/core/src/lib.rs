@@ -13,6 +13,8 @@
 //! * [`hashlib`] — the *hash function library*: the pair-wise independent
 //!   multiply-shift family used for partitioning, hybrid-hash bucket
 //!   splits, and sketches.
+//! * [`fp_table`] — the one byte-keyed hash table, probed by a fingerprint
+//!   the caller computed once: key arena, no per-key allocation.
 //! * [`memory`] — budgeted memory accounting, the mechanism by which
 //!   operators detect "buffer full" (Hadoop's `io.sort.mb` analogue).
 //! * [`governor`] — the adaptive memory governor: a job-wide pool leasing
@@ -42,6 +44,7 @@ pub mod bytes_kv;
 pub mod config;
 pub mod error;
 pub mod fault;
+pub mod fp_table;
 pub mod governor;
 pub mod hashlib;
 pub mod io;
@@ -54,3 +57,4 @@ pub mod trace;
 
 pub use bytes_kv::{KvBuf, OwnedKv, SegmentBuf, SegmentBufBuilder};
 pub use error::{Error, Result};
+pub use fp_table::FpTable;

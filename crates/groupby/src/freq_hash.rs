@@ -68,21 +68,22 @@
 use std::sync::Arc;
 
 use onepass_core::error::Result;
-use onepass_core::hashlib::{ByteMap, MultiplyShift, SeededFamily};
+use onepass_core::fp_table::{FpTable, ENTRY_OVERHEAD};
+use onepass_core::hashlib::{MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
-use onepass_sketch::{FrequentItems, MisraGries};
+use onepass_sketch::MisraGries;
 
 use crate::aggregate::{le_u64, Aggregator};
 use crate::hybrid_hash::{
     charge_resize, io_since, spill_entries, split_tagged, state_cost, write_tagged,
-    HybridHashGrouper, STATE_OVERHEAD, TAG_RAW, TAG_STATE,
+    HybridHashGrouper, TAG_RAW, TAG_STATE,
 };
 use crate::sink::{EmitKind, OpStats, Sink};
-use crate::GroupBy;
+use crate::{fingerprint, GroupBy};
 
 /// Share of the budget an eviction round leaves free.
 const EVICT_HEADROOM_DIV: usize = 10;
@@ -175,7 +176,7 @@ pub struct FreqHashGrouper {
     /// [`SeededFamily`]) — built once so per-record cold routing never
     /// re-derives the member.
     cold_hasher: MultiplyShift,
-    states: ByteMap<Resident>,
+    states: FpTable<Resident>,
     reserved: usize,
     peak_reserved: usize,
     cold: Option<ColdRuns>,
@@ -255,7 +256,7 @@ impl FreqHashGrouper {
             sketch,
             early,
             cold_hasher,
-            states: ByteMap::default(),
+            states: FpTable::new(),
             reserved: 0,
             peak_reserved: 0,
             cold: None,
@@ -286,15 +287,10 @@ impl FreqHashGrouper {
         self.evictions
     }
 
-    /// Read access to the resident state of `key` (tests/diagnostics).
-    pub fn resident_state(&self, key: &[u8]) -> Option<&[u8]> {
-        self.states.get(key).map(|r| r.state.as_slice())
-    }
-
     /// Absorb `value` into `key`'s resident state and show the early-emit
     /// policy the result; false if not resident.
-    fn update_resident(&mut self, key: &[u8], value: &[u8], sink: &mut dyn Sink) -> bool {
-        let Some(resident) = self.states.get_mut(key) else {
+    fn update_resident(&mut self, fp: u64, key: &[u8], value: &[u8], sink: &mut dyn Sink) -> bool {
+        let Some(resident) = self.states.get_mut(fp, key) else {
             return false;
         };
         resident.hits += 1;
@@ -316,13 +312,20 @@ impl FreqHashGrouper {
     }
 
     /// Insert a new resident state if the budget allows.
-    fn try_insert(&mut self, key: &[u8], value: &[u8], hits: u64, sink: &mut dyn Sink) -> bool {
+    fn try_insert(
+        &mut self,
+        fp: u64,
+        key: &[u8],
+        value: &[u8],
+        hits: u64,
+        sink: &mut dyn Sink,
+    ) -> bool {
         // The entry's fixed part is charged first, so on a full budget —
         // every cold record — this fails before `init` allocates a state.
         // Escalates to the governor (if leased) before the hotness gate
         // decides between eviction and cold spill. The state itself is
         // charged like in-place growth: softly.
-        let fixed = key.len() + STATE_OVERHEAD;
+        let fixed = key.len() + ENTRY_OVERHEAD;
         if !self.budget.try_grant_or_request(fixed) {
             return false;
         }
@@ -336,7 +339,8 @@ impl FreqHashGrouper {
         }
         let complete = self.cold.is_none();
         self.states.insert(
-            key.to_vec(),
+            fp,
+            key,
             Resident {
                 state,
                 hits,
@@ -353,7 +357,7 @@ impl FreqHashGrouper {
         let mut ranked: Vec<(u64, &[u8], usize)> = self
             .states
             .iter()
-            .map(|(k, r)| (r.hits, k.as_slice(), state_cost(k, &r.state)))
+            .map(|(k, r)| (r.hits, k, state_cost(k, &r.state)))
             .collect();
         ranked.sort_unstable();
         if ranked.is_empty() {
@@ -372,11 +376,11 @@ impl FreqHashGrouper {
         let cut = (ranked[last].0, ranked[last].1.to_vec());
         let before = (self.states.len(), self.reserved);
         let mut states = std::mem::take(&mut self.states);
-        let result = spill_entries(&mut states, |key, r| {
+        let result = spill_entries(&mut states, |fp, key, r| {
             if (r.hits, key) > (cut.0, cut.1.as_slice()) {
                 return Ok(false);
             }
-            self.write_cold(key, &r.state, TAG_STATE)?;
+            self.write_cold(fp, key, &r.state, TAG_STATE)?;
             let cost = state_cost(key, &r.state);
             self.budget.release(cost);
             self.reserved -= cost;
@@ -399,7 +403,7 @@ impl FreqHashGrouper {
         Ok(before.1 - self.reserved)
     }
 
-    fn write_cold(&mut self, key: &[u8], payload: &[u8], tag: u8) -> Result<()> {
+    fn write_cold(&mut self, fp: u64, key: &[u8], payload: &[u8], tag: u8) -> Result<()> {
         let cold = match &mut self.cold {
             Some(cold) => cold,
             slot => {
@@ -414,7 +418,7 @@ impl FreqHashGrouper {
                 })
             }
         };
-        let b = self.cold_hasher.bucket(key, cold.writers.len());
+        let b = self.cold_hasher.bucket_fp(fp, cold.writers.len());
         write_tagged(
             cold.writers[b].as_mut(),
             &mut cold.scratch,
@@ -433,32 +437,36 @@ impl FreqHashGrouper {
         // Answers first, under one stamp; the partial states' cold writes
         // follow outside it — spill I/O, not reduce-function time.
         let t = Stamp::start(Phase::ReduceFn);
-        let mut partial = Vec::new();
-        for (key, r) in std::mem::take(&mut self.states) {
+        let mut states = std::mem::take(&mut self.states);
+        states.retain(|_, key, r| {
             if r.complete {
-                let out = self.agg.finish(&key, r.state);
-                sink.emit(&key, &out, EmitKind::Final);
+                let out = self.agg.finish(key, std::mem::take(&mut r.state));
+                sink.emit(key, &out, EmitKind::Final);
                 self.groups_out += 1;
-                continue;
+                return false;
             }
             if self.sketch.is_some() {
-                let out = self.agg.finish(&key, r.state.clone());
-                sink.emit(&key, &out, EmitKind::Early);
+                let out = self.agg.finish(key, r.state.clone());
+                sink.emit(key, &out, EmitKind::Early);
                 self.early_emits += 1;
             }
-            partial.push((key, r.state));
-        }
+            true
+        });
         t.stop(&mut self.profile, &mut self.trace);
-        for (key, state) in partial {
-            self.write_cold(&key, &state, TAG_STATE)?;
-        }
+        spill_entries(&mut states, |fp, key, r| {
+            self.write_cold(fp, key, &r.state, TAG_STATE)?;
+            Ok(true)
+        })?;
         self.budget.release(self.reserved);
         self.reserved = 0;
         Ok(())
     }
 
+    /// One record. Its key is fingerprinted here, once: the probe, the
+    /// insert, the summary, and the cold bucket all read that value.
     fn push_one(&mut self, key: &[u8], value: &[u8], sink: &mut dyn Sink) -> Result<()> {
-        if self.update_resident(key, value, sink) || self.try_insert(key, value, 1, sink) {
+        let fp = fingerprint(key);
+        if self.update_resident(fp, key, value, sink) || self.try_insert(fp, key, value, 1, sink) {
             return Ok(());
         }
         // Budget full and key not resident: count the miss, then the
@@ -467,10 +475,10 @@ impl FreqHashGrouper {
         // pays for it. Its count is a guaranteed lower bound; an upper
         // bound would make every newly tracked key look hot and start
         // eviction storms. With the gate off no key is ever hot enough.
-        let heat = self.sketch.as_mut().map_or(0, |sketch| {
-            sketch.offer(key);
-            sketch.lower_bound(key)
-        });
+        let heat = self
+            .sketch
+            .as_mut()
+            .map_or(0, |sketch| sketch.offer_fp(fp, key, 1));
         let limit = self.budget.limit();
         let headroom = limit / EVICT_HEADROOM_DIV;
         let used = self.budget.used();
@@ -479,14 +487,14 @@ impl FreqHashGrouper {
         if heat > self.cold_threshold || used > limit.saturating_add(headroom) {
             self.evict_bytes(used.saturating_sub(limit - headroom))?;
             // (A full summary may have discarded this very miss.)
-            if self.try_insert(key, value, heat.max(1), sink) {
+            if self.try_insert(fp, key, value, heat.max(1), sink) {
                 self.trace
                     .instant("admit", "freq", &[("heat", heat as f64)]);
                 return Ok(());
             }
             // Another holder of a shared budget took the room: spill.
         }
-        self.write_cold(key, value, TAG_RAW)
+        self.write_cold(fp, key, value, TAG_RAW)
     }
 }
 
@@ -633,7 +641,7 @@ mod tests {
             let store = SharedMemStore::new();
             let mut g = make(
                 Arc::new(store.clone()),
-                MemoryBudget::new(30 * (8 + 9 + STATE_OVERHEAD)),
+                MemoryBudget::new(30 * (8 + 9 + ENTRY_OVERHEAD)),
                 Arc::new(CountAgg),
             );
             let recs = skewed_records(4000, 500);
@@ -645,6 +653,40 @@ mod tests {
             }
             assert!(stats.spills >= 1, "{name}");
             assert_eq!(store.live_runs(), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_key_is_fingerprinted_once_per_record_on_every_path() {
+        use crate::test_support::{fingerprints_during, records_replayed};
+        use onepass_core::trace::{Tracer, Track};
+        for (name, make) in SPELLINGS {
+            let tracer = Tracer::enabled();
+            let mut g = make(
+                Arc::new(SharedMemStore::new()),
+                MemoryBudget::new(30 * (8 + 9 + ENTRY_OVERHEAD)),
+                Arc::new(CountAgg),
+            );
+            g.set_tracer(tracer.local(Track::new("reduce", 0)));
+            // Key 0 hits on every other record; the first thirty keys are
+            // inserted; the rest miss a full table and spill cold or, gate
+            // on, evict their way in.
+            let recs = skewed_records(4000, 500);
+            let batch = SegmentBuf::from_pairs(pairs(&recs));
+            let mut sink = VecSink::default();
+            let pushing = fingerprints_during(|| g.push_batch(&batch, &mut sink).unwrap());
+            assert_eq!(pushing, 4000, "{name}: one per pushed record");
+            assert!(g.spills >= 1 && g.resident_keys() > 0, "{name}");
+            if g.sketch.is_some() {
+                assert!(g.evictions() > 0, "{name}: the gate admitted a hot miss");
+            }
+            // The exact pass: one per record a hybrid child is handed.
+            let resolving = fingerprints_during(|| {
+                g.finish(&mut sink).unwrap();
+            });
+            drop(g);
+            assert_eq!(resolving, records_replayed(&tracer), "{name}");
+            assert!(resolving > 0, "{name}");
         }
     }
 
@@ -781,7 +823,7 @@ mod tests {
         let store = SharedMemStore::new();
         let mut g = FreqHashGrouper::new(
             Arc::new(store),
-            MemoryBudget::new(20 * (8 + 9 + STATE_OVERHEAD)),
+            MemoryBudget::new(20 * (8 + 9 + ENTRY_OVERHEAD)),
             Arc::new(CountAgg),
         );
         let mut sink = VecSink::default();
@@ -789,7 +831,7 @@ mod tests {
         g.push_batch(&SegmentBuf::from_pairs(pairs(&recs)), &mut sink)
             .unwrap();
         assert!(
-            g.resident_state(b"key00000").is_some(),
+            hits(&g, b"key00000").is_some(),
             "hottest key evicted — hotness gate failed"
         );
         g.finish(&mut sink).unwrap();
@@ -800,7 +842,7 @@ mod tests {
         let store = SharedMemStore::new();
         let mut g = FreqHashGrouper::new(
             Arc::new(store.clone()),
-            MemoryBudget::new(10 * (8 + 9 + STATE_OVERHEAD)),
+            MemoryBudget::new(10 * (8 + 9 + ENTRY_OVERHEAD)),
             Arc::new(CountAgg),
         );
         let recs = skewed_records(2000, 300);
@@ -842,7 +884,7 @@ mod tests {
 
     /// Resident `key`'s hit count, if resident.
     fn hits(g: &FreqHashGrouper, key: &[u8]) -> Option<u64> {
-        g.states.get(key).map(|r| r.hits)
+        g.states.get(fingerprint(key), key).map(|r| r.hits)
     }
 
     /// A key that keeps hitting while resident outranks every resident
@@ -864,9 +906,14 @@ mod tests {
         // A 200-byte round takes at most four of the smallest entries.
         while g.resident_keys() > 4 {
             let before: Vec<(Vec<u8>, u64)> =
-                g.states.iter().map(|(k, r)| (k.clone(), r.hits)).collect();
+                g.states.iter().map(|(k, r)| (k.to_vec(), r.hits)).collect();
             assert!(g.shed(200).unwrap() > 0);
-            let coldest_left = g.states.values().map(|r| r.hits).min().unwrap_or(u64::MAX);
+            let coldest_left = g
+                .states
+                .iter()
+                .map(|(_, r)| r.hits)
+                .min()
+                .unwrap_or(u64::MAX);
             for (key, had) in before {
                 if hits(&g, &key).is_none() {
                     assert!(
@@ -901,7 +948,7 @@ mod tests {
         // budget; frequent-hash spill I/O must be a small fraction of
         // sort-merge spill I/O. (exp_section5 reproduces the full
         // orders-of-magnitude version at scale with real Zipf data.)
-        let budget_bytes = 40 * (9 + 8 + STATE_OVERHEAD);
+        let budget_bytes = 40 * (9 + 8 + ENTRY_OVERHEAD);
         let recs = skewed_records(20_000, 800);
 
         let sm_store = SharedMemStore::new();

@@ -26,7 +26,8 @@
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::{fingerprint, ByteMap, MultiplyShift, SeededFamily};
+use onepass_core::fp_table::{FpTable, ENTRY_OVERHEAD};
+use onepass_core::hashlib::{MultiplyShift, SeededFamily};
 use onepass_core::io::{IoStats, RunMeta, RunWriter, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile, Stamp};
@@ -35,14 +36,11 @@ use onepass_core::SegmentBuf;
 
 use crate::aggregate::Aggregator;
 use crate::sink::{EmitKind, OpStats, Sink};
-use crate::GroupBy;
-
-/// Per-key bookkeeping overhead charged to the budget (hash table slot).
-pub(crate) const STATE_OVERHEAD: usize = 48;
+use crate::{fingerprint, GroupBy};
 
 /// Budget charge for one resident `(key, state)` entry.
 pub(crate) fn state_cost(key: &[u8], state: &[u8]) -> usize {
-    key.len() + state.len() + STATE_OVERHEAD
+    key.len() + state.len() + ENTRY_OVERHEAD
 }
 
 /// Settle the budget after an in-place `update`/`merge` took a resident
@@ -108,15 +106,15 @@ pub(crate) fn split_tagged(value: &[u8]) -> Result<(u8, &[u8])> {
 /// the ones it declines (`Ok(false)`). The first error stops the sweep,
 /// leaves the remaining entries in place and is returned.
 pub(crate) fn spill_entries<V>(
-    table: &mut ByteMap<V>,
-    mut spill: impl FnMut(&[u8], &V) -> Result<bool>,
+    table: &mut FpTable<V>,
+    mut spill: impl FnMut(u64, &[u8], &V) -> Result<bool>,
 ) -> Result<()> {
     let mut result = Ok(());
-    table.retain(|key, value| {
+    table.retain(|fp, key, value| {
         if result.is_err() {
             return true;
         }
-        match spill(key, value) {
+        match spill(fp, key, value) {
             Ok(spilled) => !spilled,
             Err(e) => {
                 result = Err(e);
@@ -143,7 +141,7 @@ pub struct HybridHashGrouper {
     hasher: MultiplyShift,
     fanout: usize,
     level: u32,
-    resident: ByteMap<Vec<u8>>,
+    resident: FpTable<Vec<u8>>,
     /// Bytes granted from the budget for `resident`.
     reserved: usize,
     peak_reserved: usize,
@@ -160,7 +158,7 @@ pub struct HybridHashGrouper {
     /// being emitted here. Without this, a key whose admission *flips*
     /// mid-stream (possible once a shed or a governor limit-raise frees
     /// budget) would get two Finals — one here, one from the run-0 child.
-    run0_keys: ByteMap<()>,
+    run0_keys: FpTable<()>,
     records_in: u64,
     groups_out: u64,
     spills: u64,
@@ -217,12 +215,12 @@ impl HybridHashGrouper {
             hasher,
             fanout,
             level,
-            resident: ByteMap::default(),
+            resident: FpTable::new(),
             reserved: 0,
             peak_reserved: 0,
             spill: None,
             scratch: Vec::new(),
-            run0_keys: ByteMap::default(),
+            run0_keys: FpTable::new(),
             records_in: 0,
             groups_out: 0,
             spills: 0,
@@ -241,8 +239,8 @@ impl HybridHashGrouper {
     /// Update or create the resident state for `key`, charging the budget
     /// for growth. Returns `false` (leaving state untouched) if the key is
     /// new and the budget cannot take it.
-    fn try_absorb(&mut self, key: &[u8], payload: &[u8], tag: u8) -> Result<bool> {
-        if let Some(state) = self.resident.get_mut(key) {
+    fn try_absorb(&mut self, fp: u64, key: &[u8], payload: &[u8], tag: u8) -> Result<bool> {
+        if let Some(state) = self.resident.get_mut(fp, key) {
             let before = state.len();
             match tag {
                 TAG_RAW => self.agg.update(key, state, payload),
@@ -273,14 +271,8 @@ impl HybridHashGrouper {
         }
         self.reserved += cost;
         self.peak_reserved = self.peak_reserved.max(self.reserved);
-        self.resident.insert(key.to_vec(), state);
+        self.resident.insert(fp, key, state);
         Ok(true)
-    }
-
-    /// Bucket for a precomputed key fingerprint at this recursion level
-    /// (0 = resident).
-    fn bucket_fp(&self, fp: u64) -> usize {
-        self.hasher.bucket_fp(fp, self.fanout)
     }
 
     /// Append a tagged record to `bucket`'s run.
@@ -298,11 +290,11 @@ impl HybridHashGrouper {
     /// at the first write error, leaving the remaining states resident.
     fn spill_residents(
         &mut self,
-        mut pick: impl FnMut(&mut Self, &[u8], &[u8]) -> Option<usize>,
+        mut pick: impl FnMut(&mut Self, u64, &[u8], &[u8]) -> Option<usize>,
     ) -> Result<()> {
         let mut resident = std::mem::take(&mut self.resident);
-        let result = spill_entries(&mut resident, |key, state| {
-            let Some(bucket) = pick(self, key, state) else {
+        let result = spill_entries(&mut resident, |fp, key, state| {
+            let Some(bucket) = pick(self, fp, key, state) else {
                 return Ok(false);
             };
             self.write_spill(bucket, key, TAG_STATE, state)?;
@@ -326,7 +318,9 @@ impl HybridHashGrouper {
         self.spill = Some(writers);
         self.spills += 1;
         let before = self.resident.len();
-        self.spill_residents(|g, key, _| Some(g.hasher.bucket(key, g.fanout)).filter(|&b| b != 0))?;
+        self.spill_residents(|g, fp, _, _| {
+            Some(g.hasher.bucket_fp(fp, g.fanout)).filter(|&b| b != 0)
+        })?;
         self.trace.instant(
             "partition",
             "spill",
@@ -339,40 +333,16 @@ impl HybridHashGrouper {
         Ok(())
     }
 
-    fn spill_record(&mut self, key: &[u8], fp: u64, value: &[u8], tag: u8) -> Result<()> {
-        // Bucket-0 keys that could not stay resident overflow into run 0:
-        // keeping them separate from bucket 1..B is what guarantees each
-        // child sees at most ~1/fanout of this level's keys (merging them
-        // into another bucket would let tiny budgets recurse almost
-        // without shrinking).
-        let b = self.bucket_fp(fp);
-        if b == 0 && !self.run0_keys.contains_key(key) {
-            self.run0_keys.insert(key.to_vec(), ());
-        }
-        self.write_spill(b, key, tag, value)
-    }
-
     /// Push a record whose payload is either a raw value (`tag` =
     /// [`TAG_RAW`]) or a partial aggregate state (`tag` = [`TAG_STATE`]).
     /// Used by `freq_hash` to hand off its cold buckets, and internally
     /// for recursion. Callers must count `records_in` themselves if they
-    /// care about it.
+    /// care about it. The key is fingerprinted here, once: routing, the
+    /// probe, the insert and the run-0 set all read that value.
     pub(crate) fn push_tagged(&mut self, key: &[u8], payload: &[u8], tag: u8) -> Result<()> {
-        self.push_tagged_fp(key, fingerprint(key), payload, tag)
-    }
-
-    /// [`Self::push_tagged`] with the key's fingerprint already computed —
-    /// the batched entry points hash each record once and reuse the value
-    /// for routing and probing.
-    pub(crate) fn push_tagged_fp(
-        &mut self,
-        key: &[u8],
-        fp: u64,
-        payload: &[u8],
-        tag: u8,
-    ) -> Result<()> {
+        let fp = fingerprint(key);
         if self.spill.is_none() {
-            if self.try_absorb(key, payload, tag)? {
+            if self.try_absorb(fp, key, payload, tag)? {
                 return Ok(());
             }
             self.partition()?;
@@ -380,10 +350,19 @@ impl HybridHashGrouper {
         }
         // Partitioned mode: bucket 0 keys update resident state when
         // possible; everything else goes to its bucket's run.
-        if self.bucket_fp(fp) == 0 && self.try_absorb(key, payload, tag)? {
-            return Ok(());
+        let bucket = self.hasher.bucket_fp(fp, self.fanout);
+        if bucket == 0 {
+            if self.try_absorb(fp, key, payload, tag)? {
+                return Ok(());
+            }
+            // Bucket-0 keys that could not stay resident overflow into run
+            // 0: keeping them separate from bucket 1..B is what guarantees
+            // each child sees at most ~1/fanout of this level's keys
+            // (merging them into another bucket would let tiny budgets
+            // recurse almost without shrinking).
+            self.run0_keys.insert(fp, key, ());
         }
-        self.spill_record(key, fp, payload, tag)
+        self.write_spill(bucket, key, tag, payload)
     }
 
     /// Emit all resident groups and drop their budget reservation.
@@ -392,16 +371,14 @@ impl HybridHashGrouper {
     /// once.
     fn emit_resident(&mut self, sink: &mut dyn Sink) -> Result<()> {
         let t = Stamp::start(Phase::ReduceFn);
-        let resident = std::mem::take(&mut self.resident);
-        for (key, state) in resident {
-            if !self.run0_keys.is_empty() && self.run0_keys.contains_key(&key) {
-                self.write_spill(0, &key, TAG_STATE, &state)?;
-                continue;
-            }
-            let out = self.agg.finish(&key, state);
-            sink.emit(&key, &out, EmitKind::Final);
-            self.groups_out += 1;
+        if !self.run0_keys.is_empty() {
+            self.spill_residents(|g, fp, key, _| g.run0_keys.get(fp, key).map(|_| 0))?;
         }
+        let (agg, groups_out) = (&self.agg, &mut self.groups_out);
+        self.resident.drain(|key, state| {
+            sink.emit(key, &agg.finish(key, state), EmitKind::Final);
+            *groups_out += 1;
+        });
         self.budget.release(self.reserved);
         self.reserved = 0;
         t.stop(&mut self.profile, &mut self.trace);
@@ -413,10 +390,7 @@ impl GroupBy for HybridHashGrouper {
     fn push_batch(&mut self, batch: &SegmentBuf, _sink: &mut dyn Sink) -> Result<()> {
         self.records_in += batch.len() as u64;
         for (key, value) in batch.iter() {
-            // Hash once per record; the fingerprint is reused for bucket
-            // routing here and (post-partition) for spill routing.
-            let fp = fingerprint(key);
-            self.push_tagged_fp(key, fp, value, TAG_RAW)?;
+            self.push_tagged(key, value, TAG_RAW)?;
         }
         Ok(())
     }
@@ -436,12 +410,12 @@ impl GroupBy for HybridHashGrouper {
             // overflow run) as partial states. `run0_keys` keeps any
             // later re-admission of these keys correct.
             let mut planned = start - self.reserved;
-            self.spill_residents(|g, key, state| {
+            self.spill_residents(|g, fp, key, state| {
                 if planned >= target_bytes {
                     return None;
                 }
                 planned += state_cost(key, state);
-                g.run0_keys.insert(key.to_vec(), ());
+                g.run0_keys.insert(fp, key, ());
                 Some(0)
             })?;
         }
@@ -580,6 +554,29 @@ mod tests {
         assert!(stats.io.bytes_written > 0);
         assert!(stats.passes >= 1, "spilled buckets must be recursed");
         assert_eq!(store.live_runs(), 0, "all runs must be cleaned up");
+    }
+
+    #[test]
+    fn a_key_is_fingerprinted_once_per_record_at_every_level() {
+        use crate::test_support::{fingerprints_during, records_replayed};
+        use onepass_core::trace::{Tracer, Track};
+        let tracer = Tracer::enabled();
+        let (mut g, _) = grouper(1200, 4);
+        g.set_tracer(tracer.local(Track::new("reduce", 0)));
+        // Absorbed, inserted, routed to a bucket run and overflowed to run
+        // 0 alike: the one value computed on entry serves them all, and
+        // partitioning re-buckets residents from their stored values.
+        let recs = records(2000, 300);
+        let batch = SegmentBuf::from_pairs(pairs(&recs));
+        let mut sink = crate::sink::VecSink::default();
+        let pushing = fingerprints_during(|| g.push_batch(&batch, &mut sink).unwrap());
+        assert_eq!(pushing, 2000);
+        assert!(g.spill.is_some() && !g.run0_keys.is_empty());
+        let mut passes = 0;
+        let recursing = fingerprints_during(|| passes = g.finish(&mut sink).unwrap().passes);
+        drop(g);
+        assert!(passes > 4, "children partitioned again: {passes} passes");
+        assert_eq!(recursing, records_replayed(&tracer));
     }
 
     #[test]

@@ -128,6 +128,13 @@ pub trait GroupBy: Send {
     fn name(&self) -> &'static str;
 }
 
+// The operators hash a record's key through this name, once, on entry;
+// under test it is the counting wrapper that holds them to it.
+#[cfg(not(test))]
+use onepass_core::hashlib::fingerprint;
+#[cfg(test)]
+use test_support::counted_fingerprint as fingerprint;
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
@@ -171,6 +178,39 @@ pub(crate) mod test_support {
             *t.entry(k.to_vec()).or_default() += 1;
         }
         t
+    }
+
+    thread_local! {
+        static FINGERPRINTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// [`fingerprint`](onepass_core::hashlib::fingerprint), counted per
+    /// thread: what this crate's operators call under test.
+    pub fn counted_fingerprint(key: &[u8]) -> u64 {
+        FINGERPRINTS.set(FINGERPRINTS.get() + 1);
+        onepass_core::hashlib::fingerprint(key)
+    }
+
+    /// Fingerprints the operators computed on this thread while `f` ran.
+    pub fn fingerprints_during(f: impl FnOnce()) -> u64 {
+        let before = FINGERPRINTS.get();
+        f();
+        FINGERPRINTS.get() - before
+    }
+
+    /// Records the exact passes pushed into hybrid-hash children, read
+    /// off the trace: every `cold_bucket_resolve` and `bucket_reload`
+    /// instant carries the record count of the run about to be replayed.
+    pub fn records_replayed(tracer: &onepass_core::trace::Tracer) -> u64 {
+        let replays = tracer
+            .drain()
+            .into_iter()
+            .filter(|e| e.name == "cold_bucket_resolve" || e.name == "bucket_reload");
+        replays
+            .flat_map(|e| e.args)
+            .filter(|(arg, _)| *arg == "records")
+            .map(|(_, n)| n as u64)
+            .sum()
     }
 
     /// Decode a u64 value emitted by `CountAgg`/`SumAgg`.

@@ -31,17 +31,17 @@ use std::sync::Arc;
 
 use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
 use onepass_core::error::Result;
-use onepass_core::hashlib::ByteMap;
 use onepass_core::io::{IoStats, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
+use onepass_core::FpTable;
 
 use crate::aggregate::Aggregator;
 use crate::hybrid_hash::io_since;
 use crate::merge::MultiPassMerger;
 use crate::sink::{EmitKind, OpStats, Sink};
-use crate::GroupBy;
+use crate::{fingerprint, GroupBy};
 
 /// Bookkeeping bytes charged to the budget per buffered record (its
 /// 12-byte entry-table slot plus slack).
@@ -280,32 +280,34 @@ impl GroupBy for SortMergeGrouper {
     /// emit approximate answers. The re-read is the snapshot's I/O cost.
     fn snapshot(&mut self, sink: &mut dyn Sink) -> Result<()> {
         let t = Stamp::start(Phase::Merge);
-        let mut states: ByteMap<Vec<u8>> = ByteMap::default();
+        let mut states: FpTable<Vec<u8>> = FpTable::new();
         for run in self.merger.runs() {
             let mut reader = self.store.open_run(run.id)?;
             while let Some(rec) = reader.next_record()? {
                 // Run records are already aggregate states.
-                match states.get_mut(rec.key) {
+                let fp = fingerprint(rec.key);
+                match states.get_mut(fp, rec.key) {
                     Some(s) => self.agg.merge(rec.key, s, rec.value),
                     None => {
-                        states.insert(rec.key.to_vec(), rec.value.to_vec());
+                        states.insert(fp, rec.key, rec.value.to_vec());
                     }
                 }
             }
         }
         for (k, v) in self.buffered.iter().flat_map(SegmentBuf::iter) {
-            match states.get_mut(k) {
+            let fp = fingerprint(k);
+            match states.get_mut(fp, k) {
                 Some(s) => self.agg.update(k, s, v),
                 None => {
-                    states.insert(k.to_vec(), self.agg.init(k, v));
+                    states.insert(fp, k, self.agg.init(k, v));
                 }
             }
         }
         self.early_emits += states.len() as u64;
-        for (k, state) in states {
-            let out = self.agg.finish(&k, state);
-            sink.emit(&k, &out, EmitKind::Early);
-        }
+        states.drain(|k, state| {
+            let out = self.agg.finish(k, state);
+            sink.emit(k, &out, EmitKind::Early);
+        });
         t.stop(&mut self.profile, &mut self.trace);
         Ok(())
     }

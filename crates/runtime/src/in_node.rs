@@ -69,8 +69,9 @@ use std::sync::Arc;
 
 use onepass_core::bytes_kv::{KvBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
+use onepass_core::fp_table::{FpTable, ENTRY_OVERHEAD};
 use onepass_core::governor::MemoryGovernor;
-use onepass_core::hashlib::{fingerprint, mix64};
+use onepass_core::hashlib::fingerprint;
 use onepass_core::io::SpillStore;
 use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Stamp};
@@ -94,131 +95,12 @@ pub(crate) enum CombineScope {
     Task,
 }
 
-/// Per-entry bookkeeping overhead charged to the combine budget on top of
-/// key + state payload (slot, fingerprint, ranges, state `Vec` header).
-const ENTRY_OVERHEAD: usize = 48;
-
-/// Empty marker in the slot array.
-const EMPTY: u32 = u32::MAX;
-
-/// Open-addressed combine table probed by precomputed key fingerprint,
-/// with key bytes in a shared arena. The fold loop computes each key's
-/// [`fingerprint`] exactly once; the probe compares fingerprints before
-/// touching key bytes, and a miss appends the key to the arena instead of
-/// boxing it — the per-distinct-key allocations of a
-/// `HashMap<Vec<u8>, _>` are what made table-based combining lose to the
-/// sort path's arena discipline on combine-heavy workloads. States stay
-/// individually owned because [`Aggregator::update`] grows them in place.
-struct FpTable {
-    /// Entry indices, length always a power of two; `EMPTY` = free.
-    slots: Vec<u32>,
-    /// Per-entry key fingerprints, parallel to `key_ranges`/`states`.
-    fps: Vec<u64>,
-    /// Per-entry `(start, end)` into `keys`.
-    key_ranges: Vec<(u32, u32)>,
-    /// Per-entry aggregate state.
-    states: Vec<Vec<u8>>,
-    /// Key-byte arena.
-    keys: Vec<u8>,
-}
-
-impl FpTable {
-    fn new() -> Self {
-        FpTable {
-            slots: Vec::new(),
-            fps: Vec::new(),
-            key_ranges: Vec::new(),
-            states: Vec::new(),
-            keys: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.fps.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.fps.is_empty()
-    }
-
-    fn key(&self, e: usize) -> &[u8] {
-        let (s, t) = self.key_ranges[e];
-        &self.keys[s as usize..t as usize]
-    }
-
-    /// Double the slot array and re-place every entry. Only fingerprints
-    /// are re-mixed — key bytes are never touched on growth.
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(64);
-        self.slots.clear();
-        self.slots.resize(cap, EMPTY);
-        let mask = cap - 1;
-        for (e, &fp) in self.fps.iter().enumerate() {
-            let mut i = mix64(fp) as usize & mask;
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = e as u32;
-        }
-    }
-
-    /// Fold one record: combine into the existing entry for `key`, or
-    /// append a new entry initialised with `agg.init`. Returns the arena
-    /// bytes a new entry added (0 on a hit).
-    fn upsert(&mut self, fp: u64, key: &[u8], value: &[u8], agg: &dyn Aggregator) -> usize {
-        // Keep load factor under 7/8 so linear probes stay short.
-        if self.slots.len() < 8 || self.len() >= self.slots.len() / 8 * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = mix64(fp) as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                let start = self.keys.len() as u32;
-                self.keys.extend_from_slice(key);
-                self.slots[i] = self.fps.len() as u32;
-                self.fps.push(fp);
-                self.key_ranges.push((start, self.keys.len() as u32));
-                let state = agg.init(key, value);
-                let grown = key.len() + state.len() + ENTRY_OVERHEAD;
-                self.states.push(state);
-                return grown;
-            }
-            let e = s as usize;
-            if self.fps[e] == fp && self.key(e) == key {
-                let (ks, kt) = self.key_ranges[e];
-                agg.update(
-                    &self.keys[ks as usize..kt as usize],
-                    &mut self.states[e],
-                    value,
-                );
-                return 0;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Drain every entry (insertion order) into `out`, keeping the
-    /// allocated capacity for the next fill.
-    fn drain_into(&mut self, out: &mut SegmentBufBuilder) {
-        for (e, state) in self.states.iter().enumerate() {
-            let (s, t) = self.key_ranges[e];
-            out.push(&self.keys[s as usize..t as usize], state);
-        }
-        self.slots.iter_mut().for_each(|s| *s = EMPTY);
-        self.fps.clear();
-        self.key_ranges.clear();
-        self.states.clear();
-        self.keys.clear();
-    }
-}
-
 /// The shared combine table of one map worker. Not thread-safe by
 /// construction: each worker owns exactly one, and all folds happen on
 /// the worker's own thread after a task attempt succeeds.
 pub(crate) struct WorkerCombiner {
-    tables: Vec<FpTable>,
+    /// One table per reduce partition, key → partial aggregate state.
+    tables: Vec<FpTable<Vec<u8>>>,
     /// Successful attempts folded since the last flush, in fold order.
     contributors: Vec<(usize, usize)>,
     budget: MemoryBudget,
@@ -261,8 +143,15 @@ impl WorkerCombiner {
         let mut grown = 0usize;
         for (_, key, value) in buf.iter() {
             let fp = fingerprint(key);
-            let p = partitioner.partition_fp(fp, key, reducers);
-            grown += self.tables[p].upsert(fp, key, value, agg);
+            let table = &mut self.tables[partitioner.partition_fp(fp, key, reducers)];
+            match table.get_mut(fp, key) {
+                Some(state) => agg.update(key, state, value),
+                None => {
+                    let state = agg.init(key, value);
+                    grown += key.len() + state.len() + ENTRY_OVERHEAD;
+                    table.insert(fp, key, state);
+                }
+            }
         }
         if grown > 0 && !self.budget.try_grant(grown) {
             // Soft limit: the table must be able to absorb a completed
@@ -291,13 +180,9 @@ impl WorkerCombiner {
         map_store: Option<&Arc<dyn SpillStore>>,
         ratio: &Histogram,
     ) -> Result<()> {
-        if self.contributors.is_empty() {
+        let Some(&(trigger_task, trigger_attempt)) = self.contributors.last() else {
             return Ok(());
-        }
-        let (trigger_task, trigger_attempt) = *self
-            .contributors
-            .last()
-            .expect("contributor list is non-empty");
+        };
         let mut segments = Vec::with_capacity(self.tables.len());
         let mut sent_records = 0u64;
         for (p, table) in self.tables.iter_mut().enumerate() {
@@ -305,7 +190,7 @@ impl WorkerCombiner {
                 continue;
             }
             let mut records = SegmentBufBuilder::new();
-            table.drain_into(&mut records);
+            table.drain(|key, state| records.push(key, &state));
             let seg = Segment {
                 map_task: trigger_task,
                 attempt: trigger_attempt,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use onepass_core::config::{DEFAULT_MERGE_FACTOR, MIB};
 use onepass_core::error::{Error, Result};
-use onepass_core::hashlib::{MultiplyShift, SeededFamily};
+use onepass_core::hashlib::{fingerprint, MultiplyShift, SeededFamily};
 use onepass_groupby::Aggregator;
 use onepass_groupby::EarlyEmit;
 
@@ -77,7 +77,7 @@ impl Default for HashPartitioner {
 
 impl Partitioner for HashPartitioner {
     fn partition(&self, key: &[u8], reducers: usize) -> usize {
-        self.hasher.bucket(key, reducers)
+        self.hasher.bucket_fp(fingerprint(key), reducers)
     }
 
     fn partition_fp(&self, fp: u64, _key: &[u8], reducers: usize) -> usize {
@@ -569,5 +569,72 @@ mod tests {
         let job = JobSpec::builder("t").preset_hop().build().unwrap();
         assert_eq!(job.backend.label(), "sort-merge+snapshots (HOP)");
         assert!(matches!(job.shuffle, ShuffleMode::Push { .. }));
+    }
+
+    /// Twenty fixed keys: lengths 0–31, every tail length, 4-byte user
+    /// ids as the click workloads emit them.
+    const PINNED_KEYS: [&[u8]; 20] = [
+        b"",
+        b"a",
+        b"ab",
+        b"u42",
+        &[0, 0, 0, 0],
+        &[1, 0, 0, 0],
+        &[42, 0, 0, 0],
+        &[0x2f, 0x75, 0, 0],
+        &[0xff, 0xff, 0xff, 0xff],
+        b"hello",
+        b"user:7",
+        b"/page/7",
+        b"abcdefgh",
+        b"abcdefghi",
+        b"key0001234",
+        b"sessionize!",
+        b"0123456789abc",
+        b"0123456789abcdef",
+        b"0123456789abcdefg",
+        b"the quick brown fox jumps over!",
+    ];
+
+    /// Their partitions of 2, 7 and 16 reducers, read off the engine
+    /// before `fingerprint`'s tail was rewritten: every golden dump and
+    /// wire frame follows from these, so a change of values fails here.
+    const PINNED_PARTITIONS: [(usize, usize, usize); 20] = [
+        (1, 5, 12),
+        (1, 5, 12),
+        (1, 5, 11),
+        (0, 2, 6),
+        (0, 0, 2),
+        (1, 6, 14),
+        (0, 3, 6),
+        (1, 4, 9),
+        (1, 4, 11),
+        (1, 5, 12),
+        (1, 3, 9),
+        (0, 2, 5),
+        (0, 2, 6),
+        (1, 5, 12),
+        (1, 4, 11),
+        (1, 5, 13),
+        (0, 0, 2),
+        (0, 3, 6),
+        (0, 0, 1),
+        (0, 2, 6),
+    ];
+
+    #[test]
+    fn hash_partitions_of_fixed_keys_are_pinned() {
+        let p = HashPartitioner::default();
+        for (key, want) in PINNED_KEYS.into_iter().zip(PINNED_PARTITIONS) {
+            let fp = fingerprint(key);
+            let of = |reducers| {
+                assert_eq!(
+                    p.partition(key, reducers),
+                    p.partition_fp(fp, key, reducers)
+                );
+                p.partition_fp(fp, key, reducers)
+            };
+            assert_eq!((of(2), of(7), of(16)), want, "key {key:?}");
+        }
     }
 }

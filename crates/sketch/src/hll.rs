@@ -12,7 +12,7 @@
 //! bias-corrected estimator of Flajolet et al., and linear counting for
 //! the small range.
 
-use onepass_core::hashlib::MultiplyShift;
+use onepass_core::hashlib::{fingerprint, MultiplyShift};
 
 /// A HyperLogLog distinct-count sketch.
 #[derive(Debug, Clone)]
@@ -41,7 +41,7 @@ impl HyperLogLog {
 
     /// Observe one item.
     pub fn insert(&mut self, item: &[u8]) {
-        let h = self.hasher.hash(item);
+        let h = self.hasher.hash_fp(fingerprint(item));
         let idx = (h >> (64 - self.p)) as usize;
         // Rank of the first set bit in the remaining stream (1-based),
         // computed over the low 64-p bits.
@@ -92,7 +92,7 @@ impl HyperLogLog {
             return false;
         }
         let hasher = MultiplyShift::new(0x4c0_91dd);
-        let h = hasher.hash(item);
+        let h = hasher.hash_fp(fingerprint(item));
         let idx = (h >> (64 - p)) as usize;
         let rank = ((h << p).leading_zeros() as u8 + 1).min(64 - p + 1);
         if rank > state[1 + idx] {

@@ -59,12 +59,6 @@ pub trait FrequentItems: Send {
     /// Estimated count for `key`, if currently tracked.
     fn estimate(&self, key: &[u8]) -> Option<HeavyHitter>;
 
-    /// Occurrences of `key` the summary *guarantees* it has seen
-    /// (`count − error`), 0 when untracked. Unlike
-    /// [`FrequentItems::estimate`] it copies no key, so it can sit on a
-    /// per-record path.
-    fn lower_bound(&self, key: &[u8]) -> u64;
-
     /// Is `key` currently tracked?
     fn contains(&self, key: &[u8]) -> bool {
         self.estimate(key).is_some()
@@ -130,9 +124,8 @@ mod trait_tests {
         assert!(sk.contains(b"hot"));
         let hot = sk.estimate(b"hot").unwrap();
         assert!(hot.count >= 60 - 30, "hot estimate {} too low", hot.count);
-        assert_eq!(sk.lower_bound(b"hot"), hot.count - hot.error);
-        assert!(sk.lower_bound(b"hot") <= 60, "lower bound above the truth");
-        assert_eq!(sk.lower_bound(b"never offered"), 0);
+        assert!(hot.count - hot.error <= 60, "lower bound above the truth");
+        assert!(sk.estimate(b"never offered").is_none());
         let items = sk.items();
         assert_eq!(items[0].key, b"hot".to_vec());
         for w in items.windows(2) {

@@ -101,10 +101,6 @@ impl FrequentItems for LossyCounting {
         })
     }
 
-    fn lower_bound(&self, key: &[u8]) -> u64 {
-        self.counters.get(key).map_or(0, |e| e.count)
-    }
-
     fn items(&self) -> Vec<HeavyHitter> {
         sort_items(
             self.counters

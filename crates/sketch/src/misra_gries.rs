@@ -13,7 +13,8 @@
 //! decrement pass destroys `k+1` stream occurrences (the k decrements plus
 //! the arriving one), so total decrement work over the stream is O(N).
 
-use std::collections::HashMap;
+use onepass_core::hashlib::fingerprint;
+use onepass_core::FpTable;
 
 use crate::{sort_items, FrequentItems, HeavyHitter};
 
@@ -21,7 +22,7 @@ use crate::{sort_items, FrequentItems, HeavyHitter};
 #[derive(Debug)]
 pub struct MisraGries {
     capacity: usize,
-    counters: HashMap<Vec<u8>, u64>,
+    counters: FpTable<u64>,
     processed: u64,
     /// Total amount decremented from every surviving counter so far; this
     /// is the uniform upper bound on each estimate's under-count.
@@ -34,7 +35,7 @@ impl MisraGries {
         assert!(capacity >= 1, "MisraGries needs at least one counter");
         MisraGries {
             capacity,
-            counters: HashMap::with_capacity(capacity + 1),
+            counters: FpTable::with_capacity(capacity),
             processed: 0,
             decrements: 0,
         }
@@ -46,29 +47,20 @@ impl MisraGries {
         self.decrements
     }
 
-    fn decrement_all(&mut self, by: u64) {
-        self.decrements += by;
-        self.counters.retain(|_, c| {
-            *c = c.saturating_sub(by);
-            *c > 0
-        });
-    }
-}
-
-impl FrequentItems for MisraGries {
-    fn offer_n(&mut self, key: &[u8], mut n: u64) {
-        if n == 0 {
-            return;
-        }
+    /// Observe `n` occurrences of `key`, whose [`fingerprint`] is `fp`, and
+    /// return the count the summary then guarantees for it (0 when they
+    /// were discarded) — offer and read in one probe, copying no key, for
+    /// a per-record path that hashed the key already.
+    pub fn offer_fp(&mut self, fp: u64, key: &[u8], mut n: u64) -> u64 {
         self.processed += n;
-        if let Some(c) = self.counters.get_mut(key) {
+        if let Some(c) = self.counters.get_mut(fp, key) {
             *c += n;
-            return;
+            return *c;
         }
         while n > 0 {
             if self.counters.len() < self.capacity {
-                self.counters.insert(key.to_vec(), n);
-                return;
+                self.counters.insert(fp, key, n);
+                return n;
             }
             // Summary full: decrement everything by the smallest live
             // count or by n, whichever is less — a batched version of the
@@ -77,28 +69,37 @@ impl FrequentItems for MisraGries {
             let step = if n == 1 {
                 1
             } else {
-                let min = self.counters.values().copied().min().unwrap_or(0).max(1);
-                min.min(n)
+                let min = self.counters.iter().map(|(_, &c)| c).min().unwrap_or(0);
+                min.max(1).min(n)
             };
             self.decrement_all(step);
             n -= step;
-            if n > 0 && self.counters.len() < self.capacity {
-                self.counters.insert(key.to_vec(), n);
-                return;
-            }
         }
+        0
+    }
+
+    fn decrement_all(&mut self, by: u64) {
+        self.decrements += by;
+        self.counters.retain(|_, _, c| {
+            *c = c.saturating_sub(by);
+            *c > 0
+        });
+    }
+}
+
+impl FrequentItems for MisraGries {
+    fn offer_n(&mut self, key: &[u8], n: u64) {
+        self.offer_fp(fingerprint(key), key, n);
     }
 
     fn estimate(&self, key: &[u8]) -> Option<HeavyHitter> {
-        self.counters.get(key).map(|&c| HeavyHitter {
-            key: key.to_vec(),
-            count: c,
-            error: 0, // lower-bound estimate: no over-count by construction
-        })
-    }
-
-    fn lower_bound(&self, key: &[u8]) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        self.counters
+            .get(fingerprint(key), key)
+            .map(|&c| HeavyHitter {
+                key: key.to_vec(),
+                count: c,
+                error: 0, // lower-bound estimate: no over-count by construction
+            })
     }
 
     fn items(&self) -> Vec<HeavyHitter> {
@@ -106,7 +107,7 @@ impl FrequentItems for MisraGries {
             self.counters
                 .iter()
                 .map(|(k, &c)| HeavyHitter {
-                    key: k.clone(),
+                    key: k.to_vec(),
                     count: c,
                     error: 0,
                 })
@@ -126,6 +127,7 @@ impl FrequentItems for MisraGries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn exact_below_capacity() {
@@ -191,5 +193,21 @@ mod tests {
             mg.offer(&(i % 113).to_le_bytes());
         }
         assert!(mg.items().len() <= 7);
+    }
+
+    #[test]
+    fn offer_fp_is_offer_then_estimate_in_one_probe() {
+        let mut fused = MisraGries::new(5);
+        let mut plain = MisraGries::new(5);
+        for i in 0..2_000u32 {
+            let key = format!("k{}", i % (1 + i % 23)).into_bytes();
+            plain.offer(&key);
+            let heat = fused.offer_fp(fingerprint(&key), &key, 1);
+            let tracked = |mg: &MisraGries| mg.estimate(&key).map_or(0, |h| h.count);
+            assert_eq!(heat, tracked(&plain), "record {i}");
+            assert_eq!(heat, tracked(&fused));
+        }
+        assert_eq!(fused.items(), plain.items());
+        assert_eq!(fused.total_decrements(), plain.total_decrements());
     }
 }

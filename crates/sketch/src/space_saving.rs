@@ -137,10 +137,6 @@ impl FrequentItems for SpaceSaving {
         })
     }
 
-    fn lower_bound(&self, key: &[u8]) -> u64 {
-        self.counters.get(key).map_or(0, |c| c.count - c.error)
-    }
-
     fn items(&self) -> Vec<HeavyHitter> {
         sort_items(
             self.counters

@@ -36,6 +36,9 @@ fn s3b3_sorting_consumes_substantial_map_cpu() {
     let map_fn = r.map_profile.time(Phase::MapFn).as_secs_f64();
     let sort = r.map_profile.time(Phase::MapSort).as_secs_f64();
     let share = sort / (map_fn + sort);
+    // Two stamps of one task on one thread, so contention stretches both;
+    // the share reads 0.54–0.59 here (0.39–0.48 in the paper, whose map
+    // function does more), and the assertion leaves a factor of three.
     assert!(
         share > 0.15,
         "sort share of map CPU should be substantial, got {share:.2}"
@@ -107,7 +110,21 @@ fn s5_hash_system_wins_on_time_and_spill_in_simulation() {
 
 #[test]
 fn s5_engine_cpu_and_spill_savings() {
-    // The §V prototype comparison on the real engine, small scale.
+    // The §V prototype comparison on the real engine, small scale — as
+    // properties of the two runs, not as a stopwatch. This binary's tests
+    // share two cores, and at this size the two paths' CPU sums (~0.5 s
+    // each under the harness) differ by less than the scheduler moves
+    // them; the CPU margin itself is the ledger's to carry, by the
+    // ten-pair rule at benchmark size (EXPERIMENTS.md, `sessionize_hadoop`
+    // against `sessionize_constrained`). What a run *did* does not depend
+    // on who else was running.
+    //
+    // The point: 150,000 clicks over two reducers at 1 MiB each. A
+    // reducer's share of the session states (~0.6 MB of `(ts, url)` lists
+    // and ~2,500 table entries) fits that budget; its share of the raw
+    // records as sort-merge buffers them (24 B a record, ~1.8 MB) does
+    // not. Which side of its budget each path lands on is arithmetic over
+    // the input, not timing.
     let records = 150_000;
     let run = |preset_onepass: bool| {
         let mut gen = ClickGen::new(ClickGenConfig {
@@ -124,7 +141,7 @@ fn s5_engine_cpu_and_spill_savings() {
         } else {
             builder.preset_hadoop()
         }
-        .reduce_budget_bytes(8 * 1024 * 1024)
+        .reduce_budget_bytes(1024 * 1024)
         .build()
         .unwrap();
         Engine::new().run(&job, splits).unwrap()
@@ -132,22 +149,31 @@ fn s5_engine_cpu_and_spill_savings() {
     let hadoop = run(false);
     let onepass = run(true);
     assert_eq!(hadoop.groups_out, onepass.groups_out);
-    let h_cpu = hadoop.total_compute_cpu().as_secs_f64();
-    let o_cpu = onepass.total_compute_cpu().as_secs_f64();
+    // CPU the hash path never spends: no sort map-side, no merge
+    // reduce-side — phases that never ran stamp exactly zero — while the
+    // baseline ran both over every record.
+    let spent = |r: &onepass_runtime::JobReport, phase| {
+        r.map_profile.time(phase) + r.reduce_profile.time(phase)
+    };
+    for phase in [Phase::MapSort, Phase::Merge] {
+        assert_eq!(spent(&onepass, phase), std::time::Duration::ZERO);
+        assert!(spent(&hadoop, phase) > std::time::Duration::ZERO);
+    }
+    // Spill: the baseline writes every session state once and reads it
+    // back once (2.6 MB of traffic, the same on every run); the hash
+    // path, nothing. Ten times less is the weakest form of that which
+    // still fails if the hash path starts spilling at a budget its states
+    // fit.
     assert!(
-        o_cpu < h_cpu,
-        "hash path must save CPU: {o_cpu:.3}s vs {h_cpu:.3}s"
+        hadoop.reduce_spill_traffic() > 1024 * 1024,
+        "sort-merge must spill more than one budget's worth: {}",
+        hadoop.reduce_spill_traffic()
     );
     assert!(
-        onepass.reduce_spill_traffic() * 10 < hadoop.reduce_spill_traffic().max(1),
+        onepass.reduce_spill_traffic() * 10 < hadoop.reduce_spill_traffic(),
         "hash path must spill at least 10x less: {} vs {}",
         onepass.reduce_spill_traffic(),
         hadoop.reduce_spill_traffic()
-    );
-    // No sorting anywhere on the hash path.
-    assert_eq!(
-        onepass.map_profile.time(Phase::MapSort),
-        std::time::Duration::ZERO
     );
 }
 

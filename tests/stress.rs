@@ -4,33 +4,58 @@
 //! the size (`cargo test --release -- --ignored`).
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
 
 use onepass::prelude::*;
 use onepass_runtime::driver::{EngineConfig, SpillBackend};
 use onepass_workloads::{make_splits, per_user_count, sessionization, ClickGen, ClickGenConfig};
 
-fn temp_spill_dirs() -> usize {
-    std::fs::read_dir(std::env::temp_dir())
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .filter(|e| {
-                    e.file_name()
-                        .to_string_lossy()
-                        .starts_with("onepass-spill-")
-                })
-                .count()
-        })
-        .unwrap_or(0)
+/// This process's own spill root, under the test build's scratch
+/// directory: `SpillBackend::TempFiles` creates its run directories in
+/// `TMPDIR`, so pointing that here keeps the leak count below off the
+/// machine-wide temp directory, where any other `cargo test` on the host
+/// creates and deletes `onepass-spill-*` directories of its own. Every
+/// test of this binary calls it first, so the variable is set once,
+/// before anything reads it.
+fn spill_root() -> &'static Path {
+    static ROOT: OnceLock<PathBuf> = OnceLock::new();
+    ROOT.get_or_init(|| {
+        let root = Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("stress-spill-{}", std::process::id()));
+        std::fs::create_dir_all(&root).expect("create the stress spill root");
+        std::env::set_var("TMPDIR", &root);
+        root
+    })
 }
 
+/// Spill directories under this process's root. Runs that spill to files
+/// hold `FILE_RUNS` while they count, so two of them never see each
+/// other's live directories.
+fn spill_dirs() -> usize {
+    std::fs::read_dir(spill_root())
+        .expect("read the stress spill root")
+        .filter_map(|e| e.ok())
+        .filter(|e| {
+            e.file_name()
+                .to_string_lossy()
+                .starts_with("onepass-spill-")
+        })
+        .count()
+}
+
+static FILE_RUNS: Mutex<()> = Mutex::new(());
+
 fn run_pair(records: usize) {
+    // A poisoned lock only means the other run failed its own assertions.
+    let _alone = FILE_RUNS.lock().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(spill_dirs(), 0, "a run before this one leaked");
     let mut gen = ClickGen::new(ClickGenConfig {
         users: 20_000,
         user_skew: 1.1,
         ..Default::default()
     });
     let data = gen.text_records(records);
-    let dirs_before = temp_spill_dirs();
 
     let engine = Engine::with_config(
         EngineConfig::builder()
@@ -67,11 +92,7 @@ fn run_pair(records: usize) {
     }
     assert_eq!(finals[0], finals[1], "paths disagree under file I/O");
     assert!(!finals[0].is_empty());
-    assert_eq!(
-        temp_spill_dirs(),
-        dirs_before,
-        "temp spill directories leaked"
-    );
+    assert_eq!(spill_dirs(), 0, "temp spill directories leaked");
 }
 
 #[test]
@@ -87,6 +108,7 @@ fn file_backed_spilling_agrees_and_cleans_up_large() {
 
 #[test]
 fn counting_workload_under_pressure_is_exact() {
+    spill_root();
     let records = 150_000;
     let mut gen = ClickGen::new(ClickGenConfig {
         users: 50_000,

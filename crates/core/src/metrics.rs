@@ -367,6 +367,9 @@ mod tests {
         let mut trace = tracer.local(Track::new("map", 0));
         let mut p = Profile::new();
         let t = Stamp::start(Phase::MapSort);
+        // The sleep is the interval being measured, not a margin:
+        // `thread::sleep` never returns early, so `>= 2 ms` below is the
+        // monotonic clock's contract.
         std::thread::sleep(Duration::from_millis(2));
         t.stop(&mut p, &mut trace);
         // An abandoned stamp leaves nothing behind.

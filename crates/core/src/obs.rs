@@ -1186,7 +1186,9 @@ mod tests {
         let c = reg.counter("onepass_work_total", &[]);
         let sampler = MetricsSampler::start_streaming(reg.clone(), Duration::from_millis(5), None);
         c.inc(10);
-        std::thread::sleep(Duration::from_millis(25));
+        // `stop` appends a final snapshot, so what is asserted holds
+        // however many periods elapsed (the streaming test below waits
+        // for a periodic one).
         let snaps = sampler.stop();
         assert!(!snaps.is_empty());
         let last = snaps.last().unwrap();
@@ -1264,10 +1266,17 @@ mod tests {
             Duration::from_millis(5),
             Some(Box::new(buf.clone())),
         );
-        std::thread::sleep(Duration::from_millis(15));
+        // Wait for a periodic sample to reach the writer, not for time to
+        // pass; `stop` then appends the final one.
+        while buf.0.lock().unwrap().is_empty() {
+            std::thread::yield_now();
+        }
         drop(sampler.stop());
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(!text.is_empty());
+        assert!(
+            text.lines().count() >= 2,
+            "a periodic line and the final one"
+        );
         for line in text.lines() {
             let doc = Json::parse(line).expect("each line is valid JSON");
             assert_eq!(doc.get("type").and_then(Json::as_str), Some("metrics"));

@@ -752,6 +752,10 @@ mod tests {
         let tracer = Tracer::enabled();
         let mut local = tracer.local(Track::new("w", 0));
         local.begin("work", "t");
+        // The measured interval itself: `thread::sleep` never returns
+        // early, so the span is at least as long on any scheduler — less
+        // the sub-microsecond an event's timestamp may truncate, hence the
+        // bound at half the sleep.
         std::thread::sleep(Duration::from_millis(2));
         local.end("work", "t");
         drop(local);

@@ -60,7 +60,6 @@ pub struct SortMergeGrouper {
     merger: MultiPassMerger,
     /// Key-sorted in-memory segments awaiting the next merge.
     buffered: Vec<SegmentBuf>,
-    inmem_merge_threshold: usize,
     reserved: usize,
     peak_reserved: usize,
     records_in: u64,
@@ -81,6 +80,12 @@ impl std::fmt::Debug for SortMergeGrouper {
 }
 
 impl SortMergeGrouper {
+    /// Buffered segments at which the reducer merges them to disk whatever
+    /// the memory headroom (Hadoop's `mapred.inmem.merge.threshold`, at
+    /// its default) — §III-B.4: "even if there is ample memory ... the
+    /// multi-pass merge still causes I/O".
+    pub const INMEM_MERGE_THRESHOLD: usize = 1000;
+
     /// Create a sort-merge grouper.
     ///
     /// * `store` — spill destination for sorted runs.
@@ -101,7 +106,6 @@ impl SortMergeGrouper {
             agg,
             merger,
             buffered: Vec::new(),
-            inmem_merge_threshold: usize::MAX,
             reserved: 0,
             peak_reserved: 0,
             records_in: 0,
@@ -111,13 +115,6 @@ impl SortMergeGrouper {
             io_base,
             trace: LocalTracer::disabled(),
         })
-    }
-
-    /// Also spill once `n` segments are buffered, regardless of memory
-    /// headroom (Hadoop's `mapred.inmem.merge.threshold`; off by default).
-    pub fn with_inmem_merge_threshold(mut self, n: usize) -> Self {
-        self.inmem_merge_threshold = n;
-        self
     }
 
     /// Attach a trace buffer; merge spans and spill events land on its
@@ -135,7 +132,7 @@ impl SortMergeGrouper {
         }
         self.records_in += seg.len() as u64;
         let cost = seg_cost(&seg);
-        let count_trigger = self.buffered.len() + 1 >= self.inmem_merge_threshold;
+        let count_trigger = self.buffered.len() + 1 >= Self::INMEM_MERGE_THRESHOLD;
         // Under a governor lease, ask for more budget before giving up
         // and spilling; a static budget rejects escalation outright.
         if count_trigger || !self.budget.try_grant_or_request(cost) {
@@ -526,22 +523,25 @@ mod tests {
     fn segment_count_threshold_spills_despite_ample_memory() {
         // §III-B.4: "even if there is ample memory […] the multi-pass
         // merge still causes I/O".
-        let store = SharedMemStore::new();
-        let mut g = SortMergeGrouper::new(
-            Arc::new(store),
-            MemoryBudget::new(1 << 20),
-            4,
-            Arc::new(CountAgg),
-        )
-        .unwrap()
-        .with_inmem_merge_threshold(2);
+        let (mut g, store) = grouper(1 << 20);
         let mut sink = crate::VecSink::default();
-        for chunk in records(30, 5).chunks(10) {
-            g.push_batch(&SegmentBuf::from_pairs(pairs(chunk)), &mut sink)
-                .unwrap();
+        let recs = records(SortMergeGrouper::INMEM_MERGE_THRESHOLD as u32, 5);
+        let (last, rest) = recs.split_last().unwrap();
+        let mut push = |g: &mut SortMergeGrouper, r| {
+            let seg = SegmentBuf::from_pairs(pairs(std::slice::from_ref(r)));
+            g.push_batch(&seg, &mut sink).unwrap();
+        };
+        for r in rest {
+            push(&mut g, r);
         }
+        assert_eq!(store.stats().bytes_written, 0, "one short of the threshold");
+        push(&mut g, last);
+        assert!(
+            store.stats().bytes_written > 0,
+            "the threshold forces a run"
+        );
         let stats = g.finish(&mut sink).unwrap();
-        assert!(stats.spills >= 2, "every second segment forces a run");
+        assert!(stats.spills >= 1);
         assert_eq!(stats.groups_out, 5);
     }
 

@@ -1,13 +1,15 @@
-//! The inter-stage pair codec: how a final `(key, value)` emission of one
-//! plan stage becomes one input record for the next.
+//! The edge record codec: a `(key, value)` pair framed as one record,
+//! `[u32 klen][key][value]`, little-endian length.
 //!
-//! Every edge in a [`Plan`](crate::plan::Plan) — materialized (barrier
-//! mode), streamed (pipelined mode), or replayed out of the
-//! [`DatasetCache`](crate::cache::DatasetCache) — carries records in this
-//! framing: `[u32 klen][key][value]`, little-endian length. Pair stages
-//! ([`PairMap`](crate::plan::PairMap)) never see the framing; the plan
-//! layer decodes it (or skips the round-trip entirely for cached,
-//! partition-aligned edges) before calling user code.
+//! Inter-stage data is pairs end to end — a plan edge, a cache edge and a
+//! serving cascade all hand the next stage pairs through
+//! [`MapFn::map_pair`](crate::job::MapFn::map_pair) — so this framing
+//! exists only where a pair has to be *bytes*: for a record-oriented map
+//! function downstream of an edge (`map_pair`'s default frames the pair
+//! for it), on the wire (a pair split ships to a TCP worker as edge
+//! records inside `NewSplit`), and at the far end of either, where
+//! [`pair_map_fn`](crate::job::pair_map_fn)'s `map` turns the record back
+//! into the pair.
 
 /// Encode a `(key, value)` pair as an edge record:
 /// `[u32 klen][key][value]`.

@@ -89,8 +89,7 @@ pub(crate) fn build_grouper(
 ) -> Result<Box<dyn GroupBy>> {
     Ok(match &job.backend {
         ReduceBackend::SortMerge { merge_factor, .. } => {
-            let mut g = SortMergeGrouper::new(store, budget, *merge_factor, agg)?
-                .with_inmem_merge_threshold(job.inmem_merge_threshold);
+            let mut g = SortMergeGrouper::new(store, budget, *merge_factor, agg)?;
             g.set_tracer(tracer);
             Box::new(g)
         }

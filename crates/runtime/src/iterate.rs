@@ -118,16 +118,9 @@ mod tests {
             let n: u64 = std::str::from_utf8(record).unwrap().parse().unwrap();
             out.emit(b"x", &n.to_le_bytes());
         }
-        struct DoubleMap;
-        impl crate::job::MapFn for DoubleMap {
-            fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-                let (k, v) = crate::codec::decode_pair(record).expect("edge record");
-                self.map_pair(k, v, out);
-            }
-            fn map_pair(&self, key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
-                let n = u64::from_le_bytes(value.try_into().unwrap());
-                out.emit(key, &(n * 2).to_le_bytes());
-            }
+        fn double(key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
+            let n = u64::from_le_bytes(value.try_into().unwrap());
+            out.emit(key, &(n * 2).to_le_bytes());
         }
 
         let job = |name: &str, first: bool| -> JobSpec {
@@ -138,7 +131,7 @@ mod tests {
             let b = if first {
                 b.map_fn(Arc::new(parse_map))
             } else {
-                b.map_fn(Arc::new(DoubleMap))
+                b.map_fn(crate::job::pair_map_fn(Arc::new(double)))
             };
             b.build().unwrap()
         };

@@ -22,12 +22,13 @@ pub trait MapFn: Send + Sync {
     /// Process one input record.
     fn map(&self, record: &[u8], out: &mut dyn MapEmitter);
 
-    /// Process one already-decoded `(key, value)` input pair — the
-    /// zero-copy path for cached splits, whose data is stored framed.
-    /// The default re-frames the pair through the edge codec and calls
-    /// [`map`](MapFn::map), so record-oriented maps behave identically
-    /// on cached input; pair-aware maps (plan interior stages) override
-    /// it to skip the encode/decode round-trip.
+    /// Process one `(key, value)` input pair — how every inter-stage
+    /// record enters a stage: plan edges, cache edges and serving cascades
+    /// all carry pairs. The default frames the pair through the edge codec
+    /// and calls [`map`](MapFn::map), so a record-oriented map (a
+    /// [`Plan::linear`](crate::plan::Plan::linear) stage) sees the edge
+    /// record it always saw; pair stages ([`pair_map_fn`]) take the pair
+    /// as it is.
     fn map_pair(&self, key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
         self.map(&crate::codec::encode_pair(key, value), out);
     }
@@ -41,6 +42,58 @@ where
     fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
         self(record, out)
     }
+}
+
+/// A map function over `(key, value)` pairs — the one inter-stage record
+/// shape: what a plan edge, a cache edge and a serving cascade hand the
+/// next stage. Install one into a job with [`pair_map_fn`] (which is what
+/// [`PlanBuilder::add_pair_stage`](crate::plan::PlanBuilder::add_pair_stage)
+/// does).
+pub trait PairMap: Send + Sync {
+    /// Process one `(key, value)` pair.
+    fn map_pair(&self, key: &[u8], value: &[u8], out: &mut dyn MapEmitter);
+}
+
+/// Blanket adapter so closures can serve as pair-map functions.
+impl<F> PairMap for F
+where
+    F: Fn(&[u8], &[u8], &mut dyn MapEmitter) + Send + Sync,
+{
+    fn map_pair(&self, key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
+        self(key, value, out)
+    }
+}
+
+/// The one adapter from a [`PairMap`] to a [`MapFn`].
+struct PairFn(Arc<dyn PairMap>);
+
+impl MapFn for PairFn {
+    /// Bytes reach a pair stage only from outside the process — plan
+    /// input, or a `NewSplit` frame carrying a pair split as edge records —
+    /// so one that does not decode is a failed task (the scheduler applies
+    /// the retry budget; exhaustion fails the job), never a skipped record.
+    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
+        match crate::codec::decode_pair(record) {
+            Some((key, value)) => self.0.map_pair(key, value, out),
+            None => panic!(
+                "malformed inter-stage record ({} bytes do not decode as a pair)",
+                record.len()
+            ),
+        }
+    }
+
+    fn map_pair(&self, key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
+        self.0.map_pair(key, value, out)
+    }
+}
+
+/// `pairs` as a job's map function: [`MapFn::map_pair`] delegates, and
+/// [`MapFn::map`] decodes an edge record ([`crate::codec`]) first, failing
+/// the task on bytes that are not one. A job built this way is the same
+/// job in a plan, in a worker's
+/// [`JobRegistry`](crate::transport::JobRegistry) and in a serving cascade.
+pub fn pair_map_fn(pairs: Arc<dyn PairMap>) -> Arc<dyn MapFn> {
+    Arc::new(PairFn(pairs))
 }
 
 /// Assigns intermediate keys to reducer partitions.
@@ -256,12 +309,6 @@ pub struct JobSpec {
     pub reduce_budget_bytes: usize,
     /// Apply the combine function map-side when the aggregate allows it.
     pub combine: Combine,
-    /// Sort-merge reducers also flush their in-memory segments to disk
-    /// once this many segments accumulate, regardless of memory headroom
-    /// (Hadoop's `mapred.inmem.merge.threshold`, default 1000). This is
-    /// the §III-B.4 behaviour: "even if there is ample memory ... the
-    /// multi-pass merge still causes I/O".
-    pub inmem_merge_threshold: usize,
     /// Collect final/early output pairs into the report (disable for
     /// large-output benchmarks where only statistics matter).
     pub collect_output: CollectOutput,
@@ -346,7 +393,6 @@ impl JobSpecBuilder {
                 map_buffer_bytes: 16 * MIB as usize,
                 reduce_budget_bytes: 64 * MIB as usize,
                 combine: Combine::On,
-                inmem_merge_threshold: 1000,
                 collect_output: CollectOutput::Collect,
             },
         }
@@ -403,12 +449,6 @@ impl JobSpecBuilder {
     /// Set whether the map-side combine function runs.
     pub fn combine_mode(mut self, mode: Combine) -> Self {
         self.spec.combine = mode;
-        self
-    }
-
-    /// Set the sort-merge reducers' segment-count flush threshold.
-    pub fn inmem_merge_threshold(mut self, n: usize) -> Self {
-        self.spec.inmem_merge_threshold = n.max(1);
         self
     }
 

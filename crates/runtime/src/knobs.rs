@@ -449,17 +449,6 @@ pub const KNOBS: &[Knob] = &[
         access: field!(Job.combine),
     },
     Knob {
-        name: "inmem-merge-threshold",
-        syntax: "SEGMENTS",
-        help: "sort-merge reducers also spill once this many segments are buffered",
-        travels: true,
-        takers: "",
-        access: Job(
-            |j| j.inmem_merge_threshold.to_string(),
-            |j, v| num(v).map(|n: usize| j.inmem_merge_threshold = n.max(1)),
-        ),
-    },
-    Knob {
         name: "collect-output",
         syntax: COLLECT,
         help: "keep output pairs in the report, or only count them",
@@ -562,7 +551,6 @@ const _: fn(Settings) = |Settings { job, engine }| {
         map_buffer_bytes: _,
         reduce_budget_bytes: _,
         combine: _,
-        inmem_merge_threshold: _,
         collect_output: _,
     } = job;
     let EngineConfig {

@@ -49,10 +49,10 @@ pub use driver::{
 };
 pub use iterate::{IterativePlan, RoundContext};
 pub use job::{
-    CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode, Partitioner,
-    ReduceBackend, ShuffleMode,
+    pair_map_fn, CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,
+    PairMap, Partitioner, ReduceBackend, ShuffleMode,
 };
-pub use plan::{PairMap, Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
+pub use plan::{Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
 pub use report::{dump_pairs, JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
 pub use serve::{
     AdmissionConfig, DlqConfig, Frontend, QueryCatalog, ServeConfig, Server, StreamingQuery,
@@ -73,11 +73,11 @@ pub mod prelude {
     };
     pub use crate::iterate::{IterativePlan, RoundContext};
     pub use crate::job::{
-        CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,
-        Partitioner, ReduceBackend, ShuffleMode,
+        pair_map_fn, CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn,
+        MapSideMode, PairMap, Partitioner, ReduceBackend, ShuffleMode,
     };
     pub use crate::map_task::Split;
-    pub use crate::plan::{PairMap, Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
+    pub use crate::plan::{Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
     pub use crate::report::{JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
     pub use crate::serve::{
         AdmissionConfig, DlqConfig, Frontend, QueryCatalog, ServeConfig, Server, StreamingQuery,

@@ -9,12 +9,15 @@
 //! architecture pipelines data "from mappers to reducers and between
 //! jobs". [`Plan::linear`] covers the classic linear chain:
 //!
-//! * Stages are connected by **edges** carrying the edge record codec
-//!   ([`crate::codec::encode_pair`]): each final `(key, value)` of an
-//!   upstream stage becomes one input record of its downstream stages.
+//! * Stages are connected by **edges** carrying pairs: each final
+//!   `(key, value)` of an upstream stage is one input pair of its
+//!   downstream stages, batched into [`Split::from_segment`] splits and
+//!   mapped through [`MapFn::map_pair`](crate::job::MapFn::map_pair) —
+//!   never re-serialised in between (M3R's point, arXiv:1208.4168). A
+//!   fan-out hands every downstream the same `Arc`-shared segment.
 //! * In [`PlanMode::Pipelined`] (the default) every stage runs
-//!   concurrently; upstream finals are batched into [`Split`]s of
-//!   [`PlanConfig::records_per_split`] records and pushed over a bounded
+//!   concurrently; upstream finals are batched into splits of
+//!   [`PlanConfig::records_per_split`] pairs and pushed over a bounded
 //!   channel into the downstream stage's streamed split feed. Downstream
 //!   map and reduce work overlaps the upstream stage, so multi-stage
 //!   time-to-first-answer drops without changing the final answer.
@@ -22,12 +25,13 @@
 //!   order, each consuming its predecessors' fully materialized output —
 //!   the baseline the pipelined mode is measured against.
 //!
-//! Downstream stages usually want decoded pairs, not raw edge records:
-//! [`PlanBuilder::add_pair_stage`] takes a [`PairMap`] and the plan wraps
-//! it with the edge decoder. Malformed edge records are **counted per
-//! stage** and fail the stage once they exceed
-//! [`PlanConfig::max_decode_errors`] (default 0: any corruption is an
-//! error, never a silent skip).
+//! A downstream stage is usually a pair stage
+//! ([`PlanBuilder::add_pair_stage`]): its [`PairMap`] is installed as the
+//! job's map function when the stage is added, so the job the plan holds
+//! is the job a TCP worker registers. A record stage downstream
+//! ([`PlanBuilder::add_stage`], [`Plan::linear`]) sees each pair framed by
+//! the edge codec, through `map_pair`'s default. The plan layer itself
+//! never encodes or decodes a record.
 //!
 //! Early emissions are not forwarded across edges (they are
 //! approximations of the finals); collect them from each stage's report
@@ -45,11 +49,11 @@
 //! re-hashing a single key. [`crate::iterate::IterativePlan`] builds
 //! multi-round loops on top of these edges.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Sender};
+use onepass_core::bytes_kv::SegmentBufBuilder;
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
 use onepass_core::obs::{names, Gauge};
@@ -57,10 +61,9 @@ use onepass_core::trace::Track;
 use onepass_groupby::EmitKind;
 
 use crate::cache::DatasetCache;
-use crate::codec::{decode_pair, encode_pair};
 use crate::driver::Engine;
 use crate::executor::{self, ExecParams, ReduceTap, TapFactory};
-use crate::job::{CollectOutput, JobSpec, MapEmitter, MapFn};
+use crate::job::{pair_map_fn, CollectOutput, JobSpec, PairMap};
 use crate::map_task::Split;
 use crate::report::{PlanReport, StageReport};
 use crate::scheduler::SplitFeed;
@@ -110,7 +113,7 @@ impl PlanMode {
 pub struct PlanConfig {
     /// Pipelined (default) or barrier execution.
     pub mode: PlanMode,
-    /// Records per inter-stage split. Smaller batches reach downstream
+    /// Pairs per inter-stage split. Smaller batches reach downstream
     /// maps sooner; larger ones amortize per-split scheduling. Default
     /// 4096 (the chain default).
     pub records_per_split: usize,
@@ -119,10 +122,6 @@ pub struct PlanConfig {
     /// push shuffling applies within a job (§III-D), extended across
     /// stages. Default 16.
     pub edge_depth: usize,
-    /// Maximum malformed inter-stage records a stage may skip before it
-    /// fails. Default 0: any corrupt edge record fails the stage rather
-    /// than silently dropping data.
-    pub max_decode_errors: u64,
 }
 
 impl PlanConfig {
@@ -141,40 +140,8 @@ impl Default for PlanConfig {
             mode: PlanMode::default(),
             records_per_split: 4096,
             edge_depth: 16,
-            max_decode_errors: 0,
         }
     }
-}
-
-/// A map function over decoded inter-stage pairs.
-///
-/// Stages added with [`PlanBuilder::add_pair_stage`] receive each edge
-/// record already decoded through the chain codec, so workloads don't
-/// hand-roll [`decode_pair`] calls (and can't silently ignore corrupt
-/// records — the plan counts and bounds those centrally).
-pub trait PairMap: Send + Sync {
-    /// Process one decoded `(key, value)` pair.
-    fn map_pair(&self, key: &[u8], value: &[u8], out: &mut dyn MapEmitter);
-}
-
-/// Blanket adapter so closures can serve as pair-map functions.
-impl<F> PairMap for F
-where
-    F: Fn(&[u8], &[u8], &mut dyn MapEmitter) + Send + Sync,
-{
-    fn map_pair(&self, key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
-        self(key, value, out)
-    }
-}
-
-/// How a stage interprets its input records.
-pub(crate) enum StageInput {
-    /// The job's own map function sees raw records (source stages, or
-    /// stages that do their own edge decoding, like legacy chains).
-    Records,
-    /// Records are decoded through the chain codec first and handed to
-    /// this pair-map; the job's `map_fn` is replaced at run time.
-    Pairs(Arc<dyn PairMap>),
 }
 
 /// A cache edge feeding a stage from a named dataset.
@@ -185,11 +152,9 @@ pub(crate) struct CachedInput {
     pub(crate) aligned: bool,
 }
 
-/// One node of the DAG: a complete MapReduce job plus its input codec
-/// and cache edges.
+/// One node of the DAG: a complete MapReduce job plus its cache edges.
 pub(crate) struct Stage {
     pub(crate) job: JobSpec,
-    pub(crate) input: StageInput,
     /// Capture this stage's finals into the dataset cache under this
     /// name (partitioned by the stage's own partitioner/reducer count).
     pub(crate) cache_output: Option<String>,
@@ -198,10 +163,9 @@ pub(crate) struct Stage {
 }
 
 impl Stage {
-    fn new(job: JobSpec, input: StageInput) -> Self {
+    fn new(job: JobSpec) -> Self {
         Stage {
             job,
-            input,
             cache_output: None,
             cached_inputs: Vec::new(),
         }
@@ -222,19 +186,21 @@ impl PlanBuilder {
         Self::default()
     }
 
-    /// Add a stage whose map function reads raw records (the plan's input
-    /// for source stages, encoded edge records otherwise).
+    /// Add a stage as its job stands: the map function reads raw records
+    /// as a source stage, and each upstream pair framed as an edge record
+    /// ([`crate::codec`]) downstream.
     pub fn add_stage(&mut self, job: JobSpec) -> StageId {
-        self.stages.push(Stage::new(job, StageInput::Records));
+        self.stages.push(Stage::new(job));
         StageId(self.stages.len() - 1)
     }
 
-    /// Add a stage whose records are decoded through the edge codec and
-    /// handed to `pairs` (see [`PairMap`]). The job's own `map_fn` is
-    /// ignored.
-    pub fn add_pair_stage(&mut self, job: JobSpec, pairs: Arc<dyn PairMap>) -> StageId {
-        self.stages.push(Stage::new(job, StageInput::Pairs(pairs)));
-        StageId(self.stages.len() - 1)
+    /// Add a stage whose map function is `pairs` (see [`PairMap`]),
+    /// installed over the job's own `map_fn` through [`pair_map_fn`] here,
+    /// at build time: [`Plan::jobs`] then yields the job as the plan runs
+    /// it, which is what a TCP worker's registry must hold.
+    pub fn add_pair_stage(&mut self, mut job: JobSpec, pairs: Arc<dyn PairMap>) -> StageId {
+        job.map_fn = pair_map_fn(pairs);
+        self.add_stage(job)
     }
 
     /// Feed `from`'s final answers into `to`'s input.
@@ -256,7 +222,7 @@ impl PlanBuilder {
 
     /// Feed the cached dataset `name` into `stage` as zero-copy map
     /// splits (each partition one split of framed pairs, mapped through
-    /// [`MapFn::map_pair`] — no re-scan,
+    /// [`MapFn::map_pair`](crate::job::MapFn::map_pair) — no re-scan,
     /// no input decode). Requires running the plan through
     /// [`Engine::run_plan_with_cache`].
     pub fn cached_input(&mut self, stage: StageId, name: &str) -> &mut Self {
@@ -346,6 +312,13 @@ impl Plan {
     /// Name of a stage's job.
     pub fn stage_name(&self, stage: StageId) -> &str {
         &self.stages[stage.0].job.name
+    }
+
+    /// The stages' jobs as the plan runs them, in stage-id order — what to
+    /// [`register_spec`](crate::transport::JobRegistry::register_spec) on
+    /// the workers of a plan run over TCP.
+    pub fn jobs(&self) -> impl Iterator<Item = &JobSpec> + '_ {
+        self.stages.iter().map(|s| &s.job)
     }
 
     /// Whether any stage has a cache edge (input or output).
@@ -459,170 +432,90 @@ impl Plan {
     }
 }
 
-/// The runtime map function of a pair stage: decode the edge record, count
-/// (and bound) corruption, delegate good pairs to the user's [`PairMap`].
-struct DecodingMap {
-    inner: Arc<dyn PairMap>,
-    errors: Arc<AtomicU64>,
-    max_errors: u64,
-}
-
-impl MapFn for DecodingMap {
-    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        match decode_pair(record) {
-            Some((key, value)) => self.inner.map_pair(key, value, out),
-            None => {
-                let n = self.errors.fetch_add(1, Ordering::Relaxed) + 1;
-                if n > self.max_errors {
-                    // A panicking map function is a task failure: the
-                    // scheduler applies the retry budget, and exhaustion
-                    // fails the stage — corruption is never silent.
-                    panic!(
-                        "malformed inter-stage record ({n} decode errors exceed threshold {})",
-                        self.max_errors
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The job actually executed for a stage, plus its decode-error counter
-/// (pair stages only). With `streams_output` (pipelined interior stages),
-/// finals flow downstream through the edge writer only — the stage does
-/// not also materialize them in its report, mirroring how the paper's
-/// pipeline avoids materializing data between jobs (§IV).
-fn effective_job(
-    stage: &Stage,
-    cfg: &PlanConfig,
-    streams_output: bool,
-) -> (JobSpec, Option<Arc<AtomicU64>>) {
-    let mut job = stage.job.clone();
-    if streams_output {
-        job.collect_output = CollectOutput::Discard;
-    }
-    match &stage.input {
-        StageInput::Records => (job, None),
-        StageInput::Pairs(pairs) => {
-            let errors = Arc::new(AtomicU64::new(0));
-            job.map_fn = Arc::new(DecodingMap {
-                inner: Arc::clone(pairs),
-                errors: Arc::clone(&errors),
-                max_errors: cfg.max_decode_errors,
-            });
-            (job, Some(errors))
-        }
-    }
-}
-
-/// Backstop threshold check after a stage completes (the in-task panic
-/// already catches most overruns; this covers retried attempts that
-/// accumulated skips without any single attempt overrunning).
-fn check_decode_errors(stage: usize, name: &str, errors: u64, cfg: &PlanConfig) -> Result<()> {
-    if errors > cfg.max_decode_errors {
-        return Err(Error::InvalidState(format!(
-            "plan stage {stage} ({name}) skipped {errors} malformed inter-stage records \
-             (threshold {})",
-            cfg.max_decode_errors
-        )));
-    }
-    Ok(())
-}
-
-/// Batch encoded records into splits of `per_split` records.
-fn split_records(records: Vec<Vec<u8>>, per_split: usize) -> Vec<Split> {
-    let per = per_split.max(1);
-    let mut splits = Vec::new();
-    let mut it = records.into_iter();
-    loop {
-        let chunk: Vec<Vec<u8>> = it.by_ref().take(per).collect();
-        if chunk.is_empty() {
-            return splits;
-        }
-        splits.push(Split::new(chunk));
-    }
-}
-
-/// Streams one stage's final answers into its downstream split feeds:
-/// finals are encoded through the chain codec, batched into splits, and
-/// fanned out to every outgoing edge channel.
-struct EdgeWriter {
+/// Batches pairs into inter-stage splits of `per_split` pairs — the one
+/// shape every edge carries, the one [`cached_splits`] already produces
+/// out of the cache. Both executors cut their edges with it.
+struct SplitBatcher {
     per_split: usize,
-    buf: Vec<Vec<u8>>,
-    outs: Vec<Sender<Result<Split>>>,
+    buf: SegmentBufBuilder,
+}
+
+impl SplitBatcher {
+    fn new(per_split: usize) -> Self {
+        SplitBatcher {
+            per_split: per_split.max(1),
+            buf: SegmentBufBuilder::new(),
+        }
+    }
+
+    /// Append one pair; hands back a split when it completes one.
+    fn push(&mut self, key: &[u8], value: &[u8]) -> Option<Split> {
+        self.buf.push(key, value);
+        if self.buf.len() >= self.per_split {
+            self.take()
+        } else {
+            None
+        }
+    }
+
+    /// The pairs buffered so far as a (short) split, if any.
+    fn take(&mut self) -> Option<Split> {
+        if self.buf.is_empty() {
+            return None;
+        }
+        let pairs = std::mem::take(&mut self.buf).finish();
+        Some(Split::from_segment(pairs))
+    }
+}
+
+/// One end of a pipelined edge: the downstream stage's split feed.
+type EdgeTx = Sender<Result<Split>>;
+
+/// Streams one reducer's final answers into the stage's downstream split
+/// feeds. Each reducer owns one over cloned senders, so the emission hot
+/// path never takes a shared lock; a feed closes when the last sender of
+/// it — reducers' and stage thread's — is gone.
+struct EdgeWriter {
+    batch: SplitBatcher,
+    outs: Vec<EdgeTx>,
     /// Gates edge sends on shared-governor memory pressure, exactly like
     /// map-side shuffle pushes within a job.
     gate: Option<PressureGate>,
-    /// `onepass_plan_edge_depth{stage}` — sampled after each flush so a
+    /// `onepass_plan_edge_depth{stage}` — sampled after each send so a
     /// scraper sees how far ahead this stage runs of its consumers.
     depth: Gauge,
 }
 
 impl EdgeWriter {
-    /// Append one already-encoded record. Encoding happens on the caller's
-    /// side of the lock: concurrently-draining reducers would otherwise
-    /// serialize on the allocation and copy, not just the buffer push.
-    fn push(&mut self, record: Vec<u8>) {
-        self.buf.push(record);
-        if self.buf.len() >= self.per_split {
-            self.flush();
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        if let Some(split) = self.batch.push(key, value) {
+            self.send(split);
         }
     }
 
-    fn flush(&mut self) {
-        if self.buf.is_empty() || self.outs.is_empty() {
-            return;
-        }
-        let split = Split::new(std::mem::take(&mut self.buf));
-        let last = self.outs.len() - 1;
-        for tx in &self.outs[..last] {
+    /// Fan one split out: every downstream gets the same two `Arc`s.
+    fn send(&mut self, split: Split) {
+        for tx in &self.outs {
             if let Some(g) = &self.gate {
                 g.admit(tx);
             }
-            // A send error means the downstream stage already hung up
-            // (it failed); its own error surfaces through the join below.
+            // A send error means the downstream stage already hung up (it
+            // failed); its own error surfaces when the stages are joined.
             let _ = tx.send(Ok(split.clone()));
         }
-        let tx = &self.outs[last];
-        if let Some(g) = &self.gate {
-            g.admit(tx);
-        }
-        let _ = tx.send(Ok(split));
         let deepest = self.outs.iter().map(|tx| tx.len()).max().unwrap_or(0);
         self.depth.set(deepest as f64);
     }
-
-    /// Flush the remainder and hang up, closing the downstream feeds.
-    fn finish(&mut self) {
-        self.flush();
-        self.outs.clear();
-    }
-
-    /// Tell every downstream stage this stage failed, then hang up.
-    fn poison(&mut self, msg: &str) {
-        for tx in &self.outs {
-            let _ = tx.send(Err(Error::InvalidState(msg.to_string())));
-        }
-        self.outs.clear();
-    }
 }
 
-/// Per-reducer writers (owned by a [`TapFactory`]'s closures) flush their
-/// remainder when the reducer's sink drops, inside the stage's execute
-/// call — before the stage-level writer hangs up the feed. The
-/// stage-level writer's buffer is empty (reducers never touch it), so
-/// after an explicit `finish`/`poison` this is a no-op.
+/// A reducer's remainder goes out when its sink drops — inside the stage's
+/// `execute` call, so before the stage thread lets go of its own senders.
 impl Drop for EdgeWriter {
     fn drop(&mut self) {
-        self.flush();
+        if let Some(split) = self.batch.take() {
+            self.send(split);
+        }
     }
-}
-
-fn lock_writer(w: &Mutex<EdgeWriter>) -> std::sync::MutexGuard<'_, EdgeWriter> {
-    // A poisoned lock means some emitting thread panicked mid-push; the
-    // stage itself reports that failure, so it is safe to keep flushing
-    // (worst case: a partial buffer the poisoned stage would discard).
-    w.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl Engine {
@@ -654,11 +547,8 @@ impl Engine {
         config: &PlanConfig,
         cache: Option<&DatasetCache>,
     ) -> Result<PlanReport> {
-        if plan.uses_cache() && cache.is_none() {
-            return Err(Error::Config(
-                "plan has cache edges; run it through run_plan_with_cache with a DatasetCache"
-                    .into(),
-            ));
+        if plan.uses_cache() {
+            edge_cache(cache)?;
         }
         if plan.record_source().is_none() && !input.is_empty() {
             return Err(Error::Config(
@@ -668,13 +558,41 @@ impl Engine {
             ));
         }
         let clock = Instant::now();
-        let report = match config.mode {
-            PlanMode::Barrier => run_barrier(self, plan, input, config, clock, cache)?,
-            PlanMode::Pipelined => run_pipelined(self, plan, input, config, clock, cache)?,
+        let run = StageRunner {
+            engine: self,
+            plan,
+            clock,
         };
-        capture_cache_outputs(plan, &report, cache)?;
+        let stages = match config.mode {
+            PlanMode::Barrier => run_barrier(&run, input, config, cache)?,
+            PlanMode::Pipelined => run_pipelined(&run, input, config, cache)?,
+        };
+        let first_final_at = stages
+            .iter()
+            .filter(|s| s.is_sink)
+            .filter_map(|s| s.report.first_final_at)
+            .min();
+        let report = PlanReport {
+            mode: config.mode.label(),
+            wall: clock.elapsed(),
+            first_final_at,
+            stages,
+        };
+        if let Some(cache) = cache {
+            capture_cache_outputs(plan, &report, cache)?;
+        }
         Ok(report)
     }
+}
+
+/// The cache a cache edge reads or writes; a plan with such an edge and no
+/// cache fails with this error before any stage runs.
+fn edge_cache(cache: Option<&DatasetCache>) -> Result<&DatasetCache> {
+    cache.ok_or_else(|| {
+        Error::Config(
+            "plan has cache edges; run it through run_plan_with_cache with a DatasetCache".into(),
+        )
+    })
 }
 
 /// Publish every `cache_output` stage's finals into the cache,
@@ -682,29 +600,16 @@ impl Engine {
 /// key-sorted within each partition — deterministic dataset bytes
 /// regardless of reduction order, so replays and re-runs converge on
 /// identical cache content.
-fn capture_cache_outputs(
-    plan: &Plan,
-    report: &PlanReport,
-    cache: Option<&DatasetCache>,
-) -> Result<()> {
-    for (s, stage) in plan.stages.iter().enumerate() {
-        let name = match &stage.cache_output {
-            Some(name) => name,
-            None => continue,
+fn capture_cache_outputs(plan: &Plan, report: &PlanReport, cache: &DatasetCache) -> Result<()> {
+    for (stage, sr) in plan.stages.iter().zip(&report.stages) {
+        let Some(name) = &stage.cache_output else {
+            continue;
         };
-        let cache = cache.expect("checked in run_plan_with_cache");
         let job = &stage.job;
         let reducers = job.reducers.max(1);
-        let sr = &report.stages[s];
-        let parts = crate::cache::partition_pairs(
-            sr.report
-                .outputs
-                .iter()
-                .filter(|o| o.kind == EmitKind::Final)
-                .map(|o| (o.key.as_slice(), o.value.as_slice())),
-            reducers,
-            |k| job.partitioner.partition(k, reducers),
-        )?;
+        let parts = crate::cache::partition_pairs(sr.report.final_pairs(), reducers, |k| {
+            job.partitioner.partition(k, reducers)
+        })?;
         let parts: Vec<_> = parts.into_iter().map(|p| p.sorted_by_key()).collect();
         cache.put(name, parts)?;
     }
@@ -718,8 +623,7 @@ fn cached_splits(plan: &Plan, s: usize, cache: Option<&DatasetCache>) -> Result<
     let stage = &plan.stages[s];
     let mut out = Vec::new();
     for ci in &stage.cached_inputs {
-        let cache = cache.expect("checked in run_plan_with_cache");
-        let parts = cache.get(&ci.name)?.ok_or_else(|| {
+        let parts = edge_cache(cache)?.get(&ci.name)?.ok_or_else(|| {
             Error::InvalidState(format!(
                 "plan stage {s} ({}) reads cached dataset '{}', which is not in the cache",
                 stage.job.name, ci.name
@@ -737,103 +641,88 @@ fn cached_splits(plan: &Plan, s: usize, cache: Option<&DatasetCache>) -> Result<
     Ok(out)
 }
 
-fn assemble(mode: PlanMode, clock: Instant, stages: Vec<StageReport>) -> PlanReport {
-    let first_final_at = stages
-        .iter()
-        .filter(|s| s.is_sink)
-        .filter_map(|s| s.report.first_final_at)
-        .min();
-    PlanReport {
-        mode: mode.label(),
-        wall: clock.elapsed(),
-        first_final_at,
-        stages,
+/// What running one stage needs besides its feed, and the one body both
+/// executors run it through.
+struct StageRunner<'a> {
+    engine: &'a Engine,
+    plan: &'a Plan,
+    clock: Instant,
+}
+
+impl StageRunner<'_> {
+    /// Run stage `s` over `feed` inside its `stage` span and wrap the job
+    /// report. With `tap` the stage streams its finals downstream and does
+    /// not also materialize them in its report, mirroring how the paper's
+    /// pipeline avoids materializing data between jobs (§IV) — unless it
+    /// caches its output, which the capture reads from the report.
+    fn run(
+        &self,
+        s: usize,
+        feed: SplitFeed,
+        tap: Option<TapFactory>,
+        governor: Option<MemoryGovernor>,
+    ) -> Result<StageReport> {
+        let stage = &self.plan.stages[s];
+        let mut job = stage.job.clone();
+        if tap.is_some() && stage.cache_output.is_none() {
+            job.collect_output = CollectOutput::Discard;
+        }
+        let config = self.engine.config();
+        let mut st_trace = config.tracer.local(Track::new("stage", s as u64));
+        st_trace.begin("stage", "plan");
+        let res = executor::execute(ExecParams {
+            config,
+            job: &job,
+            feed,
+            clock: self.clock,
+            tap,
+            governor,
+            track_offset: s as u64 * TRACK_STRIDE,
+        });
+        st_trace.end("stage", "plan");
+        Ok(StageReport {
+            stage: s,
+            name: job.name,
+            is_sink: self.plan.outgoing[s].is_empty(),
+            report: res?,
+        })
     }
 }
 
 /// Barrier execution: stages run one at a time in topological order; each
-/// stage's finals are materialized, re-encoded, and re-split before any
-/// downstream stage starts.
+/// stage's finals are materialized and re-split before any downstream
+/// stage starts.
 fn run_barrier(
-    engine: &Engine,
-    plan: &Plan,
-    input: Vec<Split>,
+    run: &StageRunner<'_>,
+    mut input: Vec<Split>,
     cfg: &PlanConfig,
-    clock: Instant,
     cache: Option<&DatasetCache>,
-) -> Result<PlanReport> {
-    let n = plan.stages.len();
-    let tracer = &engine.config().tracer;
+) -> Result<Vec<StageReport>> {
+    let plan = run.plan;
     let record_source = plan.record_source();
-    let mut finals: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-    let mut stage_reports: Vec<Option<StageReport>> = (0..n).map(|_| None).collect();
-    let mut input = Some(input);
+    // In run order; an upstream's report is in here before its consumer
+    // starts because the order is topological.
+    let mut done: Vec<StageReport> = Vec::with_capacity(plan.stages.len());
 
     for &s in &plan.order {
-        let stage = &plan.stages[s];
-        let (job, errors) = effective_job(stage, cfg, false);
         let mut splits = if record_source == Some(s) {
-            input.take().expect("one record source stage")
-        } else if !plan.incoming[s].is_empty() {
-            let mut records = Vec::new();
-            for &u in &plan.incoming[s] {
-                records.extend(finals[u].iter().cloned());
-            }
-            split_records(records, cfg.records_per_split)
+            std::mem::take(&mut input)
         } else {
-            Vec::new()
+            let mut batch = SplitBatcher::new(cfg.records_per_split);
+            let mut splits = Vec::new();
+            for up in done.iter().filter(|r| plan.incoming[s].contains(&r.stage)) {
+                for (key, value) in up.report.final_pairs() {
+                    splits.extend(batch.push(key, value));
+                }
+            }
+            splits.extend(batch.take());
+            splits
         };
         splits.extend(cached_splits(plan, s, cache)?);
-
-        let mut st_trace = tracer.local(Track::new("stage", s as u64));
-        st_trace.begin("stage", "plan");
-        let res = executor::execute(ExecParams {
-            config: engine.config(),
-            job: &job,
-            feed: SplitFeed::Fixed(splits),
-            clock,
-            tap: None,
-            governor: None,
-            track_offset: s as u64 * TRACK_STRIDE,
-        });
-        st_trace.end("stage", "plan");
-        let decode_errors = errors.as_ref().map_or(0, |e| e.load(Ordering::Relaxed));
-        if decode_errors > 0 {
-            st_trace.instant(
-                "decode_errors",
-                "plan",
-                &[("stage", s as f64), ("count", decode_errors as f64)],
-            );
-        }
-        drop(st_trace);
-
-        let report = res?;
-        check_decode_errors(s, &stage.job.name, decode_errors, cfg)?;
-        if !plan.outgoing[s].is_empty() {
-            finals[s] = report
-                .outputs
-                .iter()
-                .filter(|o| o.kind == EmitKind::Final)
-                .map(|o| encode_pair(&o.key, &o.value))
-                .collect();
-        }
-        stage_reports[s] = Some(StageReport {
-            stage: s,
-            name: stage.job.name.clone(),
-            is_sink: plan.outgoing[s].is_empty(),
-            decode_errors,
-            report,
-        });
+        done.push(run.run(s, SplitFeed::Fixed(splits), None, None)?);
     }
-
-    Ok(assemble(
-        PlanMode::Barrier,
-        clock,
-        stage_reports
-            .into_iter()
-            .map(|r| r.expect("every stage ran"))
-            .collect(),
-    ))
+    done.sort_by_key(|r| r.stage);
+    Ok(done)
 }
 
 /// Pipelined execution: one thread per stage, all running concurrently.
@@ -841,17 +730,16 @@ fn run_barrier(
 /// with downstream consumers taps its sinks' final emissions and streams
 /// them into those channels as they happen.
 fn run_pipelined(
-    engine: &Engine,
-    plan: &Plan,
-    input: Vec<Split>,
+    run: &StageRunner<'_>,
+    mut input: Vec<Split>,
     cfg: &PlanConfig,
-    clock: Instant,
     cache: Option<&DatasetCache>,
-) -> Result<PlanReport> {
+) -> Result<Vec<StageReport>> {
+    let plan = run.plan;
     let n = plan.stages.len();
-    let config = engine.config();
-    let tracer = &config.tracer;
+    let config = run.engine.config();
     let record_source = plan.record_source();
+    let edge_depth = cfg.edge_depth.max(1);
 
     // Under adaptive memory policy, all concurrently-live stages share one
     // governed pool sized for the whole plan, so a memory-hungry stage
@@ -879,113 +767,45 @@ fn run_pipelined(
         }
     };
 
-    // A stage that caches its output must materialize it even when it
-    // also streams downstream: the capture reads the stage report.
-    let jobs: Vec<(JobSpec, Option<Arc<AtomicU64>>)> = plan
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(s, stage)| {
-            let streams = !plan.outgoing[s].is_empty() && stage.cache_output.is_none();
-            effective_job(stage, cfg, streams)
-        })
-        .collect();
-
-    // One bounded channel per non-source stage. Multiple upstreams of one
-    // stage share the channel through cloned senders (fan-in); the feed
-    // closes when the last upstream finishes and drops its clone.
-    // Cache-hit splits ride the same channels: a feeder thread per
-    // cache-fed streamed stage pushes them in alongside live upstream
+    // One pass builds every stage's feed and, with it, the sending ends of
+    // its incoming edges: one bounded channel per stage that has upstreams,
+    // a clone of its sender in each upstream's `outs` (fan-in), so the feed
+    // closes when the last upstream is done with it. Cache-hit splits ride
+    // the same channel, pushed by a feeder thread alongside live upstream
     // output.
-    let mut stage_tx: Vec<Option<Sender<Result<Split>>>> = (0..n).map(|_| None).collect();
-    let mut feeds: Vec<Option<SplitFeed>> = (0..n).map(|_| None).collect();
-    let mut cache_feeders: Vec<(Sender<Result<Split>>, Vec<Split>)> = Vec::new();
-    let mut input = Some(input);
+    let mut feeds: Vec<SplitFeed> = Vec::with_capacity(n);
+    let mut outs: Vec<Vec<EdgeTx>> = vec![Vec::new(); n];
+    let mut cache_feeders: Vec<(EdgeTx, Vec<Split>)> = Vec::new();
     for s in 0..n {
-        if record_source == Some(s) {
-            // A record source may *also* have cached inputs (the
-            // two-input join shape): its feed is records plus cache.
-            let mut fixed = input.take().expect("one record source stage");
-            fixed.extend(cached_splits(plan, s, cache)?);
-            feeds[s] = Some(SplitFeed::Fixed(fixed));
-        } else if plan.incoming[s].is_empty() {
-            // Fed purely by cache edges: the whole feed is known up front.
-            feeds[s] = Some(SplitFeed::Fixed(cached_splits(plan, s, cache)?));
+        let cached = cached_splits(plan, s, cache)?;
+        if plan.incoming[s].is_empty() {
+            // The record source (whose records a two-input join probes
+            // against cached inputs) or a purely cache-fed stage: the
+            // whole feed is known up front.
+            let mut fixed = if record_source == Some(s) {
+                std::mem::take(&mut input)
+            } else {
+                Vec::new()
+            };
+            fixed.extend(cached);
+            feeds.push(SplitFeed::Fixed(fixed));
         } else {
-            let (tx, rx) = bounded(cfg.edge_depth.max(1));
-            let cached = cached_splits(plan, s, cache)?;
-            if !cached.is_empty() {
-                cache_feeders.push((tx.clone(), cached));
+            let (tx, rx) = bounded(edge_depth);
+            for &u in &plan.incoming[s] {
+                outs[u].push(tx.clone());
             }
-            stage_tx[s] = Some(tx);
-            feeds[s] = Some(SplitFeed::Streamed(rx));
+            if !cached.is_empty() {
+                cache_feeders.push((tx, cached));
+            }
+            feeds.push(SplitFeed::Streamed(rx));
         }
     }
 
-    let mut writers: Vec<Option<Arc<Mutex<EdgeWriter>>>> = (0..n).map(|_| None).collect();
-    let mut taps: Vec<Option<TapFactory>> = (0..n).map(|_| None).collect();
-    for s in 0..n {
-        if plan.outgoing[s].is_empty() {
-            continue;
-        }
-        let outs: Vec<Sender<Result<Split>>> = plan.outgoing[s]
-            .iter()
-            .map(|&d| stage_tx[d].clone().expect("downstream stage has a channel"))
-            .collect();
-        let gate = governor
-            .as_ref()
-            .map(|g| PressureGate::new(g.clone(), cfg.edge_depth.max(1)));
-        let depth = Gauge::of(
-            config.metrics.as_ref(),
-            names::PLAN_EDGE_DEPTH,
-            &[("stage", &plan.stages[s].job.name)],
-        );
-        let writer = Arc::new(Mutex::new(EdgeWriter {
-            per_split: cfg.records_per_split.max(1),
-            buf: Vec::new(),
-            outs,
-            gate,
-            depth,
-        }));
-        // Each reducer gets a private writer over cloned senders, so the
-        // emission hot path never takes a shared lock: concurrently
-        // draining reducers would serialize (and, on few cores, convoy)
-        // on it. The factory snapshots the senders from the stage-level
-        // writer at reducer start; per-reducer clones drop with the
-        // reducer's sink, the stage-level set via `finish`/`poison`, and
-        // the feed closes when the last of either is gone.
-        let tap_writer = Arc::clone(&writer);
-        let per_split = cfg.records_per_split.max(1);
-        taps[s] = Some(Arc::new(move |_partition: usize| {
-            let (outs, gate, depth) = {
-                let w = lock_writer(&tap_writer);
-                (w.outs.clone(), w.gate.clone(), w.depth.clone())
-            };
-            let mut edge = EdgeWriter {
-                per_split,
-                buf: Vec::new(),
-                outs,
-                gate,
-                depth,
-            };
-            Box::new(move |key: &[u8], value: &[u8], kind: EmitKind| {
-                if kind == EmitKind::Final {
-                    edge.push(encode_pair(key, value));
-                }
-            }) as ReduceTap
-        }) as TapFactory);
-        writers[s] = Some(writer);
-    }
-    // Only the edge writers hold senders now: each downstream feed closes
-    // exactly when all of its upstream stages have finished or failed.
-    drop(stage_tx);
-
-    let mut results: Vec<Option<Result<crate::report::JobReport>>> = (0..n).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    let results: Vec<Result<StageReport>> = crossbeam::thread::scope(|scope| {
         // Cache feeders block on the bounded edge like any upstream
-        // producer; dropping their sender clone lets the feed close once
-        // the live upstreams finish too.
-        for (tx, splits) in cache_feeders.drain(..) {
+        // producer; dropping their sender lets the feed close once the
+        // live upstreams finish too.
+        for (tx, splits) in cache_feeders {
             scope.spawn(move |_| {
                 for split in splits {
                     // A send error means the consumer already failed; its
@@ -997,81 +817,78 @@ fn run_pipelined(
             });
         }
         let mut handles = Vec::with_capacity(n);
-        for s in 0..n {
-            let feed = feeds[s].take().expect("every stage has a feed");
-            let job = &jobs[s].0;
-            let tap = taps[s].clone();
+        for (s, (feed, outs)) in feeds.into_iter().zip(outs).enumerate() {
             let governor = governor.clone();
-            let writer = writers[s].clone();
-            let name = plan.stages[s].job.name.clone();
+            let tap = (!outs.is_empty()).then(|| {
+                let per_split = cfg.records_per_split;
+                let outs = outs.clone();
+                let gate = governor
+                    .as_ref()
+                    .map(|g| PressureGate::new(g.clone(), edge_depth));
+                let depth = Gauge::of(
+                    config.metrics.as_ref(),
+                    names::PLAN_EDGE_DEPTH,
+                    &[("stage", &plan.stages[s].job.name)],
+                );
+                Arc::new(move |_partition: usize| {
+                    let mut edge = EdgeWriter {
+                        batch: SplitBatcher::new(per_split),
+                        outs: outs.clone(),
+                        gate: gate.clone(),
+                        depth: depth.clone(),
+                    };
+                    Box::new(move |key: &[u8], value: &[u8], kind: EmitKind| {
+                        if kind == EmitKind::Final {
+                            edge.push(key, value);
+                        }
+                    }) as ReduceTap
+                }) as TapFactory
+            });
             handles.push(scope.spawn(move |_| {
-                let mut st_trace = tracer.local(Track::new("stage", s as u64));
-                st_trace.begin("stage", "plan");
-                let res = executor::execute(ExecParams {
-                    config,
-                    job,
-                    feed,
-                    clock,
-                    tap,
-                    governor,
-                    track_offset: s as u64 * TRACK_STRIDE,
-                });
-                st_trace.end("stage", "plan");
-                drop(st_trace);
-                // Close (or poison) the downstream feeds *before* this
-                // thread exits, so consumers never wait on a dead stage.
-                if let Some(w) = &writer {
-                    let mut w = lock_writer(w);
-                    match &res {
-                        Ok(_) => w.finish(),
-                        Err(e) => w.poison(&format!("upstream stage {s} ({name}) failed: {e}")),
+                let res = run.run(s, feed, tap, governor);
+                // Every reducer's writer dropped (and flushed) inside
+                // `run`; what is left of the edge is this thread's `outs`.
+                // Tell the consumers about a failure before hanging up, so
+                // they never mistake a dead stage for a finished one.
+                if let Err(e) = &res {
+                    let name = &plan.stages[s].job.name;
+                    let msg = format!("upstream stage {s} ({name}) failed: {e}");
+                    for tx in &outs {
+                        let _ = tx.send(Err(Error::InvalidState(msg.clone())));
                     }
                 }
                 res
             }));
         }
-        for (s, h) in handles.into_iter().enumerate() {
-            results[s] = Some(h.join().expect("stage thread panicked"));
-        }
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join().unwrap_or_else(|_| {
+                    Err(Error::InvalidState("plan stage worker panicked".into()))
+                })
+            })
+            .collect()
     })
     .map_err(|_| Error::InvalidState("plan stage worker panicked".into()))?;
 
     // Surface the topologically-first failure: downstream errors are
     // poisoned-edge echoes of the root cause.
-    for &s in &plan.order {
-        let slot = results[s].as_ref().expect("every stage ran");
-        if slot.is_err() {
-            return Err(results[s].take().expect("present").unwrap_err());
-        }
-        let decode_errors = jobs[s].1.as_ref().map_or(0, |e| e.load(Ordering::Relaxed));
-        check_decode_errors(s, &plan.stages[s].job.name, decode_errors, cfg)?;
+    let mut rank = vec![0usize; n];
+    for (i, &s) in plan.order.iter().enumerate() {
+        rank[s] = i;
     }
-
-    let mut stage_reports = Vec::with_capacity(n);
-    for s in 0..n {
-        let report = results[s]
-            .take()
-            .expect("every stage ran")
-            .expect("errors returned above");
-        let decode_errors = jobs[s].1.as_ref().map_or(0, |e| e.load(Ordering::Relaxed));
-        if decode_errors > 0 {
-            let mut st_trace = tracer.local(Track::new("stage", s as u64));
-            st_trace.instant(
-                "decode_errors",
-                "plan",
-                &[("stage", s as f64), ("count", decode_errors as f64)],
-            );
+    let mut reports = Vec::with_capacity(n);
+    let mut failed: Vec<(usize, Error)> = Vec::new();
+    for (s, res) in results.into_iter().enumerate() {
+        match res {
+            Ok(report) => reports.push(report),
+            Err(e) => failed.push((rank[s], e)),
         }
-        stage_reports.push(StageReport {
-            stage: s,
-            name: plan.stages[s].job.name.clone(),
-            is_sink: plan.outgoing[s].is_empty(),
-            decode_errors,
-            report,
-        });
     }
-
-    Ok(assemble(PlanMode::Pipelined, clock, stage_reports))
+    match failed.into_iter().min_by_key(|(rank, _)| *rank) {
+        Some((_, root)) => Err(root),
+        None => Ok(reports),
+    }
 }
 
 #[cfg(test)]
@@ -1100,7 +917,7 @@ mod tests {
 
     fn histogram_stage(name: &str) -> (JobSpec, Arc<dyn PairMap>) {
         let job = JobSpec::builder(name)
-            .map_fn(Arc::new(word_map)) // replaced by the pair decoder
+            .map_fn(Arc::new(word_map)) // replaced by `add_pair_stage`
             .aggregate(Arc::new(SumAgg))
             .reducers(2)
             .backend(ReduceBackend::IncHash { early: None })
@@ -1213,52 +1030,53 @@ mod tests {
         }
     }
 
+    /// A record stage downstream sees each upstream pair as the edge
+    /// record it always saw, through `map_pair`'s default.
     #[test]
-    fn malformed_edge_records_fail_the_stage_by_default() {
-        let (job, pairs) = histogram_stage("decode");
-        let mut b = Plan::builder();
-        b.add_pair_stage(job, pairs);
-        let plan = b.build().unwrap();
-
-        // One well-formed record between two corrupt ones.
-        let splits = vec![Split::new(vec![
-            vec![200, 0, 0, 0, 1],
-            encode_pair(b"k", &7u64.to_le_bytes()),
-            b"xy".to_vec(),
-        ])];
-        let err = Engine::new()
-            .run_plan(&plan, splits, &PlanConfig::default())
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("malformed inter-stage record"),
-            "unexpected error: {err}"
-        );
+    fn record_stage_downstream_reads_edge_records() {
+        fn hist_from_edge(record: &[u8], out: &mut dyn MapEmitter) {
+            let (_, count) = crate::codec::decode_pair(record).expect("edge record");
+            out.emit(count, &1u64.to_le_bytes());
+        }
+        let (mut hist, _) = histogram_stage("count-of-counts");
+        hist.map_fn = Arc::new(hist_from_edge);
+        let plan = Plan::linear(vec![wordcount("wordcount"), hist]).unwrap();
+        let expected = BTreeMap::from([(4, 1), (2, 2), (1, 1)]);
+        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
+            let report = Engine::new()
+                .run_plan(&plan, input(), &PlanConfig::new(mode))
+                .unwrap();
+            assert_eq!(hist_of(&report), expected, "{mode:?}");
+        }
     }
 
+    /// A fan-out edge hands both downstream stages the same segment: two
+    /// `Arc` clones, not a copy of the pairs.
     #[test]
-    fn decode_error_threshold_allows_bounded_skips_and_reports_them() {
-        let (job, pairs) = histogram_stage("decode");
-        let mut b = Plan::builder();
-        b.add_pair_stage(job, pairs);
-        let plan = b.build().unwrap();
-
-        let splits = vec![Split::new(vec![
-            vec![200, 0, 0, 0, 1],
-            encode_pair(b"k", &7u64.to_le_bytes()),
-            b"xy".to_vec(),
-        ])];
-        let report = Engine::new()
-            .run_plan(
-                &plan,
-                splits,
-                &PlanConfig {
-                    max_decode_errors: 2,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(report.stages[0].decode_errors, 2);
-        assert_eq!(report.stages[0].report.groups_out, 1);
+    fn fan_out_splits_share_one_arena() {
+        let (tx_a, rx_a) = bounded(4);
+        let (tx_b, rx_b) = bounded(4);
+        let mut edge = EdgeWriter {
+            batch: SplitBatcher::new(2),
+            outs: vec![tx_a, tx_b],
+            gate: None,
+            depth: Gauge::detached(),
+        };
+        for k in [b"a", b"b", b"c"] {
+            edge.push(k, b"v");
+        }
+        drop(edge); // the odd pair goes out as a short split
+        let pairs_of = |rx: &crossbeam::channel::Receiver<Result<Split>>| -> Vec<_> {
+            rx.iter()
+                .map(|split| split.unwrap().pairs.expect("an edge carries pairs"))
+                .collect()
+        };
+        let (a, b) = (pairs_of(&rx_a), pairs_of(&rx_b));
+        assert_eq!(a.iter().map(|p| p.len()).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(&b) {
+            assert!(std::ptr::eq(a.key(0), b.key(0)), "one arena, shared");
+        }
     }
 
     #[test]

@@ -190,6 +190,15 @@ pub struct JobReport {
 }
 
 impl JobReport {
+    /// The collected final `(key, value)` pairs, in emission order — what
+    /// crosses a plan edge, and what a plan's answer is made of.
+    pub fn final_pairs(&self) -> impl Iterator<Item = (&[u8], &[u8])> + '_ {
+        self.outputs
+            .iter()
+            .filter(|o| o.kind == EmitKind::Final)
+            .map(|o| (o.key.as_slice(), o.value.as_slice()))
+    }
+
     /// Total CPU seconds across map+reduce phases (the §V "CPU cycles"
     /// comparison metric).
     pub fn total_cpu(&self) -> Duration {
@@ -325,9 +334,6 @@ pub struct StageReport {
     /// True when the stage has no downstream consumers: its output is
     /// part of the plan's answer.
     pub is_sink: bool,
-    /// Malformed inter-stage records the stage's edge decoder skipped
-    /// (within the configured threshold; more fail the stage).
-    pub decode_errors: u64,
     /// The stage's job report. Task spans and output timestamps are
     /// measured against the *plan* clock, so `wall` is the offset from
     /// plan start to stage completion — not the stage's own duration.
@@ -358,13 +364,8 @@ impl PlanReport {
             .stages
             .iter()
             .filter(|s| s.is_sink)
-            .flat_map(|s| {
-                s.report
-                    .outputs
-                    .iter()
-                    .filter(|o| o.kind == EmitKind::Final)
-                    .map(|o| (o.key.clone(), o.value.clone()))
-            })
+            .flat_map(|s| s.report.final_pairs())
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect();
         out.sort();
         out
@@ -380,7 +381,7 @@ impl PlanReport {
             out.push_str(&format!(
                 concat!(
                     "{{\"type\":\"stage\",\"stage\":{},\"name\":\"{}\",\"sink\":{},",
-                    "\"decode_errors\":{},\"backend\":\"{}\",\"wall_s\":{},",
+                    "\"backend\":\"{}\",\"wall_s\":{},",
                     "\"groups_out\":{},\"first_final_s\":{},",
                     "\"map_attempts\":{},\"reduce_attempts\":{},",
                     "\"failed_attempts\":{},\"speculative_launched\":{},",
@@ -389,7 +390,6 @@ impl PlanReport {
                 s.stage,
                 escape(&s.name),
                 s.is_sink,
-                s.decode_errors,
                 escape(&s.report.backend),
                 fmt_f64(s.report.wall.as_secs_f64()),
                 s.report.groups_out,
@@ -530,7 +530,6 @@ mod tests {
                     stage: 0,
                     name: "count".into(),
                     is_sink: false,
-                    decode_errors: 0,
                     report: JobReport {
                         // Interior finals must NOT appear in the plan's
                         // answer.
@@ -542,7 +541,6 @@ mod tests {
                     stage: 1,
                     name: "hist".into(),
                     is_sink: true,
-                    decode_errors: 2,
                     report: JobReport {
                         outputs: vec![
                             out(b"b", b"2", EmitKind::Final),
@@ -571,7 +569,6 @@ mod tests {
         assert_eq!(lines.len(), 3, "2 stages + 1 plan line");
         let s1 = Json::parse(lines[1]).expect("valid stage line");
         assert_eq!(s1.get("type").and_then(Json::as_str), Some("stage"));
-        assert_eq!(s1.get("decode_errors").and_then(Json::as_f64), Some(2.0));
         assert_eq!(s1.get("map_attempts").and_then(Json::as_f64), Some(5.0));
         assert_eq!(s1.get("reduce_attempts").and_then(Json::as_f64), Some(2.0));
         assert_eq!(s1.get("failed_attempts").and_then(Json::as_f64), Some(1.0));

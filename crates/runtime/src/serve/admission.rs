@@ -215,8 +215,12 @@ mod tests {
         adm.admit().unwrap();
         let a2 = Arc::clone(&adm);
         let waiter = std::thread::spawn(move || a2.admit());
-        // Give the waiter time to park, then free the seat.
-        std::thread::sleep(Duration::from_millis(50));
+        // The waiter counts itself queued under the seats lock and lets go
+        // of that lock only by parking on the condvar, so once it shows
+        // here the release below cannot get in before it waits.
+        while adm.counters().queued == 0 {
+            std::thread::yield_now();
+        }
         adm.release();
         assert!(waiter.join().unwrap().is_ok());
         assert_eq!(adm.counters().queued, 1);

@@ -4,8 +4,10 @@
 //!
 //! The batch engine runs a plan stage-by-stage over fixed splits; a
 //! serving tenant instead keeps *stage 0* open against the shared ingest
-//! stream and, at close, pours each stage's finals through the connecting
-//! [`PairMap`] into the next stage's session. Because every aggregate in
+//! stream and, at close, pours each stage's finals into the next stage's
+//! session as pairs, through that stage's own
+//! [`MapFn::map_pair`](crate::job::MapFn::map_pair) — the door a plan edge
+//! enters the same job by. Because every aggregate in
 //! the catalog is arrival-order-independent, the cascade's finals are
 //! byte-identical to a batch `run`/`run_plan` of the same query over the
 //! same records — the invariant the serving smoke test enforces.
@@ -16,22 +18,19 @@ use std::sync::Arc;
 use onepass_core::error::{Error, Result};
 
 use crate::job::JobSpec;
-use crate::plan::{PairMap, Plan, StageInput};
+use crate::plan::Plan;
 use crate::stream::{SessionOptions, StreamSession};
 
 /// The ingest family a query not tagged otherwise consumes.
 pub const DEFAULT_INGEST: &str = "default";
 
 /// A query compiled for streaming execution: a linear chain of
-/// incremental-backend jobs, each (after the first) fed by the previous
-/// stage's finals through a [`PairMap`].
+/// incremental-backend jobs, each (after the first) fed the previous
+/// stage's finals as pairs.
 #[derive(Clone)]
 pub struct StreamingQuery {
     /// Stage jobs, source first. Every backend must be incremental.
     pub stages: Vec<JobSpec>,
-    /// `routes[i]` maps stage `i`'s finals into stage `i + 1`'s input;
-    /// always `stages.len() - 1` entries.
-    pub routes: Vec<Arc<dyn PairMap>>,
     /// Ingest family this query consumes (e.g. `"clicks"` vs `"docs"`):
     /// a server multiplexes several record streams and only feeds each
     /// session batches whose family matches.
@@ -54,7 +53,6 @@ impl StreamingQuery {
     pub fn single(job: JobSpec) -> StreamingQuery {
         StreamingQuery {
             stages: vec![job],
-            routes: Vec::new(),
             ingest: DEFAULT_INGEST.to_string(),
         }
     }
@@ -66,55 +64,32 @@ impl StreamingQuery {
     }
 
     /// Compile a *linear* plan (a chain — each stage feeds exactly the
-    /// next) into a streaming cascade. Every non-source stage must be a
-    /// pair stage: its input is the upstream finals, decoded, which is
-    /// exactly what the cascade feeds it.
+    /// next) into a streaming cascade: walk the chain, clone the jobs. A
+    /// stage's job is the job the plan runs, so whatever its `map_pair`
+    /// does with an upstream final on a plan edge it does here.
     pub fn from_plan(plan: &Plan) -> Result<StreamingQuery> {
-        let n = plan.stage_count();
-        let mut stages = Vec::with_capacity(n);
-        let mut routes = Vec::with_capacity(n.saturating_sub(1));
-        // Walk the chain from the single source.
-        let mut at = plan
-            .order
-            .iter()
-            .copied()
-            .find(|&s| plan.incoming[s].is_empty())
-            .expect("validated plan has a source");
-        loop {
-            let stage = &plan.stages[at];
-            match (&stage.input, stages.is_empty()) {
-                (StageInput::Records, true) => stages.push(stage.job.clone()),
-                (StageInput::Pairs(route), false) => {
-                    routes.push(Arc::clone(route));
-                    stages.push(stage.job.clone());
-                }
-                (StageInput::Records, false) => {
-                    return Err(Error::Config(format!(
-                        "stage {} reads raw edge records; streaming cascades need pair stages",
-                        stage.job.name
-                    )));
-                }
-                (StageInput::Pairs(_), true) => {
-                    return Err(Error::Config("source stage cannot be a pair stage".into()));
-                }
+        let mut stages = Vec::with_capacity(plan.stage_count());
+        // A validated plan's topological order starts at a stage with no
+        // upstream; a chain has its stages in that order, each feeding
+        // exactly the next.
+        for (i, &at) in plan.order.iter().enumerate() {
+            let job = &plan.stages[at].job;
+            let feeds_next = match (plan.outgoing[at].as_slice(), plan.order.get(i + 1)) {
+                ([], None) => true,
+                ([to], Some(next)) => to == next,
+                _ => false,
+            };
+            if !feeds_next {
+                return Err(Error::Config(format!(
+                    "stage {} does not feed exactly the next stage; streaming cascades must \
+                     be one linear chain",
+                    job.name
+                )));
             }
-            match plan.outgoing[at].as_slice() {
-                [] => break,
-                [next] => at = *next,
-                _ => {
-                    return Err(Error::Config(format!(
-                        "stage {} fans out; streaming cascades must be linear",
-                        stage.job.name
-                    )));
-                }
-            }
-        }
-        if stages.len() != n {
-            return Err(Error::Config("plan is not a single linear chain".into()));
+            stages.push(job.clone());
         }
         Ok(StreamingQuery {
             stages,
-            routes,
             ingest: DEFAULT_INGEST.to_string(),
         })
     }
@@ -223,30 +198,37 @@ mod tests {
     }
 
     #[test]
-    fn linear_pair_plan_compiles() {
+    fn linear_plans_compile_whatever_their_stages_read() {
         let mut b = PlanBuilder::new();
         let s1 = b.add_stage(inc_job("a"));
-        let route: Arc<dyn PairMap> =
+        let s2 = b.add_pair_stage(
+            inc_job("b"),
             Arc::new(|k: &[u8], v: &[u8], out: &mut dyn crate::job::MapEmitter| {
                 out.emit(k, v);
-            });
-        let s2 = b.add_pair_stage(inc_job("b"), route);
+            }),
+        );
         b.connect(s1, s2);
-        let plan = b.build().unwrap();
-        let q = StreamingQuery::from_plan(&plan).unwrap();
+        let q = StreamingQuery::from_plan(&b.build().unwrap()).unwrap();
         assert_eq!(q.stages.len(), 2);
-        assert_eq!(q.routes.len(), 1);
         assert_eq!(q.total_partitions(), 2);
+
+        // A record stage downstream is a cascade stage like any other.
+        let plan = Plan::linear(vec![inc_job("a"), inc_job("b"), inc_job("c")]).unwrap();
+        let q = StreamingQuery::from_plan(&plan).unwrap();
+        let names: Vec<&str> = q.stages.iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
     }
 
     #[test]
-    fn non_pair_downstream_stage_is_rejected() {
+    fn plans_that_are_not_one_chain_are_rejected() {
         let mut b = PlanBuilder::new();
         let s1 = b.add_stage(inc_job("a"));
         let s2 = b.add_stage(inc_job("b"));
+        let s3 = b.add_stage(inc_job("c"));
         b.connect(s1, s2);
-        let plan = b.build().unwrap();
-        assert!(StreamingQuery::from_plan(&plan).is_err());
+        b.connect(s1, s3);
+        let err = StreamingQuery::from_plan(&b.build().unwrap()).unwrap_err();
+        assert!(err.to_string().contains("linear chain"), "{err}");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! its own channel; a disconnected tenant (dropped receiver) is detached
 //! and its seat and share are released.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -189,6 +189,8 @@ pub struct Server {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     closed: AtomicBool,
     ingest_records: AtomicU64,
+    /// Subscriptions that made it into a shard queue, ever.
+    subscribed: AtomicUsize,
 }
 
 impl std::fmt::Debug for Server {
@@ -248,6 +250,7 @@ impl Server {
             workers: Mutex::new(workers),
             closed: AtomicBool::new(false),
             ingest_records: AtomicU64::new(0),
+            subscribed: AtomicUsize::new(0),
         })
     }
 
@@ -261,9 +264,20 @@ impl Server {
         &self.shared.governor
     }
 
-    /// Active tenants right now.
+    /// Active tenants right now: seats taken. A seat is taken *before* its
+    /// subscription is queued (admission can refuse; a full shard queue can
+    /// only make the subscriber wait), so this runs ahead of
+    /// [`subscribed`](Server::subscribed) while a subscriber is blocked.
     pub fn active_tenants(&self) -> usize {
         self.shared.admission.active()
+    }
+
+    /// Subscriptions enqueued so far — the number to wait on before
+    /// starting ingest: a shard queue orders a subscription against every
+    /// batch fed after this counted it, so each of these tenants sees the
+    /// stream from its first batch.
+    pub fn subscribed(&self) -> usize {
+        self.subscribed.load(Ordering::Acquire)
     }
 
     /// Admission counter snapshot (admitted / queued / rejected).
@@ -303,6 +317,10 @@ impl Server {
             self.shared.admission.release();
             return Err(Error::InvalidState("server shards are gone".into()));
         }
+        // Release, paired with the Acquire load in `subscribed`: a feeder
+        // that reads this count sends its batches after the `send` above
+        // returned, so the shard queue holds the subscription first.
+        self.subscribed.fetch_add(1, Ordering::Release);
         self.shared
             .metrics
             .on_admitted(self.shared.admission.active());

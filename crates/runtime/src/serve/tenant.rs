@@ -5,22 +5,19 @@
 //!
 //! Stage 0 stays open against the shared ingest stream and produces the
 //! *early* answers (the paper's incremental-hash payoff). At close, each
-//! stage's finals pour through the connecting [`PairMap`] into the next
-//! stage's session — the streaming equivalent of a pipelined plan edge —
-//! and the last stage's finals are the answer.
+//! stage's finals pour into the next stage's session as pairs
+//! ([`StreamSession::feed_pairs`]) — the streaming equivalent of a
+//! pipelined plan edge — and the last stage's finals are the answer.
 //!
 //! Poison containment: a record whose map function panics is isolated by
 //! re-feeding the offending batch record-by-record (the map phase runs
 //! before any grouper state is touched, so a map panic leaves the session
 //! clean), quarantined in the DLQ, and retried at later feed boundaries.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
 use onepass_core::error::Result;
 use onepass_groupby::{EmitKind, OpStats};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::plan::PairMap;
 use crate::stream::{SessionOptions, StreamAnswer, StreamSession};
 
 use super::dlq::{DeadLetterQueue, DlqConfig};
@@ -53,7 +50,6 @@ pub struct TenantSession {
     id: String,
     query_name: String,
     sessions: Vec<StreamSession>,
-    routes: Vec<Arc<dyn PairMap>>,
     dlq: DeadLetterQueue,
 }
 
@@ -83,7 +79,6 @@ impl TenantSession {
             id: id.to_string(),
             query_name: query_name.to_string(),
             sessions: query.open(opts)?,
-            routes: query.routes.clone(),
             dlq: DeadLetterQueue::new(dlq),
         })
     }
@@ -173,7 +168,6 @@ impl TenantSession {
         }
         let mut stats = Vec::new();
         let mut stages = self.sessions.into_iter();
-        let mut routes = self.routes.into_iter();
         let mut current = stages.next().expect("cascade has at least one stage");
         let records_in = current.records_in();
         loop {
@@ -195,12 +189,10 @@ impl TenantSession {
                     });
                 }
                 Some(mut next) => {
-                    let route = routes.next().expect("one route per cascade edge");
                     next.feed_pairs(
                         finals
                             .iter()
                             .map(|a| (a.key.as_slice(), a.value.as_slice())),
-                        route.as_ref(),
                     )?;
                     current = next;
                 }

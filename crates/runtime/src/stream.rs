@@ -23,8 +23,7 @@ use onepass_core::memory::MemoryBudget;
 use onepass_groupby::{EmitKind, GroupBy, OpStats, Sink};
 
 use crate::executor;
-use crate::job::{JobSpec, MapEmitter};
-use crate::plan::PairMap;
+use crate::job::{JobSpec, MapEmitter, MapFn};
 
 /// How a [`StreamSession`] sources its per-partition memory.
 ///
@@ -186,6 +185,28 @@ impl StreamSession {
         &mut self,
         records: impl IntoIterator<Item = &'r [u8]>,
     ) -> Result<Vec<StreamAnswer>> {
+        self.feed_with(records, |f, record, out| f.map(record, out))
+    }
+
+    /// Feed `(key, value)` pairs through the job's own
+    /// [`MapFn::map_pair`] — the door every inter-stage record enters a
+    /// stage by. This is how a serving cascade pours one session's finals
+    /// into the next stage's session without framing them as edge records
+    /// (a record stage still sees them framed, by `map_pair`'s default).
+    pub fn feed_pairs<'r>(
+        &mut self,
+        pairs: impl IntoIterator<Item = (&'r [u8], &'r [u8])>,
+    ) -> Result<Vec<StreamAnswer>> {
+        self.feed_with(pairs, |f, (key, value), out| f.map_pair(key, value, out))
+    }
+
+    /// Map every item of a batch through `apply`, then push the routed
+    /// output into the groupers.
+    fn feed_with<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        apply: impl Fn(&dyn MapFn, T, &mut dyn MapEmitter),
+    ) -> Result<Vec<StreamAnswer>> {
         if self.closed {
             return Err(Error::InvalidState("session is closed".into()));
         }
@@ -217,51 +238,8 @@ impl StreamSession {
             // as it was, including this counter, so the serving layer can
             // re-feed record-by-record without double counting.
             let mut mapped = 0u64;
-            for rec in records {
-                self.job.map_fn.map(rec, &mut emitter);
-                mapped += 1;
-            }
-            self.records_in += mapped;
-        }
-        self.push_routed(buf, &mut answers)?;
-        Ok(answers)
-    }
-
-    /// Feed already-decoded `(key, value)` pairs through `route` (a
-    /// [`PairMap`], the inter-stage map of a [`Plan`](crate::Plan)),
-    /// bypassing the job's own record map function. This is how a serving
-    /// front-end cascades one session's finals into the next stage's
-    /// session without re-encoding them as edge records.
-    pub fn feed_pairs<'r>(
-        &mut self,
-        pairs: impl IntoIterator<Item = (&'r [u8], &'r [u8])>,
-        route: &dyn PairMap,
-    ) -> Result<Vec<StreamAnswer>> {
-        if self.closed {
-            return Err(Error::InvalidState("session is closed".into()));
-        }
-        let mut answers = Vec::new();
-        let mut buf = KvBuf::new();
-        {
-            struct RouteEmitter<'a> {
-                partitioner: &'a dyn crate::job::Partitioner,
-                reducers: usize,
-                buf: &'a mut KvBuf,
-            }
-            impl MapEmitter for RouteEmitter<'_> {
-                fn emit(&mut self, key: &[u8], value: &[u8]) {
-                    let p = self.partitioner.partition(key, self.reducers) as u32;
-                    self.buf.push(p, key, value);
-                }
-            }
-            let mut emitter = RouteEmitter {
-                partitioner: self.job.partitioner.as_ref(),
-                reducers: self.groupers.len(),
-                buf: &mut buf,
-            };
-            let mut mapped = 0u64;
-            for (k, v) in pairs {
-                route.map_pair(k, v, &mut emitter);
+            for item in items {
+                apply(self.job.map_fn.as_ref(), item, &mut emitter);
                 mapped += 1;
             }
             self.records_in += mapped;
@@ -501,15 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn feed_pairs_routes_through_the_pair_map() {
-        let job = JobSpec::builder("pairs")
-            .map_fn(Arc::new(crate::job::identity_map))
-            .aggregate(Arc::new(onepass_groupby::SumAgg))
-            .reducers(2)
-            .backend(ReduceBackend::IncHash { early: None })
-            .build()
-            .unwrap();
-        let mut s = StreamSession::new(job).unwrap();
+    fn feed_pairs_enters_through_the_jobs_own_map_pair() {
         // Route (key, count-le) pairs into a single bucket keyed by count
         // parity, summing counts.
         let route = |_k: &[u8], v: &[u8], out: &mut dyn MapEmitter| {
@@ -517,14 +487,19 @@ mod tests {
             let bucket = if n % 2 == 0 { b"even" } else { b"odd\0" };
             out.emit(bucket, v);
         };
+        let job = JobSpec::builder("pairs")
+            .map_fn(crate::job::pair_map_fn(Arc::new(route)))
+            .aggregate(Arc::new(onepass_groupby::SumAgg))
+            .reducers(2)
+            .backend(ReduceBackend::IncHash { early: None })
+            .build()
+            .unwrap();
+        let mut s = StreamSession::new(job).unwrap();
         let pairs: Vec<(Vec<u8>, Vec<u8>)> = (1..=4u64)
             .map(|n| (format!("k{n}").into_bytes(), n.to_le_bytes().to_vec()))
             .collect();
-        s.feed_pairs(
-            pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
-            &route,
-        )
-        .unwrap();
+        s.feed_pairs(pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())))
+            .unwrap();
         let (answers, _) = s.close().unwrap();
         let mut sums = std::collections::BTreeMap::new();
         for a in answers.iter().filter(|a| a.kind == EmitKind::Final) {

@@ -43,7 +43,6 @@ const PERTURBED: &[&[(&str, &str)]] = &[
     &[("map-buffer-kb", "96")],
     &[("budget-kb", "1.4658203125")], // 1501 bytes: not a whole KiB
     &[("map-side", "hash-partition"), ("combine", "off")],
-    &[("inmem-merge-threshold", "7")],
     &[("collect-output", "discard")],
     &[("map-workers", "1")],
     &[("spill", "temp-files")],
@@ -71,7 +70,6 @@ fn scalars(s: &Settings) -> String {
             j.map_buffer_bytes,
             j.reduce_budget_bytes,
             j.combine,
-            j.inmem_merge_threshold,
             j.collect_output,
         ),
         (
@@ -288,8 +286,7 @@ fn travelling_pairs_of_every_preset_are_pinned() {
             format!("{name}: {}", pairs.join(" "))
         })
         .collect();
-    const TAIL: &str = "map-buffer-kb=16384 budget-kb=65536 combine=on \
-                        inmem-merge-threshold=1000 spill=memory retries=1";
+    const TAIL: &str = "map-buffer-kb=16384 budget-kb=65536 combine=on spill=memory retries=1";
     let want = [
         (
             "hadoop",

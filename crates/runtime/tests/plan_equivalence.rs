@@ -5,6 +5,8 @@
 //! by the [`DatasetCache`] (`cache_output` → `cached_input`), or as two
 //! hand-chained [`Engine::run`] calls with the edge encoded manually
 //! through the edge codec — and all four match a pure-Rust reference.
+//! (The plans themselves carry pairs on every edge; the codec appears
+//! here only where a test crosses an edge by hand.)
 //! The property sweeps all four reduce backends, both spill backends,
 //! static and pooled memory (the shipped victim rule and a rotating
 //! one), both scopes of the map-side combiner (speculation off/on), and
@@ -200,9 +202,6 @@ proptest! {
             let report = Engine::with_config(cfg)
                 .run_plan(&plan, splits.clone(), &pc)
                 .unwrap();
-            for s in &report.stages {
-                prop_assert_eq!(s.decode_errors, 0, "stage {} skipped edge records", s.stage);
-            }
             outputs.push((mode.label(), report.sorted_final_outputs()));
         }
 
@@ -327,19 +326,14 @@ fn mk_plan(backend: ReduceBackend, reducers: usize) -> Plan {
     b.build().unwrap()
 }
 
-/// The registry a worker needs to serve both stages of the plan. Pair
-/// stages get their map function replaced coordinator-side at run time;
-/// remote workers rebuild the job from the registry instead, so the
-/// histogram stage is registered with the edge decoding inlined.
-fn plan_registry(backend: ReduceBackend, reducers: usize) -> JobRegistry {
+/// The registry a worker needs to serve a plan: the plan's own jobs. A
+/// pair stage's job already carries its pair function as `map_fn`, so what
+/// the coordinator runs and what a worker rebuilds by name are one spec.
+fn plan_registry(plan: &Plan) -> JobRegistry {
     let r = JobRegistry::new();
-    r.register_spec(count_job(backend, reducers));
-    let mut hist = histogram_job();
-    hist.map_fn = Arc::new(|record: &[u8], out: &mut dyn MapEmitter| {
-        let (_, value) = decode_pair(record).expect("valid edge record");
-        histogram_pair(value, out);
-    });
-    r.register_spec(hist);
+    for job in plan.jobs() {
+        r.register_spec(job.clone());
+    }
     r
 }
 
@@ -370,10 +364,10 @@ proptest! {
             .chunks(per_split)
             .map(|c| Split::new(c.to_vec()))
             .collect();
-        let plan = mk_plan(backend.clone(), reducers);
+        let plan = mk_plan(backend, reducers);
 
         let die_after = (die_after_tag > 0).then_some(die_after_tag);
-        let registry = plan_registry(backend, reducers);
+        let registry = plan_registry(&plan);
         let w1 = spawn_local(
             registry.clone(),
             WorkerOptions {
@@ -411,6 +405,84 @@ proptest! {
             die_after
         );
     }
+}
+
+/// Collects what a map function emits.
+#[derive(Default)]
+struct Emitted(Vec<(Vec<u8>, Vec<u8>)>);
+
+impl MapEmitter for Emitted {
+    fn emit(&mut self, key: &[u8], value: &[u8]) {
+        self.0.push((key.to_vec(), value.to_vec()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The adapter's two doors are one: an edge record through `map` is
+    /// the pair through `map_pair`, for any bytes — and a record stage's
+    /// default `map_pair` hands `map` exactly that edge record.
+    #[test]
+    fn pair_adapter_map_of_an_edge_record_is_map_pair(
+        key in prop::collection::vec(any::<u8>(), 0..40),
+        value in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let echo = pair_map_fn(Arc::new(|k: &[u8], v: &[u8], out: &mut dyn MapEmitter| {
+            out.emit(k, v);
+            out.emit(v, k);
+        }));
+        let (mut by_record, mut by_pair) = (Emitted::default(), Emitted::default());
+        echo.map(&encode_pair(&key, &value), &mut by_record);
+        echo.map_pair(&key, &value, &mut by_pair);
+        prop_assert_eq!(&by_record.0, &by_pair.0);
+        prop_assert_eq!(&by_pair.0[0], &(key.clone(), value.clone()));
+
+        let record_stage = |record: &[u8], out: &mut dyn MapEmitter| out.emit(record, b"");
+        let mut seen = Emitted::default();
+        MapFn::map_pair(&record_stage, &key, &value, &mut seen);
+        prop_assert_eq!(&seen.0[0].0, &encode_pair(&key, &value));
+    }
+}
+
+/// Bytes reach a pair stage only from outside (plan input, a `NewSplit`
+/// body): input that is not an edge record fails the job with the
+/// malformed-record message — in both plan modes, in-process and on a TCP
+/// worker — and is never skipped.
+#[test]
+fn undecodable_input_to_a_source_pair_stage_fails_the_job_everywhere() {
+    let mut b = Plan::builder();
+    b.add_pair_stage(
+        histogram_job(),
+        Arc::new(|_key: &[u8], value: &[u8], out: &mut dyn MapEmitter| {
+            histogram_pair(value, out);
+        }),
+    );
+    let plan = b.build().unwrap();
+    let input = || {
+        vec![Split::new(vec![
+            encode_pair(b"w", &3u64.to_le_bytes()),
+            vec![200, 0, 0, 0, 1], // a key length that overruns the record
+        ])]
+    };
+
+    let worker = spawn_local(plan_registry(&plan), WorkerOptions::default()).unwrap();
+    let tcp = Transport::Tcp {
+        workers: vec![worker.addr().to_string()],
+    };
+    for transport in [Transport::InProc, tcp] {
+        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
+            let cfg = EngineConfig::builder().transport(transport.clone()).build();
+            let err = Engine::with_config(cfg)
+                .run_plan(&plan, input(), &PlanConfig::new(mode))
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("malformed inter-stage record"),
+                "{transport:?} {mode:?}: {err}"
+            );
+        }
+    }
+    worker.shutdown();
 }
 
 /// Set once the sink stage has mapped its first pair.

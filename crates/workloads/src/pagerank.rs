@@ -33,7 +33,8 @@ use onepass_core::io::{FileSpillStore, SpillStore};
 use onepass_core::SegmentBufBuilder;
 use onepass_groupby::{Aggregator, FirstAgg};
 use onepass_runtime::{
-    DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, Plan, PlanConfig,
+    pair_map_fn, DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, PairMap, Plan,
+    PlanConfig,
 };
 
 use crate::make_splits;
@@ -153,12 +154,7 @@ impl MapFn for ParseGraphMap {
 /// [`merge_new_ranks`] folds the reduced ranks back into it in place.
 struct ContribMap;
 
-impl MapFn for ContribMap {
-    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        let (k, v) = onepass_runtime::codec::decode_pair(record).expect("edge record");
-        self.map_pair(k, v, out);
-    }
-
+impl PairMap for ContribMap {
     fn map_pair(&self, _key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
         let (rank, dsts) = decode_state(value);
         let cv = contribution(rank, dsts.len()).to_le_bytes();
@@ -303,7 +299,7 @@ fn parse_job(nodes: usize, reducers: usize) -> Result<JobSpec> {
 
 fn rank_job(nodes: usize, reducers: usize) -> Result<JobSpec> {
     JobSpec::builder("pagerank-round")
-        .map_fn(Arc::new(ContribMap))
+        .map_fn(pair_map_fn(Arc::new(ContribMap)))
         .aggregate(Arc::new(RankAgg {
             base: base_rank(nodes),
         }))

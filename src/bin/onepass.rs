@@ -707,17 +707,12 @@ fn cmd_plan(mut args: Args) {
     for s in &report.stages {
         let sink = if s.is_sink { " -> output" } else { "" };
         println!(
-            "stage {}:           {} [{}] done at {} ({} groups{}{})",
+            "stage {}:           {} [{}] done at {} ({} groups{})",
             s.stage,
             s.name,
             s.report.backend,
             fmt_secs(s.report.wall.as_secs_f64()),
             s.report.groups_out,
-            if s.decode_errors > 0 {
-                format!(", {} decode errors", s.decode_errors)
-            } else {
-                String::new()
-            },
             sink
         );
     }
@@ -1085,12 +1080,15 @@ fn cmd_serve(mut args: Args) {
     );
 
     if await_tenants > 0 {
+        // Enqueued subscriptions, not seats: a subscriber that holds a
+        // seat but is still blocked on a full shard queue would otherwise
+        // open its session a batch late.
         let deadline = std::time::Instant::now() + await_timeout;
-        while server.active_tenants() < await_tenants {
+        while server.subscribed() < await_tenants {
             if std::time::Instant::now() >= deadline {
                 eprintln!(
                     "timed out waiting for {await_tenants} tenant(s); have {}",
-                    server.active_tenants()
+                    server.subscribed()
                 );
                 std::process::exit(1);
             }
@@ -1098,7 +1096,7 @@ fn cmd_serve(mut args: Args) {
         }
         eprintln!(
             "{} tenant(s) subscribed; starting ingest",
-            server.active_tenants()
+            server.subscribed()
         );
     }
 

@@ -79,7 +79,7 @@ pub mod prelude {
     pub use onepass_runtime::stream::{SessionOptions, StreamSession};
     pub use onepass_runtime::window::{WindowConfig, WindowedSession};
     pub use onepass_runtime::{
-        CacheConfig, CollectOutput, Combine, DatasetCache, Engine, EngineConfig,
+        pair_map_fn, CacheConfig, CollectOutput, Combine, DatasetCache, Engine, EngineConfig,
         EngineConfigBuilder, IterativePlan, JobRegistry, JobSpec, MapEmitter, MapFn, MapSideMode,
         PairMap, Plan, PlanBuilder, PlanConfig, PlanMode, PlanReport, ReduceBackend, RetryPolicy,
         RoundContext, ShuffleMode, SpeculationConfig, SpillBackend, StageId, StageReport,

@@ -191,6 +191,8 @@ fn early_output_happens_before_final_under_hop() {
     assert!(report.snapshots > 0, "HOP must snapshot");
     let first_early = report.first_early_at.expect("early output exists");
     let first_final = report.first_final_at.expect("final output exists");
+    // Causal, not a margin: each reducer snapshots before its own final
+    // merge, so the earliest early precedes the earliest final.
     assert!(first_early <= first_final);
 }
 

@@ -248,13 +248,153 @@ fn transient_poison_recovers_and_is_counted() {
 }
 
 /// Poll `cond` (the shard workers act on their queues asynchronously)
-/// until it holds; panics with `what` after five seconds.
+/// until it holds; panics with `what` after five seconds. The sleep is
+/// the poll interval, not an ordering: nothing is assumed to have happened
+/// because time passed, and the deadline (three orders above the
+/// millisecond a shard takes to act) only turns a hang into a failure.
 fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// The known wrong answer of ROADMAP item 9: `Server::subscribe` takes
+/// its seat before its subscription is in the shard queue, so a start
+/// signal read off the seat count (`active_tenants`, what `onepass serve
+/// --await-tenants` polled) fires while a subscriber is still blocked on a
+/// full queue — and that subscriber then opens its session a batch late.
+/// With a queue one deep and the shard stalled inside the query's factory
+/// the window is held open: the seat count reads 3 while exactly 2
+/// subscriptions are queued, and `subscribed` must say 2.
+#[test]
+fn awaited_tenant_count_is_enqueued_subscriptions_not_seats() {
+    use std::sync::{Condvar, Mutex};
+
+    #[derive(Default)]
+    struct Stall {
+        /// `(shard is inside the factory, test let it go)`
+        state: Mutex<(bool, bool)>,
+        changed: Condvar,
+    }
+    let stall = Arc::new(Stall::default());
+    let mut catalog = QueryCatalog::new();
+    let in_factory = Arc::clone(&stall);
+    catalog.register("gated", move || {
+        let mut state = in_factory.state.lock().unwrap();
+        state.0 = true;
+        in_factory.changed.notify_all();
+        let _released = in_factory.changed.wait_while(state, |s| !s.1).unwrap();
+        count_query("gated", |_| {})
+    });
+    let config = ServeConfig {
+        shards: 1,
+        queue_depth: 1,
+        ..ServeConfig::default()
+    };
+    let server = Arc::new(Server::start(config, catalog, None).expect("start"));
+
+    // The first subscription reaches the shard, which stalls opening it.
+    let first = server.subscribe("t1", "gated").expect("admit");
+    drop(
+        stall
+            .changed
+            .wait_while(stall.state.lock().unwrap(), |s| !s.0)
+            .unwrap(),
+    );
+    // The second fills the queue; the third takes a seat and blocks.
+    let second = server.subscribe("t2", "gated").expect("admit");
+    let blocked = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.subscribe("t3", "gated").expect("admit"))
+    };
+    eventually("the third tenant's seat", || server.active_tenants() == 3);
+    assert_eq!(
+        server.subscribed(),
+        2,
+        "a seat is not a queued subscription: ingest must not start on it"
+    );
+
+    stall.state.lock().unwrap().1 = true;
+    stall.changed.notify_all();
+    let third = blocked.join().expect("subscriber thread");
+    assert_eq!(server.subscribed(), 3);
+
+    // Ingest started on the enqueued count: all three share one session
+    // and see the stream from its first batch.
+    let records: Vec<Vec<u8>> = (0..300u32)
+        .map(|i| format!("k{} x", i % 7).into_bytes())
+        .collect();
+    for chunk in records.chunks(100) {
+        server.feed(DEFAULT_INGEST, chunk.to_vec()).expect("feed");
+    }
+    server.close().expect("close");
+    let closes: Vec<_> = [first, second, third]
+        .iter()
+        .map(|h| h.wait_final().expect("final").1)
+        .collect();
+    for close in &closes {
+        assert!(Arc::ptr_eq(close, &closes[0]), "one session, one close");
+        assert_eq!(close.records_in, records.len() as u64);
+    }
+}
+
+/// A linear plan of *record* stages is a cascade like any other: the
+/// second stage reads each upstream final as an edge record through
+/// `map_pair`'s default, exactly as it does on a plan edge, and the
+/// tenant's finals are the batch plan's dump.
+#[test]
+fn linear_plan_of_record_stages_serves_what_the_batch_plan_dumps() {
+    fn chain() -> Plan {
+        let job = |name: &str, reducers, map: Arc<dyn MapFn>| {
+            JobSpec::builder(name)
+                .map_fn(map)
+                .aggregate(Arc::new(SumAgg))
+                .reducers(reducers)
+                .preset_onepass()
+                .build()
+                .expect("valid job")
+        };
+        let count = |record: &[u8], out: &mut dyn MapEmitter| {
+            let key = record.split(|&b| b == b' ').next().unwrap_or(b"?");
+            out.emit(key, &1u64.to_le_bytes());
+        };
+        let histogram = |record: &[u8], out: &mut dyn MapEmitter| {
+            let (_key, count) = decode_pair(record).expect("an edge record");
+            out.emit(count, &1u64.to_le_bytes());
+        };
+        Plan::linear(vec![
+            job("counts", 2, Arc::new(count)),
+            job("count-of-counts", 1, Arc::new(histogram)),
+        ])
+        .expect("valid chain")
+    }
+    let records: Vec<Vec<u8>> = (0..2_000u32)
+        .map(|i| format!("k{} x", (i * i) % 41).into_bytes())
+        .collect();
+
+    let splits: Vec<Split> = records
+        .chunks(250)
+        .map(|c| Split::new(c.to_vec()))
+        .collect();
+    let batch = Engine::new()
+        .run_plan(&chain(), splits, &PlanConfig::default())
+        .expect("batch plan");
+    let finals = batch.sorted_final_outputs();
+    let want = onepass_runtime::dump_pairs(finals.iter().map(|(k, v)| (&k[..], &v[..])));
+    assert!(want.lines().count() > 1, "a histogram with several bars");
+
+    let mut catalog = QueryCatalog::new();
+    catalog.register("count-of-counts", || StreamingQuery::from_plan(&chain()));
+    let server = Server::start(ServeConfig::default(), catalog, None).expect("start");
+    let tenant = server.subscribe("t", "count-of-counts").expect("admit");
+    for chunk in records.chunks(128) {
+        server.feed(DEFAULT_INGEST, chunk.to_vec()).expect("feed");
+    }
+    server.close().expect("close");
+    let (_earlies, close) = tenant.wait_final().expect("final");
+    assert_eq!(dump_final_answers(&close.answers), want);
 }
 
 /// A one-query catalog (`counted`) whose map function counts its calls.

@@ -8,25 +8,31 @@
 //! spilled partial state meets a resident one, and for combiner→reducer
 //! composition), and `finish` renders the final output value.
 //!
-//! States are byte arrays, matching the engine-wide byte-oriented data
+//! States are byte strings, matching the engine-wide byte-oriented data
 //! plane: states can be spilled, shuffled and merged without knowing their
-//! semantics.
+//! semantics. A holder keeps each one as a [`StateBuf`], so a state of at
+//! most [`INLINE_CAPACITY`](crate::state::INLINE_CAPACITY) bytes — a
+//! count, a sum, a max, a short first value — lives in its table slot with
+//! no heap allocation; `finish` appends the output to a buffer the holder
+//! clears and reuses from key to key.
+
+use crate::state::StateBuf;
 
 /// A commutative, associative aggregate over the values of one key.
 pub trait Aggregator: Send + Sync {
     /// Initial state for a key, from its first value.
-    fn init(&self, key: &[u8], value: &[u8]) -> Vec<u8>;
+    fn init(&self, key: &[u8], value: &[u8]) -> StateBuf;
 
     /// Fold one more raw value into an existing state.
-    fn update(&self, key: &[u8], state: &mut Vec<u8>, value: &[u8]);
+    fn update(&self, key: &[u8], state: &mut StateBuf, value: &[u8]);
 
     /// Merge another *state* (not raw value) into `state`.
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other_state: &[u8]);
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other_state: &[u8]);
 
-    /// Render the final output value from a state. Default: the state
-    /// bytes themselves.
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        state
+    /// Append the final output value rendered from `state` to `out`, which
+    /// the caller has cleared. Default: the state bytes themselves.
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(state);
     }
 
     /// Whether the aggregate can serve as a *combiner* (partial
@@ -41,25 +47,38 @@ pub trait Aggregator: Send + Sync {
 /// an aggregate (needed to wrap dynamic aggregates in adapters like
 /// [`StateInput`]).
 impl<T: Aggregator + ?Sized> Aggregator for std::sync::Arc<T> {
-    fn init(&self, key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn init(&self, key: &[u8], value: &[u8]) -> StateBuf {
         (**self).init(key, value)
     }
 
-    fn update(&self, key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, key: &[u8], state: &mut StateBuf, value: &[u8]) {
         (**self).update(key, state, value)
     }
 
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other_state: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other_state: &[u8]) {
         (**self).merge(key, state, other_state)
     }
 
-    fn finish(&self, key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        (**self).finish(key, state)
+    fn finish(&self, key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        (**self).finish(key, state, out)
     }
 
     fn combinable(&self) -> bool {
         (**self).combinable()
     }
+}
+
+/// `agg`'s output for `state`, rendered into a holder's reusable `out`
+/// buffer: how every holder in this crate finishes a key.
+pub(crate) fn render<'o>(
+    agg: &dyn Aggregator,
+    key: &[u8],
+    state: &[u8],
+    out: &'o mut Vec<u8>,
+) -> &'o [u8] {
+    out.clear();
+    agg.finish(key, state, out);
+    out
 }
 
 /// Little-endian u64 from exactly eight bytes; `None` at any other length.
@@ -75,8 +94,13 @@ fn dec_u64(state: &[u8]) -> u64 {
     le_u64(state).expect("8-byte aggregate state")
 }
 
-fn enc_u64(x: u64) -> Vec<u8> {
-    x.to_le_bytes().to_vec()
+fn enc_u64(x: u64) -> StateBuf {
+    StateBuf::from_slice(&x.to_le_bytes())
+}
+
+/// Overwrite an 8-byte u64 state in place.
+fn set_u64(state: &mut StateBuf, x: u64) {
+    state.copy_from_slice(&x.to_le_bytes());
 }
 
 /// COUNT(*): state is a little-endian u64 occurrence count; raw values are
@@ -86,18 +110,16 @@ fn enc_u64(x: u64) -> Vec<u8> {
 pub struct CountAgg;
 
 impl Aggregator for CountAgg {
-    fn init(&self, _key: &[u8], _value: &[u8]) -> Vec<u8> {
+    fn init(&self, _key: &[u8], _value: &[u8]) -> StateBuf {
         enc_u64(1)
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, _value: &[u8]) {
-        let n = dec_u64(state) + 1;
-        state.copy_from_slice(&n.to_le_bytes());
+    fn update(&self, _key: &[u8], state: &mut StateBuf, _value: &[u8]) {
+        set_u64(state, dec_u64(state) + 1);
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
-        let n = dec_u64(state) + dec_u64(other);
-        state.copy_from_slice(&n.to_le_bytes());
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
+        set_u64(state, dec_u64(state) + dec_u64(other));
     }
 }
 
@@ -108,16 +130,15 @@ impl Aggregator for CountAgg {
 pub struct SumAgg;
 
 impl Aggregator for SumAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
         enc_u64(dec_u64(value))
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        let n = dec_u64(state) + dec_u64(value);
-        state.copy_from_slice(&n.to_le_bytes());
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        set_u64(state, dec_u64(state) + dec_u64(value));
     }
 
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other: &[u8]) {
         self.update(key, state, other);
     }
 }
@@ -127,16 +148,15 @@ impl Aggregator for SumAgg {
 pub struct MaxAgg;
 
 impl Aggregator for MaxAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
         enc_u64(dec_u64(value))
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        let n = dec_u64(state).max(dec_u64(value));
-        state.copy_from_slice(&n.to_le_bytes());
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        set_u64(state, dec_u64(state).max(dec_u64(value)));
     }
 
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other: &[u8]) {
         self.update(key, state, other);
     }
 }
@@ -150,13 +170,13 @@ impl Aggregator for MaxAgg {
 pub struct FirstAgg;
 
 impl Aggregator for FirstAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        value.to_vec()
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        StateBuf::from_slice(value)
     }
 
-    fn update(&self, _key: &[u8], _state: &mut Vec<u8>, _value: &[u8]) {}
+    fn update(&self, _key: &[u8], _state: &mut StateBuf, _value: &[u8]) {}
 
-    fn merge(&self, _key: &[u8], _state: &mut Vec<u8>, _other: &[u8]) {}
+    fn merge(&self, _key: &[u8], _state: &mut StateBuf, _other: &[u8]) {}
 }
 
 /// Collect all values of a key as length-prefixed concatenation
@@ -167,7 +187,8 @@ impl Aggregator for FirstAgg {
 pub struct ListAgg;
 
 /// Append `entry` to a framed list: `[u32 len][bytes]`…, the layout of
-/// [`ListAgg`] and [`JoinAgg`](crate::JoinAgg) states.
+/// [`ListAgg`] and [`JoinAgg`](crate::JoinAgg) states and of the latter's
+/// output.
 pub(crate) fn push_frame(list: &mut Vec<u8>, entry: &[u8]) {
     list.extend_from_slice(&(entry.len() as u32).to_le_bytes());
     list.extend_from_slice(entry);
@@ -192,17 +213,18 @@ impl ListAgg {
 }
 
 impl Aggregator for ListAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        let mut s = Vec::with_capacity(4 + value.len());
-        push_frame(&mut s, value);
+    fn init(&self, key: &[u8], value: &[u8]) -> StateBuf {
+        let mut s = StateBuf::new();
+        self.update(key, &mut s, value);
         s
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        push_frame(state, value);
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        state.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        state.extend_from_slice(value);
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
         // Partial lists concatenate; element order across partials is not
         // semantically meaningful (MapReduce gives no value-order
         // guarantee within a group).
@@ -227,16 +249,17 @@ pub struct AvgAgg;
 
 impl AvgAgg {
     fn decode(state: &[u8]) -> (u64, u64) {
-        // Invariant: only `encode` builds an AVG state — sum then count,
+        // Invariant: only `set` builds an AVG state — sum then count,
         // eight bytes each.
         (dec_u64(&state[..8]), dec_u64(&state[8..]))
     }
 
-    fn encode(sum: u64, count: u64) -> Vec<u8> {
-        let mut s = Vec::with_capacity(16);
-        s.extend_from_slice(&sum.to_le_bytes());
-        s.extend_from_slice(&count.to_le_bytes());
-        s
+    /// Write `(sum, count)` into `state`, in place once it has the shape.
+    fn set(state: &mut StateBuf, sum: u64, count: u64) {
+        let mut bytes = [0; 16];
+        bytes[..8].copy_from_slice(&sum.to_le_bytes());
+        bytes[8..].copy_from_slice(&count.to_le_bytes());
+        state.set(&bytes);
     }
 
     /// Decode a finished output value back into the mean.
@@ -246,29 +269,31 @@ impl AvgAgg {
 }
 
 impl Aggregator for AvgAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        Self::encode(dec_u64(value), 1)
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        let mut state = StateBuf::new();
+        Self::set(&mut state, dec_u64(value), 1);
+        state
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
         let (sum, count) = Self::decode(state);
-        *state = Self::encode(sum + dec_u64(value), count + 1);
+        Self::set(state, sum + dec_u64(value), count + 1);
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
         let (s1, c1) = Self::decode(state);
         let (s2, c2) = Self::decode(other);
-        *state = Self::encode(s1 + s2, c1 + c2);
+        Self::set(state, s1 + s2, c1 + c2);
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        let (sum, count) = Self::decode(&state);
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        let (sum, count) = Self::decode(state);
         let mean = if count == 0 {
             0.0
         } else {
             sum as f64 / count as f64
         };
-        mean.to_le_bytes().to_vec()
+        out.extend_from_slice(&mean.to_le_bytes());
     }
 }
 
@@ -299,27 +324,27 @@ impl DistinctAgg {
 }
 
 impl Aggregator for DistinctAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
         let mut state = onepass_sketch::HyperLogLog::new(self.precision).to_bytes();
         onepass_sketch::HyperLogLog::insert_raw(&mut state, value);
-        state
+        state.into()
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
         let ok = onepass_sketch::HyperLogLog::insert_raw(state, value);
         debug_assert!(ok, "malformed HLL state");
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
         let ok = onepass_sketch::HyperLogLog::merge_raw(state, other);
         debug_assert!(ok, "mismatched HLL states");
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        let est = onepass_sketch::HyperLogLog::from_bytes(&state)
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        let est = onepass_sketch::HyperLogLog::from_bytes(state)
             .map(|h| h.estimate().round() as u64)
             .unwrap_or(0);
-        est.to_le_bytes().to_vec()
+        out.extend_from_slice(&est.to_le_bytes());
     }
 }
 
@@ -331,20 +356,20 @@ impl Aggregator for DistinctAgg {
 pub struct StateInput<A>(pub A);
 
 impl<A: Aggregator> Aggregator for StateInput<A> {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        value.to_vec()
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        StateBuf::from_slice(value)
     }
 
-    fn update(&self, key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, key: &[u8], state: &mut StateBuf, value: &[u8]) {
         self.0.merge(key, state, value);
     }
 
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other_state: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other_state: &[u8]) {
         self.0.merge(key, state, other_state);
     }
 
-    fn finish(&self, key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        self.0.finish(key, state)
+    fn finish(&self, key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        self.0.finish(key, state, out)
     }
 
     fn combinable(&self) -> bool {
@@ -356,13 +381,20 @@ impl<A: Aggregator> Aggregator for StateInput<A> {
 mod tests {
     use super::*;
 
+    /// `finish` into a fresh buffer.
+    fn finished(agg: &dyn Aggregator, key: &[u8], state: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        agg.finish(key, state, &mut out);
+        out
+    }
+
     #[test]
     fn state_input_merges_partials() {
         let a = StateInput(SumAgg);
         // Two partial sums 5 and 7 arrive as "values".
         let mut s = a.init(b"k", &5u64.to_le_bytes());
         a.update(b"k", &mut s, &7u64.to_le_bytes());
-        assert_eq!(dec_u64(&a.finish(b"k", s)), 12);
+        assert_eq!(dec_u64(&finished(&a, b"k", &s)), 12);
 
         let b = StateInput(CountAgg);
         // Partial counts 3 and 4 must add, not count-as-one.
@@ -380,7 +412,7 @@ mod tests {
         assert_eq!(dec_u64(&s), 3);
         let other = a.init(b"k", b"z");
         a.merge(b"k", &mut s, &other);
-        assert_eq!(dec_u64(&a.finish(b"k", s)), 4);
+        assert_eq!(dec_u64(&finished(&a, b"k", &s)), 4);
     }
 
     #[test]
@@ -420,7 +452,7 @@ mod tests {
             a.update(b"url", &mut other, &i.to_le_bytes());
         }
         a.merge(b"url", &mut s, &other);
-        let est = DistinctAgg::decode_estimate(&a.finish(b"url", s));
+        let est = DistinctAgg::decode_estimate(&finished(&a, b"url", &s));
         let err = (est as f64 - 3000.0).abs() / 3000.0;
         assert!(err < 0.07, "estimate {est} vs 3000 (err {err:.3})");
         assert!(a.combinable());
@@ -435,7 +467,7 @@ mod tests {
         let mut other = a.init(b"k", &30u64.to_le_bytes());
         a.update(b"k", &mut other, &40u64.to_le_bytes());
         a.merge(b"k", &mut s, &other);
-        let mean = AvgAgg::decode_mean(&a.finish(b"k", s));
+        let mean = AvgAgg::decode_mean(&finished(&a, b"k", &s));
         assert!((mean - 25.0).abs() < 1e-12);
         assert!(a.combinable());
     }

@@ -77,12 +77,13 @@ use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
 use onepass_sketch::MisraGries;
 
-use crate::aggregate::{le_u64, Aggregator};
+use crate::aggregate::{le_u64, render, Aggregator};
 use crate::hybrid_hash::{
     charge_resize, io_since, spill_entries, split_tagged, state_cost, write_tagged,
     HybridHashGrouper, TAG_RAW, TAG_STATE,
 };
 use crate::sink::{EmitKind, OpStats, Sink};
+use crate::state::StateBuf;
 use crate::{fingerprint, GroupBy};
 
 /// Share of the budget an eviction round leaves free.
@@ -128,19 +129,20 @@ impl EarlyEmit for PeriodicCount {
     }
 }
 
-/// Publish `state` as an early answer if `policy` fires on it; returns the
-/// number of answers published.
+/// Publish `state` as an early answer, rendered in `out`, if `policy`
+/// fires on it; returns the number of answers published.
 fn emit_if_ready(
     policy: &dyn EarlyEmit,
     agg: &dyn Aggregator,
     key: &[u8],
     state: &[u8],
+    out: &mut Vec<u8>,
     sink: &mut dyn Sink,
 ) -> u64 {
     if !policy.ready(key, state) {
         return 0;
     }
-    sink.emit(key, &agg.finish(key, state.to_vec()), EmitKind::Early);
+    sink.emit(key, render(agg, key, state, out), EmitKind::Early);
     1
 }
 
@@ -148,7 +150,7 @@ fn emit_if_ready(
 /// (seeded with the key's guaranteed miss count when the hotness gate
 /// admitted it). Eviction ranks on `hits`.
 struct Resident {
-    state: Vec<u8>,
+    state: StateBuf,
     hits: u64,
     /// Inserted before the first cold write and resident ever since: no
     /// record of this key is on disk, so the state is its exact group.
@@ -177,6 +179,8 @@ pub struct FreqHashGrouper {
     /// re-derives the member.
     cold_hasher: MultiplyShift,
     states: FpTable<Resident>,
+    /// The buffer every answer is rendered in, reused from key to key.
+    out: Vec<u8>,
     reserved: usize,
     peak_reserved: usize,
     cold: Option<ColdRuns>,
@@ -257,6 +261,7 @@ impl FreqHashGrouper {
             early,
             cold_hasher,
             states: FpTable::new(),
+            out: Vec::new(),
             reserved: 0,
             peak_reserved: 0,
             cold: None,
@@ -305,6 +310,7 @@ impl FreqHashGrouper {
                 self.agg.as_ref(),
                 key,
                 &resident.state,
+                &mut self.out,
                 sink,
             );
         }
@@ -334,8 +340,14 @@ impl FreqHashGrouper {
         self.reserved += fixed + state.len();
         self.peak_reserved = self.peak_reserved.max(self.reserved);
         if let Some(policy) = &self.early {
-            self.early_emits +=
-                emit_if_ready(policy.as_ref(), self.agg.as_ref(), key, &state, sink);
+            self.early_emits += emit_if_ready(
+                policy.as_ref(),
+                self.agg.as_ref(),
+                key,
+                &state,
+                &mut self.out,
+                sink,
+            );
         }
         let complete = self.cold.is_none();
         self.states.insert(
@@ -438,16 +450,23 @@ impl FreqHashGrouper {
         // follow outside it — spill I/O, not reduce-function time.
         let t = Stamp::start(Phase::ReduceFn);
         let mut states = std::mem::take(&mut self.states);
+        let agg = self.agg.as_ref();
         states.retain(|_, key, r| {
             if r.complete {
-                let out = self.agg.finish(key, std::mem::take(&mut r.state));
-                sink.emit(key, &out, EmitKind::Final);
+                sink.emit(
+                    key,
+                    render(agg, key, &r.state, &mut self.out),
+                    EmitKind::Final,
+                );
                 self.groups_out += 1;
                 return false;
             }
             if self.sketch.is_some() {
-                let out = self.agg.finish(key, r.state.clone());
-                sink.emit(key, &out, EmitKind::Early);
+                sink.emit(
+                    key,
+                    render(agg, key, &r.state, &mut self.out),
+                    EmitKind::Early,
+                );
                 self.early_emits += 1;
             }
             true

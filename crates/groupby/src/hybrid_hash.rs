@@ -34,8 +34,9 @@ use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 use onepass_core::SegmentBuf;
 
-use crate::aggregate::Aggregator;
+use crate::aggregate::{render, Aggregator};
 use crate::sink::{EmitKind, OpStats, Sink};
+use crate::state::StateBuf;
 use crate::{fingerprint, GroupBy};
 
 /// Budget charge for one resident `(key, state)` entry.
@@ -141,7 +142,9 @@ pub struct HybridHashGrouper {
     hasher: MultiplyShift,
     fanout: usize,
     level: u32,
-    resident: FpTable<Vec<u8>>,
+    resident: FpTable<StateBuf>,
+    /// The buffer every answer is rendered in, reused from key to key.
+    out: Vec<u8>,
     /// Bytes granted from the budget for `resident`.
     reserved: usize,
     peak_reserved: usize,
@@ -216,6 +219,7 @@ impl HybridHashGrouper {
             fanout,
             level,
             resident: FpTable::new(),
+            out: Vec::new(),
             reserved: 0,
             peak_reserved: 0,
             spill: None,
@@ -253,7 +257,7 @@ impl HybridHashGrouper {
         // New key.
         let state = match tag {
             TAG_RAW => self.agg.init(key, payload),
-            _ => payload.to_vec(),
+            _ => StateBuf::from_slice(payload),
         };
         let cost = state_cost(key, &state);
         // Escalate to the governor (if leased) before partitioning or
@@ -374,9 +378,9 @@ impl HybridHashGrouper {
         if !self.run0_keys.is_empty() {
             self.spill_residents(|g, fp, key, _| g.run0_keys.get(fp, key).map(|_| 0))?;
         }
-        let (agg, groups_out) = (&self.agg, &mut self.groups_out);
+        let (agg, out, groups_out) = (self.agg.as_ref(), &mut self.out, &mut self.groups_out);
         self.resident.drain(|key, state| {
-            sink.emit(key, &agg.finish(key, state), EmitKind::Final);
+            sink.emit(key, render(agg, key, &state, out), EmitKind::Final);
             *groups_out += 1;
         });
         self.budget.release(self.reserved);

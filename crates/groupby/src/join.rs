@@ -12,13 +12,14 @@
 //! probe side streams through.
 //!
 //! [`JoinAgg`] is holistic (state linear in group size, like
-//! [`ListAgg`](crate::ListAgg)) but still *mergeable*: partial states
+//! [`ListAgg`]) but still *mergeable*: partial states
 //! concatenate, and [`JoinAgg::finish`] sorts both sides before taking
 //! the cross product, so output bytes are independent of arrival and
 //! merge order — the determinism contract the plan-equivalence suite
 //! relies on.
 
-use crate::aggregate::{frames, push_frame, Aggregator};
+use crate::aggregate::{frames, push_frame, Aggregator, ListAgg};
+use crate::state::StateBuf;
 
 /// Value tag for the build (dimension) side of a join.
 pub const TAG_BUILD: u8 = 0;
@@ -61,24 +62,23 @@ impl JoinAgg {
 }
 
 impl Aggregator for JoinAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        let mut state = Vec::with_capacity(4 + value.len());
-        push_frame(&mut state, value);
-        state
+    // The state is a `ListAgg` list of tagged values.
+    fn init(&self, key: &[u8], value: &[u8]) -> StateBuf {
+        ListAgg.init(key, value)
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        push_frame(state, value);
+    fn update(&self, key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        ListAgg.update(key, state, value)
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
-        state.extend_from_slice(other);
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other: &[u8]) {
+        ListAgg.merge(key, state, other)
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
         let mut build = Vec::new();
         let mut probe = Vec::new();
-        for entry in frames(&state) {
+        for entry in frames(state) {
             match decode_tagged(entry) {
                 Some((TAG_BUILD, payload)) => build.push(payload),
                 Some((TAG_PROBE, payload)) => probe.push(payload),
@@ -87,14 +87,12 @@ impl Aggregator for JoinAgg {
         }
         build.sort_unstable();
         probe.sort_unstable();
-        let mut out = Vec::new();
         for b in &build {
             for p in &probe {
-                push_frame(&mut out, b);
-                push_frame(&mut out, p);
+                push_frame(out, b);
+                push_frame(out, p);
             }
         }
-        out
     }
 
     fn combinable(&self) -> bool {
@@ -162,7 +160,9 @@ mod tests {
             for &i in &order[1..] {
                 agg.update(b"k", &mut state, &values[i]);
             }
-            agg.finish(b"k", state)
+            let mut out = Vec::new();
+            agg.finish(b"k", &state, &mut out);
+            out
         };
         let a = fold(&[0, 1, 2, 3]);
         let b = fold(&[3, 2, 1, 0]);
@@ -178,6 +178,9 @@ mod tests {
         let mut one = a.clone();
         agg.update(b"k", &mut one, &encode_tagged(TAG_PROBE, b"p1"));
         agg.merge(b"k", &mut a, &s);
-        assert_eq!(agg.finish(b"k", a), agg.finish(b"k", one));
+        let (mut merged, mut folded) = (Vec::new(), Vec::new());
+        agg.finish(b"k", &a, &mut merged);
+        agg.finish(b"k", &one, &mut folded);
+        assert_eq!(merged, folded);
     }
 }

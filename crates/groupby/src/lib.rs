@@ -21,6 +21,9 @@
 //!   less spill I/O (§V technique 3). One operator; technique 2 is
 //!   technique 3 with the summary off.
 //!
+//! Every per-key state they hold is a [`StateBuf`]: up to 15 bytes in the
+//! table slot itself, so a count or a sum costs no heap allocation.
+//!
 //! All operators implement [`GroupBy`], consume byte-string records, are
 //! bounded by a [`MemoryBudget`](onepass_core::memory::MemoryBudget), spill
 //! through a [`SpillStore`](onepass_core::io::SpillStore), and report
@@ -36,6 +39,7 @@ pub mod join;
 pub mod merge;
 pub mod sink;
 pub mod sortmerge;
+pub mod state;
 
 pub use aggregate::{
     Aggregator, AvgAgg, CountAgg, DistinctAgg, FirstAgg, ListAgg, MaxAgg, StateInput, SumAgg,
@@ -46,6 +50,7 @@ pub use join::{JoinAgg, TAG_BUILD, TAG_PROBE};
 pub use merge::MultiPassMerger;
 pub use sink::{EmitKind, OpStats, Sink, VecSink};
 pub use sortmerge::SortMergeGrouper;
+pub use state::StateBuf;
 
 use onepass_core::{Result, SegmentBuf};
 

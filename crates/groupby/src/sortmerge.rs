@@ -37,10 +37,11 @@ use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 use onepass_core::FpTable;
 
-use crate::aggregate::Aggregator;
+use crate::aggregate::{render, Aggregator};
 use crate::hybrid_hash::io_since;
 use crate::merge::MultiPassMerger;
 use crate::sink::{EmitKind, OpStats, Sink};
+use crate::state::StateBuf;
 use crate::{fingerprint, GroupBy};
 
 /// Bookkeeping bytes charged to the budget per buffered record (its
@@ -218,14 +219,14 @@ fn budget_sized_ranges(batch: &SegmentBuf, limit: usize) -> Vec<Range<usize>> {
 /// `segs` in global key order, fold each key-streak through
 /// `agg.init`/`agg.update`, and hand every `(key, state)` to `each`.
 /// Fully borrowed — keys and values are slices into the segments' arenas.
-fn merge_groups(segs: &[SegmentBuf], agg: &dyn Aggregator, mut each: impl FnMut(&[u8], Vec<u8>)) {
+fn merge_groups(segs: &[SegmentBuf], agg: &dyn Aggregator, mut each: impl FnMut(&[u8], StateBuf)) {
     let mut heap: BinaryHeap<Reverse<(&[u8], usize, usize)>> = segs
         .iter()
         .enumerate()
         .filter(|(_, seg)| !seg.is_empty())
         .map(|(s, seg)| Reverse((seg.key(0), s, 0)))
         .collect();
-    let mut current: Option<(&[u8], Vec<u8>)> = None;
+    let mut current: Option<(&[u8], StateBuf)> = None;
     while let Some(Reverse((key, s, i))) = heap.pop() {
         if i + 1 < segs[s].len() {
             heap.push(Reverse((segs[s].key(i + 1), s, i + 1)));
@@ -277,7 +278,7 @@ impl GroupBy for SortMergeGrouper {
     /// emit approximate answers. The re-read is the snapshot's I/O cost.
     fn snapshot(&mut self, sink: &mut dyn Sink) -> Result<()> {
         let t = Stamp::start(Phase::Merge);
-        let mut states: FpTable<Vec<u8>> = FpTable::new();
+        let mut states: FpTable<StateBuf> = FpTable::new();
         for run in self.merger.runs() {
             let mut reader = self.store.open_run(run.id)?;
             while let Some(rec) = reader.next_record()? {
@@ -286,7 +287,7 @@ impl GroupBy for SortMergeGrouper {
                 match states.get_mut(fp, rec.key) {
                     Some(s) => self.agg.merge(rec.key, s, rec.value),
                     None => {
-                        states.insert(fp, rec.key, rec.value.to_vec());
+                        states.insert(fp, rec.key, StateBuf::from_slice(rec.value));
                     }
                 }
             }
@@ -301,9 +302,13 @@ impl GroupBy for SortMergeGrouper {
             }
         }
         self.early_emits += states.len() as u64;
+        let mut out = Vec::new();
         states.drain(|k, state| {
-            let out = self.agg.finish(k, state);
-            sink.emit(k, &out, EmitKind::Early);
+            sink.emit(
+                k,
+                render(self.agg.as_ref(), k, &state, &mut out),
+                EmitKind::Early,
+            );
         });
         t.stop(&mut self.profile, &mut self.trace);
         Ok(())
@@ -312,11 +317,13 @@ impl GroupBy for SortMergeGrouper {
     fn finish(&mut self, sink: &mut dyn Sink) -> Result<OpStats> {
         let mut groups_out = 0u64;
         let mut passes = 0u64;
+        let mut out = Vec::new();
         if self.spills == 0 {
             // Never spilled: merge and reduce directly from memory.
             let t = Stamp::start(Phase::ReduceFn);
-            merge_groups(&self.buffered, self.agg.as_ref(), |key, state| {
-                sink.emit(key, &self.agg.finish(key, state), EmitKind::Final);
+            let agg = self.agg.as_ref();
+            merge_groups(&self.buffered, agg, |key, state| {
+                sink.emit(key, render(agg, key, &state, &mut out), EmitKind::Final);
                 groups_out += 1;
             });
             t.stop(&mut self.profile, &mut self.trace);
@@ -327,16 +334,18 @@ impl GroupBy for SortMergeGrouper {
             self.spill_buffered()?;
             let mut grouped = self.merger.drain_grouped()?;
             let t = Stamp::start(Phase::ReduceFn);
+            let agg = self.agg.as_ref();
             while let Some((key, states)) = grouped.next_group()? {
                 let mut states = states.into_iter();
                 // `next_group` yields a key with at least one value.
-                let Some(mut state) = states.next() else {
+                let Some(first) = states.next() else {
                     continue;
                 };
+                let mut state = StateBuf::from(first);
                 for other in states {
-                    self.agg.merge(&key, &mut state, &other);
+                    agg.merge(&key, &mut state, &other);
                 }
-                sink.emit(&key, &self.agg.finish(&key, state), EmitKind::Final);
+                sink.emit(&key, render(agg, &key, &state, &mut out), EmitKind::Final);
                 groups_out += 1;
             }
             t.stop(&mut self.profile, &mut self.trace);

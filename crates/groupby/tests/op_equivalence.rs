@@ -46,7 +46,7 @@ fn run(mut op: Box<dyn GroupBy>, recs: &Records) -> BTreeMap<Vec<u8>, Vec<u8>> {
 }
 
 fn reference(agg: &dyn Aggregator, recs: &Records) -> BTreeMap<Vec<u8>, Vec<u8>> {
-    let mut states: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut states: BTreeMap<Vec<u8>, onepass_groupby::StateBuf> = BTreeMap::new();
     for (k, v) in recs {
         match states.get_mut(k) {
             Some(s) => agg.update(k, s, v),
@@ -58,7 +58,8 @@ fn reference(agg: &dyn Aggregator, recs: &Records) -> BTreeMap<Vec<u8>, Vec<u8>>
     states
         .into_iter()
         .map(|(k, s)| {
-            let out = agg.finish(&k, s.clone());
+            let mut out = Vec::new();
+            agg.finish(&k, &s, &mut out);
             (k, out)
         })
         .collect()

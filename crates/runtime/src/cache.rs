@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::MemoryGovernor;
@@ -71,10 +71,15 @@ struct Dataset {
 }
 
 impl Dataset {
-    fn is_resident(&self) -> bool {
+    /// Every partition, if all of them are resident.
+    fn resident_parts(&self) -> Option<Vec<SegmentBuf>> {
         self.parts
             .iter()
-            .all(|p| matches!(p, PartState::Resident(_)))
+            .map(|p| match p {
+                PartState::Resident(seg) => Some(seg.clone()),
+                PartState::Spilled { .. } => None,
+            })
+            .collect()
     }
 }
 
@@ -161,6 +166,22 @@ impl DatasetCache {
         }
     }
 
+    /// The bookkeeping, locked to change it. A thread that panicked
+    /// holding the lock (a spill store panicking mid-evict) may have left
+    /// partition states and byte counts disagreeing, so a caller that
+    /// would act on them gets an error instead.
+    fn lock(&self) -> Result<MutexGuard<'_, Inner>> {
+        self.inner.lock().map_err(|_| {
+            Error::InvalidState("dataset cache poisoned by a panic while it was locked".into())
+        })
+    }
+
+    /// The bookkeeping, locked to read it. A reader only reports what it
+    /// finds, so after a panic it may report stale counts, and does.
+    fn read(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Export cache gauges/counters through `metrics`.
     pub fn attach_metrics(&mut self, metrics: &MetricsRegistry) {
         self.resident_gauge = metrics.gauge(names::CACHE_RESIDENT_BYTES, &[]);
@@ -185,7 +206,7 @@ impl DatasetCache {
     ///
     /// [`get`]: DatasetCache::get
     pub fn put(&self, name: &str, partitions: Vec<SegmentBuf>) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock()?;
         self.honor_shed_locked(&mut inner)?;
         self.remove_locked(&mut inner, name)?;
         let bytes: usize = partitions.iter().map(part_bytes).sum();
@@ -219,28 +240,17 @@ impl DatasetCache {
     /// spilled partitions from the store. Returns `None` if the name
     /// was never cached.
     pub fn get(&self, name: &str) -> Result<Option<Vec<SegmentBuf>>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock()?;
         self.honor_shed_locked(&mut inner)?;
-        if !inner.datasets.contains_key(name) {
-            return Ok(None);
-        }
         inner.clock += 1;
         let stamp = inner.clock;
-        let ds = inner.datasets.get_mut(name).unwrap();
+        let Some(ds) = inner.datasets.get_mut(name) else {
+            return Ok(None);
+        };
         ds.last_use = stamp;
-        let fully_resident = ds.is_resident();
-        if fully_resident {
+        if let Some(out) = ds.resident_parts() {
             inner.hits += 1;
             self.hits_counter.inc(1);
-            let ds = &inner.datasets[name];
-            let out = ds
-                .parts
-                .iter()
-                .map(|p| match p {
-                    PartState::Resident(seg) => seg.clone(),
-                    PartState::Spilled { .. } => unreachable!(),
-                })
-                .collect();
             self.publish_locked(&inner);
             return Ok(Some(out));
         }
@@ -248,7 +258,7 @@ impl DatasetCache {
         // Reload spilled partitions. Try to re-admit the dataset as
         // resident (evicting colder ones if needed); if the budget still
         // refuses, hand the data back without keeping it resident.
-        let spilled_bytes: usize = inner.datasets[name]
+        let spilled_bytes: usize = ds
             .parts
             .iter()
             .map(|p| match p {
@@ -257,7 +267,10 @@ impl DatasetCache {
             })
             .sum();
         let readmit = self.charge_locked(&mut inner, spilled_bytes, Some(name));
-        let ds = inner.datasets.get_mut(name).unwrap();
+        // Charging evicts only datasets other than `name`.
+        let Some(ds) = inner.datasets.get_mut(name) else {
+            return Ok(None);
+        };
         let mut out = Vec::with_capacity(ds.parts.len());
         for part in ds.parts.iter_mut() {
             match part {
@@ -280,22 +293,17 @@ impl DatasetCache {
 
     /// Whether `name` is cached (resident or spilled).
     pub fn contains(&self, name: &str) -> bool {
-        self.inner.lock().unwrap().datasets.contains_key(name)
+        self.read().datasets.contains_key(name)
     }
 
     /// Partition count of dataset `name`, if cached.
     pub fn partitions(&self, name: &str) -> Option<usize> {
-        self.inner
-            .lock()
-            .unwrap()
-            .datasets
-            .get(name)
-            .map(|d| d.parts.len())
+        self.read().datasets.get(name).map(|d| d.parts.len())
     }
 
     /// Drop dataset `name`, releasing memory and spill runs.
     pub fn remove(&self, name: &str) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock()?;
         self.remove_locked(&mut inner, name)?;
         self.publish_locked(&inner);
         Ok(())
@@ -306,7 +314,7 @@ impl DatasetCache {
     ///
     /// [`get`]: DatasetCache::get
     pub fn evict_all(&self) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock()?;
         let names: Vec<String> = inner.datasets.keys().cloned().collect();
         for name in names {
             self.evict_locked(&mut inner, &name)?;
@@ -317,7 +325,7 @@ impl DatasetCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.read();
         CacheStats {
             hits: inner.hits,
             evictions: inner.evictions,
@@ -330,7 +338,7 @@ impl DatasetCache {
     /// partition fingerprints) — convergence checks compare rounds
     /// without materializing either side.
     pub fn fingerprint(&self, name: &str) -> Option<u64> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.read();
         let ds = inner.datasets.get(name)?;
         let mut fp = 0u64;
         for (i, part) in ds.parts.iter().enumerate() {
@@ -434,8 +442,7 @@ impl DatasetCache {
             segs.push(batch);
         }
         match segs.len() {
-            0 => Ok(SegmentBuf::from_pairs(std::iter::empty())),
-            1 => Ok(segs.pop().unwrap()),
+            0 | 1 => Ok(segs.pop().unwrap_or_default()),
             _ => {
                 // Re-concatenate multi-batch reads into one partition.
                 let mut b = onepass_core::SegmentBufBuilder::new();
@@ -469,7 +476,7 @@ impl DatasetCache {
 
 impl Drop for DatasetCache {
     fn drop(&mut self) {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.read();
         let resident: usize = inner.datasets.values().map(|d| d.resident_bytes).sum();
         self.budget.release(resident);
     }
@@ -477,27 +484,6 @@ impl Drop for DatasetCache {
 
 fn part_bytes(seg: &SegmentBuf) -> usize {
     seg.payload_bytes() + seg.len() * std::mem::size_of::<onepass_core::bytes_kv::SegEntry>()
-}
-
-/// Partition `pairs` into `partitions` [`SegmentBuf`]s with `route`
-/// (typically the consumer job's partitioner) — the canonical way to
-/// build a partition-stable dataset out of a stage's finals.
-pub fn partition_pairs<'a>(
-    pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
-    partitions: usize,
-    mut route: impl FnMut(&[u8]) -> usize,
-) -> Result<Vec<SegmentBuf>> {
-    if partitions == 0 {
-        return Err(Error::Config("dataset needs at least one partition".into()));
-    }
-    let mut builders: Vec<onepass_core::SegmentBufBuilder> = (0..partitions)
-        .map(|_| onepass_core::SegmentBufBuilder::new())
-        .collect();
-    for (k, v) in pairs {
-        let p = route(k) % partitions;
-        builders[p].push(k, v);
-    }
-    Ok(builders.into_iter().map(|b| b.finish()).collect())
 }
 
 #[cfg(test)]
@@ -601,21 +587,5 @@ mod tests {
             matches!(hits.value, onepass_core::obs::SampleValue::Counter(v) if v == 1),
             "unexpected hits sample"
         );
-    }
-
-    #[test]
-    fn partition_pairs_routes_stably() {
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..10u8).map(|i| (vec![i], vec![i, i])).collect();
-        let parts = partition_pairs(
-            pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
-            3,
-            |k| k[0] as usize,
-        )
-        .unwrap();
-        assert_eq!(parts.len(), 3);
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, 10);
-        // key 4 -> partition 1.
-        assert!(parts[1].iter().any(|(k, _)| k == [4u8]));
     }
 }

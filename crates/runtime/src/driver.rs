@@ -294,6 +294,7 @@ impl Engine {
             feed: SplitFeed::Fixed(splits),
             clock: Instant::now(),
             tap: None,
+            partition_output: false,
             governor: None,
             track_offset: 0,
         })

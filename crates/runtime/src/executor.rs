@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use crossbeam::channel::unbounded;
 
+use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
 use onepass_core::io::{FileSpillStore, SharedMemStore, SpillStore};
@@ -59,6 +60,10 @@ pub(crate) struct ExecParams<'a> {
     pub clock: Instant,
     /// Optional per-partition emission observer (see [`TapFactory`]).
     pub tap: Option<TapFactory>,
+    /// A cache-output plan stage: each reducer keeps its finals as its
+    /// partition of the stage's dataset ([`JobReport::partitions`]),
+    /// key-sorted on its own thread, instead of collecting outputs.
+    pub partition_output: bool,
     /// Governor override. `Some` pools this job's reducers with other
     /// concurrently-live stages of a plan; `None` derives a governor (or
     /// static budgets) from `config.memory_policy` as a standalone job.
@@ -140,6 +145,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         feed,
         clock,
         tap,
+        partition_output,
         governor,
         track_offset,
     } = params;
@@ -253,10 +259,10 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                 ..config.clone()
             };
             let knobs = crate::knobs::pairs(job, &engine);
-            let collect = job.collect_output.is_collect();
             let sink_telemetry = telemetry.clone();
             let sink_factory: SinkFactory<'_> = Box::new(move |_p| {
-                TimedSink::new(start, collect, None, SinkObs::new(&sink_telemetry))
+                let kept = Kept::for_job(job, partition_output);
+                TimedSink::new(start, kept, None, SinkObs::new(&sink_telemetry))
             });
             Some(TcpCluster::connect(
                 addrs,
@@ -383,8 +389,8 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             scope.spawn(move |_| {
                 let mut open = TaskSpan::open(TaskKind::Reduce, partition, tracer, track_offset);
                 let tap = tap.as_ref().map(|factory| factory(partition));
-                let mut sink =
-                    TimedSink::new(start, job.collect_output.is_collect(), tap, sink_obs);
+                let kept = Kept::for_job(job, partition_output);
+                let mut sink = TimedSink::new(start, kept, tap, sink_obs);
                 // Each reduce attempt gets a fresh store + budget, so
                 // state a failed attempt abandoned can never starve or
                 // corrupt its successor.
@@ -419,6 +425,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                 let attempt = res
                     .as_ref()
                     .map_or(retry.max_attempts.saturating_sub(1), |r| r.attempts - 1);
+                sink.close();
                 let span = open.close(attempt, start);
                 let _ = red_res_tx.send(res.map(|r| (r, span, sink)));
             });
@@ -488,6 +495,9 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         backend: job.backend.label().to_string(),
         ..Default::default()
     };
+    if partition_output {
+        report.partitions = vec![SegmentBuf::default(); job.reducers];
+    }
     for (stats, span) in &outcome.map_results {
         report.absorb_map(stats);
         report.task_spans.push(*span);
@@ -505,8 +515,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     }
     let mut early_total = 0u64;
     for res in red_res_rx.iter() {
-        let (result, span, mut sink) = res?;
-        sink.flush_obs();
+        let (result, span, sink) = res?;
         telemetry.publish_profile("reduce", &result.stats.profile);
         report.absorb_reduce(&result);
         report.task_spans.push(span);
@@ -523,7 +532,20 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                 None => t,
             });
         }
-        report.outputs.extend(sink.outputs);
+        match sink.kept {
+            Kept::Outputs(outputs) => report.outputs.extend(outputs),
+            Kept::Partition(finals) => {
+                // A reduce result's partition is one of the job's: local
+                // reducers are spawned per partition, and the coordinator
+                // drops a remote result for any other.
+                if let Some(slot) = report.partitions.get_mut(result.partition) {
+                    *slot = finals;
+                }
+            }
+            // Both senders `close` a sink before it travels, which turns
+            // its finals into a sorted partition.
+            Kept::Nothing | Kept::Finals(_) => {}
+        }
     }
     // Early emissions = what the sinks actually saw: covers backend early
     // output *and* HOP snapshots uniformly, independent of whether
@@ -547,14 +569,41 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     Ok(report)
 }
 
-/// Sink that timestamps emissions, optionally stores them, and optionally
-/// forwards each one to an [`OutputTap`].
+/// What a reducer's sink keeps of its emissions for the job report.
+pub(crate) enum Kept {
+    /// Counts and first-emission times only (the job discards output).
+    Nothing,
+    /// Every emission, timestamped: the job's collected output.
+    Outputs(Vec<JobOutput>),
+    /// A cache-output stage's finals, in one arena as they were emitted,
+    /// until [`TimedSink::close`] sorts them.
+    Finals(SegmentBufBuilder),
+    /// The partition, key-sorted: what the stage publishes to the cache.
+    Partition(SegmentBuf),
+}
+
+impl Kept {
+    /// What a reducer of `job` keeps: its partition of the dataset for a
+    /// cache-output stage, else the outputs the job collects, if any.
+    fn for_job(job: &JobSpec, partition_output: bool) -> Self {
+        if partition_output {
+            Kept::Finals(SegmentBufBuilder::new())
+        } else if job.collect_output.is_collect() {
+            Kept::Outputs(Vec::new())
+        } else {
+            Kept::Nothing
+        }
+    }
+}
+
+/// A reduce partition's sink: counts emissions and stamps the first of
+/// each kind, keeps what [`Kept`] says, and forwards each emission to an
+/// optional [`ReduceTap`].
 pub(crate) struct TimedSink {
     start: Instant,
-    collect: bool,
+    pub(crate) kept: Kept,
     tap: Option<ReduceTap>,
     obs: SinkObs,
-    pub(crate) outputs: Vec<JobOutput>,
     pub(crate) early_seen: u64,
     pub(crate) final_seen: u64,
     pub(crate) first_early: Option<std::time::Duration>,
@@ -564,8 +613,6 @@ pub(crate) struct TimedSink {
 impl std::fmt::Debug for TimedSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimedSink")
-            .field("collect", &self.collect)
-            .field("outputs", &self.outputs.len())
             .field("early_seen", &self.early_seen)
             .field("final_seen", &self.final_seen)
             .finish()
@@ -573,13 +620,12 @@ impl std::fmt::Debug for TimedSink {
 }
 
 impl TimedSink {
-    fn new(start: Instant, collect: bool, tap: Option<ReduceTap>, obs: SinkObs) -> Self {
+    fn new(start: Instant, kept: Kept, tap: Option<ReduceTap>, obs: SinkObs) -> Self {
         TimedSink {
             start,
-            collect,
+            kept,
             tap,
             obs,
-            outputs: Vec::new(),
             early_seen: 0,
             final_seen: 0,
             first_early: None,
@@ -587,36 +633,57 @@ impl TimedSink {
         }
     }
 
-    /// Flush buffered emission counts to the live registry (end of task).
-    pub(crate) fn flush_obs(&mut self) {
+    /// End of the reduce task, on the thread that ran it (or, for a
+    /// remote partition, received it): flush the buffered emission count
+    /// and sort a cache-output partition by key.
+    pub(crate) fn close(&mut self) {
         self.obs.flush();
+        if let Kept::Finals(finals) = &mut self.kept {
+            let finals = std::mem::take(finals).finish();
+            self.kept = Kept::Partition(finals.sorted_by_key());
+        }
     }
 }
 
 impl Sink for TimedSink {
     fn emit(&mut self, key: &[u8], value: &[u8], kind: EmitKind) {
-        let at = self.start.elapsed();
-        match kind {
+        let first = match kind {
             EmitKind::Early => {
                 self.early_seen += 1;
-                self.first_early.get_or_insert(at);
+                &mut self.first_early
             }
             EmitKind::Final => {
                 self.final_seen += 1;
-                self.first_final.get_or_insert(at);
+                &mut self.first_final
             }
-        }
-        self.obs.on_emit(kind == EmitKind::Final, at);
+        };
+        // The clock is read for the first emission of each kind and for a
+        // timestamped output, never otherwise: a partition writer past its
+        // first final only appends.
+        let stamp = match first {
+            Some(_) => None,
+            None => {
+                let at = self.start.elapsed();
+                if kind == EmitKind::Final {
+                    self.obs.first_final(at);
+                }
+                *first = Some(at);
+                Some(at)
+            }
+        };
+        self.obs.count();
         if let Some(tap) = self.tap.as_mut() {
             tap(key, value, kind);
         }
-        if self.collect {
-            self.outputs.push(JobOutput {
+        match &mut self.kept {
+            Kept::Outputs(outputs) => outputs.push(JobOutput {
                 key: key.to_vec(),
                 value: value.to_vec(),
                 kind,
-                at,
-            });
+                at: stamp.unwrap_or_else(|| self.start.elapsed()),
+            }),
+            Kept::Finals(finals) if kind == EmitKind::Final => finals.push(key, value),
+            _ => {}
         }
     }
 }

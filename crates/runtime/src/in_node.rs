@@ -77,7 +77,7 @@ use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Stamp};
 use onepass_core::obs::Histogram;
 use onepass_core::trace::LocalTracer;
-use onepass_groupby::Aggregator;
+use onepass_groupby::{Aggregator, StateBuf};
 
 use crate::job::{JobSpec, MapSideMode, Partitioner};
 use crate::map_task::{run_map_task, MapAttemptCtx, MapTaskStats, Split};
@@ -97,10 +97,13 @@ pub(crate) enum CombineScope {
 
 /// The shared combine table of one map worker. Not thread-safe by
 /// construction: each worker owns exactly one, and all folds happen on
-/// the worker's own thread after a task attempt succeeds.
-pub(crate) struct WorkerCombiner {
+/// the worker's own thread after a task attempt succeeds. A partial state
+/// of up to [`INLINE_CAPACITY`](onepass_groupby::state::INLINE_CAPACITY)
+/// bytes lives in its table slot, so folding a new key costs no heap
+/// allocation.
+pub struct WorkerCombiner {
     /// One table per reduce partition, key → partial aggregate state.
-    tables: Vec<FpTable<Vec<u8>>>,
+    tables: Vec<FpTable<StateBuf>>,
     /// Successful attempts folded since the last flush, in fold order.
     contributors: Vec<(usize, usize)>,
     budget: MemoryBudget,

@@ -47,6 +47,7 @@ pub use cache::{CacheConfig, DatasetCache};
 pub use driver::{
     Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpeculationConfig, SpillBackend,
 };
+pub use in_node::WorkerCombiner;
 pub use iterate::{IterativePlan, RoundContext};
 pub use job::{
     pair_map_fn, CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,

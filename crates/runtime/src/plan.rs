@@ -595,23 +595,18 @@ fn edge_cache(cache: Option<&DatasetCache>) -> Result<&DatasetCache> {
     })
 }
 
-/// Publish every `cache_output` stage's finals into the cache,
-/// partitioned by the stage's own partitioner over its reducer count and
-/// key-sorted within each partition — deterministic dataset bytes
-/// regardless of reduction order, so replays and re-runs converge on
-/// identical cache content.
+/// Publish every `cache_output` stage's dataset into the cache, once the
+/// whole plan has succeeded. Each reducer already wrote its partition —
+/// the keys the stage's partitioner routed to it — and key-sorted it on
+/// its own thread ([`JobReport::partitions`](crate::JobReport)), so the
+/// dataset's bytes are the same whatever the reduction order, and
+/// replays and re-runs converge on identical cache content. Publishing
+/// is `put`, which replaces a dataset atomically.
 fn capture_cache_outputs(plan: &Plan, report: &PlanReport, cache: &DatasetCache) -> Result<()> {
     for (stage, sr) in plan.stages.iter().zip(&report.stages) {
-        let Some(name) = &stage.cache_output else {
-            continue;
-        };
-        let job = &stage.job;
-        let reducers = job.reducers.max(1);
-        let parts = crate::cache::partition_pairs(sr.report.final_pairs(), reducers, |k| {
-            job.partitioner.partition(k, reducers)
-        })?;
-        let parts: Vec<_> = parts.into_iter().map(|p| p.sorted_by_key()).collect();
-        cache.put(name, parts)?;
+        if let Some(name) = &stage.cache_output {
+            cache.put(name, sr.report.partitions.clone())?;
+        }
     }
     Ok(())
 }
@@ -653,8 +648,10 @@ impl StageRunner<'_> {
     /// Run stage `s` over `feed` inside its `stage` span and wrap the job
     /// report. With `tap` the stage streams its finals downstream and does
     /// not also materialize them in its report, mirroring how the paper's
-    /// pipeline avoids materializing data between jobs (§IV) — unless it
-    /// caches its output, which the capture reads from the report.
+    /// pipeline avoids materializing data between jobs (§IV). A stage that
+    /// caches its output has each reducer write its own partition of the
+    /// dataset instead ([`JobReport::partitions`](crate::JobReport)), which
+    /// the capture publishes.
     fn run(
         &self,
         s: usize,
@@ -664,7 +661,8 @@ impl StageRunner<'_> {
     ) -> Result<StageReport> {
         let stage = &self.plan.stages[s];
         let mut job = stage.job.clone();
-        if tap.is_some() && stage.cache_output.is_none() {
+        let partition_output = stage.cache_output.is_some();
+        if tap.is_some() && !partition_output {
             job.collect_output = CollectOutput::Discard;
         }
         let config = self.engine.config();
@@ -676,6 +674,7 @@ impl StageRunner<'_> {
             feed,
             clock: self.clock,
             tap,
+            partition_output,
             governor,
             track_offset: s as u64 * TRACK_STRIDE,
         });

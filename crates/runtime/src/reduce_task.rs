@@ -37,6 +37,7 @@ use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 
+use onepass_core::bytes_kv::SegmentBufBuilder;
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
 use onepass_core::io::SpillStore;
@@ -44,7 +45,7 @@ use onepass_core::memory::MemoryBudget;
 use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::{LocalTracer, LANE};
 use onepass_groupby::aggregate::StateInput;
-use onepass_groupby::{EmitKind, GroupBy, OpStats, Sink, VecSink};
+use onepass_groupby::{EmitKind, GroupBy, OpStats, Sink};
 
 use crate::job::{JobSpec, ReduceBackend};
 use crate::shuffle::{Segment, ShuffleMsg};
@@ -151,6 +152,31 @@ impl Sink for MuteEarly<'_> {
     fn emit(&mut self, key: &[u8], value: &[u8], kind: EmitKind) {
         if kind != EmitKind::Early {
             self.inner.emit(key, value, kind);
+        }
+    }
+}
+
+/// A finishing attempt's output, held back while a retry could still
+/// replace it: every record in one arena, and each record's kind.
+#[derive(Default)]
+struct Staged {
+    records: SegmentBufBuilder,
+    kinds: Vec<EmitKind>,
+}
+
+impl Sink for Staged {
+    fn emit(&mut self, key: &[u8], value: &[u8], kind: EmitKind) {
+        self.records.push(key, value);
+        self.kinds.push(kind);
+    }
+}
+
+impl Staged {
+    /// The attempt succeeded: release its output, in emission order.
+    fn replay(self, sink: &mut dyn Sink) {
+        let records = self.records.finish();
+        for ((key, value), kind) in records.iter().zip(self.kinds) {
+            sink.emit(key, value, kind);
         }
     }
 }
@@ -549,7 +575,7 @@ impl ReduceTask<'_> {
     fn finish(&mut self) -> Result<OpStats> {
         loop {
             let staging = self.attempt + 1 < self.opts.max_attempts;
-            let mut staged = VecSink::default();
+            let mut staged = Staged::default();
             let out: &mut dyn Sink = if staging {
                 &mut staged
             } else {
@@ -571,9 +597,7 @@ impl ReduceTask<'_> {
             self.trace.end("finish", LANE);
             match finished {
                 Ok(stats) => {
-                    for (k, v, kind) in staged.emitted {
-                        self.sink.emit(&k, &v, kind);
-                    }
+                    staged.replay(&mut *self.sink);
                     return Ok(stats);
                 }
                 Err(e) => self.recover(e)?,

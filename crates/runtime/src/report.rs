@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 use onepass_core::io::IoStats;
 use onepass_core::metrics::{Phase, Profile};
 use onepass_core::trace::{LocalTracer, Tracer, Track};
+use onepass_core::SegmentBuf;
 use onepass_groupby::EmitKind;
 
 use crate::map_task::MapTaskStats;
@@ -159,6 +160,10 @@ pub struct JobReport {
     pub first_final_at: Option<Duration>,
     /// Collected output (when the job asked for it).
     pub outputs: Vec<JobOutput>,
+    /// A cache-output plan stage's finals instead: one segment per reduce
+    /// partition, as that partition's reducer wrote it and key-sorted it
+    /// — what the plan publishes as the dataset. Empty for any other job.
+    pub partitions: Vec<SegmentBuf>,
     /// Task lifetimes for timeline rendering.
     pub task_spans: Vec<TaskSpan>,
     /// Map attempts executed to any outcome (success, failure, or
@@ -190,13 +195,17 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// The collected final `(key, value)` pairs, in emission order — what
-    /// crosses a plan edge, and what a plan's answer is made of.
+    /// The collected final `(key, value)` pairs — what crosses a plan
+    /// edge, and what a plan's answer is made of: the collected outputs in
+    /// emission order, or a cache-output stage's partitions in partition
+    /// and key order.
     pub fn final_pairs(&self) -> impl Iterator<Item = (&[u8], &[u8])> + '_ {
-        self.outputs
+        let outputs = self
+            .outputs
             .iter()
             .filter(|o| o.kind == EmitKind::Final)
-            .map(|o| (o.key.as_slice(), o.value.as_slice()))
+            .map(|o| (o.key.as_slice(), o.value.as_slice()));
+        outputs.chain(self.partitions.iter().flat_map(SegmentBuf::iter))
     }
 
     /// Total CPU seconds across map+reduce phases (the §V "CPU cycles"

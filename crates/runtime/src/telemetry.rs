@@ -134,7 +134,6 @@ pub(crate) struct SinkObs {
     ttfa: Histogram,
     records_out: Counter,
     pending: u64,
-    ttfa_seen: bool,
 }
 
 impl SinkObs {
@@ -146,22 +145,23 @@ impl SinkObs {
             ttfa: telemetry.ttfa.clone(),
             records_out: telemetry.records_out.clone(),
             pending: 0,
-            ttfa_seen: false,
         }
     }
 
-    /// Record one sink emission at `at` since the job/plan clock.
+    /// Count one sink emission.
     #[inline]
-    pub fn on_emit(&mut self, is_final: bool, at: Duration) {
+    pub fn count(&mut self) {
         self.pending += 1;
         if self.pending >= Self::FLUSH_EVERY {
             self.records_out.inc(self.pending);
             self.pending = 0;
         }
-        if is_final && !self.ttfa_seen {
-            self.ttfa_seen = true;
-            self.ttfa.observe(at.as_secs_f64());
-        }
+    }
+
+    /// The partition's first final answer went out `at` after the
+    /// job/plan clock started.
+    pub fn first_final(&mut self, at: Duration) {
+        self.ttfa.observe(at.as_secs_f64());
     }
 
     /// Flush the locally-buffered emission count to the shared counter.

@@ -395,10 +395,11 @@ impl<'a> TcpCluster<'a> {
         if inner.owner != link.id || part.done.swap(true, Ordering::SeqCst) {
             return;
         }
-        let (Some(sink), Some(task)) = (inner.stage.take(), inner.task.take()) else {
+        let (Some(mut sink), Some(task)) = (inner.stage.take(), inner.task.take()) else {
             return;
         };
         drop(inner);
+        sink.close();
         result.attempts = result.attempts.max(1);
         let span = task.close(result.attempts - 1, self.start);
         let _ = red_res_tx.send(Ok((result, span, sink)));

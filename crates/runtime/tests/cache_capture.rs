@@ -1,0 +1,219 @@
+//! A cache-output stage's dataset is what its reducers wrote: each
+//! reducer keeps its finals as its partition and key-sorts it on its own
+//! thread, and the plan publishes the partitions once it has succeeded.
+//! Whatever the plan mode, the transport, a downstream edge or a reduce
+//! retry, the published partitions must equal what a capture computed
+//! from the stage's collected finals before: route each by the job's
+//! partitioner over its reducer count, then sort every partition by key —
+//! and the stage must build no collected output for those finals.
+
+use std::sync::Arc;
+
+use onepass_core::fault::FaultPlan;
+use onepass_groupby::{EmitKind, SumAgg};
+use onepass_runtime::prelude::*;
+use onepass_runtime::transport::worker::spawn_local;
+
+const DATASET: &str = "counts";
+
+fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
+    for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
+        out.emit(w, &1u64.to_le_bytes());
+    }
+}
+
+fn splits() -> Vec<Split> {
+    (0..6)
+        .map(|s| {
+            Split::new(
+                (0..150)
+                    .map(|i| format!("w{} w{} common", (s * 7 + i) % 41, i % 13).into_bytes())
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+fn count_job() -> JobSpec {
+    JobSpec::builder("cache-capture-counts")
+        .map_fn(Arc::new(word_map))
+        .aggregate(Arc::new(SumAgg))
+        .reducers(3)
+        .preset_onepass()
+        .build()
+        .unwrap()
+}
+
+/// A downstream pair stage: how many words occurred N times.
+fn histogram_job() -> JobSpec {
+    JobSpec::builder("cache-capture-histogram")
+        .aggregate(Arc::new(SumAgg))
+        .reducers(1)
+        .preset_onepass()
+        .build()
+        .unwrap()
+}
+
+fn histogram_pair(_word: &[u8], count: &[u8], out: &mut dyn MapEmitter) {
+    out.emit(count, &1u64.to_le_bytes());
+}
+
+/// The counting stage with its output cached, and, with `downstream`, a
+/// histogram stage fed by an edge from it.
+fn plan(downstream: bool) -> Plan {
+    let mut b = Plan::builder();
+    let counts = b.add_stage(count_job());
+    b.cache_output(counts, DATASET);
+    if downstream {
+        let hist = b.add_pair_stage(histogram_job(), Arc::new(histogram_pair));
+        b.connect(counts, hist);
+    }
+    b.build().unwrap()
+}
+
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// The recipe the capture applied to a stage's collected finals: route by
+/// the job's partitioner, sort each partition by key.
+fn routed_and_sorted(job: &JobSpec, finals: &Pairs) -> Vec<Pairs> {
+    let mut parts = vec![Vec::new(); job.reducers];
+    for (k, v) in finals {
+        parts[job.partitioner.partition(k, job.reducers)].push((k.clone(), v.clone()));
+    }
+    for p in &mut parts {
+        p.sort();
+    }
+    parts
+}
+
+fn published(cache: &DatasetCache) -> Vec<Pairs> {
+    let parts = cache.get(DATASET).unwrap().expect("the stage published");
+    parts
+        .iter()
+        .map(|seg| seg.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect())
+        .collect()
+}
+
+/// The counting job run on its own, finals collected: the reference.
+fn reference_finals() -> Pairs {
+    let report = Engine::new().run(&count_job(), splits()).unwrap();
+    let mut finals: Pairs = report
+        .outputs
+        .iter()
+        .filter(|o| o.kind == EmitKind::Final)
+        .map(|o| (o.key.clone(), o.value.clone()))
+        .collect();
+    finals.sort();
+    finals
+}
+
+/// What the histogram stage must answer over `finals`.
+fn reference_histogram(finals: &Pairs) -> Pairs {
+    let mut hist = std::collections::BTreeMap::<Vec<u8>, u64>::new();
+    for (_, count) in finals {
+        *hist.entry(count.clone()).or_default() += 1;
+    }
+    hist.into_iter()
+        .map(|(c, n)| (c, n.to_le_bytes().to_vec()))
+        .collect()
+}
+
+/// Run the plan under `cfg` in both modes, with and without the
+/// downstream edge, and hold every published dataset to the recipe.
+/// Returns the failed attempts the runs recovered from.
+fn check(cfg: impl Fn() -> EngineConfig, what: &str) -> usize {
+    let mut failed = 0;
+    let finals = reference_finals();
+    let want = routed_and_sorted(&count_job(), &finals);
+    for downstream in [false, true] {
+        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
+            let cache = DatasetCache::new(CacheConfig::default());
+            let report = Engine::with_config(cfg())
+                .run_plan_with_cache(
+                    &plan(downstream),
+                    splits(),
+                    &PlanConfig::new(mode),
+                    Some(&cache),
+                )
+                .unwrap();
+            let at = format!("{what}, {mode:?}, downstream {downstream}");
+            failed += report
+                .stages
+                .iter()
+                .map(|s| s.report.failed_attempts)
+                .sum::<usize>();
+            assert_eq!(published(&cache), want, "{at}");
+
+            // The stage's report holds the partitions and nothing else of
+            // its finals; its `final_pairs` are the dataset's pairs.
+            let counts = &report.stages[0].report;
+            assert!(counts.outputs.is_empty(), "{at}: no collected output");
+            assert_eq!(counts.partitions.len(), 3, "{at}");
+            let mut pairs: Pairs = counts
+                .final_pairs()
+                .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                .collect();
+            pairs.sort();
+            assert_eq!(pairs, finals, "{at}");
+
+            let answer = report.sorted_final_outputs();
+            if downstream {
+                assert_eq!(answer, reference_histogram(&finals), "{at}");
+            } else {
+                assert_eq!(answer, finals, "{at}: a cached sink's answer");
+            }
+        }
+    }
+    failed
+}
+
+#[test]
+fn in_proc_partitions_equal_the_routed_and_sorted_finals() {
+    assert_eq!(check(EngineConfig::default, "in-proc"), 0);
+}
+
+#[test]
+fn partitions_survive_a_seeded_reduce_kill() {
+    for seed in [3, 17] {
+        let faults = FaultPlan::seeded(seed, 6, 3);
+        let failed = check(
+            || {
+                EngineConfig::builder()
+                    .retry(RetryPolicy::attempts(3))
+                    .faults(faults.clone())
+                    .build()
+            },
+            &format!("in-proc, seeded kill {seed}"),
+        );
+        assert!(
+            failed >= 4,
+            "seed {seed}: every run retried its killed tasks"
+        );
+    }
+}
+
+/// Over TCP the sink stage's reduces run on the workers and come back as
+/// final batches into the coordinator's partition sink; an interior stage
+/// keeps its reducers local. Both must publish the same dataset.
+#[test]
+fn tcp_partitions_equal_the_routed_and_sorted_finals() {
+    let registry = JobRegistry::new();
+    for job in plan(true).jobs() {
+        registry.register_spec(job.clone());
+    }
+    let w1 = spawn_local(registry.clone(), WorkerOptions::default()).unwrap();
+    let w2 = spawn_local(registry, WorkerOptions::default()).unwrap();
+    let workers = vec![w1.addr().to_string(), w2.addr().to_string()];
+    check(
+        || {
+            EngineConfig::builder()
+                .transport(Transport::Tcp {
+                    workers: workers.clone(),
+                })
+                .build()
+        },
+        "tcp",
+    );
+    w1.shutdown();
+    w2.shutdown();
+}

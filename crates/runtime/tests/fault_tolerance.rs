@@ -1,16 +1,19 @@
 //! End-to-end recovery tests: a seeded fault plan kills at least one map
 //! and one reduce task mid-run, and the engine must finish with output
 //! byte-identical to a clean run — under both spill backends. Exhausted
-//! retry budgets must surface as `Err` without hanging.
+//! retry budgets must surface as `Err` without hanging, and a reducer
+//! whose final merge fails part-way releases each final exactly once.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use onepass_core::fault::FaultPlan;
 use onepass_core::trace::Tracer;
-use onepass_groupby::{EmitKind, SumAgg};
+use onepass_groupby::{Aggregator, EmitKind, StateBuf, SumAgg};
 use onepass_runtime::prelude::*;
+use onepass_runtime::transport::worker::spawn_local;
 
 fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
     for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -177,4 +180,90 @@ fn recovery_is_deterministic_across_runs() {
     let b = run();
     assert_eq!(finals(&a), finals(&b));
     assert_eq!(a.failed_attempts, b.failed_attempts);
+}
+
+/// [`SumAgg`] whose `finish` fails once, on the key it is armed with: a
+/// finish failure mid-partition, after the reducer may already have
+/// staged the finals of other keys. Workers in this process share it, so
+/// it fails a remote reduce the same way.
+struct FinishFailsOnce {
+    key: Vec<u8>,
+    armed: AtomicBool,
+}
+
+impl Aggregator for FinishFailsOnce {
+    fn init(&self, key: &[u8], value: &[u8]) -> StateBuf {
+        SumAgg.init(key, value)
+    }
+    fn update(&self, key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        SumAgg.update(key, state, value)
+    }
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other: &[u8]) {
+        SumAgg.merge(key, state, other)
+    }
+    fn finish(&self, key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        if key == self.key && self.armed.swap(false, Ordering::SeqCst) {
+            panic!(
+                "injected finish failure on {:?}",
+                String::from_utf8_lossy(key)
+            );
+        }
+        SumAgg.finish(key, state, out)
+    }
+}
+
+/// Every final of `report`, sorted but not deduplicated.
+fn final_list(report: &JobReport) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut v: Vec<_> = report
+        .outputs
+        .iter()
+        .filter(|o| o.kind == EmitKind::Final)
+        .map(|o| (o.key.clone(), o.value.clone()))
+        .collect();
+    v.sort();
+    v
+}
+
+/// While a retry remains, a finishing reducer stages its output and
+/// releases it only once `finish` succeeds: a finish that fails part-way,
+/// under the default three attempts, must leave each final emitted exactly
+/// once, byte-identical to a clean run — in-proc and on a TCP worker.
+#[test]
+fn a_failed_finish_releases_each_final_exactly_once() {
+    let clean = Engine::new().run(&wc_job(true), splits()).unwrap();
+    let want = final_list(&clean);
+    let key = want[env_seed(11) as usize % want.len()].0.clone();
+    let failing = Arc::new(FinishFailsOnce {
+        key,
+        armed: AtomicBool::new(false),
+    });
+    let job = JobSpec::builder("wc-ft-finish")
+        .map_fn(Arc::new(word_map))
+        .aggregate(Arc::clone(&failing) as Arc<dyn Aggregator>)
+        .reducers(3)
+        .preset_onepass()
+        .build()
+        .unwrap();
+
+    let registry = JobRegistry::new();
+    registry.register_spec(job.clone());
+    let worker = spawn_local(registry, WorkerOptions::default()).unwrap();
+    let tcp = Transport::Tcp {
+        workers: vec![worker.addr().to_string()],
+    };
+    for transport in [Transport::InProc, tcp] {
+        failing.armed.store(true, Ordering::SeqCst);
+        let cfg = EngineConfig::builder()
+            .retry(RetryPolicy::attempts(3))
+            .transport(transport.clone())
+            .build();
+        let report = Engine::with_config(cfg).run(&job, splits()).unwrap();
+        assert!(
+            !failing.armed.load(Ordering::SeqCst),
+            "{transport:?}: the failure fired"
+        );
+        assert_eq!(report.failed_attempts, 1, "{transport:?}: one reduce retry");
+        assert_eq!(final_list(&report), want, "{transport:?}");
+    }
+    worker.shutdown();
 }

@@ -498,23 +498,23 @@ struct GatedSum {
 }
 
 impl Aggregator for GatedSum {
-    fn init(&self, key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn init(&self, key: &[u8], value: &[u8]) -> onepass_groupby::StateBuf {
         SumAgg.init(key, value)
     }
-    fn update(&self, key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, key: &[u8], state: &mut onepass_groupby::StateBuf, value: &[u8]) {
         SumAgg.update(key, state, value)
     }
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut onepass_groupby::StateBuf, other: &[u8]) {
         SumAgg.merge(key, state, other)
     }
-    fn finish(&self, key: &[u8], state: Vec<u8>) -> Vec<u8> {
+    fn finish(&self, key: &[u8], state: &[u8], out: &mut Vec<u8>) {
         if self.finished.fetch_add(1, Ordering::SeqCst) > 0 {
             let (ran, cv) = &*self.sink_ran;
             let _held = cv
                 .wait_timeout_while(ran.lock().unwrap(), Duration::from_secs(20), |ran| !*ran)
                 .unwrap();
         }
-        SumAgg.finish(key, state)
+        SumAgg.finish(key, state, out)
     }
 }
 

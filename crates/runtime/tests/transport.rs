@@ -255,16 +255,16 @@ fn tiny_tcp_jobs_are_not_rounded_up_to_the_heartbeat_period() {
 struct SpillSpy(Arc<std::sync::atomic::AtomicBool>);
 
 impl onepass_groupby::Aggregator for SpillSpy {
-    fn init(&self, key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn init(&self, key: &[u8], value: &[u8]) -> onepass_groupby::StateBuf {
         SumAgg.init(key, value)
     }
-    fn update(&self, key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, key: &[u8], state: &mut onepass_groupby::StateBuf, value: &[u8]) {
         SumAgg.update(key, state, value)
     }
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut onepass_groupby::StateBuf, other: &[u8]) {
         SumAgg.merge(key, state, other)
     }
-    fn finish(&self, key: &[u8], state: Vec<u8>) -> Vec<u8> {
+    fn finish(&self, key: &[u8], state: &[u8], out: &mut Vec<u8>) {
         use std::sync::atomic::Ordering::Relaxed;
         let mine = format!("onepass-spill-{}-", std::process::id());
         let run_on_disk = || {
@@ -278,7 +278,7 @@ impl onepass_groupby::Aggregator for SpillSpy {
         if !self.0.load(Relaxed) && run_on_disk() {
             self.0.store(true, Relaxed);
         }
-        SumAgg.finish(key, state)
+        SumAgg.finish(key, state, out)
     }
 }
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use onepass_core::error::Result;
-use onepass_groupby::{Aggregator, SumAgg};
+use onepass_groupby::{Aggregator, StateBuf, SumAgg};
 use onepass_runtime::{Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, PairMap, Plan};
 
 use crate::docgen::parse_doc;
@@ -75,26 +75,25 @@ impl PostingListAgg {
 }
 
 impl Aggregator for PostingListAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        value.to_vec()
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        StateBuf::from_slice(value)
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
         state.extend_from_slice(value);
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
         state.extend_from_slice(other);
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        let mut postings = Self::decode(&state);
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        let mut postings = Self::decode(state);
         postings.sort_unstable();
-        let mut out = Vec::with_capacity(state.len());
+        out.reserve(state.len());
         for p in postings {
             out.extend_from_slice(&p.encode());
         }
-        out
     }
 
     fn combinable(&self) -> bool {
@@ -163,7 +162,8 @@ mod tests {
         let mut state = agg.init(b"w", &Posting { doc: 2, pos: 5 }.encode());
         agg.update(b"w", &mut state, &Posting { doc: 1, pos: 9 }.encode());
         agg.update(b"w", &mut state, &Posting { doc: 1, pos: 3 }.encode());
-        let out = agg.finish(b"w", state);
+        let mut out = Vec::new();
+        agg.finish(b"w", &state, &mut out);
         let postings = PostingListAgg::decode(&out);
         assert_eq!(
             postings,

@@ -16,17 +16,18 @@
 //! `[i64 coord LE]*dim`, key = `u32` LE point id. Cached centroid
 //! value: same coord layout, key = `u32` LE centroid id.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_groupby::{Aggregator, FirstAgg};
+use onepass_groupby::{Aggregator, FirstAgg, StateBuf};
 use onepass_runtime::{
     pair_map_fn, DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, PairMap, Plan,
     PlanConfig,
 };
 
-use crate::make_splits;
+use crate::{le_bytes, make_splits};
 
 /// Cached dataset holding the immutable point set.
 pub const POINTS_DATASET: &str = "kmeans-points";
@@ -93,38 +94,49 @@ fn encode_coords(coords: &[i64]) -> Vec<u8> {
     coords.iter().flat_map(|c| c.to_le_bytes()).collect()
 }
 
-fn decode_coords(value: &[u8]) -> Vec<i64> {
+/// The coordinates of an encoded point, read in place.
+fn coords_of(value: &[u8]) -> impl Iterator<Item = i64> + Clone + '_ {
     value
         .chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+        .map(|c| i64::from_le_bytes(le_bytes(c, 0)))
 }
 
-fn parse_point(record: &[u8]) -> (u32, Vec<i64>) {
-    let line = std::str::from_utf8(record).expect("utf8 point record");
-    let (pid, rest) = line.split_once('\t').expect("pid\\tcoords");
-    (
-        pid.parse().expect("point id"),
-        rest.split(',').map(|c| c.parse().expect("coord")).collect(),
-    )
+fn decode_coords(value: &[u8]) -> Vec<i64> {
+    coords_of(value).collect()
+}
+
+/// Parse `"<pid>\t<c0>,<c1>,..."`.
+fn parse_point(record: &[u8]) -> Result<(u32, Vec<i64>)> {
+    let parsed = || -> Option<(u32, Vec<i64>)> {
+        let (pid, rest) = std::str::from_utf8(record).ok()?.split_once('\t')?;
+        let coords = rest.split(',').map(|c| c.parse().ok());
+        Some((pid.parse().ok()?, coords.collect::<Option<_>>()?))
+    };
+    parsed().ok_or_else(|| {
+        let line = String::from_utf8_lossy(record);
+        Error::Config(format!("malformed point record: {line:?}"))
+    })
 }
 
 struct ParsePointMap;
 
 impl MapFn for ParsePointMap {
     fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        let (pid, coords) = parse_point(record);
+        // An unparsable record fails its task (the scheduler applies the
+        // retry budget), the contract of every map function over foreign
+        // bytes.
+        let (pid, coords) = parse_point(record).unwrap_or_else(|e| panic!("{e}"));
         out.emit(&pid.to_le_bytes(), &encode_coords(&coords));
     }
 }
 
-fn nearest(coords: &[i64], centroids: &[(u32, Vec<i64>)]) -> u32 {
+fn nearest(coords: impl Iterator<Item = i64> + Clone, centroids: &[(u32, Vec<i64>)]) -> u32 {
     let mut best = (i128::MAX, u32::MAX);
     for (cid, c) in centroids {
         let d: i128 = coords
-            .iter()
+            .clone()
             .zip(c)
-            .map(|(&a, &b)| {
+            .map(|(a, &b)| {
                 let diff = (a - b) as i128;
                 diff * diff
             })
@@ -136,19 +148,29 @@ fn nearest(coords: &[i64], centroids: &[(u32, Vec<i64>)]) -> u32 {
     best.1
 }
 
+thread_local! {
+    /// The buffer each point's `[u64 1][coords]` partial is framed in,
+    /// reused from point to point by the map worker that owns it.
+    static PARTIAL: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Assign each cached point to its nearest centroid. The centroid set
 /// is baked in at plan-build time — rebuilt each round from the cache.
+/// The point is read where it lies and its partial framed in a reused
+/// buffer: nothing is allocated per point.
 struct AssignMap {
     centroids: Vec<(u32, Vec<i64>)>,
 }
 
 impl PairMap for AssignMap {
     fn map_pair(&self, _key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
-        let coords = decode_coords(value);
-        let cid = nearest(&coords, &self.centroids);
-        let mut v = 1u64.to_le_bytes().to_vec();
-        v.extend_from_slice(value);
-        out.emit(&cid.to_le_bytes(), &v);
+        let cid = nearest(coords_of(value), &self.centroids);
+        PARTIAL.with_borrow_mut(|partial| {
+            partial.clear();
+            partial.extend_from_slice(&1u64.to_le_bytes());
+            partial.extend_from_slice(value);
+            out.emit(&cid.to_le_bytes(), partial);
+        });
     }
 }
 
@@ -158,35 +180,31 @@ impl PairMap for AssignMap {
 struct MeanAgg;
 
 impl Aggregator for MeanAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        value.to_vec()
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        StateBuf::from_slice(value)
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        let n = u64::from_le_bytes(state[..8].try_into().unwrap())
-            + u64::from_le_bytes(value[..8].try_into().unwrap());
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        let n = u64::from_le_bytes(le_bytes(state, 0)) + u64::from_le_bytes(le_bytes(value, 0));
         state[..8].copy_from_slice(&n.to_le_bytes());
         for (s, v) in state[8..]
             .chunks_exact_mut(8)
             .zip(value[8..].chunks_exact(8))
         {
-            let sum = i64::from_le_bytes(s.try_into().unwrap())
-                + i64::from_le_bytes(v.try_into().unwrap());
+            let sum = i64::from_le_bytes(le_bytes(s, 0)) + i64::from_le_bytes(le_bytes(v, 0));
             s.copy_from_slice(&sum.to_le_bytes());
         }
     }
 
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other: &[u8]) {
         self.update(key, state, other);
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        let count = u64::from_le_bytes(state[..8].try_into().unwrap()) as i64;
-        let mean: Vec<i64> = state[8..]
-            .chunks_exact(8)
-            .map(|s| i64::from_le_bytes(s.try_into().unwrap()) / count)
-            .collect();
-        encode_coords(&mean)
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        let count = u64::from_le_bytes(le_bytes(state, 0)) as i64;
+        for sum in coords_of(&state[8..]) {
+            out.extend_from_slice(&(sum / count).to_le_bytes());
+        }
     }
 
     fn combinable(&self) -> bool {
@@ -254,25 +272,21 @@ fn seed_centroids(records: &[Vec<u8>], k: usize) -> Result<Centroids> {
             records.len()
         )));
     }
-    Ok(records[..k]
+    records[..k]
         .iter()
         .enumerate()
-        .map(|(cid, r)| (cid as u32, parse_point(r).1))
-        .collect())
+        .map(|(cid, r)| Ok((cid as u32, parse_point(r)?.1)))
+        .collect()
 }
 
 fn cached_centroids(cache: &DatasetCache) -> Result<Centroids> {
-    let parts = cache.get(CENTROIDS_DATASET)?.expect("centroids cached");
+    let parts = cache.get(CENTROIDS_DATASET)?.ok_or_else(|| {
+        Error::InvalidState(format!("dataset '{CENTROIDS_DATASET}' is not in the cache"))
+    })?;
     let mut out: Centroids = parts
         .iter()
-        .flat_map(|p| {
-            p.iter().map(|(k, v)| {
-                (
-                    u32::from_le_bytes(k[..4].try_into().expect("cid")),
-                    decode_coords(v),
-                )
-            })
-        })
+        .flat_map(|p| p.iter())
+        .map(|(k, v)| (u32::from_le_bytes(le_bytes(k, 0)), decode_coords(v)))
         .collect();
     out.sort_unstable();
     Ok(out)
@@ -338,13 +352,16 @@ pub fn run_cached(
 /// Pure-Rust reference: same integer math, same seeding, same stopping
 /// rule, single-threaded.
 pub fn reference(records: &[Vec<u8>], cfg: &KMeansConfig) -> Result<(Centroids, usize)> {
-    let points: Vec<(u32, Vec<i64>)> = records.iter().map(|r| parse_point(r)).collect();
+    let points = records
+        .iter()
+        .map(|r| parse_point(r))
+        .collect::<Result<Vec<_>>>()?;
     let mut current = seed_centroids(records, cfg.k)?;
     let mut rounds = 1; // the parse round
     for _ in 1..cfg.rounds.max(1) {
         let mut acc: HashMap<u32, (u64, Vec<i64>)> = HashMap::new();
         for (_, coords) in &points {
-            let cid = nearest(coords, &current);
+            let cid = nearest(coords.iter().copied(), &current);
             let e = acc.entry(cid).or_insert_with(|| (0, vec![0; coords.len()]));
             e.0 += 1;
             for (s, &c) in e.1.iter_mut().zip(coords) {

@@ -61,6 +61,21 @@ pub fn make_splits(records: Vec<Vec<u8>>, per_split: usize) -> Vec<Split> {
     splits
 }
 
+/// The `N` bytes at `bytes[at..at + N]`, for `from_le_bytes` — how the
+/// iterative workloads read the words of their fixed-layout records.
+///
+/// Invariant: those records are built by the workloads themselves — a
+/// PageRank state `[u64 rank][u32 deg][u32 dst]*`, a contribution or a
+/// rank, a k-means partial `[u64 count][i64 coord]*`, a `u32` node or
+/// centroid key — so every word read is in range by construction. A short
+/// record is a bug in the workload: the slice index panics (a failed task)
+/// rather than decode garbage.
+pub(crate) fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut word = [0; N];
+    word.copy_from_slice(&bytes[at..at + N]);
+    word
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

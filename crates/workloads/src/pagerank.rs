@@ -28,16 +28,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use onepass_core::error::Result;
+use onepass_core::error::{Error, Result};
 use onepass_core::io::{FileSpillStore, SpillStore};
-use onepass_core::SegmentBufBuilder;
-use onepass_groupby::{Aggregator, FirstAgg};
+use onepass_core::{SegmentBuf, SegmentBufBuilder};
+use onepass_groupby::{Aggregator, FirstAgg, StateBuf};
 use onepass_runtime::{
     pair_map_fn, DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, PairMap, Plan,
     PlanConfig,
 };
 
-use crate::make_splits;
+use crate::{le_bytes, make_splits};
 
 /// Fixed-point scale: rank 1.0 ≡ `SCALE`. Total rank mass ≈ `SCALE`.
 pub const SCALE: u64 = 1_000_000_000;
@@ -112,13 +112,36 @@ fn encode_state(rank: u64, dsts: &[u32]) -> Vec<u8> {
     v
 }
 
-fn decode_state(value: &[u8]) -> (u64, Vec<u32>) {
-    let rank = u64::from_le_bytes(value[..8].try_into().expect("rank"));
-    let deg = u32::from_le_bytes(value[8..12].try_into().expect("deg")) as usize;
-    let dsts = (0..deg)
-        .map(|i| u32::from_le_bytes(value[12 + i * 4..16 + i * 4].try_into().unwrap()))
-        .collect();
-    (rank, dsts)
+/// A cached node state's rank and its destinations: `deg` little-endian
+/// `u32` node ids, which are also exactly the bytes of their keys.
+fn state_parts(value: &[u8]) -> (u64, &[u8]) {
+    (u64::from_le_bytes(le_bytes(value, 0)), &value[12..])
+}
+
+/// Parse `"<src>\t<dst>,<dst>,..."`; `None` for anything else.
+fn parse_graph_line(record: &[u8]) -> Option<(u32, Vec<u32>)> {
+    let (src, rest) = std::str::from_utf8(record).ok()?.split_once('\t')?;
+    let dsts = rest.split(',').map(|d| d.parse().ok());
+    Some((src.parse().ok()?, dsts.collect::<Option<_>>()?))
+}
+
+/// Parse `"<node>\t<rank>\t<dst>,<dst>,..."`; `None` for anything else.
+fn parse_state_line(record: &[u8]) -> Option<(u32, u64, Vec<u32>)> {
+    let mut it = std::str::from_utf8(record).ok()?.split('\t');
+    let node = it.next()?.parse().ok()?;
+    let rank = it.next()?.parse().ok()?;
+    let dsts = it.next()?.split(',').map(|d| d.parse().ok());
+    Some((node, rank, dsts.collect::<Option<_>>()?))
+}
+
+/// A record a map function here cannot parse fails its task (the
+/// scheduler applies the retry budget), the contract of every map
+/// function over foreign bytes.
+fn malformed(what: &str, record: &[u8]) -> ! {
+    panic!(
+        "malformed {what} record: {:?}",
+        String::from_utf8_lossy(record)
+    )
 }
 
 /// `(1 - d) / N` at scale — the rank a node with no inbound
@@ -138,13 +161,9 @@ struct ParseGraphMap {
 
 impl MapFn for ParseGraphMap {
     fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        let line = std::str::from_utf8(record).expect("utf8 graph record");
-        let (src, rest) = line.split_once('\t').expect("src\\tdsts");
-        let src: u32 = src.parse().expect("node id");
-        let dsts: Vec<u32> = rest
-            .split(',')
-            .map(|d| d.parse().expect("dst id"))
-            .collect();
+        let Some((src, dsts)) = parse_graph_line(record) else {
+            malformed("graph", record)
+        };
         out.emit(&src.to_le_bytes(), &encode_state(self.init_rank, &dsts));
     }
 }
@@ -152,43 +171,45 @@ impl MapFn for ParseGraphMap {
 /// The cached round's map: fan the 8-byte contributions out along the
 /// edges — and nothing else. The adjacency never leaves its partition;
 /// [`merge_new_ranks`] folds the reduced ranks back into it in place.
+/// Each destination's key is its four bytes of the state, emitted as
+/// they lie: nothing is decoded or collected per node.
 struct ContribMap;
 
 impl PairMap for ContribMap {
     fn map_pair(&self, _key: &[u8], value: &[u8], out: &mut dyn MapEmitter) {
-        let (rank, dsts) = decode_state(value);
-        let cv = contribution(rank, dsts.len()).to_le_bytes();
-        for d in &dsts {
-            out.emit(&d.to_le_bytes(), &cv);
+        let (rank, dsts) = state_parts(value);
+        let cv = contribution(rank, dsts.len() / 4).to_le_bytes();
+        for d in dsts.chunks_exact(4) {
+            out.emit(d, &cv);
         }
     }
 }
 
 /// Sum 8-byte contributions; finish to `base + Σcontrib`. Plain sums
-/// merge, so this is a legal map-side combiner.
+/// merge, so this is a legal map-side combiner. The 8-byte state lives
+/// in its table slot.
 #[derive(Debug, Clone, Copy)]
 struct RankAgg {
     base: u64,
 }
 
 impl Aggregator for RankAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        value.to_vec()
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        StateBuf::from_slice(value)
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        let n = u64::from_le_bytes(state[..8].try_into().unwrap())
-            + u64::from_le_bytes(value[..8].try_into().unwrap());
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        let n = u64::from_le_bytes(le_bytes(state, 0)) + u64::from_le_bytes(le_bytes(value, 0));
         state[..8].copy_from_slice(&n.to_le_bytes());
     }
 
-    fn merge(&self, key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, key: &[u8], state: &mut StateBuf, other: &[u8]) {
         self.update(key, state, other);
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        let sum = u64::from_le_bytes(state[..8].try_into().unwrap());
-        (self.base + sum).to_le_bytes().to_vec()
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        let sum = u64::from_le_bytes(le_bytes(state, 0));
+        out.extend_from_slice(&(self.base + sum).to_le_bytes());
     }
 
     fn combinable(&self) -> bool {
@@ -204,16 +225,9 @@ struct CarryContribMap;
 
 impl MapFn for CarryContribMap {
     fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        let line = std::str::from_utf8(record).expect("utf8 state record");
-        let mut it = line.split('\t');
-        let node: u32 = it.next().expect("node").parse().expect("node id");
-        let rank: u64 = it.next().expect("rank").parse().expect("rank");
-        let dsts: Vec<u32> = it
-            .next()
-            .expect("dsts")
-            .split(',')
-            .map(|d| d.parse().expect("dst id"))
-            .collect();
+        let Some((node, rank, dsts)) = parse_state_line(record) else {
+            malformed("state", record)
+        };
         let mut cv = [0u8; 9];
         cv[0] = TAG_CONTRIB;
         cv[1..].copy_from_slice(&contribution(rank, dsts.len()).to_le_bytes());
@@ -232,10 +246,7 @@ impl MapFn for CarryContribMap {
 
 fn tagged_parts(value: &[u8]) -> (u64, &[u8]) {
     match value[0] {
-        TAG_CONTRIB => (
-            u64::from_le_bytes(value[1..9].try_into().expect("contrib")),
-            &[],
-        ),
+        TAG_CONTRIB => (u64::from_le_bytes(le_bytes(value, 1)), &[]),
         _ => (0, &value[1..]),
     }
 }
@@ -248,37 +259,39 @@ struct CarryRankAgg {
     base: u64,
 }
 
-impl Aggregator for CarryRankAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        let (sum, adj) = tagged_parts(value);
-        let mut st = sum.to_le_bytes().to_vec();
-        st.extend_from_slice(adj);
-        st
-    }
-
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
-        let (sum, adj) = tagged_parts(value);
-        let n = u64::from_le_bytes(state[..8].try_into().unwrap()) + sum;
+impl CarryRankAgg {
+    /// Add `sum` to the state's leading word, and adopt `adj` as its
+    /// adjacency if it has none yet.
+    fn add(state: &mut StateBuf, sum: u64, adj: &[u8]) {
+        let n = u64::from_le_bytes(le_bytes(state, 0)) + sum;
         state[..8].copy_from_slice(&n.to_le_bytes());
         if state.len() == 8 {
             state.extend_from_slice(adj);
         }
     }
+}
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
-        let n = u64::from_le_bytes(state[..8].try_into().unwrap())
-            + u64::from_le_bytes(other[..8].try_into().unwrap());
-        state[..8].copy_from_slice(&n.to_le_bytes());
-        if state.len() == 8 {
-            state.extend_from_slice(&other[8..]);
-        }
+impl Aggregator for CarryRankAgg {
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        let (sum, adj) = tagged_parts(value);
+        let mut st = StateBuf::from_slice(&sum.to_le_bytes());
+        st.extend_from_slice(adj);
+        st
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        let sum = u64::from_le_bytes(state[..8].try_into().unwrap());
-        let mut out = (self.base + sum).to_le_bytes().to_vec();
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
+        let (sum, adj) = tagged_parts(value);
+        Self::add(state, sum, adj);
+    }
+
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
+        Self::add(state, u64::from_le_bytes(le_bytes(other, 0)), &other[8..]);
+    }
+
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        let sum = u64::from_le_bytes(le_bytes(state, 0));
+        out.extend_from_slice(&(self.base + sum).to_le_bytes());
         out.extend_from_slice(&state[8..]);
-        out
     }
 
     fn combinable(&self) -> bool {
@@ -354,18 +367,23 @@ impl PageRankConfig {
 /// Final ranks, sorted by node id.
 pub type Ranks = Vec<(u32, u64)>;
 
-fn ranks_of(pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>) -> Ranks {
+fn ranks_of<'a>(pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) -> Ranks {
     let mut out: Ranks = pairs
         .into_iter()
         .map(|(k, v)| {
             (
-                u32::from_le_bytes(k[..4].try_into().expect("node key")),
-                u64::from_le_bytes(v[..8].try_into().expect("rank")),
+                u32::from_le_bytes(le_bytes(k, 0)),
+                u64::from_le_bytes(le_bytes(v, 0)),
             )
         })
         .collect();
     out.sort_unstable();
     out
+}
+
+/// Borrow a round's owned `(key, value)` state as slice pairs.
+fn pairs(state: &[(Vec<u8>, Vec<u8>)]) -> impl Iterator<Item = (&[u8], &[u8])> {
+    state.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
 }
 
 fn converged(prev: &HashMap<u32, u64>, cur: &Ranks, eps: Option<u64>) -> bool {
@@ -377,6 +395,13 @@ fn converged(prev: &HashMap<u32, u64>, cur: &Ranks, eps: Option<u64>) -> bool {
     }
 }
 
+/// Dataset `name`'s partitions, which a round before this one cached.
+fn cached(cache: &DatasetCache, name: &str) -> Result<Vec<SegmentBuf>> {
+    cache
+        .get(name)?
+        .ok_or_else(|| Error::InvalidState(format!("dataset '{name}' is not in the cache")))
+}
+
 /// The cached round boundary: zip-merge the freshly reduced ranks into
 /// the resident state, partition by partition. Both datasets were
 /// captured under the same partitioner and reducer count, sorted by
@@ -384,31 +409,35 @@ fn converged(prev: &HashMap<u32, u64>, cur: &Ranks, eps: Option<u64>) -> bool {
 /// never move. Nodes absent from the new ranks (no inbound
 /// contributions) take the base rank. Returns the max rank delta.
 fn merge_new_ranks(cache: &DatasetCache, nodes: usize) -> Result<u64> {
-    let state = cache.get(RANKS_DATASET)?.expect("state cached");
-    let news = cache.get(NEW_RANKS_DATASET)?.expect("round ranks cached");
-    assert_eq!(state.len(), news.len(), "partition-stable placement");
-    let base = base_rank(nodes).to_le_bytes();
+    let state = cached(cache, RANKS_DATASET)?;
+    let news = cached(cache, NEW_RANKS_DATASET)?;
+    if state.len() != news.len() {
+        return Err(Error::InvalidState(format!(
+            "rank state has {} partitions, the round's ranks {}: placement is not \
+             partition-stable",
+            state.len(),
+            news.len()
+        )));
+    }
+    let base = base_rank(nodes);
     let mut max_delta = 0u64;
     let mut merged = Vec::with_capacity(state.len());
+    let mut nv = Vec::new();
     for (sp, np) in state.iter().zip(news.iter()) {
-        let mut b = SegmentBufBuilder::new();
+        let mut b = SegmentBufBuilder::with_capacity(sp.payload_bytes(), sp.len());
         let mut ni = np.iter().peekable();
-        let mut nv = Vec::new();
         for (k, v) in sp.iter() {
             while ni.peek().is_some_and(|&(nk, _)| nk < k) {
                 ni.next(); // rank for a node outside the state: drop
             }
-            nv.clear();
-            match ni.peek() {
-                Some(&(nk, new_rank)) if nk == k => {
-                    nv.extend_from_slice(new_rank);
-                    ni.next();
-                }
-                _ => nv.extend_from_slice(&base),
-            }
-            let old = u64::from_le_bytes(v[..8].try_into().unwrap());
-            let new = u64::from_le_bytes(nv[..8].try_into().unwrap());
+            let new = match ni.next_if(|&(nk, _)| nk == k) {
+                Some((_, rank)) => u64::from_le_bytes(le_bytes(rank, 0)),
+                None => base,
+            };
+            let old = u64::from_le_bytes(le_bytes(v, 0));
             max_delta = max_delta.max(new.abs_diff(old));
+            nv.clear();
+            nv.extend_from_slice(&new.to_le_bytes());
             nv.extend_from_slice(&v[8..]);
             b.push(k, &nv);
         }
@@ -454,19 +483,20 @@ pub fn run_cached(
         let delta = merge_new_ranks(ctx.cache, nodes)?;
         Ok(eps.is_some_and(|eps| delta <= eps))
     })?;
-    let parts = cache.get(RANKS_DATASET)?.expect("ranks cached");
-    let ranks = ranks_of(
-        parts
-            .iter()
-            .flat_map(|p| p.iter().map(|(k, v)| (k.to_vec(), v.to_vec()))),
-    );
-    Ok((ranks, reports.len()))
+    let parts = cached(cache, RANKS_DATASET)?;
+    Ok((
+        ranks_of(parts.iter().flat_map(SegmentBuf::iter)),
+        reports.len(),
+    ))
 }
 
 fn state_to_text(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let node = u32::from_le_bytes(key[..4].try_into().expect("node key"));
-    let (rank, dsts) = decode_state(value);
-    let dsts: Vec<String> = dsts.iter().map(|d| d.to_string()).collect();
+    let node = u32::from_le_bytes(le_bytes(key, 0));
+    let (rank, dsts) = state_parts(value);
+    let dsts: Vec<String> = dsts
+        .chunks_exact(4)
+        .map(|d| u32::from_le_bytes(le_bytes(d, 0)).to_string())
+        .collect();
     format!("{node}\t{rank}\t{}", dsts.join(",")).into_bytes()
 }
 
@@ -503,7 +533,7 @@ pub fn run_uncached(
     let report = engine.run_plan(&plan0, splits, &cfg.plan)?;
     let mut state: Vec<(Vec<u8>, Vec<u8>)> = report.sorted_final_outputs();
     let mut prev: HashMap<u32, u64> = match cfg.eps {
-        Some(_) => ranks_of(state.clone()).into_iter().collect(),
+        Some(_) => ranks_of(pairs(&state)).into_iter().collect(),
         None => HashMap::new(),
     };
     let mut rounds = 1;
@@ -530,7 +560,7 @@ pub fn run_uncached(
         let done = match cfg.eps {
             None => false,
             Some(_) => {
-                let cur = ranks_of(state.clone());
+                let cur = ranks_of(pairs(&state));
                 let done = converged(&prev, &cur, cfg.eps);
                 prev = cur.into_iter().collect();
                 done
@@ -543,18 +573,20 @@ pub fn run_uncached(
     // The chain's final job writes its output like every other round.
     let run = write_state_run(&store, &state)?;
     store.delete_run(run)?;
-    Ok((ranks_of(state), rounds))
+    Ok((ranks_of(pairs(&state)), rounds))
 }
 
 /// Pure-Rust reference: the same fixed-point iteration, single-threaded.
-/// Returns final ranks and rounds run under the same stopping rule.
+/// Returns final ranks and rounds run under the same stopping rule. A
+/// contribution to a node that is no record's source is dropped, as the
+/// cached loop drops it; an unparsable record panics.
 pub fn reference(records: &[Vec<u8>], cfg: &PageRankConfig) -> (Ranks, usize) {
     let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
     for r in records {
-        let line = std::str::from_utf8(r).expect("utf8");
-        let (src, rest) = line.split_once('\t').expect("src\\tdsts");
-        let dsts = rest.split(',').map(|d| d.parse().unwrap()).collect();
-        adj.insert(src.parse().unwrap(), dsts);
+        let Some((src, dsts)) = parse_graph_line(r) else {
+            malformed("graph", r)
+        };
+        adj.insert(src, dsts);
     }
     let n = cfg.nodes as u64;
     let base = SCALE * (DAMP_DEN - DAMP_NUM) / (DAMP_DEN * n);
@@ -565,7 +597,9 @@ pub fn reference(records: &[Vec<u8>], cfg: &PageRankConfig) -> (Ranks, usize) {
         for (src, dsts) in &adj {
             let contrib = ranks[src] * DAMP_NUM / (DAMP_DEN * dsts.len() as u64);
             for d in dsts {
-                *sums.get_mut(d).expect("dst exists") += contrib;
+                if let Some(sum) = sums.get_mut(d) {
+                    *sum += contrib;
+                }
             }
         }
         let next: HashMap<u32, u64> = sums.into_iter().map(|(k, s)| (k, base + s)).collect();

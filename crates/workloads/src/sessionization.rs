@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use onepass_groupby::Aggregator;
+use onepass_groupby::{Aggregator, StateBuf};
 use onepass_runtime::{Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn};
 
 use crate::clickgen::Click;
@@ -86,19 +86,19 @@ impl SessionizeAgg {
 }
 
 impl Aggregator for SessionizeAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
-        value.to_vec()
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
+        StateBuf::from_slice(value)
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
         state.extend_from_slice(value);
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
         state.extend_from_slice(other);
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
         // Decode, order by timestamp, split at gaps.
         let mut clicks: Vec<(u32, u32)> = state
             .chunks_exact(8)
@@ -110,7 +110,7 @@ impl Aggregator for SessionizeAgg {
             })
             .collect();
         clicks.sort_unstable();
-        let mut out = Vec::with_capacity(state.len() + 16);
+        out.reserve(state.len() + 16);
         let mut session_start = 0usize;
         for i in 1..=clicks.len() {
             let boundary =
@@ -125,7 +125,6 @@ impl Aggregator for SessionizeAgg {
                 session_start = i;
             }
         }
-        out
     }
 
     fn combinable(&self) -> bool {
@@ -154,12 +153,18 @@ mod tests {
         s
     }
 
+    fn finished(agg: &SessionizeAgg, state: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        agg.finish(b"u", state, &mut out);
+        out
+    }
+
     #[test]
     fn splits_on_gap() {
         let agg = SessionizeAgg { gap_s: 200 };
         // Out-of-order input; only the 250 -> 1000 gap exceeds 200 s.
         let state = enc(&[(1000, 3), (100, 1), (250, 2)]);
-        let out = agg.finish(b"u", state);
+        let out = finished(&agg, &state);
         let sessions = SessionizeAgg::decode_sessions(&out);
         assert_eq!(sessions, vec![vec![(100, 1), (250, 2)], vec![(1000, 3)]]);
     }
@@ -168,7 +173,7 @@ mod tests {
     fn single_session_when_no_gap() {
         let agg = SessionizeAgg { gap_s: 1000 };
         let state = enc(&[(10, 1), (20, 2), (30, 3)]);
-        let sessions = SessionizeAgg::decode_sessions(&agg.finish(b"u", state));
+        let sessions = SessionizeAgg::decode_sessions(&finished(&agg, &state));
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].len(), 3);
     }
@@ -176,7 +181,7 @@ mod tests {
     #[test]
     fn empty_state_yields_no_sessions() {
         let agg = SessionizeAgg::default();
-        let out = agg.finish(b"u", Vec::new());
+        let out = finished(&agg, &[]);
         assert!(SessionizeAgg::decode_sessions(&out).is_empty());
     }
 

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use onepass_core::error::Result;
-use onepass_groupby::{Aggregator, SumAgg};
+use onepass_groupby::{Aggregator, StateBuf, SumAgg};
 use onepass_runtime::{JobSpec, MapEmitter, PairMap, Plan};
 use onepass_sketch::{FrequentItems, HeavyHitter, SpaceSaving};
 
@@ -148,30 +148,30 @@ impl TopKAgg {
 }
 
 impl Aggregator for TopKAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> Vec<u8> {
+    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
         let (count, url) = Self::parse_value(value);
-        Self::encode(&[(count, url)])
+        Self::encode(&[(count, url)]).into()
     }
 
-    fn update(&self, _key: &[u8], state: &mut Vec<u8>, value: &[u8]) {
+    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
         let mut entries = Self::decode(state);
         let (count, url) = Self::parse_value(value);
         entries.push((count, url));
         self.prune(&mut entries);
-        *state = Self::encode(&entries);
+        *state = Self::encode(&entries).into();
     }
 
-    fn merge(&self, _key: &[u8], state: &mut Vec<u8>, other: &[u8]) {
+    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
         let mut entries = Self::decode(state);
         entries.extend(Self::decode(other));
         self.prune(&mut entries);
-        *state = Self::encode(&entries);
+        *state = Self::encode(&entries).into();
     }
 
-    fn finish(&self, _key: &[u8], state: Vec<u8>) -> Vec<u8> {
-        let mut entries = Self::decode(&state);
+    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
+        let mut entries = Self::decode(state);
         self.prune(&mut entries);
-        Self::encode(&entries)
+        out.extend_from_slice(&Self::encode(&entries));
     }
 
     fn combinable(&self) -> bool {
@@ -250,7 +250,9 @@ mod tests {
             agg.update(TOP_KEY, &mut b, &value(u as u64 - 100, u));
         }
         agg.merge(TOP_KEY, &mut a, &b);
-        let top = TopKAgg::decode(&agg.finish(TOP_KEY, a));
+        let mut out = Vec::new();
+        agg.finish(TOP_KEY, &a, &mut out);
+        let top = TopKAgg::decode(&out);
         let counts: Vec<u64> = top.iter().map(|&(c, _)| c).collect();
         assert_eq!(counts, vec![50, 49, 49]);
     }

@@ -186,6 +186,9 @@ pub struct Server {
     shared: Arc<Shared>,
     /// One queue per shard worker.
     shards: Vec<Sender<ShardMsg>>,
+    /// One per shard: its worker reports here once its sessions closed.
+    closed_acks: Vec<Receiver<()>>,
+    /// Reaped on drop, not at close (see [`shard_worker`]).
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     closed: AtomicBool,
     ingest_records: AtomicU64,
@@ -231,15 +234,18 @@ impl Server {
             metrics,
         });
         let mut shards = Vec::with_capacity(config.shards);
+        let mut closed_acks = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for i in 0..config.shards {
             let (tx, rx) = bounded::<ShardMsg>(config.queue_depth);
+            let (ack_tx, ack_rx) = bounded::<()>(1);
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("serve-shard-{i}"))
-                .spawn(move || shard_worker(rx, shared))
+                .spawn(move || shard_worker(rx, ack_tx, shared))
                 .expect("spawn shard worker");
             shards.push(tx);
+            closed_acks.push(ack_rx);
             workers.push(handle);
         }
         Ok(Server {
@@ -247,6 +253,7 @@ impl Server {
             gate,
             shared,
             shards,
+            closed_acks,
             workers: Mutex::new(workers),
             closed: AtomicBool::new(false),
             ingest_records: AtomicU64::new(0),
@@ -358,19 +365,21 @@ impl Server {
     }
 
     /// Close the ingest stream: every session's cascade closes and its
-    /// finals are delivered on each subscriber's event channel; shard
-    /// workers exit. Idempotent.
+    /// finals are delivered on each subscriber's event channel before
+    /// this returns. Idempotent. The shard threads exit when the server
+    /// drops.
     pub fn close(&self) -> Result<()> {
         if self.closed.swap(true, Ordering::AcqRel) {
             return Ok(());
         }
         for shard in &self.shards {
-            // A shard whose worker already exited has hung up; ignore.
+            // A shard whose worker already exited has hung up; its
+            // acknowledgement below reports it.
             let _ = shard.send(ShardMsg::Close);
         }
-        let workers = std::mem::take(&mut *self.workers.lock().expect("workers lock"));
-        for w in workers {
-            w.join()
+        for ack in &self.closed_acks {
+            // A worker that died drops its sender without acknowledging.
+            ack.recv()
                 .map_err(|_| Error::InvalidState("serve shard worker panicked".into()))?;
         }
         Ok(())
@@ -380,6 +389,11 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         let _ = self.close();
+        // Hanging up every queue ends each worker's linger loop.
+        self.shards.clear();
+        for w in std::mem::take(&mut *self.workers.lock().expect("workers lock")) {
+            let _ = w.join();
+        }
     }
 }
 
@@ -525,7 +539,31 @@ fn fail(subscribers: &[Subscriber], e: &Error, shared: &Shared) {
 
 /// One shard worker: owns its queries' sessions, seats tenants in them,
 /// feeds each session every batch once, and closes them at end of stream.
-fn shard_worker(rx: Receiver<ShardMsg>, shared: Arc<Shared>) {
+///
+/// After acknowledging the close it lingers until the server drops. glibc
+/// gives each thread a malloc arena, returns it to a free list when the
+/// thread exits, and hands a new thread the arena freed last. Exiting
+/// after the threads that consumed the finals means the next server's
+/// shards take the shards' arenas and a consumer thread gets its own
+/// back. Otherwise the arenas rotate between roles, a consumer's large
+/// buffers (say, one rendered dump per tenant) land in a new arena each
+/// time, and peak RSS depends on where the last arena's few long-lived
+/// small blocks happened to sit.
+fn shard_worker(rx: Receiver<ShardMsg>, closed: Sender<()>, shared: Arc<Shared>) {
+    serve_shard(&rx, &shared);
+    let _ = closed.send(());
+    // Late arrivals raced `close` past its closed check: a subscription is
+    // refused, a batch comes after the end of the stream and is dropped.
+    while let Ok(msg) = rx.recv() {
+        if let ShardMsg::Subscribe(_, subscriber) = msg {
+            let e = Error::InvalidState("server is closed".into());
+            fail(&[subscriber], &e, &shared);
+        }
+    }
+}
+
+/// The shard's sessions from the first message to the close.
+fn serve_shard(rx: &Receiver<ShardMsg>, shared: &Shared) {
     let mut sessions: Vec<SharedSession> = Vec::new();
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -534,19 +572,19 @@ fn shard_worker(rx: Receiver<ShardMsg>, shared: Arc<Shared>) {
                 let joinable = sessions.iter_mut().find(|s| !s.started && s.query == query);
                 match joinable {
                     Some(session) => session.join(subscriber),
-                    None => match SharedSession::open(query, &subscriber.id, &shared) {
+                    None => match SharedSession::open(query, &subscriber.id, shared) {
                         Ok(mut session) => {
                             session.subscribers.push(subscriber);
                             shared.metrics.on_sessions(1);
                             sessions.push(session);
                         }
-                        Err(e) => fail(&[subscriber], &e, &shared),
+                        Err(e) => fail(&[subscriber], &e, shared),
                     },
                 }
             }
             ShardMsg::Batch(family, batch) => {
                 let before = sessions.len();
-                sessions.retain_mut(|s| s.feed(&family, &batch, &shared));
+                sessions.retain_mut(|s| s.feed(&family, &batch, shared));
                 shared
                     .metrics
                     .on_sessions(sessions.len() as i64 - before as i64);
@@ -554,7 +592,7 @@ fn shard_worker(rx: Receiver<ShardMsg>, shared: Arc<Shared>) {
             ShardMsg::Close => {
                 shared.metrics.on_sessions(-(sessions.len() as i64));
                 for session in sessions.drain(..) {
-                    session.close(&shared);
+                    session.close(shared);
                 }
                 break;
             }

@@ -126,6 +126,52 @@ fn early_answers_surface_before_close() {
     );
 }
 
+/// `close` returns once every shard delivered its finals, though the
+/// shard threads only exit when the server drops: each tenant's `Final`
+/// is already queued, with no waiting, and the closed server refuses work.
+#[test]
+fn close_returns_after_every_final_is_queued() {
+    let catalog = standard_catalog(CatalogConfig::default());
+    let clicks = click_records(3_000);
+    let config = ServeConfig {
+        shards: 3,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, catalog.clone(), None).expect("start");
+    let handles: Vec<_> = ["per-user-count", "page-frequency", "sessionization"]
+        .iter()
+        .map(|q| server.subscribe(&format!("t-{q}"), q).expect("admit"))
+        .collect();
+    for chunk in clicks.chunks(512) {
+        server.feed(CLICKS_INGEST, chunk.to_vec()).expect("feed");
+    }
+    server.close().expect("close");
+    assert_eq!(server.active_tenants(), 0);
+    for h in &handles {
+        let close = std::iter::from_fn(|| h.events().try_recv().ok())
+            .find_map(|e| match e {
+                TenantEvent::Final(close) => Some(close),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{}: no final queued when close returned", h.id));
+        assert_eq!(
+            dump_final_answers(&close.answers),
+            solo_dump(&catalog, &h.query, &clicks)
+        );
+    }
+    assert!(server.subscribe("late", "per-user-count").is_err());
+    assert!(server.feed(CLICKS_INGEST, clicks[..1].to_vec()).is_err());
+    // Hangs up the lingering shard threads and joins them.
+    drop(server);
+    for h in &handles {
+        assert!(
+            h.events().recv().is_err(),
+            "{}: channel open after its final",
+            h.id
+        );
+    }
+}
+
 #[test]
 fn admission_rejects_beyond_capacity_and_frees_seats_on_close() {
     let catalog = standard_catalog(CatalogConfig::default());

@@ -10,10 +10,16 @@
 //!
 //! [`KvBuf`] instead stores all key and value bytes in one contiguous arena
 //! with a parallel entry table `(partition, key_off, key_len, val_len)`.
-//! Sorting permutes only the 24-byte entries, never the payload — exactly
-//! what Hadoop's map-side buffer does with its kvindices array. The
-//! `bench_kvbuf` benchmark quantifies the gap against the naive layout.
+//! Sorting permutes only the 16-byte entries, never the payload — exactly
+//! what Hadoop's map-side buffer does with its kvindices array.
+//!
+//! Every sorted path runs one key sort (`sort_entries`): each entry gets a
+//! packed 128-bit key — partition, [`key_prefix`], entry index — the
+//! packed keys are sorted as integers and the entry table is permuted once
+//! to match. The order is exactly `(partition, <[u8]>::cmp, arrival)`.
 
+use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -122,30 +128,27 @@ impl KvBuf {
     /// Sort entries by the compound `(partition, key)` — Hadoop's map-side
     /// block sort (§II-A: "a block-level sort on the compound (partition,
     /// key) to achieve both partitioning and sorting in each partition").
+    /// Equal `(partition, key)` entries keep their arrival order.
     ///
     /// Only the entry table is permuted; payload bytes never move.
     pub fn sort_by_partition_key(&mut self) {
-        // Split borrows: sort `entries` with a comparator reading `arena`.
-        let arena = std::mem::take(&mut self.arena);
-        self.entries.sort_unstable_by(|a, b| {
-            a.partition.cmp(&b.partition).then_with(|| {
-                let ka = &arena[a.key_off as usize..(a.key_off + a.key_len) as usize];
-                let kb = &arena[b.key_off as usize..(b.key_off + b.key_len) as usize];
-                ka.cmp(kb)
-            })
-        });
-        self.arena = arena;
+        self.entries = if self.entries.len() <= 1 << PARTITIONED_INDEX_BITS {
+            sort_entries(&self.arena, &self.entries, true)
+        } else {
+            self.sorted_per_partition()
+        };
     }
 
-    /// Sort entries by key only (used by single-partition operators).
-    pub fn sort_by_key(&mut self) {
-        let arena = std::mem::take(&mut self.arena);
-        self.entries.sort_unstable_by(|a, b| {
-            let ka = &arena[a.key_off as usize..(a.key_off + a.key_len) as usize];
-            let kb = &arena[b.key_off as usize..(b.key_off + b.key_len) as usize];
-            ka.cmp(kb)
-        });
-        self.arena = arena;
+    /// [`KvBuf::sort_by_partition_key`] for a buffer with more entries
+    /// than a packed key beside a partition can index: cluster by
+    /// partition (stably), then key-sort each partition on its own.
+    fn sorted_per_partition(&mut self) -> Vec<Entry> {
+        self.entries.sort_by_key(|e| e.partition);
+        let mut sorted = Vec::with_capacity(self.entries.len());
+        for part in self.entries.chunk_by(|a, b| a.partition == b.partition) {
+            sorted.extend(sort_entries(&self.arena, part, false));
+        }
+        sorted
     }
 
     /// Stable counting "sort" on partition only — the hash path's
@@ -281,8 +284,9 @@ pub struct SegmentBuf {
     payload: usize,
     /// `Some(start)` when `arena[start..]` is exactly this segment's
     /// framed encoding, records in entry order: set by
-    /// [`SegmentBuf::from_framed`] alone, so [`SegmentBuf::append_framed`]
-    /// can copy those bytes instead of re-framing each record.
+    /// [`SegmentBuf::from_framed`] and [`SegmentBufBuilder::framed`]
+    /// alone, so [`SegmentBuf::append_framed`] can copy those bytes
+    /// instead of re-framing each record.
     framed_from: Option<u32>,
 }
 
@@ -430,10 +434,10 @@ impl SegmentBuf {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// A copy of this segment with entries re-ordered by key. The arena is
-    /// shared — only the 12-byte entry table is cloned and permuted, which
-    /// is how reducers sort unsorted (hash-path) segments without touching
-    /// payload bytes.
+    /// A copy of this segment with entries re-ordered by key, equal keys
+    /// in entry order. The arena is shared — only the 12-byte entry table
+    /// is permuted into a new one, which is how reducers sort unsorted
+    /// (hash-path) segments without touching payload bytes.
     pub fn sorted_by_key(&self) -> SegmentBuf {
         self.sorted_range_by_key(0..self.len())
     }
@@ -443,13 +447,7 @@ impl SegmentBuf {
     /// memory-bounded consumer cut an oversized batch into budget-sized
     /// sort buffers without copying payload.
     pub fn sorted_range_by_key(&self, range: std::ops::Range<usize>) -> SegmentBuf {
-        let mut entries: Vec<SegEntry> = self.entries[range].to_vec();
-        let arena = &self.arena;
-        entries.sort_unstable_by(|a, b| {
-            let ka = &arena[a.key_off as usize..(a.key_off + a.key_len) as usize];
-            let kb = &arena[b.key_off as usize..(b.key_off + b.key_len) as usize];
-            ka.cmp(kb)
-        });
+        let entries = sort_entries(&self.arena, &self.entries[range], false);
         SegmentBuf::from_parts(Arc::clone(&self.arena), entries)
     }
 
@@ -469,6 +467,145 @@ impl SegmentBuf {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The one key order
+// ---------------------------------------------------------------------------
+
+/// A key's first eight bytes as a big-endian word, zero-padded: two keys'
+/// words compare as their first eight bytes do under `<[u8]>::cmp`, a
+/// missing byte below every present one. Assembled from loads that
+/// overlap, as `hashlib`'s tail word is, instead of a variable-length copy
+/// into a zeroed buffer.
+#[inline]
+fn first_word(key: &[u8]) -> u64 {
+    let n = key.len();
+    if let Some(head) = key.first_chunk::<8>() {
+        u64::from_be_bytes(*head)
+    } else if let (Some(lo), Some(hi)) = (key.first_chunk::<4>(), key.last_chunk::<4>()) {
+        u64::from(u32::from_be_bytes(*lo)) << 32
+            | u64::from(u32::from_be_bytes(*hi)) << (8 * (8 - n))
+    } else if n > 0 {
+        // 1–3 bytes: first, middle and last cover every position.
+        u64::from(key[0]) << 56
+            | u64::from(key[n / 2]) << (56 - 8 * (n / 2))
+            | u64::from(key[n - 1]) << (56 - 8 * (n - 1))
+    } else {
+        0
+    }
+}
+
+/// The length class of a key longer than eight bytes: two keys with the
+/// same [`key_prefix`] and this class tie on their first eight bytes and
+/// compare the rest.
+const LONG_KEY: u128 = 9;
+
+/// A key's place in the one key order as far as one integer holds it:
+/// its first eight bytes big-endian and zero-padded, above its length
+/// capped at nine (four bits). Two prefixes compare exactly as their keys
+/// do under `<[u8]>::cmp`, except that two keys longer than eight bytes
+/// with the same first eight tie — only those look at the rest
+/// ([`cmp_prefixed`]). Equal prefixes of any other class mean equal keys.
+#[inline]
+pub fn key_prefix(key: &[u8]) -> u128 {
+    u128::from(first_word(key)) << 4 | key.len().min(9) as u128
+}
+
+/// `<[u8]>::cmp` of two keys given their [`key_prefix`]es `pa` and `pb`:
+/// `rest` — the keys' bytes past the first eight, compared — is asked
+/// only when the prefixes tie on two keys longer than eight bytes.
+#[inline]
+pub fn cmp_prefixed(pa: u128, pb: u128, rest: impl FnOnce() -> Ordering) -> Ordering {
+    match pa.cmp(&pb) {
+        Ordering::Equal if pa & 0xf == LONG_KEY => rest(),
+        order => order,
+    }
+}
+
+/// Entry-index bits of a packed sort key that carries a partition: the
+/// partition (32 bits) and the key prefix (68) leave 28.
+const PARTITIONED_INDEX_BITS: u32 = 28;
+
+/// Entry-index bits of a packed sort key without a partition.
+const INDEX_BITS: u32 = 60;
+
+/// What the one key sort reads of an entry-table row.
+trait SortEntry: Copy {
+    /// The partition, ordered before the key when the sort asks for it.
+    fn partition(&self) -> u32;
+    /// The key bytes' location in the arena.
+    fn key_range(&self) -> std::ops::Range<usize>;
+}
+
+impl SortEntry for Entry {
+    fn partition(&self) -> u32 {
+        self.partition
+    }
+    fn key_range(&self) -> std::ops::Range<usize> {
+        self.key_off as usize..(self.key_off + self.key_len) as usize
+    }
+}
+
+impl SortEntry for SegEntry {
+    fn partition(&self) -> u32 {
+        0
+    }
+    fn key_range(&self) -> std::ops::Range<usize> {
+        self.key_off as usize..(self.key_off + self.key_len) as usize
+    }
+}
+
+thread_local! {
+    /// The packed keys of the sort in progress, kept between sorts so a
+    /// sort allocates nothing but the entry table it returns.
+    static SORT_KEYS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The one key sort: `entries` reordered by `(partition, key, position)`
+/// — the partition only when `by_partition` — as a new entry table.
+///
+/// Each entry packs into one integer: `[partition 32][key prefix 68][index
+/// 28]` with a partition, `[key prefix 68][index 60]` without. The
+/// integers sort unstably (they are distinct: the index is in them), runs
+/// of equal prefixes on keys longer than eight bytes are re-sorted by the
+/// rest of their key bytes (stably, so arrival order still breaks ties),
+/// and the index bits permute the table. The caller keeps `entries` under
+/// the index limit of its layout.
+fn sort_entries<E: SortEntry>(arena: &[u8], entries: &[E], by_partition: bool) -> Vec<E> {
+    let index_bits = if by_partition {
+        PARTITIONED_INDEX_BITS
+    } else {
+        INDEX_BITS
+    };
+    debug_assert!(entries.len() as u64 <= 1 << index_bits);
+    let key = |e: &E| &arena[e.key_range()];
+    SORT_KEYS.with_borrow_mut(|keys| {
+        keys.clear();
+        let mut long = false;
+        keys.extend(entries.iter().enumerate().map(|(i, e)| {
+            let k = key(e);
+            long |= k.len() > 8;
+            let part = if by_partition {
+                u128::from(e.partition()) << (128 - 32)
+            } else {
+                0
+            };
+            part | key_prefix(k) << index_bits | i as u128
+        }));
+        keys.sort_unstable();
+        let index = |packed: u128| (packed & ((1 << index_bits) - 1)) as usize;
+        if long {
+            for run in keys.chunk_by_mut(|a, b| a >> index_bits == b >> index_bits) {
+                if run.len() > 1 && (run[0] >> index_bits) & 0xf == LONG_KEY {
+                    run.sort_by(|a, b| {
+                        key(&entries[index(*a)])[8..].cmp(&key(&entries[index(*b)])[8..])
+                    });
+                }
+            }
+        }
+        keys.iter().map(|&packed| entries[index(packed)]).collect()
+    })
+}
+
 impl FromIterator<OwnedKv> for SegmentBuf {
     fn from_iter<I: IntoIterator<Item = OwnedKv>>(iter: I) -> Self {
         let mut b = SegmentBufBuilder::new();
@@ -486,6 +623,9 @@ impl FromIterator<OwnedKv> for SegmentBuf {
 pub struct SegmentBufBuilder {
     arena: Vec<u8>,
     entries: Vec<SegEntry>,
+    /// Each record's header precedes it in the arena
+    /// ([`SegmentBufBuilder::framed`]).
+    framed: bool,
 }
 
 impl SegmentBufBuilder {
@@ -499,11 +639,26 @@ impl SegmentBufBuilder {
         SegmentBufBuilder {
             arena: Vec::with_capacity(arena_bytes),
             entries: Vec::with_capacity(records),
+            framed: false,
+        }
+    }
+
+    /// A builder for records headed straight to a spill run: its arena is
+    /// their framed encoding, header before each record, so the segment it
+    /// finishes is written ([`SegmentBuf::append_framed`]) in one copy
+    /// instead of re-framed record by record.
+    pub fn framed(arena_bytes: usize) -> Self {
+        SegmentBufBuilder {
+            framed: true,
+            ..Self::with_capacity(arena_bytes, 0)
         }
     }
 
     /// Append one record.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        if self.framed {
+            self.arena.extend_from_slice(&record_header(key, value));
+        }
         let key_off = self.arena.len() as u32;
         self.arena.extend_from_slice(key);
         self.arena.extend_from_slice(value);
@@ -524,14 +679,19 @@ impl SegmentBufBuilder {
         self.entries.is_empty()
     }
 
-    /// Payload bytes appended so far.
+    /// Payload bytes appended so far (headers excluded).
     pub fn payload_bytes(&self) -> usize {
-        self.arena.len()
+        self.arena.len() - if self.framed { 8 * self.len() } else { 0 }
     }
 
     /// Seal into an immutable, shareable segment.
     pub fn finish(self) -> SegmentBuf {
-        SegmentBuf::from_parts(Arc::new(self.arena), self.entries)
+        let framed = self.framed;
+        let mut seg = SegmentBuf::from_parts(Arc::new(self.arena), self.entries);
+        if framed {
+            seg.framed_from = Some(0);
+        }
+        seg
     }
 }
 
@@ -805,6 +965,21 @@ mod tests {
         let seg = b.finish();
         let other = SegmentBuf::from_pairs([(b"x".as_slice(), b"1".as_slice()), (b"", b"")]);
         assert_eq!(seg.unordered_fingerprint(3), other.unordered_fingerprint(3));
+        // A framed builder's arena is the records' framed encoding.
+        let mut framed = SegmentBufBuilder::framed(0);
+        for (k, v) in seg.iter() {
+            framed.push(k, v);
+        }
+        assert_eq!(framed.payload_bytes(), 2);
+        let framed = framed.finish();
+        let mut want = Vec::new();
+        seg.append_framed(&mut want);
+        assert_eq!(framed.framed_bytes(), Some(&want[..]));
+        assert_eq!(
+            framed.iter().collect::<Vec<_>>(),
+            seg.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(framed.payload_bytes(), seg.payload_bytes());
         let empty = SegmentBuf::default();
         assert!(empty.is_empty());
         assert_eq!(empty.unordered_fingerprint(0), 0);
@@ -820,7 +995,51 @@ mod tests {
         assert_eq!(b.value(1), b"");
         assert_eq!(b.key(2), b"");
         assert_eq!(b.value(2), b"");
-        b.sort_by_key();
-        assert_eq!(b.len(), 3);
+        b.sort_by_partition_key();
+        let got: Vec<_> = b.iter().map(|(_, k, v)| (k, v)).collect();
+        let empty: &[u8] = b"";
+        assert_eq!(
+            got,
+            [(empty, b"v".as_slice()), (empty, empty), (b"k", empty)]
+        );
+    }
+
+    #[test]
+    fn key_prefixes_order_as_slices_do() {
+        let keys: [&[u8]; 12] = [
+            b"",
+            b"\0",
+            b"\0\0",
+            b"a",
+            b"a\0",
+            b"ab",
+            b"abcd",
+            b"abcdefg",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefgh\x01",
+            b"\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+        ];
+        for a in keys {
+            for b in keys {
+                let by_prefix = cmp_prefixed(key_prefix(a), key_prefix(b), || a[8..].cmp(&b[8..]));
+                assert_eq!(by_prefix, a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_per_partition_sort_orders_as_the_packed_one() {
+        // Shared 8-byte prefixes, equal keys in several partitions.
+        let mut b = KvBuf::new();
+        for i in 0..64u32 {
+            let key = format!("shared8b{}", i % 5);
+            let key = if i % 3 == 0 { &key[..8] } else { &key };
+            b.push(i % 4, key.as_bytes(), &i.to_le_bytes());
+        }
+        let mut clustered = b.clone();
+        b.sort_by_partition_key();
+        clustered.entries = clustered.sorted_per_partition();
+        assert_eq!(b.entries, clustered.entries);
     }
 }

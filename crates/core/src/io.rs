@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -448,9 +448,10 @@ impl SpillStore for FileSpillStore {
         let path = self.run_path(id.0);
         let file = File::open(&path).map_err(|_| Error::NotFound(format!("file run {}", id.0)))?;
         Ok(Box::new(FileReader {
-            input: BufReader::with_capacity(1 << 16, file),
-            scratch: Vec::new(),
-            klen: 0,
+            unread: file.metadata()?.len(),
+            file,
+            buf: Vec::new(),
+            pos: 0,
             read: ReadTally::new(Arc::clone(&self.stats)),
         }))
     }
@@ -487,13 +488,20 @@ impl RunWriter for FileWriter {
     }
 
     fn write_segment(&mut self, seg: &SegmentBuf) -> Result<()> {
-        // Encode the batch into one contiguous buffer and hand it to the
-        // writer in a single write, instead of 4 small writes per record.
-        self.scratch.clear();
-        seg.append_framed(&mut self.scratch);
-        self.out.write_all(&self.scratch)?;
+        // Hand the batch's framed encoding to the writer in a single
+        // write, instead of 3 small writes per record: as it lies in the
+        // arena when it does, else encoded into one contiguous buffer.
+        let framed = match seg.framed_bytes() {
+            Some(framed) => framed,
+            None => {
+                self.scratch.clear();
+                seg.append_framed(&mut self.scratch);
+                &self.scratch
+            }
+        };
+        self.out.write_all(framed)?;
         self.records += seg.len() as u64;
-        self.bytes += self.scratch.len() as u64;
+        self.bytes += framed.len() as u64;
         Ok(())
     }
 
@@ -510,36 +518,136 @@ impl RunWriter for FileWriter {
     }
 }
 
+/// Bytes a [`FileReader`] reads from its file at a time when serving
+/// records one by one.
+const FILE_READ_CHUNK: usize = 1 << 16;
+
+/// A run file read through one buffer, `buf[pos..]` holding the bytes read
+/// and not yet served. Every record length is checked against the bytes
+/// the run still holds before anything is sized by it, so a corrupt or
+/// hostile header is [`Error::Corrupt`], never an allocation.
 struct FileReader {
-    input: BufReader<File>,
-    scratch: Vec<u8>,
-    klen: usize,
+    file: File,
+    /// Run bytes not yet read from the file.
+    unread: u64,
+    buf: Vec<u8>,
+    pos: usize,
     read: ReadTally,
+}
+
+impl FileReader {
+    /// Bytes of the run not yet served: buffered, then still in the file.
+    fn available(&self) -> u64 {
+        (self.buf.len() - self.pos) as u64 + self.unread
+    }
+
+    /// Drop the served bytes, then append up to `more` run bytes to the
+    /// buffer (fewer at the end of the run).
+    fn fill(&mut self, more: usize) -> Result<()> {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        let more = more.min(usize::try_from(self.unread).unwrap_or(usize::MAX));
+        self.buf.reserve_exact(more);
+        let got = (&mut self.file)
+            .take(more as u64)
+            .read_to_end(&mut self.buf)?;
+        if got < more {
+            return Err(Error::Corrupt("run file shorter than its length".into()));
+        }
+        self.unread -= more as u64;
+        Ok(())
+    }
+
+    /// `(klen, vlen)` of the record at `pos`, read through the file when
+    /// the buffer holds less than its header; `None` at the clean end of
+    /// the run.
+    fn header(&mut self) -> Result<Option<(usize, usize)>> {
+        let available = self.available();
+        if available == 0 {
+            return Ok(None);
+        }
+        if available < 8 {
+            return Err(Error::Corrupt("truncated record header".into()));
+        }
+        if self.buf.len() - self.pos < 8 {
+            self.fill(FILE_READ_CHUNK)?;
+        }
+        let header = self.buf[self.pos..]
+            .first_chunk::<8>()
+            .ok_or_else(|| Error::Corrupt("truncated record header".into()))?;
+        let (klen, vlen) = record_lens(header);
+        check_record_fits(klen, vlen, available - 8)?;
+        Ok(Some((klen, vlen)))
+    }
+}
+
+/// A header's lengths against the run bytes after it: a record that
+/// claims more than the run holds is corrupt.
+fn check_record_fits(klen: usize, vlen: usize, left: u64) -> Result<()> {
+    if (klen + vlen) as u64 > left {
+        return Err(Error::Corrupt(format!(
+            "record header claims {klen}+{vlen} bytes, the run holds {left} more"
+        )));
+    }
+    Ok(())
 }
 
 impl RunReader for FileReader {
     fn next_record(&mut self) -> Result<Option<Record<'_>>> {
-        // An empty buffer after a refill is the clean end-of-run; anything
-        // short of a whole record after that is corruption.
-        if self.input.fill_buf()?.is_empty() {
+        let Some((klen, vlen)) = self.header()? else {
+            self.read.flush();
+            return Ok(None);
+        };
+        let len = 8 + klen + vlen;
+        let buffered = self.buf.len() - self.pos;
+        if buffered < len {
+            self.fill((len - buffered).max(FILE_READ_CHUNK))?;
+        }
+        let key = self.pos + 8;
+        self.pos += len;
+        self.read.add(len as u64);
+        Ok(Some(Record {
+            key: &self.buf[key..key + klen],
+            value: &self.buf[key + klen..self.pos],
+        }))
+    }
+
+    /// Bulk read: the buffered bytes plus up to `max_bytes` more from the
+    /// file become one arena, the whole records in it one zero-copy
+    /// segment ([`SegmentBuf::from_framed`]), and a record the read split
+    /// stays buffered for the next call. A first record larger than the
+    /// arena is read whole.
+    fn read_batch(&mut self, max_bytes: usize) -> Result<Option<SegmentBuf>> {
+        if self.available() == 0 {
             self.read.flush();
             return Ok(None);
         }
-        let mut header = [0u8; 8];
-        self.input
-            .read_exact(&mut header)
-            .map_err(|_| Error::Corrupt("truncated record header".into()))?;
-        let (klen, vlen) = record_lens(&header);
-        self.scratch.resize(klen + vlen, 0);
-        self.input
-            .read_exact(&mut self.scratch)
-            .map_err(|_| Error::Corrupt("truncated record payload".into()))?;
-        self.klen = klen;
-        self.read.add((8 + klen + vlen) as u64);
-        Ok(Some(Record {
-            key: &self.scratch[..self.klen],
-            value: &self.scratch[self.klen..],
-        }))
+        self.fill(max_bytes)?;
+        // At least the first header is buffered and fits the run.
+        self.header()?;
+        // Frame whole records; `end` is where the last one stops.
+        let mut end = 0;
+        while let Some(header) = self.buf[end..].first_chunk::<8>() {
+            let (klen, vlen) = record_lens(header);
+            let left = (self.buf.len() - end - 8) as u64 + self.unread;
+            check_record_fits(klen, vlen, left)?;
+            let next = end + 8 + klen + vlen;
+            if next > self.buf.len() {
+                if end == 0 {
+                    // The first record outgrows the arena: read all of it.
+                    self.fill(next - self.buf.len())?;
+                    end = next;
+                }
+                break;
+            }
+            end = next;
+        }
+        let tail = self.buf[end..].to_vec();
+        let mut arena = std::mem::replace(&mut self.buf, tail);
+        arena.truncate(end);
+        self.read.add(end as u64);
+        self.read.flush();
+        SegmentBuf::from_framed(Arc::new(arena), 0).map(Some)
     }
 }
 

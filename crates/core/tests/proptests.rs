@@ -1,7 +1,7 @@
 //! Property tests for the core substrates: KvBuf ordering invariants,
 //! spill-run roundtrips over arbitrary byte records, and budget safety.
 
-use onepass_core::bytes_kv::KvBuf;
+use onepass_core::bytes_kv::{KvBuf, SegmentBuf};
 use onepass_core::io::{read_all, SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use proptest::prelude::*;
@@ -17,6 +17,25 @@ fn recs() -> impl Strategy<Value = Vec<Rec>> {
         ),
         0..200,
     )
+}
+
+/// The bytes keys of the key-sort property are made of: both ends of the
+/// byte range and both sides of the sign bit.
+const ALPHABET: [u8; 5] = [0x00, 0x01, 0x7f, 0x80, 0xff];
+
+/// A key of 0–12 bytes over [`ALPHABET`]: a prefix of one of three fixed
+/// stems with at most one byte changed, so keys are often prefixes of one
+/// another or share their first eight bytes and differ after them.
+fn sort_key() -> impl Strategy<Value = Vec<u8>> {
+    (0usize..3, 0usize..=12, 0usize..12, 0usize..6).prop_map(|(stem, len, at, byte)| {
+        let mut key: Vec<u8> = (0..len)
+            .map(|i| ALPHABET[(stem * 7 + i * (stem + 1)) % ALPHABET.len()])
+            .collect();
+        if at < len && byte < ALPHABET.len() {
+            key[at] = ALPHABET[byte];
+        }
+        key
+    })
 }
 
 fn fill(records: &[Rec]) -> KvBuf {
@@ -49,6 +68,41 @@ proptest! {
             }
         }
         prop_assert_eq!(covered, buf.len());
+    }
+
+    #[test]
+    fn the_key_sort_orders_as_slices_do_and_keeps_ties_in_arrival_order(
+        keys in prop::collection::vec((0u32..4, sort_key()), 0..300),
+        cut in (0usize..300, 0usize..300),
+    ) {
+        // `KvBuf`, with partitions: values carry the arrival index.
+        let mut buf = KvBuf::new();
+        for (i, (p, k)) in keys.iter().enumerate() {
+            buf.push(*p, k, &(i as u32).to_le_bytes());
+        }
+        buf.sort_by_partition_key();
+        let got: Vec<(u32, &[u8], &[u8])> = buf.iter().collect();
+        let mut arrivals: Vec<u32> = (0..keys.len() as u32).collect();
+        // A stable sort: equal (partition, key) stay in arrival order.
+        arrivals.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+        let want: Vec<(u32, &[u8], [u8; 4])> = arrivals
+            .iter()
+            .map(|&i| (keys[i as usize].0, keys[i as usize].1.as_slice(), i.to_le_bytes()))
+            .collect();
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!((g.0, g.1, g.2), (w.0, w.1, &w.2[..]));
+        }
+
+        // `SegmentBuf`, whole and a sub-range: key order, then entry order.
+        let values: Vec<[u8; 4]> = (0..keys.len() as u32).map(u32::to_le_bytes).collect();
+        let seg = SegmentBuf::from_pairs(keys.iter().zip(&values).map(|((_, k), v)| (&k[..], &v[..])));
+        let (lo, hi) = (cut.0.min(cut.1).min(keys.len()), cut.0.max(cut.1).min(keys.len()));
+        for (range, sorted) in [(0..keys.len(), seg.sorted_by_key()), (lo..hi, seg.sorted_range_by_key(lo..hi))] {
+            let mut want: Vec<(&[u8], &[u8])> = range.map(|i| seg.get(i)).collect();
+            want.sort_by(|a, b| a.0.cmp(b.0));
+            prop_assert_eq!(sorted.iter().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //!   MapReduce Online's snapshots ([`GroupBy::snapshot`], §III-D), which
 //!   "repeat the merge operation for each snapshot" and pay the re-read.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -39,7 +37,7 @@ use onepass_core::FpTable;
 
 use crate::aggregate::{render, Aggregator};
 use crate::hybrid_hash::io_since;
-use crate::merge::MultiPassMerger;
+use crate::merge::{KMerge, MultiPassMerger};
 use crate::sink::{EmitKind, OpStats, Sink};
 use crate::state::StateBuf;
 use crate::{fingerprint, GroupBy};
@@ -165,14 +163,16 @@ impl SortMergeGrouper {
             return Ok(());
         }
         let t = Stamp::start(Phase::Merge);
-        let mut out = SegmentBufBuilder::new();
-        merge_groups(&self.buffered, self.agg.as_ref(), |key, state| {
-            out.push(key, &state)
+        let mut out = SegmentBufBuilder::framed(0);
+        let merged = merge_groups(&self.buffered, self.agg.as_ref(), |key, state| {
+            out.push(key, state)
         });
-        let written = self.store.begin_run().and_then(|mut writer| {
-            writer.write_segment(&out.finish())?;
-            writer.finish()
-        });
+        let written = merged
+            .and_then(|()| self.store.begin_run())
+            .and_then(|mut writer| {
+                writer.write_segment(&out.finish())?;
+                writer.finish()
+            });
         t.stop(&mut self.profile, &mut self.trace);
         let meta = written?;
         self.trace.instant(
@@ -215,35 +215,26 @@ fn budget_sized_ranges(batch: &SegmentBuf, limit: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// The one heap merge over in-memory segments: stream the key-sorted
-/// `segs` in global key order, fold each key-streak through
-/// `agg.init`/`agg.update`, and hand every `(key, state)` to `each`.
-/// Fully borrowed — keys and values are slices into the segments' arenas.
-fn merge_groups(segs: &[SegmentBuf], agg: &dyn Aggregator, mut each: impl FnMut(&[u8], StateBuf)) {
-    let mut heap: BinaryHeap<Reverse<(&[u8], usize, usize)>> = segs
-        .iter()
-        .enumerate()
-        .filter(|(_, seg)| !seg.is_empty())
-        .map(|(s, seg)| Reverse((seg.key(0), s, 0)))
-        .collect();
-    let mut current: Option<(&[u8], StateBuf)> = None;
-    while let Some(Reverse((key, s, i))) = heap.pop() {
-        if i + 1 < segs[s].len() {
-            heap.push(Reverse((segs[s].key(i + 1), s, i + 1)));
+/// Stream the key-sorted `segs` through the one k-way merge, fold each
+/// key's values through `agg.init`/`agg.update`, and hand every `(key,
+/// state)` to `each`.
+fn merge_groups(
+    segs: &[SegmentBuf],
+    agg: &dyn Aggregator,
+    mut each: impl FnMut(&[u8], &StateBuf),
+) -> Result<()> {
+    let mut merge = KMerge::over_segments(segs)?;
+    let (mut key, mut state) = (Vec::new(), StateBuf::new());
+    while merge.next_group_with(&mut key, |key, value, first| {
+        if first {
+            state = agg.init(key, value);
+        } else {
+            agg.update(key, &mut state, value);
         }
-        let value = segs[s].value(i);
-        match &mut current {
-            Some((ck, state)) if *ck == key => agg.update(key, state, value),
-            _ => {
-                if let Some((ck, state)) = current.replace((key, agg.init(key, value))) {
-                    each(ck, state);
-                }
-            }
-        }
+    })? {
+        each(&key, &state);
     }
-    if let Some((ck, state)) = current {
-        each(ck, state);
-    }
+    Ok(())
 }
 
 impl GroupBy for SortMergeGrouper {
@@ -322,12 +313,13 @@ impl GroupBy for SortMergeGrouper {
             // Never spilled: merge and reduce directly from memory.
             let t = Stamp::start(Phase::ReduceFn);
             let agg = self.agg.as_ref();
-            merge_groups(&self.buffered, agg, |key, state| {
-                sink.emit(key, render(agg, key, &state, &mut out), EmitKind::Final);
+            let merged = merge_groups(&self.buffered, agg, |key, state| {
+                sink.emit(key, render(agg, key, state, &mut out), EmitKind::Final);
                 groups_out += 1;
             });
             t.stop(&mut self.profile, &mut self.trace);
             self.clear_buffer();
+            merged?;
         } else {
             // Hadoop behaviour: the in-memory tail is spilled too, then the
             // final (multi-pass if needed) merge feeds the reduce function.
@@ -335,16 +327,16 @@ impl GroupBy for SortMergeGrouper {
             let mut grouped = self.merger.drain_grouped()?;
             let t = Stamp::start(Phase::ReduceFn);
             let agg = self.agg.as_ref();
-            while let Some((key, states)) = grouped.next_group()? {
-                let mut states = states.into_iter();
-                // `next_group` yields a key with at least one value.
-                let Some(first) = states.next() else {
-                    continue;
-                };
-                let mut state = StateBuf::from(first);
-                for other in states {
-                    agg.merge(&key, &mut state, &other);
+            // Run records are states: merge each key's straight from the
+            // batch arenas into one reused state.
+            let (mut key, mut state) = (Vec::new(), StateBuf::new());
+            while grouped.next_group_with(&mut key, |key, value, first| {
+                if first {
+                    state.set(value);
+                } else {
+                    agg.merge(key, &mut state, value);
                 }
+            })? {
                 sink.emit(&key, render(agg, &key, &state, &mut out), EmitKind::Final);
                 groups_out += 1;
             }

@@ -7,9 +7,8 @@
 
 use onepass_bench::{arg_f64, save};
 use onepass_core::table::Table;
-use onepass_simcluster::{
-    run_sim_job, ClusterSpec, SimJobSpec, StorageConfig, SystemType, WorkloadProfile,
-};
+use onepass_simcluster::{run_sim_job, ClusterSpec, SimJobSpec, StorageConfig, SystemType};
+use onepass_workloads::catalog;
 
 struct PaperRow {
     workload: &'static str,
@@ -88,13 +87,10 @@ fn main() {
     );
 
     for paper in PAPER {
-        let workload = match paper.workload {
-            "sessionization" => WorkloadProfile::sessionization(),
-            "page-frequency" => WorkloadProfile::page_frequency(),
-            "per-user-count" => WorkloadProfile::per_user_count(),
-            _ => WorkloadProfile::inverted_index(),
-        }
-        .scaled(scale);
+        let profile = catalog::find(paper.workload)
+            .and_then(|w| w.sim)
+            .expect("a Table I workload has a simulator profile");
+        let workload = profile().scaled(scale);
         let spec = SimJobSpec::new(
             SystemType::StockHadoop,
             ClusterSpec::paper_cluster(StorageConfig::SingleHdd),

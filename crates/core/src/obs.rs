@@ -807,6 +807,45 @@ impl MetricsSnapshot {
         )
     }
 
+    /// Check one line against the schema [`to_jsonl`](Self::to_jsonl)
+    /// writes (what `onepass metrics-validate` runs over a `--metrics-out`
+    /// file). Returns the line's sample count, or what is wrong with it.
+    pub fn check_jsonl_line(line: &str) -> std::result::Result<usize, String> {
+        use crate::json::Json;
+        let num = |j: &Json, key: &str| j.get(key).and_then(Json::as_f64).is_some();
+        let doc = Json::parse(line).map_err(|_| "not valid JSON".to_string())?;
+        if doc.get("type").and_then(Json::as_str) != Some("metrics") {
+            return Err("missing \"type\":\"metrics\"".into());
+        }
+        if !num(&doc, "at_s") {
+            return Err("missing numeric at_s".into());
+        }
+        // Each section with the numeric fields its entries carry.
+        let sections: [(&str, &[&str]); 3] = [
+            ("counters", &["value"]),
+            ("gauges", &["value"]),
+            ("histograms", &["count", "sum", "p50", "p95", "p99"]),
+        ];
+        let mut samples = 0;
+        for (section, values) in sections {
+            let entries = doc.get(section).and_then(Json::as_arr);
+            for e in entries.ok_or_else(|| format!("missing {section} array"))? {
+                let fault = if e.get("name").and_then(Json::as_str).is_none() {
+                    "without a name"
+                } else if e.get("labels").is_none() {
+                    "without labels"
+                } else if !values.iter().all(|k| num(e, k)) {
+                    "with missing/non-numeric values"
+                } else {
+                    samples += 1;
+                    continue;
+                };
+                return Err(format!("{section} entry {fault}"));
+            }
+        }
+        Ok(samples)
+    }
+
     /// Find a sample by name and (subset of) labels.
     pub fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricSample> {
         self.metrics.iter().find(|m| {
@@ -1178,6 +1217,60 @@ mod tests {
         let hists = doc.get("histograms").and_then(Json::as_arr).unwrap();
         assert_eq!(hists[0].get("count").and_then(Json::as_f64), Some(1.0));
         assert!(hists[0].get("p95").and_then(Json::as_f64).is_some());
+    }
+
+    #[test]
+    fn snapshot_lines_pass_the_schema_check_and_broken_ones_fail() {
+        let reg = MetricsRegistry::new();
+        assert_eq!(
+            MetricsSnapshot::check_jsonl_line(reg.snapshot().to_jsonl().trim()),
+            Ok(0)
+        );
+        reg.counter("onepass_a_total", &[("stage", "s\"0")]).inc(7);
+        reg.counter("onepass_b_total", &[]).inc(1);
+        reg.gauge("onepass_c", &[("side", "map")]).set(-0.5);
+        reg.histogram("onepass_d_seconds", &[]).observe(0.25);
+        let line = reg.snapshot().to_jsonl();
+        assert_eq!(MetricsSnapshot::check_jsonl_line(line.trim()), Ok(4));
+
+        let broken = [
+            ("{\"type\":\"metrics\"", "not valid JSON"),
+            (
+                "{\"at_s\":1,\"counters\":[],\"gauges\":[],\"histograms\":[]}",
+                "missing \"type\":\"metrics\"",
+            ),
+            (
+                "{\"type\":\"metrics\",\"at_s\":\"1\",\"counters\":[],\"gauges\":[],\"histograms\":[]}",
+                "missing numeric at_s",
+            ),
+            (
+                "{\"type\":\"metrics\",\"at_s\":1,\"counters\":[],\"histograms\":[]}",
+                "missing gauges array",
+            ),
+            (
+                "{\"type\":\"metrics\",\"at_s\":1,\"counters\":[{\"labels\":{},\"value\":1}],\"gauges\":[],\"histograms\":[]}",
+                "counters entry without a name",
+            ),
+            (
+                "{\"type\":\"metrics\",\"at_s\":1,\"counters\":[],\"gauges\":[{\"name\":\"g\",\"value\":1}],\"histograms\":[]}",
+                "gauges entry without labels",
+            ),
+            (
+                "{\"type\":\"metrics\",\"at_s\":1,\"counters\":[{\"name\":\"c\",\"labels\":{},\"value\":\"7\"}],\"gauges\":[],\"histograms\":[]}",
+                "counters entry with missing/non-numeric values",
+            ),
+            (
+                "{\"type\":\"metrics\",\"at_s\":1,\"counters\":[],\"gauges\":[],\"histograms\":[{\"name\":\"h\",\"labels\":{},\"count\":1,\"sum\":1,\"p50\":1,\"p95\":1}]}",
+                "histograms entry with missing/non-numeric values",
+            ),
+        ];
+        for (line, why) in broken {
+            assert_eq!(
+                MetricsSnapshot::check_jsonl_line(line),
+                Err(why.to_string()),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -173,11 +173,6 @@ impl QueryCatalog {
     pub fn names(&self) -> Vec<String> {
         self.factories.keys().cloned().collect()
     }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +230,6 @@ mod tests {
     fn catalog_resolves_and_rejects() {
         let mut cat = QueryCatalog::new();
         cat.register("sum", || Ok(StreamingQuery::single(inc_job("sum"))));
-        assert!(cat.contains("sum"));
         assert_eq!(cat.resolve("sum").unwrap().stages.len(), 1);
         assert!(cat.resolve("nope").is_err());
         assert_eq!(cat.position("sum").unwrap(), 0);

@@ -14,12 +14,15 @@
 //! data to input and the key-frequency skew, both of which are explicit
 //! parameters here. Each workload module provides the map function, the
 //! reduce aggregate, and a ready-made
-//! [`JobSpec`](onepass_runtime::JobSpec) builder.
+//! [`JobSpec`](onepass_runtime::JobSpec) builder. The [`catalog`] names
+//! every workload the command line, the serving tier and the experiment
+//! drivers take, in one table.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod calibrate;
+pub mod catalog;
 pub mod clickgen;
 pub mod distinct_users;
 pub mod docgen;

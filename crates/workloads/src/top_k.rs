@@ -212,25 +212,23 @@ pub fn plan(k: usize, count_reducers: usize) -> Result<Plan> {
     b.build()
 }
 
-/// Decode the [`plan`]'s single final output into `(url, count)` pairs,
-/// descending by count.
-pub fn decode_top_urls(out: &[u8]) -> Vec<(u32, u64)> {
-    TopKAgg::decode(out)
-        .into_iter()
-        .map(|(count, url)| {
-            (
-                u32::from_le_bytes(url.as_slice().try_into().expect("4-byte url")),
-                count,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use onepass_runtime::{Engine, PlanConfig, PlanMode};
     use std::collections::HashMap;
+
+    /// Decode the [`plan`]'s single final output into `(url, count)`
+    /// pairs, descending by count.
+    fn decode_top_urls(out: &[u8]) -> Vec<(u32, u64)> {
+        TopKAgg::decode(out)
+            .into_iter()
+            .map(|(count, url)| {
+                let url = u32::from_le_bytes(url.as_slice().try_into().expect("4-byte url"));
+                (url, count)
+            })
+            .collect()
+    }
 
     #[test]
     fn top_k_agg_is_exact_under_truncated_merges() {

@@ -24,9 +24,6 @@ set -e
 TENANTS=${TENANTS:-200}
 RECORDS=${RECORDS:-20000}
 POOL_MB=${POOL_MB:-64}
-# `run inverted-index --records N` generates N/100+1 documents; the
-# served doc feed must match for byte-identity.
-DOCS=$((RECORDS / 100 + 1))
 OUT=${SMOKE_OUT_DIR:-$(mktemp -d)}
 mkdir -p "$OUT"
 SERVE_PID=""
@@ -39,7 +36,7 @@ trap cleanup EXIT
 cargo build --release --bin onepass
 
 ./target/release/onepass serve --listen 127.0.0.1:0 \
-    --records "$RECORDS" --doc-records "$DOCS" --batch 512 --pool-mb "$POOL_MB" \
+    --records "$RECORDS" --batch 512 --pool-mb "$POOL_MB" \
     --reducers 2 --await-tenants "$TENANTS" --await-timeout-ms 120000 \
     --metrics-addr 127.0.0.1:0 --metrics-linger-ms 20000 \
     > "$OUT/serve.log" 2> "$OUT/serve.err" &
@@ -85,28 +82,30 @@ if [ "${SOAK:-0}" = 1 ] && [ "${SHEDS:-0}" -eq 0 ]; then
 fi
 
 # Solo references over the same generator settings, then the
-# byte-identity sweep across every tenant dump.
-for w in sessionization page-frequency per-user-count inverted-index; do
-    ./target/release/onepass run "$w" --records "$RECORDS" --reducers 2 \
-        --dump-out "$OUT/solo.$w.dump" > /dev/null
-done
-./target/release/onepass plan top-k --records "$RECORDS" --reducers 2 --k 10 \
-    --dump-out "$OUT/solo.top-k.dump" > /dev/null
-./target/release/onepass plan df-histogram --records "$RECORDS" --reducers 2 \
-    --dump-out "$OUT/solo.df-histogram.dump" > /dev/null
+# byte-identity sweep across every tenant dump. `onepass workloads`
+# prints one row per workload: its name, then the commands that take it.
+# `join` tenants have no solo reference: the workload catalog's `join`
+# row (crates/workloads/src/catalog.rs) says why its served query and
+# `plan join` differ. loadgen above already held the join tenants
+# identical to each other.
+NO_SOLO=join
+./target/release/onepass workloads > "$OUT/workloads.txt"
+while read -r w cmds _; do
+    case ",$cmds," in *,serve,*) ;; *) continue ;; esac
+    [ "$w" = "$NO_SOLO" ] && continue
+    case ",$cmds," in
+        *,run,*) ./target/release/onepass run "$w" --records "$RECORDS" --reducers 2 \
+            --dump-out "$OUT/solo.$w.dump" > /dev/null ;;
+        *) ./target/release/onepass plan "$w" --records "$RECORDS" --reducers 2 --k 10 \
+            --dump-out "$OUT/solo.$w.dump" > /dev/null ;;
+    esac
+done < "$OUT/workloads.txt"
 
 FAILED=0
 CHECKED=0
 for f in "$OUT"/dumps/*.dump; do
     q=$(basename "$f" .dump | cut -d. -f2)
-    # `join` tenants have no solo reference and cannot get one from
-    # `plan join --dump-out`: the catalog's broadcast join reads the
-    # served click stream (10,000 users) against 1,000 dimension rows and
-    # dumps one arrival-ordered list per user, while `plan join --users N`
-    # generates clicks over 2N users for N rows and dumps one sorted line
-    # per joined row. Different inputs and shapes, so no byte comparison;
-    # loadgen above already held the join tenants identical to each other.
-    if [ "$q" != join ] && ! cmp -s "$f" "$OUT/solo.$q.dump"; then
+    if [ "$q" != "$NO_SOLO" ] && ! cmp -s "$f" "$OUT/solo.$q.dump"; then
         echo "FAIL: $(basename "$f") differs from the solo $q run"
         FAILED=1
     fi

@@ -5,21 +5,19 @@
 //! printed from the one table of knobs (`onepass::runtime::knobs::KNOBS`),
 //! which is also what `run`/`plan`/`serve` parse their knob flags with, so
 //! this file spells no knob. A malformed value or an unknown flag exits 2.
+//! Likewise the workloads: every command takes them from the one table
+//! of workloads (`onepass_workloads::catalog::CATALOG`), which `onepass
+//! workloads` lists with the commands that take each, so this file spells
+//! no workload name either.
 //!
-//! `onepass plan` runs a multi-stage query plan: `top-k` (count clicks
-//! per URL, then keep the k most-clicked) or `df-histogram` (build the
-//! inverted index, then histogram document frequencies). The default
+//! `onepass plan` runs a multi-stage query plan. The default
 //! `--pipeline` mode streams stage outputs downstream as they finish
 //! so the plan reports a time-to-first-answer well before the total
 //! wall clock; `--barrier` materializes each stage before the next
-//! starts, the classic multi-job behaviour.
-//!
-//! `onepass plan pagerank|kmeans` run iterative multi-round loops whose
-//! state rides the in-memory dataset cache between rounds (`--rounds`
+//! starts, the classic multi-job behaviour. The iterative and two-input
+//! plans ride the in-memory dataset cache between rounds (`--rounds`
 //! caps the loop, `--converge-eps` stops early once no value moves by
-//! more than the threshold); `onepass plan join` runs the hybrid-hash
-//! clicks ⋈ users equi-join, probing click records against a cached,
-//! partition-aligned user table (`--users` sizes the dimension table).
+//! more than the threshold, `--users` sizes a dimension table).
 //!
 //! `--trace-out` writes a Chrome trace-event JSON file (open it in
 //! Perfetto or `chrome://tracing`); real and simulated runs share one
@@ -57,25 +55,57 @@ use onepass::prelude::*;
 use onepass::runtime::knobs::{self, Settings, KNOBS};
 use onepass::runtime::{dump_pairs, JobSpecBuilder};
 use onepass_core::config::{fmt_bytes, fmt_secs};
-use onepass_workloads::{
-    inverted_index, join as join_wl, kmeans, make_splits, page_frequency, pagerank, per_user_count,
-    sessionization, top_k, ClickGen, ClickGenConfig, DocGen, DocGenConfig,
-};
+use onepass_workloads::catalog::{Input, Params, Shape, Workload, CATALOG};
+use onepass_workloads::serving::CatalogConfig;
+use SystemType::{HashOnePass, Hop, StockHadoop};
+
+/// The commands that take a workload by name, each with the test of the
+/// catalog rows it takes (`serve` serves them to `loadgen --queries`).
+type Takes = fn(&Workload) -> bool;
+const TAKERS: &[(&str, Takes)] = &[
+    ("run", |w| matches!(w.shape, Shape::Job(..))),
+    ("plan", |w| !matches!(w.shape, Shape::Job(..))),
+    ("sim", |w| w.sim.is_some()),
+    ("serve", Workload::is_served),
+];
+
+/// The catalog rows `cmd` takes.
+fn rows(cmd: &str) -> impl Iterator<Item = &'static Workload> {
+    let takes = TAKERS.iter().find(|t| t.0 == cmd).expect("a taker").1;
+    CATALOG.iter().filter(move |&w| takes(w))
+}
+
+/// The names of `rows`, joined by `sep`.
+fn names<'a>(rows: impl Iterator<Item = &'a Workload>, sep: &str) -> String {
+    rows.map(|w| w.name).collect::<Vec<_>>().join(sep)
+}
+
+/// A `--system` choice: its name, the preset `run` applies and the
+/// system `sim` models.
+type Preset = fn(JobSpecBuilder) -> JobSpecBuilder;
+type System = (&'static str, Preset, SystemType);
+
+const SYSTEMS: &[System] = &[
+    ("hadoop", JobSpecBuilder::preset_hadoop, StockHadoop),
+    ("hop", JobSpecBuilder::preset_hop, Hop),
+    ("onepass", JobSpecBuilder::preset_onepass, HashOnePass),
+];
 
 fn usage() -> ! {
+    let systems = system_names();
     eprintln!(
         "usage:\n  \
-         onepass run <workload> [--system hadoop|hop|onepass] [--records N] [KNOBS]\n  \
+         onepass run <workload> [--system {systems}] [--records N] [KNOBS]\n  \
          \x20           [--kill-map T] [--kill-reduce P] [--straggle-map T:MS] [--fault-seed S]\n  \
          \x20           [--workers ADDR,ADDR,...] [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass worker --listen ADDR [--slots N] [--die-after-maps N]\n  \
-         onepass plan <top-k|df-histogram|pagerank|kmeans|join> [--pipeline|--barrier] [--records N] [--k K]\n  \
+         onepass plan <{plans}> [--pipeline|--barrier] [--records N] [--k K]\n  \
          \x20           [--rounds N] [--converge-eps E] [--users N] [KNOBS]\n  \
          \x20           [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
-         onepass sim <workload> [--system hadoop|hop|onepass] [--storage single-hdd|hdd+ssd|separated] [--scale F]\n  \
+         onepass sim <workload> [--system {systems}] [--storage single-hdd|hdd+ssd|separated] [--scale F]\n  \
          \x20           [--adaptive-memory] [--kill-map T] [--kill-reduce P] [--straggle-map T:FACTOR]\n  \
          \x20           [--trace-out FILE] [--report-jsonl FILE]\n  \
-         onepass serve [--listen HOST:PORT] [--records N] [--doc-records N] [--batch B] [--pool-mb MB]\n  \
+         onepass serve [--listen HOST:PORT] [--records N] [--batch B] [--pool-mb MB]\n  \
          \x20           [--max-tenants N] [--shards S] [--k K] [--early-every N] [--dlq-retries R]\n  \
          \x20           [--await-tenants N] [--await-timeout-ms MS] [KNOBS]\n  \
          onepass loadgen --server HOST:PORT --tenants N [--queries a,b,...] [--zipf S] [--seed S]\n  \
@@ -83,13 +113,44 @@ fn usage() -> ! {
          onepass metrics-validate <snapshots.jsonl>\n  \
          onepass workloads\n\n\
          run/plan/sim/serve also take [--metrics-addr HOST:PORT] [--metrics-out FILE] [--metrics-linger-ms MS]\n\n\
-         workloads: sessionization | page-frequency | per-user-count | inverted-index\n\
+         workloads (`onepass workloads` lists the commands that take each): {all}\n\
          sim takes none of the knobs below except the bare speculate switch\n\n\
          KNOBS, applied after --system's preset; in brackets the commands that take the knob as a flag\n\
          (`no flag`: set by the preset, shown in reports) and whether it travels to --workers:\n{}",
-        knobs::usage()
+        knobs::usage(),
+        plans = names(rows("plan"), "|"),
+        all = names(CATALOG.iter(), " | "),
     );
     std::process::exit(2);
+}
+
+/// Claim the leading workload name: a catalog row this command takes, or
+/// exit 2 naming the workload and the ones the command takes.
+fn workload(args: &mut Args) -> &'static Workload {
+    let (name, cmd) = (args.subject(), args.cmd);
+    let taken = names(rows(cmd), ", ");
+    let unknown = || {
+        die(format!(
+            "`onepass {cmd}` takes no workload {name:?}; it takes {taken}"
+        ))
+    };
+    rows(cmd).find(|w| w.name == name).unwrap_or_else(unknown)
+}
+
+/// Claim `--system`; `default` when absent.
+fn system(args: &mut Args, default: SystemType) -> &'static System {
+    let by_default = SYSTEMS.iter().find(|s| s.2 == default);
+    let Some(name) = args.value("system") else {
+        return by_default.expect("the default is a row");
+    };
+    let known = system_names();
+    let unknown = || die(format!("--system {name:?} is not one of {known}"));
+    SYSTEMS.iter().find(|s| s.0 == name).unwrap_or_else(unknown)
+}
+
+/// The `--system` names, `|`-separated.
+fn system_names() -> String {
+    SYSTEMS.iter().map(|s| s.0).collect::<Vec<_>>().join("|")
 }
 
 /// Report a command-line mistake and exit 2.
@@ -320,59 +381,23 @@ impl Outputs {
 /// the first offending line) on any violation; prints a summary on
 /// success.
 fn cmd_metrics_validate(mut args: Args) {
-    use onepass_core::json::Json;
     let path = args.subject();
     args.finish();
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let fail = |line_no: usize, why: &str| -> ! {
-        eprintln!("{path}:{line_no}: {why}");
-        std::process::exit(1);
-    };
     let mut snapshots = 0usize;
     let mut samples = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(doc) = Json::parse(line) else {
-            fail(n, "not valid JSON");
-        };
-        if doc.get("type").and_then(Json::as_str) != Some("metrics") {
-            fail(n, "missing \"type\":\"metrics\"");
-        }
-        if doc.get("at_s").and_then(Json::as_f64).is_none() {
-            fail(n, "missing numeric at_s");
-        }
-        for section in ["counters", "gauges", "histograms"] {
-            let Some(entries) = doc.get(section).and_then(Json::as_arr) else {
-                fail(n, &format!("missing {section} array"));
-            };
-            for e in entries {
-                if e.get("name").and_then(Json::as_str).is_none() {
-                    fail(n, &format!("{section} entry without a name"));
-                }
-                if e.get("labels").is_none() {
-                    fail(n, &format!("{section} entry without labels"));
-                }
-                let ok = match section {
-                    "histograms" => ["count", "sum", "p50", "p95", "p99"]
-                        .iter()
-                        .all(|k| e.get(k).and_then(Json::as_f64).is_some()),
-                    _ => e.get("value").and_then(Json::as_f64).is_some(),
-                };
-                if !ok {
-                    fail(
-                        n,
-                        &format!("{section} entry with missing/non-numeric values"),
-                    );
-                }
-                samples += 1;
-            }
-        }
+    for (i, line) in text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+    {
+        samples += MetricsSnapshot::check_jsonl_line(line).unwrap_or_else(|why| {
+            eprintln!("{path}:{}: {why}", i + 1);
+            std::process::exit(1);
+        });
         snapshots += 1;
     }
     if snapshots == 0 {
@@ -394,29 +419,21 @@ fn main() {
         Some("loadgen") => cmd_loadgen(parsed("loadgen")),
         Some("metrics-validate") => cmd_metrics_validate(parsed("metrics-validate")),
         Some("workloads") => {
-            println!("sessionization    reorder click logs into user sessions (no combiner, heavy intermediate data)");
-            println!("page-frequency    COUNT(*) GROUP BY url (combiner-friendly)");
-            println!("per-user-count    COUNT(*) GROUP BY user");
-            println!("inverted-index    word -> (doc, position) posting lists");
-            println!("top-k             [plan] per-URL counts, then the k most-clicked URLs");
-            println!("df-histogram      [plan] inverted index, then document-frequency histogram");
+            parsed("workloads").finish();
+            // One row per workload: its name, the commands that take it,
+            // what it computes. Scripts read the first two columns.
+            for w in CATALOG {
+                let takers = TAKERS.iter().filter(|(_, takes)| takes(w));
+                let cmds: Vec<&str> = takers.map(|(cmd, _)| *cmd).collect();
+                println!("{:<15} {:<14} {}", w.name, cmds.join(","), w.about);
+            }
         }
         _ => usage(),
     }
 }
 
-fn job_builder(workload: &str) -> JobSpecBuilder {
-    match workload {
-        "sessionization" => sessionization::job(),
-        "page-frequency" => page_frequency::job(),
-        "per-user-count" => per_user_count::job(),
-        "inverted-index" => inverted_index::job(),
-        _ => usage(),
-    }
-}
-
 /// `onepass worker --listen ADDR`: serve jobs to a coordinator. Every
-/// benchmark workload is registered by name; the coordinator's `JobInit`
+/// workload `run` takes is registered by job name; the coordinator's `JobInit`
 /// sets the travelling knobs onto the registered spec, so one worker
 /// fleet serves any `onepass run --workers` configuration of these
 /// workloads.
@@ -429,13 +446,10 @@ fn cmd_worker(mut args: Args) {
     let die_after_maps = args.num("die-after-maps");
     args.finish();
     let registry = JobRegistry::new();
-    for job in [
-        sessionization::job,
-        page_frequency::job,
-        per_user_count::job,
-        inverted_index::job,
-    ] {
-        registry.register_spec(job().build().expect("workload job is valid"));
+    for w in CATALOG {
+        if let Shape::Job(_, job) = w.shape {
+            registry.register_spec(job().build().expect("workload job is valid"));
+        }
     }
     let listener = std::net::TcpListener::bind(&listen)
         .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
@@ -462,34 +476,25 @@ fn cmd_worker(mut args: Args) {
 }
 
 fn cmd_run(mut args: Args) {
-    let workload = args.subject();
-    let system = args.value("system").unwrap_or_else(|| "onepass".into());
+    let w = workload(&mut args);
+    let Shape::Job(input, job) = w.shape else {
+        unreachable!("`run` takes job rows")
+    };
+    let &(system, preset, _) = system(&mut args, HashOnePass);
     let records: usize = args.num("records").unwrap_or(200_000);
     // --dump-out FILE: retain the final output pairs and write them,
     // sorted, to FILE — the hook the distributed smoke test diffs across
     // single-process and multi-worker runs.
     let dump_out = args.value("dump-out");
-    let builder = job_builder(&workload).collect_mode(if dump_out.is_some() {
+    let job = preset(job().collect_mode(if dump_out.is_some() {
         CollectOutput::Collect
     } else {
         CollectOutput::Discard
-    });
-    let job = match system.as_str() {
-        "hadoop" => builder.preset_hadoop(),
-        "hop" => builder.preset_hop(),
-        "onepass" => builder.preset_onepass(),
-        _ => usage(),
-    }
+    }))
     .build()
     .expect("valid job");
 
-    let splits = if workload == "inverted-index" {
-        let mut gen = DocGen::new(DocGenConfig::default());
-        make_splits(gen.records(records / 100 + 1), records / 1600 + 1)
-    } else {
-        let mut gen = ClickGen::new(ClickGenConfig::default());
-        make_splits(gen.text_records(records), records / 16 + 1)
-    };
+    let splits = input.splits(records);
     let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
 
     let outputs = Outputs::from_args(&mut args);
@@ -548,7 +553,10 @@ fn cmd_run(mut args: Args) {
     let knobs_line = knobs::to_json(&settings, KNOBS);
     let Settings { job, engine } = settings;
 
-    eprintln!("running {workload} on the {system} configuration ({input_records} records)...");
+    eprintln!(
+        "running {} on the {system} configuration ({input_records} records)...",
+        w.name
+    );
     let report = Engine::with_config(engine)
         .run(&job, splits)
         .expect("job failed");
@@ -622,7 +630,7 @@ fn write_dump<'a>(path: &str, pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8
 }
 
 fn cmd_plan(mut args: Args) {
-    let workload = args.subject();
+    let w = workload(&mut args);
     let records: usize = args.num("records").unwrap_or(200_000);
     let k: Option<usize> = args.num("k");
     let (barrier, pipeline) = (args.switch("barrier"), args.switch("pipeline"));
@@ -645,275 +653,122 @@ fn cmd_plan(mut args: Args) {
     let reducers = settings.job.reducers;
     let engine = Engine::with_config(settings.engine);
 
-    if matches!(workload.as_str(), "pagerank" | "kmeans" | "join") {
-        let sizes = IterativeSizes {
-            records,
-            reducers,
-            k,
-            rounds: args.num("rounds").unwrap_or(10),
-            eps: args.num("converge-eps"),
-            users: args.num("users").unwrap_or(1000),
-        };
-        args.finish();
-        return cmd_plan_iterative(
-            &workload, sizes, mode, &engine, outputs, knobs_line, dump_out,
-        );
-    }
-    args.finish();
-    let k = k.unwrap_or(10);
-
-    let (plan, splits) = match workload.as_str() {
-        "top-k" => {
-            let mut gen = ClickGen::new(ClickGenConfig::default());
-            (
-                top_k::plan(k, reducers).expect("valid plan"),
-                make_splits(gen.text_records(records), records / 16 + 1),
-            )
+    let plan_cfg = PlanConfig::new(mode);
+    // Each shape runs its plan and hands back its report lines, its final
+    // pairs and its console lines.
+    let (report, finals, console) = match w.shape {
+        Shape::Plan(input, plan) => {
+            args.finish();
+            // The served plans' k, so a default `plan` dump is a served tenant's.
+            let plan = plan(k.unwrap_or(CatalogConfig::default().k), reducers);
+            let plan = plan.expect("valid plan");
+            let splits = input.splits(records);
+            let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
+            eprintln!(
+                "running the {} plan ({} stages, {} mode, {input_records} records)...",
+                w.name,
+                plan.stage_count(),
+                mode.label()
+            );
+            let report = engine
+                .run_plan(&plan, splits, &plan_cfg)
+                .expect("plan failed");
+            let wall = report.wall.as_secs_f64();
+            let mut console = vec![format!("wall time:         {}", fmt_secs(wall))];
+            if let Some(t) = report.first_final_at {
+                console.push(format!(
+                    "first answer at:   {} ({}% of wall)",
+                    fmt_secs(t.as_secs_f64()),
+                    (t.as_secs_f64() / wall * 100.0) as u32
+                ));
+            }
+            for s in &report.stages {
+                let sink = if s.is_sink { " -> output" } else { "" };
+                console.push(format!(
+                    "stage {}:           {} [{}] done at {} ({} groups{})",
+                    s.stage,
+                    s.name,
+                    s.report.backend,
+                    fmt_secs(s.report.wall.as_secs_f64()),
+                    s.report.groups_out,
+                    sink
+                ));
+            }
+            (report.to_jsonl(), report.sorted_final_outputs(), console)
         }
-        "df-histogram" => {
-            let mut gen = DocGen::new(DocGenConfig::default());
-            (
-                inverted_index::df_histogram_plan(reducers).expect("valid plan"),
-                make_splits(gen.records(records / 100 + 1), records / 1600 + 1),
-            )
+        Shape::Iterative(run) => {
+            let params = Params {
+                plan: plan_cfg,
+                records,
+                reducers,
+                k,
+                rounds: args.num("rounds").unwrap_or(10),
+                eps: args.num("converge-eps"),
+                // The served join's dimension table, by default.
+                users: args
+                    .num("users")
+                    .unwrap_or(CatalogConfig::default().join_users),
+            };
+            args.finish();
+            let mut cache = DatasetCache::new(CacheConfig::default());
+            if let Some(r) = &outputs.rig {
+                cache.attach_metrics(&r.registry);
+            }
+            cache.attach_tracer(&outputs.tracer);
+            eprintln!(
+                "running the {} plan ({records} records, ≤{} rounds, {} mode)...",
+                w.name,
+                params.rounds,
+                mode.label()
+            );
+            let started = std::time::Instant::now();
+            let (rounds, pairs) = run(&engine, &cache, &params).expect("plan failed");
+            let wall = started.elapsed().as_secs_f64();
+            let stats = cache.stats();
+            let (resident, hits, evictions, reloads) = (
+                stats.resident_bytes,
+                stats.hits,
+                stats.evictions,
+                stats.reloads,
+            );
+            let console = vec![
+                format!("rounds run:        {rounds}"),
+                format!(
+                    "wall time:         {} ({} per round)",
+                    fmt_secs(wall),
+                    fmt_secs(wall / rounds.max(1) as f64)
+                ),
+                format!(
+                    "cache:             {} resident, {hits} hits, {evictions} evictions, \
+                     {reloads} spill reloads",
+                    fmt_bytes(resident as u64)
+                ),
+            ];
+            let report = format!(
+                "{{\"type\":\"plan\",\"plan\":\"{}\",\"mode\":\"{}\",\"rounds\":{rounds},\
+                 \"wall_s\":{},\"cache_resident_bytes\":{resident},\"cache_hits\":{hits},\
+                 \"cache_evictions\":{evictions},\"cache_reloads\":{reloads}}}\n",
+                w.name,
+                mode.label(),
+                onepass_core::json::fmt_f64(wall),
+            );
+            (report, pairs, console)
         }
-        _ => usage(),
+        Shape::Job(..) => unreachable!("`plan` takes no job rows"),
     };
-    let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
-
-    eprintln!(
-        "running the {workload} plan ({} stages, {} mode, {input_records} records)...",
-        plan.stage_count(),
-        mode.label()
-    );
-    let report = engine
-        .run_plan(&plan, splits, &PlanConfig::new(mode))
-        .expect("plan failed");
-    outputs.finish(|| knobs_line + &report.to_jsonl());
+    outputs.finish(|| knobs_line + &report);
     if let Some(path) = dump_out {
-        let finals = report.sorted_final_outputs();
         write_dump(&path, finals.iter().map(|(k, v)| (&k[..], &v[..])));
     }
-
-    println!("plan:              {workload} [{}]", report.mode);
-    println!("wall time:         {}", fmt_secs(report.wall.as_secs_f64()));
-    if let Some(t) = report.first_final_at {
-        println!(
-            "first answer at:   {} ({}% of wall)",
-            fmt_secs(t.as_secs_f64()),
-            (t.as_secs_f64() / report.wall.as_secs_f64() * 100.0) as u32
-        );
+    println!("plan:              {} [{}]", w.name, mode.label());
+    for line in console {
+        println!("{line}");
     }
-    for s in &report.stages {
-        let sink = if s.is_sink { " -> output" } else { "" };
-        println!(
-            "stage {}:           {} [{}] done at {} ({} groups{})",
-            s.stage,
-            s.name,
-            s.report.backend,
-            fmt_secs(s.report.wall.as_secs_f64()),
-            s.report.groups_out,
-            sink
-        );
-    }
-    if workload == "top-k" {
-        if let Some((_, out)) = report.sorted_final_outputs().first() {
-            println!("top {k} urls:");
-            for (url, count) in top_k::decode_top_urls(out) {
-                println!("  url {url:<8} {count} clicks");
-            }
-        }
-    }
-}
-
-/// Input sizes and loop bounds of the iterative / two-input plans.
-struct IterativeSizes {
-    records: usize,
-    reducers: usize,
-    k: Option<usize>,
-    rounds: usize,
-    eps: Option<u64>,
-    users: usize,
-}
-
-/// The iterative / two-input plans: PageRank and k-means as cached
-/// multi-round loops, and the hybrid-hash clicks ⋈ users join probing a
-/// cached build side.
-fn cmd_plan_iterative(
-    workload: &str,
-    n: IterativeSizes,
-    mode: PlanMode,
-    engine: &Engine,
-    outputs: Outputs,
-    knobs_line: String,
-    dump_out: Option<String>,
-) {
-    let mut cache = DatasetCache::new(CacheConfig::default());
-    if let Some(r) = &outputs.rig {
-        cache.attach_metrics(&r.registry);
-    }
-    cache.attach_tracer(&outputs.tracer);
-    let plan_cfg = PlanConfig::new(mode);
-    let started = std::time::Instant::now();
-
-    // With `--dump-out`, each arm also renders its answer as pairs: node
-    // → rank, `c<id>` → coordinates, uid → country+url (a line per row).
-    let want = dump_out.is_some();
-    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
-    let le = |xs: &[i64]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
-    let (rounds_run, dump): (usize, Pairs) = match workload {
-        "pagerank" => {
-            let nodes = n.records.max(1);
-            let graph = pagerank::graph_records(pagerank::GraphConfig {
-                nodes,
-                ..Default::default()
-            });
-            let mut cfg = pagerank::PageRankConfig::new(nodes);
-            cfg.rounds = n.rounds;
-            cfg.eps = n.eps;
-            cfg.reducers = n.reducers;
-            cfg.plan = plan_cfg;
-            eprintln!(
-                "running cached pagerank ({nodes} nodes, ≤{} rounds, {} mode)...",
-                n.rounds,
-                mode.label()
-            );
-            let (ranks, rounds_run) =
-                pagerank::run_cached(engine, &cache, &graph, &cfg).expect("pagerank failed");
-            let mut top: Vec<(u64, u32)> = ranks.iter().map(|&(n, r)| (r, n)).collect();
-            top.sort_unstable_by(|a, b| b.cmp(a));
-            println!("top ranks (rank × 1e9):");
-            for &(r, n) in top.iter().take(5) {
-                println!("  node {n:<8} {r}");
-            }
-            let dump = ranks
-                .iter()
-                .filter(|_| want)
-                .map(|&(n, r)| (n.to_string().into_bytes(), r.to_le_bytes().to_vec()));
-            (rounds_run, dump.collect())
-        }
-        "kmeans" => {
-            let k = n.k.unwrap_or(3);
-            let points = pagerank_like_points(n.records, k);
-            let mut cfg = kmeans::KMeansConfig::new(k);
-            cfg.rounds = n.rounds;
-            cfg.eps = n.eps.map(|e| e as i64).or(Some(0));
-            cfg.reducers = n.reducers;
-            cfg.plan = plan_cfg;
-            eprintln!(
-                "running cached k-means ({} points, k={k}, ≤{} rounds, {} mode)...",
-                n.records.max(k),
-                n.rounds,
-                mode.label()
-            );
-            let (centroids, rounds_run) =
-                kmeans::run_cached(engine, &cache, &points, &cfg).expect("k-means failed");
-            println!("centroids:");
-            for (cid, coords) in &centroids {
-                println!("  c{cid}: {coords:?}");
-            }
-            let dump = centroids
-                .iter()
-                .filter(|_| want)
-                .map(|(cid, coords)| (format!("c{cid}").into_bytes(), le(coords)));
-            (rounds_run, dump.collect())
-        }
-        "join" => {
-            let mut gen = ClickGen::new(ClickGenConfig {
-                users: n.users * 2, // half the clicks miss the dimension table
-                ..Default::default()
-            });
-            let clicks = gen.text_records(n.records);
-            eprintln!(
-                "running hybrid-hash join ({} clicks ⋈ {} users, {} mode)...",
-                n.records,
-                n.users,
-                mode.label()
-            );
-            let joined = join_wl::run_join(
-                engine,
-                &cache,
-                &join_wl::user_records(n.users),
-                &clicks,
-                n.reducers,
-                8,
-                &plan_cfg,
-            )
-            .expect("join failed");
-            println!("joined rows:       {}", joined.len());
-            for (uid, cc, url) in joined.iter().take(5) {
-                println!("  user {uid:<6} {} url {url}", String::from_utf8_lossy(cc));
-            }
-            let dump = joined.iter().filter(|_| want).map(|(uid, cc, url)| {
-                (
-                    uid.to_string().into_bytes(),
-                    [&cc[..], &url.to_le_bytes()].concat(),
-                )
-            });
-            (2, dump.collect()) // build + probe
-        }
-        _ => unreachable!("gated by cmd_plan"),
-    };
-
-    let wall = started.elapsed();
-    if let Some(path) = dump_out {
-        write_dump(&path, dump.iter().map(|(k, v)| (&k[..], &v[..])));
-    }
-    let stats = cache.stats();
-    println!("plan:              {workload} [{}]", mode.label());
-    println!("rounds run:        {rounds_run}");
-    println!(
-        "wall time:         {} ({} per round)",
-        fmt_secs(wall.as_secs_f64()),
-        fmt_secs(wall.as_secs_f64() / rounds_run.max(1) as f64)
-    );
-    println!(
-        "cache:             {} resident, {} hits, {} evictions, {} spill reloads",
-        fmt_bytes(stats.resident_bytes as u64),
-        stats.hits,
-        stats.evictions,
-        stats.reloads
-    );
-
-    outputs.finish(|| {
-        use onepass_core::json::fmt_f64;
-        let line = format!(
-            concat!(
-                "{{\"type\":\"plan\",\"plan\":\"{workload}\",\"mode\":\"{mode}\",",
-                "\"rounds\":{rounds},\"wall_s\":{wall},\"cache_resident_bytes\":{resident},",
-                "\"cache_hits\":{hits},\"cache_evictions\":{evictions},",
-                "\"cache_reloads\":{reloads}}}\n"
-            ),
-            workload = workload,
-            mode = mode.label(),
-            rounds = rounds_run,
-            wall = fmt_f64(wall.as_secs_f64()),
-            resident = stats.resident_bytes,
-            hits = stats.hits,
-            evictions = stats.evictions,
-            reloads = stats.reloads,
-        );
-        knobs_line + &line
-    });
-}
-
-/// Deterministic k-means input sized from `--records`.
-fn pagerank_like_points(records: usize, k: usize) -> Vec<Vec<u8>> {
-    kmeans::point_records(kmeans::PointsConfig {
-        points: records.max(k),
-        clusters: k,
-        ..Default::default()
-    })
 }
 
 fn cmd_sim(mut args: Args) {
-    let workload_name = args.subject();
-    let system = match args.value("system").as_deref().unwrap_or("hadoop") {
-        "hadoop" => SystemType::StockHadoop,
-        "hop" => SystemType::Hop,
-        "onepass" => SystemType::HashOnePass,
-        _ => usage(),
-    };
+    let w = workload(&mut args);
+    let &(_, _, system) = system(&mut args, StockHadoop);
     let storage = match args.value("storage").as_deref().unwrap_or("single-hdd") {
         "single-hdd" => StorageConfig::SingleHdd,
         "hdd+ssd" => StorageConfig::HddPlusSsd,
@@ -922,17 +777,12 @@ fn cmd_sim(mut args: Args) {
     };
     let scale: f64 = args.num("scale").unwrap_or(1.0);
 
-    let workload = match workload_name.as_str() {
-        "sessionization" => WorkloadProfile::sessionization(),
-        "page-frequency" => WorkloadProfile::page_frequency(),
-        "per-user-count" => WorkloadProfile::per_user_count(),
-        "inverted-index" => WorkloadProfile::inverted_index(),
-        _ => usage(),
-    }
-    .scaled(scale);
+    let profile = w.sim.expect("`sim` takes rows with a profile");
+    let workload = profile().scaled(scale);
 
     eprintln!(
-        "simulating {workload_name} ({}x scale) as {} on {}...",
+        "simulating {} ({}x scale) as {} on {}...",
+        w.name,
         scale,
         system.label(),
         storage.label()
@@ -1005,12 +855,11 @@ fn cmd_sim(mut args: Args) {
 /// query's session and closes. Final answers per tenant are byte-identical to a
 /// solo `onepass run`/`onepass plan` over the same generator settings.
 fn cmd_serve(mut args: Args) {
-    use onepass_workloads::serving::{standard_catalog, CatalogConfig, CLICKS_INGEST, DOCS_INGEST};
+    use onepass_workloads::serving::standard_catalog;
     use std::sync::Arc;
 
     let listen = args.value("listen").unwrap_or_else(|| "127.0.0.1:0".into());
     let records: usize = args.num("records").unwrap_or(100_000);
-    let doc_records: usize = args.num("doc-records").unwrap_or(records / 100 + 1);
     let batch: usize = args.num("batch").unwrap_or(1024).max(1);
     let pool_mb: usize = args.num("pool-mb").unwrap_or(256);
     let max_tenants: usize = args.num("max-tenants").unwrap_or(1024);
@@ -1044,6 +893,10 @@ fn cmd_serve(mut args: Args) {
         die("`onepass serve` pools tenant memory: its memory policy cannot be static");
     };
     let policy_name = policy.name();
+    // Exactly `onepass run`'s records over `--records`, which is what makes
+    // a tenant's finals comparable byte-for-byte to a solo run.
+    let clicks = Input::Clicks.records(records);
+    let docs = Input::Docs.records(Input::Docs.count(records));
 
     let catalog = standard_catalog(CatalogConfig {
         reducers: settings.job.reducers,
@@ -1075,8 +928,9 @@ fn cmd_serve(mut args: Args) {
     println!("serving tenants on {}", front.local_addr());
     eprintln!(
         "pool {} / {policy_name}, {shards} shard(s), max {max_tenants} tenant(s); \
-         feeding {records} click + {doc_records} doc record(s) in batches of {batch}",
+         feeding {records} click + {} doc record(s) in batches of {batch}",
         fmt_bytes((pool_mb << 20) as u64),
+        docs.len(),
     );
 
     if await_tenants > 0 {
@@ -1101,36 +955,21 @@ fn cmd_serve(mut args: Args) {
     }
 
     // Interleave the two feeds proportionally so doc tenants see data
-    // throughout the stream rather than in one trailing burst. The
-    // generators and their defaults are exactly `onepass run`'s, which is
-    // what makes a tenant's finals comparable byte-for-byte to a solo run.
-    let mut clicks = ClickGen::new(ClickGenConfig::default());
-    let mut docs = DocGen::new(DocGenConfig::default());
-    let mut clicks_fed = 0usize;
-    let mut docs_fed = 0usize;
-    while clicks_fed < records || docs_fed < doc_records {
-        if clicks_fed < records {
-            let n = batch.min(records - clicks_fed);
-            server
-                .feed(CLICKS_INGEST, clicks.text_records(n))
-                .expect("feed clicks");
-            clicks_fed += n;
+    // throughout the stream rather than in one trailing burst.
+    let feed = |input: Input, records: &[Vec<u8>]| {
+        for chunk in records.chunks(batch) {
+            server.feed(input.ingest(), chunk.to_vec()).expect("feed");
         }
-        // Keep the doc feed at the same fraction of its total as the
-        // click feed (everything is due once clicks finish).
-        let due = if clicks_fed >= records {
-            doc_records
-        } else {
-            doc_records * clicks_fed / records
-        };
-        while docs_fed < due {
-            let n = batch.min(due - docs_fed);
-            server
-                .feed(DOCS_INGEST, docs.records(n))
-                .expect("feed docs");
-            docs_fed += n;
-        }
+    };
+    let mut docs_fed = 0;
+    for (i, chunk) in clicks.chunks(batch).enumerate() {
+        feed(Input::Clicks, chunk);
+        // The doc feed keeps the click feed's fraction of its total.
+        let due = docs.len() * ((i + 1) * batch).min(clicks.len()) / clicks.len();
+        feed(Input::Docs, &docs[docs_fed..due]);
+        docs_fed = due;
     }
+    feed(Input::Docs, &docs[docs_fed..]);
     server.close().expect("close serving core");
     if !front.wait_drained(Duration::from_secs(60)) {
         eprintln!(
@@ -1173,7 +1012,7 @@ struct LoadgenOutcome {
 /// byte-identical — tenants that subscribed before ingest started
 /// share one session per query).
 fn cmd_loadgen(mut args: Args) {
-    use onepass_workloads::serving::{standard_catalog, CatalogConfig};
+    use onepass_workloads::serving::standard_catalog;
     use onepass_workloads::tenantgen::{assign_tenants, TenantGenConfig};
     use std::io::Write;
 

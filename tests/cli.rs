@@ -158,6 +158,19 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
     }
     let dropped = onepass("run per-user-count --records 1000 --mem-high-water 0.5");
     assert_eq!(dropped.status.code(), Some(2));
+
+    // A workload the command does not know, or does not take, names the
+    // workload and the ones it does take.
+    for (line, bad, taken) in [
+        ("run sessionisation", "\"sessionisation\"", "sessionization"),
+        ("sim top-k", "\"top-k\"", "inverted-index"),
+        ("plan per-user-count", "\"per-user-count\"", "top-k"),
+    ] {
+        let out = onepass(line);
+        assert_eq!(out.status.code(), Some(2), "{line}");
+        let msg = String::from_utf8(out.stderr).unwrap();
+        assert!(msg.contains(bad) && msg.contains(taken), "{line}: {msg}");
+    }
 }
 
 #[test]

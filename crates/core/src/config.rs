@@ -18,6 +18,10 @@ pub const DEFAULT_BLOCK_SIZE: u64 = 64 * MIB;
 /// is 10; §II-A describes merging whenever on-disk file count reaches F).
 pub const DEFAULT_MERGE_FACTOR: usize = 10;
 
+/// The fractions of map progress at which MapReduce Online (HOP)
+/// snapshots its reducers' state (§III-D: 25%, 50% and 75%).
+pub const HOP_SNAPSHOTS: &[f64] = &[0.25, 0.50, 0.75];
+
 /// Format a byte count with a binary-unit suffix (e.g. `1.5 GiB`).
 pub fn fmt_bytes(bytes: u64) -> String {
     let b = bytes as f64;

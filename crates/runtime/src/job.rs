@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use onepass_core::config::{DEFAULT_MERGE_FACTOR, MIB};
+use onepass_core::config::{DEFAULT_MERGE_FACTOR, HOP_SNAPSHOTS, MIB};
 use onepass_core::error::{Error, Result};
 use onepass_core::hashlib::{fingerprint, MultiplyShift, SeededFamily};
 use onepass_groupby::Aggregator;
@@ -484,7 +484,7 @@ impl JobSpecBuilder {
             .shuffle(ShuffleMode::Push { granularity: 4096 })
             .backend(ReduceBackend::SortMerge {
                 merge_factor: DEFAULT_MERGE_FACTOR,
-                snapshots: vec![0.25, 0.50, 0.75],
+                snapshots: HOP_SNAPSHOTS.to_vec(),
             })
     }
 

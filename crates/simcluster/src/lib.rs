@@ -22,9 +22,9 @@
 //!   `onepass-runtime` engine.
 //! * [`cluster`] — node/storage topology: single HDD, HDD+SSD
 //!   (Fig. 2e), separated storage/compute (Fig. 2f).
-//! * [`mapreduce`] — the execution models: **StockHadoop** (sort-merge,
-//!   pull), **Hop** (pipelined sort-merge + snapshots), and
-//!   **HashOnePass** (the paper's proposed system).
+//! * [`mapreduce`] — one execution model with a row per system:
+//!   **StockHadoop** (sort-merge, pull), **Hop** (pipelined sort-merge +
+//!   snapshots), and **HashOnePass** (the paper's proposed system).
 //! * [`report`] — completion time, phase totals and all figure series.
 
 #![warn(missing_docs)]

@@ -48,7 +48,7 @@ pub struct FaultCounters {
 }
 
 /// Result of one simulated job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// System simulated.
     pub system: &'static str,
@@ -91,37 +91,43 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Assemble a report from a finished world. Internal to the crate.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build(
-        spec: &SimJobSpec,
-        end: SimTime,
-        events: u64,
-        map_tasks: usize,
-        spill_written_mb: f64,
-        merge_read_mb: f64,
-        merge_written_mb: f64,
-        snapshots: u64,
-        local_map_fraction: f64,
-        faults: FaultCounters,
-        sampler: &mut Sampler,
-    ) -> SimReport {
-        let total_cores = spec.cluster.total_cores();
+    /// The report of a run of `spec` before it starts: the volumes the
+    /// spec fixes, every total at zero for the run to add to.
+    pub(crate) fn start(spec: &SimJobSpec) -> SimReport {
+        let w = &spec.workload;
+        SimReport {
+            system: spec.system.label(),
+            storage: spec.cluster.storage.label(),
+            workload: w.name,
+            map_tasks: w.map_tasks(spec.cluster.block_mb),
+            reduce_tasks: w.reducers,
+            input_mb: w.input_mb,
+            map_output_mb: w.input_mb * w.map_output_ratio,
+            output_mb: w.input_mb * w.output_ratio,
+            total_cores: spec.cluster.total_cores(),
+            ..SimReport::default()
+        }
+    }
+
+    /// Close the report of a run that ended at `end`: its completion
+    /// time and the figure series `sampler` collected.
+    pub(crate) fn finish(mut self, end: SimTime, sampler: &mut Sampler) -> SimReport {
+        let total_cores = self.total_cores as f64;
         let busy = sampler.gauge_series(Gauge::BusyCores, end);
         let outstanding = sampler.gauge_series(Gauge::DiskOutstanding, end);
 
         let mut cpu_util_pct = Series::new("cpu_util_pct");
         let mut iowait_pct = Series::new("iowait_pct");
         for (&(x, b), &(_, o)) in busy.points.iter().zip(&outstanding.points) {
-            let util = (b / total_cores as f64 * 100.0).min(100.0);
+            let util = (b / total_cores * 100.0).min(100.0);
             cpu_util_pct.push(x, util);
             // iowait: idle cores that could run if pending disk requests
             // completed — min(idle, outstanding I/O) / cores, as a %.
-            let idle = (total_cores as f64 - b).max(0.0);
-            iowait_pct.push(x, (o.min(idle) / total_cores as f64 * 100.0).min(100.0));
+            let idle = (total_cores - b).max(0.0);
+            iowait_pct.push(x, (o.min(idle) / total_cores * 100.0).min(100.0));
         }
 
-        let series = SimSeries {
+        self.series = SimSeries {
             map_tasks: sampler.gauge_series(Gauge::MapTasks, end),
             shuffle_tasks: sampler.gauge_series(Gauge::ShuffleTasks, end),
             merge_tasks: sampler.gauge_series(Gauge::MergeTasks, end),
@@ -132,27 +138,8 @@ impl SimReport {
             disk_write_mb: sampler.counter_series(Counter::DiskWriteMb),
             net_mb: sampler.counter_series(Counter::NetMb),
         };
-
-        SimReport {
-            system: spec.system.label(),
-            storage: spec.cluster.storage.label(),
-            workload: spec.workload.name,
-            completion_secs: to_secs(end),
-            map_tasks,
-            reduce_tasks: spec.workload.reducers,
-            input_mb: spec.workload.input_mb,
-            map_output_mb: spec.workload.input_mb * spec.workload.map_output_ratio,
-            spill_written_mb,
-            merge_read_mb,
-            merge_written_mb,
-            output_mb: spec.workload.input_mb * spec.workload.output_ratio,
-            snapshots,
-            events,
-            local_map_fraction,
-            total_cores,
-            faults,
-            series,
-        }
+        self.completion_secs = to_secs(end);
+        self
     }
 
     /// One JSONL line summarizing the run — the simulator analogue of
@@ -241,24 +228,6 @@ impl SimReport {
     /// (map output + reduce spill) / input.
     pub fn intermediate_ratio(&self) -> f64 {
         (self.map_output_mb + self.reduce_spill_total_mb()) / self.input_mb
-    }
-
-    /// Multi-pass merge reads attributable to background merging only
-    /// (excluding the final merge read) — 0 for the hash system.
-    pub fn merge_read_mb_background(&self) -> f64 {
-        // The final merge's read is folded into merge_read_mb as well;
-        // for the hash system both are zero except the cold resolve,
-        // which is accounted under FinalRead → merge_read_mb. Subtract
-        // nothing here for sort-merge; for hash the cold resolve equals
-        // spill_written_mb, so background merging is the remainder.
-        (self.merge_read_mb - self.spill_written_mb)
-            .max(0.0)
-            .min(self.merge_read_mb)
-            * if self.system == "hash-one-pass" {
-                0.0
-            } else {
-                1.0
-            }
     }
 
     /// Mean CPU utilization (%) over a window of the run, expressed in

@@ -2,8 +2,10 @@
 //! in one table-driven loop. A served row's tenant must match a solo
 //! session. A job or plan row's `run`/`plan --dump-out` must match the
 //! served dump. An iterative row's `plan` must dump its answer. A row
-//! with a simulator profile must simulate, and a job row must be
-//! registered on `onepass worker`. A new row is covered with no edit here.
+//! with a simulator profile must simulate under every `--system`, its
+//! `--report-jsonl` line equal to the library's report of the same spec,
+//! and a job row must be registered on `onepass worker`. A new row is
+//! covered with no edit here.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -14,6 +16,13 @@ use onepass_workloads::serving::{standard_catalog, CatalogConfig};
 
 /// Records per run: enough for several splits and early answers.
 const RECORDS: usize = 4_000;
+
+/// Each `--system` name with the system it must simulate.
+const SYSTEMS: [(&str, SystemType); 3] = [
+    ("hadoop", SystemType::StockHadoop),
+    ("hop", SystemType::Hop),
+    ("onepass", SystemType::HashOnePass),
+];
 
 /// Run `onepass` and require success.
 fn onepass(args: &[&str]) {
@@ -108,8 +117,17 @@ fn every_catalog_row_runs_on_every_surface_it_declares() {
             assert_eq!(&dumped, served, "{}: batch dump vs served dump", w.name);
         }
 
-        if w.sim.is_some() {
-            onepass(&["sim", w.name, "--scale", "0.01"]);
+        if let Some(profile) = w.sim {
+            for (name, system) in SYSTEMS {
+                let report = dir.join(format!("{}.{name}.jsonl", w.name));
+                let path = report.to_str().expect("a UTF-8 path");
+                let scale = ["--scale", "0.01", "--report-jsonl", path];
+                onepass(&[&["sim", w.name, "--system", name][..], &scale].concat());
+                let cluster = ClusterSpec::paper_cluster(StorageConfig::SingleHdd);
+                let spec = SimJobSpec::new(system, cluster, profile().scaled(0.01));
+                let line = std::fs::read_to_string(&report).expect("a report line");
+                assert_eq!(line, run_sim_job(spec).to_jsonl(), "{} as {name}", w.name);
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();

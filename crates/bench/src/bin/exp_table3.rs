@@ -35,7 +35,7 @@ fn incremental_label(job: &JobSpec) -> &'static str {
     match &job.backend {
         ReduceBackend::SortMerge { snapshots, .. } if snapshots.is_empty() => "No",
         ReduceBackend::SortMerge { .. } => "No (periodic snapshot-based output only)",
-        ReduceBackend::HybridHash { .. } => "No (blocking hash)",
+        ReduceBackend::HybridHash => "No (blocking hash)",
         _ => "Fully incremental",
     }
 }

@@ -17,10 +17,11 @@
 //!   in a user map function, or an injected [`FaultPlan`] fault) is
 //!   re-executed with a fresh attempt id, up to
 //!   [`RetryPolicy::max_attempts`].
-//! * **Speculative execution.** With [`SpeculationConfig::enabled`], the
+//! * **Speculative execution.** With [`EngineConfig::speculate`], the
 //!   coordinator watches running map attempts against the median duration
 //!   of completed ones and launches one backup clone per straggling task;
-//!   the first attempt to finish wins and the loser is cancelled.
+//!   the first attempt to finish wins and the loser is cancelled. The
+//!   straggler thresholds are the scheduler's constants.
 //! * **Attempt-aware shuffle.** Reducers commit exactly one attempt per
 //!   map task (the first whose `MapDone` arrives), so retried or raced
 //!   attempts never double-count records (see [`crate::shuffle`]).
@@ -83,41 +84,6 @@ impl RetryPolicy {
     }
 }
 
-/// Straggler mitigation: speculative backup execution of slow map tasks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeculationConfig {
-    /// Master switch. Default off.
-    pub enabled: bool,
-    /// An attempt is a straggler once it has run longer than
-    /// `slow_factor` × the median duration of completed map tasks.
-    pub slow_factor: f64,
-    /// Completed map tasks required before the median is trusted.
-    pub min_completed: usize,
-    /// Coordinator polling cadence while watching for stragglers.
-    pub poll: Duration,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig {
-            enabled: false,
-            slow_factor: 2.0,
-            min_completed: 2,
-            poll: Duration::from_millis(5),
-        }
-    }
-}
-
-impl SpeculationConfig {
-    /// Speculation enabled with default thresholds.
-    pub fn on() -> Self {
-        SpeculationConfig {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -133,8 +99,8 @@ pub struct EngineConfig {
     pub tracer: Tracer,
     /// Retry budget for failed task attempts. Default: no retries.
     pub retry: RetryPolicy,
-    /// Speculative execution of straggling map tasks. Default off.
-    pub speculation: SpeculationConfig,
+    /// Speculative backup execution of straggling map tasks. Default off.
+    pub speculate: bool,
     /// Planned fault schedule for recovery testing. Default inert.
     pub faults: FaultInjector,
     /// Reduce-side memory governance. [`MemoryPolicy::Static`] (default)
@@ -179,7 +145,7 @@ impl Default for EngineConfig {
             spill: SpillBackend::Memory,
             tracer: Tracer::disabled(),
             retry: RetryPolicy::default(),
-            speculation: SpeculationConfig::default(),
+            speculate: false,
             faults: FaultInjector::none(),
             memory_policy: MemoryPolicy::Static,
             metrics: None,
@@ -226,9 +192,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Speculative-execution policy.
-    pub fn speculation(mut self, speculation: SpeculationConfig) -> Self {
-        self.cfg.speculation = speculation;
+    /// Speculative backup execution of straggling map tasks.
+    pub fn speculate(mut self, on: bool) -> Self {
+        self.cfg.speculate = on;
         self
     }
 
@@ -304,10 +270,10 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Combine, MapEmitter, MapSideMode, ReduceBackend, ShuffleMode};
+    use crate::job::{MapEmitter, MapSideMode, ReduceBackend, ShuffleMode};
     use crate::report::TaskKind;
     use onepass_core::error::Error;
-    use onepass_groupby::{EmitKind, SumAgg};
+    use onepass_groupby::{Aggregator, EmitKind, ListAgg, SumAgg};
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -327,16 +293,15 @@ mod tests {
     }
 
     fn final_counts(report: &JobReport) -> BTreeMap<String, u64> {
+        finals_by(report, |v| u64::from_le_bytes(v.try_into().unwrap()))
+    }
+
+    fn finals_by(report: &JobReport, count: fn(&[u8]) -> u64) -> BTreeMap<String, u64> {
         report
             .outputs
             .iter()
             .filter(|o| o.kind == EmitKind::Final)
-            .map(|o| {
-                (
-                    String::from_utf8(o.key.clone()).unwrap(),
-                    u64::from_le_bytes(o.value.as_slice().try_into().unwrap()),
-                )
-            })
+            .map(|o| (String::from_utf8(o.key.clone()).unwrap(), count(&o.value)))
             .collect()
     }
 
@@ -420,6 +385,9 @@ mod tests {
         assert!(report.first_early_at.unwrap() <= report.first_final_at.unwrap());
     }
 
+    /// Every backend behind both hash map sides: combining (`SumAgg`) and
+    /// partition-only (`ListAgg` does not combine; a list's length is the
+    /// count).
     #[test]
     fn all_backends_agree() {
         let backends = vec![
@@ -427,24 +395,39 @@ mod tests {
                 merge_factor: 4,
                 snapshots: vec![],
             },
-            ReduceBackend::HybridHash { fanout: 4 },
+            ReduceBackend::HybridHash,
             ReduceBackend::IncHash { early: None },
             ReduceBackend::FreqHash,
         ];
+        type Count = fn(&[u8]) -> u64;
+        let aggs: [(Arc<dyn Aggregator>, Count); 2] = [
+            (Arc::new(SumAgg), |v| {
+                u64::from_le_bytes(v.try_into().unwrap())
+            }),
+            (Arc::new(ListAgg), |v| ListAgg::decode(v).len() as u64),
+        ];
         for backend in backends {
-            let label = backend.label();
-            let job = JobSpec::builder("wc")
-                .map_fn(Arc::new(word_map))
-                .aggregate(Arc::new(SumAgg))
-                .reducers(2)
-                .map_side(MapSideMode::HashPartitionOnly)
-                .combine_mode(Combine::Off)
-                .shuffle(ShuffleMode::Push { granularity: 3 })
-                .backend(backend)
-                .build()
-                .unwrap();
-            let report = Engine::new().run(&job, input()).unwrap();
-            assert_eq!(final_counts(&report), expected(), "{label} diverged");
+            for (agg, count) in &aggs {
+                let label = backend.label();
+                let job = JobSpec::builder("wc")
+                    .map_fn(Arc::new(word_map))
+                    .aggregate(Arc::clone(agg))
+                    .reducers(2)
+                    .map_side(MapSideMode::Hash)
+                    .shuffle(ShuffleMode::Push { granularity: 3 })
+                    .backend(backend.clone())
+                    .build()
+                    .unwrap();
+                let report = Engine::new().run(&job, input()).unwrap();
+                let combined = agg.combinable();
+                assert_eq!(
+                    finals_by(&report, *count),
+                    expected(),
+                    "{label} (combining: {combined}) diverged"
+                );
+                // Ten words; combining collapses each table's repeats.
+                assert_eq!(report.shuffled_records < 10, combined, "{label}");
+            }
         }
     }
 
@@ -508,7 +491,7 @@ mod tests {
             .map_workers(2)
             .spill(SpillBackend::TempFiles)
             .retry(RetryPolicy::attempts(3))
-            .speculation(SpeculationConfig::on())
+            .speculate(true)
             .faults(FaultPlan::new().fail_map(0, 0, 1))
             .memory_policy(MemoryPolicy::adaptive())
             .metrics(onepass_core::obs::MetricsRegistry::new())
@@ -519,7 +502,7 @@ mod tests {
         assert_eq!(cfg.map_workers, 2);
         assert_eq!(cfg.spill, SpillBackend::TempFiles);
         assert_eq!(cfg.retry.max_attempts, 3);
-        assert!(cfg.speculation.enabled);
+        assert!(cfg.speculate);
         assert!(cfg.faults.is_active());
         assert!(matches!(cfg.memory_policy, MemoryPolicy::Adaptive { .. }));
         assert!(cfg.metrics.is_some());
@@ -537,7 +520,7 @@ mod tests {
                 merge_factor: 4,
                 snapshots: vec![],
             },
-            ReduceBackend::HybridHash { fanout: 4 },
+            ReduceBackend::HybridHash,
             ReduceBackend::IncHash { early: None },
             ReduceBackend::FreqHash,
         ] {
@@ -636,17 +619,13 @@ mod tests {
         let job = wc_job(2);
         // Task 0's first attempt sleeps 25 ms per record; its clone runs
         // at full speed and must win. 3 records bound the cancelled
-        // straggler's exit latency to one sleep.
+        // straggler's exit latency to one sleep. Tasks 1–3 finish long
+        // before it, past the scheduler's two-completion floor.
         let lines: Vec<String> = (0..12).map(|i| format!("w{} a b", i % 5)).collect();
         let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
         let input = splits(&refs, 3);
         let cfg = EngineConfig::builder()
-            .speculation(SpeculationConfig {
-                enabled: true,
-                slow_factor: 2.0,
-                min_completed: 1,
-                poll: Duration::from_millis(2),
-            })
+            .speculate(true)
             .faults(FaultPlan::new().straggle_map(0, 0, Duration::from_millis(25)))
             .build();
         let report = Engine::with_config(cfg).run(&job, input).unwrap();

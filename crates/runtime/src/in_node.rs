@@ -1,6 +1,6 @@
 //! The map-side hash combiner — §V's map option 2, "in-memory hash combine
-//! per partition" — and its scope. Every
-//! [`MapSideMode::HashCombine`] job combines through one table type,
+//! per partition" — and its scope. Every [`MapSideMode::Hash`] job over a
+//! combinable aggregate combines through one table type,
 //! `WorkerCombiner`; the only thing that varies is how many task attempts
 //! share a table before it ships ([`CombineScope`]): all the attempts a
 //! map worker completes (the "in-node combiner" idea, cf. in-node/in-mapper
@@ -58,12 +58,12 @@
 //! debited from the same pool as reduce-side hash tables and the
 //! governor can demand a flush (via a shed request) under global
 //! pressure. Otherwise the table gets a private budget of
-//! `job.map_buffer_bytes`. Note the attempt's arena is bounded by its
+//! [`MAP_BUFFER_BYTES`]. Note the attempt's arena is bounded by its
 //! split's output, not by the push granularity — buffering the attempt
 //! whole is what buys one fold per record.
 //!
 //! [`KvBuf`]: onepass_core::bytes_kv::KvBuf
-//! [`MapSideMode::HashCombine`]: crate::job::MapSideMode::HashCombine
+//! [`MapSideMode::Hash`]: crate::job::MapSideMode::Hash
 
 use std::sync::Arc;
 
@@ -79,7 +79,7 @@ use onepass_core::obs::Histogram;
 use onepass_core::trace::LocalTracer;
 use onepass_groupby::{Aggregator, StateBuf};
 
-use crate::job::{JobSpec, MapSideMode, Partitioner};
+use crate::job::{HashPartitioner, JobSpec, Partitioner, MAP_BUFFER_BYTES};
 use crate::map_task::{run_map_task, MapAttemptCtx, MapTaskStats, Split};
 use crate::reduce_task::panic_message;
 use crate::shuffle::{Segment, ShuffleTx};
@@ -104,6 +104,7 @@ pub(crate) enum CombineScope {
 pub struct WorkerCombiner {
     /// One table per reduce partition, key → partial aggregate state.
     tables: Vec<FpTable<StateBuf>>,
+    partitioner: HashPartitioner,
     /// Successful attempts folded since the last flush, in fold order.
     contributors: Vec<(usize, usize)>,
     budget: MemoryBudget,
@@ -117,6 +118,7 @@ impl WorkerCombiner {
     pub fn new(partitions: usize, budget: MemoryBudget) -> Self {
         WorkerCombiner {
             tables: (0..partitions).map(|_| FpTable::new()).collect(),
+            partitioner: HashPartitioner::default(),
             contributors: Vec::new(),
             budget,
             reserved: 0,
@@ -129,24 +131,17 @@ impl WorkerCombiner {
     /// record — and record it as a contributor. `buf` carries the
     /// attempt's full map output *unrouted* (the deferred emitter skips
     /// the partitioner): routing happens here from the fold's own
-    /// fingerprint via [`Partitioner::partition_fp`], so the key bytes
+    /// fingerprint via [`HashPartitioner`]'s `partition_fp`, so the key bytes
     /// are hashed exactly once. Values are raw map-output values, so
     /// first contact runs [`Aggregator::init`] and collisions
     /// [`Aggregator::update`] (the same combine the per-task hash path
     /// applies).
-    pub fn fold_task(
-        &mut self,
-        task: usize,
-        attempt: usize,
-        buf: &KvBuf,
-        partitioner: &dyn Partitioner,
-        agg: &dyn Aggregator,
-    ) {
+    pub fn fold_task(&mut self, task: usize, attempt: usize, buf: &KvBuf, agg: &dyn Aggregator) {
         let reducers = self.tables.len();
         let mut grown = 0usize;
         for (_, key, value) in buf.iter() {
             let fp = fingerprint(key);
-            let table = &mut self.tables[partitioner.partition_fp(fp, key, reducers)];
+            let table = &mut self.tables[self.partitioner.partition_fp(fp, key, reducers)];
             match table.get_mut(fp, key) {
                 Some(state) => agg.update(key, state, value),
                 None => {
@@ -233,7 +228,7 @@ impl WorkerCombiner {
 
 /// One map slot — an executor map-worker thread, or a map slot of a TCP
 /// worker: the reusable output arena every attempt maps into and, for a
-/// `HashCombine` job, the combine table its attempts fold into.
+/// combining job, the combine table its attempts fold into.
 pub(crate) struct MapSlot<'a> {
     job: &'a JobSpec,
     tx: &'a ShuffleTx,
@@ -246,7 +241,7 @@ pub(crate) struct MapSlot<'a> {
 }
 
 impl<'a> MapSlot<'a> {
-    /// A slot shipping through `tx`. A `HashCombine` job's table charges
+    /// A slot shipping through `tx`. A combining job's table charges
     /// a `governor` lease when there is one, so its bytes are debited
     /// from the same pool as reduce tables.
     pub fn new(
@@ -257,10 +252,10 @@ impl<'a> MapSlot<'a> {
         governor: Option<&MemoryGovernor>,
         ratio: Histogram,
     ) -> Self {
-        let combiner = (job.map_side == MapSideMode::HashCombine).then(|| {
+        let combiner = job.hash_combines().then(|| {
             let budget = match governor {
-                Some(g) => g.lease(job.map_buffer_bytes),
-                None => MemoryBudget::new(job.map_buffer_bytes),
+                Some(g) => g.lease(MAP_BUFFER_BYTES),
+                None => MemoryBudget::new(MAP_BUFFER_BYTES),
             };
             WorkerCombiner::new(job.reducers, budget)
         });
@@ -275,7 +270,7 @@ impl<'a> MapSlot<'a> {
         }
     }
 
-    /// Run one attempt: map the split, then — for a `HashCombine` job —
+    /// Run one attempt: map the split, then — for a combining job —
     /// fold a successful attempt's output into the table and flush the
     /// table if its scope or its budget says so.
     pub fn run_attempt(
@@ -311,13 +306,7 @@ impl<'a> MapSlot<'a> {
         // failed attempt never announces MapDone.
         if let (Some(c), Ok(stats)) = (self.combiner.as_mut(), result.as_mut()) {
             let t = Stamp::start(Phase::MapHash);
-            c.fold_task(
-                task,
-                ctx.attempt,
-                &self.buf,
-                self.job.partitioner.as_ref(),
-                self.job.agg.as_ref(),
-            );
+            c.fold_task(task, ctx.attempt, &self.buf, self.job.agg.as_ref());
             t.stop(&mut stats.profile, trace);
             if c.should_flush() || self.scope == CombineScope::Task {
                 self.flush();
@@ -345,6 +334,7 @@ impl<'a> MapSlot<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::MapSideMode;
     use crate::shuffle::{shuffle_fabric, ShuffleMsg};
     use onepass_groupby::SumAgg;
     use std::time::Duration;
@@ -357,15 +347,6 @@ mod tests {
             b.push(0, k.as_bytes(), &v.to_le_bytes());
         }
         b
-    }
-
-    /// Routes by the key's first byte — deterministic without hashing,
-    /// and exercises the default `partition_fp` fallback.
-    struct ByFirstByte;
-    impl Partitioner for ByFirstByte {
-        fn partition(&self, key: &[u8], reducers: usize) -> usize {
-            key.first().map_or(0, |&b| b as usize) % reducers
-        }
     }
 
     fn drain(
@@ -388,8 +369,8 @@ mod tests {
     #[test]
     fn fold_combines_across_tasks() {
         let mut c = WorkerCombiner::new(2, MemoryBudget::unlimited());
-        c.fold_task(0, 0, &buf(&[("a", 1), ("b", 2)]), &ByFirstByte, &SumAgg);
-        c.fold_task(1, 0, &buf(&[("a", 10), ("c", 3)]), &ByFirstByte, &SumAgg);
+        c.fold_task(0, 0, &buf(&[("a", 1), ("b", 2)]), &SumAgg);
+        c.fold_task(1, 0, &buf(&[("a", 10), ("c", 3)]), &SumAgg);
         let (tx, rxs) = shuffle_fabric(2, 64);
         c.flush(&tx, None, &Histogram::detached()).unwrap();
         let (segs, dones) = drain(rxs);
@@ -418,7 +399,7 @@ mod tests {
     #[test]
     fn segments_precede_map_dones_per_channel() {
         let mut c = WorkerCombiner::new(1, MemoryBudget::unlimited());
-        c.fold_task(3, 1, &buf(&[("k", 1)]), &ByFirstByte, &SumAgg);
+        c.fold_task(3, 1, &buf(&[("k", 1)]), &SumAgg);
         let (tx, rxs) = shuffle_fabric(1, 64);
         c.flush(&tx, None, &Histogram::detached()).unwrap();
         let mut msgs = Vec::new();
@@ -452,7 +433,6 @@ mod tests {
             0,
             0,
             &buf(&[("some-longish-key", 1), ("another-key", 2)]),
-            &ByFirstByte,
             &SumAgg,
         );
         assert!(c.should_flush(), "tiny budget must run over");
@@ -473,7 +453,7 @@ mod tests {
             .map_fn(Arc::new(word_map))
             .aggregate(Arc::new(SumAgg))
             .reducers(2)
-            .map_side(MapSideMode::HashCombine)
+            .map_side(MapSideMode::Hash)
             .build()
             .unwrap()
     }
@@ -606,7 +586,7 @@ mod tests {
     #[test]
     fn empty_task_still_gets_its_map_done() {
         let mut c = WorkerCombiner::new(1, MemoryBudget::unlimited());
-        c.fold_task(7, 0, &KvBuf::new(), &ByFirstByte, &SumAgg);
+        c.fold_task(7, 0, &KvBuf::new(), &SumAgg);
         let (tx, rxs) = shuffle_fabric(1, 8);
         c.flush(&tx, None, &Histogram::detached()).unwrap();
         let (segs, dones) = drain(rxs);

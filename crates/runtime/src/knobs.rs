@@ -26,8 +26,8 @@ use onepass_core::error::{Error, Result};
 use onepass_core::governor::{policy_by_name, MemoryPolicy, DEFAULT_HIGH_WATER};
 use onepass_core::json::escape;
 
-use crate::driver::{EngineConfig, RetryPolicy, SpeculationConfig, SpillBackend};
-use crate::job::{CollectOutput, Combine, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
+use crate::driver::{EngineConfig, RetryPolicy, SpillBackend};
+use crate::job::{CollectOutput, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
 
 /// Everything the table can read or write: one job and the engine that
 /// runs it.
@@ -235,10 +235,8 @@ macro_rules! choices {
 
 choices!(MAP_SIDE, MapSideMode {
     "sort-spill" => MapSideMode::SortSpill,
-    "hash-partition" => MapSideMode::HashPartitionOnly,
-    "hash-combine" => MapSideMode::HashCombine
+    "hash" => MapSideMode::Hash
 });
-choices!(COMBINE, Combine { "on" => Combine::On, "off" => Combine::Off });
 choices!(COLLECT, CollectOutput {
     "collect" => CollectOutput::Collect,
     "discard" => CollectOutput::Discard
@@ -305,7 +303,7 @@ fn backend_get(j: &JobSpec) -> String {
             }
             out
         }
-        ReduceBackend::HybridHash { fanout } => format!("hybrid-hash:{fanout}"),
+        ReduceBackend::HybridHash => "hybrid-hash".into(),
         ReduceBackend::IncHash { .. } => "inc-hash".into(),
         ReduceBackend::FreqHash => "freq-hash".into(),
     }
@@ -321,9 +319,7 @@ fn backend_set(j: &mut JobSpec, v: &str) -> Result<()> {
                     .map_or(Ok(Vec::new()), |s| s.split(',').map(num::<f64>).collect())?,
             }
         }
-        (Some("hybrid-hash"), Some(f), None) => {
-            j.backend = ReduceBackend::HybridHash { fanout: num(f)? }
-        }
+        (Some("hybrid-hash"), None, None) => j.backend = ReduceBackend::HybridHash,
         // An early-emit policy is a closure and has no text form: a spec
         // that already runs inc-hash keeps its own; any other takes none.
         (Some("inc-hash"), None, None) => {
@@ -411,23 +407,12 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "backend",
-        syntax: "sort-merge:F[:FRAC,FRAC,..]|hybrid-hash:FANOUT|inc-hash|freq-hash",
-        help: "reduce-side group-by (merge factor F, snapshot fractions; bucket fanout; \
+        syntax: "sort-merge:F[:FRAC,FRAC,..]|hybrid-hash|inc-hash|freq-hash",
+        help: "reduce-side group-by (merge factor F, snapshot fractions; \
                inc-hash = freq-hash with the hot-key summary off)",
         travels: true,
         takers: "",
         access: Job(backend_get, backend_set),
-    },
-    Knob {
-        name: "map-buffer-kb",
-        syntax: "KIB",
-        help: "map output buffer per map task (Hadoop io.sort.mb)",
-        travels: true,
-        takers: "",
-        access: Job(
-            |j| kib_get(j.map_buffer_bytes),
-            |j, v| kib_set(v).map(|b| j.map_buffer_bytes = b),
-        ),
     },
     Knob {
         name: "budget-kb",
@@ -439,14 +424,6 @@ pub const KNOBS: &[Knob] = &[
             |j| kib_get(j.reduce_budget_bytes),
             |j, v| kib_set(v).map(|b| j.reduce_budget_bytes = b),
         ),
-    },
-    Knob {
-        name: "combine",
-        syntax: COMBINE,
-        help: "apply the combine function map-side when the aggregate allows",
-        travels: true,
-        takers: "",
-        access: field!(Job.combine),
     },
     Knob {
         name: "collect-output",
@@ -510,7 +487,7 @@ pub const KNOBS: &[Knob] = &[
         help: "launch backup attempts of straggling map tasks",
         travels: false,
         takers: "run",
-        access: field!(Engine.speculation.enabled),
+        access: field!(Engine.speculate),
     },
     Knob {
         name: "mem-policy",
@@ -542,15 +519,12 @@ const _: fn(Settings) = |Settings { job, engine }| {
         name: _,
         map_fn: _,
         agg: _,
-        partitioner: _,
         // Rows.
         reducers: _,
         map_side: _,
         shuffle: _,
         backend: _,
-        map_buffer_bytes: _,
         reduce_budget_bytes: _,
-        combine: _,
         collect_output: _,
     } = job;
     let EngineConfig {
@@ -567,14 +541,7 @@ const _: fn(Settings) = |Settings { job, engine }| {
             max_attempts: _,
             backoff: _,
         },
-        speculation:
-            SpeculationConfig {
-                enabled: _,
-                // Not knobs: straggler-detection thresholds only tests tune.
-                slow_factor: _,
-                min_completed: _,
-                poll: _,
-            },
+        speculate: _,
         memory_policy: _,
     } = engine;
 };

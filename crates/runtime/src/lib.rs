@@ -44,14 +44,12 @@ pub mod transport;
 pub mod window;
 
 pub use cache::{CacheConfig, DatasetCache};
-pub use driver::{
-    Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpeculationConfig, SpillBackend,
-};
+pub use driver::{Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpillBackend};
 pub use in_node::WorkerCombiner;
 pub use iterate::{IterativePlan, RoundContext};
 pub use job::{
-    pair_map_fn, CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,
-    PairMap, Partitioner, ReduceBackend, ShuffleMode,
+    pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode, PairMap,
+    Partitioner, ReduceBackend, ShuffleMode,
 };
 pub use plan::{Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
 pub use report::{dump_pairs, JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
@@ -69,13 +67,11 @@ pub use transport::{worker::WorkerOptions, JobRegistry, Transport};
 pub mod prelude {
     pub use crate::cache::{CacheConfig, DatasetCache};
     pub use crate::codec::{decode_pair, encode_pair};
-    pub use crate::driver::{
-        Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpeculationConfig, SpillBackend,
-    };
+    pub use crate::driver::{Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpillBackend};
     pub use crate::iterate::{IterativePlan, RoundContext};
     pub use crate::job::{
-        pair_map_fn, CollectOutput, Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn,
-        MapSideMode, PairMap, Partitioner, ReduceBackend, ShuffleMode,
+        pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,
+        PairMap, Partitioner, ReduceBackend, ShuffleMode,
     };
     pub use crate::map_task::Split;
     pub use crate::plan::{Plan, PlanBuilder, PlanConfig, PlanMode, StageId};

@@ -1,5 +1,5 @@
 //! Map task execution: read a split, apply the map function, and turn the
-//! output buffer into shuffle segments under one of the three map-side
+//! output buffer into shuffle segments under one of the two map-side
 //! modes (Fig. 1's map task vs Fig. 5's map module).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,7 +12,9 @@ use onepass_core::io::{RunWriter, SpillStore};
 use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 
-use crate::job::{JobSpec, MapEmitter, MapSideMode, ShuffleMode};
+use crate::job::{
+    HashPartitioner, JobSpec, MapEmitter, MapSideMode, Partitioner, ShuffleMode, MAP_BUFFER_BYTES,
+};
 use crate::shuffle::{Segment, ShuffleTx};
 
 /// Raw input records packed end to end in one buffer, each behind a
@@ -208,14 +210,13 @@ impl MapAttemptCtx {
 
 /// Emitter collecting map output into a [`KvBuf`], partitioned up front.
 ///
-/// With `partitioner: None` (a `HashCombine` job) every pair lands
+/// With `partitioner: None` (a combining hash map side) every pair lands
 /// unrouted: the combiner's fold fingerprints each key anyway, so it
-/// routes from that fingerprint via
-/// [`crate::job::Partitioner::partition_fp`] and the per-emit partition
-/// call would be a second hash of the same bytes.
+/// routes from that fingerprint via [`Partitioner::partition_fp`] and the
+/// per-emit partition call would be a second hash of the same bytes.
 struct BufEmitter<'a> {
     buf: &'a mut KvBuf,
-    partitioner: Option<&'a dyn crate::job::Partitioner>,
+    partitioner: Option<&'a HashPartitioner>,
     reducers: usize,
     /// Partition-aligned cache-hit splits pin every emission to one
     /// partition ([`Split::aligned`]), skipping the per-key hash.
@@ -301,13 +302,14 @@ impl Drop for MapRun<'_> {
 /// `buf` is the slot's reusable output arena, handed in empty.
 ///
 /// * `SortSpill` — sort the buffer on `(partition, key)` (the Table II
-///   CPU cost), combine key-streaks when enabled, persist the output via
-///   `map_store` (the synchronous map-output write of §III-B.2), then
-///   ship per-partition sorted segments.
-/// * `HashPartitionOnly` — single partition-clustering scan, no sort, no
-///   combine; raw segments.
-/// * `HashCombine` — the attempt's whole output stays in `buf`, unrouted,
-///   and nothing ships: no segments, no `MapDone`, no mid-task flushes.
+///   CPU cost), combine key-streaks when the aggregate is combinable,
+///   persist the output via `map_store` (the synchronous map-output write
+///   of §III-B.2), then ship per-partition sorted segments.
+/// * `Hash` over a holistic aggregate — single partition-clustering scan,
+///   no sort, no combine; raw segments.
+/// * `Hash` over a combinable aggregate — the attempt's whole output stays
+///   in `buf`, unrouted, and nothing ships: no segments, no `MapDone`, no
+///   mid-task flushes.
 ///   The caller (`in_node::MapSlot`) folds a successful attempt's buffer
 ///   into its combine table, which ships the segments and announces the
 ///   `MapDone`; `in_node.rs` has the protocol.
@@ -331,15 +333,12 @@ pub(crate) fn run_map_task(
         input_bytes: split.bytes(),
         ..Default::default()
     };
-    // A `HashCombine` attempt buffers whole, so neither checkpoint applies
-    // to it (the arena is bounded by the split's output; the combiner's
-    // budget governs the table instead).
-    let ships = job.map_side != MapSideMode::HashCombine;
-    let buffer_limit = if ships {
-        job.map_buffer_bytes
-    } else {
-        usize::MAX
-    };
+    // A combining hash attempt buffers whole, so neither checkpoint
+    // applies to it (the arena is bounded by the split's output; the
+    // combiner's budget governs the table instead).
+    let ships = !job.hash_combines();
+    let buffer_limit = if ships { MAP_BUFFER_BYTES } else { usize::MAX };
+    let partitioner = ships.then(HashPartitioner::default);
     let push_granularity = match job.shuffle {
         ShuffleMode::Push { granularity } if ships => Some(granularity.max(1)),
         _ => None,
@@ -381,7 +380,7 @@ pub(crate) fn run_map_task(
             check_fault(ctx, task_id, $record_idx)?;
             let mut emitter = BufEmitter {
                 buf,
-                partitioner: ships.then(|| job.partitioner.as_ref()),
+                partitioner: partitioner.as_ref(),
                 reducers: job.reducers,
                 fixed: split.aligned,
                 emitted: 0,
@@ -462,9 +461,10 @@ fn flush_buffer(
         "map",
         &[("buffer_bytes", buf.arena_bytes() as f64)],
     );
-    let combine_on = job.combine.is_on() && job.agg.combinable();
+    let combine_on = job.agg.combinable();
 
-    // A `HashCombine` buffer never comes here: the combiner ships it.
+    // A combining hash map side's buffer never comes here: the combiner
+    // ships it.
     let sorted = job.map_side == MapSideMode::SortSpill;
     if sorted {
         let t = Stamp::start(Phase::MapSort);
@@ -506,7 +506,7 @@ fn flush_buffer(
     } else {
         // Zero copy: the arena is frozen in place — sorted, or as it
         // arrived — and every per-partition segment shares it behind an
-        // `Arc`. For `HashPartitionOnly` that is the whole of the work:
+        // `Arc`. For a hash map side that is the whole of the work:
         // "the map output is scanned once for partitioning, and no effort
         // is spent for grouping" (§V), so this mode's grouping CPU is
         // genuinely ~zero.
@@ -565,7 +565,7 @@ mod tests {
     use super::*;
     use crate::job::{JobSpec, MapEmitter};
     use crate::shuffle::{shuffle_fabric, ShuffleMsg};
-    use onepass_groupby::SumAgg;
+    use onepass_groupby::{ListAgg, SumAgg};
     use std::time::Instant;
 
     fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
@@ -641,12 +641,12 @@ mod tests {
     }
 
     #[test]
-    fn hash_partition_only_neither_sorts_nor_combines() {
+    fn hash_map_side_over_a_holistic_aggregate_neither_sorts_nor_combines() {
         let job = JobSpec::builder("t")
             .map_fn(Arc::new(word_map))
-            .aggregate(Arc::new(SumAgg))
+            .aggregate(Arc::new(ListAgg))
             .reducers(2)
-            .map_side(MapSideMode::HashPartitionOnly)
+            .map_side(MapSideMode::Hash)
             .build()
             .unwrap();
         let (segs, stats) = run_with(job);
@@ -664,10 +664,9 @@ mod tests {
     fn push_mode_flushes_mid_task() {
         let job = JobSpec::builder("t")
             .map_fn(Arc::new(word_map))
-            .aggregate(Arc::new(SumAgg))
+            .aggregate(Arc::new(ListAgg))
             .reducers(1)
             .shuffle(ShuffleMode::Push { granularity: 2 })
-            .combine_mode(crate::job::Combine::Off)
             .build()
             .unwrap();
         let (segs, stats) = run_with(job);
@@ -712,9 +711,9 @@ mod tests {
     fn push_job(map_fn: Arc<dyn crate::job::MapFn>) -> (JobSpec, Split) {
         let job = JobSpec::builder("t")
             .map_fn(map_fn)
-            .aggregate(Arc::new(SumAgg))
+            .aggregate(Arc::new(ListAgg))
             .reducers(2)
-            .map_side(MapSideMode::HashPartitionOnly)
+            .map_side(MapSideMode::Hash)
             .shuffle(ShuffleMode::Push { granularity: 2 })
             .build()
             .unwrap();
@@ -947,9 +946,9 @@ mod tests {
                     let at = seen.fetch_add(1, Ordering::Relaxed) as u64;
                     out.emit(&at.to_be_bytes(), record);
                 }))
-                .aggregate(Arc::new(SumAgg))
+                .aggregate(Arc::new(ListAgg))
                 .reducers(1)
-                .map_side(MapSideMode::HashPartitionOnly)
+                .map_side(MapSideMode::Hash)
                 .build()
                 .unwrap()
         };

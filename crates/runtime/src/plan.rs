@@ -117,12 +117,12 @@ pub struct PlanConfig {
     /// maps sooner; larger ones amortize per-split scheduling. Default
     /// 4096 (the chain default).
     pub records_per_split: usize,
-    /// Bound of each pipelined edge channel, in splits. A full edge
-    /// blocks the upstream reducer's emission — the same backpressure
-    /// push shuffling applies within a job (§III-D), extended across
-    /// stages. Default 16.
-    pub edge_depth: usize,
 }
+
+/// Bound of each pipelined edge channel, in splits. A full edge blocks
+/// the upstream reducer's emission — the same backpressure push shuffling
+/// applies within a job (§III-D), extended across stages.
+const EDGE_DEPTH: usize = 16;
 
 impl PlanConfig {
     /// Defaults with the given execution mode.
@@ -139,7 +139,6 @@ impl Default for PlanConfig {
         PlanConfig {
             mode: PlanMode::default(),
             records_per_split: 4096,
-            edge_depth: 16,
         }
     }
 }
@@ -738,7 +737,6 @@ fn run_pipelined(
     let n = plan.stages.len();
     let config = run.engine.config();
     let record_source = plan.record_source();
-    let edge_depth = cfg.edge_depth.max(1);
 
     // Under adaptive memory policy, all concurrently-live stages share one
     // governed pool sized for the whole plan, so a memory-hungry stage
@@ -789,7 +787,7 @@ fn run_pipelined(
             fixed.extend(cached);
             feeds.push(SplitFeed::Fixed(fixed));
         } else {
-            let (tx, rx) = bounded(edge_depth);
+            let (tx, rx) = bounded(EDGE_DEPTH);
             for &u in &plan.incoming[s] {
                 outs[u].push(tx.clone());
             }
@@ -823,7 +821,7 @@ fn run_pipelined(
                 let outs = outs.clone();
                 let gate = governor
                     .as_ref()
-                    .map(|g| PressureGate::new(g.clone(), edge_depth));
+                    .map(|g| PressureGate::new(g.clone(), EDGE_DEPTH));
                 let depth = Gauge::of(
                     config.metrics.as_ref(),
                     names::PLAN_EDGE_DEPTH,

@@ -24,11 +24,22 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use onepass_core::error::{Error, Result};
 use onepass_core::trace::LocalTracer;
 
-use crate::driver::{RetryPolicy, SpeculationConfig};
+use crate::driver::RetryPolicy;
 use crate::map_task::{MapTaskStats, Split};
 use crate::report::TaskSpan;
 use crate::shuffle::ShuffleTx;
 use crate::telemetry::StageTelemetry;
+
+/// Under speculation, a first attempt is a straggler once it has run
+/// longer than this many times the median duration of completed map
+/// tasks.
+const SLOW_FACTOR: f64 = 2.0;
+
+/// Completed map tasks required before that median is trusted.
+const MIN_COMPLETED: usize = 2;
+
+/// Coordinator polling cadence while watching for stragglers.
+const POLL: Duration = Duration::from_millis(5);
 
 /// Where a job's input splits come from.
 pub(crate) enum SplitFeed {
@@ -115,7 +126,7 @@ pub(crate) struct ScheduleOutcome {
 /// Scheduler inputs that don't change over the run.
 pub(crate) struct SchedulerCtx<'a> {
     pub retry: RetryPolicy,
-    pub speculation: SpeculationConfig,
+    pub speculate: bool,
     pub task_tx: Sender<MapAssignment>,
     pub evt_rx: Receiver<MapEvent>,
     pub shuffle_tx: &'a ShuffleTx,
@@ -142,7 +153,7 @@ pub(crate) fn schedule_maps(
     driver_trace: &mut LocalTracer,
 ) -> ScheduleOutcome {
     let retry = ctx.retry;
-    let spec = ctx.speculation;
+    let speculate = ctx.speculate;
     let mut splits = initial;
     let mut feed_closed = !feed_open;
 
@@ -202,8 +213,8 @@ pub(crate) fn schedule_maps(
     ctx.telemetry.set_progress(0, splits.len());
 
     while outstanding > 0 || !feed_closed {
-        let evt = if spec.enabled {
-            match ctx.evt_rx.recv_timeout(spec.poll) {
+        let evt = if speculate {
+            match ctx.evt_rx.recv_timeout(POLL) {
                 Ok(e) => Some(e),
                 Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -347,9 +358,9 @@ pub(crate) fn schedule_maps(
 
         // Straggler scan: clone slow first attempts once a median over
         // completed tasks exists.
-        if spec.enabled
+        if speculate
             && out.fatal.is_none()
-            && completed_count >= spec.min_completed.max(1)
+            && completed_count >= MIN_COMPLETED
             && (completed_count < splits.len() || !feed_closed)
         {
             let mut sorted = durations.clone();
@@ -357,9 +368,7 @@ pub(crate) fn schedule_maps(
             let median = sorted[sorted.len() / 2];
             // Floor the threshold so micro-benchmark medians don't flag
             // everything as slow.
-            let threshold = median
-                .mul_f64(spec.slow_factor)
-                .max(Duration::from_millis(1));
+            let threshold = median.mul_f64(SLOW_FACTOR).max(Duration::from_millis(1));
             let now = ctx.clock.elapsed();
             for task in 0..splits.len() {
                 if tasks[task].completed || tasks[task].spec_cloned {

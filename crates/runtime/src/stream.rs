@@ -23,7 +23,7 @@ use onepass_core::memory::MemoryBudget;
 use onepass_groupby::{EmitKind, GroupBy, OpStats, Sink};
 
 use crate::executor;
-use crate::job::{JobSpec, MapEmitter, MapFn};
+use crate::job::{HashPartitioner, JobSpec, MapEmitter, MapFn, Partitioner};
 
 /// How a [`StreamSession`] sources its per-partition memory.
 ///
@@ -218,7 +218,7 @@ impl StreamSession {
         let mut buf = KvBuf::new();
         {
             struct RouteEmitter<'a> {
-                partitioner: &'a dyn crate::job::Partitioner,
+                partitioner: HashPartitioner,
                 reducers: usize,
                 buf: &'a mut KvBuf,
             }
@@ -229,7 +229,7 @@ impl StreamSession {
                 }
             }
             let mut emitter = RouteEmitter {
-                partitioner: self.job.partitioner.as_ref(),
+                partitioner: HashPartitioner::default(),
                 reducers: self.groupers.len(),
                 buf: &mut buf,
             };

@@ -206,13 +206,13 @@ mod tests {
         registry
     }
 
-    /// A `HashCombine` attempt ships nothing itself, so it has no ratio of
+    /// A combining hash attempt ships nothing itself, so it has no ratio of
     /// its own to observe: the per-task histogram must not record a 0.0
     /// for it. The table's flush observes the ratio that is true.
     #[test]
     fn attempts_folded_into_a_combine_table_observe_no_ratio_of_their_own() {
         let l: &[(&str, &str)] = &[("stage", "ratio")];
-        let registry = run(MapSideMode::HashCombine);
+        let registry = run(MapSideMode::Hash);
         let per_task = registry
             .histogram(names::ENGINE_COMBINE_RATIO, l)
             .snapshot();

@@ -83,7 +83,7 @@ pub trait SegmentSink: Send + Sync {
 
 /// Named job specs a worker process can instantiate.
 ///
-/// A [`JobSpec`] carries closures (map function, aggregator, partitioner)
+/// A [`JobSpec`] carries closures (map function, aggregator)
 /// and therefore cannot travel over the wire. Instead, both sides agree on
 /// a job *name*: the coordinator ships the name plus the travelling rows
 /// of [`crate::knobs::KNOBS`] as text pairs, and the worker rebuilds the

@@ -162,8 +162,10 @@ impl SegmentSink for TcpSink {
         });
     }
 
+    /// Sever the connection: the coordinator's worker-loss path fails
+    /// this worker's in-flight attempts and re-homes its partitions.
     fn abort(&self) {
-        let _ = self.conn.send(&Frame::Abort);
+        self.conn.shutdown();
     }
 
     fn input_exhausted(&self, _total_map_tasks: usize) {

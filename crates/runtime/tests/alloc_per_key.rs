@@ -23,7 +23,6 @@ use onepass_core::memory::MemoryBudget;
 use onepass_core::{KvBuf, SegmentBuf};
 use onepass_groupby::sink::CountingSink;
 use onepass_groupby::{FreqHashGrouper, GroupBy, SortMergeGrouper, SumAgg};
-use onepass_runtime::job::HashPartitioner;
 use onepass_runtime::WorkerCombiner;
 
 const KEYS: usize = 50_000;
@@ -115,8 +114,7 @@ fn the_combiner_folds_new_keys_without_allocating_per_key() {
         buf.push(0, &key(i), &1u64.to_le_bytes());
     }
     let mut combiner = WorkerCombiner::new(4, MemoryBudget::unlimited());
-    let partitioner = HashPartitioner::default();
-    let n = allocations_during(|| combiner.fold_task(0, 0, &buf, &partitioner, &SumAgg));
+    let n = allocations_during(|| combiner.fold_task(0, 0, &buf, &SumAgg));
     assert_few("fold_task", n);
 }
 

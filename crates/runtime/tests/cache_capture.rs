@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use onepass_core::fault::FaultPlan;
 use onepass_groupby::{EmitKind, SumAgg};
+use onepass_runtime::job::HashPartitioner;
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 
@@ -74,11 +75,11 @@ fn plan(downstream: bool) -> Plan {
 type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// The recipe the capture applied to a stage's collected finals: route by
-/// the job's partitioner, sort each partition by key.
+/// the engine's hash partitioner, sort each partition by key.
 fn routed_and_sorted(job: &JobSpec, finals: &Pairs) -> Vec<Pairs> {
     let mut parts = vec![Vec::new(); job.reducers];
     for (k, v) in finals {
-        parts[job.partitioner.partition(k, job.reducers)].push((k.clone(), v.clone()));
+        parts[HashPartitioner::default().partition(k, job.reducers)].push((k.clone(), v.clone()));
     }
     for p in &mut parts {
         p.sort();

@@ -6,11 +6,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use onepass_groupby::{EmitKind, SumAgg};
+use onepass_groupby::{Aggregator, EmitKind, ListAgg, SumAgg};
 use onepass_runtime::map_task::Split;
-use onepass_runtime::{
-    Combine, Engine, JobSpec, MapEmitter, MapSideMode, ReduceBackend, ShuffleMode,
-};
+use onepass_runtime::{Engine, JobSpec, MapEmitter, MapSideMode, ReduceBackend, ShuffleMode};
 use proptest::prelude::*;
 
 fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
@@ -44,7 +42,7 @@ fn mk_backend(tag: u8) -> ReduceBackend {
             merge_factor: 3,
             snapshots: vec![],
         },
-        1 => ReduceBackend::HybridHash { fanout: 4 },
+        1 => ReduceBackend::HybridHash,
         2 => ReduceBackend::IncHash { early: None },
         _ => ReduceBackend::FreqHash,
     }
@@ -67,21 +65,22 @@ proptest! {
     fn engine_matches_reference_under_any_configuration(
         records in docs(),
         backend_tag in backend_strategy(),
-        map_side_tag in 0u8..3,
+        hash_map_side in any::<bool>(),
         push in any::<bool>(),
         granularity in 1usize..64,
         reducers in 1usize..5,
         per_split in 1usize..20,
         budget_kb in 1usize..64,
-        combine in any::<bool>(),
+        // A sum combines on either map side; a list cannot, so the hash
+        // map side only partitions it. A list's length is the count.
+        combinable in any::<bool>(),
     ) {
-        let map_side = match map_side_tag {
-            0 => MapSideMode::SortSpill,
-            1 => MapSideMode::HashPartitionOnly,
-            _ => MapSideMode::HashCombine,
+        let map_side = if hash_map_side {
+            MapSideMode::Hash
+        } else {
+            MapSideMode::SortSpill
         };
-        // HashCombine requires combine to be on.
-        let combine = combine || map_side == MapSideMode::HashCombine;
+        let agg: Arc<dyn Aggregator> = if combinable { Arc::new(SumAgg) } else { Arc::new(ListAgg) };
         let shuffle = if push {
             ShuffleMode::Push { granularity }
         } else {
@@ -89,12 +88,11 @@ proptest! {
         };
         let job = JobSpec::builder("prop-wc")
             .map_fn(Arc::new(word_map))
-            .aggregate(Arc::new(SumAgg))
+            .aggregate(agg)
             .reducers(reducers)
             .map_side(map_side)
             .shuffle(shuffle)
             .backend(mk_backend(backend_tag))
-            .combine_mode(if combine { Combine::On } else { Combine::Off })
             .reduce_budget_bytes(budget_kb * 1024)
             .build()
             .unwrap();
@@ -110,10 +108,12 @@ proptest! {
             .iter()
             .filter(|o| o.kind == EmitKind::Final)
             .map(|o| {
-                (
-                    o.key.clone(),
-                    u64::from_le_bytes(o.value.as_slice().try_into().unwrap()),
-                )
+                let count = if combinable {
+                    u64::from_le_bytes(o.value.as_slice().try_into().unwrap())
+                } else {
+                    ListAgg::decode(&o.value).len() as u64
+                };
+                (o.key.clone(), count)
             })
             .collect();
         let expect = reference(&records);

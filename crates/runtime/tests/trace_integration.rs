@@ -11,7 +11,7 @@ use onepass_core::metrics::{Phase, PHASE};
 use onepass_core::trace::{chrome_trace_json, complete_spans, TraceEvent, Tracer, LANE};
 use onepass_groupby::SumAgg;
 use onepass_runtime::driver::EngineConfig;
-use onepass_runtime::job::{JobSpec, JobSpecBuilder, MapEmitter, MapSideMode, ReduceBackend};
+use onepass_runtime::job::{JobSpec, JobSpecBuilder, MapEmitter, ReduceBackend};
 use onepass_runtime::map_task::Split;
 use onepass_runtime::{Engine, JobReport};
 use onepass_workloads::clickgen::{ClickGen, ClickGenConfig};
@@ -128,7 +128,7 @@ fn phase_spans_are_the_profile_on_every_preset() {
     }
 
     let (job, splits) = clicks(per_user_count::job().preset_onepass());
-    assert_eq!(job.map_side, MapSideMode::HashCombine);
+    assert!(job.hash_combines());
     let (report, events) = run_job(&job, splits);
     assert_trace_is_the_report("per-user count", &report, &events);
     assert!(report.map_profile.time(Phase::MapHash) > Duration::ZERO);

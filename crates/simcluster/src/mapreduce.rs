@@ -151,7 +151,8 @@ pub struct SimJobSpec {
     /// Multi-pass merge factor F.
     pub merge_factor: usize,
     /// Fault and straggler injection (mirrors the engine's
-    /// `RetryPolicy` / `SpeculationConfig` / `FaultPlan`).
+    /// `RetryPolicy` / `speculate` and its straggler thresholds /
+    /// `FaultPlan`).
     pub faults: SimFaults,
     /// Mirror of the engine's adaptive memory governor: pool the
     /// reducer shuffle buffers job-wide, spill only on *global*

@@ -79,7 +79,7 @@ pub fn calibrate(records: usize) -> Calibration {
     let hashjob = per_user_count::job()
         .reducers(4)
         .collect_mode(CollectOutput::Discard)
-        .map_side(MapSideMode::HashCombine)
+        .map_side(MapSideMode::Hash)
         .shuffle(ShuffleMode::Push {
             granularity: 65_536,
         })
@@ -95,7 +95,7 @@ pub fn calibrate(records: usize) -> Calibration {
     let incjob = sessionization::job()
         .reducers(4)
         .collect_mode(CollectOutput::Discard)
-        .map_side(MapSideMode::HashPartitionOnly)
+        .map_side(MapSideMode::Hash)
         .shuffle(ShuffleMode::Push {
             granularity: 65_536,
         })

@@ -322,7 +322,7 @@ fn run_join(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usize,
     });
     let clicks = gen.text_records(n.records);
     let users = join::user_records(n.users);
-    let joined = join::run_join(engine, cache, &users, &clicks, n.reducers, 8, &n.plan)?;
+    let joined = join::run_join(engine, cache, &users, &clicks, n.reducers, &n.plan)?;
     let pairs = joined.iter().map(|(uid, cc, url)| {
         let value = [&cc[..], &url.to_le_bytes()].concat();
         (uid.to_string().into_bytes(), value)

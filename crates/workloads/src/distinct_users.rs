@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use onepass_groupby::DistinctAgg;
-use onepass_runtime::{Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn};
+use onepass_runtime::{JobSpec, JobSpecBuilder, MapEmitter, MapFn};
 
 use crate::clickgen::Click;
 
@@ -34,7 +34,6 @@ pub fn job(precision: u8) -> JobSpecBuilder {
     JobSpec::builder("distinct-users-per-url")
         .map_fn(Arc::new(DistinctUsersMap))
         .aggregate(Arc::new(DistinctAgg { precision }))
-        .combine_mode(Combine::On)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use onepass_core::error::Result;
 use onepass_groupby::{Aggregator, StateBuf, SumAgg};
-use onepass_runtime::{Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn, PairMap, Plan};
+use onepass_runtime::{JobSpec, JobSpecBuilder, MapEmitter, MapFn, PairMap, Plan};
 
 use crate::docgen::parse_doc;
 
@@ -106,7 +106,6 @@ pub fn job() -> JobSpecBuilder {
     JobSpec::builder("inverted-index")
         .map_fn(Arc::new(IndexMap))
         .aggregate(Arc::new(PostingListAgg))
-        .combine_mode(Combine::Off)
 }
 
 /// Count the distinct documents in a finished posting list. The list is
@@ -250,7 +249,6 @@ mod tests {
                     &PlanConfig {
                         mode,
                         records_per_split: 16,
-                        ..Default::default()
                     },
                 )
                 .unwrap();

@@ -101,13 +101,13 @@ pub fn build_plan(reducers: usize) -> Result<Plan> {
 /// The probe-side plan: one hybrid-hash stage joining click records
 /// against the cached (aligned) build partitions. `reducers` must match
 /// [`build_plan`]'s for the alignment to hold.
-pub fn join_plan(reducers: usize, fanout: usize) -> Result<Plan> {
+pub fn join_plan(reducers: usize) -> Result<Plan> {
     let job = JobSpec::builder("join")
         .map_fn(Arc::new(JoinMap))
         .aggregate(Arc::new(JoinAgg))
         .reducers(reducers)
         .preset_onepass()
-        .backend(ReduceBackend::HybridHash { fanout })
+        .backend(ReduceBackend::HybridHash)
         .build()?;
     let mut b = Plan::builder();
     let s = b.add_stage(job);
@@ -126,7 +126,6 @@ pub fn run_join(
     users: &[Vec<u8>],
     clicks: &[Vec<u8>],
     reducers: usize,
-    fanout: usize,
     cfg: &PlanConfig,
 ) -> Result<Joined> {
     engine.run_plan_with_cache(
@@ -136,7 +135,7 @@ pub fn run_join(
         Some(cache),
     )?;
     let report = engine.run_plan_with_cache(
-        &join_plan(reducers, fanout)?,
+        &join_plan(reducers)?,
         make_splits(clicks.to_vec(), 256),
         cfg,
         Some(cache),
@@ -218,16 +217,8 @@ mod tests {
         for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
             let engine = Engine::new();
             let cache = DatasetCache::new(CacheConfig::default());
-            let got = run_join(
-                &engine,
-                &cache,
-                &users,
-                &clicks,
-                3,
-                4,
-                &PlanConfig::new(mode),
-            )
-            .unwrap();
+            let got =
+                run_join(&engine, &cache, &users, &clicks, 3, &PlanConfig::new(mode)).unwrap();
             assert_eq!(got, want, "{mode:?}");
             assert!(cache.stats().hits > 0, "{mode:?}: probe read cached build");
         }
@@ -256,7 +247,6 @@ mod tests {
                 &users,
                 &clicks,
                 reducers,
-                4,
                 &PlanConfig::default(),
             )
             .unwrap();

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use onepass_groupby::SumAgg;
-use onepass_runtime::{Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn};
+use onepass_runtime::{JobSpec, JobSpecBuilder, MapEmitter, MapFn};
 
 use crate::clickgen::Click;
 
@@ -24,12 +24,12 @@ impl MapFn for PageFreqMapText {
     }
 }
 
-/// Job builder preset: page-frequency over text click logs, combine on.
+/// Job builder preset: page-frequency over text click logs (a sum, so the
+/// map side combines).
 pub fn job() -> JobSpecBuilder {
     JobSpec::builder("page-frequency")
         .map_fn(Arc::new(PageFreqMapText))
         .aggregate(Arc::new(SumAgg))
-        .combine_mode(Combine::On)
 }
 
 /// Decode a final count value.

@@ -8,28 +8,19 @@
 //! them into the adjacency in place at the round boundary (the
 //! "Schimmy" pattern: state that does not move is never re-sent).
 //!
-//! The uncached baseline is what the same loop costs as a chain of
-//! independent jobs: every round's state — ranks *and* adjacency — is
-//! serialized to text records on a file-backed store, read back, text
-//! parsed, and pushed through the full map/shuffle/reduce path, the way
-//! Hadoop chains iterative jobs through HDFS.
-//!
 //! All arithmetic is fixed-point `u64` at [`SCALE`] with damping
-//! 85/100, so results are byte-identical regardless of execution mode,
-//! reduction order, or cached-vs-uncached path — the property
-//! `exp_iterative` asserts against [`reference()`].
+//! 85/100, so results are byte-identical regardless of execution mode or
+//! reduction order, and equal to the pure-Rust [`reference()`]'s.
 //!
 //! Graph encoding (text records): `"<src>\t<dst>,<dst>,..."`, one line
 //! per node; every node has at least one out-edge. Cached state per
 //! node: key = `u32` LE node id, value =
-//! `[u64 rank LE][u32 deg LE][u32 dst LE]*deg`. Uncached inter-round
-//! text: `"<node>\t<rank>\t<dst>,<dst>,..."`.
+//! `[u64 rank LE][u32 deg LE][u32 dst LE]*deg`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use onepass_core::error::{Error, Result};
-use onepass_core::io::{FileSpillStore, SpillStore};
 use onepass_core::{SegmentBuf, SegmentBufBuilder};
 use onepass_groupby::{Aggregator, FirstAgg, StateBuf};
 use onepass_runtime::{
@@ -52,9 +43,6 @@ pub const RANKS_DATASET: &str = "pagerank-ranks";
 /// Per-round scratch dataset: the freshly reduced 8-byte ranks, merged
 /// into [`RANKS_DATASET`] (and dropped) at each round boundary.
 const NEW_RANKS_DATASET: &str = "pagerank-ranks-new";
-
-const TAG_CONTRIB: u8 = 0;
-const TAG_ADJ: u8 = 1;
 
 /// Deterministic synthetic graph spec.
 #[derive(Debug, Clone, Copy)]
@@ -123,15 +111,6 @@ fn parse_graph_line(record: &[u8]) -> Option<(u32, Vec<u32>)> {
     let (src, rest) = std::str::from_utf8(record).ok()?.split_once('\t')?;
     let dsts = rest.split(',').map(|d| d.parse().ok());
     Some((src.parse().ok()?, dsts.collect::<Option<_>>()?))
-}
-
-/// Parse `"<node>\t<rank>\t<dst>,<dst>,..."`; `None` for anything else.
-fn parse_state_line(record: &[u8]) -> Option<(u32, u64, Vec<u32>)> {
-    let mut it = std::str::from_utf8(record).ok()?.split('\t');
-    let node = it.next()?.parse().ok()?;
-    let rank = it.next()?.parse().ok()?;
-    let dsts = it.next()?.split(',').map(|d| d.parse().ok());
-    Some((node, rank, dsts.collect::<Option<_>>()?))
 }
 
 /// A record a map function here cannot parse fails its task (the
@@ -217,88 +196,6 @@ impl Aggregator for RankAgg {
     }
 }
 
-/// The uncached round's map: parse a `"<node>\t<rank>\t<dst>,..."` text
-/// state record, fan out contributions, and carry the adjacency forward
-/// through the shuffle — without a cache the next round can only get it
-/// from this round's output.
-struct CarryContribMap;
-
-impl MapFn for CarryContribMap {
-    fn map(&self, record: &[u8], out: &mut dyn MapEmitter) {
-        let Some((node, rank, dsts)) = parse_state_line(record) else {
-            malformed("state", record)
-        };
-        let mut cv = [0u8; 9];
-        cv[0] = TAG_CONTRIB;
-        cv[1..].copy_from_slice(&contribution(rank, dsts.len()).to_le_bytes());
-        for d in &dsts {
-            out.emit(&d.to_le_bytes(), &cv);
-        }
-        let mut adj = Vec::with_capacity(5 + dsts.len() * 4);
-        adj.push(TAG_ADJ);
-        adj.extend_from_slice(&(dsts.len() as u32).to_le_bytes());
-        for d in &dsts {
-            adj.extend_from_slice(&d.to_le_bytes());
-        }
-        out.emit(&node.to_le_bytes(), &adj);
-    }
-}
-
-fn tagged_parts(value: &[u8]) -> (u64, &[u8]) {
-    match value[0] {
-        TAG_CONTRIB => (u64::from_le_bytes(le_bytes(value, 1)), &[]),
-        _ => (0, &value[1..]),
-    }
-}
-
-/// The uncached round's fold: sum tagged contributions, keep the
-/// adjacency, finish to the next round's full state
-/// `[base + Σcontrib][adjacency]`.
-#[derive(Debug, Clone, Copy)]
-struct CarryRankAgg {
-    base: u64,
-}
-
-impl CarryRankAgg {
-    /// Add `sum` to the state's leading word, and adopt `adj` as its
-    /// adjacency if it has none yet.
-    fn add(state: &mut StateBuf, sum: u64, adj: &[u8]) {
-        let n = u64::from_le_bytes(le_bytes(state, 0)) + sum;
-        state[..8].copy_from_slice(&n.to_le_bytes());
-        if state.len() == 8 {
-            state.extend_from_slice(adj);
-        }
-    }
-}
-
-impl Aggregator for CarryRankAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
-        let (sum, adj) = tagged_parts(value);
-        let mut st = StateBuf::from_slice(&sum.to_le_bytes());
-        st.extend_from_slice(adj);
-        st
-    }
-
-    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
-        let (sum, adj) = tagged_parts(value);
-        Self::add(state, sum, adj);
-    }
-
-    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
-        Self::add(state, u64::from_le_bytes(le_bytes(other, 0)), &other[8..]);
-    }
-
-    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
-        let sum = u64::from_le_bytes(le_bytes(state, 0));
-        out.extend_from_slice(&(self.base + sum).to_le_bytes());
-        out.extend_from_slice(&state[8..]);
-    }
-
-    fn combinable(&self) -> bool {
-        true
-    }
-}
-
 fn parse_job(nodes: usize, reducers: usize) -> Result<JobSpec> {
     JobSpec::builder("pagerank-parse")
         .map_fn(Arc::new(ParseGraphMap {
@@ -321,18 +218,7 @@ fn rank_job(nodes: usize, reducers: usize) -> Result<JobSpec> {
         .build()
 }
 
-fn carry_job(nodes: usize, reducers: usize) -> Result<JobSpec> {
-    JobSpec::builder("pagerank-round")
-        .map_fn(Arc::new(CarryContribMap))
-        .aggregate(Arc::new(CarryRankAgg {
-            base: base_rank(nodes),
-        }))
-        .reducers(reducers)
-        .preset_onepass()
-        .build()
-}
-
-/// Knobs shared by the cached and uncached drivers.
+/// Knobs of the cached driver (and of the reference's stopping rule).
 #[derive(Debug, Clone)]
 pub struct PageRankConfig {
     /// Node count (must match the record set).
@@ -379,20 +265,6 @@ fn ranks_of<'a>(pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) -> Ranks 
         .collect();
     out.sort_unstable();
     out
-}
-
-/// Borrow a round's owned `(key, value)` state as slice pairs.
-fn pairs(state: &[(Vec<u8>, Vec<u8>)]) -> impl Iterator<Item = (&[u8], &[u8])> {
-    state.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
-}
-
-fn converged(prev: &HashMap<u32, u64>, cur: &Ranks, eps: Option<u64>) -> bool {
-    match eps {
-        None => false,
-        Some(eps) => cur
-            .iter()
-            .all(|&(n, r)| prev.get(&n).is_some_and(|&p| r.abs_diff(p) <= eps)),
-    }
 }
 
 /// Dataset `name`'s partitions, which a round before this one cached.
@@ -490,92 +362,6 @@ pub fn run_cached(
     ))
 }
 
-fn state_to_text(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let node = u32::from_le_bytes(le_bytes(key, 0));
-    let (rank, dsts) = state_parts(value);
-    let dsts: Vec<String> = dsts
-        .chunks_exact(4)
-        .map(|d| u32::from_le_bytes(le_bytes(d, 0)).to_string())
-        .collect();
-    format!("{node}\t{rank}\t{}", dsts.join(",")).into_bytes()
-}
-
-/// Serialize a round's full state as text records on the store — the
-/// job-output write every chained round pays without a cache.
-fn write_state_run(
-    store: &FileSpillStore,
-    state: &[(Vec<u8>, Vec<u8>)],
-) -> Result<onepass_core::io::RunId> {
-    let mut w = store.begin_run()?;
-    for (k, v) in state {
-        w.write_record(b"", &state_to_text(k, v))?;
-    }
-    Ok(w.finish()?.id)
-}
-
-/// The uncached baseline: identical math, but the loop is a chain of
-/// independent jobs — each round's state (ranks *and* adjacency) is
-/// serialized to text records on a [`FileSpillStore`], read back,
-/// re-parsed, re-split, and re-shuffled by the next round, the way
-/// Hadoop chains iterative jobs through HDFS.
-pub fn run_uncached(
-    engine: &Engine,
-    records: &[Vec<u8>],
-    cfg: &PageRankConfig,
-) -> Result<(Ranks, usize)> {
-    let store = FileSpillStore::temp()?;
-    let splits = make_splits(records.to_vec(), cfg.records_per_split);
-    let plan0 = {
-        let mut b = Plan::builder();
-        b.add_stage(parse_job(cfg.nodes, cfg.reducers)?);
-        b.build()?
-    };
-    let report = engine.run_plan(&plan0, splits, &cfg.plan)?;
-    let mut state: Vec<(Vec<u8>, Vec<u8>)> = report.sorted_final_outputs();
-    let mut prev: HashMap<u32, u64> = match cfg.eps {
-        Some(_) => ranks_of(pairs(&state)).into_iter().collect(),
-        None => HashMap::new(),
-    };
-    let mut rounds = 1;
-    for _ in 1..cfg.rounds.max(1) {
-        // Round boundary: this round's output goes to the store, the
-        // next round starts by reading and re-parsing it.
-        let run = write_state_run(&store, &state)?;
-        let mut reader = store.open_run(run)?;
-        let mut lines = Vec::with_capacity(state.len());
-        while let Some(rec) = reader.next_record()? {
-            lines.push(rec.value.to_vec());
-        }
-        drop(reader);
-        store.delete_run(run)?;
-        let plan = {
-            let mut b = Plan::builder();
-            b.add_stage(carry_job(cfg.nodes, cfg.reducers)?);
-            b.build()?
-        };
-        let input = make_splits(lines, cfg.records_per_split);
-        let report = engine.run_plan(&plan, input, &cfg.plan)?;
-        state = report.sorted_final_outputs();
-        rounds += 1;
-        let done = match cfg.eps {
-            None => false,
-            Some(_) => {
-                let cur = ranks_of(pairs(&state));
-                let done = converged(&prev, &cur, cfg.eps);
-                prev = cur.into_iter().collect();
-                done
-            }
-        };
-        if done {
-            break;
-        }
-    }
-    // The chain's final job writes its output like every other round.
-    let run = write_state_run(&store, &state)?;
-    store.delete_run(run)?;
-    Ok((ranks_of(pairs(&state)), rounds))
-}
-
 /// Pure-Rust reference: the same fixed-point iteration, single-threaded.
 /// Returns final ranks and rounds run under the same stopping rule. A
 /// contribution to a node that is no record's source is dropped, as the
@@ -624,7 +410,7 @@ mod tests {
     use onepass_runtime::{CacheConfig, PlanMode};
 
     #[test]
-    fn cached_uncached_and_reference_agree_byte_for_byte() {
+    fn cached_and_reference_agree_byte_for_byte() {
         let gcfg = GraphConfig {
             nodes: 64,
             max_out: 5,
@@ -644,17 +430,15 @@ mod tests {
             cfg.plan = PlanConfig::new(mode);
             let engine = Engine::new();
             let cache = DatasetCache::new(CacheConfig::default());
-            let (cached, r1) = run_cached(&engine, &cache, &records, &cfg).unwrap();
-            let (uncached, r2) = run_uncached(&engine, &records, &cfg).unwrap();
+            let (cached, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
             assert_eq!(cached, want, "{mode:?} cached vs reference");
-            assert_eq!(uncached, want, "{mode:?} uncached vs reference");
-            assert_eq!((r1, r2), (want_rounds, want_rounds), "{mode:?}");
+            assert_eq!(rounds, want_rounds, "{mode:?}");
             assert!(cache.stats().hits > 0, "{mode:?}: rounds fed from cache");
         }
     }
 
     #[test]
-    fn eps_cutoff_stops_early_and_all_paths_agree_on_rounds() {
+    fn eps_cutoff_stops_early_and_agrees_with_the_reference_on_rounds() {
         let gcfg = GraphConfig::default();
         let records = graph_records(gcfg);
         let mut cfg = PageRankConfig::new(gcfg.nodes);
@@ -667,11 +451,6 @@ mod tests {
         let cache = DatasetCache::new(CacheConfig::default());
         let (cached, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
         assert_eq!(cached, want);
-        assert_eq!(rounds, want_rounds);
-
-        let engine = Engine::new();
-        let (uncached, rounds) = run_uncached(&engine, &records, &cfg).unwrap();
-        assert_eq!(uncached, want);
         assert_eq!(rounds, want_rounds);
     }
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use onepass_groupby::SumAgg;
-use onepass_runtime::{Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn};
+use onepass_runtime::{JobSpec, JobSpecBuilder, MapEmitter, MapFn};
 
 use crate::clickgen::Click;
 
@@ -22,12 +22,12 @@ impl MapFn for PerUserMapText {
     }
 }
 
-/// Job builder preset: per-user counting over text logs, combine on.
+/// Job builder preset: per-user counting over text logs (a sum, so the
+/// map side combines).
 pub fn job() -> JobSpecBuilder {
     JobSpec::builder("per-user-count")
         .map_fn(Arc::new(PerUserMapText))
         .aggregate(Arc::new(SumAgg))
-        .combine_mode(Combine::On)
 }
 
 #[cfg(test)]

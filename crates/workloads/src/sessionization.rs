@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use onepass_groupby::{Aggregator, StateBuf};
-use onepass_runtime::{Combine, JobSpec, JobSpecBuilder, MapEmitter, MapFn};
+use onepass_runtime::{JobSpec, JobSpecBuilder, MapEmitter, MapFn};
 
 use crate::clickgen::Click;
 
@@ -137,7 +137,6 @@ pub fn job() -> JobSpecBuilder {
     JobSpec::builder("sessionization")
         .map_fn(Arc::new(SessionizeMapText))
         .aggregate(Arc::new(SessionizeAgg::default()))
-        .combine_mode(Combine::Off)
 }
 
 #[cfg(test)]

@@ -282,7 +282,6 @@ mod tests {
                     &PlanConfig {
                         mode,
                         records_per_split: 64,
-                        ..Default::default()
                     },
                 )
                 .unwrap();

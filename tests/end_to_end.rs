@@ -100,14 +100,14 @@ fn sessionization_agrees_across_backends_and_memory_pressure() {
 
     // Constrained memory + hash backends must produce identical sessions.
     for backend in [
-        ReduceBackend::HybridHash { fanout: 4 },
+        ReduceBackend::HybridHash,
         ReduceBackend::IncHash { early: None },
         ReduceBackend::FreqHash,
     ] {
         let label = backend.label();
         let job = sessionization::job()
             .reducers(2)
-            .map_side(MapSideMode::HashPartitionOnly)
+            .map_side(MapSideMode::Hash)
             .backend(backend)
             .reduce_budget_bytes(64 * 1024)
             .build()
@@ -238,7 +238,7 @@ fn avg_session_gap_via_algebraic_aggregate() {
         .preset_onepass()
         .build()
         .unwrap();
-    assert_eq!(job.map_side, MapSideMode::HashCombine, "AVG is combinable");
+    assert!(job.hash_combines(), "AVG is combinable");
     let report = Engine::new().run(&job, make_splits(records, 500)).unwrap();
     let got = final_map(&report);
     assert_eq!(got.len(), sums.len());

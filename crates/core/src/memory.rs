@@ -194,8 +194,16 @@ impl MemoryBudget {
                 return false;
             }
         }
-        self.inner.high_water.fetch_max(new, Ordering::Relaxed);
+        self.raise_high_water(new);
         true
+    }
+
+    /// Raise `high_water` to `used`: a read-modify-write only when `used`
+    /// is above it, which on a budget past its peak is never.
+    fn raise_high_water(&self, used: usize) {
+        if used > self.inner.high_water.load(Ordering::Relaxed) {
+            self.inner.high_water.fetch_max(used, Ordering::Relaxed);
+        }
     }
 
     /// Like [`MemoryBudget::try_grant`], but a leased budget that fails
@@ -271,7 +279,7 @@ impl MemoryBudget {
     /// memory managers.
     pub fn force_grant(&self, bytes: usize) {
         let new = self.inner.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.inner.high_water.fetch_max(new, Ordering::Relaxed);
+        self.raise_high_water(new);
         if let Some(parent) = &self.inner.parent {
             parent.force_grant(bytes);
         }

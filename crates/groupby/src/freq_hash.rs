@@ -79,7 +79,7 @@ use onepass_sketch::MisraGries;
 
 use crate::aggregate::{le_u64, render, Aggregator};
 use crate::hybrid_hash::{
-    charge_resize, io_since, spill_entries, split_tagged, state_cost, write_tagged,
+    io_since, resize, settle, spill_entries, split_tagged, state_cost, write_tagged,
     HybridHashGrouper, TAG_RAW, TAG_STATE,
 };
 use crate::sink::{EmitKind, OpStats, Sink};
@@ -181,7 +181,11 @@ pub struct FreqHashGrouper {
     states: FpTable<Resident>,
     /// The buffer every answer is rendered in, reused from key to key.
     out: Vec<u8>,
+    /// Bytes reserved for `states`: granted from the budget, but for
+    /// `unsettled`.
     reserved: usize,
+    /// In-place growth not yet charged to the budget ([`resize`]).
+    unsettled: usize,
     peak_reserved: usize,
     cold: Option<ColdRuns>,
     /// Hit count of the hottest resident the last eviction round spilled;
@@ -263,6 +267,7 @@ impl FreqHashGrouper {
             states: FpTable::new(),
             out: Vec::new(),
             reserved: 0,
+            unsettled: 0,
             peak_reserved: 0,
             cold: None,
             cold_threshold: 0,
@@ -302,7 +307,13 @@ impl FreqHashGrouper {
         let before = resident.state.len();
         self.agg.update(key, &mut resident.state, value);
         let after = resident.state.len();
-        charge_resize(&self.budget, &mut self.reserved, before, after);
+        resize(
+            &self.budget,
+            &mut self.reserved,
+            &mut self.unsettled,
+            before,
+            after,
+        );
         self.peak_reserved = self.peak_reserved.max(self.reserved);
         if let Some(policy) = &self.early {
             self.early_emits += emit_if_ready(
@@ -330,13 +341,14 @@ impl FreqHashGrouper {
         // every cold record — this fails before `init` allocates a state.
         // Escalates to the governor (if leased) before the hotness gate
         // decides between eviction and cold spill. The state itself is
-        // charged like in-place growth: softly.
+        // charged like in-place growth: softly, at the next settle.
         let fixed = key.len() + ENTRY_OVERHEAD;
+        settle(&self.budget, &mut self.unsettled);
         if !self.budget.try_grant_or_request(fixed) {
             return false;
         }
         let state = self.agg.init(key, value);
-        self.budget.force_grant(state.len());
+        self.unsettled += state.len();
         self.reserved += fixed + state.len();
         self.peak_reserved = self.peak_reserved.max(self.reserved);
         if let Some(policy) = &self.early {
@@ -366,6 +378,7 @@ impl FreqHashGrouper {
     /// first, until `target_bytes` are free, and move the cold threshold
     /// to the hottest state spilled. Returns the bytes freed.
     fn evict_bytes(&mut self, target_bytes: usize) -> Result<usize> {
+        settle(&self.budget, &mut self.unsettled);
         let mut ranked: Vec<(u64, &[u8], usize)> = self
             .states
             .iter()
@@ -476,6 +489,7 @@ impl FreqHashGrouper {
             self.write_cold(fp, key, &r.state, TAG_STATE)?;
             Ok(true)
         })?;
+        settle(&self.budget, &mut self.unsettled);
         self.budget.release(self.reserved);
         self.reserved = 0;
         Ok(())
@@ -522,11 +536,12 @@ impl GroupBy for FreqHashGrouper {
         // Grouping time is read once per batch, never per record.
         let t = Stamp::start(Phase::ReduceGroup);
         self.records_in += batch.len() as u64;
-        for (key, value) in batch.iter() {
-            self.push_one(key, value, sink)?;
-        }
+        let pushed = batch
+            .iter()
+            .try_for_each(|(key, value)| self.push_one(key, value, sink));
+        settle(&self.budget, &mut self.unsettled);
         t.stop(&mut self.profile, &mut self.trace);
-        Ok(())
+        pushed
     }
 
     fn shed(&mut self, target_bytes: usize) -> Result<usize> {
@@ -777,6 +792,33 @@ mod tests {
                     .collect()
             };
             assert_eq!(sorted(out), sorted(fit_out), "{name}");
+        }
+    }
+
+    #[test]
+    fn the_budget_holds_what_the_operator_reserved_after_every_batch() {
+        // In-place growth is charged once per batch, not per record, so
+        // between batches the budget must hold every byte the operator
+        // reserved: with room to spare, and evicting and spilling.
+        let recs = hot_and_singletons(4000);
+        for (name, make) in SPELLINGS {
+            for limit in [usize::MAX / 2, 4096] {
+                let budget = MemoryBudget::new(limit);
+                let mut g = make(
+                    Arc::new(SharedMemStore::new()),
+                    budget.clone(),
+                    Arc::new(ListAgg),
+                );
+                let mut sink = VecSink::default();
+                for chunk in recs.chunks(97) {
+                    g.push_batch(&SegmentBuf::from_pairs(pairs(chunk)), &mut sink)
+                        .unwrap();
+                    assert_eq!(budget.used(), g.reserved, "{name}, {limit}-byte budget");
+                }
+                assert_eq!(g.spills > 0, limit == 4096, "{name}");
+                g.finish(&mut sink).unwrap();
+                assert_eq!(budget.used(), 0, "{name}, {limit}-byte budget");
+            }
         }
     }
 

@@ -44,22 +44,37 @@ pub(crate) fn state_cost(key: &[u8], state: &[u8]) -> usize {
     key.len() + state.len() + ENTRY_OVERHEAD
 }
 
-/// Settle the budget after an in-place `update`/`merge` took a resident
-/// state from `before` to `after` bytes. Growth must not fail mid-update,
-/// so it is force-charged (soft limit); the overshoot makes the next new
-/// key take the operator's spill path.
-pub(crate) fn charge_resize(
+/// Account an in-place `update`/`merge` that took a resident state from
+/// `before` to `after` bytes. Growth must not fail mid-update, so it is
+/// charged softly; and it is charged once per batch, not per record: it
+/// joins `reserved` and `unsettled`, which [`settle`] force-grants at the
+/// end of the batch and before the operator next reads or asks its
+/// budget. A shrink cancels unsettled growth first and releases the rest.
+/// The overshoot makes the next new key take the operator's spill path.
+pub(crate) fn resize(
     budget: &MemoryBudget,
     reserved: &mut usize,
+    unsettled: &mut usize,
     before: usize,
     after: usize,
 ) {
     if after > before {
-        budget.force_grant(after - before);
         *reserved += after - before;
+        *unsettled += after - before;
     } else if before > after {
-        budget.release(before - after);
-        *reserved -= before - after;
+        let shrink = before - after;
+        let cancelled = shrink.min(*unsettled);
+        *unsettled -= cancelled;
+        budget.release(shrink - cancelled);
+        *reserved -= shrink;
+    }
+}
+
+/// Force-grant the growth [`resize`] left unsettled: afterwards the
+/// budget holds everything the operator reserved.
+pub(crate) fn settle(budget: &MemoryBudget, unsettled: &mut usize) {
+    if *unsettled > 0 {
+        budget.force_grant(std::mem::take(unsettled));
     }
 }
 
@@ -145,8 +160,11 @@ pub struct HybridHashGrouper {
     resident: FpTable<StateBuf>,
     /// The buffer every answer is rendered in, reused from key to key.
     out: Vec<u8>,
-    /// Bytes granted from the budget for `resident`.
+    /// Bytes reserved for `resident`: granted from the budget, but for
+    /// `unsettled`.
     reserved: usize,
+    /// In-place growth not yet charged to the budget ([`resize`]).
+    unsettled: usize,
     peak_reserved: usize,
     /// `None` until the first partition event; afterwards one writer per
     /// bucket: index 0 holds the *overflow* of bucket-0 keys that could
@@ -221,6 +239,7 @@ impl HybridHashGrouper {
             resident: FpTable::new(),
             out: Vec::new(),
             reserved: 0,
+            unsettled: 0,
             peak_reserved: 0,
             spill: None,
             scratch: Vec::new(),
@@ -250,7 +269,13 @@ impl HybridHashGrouper {
                 TAG_RAW => self.agg.update(key, state, payload),
                 _ => self.agg.merge(key, state, payload),
             }
-            charge_resize(&self.budget, &mut self.reserved, before, state.len());
+            resize(
+                &self.budget,
+                &mut self.reserved,
+                &mut self.unsettled,
+                before,
+                state.len(),
+            );
             self.peak_reserved = self.peak_reserved.max(self.reserved);
             return Ok(true);
         }
@@ -267,6 +292,7 @@ impl HybridHashGrouper {
         // subscribed shared pool a denied first key would re-spill a
         // single-key bucket unchanged, level after level, until the
         // depth cap trips.
+        settle(&self.budget, &mut self.unsettled);
         if !self.budget.try_grant_or_request(cost) {
             if !self.resident.is_empty() {
                 return Ok(false);
@@ -296,6 +322,7 @@ impl HybridHashGrouper {
         &mut self,
         mut pick: impl FnMut(&mut Self, u64, &[u8], &[u8]) -> Option<usize>,
     ) -> Result<()> {
+        settle(&self.budget, &mut self.unsettled);
         let mut resident = std::mem::take(&mut self.resident);
         let result = spill_entries(&mut resident, |fp, key, state| {
             let Some(bucket) = pick(self, fp, key, state) else {
@@ -375,6 +402,7 @@ impl HybridHashGrouper {
     /// once.
     fn emit_resident(&mut self, sink: &mut dyn Sink) -> Result<()> {
         let t = Stamp::start(Phase::ReduceFn);
+        settle(&self.budget, &mut self.unsettled);
         if !self.run0_keys.is_empty() {
             self.spill_residents(|g, fp, key, _| g.run0_keys.get(fp, key).map(|_| 0))?;
         }
@@ -393,10 +421,11 @@ impl HybridHashGrouper {
 impl GroupBy for HybridHashGrouper {
     fn push_batch(&mut self, batch: &SegmentBuf, _sink: &mut dyn Sink) -> Result<()> {
         self.records_in += batch.len() as u64;
-        for (key, value) in batch.iter() {
-            self.push_tagged(key, value, TAG_RAW)?;
-        }
-        Ok(())
+        let pushed = batch
+            .iter()
+            .try_for_each(|(key, value)| self.push_tagged(key, value, TAG_RAW));
+        settle(&self.budget, &mut self.unsettled);
+        pushed
     }
 
     fn shed(&mut self, target_bytes: usize) -> Result<usize> {
@@ -540,6 +569,32 @@ mod tests {
             "in-memory hybrid hash spills nothing"
         );
         assert_eq!(store.live_runs(), 0);
+    }
+
+    #[test]
+    fn the_budget_holds_what_the_operator_reserved_after_every_batch() {
+        // Growing list states, charged once per batch: with room to
+        // spare, and partitioned.
+        for limit in [usize::MAX / 2, 2048] {
+            let budget = MemoryBudget::new(limit);
+            let mut g = HybridHashGrouper::new(
+                Arc::new(SharedMemStore::new()),
+                budget.clone(),
+                4,
+                Arc::new(ListAgg),
+            )
+            .unwrap();
+            let mut sink = crate::sink::VecSink::default();
+            let recs = records(3000, 40);
+            for chunk in recs.chunks(97) {
+                g.push_batch(&SegmentBuf::from_pairs(pairs(chunk)), &mut sink)
+                    .unwrap();
+                assert_eq!(budget.used(), g.reserved, "{limit}-byte budget");
+            }
+            assert_eq!(g.spill.is_some(), limit == 2048);
+            g.finish(&mut sink).unwrap();
+            assert_eq!(budget.used(), 0, "{limit}-byte budget");
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@ use std::time::{Duration, Instant};
 use onepass_core::io::IoStats;
 use onepass_core::metrics::{Phase, Profile};
 use onepass_core::trace::{LocalTracer, Tracer, Track};
-use onepass_core::SegmentBuf;
+use onepass_core::{SegmentBuf, SegmentBufBuilder};
 use onepass_groupby::EmitKind;
 
 use crate::map_task::MapTaskStats;
 use crate::reduce_task::ReduceResult;
-use crate::serve::front::hex;
+use crate::serve::front::push_hex;
 
 /// What kind of task a [`TaskSpan`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -431,12 +431,47 @@ impl PlanReport {
 /// `plan --dump-out` and the serving layer share: a `key<TAB>hex(value)`
 /// line per pair (key as lossy UTF-8), lines sorted, trailing newline.
 /// Byte-equality of two dumps is how runs are compared across modes.
+///
+/// Each line is rendered once, into one buffer: the key's bytes as they
+/// are where they are UTF-8 and one U+FFFD per invalid chunk (what
+/// `String::from_utf8_lossy` writes), a tab, the value through the hex
+/// table. The engine's one key sort orders the lines as byte strings,
+/// which is the order of the lines as `String`s, and the output is
+/// assembled from `&str` slices of that buffer, so nothing re-validates
+/// it.
 pub fn dump_pairs<'a>(pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) -> String {
-    let line = |(key, value)| format!("{}\t{}", String::from_utf8_lossy(key), hex(value));
-    let mut lines: Vec<String> = pairs.into_iter().map(line).collect();
-    lines.sort();
-    lines.push(String::new()); // trailing newline
-    lines.join("\n")
+    // `text` holds the lines back to back, `ends` where each ends.
+    let mut text = String::new();
+    let mut ends = Vec::new();
+    for (key, value) in pairs {
+        // A UTF-8 key is one valid chunk, copied as it is.
+        for chunk in key.utf8_chunks() {
+            text.push_str(chunk.valid());
+            if !chunk.invalid().is_empty() {
+                text.push(char::REPLACEMENT_CHARACTER);
+            }
+        }
+        text.push('\t');
+        push_hex(&mut text, value);
+        ends.push(text.len());
+    }
+    // Each line as a key whose value is its offset in `text`, in a
+    // segment sized once the lines are known.
+    let mut lines =
+        SegmentBufBuilder::with_capacity(text.len() + ends.len() * size_of::<usize>(), ends.len());
+    let mut start = 0;
+    for end in ends {
+        lines.push(&text.as_bytes()[start..end], &start.to_le_bytes());
+        start = end;
+    }
+    let lines = lines.finish().sorted_by_key();
+    let mut out = String::with_capacity(text.len() + lines.len());
+    for (line, start) in lines.iter() {
+        let start = usize::from_le_bytes(start.try_into().expect("a line's offset is a usize"));
+        out.push_str(&text[start..start + line.len()]);
+        out.push('\n');
+    }
+    out
 }
 
 pub(crate) fn add_io(acc: &mut IoStats, other: &IoStats) {
@@ -590,6 +625,131 @@ mod tests {
         assert_eq!(plan.get("mode").and_then(Json::as_str), Some("pipelined"));
         assert_eq!(plan.get("wall_s").and_then(Json::as_f64), Some(0.25));
         assert_eq!(plan.get("first_final_s").and_then(Json::as_f64), Some(0.09));
+    }
+
+    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// The dump `dump_pairs` replaced, kept as its oracle: a `String` per
+    /// line through `format!` (the value's digits too, so the oracle
+    /// shares no code with the hex table), a comparator sort over the
+    /// `String`s, a `join`.
+    fn dump_by_strings(pairs: &Pairs) -> String {
+        let line = |(key, value): &(Vec<u8>, Vec<u8>)| {
+            let digits: String = value.iter().map(|b| format!("{b:02x}")).collect();
+            format!("{}\t{}", String::from_utf8_lossy(key), digits)
+        };
+        let mut lines: Vec<String> = pairs.iter().map(line).collect();
+        lines.sort();
+        lines.push(String::new()); // trailing newline
+        lines.join("\n")
+    }
+
+    fn dump(pairs: &Pairs) -> String {
+        dump_pairs(pairs.iter().map(|(k, v)| (&k[..], &v[..])))
+    }
+
+    /// What a dump key is drawn from: bytes below the tab, the tab and
+    /// the newline, ASCII letters, `é` (`c3 a9`), its lead byte alone, a
+    /// stray continuation byte, and bytes UTF-8 never uses.
+    const KEY_BYTES: [u8; 12] = [
+        0x00, 0x01, 0x08, b'\t', b'\n', b'a', b'b', 0xc3, 0xa9, 0x80, 0xfe, 0xff,
+    ];
+
+    fn key_bytes(picks: &[usize]) -> Vec<u8> {
+        picks.iter().map(|&i| KEY_BYTES[i]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        /// Keys are a few stems (up to ten bytes, so lines tie on their
+        /// first eight) plus a short suffix (so keys are prefixes of
+        /// keys); values are zero to two bytes; the first few pairs
+        /// repeat. Up to 40 pairs, none included.
+        #[test]
+        fn dump_pairs_is_byte_equal_to_the_string_sort_oracle(
+            stems in proptest::collection::vec(proptest::collection::vec(0..KEY_BYTES.len(), 0..10), 1..4),
+            drawn in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<usize>(),
+                    proptest::collection::vec(0..KEY_BYTES.len(), 0..4),
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3),
+                ),
+                0..40,
+            ),
+            repeats in 0..4usize,
+        ) {
+            let mut pairs: Pairs = drawn
+                .into_iter()
+                .map(|(stem, suffix, value)| {
+                    let mut key = key_bytes(&stems[stem % stems.len()]);
+                    key.extend(key_bytes(&suffix));
+                    (key, value)
+                })
+                .collect();
+            pairs.extend_from_within(..repeats.min(pairs.len()));
+            proptest::prop_assert_eq!(dump(&pairs), dump_by_strings(&pairs));
+        }
+    }
+
+    /// Each shape the property draws, spelled out (the vendored proptest
+    /// does not replay regression files).
+    #[test]
+    fn dump_pairs_is_byte_equal_to_the_oracle_case_by_case() {
+        let pairs = |keys: &[&[u8]], value: &[u8]| -> Pairs {
+            keys.iter().map(|k| (k.to_vec(), value.to_vec())).collect()
+        };
+        let cases: [(&str, Pairs); 7] = [
+            (
+                "invalid UTF-8 keys",
+                pairs(
+                    &[
+                        b"\xff",
+                        b"a\xc3",
+                        b"\xc3\xa9",
+                        b"\xe2\x82z",
+                        b"\x80\x80",
+                        b"\xf0\x9f\x98",
+                    ],
+                    b"\x01",
+                ),
+            ),
+            (
+                "bytes below the tab",
+                pairs(&[b"a\x01", b"a", b"a\t\x01", b"\x00", b"a\x08b"], b""),
+            ),
+            (
+                "keys that are prefixes of keys",
+                pairs(&[b"abc", b"ab", b"", b"abcd", b"a"], b"\x0f"),
+            ),
+            (
+                "lines that share their first eight bytes",
+                pairs(
+                    &[
+                        b"abcdefgh1",
+                        b"abcdefgh0",
+                        b"abcdefghij",
+                        b"abcdefgh",
+                        b"abcdefg",
+                    ],
+                    b"\xab",
+                ),
+            ),
+            (
+                "duplicate pairs",
+                [pairs(&[b"k", b"j"], b"\x02"), pairs(&[b"k", b"j"], b"\x02")].concat(),
+            ),
+            ("empty values", pairs(&[b"z", b"y", b"z"], b"")),
+            ("empty input", Vec::new()),
+        ];
+        for (what, pairs) in cases {
+            assert_eq!(dump(&pairs), dump_by_strings(&pairs), "{what}");
+        }
+        assert_eq!(dump(&Vec::new()), "");
+        assert_eq!(
+            dump(&pairs(&[b"b\xff", b"a"], b"\x00\xff")),
+            "a\t00ff\nb\u{fffd}\t00ff\n"
+        );
     }
 
     #[test]

@@ -30,17 +30,50 @@ use onepass_core::error::{Error, Result};
 
 use super::server::{Server, TenantEvent, TenantHandle};
 
-/// Hex-encode bytes for the wire.
-pub fn hex(bytes: &[u8]) -> String {
-    // A digit table: this runs per byte of every dump and every wire
-    // answer (tens of kilobytes a tenant), so it allocates once, not per
-    // byte.
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(char::from(DIGITS[usize::from(b >> 4)]));
-        s.push(char::from(DIGITS[usize::from(b & 0x0f)]));
+/// Every byte's two lowercase hex digits, `"00"` to `"ff"`, as `&str`s
+/// cut from one 512-byte string when the program is compiled.
+const HEX_PAIRS: [&str; 256] = {
+    const DIGITS: &[u8; 512] = &{
+        let digit = b"0123456789abcdef";
+        let mut d = [0u8; 512];
+        let mut i = 0;
+        while i < 256 {
+            d[2 * i] = digit[i >> 4];
+            d[2 * i + 1] = digit[i & 0x0f];
+            i += 1;
+        }
+        d
+    };
+    let mut table = [""; 256];
+    let mut i = 0;
+    while i < 256 {
+        let (pair, _) = DIGITS.split_at(2 * i).1.split_at(2);
+        table[i] = match std::str::from_utf8(pair) {
+            Ok(pair) => pair,
+            Err(_) => panic!("hex digits are ASCII"),
+        };
+        i += 1;
     }
+    table
+};
+
+/// Append `bytes` hex-encoded to `out`: the one hex encoder. It runs
+/// per byte of every dump value ([`crate::report::dump_pairs`]) and of
+/// every wire answer, so it is a lookup in a 256-entry table of digit
+/// pairs appended into the caller's buffer, with no per-byte `char`
+/// pushes and no buffer of its own.
+pub(crate) fn push_hex(out: &mut String, bytes: &[u8]) {
+    out.reserve(2 * bytes.len());
+    for &b in bytes {
+        out.push_str(HEX_PAIRS[usize::from(b)]);
+    }
+}
+
+/// Hex-encode bytes for the wire: `push_hex` into a fresh `String`, for
+/// the line protocol's `EARLY`/`FINAL` lines.
+pub fn hex(bytes: &[u8]) -> String {
+    let mut s = String::with_capacity(2 * bytes.len());
+    push_hex(&mut s, bytes);
     s
 }
 
@@ -235,6 +268,10 @@ mod tests {
     fn hex_roundtrip() {
         let bytes = [0x00, 0x0a, 0xff, 0x41];
         assert_eq!(hex(&bytes), "000aff41");
+        let every: Vec<u8> = (0..=255).collect();
+        let want: String = every.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&every), want);
+        assert_eq!(unhex(&want).unwrap(), every);
         assert_eq!(unhex(&hex(&bytes)).unwrap(), bytes);
         assert_eq!(unhex("zz"), None);
         assert_eq!(unhex("abc"), None);

@@ -9,9 +9,11 @@
 //! every state was a `Vec<u8>`. Then finish a sort-merge group-by that
 //! has spilled them: its final merge folds each key's states straight
 //! from the run batches, where a group used to be a key `Vec`, a values
-//! `Vec` and a `Vec` per value. Last, the size of what is asked for: a
-//! spill-run header claiming 8 GiB is refused before anything is sized
-//! by it.
+//! `Vec` and a `Vec` per value. Then dump them: the answer dump renders
+//! every line into one buffer and sorts the lines with the key sort,
+//! where it used to build two `String`s per line. Last, the size of what
+//! is asked for: a spill-run header claiming 8 GiB is refused before
+//! anything is sized by it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +25,7 @@ use onepass_core::memory::MemoryBudget;
 use onepass_core::{KvBuf, SegmentBuf};
 use onepass_groupby::sink::CountingSink;
 use onepass_groupby::{FreqHashGrouper, GroupBy, SortMergeGrouper, SumAgg};
-use onepass_runtime::WorkerCombiner;
+use onepass_runtime::{dump_pairs, WorkerCombiner};
 
 const KEYS: usize = 50_000;
 
@@ -160,6 +162,22 @@ fn a_spilled_sort_merge_finishes_keys_without_allocating_per_key() {
     });
     assert_eq!(sink.final_ as usize, KEYS);
     assert_few("sort-merge finish", n);
+}
+
+#[test]
+fn the_dump_renders_keys_into_one_buffer_without_allocating_per_pair() {
+    // Little-endian user ids, as the click workloads key their answers:
+    // every id with a low byte of 0x80 or more is not UTF-8.
+    let keys: Vec<[u8; 4]> = (0..KEYS as u32).map(u32::to_le_bytes).collect();
+    let counts: Vec<[u8; 8]> = (0..KEYS as u64).map(|n| (n % 7).to_le_bytes()).collect();
+    let pairs = || keys.iter().zip(&counts).map(|(k, v)| (&k[..], &v[..]));
+    assert!(pairs().any(|(k, _)| std::str::from_utf8(k).is_err()));
+    let mut dump = String::new();
+    let n = allocations_during(|| dump = dump_pairs(pairs()));
+    // Keys hold tabs and newlines, so check the length, not the lines.
+    let rendered = |k: &[u8]| String::from_utf8_lossy(k).len() + "\t".len() + 16 + "\n".len();
+    assert_eq!(dump.len(), keys.iter().map(|k| rendered(k)).sum::<usize>());
+    assert_few("dump_pairs", n);
 }
 
 #[test]

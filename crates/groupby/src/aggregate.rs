@@ -297,57 +297,6 @@ impl Aggregator for AvgAgg {
     }
 }
 
-/// COUNT(DISTINCT value) — approximate, via a HyperLogLog state. The
-/// paper's incremental framework explicitly allows approximate
-/// computation (§IV proposal (ii)); distinct counting is the aggregate
-/// that requires it: the exact state is a set (linear in distinct
-/// values), while this state is a fixed `1 + 2^p` bytes, mergeable, and
-/// within ~`1.04/sqrt(2^p)` relative error. `finish` renders the
-/// estimate as a little-endian u64.
-#[derive(Debug, Clone, Copy)]
-pub struct DistinctAgg {
-    /// HyperLogLog precision (`4..=18`); state is `1 + 2^p` bytes.
-    pub precision: u8,
-}
-
-impl Default for DistinctAgg {
-    fn default() -> Self {
-        DistinctAgg { precision: 12 }
-    }
-}
-
-impl DistinctAgg {
-    /// Decode a finished output value back into the distinct estimate.
-    pub fn decode_estimate(out: &[u8]) -> u64 {
-        dec_u64(out)
-    }
-}
-
-impl Aggregator for DistinctAgg {
-    fn init(&self, _key: &[u8], value: &[u8]) -> StateBuf {
-        let mut state = onepass_sketch::HyperLogLog::new(self.precision).to_bytes();
-        onepass_sketch::HyperLogLog::insert_raw(&mut state, value);
-        state.into()
-    }
-
-    fn update(&self, _key: &[u8], state: &mut StateBuf, value: &[u8]) {
-        let ok = onepass_sketch::HyperLogLog::insert_raw(state, value);
-        debug_assert!(ok, "malformed HLL state");
-    }
-
-    fn merge(&self, _key: &[u8], state: &mut StateBuf, other: &[u8]) {
-        let ok = onepass_sketch::HyperLogLog::merge_raw(state, other);
-        debug_assert!(ok, "mismatched HLL states");
-    }
-
-    fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
-        let est = onepass_sketch::HyperLogLog::from_bytes(state)
-            .map(|h| h.estimate().round() as u64)
-            .unwrap_or(0);
-        out.extend_from_slice(&est.to_le_bytes());
-    }
-}
-
 /// Adapter for inputs that are already partial aggregate *states* (map-side
 /// combine ran): `init`/`update` route to the inner aggregate's `merge`.
 /// Lets any [`GroupBy`](crate::GroupBy) operator consume combined shuffle
@@ -437,25 +386,6 @@ mod tests {
         assert_eq!(dec_u64(&s), 5);
         a.merge(b"k", &mut s, &9u64.to_le_bytes());
         assert_eq!(dec_u64(&s), 9);
-    }
-
-    #[test]
-    fn distinct_agg_estimates_cardinality() {
-        let a = DistinctAgg::default();
-        let mut s = a.init(b"url", &0u32.to_le_bytes());
-        for i in 1..2000u32 {
-            a.update(b"url", &mut s, &i.to_le_bytes());
-        }
-        // Merge a partial covering 1000..3000 (overlap 1000..2000).
-        let mut other = a.init(b"url", &1000u32.to_le_bytes());
-        for i in 1001..3000u32 {
-            a.update(b"url", &mut other, &i.to_le_bytes());
-        }
-        a.merge(b"url", &mut s, &other);
-        let est = DistinctAgg::decode_estimate(&finished(&a, b"url", &s));
-        let err = (est as f64 - 3000.0).abs() / 3000.0;
-        assert!(err < 0.07, "estimate {est} vs 3000 (err {err:.3})");
-        assert!(a.combinable());
     }
 
     #[test]

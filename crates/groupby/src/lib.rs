@@ -41,9 +41,7 @@ pub mod sink;
 pub mod sortmerge;
 pub mod state;
 
-pub use aggregate::{
-    Aggregator, AvgAgg, CountAgg, DistinctAgg, FirstAgg, ListAgg, MaxAgg, StateInput, SumAgg,
-};
+pub use aggregate::{Aggregator, AvgAgg, CountAgg, FirstAgg, ListAgg, MaxAgg, StateInput, SumAgg};
 pub use freq_hash::{CountThreshold, EarlyEmit, FreqHashGrouper, IncHashGrouper, PeriodicCount};
 pub use hybrid_hash::HybridHashGrouper;
 pub use join::{JoinAgg, TAG_BUILD, TAG_PROBE};

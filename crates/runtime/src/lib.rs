@@ -16,9 +16,8 @@
 //! Entry points: build a [`JobSpec`], then run it with
 //! [`Engine::run`](driver::Engine::run), compose multi-stage jobs into a
 //! [`plan::Plan`] and run them with
-//! [`Engine::run_plan`](driver::Engine::run_plan), stream unbounded input
-//! through [`stream::StreamSession`], or window it with
-//! [`window::WindowedSession`].
+//! [`Engine::run_plan`](driver::Engine::run_plan), or stream unbounded
+//! input through [`stream::StreamSession`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,7 +40,6 @@ pub mod shuffle;
 pub mod stream;
 mod telemetry;
 pub mod transport;
-pub mod window;
 
 pub use cache::{CacheConfig, DatasetCache};
 pub use driver::{Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpillBackend};

@@ -404,7 +404,15 @@ proptest! {
         pc.records_per_split = records_per_split;
         let report = Engine::with_config(cfg)
             .run_plan(&plan, splits, &pc)
-            .unwrap();
+            .unwrap_or_else(|e| {
+                panic!(
+                    "tcp plan failed ({}, backend {}, die_after {:?}): {}",
+                    mode.label(),
+                    backend_tag,
+                    die_after,
+                    e
+                )
+            });
         w1.shutdown();
         w2.shutdown();
 

@@ -16,20 +16,15 @@
 //! * [`LossyCounting`] (Manku & Motwani) — ε-deficient counts with
 //!   windowed pruning.
 //!
-//! All three are deterministic, single-pass, and O(k) space. The crate
-//! also ships [`HyperLogLog`] for approximate distinct counting — the
-//! fixed-size mergeable state behind `COUNT(DISTINCT …)` as an
-//! incremental-hash aggregate (§IV's "exact or approximate" computation).
+//! All three are deterministic, single-pass, and O(k) space.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod hll;
 pub mod lossy;
 pub mod misra_gries;
 pub mod space_saving;
 
-pub use hll::HyperLogLog;
 pub use lossy::LossyCounting;
 pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;

@@ -24,7 +24,6 @@
 pub mod calibrate;
 pub mod catalog;
 pub mod clickgen;
-pub mod distinct_users;
 pub mod docgen;
 pub mod inverted_index;
 pub mod join;

@@ -1,6 +1,6 @@
 //! The standard serving catalog: every served row of the workload
-//! [`catalog`](crate::catalog) as a named streaming query for the
-//! multi-tenant front-end (`onepass serve`).
+//! [`catalog`] as a named streaming query for the multi-tenant front-end
+//! (`onepass serve`).
 //!
 //! Queries are tagged with the ingest family they consume — the click
 //! stream ([`CLICKS_INGEST`]) or the document stream ([`DOCS_INGEST`]) —

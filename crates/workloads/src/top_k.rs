@@ -4,88 +4,23 @@
 //! ("how to support the combine function for complex analytical tasks
 //! such as top-k ... is an open question").
 //!
-//! Two answers are implemented here:
-//!
-//! * [`TopKUrls`] — a standard mergeable-summary sketch: each side
-//!   maintains a [`SpaceSaving`] summary; summaries merge by offering
-//!   each tracked item's count. A combinable *approximate* top-k whose
-//!   error bounds come from the sketch — online answers at any stream
-//!   point, exactly the one-pass behaviour the paper wants.
-//! * [`plan`] — the *exact* top-k as a two-stage query plan: stage 1
-//!   counts clicks per URL (the §II running example); stage 2 routes
-//!   every `(url, total)` pair to a single key and keeps the k largest
-//!   with the mergeable [`TopKAgg`]. Because each URL appears exactly
-//!   once in stage 2's input, truncating each partial state to k entries
-//!   is lossless, which makes [`TopKAgg`] a legal combine function — the
-//!   §IV-3 question answered for the exact case. Under
-//!   [`PlanMode::Pipelined`](onepass_runtime::PlanMode) stage 2 consumes
-//!   stage 1's finals while stage 1's reducers are still draining.
+//! [`plan`] answers it exactly with a two-stage query plan: stage 1
+//! counts clicks per URL (the §II running example); stage 2 routes every
+//! `(url, total)` pair to a single key and keeps the k largest with the
+//! mergeable [`TopKAgg`]. Because each URL appears exactly once in stage
+//! 2's input, truncating each partial state to k entries is lossless,
+//! which makes [`TopKAgg`] a legal combine function — the §IV-3 question
+//! answered for the exact case. Under
+//! [`PlanMode::Pipelined`](onepass_runtime::PlanMode) stage 2 consumes
+//! stage 1's finals while stage 1's reducers are still draining.
 
 use std::sync::Arc;
 
 use onepass_core::error::Result;
 use onepass_groupby::{Aggregator, StateBuf, SumAgg};
 use onepass_runtime::{JobSpec, MapEmitter, PairMap, Plan};
-use onepass_sketch::{FrequentItems, HeavyHitter, SpaceSaving};
 
-use crate::clickgen::Click;
 use crate::page_frequency::PageFreqMapText;
-
-/// A streaming approximate top-k tracker over clicks.
-#[derive(Debug)]
-pub struct TopKUrls {
-    k: usize,
-    sketch: SpaceSaving,
-}
-
-impl TopKUrls {
-    /// Track the top `k` URLs; the sketch keeps `headroom × k` counters
-    /// (more headroom ⇒ tighter guarantees).
-    pub fn new(k: usize, headroom: usize) -> Self {
-        TopKUrls {
-            k,
-            sketch: SpaceSaving::new((k * headroom.max(1)).max(1)),
-        }
-    }
-
-    /// Observe one text click record (malformed records are skipped).
-    pub fn observe_text(&mut self, record: &[u8]) {
-        if let Some(c) = Click::from_text(record) {
-            self.observe(c.url);
-        }
-    }
-
-    /// Observe a url id directly.
-    pub fn observe(&mut self, url: u32) {
-        self.sketch.offer(&url.to_le_bytes());
-    }
-
-    /// Merge another tracker (the combinable-summary answer to §IV-3).
-    pub fn merge(&mut self, other: &TopKUrls) {
-        self.sketch.merge_from(&other.sketch);
-    }
-
-    /// Clicks observed so far.
-    pub fn processed(&self) -> u64 {
-        self.sketch.processed()
-    }
-
-    /// Current top-k estimate: `(url, count, error)` descending by count.
-    pub fn top(&self) -> Vec<(u32, u64, u64)> {
-        self.sketch
-            .items()
-            .into_iter()
-            .take(self.k)
-            .map(|HeavyHitter { key, count, error }| {
-                (
-                    u32::from_le_bytes(key.as_slice().try_into().expect("4-byte url")),
-                    count,
-                    error,
-                )
-            })
-            .collect()
-    }
-}
 
 /// The single routing key stage 2 of the [`plan`] sends every
 /// `(url, count)` pair to.
@@ -215,6 +150,7 @@ pub fn plan(k: usize, count_reducers: usize) -> Result<Plan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clickgen::Click;
     use onepass_runtime::{Engine, PlanConfig, PlanMode};
     use std::collections::HashMap;
 
@@ -299,58 +235,5 @@ mod tests {
                 assert_eq!(truth[&url], count, "{mode:?}: url {url}");
             }
         }
-    }
-
-    #[test]
-    fn finds_dominant_urls() {
-        let mut t = TopKUrls::new(3, 10);
-        for i in 0..3000u32 {
-            // urls 0,1,2 dominate; noise from 100 others.
-            let url = match i % 10 {
-                0..=3 => 0,
-                4..=6 => 1,
-                7..=8 => 2,
-                _ => 100 + (i % 97),
-            };
-            t.observe(url);
-        }
-        let top = t.top();
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].0, 0);
-        assert_eq!(top[1].0, 1);
-        assert_eq!(top[2].0, 2);
-        assert_eq!(t.processed(), 3000);
-    }
-
-    #[test]
-    fn merge_approximates_union() {
-        let mut a = TopKUrls::new(2, 10);
-        let mut b = TopKUrls::new(2, 10);
-        for _ in 0..100 {
-            a.observe(1);
-            b.observe(2);
-        }
-        for _ in 0..30 {
-            a.observe(2);
-            b.observe(1);
-        }
-        a.merge(&b);
-        let top = a.top();
-        // Both heavy urls present with counts ≈ 130 (upper bounds).
-        assert_eq!(top.len(), 2);
-        let urls: Vec<u32> = top.iter().map(|&(u, _, _)| u).collect();
-        assert!(urls.contains(&1) && urls.contains(&2));
-        for &(_, count, _) in &top {
-            assert!(count >= 130);
-        }
-    }
-
-    #[test]
-    fn text_observation_parses() {
-        let mut t = TopKUrls::new(1, 4);
-        t.observe_text(b"100\tu1\t/page/9");
-        t.observe_text(b"garbage");
-        assert_eq!(t.processed(), 1);
-        assert_eq!(t.top()[0].0, 9);
     }
 }

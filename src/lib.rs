@@ -41,7 +41,7 @@
 //! * [`groupby`] — sort-merge, hybrid hash, incremental hash, and
 //!   frequent-key hash group-by operators.
 //! * [`runtime`] — the multithreaded MapReduce engine (both execution
-//!   paths, pull/push shuffle, streaming and windowed sessions).
+//!   paths, pull/push shuffle, streaming sessions).
 //! * [`simcluster`] — the deterministic cluster simulator behind the
 //!   paper-scale experiments.
 //! * [`workloads`] — click-stream / web-document generators and the four
@@ -77,7 +77,6 @@ pub mod prelude {
         Server, StreamingQuery, TenantEvent, TenantHandle, TenantSession,
     };
     pub use onepass_runtime::stream::{SessionOptions, StreamSession};
-    pub use onepass_runtime::window::{WindowConfig, WindowedSession};
     pub use onepass_runtime::{
         pair_map_fn, CacheConfig, CollectOutput, DatasetCache, Engine, EngineConfig,
         EngineConfigBuilder, IterativePlan, JobRegistry, JobSpec, MapEmitter, MapFn, MapSideMode,

@@ -253,48 +253,6 @@ fn avg_session_gap_via_algebraic_aggregate() {
 }
 
 #[test]
-fn approximate_top_k_tracks_exact_counts() {
-    use onepass_workloads::top_k::TopKUrls;
-    let records = clicks(30_000, 11);
-    // Exact counts via the engine.
-    let job = page_frequency::job()
-        .reducers(2)
-        .preset_hadoop()
-        .build()
-        .unwrap();
-    let report = Engine::new()
-        .run(&job, make_splits(records.clone(), 3000))
-        .unwrap();
-    let mut exact: Vec<(u32, u64)> = final_map(&report)
-        .into_iter()
-        .map(|(k, v)| {
-            (
-                u32::from_le_bytes(k.as_slice().try_into().unwrap()),
-                dec(&v),
-            )
-        })
-        .collect();
-    exact.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-
-    // Streaming approximate top-k.
-    let mut topk = TopKUrls::new(5, 40);
-    for r in &records {
-        topk.observe_text(r);
-    }
-    let approx = topk.top();
-    // The top-1 must agree outright; the approximate top-5 must be a
-    // subset of the exact top-10 (sketch bounds allow local swaps).
-    assert_eq!(approx[0].0, exact[0].0, "top-1 url must match");
-    let exact_top10: Vec<u32> = exact.iter().take(10).map(|&(u, _)| u).collect();
-    for (url, _, _) in &approx {
-        assert!(
-            exact_top10.contains(url),
-            "approx top-5 member {url} outside exact top-10"
-        );
-    }
-}
-
-#[test]
 fn engine_handles_single_record_and_single_reducer() {
     let job = page_frequency::job()
         .reducers(1)

@@ -46,20 +46,31 @@ pub use zipf::Zipf;
 use onepass_runtime::map_task::Split;
 
 /// Chop `records` into splits of at most `per_split` records each — the
-/// workload-side analogue of HDFS 64 MB blocks.
-pub fn make_splits(records: Vec<Vec<u8>>, per_split: usize) -> Vec<Split> {
+/// workload-side analogue of HDFS 64 MB blocks. The last split holds the
+/// remainder.
+///
+/// The splits are cut off the back of `records` and the first one keeps
+/// its allocation, shrunk in place, so the input's record index is never
+/// freed as one block. Freeing a block that large (24 MB for a million
+/// records) would raise glibc's dynamic mmap threshold, and with it every
+/// arena's trim threshold, for the rest of the process.
+pub fn make_splits(mut records: Vec<Vec<u8>>, per_split: usize) -> Vec<Split> {
     assert!(per_split > 0);
-    let mut splits = Vec::new();
-    let mut cur = Vec::with_capacity(per_split);
-    for r in records {
-        cur.push(r);
-        if cur.len() == per_split {
-            splits.push(Split::new(std::mem::take(&mut cur)));
-        }
+    if records.is_empty() {
+        return Vec::new();
     }
-    if !cur.is_empty() {
-        splits.push(Split::new(cur));
+    let full = records.len() / per_split;
+    let mut splits = Vec::with_capacity(records.len().div_ceil(per_split));
+    if full > 0 && records.len() > full * per_split {
+        splits.push(Split::new(records.split_off(full * per_split)));
     }
+    for i in (1..full).rev() {
+        splits.push(Split::new(records.split_off(i * per_split)));
+    }
+    records.shrink_to_fit();
+    splits.push(Split::new(records));
+    // Cut back to front: the remainder, cut first, ends up last.
+    splits.reverse();
     splits
 }
 

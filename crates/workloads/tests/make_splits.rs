@@ -1,0 +1,118 @@
+//! `make_splits` never frees its input's record index as one block.
+//!
+//! A global allocator records the largest block the calling thread frees
+//! while it cuts splits. glibc raises its dynamic mmap threshold (and
+//! every arena's trim threshold with it) to the size of the largest
+//! mmapped block a program frees, so a cut that freed a million records'
+//! 24 MB index would leave every arena keeping up to 48 MB of freed
+//! memory for the rest of the process. The cut must free nothing larger
+//! than one split's own record index.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use onepass_workloads::make_splits;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static LARGEST_FREE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting frees on the threads that switched it on.
+struct Counting;
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the bookkeeping touches only const-initialised thread
+// locals, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // `try_with`: a free during thread teardown must not panic.
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = LARGEST_FREE.try_with(|m| m.set(m.get().max(layout.size())));
+            }
+        });
+        // SAFETY: forwarded as received.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `len` distinct records, record `i` spelling `i`.
+fn records(len: usize) -> Vec<Vec<u8>> {
+    (0..len).map(|i| i.to_string().into_bytes()).collect()
+}
+
+/// Cut `len` records into `per_split`-record splits, returning the split
+/// sizes and the largest block freed while cutting. Checks that the
+/// records come out in input order.
+fn cut(len: usize, per_split: usize) -> (Vec<usize>, usize) {
+    let input = records(len);
+    LARGEST_FREE.with(|m| m.set(0));
+    COUNTING.with(|on| on.set(true));
+    let splits = make_splits(input, per_split);
+    COUNTING.with(|on| on.set(false));
+    let largest = LARGEST_FREE.with(Cell::get);
+    let flat: Vec<&Vec<u8>> = splits.iter().flat_map(|s| &s.records).collect();
+    assert_eq!(flat.len(), len);
+    for (i, r) in flat.into_iter().enumerate() {
+        assert_eq!(r, &i.to_string().into_bytes(), "record {i} out of order");
+    }
+    (splits.iter().map(|s| s.records.len()).collect(), largest)
+}
+
+/// One split's record index: the bound on any block the cut may free.
+fn index_bytes(per_split: usize) -> usize {
+    per_split * size_of::<Vec<u8>>()
+}
+
+#[test]
+fn an_exact_multiple_frees_no_block_larger_than_a_split() {
+    let (sizes, largest) = cut(100_000, 20_000);
+    assert_eq!(sizes, vec![20_000; 5]);
+    assert!(
+        largest <= index_bytes(20_000),
+        "freed a {largest}-byte block cutting 20k-record splits"
+    );
+}
+
+#[test]
+fn the_remainder_split_comes_last() {
+    let (sizes, largest) = cut(100_007, 20_000);
+    assert_eq!(sizes, vec![20_000, 20_000, 20_000, 20_000, 20_000, 7]);
+    assert!(
+        largest <= index_bytes(20_000),
+        "freed a {largest}-byte block"
+    );
+}
+
+#[test]
+fn a_split_as_large_as_the_input_takes_it_whole() {
+    for per_split in [100_000, 250_000] {
+        let (sizes, largest) = cut(100_000, per_split);
+        assert_eq!(sizes, vec![100_000]);
+        assert!(
+            largest <= index_bytes(per_split),
+            "freed a {largest}-byte block"
+        );
+    }
+}
+
+#[test]
+fn empty_input_has_no_splits() {
+    let (sizes, largest) = cut(0, 20_000);
+    assert!(sizes.is_empty());
+    assert_eq!(largest, 0);
+}

@@ -273,6 +273,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                 knobs,
                 job.reducers,
                 remote_reduce,
+                retry.max_attempts,
                 start,
                 config.metrics.as_ref(),
                 tracer,

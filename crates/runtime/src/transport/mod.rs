@@ -23,7 +23,8 @@
 //! (possibly speculatively), while reduce partitions owned by a dead
 //! worker are replayed onto a live one from a coordinator-retained message
 //! log — the same retained-segment replay semantics reduce retries already
-//! use in-process.
+//! use in-process. That log is also a hosted reduce's retry: a partition
+//! whose one attempt fails on a worker is replayed from it the same way.
 //!
 //! [`SegmentBuf`]: onepass_core::SegmentBuf
 //! [`SegmentBuf::from_framed`]: onepass_core::SegmentBuf::from_framed

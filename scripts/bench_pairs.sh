@@ -26,7 +26,9 @@ pr=$(sed -n '1s/^# ISSUE \([0-9][0-9]*\).*/\1/p' ISSUE.md 2>/dev/null || true)
 build="$PWD/.bench_build"
 rm -rf "$build/parent"
 mkdir -p "$build/parent"
-git archive "$rev" | tar -x -C "$build/parent"
+# `-m`: the files get the time of extraction, not of the commit, so cargo
+# rebuilds the parent when <parent-rev> names an older tree than the last.
+git archive "$rev" | tar -x -m -C "$build/parent"
 runs="$build/runs.txt"
 : > "$runs"
 

@@ -134,7 +134,9 @@ impl FaultPlan {
     }
 
     /// Reduce partition `task`, attempt `attempt`, errors after absorbing
-    /// `after_records` shuffle records.
+    /// `after_records` shuffle records — or, if the attempt absorbs fewer,
+    /// as it finishes (see [`FaultInjector::check_finish`]), so a planned
+    /// reduce fault fires whatever the partition's size and arrival order.
     pub fn fail_reduce(self, task: usize, attempt: usize, after_records: u64) -> Self {
         self.with(PlannedFault {
             target: FaultTarget::Reduce,
@@ -273,6 +275,22 @@ impl FaultInjector {
         }
         None
     }
+
+    /// Consult the plan as an attempt finishes, having processed all its
+    /// records. A planned error or panic for the attempt fires here
+    /// whatever its threshold: one the attempt never reached still fires,
+    /// once, instead of depending on how many records the task received.
+    pub fn check_finish(
+        &self,
+        target: FaultTarget,
+        task: usize,
+        attempt: usize,
+    ) -> Option<FaultAction> {
+        match self.check(target, task, attempt, u64::MAX)? {
+            FaultAction::Delay(_) => None,
+            action => Some(action),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -301,6 +319,23 @@ mod tests {
         assert!(inj.check(FaultTarget::Map, 1, 0, 9).is_none());
         assert!(inj.check(FaultTarget::Map, 2, 1, 9).is_none());
         assert!(inj.check(FaultTarget::Reduce, 2, 0, 9).is_none());
+        assert_eq!(inj.triggered(), 1);
+    }
+
+    #[test]
+    fn a_fault_past_the_last_record_fires_at_finish() {
+        let inj = FaultPlan::new()
+            .fail_reduce(1, 0, 1_000)
+            .straggle_map(0, 0, Duration::from_millis(1))
+            .into_injector();
+        assert!(inj.check(FaultTarget::Reduce, 1, 0, 3).is_none());
+        assert!(matches!(
+            inj.check_finish(FaultTarget::Reduce, 1, 0),
+            Some(FaultAction::Fail)
+        ));
+        // Only the planned attempt; a straggler does not stall a finish.
+        assert!(inj.check_finish(FaultTarget::Reduce, 1, 1).is_none());
+        assert!(inj.check_finish(FaultTarget::Map, 0, 0).is_none());
         assert_eq!(inj.triggered(), 1);
     }
 

@@ -121,11 +121,11 @@ pub struct EngineConfig {
     pub metrics: Option<onepass_core::obs::MetricsRegistry>,
     /// Executor/shuffle transport. [`Transport::InProc`] (default) runs
     /// map and reduce tasks on in-process worker threads over the
-    /// zero-copy channel fabric. [`Transport::Tcp`] places tasks on
-    /// external worker processes (`onepass worker --listen ADDR`); each
-    /// job must be registered by name in every worker's
-    /// [`JobRegistry`](crate::transport::JobRegistry). See
-    /// [`crate::transport`] for the framing, heartbeat, and replay
+    /// zero-copy channel fabric. [`Transport::Tcp`] places map tasks on
+    /// external worker processes (`onepass worker --listen ADDR`) and
+    /// reduces in this process; each job must be registered by name in
+    /// every worker's [`JobRegistry`](crate::transport::JobRegistry). See
+    /// [`crate::transport`] for the framing, heartbeat, and recovery
     /// semantics.
     pub transport: Transport,
 }

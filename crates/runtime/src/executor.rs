@@ -34,7 +34,7 @@ use crate::report::{JobOutput, JobReport, TaskKind, TaskSpan};
 use crate::scheduler::{schedule_maps, MapAssignment, MapEvent, SchedulerCtx, SplitFeed};
 use crate::shuffle::{shuffle_fabric, CHANNEL_DEPTH};
 use crate::telemetry::{SinkObs, StageTelemetry};
-use crate::transport::coordinator::{SinkFactory, TcpCluster};
+use crate::transport::coordinator::TcpCluster;
 use crate::transport::Transport;
 
 /// Per-partition observer invoked on every sink emission, in addition to
@@ -74,7 +74,7 @@ pub(crate) struct ExecParams<'a> {
 }
 
 /// Build a spill store for `spill`.
-pub(crate) fn make_store(spill: SpillBackend) -> Result<Arc<dyn SpillStore>> {
+fn make_store(spill: SpillBackend) -> Result<Arc<dyn SpillStore>> {
     Ok(match spill {
         SpillBackend::Memory => Arc::new(SharedMemStore::new()),
         SpillBackend::TempFiles => Arc::new(FileSpillStore::temp()?),
@@ -153,10 +153,12 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         track_offset,
     } = params;
     job.validate()?;
-    let mut retry = config.retry;
-    if retry.max_attempts == 0 {
+    // Reducers run here on every transport, with the job's own budget.
+    let reduce_attempts = config.retry.max_attempts;
+    if reduce_attempts == 0 {
         return Err(Error::Config("retry.max_attempts must be >= 1".into()));
     }
+    let mut retry = config.retry;
     let tcp_workers = match &config.transport {
         Transport::InProc => None,
         Transport::Tcp { workers } => {
@@ -165,8 +167,8 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     "transport tcp requires at least one worker address".into(),
                 ));
             }
-            // Worker loss is survived by re-running lost attempts on
-            // survivors; guarantee the retry budget can absorb losing
+            // Worker loss is survived by re-running lost map attempts on
+            // survivors; guarantee the map retry budget can absorb losing
             // every worker once.
             retry.max_attempts = retry.max_attempts.max(workers.len() + 2);
             Some(workers.as_slice())
@@ -248,39 +250,19 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     let mut driver_trace = tracer.local(Track::new("driver", track_offset));
     driver_trace.begin("job", "job");
 
-    // Distributed mode: dial the worker fleet up front. Reduces run
-    // remotely only when nothing taps emissions locally (a plan's
-    // interior stages keep local reducers feeding downstream stages; maps
-    // still go remote).
-    let remote_reduce = tcp_workers.is_some() && tap.is_none();
+    // Distributed mode: dial the worker fleet up front. Workers run map
+    // attempts only; the job's name and the table's travelling rows are
+    // what they need of it.
     let cluster = match tcp_workers {
-        Some(addrs) => {
-            // What travels: the job's name plus the table's travelling
-            // rows, with the retry depth as floored above.
-            let engine = EngineConfig {
-                retry,
-                ..config.clone()
-            };
-            let knobs = crate::knobs::pairs(job, &engine);
-            let sink_telemetry = telemetry.clone();
-            let sink_factory: SinkFactory<'_> = Box::new(move |_p| {
-                let kept = Kept::for_job(job, partition_output);
-                TimedSink::new(start, kept, None, SinkObs::new(&sink_telemetry))
-            });
-            Some(TcpCluster::connect(
-                addrs,
-                &job.name,
-                knobs,
-                job.reducers,
-                remote_reduce,
-                retry.max_attempts,
-                start,
-                config.metrics.as_ref(),
-                tracer,
-                track_offset,
-                sink_factory,
-            )?)
-        }
+        Some(addrs) => Some(TcpCluster::connect(
+            addrs,
+            &job.name,
+            crate::knobs::pairs(job, config),
+            start,
+            config.metrics.as_ref(),
+            tracer,
+            track_offset,
+        )?),
         None => None,
     };
 
@@ -292,7 +274,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             // scheduler's queue onto worker connections; reader threads
             // feed worker segments back into the local fabric.
             c.set_bail(task_rx.clone(), evt_tx.clone());
-            c.spawn_io(scope, &shuffle_tx, red_res_tx.clone());
+            c.spawn_io(scope, &shuffle_tx);
             c.spawn_map_dispatch(
                 scope,
                 task_rx.clone(),
@@ -374,16 +356,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         }
         drop(evt_tx);
 
-        // Reduce side: remote partitions are forwarded to their owning
-        // workers (with a retained log for replay); otherwise local
-        // reduce workers, one per partition.
-        let shuffle_rxs = match &cluster {
-            Some(c) if remote_reduce => {
-                c.spawn_partition_forwarders(scope, shuffle_rxs);
-                Vec::new()
-            }
-            _ => shuffle_rxs,
-        };
+        // Reduce side, on every transport: one reducer per partition.
         for (partition, rx) in shuffle_rxs.into_iter().enumerate() {
             let red_res_tx = red_res_tx.clone();
             let injector = injector.clone();
@@ -411,7 +384,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     Ok((store, budget))
                 };
                 let opts = ReduceRetryOpts {
-                    max_attempts: retry.max_attempts,
+                    max_attempts: reduce_attempts,
                     backoff: retry.backoff,
                     dedup_attempts: ft_active,
                     injector,
@@ -426,9 +399,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     &mut open.trace,
                     &opts,
                 );
-                let attempt = res
-                    .as_ref()
-                    .map_or(retry.max_attempts.saturating_sub(1), |r| r.attempts - 1);
+                let attempt = res.as_ref().map_or(reduce_attempts - 1, |r| r.attempts - 1);
                 sink.close();
                 let span = open.close(attempt, start);
                 let _ = red_res_tx.send(res.map(|r| (r, span, sink)));
@@ -449,27 +420,11 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         let feed_open = known_total.is_none();
         let mut out = schedule_maps(ctx, initial, feed_open, &mut driver_trace);
 
-        if let Some(c) = &cluster {
-            if out.fatal.is_none() {
-                // Fixed feeds never broadcast the task total locally
-                // (reducers are born knowing it) — remote reduces aren't,
-                // so tell them now that every map has committed.
-                if known_total.is_some() {
-                    shuffle_tx.input_exhausted(out.total_map_tasks);
-                }
-                if remote_reduce {
-                    if let Err(e) = c.await_remote_reduces(job.reducers) {
-                        out.fatal = Some(e);
-                    }
-                }
-            }
-            if out.fatal.is_some() {
-                // A job rejection (unregistered name, bad knobs) is the
-                // root cause behind whatever the scheduler saw.
-                if let Some(reason) = c.rejection() {
-                    out.fatal = Some(Error::Config(reason));
-                }
-                c.set_aborting();
+        if let (Some(c), Some(_)) = (&cluster, &out.fatal) {
+            // A job rejection (unregistered name, bad knobs, another wire
+            // version) is the root cause behind whatever the scheduler saw.
+            if let Some(reason) = c.rejection() {
+                out.fatal = Some(Error::Config(reason));
             }
         }
         // All attempts drained (SchedulerCtx::task_tx dropped with the
@@ -539,14 +494,13 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         match sink.kept {
             Kept::Outputs(outputs) => report.outputs.extend(outputs),
             Kept::Partition(finals) => {
-                // A reduce result's partition is one of the job's: local
-                // reducers are spawned per partition, and the coordinator
-                // drops a remote result for any other.
+                // A reduce result's partition is one of the job's:
+                // reducers are spawned per partition.
                 if let Some(slot) = report.partitions.get_mut(result.partition) {
                     *slot = finals;
                 }
             }
-            // Both senders `close` a sink before it travels, which turns
+            // A reducer `close`s its sink before sending it, which turns
             // its finals into a sorted partition.
             Kept::Nothing | Kept::Finals(_) => {}
         }
@@ -574,7 +528,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
 }
 
 /// What a reducer's sink keeps of its emissions for the job report.
-pub(crate) enum Kept {
+enum Kept {
     /// Counts and first-emission times only (the job discards output).
     Nothing,
     /// Every emission, timestamped: the job's collected output.
@@ -603,15 +557,15 @@ impl Kept {
 /// A reduce partition's sink: counts emissions and stamps the first of
 /// each kind, keeps what [`Kept`] says, and forwards each emission to an
 /// optional [`ReduceTap`].
-pub(crate) struct TimedSink {
+struct TimedSink {
     start: Instant,
-    pub(crate) kept: Kept,
+    kept: Kept,
     tap: Option<ReduceTap>,
     obs: SinkObs,
-    pub(crate) early_seen: u64,
-    pub(crate) final_seen: u64,
-    pub(crate) first_early: Option<std::time::Duration>,
-    pub(crate) first_final: Option<std::time::Duration>,
+    early_seen: u64,
+    final_seen: u64,
+    first_early: Option<std::time::Duration>,
+    first_final: Option<std::time::Duration>,
 }
 
 impl std::fmt::Debug for TimedSink {
@@ -637,10 +591,9 @@ impl TimedSink {
         }
     }
 
-    /// End of the reduce task, on the thread that ran it (or, for a
-    /// remote partition, received it): flush the buffered emission count
-    /// and sort a cache-output partition by key.
-    pub(crate) fn close(&mut self) {
+    /// End of the reduce task, on the thread that ran it: flush the
+    /// buffered emission count and sort a cache-output partition by key.
+    fn close(&mut self) {
         self.obs.flush();
         if let Kept::Finals(finals) = &mut self.kept {
             let finals = std::mem::take(finals).finish();

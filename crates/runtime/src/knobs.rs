@@ -62,9 +62,10 @@ pub struct Knob {
     pub syntax: &'static str,
     /// One line of help.
     pub help: &'static str,
-    /// Sent to TCP workers in `JobInit`. Rows that stay behind configure
-    /// machinery a worker does not run (see DESIGN.md "Closures don't
-    /// travel").
+    /// Sent to TCP workers in `JobInit`: the rows a map attempt reads.
+    /// Rows that stay behind configure machinery a worker does not run —
+    /// reducers, the scheduler, the memory pool (see DESIGN.md "Closures
+    /// don't travel").
     pub travels: bool,
     /// Space-separated commands that take the row as a `--<name>` flag:
     /// `run`, `plan` (stages build their own specs, so of the job rows only
@@ -410,7 +411,8 @@ pub const KNOBS: &[Knob] = &[
         syntax: "sort-merge:F[:FRAC,FRAC,..]|hybrid-hash|inc-hash|freq-hash",
         help: "reduce-side group-by (merge factor F, snapshot fractions; \
                inc-hash = freq-hash with the hot-key summary off)",
-        travels: true,
+        // Reducers run in the coordinator's executor on every transport.
+        travels: false,
         takers: "",
         access: Job(backend_get, backend_set),
     },
@@ -418,7 +420,7 @@ pub const KNOBS: &[Knob] = &[
         name: "budget-kb",
         syntax: "KIB",
         help: "memory budget per reduce task",
-        travels: true,
+        travels: false,
         takers: "run",
         access: Job(
             |j| kib_get(j.reduce_budget_bytes),
@@ -429,8 +431,6 @@ pub const KNOBS: &[Knob] = &[
         name: "collect-output",
         syntax: COLLECT,
         help: "keep output pairs in the report, or only count them",
-        // Workers stream every emission back; collecting is the
-        // coordinator's sink.
         travels: false,
         takers: "",
         access: field!(Job.collect_output),
@@ -447,7 +447,8 @@ pub const KNOBS: &[Knob] = &[
         name: "spill",
         syntax: SPILL,
         help: "where spill runs live",
-        travels: true,
+        // Only reducers spill; a remote map never persists its output.
+        travels: false,
         takers: "",
         access: field!(Engine.spill),
     },
@@ -455,11 +456,8 @@ pub const KNOBS: &[Knob] = &[
         name: "retries",
         syntax: "N",
         help: "attempts allowed per task, the first included",
-        // Over TCP the coordinator enforces it on hosted reduces, whose
-        // one attempt per placement it replays; a worker reads it from no
-        // field. It still travels: a worker without the row would refuse
-        // every `JobInit` of a coordinator that sends it.
-        travels: true,
+        // The coordinator's scheduler and reducers enforce it.
+        travels: false,
         takers: "run",
         access: Engine(
             |e| e.retry.max_attempts.to_string(),
@@ -476,8 +474,6 @@ pub const KNOBS: &[Knob] = &[
         name: "backoff-ms",
         syntax: "MS",
         help: "delay before a retry attempt is scheduled",
-        // Paces the coordinator's scheduler; a hosted reduce does not
-        // retry on its worker.
         travels: false,
         takers: "run",
         access: Engine(
@@ -497,8 +493,6 @@ pub const KNOBS: &[Knob] = &[
         name: "mem-policy",
         syntax: "static|largest-consumer",
         help: "fixed private reduce budgets, or one pool that sheds from its largest lease",
-        // A worker's hosted partitions get private budgets; the pool and
-        // its governor live in the coordinator's executor.
         travels: false,
         takers: "run plan serve",
         access: Engine(mem_policy_get, mem_policy_set),

@@ -59,10 +59,9 @@ pub struct ReduceResult {
     pub stats: OpStats,
     /// Snapshots emitted (sort-merge + snapshots backend only).
     pub snapshots_taken: u64,
-    /// Governor shed requests this task honoured (worker-local: like the
-    /// profile, it does not travel in a `ReduceDone`).
+    /// Governor shed requests this task honoured.
     pub sheds_honoured: u64,
-    /// Bytes those sheds freed (worker-local).
+    /// Bytes those sheds freed.
     pub shed_bytes_freed: u64,
     /// Execution attempts consumed (1 = succeeded first try).
     pub attempts: usize,
@@ -95,21 +94,6 @@ impl Default for ReduceRetryOpts {
     }
 }
 
-impl ReduceRetryOpts {
-    /// A reduce partition hosted on a TCP worker: attempt dedup, one
-    /// attempt. The coordinator's per-partition log and stage already hold
-    /// this task's input and output, so the task retains no segment and
-    /// stages no output; a failure gives the partition back to the
-    /// coordinator, which replays its log onto a live worker while the
-    /// job's retry budget lasts.
-    pub(crate) fn hosted() -> Self {
-        ReduceRetryOpts {
-            dedup_attempts: true,
-            ..Default::default()
-        }
-    }
-}
-
 /// Render a caught panic payload for error messages.
 pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
@@ -133,15 +117,9 @@ fn guarded<R>(f: impl FnOnce() -> Result<R>) -> Result<R> {
     }
 }
 
-/// Consult the fault plan before absorbing more records. `records` is the
-/// number of shuffle records this attempt has already absorbed.
-fn check_injector(
-    injector: &FaultInjector,
-    partition: usize,
-    attempt: usize,
-    records: u64,
-) -> Result<()> {
-    match injector.check(FaultTarget::Reduce, partition, attempt, records) {
+/// Act on what the fault plan says for reduce `partition`'s `attempt`.
+fn injected(action: Option<FaultAction>, partition: usize, attempt: usize) -> Result<()> {
+    match action {
         None => Ok(()),
         Some(FaultAction::Fail) => Err(Error::Io(std::io::Error::other(format!(
             "injected fault: reduce task {partition} attempt {attempt}"
@@ -247,7 +225,7 @@ pub(crate) fn run_reduce_task_open(
         );
     }
     let sized = total_map_tasks.unwrap_or(0);
-    let mut task = ReduceTask {
+    let mut task = ReduceState {
         job,
         partition,
         opts,
@@ -301,7 +279,7 @@ pub(crate) fn run_reduce_task_open(
 /// and the current attempt's operator and resources, which a retry
 /// replaces wholesale so it never trusts data structures a failure may
 /// have corrupted.
-struct ReduceTask<'a> {
+struct ReduceState<'a> {
     job: &'a JobSpec,
     partition: usize,
     opts: &'a ReduceRetryOpts,
@@ -346,7 +324,7 @@ struct ReduceTask<'a> {
     waited: Profile,
 }
 
-impl ReduceTask<'_> {
+impl ReduceState<'_> {
     /// The map-task total is known (up front, or from `InputExhausted`
     /// under a streamed feed): snapshot fractions become concrete
     /// map-completion triggers. Triggers already passed are dropped so a
@@ -431,12 +409,12 @@ impl ReduceTask<'_> {
             &mut *self.sink
         };
         guarded(|| {
-            check_injector(
-                &self.opts.injector,
-                self.partition,
-                self.attempt,
-                self.absorbed,
-            )?;
+            let (p, a) = (self.partition, self.attempt);
+            let fault = self
+                .opts
+                .injector
+                .check(FaultTarget::Reduce, p, a, self.absorbed);
+            injected(fault, p, a)?;
             let g = match &mut self.grouper {
                 Some(g) => g,
                 slot => {
@@ -598,11 +576,11 @@ impl ReduceTask<'_> {
             };
             self.trace.begin("finish", LANE);
             let finished = guarded(|| {
-                check_injector(
-                    &self.opts.injector,
-                    self.partition,
-                    self.attempt,
-                    self.absorbed,
+                let (p, a) = (self.partition, self.attempt);
+                injected(
+                    self.opts.injector.check_finish(FaultTarget::Reduce, p, a),
+                    p,
+                    a,
                 )?;
                 match &mut self.grouper {
                     Some(g) => g.finish(out),
@@ -943,12 +921,14 @@ mod tests {
         }
     }
 
-    /// A reduce hosted on a TCP worker keeps no second copy of what the
-    /// coordinator holds: by the time it finishes, no input segment is
-    /// alive, and each key's answer reaches the sink as it is finished,
-    /// not after the last one. An attempt that may be retried does both.
+    /// A reduce of one attempt with attempt dedup on — what a TCP job's
+    /// reducers run under the default `retries`, since its map attempts
+    /// can rerun — keeps no second copy: by the time it finishes, no input
+    /// segment is alive, and each key's answer reaches the sink as it is
+    /// finished, not after the last one. An attempt that may be retried
+    /// does both.
     #[test]
-    fn a_hosted_reduce_retains_no_segment_and_stages_no_output() {
+    fn a_one_attempt_deduping_reduce_retains_no_segment_and_stages_no_output() {
         let observe = |opts: &ReduceRetryOpts| {
             let arenas: Vec<Arc<Vec<u8>>> = [[("a", 1), ("b", 2)], [("a", 10), ("c", 3)]]
                 .iter()
@@ -994,13 +974,20 @@ mod tests {
             seen
         };
 
-        let hosted = observe(&ReduceRetryOpts::hosted());
+        let once = observe(&ReduceRetryOpts {
+            dedup_attempts: true,
+            ..Default::default()
+        });
         assert!(
-            hosted.iter().all(|&(held, _)| held == 0),
-            "a hosted reduce retained its input: {hosted:?}"
+            once.iter().all(|&(held, _)| held == 0),
+            "a one-attempt reduce retained its input: {once:?}"
         );
-        let streamed: Vec<usize> = hosted.iter().map(|&(_, emitted)| emitted).collect();
-        assert_eq!(streamed, vec![0, 1, 2], "a hosted reduce staged its output");
+        let streamed: Vec<usize> = once.iter().map(|&(_, emitted)| emitted).collect();
+        assert_eq!(
+            streamed,
+            vec![0, 1, 2],
+            "a one-attempt reduce staged its output"
+        );
 
         let retried = observe(&ReduceRetryOpts {
             max_attempts: 3,
@@ -1008,6 +995,40 @@ mod tests {
             ..Default::default()
         });
         assert!(retried.iter().all(|&seen| seen == (2, 0)), "{retried:?}");
+    }
+
+    /// A planned fault the attempt never reaches — after 1,000 records on
+    /// a 3-record partition — fires as the attempt finishes: one failed
+    /// attempt, and the retry's output is the clean run's.
+    #[test]
+    fn a_fault_planned_past_the_partitions_end_fires_at_finish() {
+        let job = job_sortmerge(vec![]);
+        let run = |opts: &ReduceRetryOpts| {
+            let (tx, rxs) = shuffle_fabric(1, 64);
+            tx.send_segment(sorted_seg(0, &[("a", 1), ("b", 2), ("c", 3)]));
+            tx.map_done(0, 0);
+            let mut sink = VecSink::default();
+            let res = reduce(
+                &job,
+                &rxs[0],
+                1,
+                &mut resources(MemoryBudget::unlimited()),
+                &mut sink,
+                opts,
+            )
+            .unwrap();
+            (res.attempts, sink.emitted)
+        };
+        let (_, clean) = run(&ReduceRetryOpts::default());
+        let injector = FaultPlan::new().fail_reduce(0, 0, 1_000).into_injector();
+        let (attempts, emitted) = run(&ReduceRetryOpts {
+            max_attempts: 3,
+            injector: injector.clone(),
+            ..Default::default()
+        });
+        assert_eq!(attempts, 2, "one failed attempt");
+        assert_eq!(injector.triggered(), 1);
+        assert_eq!(emitted, clean);
     }
 
     #[test]

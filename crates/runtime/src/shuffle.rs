@@ -66,9 +66,7 @@ impl Segment {
     }
 }
 
-/// Messages received by a reduce task. `Clone` because the TCP
-/// coordinator retains a per-partition log of delivered messages so it can
-/// replay a partition onto a live worker when its owner dies.
+/// Messages received by a reduce task.
 #[derive(Debug, Clone)]
 pub enum ShuffleMsg {
     /// A batch of records for this reducer.

@@ -12,19 +12,17 @@
 //!   two refcounts. This is the default and the fast path (M3R-style:
 //!   keeping the in-memory topology first-class).
 //! * [`Transport::Tcp`] — a length-prefixed framed protocol over TCP.
-//!   Map and reduce tasks are placed onto external worker processes
-//!   (`onepass worker --listen ADDR`) by a coordinator embedded in the
-//!   executor; segments travel as the same framed key/value encoding the
-//!   spill files use, so a received payload decodes zero-copy via
-//!   [`SegmentBuf::from_framed`].
+//!   Map tasks are placed onto external worker processes (`onepass worker
+//!   --listen ADDR`) by a coordinator embedded in the executor; their
+//!   segments travel back as the same framed key/value encoding the spill
+//!   files use, and the executor's own reducers read a received payload
+//!   zero-copy via [`SegmentBuf::from_framed`]. Every reduce runs where
+//!   the shuffle lands, on either transport.
 //!
 //! Worker loss is survived by the existing attempt-aware machinery: map
 //! attempts on a dead worker fail and are requeued by the scheduler
-//! (possibly speculatively), while reduce partitions owned by a dead
-//! worker are replayed onto a live one from a coordinator-retained message
-//! log — the same retained-segment replay semantics reduce retries already
-//! use in-process. That log is also a hosted reduce's retry: a partition
-//! whose one attempt fails on a worker is replayed from it the same way.
+//! (possibly speculatively), and the reducers' attempt dedup drops
+//! whatever a lost attempt had already sent.
 //!
 //! [`SegmentBuf`]: onepass_core::SegmentBuf
 //! [`SegmentBuf::from_framed`]: onepass_core::SegmentBuf::from_framed
@@ -53,8 +51,9 @@ pub enum Transport {
     /// existed.
     #[default]
     InProc,
-    /// Multi-process execution: map and reduce tasks are dispatched to
-    /// `onepass worker` processes over length-prefixed TCP frames.
+    /// Multi-process execution: map tasks are dispatched to `onepass
+    /// worker` processes over length-prefixed TCP frames; reducers run in
+    /// this process.
     Tcp {
         /// Worker addresses (`host:port`), each running
         /// `onepass worker --listen ADDR`. Must be non-empty.

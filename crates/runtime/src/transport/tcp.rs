@@ -163,14 +163,14 @@ impl SegmentSink for TcpSink {
     }
 
     /// Sever the connection: the coordinator's worker-loss path fails
-    /// this worker's in-flight attempts and re-homes its partitions.
+    /// this worker's in-flight attempts.
     fn abort(&self) {
         self.conn.shutdown();
     }
 
     fn input_exhausted(&self, _total_map_tasks: usize) {
-        // Workers never learn the job-wide task total; the coordinator
-        // broadcasts it through its own fabric.
+        // Workers never learn the job-wide task total; the coordinator's
+        // reducers do.
     }
 }
 

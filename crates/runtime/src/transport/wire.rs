@@ -2,17 +2,18 @@
 //!
 //! Every frame on the wire is `[u32 LE body length][u8 tag][fields]`.
 //! Integers are little-endian `u64`s, strings and byte blobs carry a
-//! `u32` length prefix. Segment and final-output payloads reuse the
-//! engine's framed key/value encoding (`[u32 klen][u32 vlen][key][value]`
-//! per record — the same bytes spill files hold).
+//! `u32` length prefix. Segment payloads reuse the engine's framed
+//! key/value encoding (`[u32 klen][u32 vlen][key][value]` per record — the
+//! same bytes spill files hold).
 //!
-//! A bulk frame (`NewSplit`, `Segment`, `FinalBatch`) is one buffer on
-//! each side of the socket. [`Frame::encode`] writes prefix, header and
+//! A bulk frame (`NewSplit`, `Segment`) is one buffer on each side of the
+//! socket. [`Frame::encode`] writes prefix, header and
 //! records into the one `Vec` the connection then writes as is;
 //! [`Frame::decode`] owns the received body and hands it on as the arena
 //! the task reads — [`SegmentBuf::from_framed`] over the body for framed
 //! records, [`PackedRecords`] over it for a split's raw records — so no
-//! record is copied between the socket and the map or reduce function.
+//! record is copied between the socket and the map function or the
+//! coordinator's reducers.
 //!
 //! A [`JobSpec`](crate::JobSpec) carries closures and cannot travel
 //! whole; [`Frame::JobInit`] ships the job *name* plus the `(name, value)`
@@ -20,6 +21,11 @@
 //! worker applies them to the spec its
 //! [`JobRegistry`](super::JobRegistry) rebuilt from the name. This module
 //! knows nothing about individual knobs.
+//!
+//! `JobInit` carries [`WIRE_VERSION`]. A worker answers a `JobInit` of
+//! another version, or the unversioned one (tag 1) that builds from
+//! before the version sent, with a `JobRejected` naming both versions,
+//! before it reads any other frame.
 
 use std::io::Read;
 use std::sync::Arc;
@@ -30,7 +36,11 @@ use onepass_core::SegmentBuf;
 use crate::codec;
 use crate::knobs::KNOBS;
 use crate::map_task::{MapTaskStats, PackedRecords, Split};
-use crate::reduce_task::ReduceResult;
+
+/// The frame set this build speaks. A peer of another version is refused
+/// at `JobInit`; builds from before the version existed sent `JobInit`
+/// under tag 1 and count as version 0.
+pub(crate) const WIRE_VERSION: u64 = 1;
 
 /// Upper bound on a single frame body; a larger length prefix means the
 /// stream is corrupt (or not speaking this protocol).
@@ -64,16 +74,16 @@ pub(crate) fn read_body(r: &mut impl Read) -> Result<Vec<u8>> {
         )));
     }
     if len > READ_CHUNK {
-        // The body becomes an arena that segments (and the coordinator's
-        // replay log) keep alive: give back what doubling over-reserved.
+        // The body becomes an arena that segments keep alive until their
+        // reducer absorbs them: give back what doubling over-reserved.
         body.shrink_to_fit();
     }
     Ok(body)
 }
 
 /// One ordered field list per stats struct: the counters that travel (in
-/// a `MapOk` / `ReduceDone`) as a run of `u64`s, in wire order. CPU
-/// profiles stay worker-local. A new stat is one more line here.
+/// a `MapOk`) as a run of `u64`s, in wire order. CPU profiles stay
+/// worker-local. A new stat is one more line here.
 macro_rules! wire_stats {
     ($enc:ident, $dec:ident, $ty:ty { $($($field:ident).+),+ $(,)? }) => {
         #[allow(clippy::unnecessary_cast)]
@@ -102,42 +112,14 @@ wire_stats!(
     }
 );
 
-wire_stats!(enc_reduce_stats, dec_reduce_stats, ReduceResult {
-    stats.records_in,
-    stats.groups_out,
-    stats.early_emits,
-    stats.io.bytes_written,
-    stats.io.bytes_read,
-    stats.io.runs_created,
-    stats.io.runs_deleted,
-    stats.peak_mem,
-    stats.spills,
-    stats.passes,
-    snapshots_taken,
-    attempts,
-});
-
-/// The `JobRejected` reason of a hosted reduce partition whose attempt
-/// failed; [`failed_partition`] reads the partition back out of it.
-pub(crate) fn reduce_failed(partition: u64, error: &Error) -> String {
-    format!("reduce partition {partition}: {error}")
-}
-
-/// The partition a `JobRejected` reason from [`reduce_failed`] names, or
-/// `None` for a worker that refused the job itself.
-pub(crate) fn failed_partition(reason: &str) -> Option<usize> {
-    let (p, _) = reason.strip_prefix("reduce partition ")?.split_once(": ")?;
-    p.parse().ok()
-}
-
 /// One protocol message. Direction is implied by the variant: the
-/// coordinator sends `JobInit`/`NewSplit`/`ReduceTask`/`Red*`/`Ping`;
-/// workers send `Segment`/`MapDone`/`MapOk`/`MapFailed`/`FinalBatch`/
-/// `ReduceDone`/`Pong`/`JobRejected`.
+/// coordinator sends `JobInit`/`NewSplit`/`Ping`; workers send
+/// `Segment`/`MapDone`/`MapOk`/`MapFailed`/`Pong`/`JobRejected`.
 #[derive(Debug, Clone)]
 pub(crate) enum Frame {
     /// Instantiate the named job on the worker connection: the registry
-    /// name plus `(knob, value)` text pairs (see [`crate::knobs`]).
+    /// name plus `(knob, value)` text pairs (see [`crate::knobs`]). Sent
+    /// as [`WIRE_VERSION`], and decoded only from it.
     JobInit {
         name: String,
         knobs: Vec<(String, String)>,
@@ -152,10 +134,8 @@ pub(crate) enum Frame {
         attempt: u64,
         split: Arc<Split>,
     },
-    /// Host reduce partition `partition` on the worker connection.
-    ReduceTask { partition: u64 },
-    /// A shuffle segment (worker → coordinator from map tasks, and
-    /// coordinator → worker into hosted reduce partitions).
+    /// A shuffle segment of a map attempt, for the coordinator's reducer
+    /// of `partition`.
     Segment {
         map_task: u64,
         attempt: u64,
@@ -180,57 +160,39 @@ pub(crate) enum Frame {
         attempt: u64,
         error: String,
     },
-    /// A batch of reduce output records (worker → coordinator).
-    /// `kind` 0 = early, 1 = final; `records` travel framed.
-    FinalBatch {
-        partition: u64,
-        kind: u8,
-        records: SegmentBuf,
-    },
-    /// Hosted reduce partition finished; its counters follow.
-    ReduceDone { result: ReduceResult },
     /// Heartbeat probe (coordinator → worker).
     Ping { nonce: u64 },
     /// Heartbeat reply.
     Pong { nonce: u64 },
-    /// The worker will not run the job (an unknown name or knob), or a
-    /// hosted reduce partition's attempt failed (a reason
-    /// [`reduce_failed`] wrote; the worker stays connected).
+    /// The worker will not run the job: an unknown name or knob, or a
+    /// `JobInit` it cannot read (another wire version among them).
     JobRejected { reason: String },
-    /// Per-partition control fan-in (coordinator → the worker hosting
-    /// `partition`): a map task attempt committed.
-    RedMapDone {
-        partition: u64,
-        map_task: u64,
-        attempt: u64,
-    },
-    /// Per-partition: final map task count is now known.
-    RedInputExhausted { partition: u64, total: u64 },
-    /// Per-partition: the job is aborting.
-    RedAbort { partition: u64 },
 }
 
 // Body tags. Tag 0 is deliberately unused so an all-zero read is corrupt;
-// 3 and 14 were frames nothing read, and stay unused.
-const T_JOB_INIT: u8 = 1;
+// 3, 4, 9, 10 and 14–17 were frames of earlier versions, and stay unused.
+// Tag 1 was the unversioned `JobInit`: it decodes as a refusal.
+const T_JOB_INIT_UNVERSIONED: u8 = 1;
 const T_NEW_SPLIT: u8 = 2;
-const T_REDUCE_TASK: u8 = 4;
 const T_SEGMENT: u8 = 5;
 const T_MAP_DONE: u8 = 6;
 const T_MAP_OK: u8 = 7;
 const T_MAP_FAILED: u8 = 8;
-const T_FINAL_BATCH: u8 = 9;
-const T_REDUCE_DONE: u8 = 10;
 const T_PING: u8 = 11;
 const T_PONG: u8 = 12;
 const T_JOB_REJECTED: u8 = 13;
-const T_RED_MAP_DONE: u8 = 15;
-const T_RED_INPUT_EXHAUSTED: u8 = 16;
-const T_RED_ABORT: u8 = 17;
+const T_JOB_INIT: u8 = 18;
+
+/// Why a worker cannot read a `JobInit` of wire version `theirs`.
+fn version_mismatch(theirs: u64) -> Error {
+    Error::Corrupt(format!(
+        "JobInit of wire version {theirs}; this worker speaks version {WIRE_VERSION}"
+    ))
+}
 
 /// A frame under construction, length prefix included: the buffer
 /// [`Enc::seal`] returns is what goes on the socket, unchanged.
-pub(crate) struct Enc {
+struct Enc {
     /// `[u32 body length, patched by seal][tag][fields…]`.
     buf: Vec<u8>,
     /// Where the trailing record blob's own `u32` length sits, once
@@ -271,44 +233,16 @@ impl Enc {
         self.blob_at = Some(self.buf.len());
         self.u32(0);
     }
-    /// Append one framed key/value record to the open blob.
-    pub(crate) fn kv(&mut self, key: &[u8], value: &[u8]) {
-        self.u32(key.len());
-        self.u32(value.len());
-        self.buf.extend_from_slice(key);
-        self.buf.extend_from_slice(value);
-    }
-    /// Bytes in the open blob so far.
-    pub(crate) fn blob_len(&self) -> usize {
-        self.blob_at.map_or(0, |at| self.buf.len() - at - 4)
-    }
-    /// Empty the open blob, keeping the header (and the allocation) for
-    /// the next batch.
-    pub(crate) fn clear_blob(&mut self) {
-        if let Some(at) = self.blob_at {
-            self.buf.truncate(at + 4);
-        }
-    }
     /// Patch the length prefixes; the result is the whole wire frame.
-    pub(crate) fn seal(&mut self) -> &[u8] {
+    fn seal(mut self) -> Vec<u8> {
         if let Some(at) = self.blob_at {
-            let n = self.blob_len() as u32;
+            let n = (self.buf.len() - at - 4) as u32;
             self.buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
         }
         let body = (self.buf.len() - 4) as u32;
         self.buf[..4].copy_from_slice(&body.to_le_bytes());
-        &self.buf
+        self.buf
     }
-}
-
-/// An empty `FinalBatch` for `partition`, blob open: the worker's output
-/// sink appends records with [`Enc::kv`] and sends [`Enc::seal`]'s bytes.
-pub(crate) fn final_batch(partition: u64, kind: u8) -> Enc {
-    let mut e = Enc::new(T_FINAL_BATCH);
-    e.u64(partition);
-    e.u8(kind);
-    e.open_blob();
-    e
 }
 
 struct Dec<'a> {
@@ -382,9 +316,10 @@ impl Frame {
     /// Serialize the whole wire frame, length prefix included, into the
     /// one buffer the connection writes.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut e = match self {
+        let e = match self {
             Frame::JobInit { name, knobs } => {
                 let mut e = Enc::new(T_JOB_INIT);
+                e.u64(WIRE_VERSION);
                 e.str(name);
                 e.u64(knobs.len() as u64);
                 for (k, v) in knobs {
@@ -415,11 +350,6 @@ impl Frame {
                     e.u32(codec::pair_len(k, v));
                     codec::append_pair(&mut e.buf, k, v);
                 }
-                e
-            }
-            Frame::ReduceTask { partition } => {
-                let mut e = Enc::new(T_REDUCE_TASK);
-                e.u64(*partition);
                 e
             }
             Frame::Segment {
@@ -468,21 +398,6 @@ impl Frame {
                 e.str(error);
                 e
             }
-            Frame::FinalBatch {
-                partition,
-                kind,
-                records,
-            } => {
-                let mut e = final_batch(*partition, *kind);
-                records.append_framed(&mut e.buf);
-                e
-            }
-            Frame::ReduceDone { result } => {
-                let mut e = Enc::new(T_REDUCE_DONE);
-                e.u64(result.partition as u64);
-                enc_reduce_stats(&mut e, result);
-                e
-            }
             Frame::Ping { nonce } => {
                 let mut e = Enc::new(T_PING);
                 e.u64(*nonce);
@@ -498,31 +413,8 @@ impl Frame {
                 e.str(reason);
                 e
             }
-            Frame::RedMapDone {
-                partition,
-                map_task,
-                attempt,
-            } => {
-                let mut e = Enc::new(T_RED_MAP_DONE);
-                e.u64(*partition);
-                e.u64(*map_task);
-                e.u64(*attempt);
-                e
-            }
-            Frame::RedInputExhausted { partition, total } => {
-                let mut e = Enc::new(T_RED_INPUT_EXHAUSTED);
-                e.u64(*partition);
-                e.u64(*total);
-                e
-            }
-            Frame::RedAbort { partition } => {
-                let mut e = Enc::new(T_RED_ABORT);
-                e.u64(*partition);
-                e
-            }
         };
-        e.seal();
-        e.buf
+        e.seal()
     }
 
     /// Parse a frame body (what [`encode`](Self::encode) wrote after the
@@ -532,7 +424,14 @@ impl Frame {
     pub(crate) fn decode(body: Vec<u8>) -> Result<Frame> {
         let mut d = Dec::new(&body);
         let frame = match d.u8()? {
+            T_JOB_INIT_UNVERSIONED => return Err(version_mismatch(0)),
             T_JOB_INIT => {
+                // Nothing after the version is read from another version's
+                // layout.
+                match d.u64()? {
+                    WIRE_VERSION => {}
+                    theirs => return Err(version_mismatch(theirs)),
+                }
                 let name = d.short_str(MAX_NAME)?;
                 let n = d.u64()?;
                 if n > KNOBS.len() as u64 {
@@ -560,9 +459,6 @@ impl Frame {
                     }),
                 });
             }
-            T_REDUCE_TASK => Frame::ReduceTask {
-                partition: d.u64()?,
-            },
             T_SEGMENT => {
                 let (map_task, attempt, partition) = (d.u64()?, d.u64()?, d.u64()?);
                 let (sorted, combined) = (d.u8()? != 0, d.u8()? != 0);
@@ -590,39 +486,9 @@ impl Frame {
                 attempt: d.u64()?,
                 error: d.str()?,
             },
-            T_FINAL_BATCH => {
-                let (partition, kind) = (d.u64()?, d.u8()?);
-                let at = d.blob_to_end()?;
-                return Ok(Frame::FinalBatch {
-                    partition,
-                    kind,
-                    records: SegmentBuf::from_framed(Arc::new(body), at)?,
-                });
-            }
-            T_REDUCE_DONE => {
-                let partition = d.u64()? as usize;
-                Frame::ReduceDone {
-                    result: ReduceResult {
-                        partition,
-                        ..dec_reduce_stats(&mut d)?
-                    },
-                }
-            }
             T_PING => Frame::Ping { nonce: d.u64()? },
             T_PONG => Frame::Pong { nonce: d.u64()? },
             T_JOB_REJECTED => Frame::JobRejected { reason: d.str()? },
-            T_RED_MAP_DONE => Frame::RedMapDone {
-                partition: d.u64()?,
-                map_task: d.u64()?,
-                attempt: d.u64()?,
-            },
-            T_RED_INPUT_EXHAUSTED => Frame::RedInputExhausted {
-                partition: d.u64()?,
-                total: d.u64()?,
-            },
-            T_RED_ABORT => Frame::RedAbort {
-                partition: d.u64()?,
-            },
             t => return Err(Error::Corrupt(format!("unknown frame tag {t}"))),
         };
         if d.pos != body.len() {
@@ -693,7 +559,6 @@ mod tests {
                 name: "wc".into(),
                 knobs: vec![("a".into(), "0.0123456789012345,".repeat(200))],
             },
-            Frame::ReduceTask { partition: 2 },
             Frame::Segment {
                 map_task: 1,
                 attempt: 0,
@@ -724,34 +589,11 @@ mod tests {
                 attempt: 1,
                 error: "boom".into(),
             },
-            Frame::FinalBatch {
-                partition: 0,
-                kind: 1,
-                records: pairs(),
-            },
-            Frame::ReduceDone {
-                result: ReduceResult {
-                    partition: 1,
-                    snapshots_taken: 4,
-                    attempts: 2,
-                    ..Default::default()
-                },
-            },
             Frame::Ping { nonce: 42 },
             Frame::Pong { nonce: 42 },
             Frame::JobRejected {
                 reason: "unknown job".into(),
             },
-            Frame::RedMapDone {
-                partition: 1,
-                map_task: 2,
-                attempt: 0,
-            },
-            Frame::RedInputExhausted {
-                partition: 1,
-                total: 8,
-            },
-            Frame::RedAbort { partition: 0 },
         ]
     }
 
@@ -770,52 +612,8 @@ mod tests {
     }
 
     #[test]
-    fn a_reduce_failure_names_its_partition_and_a_refusal_none() {
-        let e = Error::InvalidState("reduce task panicked: boom".into());
-        assert_eq!(failed_partition(&reduce_failed(12, &e)), Some(12));
-        let refusal = Error::Config("unknown knob 'map-buffer-kb'".into());
-        assert_eq!(failed_partition(&refusal.to_string()), None);
-        assert_eq!(failed_partition("reduce partition x: y"), None);
-    }
-
-    #[test]
     fn stats_travel_field_for_field() {
-        let mut result = ReduceResult {
-            partition: 7,
-            snapshots_taken: 11,
-            attempts: 12,
-            ..Default::default()
-        };
-        result.stats.records_in = 1;
-        result.stats.groups_out = 2;
-        result.stats.early_emits = 3;
-        result.stats.io.bytes_written = 4;
-        result.stats.io.bytes_read = 5;
-        result.stats.io.runs_created = 6;
-        result.stats.io.runs_deleted = 7;
-        result.stats.peak_mem = 8;
-        result.stats.spills = 9;
-        result.stats.passes = 10;
-        let wire = Frame::ReduceDone { result }.encode();
-        // [len][tag][partition] then the twelve counters in wire order.
-        let counters: Vec<u64> = wire[13..]
-            .chunks(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(counters, (1..=12).collect::<Vec<u64>>());
-        let Frame::ReduceDone { result } = decode_wire(&wire).unwrap() else {
-            panic!("not a ReduceDone");
-        };
-        assert_eq!(
-            (result.partition, result.stats.peak_mem, result.attempts),
-            (7, 8, 12)
-        );
-        assert_eq!(
-            (result.stats.io.runs_deleted, result.snapshots_taken),
-            (7, 11)
-        );
-
-        let Frame::MapOk { stats, .. } = decode_wire(&one_of_each()[7].encode()).unwrap() else {
+        let Frame::MapOk { stats, .. } = decode_wire(&one_of_each()[6].encode()).unwrap() else {
             panic!("not a MapOk");
         };
         assert_eq!(
@@ -835,7 +633,6 @@ mod tests {
     const NEW_SPLIT_PAIRS: &str = "3d000000020500000000000000020000000000000003000000000000000c000000030000006b657976616c75650600000000000000763206000000020000006b33";
     const NEW_SPLIT_MIXED: &str = "61000000020600000000000000000000000000000009000000000000000300000061206200000000010000006303000000706b3100000000050000007061636b320c000000030000006b657976616c75650600000000000000763206000000020000006b33";
     const SEGMENT: &str = "430000000501000000000000000000000000000000030000000000000001002400000003000000050000006b657976616c75650000000002000000763202000000000000006b33";
-    const FINAL_BATCH: &str = "32000000090200000000000000002400000003000000050000006b657976616c75650000000002000000763202000000000000006b33";
 
     /// The single-pass encoders write the bytes the parent's two-pass
     /// encoding wrote, so peers on either side of this change interoperate.
@@ -861,11 +658,6 @@ mod tests {
             combined: false,
             records: pairs(),
         };
-        let batch = Frame::FinalBatch {
-            partition: 2,
-            kind: 0,
-            records: pairs(),
-        };
         for (frame, golden) in [
             (new_split(3, 1, Split::new(raw())), NEW_SPLIT_RECORDS),
             (new_split(4, 0, packed_only), NEW_SPLIT_PACKED),
@@ -875,26 +667,45 @@ mod tests {
             ),
             (new_split(6, 0, mixed), NEW_SPLIT_MIXED),
             (segment, SEGMENT),
-            (batch, FINAL_BATCH),
         ] {
             assert_eq!(frame.encode(), hex(golden), "{frame:?}");
         }
-        // The worker's output sink builds its FinalBatch record by record;
-        // sealed, cleared and refilled, the buffer is a fresh frame.
-        let mut sink = final_batch(2, 0);
-        for _ in 0..2 {
-            assert_eq!(sink.blob_len(), 0);
-            for (k, v) in pairs().iter() {
-                sink.kv(k, v);
+    }
+
+    /// `JobInit` is read only at this build's version: the unversioned tag
+    /// earlier builds sent, or another version under the new tag, is
+    /// corrupt, naming both versions, and nothing after the version is
+    /// read.
+    #[test]
+    fn job_init_of_another_wire_version_is_refused_naming_both() {
+        let sent = Frame::JobInit {
+            name: "wc".into(),
+            knobs: vec![("reducers".into(), "2".into())],
+        };
+        let wire = sent.encode();
+        assert_eq!(wire[4], T_JOB_INIT);
+        assert_eq!(wire[5..13], WIRE_VERSION.to_le_bytes());
+        assert!(matches!(decode_wire(&wire), Ok(Frame::JobInit { .. })));
+
+        let mut unversioned = Enc::new(T_JOB_INIT_UNVERSIONED);
+        unversioned.str("wc");
+        unversioned.u64(0);
+        let mut later = Enc::new(T_JOB_INIT);
+        later.u64(WIRE_VERSION + 1);
+        for (body, theirs) in [(unversioned.seal(), 0), (later.seal(), WIRE_VERSION + 1)] {
+            match decode_wire(&body) {
+                Err(Error::Corrupt(why)) => {
+                    assert!(why.contains(&format!("wire version {theirs};")), "{why}");
+                    assert!(why.contains(&format!("version {WIRE_VERSION}")), "{why}");
+                }
+                other => panic!("version {theirs} decoded as {other:?}"),
             }
-            assert_eq!(sink.seal(), hex(FINAL_BATCH));
-            sink.clear_blob();
         }
     }
 
     /// A received segment *is* its frame body: entries point into the one
-    /// buffer the socket filled, and re-encoding it (the coordinator's
-    /// forward, a replay) copies those framed bytes as they are.
+    /// buffer the socket filled, and re-encoding it copies those framed
+    /// bytes as they are.
     #[test]
     fn received_segment_shares_the_frame_body_and_forwards_it_verbatim() {
         let sent = Frame::Segment {
@@ -936,7 +747,7 @@ mod tests {
         assert!(pairs().framed_bytes().is_none());
         assert!(records.sorted_by_key().framed_bytes().is_none());
 
-        // The forward re-addresses the header and carries the payload on.
+        // Re-encoded, it re-addresses the header and carries the payload on.
         let forwarded = Frame::Segment {
             map_task: 1,
             attempt: 0,
@@ -949,17 +760,7 @@ mod tests {
         assert_eq!(forwarded[35..], wire[35..]);
         assert_eq!(forwarded[21], 9);
 
-        // Same for a FinalBatch and a NewSplit.
-        let wire = Frame::FinalBatch {
-            partition: 0,
-            kind: 1,
-            records: pairs(),
-        }
-        .encode();
-        let Frame::FinalBatch { records, .. } = decode_wire(&wire).unwrap() else {
-            panic!("not a FinalBatch");
-        };
-        assert_eq!(records.framed_bytes(), Some(&wire[18..]));
+        // A NewSplit's records stay in its body too.
         let Frame::NewSplit { split, .. } = decode_wire(&one_of_each()[1].encode()).unwrap() else {
             panic!("not a NewSplit");
         };
@@ -979,17 +780,20 @@ mod tests {
         let mut wire = new_split(1, 0, Split::new(vec![b"abc".to_vec()])).encode();
         wire.truncate(wire.len() - 1);
         assert!(Frame::decode(wire[4..].to_vec()).is_err());
-        // Unassigned tags decode as nothing.
-        assert!(Frame::decode(vec![3]).is_err());
-        assert!(Frame::decode(vec![14]).is_err());
+        // Unassigned tags, the reduce frames of earlier versions among
+        // them, decode as nothing.
+        for tag in [3, 4, 9, 10, 14, 15, 16, 17, 19] {
+            assert!(Frame::decode(vec![tag, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        }
         // Trailing garbage.
-        let mut wire = Frame::RedAbort { partition: 0 }.encode();
+        let mut wire = Frame::Ping { nonce: 0 }.encode();
         wire.push(0);
         assert!(Frame::decode(wire[4..].to_vec()).is_err());
 
         // A JobInit claiming more pairs than the table has rows is
         // rejected before anything is sized from the count.
         let mut e = Enc::new(T_JOB_INIT);
+        e.u64(WIRE_VERSION);
         e.str("wc");
         e.u64(u64::MAX);
         assert!(matches!(
@@ -1017,7 +821,7 @@ mod tests {
         }
         // A record blob shorter or longer than the rest of its frame.
         for delta in [-1i32, 1] {
-            let mut wire = one_of_each()[5].encode();
+            let mut wire = one_of_each()[4].encode();
             let n = u32::from_le_bytes(wire[31..35].try_into().unwrap());
             wire[31..35].copy_from_slice(&n.wrapping_add_signed(delta).to_le_bytes());
             assert!(matches!(decode_wire(&wire), Err(Error::Corrupt(_))));
@@ -1068,7 +872,7 @@ mod tests {
                     .map(|c| (c[0].as_slice(), c.last().unwrap().as_slice())),
             )
         };
-        match pick % 15 {
+        match pick % 9 {
             0 => Frame::JobInit {
                 name: text(0),
                 knobs: (1..recs.len().min(KNOBS.len()))
@@ -1088,8 +892,7 @@ mod tests {
                     },
                 )
             }
-            2 => Frame::ReduceTask { partition: a },
-            3 => Frame::Segment {
+            2 => Frame::Segment {
                 map_task: a,
                 attempt: b,
                 partition: c,
@@ -1097,11 +900,11 @@ mod tests {
                 combined: !flag,
                 records: kv(),
             },
-            4 => Frame::MapDone {
+            3 => Frame::MapDone {
                 map_task: a,
                 attempt: b,
             },
-            5 => Frame::MapOk {
+            4 => Frame::MapOk {
                 task: a,
                 attempt: b,
                 stats: MapTaskStats {
@@ -1110,37 +913,14 @@ mod tests {
                     ..Default::default()
                 },
             },
-            6 => Frame::MapFailed {
+            5 => Frame::MapFailed {
                 task: a,
                 attempt: b,
                 error: text(0),
             },
-            7 => Frame::FinalBatch {
-                partition: a,
-                kind: flag as u8,
-                records: kv(),
-            },
-            8 => Frame::ReduceDone {
-                result: ReduceResult {
-                    partition: a as usize,
-                    snapshots_taken: b,
-                    attempts: c as usize,
-                    ..Default::default()
-                },
-            },
-            9 => Frame::Ping { nonce: a },
-            10 => Frame::Pong { nonce: a },
-            11 => Frame::JobRejected { reason: text(0) },
-            12 => Frame::RedMapDone {
-                partition: a,
-                map_task: b,
-                attempt: c,
-            },
-            13 => Frame::RedInputExhausted {
-                partition: a,
-                total: b,
-            },
-            _ => Frame::RedAbort { partition: a },
+            6 => Frame::Ping { nonce: a },
+            7 => Frame::Pong { nonce: a },
+            _ => Frame::JobRejected { reason: text(0) },
         }
     }
 
@@ -1152,9 +932,7 @@ mod tests {
                 let packed = split.packed.as_ref().expect("received splits are packed");
                 packed.iter().map(<[u8]>::len).sum::<usize>() + split.record_count()
             }
-            Frame::Segment { records, .. } | Frame::FinalBatch { records, .. } => {
-                records.iter().map(|(k, v)| k.len() + v.len()).sum()
-            }
+            Frame::Segment { records, .. } => records.iter().map(|(k, v)| k.len() + v.len()).sum(),
             _ => 0,
         }
     }
@@ -1179,7 +957,7 @@ mod tests {
         /// and whatever decodes can be read and re-encoded.
         #[test]
         fn mutated_frames_decode_or_are_corrupt(
-            pick in 0usize..15,
+            pick in 0usize..9,
             recs in records(),
             nums in (any::<u64>(), any::<u64>(), any::<u64>()),
             flag in any::<bool>(),

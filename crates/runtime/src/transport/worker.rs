@@ -2,19 +2,15 @@
 //!
 //! A worker process accepts one connection per job from a coordinator.
 //! Over that connection it receives a `JobInit` (job name + knob pairs,
-//! resolved against its [`JobRegistry`] and [`crate::knobs`]), map task dispatches
-//! (`NewSplit`), and reduce partition assignments (`ReduceTask`); it sends
-//! back shuffle segments, `MapDone`/`MapOk`/`MapFailed`, reduce output
-//! batches, and `ReduceDone`.
+//! resolved against its [`JobRegistry`] and [`crate::knobs`]) and map task
+//! dispatches (`NewSplit`); it sends back shuffle segments and
+//! `MapDone`/`MapOk`/`MapFailed`. A worker runs map attempts only: every
+//! reduce partition runs on the coordinator, where the segments land.
 //!
 //! Map tasks run through the exact same `in_node::MapSlot` attempt helper
 //! as in-process map workers — only the [`ShuffleTx`] sink differs (a
 //! `TcpSink` framing segments back to the coordinator instead of in-proc
-//! channels). Likewise reduce partitions run the stock attempt-aware
-//! [`run_reduce_task_open`](crate::reduce_task) loop, for one attempt:
-//! the coordinator's per-partition shuffle log and output stage are the
-//! partition's only retained copy, and its replay of that log (onto this
-//! worker or another) is the retry.
+//! channels).
 //!
 //! Two deliberate simplifications versus in-process execution: a remote
 //! map slot's combine table is task-scoped (it ships before the `MapOk`
@@ -22,31 +18,26 @@
 //! persist map output (recovery is re-execution from the
 //! coordinator-held input split).
 
-use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, unbounded, Receiver};
+use crossbeam::channel::{unbounded, Receiver};
 
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::FaultInjector;
-use onepass_core::memory::MemoryBudget;
 use onepass_core::obs::{Counter, Histogram};
 use onepass_core::trace::LocalTracer;
-use onepass_groupby::{EmitKind, Sink};
 
 use super::tcp::{Conn, TcpSink};
-use super::wire::{self, Frame};
+use super::wire::Frame;
 use super::JobRegistry;
-use crate::driver::{EngineConfig, SpillBackend};
-use crate::executor::make_store;
+use crate::driver::EngineConfig;
 use crate::in_node::{CombineScope, MapSlot};
 use crate::job::JobSpec;
 use crate::knobs::{self, Settings};
 use crate::map_task::{MapAttemptCtx, Split};
-use crate::reduce_task::{run_reduce_task_open, ReduceRetryOpts};
-use crate::shuffle::{Segment, ShuffleMsg, ShuffleTx, CHANNEL_DEPTH};
+use crate::shuffle::ShuffleTx;
 
 /// Knobs for a worker process.
 #[derive(Debug, Clone)]
@@ -56,7 +47,7 @@ pub struct WorkerOptions {
     /// Fault-injection hook: after this many successful map tasks on a
     /// connection, the worker severs that connection without warning —
     /// indistinguishable, from the coordinator's side, from `kill -9`.
-    /// Used by the equivalence tests to exercise worker-loss replay
+    /// Used by the equivalence tests to exercise worker-loss recovery
     /// deterministically.
     pub die_after_maps: Option<u64>,
 }
@@ -161,15 +152,16 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
     };
     let conn = Arc::new(conn);
 
-    // First frame must name the job. One that does not decode is answered
-    // like one that does not apply: the coordinator learns why.
+    // First frame must name the job. One that does not decode (another
+    // wire version's among them) is answered like one that does not
+    // apply: the coordinator learns why.
     let settings = match conn.recv() {
         Ok(Frame::JobInit { name, knobs }) => instantiate(&registry, &name, &knobs),
         Err(e @ Error::Corrupt(_)) => Err(e),
         _ => return,
     };
-    let Settings { job, engine } = match settings {
-        Ok(s) => s,
+    let job = match settings {
+        Ok(s) => s.job,
         Err(e) => {
             let _ = conn.send(&Frame::JobRejected {
                 reason: e.to_string(),
@@ -208,10 +200,6 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
     }
     drop(map_rx);
 
-    // Reduce partitions hosted on this connection: one routing channel and
-    // one thread each.
-    let mut reduce_txs: HashMap<u64, crossbeam::channel::Sender<ShuffleMsg>> = HashMap::new();
-
     // Recv errors end the loop: the coordinator hung up (job over), or we
     // severed the connection ourselves (simulated death).
     while let Ok(frame) = conn.recv() {
@@ -223,61 +211,6 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
             } => {
                 let _ = map_tx.send((task as usize, attempt as usize, split));
             }
-            Frame::ReduceTask { partition } => {
-                // A replay of a partition that failed here replaces the
-                // failed attempt's channel.
-                let (rtx, rrx) = bounded::<ShuffleMsg>(CHANNEL_DEPTH);
-                reduce_txs.insert(partition, rtx);
-                let conn = Arc::clone(&conn);
-                let job = Arc::clone(&job);
-                let spill = engine.spill;
-                joins.push(std::thread::spawn(move || {
-                    reduce_partition(&conn, &job, spill, partition, &rrx)
-                }));
-            }
-            Frame::Segment {
-                map_task,
-                attempt,
-                partition,
-                sorted,
-                combined,
-                records,
-            } => {
-                if let Some(tx) = reduce_txs.get(&partition) {
-                    let _ = tx.send(ShuffleMsg::Segment(Segment {
-                        map_task: map_task as usize,
-                        attempt: attempt as usize,
-                        partition: partition as usize,
-                        sorted,
-                        combined,
-                        records,
-                    }));
-                }
-            }
-            Frame::RedMapDone {
-                partition,
-                map_task,
-                attempt,
-            } => {
-                if let Some(tx) = reduce_txs.get(&partition) {
-                    let _ = tx.send(ShuffleMsg::MapDone {
-                        map_task: map_task as usize,
-                        attempt: attempt as usize,
-                    });
-                }
-            }
-            Frame::RedInputExhausted { partition, total } => {
-                if let Some(tx) = reduce_txs.get(&partition) {
-                    let _ = tx.send(ShuffleMsg::InputExhausted {
-                        total_map_tasks: total as usize,
-                    });
-                }
-            }
-            Frame::RedAbort { partition } => {
-                if let Some(tx) = reduce_txs.get(&partition) {
-                    let _ = tx.send(ShuffleMsg::Abort);
-                }
-            }
             Frame::Ping { nonce } => {
                 let _ = conn.send(&Frame::Pong { nonce });
             }
@@ -287,10 +220,9 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
         }
     }
 
-    // Teardown: closing the dispatch queue and partition channels unblocks
-    // every slot/reduce thread still waiting for input.
+    // Teardown: closing the dispatch queue unblocks every slot still
+    // waiting for input.
     drop(map_tx);
-    drop(reduce_txs);
     for j in joins {
         let _ = j.join();
     }
@@ -356,7 +288,7 @@ fn map_slot(
                 if let Some(n) = die_after {
                     if completed.fetch_add(1, Ordering::Relaxed) + 1 >= n {
                         // Simulated kill -9: sever the socket mid-job. The
-                        // coordinator sees EOF and replays our work.
+                        // coordinator sees EOF and reruns our maps.
                         dead.store(true, Ordering::Relaxed);
                         conn.shutdown();
                         break;
@@ -370,103 +302,6 @@ fn map_slot(
                     error: e.to_string(),
                 });
             }
-        }
-    }
-}
-
-/// Host one reduce partition: run the stock attempt-aware reduce loop
-/// for a single attempt, streaming its output back to the coordinator.
-/// The coordinator holds the only copy of the partition's input (its
-/// shuffle log) and output (its stage); a failure here is retried there,
-/// by a fresh `ReduceTask` and the log.
-fn reduce_partition(
-    conn: &Arc<Conn>,
-    job: &JobSpec,
-    spill: SpillBackend,
-    partition: u64,
-    rx: &Receiver<ShuffleMsg>,
-) {
-    let mut resources = || -> Result<(Arc<dyn onepass_core::io::SpillStore>, MemoryBudget)> {
-        Ok((
-            make_store(spill)?,
-            MemoryBudget::new(job.reduce_budget_bytes),
-        ))
-    };
-    let opts = ReduceRetryOpts::hosted();
-    let mut sink = FrameSink::new(Arc::clone(conn), partition);
-    let mut trace = LocalTracer::disabled();
-    match run_reduce_task_open(
-        job,
-        partition as usize,
-        rx,
-        None, // the coordinator broadcasts the task total when it's known
-        &mut resources,
-        &mut sink,
-        &mut trace,
-        &opts,
-    ) {
-        Ok(res) => {
-            sink.flush();
-            let _ = conn.send(&Frame::ReduceDone { result: res });
-        }
-        Err(e) => {
-            // Aborted, or the attempt failed. Give the partition back with
-            // the reason and stay connected: this worker's maps and other
-            // partitions run on, and the coordinator decides where, and
-            // whether, the partition runs again.
-            let _ = conn.send(&Frame::JobRejected {
-                reason: wire::reduce_failed(partition, &e),
-            });
-        }
-    }
-}
-
-/// Buffers reduce emissions into `FinalBatch` frames (~64 KiB, split on
-/// early/final boundaries so emission kind survives the wire, order
-/// preserved). Each record is framed once, straight into the buffer the
-/// connection writes.
-struct FrameSink {
-    conn: Arc<Conn>,
-    partition: u64,
-    kind: u8,
-    frame: wire::Enc,
-}
-
-impl FrameSink {
-    const FLUSH_BYTES: usize = 64 * 1024;
-
-    fn new(conn: Arc<Conn>, partition: u64) -> Self {
-        FrameSink {
-            conn,
-            partition,
-            kind: 1,
-            frame: wire::final_batch(partition, 1),
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.frame.blob_len() == 0 {
-            return;
-        }
-        let _ = self.conn.send_encoded(self.frame.seal());
-        self.frame.clear_blob();
-    }
-}
-
-impl Sink for FrameSink {
-    fn emit(&mut self, key: &[u8], value: &[u8], kind: EmitKind) {
-        let k = match kind {
-            EmitKind::Early => 0,
-            EmitKind::Final => 1,
-        };
-        if k != self.kind {
-            self.flush();
-            self.kind = k;
-            self.frame = wire::final_batch(self.partition, k);
-        }
-        self.frame.kv(key, value);
-        if self.frame.blob_len() >= Self::FLUSH_BYTES {
-            self.flush();
         }
     }
 }
@@ -488,6 +323,32 @@ mod tests {
         .unwrap();
         match conn.recv() {
             Ok(Frame::JobRejected { reason }) => assert!(reason.contains("exceeds"), "{reason}"),
+            other => panic!("expected JobRejected, got {other:?}"),
+        }
+        worker.shutdown();
+    }
+
+    /// A `JobInit` as builds before the wire version wrote it (tag 1, no
+    /// version; here naming job `wc` with `reducers=2`): the worker
+    /// refuses it, naming both versions, instead of reading on into frames
+    /// it does not have.
+    #[test]
+    fn job_init_of_an_unversioned_build_is_rejected_naming_both_versions() {
+        const UNVERSIONED_JOB_INIT: &str =
+            "200000000102000000776301000000000000000800000072656475636572730100000032";
+        let bytes: Vec<u8> = (0..UNVERSIONED_JOB_INIT.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&UNVERSIONED_JOB_INIT[i..i + 2], 16).unwrap())
+            .collect();
+        let worker = spawn_local(JobRegistry::new(), WorkerOptions::default()).unwrap();
+        let conn = Conn::connect(worker.addr(), Counter::detached(), Counter::detached()).unwrap();
+        conn.send_encoded(&bytes).unwrap();
+        match conn.recv() {
+            Ok(Frame::JobRejected { reason }) => {
+                assert!(reason.contains("wire version 0;"), "{reason}");
+                let ours = format!("speaks version {}", super::super::wire::WIRE_VERSION);
+                assert!(reason.contains(&ours), "{reason}");
+            }
             other => panic!("expected JobRejected, got {other:?}"),
         }
         worker.shutdown();

@@ -59,8 +59,10 @@ fn finals(report: &JobReport) -> BTreeMap<Vec<u8>, Vec<u8>> {
 }
 
 /// Find a seed whose plan kills at least one map and one reduce task.
-/// `FaultPlan::seeded` always plans one of each, so any seed works; this
-/// just documents the invariant the test relies on.
+/// `FaultPlan::seeded` always plans one of each, and a planned reduce
+/// kill fires at the attempt's finish if the partition holds fewer
+/// records than planned, so any seed works; this just documents the
+/// invariant the test relies on.
 fn seeded_plan(seed: u64) -> FaultPlan {
     let plan = FaultPlan::seeded(seed, 6, 3);
     assert_eq!(plan.len(), 2, "one map kill + one reduce kill");
@@ -184,8 +186,7 @@ fn recovery_is_deterministic_across_runs() {
 
 /// [`SumAgg`] whose `finish` fails once, on the key it is armed with: a
 /// finish failure mid-partition, after the reducer may already have
-/// staged the finals of other keys. Workers in this process share it, so
-/// it fails a remote reduce the same way.
+/// staged the finals of other keys.
 struct FinishFailsOnce {
     key: Vec<u8>,
     armed: AtomicBool,
@@ -226,10 +227,9 @@ fn final_list(report: &JobReport) -> Vec<(Vec<u8>, Vec<u8>)> {
 
 /// While a retry remains, a finishing reducer stages its output and
 /// releases it only once `finish` succeeds: a finish that fails part-way,
-/// under the default three attempts, must leave each final emitted exactly
-/// once, byte-identical to a clean run — in-proc and on a TCP worker,
-/// where the coordinator stages and replays the partition onto the same
-/// worker.
+/// under three attempts, must leave each final emitted exactly once,
+/// byte-identical to a clean run — in-proc and with maps on a TCP worker,
+/// whose reducers run on the coordinator all the same.
 #[test]
 fn a_failed_finish_releases_each_final_exactly_once() {
     let clean = Engine::new().run(&wc_job(true), splits()).unwrap();

@@ -78,17 +78,13 @@ fn scalars(s: &Settings) -> String {
     )
 }
 
-/// The scalars of the travelling rows only.
+/// The scalars of the travelling rows only: what a map attempt reads.
 fn travelling_scalars(s: &Settings) -> String {
-    let mut s = s.clone();
-    let blank = default_built();
-    s.job.collect_output = blank.job.collect_output;
-    s.engine = EngineConfig {
-        spill: s.engine.spill,
-        retry: RetryPolicy::attempts(s.engine.retry.max_attempts),
-        ..blank.engine
-    };
-    scalars(&s)
+    let mut travelled = default_built();
+    travelled.job.reducers = s.job.reducers;
+    travelled.job.map_side = s.job.map_side;
+    travelled.job.shuffle = s.job.shuffle;
+    scalars(&travelled)
 }
 
 fn set_all(s: &mut Settings, values: &[(&str, &str)]) {
@@ -180,19 +176,19 @@ fn travelling_pairs_applied_to_a_default_spec_reproduce_the_job() {
 }
 
 #[test]
-fn apply_keeps_what_has_no_text_form_when_the_backend_kind_matches() {
+fn setting_the_backend_keeps_what_has_no_text_form_when_the_kind_matches() {
     use onepass_groupby::CountThreshold;
-    let registered = |backend| fresh(JobSpec::builder("t").backend(backend).build().unwrap());
-    let sent = |text: &str| vec![("backend".to_string(), text.to_string())];
+    let built = |backend| fresh(JobSpec::builder("t").backend(backend).build().unwrap());
+    let backend = find("backend").unwrap();
 
-    let mut s = registered(ReduceBackend::IncHash {
+    let mut s = built(ReduceBackend::IncHash {
         early: Some(std::sync::Arc::new(CountThreshold(3))),
     });
-    apply(&mut s, &sent("inc-hash")).unwrap();
+    backend.set(&mut s, "inc-hash").unwrap();
     assert!(s.job.backend.incremental(), "early-emit policy was dropped");
 
-    let mut s = registered(ReduceBackend::FreqHash);
-    apply(&mut s, &sent("inc-hash")).unwrap();
+    let mut s = built(ReduceBackend::FreqHash);
+    backend.set(&mut s, "inc-hash").unwrap();
     assert!(matches!(&s.job.backend, ReduceBackend::IncHash { .. }));
     assert!(
         !s.job.backend.incremental(),
@@ -216,14 +212,25 @@ fn bad_pairs_are_errors_that_name_the_knob() {
         "syntax shown"
     );
     assert!(err("reducer", "8").contains("\"reducer\""), "unknown name");
-    assert!(
-        err("map-workers", "2").contains("map-workers"),
-        "stays behind"
-    );
-    assert!(err("backend", "sort-merge").contains("backend"));
+    for behind in ["map-workers", "backend", "budget-kb", "spill", "retries"] {
+        let why = err(behind, "2");
+        assert!(
+            why.contains(&format!("{behind:?} is not one a worker takes")),
+            "{why}"
+        );
+    }
     assert!(err("shuffle", "push").contains("shuffle"));
-    assert!(err("retries", "0").contains("at least 1"));
-    assert!(err("budget-kb", "-1").contains("budget-kb"));
+    // Rows that stay behind name themselves when set from bad text too.
+    let set_err = |name: &str, value: &str| {
+        find(name)
+            .unwrap()
+            .set(&mut default_built(), value)
+            .unwrap_err()
+            .to_string()
+    };
+    assert!(set_err("backend", "sort-merge").contains("backend"));
+    assert!(set_err("retries", "0").contains("at least 1"));
+    assert!(set_err("budget-kb", "-1").contains("budget-kb"));
     // Values that parse but make an invalid job are caught by validation.
     assert!(err("reducers", "0").contains("reducers"));
     // Stale values cannot hide behind static budgets.
@@ -267,12 +274,11 @@ fn job_debug_prints_the_job_rows() {
     );
 }
 
-/// What `JobInit` carries for each preset, pinned as text: removing a
-/// row that does not travel must leave these strings — and so the wire,
-/// and old/new binary interoperation — untouched. (Removing a travelling
-/// row changes them: a worker that still has the row refuses nothing for
-/// its absence, and refuses a job only when the job names a row or value
-/// it does not know, naming that knob.)
+/// What `JobInit` carries for each preset, pinned as text: the rows a map
+/// attempt reads, and only those. Removing a row that does not travel
+/// must leave these strings — and so the wire — untouched; a row that
+/// starts or stops travelling changes what a worker is sent, which is a
+/// new wire version.
 #[test]
 fn travelling_pairs_of_every_preset_are_pinned() {
     let sent: Vec<String> = presets()
@@ -285,21 +291,11 @@ fn travelling_pairs_of_every_preset_are_pinned() {
             format!("{name}: {}", pairs.join(" "))
         })
         .collect();
-    const TAIL: &str = "budget-kb=65536 spill=memory retries=1";
     let want = [
-        (
-            "hadoop",
-            "map-side=sort-spill shuffle=pull backend=sort-merge:10",
-        ),
-        (
-            "hop",
-            "map-side=sort-spill shuffle=push:4096 backend=sort-merge:10:0.25,0.5,0.75",
-        ),
-        (
-            "onepass",
-            "map-side=hash shuffle=push:4096 backend=freq-hash",
-        ),
+        ("hadoop", "map-side=sort-spill shuffle=pull"),
+        ("hop", "map-side=sort-spill shuffle=push:4096"),
+        ("onepass", "map-side=hash shuffle=push:4096"),
     ]
-    .map(|(name, head)| format!("{name}: reducers=4 {head} {TAIL}"));
+    .map(|(name, rest)| format!("{name}: reducers=4 {rest}"));
     assert_eq!(sent, want);
 }

@@ -202,8 +202,8 @@ proptest! {
         reducers in 1usize..4,
         per_split in 1usize..10,
         // 0 = both workers healthy; n > 0 = the first worker dies after
-        // n completed maps, forcing map replay and (for partitions it
-        // hosted) reduce-side log replay onto the survivor.
+        // n completed maps, forcing its map attempts to rerun on the
+        // survivor.
         die_after_tag in 0u64..3,
         mapside_tag in 0u8..3,
     ) {

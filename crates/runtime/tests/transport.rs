@@ -100,10 +100,11 @@ fn tcp_two_workers_matches_inproc_byte_for_byte() {
     w2.shutdown();
 }
 
-/// The coordinator stamps the lifetime of every task it waits on, so a
-/// traced `--workers` run has a `task` lane per remote map and reduce
-/// over the very instants the report's `TaskSpan` holds (what happens
-/// inside stays on the worker: its buffers do not travel yet).
+/// The coordinator stamps the lifetime of every remote map it waits on,
+/// and runs every reduce itself, so a traced `--workers` run has a `task`
+/// lane per map and reduce over the very instants the report's `TaskSpan`
+/// holds (what happens inside a map stays on the worker: its buffers do
+/// not travel yet).
 #[test]
 fn traced_tcp_run_has_a_task_span_per_remote_task() {
     let w1 = spawn_local(registry(), WorkerOptions::default()).unwrap();
@@ -149,14 +150,12 @@ fn shuffle_accounting_is_transport_agnostic() {
 }
 
 /// Kill one worker after its third completed map (the moral equivalent
-/// of `kill -9` mid-job): the survivor absorbs replayed map attempts and
-/// reduce partitions, and the output stays byte-identical. Every segment
-/// in a dead owner's retained log arrived over the wire, and is replayed
-/// as the framed bytes it came in as, never re-framed.
+/// of `kill -9` mid-job): the survivor absorbs the rerun map attempts,
+/// and the output stays byte-identical.
 #[test]
 fn worker_killed_mid_job_is_byte_identical() {
     // Enough maps behind the third that the job is far from done at the
-    // kill, and enough segments before it that the log is not empty.
+    // kill.
     let input = || splits_of(24, 600);
     let base = run_inproc_on(input());
     let dying = spawn_local(
@@ -168,28 +167,15 @@ fn worker_killed_mid_job_is_byte_identical() {
     )
     .unwrap();
     let survivor = spawn_local(registry(), WorkerOptions::default()).unwrap();
-    let tracer = Tracer::enabled();
-    let dist = run_tcp_on(&[dying.addr(), survivor.addr()], input(), tracer.clone());
+    let dist = run_tcp_on(
+        &[dying.addr(), survivor.addr()],
+        input(),
+        Tracer::disabled(),
+    );
     assert_eq!(
         finals(&base),
         finals(&dist),
         "output diverged after worker loss"
-    );
-    let events = tracer.drain();
-    let replays: Vec<_> = events
-        .iter()
-        .filter(|e| e.name == "reduce_replay")
-        .collect();
-    assert!(!replays.is_empty(), "the dead worker's partitions re-home");
-    let arg = |e: &onepass_core::trace::TraceEvent, name: &str| {
-        e.args.iter().find(|(k, _)| *k == name).expect(name).1
-    };
-    for r in &replays {
-        assert_eq!(arg(r, "verbatim"), arg(r, "segments"));
-    }
-    assert!(
-        replays.iter().any(|r| arg(r, "verbatim") > 0.0),
-        "a replayed log held segments"
     );
     survivor.shutdown();
     dying.shutdown();
@@ -283,22 +269,28 @@ impl onepass_groupby::Aggregator for SpillSpy {
     }
 }
 
-/// Every travelling knob set away from what the workers' registry holds:
-/// the output (which is knob-invariant by design) must match the in-proc
-/// run, and the counters must show that the knobs arrived.
+/// Every travelling knob — `reducers`, `map-side`, `shuffle`, what a map
+/// attempt reads — set away from what the workers' registry holds: the
+/// output (which is knob-invariant by design) must match the in-proc run,
+/// and the counters must show that the knobs arrived. The reduce-side
+/// rows stay behind and act on the coordinator's reducers.
 #[test]
 fn non_default_knobs_reach_the_workers() {
+    use onepass_core::obs::{names, MetricsRegistry};
     use std::sync::atomic::{AtomicBool, Ordering};
     let on_disk = Arc::new(AtomicBool::new(false));
-    let builder = || {
-        JobSpec::builder("wc-knobs")
+    let builder = |name: &str, agg: Arc<dyn Aggregator>| {
+        JobSpec::builder(name)
             .map_fn(Arc::new(word_map))
-            .aggregate(Arc::new(SpillSpy(Arc::clone(&on_disk))))
+            .aggregate(agg)
     };
-    // The workers know the job by name, with the builder's defaults.
+    let spy = || Arc::new(SpillSpy(Arc::clone(&on_disk))) as Arc<dyn Aggregator>;
+    // The workers know the jobs by name, with the builder's defaults
+    // (four reducers, a sort-spill map side, pull).
     let registry = JobRegistry::new();
-    registry.register_spec(builder().build().unwrap());
-    let job = builder()
+    registry.register_spec(builder("wc-knobs", spy()).build().unwrap());
+    registry.register_spec(builder("wc-knobs-list", Arc::new(ListAgg)).build().unwrap());
+    let job = builder("wc-knobs", spy())
         .reducers(3)
         .map_side(MapSideMode::Hash)
         .shuffle(ShuffleMode::Push { granularity: 64 })
@@ -307,13 +299,15 @@ fn non_default_knobs_reach_the_workers() {
         .build()
         .unwrap();
 
-    // Enough distinct words that no reducer's groups fit in 1 KiB.
+    // Enough distinct words that no reducer's groups fit in 1 KiB, and one
+    // in every record, which only a combine over the whole split counts
+    // once.
     let splits = || -> Vec<Split> {
         (0..6)
             .map(|s| {
                 Split::new(
                     (0..150)
-                        .map(|i| format!("w{} w{i}", s * 150 + i).into_bytes())
+                        .map(|i| format!("w{} w{i} common", s * 150 + i).into_bytes())
                         .collect(),
                 )
             })
@@ -332,27 +326,86 @@ fn non_default_knobs_reach_the_workers() {
 
     let w1 = spawn_local(registry.clone(), WorkerOptions::default()).unwrap();
     let w2 = spawn_local(registry, WorkerOptions::default()).unwrap();
-    let cfg = EngineConfig::builder()
-        .spill(SpillBackend::TempFiles)
-        .retry(RetryPolicy::attempts(3))
-        .transport(Transport::Tcp {
-            workers: vec![w1.addr().to_string(), w2.addr().to_string()],
-        })
-        .build();
-    let dist = Engine::with_config(cfg).run(&job, splits()).unwrap();
-    w1.shutdown();
-    w2.shutdown();
+    let tcp = |metrics: &MetricsRegistry| {
+        EngineConfig::builder()
+            .spill(SpillBackend::TempFiles)
+            .retry(RetryPolicy::attempts(3))
+            .metrics(metrics.clone())
+            .transport(Transport::Tcp {
+                workers: vec![w1.addr().to_string(), w2.addr().to_string()],
+            })
+            .build()
+    };
+    let dist = Engine::with_config(tcp(&MetricsRegistry::new()))
+        .run(&job, splits())
+        .unwrap();
 
     assert_eq!(finals(&base), finals(&dist), "distributed output differs");
     assert_eq!(dist.reduce_tasks, 3);
-    // (How much spills depends on arrival order; that it spills does not.)
+    // A hash map side combines the whole of a remote attempt's split (a
+    // sort-spill one, pushing every 64 records, combines each push): one
+    // record per distinct word of each split.
+    let distinct: usize = splits()
+        .iter()
+        .map(|s| {
+            let words: std::collections::BTreeSet<&[u8]> = s
+                .records
+                .iter()
+                .flat_map(|r| r.split(|&b| b == b' '))
+                .collect();
+            words.len()
+        })
+        .sum();
+    assert_eq!(
+        dist.shuffled_records, distinct as u64,
+        "the map side did not travel"
+    );
+    // The reduce-side rows act on the coordinator's reducers. (How much
+    // spills depends on arrival order; that it spills does not.)
     assert!(
         dist.reduce_spill_io.bytes_written > 0,
-        "the reduce budget did not travel"
+        "budget is not tight"
     );
     assert!(
         on_disk.load(Ordering::Relaxed),
-        "the spill backend did not travel: no run file was ever on disk"
+        "no run file was ever on disk"
+    );
+
+    // A list does not combine, so every emitted record ships, and a push
+    // every 64 records of a partition cuts as many segments on the workers
+    // as in-proc: the shuffle row travelled (pull would cut one per task
+    // and partition).
+    let list = builder("wc-knobs-list", Arc::new(ListAgg))
+        .reducers(3)
+        .map_side(MapSideMode::Hash)
+        .shuffle(ShuffleMode::Push { granularity: 64 })
+        .build()
+        .unwrap();
+    let segments = |cfg: EngineConfig, metrics: &MetricsRegistry| {
+        let report = Engine::with_config(cfg).run(&list, splits()).unwrap();
+        let cell = metrics.counter(
+            names::ENGINE_SHUFFLE_SEGMENTS,
+            &[("stage", "wc-knobs-list")],
+        );
+        (finals(&report), cell.value())
+    };
+    let local = MetricsRegistry::new();
+    let (want, local_segments) = segments(
+        EngineConfig::builder().metrics(local.clone()).build(),
+        &local,
+    );
+    let remote = MetricsRegistry::new();
+    let (got, remote_segments) = segments(tcp(&remote), &remote);
+    w1.shutdown();
+    w2.shutdown();
+    assert_eq!(got, want, "distributed output differs");
+    assert!(
+        local_segments > 6 * 3,
+        "{local_segments} segments: no pushes"
+    );
+    assert_eq!(
+        remote_segments, local_segments,
+        "the shuffle did not travel"
     );
 }
 
@@ -376,14 +429,11 @@ impl Aggregator for RefusesKey {
     }
 }
 
-/// A worker-hosted reduce partition that fails every attempt fails the
-/// job, naming the panic, instead of leaving the coordinator waiting on a
-/// partition nobody will finish: each worker gives the partition back,
-/// the coordinator replays it from worker to worker until the retry
-/// budget is spent, and the job returns its error, of the same kind as
-/// the in-process run's (a reduce failure, not a refused job).
+/// Under the default `retries`, a reduce that fails fails a TCP job just
+/// as it fails an in-process one: with the reduce's error (not a refused
+/// job), and without leaving the coordinator waiting.
 #[test]
-fn failed_hosted_reduce_fails_the_job_instead_of_hanging() {
+fn a_failed_reduce_fails_a_tcp_job_as_in_proc() {
     let job = || {
         JobSpec::builder("wc-refuses")
             .map_fn(Arc::new(word_map))
@@ -401,10 +451,12 @@ fn failed_hosted_reduce_fails_the_job_instead_of_hanging() {
     registry.register_spec(job());
     let w1 = spawn_local(registry.clone(), WorkerOptions::default()).unwrap();
     let w2 = spawn_local(registry, WorkerOptions::default()).unwrap();
+    let tracer = Tracer::enabled();
     let cfg = EngineConfig::builder()
         .transport(Transport::Tcp {
             workers: vec![w1.addr().to_string(), w2.addr().to_string()],
         })
+        .tracer(tracer.clone())
         .build();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -412,10 +464,15 @@ fn failed_hosted_reduce_fails_the_job_instead_of_hanging() {
     });
     let result = rx
         .recv_timeout(std::time::Duration::from_secs(30))
-        .expect("the job hung on a partition no worker can finish");
+        .expect("the job hung on a failed reduce");
     let err = result.unwrap_err();
     assert!(err.to_string().contains("finish refuses key"), "{err}");
     assert!(matches!(err, Error::InvalidState(_)), "{err:?}");
+    // One attempt, as in-proc: the map floor of workers + 2 is not the
+    // reducers'.
+    let failed = tracer.drain();
+    let failed = failed.iter().filter(|e| e.name == "task_failed").count();
+    assert_eq!(failed, 1, "one reduce attempt");
     w1.shutdown();
     w2.shutdown();
 }
@@ -441,17 +498,12 @@ impl Aggregator for RefusesKeyOnce {
     }
 }
 
-fn arg(e: &onepass_core::trace::TraceEvent, name: &str) -> f64 {
-    e.args.iter().find(|(k, _)| *k == name).expect(name).1
-}
-
-/// A worker-hosted reduce runs one attempt: the coordinator's shuffle log
-/// and stage are its only retained copy, and the retry. When that attempt
-/// fails, the worker says so and stays connected, and the coordinator
-/// replays the partition onto the next worker, where it succeeds: the
-/// output equals the in-process reference.
+/// A TCP job's reducers run on the coordinator under the job's own
+/// `retries`: with two attempts, a reduce that fails once (the
+/// coordinator's job is the armed one; the workers', which only map, is
+/// not) is retried there, and the output equals the in-process reference.
 #[test]
-fn hosted_reduce_failing_its_one_attempt_completes_on_another_worker() {
+fn a_reduce_failing_once_over_tcp_recovers_within_retries() {
     let job = |armed: bool| {
         let once = Arc::new(std::sync::atomic::AtomicBool::new(armed));
         JobSpec::builder("wc-refuses-once")
@@ -464,46 +516,33 @@ fn hosted_reduce_failing_its_one_attempt_completes_on_another_worker() {
     };
     let base = Engine::new().run(&job(false), splits()).unwrap();
 
-    // One spec, one flag, shared by both workers: whichever hosts the
-    // key's partition fails it once.
     let registry = JobRegistry::new();
-    registry.register_spec(job(true));
+    registry.register_spec(job(false));
     let w1 = spawn_local(registry.clone(), WorkerOptions::default()).unwrap();
     let w2 = spawn_local(registry, WorkerOptions::default()).unwrap();
-    let tracer = Tracer::enabled();
     let cfg = EngineConfig::builder()
+        .retry(RetryPolicy::attempts(2))
         .transport(Transport::Tcp {
             workers: vec![w1.addr().to_string(), w2.addr().to_string()],
         })
-        .tracer(tracer.clone())
         .build();
-    let dist = Engine::with_config(cfg).run(&job(false), splits()).unwrap();
+    let dist = Engine::with_config(cfg).run(&job(true), splits()).unwrap();
     assert_eq!(
         finals(&base),
         finals(&dist),
-        "output diverged after the replay"
+        "output diverged after the retry"
     );
-    let events = tracer.drain();
-    let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-    assert_eq!(count("worker_dead"), 0, "the failing worker stayed up");
-    let replays: Vec<_> = events
-        .iter()
-        .filter(|e| e.name == "reduce_replay")
-        .collect();
-    assert_eq!(replays.len(), 1, "the failed partition re-homed once");
-    // Partition p starts on worker p % 2; the replay goes to the other.
-    let (p, to) = (arg(replays[0], "partition"), arg(replays[0], "to"));
-    assert_eq!(to, (p + 1.0) % 2.0, "replayed onto the next worker");
     assert_eq!(dist.failed_attempts, 1, "one failed reduce attempt");
     w1.shutdown();
     w2.shutdown();
 }
 
-/// The job's `retries` bounds a hosted reduce: a partition whose every
-/// attempt fails is replayed, onto its one worker, until that many
-/// attempts have run, and then fails the job with the reduce's error.
+/// The job's `retries` bounds a TCP job's reducers, not the floor its map
+/// scheduling takes: a reduce whose every attempt fails runs five
+/// attempts under `retries 5`, and then fails the job with the reduce's
+/// error, without hanging.
 #[test]
-fn hosted_reduce_attempts_are_bounded_by_retries() {
+fn reduce_attempts_over_tcp_are_bounded_by_retries() {
     let job = || {
         JobSpec::builder("wc-refuses")
             .map_fn(Arc::new(word_map))
@@ -524,12 +563,20 @@ fn hosted_reduce_attempts_are_bounded_by_retries() {
         })
         .tracer(tracer.clone())
         .build();
-    let err = Engine::with_config(cfg).run(&job(), splits()).unwrap_err();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(Engine::with_config(cfg).run(&job(), splits()).map(|_| ()));
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the job hung on a failed reduce");
+    let err = result.unwrap_err();
     assert!(err.to_string().contains("finish refuses key"), "{err}");
     assert!(matches!(err, Error::InvalidState(_)), "{err:?}");
     let events = tracer.drain();
     let count = |name: &str| events.iter().filter(|e| e.name == name).count();
     assert_eq!(count("worker_dead"), 0, "the worker stayed up");
-    assert_eq!(count("reduce_replay"), 4, "five attempts, four replays");
+    assert_eq!(count("task_failed"), 5, "five failed reduce attempts");
+    assert_eq!(count("retry"), 4, "four retries");
     worker.shutdown();
 }

@@ -6,12 +6,12 @@
 #      (each worker prints its bound address; fixed ports collide on
 #      shared CI hosts) and run the same job with `--workers`; the dump
 #      must be byte-identical,
-#   2b. run sessionization under a tight --budget-kb both ways: outputs
-#      are knob-invariant by design, so a knob that failed to travel
-#      shows only in the counters — the distributed run must spill,
+#   2b. run sessionization under a tight --budget-kb both ways: the
+#      outputs must match, and the distributed run's reducers (which run
+#      on the coordinator, under its budget) must spill,
 #   3. restart one worker with --die-after-maps so it severs its
-#      connection mid-job (the scripted `kill -9`); replay onto the
-#      survivor must still produce byte-identical output.
+#      connection mid-job (the scripted `kill -9`); rerunning its maps on
+#      the survivor must still produce byte-identical output.
 #
 # Set SMOKE_OUT_DIR to keep logs and dumps (CI uploads it on failure).
 set -e
@@ -90,14 +90,14 @@ if ! cmp -s "$OUT/tight-solo.tsv" "$OUT/tight-dist.tsv"; then
 fi
 if ! grep -q '^reduce spill:' "$OUT/tight-dist.out" ||
     grep -q '^reduce spill: *0 B' "$OUT/tight-dist.out"; then
-    echo "FAIL: the reduce budget did not reach the workers (no reduce spill)"
+    echo "FAIL: the distributed run's reducers ignored the reduce budget (no reduce spill)"
     cat "$OUT/tight-dist.out"
     exit 1
 fi
-echo "ok: the tight budget travelled ($(grep '^reduce spill:' "$OUT/tight-dist.out"))"
+echo "ok: the tight budget held ($(grep '^reduce spill:' "$OUT/tight-dist.out"))"
 
 # 3. Worker loss mid-job: the first worker dies cold after one completed
-# map; the survivor absorbs the replayed maps and reduce partitions.
+# map; the survivor reruns its maps.
 kill "$P1"
 wait "$P1" 2>/dev/null || true
 WORKER_PIDS="$P2"

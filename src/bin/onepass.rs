@@ -43,11 +43,12 @@
 //!
 //! Distributed mode: `onepass worker --listen ADDR` starts a worker
 //! process serving every benchmark workload by name; `onepass run
-//! <workload> --workers a:1,b:2` places that run's map and reduce tasks
-//! on those workers over the framed-TCP transport. Killing a worker
-//! mid-job (`kill -9`, or `--die-after-maps N` for a scripted drill) is
-//! survived: the coordinator replays lost work on survivors and the
-//! output stays byte-identical to a single-process run.
+//! <workload> --workers a:1,b:2` places that run's map tasks on those
+//! workers over the framed-TCP transport and runs its reduces itself.
+//! Killing a worker mid-job (`kill -9`, or `--die-after-maps N` for a
+//! scripted drill) is survived: the coordinator reruns lost map attempts
+//! on survivors and the output stays byte-identical to a single-process
+//! run.
 
 use std::time::Duration;
 
@@ -498,8 +499,8 @@ fn cmd_run(mut args: Args) {
     let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
 
     let outputs = Outputs::from_args(&mut args);
-    // Distributed mode: place map/reduce tasks on `onepass worker`
-    // processes instead of in-process threads.
+    // Distributed mode: place map tasks on `onepass worker` processes
+    // instead of in-process threads.
     let workers: Vec<String> = args
         .value("workers")
         .map(|v| {

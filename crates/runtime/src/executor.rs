@@ -244,6 +244,14 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     // Work queue + event stream between coordinator and map workers.
     let (task_tx, task_rx) = unbounded::<MapAssignment>();
     let (evt_tx, evt_rx) = unbounded::<MapEvent>();
+    // A streamed feed leaves its edge only as fast as this job maps it:
+    // the forwarder takes the next split for a credit, one per map slot to
+    // start with and one back per completed task, so a slow stage stalls
+    // its upstream on the bounded edge instead of queueing all of it here.
+    let (credit_tx, credit_rx) = unbounded::<()>();
+    for _ in 0..config.map_workers.max(1) {
+        let _ = credit_tx.send(());
+    }
     let (red_res_tx, red_res_rx) = unbounded::<Result<(ReduceResult, TaskSpan, TimedSink)>>();
 
     let tracer = &config.tracer;
@@ -344,13 +352,17 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         }
 
         // Streamed feed forwarder: turn arriving splits into scheduler
-        // events so the coordinator stays a single recv loop.
+        // events so the coordinator stays a single recv loop. The credits
+        // run out for good once the job fails; the feed drops with this
+        // thread then, so the upstream's sends fail instead of blocking.
         if let Some(rx) = feed_rx {
             let evt_tx = evt_tx.clone();
             scope.spawn(move |_| {
-                for item in rx.iter() {
+                while credit_rx.recv().is_ok() {
+                    let Ok(item) = rx.recv() else { break };
                     let _ = evt_tx.send(MapEvent::NewSplit(item));
                 }
+                drop(rx);
                 let _ = evt_tx.send(MapEvent::FeedClosed);
             });
         }
@@ -413,6 +425,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             speculate,
             task_tx,
             evt_rx,
+            credits: known_total.is_none().then_some(credit_tx),
             shuffle_tx: &shuffle_tx,
             clock: start,
             telemetry: &telemetry,
@@ -592,9 +605,11 @@ impl TimedSink {
     }
 
     /// End of the reduce task, on the thread that ran it: flush the
-    /// buffered emission count and sort a cache-output partition by key.
+    /// buffered emission count, drop the tap (a plan edge's writer sends
+    /// its remainder as it drops) and sort a cache-output partition by key.
     fn close(&mut self) {
         self.obs.flush();
+        self.tap = None;
         if let Kept::Finals(finals) = &mut self.kept {
             let finals = std::mem::take(finals).finish();
             self.kept = Kept::Partition(finals.sorted_by_key());

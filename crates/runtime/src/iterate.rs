@@ -25,7 +25,7 @@ use onepass_core::error::Result;
 use crate::cache::DatasetCache;
 use crate::driver::Engine;
 use crate::map_task::Split;
-use crate::plan::{Plan, PlanConfig};
+use crate::plan::Plan;
 use crate::report::PlanReport;
 
 /// What a convergence check sees after each round.
@@ -46,13 +46,12 @@ pub struct RoundContext<'a> {
 /// # fn round_plan(round: usize) -> Result<(Plan, Vec<Split>)> { unimplemented!() }
 /// let engine = Engine::new();
 /// let cache = DatasetCache::new(CacheConfig::default());
-/// let mut iter = IterativePlan::new(PlanConfig::default(), |round, _cache| round_plan(round));
+/// let mut iter = IterativePlan::new(|round, _cache| round_plan(round));
 /// let reports = iter
 ///     .run_until(&engine, &cache, 10, |ctx| Ok(ctx.round >= 9))
 ///     .unwrap();
 /// ```
 pub struct IterativePlan<F> {
-    config: PlanConfig,
     body: F,
 }
 
@@ -60,11 +59,10 @@ impl<F> IterativePlan<F>
 where
     F: FnMut(usize, &DatasetCache) -> Result<(Plan, Vec<Split>)>,
 {
-    /// A loop whose rounds run under `config`. `body` builds each
-    /// round's plan and record input (usually empty after round 0 —
-    /// later rounds are cache-fed).
-    pub fn new(config: PlanConfig, body: F) -> Self {
-        IterativePlan { config, body }
+    /// A loop whose `body` builds each round's plan and record input
+    /// (usually empty after round 0 — later rounds are cache-fed).
+    pub fn new(body: F) -> Self {
+        IterativePlan { body }
     }
 
     /// Run rounds until `converged` returns true or `max_rounds` rounds
@@ -84,7 +82,7 @@ where
         let mut reports = Vec::new();
         for round in 0..max_rounds {
             let (plan, input) = (self.body)(round, cache)?;
-            let report = engine.run_plan_with_cache(&plan, input, &self.config, Some(cache))?;
+            let report = engine.run_plan_with_cache(&plan, input, Some(cache))?;
             let done = converged(&RoundContext {
                 round,
                 cache,
@@ -104,7 +102,6 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::job::{JobSpec, MapEmitter};
-    use crate::plan::PlanMode;
     use onepass_groupby::SumAgg;
     use std::sync::Arc;
 
@@ -136,46 +133,44 @@ mod tests {
             b.build().unwrap()
         };
 
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let engine = Engine::new();
-            let cache = DatasetCache::new(CacheConfig::default());
-            let mut iter = IterativePlan::new(PlanConfig::new(mode), |round, _c| {
-                let mut b = Plan::builder();
-                if round == 0 {
-                    let s = b.add_stage(job("parse", true));
-                    b.cache_output(s, "state");
-                    Ok((b.build()?, vec![Split::new(vec![b"5".to_vec()])]))
-                } else {
-                    let s = b.add_stage(job("double", false));
-                    b.cached_input_aligned(s, "state");
-                    b.cache_output(s, "state");
-                    Ok((b.build()?, Vec::new()))
-                }
-            });
-            let reports = iter
-                .run_until(&engine, &cache, 10, |ctx| {
-                    let state = ctx.cache.get("state").unwrap().unwrap();
-                    let v: u64 = state
-                        .iter()
-                        .flat_map(|p| {
-                            p.iter()
-                                .map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap()))
-                        })
-                        .sum();
-                    Ok(v >= 40) // 5 -> 10 -> 20 -> 40: stops after round 3
-                })
-                .unwrap();
-            assert_eq!(reports.len(), 4, "{mode:?}");
-            let state = cache.get("state").unwrap().unwrap();
-            let total: u64 = state
-                .iter()
-                .flat_map(|p| {
-                    p.iter()
-                        .map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap()))
-                })
-                .sum();
-            assert_eq!(total, 40, "{mode:?}");
-            assert!(cache.stats().hits > 0, "{mode:?}");
-        }
+        let engine = Engine::new();
+        let cache = DatasetCache::new(CacheConfig::default());
+        let mut iter = IterativePlan::new(|round, _c| {
+            let mut b = Plan::builder();
+            if round == 0 {
+                let s = b.add_stage(job("parse", true));
+                b.cache_output(s, "state");
+                Ok((b.build()?, vec![Split::new(vec![b"5".to_vec()])]))
+            } else {
+                let s = b.add_stage(job("double", false));
+                b.cached_input_aligned(s, "state");
+                b.cache_output(s, "state");
+                Ok((b.build()?, Vec::new()))
+            }
+        });
+        let reports = iter
+            .run_until(&engine, &cache, 10, |ctx| {
+                let state = ctx.cache.get("state").unwrap().unwrap();
+                let v: u64 = state
+                    .iter()
+                    .flat_map(|p| {
+                        p.iter()
+                            .map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap()))
+                    })
+                    .sum();
+                Ok(v >= 40) // 5 -> 10 -> 20 -> 40: stops after round 3
+            })
+            .unwrap();
+        assert_eq!(reports.len(), 4);
+        let state = cache.get("state").unwrap().unwrap();
+        let total: u64 = state
+            .iter()
+            .flat_map(|p| {
+                p.iter()
+                    .map(|(_, v)| u64::from_le_bytes(v.try_into().unwrap()))
+            })
+            .sum();
+        assert_eq!(total, 40);
+        assert!(cache.stats().hits > 0);
     }
 }

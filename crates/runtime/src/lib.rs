@@ -49,7 +49,7 @@ pub use job::{
     pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode, PairMap,
     Partitioner, ReduceBackend, ShuffleMode,
 };
-pub use plan::{Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
+pub use plan::{Plan, PlanBuilder, StageId};
 pub use report::{dump_pairs, JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
 pub use serve::{
     AdmissionConfig, DlqConfig, Frontend, QueryCatalog, ServeConfig, Server, StreamingQuery,
@@ -72,7 +72,7 @@ pub mod prelude {
         PairMap, Partitioner, ReduceBackend, ShuffleMode,
     };
     pub use crate::map_task::Split;
-    pub use crate::plan::{Plan, PlanBuilder, PlanConfig, PlanMode, StageId};
+    pub use crate::plan::{Plan, PlanBuilder, StageId};
     pub use crate::report::{JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
     pub use crate::serve::{
         AdmissionConfig, DlqConfig, Frontend, QueryCatalog, ServeConfig, Server, StreamingQuery,

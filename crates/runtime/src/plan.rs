@@ -1,8 +1,6 @@
-//! Staged query plans: a DAG of MapReduce stages executed either as a
-//! sequence of materialized jobs (barrier mode, classic Hadoop multi-job
-//! behaviour) or fully pipelined, with each stage's final answers
-//! streaming into downstream map tasks while upstream reducers are still
-//! running.
+//! Staged query plans: a DAG of MapReduce stages that all run at once,
+//! each stage's final answers streaming into downstream map tasks while
+//! upstream reducers are still running.
 //!
 //! Real analytical queries rarely fit one MapReduce job — the paper's
 //! related work (Pig, Hive) compiles queries into job *DAGs*, and §IV's
@@ -11,19 +9,17 @@
 //!
 //! * Stages are connected by **edges** carrying pairs: each final
 //!   `(key, value)` of an upstream stage is one input pair of its
-//!   downstream stages, batched into [`Split::from_segment`] splits and
-//!   mapped through [`MapFn::map_pair`](crate::job::MapFn::map_pair) —
-//!   never re-serialised in between (M3R's point, arXiv:1208.4168). A
-//!   fan-out hands every downstream the same `Arc`-shared segment.
-//! * In [`PlanMode::Pipelined`] (the default) every stage runs
-//!   concurrently; upstream finals are batched into splits of
-//!   [`PlanConfig::records_per_split`] pairs and pushed over a bounded
-//!   channel into the downstream stage's streamed split feed. Downstream
-//!   map and reduce work overlaps the upstream stage, so multi-stage
-//!   time-to-first-answer drops without changing the final answer.
-//! * In [`PlanMode::Barrier`] stages run one at a time in topological
-//!   order, each consuming its predecessors' fully materialized output —
-//!   the baseline the pipelined mode is measured against.
+//!   downstream stages, batched into [`Split::from_segment`] splits of
+//!   `EDGE_SPLIT_PAIRS` pairs and mapped through
+//!   [`MapFn::map_pair`](crate::job::MapFn::map_pair) — never
+//!   materialized or re-serialised in between (M3R's point,
+//!   arXiv:1208.4168). A fan-out hands every downstream the same
+//!   `Arc`-shared segment.
+//! * Every edge is a bounded channel into the downstream stage's
+//!   streamed split feed, and the downstream takes a split off it only
+//!   when a map slot is free for it. A slow stage therefore stalls its
+//!   upstream's reducers instead of queueing the whole edge, while
+//!   downstream map and reduce work still overlaps the upstream stage.
 //!
 //! A downstream stage is usually a pair stage
 //! ([`PlanBuilder::add_pair_stage`]): its [`PairMap`] is installed as the
@@ -85,63 +81,14 @@ impl StageId {
     }
 }
 
-/// How the stages of a plan are executed relative to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// All stages run concurrently; upstream finals stream into
-    /// downstream split feeds as they are produced.
-    #[default]
-    Pipelined,
-    /// Stages run one at a time in topological order, each consuming its
-    /// predecessors' fully materialized output (classic Hadoop multi-job
-    /// behaviour).
-    Barrier,
-}
-
-impl PlanMode {
-    /// Lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanMode::Pipelined => "pipelined",
-            PlanMode::Barrier => "barrier",
-        }
-    }
-}
-
-/// Options for [`Engine::run_plan`].
-#[derive(Debug, Clone)]
-pub struct PlanConfig {
-    /// Pipelined (default) or barrier execution.
-    pub mode: PlanMode,
-    /// Pairs per inter-stage split. Smaller batches reach downstream
-    /// maps sooner; larger ones amortize per-split scheduling. Default
-    /// 4096 (the chain default).
-    pub records_per_split: usize,
-}
-
-/// Bound of each pipelined edge channel, in splits. A full edge blocks
-/// the upstream reducer's emission — the same backpressure push shuffling
-/// applies within a job (§III-D), extended across stages.
+/// Bound of each edge channel, in splits. A full edge blocks the upstream
+/// reducer's emission — the same backpressure push shuffling applies
+/// within a job (§III-D), extended across stages.
 const EDGE_DEPTH: usize = 16;
 
-impl PlanConfig {
-    /// Defaults with the given execution mode.
-    pub fn new(mode: PlanMode) -> Self {
-        PlanConfig {
-            mode,
-            ..Default::default()
-        }
-    }
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        PlanConfig {
-            mode: PlanMode::default(),
-            records_per_split: 4096,
-        }
-    }
-}
+/// Pairs per edge split: the presets' push granularity, so an edge split
+/// and a pushed shuffle segment are cut to the same size.
+const EDGE_SPLIT_PAIRS: usize = 4096;
 
 /// A cache edge feeding a stage from a named dataset.
 pub(crate) struct CachedInput {
@@ -213,7 +160,8 @@ impl PlanBuilder {
     /// partitioned by the stage's own partitioner over its reducer
     /// count — so a successor round consuming the dataset with the same
     /// partitioner and reducer count gets partition-stable placement.
-    /// The stage must collect output.
+    /// Each reducer writes its own partition whatever the job's
+    /// [`CollectOutput`].
     pub fn cache_output(&mut self, stage: StageId, name: &str) -> &mut Self {
         self.stages[stage.0].cache_output = Some(name.to_string());
         self
@@ -254,8 +202,7 @@ impl PlanBuilder {
     ///
     /// Rejects: empty plans, edges to unknown stages, self-loops,
     /// duplicate edges, cycles, plans without exactly one source stage,
-    /// stages that feed downstream stages without collecting output, and
-    /// invalid per-stage job specs.
+    /// and invalid per-stage job specs.
     pub fn build(self) -> Result<Plan> {
         Plan::from_parts(self.stages, self.edges)
     }
@@ -291,9 +238,7 @@ impl Plan {
         PlanBuilder::new()
     }
 
-    /// A linear chain: each job's finals feed the next job's input (the
-    /// classic materialize-then-re-split multi-job topology when run in
-    /// [`PlanMode::Barrier`]).
+    /// A linear chain: each job's finals feed the next job's input.
     pub fn linear(jobs: Vec<JobSpec>) -> Result<Plan> {
         let mut b = Plan::builder();
         let ids: Vec<StageId> = jobs.into_iter().map(|j| b.add_stage(j)).collect();
@@ -406,19 +351,7 @@ impl Plan {
             return Err(Error::Config("plan has a cycle".into()));
         }
 
-        for (i, stage) in stages.iter().enumerate() {
-            if !outgoing[i].is_empty() && !stage.job.collect_output.is_collect() {
-                return Err(Error::Config(format!(
-                    "plan stage {i} ({}) must collect output to feed its downstream stages",
-                    stage.job.name
-                )));
-            }
-            if stage.cache_output.is_some() && !stage.job.collect_output.is_collect() {
-                return Err(Error::Config(format!(
-                    "plan stage {i} ({}) must collect output to cache it",
-                    stage.job.name
-                )));
-            }
+        for stage in &stages {
             stage.job.validate()?;
         }
 
@@ -431,43 +364,7 @@ impl Plan {
     }
 }
 
-/// Batches pairs into inter-stage splits of `per_split` pairs — the one
-/// shape every edge carries, the one [`cached_splits`] already produces
-/// out of the cache. Both executors cut their edges with it.
-struct SplitBatcher {
-    per_split: usize,
-    buf: SegmentBufBuilder,
-}
-
-impl SplitBatcher {
-    fn new(per_split: usize) -> Self {
-        SplitBatcher {
-            per_split: per_split.max(1),
-            buf: SegmentBufBuilder::new(),
-        }
-    }
-
-    /// Append one pair; hands back a split when it completes one.
-    fn push(&mut self, key: &[u8], value: &[u8]) -> Option<Split> {
-        self.buf.push(key, value);
-        if self.buf.len() >= self.per_split {
-            self.take()
-        } else {
-            None
-        }
-    }
-
-    /// The pairs buffered so far as a (short) split, if any.
-    fn take(&mut self) -> Option<Split> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let pairs = std::mem::take(&mut self.buf).finish();
-        Some(Split::from_segment(pairs))
-    }
-}
-
-/// One end of a pipelined edge: the downstream stage's split feed.
+/// One end of an edge: the downstream stage's split feed.
 type EdgeTx = Sender<Result<Split>>;
 
 /// Streams one reducer's final answers into the stage's downstream split
@@ -475,7 +372,8 @@ type EdgeTx = Sender<Result<Split>>;
 /// path never takes a shared lock; a feed closes when the last sender of
 /// it — reducers' and stage thread's — is gone.
 struct EdgeWriter {
-    batch: SplitBatcher,
+    /// The pairs of the split being cut, up to [`EDGE_SPLIT_PAIRS`].
+    batch: SegmentBufBuilder,
     outs: Vec<EdgeTx>,
     /// Gates edge sends on shared-governor memory pressure, exactly like
     /// map-side shuffle pushes within a job.
@@ -487,13 +385,19 @@ struct EdgeWriter {
 
 impl EdgeWriter {
     fn push(&mut self, key: &[u8], value: &[u8]) {
-        if let Some(split) = self.batch.push(key, value) {
-            self.send(split);
+        self.batch.push(key, value);
+        if self.batch.len() >= EDGE_SPLIT_PAIRS {
+            self.flush();
         }
     }
 
-    /// Fan one split out: every downstream gets the same two `Arc`s.
-    fn send(&mut self, split: Split) {
+    /// Fan the pairs batched so far out as one split, if there are any:
+    /// every downstream gets the same two `Arc`s.
+    fn flush(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let split = Split::from_segment(std::mem::take(&mut self.batch).finish());
         for tx in &self.outs {
             if let Some(g) = &self.gate {
                 g.admit(tx);
@@ -511,9 +415,7 @@ impl EdgeWriter {
 /// `execute` call, so before the stage thread lets go of its own senders.
 impl Drop for EdgeWriter {
     fn drop(&mut self) {
-        if let Some(split) = self.batch.take() {
-            self.send(split);
-        }
+        self.flush();
     }
 }
 
@@ -522,14 +424,9 @@ impl Engine {
     /// source stage). Returns the per-stage reports plus plan-level
     /// timings; all task spans and output timestamps are measured against
     /// the *plan* start, so time-to-first-answer is comparable across
-    /// modes.
-    pub fn run_plan(
-        &self,
-        plan: &Plan,
-        input: Vec<Split>,
-        config: &PlanConfig,
-    ) -> Result<PlanReport> {
-        self.run_plan_with_cache(plan, input, config, None)
+    /// stages.
+    pub fn run_plan(&self, plan: &Plan, input: Vec<Split>) -> Result<PlanReport> {
+        self.run_plan_with_cache(plan, input, None)
     }
 
     /// [`run_plan`](Engine::run_plan) with a [`DatasetCache`] backing
@@ -543,7 +440,6 @@ impl Engine {
         &self,
         plan: &Plan,
         input: Vec<Split>,
-        config: &PlanConfig,
         cache: Option<&DatasetCache>,
     ) -> Result<PlanReport> {
         if plan.uses_cache() {
@@ -557,22 +453,13 @@ impl Engine {
             ));
         }
         let clock = Instant::now();
-        let run = StageRunner {
-            engine: self,
-            plan,
-            clock,
-        };
-        let stages = match config.mode {
-            PlanMode::Barrier => run_barrier(&run, input, config, cache)?,
-            PlanMode::Pipelined => run_pipelined(&run, input, config, cache)?,
-        };
+        let stages = run_stages(self, plan, input, cache, clock)?;
         let first_final_at = stages
             .iter()
             .filter(|s| s.is_sink)
             .filter_map(|s| s.report.first_final_at)
             .min();
         let report = PlanReport {
-            mode: config.mode.label(),
             wall: clock.elapsed(),
             first_final_at,
             stages,
@@ -635,107 +522,19 @@ fn cached_splits(plan: &Plan, s: usize, cache: Option<&DatasetCache>) -> Result<
     Ok(out)
 }
 
-/// What running one stage needs besides its feed, and the one body both
-/// executors run it through.
-struct StageRunner<'a> {
-    engine: &'a Engine,
-    plan: &'a Plan,
+/// Run every stage of `plan` at once, one thread each. Each non-source
+/// stage consumes a bounded channel of splits; each stage with downstream
+/// consumers taps its sinks' final emissions and streams them into those
+/// channels as they happen.
+fn run_stages(
+    engine: &Engine,
+    plan: &Plan,
+    mut input: Vec<Split>,
+    cache: Option<&DatasetCache>,
     clock: Instant,
-}
-
-impl StageRunner<'_> {
-    /// Run stage `s` over `feed` inside its `stage` span and wrap the job
-    /// report. With `tap` the stage streams its finals downstream and does
-    /// not also materialize them in its report, mirroring how the paper's
-    /// pipeline avoids materializing data between jobs (§IV). A stage that
-    /// caches its output has each reducer write its own partition of the
-    /// dataset instead ([`JobReport::partitions`](crate::JobReport)), which
-    /// the capture publishes.
-    fn run(
-        &self,
-        s: usize,
-        feed: SplitFeed,
-        tap: Option<TapFactory>,
-        governor: Option<MemoryGovernor>,
-    ) -> Result<StageReport> {
-        let stage = &self.plan.stages[s];
-        let mut job = stage.job.clone();
-        let partition_output = stage.cache_output.is_some();
-        if tap.is_some() && !partition_output {
-            job.collect_output = CollectOutput::Discard;
-        }
-        let config = self.engine.config();
-        let mut st_trace = config.tracer.local(Track::new("stage", s as u64));
-        st_trace.begin("stage", "plan");
-        let res = executor::execute(ExecParams {
-            config,
-            job: &job,
-            feed,
-            clock: self.clock,
-            tap,
-            partition_output,
-            governor,
-            track_offset: s as u64 * TRACK_STRIDE,
-        });
-        st_trace.end("stage", "plan");
-        Ok(StageReport {
-            stage: s,
-            name: job.name,
-            is_sink: self.plan.outgoing[s].is_empty(),
-            report: res?,
-        })
-    }
-}
-
-/// Barrier execution: stages run one at a time in topological order; each
-/// stage's finals are materialized and re-split before any downstream
-/// stage starts.
-fn run_barrier(
-    run: &StageRunner<'_>,
-    mut input: Vec<Split>,
-    cfg: &PlanConfig,
-    cache: Option<&DatasetCache>,
 ) -> Result<Vec<StageReport>> {
-    let plan = run.plan;
-    let record_source = plan.record_source();
-    // In run order; an upstream's report is in here before its consumer
-    // starts because the order is topological.
-    let mut done: Vec<StageReport> = Vec::with_capacity(plan.stages.len());
-
-    for &s in &plan.order {
-        let mut splits = if record_source == Some(s) {
-            std::mem::take(&mut input)
-        } else {
-            let mut batch = SplitBatcher::new(cfg.records_per_split);
-            let mut splits = Vec::new();
-            for up in done.iter().filter(|r| plan.incoming[s].contains(&r.stage)) {
-                for (key, value) in up.report.final_pairs() {
-                    splits.extend(batch.push(key, value));
-                }
-            }
-            splits.extend(batch.take());
-            splits
-        };
-        splits.extend(cached_splits(plan, s, cache)?);
-        done.push(run.run(s, SplitFeed::Fixed(splits), None, None)?);
-    }
-    done.sort_by_key(|r| r.stage);
-    Ok(done)
-}
-
-/// Pipelined execution: one thread per stage, all running concurrently.
-/// Each non-source stage consumes a bounded channel of splits; each stage
-/// with downstream consumers taps its sinks' final emissions and streams
-/// them into those channels as they happen.
-fn run_pipelined(
-    run: &StageRunner<'_>,
-    mut input: Vec<Split>,
-    cfg: &PlanConfig,
-    cache: Option<&DatasetCache>,
-) -> Result<Vec<StageReport>> {
-    let plan = run.plan;
     let n = plan.stages.len();
-    let config = run.engine.config();
+    let config = engine.config();
     let record_source = plan.record_source();
 
     // Under adaptive memory policy, all concurrently-live stages share one
@@ -817,7 +616,6 @@ fn run_pipelined(
         for (s, (feed, outs)) in feeds.into_iter().zip(outs).enumerate() {
             let governor = governor.clone();
             let tap = (!outs.is_empty()).then(|| {
-                let per_split = cfg.records_per_split;
                 let outs = outs.clone();
                 let gate = governor
                     .as_ref()
@@ -829,7 +627,7 @@ fn run_pipelined(
                 );
                 Arc::new(move |_partition: usize| {
                     let mut edge = EdgeWriter {
-                        batch: SplitBatcher::new(per_split),
+                        batch: SegmentBufBuilder::new(),
                         outs: outs.clone(),
                         gate: gate.clone(),
                         depth: depth.clone(),
@@ -842,9 +640,33 @@ fn run_pipelined(
                 }) as TapFactory
             });
             handles.push(scope.spawn(move |_| {
-                let res = run.run(s, feed, tap, governor);
+                // A tapped stage streams its finals downstream and does not
+                // also materialize them in its report, as the paper's
+                // pipeline avoids materializing data between jobs (§IV). A
+                // stage that caches its output has each reducer write its
+                // own partition of the dataset instead
+                // ([`JobReport::partitions`](crate::JobReport)), which the
+                // capture publishes.
+                let stage = &plan.stages[s];
+                let mut job = stage.job.clone();
+                if tap.is_some() {
+                    job.collect_output = CollectOutput::Discard;
+                }
+                let mut st_trace = config.tracer.local(Track::new("stage", s as u64));
+                st_trace.begin("stage", "plan");
+                let res = executor::execute(ExecParams {
+                    config,
+                    job: &job,
+                    feed,
+                    clock,
+                    tap,
+                    partition_output: stage.cache_output.is_some(),
+                    governor,
+                    track_offset: s as u64 * TRACK_STRIDE,
+                });
+                st_trace.end("stage", "plan");
                 // Every reducer's writer dropped (and flushed) inside
-                // `run`; what is left of the edge is this thread's `outs`.
+                // `execute`; what is left of the edge is this thread's `outs`.
                 // Tell the consumers about a failure before hanging up, so
                 // they never mistake a dead stage for a finished one.
                 if let Err(e) = &res {
@@ -854,7 +676,12 @@ fn run_pipelined(
                         let _ = tx.send(Err(Error::InvalidState(msg.clone())));
                     }
                 }
-                res
+                res.map(|report| StageReport {
+                    stage: s,
+                    name: job.name,
+                    is_sink: outs.is_empty(),
+                    report,
+                })
             }));
         }
         handles
@@ -892,9 +719,11 @@ fn run_pipelined(
 mod tests {
     use super::*;
     use crate::driver::EngineConfig;
-    use crate::job::{CollectOutput, MapEmitter, ReduceBackend};
+    use crate::job::{MapEmitter, ReduceBackend};
     use onepass_groupby::SumAgg;
     use std::collections::BTreeMap;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
         for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -959,72 +788,38 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_barrier_agree_on_a_two_stage_plan() {
-        let engine = Engine::new();
-        let plan = histogram_plan();
+    fn two_stage_plan_answers_the_histogram() {
+        let report = Engine::new().run_plan(&histogram_plan(), input()).unwrap();
         let expected = BTreeMap::from([(4, 1), (2, 2), (1, 1)]);
-
-        let barrier = engine
-            .run_plan(
-                &plan,
-                input(),
-                &PlanConfig {
-                    mode: PlanMode::Barrier,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(barrier.mode, "barrier");
-        assert_eq!(hist_of(&barrier), expected);
-
-        let pipelined = engine
-            .run_plan(&plan, input(), &PlanConfig::default())
-            .unwrap();
-        assert_eq!(pipelined.mode, "pipelined");
-        assert_eq!(hist_of(&pipelined), expected);
-        assert_eq!(pipelined.stages.len(), 2);
-        assert!(!pipelined.stages[0].is_sink);
-        assert!(pipelined.stages[1].is_sink);
-        assert!(pipelined.first_final_at.is_some());
-        assert_eq!(pipelined.stages[0].report.groups_out, 4);
-        assert_eq!(
-            pipelined.sorted_final_outputs(),
-            barrier.sorted_final_outputs()
-        );
+        assert_eq!(hist_of(&report), expected);
+        assert_eq!(report.stages.len(), 2);
+        assert!(!report.stages[0].is_sink);
+        assert!(report.stages[1].is_sink);
+        assert!(report.first_final_at.is_some());
+        assert_eq!(report.stages[0].report.groups_out, 4);
     }
 
     #[test]
     fn fan_out_feeds_both_downstream_stages() {
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let mut b = Plan::builder();
-            let src = b.add_stage(wordcount("wordcount"));
-            let (job1, pairs1) = histogram_stage("hist-a");
-            let (job2, pairs2) = histogram_stage("hist-b");
-            let d1 = b.add_pair_stage(job1, pairs1);
-            let d2 = b.add_pair_stage(job2, pairs2);
-            b.connect(src, d1);
-            b.connect(src, d2);
-            let plan = b.build().unwrap();
+        let mut b = Plan::builder();
+        let src = b.add_stage(wordcount("wordcount"));
+        let (job1, pairs1) = histogram_stage("hist-a");
+        let (job2, pairs2) = histogram_stage("hist-b");
+        let d1 = b.add_pair_stage(job1, pairs1);
+        let d2 = b.add_pair_stage(job2, pairs2);
+        b.connect(src, d1);
+        b.connect(src, d2);
+        let plan = b.build().unwrap();
 
-            let report = Engine::new()
-                .run_plan(
-                    &plan,
-                    input(),
-                    &PlanConfig {
-                        mode,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            // Both sinks compute the same histogram over the same edge
-            // data, so the combined multiset holds every pair twice.
-            let mut counts: BTreeMap<(Vec<u8>, Vec<u8>), usize> = BTreeMap::new();
-            for kv in report.sorted_final_outputs() {
-                *counts.entry(kv).or_default() += 1;
-            }
-            assert_eq!(counts.len(), 3, "{mode:?}");
-            assert!(counts.values().all(|&c| c == 2), "{mode:?}");
+        let report = Engine::new().run_plan(&plan, input()).unwrap();
+        // Both sinks compute the same histogram over the same edge data,
+        // so the combined multiset holds every pair twice.
+        let mut counts: BTreeMap<(Vec<u8>, Vec<u8>), usize> = BTreeMap::new();
+        for kv in report.sorted_final_outputs() {
+            *counts.entry(kv).or_default() += 1;
         }
+        assert_eq!(counts.len(), 3);
+        assert!(counts.values().all(|&c| c == 2));
     }
 
     /// A record stage downstream sees each upstream pair as the edge
@@ -1039,12 +834,8 @@ mod tests {
         hist.map_fn = Arc::new(hist_from_edge);
         let plan = Plan::linear(vec![wordcount("wordcount"), hist]).unwrap();
         let expected = BTreeMap::from([(4, 1), (2, 2), (1, 1)]);
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let report = Engine::new()
-                .run_plan(&plan, input(), &PlanConfig::new(mode))
-                .unwrap();
-            assert_eq!(hist_of(&report), expected, "{mode:?}");
-        }
+        let report = Engine::new().run_plan(&plan, input()).unwrap();
+        assert_eq!(hist_of(&report), expected);
     }
 
     /// A fan-out edge hands both downstream stages the same segment: two
@@ -1054,13 +845,13 @@ mod tests {
         let (tx_a, rx_a) = bounded(4);
         let (tx_b, rx_b) = bounded(4);
         let mut edge = EdgeWriter {
-            batch: SplitBatcher::new(2),
+            batch: SegmentBufBuilder::new(),
             outs: vec![tx_a, tx_b],
             gate: None,
             depth: Gauge::detached(),
         };
-        for k in [b"a", b"b", b"c"] {
-            edge.push(k, b"v");
+        for _ in 0..=EDGE_SPLIT_PAIRS {
+            edge.push(b"k", b"v");
         }
         drop(edge); // the odd pair goes out as a short split
         let pairs_of = |rx: &crossbeam::channel::Receiver<Result<Split>>| -> Vec<_> {
@@ -1069,7 +860,10 @@ mod tests {
                 .collect()
         };
         let (a, b) = (pairs_of(&rx_a), pairs_of(&rx_b));
-        assert_eq!(a.iter().map(|p| p.len()).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(
+            a.iter().map(|p| p.len()).collect::<Vec<_>>(),
+            [EDGE_SPLIT_PAIRS, 1]
+        );
         assert_eq!(a.len(), b.len());
         for (a, b) in a.iter().zip(&b) {
             assert!(std::ptr::eq(a.key(0), b.key(0)), "one arena, shared");
@@ -1099,13 +893,127 @@ mod tests {
         let plan = b.build().unwrap();
 
         let splits = vec![Split::new(vec![b"a b".to_vec(), b"boom".to_vec()])];
-        let err = Engine::new()
-            .run_plan(&plan, splits, &PlanConfig::default())
-            .unwrap_err();
+        let err = Engine::new().run_plan(&plan, splits).unwrap_err();
         assert!(
             err.to_string().contains("injected upstream failure"),
             "the root cause must surface, got: {err}"
         );
+    }
+
+    /// Upstream of the edge tests: `records` key ranges, each counted by
+    /// one reducer into `EDGE_SPLIT_PAIRS` finals, one edge split.
+    fn key_ranges(records: usize) -> (JobSpec, Vec<Split>) {
+        fn key_range(record: &[u8], out: &mut dyn MapEmitter) {
+            let start = u64::from_le_bytes(record.try_into().unwrap());
+            for k in start..start + EDGE_SPLIT_PAIRS as u64 {
+                out.emit(&k.to_le_bytes(), &1u64.to_le_bytes());
+            }
+        }
+        let job = JobSpec::builder("upstream")
+            .map_fn(Arc::new(key_range))
+            .aggregate(Arc::new(SumAgg))
+            .reducers(1)
+            .backend(ReduceBackend::IncHash { early: None })
+            .build()
+            .unwrap();
+        let starts = (0..records).map(|i| ((i * EDGE_SPLIT_PAIRS) as u64).to_le_bytes().to_vec());
+        (job, vec![Split::new(starts.collect())])
+    }
+
+    /// The key ranges' histogram stage, behind a pair function that calls
+    /// `hold` on every pair first.
+    fn held_plan(records: usize, hold: impl Fn() + Send + Sync + 'static) -> (Plan, Vec<Split>) {
+        let (upstream, input) = key_ranges(records);
+        let (job, pairs) = histogram_stage("held");
+        let held: Arc<dyn PairMap> =
+            Arc::new(move |key: &[u8], value: &[u8], out: &mut dyn MapEmitter| {
+                hold();
+                pairs.map_pair(key, value, out);
+            });
+        let mut b = Plan::builder();
+        let s1 = b.add_stage(upstream);
+        let s2 = b.add_pair_stage(job, held);
+        b.connect(s1, s2);
+        (b.build().unwrap(), input)
+    }
+
+    /// A sink that has not mapped a pair yet keeps all but
+    /// `EDGE_DEPTH` + a map slot's worth of the edge out of its feed, so
+    /// its upstream reducer cannot finish before the test lets the sink go.
+    #[test]
+    fn slow_downstream_holds_its_upstream_back() {
+        const HOLD: Duration = Duration::from_secs(1);
+        // (entered, released)
+        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
+        let records = 4 * EDGE_DEPTH;
+        let (plan, input) = held_plan(records, {
+            let gate = Arc::clone(&gate);
+            move || {
+                let (state, cv) = &*gate;
+                let mut st = state.lock().unwrap();
+                st.0 = true;
+                cv.notify_all();
+                while !st.1 {
+                    st = cv.wait(st).unwrap();
+                }
+            }
+        });
+        let engine = Engine::with_config(EngineConfig::builder().map_workers(2).build());
+        let report = std::thread::scope(|scope| {
+            let run = scope.spawn(|| engine.run_plan(&plan, input));
+            let (state, cv) = &*gate;
+            let mut st = cv.wait_while(state.lock().unwrap(), |st| !st.0).unwrap();
+            drop(st);
+            std::thread::sleep(HOLD);
+            st = state.lock().unwrap();
+            st.1 = true;
+            cv.notify_all();
+            drop(st);
+            run.join().unwrap()
+        })
+        .unwrap();
+        let upstream = report.stages[0].report.wall;
+        assert!(
+            upstream >= HOLD,
+            "the upstream finished at {upstream:?}, inside the sink's {HOLD:?} hold"
+        );
+        let pairs = (records * EDGE_SPLIT_PAIRS) as u64;
+        assert_eq!(hist_of(&report), BTreeMap::from([(1, pairs)]));
+    }
+
+    /// A sink that fails while its edge is full hangs up on the edge, so
+    /// the blocked upstream finishes and the plan returns the sink's error.
+    #[test]
+    fn failed_downstream_releases_its_blocked_upstream() {
+        const DEADLINE: Duration = Duration::from_secs(30);
+        let metrics = onepass_core::obs::MetricsRegistry::new();
+        let depth = metrics.gauge(names::PLAN_EDGE_DEPTH, &[("stage", "upstream")]);
+        let (plan, input) = held_plan(4 * EDGE_DEPTH, move || {
+            let since = Instant::now();
+            while depth.value() < EDGE_DEPTH as f64 && since.elapsed() < DEADLINE {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("injected downstream failure");
+        });
+        let engine = Engine::with_config(
+            EngineConfig::builder()
+                .map_workers(2)
+                .metrics(metrics)
+                .build(),
+        );
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let run = std::thread::spawn(move || {
+            let _ = tx.send(engine.run_plan(&plan, input));
+        });
+        let err = rx
+            .recv_timeout(DEADLINE)
+            .expect("the plan returns within its deadline")
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("injected downstream failure"),
+            "the sink's error must surface, got: {err}"
+        );
+        run.join().unwrap();
     }
 
     #[test]
@@ -1146,18 +1054,6 @@ mod tests {
         b.connect(s2, s3);
         b.connect(s3, s2);
         assert!(matches!(b.build(), Err(Error::Config(_))));
-
-        // Interior stage that discards output.
-        let mut b = Plan::builder();
-        let s1 = b.add_stage(
-            JobSpec::builder("w1")
-                .collect_mode(CollectOutput::Discard)
-                .build()
-                .unwrap(),
-        );
-        let s2 = b.add_stage(wordcount("w2"));
-        b.connect(s1, s2);
-        assert!(matches!(b.build(), Err(Error::Config(_))));
     }
 
     #[test]
@@ -1169,9 +1065,7 @@ mod tests {
                 .build(),
         );
         let plan = histogram_plan();
-        let report = engine
-            .run_plan(&plan, input(), &PlanConfig::default())
-            .unwrap();
+        let report = engine.run_plan(&plan, input()).unwrap();
         let expected = BTreeMap::from([(4, 1), (2, 2), (1, 1)]);
         assert_eq!(hist_of(&report), expected);
         // Every stage leased from the shared plan-wide pool (each stage

@@ -353,8 +353,6 @@ pub struct StageReport {
 /// [`Engine::run_plan`](crate::Engine::run_plan).
 #[derive(Debug)]
 pub struct PlanReport {
-    /// Execution mode label (`"pipelined"` or `"barrier"`).
-    pub mode: &'static str,
     /// Wall-clock duration of the whole plan.
     pub wall: Duration,
     /// Earliest final emission of any *sink* stage, relative to plan
@@ -414,10 +412,9 @@ impl PlanReport {
         }
         out.push_str(&format!(
             concat!(
-                "{{\"type\":\"plan\",\"mode\":\"{}\",\"stages\":{},\"wall_s\":{},",
+                "{{\"type\":\"plan\",\"stages\":{},\"wall_s\":{},",
                 "\"first_final_s\":{}}}\n"
             ),
-            self.mode,
             self.stages.len(),
             fmt_f64(self.wall.as_secs_f64()),
             self.first_final_at
@@ -566,7 +563,6 @@ mod tests {
             at: Duration::ZERO,
         };
         let report = PlanReport {
-            mode: "pipelined",
             wall: Duration::from_millis(250),
             first_final_at: Some(Duration::from_millis(90)),
             stages: vec![
@@ -622,7 +618,8 @@ mod tests {
         );
         assert_eq!(s1.get("speculative_wins").and_then(Json::as_f64), Some(1.0));
         let plan = Json::parse(lines[2]).expect("valid plan line");
-        assert_eq!(plan.get("mode").and_then(Json::as_str), Some("pipelined"));
+        assert!(plan.get("mode").is_none(), "a plan runs one way");
+        assert_eq!(plan.get("stages").and_then(Json::as_f64), Some(2.0));
         assert_eq!(plan.get("wall_s").and_then(Json::as_f64), Some(0.25));
         assert_eq!(plan.get("first_final_s").and_then(Json::as_f64), Some(0.09));
     }

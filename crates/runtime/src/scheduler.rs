@@ -129,6 +129,9 @@ pub(crate) struct SchedulerCtx<'a> {
     pub speculate: bool,
     pub task_tx: Sender<MapAssignment>,
     pub evt_rx: Receiver<MapEvent>,
+    /// A streamed feed's forwarder gets one credit back per completed
+    /// task; dropping the sender when the job fails stops the forwarder.
+    pub credits: Option<Sender<()>>,
     pub shuffle_tx: &'a ShuffleTx,
     /// Job (or plan) start time; straggler ages are measured against it.
     pub clock: Instant,
@@ -154,6 +157,7 @@ pub(crate) fn schedule_maps(
 ) -> ScheduleOutcome {
     let retry = ctx.retry;
     let speculate = ctx.speculate;
+    let mut credits = ctx.credits;
     let mut splits = initial;
     let mut feed_closed = !feed_open;
 
@@ -248,13 +252,8 @@ pub(crate) fn schedule_maps(
             }
             Some(MapEvent::NewSplit(Err(e))) if out.fatal.is_none() => {
                 // Upstream producer failed: this job must not complete on
-                // partial input. Cancel everything and drain.
-                out.fatal = Some(e);
-                for t in &tasks {
-                    for r in &t.running {
-                        r.cancel.store(true, Ordering::Relaxed);
-                    }
-                }
+                // partial input.
+                fail(&mut out, &tasks, &mut credits, e);
             }
             // A later upstream failure while already going down: drop it,
             // the first fatal error wins.
@@ -301,6 +300,9 @@ pub(crate) fn schedule_maps(
                             for r in &tasks[task].running {
                                 r.cancel.store(true, Ordering::Relaxed);
                             }
+                            if let Some(c) = &credits {
+                                let _ = c.send(());
+                            }
                             ctx.telemetry.on_map_finished(&stats);
                             ctx.telemetry.set_progress(completed_count, splits.len());
                             out.map_results.push((stats, span));
@@ -341,15 +343,8 @@ pub(crate) fn schedule_maps(
                                 &mut outstanding,
                             );
                         } else {
-                            // Budget exhausted: fail the job, but keep
-                            // draining outstanding attempts so no thread
-                            // is left blocked.
-                            out.fatal = Some(e);
-                            for t in &tasks {
-                                for r in &t.running {
-                                    r.cancel.store(true, Ordering::Relaxed);
-                                }
-                            }
+                            // Budget exhausted.
+                            fail(&mut out, &tasks, &mut credits, e);
                         }
                     }
                 }
@@ -407,4 +402,22 @@ pub(crate) fn schedule_maps(
     }
 
     out
+}
+
+/// Fail the job with `e`, but keep draining outstanding attempts so no
+/// thread is left blocked: cancel every queued or running attempt, and
+/// drop the credits, which stops a streamed feed's forwarder.
+fn fail(
+    out: &mut ScheduleOutcome,
+    tasks: &[TaskState],
+    credits: &mut Option<Sender<()>>,
+    e: Error,
+) {
+    out.fatal = Some(e);
+    *credits = None;
+    for t in tasks {
+        for r in &t.running {
+            r.cancel.store(true, Ordering::Relaxed);
+        }
+    }
 }

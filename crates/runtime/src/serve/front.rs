@@ -20,7 +20,7 @@
 //! Binding `:0` picks an ephemeral port — the CLI prints the actual
 //! address so scripts never collide on fixed ports.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -77,18 +77,25 @@ pub fn hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Decode wire hex; `None` on malformed input.
+/// Decode wire hex; `None` on malformed input: an odd length, or any
+/// byte that is not a hex digit (a sign, a non-ASCII character).
 pub fn unhex(s: &str) -> Option<Vec<u8>> {
+    let nibble = |b: u8| char::from(b).to_digit(16);
     // `len & 1`, not `len % 2`: clippy suggests `is_multiple_of`, which
     // postdates the workspace MSRV (1.85).
     if s.len() & 1 != 0 {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    s.as_bytes()
+        .chunks_exact(2)
+        .map(|p| Some((nibble(p[0])? << 4 | nibble(p[1])?) as u8))
         .collect()
 }
+
+/// Longest subscribe line the front door reads, newline included. A
+/// client that sends more without a newline is rejected, so it cannot grow
+/// the line without bound.
+const MAX_SUBSCRIBE_LINE: u64 = 4096;
 
 /// The accept loop plus its bound address.
 pub struct Frontend {
@@ -198,13 +205,20 @@ impl Drop for Frontend {
 
 fn handle_conn(conn: TcpStream, server: Arc<Server>) {
     let Ok(peer) = conn.try_clone() else { return };
-    let mut reader = BufReader::new(peer);
+    let mut reader = BufReader::new(peer).take(MAX_SUBSCRIBE_LINE);
     let mut writer = BufWriter::new(conn);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    let mut line = Vec::new();
+    if reader.read_until(b'\n', &mut line).is_err() {
         return;
     }
-    let mut parts = line.split_whitespace();
+    if line.last() != Some(&b'\n') && line.len() as u64 == MAX_SUBSCRIBE_LINE {
+        let _ = writeln!(
+            writer,
+            "REJECTED subscribe line longer than {MAX_SUBSCRIBE_LINE} bytes"
+        );
+        return;
+    }
+    let mut parts = std::str::from_utf8(&line).unwrap_or("").split_whitespace();
     let handle = match (parts.next(), parts.next(), parts.next()) {
         (Some("SUBSCRIBE"), Some(tenant), Some(query)) => server.subscribe(tenant, query),
         _ => {
@@ -276,5 +290,27 @@ mod tests {
         assert_eq!(unhex("zz"), None);
         assert_eq!(unhex("abc"), None);
         assert_eq!(unhex("").unwrap(), Vec::<u8>::new());
+        // Neither a sign nor a character outside ASCII is a digit.
+        assert_eq!(unhex("+1"), None);
+        assert_eq!(unhex("aéb"), None);
+    }
+
+    #[test]
+    fn over_long_subscribe_line_is_rejected() {
+        use super::super::{QueryCatalog, ServeConfig};
+        let server = Server::start(ServeConfig::default(), QueryCatalog::new(), None).unwrap();
+        let front = Frontend::bind(Arc::new(server), "127.0.0.1:0").unwrap();
+        let mut conn = TcpStream::connect(front.local_addr()).unwrap();
+        // One byte over: the server's buffered read takes all of it, so
+        // no unread byte turns its close into a reset.
+        let mut line = b"SUBSCRIBE t1 ".to_vec();
+        line.resize(MAX_SUBSCRIBE_LINE as usize + 1, b'x');
+        conn.write_all(&line).unwrap();
+        let mut reply = String::new();
+        BufReader::new(conn).read_line(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("REJECTED subscribe line longer"),
+            "{reply}"
+        );
     }
 }

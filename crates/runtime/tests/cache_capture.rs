@@ -1,11 +1,11 @@
 //! A cache-output stage's dataset is what its reducers wrote: each
 //! reducer keeps its finals as its partition and key-sorts it on its own
 //! thread, and the plan publishes the partitions once it has succeeded.
-//! Whatever the plan mode, the transport, a downstream edge or a reduce
-//! retry, the published partitions must equal what a capture computed
-//! from the stage's collected finals before: route each by the job's
-//! partitioner over its reducer count, then sort every partition by key —
-//! and the stage must build no collected output for those finals.
+//! Whatever the stage's collect mode, the transport, a downstream edge or
+//! a reduce retry, the published partitions must equal what a capture
+//! computed from the stage's collected finals before: route each by the
+//! job's partitioner over its reducer count, then sort every partition by
+//! key — and the stage must build no collected output for those finals.
 
 use std::sync::Arc;
 
@@ -35,12 +35,13 @@ fn splits() -> Vec<Split> {
         .collect()
 }
 
-fn count_job() -> JobSpec {
+fn count_job(collect: CollectOutput) -> JobSpec {
     JobSpec::builder("cache-capture-counts")
         .map_fn(Arc::new(word_map))
         .aggregate(Arc::new(SumAgg))
         .reducers(3)
         .preset_onepass()
+        .collect_mode(collect)
         .build()
         .unwrap()
 }
@@ -61,9 +62,9 @@ fn histogram_pair(_word: &[u8], count: &[u8], out: &mut dyn MapEmitter) {
 
 /// The counting stage with its output cached, and, with `downstream`, a
 /// histogram stage fed by an edge from it.
-fn plan(downstream: bool) -> Plan {
+fn plan(downstream: bool, collect: CollectOutput) -> Plan {
     let mut b = Plan::builder();
-    let counts = b.add_stage(count_job());
+    let counts = b.add_stage(count_job(collect));
     b.cache_output(counts, DATASET);
     if downstream {
         let hist = b.add_pair_stage(histogram_job(), Arc::new(histogram_pair));
@@ -97,7 +98,9 @@ fn published(cache: &DatasetCache) -> Vec<Pairs> {
 
 /// The counting job run on its own, finals collected: the reference.
 fn reference_finals() -> Pairs {
-    let report = Engine::new().run(&count_job(), splits()).unwrap();
+    let report = Engine::new()
+        .run(&count_job(CollectOutput::Collect), splits())
+        .unwrap();
     let mut finals: Pairs = report
         .outputs
         .iter()
@@ -119,25 +122,21 @@ fn reference_histogram(finals: &Pairs) -> Pairs {
         .collect()
 }
 
-/// Run the plan under `cfg` in both modes, with and without the
-/// downstream edge, and hold every published dataset to the recipe.
-/// Returns the failed attempts the runs recovered from.
+/// Run the plan under `cfg` with the counting stage collecting and
+/// discarding its output, with and without the downstream edge, and hold
+/// every published dataset to the recipe. Returns the failed attempts the
+/// runs recovered from.
 fn check(cfg: impl Fn() -> EngineConfig, what: &str) -> usize {
     let mut failed = 0;
     let finals = reference_finals();
-    let want = routed_and_sorted(&count_job(), &finals);
+    let want = routed_and_sorted(&count_job(CollectOutput::Collect), &finals);
     for downstream in [false, true] {
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
+        for collect in [CollectOutput::Collect, CollectOutput::Discard] {
             let cache = DatasetCache::new(CacheConfig::default());
             let report = Engine::with_config(cfg())
-                .run_plan_with_cache(
-                    &plan(downstream),
-                    splits(),
-                    &PlanConfig::new(mode),
-                    Some(&cache),
-                )
+                .run_plan_with_cache(&plan(downstream, collect), splits(), Some(&cache))
                 .unwrap();
-            let at = format!("{what}, {mode:?}, downstream {downstream}");
+            let at = format!("{what}, {collect:?}, downstream {downstream}");
             failed += report
                 .stages
                 .iter()
@@ -193,13 +192,12 @@ fn partitions_survive_a_seeded_reduce_kill() {
     }
 }
 
-/// Over TCP the sink stage's reduces run on the workers and come back as
-/// final batches into the coordinator's partition sink; an interior stage
-/// keeps its reducers local. Both must publish the same dataset.
+/// Over TCP the maps run on the workers and every reducer runs on the
+/// coordinator; the dataset must be the same as in-proc.
 #[test]
 fn tcp_partitions_equal_the_routed_and_sorted_finals() {
     let registry = JobRegistry::new();
-    for job in plan(true).jobs() {
+    for job in plan(true, CollectOutput::Collect).jobs() {
         registry.register_spec(job.clone());
     }
     let w1 = spawn_local(registry.clone(), WorkerOptions::default()).unwrap();

@@ -1,10 +1,10 @@
 //! Equivalence property for staged query plans: a two-stage plan
 //! (word count, then a histogram of the counts) produces byte-identical
-//! sink output whether the stages run [`PlanMode::Pipelined`],
-//! [`PlanMode::Barrier`], split across two plans with the edge carried
-//! by the [`DatasetCache`] (`cache_output` → `cached_input`), or as two
-//! hand-chained [`Engine::run`] calls with the edge encoded manually
-//! through the edge codec — and all four match a pure-Rust reference.
+//! sink output whether the stages run as one plan with a streamed edge,
+//! split across two plans with the edge carried by the [`DatasetCache`]
+//! (`cache_output` → `cached_input`), or as two hand-chained
+//! [`Engine::run`] calls with the edge encoded manually through the edge
+//! codec — and all three match a pure-Rust reference.
 //! (The plans themselves carry pairs on every edge; the codec appears
 //! here only where a test crosses an edge by hand.)
 //! The property sweeps all four reduce backends, both spill backends,
@@ -13,17 +13,16 @@
 //! a seeded fault plan that kills a map and a reduce task mid-run, so
 //! edge streaming (and a cached round's replay) must survive retries,
 //! spills, combine-table flushes, and rebalancing without changing
-//! answers. A last test holds the modes'
-//! one structural difference: a pipelined sink starts inside its
-//! upstream stage's lifetime, a barrier sink after it.
+//! answers. A last test holds the plan's one structural promise: a sink
+//! starts inside its upstream stage's lifetime.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use onepass_groupby::{Aggregator, SumAgg};
 use onepass_runtime::codec::{decode_pair, encode_pair};
+use onepass_runtime::job::HashPartitioner;
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 use proptest::prelude::*;
@@ -160,9 +159,6 @@ proptest! {
         reducers in 1usize..4,
         per_split in 1usize..10,
         policy_tag in 0u8..5,
-        // Tiny edge splits exercise the streaming hand-off; larger ones
-        // exercise batching. Either way the answer must not move.
-        records_per_split in 1usize..64,
         // The combiner's scope: worker (off) or task (on).
         speculate in any::<bool>(),
     ) {
@@ -199,22 +195,19 @@ proptest! {
         }
 
         let mut outputs = Vec::new();
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
+        {
             let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), speculate);
-            let mut pc = PlanConfig::new(mode);
-            pc.records_per_split = records_per_split;
             let report = Engine::with_config(cfg)
-                .run_plan(&plan, splits.clone(), &pc)
+                .run_plan(&plan, splits.clone())
                 .unwrap();
             // Two other tasks must complete before a straggler is cloned.
             if speculate && splits.len() >= 3 {
                 prop_assert!(
                     report.stages[0].report.speculative_launched >= 1,
-                    "no clone of the straggler ({})",
-                    mode.label()
+                    "no clone of the straggler"
                 );
             }
-            outputs.push((mode.label(), report.sorted_final_outputs()));
+            outputs.push(("streamed", report.sorted_final_outputs()));
         }
 
         // Cached leg: the same two stages split across two plans with
@@ -227,19 +220,13 @@ proptest! {
             let cache = DatasetCache::new(CacheConfig::default());
             let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), speculate);
             let engine = Engine::with_config(cfg);
-            let mut pc = PlanConfig::new(if policy_tag % 2 == 0 {
-                PlanMode::Pipelined
-            } else {
-                PlanMode::Barrier
-            });
-            pc.records_per_split = records_per_split;
 
             let mut b = Plan::builder();
             let s = b.add_stage(count_job(backend.clone(), reducers));
             b.cache_output(s, "counts");
             let p1 = b.build().unwrap();
             engine
-                .run_plan_with_cache(&p1, splits.clone(), &pc, Some(&cache))
+                .run_plan_with_cache(&p1, splits.clone(), Some(&cache))
                 .unwrap();
 
             struct HistFromEdge;
@@ -256,7 +243,7 @@ proptest! {
             b.cached_input(s, "counts");
             let p2 = b.build().unwrap();
             let report = engine
-                .run_plan_with_cache(&p2, Vec::new(), &pc, Some(&cache))
+                .run_plan_with_cache(&p2, Vec::new(), Some(&cache))
                 .unwrap();
             prop_assert!(cache.stats().hits > 0, "histogram plan must hit the cache");
             let mut cached_out = report.sorted_final_outputs();
@@ -277,7 +264,7 @@ proptest! {
             .map(|o| encode_pair(&o.key, &o.value))
             .collect();
         let edge_splits: Vec<Split> = edge
-            .chunks(records_per_split)
+            .chunks(per_split)
             .map(|c| Split::new(c.to_vec()))
             .collect();
         let mut job2 = histogram_job();
@@ -353,23 +340,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Transport equivalence for staged plans: the two-stage plan run
-    /// over the TCP loopback fabric — in both plan modes, including with
-    /// a worker seeded to sever its connections mid-job — matches the
-    /// pure-Rust reference byte for byte. Interior stages keep their
-    /// reduce local (the inter-stage tap), so this exercises remote maps
-    /// feeding local reducers (stage 1) and the fully remote map+reduce
-    /// path (stage 2) in the same run.
+    /// over the TCP loopback fabric — including with a worker seeded to
+    /// sever its connections mid-job — matches the pure-Rust reference
+    /// byte for byte. Both stages map on the workers and reduce on the
+    /// coordinator, so stage 2's maps read an edge streamed from stage 1's
+    /// local reducers.
     #[test]
     fn plan_over_tcp_loopback_matches_reference(
         records in docs(),
         backend_tag in 0u8..4,
         reducers in 1usize..4,
         per_split in 1usize..10,
-        records_per_split in 1usize..64,
-        // Per-connection kill (0 = healthy): in pipelined mode the dying
-        // worker severs both stage connections independently.
+        // Per-connection kill (0 = healthy): the dying worker severs both
+        // stage connections independently.
         die_after_tag in 0u64..3,
-        barrier in any::<bool>(),
     ) {
         let backend = mk_backend(backend_tag);
         let splits: Vec<Split> = records
@@ -395,22 +379,12 @@ proptest! {
                 workers: vec![w1.addr().to_string(), w2.addr().to_string()],
             })
             .build();
-        let mode = if barrier {
-            PlanMode::Barrier
-        } else {
-            PlanMode::Pipelined
-        };
-        let mut pc = PlanConfig::new(mode);
-        pc.records_per_split = records_per_split;
         let report = Engine::with_config(cfg)
-            .run_plan(&plan, splits, &pc)
+            .run_plan(&plan, splits)
             .unwrap_or_else(|e| {
                 panic!(
-                    "tcp plan failed ({}, backend {}, die_after {:?}): {}",
-                    mode.label(),
-                    backend_tag,
-                    die_after,
-                    e
+                    "tcp plan failed (backend {}, die_after {:?}): {}",
+                    backend_tag, die_after, e
                 )
             });
         w1.shutdown();
@@ -419,8 +393,7 @@ proptest! {
         prop_assert_eq!(
             report.sorted_final_outputs(),
             reference(&records),
-            "tcp plan output diverged from reference ({}, backend {}, die_after {:?})",
-            mode.label(),
+            "tcp plan output diverged from reference (backend {}, die_after {:?})",
             backend_tag,
             die_after
         );
@@ -467,8 +440,8 @@ proptest! {
 
 /// Bytes reach a pair stage only from outside (plan input, a `NewSplit`
 /// body): input that is not an edge record fails the job with the
-/// malformed-record message — in both plan modes, in-process and on a TCP
-/// worker — and is never skipped.
+/// malformed-record message — in-process and on a TCP worker — and is
+/// never skipped.
 #[test]
 fn undecodable_input_to_a_source_pair_stage_fails_the_job_everywhere() {
     let mut b = Plan::builder();
@@ -491,16 +464,14 @@ fn undecodable_input_to_a_source_pair_stage_fails_the_job_everywhere() {
         workers: vec![worker.addr().to_string()],
     };
     for transport in [Transport::InProc, tcp] {
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let cfg = EngineConfig::builder().transport(transport.clone()).build();
-            let err = Engine::with_config(cfg)
-                .run_plan(&plan, input(), &PlanConfig::new(mode))
-                .unwrap_err();
-            assert!(
-                err.to_string().contains("malformed inter-stage record"),
-                "{transport:?} {mode:?}: {err}"
-            );
-        }
+        let cfg = EngineConfig::builder().transport(transport.clone()).build();
+        let err = Engine::with_config(cfg)
+            .run_plan(&plan, input())
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("malformed inter-stage record"),
+            "{transport:?}: {err}"
+        );
     }
     worker.shutdown();
 }
@@ -508,12 +479,18 @@ fn undecodable_input_to_a_source_pair_stage_fails_the_job_everywhere() {
 /// Set once the sink stage has mapped its first pair.
 type SinkRan = Arc<(Mutex<bool>, Condvar)>;
 
-/// [`SumAgg`] whose `finish` holds every stage-1 group after the first
+/// The partition (of two) whose groups [`GatedSum`] holds.
+fn held(key: &[u8]) -> bool {
+    HashPartitioner::default().partition(key, 2) == 0
+}
+
+/// [`SumAgg`] whose `finish` holds every group of partition 0 (of two)
 /// until the sink stage has mapped a pair, so the overlap under test is
-/// forced rather than raced. The deadline only turns a plan that cannot
-/// overlap into a failed assertion instead of a hang.
+/// forced rather than raced: partition 1's reducer finishes, and its edge
+/// writer sends its short split as the reduce task ends. The deadline
+/// only turns a plan that cannot overlap into a failed assertion instead
+/// of a hang.
 struct GatedSum {
-    finished: AtomicUsize,
     sink_ran: SinkRan,
 }
 
@@ -528,7 +505,7 @@ impl Aggregator for GatedSum {
         SumAgg.merge(key, state, other)
     }
     fn finish(&self, key: &[u8], state: &[u8], out: &mut Vec<u8>) {
-        if self.finished.fetch_add(1, Ordering::SeqCst) > 0 {
+        if held(key) {
             let (ran, cv) = &*self.sink_ran;
             let _held = cv
                 .wait_timeout_while(ran.lock().unwrap(), Duration::from_secs(20), |ran| !*ran)
@@ -538,69 +515,55 @@ impl Aggregator for GatedSum {
     }
 }
 
-/// The modes' structural difference, on the plan clock both stage
-/// reports share: a pipelined sink's first map task starts before its
-/// upstream stage completes (the first edge split arrives while the
-/// upstream reducer is still emitting finals); a barrier sink's never
-/// does. Answers are identical either way.
+/// On the plan clock both stage reports share, the sink's first map task
+/// starts before its upstream stage completes: the first edge split
+/// arrives while an upstream reducer is still emitting finals.
 #[test]
-fn pipelined_sink_overlaps_its_upstream_and_barrier_sink_never_does() {
+fn pipelined_sink_overlaps_its_upstream() {
     let records: Vec<Vec<u8>> = (0..32)
         .map(|i| format!("w{i} w{}", i / 2).into_bytes())
         .collect();
     let splits: Vec<Split> = records.chunks(4).map(|c| Split::new(c.to_vec())).collect();
+    let words: Vec<String> = (0..32).map(|i| format!("w{i}")).collect();
+    assert!(
+        words.iter().any(|w| held(w.as_bytes())) && !words.iter().all(|w| held(w.as_bytes())),
+        "both partitions hold words"
+    );
 
-    for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-        let sink_ran: SinkRan = Arc::default();
-        let mut counts = count_job(mk_backend(2), 1);
-        if mode == PlanMode::Pipelined {
-            counts.agg = Arc::new(GatedSum {
-                finished: AtomicUsize::new(0),
-                sink_ran: Arc::clone(&sink_ran),
-            });
-        }
-        let mut b = Plan::builder();
-        let counts = b.add_stage(counts);
-        let hist = b.add_pair_stage(
-            histogram_job(),
-            Arc::new(move |_key: &[u8], value: &[u8], out: &mut dyn MapEmitter| {
-                let (ran, cv) = &*sink_ran;
-                *ran.lock().unwrap() = true;
-                cv.notify_all();
-                histogram_pair(value, out);
-            }),
-        );
-        b.connect(counts, hist);
-        let plan = b.build().unwrap();
+    let sink_ran: SinkRan = Arc::default();
+    let mut counts = count_job(mk_backend(2), 2);
+    counts.agg = Arc::new(GatedSum {
+        sink_ran: Arc::clone(&sink_ran),
+    });
+    let mut b = Plan::builder();
+    let counts = b.add_stage(counts);
+    let hist = b.add_pair_stage(
+        histogram_job(),
+        Arc::new(move |_key: &[u8], value: &[u8], out: &mut dyn MapEmitter| {
+            let (ran, cv) = &*sink_ran;
+            *ran.lock().unwrap() = true;
+            cv.notify_all();
+            histogram_pair(value, out);
+        }),
+    );
+    b.connect(counts, hist);
+    let plan = b.build().unwrap();
 
-        let mut pc = PlanConfig::new(mode);
-        pc.records_per_split = 1; // the first final is a whole edge split
-        let report = Engine::new().run_plan(&plan, splits.clone(), &pc).unwrap();
-        assert_eq!(
-            report.sorted_final_outputs(),
-            reference(&records),
-            "{mode:?}"
-        );
+    let report = Engine::new().run_plan(&plan, splits).unwrap();
+    assert_eq!(report.sorted_final_outputs(), reference(&records));
 
-        let upstream_done = report.stages[0].report.wall;
-        let sink_start = report
-            .stages
-            .iter()
-            .filter(|s| s.is_sink)
-            .flat_map(|s| s.report.task_spans.iter())
-            .filter(|t| t.kind == TaskKind::Map)
-            .map(|t| t.start)
-            .min()
-            .expect("sink stage ran map tasks");
-        match mode {
-            PlanMode::Pipelined => assert!(
-                sink_start < upstream_done,
-                "pipelined sink started at {sink_start:?}, after its upstream finished at {upstream_done:?}"
-            ),
-            PlanMode::Barrier => assert!(
-                sink_start >= upstream_done,
-                "barrier sink started at {sink_start:?}, before its upstream finished at {upstream_done:?}"
-            ),
-        }
-    }
+    let upstream_done = report.stages[0].report.wall;
+    let sink_start = report
+        .stages
+        .iter()
+        .filter(|s| s.is_sink)
+        .flat_map(|s| s.report.task_spans.iter())
+        .filter(|t| t.kind == TaskKind::Map)
+        .map(|t| t.start)
+        .min()
+        .expect("sink stage ran map tasks");
+    assert!(
+        sink_start < upstream_done,
+        "the sink started at {sink_start:?}, after its upstream finished at {upstream_done:?}"
+    );
 }

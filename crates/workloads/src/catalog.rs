@@ -16,7 +16,7 @@ use onepass_core::error::{Error, Result};
 use onepass_groupby::PeriodicCount;
 use onepass_runtime::map_task::Split;
 use onepass_runtime::serve::StreamingQuery;
-use onepass_runtime::{DatasetCache, Engine, JobSpecBuilder, Plan, PlanConfig, ReduceBackend};
+use onepass_runtime::{DatasetCache, Engine, JobSpecBuilder, Plan, ReduceBackend};
 use onepass_simcluster::WorkloadProfile;
 
 use crate::serving::{CatalogConfig, CLICKS_INGEST, DOCS_INGEST};
@@ -107,11 +107,9 @@ pub enum Served {
     Job(Input, fn(&CatalogConfig) -> JobSpecBuilder),
 }
 
-/// What an [`Shape::Iterative`] plan runs with: its execution config,
-/// input sizes and loop bounds.
+/// What an [`Shape::Iterative`] plan runs with: its input sizes and loop
+/// bounds.
 pub struct Params {
-    /// Pipelined or barrier, for every round.
-    pub plan: PlanConfig,
     /// Records (graph nodes, points, clicks) to generate.
     pub records: usize,
     /// Reducers per round.
@@ -278,7 +276,6 @@ fn run_pagerank(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(us
         rounds: n.rounds,
         eps: n.eps,
         reducers: n.reducers,
-        plan: n.plan.clone(),
         ..pagerank::PageRankConfig::new(nodes)
     };
     let (ranks, rounds) = pagerank::run_cached(engine, cache, &graph, &cfg)?;
@@ -301,7 +298,6 @@ fn run_kmeans(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usiz
         rounds: n.rounds,
         eps: n.eps.map(|e| e as i64).or(Some(0)),
         reducers: n.reducers,
-        plan: n.plan.clone(),
         ..kmeans::KMeansConfig::new(k)
     };
     let (centroids, rounds) = kmeans::run_cached(engine, cache, &points, &cfg)?;
@@ -322,7 +318,7 @@ fn run_join(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usize,
     });
     let clicks = gen.text_records(n.records);
     let users = join::user_records(n.users);
-    let joined = join::run_join(engine, cache, &users, &clicks, n.reducers, &n.plan)?;
+    let joined = join::run_join(engine, cache, &users, &clicks, n.reducers)?;
     let pairs = joined.iter().map(|(uid, cc, url)| {
         let value = [&cc[..], &url.to_le_bytes()].concat();
         (uid.to_string().into_bytes(), value)

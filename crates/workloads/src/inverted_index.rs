@@ -213,7 +213,6 @@ mod tests {
 
     #[test]
     fn df_histogram_plan_matches_brute_force() {
-        use onepass_runtime::{PlanConfig, PlanMode};
         use std::collections::BTreeMap;
 
         let mut gen = crate::docgen::DocGen::new(crate::docgen::DocGenConfig {
@@ -241,28 +240,17 @@ mod tests {
         let splits = crate::make_splits(docs, 8);
         let plan = df_histogram_plan(3).unwrap();
         let engine = Engine::new();
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let report = engine
-                .run_plan(
-                    &plan,
-                    splits.clone(),
-                    &PlanConfig {
-                        mode,
-                        records_per_split: 16,
-                    },
+        let report = engine.run_plan(&plan, splits).unwrap();
+        let hist: BTreeMap<u64, u64> = report
+            .sorted_final_outputs()
+            .into_iter()
+            .map(|(k, v)| {
+                (
+                    u64::from_le_bytes(k.as_slice().try_into().unwrap()),
+                    u64::from_le_bytes(v.as_slice().try_into().unwrap()),
                 )
-                .unwrap();
-            let hist: BTreeMap<u64, u64> = report
-                .sorted_final_outputs()
-                .into_iter()
-                .map(|(k, v)| {
-                    (
-                        u64::from_le_bytes(k.as_slice().try_into().unwrap()),
-                        u64::from_le_bytes(v.as_slice().try_into().unwrap()),
-                    )
-                })
-                .collect();
-            assert_eq!(hist, truth, "{mode:?}");
-        }
+            })
+            .collect();
+        assert_eq!(hist, truth);
     }
 }

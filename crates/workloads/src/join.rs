@@ -25,9 +25,7 @@ use std::sync::Arc;
 use onepass_core::error::Result;
 use onepass_groupby::join::encode_tagged;
 use onepass_groupby::{FirstAgg, JoinAgg, ListAgg, TAG_BUILD, TAG_PROBE};
-use onepass_runtime::{
-    DatasetCache, Engine, JobSpec, MapEmitter, MapFn, Plan, PlanConfig, ReduceBackend,
-};
+use onepass_runtime::{DatasetCache, Engine, JobSpec, MapEmitter, MapFn, Plan, ReduceBackend};
 
 use crate::clickgen::Click;
 use crate::make_splits;
@@ -126,18 +124,15 @@ pub fn run_join(
     users: &[Vec<u8>],
     clicks: &[Vec<u8>],
     reducers: usize,
-    cfg: &PlanConfig,
 ) -> Result<Joined> {
     engine.run_plan_with_cache(
         &build_plan(reducers)?,
         make_splits(users.to_vec(), 256),
-        cfg,
         Some(cache),
     )?;
     let report = engine.run_plan_with_cache(
         &join_plan(reducers)?,
         make_splits(clicks.to_vec(), 256),
-        cfg,
         Some(cache),
     )?;
     let mut out = Vec::new();
@@ -199,11 +194,11 @@ pub fn streaming_job(users: usize) -> onepass_runtime::JobSpecBuilder {
 mod tests {
     use super::*;
     use crate::clickgen::{ClickGen, ClickGenConfig};
-    use onepass_runtime::{CacheConfig, PlanMode};
+    use onepass_runtime::CacheConfig;
     use proptest::prelude::*;
 
     #[test]
-    fn cached_hybrid_hash_join_matches_reference_in_both_modes() {
+    fn cached_hybrid_hash_join_matches_reference() {
         let users = user_records(40);
         let mut gen = ClickGen::new(ClickGenConfig {
             users: 60, // a third of clicks miss the dimension table
@@ -214,14 +209,11 @@ mod tests {
         let want = reference_join(&users, &clicks);
         assert!(!want.is_empty());
 
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let engine = Engine::new();
-            let cache = DatasetCache::new(CacheConfig::default());
-            let got =
-                run_join(&engine, &cache, &users, &clicks, 3, &PlanConfig::new(mode)).unwrap();
-            assert_eq!(got, want, "{mode:?}");
-            assert!(cache.stats().hits > 0, "{mode:?}: probe read cached build");
-        }
+        let engine = Engine::new();
+        let cache = DatasetCache::new(CacheConfig::default());
+        let got = run_join(&engine, &cache, &users, &clicks, 3).unwrap();
+        assert_eq!(got, want);
+        assert!(cache.stats().hits > 0, "probe read cached build");
     }
 
     proptest! {
@@ -241,15 +233,7 @@ mod tests {
             let want = reference_join(&users, &clicks);
             let engine = Engine::new();
             let cache = DatasetCache::new(CacheConfig::default());
-            let got = run_join(
-                &engine,
-                &cache,
-                &users,
-                &clicks,
-                reducers,
-                &PlanConfig::default(),
-            )
-            .unwrap();
+            let got = run_join(&engine, &cache, &users, &clicks, reducers).unwrap();
             prop_assert_eq!(got, want);
         }
     }

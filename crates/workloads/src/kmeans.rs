@@ -24,7 +24,6 @@ use onepass_core::error::{Error, Result};
 use onepass_groupby::{Aggregator, FirstAgg, StateBuf};
 use onepass_runtime::{
     pair_map_fn, DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, PairMap, Plan,
-    PlanConfig,
 };
 
 use crate::{le_bytes, make_splits};
@@ -242,8 +241,6 @@ pub struct KMeansConfig {
     pub eps: Option<i64>,
     /// Reducers per round.
     pub reducers: usize,
-    /// Plan execution config for every round.
-    pub plan: PlanConfig,
     /// Records per map split.
     pub records_per_split: usize,
 }
@@ -256,7 +253,6 @@ impl KMeansConfig {
             rounds: 10,
             eps: Some(0),
             reducers: 4,
-            plan: PlanConfig::default(),
             records_per_split: 256,
         }
     }
@@ -315,7 +311,7 @@ pub fn run_cached(
     let splits = make_splits(records.to_vec(), cfg.records_per_split);
     let mut current = seed_centroids(records, cfg.k)?;
     let seed = current.clone();
-    let mut iter = IterativePlan::new(cfg.plan.clone(), move |round, c| {
+    let mut iter = IterativePlan::new(move |round, c| {
         let mut b = Plan::builder();
         if round == 0 {
             let s = b.add_stage(parse_job(reducers)?);
@@ -386,7 +382,7 @@ pub fn reference(records: &[Vec<u8>], cfg: &KMeansConfig) -> Result<(Centroids, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onepass_runtime::{CacheConfig, PlanMode};
+    use onepass_runtime::CacheConfig;
 
     #[test]
     fn cached_loop_matches_reference_and_recovers_clusters() {
@@ -407,18 +403,15 @@ mod tests {
             );
         }
 
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            cfg.plan = PlanConfig::new(mode);
-            let engine = Engine::new();
-            let cache = DatasetCache::new(CacheConfig::default());
-            let (got, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
-            assert_eq!(got, want, "{mode:?}");
-            assert_eq!(rounds, want_rounds, "{mode:?}");
-            assert!(
-                cache.stats().hits as usize >= rounds - 1,
-                "{mode:?}: every assign round reads cached points"
-            );
-        }
+        let engine = Engine::new();
+        let cache = DatasetCache::new(CacheConfig::default());
+        let (got, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(rounds, want_rounds);
+        assert!(
+            cache.stats().hits as usize >= rounds - 1,
+            "every assign round reads cached points"
+        );
     }
 
     #[test]

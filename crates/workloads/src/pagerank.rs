@@ -25,7 +25,6 @@ use onepass_core::{SegmentBuf, SegmentBufBuilder};
 use onepass_groupby::{Aggregator, FirstAgg, StateBuf};
 use onepass_runtime::{
     pair_map_fn, DatasetCache, Engine, IterativePlan, JobSpec, MapEmitter, MapFn, PairMap, Plan,
-    PlanConfig,
 };
 
 use crate::{le_bytes, make_splits};
@@ -230,8 +229,6 @@ pub struct PageRankConfig {
     pub eps: Option<u64>,
     /// Reducers per round (held constant: partition-stable placement).
     pub reducers: usize,
-    /// Plan execution config for every round.
-    pub plan: PlanConfig,
     /// Records per map split.
     pub records_per_split: usize,
 }
@@ -244,7 +241,6 @@ impl PageRankConfig {
             rounds: 10,
             eps: None,
             reducers: 4,
-            plan: PlanConfig::default(),
             records_per_split: 256,
         }
     }
@@ -334,7 +330,7 @@ pub fn run_cached(
     let nodes = cfg.nodes;
     let reducers = cfg.reducers;
     let splits = make_splits(records.to_vec(), cfg.records_per_split);
-    let mut iter = IterativePlan::new(cfg.plan.clone(), move |round, _c| {
+    let mut iter = IterativePlan::new(move |round, _c| {
         let mut b = Plan::builder();
         if round == 0 {
             let s = b.add_stage(parse_job(nodes, reducers)?);
@@ -407,7 +403,7 @@ pub fn reference(records: &[Vec<u8>], cfg: &PageRankConfig) -> (Ranks, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onepass_runtime::{CacheConfig, PlanMode};
+    use onepass_runtime::CacheConfig;
 
     #[test]
     fn cached_and_reference_agree_byte_for_byte() {
@@ -426,15 +422,12 @@ mod tests {
         let total: u64 = want.iter().map(|&(_, r)| r).sum();
         assert!(total <= SCALE && total > SCALE - SCALE / 100);
 
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            cfg.plan = PlanConfig::new(mode);
-            let engine = Engine::new();
-            let cache = DatasetCache::new(CacheConfig::default());
-            let (cached, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
-            assert_eq!(cached, want, "{mode:?} cached vs reference");
-            assert_eq!(rounds, want_rounds, "{mode:?}");
-            assert!(cache.stats().hits > 0, "{mode:?}: rounds fed from cache");
-        }
+        let engine = Engine::new();
+        let cache = DatasetCache::new(CacheConfig::default());
+        let (cached, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
+        assert_eq!(cached, want, "cached vs reference");
+        assert_eq!(rounds, want_rounds);
+        assert!(cache.stats().hits > 0, "rounds fed from cache");
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! mergeable [`TopKAgg`]. Because each URL appears exactly once in stage
 //! 2's input, truncating each partial state to k entries is lossless,
 //! which makes [`TopKAgg`] a legal combine function — the §IV-3 question
-//! answered for the exact case. Under
-//! [`PlanMode::Pipelined`](onepass_runtime::PlanMode) stage 2 consumes
-//! stage 1's finals while stage 1's reducers are still draining.
+//! answered for the exact case. Stage 2 consumes stage 1's finals while
+//! stage 1's reducers are still draining.
 
 use std::sync::Arc;
 
@@ -151,7 +150,7 @@ pub fn plan(k: usize, count_reducers: usize) -> Result<Plan> {
 mod tests {
     use super::*;
     use crate::clickgen::Click;
-    use onepass_runtime::{Engine, PlanConfig, PlanMode};
+    use onepass_runtime::Engine;
     use std::collections::HashMap;
 
     /// Decode the [`plan`]'s single final output into `(url, count)`
@@ -210,30 +209,19 @@ mod tests {
         let splits = crate::make_splits(records, 256);
         let plan = plan(5, 3).unwrap();
         let engine = Engine::new();
-        for mode in [PlanMode::Pipelined, PlanMode::Barrier] {
-            let report = engine
-                .run_plan(
-                    &plan,
-                    splits.clone(),
-                    &PlanConfig {
-                        mode,
-                        records_per_split: 64,
-                    },
-                )
-                .unwrap();
-            let outs = report.sorted_final_outputs();
-            assert_eq!(outs.len(), 1, "{mode:?}: one top-k answer");
-            assert_eq!(outs[0].0, TOP_KEY);
-            let top = decode_top_urls(&outs[0].1);
-            assert_eq!(top.len(), 5, "{mode:?}");
-            // Counts must be the true top-5 counts, and every returned
-            // url's count must be its true total (ties at the boundary
-            // make the url *set* ambiguous, never the counts).
-            let counts: Vec<u64> = top.iter().map(|&(_, c)| c).collect();
-            assert_eq!(counts, expected_counts, "{mode:?}");
-            for &(url, count) in &top {
-                assert_eq!(truth[&url], count, "{mode:?}: url {url}");
-            }
+        let report = engine.run_plan(&plan, splits).unwrap();
+        let outs = report.sorted_final_outputs();
+        assert_eq!(outs.len(), 1, "one top-k answer");
+        assert_eq!(outs[0].0, TOP_KEY);
+        let top = decode_top_urls(&outs[0].1);
+        assert_eq!(top.len(), 5);
+        // Counts must be the true top-5 counts, and every returned
+        // url's count must be its true total (ties at the boundary
+        // make the url *set* ambiguous, never the counts).
+        let counts: Vec<u64> = top.iter().map(|&(_, c)| c).collect();
+        assert_eq!(counts, expected_counts);
+        for &(url, count) in &top {
+            assert_eq!(truth[&url], count, "url {url}");
         }
     }
 }

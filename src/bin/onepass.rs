@@ -10,11 +10,9 @@
 //! workloads` lists with the commands that take each, so this file spells
 //! no workload name either.
 //!
-//! `onepass plan` runs a multi-stage query plan. The default
-//! `--pipeline` mode streams stage outputs downstream as they finish
-//! so the plan reports a time-to-first-answer well before the total
-//! wall clock; `--barrier` materializes each stage before the next
-//! starts, the classic multi-job behaviour. The iterative and two-input
+//! `onepass plan` runs a multi-stage query plan. Stage outputs stream
+//! downstream as they finish, so the plan reports a time-to-first-answer
+//! well before the total wall clock. The iterative and two-input
 //! plans ride the in-memory dataset cache between rounds (`--rounds`
 //! caps the loop, `--converge-eps` stops early once no value moves by
 //! more than the threshold, `--users` sizes a dimension table).
@@ -100,7 +98,7 @@ fn usage() -> ! {
          \x20           [--kill-map T] [--kill-reduce P] [--straggle-map T:MS] [--fault-seed S]\n  \
          \x20           [--workers ADDR,ADDR,...] [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass worker --listen ADDR [--slots N] [--die-after-maps N]\n  \
-         onepass plan <{plans}> [--pipeline|--barrier] [--records N] [--k K]\n  \
+         onepass plan <{plans}> [--records N] [--k K]\n  \
          \x20           [--rounds N] [--converge-eps E] [--users N] [KNOBS]\n  \
          \x20           [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass sim <workload> [--system {systems}] [--storage single-hdd|hdd+ssd|separated] [--scale F]\n  \
@@ -634,12 +632,6 @@ fn cmd_plan(mut args: Args) {
     let w = workload(&mut args);
     let records: usize = args.num("records").unwrap_or(200_000);
     let k: Option<usize> = args.num("k");
-    let (barrier, pipeline) = (args.switch("barrier"), args.switch("pipeline"));
-    let mode = if barrier && !pipeline {
-        PlanMode::Barrier
-    } else {
-        PlanMode::Pipelined
-    };
     let dump_out = args.value("dump-out");
     let outputs = Outputs::from_args(&mut args);
 
@@ -654,7 +646,6 @@ fn cmd_plan(mut args: Args) {
     let reducers = settings.job.reducers;
     let engine = Engine::with_config(settings.engine);
 
-    let plan_cfg = PlanConfig::new(mode);
     // Each shape runs its plan and hands back its report lines, its final
     // pairs and its console lines.
     let (report, finals, console) = match w.shape {
@@ -666,14 +657,11 @@ fn cmd_plan(mut args: Args) {
             let splits = input.splits(records);
             let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
             eprintln!(
-                "running the {} plan ({} stages, {} mode, {input_records} records)...",
+                "running the {} plan ({} stages, {input_records} records)...",
                 w.name,
                 plan.stage_count(),
-                mode.label()
             );
-            let report = engine
-                .run_plan(&plan, splits, &plan_cfg)
-                .expect("plan failed");
+            let report = engine.run_plan(&plan, splits).expect("plan failed");
             let wall = report.wall.as_secs_f64();
             let mut console = vec![format!("wall time:         {}", fmt_secs(wall))];
             if let Some(t) = report.first_final_at {
@@ -699,7 +687,6 @@ fn cmd_plan(mut args: Args) {
         }
         Shape::Iterative(run) => {
             let params = Params {
-                plan: plan_cfg,
                 records,
                 reducers,
                 k,
@@ -717,10 +704,8 @@ fn cmd_plan(mut args: Args) {
             }
             cache.attach_tracer(&outputs.tracer);
             eprintln!(
-                "running the {} plan ({records} records, ≤{} rounds, {} mode)...",
-                w.name,
-                params.rounds,
-                mode.label()
+                "running the {} plan ({records} records, ≤{} rounds)...",
+                w.name, params.rounds,
             );
             let started = std::time::Instant::now();
             let (rounds, pairs) = run(&engine, &cache, &params).expect("plan failed");
@@ -746,11 +731,10 @@ fn cmd_plan(mut args: Args) {
                 ),
             ];
             let report = format!(
-                "{{\"type\":\"plan\",\"plan\":\"{}\",\"mode\":\"{}\",\"rounds\":{rounds},\
+                "{{\"type\":\"plan\",\"plan\":\"{}\",\"rounds\":{rounds},\
                  \"wall_s\":{},\"cache_resident_bytes\":{resident},\"cache_hits\":{hits},\
                  \"cache_evictions\":{evictions},\"cache_reloads\":{reloads}}}\n",
                 w.name,
-                mode.label(),
                 onepass_core::json::fmt_f64(wall),
             );
             (report, pairs, console)
@@ -761,7 +745,7 @@ fn cmd_plan(mut args: Args) {
     if let Some(path) = dump_out {
         write_dump(&path, finals.iter().map(|(k, v)| (&k[..], &v[..])));
     }
-    println!("plan:              {} [{}]", w.name, mode.label());
+    println!("plan:              {}", w.name);
     for line in console {
         println!("{line}");
     }

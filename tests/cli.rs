@@ -148,11 +148,13 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
 
     // A knob the command does not take as a flag is a mistake too (a row
     // without a flag anywhere, a row only `run` takes), as is a value
-    // that would be dropped.
+    // that would be dropped, or a switch that is gone (a plan runs one
+    // way).
     for line in [
         "run per-user-count --records 1000 --backend inc-hash",
         "plan top-k --records 1000 --budget-kb 64",
         "serve --records 1000 --retries 3",
+        "plan top-k --records 1000 --barrier",
     ] {
         assert_eq!(onepass(line).status.code(), Some(2), "{line}");
     }

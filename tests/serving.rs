@@ -425,7 +425,7 @@ fn linear_plan_of_record_stages_serves_what_the_batch_plan_dumps() {
         .map(|c| Split::new(c.to_vec()))
         .collect();
     let batch = Engine::new()
-        .run_plan(&chain(), splits, &PlanConfig::default())
+        .run_plan(&chain(), splits)
         .expect("batch plan");
     let finals = batch.sorted_final_outputs();
     let want = onepass_runtime::dump_pairs(finals.iter().map(|(k, v)| (&k[..], &v[..])));

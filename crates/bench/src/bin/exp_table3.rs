@@ -27,14 +27,14 @@ fn group_by_label(job: &JobSpec) -> &'static str {
 fn shuffle_label(job: &JobSpec) -> &'static str {
     match job.shuffle {
         ShuffleMode::Pull => "Pull",
-        ShuffleMode::Push { .. } => "Push / Pull",
+        ShuffleMode::Push => "Push / Pull",
     }
 }
 
 fn incremental_label(job: &JobSpec) -> &'static str {
     match &job.backend {
-        ReduceBackend::SortMerge { snapshots, .. } if snapshots.is_empty() => "No",
-        ReduceBackend::SortMerge { .. } => "No (periodic snapshot-based output only)",
+        ReduceBackend::SortMerge { snapshots: false } => "No",
+        ReduceBackend::SortMerge { snapshots: true } => "No (periodic snapshot-based output only)",
         ReduceBackend::HybridHash => "No (blocking hash)",
         _ => "Fully incremental",
     }

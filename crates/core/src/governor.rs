@@ -84,7 +84,7 @@ pub fn policy_by_name(name: &str) -> Option<Arc<dyn SpillPolicy>> {
     }
 }
 
-/// Default high-water fraction: above this pool utilization the shuffle
+/// High-water fraction: above this pool utilization the shuffle
 /// backpressures map-side pushes instead of growing reducer buffers.
 pub const DEFAULT_HIGH_WATER: f64 = 0.85;
 
@@ -100,19 +100,15 @@ pub enum MemoryPolicy {
     Adaptive {
         /// Victim-selection policy under global pressure.
         policy: Arc<dyn SpillPolicy>,
-        /// Pool-utilization fraction above which the shuffle
-        /// backpressures map-side pushes.
-        high_water: f64,
     },
 }
 
 impl MemoryPolicy {
-    /// The adaptive policy with default knobs ([`LargestConsumer`],
-    /// [`DEFAULT_HIGH_WATER`]).
+    /// The adaptive policy with the default victim rule
+    /// ([`LargestConsumer`]).
     pub fn adaptive() -> Self {
         MemoryPolicy::Adaptive {
             policy: Arc::new(LargestConsumer),
-            high_water: DEFAULT_HIGH_WATER,
         }
     }
 
@@ -129,10 +125,9 @@ impl std::fmt::Debug for MemoryPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MemoryPolicy::Static => f.write_str("Static"),
-            MemoryPolicy::Adaptive { policy, high_water } => f
+            MemoryPolicy::Adaptive { policy } => f
                 .debug_struct("Adaptive")
                 .field("policy", &policy.name())
-                .field("high_water", high_water)
                 .finish(),
         }
     }
@@ -162,7 +157,6 @@ struct LeaseEntry {
 pub(crate) struct GovInner {
     pool: MemoryBudget,
     policy: Arc<dyn SpillPolicy>,
-    high_water: f64,
     /// Minimum bytes moved per rebalance, so hot leases don't escalate
     /// once per record.
     min_grant: usize,
@@ -266,12 +260,11 @@ impl std::fmt::Debug for MemoryGovernor {
 
 impl MemoryGovernor {
     /// Create a governor owning a `global_limit`-byte pool.
-    pub fn new(global_limit: usize, policy: Arc<dyn SpillPolicy>, high_water: f64) -> Self {
+    pub fn new(global_limit: usize, policy: Arc<dyn SpillPolicy>) -> Self {
         MemoryGovernor {
             inner: Arc::new(GovInner {
                 pool: MemoryBudget::new(global_limit),
                 policy,
-                high_water: high_water.clamp(0.0, 1.0),
                 min_grant: (global_limit / 64).clamp(256, 1 << 20),
                 leases: Mutex::new(Vec::new()),
                 next_id: AtomicUsize::new(0),
@@ -309,11 +302,11 @@ impl MemoryGovernor {
         &self.inner.pool
     }
 
-    /// Is pool utilization above the high-water fraction? The shuffle
-    /// uses this to backpressure map-side pushes.
+    /// Is pool utilization at or above [`DEFAULT_HIGH_WATER`]? The
+    /// shuffle uses this to backpressure map-side pushes.
     pub fn over_high_water(&self) -> bool {
         let limit = self.inner.pool.limit();
-        limit > 0 && self.inner.pool.used() as f64 >= self.inner.high_water * limit as f64
+        limit > 0 && self.inner.pool.used() as f64 >= DEFAULT_HIGH_WATER * limit as f64
     }
 
     /// The victim-selection policy's name.
@@ -344,7 +337,7 @@ mod tests {
     use super::*;
 
     fn gov(limit: usize) -> MemoryGovernor {
-        MemoryGovernor::new(limit, Arc::new(LargestConsumer), 0.85)
+        MemoryGovernor::new(limit, Arc::new(LargestConsumer))
     }
 
     #[test]
@@ -453,7 +446,7 @@ mod tests {
                 loaded.get(at).map(|l| l.id)
             }
         }
-        let g = MemoryGovernor::new(300, Arc::new(Rotating::default()), 0.85);
+        let g = MemoryGovernor::new(300, Arc::new(Rotating::default()));
         let a = g.lease(100);
         let b = g.lease(100);
         let c = g.lease(100);
@@ -499,14 +492,14 @@ mod tests {
 
     #[test]
     fn over_high_water_tracks_pool_utilization() {
-        let g = MemoryGovernor::new(1000, Arc::new(LargestConsumer), 0.8);
+        let g = gov(1000);
         let a = g.lease(1000);
         assert!(!g.over_high_water());
-        assert!(a.try_grant(800));
+        assert!(a.try_grant(850));
         assert!(g.over_high_water());
         a.release(100);
         assert!(!g.over_high_water());
-        a.release(700);
+        a.release(750);
     }
 
     #[test]

@@ -105,18 +105,6 @@ pub trait EarlyEmit: Send + Sync {
     fn ready(&self, key: &[u8], state: &[u8]) -> bool;
 }
 
-/// Early-emit policy: fire whenever a little-endian u64 state crosses
-/// `threshold` (exactly once, at the crossing — the §IV-3 example query
-/// "return all groups where the count of items exceeds a threshold").
-#[derive(Debug, Clone, Copy)]
-pub struct CountThreshold(pub u64);
-
-impl EarlyEmit for CountThreshold {
-    fn ready(&self, _key: &[u8], state: &[u8]) -> bool {
-        le_u64(state) == Some(self.0)
-    }
-}
-
 /// Early-emit policy: fire every time a little-endian u64 state reaches
 /// a multiple of `period` — a periodic refresh of hot groups while input
 /// is still arriving (the serving front-end's per-tenant early answers).
@@ -829,12 +817,14 @@ mod tests {
             .collect()
     }
 
-    fn with_threshold(at: u64) -> FreqHashGrouper {
+    /// Early answers every `period` records of a key: below `2 × period`
+    /// records (as in [`alternating`]) that fires once, at the crossing.
+    fn with_threshold(period: u64) -> FreqHashGrouper {
         IncHashGrouper::with_early(
             Arc::new(SharedMemStore::new()),
             MemoryBudget::unlimited(),
             Arc::new(CountAgg),
-            Some(Arc::new(CountThreshold(at))),
+            Some(Arc::new(PeriodicCount(period))),
         )
     }
 
@@ -864,12 +854,12 @@ mod tests {
     fn single_record_batches_match_one_bulk_batch() {
         let recs = alternating();
         let mut bulk = VecSink::default();
-        let mut g = with_threshold(3);
+        let mut g = with_threshold(5);
         g.push_batch(&SegmentBuf::from_pairs(pairs(&recs)), &mut bulk)
             .unwrap();
         g.finish(&mut bulk).unwrap();
         let mut single = VecSink::default();
-        let mut g = with_threshold(3);
+        let mut g = with_threshold(5);
         for rec in recs {
             g.push_batch(&SegmentBuf::from_pairs(pairs(&[rec])), &mut single)
                 .unwrap();

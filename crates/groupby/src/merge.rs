@@ -135,6 +135,8 @@ impl MultiPassMerger {
             self.store.delete_run(v.id)?;
         }
         t.stop(&mut self.profile, &mut self.trace);
+        self.trace
+            .instant("merge_pass", "spill", &[("runs", width as f64)]);
         self.merge_passes += 1;
         self.runs.push(merged);
         Ok(())

@@ -37,21 +37,21 @@ use onepass_core::obs::{names, Counter, Gauge, MetricsRegistry};
 use onepass_core::trace::{Tracer, Track};
 use onepass_core::SegmentBuf;
 
+/// Batch size when reloading a spilled partition.
+const RELOAD_BATCH_BYTES: usize = 4 << 20;
+
 /// Knobs for a [`DatasetCache`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Resident-byte limit when the cache owns a private budget
     /// (ignored when built over a governor lease). Default 256 MiB.
     pub limit_bytes: usize,
-    /// Batch size when reloading a spilled partition. Default 4 MiB.
-    pub reload_batch_bytes: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             limit_bytes: 256 << 20,
-            reload_batch_bytes: 4 << 20,
         }
     }
 }
@@ -113,7 +113,6 @@ pub struct DatasetCache {
     budget: MemoryBudget,
     governor: Option<MemoryGovernor>,
     store: Arc<dyn SpillStore>,
-    config: CacheConfig,
     tracer: Tracer,
     resident_gauge: Gauge,
     hits_counter: Counter,
@@ -133,33 +132,27 @@ impl DatasetCache {
     /// A cache with a private byte budget and an in-memory spill store.
     pub fn new(config: CacheConfig) -> Self {
         let budget = MemoryBudget::new(config.limit_bytes);
-        DatasetCache::build(budget, None, Arc::new(SharedMemStore::new()), config)
+        DatasetCache::build(budget, None, Arc::new(SharedMemStore::new()))
     }
 
     /// A cache leasing from `governor`'s shared pool — the cache
     /// competes with live reducers under the governor's spill policy,
     /// and evicts (rather than holding memory) when picked as a victim.
-    pub fn with_governor(
-        governor: &MemoryGovernor,
-        store: Arc<dyn SpillStore>,
-        config: CacheConfig,
-    ) -> Self {
+    pub fn with_governor(governor: &MemoryGovernor, store: Arc<dyn SpillStore>) -> Self {
         let budget = governor.lease(0);
-        DatasetCache::build(budget, Some(governor.clone()), store, config)
+        DatasetCache::build(budget, Some(governor.clone()), store)
     }
 
     fn build(
         budget: MemoryBudget,
         governor: Option<MemoryGovernor>,
         store: Arc<dyn SpillStore>,
-        config: CacheConfig,
     ) -> Self {
         DatasetCache {
             inner: Mutex::new(Inner::default()),
             budget,
             governor,
             store,
-            config,
             tracer: Tracer::disabled(),
             resident_gauge: Gauge::detached(),
             hits_counter: Counter::detached(),
@@ -438,7 +431,7 @@ impl DatasetCache {
     fn reload_partition(&self, id: RunId) -> Result<SegmentBuf> {
         let mut r = self.store.open_run(id)?;
         let mut segs: Vec<SegmentBuf> = Vec::new();
-        while let Some(batch) = r.read_batch(self.config.reload_batch_bytes)? {
+        while let Some(batch) = r.read_batch(RELOAD_BATCH_BYTES)? {
             segs.push(batch);
         }
         match segs.len() {
@@ -530,7 +523,6 @@ mod tests {
         let bytes = part_bytes(&big);
         let cache = DatasetCache::new(CacheConfig {
             limit_bytes: bytes + bytes / 2,
-            ..Default::default()
         });
         cache.put("a", vec![big.clone()]).unwrap();
         cache.put("b", vec![seg(2, 200)]).unwrap();
@@ -547,9 +539,9 @@ mod tests {
 
     #[test]
     fn governor_shed_request_is_honored() {
-        let gov = MemoryGovernor::new(1 << 20, Arc::new(LargestConsumer), 0.9);
+        let gov = MemoryGovernor::new(1 << 20, Arc::new(LargestConsumer));
         let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let cache = DatasetCache::with_governor(&gov, store, CacheConfig::default());
+        let cache = DatasetCache::with_governor(&gov, store);
         cache.put("hot", vec![seg(1, 100)]).unwrap();
         assert!(cache.stats().resident_bytes > 0);
 

@@ -16,7 +16,7 @@
 //! * **Retries.** A failed attempt (an `Err` from a spill store, a panic
 //!   in a user map function, or an injected [`FaultPlan`] fault) is
 //!   re-executed with a fresh attempt id, up to
-//!   [`RetryPolicy::max_attempts`].
+//!   [`EngineConfig::max_attempts`].
 //! * **Speculative execution.** With [`EngineConfig::speculate`], the
 //!   coordinator watches running map attempts against the median duration
 //!   of completed ones and launches one backup clone per straggling task;
@@ -30,7 +30,7 @@
 //! attempts, broadcasts [`ShuffleMsg::Abort`](crate::shuffle::ShuffleMsg)
 //! so reducers unblock, and returns the original error — it never hangs.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use onepass_core::error::Result;
 use onepass_core::fault::{FaultInjector, FaultPlan};
@@ -55,35 +55,6 @@ pub enum SpillBackend {
     TempFiles,
 }
 
-/// Per-task retry budget for failed attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts allowed per task, including the first. Must be at
-    /// least 1; 1 means a single failure fails the job.
-    pub max_attempts: usize,
-    /// Delay before launching a retry attempt.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Policy allowing `max_attempts` total attempts with no backoff.
-    pub fn attempts(max_attempts: usize) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -97,8 +68,10 @@ pub struct EngineConfig {
     /// engine then costs a single branch. Hand in [`Tracer::enabled`] and
     /// drain it after [`Engine::run`] to get the event stream.
     pub tracer: Tracer,
-    /// Retry budget for failed task attempts. Default: no retries.
-    pub retry: RetryPolicy,
+    /// Attempts allowed per task, the first included: the retry budget
+    /// for failed attempts, retried at once. Must be at least 1; the
+    /// default 1 means a single failure fails the job.
+    pub max_attempts: usize,
     /// Speculative backup execution of straggling map tasks. Default off.
     pub speculate: bool,
     /// Planned fault schedule for recovery testing. Default inert.
@@ -144,7 +117,7 @@ impl Default for EngineConfig {
             map_workers: default_map_workers(),
             spill: SpillBackend::Memory,
             tracer: Tracer::disabled(),
-            retry: RetryPolicy::default(),
+            max_attempts: 1,
             speculate: false,
             faults: FaultInjector::none(),
             memory_policy: MemoryPolicy::Static,
@@ -186,9 +159,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Retry budget for failed attempts.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
+    /// Attempts allowed per task, the first included (floored at 1).
+    pub fn max_attempts(mut self, n: usize) -> Self {
+        self.cfg.max_attempts = n.max(1);
         self
     }
 
@@ -276,6 +249,7 @@ mod tests {
     use onepass_groupby::{Aggregator, EmitKind, ListAgg, SumAgg};
     use std::collections::BTreeMap;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
         for w in record.split(|&b| b == b' ') {
@@ -391,10 +365,7 @@ mod tests {
     #[test]
     fn all_backends_agree() {
         let backends = vec![
-            ReduceBackend::SortMerge {
-                merge_factor: 4,
-                snapshots: vec![],
-            },
+            ReduceBackend::SortMerge { snapshots: false },
             ReduceBackend::HybridHash,
             ReduceBackend::IncHash { early: None },
             ReduceBackend::FreqHash,
@@ -414,7 +385,7 @@ mod tests {
                     .aggregate(Arc::clone(agg))
                     .reducers(2)
                     .map_side(MapSideMode::Hash)
-                    .shuffle(ShuffleMode::Push { granularity: 3 })
+                    .shuffle(ShuffleMode::Push)
                     .backend(backend.clone())
                     .build()
                     .unwrap();
@@ -490,7 +461,7 @@ mod tests {
         let cfg = EngineConfig::builder()
             .map_workers(2)
             .spill(SpillBackend::TempFiles)
-            .retry(RetryPolicy::attempts(3))
+            .max_attempts(3)
             .speculate(true)
             .faults(FaultPlan::new().fail_map(0, 0, 1))
             .memory_policy(MemoryPolicy::adaptive())
@@ -501,7 +472,7 @@ mod tests {
             .build();
         assert_eq!(cfg.map_workers, 2);
         assert_eq!(cfg.spill, SpillBackend::TempFiles);
-        assert_eq!(cfg.retry.max_attempts, 3);
+        assert_eq!(cfg.max_attempts, 3);
         assert!(cfg.speculate);
         assert!(cfg.faults.is_active());
         assert!(matches!(cfg.memory_policy, MemoryPolicy::Adaptive { .. }));
@@ -516,10 +487,7 @@ mod tests {
     #[test]
     fn adaptive_policy_matches_static_output() {
         for backend in [
-            ReduceBackend::SortMerge {
-                merge_factor: 4,
-                snapshots: vec![],
-            },
+            ReduceBackend::SortMerge { snapshots: false },
             ReduceBackend::HybridHash,
             ReduceBackend::IncHash { early: None },
             ReduceBackend::FreqHash,
@@ -558,7 +526,7 @@ mod tests {
     fn map_fault_retries_and_recovers() {
         let job = wc_job(2);
         let cfg = EngineConfig::builder()
-            .retry(RetryPolicy::attempts(3))
+            .max_attempts(3)
             .faults(FaultPlan::new().fail_map(0, 0, 1))
             .build();
         let report = Engine::with_config(cfg).run(&job, input()).unwrap();
@@ -577,7 +545,7 @@ mod tests {
     fn map_panic_is_caught_and_retried() {
         let job = wc_job(1);
         let cfg = EngineConfig::builder()
-            .retry(RetryPolicy::attempts(2))
+            .max_attempts(2)
             .faults(FaultPlan::new().panic_map(1, 0, 0))
             .build();
         let report = Engine::with_config(cfg).run(&job, input()).unwrap();
@@ -589,7 +557,7 @@ mod tests {
     fn exhausted_map_retries_fail_the_job_without_hanging() {
         let job = wc_job(2);
         let cfg = EngineConfig::builder()
-            .retry(RetryPolicy::attempts(2))
+            .max_attempts(2)
             .faults(
                 FaultPlan::new()
                     .fail_map(0, 0, 0) // first attempt dies...
@@ -604,7 +572,7 @@ mod tests {
     fn reduce_fault_retries_and_recovers() {
         let job = wc_job(2);
         let cfg = EngineConfig::builder()
-            .retry(RetryPolicy::attempts(3))
+            .max_attempts(3)
             .faults(FaultPlan::new().fail_reduce(1, 0, 1))
             .build();
         let report = Engine::with_config(cfg).run(&job, input()).unwrap();
@@ -649,10 +617,7 @@ mod tests {
     fn zero_max_attempts_is_rejected() {
         let job = wc_job(1);
         let cfg = EngineConfig {
-            retry: RetryPolicy {
-                max_attempts: 0,
-                backoff: Duration::ZERO,
-            },
+            max_attempts: 0,
             ..Default::default()
         };
         let err = Engine::with_config(cfg).run(&job, input()).unwrap_err();

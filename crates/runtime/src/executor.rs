@@ -15,6 +15,7 @@ use std::time::Instant;
 use crossbeam::channel::unbounded;
 
 use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
+use onepass_core::config::DEFAULT_MERGE_FACTOR;
 use onepass_core::error::{Error, Result};
 use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
 use onepass_core::io::{FileSpillStore, SharedMemStore, SpillStore};
@@ -96,8 +97,8 @@ pub(crate) fn build_grouper(
     tracer: LocalTracer,
 ) -> Result<Box<dyn GroupBy>> {
     Ok(match &job.backend {
-        ReduceBackend::SortMerge { merge_factor, .. } => {
-            let mut g = SortMergeGrouper::new(store, budget, *merge_factor, agg)?;
+        ReduceBackend::SortMerge { .. } => {
+            let mut g = SortMergeGrouper::new(store, budget, DEFAULT_MERGE_FACTOR, agg)?;
             g.set_tracer(tracer);
             Box::new(g)
         }
@@ -154,11 +155,11 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     } = params;
     job.validate()?;
     // Reducers run here on every transport, with the job's own budget.
-    let reduce_attempts = config.retry.max_attempts;
+    let reduce_attempts = config.max_attempts;
     if reduce_attempts == 0 {
-        return Err(Error::Config("retry.max_attempts must be >= 1".into()));
+        return Err(Error::Config("max_attempts must be >= 1".into()));
     }
-    let mut retry = config.retry;
+    let mut map_attempts = reduce_attempts;
     let tcp_workers = match &config.transport {
         Transport::InProc => None,
         Transport::Tcp { workers } => {
@@ -170,7 +171,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             // Worker loss is survived by re-running lost map attempts on
             // survivors; guarantee the map retry budget can absorb losing
             // every worker once.
-            retry.max_attempts = retry.max_attempts.max(workers.len() + 2);
+            map_attempts = map_attempts.max(workers.len() + 2);
             Some(workers.as_slice())
         }
     };
@@ -179,7 +180,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     // Attempt-aware shuffle dedup is only needed when a map task can run
     // more than once; otherwise reducers keep the eager commit-on-arrival
     // fast path.
-    let ft_active = retry.max_attempts > 1 || speculate || injector.is_active();
+    let ft_active = map_attempts > 1 || speculate || injector.is_active();
 
     let start = clock;
     let (initial, feed_rx) = match feed {
@@ -203,10 +204,9 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         Some(g) => Some(g),
         None => match &config.memory_policy {
             MemoryPolicy::Static => None,
-            MemoryPolicy::Adaptive { policy, high_water } => Some(MemoryGovernor::new(
+            MemoryPolicy::Adaptive { policy } => Some(MemoryGovernor::new(
                 job.reduce_budget_bytes.saturating_mul(job.reducers.max(1)),
                 Arc::clone(policy),
-                *high_water,
             )),
         },
     };
@@ -314,16 +314,12 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     innode_ratio,
                 );
                 while let Ok(asg) = task_rx.recv() {
-                    if !asg.delay.is_zero() {
-                        std::thread::sleep(asg.delay);
-                    }
                     let MapAssignment {
                         task,
                         attempt,
                         speculative,
                         split,
                         cancel,
-                        ..
                     } = asg;
                     let mut open = TaskSpan::open(TaskKind::Map, task, tracer, track_offset);
                     let _ = evt_tx.send(MapEvent::Started {
@@ -397,7 +393,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                 };
                 let opts = ReduceRetryOpts {
                     max_attempts: reduce_attempts,
-                    backoff: retry.backoff,
                     dedup_attempts: ft_active,
                     injector,
                 };
@@ -421,7 +416,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
 
         // ---- Map coordinator (this thread). ----
         let ctx = SchedulerCtx {
-            retry,
+            max_attempts: map_attempts,
             speculate,
             task_tx,
             evt_rx,

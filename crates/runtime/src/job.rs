@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use onepass_core::config::{DEFAULT_MERGE_FACTOR, HOP_SNAPSHOTS, MIB};
+use onepass_core::config::MIB;
 use onepass_core::error::{Error, Result};
 use onepass_core::hashlib::{fingerprint, MultiplyShift, SeededFamily};
 use onepass_groupby::Aggregator;
@@ -140,6 +140,11 @@ impl Partitioner for HashPartitioner {
 /// map side's combine table.
 pub const MAP_BUFFER_BYTES: usize = 16 * MIB as usize;
 
+/// Records a map task emits between pushes under [`ShuffleMode::Push`]
+/// (MapReduce Online's pipelined batch). Plan edges cut their splits to
+/// the same size.
+pub const PUSH_RECORDS: usize = 4096;
+
 /// Whether final/early output pairs are collected into the report.
 ///
 /// Replaces the old `collect_output: bool` knob.
@@ -185,26 +190,25 @@ pub enum ShuffleMode {
     /// the task finishes (and its output is persisted).
     Pull,
     /// MapReduce Online / the proposed system: mappers push output
-    /// eagerly, in `granularity`-record batches, while still running.
-    Push {
-        /// Records per pipelined batch.
-        granularity: usize,
-    },
+    /// eagerly, in [`PUSH_RECORDS`]-record batches, while still running.
+    Push,
 }
 
 /// The reduce-side group-by implementation (Table III's "Group By" row).
 #[derive(Clone)]
 pub enum ReduceBackend {
     /// Hadoop: buffer sorted segments, spill merged runs, multi-pass merge
-    /// with factor F, blocking final merge. `snapshots` adds MapReduce
-    /// Online behaviour: emit approximate answers when those fractions of
-    /// map tasks have delivered (each snapshot re-reads all data — the
-    /// "significant I/O overhead" of §III-D).
+    /// with factor F = [`DEFAULT_MERGE_FACTOR`], blocking final merge.
+    /// `snapshots` adds MapReduce Online behaviour: emit approximate
+    /// answers when [`HOP_SNAPSHOTS`] of map tasks have delivered (each
+    /// snapshot re-reads all data — the "significant I/O overhead" of
+    /// §III-D).
+    ///
+    /// [`DEFAULT_MERGE_FACTOR`]: onepass_core::config::DEFAULT_MERGE_FACTOR
+    /// [`HOP_SNAPSHOTS`]: onepass_core::config::HOP_SNAPSHOTS
     SortMerge {
-        /// Multi-pass merge factor F.
-        merge_factor: usize,
-        /// Map-completion fractions at which to emit snapshot answers.
-        snapshots: Vec<f64>,
+        /// Emit snapshot answers at [`HOP_SNAPSHOTS`](onepass_core::config::HOP_SNAPSHOTS).
+        snapshots: bool,
     },
     /// §V technique 1: hybrid hash, eight buckets per recursion level.
     HybridHash,
@@ -221,12 +225,8 @@ pub enum ReduceBackend {
 impl std::fmt::Debug for ReduceBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReduceBackend::SortMerge {
-                merge_factor,
-                snapshots,
-            } => f
+            ReduceBackend::SortMerge { snapshots } => f
                 .debug_struct("SortMerge")
-                .field("merge_factor", merge_factor)
                 .field("snapshots", snapshots)
                 .finish(),
             ReduceBackend::HybridHash => f.write_str("HybridHash"),
@@ -243,8 +243,8 @@ impl ReduceBackend {
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
-            ReduceBackend::SortMerge { snapshots, .. } if snapshots.is_empty() => "sort-merge",
-            ReduceBackend::SortMerge { .. } => "sort-merge+snapshots (HOP)",
+            ReduceBackend::SortMerge { snapshots: false } => "sort-merge",
+            ReduceBackend::SortMerge { snapshots: true } => "sort-merge+snapshots (HOP)",
             ReduceBackend::HybridHash => "hybrid-hash",
             ReduceBackend::IncHash { .. } => "incremental-hash",
             ReduceBackend::FreqHash => "frequent-hash",
@@ -319,20 +319,6 @@ impl JobSpec {
         if self.reducers == 0 {
             return Err(Error::Config("reducers must be ≥ 1".into()));
         }
-        if let ReduceBackend::SortMerge {
-            merge_factor,
-            snapshots,
-        } = &self.backend
-        {
-            if *merge_factor < 2 {
-                return Err(Error::Config("merge factor must be ≥ 2".into()));
-            }
-            if snapshots.iter().any(|f| !(0.0..1.0).contains(f)) {
-                return Err(Error::Config(
-                    "snapshot fractions must lie in [0, 1)".into(),
-                ));
-            }
-        }
         Ok(())
     }
 }
@@ -355,10 +341,7 @@ impl JobSpecBuilder {
                 reducers: 4,
                 map_side: MapSideMode::SortSpill,
                 shuffle: ShuffleMode::Pull,
-                backend: ReduceBackend::SortMerge {
-                    merge_factor: DEFAULT_MERGE_FACTOR,
-                    snapshots: Vec::new(),
-                },
+                backend: ReduceBackend::SortMerge { snapshots: false },
                 reduce_budget_bytes: 64 * MIB as usize,
                 collect_output: CollectOutput::Collect,
             },
@@ -426,21 +409,15 @@ impl JobSpecBuilder {
     pub fn preset_hadoop(self) -> Self {
         self.map_side(MapSideMode::SortSpill)
             .shuffle(ShuffleMode::Pull)
-            .backend(ReduceBackend::SortMerge {
-                merge_factor: DEFAULT_MERGE_FACTOR,
-                snapshots: Vec::new(),
-            })
+            .backend(ReduceBackend::SortMerge { snapshots: false })
     }
 
     /// MapReduce Online (HOP): sort-spill map, push shuffle, sort-merge
     /// reduce with periodic snapshots at 25/50/75%.
     pub fn preset_hop(self) -> Self {
         self.map_side(MapSideMode::SortSpill)
-            .shuffle(ShuffleMode::Push { granularity: 4096 })
-            .backend(ReduceBackend::SortMerge {
-                merge_factor: DEFAULT_MERGE_FACTOR,
-                snapshots: HOP_SNAPSHOTS.to_vec(),
-            })
+            .shuffle(ShuffleMode::Push)
+            .backend(ReduceBackend::SortMerge { snapshots: true })
     }
 
     /// The paper's proposed system: hash map side (combining when the
@@ -448,7 +425,7 @@ impl JobSpecBuilder {
     /// hash.
     pub fn preset_onepass(self) -> Self {
         self.map_side(MapSideMode::Hash)
-            .shuffle(ShuffleMode::Push { granularity: 4096 })
+            .shuffle(ShuffleMode::Push)
             .backend(ReduceBackend::FreqHash)
     }
 }
@@ -502,20 +479,6 @@ mod tests {
     #[test]
     fn validation_catches_bad_values() {
         assert!(JobSpec::builder("t").reducers(0).build().is_err());
-        assert!(JobSpec::builder("t")
-            .backend(ReduceBackend::SortMerge {
-                merge_factor: 1,
-                snapshots: vec![],
-            })
-            .build()
-            .is_err());
-        assert!(JobSpec::builder("t")
-            .backend(ReduceBackend::SortMerge {
-                merge_factor: 10,
-                snapshots: vec![1.5],
-            })
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -546,7 +509,7 @@ mod tests {
     fn hop_preset_has_snapshots() {
         let job = JobSpec::builder("t").preset_hop().build().unwrap();
         assert_eq!(job.backend.label(), "sort-merge+snapshots (HOP)");
-        assert!(matches!(job.shuffle, ShuffleMode::Push { .. }));
+        assert_eq!(job.shuffle, ShuffleMode::Push);
     }
 
     /// Twenty fixed keys: lengths 0–31, every tail length, 4-byte user

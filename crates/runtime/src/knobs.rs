@@ -20,13 +20,11 @@
 //! field of both structs as either a row or "not a knob", so a new field
 //! does not compile until someone decides which it is.
 
-use std::time::Duration;
-
 use onepass_core::error::{Error, Result};
-use onepass_core::governor::{policy_by_name, MemoryPolicy, DEFAULT_HIGH_WATER};
+use onepass_core::governor::{policy_by_name, MemoryPolicy};
 use onepass_core::json::escape;
 
-use crate::driver::{EngineConfig, RetryPolicy, SpillBackend};
+use crate::driver::{EngineConfig, SpillBackend};
 use crate::job::{CollectOutput, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
 
 /// Everything the table can read or write: one job and the engine that
@@ -242,30 +240,16 @@ choices!(COLLECT, CollectOutput {
     "collect" => CollectOutput::Collect,
     "discard" => CollectOutput::Discard
 });
+choices!(SHUFFLE, ShuffleMode {
+    "pull" => ShuffleMode::Pull,
+    "push" => ShuffleMode::Push
+});
 choices!(SPILL, SpillBackend {
     "memory" => SpillBackend::Memory,
     "temp-files" => SpillBackend::TempFiles
 });
 // A switch: the CLI reads the bare flag as `on`.
 choices!(SWITCH, bool { "on" => true, "off" => false });
-
-impl Text for ShuffleMode {
-    fn show(&self) -> String {
-        match self {
-            ShuffleMode::Pull => "pull".into(),
-            ShuffleMode::Push { granularity } => format!("push:{granularity}"),
-        }
-    }
-    fn read(v: &str) -> Result<Self> {
-        match v.split_once(':') {
-            None if v == "pull" => Ok(ShuffleMode::Pull),
-            Some(("push", n)) => Ok(ShuffleMode::Push {
-                granularity: num(n)?,
-            }),
-            _ => Err(bad("not a shuffle mode")),
-        }
-    }
-}
 
 /// The access pair of a field whose type has a [`Text`] form.
 macro_rules! field {
@@ -293,44 +277,27 @@ fn kib_set(v: &str) -> Result<usize> {
 
 fn backend_get(j: &JobSpec) -> String {
     match &j.backend {
-        ReduceBackend::SortMerge {
-            merge_factor,
-            snapshots,
-        } => {
-            let mut out = format!("sort-merge:{merge_factor}");
-            for (i, s) in snapshots.iter().enumerate() {
-                out.push(if i == 0 { ':' } else { ',' });
-                out.push_str(&s.to_string());
-            }
-            out
-        }
-        ReduceBackend::HybridHash => "hybrid-hash".into(),
-        ReduceBackend::IncHash { .. } => "inc-hash".into(),
-        ReduceBackend::FreqHash => "freq-hash".into(),
+        ReduceBackend::SortMerge { snapshots: false } => "sort-merge",
+        ReduceBackend::SortMerge { snapshots: true } => "sort-merge+snapshots",
+        ReduceBackend::HybridHash => "hybrid-hash",
+        ReduceBackend::IncHash { .. } => "inc-hash",
+        ReduceBackend::FreqHash => "freq-hash",
     }
+    .into()
 }
 
 fn backend_set(j: &mut JobSpec, v: &str) -> Result<()> {
-    let mut parts = v.splitn(3, ':');
-    match (parts.next(), parts.next(), parts.next()) {
-        (Some("sort-merge"), Some(f), snaps) => {
-            j.backend = ReduceBackend::SortMerge {
-                merge_factor: num(f)?,
-                snapshots: snaps
-                    .map_or(Ok(Vec::new()), |s| s.split(',').map(num::<f64>).collect())?,
-            }
-        }
-        (Some("hybrid-hash"), None, None) => j.backend = ReduceBackend::HybridHash,
+    j.backend = match v {
+        "sort-merge" => ReduceBackend::SortMerge { snapshots: false },
+        "sort-merge+snapshots" => ReduceBackend::SortMerge { snapshots: true },
+        "hybrid-hash" => ReduceBackend::HybridHash,
         // An early-emit policy is a closure and has no text form: a spec
         // that already runs inc-hash keeps its own; any other takes none.
-        (Some("inc-hash"), None, None) => {
-            if !matches!(j.backend, ReduceBackend::IncHash { .. }) {
-                j.backend = ReduceBackend::IncHash { early: None };
-            }
-        }
-        (Some("freq-hash"), None, None) => j.backend = ReduceBackend::FreqHash,
+        "inc-hash" if matches!(j.backend, ReduceBackend::IncHash { .. }) => return Ok(()),
+        "inc-hash" => ReduceBackend::IncHash { early: None },
+        "freq-hash" => ReduceBackend::FreqHash,
         _ => return Err(bad("not a reduce backend")),
-    }
+    };
     Ok(())
 }
 
@@ -347,34 +314,8 @@ fn mem_policy_set(e: &mut EngineConfig, v: &str) -> Result<()> {
     } else {
         MemoryPolicy::Adaptive {
             policy: policy_by_name(v).ok_or_else(|| bad("not a memory policy"))?,
-            high_water: high_water(e),
         }
     };
-    Ok(())
-}
-
-/// The high-water fraction in force, or the one an adaptive policy would
-/// start with.
-fn high_water(e: &EngineConfig) -> f64 {
-    match e.memory_policy {
-        MemoryPolicy::Static => DEFAULT_HIGH_WATER,
-        MemoryPolicy::Adaptive { high_water, .. } => high_water,
-    }
-}
-
-fn high_water_set(e: &mut EngineConfig, v: &str) -> Result<()> {
-    let f: f64 = num(v)?;
-    if !(f > 0.0 && f <= 1.0) {
-        return Err(bad("must lie in (0, 1]"));
-    }
-    match &mut e.memory_policy {
-        MemoryPolicy::Adaptive { high_water, .. } => *high_water = f,
-        // Static budgets have no pool to fill: only the value an adaptive
-        // policy would start with is accepted, anything else would be
-        // dropped silently.
-        MemoryPolicy::Static if f == DEFAULT_HIGH_WATER => {}
-        MemoryPolicy::Static => return Err(bad("only an adaptive memory policy has one")),
-    }
     Ok(())
 }
 
@@ -400,16 +341,16 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "shuffle",
-        syntax: "pull|push:RECORDS",
-        help: "reducers fetch finished map output, or mappers push batches of RECORDS",
+        syntax: SHUFFLE,
+        help: "reducers fetch finished map output, or mappers push 4096-record batches",
         travels: true,
         takers: "",
         access: field!(Job.shuffle),
     },
     Knob {
         name: "backend",
-        syntax: "sort-merge:F[:FRAC,FRAC,..]|hybrid-hash|inc-hash|freq-hash",
-        help: "reduce-side group-by (merge factor F, snapshot fractions; \
+        syntax: "sort-merge|sort-merge+snapshots|hybrid-hash|inc-hash|freq-hash",
+        help: "reduce-side group-by (sort-merge at F = 10, snapshots at 25/50/75%; \
                inc-hash = freq-hash with the hot-key summary off)",
         // Reducers run in the coordinator's executor on every transport.
         travels: false,
@@ -460,25 +401,14 @@ pub const KNOBS: &[Knob] = &[
         travels: false,
         takers: "run",
         access: Engine(
-            |e| e.retry.max_attempts.to_string(),
+            |e| e.max_attempts.to_string(),
             |e, v| match num(v)? {
                 0 => Err(bad("must be at least 1")),
                 n => {
-                    e.retry.max_attempts = n;
+                    e.max_attempts = n;
                     Ok(())
                 }
             },
-        ),
-    },
-    Knob {
-        name: "backoff-ms",
-        syntax: "MS",
-        help: "delay before a retry attempt is scheduled",
-        travels: false,
-        takers: "run",
-        access: Engine(
-            |e| e.retry.backoff.as_millis().to_string(),
-            |e, v| num(v).map(|ms| e.retry.backoff = Duration::from_millis(ms)),
         ),
     },
     Knob {
@@ -496,14 +426,6 @@ pub const KNOBS: &[Knob] = &[
         travels: false,
         takers: "run plan serve",
         access: Engine(mem_policy_get, mem_policy_set),
-    },
-    Knob {
-        name: "mem-high-water",
-        syntax: "FRACTION",
-        help: "pool fill above which map-side pushes wait (a pooled mem-policy)",
-        travels: false,
-        takers: "run plan serve",
-        access: Engine(|e| high_water(e).to_string(), high_water_set),
     },
 ];
 
@@ -535,10 +457,7 @@ const _: fn(Settings) = |Settings { job, engine }| {
         // Rows.
         map_workers: _,
         spill: _,
-        retry: RetryPolicy {
-            max_attempts: _,
-            backoff: _,
-        },
+        max_attempts: _,
         speculate: _,
         memory_policy: _,
     } = engine;

@@ -42,7 +42,7 @@ mod telemetry;
 pub mod transport;
 
 pub use cache::{CacheConfig, DatasetCache};
-pub use driver::{Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpillBackend};
+pub use driver::{Engine, EngineConfig, EngineConfigBuilder, SpillBackend};
 pub use in_node::WorkerCombiner;
 pub use iterate::{IterativePlan, RoundContext};
 pub use job::{
@@ -65,7 +65,7 @@ pub use transport::{worker::WorkerOptions, JobRegistry, Transport};
 pub mod prelude {
     pub use crate::cache::{CacheConfig, DatasetCache};
     pub use crate::codec::{decode_pair, encode_pair};
-    pub use crate::driver::{Engine, EngineConfig, EngineConfigBuilder, RetryPolicy, SpillBackend};
+    pub use crate::driver::{Engine, EngineConfig, EngineConfigBuilder, SpillBackend};
     pub use crate::iterate::{IterativePlan, RoundContext};
     pub use crate::job::{
         pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,

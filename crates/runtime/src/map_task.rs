@@ -14,6 +14,7 @@ use onepass_core::trace::LocalTracer;
 
 use crate::job::{
     HashPartitioner, JobSpec, MapEmitter, MapSideMode, Partitioner, ShuffleMode, MAP_BUFFER_BYTES,
+    PUSH_RECORDS,
 };
 use crate::shuffle::{Segment, ShuffleTx};
 
@@ -315,8 +316,8 @@ impl Drop for MapRun<'_> {
 ///   `MapDone`; `in_node.rs` has the protocol.
 ///
 /// Under push shuffle a shipping task additionally flushes every
-/// `granularity` emitted records, so reducers receive data while the task
-/// is still running.
+/// [`PUSH_RECORDS`] emitted records, so reducers receive data while the
+/// task is still running.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_map_task(
     job: &JobSpec,
@@ -339,10 +340,7 @@ pub(crate) fn run_map_task(
     let ships = !job.hash_combines();
     let buffer_limit = if ships { MAP_BUFFER_BYTES } else { usize::MAX };
     let partitioner = ships.then(HashPartitioner::default);
-    let push_granularity = match job.shuffle {
-        ShuffleMode::Push { granularity } if ships => Some(granularity.max(1)),
-        _ => None,
-    };
+    let pushes = ships && job.shuffle == ShuffleMode::Push;
     let mut since_flush = 0usize;
     let mut map_run = map_store.map(|store| MapRun {
         store,
@@ -392,7 +390,7 @@ pub(crate) fn run_map_task(
             since_flush += emitted as usize;
 
             let buffer_full = buf.arena_bytes() >= buffer_limit;
-            let push_due = push_granularity.is_some_and(|g| since_flush >= g);
+            let push_due = pushes && since_flush >= PUSH_RECORDS;
             if buffer_full || push_due {
                 flush!();
                 map_fn = Stamp::start(Phase::MapFn);
@@ -592,8 +590,14 @@ mod tests {
     }
 
     fn run_with(job: JobSpec) -> (Vec<Segment>, MapTaskStats) {
+        run_on(
+            job,
+            Split::new(vec![b"a b a".to_vec(), b"b c".to_vec(), b"a".to_vec()]),
+        )
+    }
+
+    fn run_on(job: JobSpec, split: Split) -> (Vec<Segment>, MapTaskStats) {
         let (tx, rxs) = shuffle_fabric(job.reducers, 1024);
-        let split = Split::new(vec![b"a b a".to_vec(), b"b c".to_vec(), b"a".to_vec()]);
         let stats = run_map_task(
             &job,
             0,
@@ -666,10 +670,13 @@ mod tests {
             .map_fn(Arc::new(word_map))
             .aggregate(Arc::new(ListAgg))
             .reducers(1)
-            .shuffle(ShuffleMode::Push { granularity: 2 })
+            .shuffle(ShuffleMode::Push)
             .build()
             .unwrap();
-        let (segs, stats) = run_with(job);
+        // 3 × PUSH_RECORDS emitted pairs: pushes are due twice before the
+        // task ends.
+        let split = Split::new(vec![b"a b c".to_vec(); PUSH_RECORDS]);
+        let (segs, stats) = run_on(job, split);
         assert!(
             stats.flushes >= 2,
             "push granularity must force early flushes"
@@ -706,19 +713,19 @@ mod tests {
         assert!(stats.profile.time(Phase::MapWrite) > std::time::Duration::ZERO);
     }
 
-    /// 100 three-word records under `Push { granularity: 2 }`: a flush
-    /// after every record.
+    /// [`PUSH_RECORDS`] three-word records under push shuffle: a flush
+    /// after every ⌈PUSH_RECORDS / 3⌉ records, three in all.
     fn push_job(map_fn: Arc<dyn crate::job::MapFn>) -> (JobSpec, Split) {
         let job = JobSpec::builder("t")
             .map_fn(map_fn)
             .aggregate(Arc::new(ListAgg))
             .reducers(2)
             .map_side(MapSideMode::Hash)
-            .shuffle(ShuffleMode::Push { granularity: 2 })
+            .shuffle(ShuffleMode::Push)
             .build()
             .unwrap();
         let split = Split::new(
-            (0..100u32)
+            (0..PUSH_RECORDS)
                 .map(|i| format!("w{} x{} y", i % 7, i % 3).into_bytes())
                 .collect(),
         );
@@ -744,7 +751,7 @@ mod tests {
         )
         .unwrap();
         let wall = wall.elapsed();
-        assert!(stats.flushes >= 100, "granularity 2 flushes per record");
+        assert!(stats.flushes >= 3, "a flush per PUSH_RECORDS emitted pairs");
         let io = store.stats();
         assert_eq!((io.runs_created, io.runs_deleted), (1, 1));
         assert_eq!(mem.live_runs(), 0, "the run is dropped once sealed");
@@ -755,7 +762,7 @@ mod tests {
             .flat_map(|s| s.records.iter())
             .map(|(k, v)| onepass_core::io::encoded_len(k, v))
             .sum();
-        assert_eq!(stats.shuffled_records, 300);
+        assert_eq!(stats.shuffled_records, 3 * PUSH_RECORDS as u64);
         assert_eq!(io.bytes_written, framed);
         // The map function's time is still reported, from flush-boundary
         // clock reads alone.
@@ -766,14 +773,14 @@ mod tests {
 
     #[test]
     fn failed_or_cancelled_attempt_leaves_no_live_run() {
-        // Both attempts stop at record 50, after 50 flushes into their
+        // Both attempts stop at record 3000, after two flushes into their
         // run: one by an injected fault, one cancelled from inside its
         // own map function (no race with the driver).
         let cancel = Arc::new(AtomicBool::new(false));
         let failing = MapAttemptCtx {
             attempt: 0,
             injector: onepass_core::fault::FaultPlan::new()
-                .fail_map(0, 0, 50)
+                .fail_map(0, 0, 3000)
                 .into_injector(),
             cancel: None,
         };
@@ -784,7 +791,7 @@ mod tests {
         };
         let seen = std::sync::atomic::AtomicUsize::new(0);
         let cancelling_map = move |record: &[u8], out: &mut dyn MapEmitter| {
-            if seen.fetch_add(1, Ordering::Relaxed) == 50 {
+            if seen.fetch_add(1, Ordering::Relaxed) == 3000 {
                 cancel.store(true, Ordering::Relaxed);
             }
             word_map(record, out);

@@ -10,7 +10,8 @@
 //! * Stages are connected by **edges** carrying pairs: each final
 //!   `(key, value)` of an upstream stage is one input pair of its
 //!   downstream stages, batched into [`Split::from_segment`] splits of
-//!   `EDGE_SPLIT_PAIRS` pairs and mapped through
+//!   [`PUSH_RECORDS`] pairs (a pushed shuffle
+//!   segment's size) and mapped through
 //!   [`MapFn::map_pair`](crate::job::MapFn::map_pair) — never
 //!   materialized or re-serialised in between (M3R's point,
 //!   arXiv:1208.4168). A fan-out hands every downstream the same
@@ -59,7 +60,7 @@ use onepass_groupby::EmitKind;
 use crate::cache::DatasetCache;
 use crate::driver::Engine;
 use crate::executor::{self, ExecParams, ReduceTap, TapFactory};
-use crate::job::{pair_map_fn, CollectOutput, JobSpec, PairMap};
+use crate::job::{pair_map_fn, CollectOutput, JobSpec, PairMap, PUSH_RECORDS};
 use crate::map_task::Split;
 use crate::report::{PlanReport, StageReport};
 use crate::scheduler::SplitFeed;
@@ -85,10 +86,6 @@ impl StageId {
 /// reducer's emission — the same backpressure push shuffling applies
 /// within a job (§III-D), extended across stages.
 const EDGE_DEPTH: usize = 16;
-
-/// Pairs per edge split: the presets' push granularity, so an edge split
-/// and a pushed shuffle segment are cut to the same size.
-const EDGE_SPLIT_PAIRS: usize = 4096;
 
 /// A cache edge feeding a stage from a named dataset.
 pub(crate) struct CachedInput {
@@ -372,7 +369,7 @@ type EdgeTx = Sender<Result<Split>>;
 /// path never takes a shared lock; a feed closes when the last sender of
 /// it — reducers' and stage thread's — is gone.
 struct EdgeWriter {
-    /// The pairs of the split being cut, up to [`EDGE_SPLIT_PAIRS`].
+    /// The pairs of the split being cut, up to [`PUSH_RECORDS`].
     batch: SegmentBufBuilder,
     outs: Vec<EdgeTx>,
     /// Gates edge sends on shared-governor memory pressure, exactly like
@@ -386,7 +383,7 @@ struct EdgeWriter {
 impl EdgeWriter {
     fn push(&mut self, key: &[u8], value: &[u8]) {
         self.batch.push(key, value);
-        if self.batch.len() >= EDGE_SPLIT_PAIRS {
+        if self.batch.len() >= PUSH_RECORDS {
             self.flush();
         }
     }
@@ -546,21 +543,19 @@ fn run_stages(
     // spilling live tables.
     let governor = match &config.memory_policy {
         MemoryPolicy::Static => None,
-        MemoryPolicy::Adaptive { policy, high_water } => {
-            match cache.and_then(|c| c.governor().cloned()) {
-                Some(g) => Some(g),
-                None => {
-                    let pool = plan.stages.iter().fold(0usize, |acc, st| {
-                        acc.saturating_add(
-                            st.job
-                                .reduce_budget_bytes
-                                .saturating_mul(st.job.reducers.max(1)),
-                        )
-                    });
-                    Some(MemoryGovernor::new(pool, Arc::clone(policy), *high_water))
-                }
+        MemoryPolicy::Adaptive { policy } => match cache.and_then(|c| c.governor().cloned()) {
+            Some(g) => Some(g),
+            None => {
+                let pool = plan.stages.iter().fold(0usize, |acc, st| {
+                    acc.saturating_add(
+                        st.job
+                            .reduce_budget_bytes
+                            .saturating_mul(st.job.reducers.max(1)),
+                    )
+                });
+                Some(MemoryGovernor::new(pool, Arc::clone(policy)))
             }
-        }
+        },
     };
 
     // One pass builds every stage's feed and, with it, the sending ends of
@@ -850,7 +845,7 @@ mod tests {
             gate: None,
             depth: Gauge::detached(),
         };
-        for _ in 0..=EDGE_SPLIT_PAIRS {
+        for _ in 0..=PUSH_RECORDS {
             edge.push(b"k", b"v");
         }
         drop(edge); // the odd pair goes out as a short split
@@ -862,7 +857,7 @@ mod tests {
         let (a, b) = (pairs_of(&rx_a), pairs_of(&rx_b));
         assert_eq!(
             a.iter().map(|p| p.len()).collect::<Vec<_>>(),
-            [EDGE_SPLIT_PAIRS, 1]
+            [PUSH_RECORDS, 1]
         );
         assert_eq!(a.len(), b.len());
         for (a, b) in a.iter().zip(&b) {
@@ -901,11 +896,11 @@ mod tests {
     }
 
     /// Upstream of the edge tests: `records` key ranges, each counted by
-    /// one reducer into `EDGE_SPLIT_PAIRS` finals, one edge split.
+    /// one reducer into `PUSH_RECORDS` finals, one edge split.
     fn key_ranges(records: usize) -> (JobSpec, Vec<Split>) {
         fn key_range(record: &[u8], out: &mut dyn MapEmitter) {
             let start = u64::from_le_bytes(record.try_into().unwrap());
-            for k in start..start + EDGE_SPLIT_PAIRS as u64 {
+            for k in start..start + PUSH_RECORDS as u64 {
                 out.emit(&k.to_le_bytes(), &1u64.to_le_bytes());
             }
         }
@@ -916,7 +911,7 @@ mod tests {
             .backend(ReduceBackend::IncHash { early: None })
             .build()
             .unwrap();
-        let starts = (0..records).map(|i| ((i * EDGE_SPLIT_PAIRS) as u64).to_le_bytes().to_vec());
+        let starts = (0..records).map(|i| ((i * PUSH_RECORDS) as u64).to_le_bytes().to_vec());
         (job, vec![Split::new(starts.collect())])
     }
 
@@ -977,7 +972,7 @@ mod tests {
             upstream >= HOLD,
             "the upstream finished at {upstream:?}, inside the sink's {HOLD:?} hold"
         );
-        let pairs = (records * EDGE_SPLIT_PAIRS) as u64;
+        let pairs = (records * PUSH_RECORDS) as u64;
         assert_eq!(hist_of(&report), BTreeMap::from([(1, pairs)]));
     }
 

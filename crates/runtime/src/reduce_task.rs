@@ -33,11 +33,11 @@
 //!   cannot double-emit.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 
 use onepass_core::bytes_kv::SegmentBufBuilder;
+use onepass_core::config::HOP_SNAPSHOTS;
 use onepass_core::error::{Error, Result};
 use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
 use onepass_core::io::SpillStore;
@@ -72,8 +72,6 @@ pub struct ReduceResult {
 pub struct ReduceRetryOpts {
     /// Total attempts allowed, including the first (1 = no retries).
     pub max_attempts: usize,
-    /// Sleep between a failed attempt and its retry.
-    pub backoff: Duration,
     /// Dedup segments by `(map_task, attempt)` and commit the first
     /// attempt whose `MapDone` arrives. Enable whenever map tasks can run
     /// more than once (retries or speculation); leave off to preserve the
@@ -87,7 +85,6 @@ impl Default for ReduceRetryOpts {
     fn default() -> Self {
         ReduceRetryOpts {
             max_attempts: 1,
-            backoff: Duration::ZERO,
             dedup_attempts: false,
             injector: FaultInjector::none(),
         }
@@ -331,8 +328,8 @@ impl ReduceState<'_> {
     /// late-arriving total can't cause stale snapshots.
     fn set_total(&mut self, total: usize) {
         self.total = Some(total);
-        if let ReduceBackend::SortMerge { snapshots, .. } = &self.job.backend {
-            self.snapshot_plan = plan_from_fracs(snapshots, total);
+        if let ReduceBackend::SortMerge { snapshots: true } = self.job.backend {
+            self.snapshot_plan = plan_from_fracs(HOP_SNAPSHOTS, total);
             self.snapshot_plan.retain(|&t| t > self.maps_done);
         }
     }
@@ -460,9 +457,6 @@ impl ReduceState<'_> {
             self.attempt += 1;
             if self.attempt >= self.opts.max_attempts {
                 return Err(err);
-            }
-            if !self.opts.backoff.is_zero() {
-                std::thread::sleep(self.opts.backoff);
             }
             let next = ("attempt", self.attempt as f64);
             self.trace.instant("retry", "fault", &[partition, next]);
@@ -625,14 +619,11 @@ mod tests {
         }
     }
 
-    fn job_sortmerge(snapshots: Vec<f64>) -> JobSpec {
+    fn job_sortmerge(snapshots: bool) -> JobSpec {
         JobSpec::builder("t")
             .aggregate(Arc::new(SumAgg))
             .reducers(1)
-            .backend(ReduceBackend::SortMerge {
-                merge_factor: 3,
-                snapshots,
-            })
+            .backend(ReduceBackend::SortMerge { snapshots })
             .shuffle(ShuffleMode::Pull)
             .build()
             .unwrap()
@@ -676,7 +667,7 @@ mod tests {
 
     #[test]
     fn sortmerge_reduce_in_memory() {
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         let (tx, rxs) = shuffle_fabric(1, 64);
         tx.send_segment(sorted_seg(0, &[("a", 1), ("b", 2)]));
         tx.send_segment(sorted_seg(1, &[("a", 10), ("c", 3)]));
@@ -706,13 +697,9 @@ mod tests {
 
     #[test]
     fn sortmerge_reduce_spills_and_merges() {
-        let mut job = job_sortmerge(vec![]);
-        job.backend = ReduceBackend::SortMerge {
-            merge_factor: 2,
-            snapshots: vec![],
-        };
+        let job = job_sortmerge(false);
         let (tx, rxs) = shuffle_fabric(1, 1024);
-        let n_maps = 12;
+        let n_maps = 48;
         for m in 0..n_maps {
             let pairs: Vec<(String, u64)> = (0..20)
                 .map(|i| (format!("key{:03}", (m * 7 + i) % 40), 1u64))
@@ -733,7 +720,7 @@ mod tests {
         .unwrap();
         assert_eq!(res.stats.groups_out, 40);
         assert!(res.stats.spills >= 2);
-        assert!(res.stats.passes >= 1, "F=2 with several runs must merge");
+        assert!(res.stats.passes >= 1, "more than F runs must merge");
         assert!(res.stats.io.bytes_written > 0);
         let total: u64 = sink
             .emitted
@@ -746,7 +733,7 @@ mod tests {
 
     #[test]
     fn snapshots_emit_early_answers_and_cost_io() {
-        let job = job_sortmerge(vec![0.5]);
+        let job = job_sortmerge(true);
         let (tx, rxs) = shuffle_fabric(1, 1024);
         let n_maps = 4;
         for m in 0..n_maps {
@@ -763,16 +750,20 @@ mod tests {
             &ReduceRetryOpts::default(),
         )
         .unwrap();
-        assert_eq!(res.snapshots_taken, 1);
+        assert_eq!(res.snapshots_taken, 3, "at 25, 50 and 75% of 4 maps");
         let early: Vec<_> = sink
             .emitted
             .iter()
             .filter(|(_, _, k)| *k == EmitKind::Early)
             .collect();
-        assert_eq!(early.len(), 2, "snapshot covers both keys");
-        // Snapshot values are partial (2 of 4 maps seen).
-        let x_early = early.iter().find(|(k, _, _)| k == b"x").unwrap();
-        assert_eq!(dec(&x_early.1), 2);
+        assert_eq!(early.len(), 6, "each snapshot covers both keys");
+        // Snapshot values are partial (1, 2 and 3 of 4 maps seen).
+        let x_early: Vec<u64> = early
+            .iter()
+            .filter(|(k, _, _)| k == b"x")
+            .map(|(_, v, _)| dec(v))
+            .collect();
+        assert_eq!(x_early, [1, 2, 3]);
         // Finals are exact.
         let x_final = sink
             .emitted
@@ -822,7 +813,7 @@ mod tests {
 
     #[test]
     fn reducer_with_no_segments_finishes_cleanly() {
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         let (tx, rxs) = shuffle_fabric(1, 8);
         tx.map_done(0, 0);
         let mut sink = VecSink::default();
@@ -841,7 +832,7 @@ mod tests {
 
     #[test]
     fn injected_fault_retries_and_output_matches_clean_run() {
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         let feed = |tx: &crate::shuffle::ShuffleTx| {
             tx.send_segment(sorted_seg(0, &[("a", 1), ("b", 2)]));
             tx.map_done(0, 0);
@@ -1002,7 +993,7 @@ mod tests {
     /// attempt, and the retry's output is the clean run's.
     #[test]
     fn a_fault_planned_past_the_partitions_end_fires_at_finish() {
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         let run = |opts: &ReduceRetryOpts| {
             let (tx, rxs) = shuffle_fabric(1, 64);
             tx.send_segment(sorted_seg(0, &[("a", 1), ("b", 2), ("c", 3)]));
@@ -1033,7 +1024,7 @@ mod tests {
 
     #[test]
     fn exhausted_attempts_surface_the_error() {
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         let (tx, rxs) = shuffle_fabric(1, 64);
         tx.send_segment(sorted_seg(0, &[("a", 1), ("b", 2)]));
         tx.map_done(0, 0);
@@ -1062,7 +1053,7 @@ mod tests {
 
     #[test]
     fn attempt_dedup_commits_first_map_done_winner() {
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         let (tx, rxs) = shuffle_fabric(1, 64);
         // Two attempts of map task 0 race; attempt 1's MapDone arrives
         // first so its segments win. Attempt 0's earlier/later segments
@@ -1109,7 +1100,7 @@ mod tests {
 
     #[test]
     fn abort_unblocks_reducer_with_error() {
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         let (tx, rxs) = shuffle_fabric(1, 8);
         tx.send_segment(sorted_seg(0, &[("a", 1)]));
         tx.abort();
@@ -1129,7 +1120,7 @@ mod tests {
     #[test]
     fn failing_reduce_leaves_no_span_open() {
         use onepass_core::trace::{complete_spans, EventKind, Tracer, Track};
-        let job = job_sortmerge(vec![]);
+        let job = job_sortmerge(false);
         // Three ways out of the shuffle loop: retries exhausted mid-absorb,
         // the channel closing early, and a driver abort.
         let exhausted = ReduceRetryOpts {
@@ -1175,9 +1166,9 @@ mod tests {
 
     #[test]
     fn retry_mutes_duplicate_snapshots() {
-        // One snapshot due at 50% of maps; the fault fires after the
-        // snapshot was taken, so the rebuilt attempt must not repeat it.
-        let job = job_sortmerge(vec![0.5]);
+        // Snapshots due at 1, 2 and 3 of 4 maps; the fault fires after the
+        // first two were taken, so the rebuilt attempt must not repeat them.
+        let job = job_sortmerge(true);
         let (tx, rxs) = shuffle_fabric(1, 64);
         let n_maps = 4;
         for m in 0..n_maps {
@@ -1207,7 +1198,10 @@ mod tests {
             .iter()
             .filter(|(_, _, k)| *k == EmitKind::Early)
             .count();
-        assert_eq!(early, 1, "snapshot emitted exactly once across attempts");
+        assert_eq!(
+            early, 3,
+            "each snapshot emitted exactly once across attempts"
+        );
         let x_final = sink
             .emitted
             .iter()

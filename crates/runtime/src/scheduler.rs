@@ -24,7 +24,6 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use onepass_core::error::{Error, Result};
 use onepass_core::trace::LocalTracer;
 
-use crate::driver::RetryPolicy;
 use crate::map_task::{MapTaskStats, Split};
 use crate::report::TaskSpan;
 use crate::shuffle::ShuffleTx;
@@ -59,8 +58,6 @@ pub(crate) struct MapAssignment {
     pub speculative: bool,
     pub split: Arc<Split>,
     pub cancel: Arc<AtomicBool>,
-    /// Retry backoff, slept by the worker so the coordinator never blocks.
-    pub delay: Duration,
 }
 
 /// Worker / feed-forwarder → coordinator notifications.
@@ -125,7 +122,8 @@ pub(crate) struct ScheduleOutcome {
 
 /// Scheduler inputs that don't change over the run.
 pub(crate) struct SchedulerCtx<'a> {
-    pub retry: RetryPolicy,
+    /// Attempts allowed per map task, the first included.
+    pub max_attempts: usize,
     pub speculate: bool,
     pub task_tx: Sender<MapAssignment>,
     pub evt_rx: Receiver<MapEvent>,
@@ -155,7 +153,6 @@ pub(crate) fn schedule_maps(
     feed_open: bool,
     driver_trace: &mut LocalTracer,
 ) -> ScheduleOutcome {
-    let retry = ctx.retry;
     let speculate = ctx.speculate;
     let mut credits = ctx.credits;
     let mut splits = initial;
@@ -182,7 +179,6 @@ pub(crate) fn schedule_maps(
                    task: usize,
                    attempt: usize,
                    speculative: bool,
-                   delay: Duration,
                    outstanding: &mut usize| {
         let cancel = Arc::new(AtomicBool::new(false));
         tasks[task].running.push(RunningAttempt {
@@ -197,22 +193,13 @@ pub(crate) fn schedule_maps(
             speculative,
             split: Arc::clone(&splits[task]),
             cancel,
-            delay,
         });
         ctx.telemetry.map_attempts.inc(1);
         *outstanding += 1;
     };
 
     for task in 0..splits.len() {
-        enqueue(
-            &mut tasks,
-            &splits,
-            task,
-            0,
-            false,
-            Duration::ZERO,
-            &mut outstanding,
-        );
+        enqueue(&mut tasks, &splits, task, 0, false, &mut outstanding);
     }
     ctx.telemetry.set_progress(0, splits.len());
 
@@ -238,15 +225,7 @@ pub(crate) fn schedule_maps(
                 tasks.push(TaskState::new());
                 out.total_map_tasks = splits.len();
                 if out.fatal.is_none() {
-                    enqueue(
-                        &mut tasks,
-                        &splits,
-                        task,
-                        0,
-                        false,
-                        Duration::ZERO,
-                        &mut outstanding,
-                    );
+                    enqueue(&mut tasks, &splits, task, 0, false, &mut outstanding);
                 }
                 ctx.telemetry.set_progress(completed_count, splits.len());
             }
@@ -325,7 +304,7 @@ pub(crate) fn schedule_maps(
                             // Another attempt already delivered the task
                             // (or the job is going down); nothing to
                             // recover.
-                        } else if tasks[task].next_attempt < retry.max_attempts {
+                        } else if tasks[task].next_attempt < ctx.max_attempts {
                             let a = tasks[task].next_attempt;
                             tasks[task].next_attempt += 1;
                             driver_trace.instant(
@@ -333,15 +312,7 @@ pub(crate) fn schedule_maps(
                                 "fault",
                                 &[("task", task as f64), ("attempt", a as f64)],
                             );
-                            enqueue(
-                                &mut tasks,
-                                &splits,
-                                task,
-                                a,
-                                false,
-                                retry.backoff,
-                                &mut outstanding,
-                            );
+                            enqueue(&mut tasks, &splits, task, a, false, &mut outstanding);
                         } else {
                             // Budget exhausted.
                             fail(&mut out, &tasks, &mut credits, e);
@@ -388,15 +359,7 @@ pub(crate) fn schedule_maps(
                     "fault",
                     &[("task", task as f64), ("attempt", a as f64)],
                 );
-                enqueue(
-                    &mut tasks,
-                    &splits,
-                    task,
-                    a,
-                    true,
-                    Duration::ZERO,
-                    &mut outstanding,
-                );
+                enqueue(&mut tasks, &splits, task, a, true, &mut outstanding);
             }
         }
     }

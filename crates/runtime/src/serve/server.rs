@@ -51,8 +51,6 @@ pub struct ServeConfig {
     pub pool_bytes: usize,
     /// Spill policy arbitrating shed victims *across* sessions.
     pub policy: Arc<dyn onepass_core::governor::SpillPolicy>,
-    /// Pool fraction above which ingest backpressure engages.
-    pub high_water: f64,
     /// Admission control knobs.
     pub admission: AdmissionConfig,
     /// Shard worker threads queries are distributed over.
@@ -69,7 +67,6 @@ impl Default for ServeConfig {
             pool_bytes: 256 << 20,
             policy: onepass_core::governor::policy_by_name("largest-consumer")
                 .expect("largest-consumer is registered"),
-            high_water: onepass_core::governor::DEFAULT_HIGH_WATER,
             admission: AdmissionConfig::default(),
             shards: 4,
             queue_depth: 64,
@@ -218,11 +215,7 @@ impl Server {
             return Err(Error::Config("serve needs at least one shard".into()));
         }
         super::install_poison_panic_filter();
-        let governor = MemoryGovernor::new(
-            config.pool_bytes,
-            Arc::clone(&config.policy),
-            config.high_water,
-        );
+        let governor = MemoryGovernor::new(config.pool_bytes, Arc::clone(&config.policy));
         let metrics = ServeMetrics::new(registry);
         let gate = PressureGate::new(governor.clone(), config.queue_depth)
             .with_stall_metric(metrics.backpressure_stalls());

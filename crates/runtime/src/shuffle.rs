@@ -367,10 +367,10 @@ mod tests {
     fn pressure_gate_stalls_over_high_water_and_releases_under() {
         use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
 
-        let MemoryPolicy::Adaptive { policy, high_water } = MemoryPolicy::adaptive() else {
+        let MemoryPolicy::Adaptive { policy } = MemoryPolicy::adaptive() else {
             unreachable!()
         };
-        let gov = MemoryGovernor::new(1000, policy, high_water);
+        let gov = MemoryGovernor::new(1000, policy);
         let (tx, rxs) = shuffle_fabric(1, 16);
         let tx = tx.with_pressure(gov.clone(), 16);
 

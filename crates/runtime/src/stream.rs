@@ -72,14 +72,14 @@ pub struct StreamAnswer {
 /// use onepass_runtime::job::identity_map;
 /// use onepass_runtime::stream::StreamSession;
 /// use onepass_groupby::{CountAgg, EmitKind};
-/// use onepass_groupby::CountThreshold;
+/// use onepass_groupby::PeriodicCount;
 ///
 /// let job = JobSpec::builder("alerts")
 ///     .map_fn(Arc::new(identity_map))
 ///     .aggregate(Arc::new(CountAgg))
 ///     .reducers(2)
 ///     .backend(ReduceBackend::IncHash {
-///         early: Some(Arc::new(CountThreshold(3))),
+///         early: Some(Arc::new(PeriodicCount(3))),
 ///     })
 ///     .build()
 ///     .unwrap();
@@ -351,7 +351,7 @@ mod tests {
     use super::*;
     use crate::job::ReduceBackend;
     use onepass_groupby::CountAgg;
-    use onepass_groupby::CountThreshold;
+    use onepass_groupby::PeriodicCount;
 
     fn session(backend: ReduceBackend) -> StreamSession {
         let job = JobSpec::builder("stream")
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn early_answers_flow_mid_stream() {
         let mut s = session(ReduceBackend::IncHash {
-            early: Some(Arc::new(CountThreshold(3))),
+            early: Some(Arc::new(PeriodicCount(3))),
         });
         let batch1: Vec<&[u8]> = vec![b"x", b"y", b"x"];
         assert!(
@@ -441,7 +441,7 @@ mod tests {
         // through both must trigger governor shed requests which the
         // sessions service at feed boundaries — and the final counts stay
         // exact regardless.
-        let gov = MemoryGovernor::new(64 * 1024, policy_by_name("largest-consumer").unwrap(), 0.5);
+        let gov = MemoryGovernor::new(64 * 1024, policy_by_name("largest-consumer").unwrap());
         let mk = || {
             let job = JobSpec::builder("gov-stream")
                 .map_fn(Arc::new(crate::job::identity_map))

@@ -303,9 +303,6 @@ impl<'a> TcpCluster<'a> {
         evt_tx: &Sender<MapEvent>,
     ) {
         while let Ok(asg) = task_rx.recv() {
-            if !asg.delay.is_zero() {
-                std::thread::sleep(asg.delay);
-            }
             let task = TaskSpan::open(TaskKind::Map, asg.task, self.tracer, self.track_offset);
             let _ = evt_tx.send(MapEvent::Started {
                 task: asg.task,

@@ -37,10 +37,11 @@ use crate::codec;
 use crate::knobs::KNOBS;
 use crate::map_task::{MapTaskStats, PackedRecords, Split};
 
-/// The frame set this build speaks. A peer of another version is refused
-/// at `JobInit`; builds from before the version existed sent `JobInit`
-/// under tag 1 and count as version 0.
-pub(crate) const WIRE_VERSION: u64 = 1;
+/// The frame set and knob text this build speaks. A peer of another
+/// version is refused at `JobInit`; builds from before the version
+/// existed sent `JobInit` under tag 1 and count as version 0. Version 2
+/// sends `shuffle` as `pull|push`, where version 1 sent `push:RECORDS`.
+pub(crate) const WIRE_VERSION: u64 = 2;
 
 /// Upper bound on a single frame body; a larger length prefix means the
 /// stream is corrupt (or not speaking this protocol).

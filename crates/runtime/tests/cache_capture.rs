@@ -179,7 +179,7 @@ fn partitions_survive_a_seeded_reduce_kill() {
         let failed = check(
             || {
                 EngineConfig::builder()
-                    .retry(RetryPolicy::attempts(3))
+                    .max_attempts(3)
                     .faults(faults.clone())
                     .build()
             },

@@ -38,10 +38,7 @@ fn backend_strategy() -> impl Strategy<Value = u8> {
 
 fn mk_backend(tag: u8) -> ReduceBackend {
     match tag {
-        0 => ReduceBackend::SortMerge {
-            merge_factor: 3,
-            snapshots: vec![],
-        },
+        0 => ReduceBackend::SortMerge { snapshots: false },
         1 => ReduceBackend::HybridHash,
         2 => ReduceBackend::IncHash { early: None },
         _ => ReduceBackend::FreqHash,
@@ -67,7 +64,6 @@ proptest! {
         backend_tag in backend_strategy(),
         hash_map_side in any::<bool>(),
         push in any::<bool>(),
-        granularity in 1usize..64,
         reducers in 1usize..5,
         per_split in 1usize..20,
         budget_kb in 1usize..64,
@@ -82,7 +78,7 @@ proptest! {
         };
         let agg: Arc<dyn Aggregator> = if combinable { Arc::new(SumAgg) } else { Arc::new(ListAgg) };
         let shuffle = if push {
-            ShuffleMode::Push { granularity }
+            ShuffleMode::Push
         } else {
             ShuffleMode::Pull
         };

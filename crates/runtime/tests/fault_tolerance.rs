@@ -3,15 +3,16 @@
 //! byte-identical to a clean run — under both spill backends. Exhausted
 //! retry budgets must surface as `Err` without hanging, and a reducer
 //! whose final merge fails part-way releases each final exactly once.
+//! Two cases pin the fixed constants under faults: a Hadoop reducer that
+//! merges in passes at F = 10, and one-pass map tasks that push mid-task.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use onepass_core::fault::FaultPlan;
-use onepass_core::trace::Tracer;
-use onepass_groupby::{Aggregator, EmitKind, StateBuf, SumAgg};
+use onepass_core::trace::{TraceEvent, Tracer, Track};
+use onepass_groupby::{Aggregator, EmitKind, ListAgg, StateBuf, SumAgg};
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 
@@ -90,10 +91,7 @@ fn recovery_roundtrip(spill: SpillBackend, preset_onepass: bool) {
         EngineConfig::builder()
             .spill(spill)
             .tracer(tracer.clone())
-            .retry(RetryPolicy {
-                max_attempts: 3,
-                backoff: Duration::ZERO,
-            })
+            .max_attempts(3)
             .faults(seeded_plan(seed))
             .build(),
     )
@@ -153,13 +151,8 @@ fn seeded_kill_recovers_on_the_hadoop_path_too() {
 fn exhausted_retries_fail_cleanly_without_hanging() {
     // Attempts 0 and 1 of map 2 both die, but only 2 attempts are allowed.
     let plan = FaultPlan::new().fail_map(2, 0, 1).fail_map(2, 1, 1);
-    let err = Engine::with_config(
-        EngineConfig::builder()
-            .retry(RetryPolicy::attempts(2))
-            .faults(plan)
-            .build(),
-    )
-    .run(&wc_job(true), splits());
+    let err = Engine::with_config(EngineConfig::builder().max_attempts(2).faults(plan).build())
+        .run(&wc_job(true), splits());
     assert!(
         err.is_err(),
         "exhausting max_attempts must surface the error"
@@ -171,7 +164,7 @@ fn recovery_is_deterministic_across_runs() {
     let run = || {
         Engine::with_config(
             EngineConfig::builder()
-                .retry(RetryPolicy::attempts(3))
+                .max_attempts(3)
                 .faults(seeded_plan(env_seed(7)))
                 .build(),
         )
@@ -256,7 +249,7 @@ fn a_failed_finish_releases_each_final_exactly_once() {
     for transport in [Transport::InProc, tcp] {
         failing.armed.store(true, Ordering::SeqCst);
         let cfg = EngineConfig::builder()
-            .retry(RetryPolicy::attempts(3))
+            .max_attempts(3)
             .transport(transport.clone())
             .build();
         let report = Engine::with_config(cfg).run(&job, splits()).unwrap();
@@ -268,4 +261,104 @@ fn a_failed_finish_releases_each_final_exactly_once() {
         assert_eq!(final_list(&report), want, "{transport:?}");
     }
     worker.shutdown();
+}
+
+/// Word counts of `records`, each value rendered by `value`.
+fn reference(records: &[Vec<u8>], value: impl Fn(u64) -> Vec<u8>) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let mut counts: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    for r in records {
+        for w in r.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
+            *counts.entry(w.to_vec()).or_default() += 1;
+        }
+    }
+    counts.into_iter().map(|(k, c)| (k, value(c))).collect()
+}
+
+/// `(seed-planned run, its trace)`, three attempts allowed per task.
+fn run_seeded(job: &JobSpec, splits: Vec<Split>, seed: u64) -> (JobReport, Vec<TraceEvent>) {
+    let plan = FaultPlan::seeded(seed, splits.len(), job.reducers);
+    let tracer = Tracer::enabled();
+    let report = Engine::with_config(
+        EngineConfig::builder()
+            .tracer(tracer.clone())
+            .max_attempts(3)
+            .faults(plan)
+            .build(),
+    )
+    .run(job, splits)
+    .unwrap_or_else(|e| panic!("recovered run failed (seed {seed}): {e:?}"));
+    (report, tracer.drain())
+}
+
+/// The Hadoop preset at the fixed merge factor F = 10: a 2 KiB reduce
+/// budget over ~50 KB per partition spills far more than F runs, so the
+/// retried reducer merges in intermediate passes and still answers
+/// exactly.
+#[test]
+fn hadoop_reducer_merges_in_passes_under_a_seeded_reduce_kill() {
+    let seed = env_seed(11);
+    let records: Vec<Vec<u8>> = (0..2400)
+        .map(|i| format!("k{} k{} k{}", i, (i * 7) % 2400, i % 50).into_bytes())
+        .collect();
+    let splits: Vec<Split> = records
+        .chunks(200)
+        .map(|c| Split::new(c.to_vec()))
+        .collect();
+    let job = JobSpec::builder("wc-passes")
+        .map_fn(Arc::new(word_map))
+        .aggregate(Arc::new(SumAgg))
+        .reducers(2)
+        .preset_hadoop()
+        .reduce_budget_bytes(2048)
+        .build()
+        .unwrap();
+    let (report, events) = run_seeded(&job, splits, seed);
+    let want = reference(&records, |c| c.to_le_bytes().to_vec());
+    assert_eq!(finals(&report), want, "seed {seed}");
+    assert_eq!(report.reduce_attempts, job.reducers + 1, "one reduce retry");
+    let passes = events.iter().filter(|e| e.name == "merge_pass").count();
+    assert!(passes >= 1, "no intermediate merge pass at F = 10");
+}
+
+/// The one-pass preset over a holistic aggregate ships every emitted
+/// pair; 3,000 three-word records per task push at least twice before
+/// the task ends (every `PUSH_RECORDS` = 4096 pairs), and the output
+/// still equals the reference after a seeded map kill.
+#[test]
+fn onepass_map_tasks_push_mid_task_under_a_seeded_map_kill() {
+    let seed = env_seed(5);
+    let records: Vec<Vec<u8>> = (0..9000)
+        .map(|i| format!("w{} w{} common", i % 97, i % 13).into_bytes())
+        .collect();
+    let splits: Vec<Split> = records
+        .chunks(3000)
+        .map(|c| Split::new(c.to_vec()))
+        .collect();
+    let map_tasks = splits.len();
+    let job = JobSpec::builder("list-pushes")
+        .map_fn(Arc::new(word_map))
+        .aggregate(Arc::new(ListAgg))
+        .reducers(3)
+        .preset_onepass()
+        .build()
+        .unwrap();
+    let (report, events) = run_seeded(&job, splits, seed);
+    // A list of identical values reads the same in any arrival order.
+    let want = reference(&records, |c| {
+        let mut list = StateBuf::new();
+        for _ in 0..c {
+            ListAgg.update(b"", &mut list, &1u64.to_le_bytes());
+        }
+        list.to_vec()
+    });
+    assert_eq!(finals(&report), want, "seed {seed}");
+    assert_eq!(report.map_attempts, map_tasks + 1, "one map retry");
+    for task in 0..map_tasks as u64 {
+        let flushes = events
+            .iter()
+            .filter(|e| e.name == "flush" && e.track == Track::new("map", task))
+            .count();
+        // Two pushes mid-task, and the remainder at its end.
+        assert!(flushes >= 3, "map {task} flushed {flushes} times");
+    }
 }

@@ -36,22 +36,17 @@ fn default_built() -> Settings {
 const PERTURBED: &[&[(&str, &str)]] = &[
     &[("reducers", "3")],
     &[("map-side", "hash")],
-    &[("shuffle", "push:77")],
+    &[("shuffle", "push")],
     &[("backend", "hybrid-hash")],
-    &[("backend", "sort-merge:3:0.1,0.6")],
+    &[("backend", "sort-merge+snapshots")],
     &[("backend", "inc-hash")],
     &[("budget-kb", "1.4658203125")], // 1501 bytes: not a whole KiB
     &[("collect-output", "discard")],
     &[("map-workers", "1")],
     &[("spill", "temp-files")],
     &[("retries", "5")],
-    &[("backoff-ms", "12")],
     &[("speculate", "on")],
     &[("mem-policy", "largest-consumer")],
-    &[
-        ("mem-policy", "largest-consumer"),
-        ("mem-high-water", "0.6"),
-    ],
 ];
 
 /// Every scalar the table claims to describe, read from the fields — not
@@ -71,7 +66,7 @@ fn scalars(s: &Settings) -> String {
         (
             e.map_workers,
             e.spill,
-            e.retry,
+            e.max_attempts,
             e.speculate,
             &e.memory_policy,
         )
@@ -177,12 +172,12 @@ fn travelling_pairs_applied_to_a_default_spec_reproduce_the_job() {
 
 #[test]
 fn setting_the_backend_keeps_what_has_no_text_form_when_the_kind_matches() {
-    use onepass_groupby::CountThreshold;
+    use onepass_groupby::PeriodicCount;
     let built = |backend| fresh(JobSpec::builder("t").backend(backend).build().unwrap());
     let backend = find("backend").unwrap();
 
     let mut s = built(ReduceBackend::IncHash {
-        early: Some(std::sync::Arc::new(CountThreshold(3))),
+        early: Some(std::sync::Arc::new(PeriodicCount(3))),
     });
     backend.set(&mut s, "inc-hash").unwrap();
     assert!(s.job.backend.incremental(), "early-emit policy was dropped");
@@ -219,7 +214,7 @@ fn bad_pairs_are_errors_that_name_the_knob() {
             "{why}"
         );
     }
-    assert!(err("shuffle", "push").contains("shuffle"));
+    assert!(err("shuffle", "push:4096").contains("shuffle"));
     // Rows that stay behind name themselves when set from bad text too.
     let set_err = |name: &str, value: &str| {
         find(name)
@@ -228,21 +223,20 @@ fn bad_pairs_are_errors_that_name_the_knob() {
             .unwrap_err()
             .to_string()
     };
-    assert!(set_err("backend", "sort-merge").contains("backend"));
+    assert!(set_err("backend", "sort-merge:10").contains("backend"));
     assert!(set_err("retries", "0").contains("at least 1"));
     assert!(set_err("budget-kb", "-1").contains("budget-kb"));
     // Values that parse but make an invalid job are caught by validation.
     assert!(err("reducers", "0").contains("reducers"));
-    // Stale values cannot hide behind static budgets.
-    let mut s = default_built();
-    assert!(find("mem-high-water").unwrap().set(&mut s, "0.5").is_err());
-    assert!(find("mem-high-water").unwrap().set(&mut s, "1.5").is_err());
 }
 
 #[test]
 fn every_listed_choice_is_accepted() {
     for knob in KNOBS {
-        let literal = |c: &str| c.chars().all(|ch| ch.is_ascii_lowercase() || ch == '-');
+        let literal = |c: &str| {
+            c.chars()
+                .all(|ch| ch.is_ascii_lowercase() || "-+".contains(ch))
+        };
         if knob.syntax.is_empty() || !knob.syntax.split('|').all(literal) {
             continue;
         }
@@ -263,11 +257,8 @@ fn job_debug_prints_the_job_rows() {
         .unwrap();
     let text = format!("{job:?}");
     assert!(text.contains("reducers: 3"), "{text}");
-    assert!(text.contains("shuffle: push:4096"), "{text}");
-    assert!(
-        text.contains("backend: sort-merge:10:0.25,0.5,0.75"),
-        "{text}"
-    );
+    assert!(text.contains("shuffle: push,"), "{text}");
+    assert!(text.contains("backend: sort-merge+snapshots,"), "{text}");
     assert!(
         !text.contains("retries"),
         "engine rows are not the job's: {text}"
@@ -293,8 +284,8 @@ fn travelling_pairs_of_every_preset_are_pinned() {
         .collect();
     let want = [
         ("hadoop", "map-side=sort-spill shuffle=pull"),
-        ("hop", "map-side=sort-spill shuffle=push:4096"),
-        ("onepass", "map-side=hash shuffle=push:4096"),
+        ("hop", "map-side=sort-spill shuffle=push"),
+        ("onepass", "map-side=hash shuffle=push"),
     ]
     .map(|(name, rest)| format!("{name}: reducers=4 {rest}"));
     assert_eq!(sent, want);

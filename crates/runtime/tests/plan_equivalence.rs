@@ -65,10 +65,7 @@ fn docs() -> impl Strategy<Value = Vec<Vec<u8>>> {
 
 fn mk_backend(tag: u8) -> ReduceBackend {
     match tag {
-        0 => ReduceBackend::SortMerge {
-            merge_factor: 3,
-            snapshots: vec![],
-        },
+        0 => ReduceBackend::SortMerge { snapshots: false },
         1 => ReduceBackend::HybridHash,
         2 => ReduceBackend::IncHash { early: None },
         _ => ReduceBackend::FreqHash,
@@ -78,13 +75,9 @@ fn mk_backend(tag: u8) -> ReduceBackend {
 fn mk_policy(tag: u8) -> MemoryPolicy {
     match tag {
         0 => MemoryPolicy::Static,
-        1..=3 => MemoryPolicy::Adaptive {
-            policy: policy_by_name("largest-consumer").unwrap(),
-            high_water: [0.85, 0.75, 0.5][tag as usize - 1],
-        },
+        1 => MemoryPolicy::adaptive(),
         _ => MemoryPolicy::Adaptive {
             policy: Arc::new(Rotating::default()),
-            high_water: 0.5,
         },
     }
 }
@@ -137,12 +130,7 @@ fn mk_config(
         .memory_policy(policy)
         .speculate(speculate);
     if let Some(f) = faults {
-        b = b
-            .retry(RetryPolicy {
-                max_attempts: 3,
-                backoff: Duration::ZERO,
-            })
-            .faults(f);
+        b = b.max_attempts(3).faults(f);
     }
     b.build()
 }
@@ -158,7 +146,7 @@ proptest! {
         fault_seed in any::<u64>(),
         reducers in 1usize..4,
         per_split in 1usize..10,
-        policy_tag in 0u8..5,
+        policy_tag in 0u8..3,
         // The combiner's scope: worker (off) or task (on).
         speculate in any::<bool>(),
     ) {

@@ -48,10 +48,7 @@ fn docs() -> impl Strategy<Value = Vec<Vec<u8>>> {
 
 fn mk_backend(tag: u8) -> ReduceBackend {
     match tag {
-        0 => ReduceBackend::SortMerge {
-            merge_factor: 3,
-            snapshots: vec![],
-        },
+        0 => ReduceBackend::SortMerge { snapshots: false },
         1 => ReduceBackend::HybridHash,
         2 => ReduceBackend::IncHash { early: None },
         _ => ReduceBackend::FreqHash,
@@ -89,10 +86,9 @@ proptest! {
         fault_seed in any::<u64>(),
         reducers in 1usize..4,
         per_split in 1usize..10,
-        // 0 = static; 1..=3 the shipped victim rule at three high-water
-        // marks; 4 a rotating rule — governor rebalancing + shedding under
-        // the same fingerprint check.
-        policy_tag in 0u8..5,
+        // 0 = static; 1 the shipped victim rule; 2 a rotating rule —
+        // governor rebalancing + shedding under the same fingerprint check.
+        policy_tag in 0u8..3,
         // Map-side hash combine vs the sort-spill default, crossed with
         // the combiner's scope (speculation off = worker, on = task):
         // answers must not move.
@@ -108,7 +104,7 @@ proptest! {
         if hash_combine_map {
             builder = builder
                 .map_side(MapSideMode::Hash)
-                .shuffle(ShuffleMode::Push { granularity: 512 });
+                .shuffle(ShuffleMode::Push);
         }
         let job = builder.build().unwrap();
 
@@ -125,13 +121,9 @@ proptest! {
         // path (retained SegmentBuf clones) must reproduce the same bytes.
         let memory_policy = match policy_tag {
             0 => MemoryPolicy::Static,
-            1..=3 => MemoryPolicy::Adaptive {
-                policy: policy_by_name("largest-consumer").unwrap(),
-                high_water: [0.85, 0.75, 0.5][policy_tag as usize - 1],
-            },
+            1 => MemoryPolicy::adaptive(),
             _ => MemoryPolicy::Adaptive {
                 policy: Arc::new(Rotating::default()),
-                high_water: 0.5,
             },
         };
         let mut faults = FaultPlan::seeded(fault_seed, splits.len(), reducers);
@@ -142,10 +134,7 @@ proptest! {
         }
         let cfg = EngineConfig::builder()
             .spill(spill)
-            .retry(RetryPolicy {
-                max_attempts: 3,
-                backoff: Duration::ZERO,
-            })
+            .max_attempts(3)
             .faults(faults)
             .memory_policy(memory_policy)
             .speculate(speculate)
@@ -219,12 +208,9 @@ proptest! {
             .reduce_budget_bytes(2048);
         builder = match mapside_tag {
             0 => builder, // SortSpill + Pull defaults
-            1 => builder
-                .map_side(MapSideMode::Hash)
-                .shuffle(ShuffleMode::Push { granularity: 64 }),
             _ => builder
                 .map_side(MapSideMode::Hash)
-                .shuffle(ShuffleMode::Push { granularity: 512 }),
+                .shuffle(ShuffleMode::Push),
         };
         let job = builder.build().unwrap();
         let spill = if temp_files {

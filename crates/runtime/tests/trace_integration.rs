@@ -205,10 +205,7 @@ fn traced_job_chrome_json_is_loadable() {
 
 #[test]
 fn sortmerge_backend_emits_spill_instants_when_memory_is_tight() {
-    let (_, events) = run_traced(Some(ReduceBackend::SortMerge {
-        merge_factor: 2,
-        snapshots: vec![],
-    }));
+    let (_, events) = run_traced(Some(ReduceBackend::SortMerge { snapshots: false }));
     // Spans still pair even with merge/spill activity interleaved.
     complete_spans(&events).expect("balanced spans with sort-merge backend");
     // reduce_fn phase appears on reducer tracks.

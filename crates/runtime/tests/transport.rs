@@ -44,7 +44,7 @@ fn wc_job() -> JobSpec {
         .aggregate(Arc::new(ListAgg))
         .reducers(3)
         .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push { granularity: 64 })
+        .shuffle(ShuffleMode::Push)
         .backend(ReduceBackend::HybridHash)
         .build()
         .unwrap()
@@ -293,7 +293,7 @@ fn non_default_knobs_reach_the_workers() {
     let job = builder("wc-knobs", spy())
         .reducers(3)
         .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push { granularity: 64 })
+        .shuffle(ShuffleMode::Push)
         .backend(ReduceBackend::HybridHash)
         .reduce_budget_bytes(1024)
         .build()
@@ -329,7 +329,7 @@ fn non_default_knobs_reach_the_workers() {
     let tcp = |metrics: &MetricsRegistry| {
         EngineConfig::builder()
             .spill(SpillBackend::TempFiles)
-            .retry(RetryPolicy::attempts(3))
+            .max_attempts(3)
             .metrics(metrics.clone())
             .transport(Transport::Tcp {
                 workers: vec![w1.addr().to_string(), w2.addr().to_string()],
@@ -343,7 +343,7 @@ fn non_default_knobs_reach_the_workers() {
     assert_eq!(finals(&base), finals(&dist), "distributed output differs");
     assert_eq!(dist.reduce_tasks, 3);
     // A hash map side combines the whole of a remote attempt's split (a
-    // sort-spill one, pushing every 64 records, combines each push): one
+    // sort-spill one, pushing every 4096 records, combines each push): one
     // record per distinct word of each split.
     let distinct: usize = splits()
         .iter()
@@ -372,17 +372,19 @@ fn non_default_knobs_reach_the_workers() {
     );
 
     // A list does not combine, so every emitted record ships, and a push
-    // every 64 records of a partition cuts as many segments on the workers
+    // every 4096 records a task emits cuts as many segments on the workers
     // as in-proc: the shuffle row travelled (pull would cut one per task
-    // and partition).
+    // and partition). 1,500 three-word records per task push twice.
     let list = builder("wc-knobs-list", Arc::new(ListAgg))
         .reducers(3)
         .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push { granularity: 64 })
+        .shuffle(ShuffleMode::Push)
         .build()
         .unwrap();
     let segments = |cfg: EngineConfig, metrics: &MetricsRegistry| {
-        let report = Engine::with_config(cfg).run(&list, splits()).unwrap();
+        let report = Engine::with_config(cfg)
+            .run(&list, splits_of(6, 1500))
+            .unwrap();
         let cell = metrics.counter(
             names::ENGINE_SHUFFLE_SEGMENTS,
             &[("stage", "wc-knobs-list")],
@@ -521,7 +523,7 @@ fn a_reduce_failing_once_over_tcp_recovers_within_retries() {
     let w1 = spawn_local(registry.clone(), WorkerOptions::default()).unwrap();
     let w2 = spawn_local(registry, WorkerOptions::default()).unwrap();
     let cfg = EngineConfig::builder()
-        .retry(RetryPolicy::attempts(2))
+        .max_attempts(2)
         .transport(Transport::Tcp {
             workers: vec![w1.addr().to_string(), w2.addr().to_string()],
         })
@@ -557,7 +559,7 @@ fn reduce_attempts_over_tcp_are_bounded_by_retries() {
     let worker = spawn_local(registry, WorkerOptions::default()).unwrap();
     let tracer = Tracer::enabled();
     let cfg = EngineConfig::builder()
-        .retry(RetryPolicy::attempts(5))
+        .max_attempts(5)
         .transport(Transport::Tcp {
             workers: vec![worker.addr().to_string()],
         })

@@ -151,7 +151,7 @@ pub struct SimJobSpec {
     /// Multi-pass merge factor F.
     pub merge_factor: usize,
     /// Fault and straggler injection (mirrors the engine's
-    /// `RetryPolicy` / `speculate` and its straggler thresholds /
+    /// `max_attempts` / `speculate` and its straggler thresholds /
     /// `FaultPlan`).
     pub faults: SimFaults,
     /// Mirror of the engine's adaptive memory governor: pool the
@@ -200,7 +200,7 @@ pub struct SimFaults {
     /// reducer's final phase fail after the reduce CPU pass and replay
     /// from the final-merge read (re-paying disk and CPU).
     pub reduce_failures: Vec<(usize, usize)>,
-    /// Attempts allowed per task, `>= 1` (engine `RetryPolicy`).
+    /// Attempts allowed per task, `>= 1` (engine `EngineConfig::max_attempts`).
     pub max_attempts: usize,
     /// Clone straggling maps once their elapsed time exceeds
     /// `slow_factor` × the median completed-map duration; the first

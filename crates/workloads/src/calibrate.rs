@@ -80,9 +80,6 @@ pub fn calibrate(records: usize) -> Calibration {
         .reducers(4)
         .collect_mode(CollectOutput::Discard)
         .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push {
-            granularity: 65_536,
-        })
         .backend(ReduceBackend::IncHash { early: None })
         .build()
         .expect("valid job");
@@ -96,9 +93,7 @@ pub fn calibrate(records: usize) -> Calibration {
         .reducers(4)
         .collect_mode(CollectOutput::Discard)
         .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push {
-            granularity: 65_536,
-        })
+        .shuffle(ShuffleMode::Push)
         .backend(ReduceBackend::IncHash { early: None })
         .build()
         .expect("valid job");

@@ -519,9 +519,7 @@ fn cmd_run(mut args: Args) {
     let any_fault =
         fault_seed.is_some() || kill_map.is_some() || kill_reduce.is_some() || straggle.is_some();
 
-    let mut engine = outputs
-        .engine()
-        .retry(RetryPolicy::attempts(if any_fault { 3 } else { 1 }));
+    let mut engine = outputs.engine().max_attempts(if any_fault { 3 } else { 1 });
     if !workers.is_empty() {
         engine = engine.transport(Transport::Tcp { workers });
     }
@@ -856,8 +854,8 @@ fn cmd_serve(mut args: Args) {
     let await_timeout = Duration::from_millis(args.num("await-timeout-ms").unwrap_or(120_000));
     let rig = MetricsRig::from_args(&mut args);
 
-    // The serving tier reads three knobs: the catalog's reducer count and
-    // the tenant pool's shed policy and high-water mark. They start from
+    // The serving tier reads two knobs: the catalog's reducer count and
+    // the tenant pool's shed policy. They start from
     // the serving defaults and go through the same table as everywhere.
     let defaults = ServeConfig::default();
     let mut settings = Settings {
@@ -868,13 +866,12 @@ fn cmd_serve(mut args: Args) {
         engine: EngineConfig::builder()
             .memory_policy(MemoryPolicy::Adaptive {
                 policy: defaults.policy.clone(),
-                high_water: defaults.high_water,
             })
             .build(),
     };
     args.knobs(&mut settings);
     args.finish();
-    let MemoryPolicy::Adaptive { policy, high_water } = settings.engine.memory_policy else {
+    let MemoryPolicy::Adaptive { policy } = settings.engine.memory_policy else {
         die("`onepass serve` pools tenant memory: its memory policy cannot be static");
     };
     let policy_name = policy.name();
@@ -892,7 +889,6 @@ fn cmd_serve(mut args: Args) {
     let config = ServeConfig {
         pool_bytes: pool_mb << 20,
         policy,
-        high_water,
         admission: AdmissionConfig {
             max_tenants,
             ..AdmissionConfig::default()

@@ -147,9 +147,8 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
     assert!(msg.contains("--reducers N"), "the knobs are listed: {msg}");
 
     // A knob the command does not take as a flag is a mistake too (a row
-    // without a flag anywhere, a row only `run` takes), as is a value
-    // that would be dropped, or a switch that is gone (a plan runs one
-    // way).
+    // without a flag anywhere, a row only `run` takes), as is a switch
+    // that is gone (a plan runs one way).
     for line in [
         "run per-user-count --records 1000 --backend inc-hash",
         "plan top-k --records 1000 --budget-kb 64",
@@ -158,8 +157,18 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
     ] {
         assert_eq!(onepass(line).status.code(), Some(2), "{line}");
     }
-    let dropped = onepass("run per-user-count --records 1000 --mem-high-water 0.5");
-    assert_eq!(dropped.status.code(), Some(2));
+    // Fixed values are no flags: the retry backoff and the pool's
+    // high-water mark.
+    for flag in ["--backoff-ms 5", "--mem-high-water 0.5"] {
+        let out = onepass(&format!("run per-user-count --records 1000 {flag}"));
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let msg = String::from_utf8(out.stderr).unwrap();
+        let name = flag.split(' ').next().unwrap();
+        assert!(
+            msg.contains(&format!("unknown (or repeated) flag {name} ")),
+            "{msg}"
+        );
+    }
 
     // A workload the command does not know, or does not take, names the
     // workload and the ones it does take.

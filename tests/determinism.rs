@@ -89,11 +89,7 @@ fn output_independent_of_split_size() {
 fn output_independent_of_shuffle_mode_and_granularity() {
     let recs = records();
     let mut reference = None;
-    for shuffle in [
-        ShuffleMode::Pull,
-        ShuffleMode::Push { granularity: 7 },
-        ShuffleMode::Push { granularity: 5000 },
-    ] {
+    for shuffle in [ShuffleMode::Pull, ShuffleMode::Push] {
         let job = page_frequency::job()
             .reducers(2)
             .shuffle(shuffle)

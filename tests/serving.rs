@@ -706,7 +706,6 @@ proptest! {
         let config = ServeConfig {
             pool_bytes: 256 * 1024,
             policy,
-            high_water: 0.5,
             shards: 2,
             ..ServeConfig::default()
         };

@@ -27,8 +27,8 @@ pub enum Error {
     },
     /// Corrupt or truncated on-disk run data.
     Corrupt(String),
-    /// The task attempt was cancelled by the driver (e.g. a speculative
-    /// twin finished first). Not a failure: the driver treats it as a
+    /// The task attempt was cancelled by the driver (the job is failing
+    /// on another task). Not a failure: the driver treats it as a
     /// benign early exit and never retries it.
     Cancelled,
 }

@@ -4,14 +4,12 @@
 //! purely so that failed or slow tasks can be re-executed from durable
 //! input. To test that the engine actually delivers on that promise, this
 //! module provides a *planned*, seeded fault schedule: a [`FaultPlan`]
-//! lists exactly which task attempts fail (or stall) and after how many
-//! records, and a cheaply-cloneable [`FaultInjector`] is consulted by the
+//! lists exactly which task attempts fail and after how many records, and a cheaply-cloneable [`FaultInjector`] is consulted by the
 //! map and reduce execution paths at record granularity. Two runs with the
 //! same plan observe the same faults, so recovery tests are reproducible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Which side of the job a planned fault targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,9 +27,6 @@ pub enum FaultKind {
     Error,
     /// The task attempt panics, as a buggy user map function would.
     Panic,
-    /// The task attempt keeps running but sleeps this long before every
-    /// record — a straggler, not a failure.
-    Straggle(Duration),
 }
 
 /// One scheduled fault: fires on `(target, task, attempt)` once the task
@@ -46,7 +41,6 @@ pub struct PlannedFault {
     /// unaffected unless separately planned).
     pub attempt: usize,
     /// Number of records the attempt processes before the fault fires.
-    /// Ignored by [`FaultKind::Straggle`], which applies to every record.
     pub after_records: u64,
     /// Failure mode.
     pub kind: FaultKind,
@@ -121,18 +115,6 @@ impl FaultPlan {
         })
     }
 
-    /// Map task `task`, attempt `attempt`, sleeps `delay` before every
-    /// record — a straggler for speculative execution to race.
-    pub fn straggle_map(self, task: usize, attempt: usize, delay: Duration) -> Self {
-        self.with(PlannedFault {
-            target: FaultTarget::Map,
-            task,
-            attempt,
-            after_records: 0,
-            kind: FaultKind::Straggle(delay),
-        })
-    }
-
     /// Reduce partition `task`, attempt `attempt`, errors after absorbing
     /// `after_records` shuffle records — or, if the attempt absorbs fewer,
     /// as it finishes (see [`FaultInjector::check_finish`]), so a planned
@@ -175,8 +157,6 @@ pub enum FaultAction {
     Fail,
     /// Panic inside the task attempt.
     Panic,
-    /// Sleep this long, then continue (straggler).
-    Delay(Duration),
 }
 
 struct Inner {
@@ -231,8 +211,7 @@ impl FaultInjector {
         self.inner.is_some()
     }
 
-    /// Number of Error/Panic faults that have fired so far (stragglers
-    /// count once, on their first delayed record).
+    /// Number of faults that have fired so far.
     pub fn triggered(&self) -> u64 {
         self.inner
             .as_ref()
@@ -241,8 +220,7 @@ impl FaultInjector {
 
     /// Consult the plan before processing record `record` (0-based count
     /// of records the attempt has already processed). Callers must act on
-    /// the returned action immediately: `Fail`/`Panic` abort the attempt,
-    /// `Delay` sleeps and continues.
+    /// the returned action immediately: either one aborts the attempt.
     pub fn check(
         &self,
         target: FaultTarget,
@@ -251,29 +229,17 @@ impl FaultInjector {
         record: u64,
     ) -> Option<FaultAction> {
         let inner = self.inner.as_ref()?;
-        for fault in &inner.plan.faults {
-            if fault.target != target || fault.task != task || fault.attempt != attempt {
-                continue;
-            }
-            match fault.kind {
-                FaultKind::Error if record >= fault.after_records => {
-                    inner.triggered.fetch_add(1, Ordering::Relaxed);
-                    return Some(FaultAction::Fail);
-                }
-                FaultKind::Panic if record >= fault.after_records => {
-                    inner.triggered.fetch_add(1, Ordering::Relaxed);
-                    return Some(FaultAction::Panic);
-                }
-                FaultKind::Straggle(delay) => {
-                    if record == 0 {
-                        inner.triggered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Some(FaultAction::Delay(delay));
-                }
-                _ => {}
-            }
-        }
-        None
+        let fault = inner.plan.faults.iter().find(|f| {
+            f.target == target
+                && f.task == task
+                && f.attempt == attempt
+                && record >= f.after_records
+        })?;
+        inner.triggered.fetch_add(1, Ordering::Relaxed);
+        Some(match fault.kind {
+            FaultKind::Error => FaultAction::Fail,
+            FaultKind::Panic => FaultAction::Panic,
+        })
     }
 
     /// Consult the plan as an attempt finishes, having processed all its
@@ -286,10 +252,7 @@ impl FaultInjector {
         task: usize,
         attempt: usize,
     ) -> Option<FaultAction> {
-        match self.check(target, task, attempt, u64::MAX)? {
-            FaultAction::Delay(_) => None,
-            action => Some(action),
-        }
+        self.check(target, task, attempt, u64::MAX)
     }
 }
 
@@ -324,32 +287,16 @@ mod tests {
 
     #[test]
     fn a_fault_past_the_last_record_fires_at_finish() {
-        let inj = FaultPlan::new()
-            .fail_reduce(1, 0, 1_000)
-            .straggle_map(0, 0, Duration::from_millis(1))
-            .into_injector();
+        let inj = FaultPlan::new().fail_reduce(1, 0, 1_000).into_injector();
         assert!(inj.check(FaultTarget::Reduce, 1, 0, 3).is_none());
         assert!(matches!(
             inj.check_finish(FaultTarget::Reduce, 1, 0),
             Some(FaultAction::Fail)
         ));
-        // Only the planned attempt; a straggler does not stall a finish.
+        // Only the planned attempt.
         assert!(inj.check_finish(FaultTarget::Reduce, 1, 1).is_none());
-        assert!(inj.check_finish(FaultTarget::Map, 0, 0).is_none());
+        assert!(inj.check_finish(FaultTarget::Map, 1, 0).is_none());
         assert_eq!(inj.triggered(), 1);
-    }
-
-    #[test]
-    fn straggle_delays_every_record() {
-        let d = Duration::from_millis(3);
-        let inj = FaultPlan::new().straggle_map(0, 0, d).into_injector();
-        for r in 0..3 {
-            match inj.check(FaultTarget::Map, 0, 0, r) {
-                Some(FaultAction::Delay(got)) => assert_eq!(got, d),
-                other => panic!("expected delay, got {other:?}"),
-            }
-        }
-        assert_eq!(inj.triggered(), 1, "straggler counts once");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! * [`trace`] — structured task/phase trace events with Chrome
 //!   trace-event JSON export (the timeline plots of Fig. 2a/3 as data).
 //! * [`fault`] — seeded, deterministic fault schedules used to exercise
-//!   the engine's task retry / speculative-execution machinery.
+//!   the engine's task retry machinery.
 //! * [`json`] — dependency-free JSON building and parsing backing the
 //!   trace and report exporters.
 //! * [`table`] — minimal aligned-text / CSV emission for experiment drivers.

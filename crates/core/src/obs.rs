@@ -63,9 +63,12 @@ pub mod names {
     pub const STAGE_SPLITS_DONE: &str = "onepass_stage_splits_done";
     /// Gauge `{stage}`: done / total, 0..=1.
     pub const STAGE_PROGRESS_RATIO: &str = "onepass_stage_progress_ratio";
-    /// Counter `{stage}`: speculative clones launched.
+    /// Counter `{stage}`: backup clones launched against slow map tasks.
+    /// Only the simulator publishes it: the engine never clones a map
+    /// task.
     pub const STAGE_STRAGGLERS: &str = "onepass_stage_stragglers_total";
-    /// Counter `{stage}`: map attempts enqueued, retries and clones included.
+    /// Counter `{stage}`: map attempts enqueued, retries (and the
+    /// simulator's clones) included.
     pub const STAGE_MAP_ATTEMPTS: &str = "onepass_stage_map_attempts_total";
     /// Counter `{stage}`: attempts that errored.
     pub const STAGE_FAILED_ATTEMPTS: &str = "onepass_stage_failed_attempts_total";

@@ -1,7 +1,6 @@
 //! The engine facade: public configuration types ([`EngineConfig`] and
 //! friends) and the [`Engine`] entry point. The actual machinery lives in
-//! two focused layers: `scheduler` (task queues, retries,
-//! speculation) and `executor` (worker pools, shuffle wiring,
+//! two focused layers: `scheduler` (task queues, retries) and `executor` (worker pools, shuffle wiring,
 //! shared spill/governor services, report assembly). Thread fan-out uses
 //! crossbeam scoped threads; all inter-task communication is
 //! channel-based (no shared mutable state beyond the spill stores' atomic
@@ -17,14 +16,9 @@
 //!   in a user map function, or an injected [`FaultPlan`] fault) is
 //!   re-executed with a fresh attempt id, up to
 //!   [`EngineConfig::max_attempts`].
-//! * **Speculative execution.** With [`EngineConfig::speculate`], the
-//!   coordinator watches running map attempts against the median duration
-//!   of completed ones and launches one backup clone per straggling task;
-//!   the first attempt to finish wins and the loser is cancelled. The
-//!   straggler thresholds are the scheduler's constants.
 //! * **Attempt-aware shuffle.** Reducers commit exactly one attempt per
-//!   map task (the first whose `MapDone` arrives), so retried or raced
-//!   attempts never double-count records (see [`crate::shuffle`]).
+//!   map task (the first whose `MapDone` arrives), so retried attempts
+//!   never double-count records (see [`crate::shuffle`]).
 //!
 //! When retries are exhausted the driver cancels all outstanding
 //! attempts, broadcasts [`ShuffleMsg::Abort`](crate::shuffle::ShuffleMsg)
@@ -59,8 +53,7 @@ pub enum SpillBackend {
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Concurrent map workers (task slots). Defaults to the machine's
-    /// available parallelism (min 2 so speculation and straggler tests
-    /// still overlap attempts), capped at 4.
+    /// available parallelism (min 2), capped at 4.
     pub map_workers: usize,
     /// Spill-run backend. Default memory.
     pub spill: SpillBackend,
@@ -72,8 +65,6 @@ pub struct EngineConfig {
     /// for failed attempts, retried at once. Must be at least 1; the
     /// default 1 means a single failure fails the job.
     pub max_attempts: usize,
-    /// Speculative backup execution of straggling map tasks. Default off.
-    pub speculate: bool,
     /// Planned fault schedule for recovery testing. Default inert.
     pub faults: FaultInjector,
     /// Reduce-side memory governance. [`MemoryPolicy::Static`] (default)
@@ -104,7 +95,8 @@ pub struct EngineConfig {
 }
 
 /// Map task slots sized to the machine: one per hardware thread, floored
-/// at 2 (so speculative attempts can overlap their originals) and capped
+/// at 2 (so map attempts overlap one another on the shuffle even on a
+/// one-thread machine) and capped
 /// at 4 (more slots than that just thrash worker combine tables on the
 /// small inputs this engine targets).
 fn default_map_workers() -> usize {
@@ -118,7 +110,6 @@ impl Default for EngineConfig {
             spill: SpillBackend::Memory,
             tracer: Tracer::disabled(),
             max_attempts: 1,
-            speculate: false,
             faults: FaultInjector::none(),
             memory_policy: MemoryPolicy::Static,
             metrics: None,
@@ -162,12 +153,6 @@ impl EngineConfigBuilder {
     /// Attempts allowed per task, the first included (floored at 1).
     pub fn max_attempts(mut self, n: usize) -> Self {
         self.cfg.max_attempts = n.max(1);
-        self
-    }
-
-    /// Speculative backup execution of straggling map tasks.
-    pub fn speculate(mut self, on: bool) -> Self {
-        self.cfg.speculate = on;
         self
     }
 
@@ -249,7 +234,6 @@ mod tests {
     use onepass_groupby::{Aggregator, EmitKind, ListAgg, SumAgg};
     use std::collections::BTreeMap;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
         for w in record.split(|&b| b == b' ') {
@@ -462,7 +446,6 @@ mod tests {
             .map_workers(2)
             .spill(SpillBackend::TempFiles)
             .max_attempts(3)
-            .speculate(true)
             .faults(FaultPlan::new().fail_map(0, 0, 1))
             .memory_policy(MemoryPolicy::adaptive())
             .metrics(onepass_core::obs::MetricsRegistry::new())
@@ -473,7 +456,6 @@ mod tests {
         assert_eq!(cfg.map_workers, 2);
         assert_eq!(cfg.spill, SpillBackend::TempFiles);
         assert_eq!(cfg.max_attempts, 3);
-        assert!(cfg.speculate);
         assert!(cfg.faults.is_active());
         assert!(matches!(cfg.memory_policy, MemoryPolicy::Adaptive { .. }));
         assert!(cfg.metrics.is_some());
@@ -580,37 +562,6 @@ mod tests {
         assert_eq!(report.reduce_tasks, 2);
         assert!(report.reduce_attempts >= 3, "one reducer retried");
         assert!(report.failed_attempts >= 1);
-    }
-
-    #[test]
-    fn speculative_clone_beats_straggler() {
-        let job = wc_job(2);
-        // Task 0's first attempt sleeps 25 ms per record; its clone runs
-        // at full speed and must win. 3 records bound the cancelled
-        // straggler's exit latency to one sleep. Tasks 1–3 finish long
-        // before it, past the scheduler's two-completion floor.
-        let lines: Vec<String> = (0..12).map(|i| format!("w{} a b", i % 5)).collect();
-        let refs: Vec<&str> = lines.iter().map(|s| s.as_str()).collect();
-        let input = splits(&refs, 3);
-        let cfg = EngineConfig::builder()
-            .speculate(true)
-            .faults(FaultPlan::new().straggle_map(0, 0, Duration::from_millis(25)))
-            .build();
-        let report = Engine::with_config(cfg).run(&job, input).unwrap();
-        let mut want = BTreeMap::new();
-        for line in &lines {
-            for w in line.split(' ') {
-                *want.entry(w.to_string()).or_insert(0u64) += 1;
-            }
-        }
-        assert_eq!(
-            final_counts(&report),
-            want,
-            "speculation must not change output"
-        );
-        assert!(report.speculative_launched >= 1, "straggler was cloned");
-        assert!(report.speculative_wins >= 1, "clone finished first");
-        assert_eq!(report.map_tasks, 4, "each task counted once");
     }
 
     #[test]

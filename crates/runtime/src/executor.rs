@@ -175,12 +175,11 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             Some(workers.as_slice())
         }
     };
-    let speculate = config.speculate;
     let injector = config.faults.clone();
     // Attempt-aware shuffle dedup is only needed when a map task can run
     // more than once; otherwise reducers keep the eager commit-on-arrival
     // fast path.
-    let ft_active = map_attempts > 1 || speculate || injector.is_active();
+    let ft_active = map_attempts > 1 || injector.is_active();
 
     let start = clock;
     let (initial, feed_rx) = match feed {
@@ -233,13 +232,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         Some(_) => None,
     };
     let spill = config.spill;
-    // A combining hash map side's table spans the map worker unless two
-    // attempts of one task can race (see `crate::in_node`).
-    let combine_scope = if speculate {
-        CombineScope::Task
-    } else {
-        CombineScope::Worker
-    };
 
     // Work queue + event stream between coordinator and map workers.
     let (task_tx, task_rx) = unbounded::<MapAssignment>();
@@ -309,7 +301,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     job,
                     &shuffle_tx,
                     map_store,
-                    combine_scope,
+                    CombineScope::Worker,
                     governor,
                     innode_ratio,
                 );
@@ -317,16 +309,10 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     let MapAssignment {
                         task,
                         attempt,
-                        speculative,
                         split,
                         cancel,
                     } = asg;
                     let mut open = TaskSpan::open(TaskKind::Map, task, tracer, track_offset);
-                    let _ = evt_tx.send(MapEvent::Started {
-                        task,
-                        attempt,
-                        at: open.started(start),
-                    });
                     let ctx = MapAttemptCtx {
                         attempt,
                         injector: injector.clone(),
@@ -337,7 +323,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     let _ = evt_tx.send(MapEvent::Finished {
                         task,
                         attempt,
-                        speculative,
                         span,
                         result,
                     });
@@ -417,12 +402,10 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         // ---- Map coordinator (this thread). ----
         let ctx = SchedulerCtx {
             max_attempts: map_attempts,
-            speculate,
             task_tx,
             evt_rx,
             credits: known_total.is_none().then_some(credit_tx),
             shuffle_tx: &shuffle_tx,
-            clock: start,
             telemetry: &telemetry,
         };
         let feed_open = known_total.is_none();
@@ -472,8 +455,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     report.task_spans.extend(outcome.extra_spans);
     report.map_attempts = outcome.map_attempts;
     report.failed_attempts = outcome.failed_attempts;
-    report.speculative_launched = outcome.speculative_launched;
-    report.speculative_wins = outcome.speculative_wins;
     if report.map_tasks != outcome.total_map_tasks {
         return Err(Error::InvalidState(format!(
             "expected {} map results, got {}",

@@ -37,19 +37,16 @@
 //! * [`CombineScope::Worker`] — when the table's leased budget runs over,
 //!   when the governor posts a shed request against it, and once more
 //!   when the worker drains. Hot keys are built and shipped once per
-//!   worker rather than once per task. This is every in-proc job without
-//!   speculation: a committed attempt's data can then be neither lost
-//!   (worker threads do not die alone) nor counted twice.
+//!   worker rather than once per task. This is every in-proc job: the
+//!   engine never runs two attempts of one task at once, so a committed
+//!   attempt's data can be neither lost (worker threads do not die alone)
+//!   nor counted twice.
 //! * [`CombineScope::Task`] — at once, after every fold: a lone task is a
-//!   group of one. Two situations need it. With speculative execution two
-//!   attempts of one task race, and the loser may already sit in a shared
-//!   table by the time the winner's `MapDone` commits, which would
-//!   double-count; flushed alone, the loser's segments carry its own
-//!   attempt id and the reducers drop them. And a TCP worker's map slot
-//!   must have its segments and `MapDone` on the wire before the `MapOk`
-//!   that commits the attempt to the scheduler (Segments → `MapDone` →
-//!   `MapOk`): a table outliving the attempt would die with the worker
-//!   after the coordinator was told the data is safe.
+//!   group of one. A TCP worker's map slot needs it: it must have its
+//!   segments and `MapDone` on the wire before the `MapOk` that commits
+//!   the attempt to the scheduler (Segments → `MapDone` → `MapOk`), and a
+//!   table outliving the attempt would die with the worker after the
+//!   coordinator was told the data is safe.
 //!
 //! # Memory accounting
 //!

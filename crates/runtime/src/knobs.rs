@@ -55,8 +55,7 @@ pub struct Knob {
     /// The knob's only spelling: `--<name>` on the CLI, `<name>` on the
     /// wire and in reports.
     pub name: &'static str,
-    /// Value syntax for the usage text. Empty for a switch: the bare flag
-    /// means `on` (the text form is still `on|off`).
+    /// Value syntax for the usage text.
     pub syntax: &'static str,
     /// One line of help.
     pub help: &'static str,
@@ -92,19 +91,15 @@ impl Knob {
             Access::Engine(_, set) => set(&mut s.engine, value),
         }
         .map_err(|e| {
-            let syntax = if self.syntax.is_empty() {
-                SWITCH
-            } else {
-                self.syntax
-            };
             let why = match e {
                 Error::Config(why) => why,
                 other => other.to_string(),
             };
             bad(format!(
-                "knob {} cannot be {value:?} ({why}); syntax: {} {syntax}",
+                "knob {} cannot be {value:?} ({why}); syntax: {} {}",
                 self.name,
-                self.spelled()
+                self.spelled(),
+                self.syntax
             ))
         })
     }
@@ -159,10 +154,10 @@ pub fn usage() -> String {
             k.takers
         };
         let travels = if k.travels { "; travels" } else { "" };
-        let head = format!("  {} {}", k.spelled(), k.syntax);
         out.push_str(&format!(
-            "{}\n        {} [{takers}{travels}]\n",
-            head.trim_end(),
+            "  {} {}\n        {} [{takers}{travels}]\n",
+            k.spelled(),
+            k.syntax,
             k.help
         ));
     }
@@ -248,8 +243,6 @@ choices!(SPILL, SpillBackend {
     "memory" => SpillBackend::Memory,
     "temp-files" => SpillBackend::TempFiles
 });
-// A switch: the CLI reads the bare flag as `on`.
-choices!(SWITCH, bool { "on" => true, "off" => false });
 
 /// The access pair of a field whose type has a [`Text`] form.
 macro_rules! field {
@@ -412,14 +405,6 @@ pub const KNOBS: &[Knob] = &[
         ),
     },
     Knob {
-        name: "speculate",
-        syntax: "",
-        help: "launch backup attempts of straggling map tasks",
-        travels: false,
-        takers: "run",
-        access: field!(Engine.speculate),
-    },
-    Knob {
         name: "mem-policy",
         syntax: "static|largest-consumer",
         help: "fixed private reduce budgets, or one pool that sheds from its largest lease",
@@ -458,7 +443,6 @@ const _: fn(Settings) = |Settings { job, engine }| {
         map_workers: _,
         spill: _,
         max_attempts: _,
-        speculate: _,
         memory_policy: _,
     } = engine;
 };

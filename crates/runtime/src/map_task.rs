@@ -254,10 +254,6 @@ fn check_fault(ctx: &MapAttemptCtx, task_id: usize, record_idx: usize) -> Result
                 ctx.attempt
             );
         }
-        Some(FaultAction::Delay(d)) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
         None => Ok(()),
     }
 }

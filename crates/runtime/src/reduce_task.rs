@@ -17,8 +17,9 @@
 //! When the driver runs with fault tolerance enabled, a reduce task must
 //! cope with two new realities:
 //!
-//! * **Duplicate map attempts.** Retried or speculative map tasks can emit
-//!   segments for the same logical map task more than once. The reducer
+//! * **Duplicate map attempts.** A retried map task can emit segments for
+//!   the same logical map task more than once, and a TCP rerun after a
+//!   lost worker can even race the attempt it replaces. The reducer
 //!   buffers segments per `(map_task, attempt)` and *commits* exactly one
 //!   attempt per task — the one whose [`ShuffleMsg::MapDone`] arrives
 //!   first (per-channel FIFO ordering guarantees all of an attempt's
@@ -74,7 +75,7 @@ pub struct ReduceRetryOpts {
     pub max_attempts: usize,
     /// Dedup segments by `(map_task, attempt)` and commit the first
     /// attempt whose `MapDone` arrives. Enable whenever map tasks can run
-    /// more than once (retries or speculation); leave off to preserve the
+    /// more than once (retries); leave off to preserve the
     /// eager single-attempt fast path.
     pub dedup_attempts: bool,
     /// Planned fault schedule consulted per absorbed segment.
@@ -123,10 +124,6 @@ fn injected(action: Option<FaultAction>, partition: usize, attempt: usize) -> Re
         )))),
         Some(FaultAction::Panic) => {
             panic!("injected panic: reduce task {partition} attempt {attempt}")
-        }
-        Some(FaultAction::Delay(d)) => {
-            std::thread::sleep(d);
-            Ok(())
         }
     }
 }
@@ -1065,7 +1062,7 @@ mod tests {
         winner.attempt = 1;
         tx.send_segment(winner);
         tx.map_done(0, 1);
-        // A straggling segment + MapDone from the losing attempt.
+        // A late segment + MapDone from the losing attempt.
         let mut late = sorted_seg(0, &[("a", 100)]);
         late.attempt = 0;
         tx.send_segment(late);

@@ -48,8 +48,8 @@ pub struct TaskSpan {
     pub kind: TaskKind,
     /// Task id (map task id or reducer partition).
     pub id: usize,
-    /// Execution attempt (0 = first). Retried and speculative attempts
-    /// each get their own span.
+    /// Execution attempt (0 = first). Retried attempts each get their own
+    /// span.
     pub attempt: usize,
     /// Start offset from job start.
     pub start: Duration,
@@ -82,11 +82,6 @@ impl TaskSpan {
 }
 
 impl OpenTask {
-    /// The task's start as an offset from `clock` (the job or plan start).
-    pub fn started(&self, clock: Instant) -> Duration {
-        self.began.saturating_duration_since(clock)
-    }
-
     /// The task ended as execution attempt `attempt`. Both ends of the
     /// span are recorded here, so a task that never ends leaves no span
     /// open.
@@ -98,7 +93,7 @@ impl OpenTask {
             kind: self.kind,
             id: self.id,
             attempt,
-            start: self.started(clock),
+            start: self.began.saturating_duration_since(clock),
             end: ended.saturating_duration_since(clock),
         }
     }
@@ -173,12 +168,8 @@ pub struct JobReport {
     /// Equals `reduce_tasks` when nothing failed.
     pub reduce_attempts: usize,
     /// Attempts that ended in a real failure and were retried or gave up
-    /// (cancelled speculative losers are not failures).
+    /// (attempts cancelled by a failing job are not failures).
     pub failed_attempts: usize,
-    /// Speculative map clones launched against stragglers.
-    pub speculative_launched: usize,
-    /// Speculative clones that finished before the original attempt.
-    pub speculative_wins: usize,
     /// Governor lease-limit rebalances (slack grants + donor transfers).
     /// Zero under [`MemoryPolicy::Static`](onepass_core::governor::MemoryPolicy).
     pub mem_rebalances: u64,
@@ -291,7 +282,6 @@ impl JobReport {
                 "\"reduce_spill_bytes_read\":{},\"groups_out\":{},\"early_emits\":{},",
                 "\"snapshots\":{},\"first_early_s\":{},\"first_final_s\":{},",
                 "\"map_attempts\":{},\"reduce_attempts\":{},\"failed_attempts\":{},",
-                "\"speculative_launched\":{},\"speculative_wins\":{},",
                 "\"mem_rebalances\":{},\"mem_sheds\":{},\"mem_shed_bytes\":{},",
                 "\"mem_pool_high_water\":{},\"backpressure_stalls\":{},",
                 "\"map_profile\":{},\"reduce_profile\":{}}}\n"
@@ -319,8 +309,6 @@ impl JobReport {
             self.map_attempts,
             self.reduce_attempts,
             self.failed_attempts,
-            self.speculative_launched,
-            self.speculative_wins,
             self.mem_rebalances,
             self.mem_sheds,
             self.mem_shed_bytes,
@@ -391,8 +379,7 @@ impl PlanReport {
                     "\"backend\":\"{}\",\"wall_s\":{},",
                     "\"groups_out\":{},\"first_final_s\":{},",
                     "\"map_attempts\":{},\"reduce_attempts\":{},",
-                    "\"failed_attempts\":{},\"speculative_launched\":{},",
-                    "\"speculative_wins\":{}}}\n"
+                    "\"failed_attempts\":{}}}\n"
                 ),
                 s.stage,
                 escape(&s.name),
@@ -406,8 +393,6 @@ impl PlanReport {
                 s.report.map_attempts,
                 s.report.reduce_attempts,
                 s.report.failed_attempts,
-                s.report.speculative_launched,
-                s.report.speculative_wins,
             ));
         }
         out.push_str(&format!(
@@ -590,8 +575,6 @@ mod tests {
                         map_attempts: 5,
                         reduce_attempts: 2,
                         failed_attempts: 1,
-                        speculative_launched: 2,
-                        speculative_wins: 1,
                         ..Default::default()
                     },
                 },
@@ -612,11 +595,6 @@ mod tests {
         assert_eq!(s1.get("map_attempts").and_then(Json::as_f64), Some(5.0));
         assert_eq!(s1.get("reduce_attempts").and_then(Json::as_f64), Some(2.0));
         assert_eq!(s1.get("failed_attempts").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(
-            s1.get("speculative_launched").and_then(Json::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(s1.get("speculative_wins").and_then(Json::as_f64), Some(1.0));
         let plan = Json::parse(lines[2]).expect("valid plan line");
         assert!(plan.get("mode").is_none(), "a plan runs one way");
         assert_eq!(plan.get("stages").and_then(Json::as_f64), Some(2.0));

@@ -1,8 +1,9 @@
 //! Map-side scheduling: the coordinator loop that assigns splits to the
-//! worker pool, retries failed attempts, and clones stragglers.
+//! worker pool and retries failed attempts. It reads no clock: every
+//! decision follows from the order of events alone.
 //!
 //! Extracted from the old monolithic driver so the policy logic (task
-//! queues, retry budgets, speculation) lives apart from the mechanics of
+//! queues, retry budgets) lives apart from the mechanics of
 //! spawning workers ([`crate::executor`]) and the public API surface
 //! ([`crate::driver`]).
 //!
@@ -17,9 +18,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 
 use onepass_core::error::{Error, Result};
 use onepass_core::trace::LocalTracer;
@@ -28,17 +28,6 @@ use crate::map_task::{MapTaskStats, Split};
 use crate::report::TaskSpan;
 use crate::shuffle::ShuffleTx;
 use crate::telemetry::StageTelemetry;
-
-/// Under speculation, a first attempt is a straggler once it has run
-/// longer than this many times the median duration of completed map
-/// tasks.
-const SLOW_FACTOR: f64 = 2.0;
-
-/// Completed map tasks required before that median is trusted.
-const MIN_COMPLETED: usize = 2;
-
-/// Coordinator polling cadence while watching for stragglers.
-const POLL: Duration = Duration::from_millis(5);
 
 /// Where a job's input splits come from.
 pub(crate) enum SplitFeed {
@@ -55,22 +44,15 @@ pub(crate) enum SplitFeed {
 pub(crate) struct MapAssignment {
     pub task: usize,
     pub attempt: usize,
-    pub speculative: bool,
     pub split: Arc<Split>,
     pub cancel: Arc<AtomicBool>,
 }
 
 /// Worker / feed-forwarder → coordinator notifications.
 pub(crate) enum MapEvent {
-    Started {
-        task: usize,
-        attempt: usize,
-        at: Duration,
-    },
     Finished {
         task: usize,
         attempt: usize,
-        speculative: bool,
         span: TaskSpan,
         result: Result<MapTaskStats>,
     },
@@ -83,9 +65,7 @@ pub(crate) enum MapEvent {
 /// A map attempt the coordinator believes is queued or running.
 struct RunningAttempt {
     attempt: usize,
-    started: Option<Duration>,
     cancel: Arc<AtomicBool>,
-    speculative: bool,
 }
 
 /// Per-logical-task scheduling state.
@@ -93,7 +73,6 @@ struct TaskState {
     running: Vec<RunningAttempt>,
     completed: bool,
     next_attempt: usize,
-    spec_cloned: bool,
 }
 
 impl TaskState {
@@ -102,7 +81,6 @@ impl TaskState {
             running: Vec::new(),
             completed: false,
             next_attempt: 1,
-            spec_cloned: false,
         }
     }
 }
@@ -113,8 +91,6 @@ pub(crate) struct ScheduleOutcome {
     pub extra_spans: Vec<TaskSpan>,
     pub map_attempts: usize,
     pub failed_attempts: usize,
-    pub speculative_launched: usize,
-    pub speculative_wins: usize,
     pub fatal: Option<Error>,
     /// Final number of logical map tasks (grows under a streamed feed).
     pub total_map_tasks: usize,
@@ -124,15 +100,12 @@ pub(crate) struct ScheduleOutcome {
 pub(crate) struct SchedulerCtx<'a> {
     /// Attempts allowed per map task, the first included.
     pub max_attempts: usize,
-    pub speculate: bool,
     pub task_tx: Sender<MapAssignment>,
     pub evt_rx: Receiver<MapEvent>,
     /// A streamed feed's forwarder gets one credit back per completed
     /// task; dropping the sender when the job fails stops the forwarder.
     pub credits: Option<Sender<()>>,
     pub shuffle_tx: &'a ShuffleTx,
-    /// Job (or plan) start time; straggler ages are measured against it.
-    pub clock: Instant,
     /// Live metrics for this stage. Progress gauges and per-task stats
     /// publish from inside the loop, so scrapers see them while the job
     /// runs.
@@ -153,7 +126,6 @@ pub(crate) fn schedule_maps(
     feed_open: bool,
     driver_trace: &mut LocalTracer,
 ) -> ScheduleOutcome {
-    let speculate = ctx.speculate;
     let mut credits = ctx.credits;
     let mut splits = initial;
     let mut feed_closed = !feed_open;
@@ -163,34 +135,27 @@ pub(crate) fn schedule_maps(
         extra_spans: Vec::new(),
         map_attempts: 0,
         failed_attempts: 0,
-        speculative_launched: 0,
-        speculative_wins: 0,
         fatal: None,
         total_map_tasks: splits.len(),
     };
 
     let mut tasks: Vec<TaskState> = (0..splits.len()).map(|_| TaskState::new()).collect();
     let mut completed_count = 0usize;
-    let mut durations: Vec<Duration> = Vec::new();
     let mut outstanding = 0usize;
 
     let enqueue = |tasks: &mut Vec<TaskState>,
                    splits: &[Arc<Split>],
                    task: usize,
                    attempt: usize,
-                   speculative: bool,
                    outstanding: &mut usize| {
         let cancel = Arc::new(AtomicBool::new(false));
         tasks[task].running.push(RunningAttempt {
             attempt,
-            started: None,
             cancel: Arc::clone(&cancel),
-            speculative,
         });
         let _ = ctx.task_tx.send(MapAssignment {
             task,
             attempt,
-            speculative,
             split: Arc::clone(&splits[task]),
             cancel,
         });
@@ -199,66 +164,43 @@ pub(crate) fn schedule_maps(
     };
 
     for task in 0..splits.len() {
-        enqueue(&mut tasks, &splits, task, 0, false, &mut outstanding);
+        enqueue(&mut tasks, &splits, task, 0, &mut outstanding);
     }
     ctx.telemetry.set_progress(0, splits.len());
 
     while outstanding > 0 || !feed_closed {
-        let evt = if speculate {
-            match ctx.evt_rx.recv_timeout(POLL) {
-                Ok(e) => Some(e),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match ctx.evt_rx.recv() {
-                Ok(e) => Some(e),
-                Err(_) => break,
-            }
-        };
-
+        let Ok(evt) = ctx.evt_rx.recv() else { break };
         match evt {
-            None => {} // poll tick: fall through to straggler scan
-            Some(MapEvent::NewSplit(Ok(split))) => {
+            MapEvent::NewSplit(Ok(split)) => {
                 let task = splits.len();
                 splits.push(Arc::new(split));
                 tasks.push(TaskState::new());
                 out.total_map_tasks = splits.len();
                 if out.fatal.is_none() {
-                    enqueue(&mut tasks, &splits, task, 0, false, &mut outstanding);
+                    enqueue(&mut tasks, &splits, task, 0, &mut outstanding);
                 }
                 ctx.telemetry.set_progress(completed_count, splits.len());
             }
-            Some(MapEvent::NewSplit(Err(e))) if out.fatal.is_none() => {
+            MapEvent::NewSplit(Err(e)) if out.fatal.is_none() => {
                 // Upstream producer failed: this job must not complete on
                 // partial input.
                 fail(&mut out, &tasks, &mut credits, e);
             }
             // A later upstream failure while already going down: drop it,
             // the first fatal error wins.
-            Some(MapEvent::NewSplit(Err(_))) => {}
-            Some(MapEvent::FeedClosed) => {
+            MapEvent::NewSplit(Err(_)) => {}
+            MapEvent::FeedClosed => {
                 feed_closed = true;
                 if out.fatal.is_none() {
                     ctx.shuffle_tx.input_exhausted(splits.len());
                 }
             }
-            Some(MapEvent::Started { task, attempt, at }) => {
-                if let Some(r) = tasks[task]
-                    .running
-                    .iter_mut()
-                    .find(|r| r.attempt == attempt)
-                {
-                    r.started = Some(at);
-                }
-            }
-            Some(MapEvent::Finished {
+            MapEvent::Finished {
                 task,
                 attempt,
-                speculative,
                 span,
                 result,
-            }) => {
+            } => {
                 outstanding -= 1;
                 out.map_attempts += 1;
                 tasks[task].running.retain(|r| r.attempt != attempt);
@@ -271,10 +213,6 @@ pub(crate) fn schedule_maps(
                         } else {
                             tasks[task].completed = true;
                             completed_count += 1;
-                            durations.push(span.end.saturating_sub(span.start));
-                            if speculative {
-                                out.speculative_wins += 1;
-                            }
                             // First finisher wins: cancel twins.
                             for r in &tasks[task].running {
                                 r.cancel.store(true, Ordering::Relaxed);
@@ -312,54 +250,13 @@ pub(crate) fn schedule_maps(
                                 "fault",
                                 &[("task", task as f64), ("attempt", a as f64)],
                             );
-                            enqueue(&mut tasks, &splits, task, a, false, &mut outstanding);
+                            enqueue(&mut tasks, &splits, task, a, &mut outstanding);
                         } else {
                             // Budget exhausted.
                             fail(&mut out, &tasks, &mut credits, e);
                         }
                     }
                 }
-            }
-        }
-
-        // Straggler scan: clone slow first attempts once a median over
-        // completed tasks exists.
-        if speculate
-            && out.fatal.is_none()
-            && completed_count >= MIN_COMPLETED
-            && (completed_count < splits.len() || !feed_closed)
-        {
-            let mut sorted = durations.clone();
-            sorted.sort_unstable();
-            let median = sorted[sorted.len() / 2];
-            // Floor the threshold so micro-benchmark medians don't flag
-            // everything as slow.
-            let threshold = median.mul_f64(SLOW_FACTOR).max(Duration::from_millis(1));
-            let now = ctx.clock.elapsed();
-            for task in 0..splits.len() {
-                if tasks[task].completed || tasks[task].spec_cloned {
-                    continue;
-                }
-                let Some(orig) = tasks[task].running.iter().find(|r| !r.speculative) else {
-                    continue;
-                };
-                let Some(started_at) = orig.started else {
-                    continue; // still queued, not slow
-                };
-                if now.saturating_sub(started_at) <= threshold {
-                    continue;
-                }
-                tasks[task].spec_cloned = true;
-                out.speculative_launched += 1;
-                ctx.telemetry.stragglers.inc(1);
-                let a = tasks[task].next_attempt;
-                tasks[task].next_attempt += 1;
-                driver_trace.instant(
-                    "speculate",
-                    "fault",
-                    &[("task", task as f64), ("attempt", a as f64)],
-                );
-                enqueue(&mut tasks, &splits, task, a, true, &mut outstanding);
             }
         }
     }

@@ -13,9 +13,8 @@
 //! completion) and therefore when reducers can start incremental work.
 //!
 //! Every message is stamped with the producing **attempt**: when the
-//! driver retries a failed map task or races a speculative clone against a
-//! straggler, two attempts of the same logical task may both emit
-//! segments. Reducers dedup by `(map_task, attempt)`, committing exactly
+//! driver retries a failed map task, two attempts of the same logical
+//! task may both emit segments. Reducers dedup by `(map_task, attempt)`, committing exactly
 //! one attempt per task (the one whose `MapDone` arrives first), so
 //! re-execution never double-counts records.
 

@@ -33,7 +33,6 @@ pub(crate) struct StageTelemetry {
     splits_total: Gauge,
     splits_done: Gauge,
     progress: Gauge,
-    pub stragglers: Counter,
     pub map_attempts: Counter,
     pub failed_attempts: Counter,
     records_in: Counter,
@@ -58,7 +57,6 @@ impl StageTelemetry {
             splits_total: gauge(names::STAGE_SPLITS_TOTAL),
             splits_done: gauge(names::STAGE_SPLITS_DONE),
             progress: gauge(names::STAGE_PROGRESS_RATIO),
-            stragglers: counter(names::STAGE_STRAGGLERS),
             map_attempts: counter(names::STAGE_MAP_ATTEMPTS),
             failed_attempts: counter(names::STAGE_FAILED_ATTEMPTS),
             records_in: counter(names::ENGINE_RECORDS_IN),

@@ -10,8 +10,7 @@
 //!   [`MapAssignment`]s from the scheduler's normal work queue, ship the
 //!   split to a worker (`NewSplit`), and turn the worker's
 //!   `MapOk`/`MapFailed` into the [`MapEvent`]s the scheduler already
-//!   understands. The scheduler's retry budget, speculation, and
-//!   straggler logic run completely unchanged.
+//!   understands. The scheduler's retry budget runs unchanged.
 //! * **Shuffle** — every worker's segments flow back through the
 //!   coordinator's [`ShuffleTx`] to the executor's own reducers, the same
 //!   ones an in-proc job runs, so volume accounting, backpressure and
@@ -304,15 +303,10 @@ impl<'a> TcpCluster<'a> {
     ) {
         while let Ok(asg) = task_rx.recv() {
             let task = TaskSpan::open(TaskKind::Map, asg.task, self.tracer, self.track_offset);
-            let _ = evt_tx.send(MapEvent::Started {
-                task: asg.task,
-                attempt: asg.attempt,
-                at: task.started(self.start),
-            });
             let result = match self.run_remote_map(link, &asg) {
-                // A worker-lost failure of a cancelled (speculative
-                // loser) attempt is not a real failure; don't charge the
-                // retry budget.
+                // A worker-lost failure of an attempt the scheduler
+                // cancelled (the job is going down) is not a real failure;
+                // don't charge the retry budget.
                 Err(_) if asg.cancel.load(Ordering::SeqCst) => Err(Error::Cancelled),
                 other => other,
             };
@@ -320,7 +314,6 @@ impl<'a> TcpCluster<'a> {
             let _ = evt_tx.send(MapEvent::Finished {
                 task: asg.task,
                 attempt: asg.attempt,
-                speculative: asg.speculative,
                 span,
                 result,
             });
@@ -405,16 +398,10 @@ impl<'a> TcpCluster<'a> {
             std::thread::spawn(move || {
                 while let Ok(asg) = task_rx.recv() {
                     let task = TaskSpan::open(TaskKind::Map, asg.task, &tracer, offset);
-                    let _ = evt_tx.send(MapEvent::Started {
-                        task: asg.task,
-                        attempt: asg.attempt,
-                        at: task.started(start),
-                    });
                     let span = task.close(asg.attempt, start);
                     let _ = evt_tx.send(MapEvent::Finished {
                         task: asg.task,
                         attempt: asg.attempt,
-                        speculative: asg.speculative,
                         span,
                         result: Err(Error::InvalidState("all workers lost".into())),
                     });

@@ -20,8 +20,8 @@
 //!   the shuffle lands, on either transport.
 //!
 //! Worker loss is survived by the existing attempt-aware machinery: map
-//! attempts on a dead worker fail and are requeued by the scheduler
-//! (possibly speculatively), and the reducers' attempt dedup drops
+//! attempts on a dead worker fail and are requeued by the scheduler, and
+//! the reducers' attempt dedup drops
 //! whatever a lost attempt had already sent.
 //!
 //! [`SegmentBuf`]: onepass_core::SegmentBuf

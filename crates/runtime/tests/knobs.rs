@@ -45,7 +45,6 @@ const PERTURBED: &[&[(&str, &str)]] = &[
     &[("map-workers", "1")],
     &[("spill", "temp-files")],
     &[("retries", "5")],
-    &[("speculate", "on")],
     &[("mem-policy", "largest-consumer")],
 ];
 
@@ -63,13 +62,7 @@ fn scalars(s: &Settings) -> String {
             j.reduce_budget_bytes,
             j.collect_output,
         ),
-        (
-            e.map_workers,
-            e.spill,
-            e.max_attempts,
-            e.speculate,
-            &e.memory_policy,
-        )
+        (e.map_workers, e.spill, e.max_attempts, &e.memory_policy,)
     )
 }
 
@@ -237,7 +230,7 @@ fn every_listed_choice_is_accepted() {
             c.chars()
                 .all(|ch| ch.is_ascii_lowercase() || "-+".contains(ch))
         };
-        if knob.syntax.is_empty() || !knob.syntax.split('|').all(literal) {
+        if !knob.syntax.split('|').all(literal) {
             continue;
         }
         for choice in knob.syntax.split('|') {

@@ -9,8 +9,7 @@
 //! here only where a test crosses an edge by hand.)
 //! The property sweeps all four reduce backends, both spill backends,
 //! static and pooled memory (the shipped victim rule and a rotating
-//! one), both scopes of the map-side combiner (speculation off/on), and
-//! a seeded fault plan that kills a map and a reduce task mid-run, so
+//! one), and a seeded fault plan that kills a map and a reduce task mid-run, so
 //! edge streaming (and a cached round's replay) must survive retries,
 //! spills, combine-table flushes, and rebalancing without changing
 //! answers. A last test holds the plan's one structural promise: a sink
@@ -29,10 +28,6 @@ use proptest::prelude::*;
 
 mod common;
 use common::Rotating;
-
-/// Per-record sleep of a forced straggler: long enough that the other
-/// tasks complete and the scheduler clones it.
-const STRAGGLE: Duration = Duration::from_millis(20);
 
 fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
     for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -119,16 +114,8 @@ fn reference(records: &[Vec<u8>]) -> Vec<(Vec<u8>, Vec<u8>)> {
         .collect()
 }
 
-fn mk_config(
-    spill: SpillBackend,
-    policy: MemoryPolicy,
-    faults: Option<FaultPlan>,
-    speculate: bool,
-) -> EngineConfig {
-    let mut b = EngineConfig::builder()
-        .spill(spill)
-        .memory_policy(policy)
-        .speculate(speculate);
+fn mk_config(spill: SpillBackend, policy: MemoryPolicy, faults: Option<FaultPlan>) -> EngineConfig {
+    let mut b = EngineConfig::builder().spill(spill).memory_policy(policy);
     if let Some(f) = faults {
         b = b.max_attempts(3).faults(f);
     }
@@ -147,8 +134,6 @@ proptest! {
         reducers in 1usize..4,
         per_split in 1usize..10,
         policy_tag in 0u8..3,
-        // The combiner's scope: worker (off) or task (on).
-        speculate in any::<bool>(),
     ) {
         let splits: Vec<Split> = records
             .chunks(per_split)
@@ -175,26 +160,14 @@ proptest! {
         // The fault plan is sized for stage 1 (the stage with real map
         // splits and multiple reducers); stage 2's task ids mostly miss
         // it, which is fine — the seeded kills land somewhere upstream.
-        let mut faults = FaultPlan::seeded(fault_seed, splits.len(), reducers);
-        if speculate {
-            // Task 0 straggles (and so does its retry, should the seeded
-            // kill land on it), so a clone races it through the combiner.
-            faults = faults.straggle_map(0, 0, STRAGGLE).straggle_map(0, 1, STRAGGLE);
-        }
+        let faults = FaultPlan::seeded(fault_seed, splits.len(), reducers);
 
         let mut outputs = Vec::new();
         {
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), speculate);
+            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()));
             let report = Engine::with_config(cfg)
                 .run_plan(&plan, splits.clone())
                 .unwrap();
-            // Two other tasks must complete before a straggler is cloned.
-            if speculate && splits.len() >= 3 {
-                prop_assert!(
-                    report.stages[0].report.speculative_launched >= 1,
-                    "no clone of the straggler"
-                );
-            }
             outputs.push(("streamed", report.sorted_final_outputs()));
         }
 
@@ -206,7 +179,7 @@ proptest! {
         // cache without changing bytes.
         {
             let cache = DatasetCache::new(CacheConfig::default());
-            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()), speculate);
+            let cfg = mk_config(spill, mk_policy(policy_tag), Some(faults.clone()));
             let engine = Engine::with_config(cfg);
 
             let mut b = Plan::builder();
@@ -242,7 +215,7 @@ proptest! {
         // Manual chaining: run each stage as a standalone job and carry
         // the edge by hand through the public edge codec. No faults —
         // this leg is the engine-level reference, kept deterministic.
-        let r1 = Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, speculate))
+        let r1 = Engine::with_config(mk_config(spill, mk_policy(policy_tag), None))
             .run(&count_job(backend, reducers), splits)
             .unwrap();
         let edge: Vec<Vec<u8>> = r1
@@ -264,7 +237,7 @@ proptest! {
             None
         } else {
             Some(
-                Engine::with_config(mk_config(spill, mk_policy(policy_tag), None, speculate))
+                Engine::with_config(mk_config(spill, mk_policy(policy_tag), None))
                     .run(&job2, edge_splits)
                     .unwrap(),
             )

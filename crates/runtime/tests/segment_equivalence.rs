@@ -2,15 +2,14 @@
 //! [`SegmentBuf`] path produce output whose unordered fingerprint is
 //! byte-identical to the reference computation — across all four reduce
 //! backends, both spill backends, both scopes of the map-side combiner
-//! (worker: speculation off; task: speculation on, and every TCP map
-//! slot), and with a seeded fault plan forcing a map and a reduce retry
+//! (worker in-proc; task on every TCP map slot), and with a seeded fault
+//! plan forcing a map and a reduce retry
 //! mid-run. A single flipped, dropped, or duplicated byte anywhere on
 //! the record path (arena framing, shuffle, spill, merge, combine-table
 //! replay) changes the fingerprint.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use onepass_core::KvBuf;
 use onepass_groupby::{Aggregator, EmitKind, ListAgg, SumAgg};
@@ -20,10 +19,6 @@ use proptest::prelude::*;
 
 mod common;
 use common::Rotating;
-
-/// Per-record sleep of a forced straggler: long enough that the other
-/// tasks complete and the scheduler clones it.
-const STRAGGLE: Duration = Duration::from_millis(20);
 
 fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
     for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
@@ -89,11 +84,9 @@ proptest! {
         // 0 = static; 1 the shipped victim rule; 2 a rotating rule —
         // governor rebalancing + shedding under the same fingerprint check.
         policy_tag in 0u8..3,
-        // Map-side hash combine vs the sort-spill default, crossed with
-        // the combiner's scope (speculation off = worker, on = task):
-        // answers must not move.
+        // Map-side hash combine vs the sort-spill default: answers must
+        // not move.
         hash_combine_map in any::<bool>(),
-        speculate in any::<bool>(),
     ) {
         let mut builder = JobSpec::builder("seg-eq")
             .map_fn(Arc::new(word_map))
@@ -126,25 +119,14 @@ proptest! {
                 policy: Arc::new(Rotating::default()),
             },
         };
-        let mut faults = FaultPlan::seeded(fault_seed, splits.len(), reducers);
-        if speculate {
-            // Task 0 straggles (and so does its retry, should the seeded
-            // kill land on it), so a clone races it through the combiner.
-            faults = faults.straggle_map(0, 0, STRAGGLE).straggle_map(0, 1, STRAGGLE);
-        }
+        let faults = FaultPlan::seeded(fault_seed, splits.len(), reducers);
         let cfg = EngineConfig::builder()
             .spill(spill)
             .max_attempts(3)
             .faults(faults)
             .memory_policy(memory_policy)
-            .speculate(speculate)
             .build();
-        let map_tasks = splits.len();
         let report = Engine::with_config(cfg).run(&job, splits).unwrap();
-        // Two other tasks must complete before a straggler is cloned.
-        if speculate && map_tasks >= 3 {
-            prop_assert!(report.speculative_launched >= 1, "no clone of the straggler");
-        }
 
         let got = fingerprint(
             report

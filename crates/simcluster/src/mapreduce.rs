@@ -150,9 +150,9 @@ pub struct SimJobSpec {
     pub reduce_mem_mb: f64,
     /// Multi-pass merge factor F.
     pub merge_factor: usize,
-    /// Fault and straggler injection (mirrors the engine's
-    /// `max_attempts` / `speculate` and its straggler thresholds /
-    /// `FaultPlan`).
+    /// Fault and straggler injection. Retries mirror the engine's
+    /// `max_attempts` and `FaultPlan`; stragglers and speculation model
+    /// Hadoop's, which the engine does not have.
     pub faults: SimFaults,
     /// Mirror of the engine's adaptive memory governor: pool the
     /// reducer shuffle buffers job-wide, spill only on *global*

@@ -29,6 +29,10 @@ mkdir -p "$build/parent"
 # `-m`: the files get the time of extraction, not of the commit, so cargo
 # rebuilds the parent when <parent-rev> names an older tree than the last.
 git archive "$rev" | tar -x -m -C "$build/parent"
+# Building the benchmark offline rewrites its lock file: put the working
+# tree's copy back however the runs end, so benchmark/ stays as found.
+cp benchmark/Cargo.lock "$build/Cargo.lock.saved"
+trap 'cp "$build/Cargo.lock.saved" benchmark/Cargo.lock' EXIT
 runs="$build/runs.txt"
 : > "$runs"
 

@@ -25,10 +25,11 @@
 //! configuration that produced the rest.
 //!
 //! Fault injection: `--kill-map T` / `--kill-reduce P` make the first
-//! attempt of that task fail mid-run (the driver retries it);
-//! `--straggle-map T:X` slows the task (a delay in ms on the engine, a
-//! compute multiplier in the sim) so speculation has something to race;
-//! the retry depth defaults to 3 whenever a fault flag is present.
+//! attempt of that task fail mid-run (the driver retries it); on `run`
+//! the retry depth defaults to 3 whenever a fault flag is present. The
+//! simulator also models Hadoop's speculation: `sim --straggle-map
+//! T:FACTOR` multiplies the task's compute and `--speculate` races a
+//! clone against it. The engine never clones a map task.
 //!
 //! Live metrics: `--metrics-addr HOST:PORT` serves Prometheus text
 //! exposition over HTTP for the duration of the run (add
@@ -95,14 +96,14 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          onepass run <workload> [--system {systems}] [--records N] [KNOBS]\n  \
-         \x20           [--kill-map T] [--kill-reduce P] [--straggle-map T:MS] [--fault-seed S]\n  \
+         \x20           [--kill-map T] [--kill-reduce P] [--fault-seed S]\n  \
          \x20           [--workers ADDR,ADDR,...] [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass worker --listen ADDR [--slots N] [--die-after-maps N]\n  \
          onepass plan <{plans}> [--records N] [--k K]\n  \
          \x20           [--rounds N] [--converge-eps E] [--users N] [KNOBS]\n  \
          \x20           [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass sim <workload> [--system {systems}] [--storage single-hdd|hdd+ssd|separated] [--scale F]\n  \
-         \x20           [--adaptive-memory] [--kill-map T] [--kill-reduce P] [--straggle-map T:FACTOR]\n  \
+         \x20           [--adaptive-memory] [--kill-map T] [--kill-reduce P] [--straggle-map T:FACTOR] [--speculate]\n  \
          \x20           [--trace-out FILE] [--report-jsonl FILE]\n  \
          onepass serve [--listen HOST:PORT] [--records N] [--batch B] [--pool-mb MB]\n  \
          \x20           [--max-tenants N] [--shards S] [--k K] [--early-every N] [--dlq-retries R]\n  \
@@ -113,7 +114,7 @@ fn usage() -> ! {
          onepass workloads\n\n\
          run/plan/sim/serve also take [--metrics-addr HOST:PORT] [--metrics-out FILE] [--metrics-linger-ms MS]\n\n\
          workloads (`onepass workloads` lists the commands that take each): {all}\n\
-         sim takes none of the knobs below except the bare speculate switch\n\n\
+         sim takes none of the knobs below\n\n\
          KNOBS, applied after --system's preset; in brackets the commands that take the knob as a flag\n\
          (`no flag`: set by the preset, shown in reports) and whether it travels to --workers:\n{}",
         knobs::usage(),
@@ -234,7 +235,6 @@ impl Args {
             let value = match self.take(knob.name) {
                 None => continue,
                 Some(Some(v)) => v,
-                Some(None) if knob.syntax.is_empty() => "on".to_string(),
                 Some(None) => die(format!("--{} needs a value: {}", knob.name, knob.syntax)),
             };
             if let Err(e) = knob.set(settings, &value) {
@@ -494,7 +494,7 @@ fn cmd_run(mut args: Args) {
     .expect("valid job");
 
     let splits = input.splits(records);
-    let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
+    let input_records: usize = splits.iter().map(Split::record_count).sum();
 
     let outputs = Outputs::from_args(&mut args);
     // Distributed mode: place map tasks on `onepass worker` processes
@@ -515,9 +515,7 @@ fn cmd_run(mut args: Args) {
     let fault_seed: Option<u64> = args.num("fault-seed");
     let kill_map: Option<usize> = args.num("kill-map");
     let kill_reduce: Option<usize> = args.num("kill-reduce");
-    let straggle = task_value(&mut args, "straggle-map");
-    let any_fault =
-        fault_seed.is_some() || kill_map.is_some() || kill_reduce.is_some() || straggle.is_some();
+    let any_fault = fault_seed.is_some() || kill_map.is_some() || kill_reduce.is_some();
 
     let mut engine = outputs.engine().max_attempts(if any_fault { 3 } else { 1 });
     if !workers.is_empty() {
@@ -542,9 +540,6 @@ fn cmd_run(mut args: Args) {
     }
     if let Some(p) = kill_reduce {
         faults = faults.fail_reduce(p, 0, 3);
-    }
-    if let Some((t, ms)) = straggle {
-        faults = faults.straggle_map(t, 0, Duration::from_millis(ms as u64));
     }
     settings.engine.faults = faults.into_injector();
     let knobs_line = knobs::to_json(&settings, KNOBS);
@@ -573,14 +568,10 @@ fn cmd_run(mut args: Args) {
         fmt_secs(report.total_compute_cpu().as_secs_f64())
     );
     println!("map tasks:         {}", report.map_tasks);
-    if report.failed_attempts > 0 || report.speculative_launched > 0 {
+    if report.failed_attempts > 0 {
         println!(
-            "attempts:          {} map / {} reduce ({} failed, {} speculative, {} won)",
-            report.map_attempts,
-            report.reduce_attempts,
-            report.failed_attempts,
-            report.speculative_launched,
-            report.speculative_wins
+            "attempts:          {} map / {} reduce ({} failed)",
+            report.map_attempts, report.reduce_attempts, report.failed_attempts,
         );
     }
     println!("input:             {}", fmt_bytes(report.input_bytes));
@@ -653,7 +644,7 @@ fn cmd_plan(mut args: Args) {
             let plan = plan(k.unwrap_or(CatalogConfig::default().k), reducers);
             let plan = plan.expect("valid plan");
             let splits = input.splits(records);
-            let input_records: u64 = splits.iter().map(|s| s.records.len() as u64).sum();
+            let input_records: usize = splits.iter().map(Split::record_count).sum();
             eprintln!(
                 "running the {} plan ({} stages, {input_records} records)...",
                 w.name,
@@ -781,8 +772,7 @@ fn cmd_sim(mut args: Args) {
     if let Some((t, f)) = task_value(&mut args, "straggle-map") {
         spec.faults.map_stragglers.push((t, f));
     }
-    // The simulator mirrors these two engine knobs as plain switches
-    // (`SimJobSpec` is outside the knob table).
+    // Plain switches: `SimJobSpec` is outside the knob table.
     spec.faults.speculation = args.switch("speculate");
     spec.adaptive_memory = args.switch("adaptive-memory");
     args.finish();

@@ -158,8 +158,14 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
         assert_eq!(onepass(line).status.code(), Some(2), "{line}");
     }
     // Fixed values are no flags: the retry backoff and the pool's
-    // high-water mark.
-    for flag in ["--backoff-ms 5", "--mem-high-water 0.5"] {
+    // high-water mark. Nor is engine speculation or its slow-task fault:
+    // the engine never clones a map task.
+    for flag in [
+        "--backoff-ms 5",
+        "--mem-high-water 0.5",
+        "--speculate",
+        "--straggle-map 0:5",
+    ] {
         let out = onepass(&format!("run per-user-count --records 1000 {flag}"));
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let msg = String::from_utf8(out.stderr).unwrap();
@@ -182,6 +188,21 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
         let msg = String::from_utf8(out.stderr).unwrap();
         assert!(msg.contains(bad) && msg.contains(taken), "{line}: {msg}");
     }
+}
+
+/// The simulator still models Hadoop's speculation (`run` takes neither
+/// flag: the engine never clones a map task).
+#[test]
+fn sim_races_a_clone_against_a_straggler() {
+    let out =
+        onepass("sim sessionization --system hadoop --scale 0.05 --straggle-map 0:40 --speculate");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    let attempts = stdout
+        .lines()
+        .find(|l| l.starts_with("attempts:"))
+        .unwrap_or_else(|| panic!("no attempts line:\n{stdout}"));
+    assert!(attempts.contains(" 1 speculative, 1 won"), "{attempts}");
 }
 
 #[test]

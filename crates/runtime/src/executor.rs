@@ -183,7 +183,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
 
     let start = clock;
     let (initial, feed_rx) = match feed {
-        SplitFeed::Fixed(splits) => (splits.into_iter().map(Arc::new).collect::<Vec<_>>(), None),
+        SplitFeed::Fixed(splits) => (splits, None),
         SplitFeed::Streamed(rx) => (Vec::new(), Some(rx)),
     };
     // A fixed feed knows its map-task count up front; a streamed feed's
@@ -324,7 +324,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                         task,
                         attempt,
                         span,
-                        result,
+                        result: Box::new(result),
                     });
                 }
                 // Task queue closed (scheduler exited).

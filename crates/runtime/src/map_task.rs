@@ -21,10 +21,10 @@ use crate::shuffle::{Segment, ShuffleTx};
 /// Raw input records packed end to end in one buffer, each behind a
 /// `u32` little-endian length — how a split arrives off the wire: the
 /// frame body is the arena and a record is a slice of it, never a `Vec`
-/// of its own.
+/// of its own. The arena is `Arc`-shared, so `clone()` copies no byte.
 #[derive(Debug, Clone, Default)]
 pub struct PackedRecords {
-    arena: Vec<u8>,
+    arena: Arc<Vec<u8>>,
     /// Offset of the first length prefix in `arena`.
     start: usize,
     count: usize,
@@ -57,7 +57,7 @@ impl PackedRecords {
             return Err(corrupt("bytes after the last record"));
         }
         Ok(PackedRecords {
-            arena,
+            arena: Arc::new(arena),
             start,
             count: count as usize,
             bytes,
@@ -108,11 +108,14 @@ impl PackedRecords {
 /// One unit of input: a block of records, the granularity of a map task
 /// (Hadoop's 64 MB HDFS block, §II-A). The three representations are
 /// mapped in field order — `records`, `packed`, `pairs` — under one
-/// contiguous record index.
+/// contiguous record index. Every payload is `Arc`-shared: `clone()` bumps
+/// one `Arc` per payload present (two for `pairs`) and copies no record
+/// byte, so a caller that keeps its splits across runs hands the engine
+/// clones, and the engine frees nothing the caller still holds.
 #[derive(Debug, Clone, Default)]
 pub struct Split {
     /// The input records (e.g. click-log lines or documents).
-    pub records: Vec<Vec<u8>>,
+    pub records: Arc<Vec<Vec<u8>>>,
     /// More raw records, packed in one arena: a split received over TCP.
     pub packed: Option<PackedRecords>,
     /// Already-framed `(key, value)` pairs — a cache-hit split. The
@@ -134,7 +137,7 @@ impl Split {
     /// Create a split from records.
     pub fn new(records: Vec<Vec<u8>>) -> Self {
         Split {
-            records,
+            records: Arc::new(records),
             ..Default::default()
         }
     }
@@ -183,8 +186,8 @@ pub struct MapTaskStats {
 
 /// Execution context for one attempt of a map task: the attempt id that
 /// stamps every shuffle message, the fault injector consulted per record,
-/// and the driver's cancellation flag (set when another attempt of the
-/// same task already committed, so losers stop burning CPU).
+/// and the driver's cancellation flag (set when the job fails, so queued
+/// and running attempts stop burning CPU).
 #[derive(Clone, Default)]
 pub struct MapAttemptCtx {
     /// Attempt number (0 = first execution of the task).
@@ -963,7 +966,7 @@ mod tests {
                 .into(),
         );
         let mixed = Split {
-            records: vec![b"r0".to_vec(), b"r1".to_vec()],
+            records: vec![b"r0".to_vec(), b"r1".to_vec()].into(),
             packed: Some(PackedRecords::pack(&[b"p2", b"p3"])),
             pairs: Some(onepass_core::SegmentBuf::from_pairs([
                 (&b"k"[..], &b"4"[..]),

@@ -15,6 +15,12 @@
 //! [`ShuffleMsg::InputExhausted`](crate::shuffle::ShuffleMsg) once the
 //! feed closes, so reducers learn the final map-task count without a
 //! barrier.
+//!
+//! A task never has two attempts at once: the next attempt is enqueued
+//! only after the previous one reported `Finished(Err)`, so the first
+//! `Ok` is the only one. A lost TCP worker's attempt may still have
+//! shuffled segments when its retry runs; the reducers' attempt dedup
+//! commits one of the two, not this loop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -44,7 +50,7 @@ pub(crate) enum SplitFeed {
 pub(crate) struct MapAssignment {
     pub task: usize,
     pub attempt: usize,
-    pub split: Arc<Split>,
+    pub split: Split,
     pub cancel: Arc<AtomicBool>,
 }
 
@@ -54,7 +60,8 @@ pub(crate) enum MapEvent {
         task: usize,
         attempt: usize,
         span: TaskSpan,
-        result: Result<MapTaskStats>,
+        /// Boxed: a finished attempt's stats outweigh every other event.
+        result: Box<Result<MapTaskStats>>,
     },
     /// A streamed feed delivered another split (or an upstream failure).
     NewSplit(Result<Split>),
@@ -62,24 +69,19 @@ pub(crate) enum MapEvent {
     FeedClosed,
 }
 
-/// A map attempt the coordinator believes is queued or running.
-struct RunningAttempt {
-    attempt: usize,
-    cancel: Arc<AtomicBool>,
-}
-
 /// Per-logical-task scheduling state.
 struct TaskState {
-    running: Vec<RunningAttempt>,
-    completed: bool,
+    /// Cancel flag of the task's one queued or running attempt. A task
+    /// never has two: the next attempt is enqueued only after the last
+    /// one finished with an error.
+    running: Option<Arc<AtomicBool>>,
     next_attempt: usize,
 }
 
 impl TaskState {
     fn new() -> Self {
         TaskState {
-            running: Vec::new(),
-            completed: false,
+            running: None,
             next_attempt: 1,
         }
     }
@@ -122,7 +124,7 @@ pub(crate) struct SchedulerCtx<'a> {
 /// via [`ShuffleTx::input_exhausted`] once the feed closes.
 pub(crate) fn schedule_maps(
     ctx: SchedulerCtx<'_>,
-    initial: Vec<Arc<Split>>,
+    initial: Vec<Split>,
     feed_open: bool,
     driver_trace: &mut LocalTracer,
 ) -> ScheduleOutcome {
@@ -144,19 +146,16 @@ pub(crate) fn schedule_maps(
     let mut outstanding = 0usize;
 
     let enqueue = |tasks: &mut Vec<TaskState>,
-                   splits: &[Arc<Split>],
+                   splits: &[Split],
                    task: usize,
                    attempt: usize,
                    outstanding: &mut usize| {
         let cancel = Arc::new(AtomicBool::new(false));
-        tasks[task].running.push(RunningAttempt {
-            attempt,
-            cancel: Arc::clone(&cancel),
-        });
+        tasks[task].running = Some(Arc::clone(&cancel));
         let _ = ctx.task_tx.send(MapAssignment {
             task,
             attempt,
-            split: Arc::clone(&splits[task]),
+            split: splits[task].clone(),
             cancel,
         });
         ctx.telemetry.map_attempts.inc(1);
@@ -173,7 +172,7 @@ pub(crate) fn schedule_maps(
         match evt {
             MapEvent::NewSplit(Ok(split)) => {
                 let task = splits.len();
-                splits.push(Arc::new(split));
+                splits.push(split);
                 tasks.push(TaskState::new());
                 out.total_map_tasks = splits.len();
                 if out.fatal.is_none() {
@@ -203,27 +202,16 @@ pub(crate) fn schedule_maps(
             } => {
                 outstanding -= 1;
                 out.map_attempts += 1;
-                tasks[task].running.retain(|r| r.attempt != attempt);
-                match result {
+                tasks[task].running = None;
+                match *result {
                     Ok(stats) => {
-                        if tasks[task].completed {
-                            // A raced twin also finished; reducers
-                            // committed only one of them.
-                            out.extra_spans.push(span);
-                        } else {
-                            tasks[task].completed = true;
-                            completed_count += 1;
-                            // First finisher wins: cancel twins.
-                            for r in &tasks[task].running {
-                                r.cancel.store(true, Ordering::Relaxed);
-                            }
-                            if let Some(c) = &credits {
-                                let _ = c.send(());
-                            }
-                            ctx.telemetry.on_map_finished(&stats);
-                            ctx.telemetry.set_progress(completed_count, splits.len());
-                            out.map_results.push((stats, span));
+                        completed_count += 1;
+                        if let Some(c) = &credits {
+                            let _ = c.send(());
                         }
+                        ctx.telemetry.on_map_finished(&stats);
+                        ctx.telemetry.set_progress(completed_count, splits.len());
+                        out.map_results.push((stats, span));
                     }
                     Err(Error::Cancelled) => {
                         // Benign: the driver told it to stop.
@@ -238,10 +226,8 @@ pub(crate) fn schedule_maps(
                             "fault",
                             &[("task", task as f64), ("attempt", attempt as f64)],
                         );
-                        if tasks[task].completed || out.fatal.is_some() {
-                            // Another attempt already delivered the task
-                            // (or the job is going down); nothing to
-                            // recover.
+                        if out.fatal.is_some() {
+                            // The job is going down; nothing to recover.
                         } else if tasks[task].next_attempt < ctx.max_attempts {
                             let a = tasks[task].next_attempt;
                             tasks[task].next_attempt += 1;
@@ -265,8 +251,8 @@ pub(crate) fn schedule_maps(
 }
 
 /// Fail the job with `e`, but keep draining outstanding attempts so no
-/// thread is left blocked: cancel every queued or running attempt, and
-/// drop the credits, which stops a streamed feed's forwarder.
+/// thread is left blocked: cancel each task's queued or running attempt,
+/// and drop the credits, which stops a streamed feed's forwarder.
 fn fail(
     out: &mut ScheduleOutcome,
     tasks: &[TaskState],
@@ -275,9 +261,7 @@ fn fail(
 ) {
     out.fatal = Some(e);
     *credits = None;
-    for t in tasks {
-        for r in &t.running {
-            r.cancel.store(true, Ordering::Relaxed);
-        }
+    for cancel in tasks.iter().filter_map(|t| t.running.as_ref()) {
+        cancel.store(true, Ordering::Relaxed);
     }
 }

@@ -315,7 +315,7 @@ impl<'a> TcpCluster<'a> {
                 task: asg.task,
                 attempt: asg.attempt,
                 span,
-                result,
+                result: Box::new(result),
             });
             // A dead link stops pulling work so it can't starve the
             // retry budget; surviving dispatchers (or the bail-out
@@ -340,7 +340,7 @@ impl<'a> TcpCluster<'a> {
                 .send(&Frame::NewSplit {
                     task: asg.task as u64,
                     attempt: asg.attempt as u64,
-                    split: Arc::clone(&asg.split),
+                    split: asg.split.clone(),
                 })
                 .is_ok();
         if !sent {
@@ -403,7 +403,7 @@ impl<'a> TcpCluster<'a> {
                         task: asg.task,
                         attempt: asg.attempt,
                         span,
-                        result: Err(Error::InvalidState("all workers lost".into())),
+                        result: Box::new(Err(Error::InvalidState("all workers lost".into()))),
                     });
                 }
             });

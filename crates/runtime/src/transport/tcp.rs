@@ -229,7 +229,7 @@ mod tests {
         conn.send(&Frame::NewSplit {
             task: 7,
             attempt: 0,
-            split: std::sync::Arc::new(crate::map_task::Split::new(records)),
+            split: crate::map_task::Split::new(records),
         })
         .unwrap();
         assert_eq!(conn.tx_bytes(), 4 + 25 + payload);

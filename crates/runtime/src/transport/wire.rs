@@ -133,7 +133,7 @@ pub(crate) enum Frame {
     NewSplit {
         task: u64,
         attempt: u64,
-        split: Arc<Split>,
+        split: Split,
     },
     /// A shuffle segment of a map attempt, for the coordinator's reducer
     /// of `partition`.
@@ -341,7 +341,7 @@ impl Frame {
                 e.u64(*task);
                 e.u64(*attempt);
                 e.u64(n as u64);
-                for r in &split.records {
+                for r in split.records.iter() {
                     e.bytes(r);
                 }
                 for r in split.packed.iter().flat_map(|p| p.iter()) {
@@ -454,10 +454,10 @@ impl Frame {
                 return Ok(Frame::NewSplit {
                     task,
                     attempt,
-                    split: Arc::new(Split {
+                    split: Split {
                         packed: Some(packed),
                         ..Split::default()
-                    }),
+                    },
                 });
             }
             T_SEGMENT => {
@@ -524,7 +524,7 @@ mod tests {
         Frame::NewSplit {
             task,
             attempt,
-            split: Arc::new(split),
+            split,
         }
     }
 
@@ -545,7 +545,7 @@ mod tests {
                 6,
                 0,
                 Split {
-                    records: vec![b"raw".to_vec()],
+                    records: vec![b"raw".to_vec()].into(),
                     packed: Some(PackedRecords::pack(&[b"pk1", b"", b"pack2"])),
                     pairs: Some(pairs()),
                     aligned: None,
@@ -642,7 +642,7 @@ mod tests {
         let raw = || vec![b"a b".to_vec(), vec![], b"c".to_vec()];
         let pk = || Some(PackedRecords::pack(&[b"pk1", b"", b"pack2"]));
         let mixed = Split {
-            records: raw(),
+            records: raw().into(),
             packed: pk(),
             pairs: Some(pairs()),
             aligned: None,
@@ -886,7 +886,7 @@ mod tests {
                     a,
                     b,
                     Split {
-                        records: if flag { recs.clone() } else { Vec::new() },
+                        records: if flag { recs.clone() } else { Vec::new() }.into(),
                         packed: (c % 2 == 0).then(|| PackedRecords::pack(&refs)),
                         pairs: (c % 3 == 0).then(kv),
                         aligned: None,

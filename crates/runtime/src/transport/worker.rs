@@ -176,7 +176,7 @@ fn handle_conn(stream: TcpStream, registry: JobRegistry, opts: WorkerOptions) {
     let shuffle_tx = TcpSink::shuffle_tx(Arc::clone(&conn));
     let dead = Arc::new(AtomicBool::new(false));
     let completed = Arc::new(AtomicU64::new(0));
-    let (map_tx, map_rx) = unbounded::<(usize, usize, Arc<Split>)>();
+    let (map_tx, map_rx) = unbounded::<(usize, usize, Split)>();
     let mut joins = Vec::new();
     for _ in 0..opts.map_slots.max(1) {
         let conn = Arc::clone(&conn);
@@ -248,7 +248,7 @@ fn map_slot(
     conn: &Conn,
     job: &JobSpec,
     shuffle_tx: &ShuffleTx,
-    map_rx: &Receiver<(usize, usize, Arc<Split>)>,
+    map_rx: &Receiver<(usize, usize, Split)>,
     dead: &AtomicBool,
     completed: &AtomicU64,
     die_after: Option<u64>,

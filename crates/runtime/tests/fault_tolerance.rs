@@ -159,6 +159,56 @@ fn exhausted_retries_fail_cleanly_without_hanging() {
     );
 }
 
+/// A run frees nothing its caller still holds: the engine is handed
+/// clones that share the caller's records. After a clean run, a run that
+/// retries killed tasks, a run that exhausts its retries and a run over a
+/// TCP worker, each caller split is held once again and reads as before.
+#[test]
+fn a_run_keeps_no_reference_to_its_callers_splits() {
+    let job = wc_job(true);
+    let input = splits();
+    let want: Vec<Vec<Vec<u8>>> = input.iter().map(|s| s.records.to_vec()).collect();
+    let registry = JobRegistry::new();
+    registry.register_spec(job.clone());
+    let worker = spawn_local(registry, WorkerOptions::default()).unwrap();
+    let tcp = Transport::Tcp {
+        workers: vec![worker.addr().to_string()],
+    };
+    let runs = [
+        ("clean", true, EngineConfig::default()),
+        (
+            "seeded kills",
+            true,
+            EngineConfig::builder()
+                .max_attempts(3)
+                .faults(seeded_plan(env_seed(42)))
+                .build(),
+        ),
+        (
+            "exhausted retries",
+            false,
+            EngineConfig::builder()
+                .max_attempts(2)
+                .faults(FaultPlan::new().fail_map(2, 0, 1).fail_map(2, 1, 1))
+                .build(),
+        ),
+        ("tcp", true, EngineConfig::builder().transport(tcp).build()),
+    ];
+    for (name, succeeds, cfg) in runs {
+        let result = Engine::with_config(cfg).run(&job, input.clone());
+        assert_eq!(result.is_ok(), succeeds, "{name}");
+        for (split, want) in input.iter().zip(&want) {
+            assert_eq!(
+                Arc::strong_count(&split.records),
+                1,
+                "{name}: the engine kept a reference to a caller's records"
+            );
+            assert_eq!(*split.records, *want, "{name}");
+        }
+    }
+    worker.shutdown();
+}
+
 #[test]
 fn recovery_is_deterministic_across_runs() {
     let run = || {

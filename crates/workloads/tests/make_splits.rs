@@ -1,4 +1,5 @@
-//! `make_splits` never frees its input's record index as one block.
+//! `make_splits` never frees its input's record index as one block, and
+//! a split's clone shares every payload instead of copying it.
 //!
 //! A global allocator records the largest block the calling thread frees
 //! while it cuts splits. glibc raises its dynamic mmap threshold (and
@@ -7,18 +8,35 @@
 //! 24 MB index would leave every arena keeping up to 48 MB of freed
 //! memory for the rest of the process. The cut must free nothing larger
 //! than one split's own record index.
+//!
+//! The same allocator counts the blocks a clone allocates: none, for raw,
+//! packed and pair splits alike.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
+use onepass_core::SegmentBuf;
+use onepass_runtime::map_task::{PackedRecords, Split};
 use onepass_workloads::make_splits;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static LARGEST_FREE: Cell<usize> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator, noting frees on the threads that switched it on.
+/// Note one allocation, if this thread switched counting on.
+fn count_allocation() {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+/// The system allocator, noting allocations and frees on the threads
+/// that switched it on.
 struct Counting;
 
 // SAFETY: every call forwards to `System` with the caller's arguments
@@ -26,11 +44,13 @@ struct Counting;
 // locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
         // SAFETY: forwarded as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
         // SAFETY: forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,7 +85,7 @@ fn cut(len: usize, per_split: usize) -> (Vec<usize>, usize) {
     let splits = make_splits(input, per_split);
     COUNTING.with(|on| on.set(false));
     let largest = LARGEST_FREE.with(Cell::get);
-    let flat: Vec<&Vec<u8>> = splits.iter().flat_map(|s| &s.records).collect();
+    let flat: Vec<&Vec<u8>> = splits.iter().flat_map(|s| s.records.iter()).collect();
     assert_eq!(flat.len(), len);
     for (i, r) in flat.into_iter().enumerate() {
         assert_eq!(r, &i.to_string().into_bytes(), "record {i} out of order");
@@ -115,4 +135,44 @@ fn empty_input_has_no_splits() {
     let (sizes, largest) = cut(0, 20_000);
     assert!(sizes.is_empty());
     assert_eq!(largest, 0);
+}
+
+/// `f()`, and the blocks this thread allocated while it ran.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, ALLOCATIONS.with(Cell::get))
+}
+
+#[test]
+fn a_cloned_split_allocates_nothing_and_shares_its_records() {
+    let input = records(20_000);
+    let mut arena = Vec::new();
+    for r in &input {
+        arena.extend_from_slice(&(r.len() as u32).to_le_bytes());
+        arena.extend_from_slice(r);
+    }
+    let packed = Split {
+        packed: Some(PackedRecords::from_len_prefixed(arena, 0, 20_000).unwrap()),
+        ..Split::default()
+    };
+    let pairs = Split::from_segment(SegmentBuf::from_pairs(
+        input.iter().map(|r| (r.as_slice(), r.as_slice())),
+    ));
+    let raw = Split::new(input);
+    for (name, split) in [("raw", raw), ("packed", packed), ("pair", pairs)] {
+        let (clone, blocks) = allocations(|| split.clone());
+        assert_eq!(
+            blocks, 0,
+            "cloning a {name} split allocated {blocks} blocks"
+        );
+        assert!(
+            Arc::ptr_eq(&clone.records, &split.records),
+            "a {name} split's clone copied its records"
+        );
+        assert_eq!(clone.record_count(), 20_000, "{name}");
+        assert_eq!(clone.bytes(), split.bytes(), "{name}");
+    }
 }

@@ -35,7 +35,7 @@ use crate::report::{JobOutput, JobReport, TaskKind, TaskSpan};
 use crate::scheduler::{schedule_maps, MapAssignment, MapEvent, SchedulerCtx, SplitFeed};
 use crate::shuffle::{shuffle_fabric, CHANNEL_DEPTH};
 use crate::telemetry::{SinkObs, StageTelemetry};
-use crate::transport::coordinator::TcpCluster;
+use crate::transport::cluster::TcpCluster;
 use crate::transport::Transport;
 
 /// Per-partition observer invoked on every sink emission, in addition to
@@ -251,16 +251,13 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     driver_trace.begin("job", "job");
 
     // Distributed mode: dial the worker fleet up front. Workers run map
-    // attempts only; the job's name and the table's travelling rows are
-    // what they need of it.
+    // attempts only.
     let cluster = match tcp_workers {
         Some(addrs) => Some(TcpCluster::connect(
             addrs,
-            &job.name,
-            crate::knobs::pairs(job, config),
+            job,
+            config,
             start,
-            config.metrics.as_ref(),
-            tracer,
             track_offset,
         )?),
         None => None,
@@ -269,19 +266,12 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     let mut outcome = None;
 
     crossbeam::thread::scope(|scope| {
-        if let Some(c) = &cluster {
-            // Distributed map side: dispatcher threads bridge the
-            // scheduler's queue onto worker connections; reader threads
-            // feed worker segments back into the local fabric.
-            c.set_bail(task_rx.clone(), evt_tx.clone());
-            c.spawn_io(scope, &shuffle_tx);
-            c.spawn_map_dispatch(
-                scope,
-                task_rx.clone(),
-                evt_tx.clone(),
-                config.map_workers.max(1),
-            );
-        }
+        // Distributed map side: one driver ships the scheduler's queue to
+        // the workers; one reader per worker feeds its segments back into
+        // the local fabric.
+        let driver = cluster
+            .as_ref()
+            .map(|c| c.spawn(scope, &shuffle_tx, &task_rx, evt_tx.clone()));
         // Map workers (in-proc; none when maps run on remote workers).
         let local_map_workers = if cluster.is_some() {
             0
@@ -411,21 +401,22 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         let feed_open = known_total.is_none();
         let mut out = schedule_maps(ctx, initial, feed_open, &mut driver_trace);
 
-        if let (Some(c), Some(_)) = (&cluster, &out.fatal) {
-            // A job rejection (unregistered name, bad knobs, another wire
-            // version) is the root cause behind whatever the scheduler saw.
-            if let Some(reason) = c.rejection() {
-                out.fatal = Some(Error::Config(reason));
-            }
-        }
         // All attempts drained (SchedulerCtx::task_tx dropped with the
         // ctx). On failure, unblock reducers still waiting for MapDones
         // that will never arrive.
         if out.fatal.is_some() {
             shuffle_tx.abort();
         }
-        if let Some(c) = &cluster {
-            c.close();
+        // The dropped queue ends the driver.
+        if let Some(driver) = driver {
+            let rejection = driver
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            // A job rejection (unregistered name, bad knobs, another wire
+            // version) is the root cause behind whatever the scheduler saw.
+            if let (Some(reason), Some(_)) = (rejection, &out.fatal) {
+                out.fatal = Some(Error::Config(reason));
+            }
         }
         outcome = Some(out);
     })

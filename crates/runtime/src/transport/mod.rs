@@ -33,6 +33,7 @@ use std::sync::{Arc, Mutex};
 use crate::job::JobSpec;
 use crate::shuffle::{PressureGate, Segment};
 
+pub(crate) mod cluster;
 pub(crate) mod coordinator;
 pub(crate) mod inproc;
 pub(crate) mod tcp;

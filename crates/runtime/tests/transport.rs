@@ -181,6 +181,34 @@ fn worker_killed_mid_job_is_byte_identical() {
     dying.shutdown();
 }
 
+/// Both workers die after their first map: the attempts still to run fail
+/// at once, the retry budget runs out, and the job returns an error naming
+/// the lost workers instead of waiting for a worker that will never come.
+#[test]
+fn losing_every_worker_fails_the_job_naming_them() {
+    let dying = || WorkerOptions {
+        die_after_maps: Some(1),
+        ..WorkerOptions::default()
+    };
+    let w1 = spawn_local(registry(), dying()).unwrap();
+    let w2 = spawn_local(registry(), dying()).unwrap();
+    let cfg = EngineConfig::builder()
+        .transport(Transport::Tcp {
+            workers: vec![w1.addr().to_string(), w2.addr().to_string()],
+        })
+        .build();
+    let err = Engine::with_config(cfg)
+        .run(&wc_job(), splits_of(8, 150))
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("lost") && msg.contains(w1.addr()) && msg.contains(w2.addr()),
+        "expected an error naming both lost workers, got: {msg}"
+    );
+    w1.shutdown();
+    w2.shutdown();
+}
+
 #[test]
 fn unregistered_job_is_rejected_with_config_error() {
     let w = spawn_local(JobRegistry::new(), WorkerOptions::default()).unwrap();

@@ -10,16 +10,11 @@
 //! runs the same partition count, the in-proc shuffle short-circuits
 //! entirely (each cached partition routes to its own reducer).
 //!
-//! Memory comes from a [`MemoryBudget`] lease — either a private limit
-//! or a lease on the same [`MemoryGovernor`] pool live reducers draw
-//! from. Under pressure the cache is an *evictable* tenant, never a
-//! starving one: when a grant is denied, or when the governor's
-//! [`SpillPolicy`](onepass_core::governor::SpillPolicy) picks the cache
-//! as a shed victim, least-recently-used datasets are spilled to the
-//! [`SpillStore`] (one run per partition, so partition boundaries
-//! survive the round-trip) and transparently reloaded on next use.
-//! Reducer escalations therefore reclaim cache memory instead of
-//! spilling live hash tables.
+//! Memory comes from a private [`MemoryBudget`]: the cache never draws
+//! on the pool live reducers lease from. When a grant is denied,
+//! least-recently-used datasets are spilled to the [`SpillStore`] (one
+//! run per partition, so partition boundaries survive the round-trip)
+//! and transparently reloaded on next use.
 //!
 //! Observability: the cache exports `onepass_cache_resident_bytes` /
 //! `onepass_cache_hits_total` through the metrics registry and emits a
@@ -30,7 +25,6 @@ use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use onepass_core::error::{Error, Result};
-use onepass_core::governor::MemoryGovernor;
 use onepass_core::io::{RunId, SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::obs::{names, Counter, Gauge, MetricsRegistry};
@@ -43,8 +37,7 @@ const RELOAD_BATCH_BYTES: usize = 4 << 20;
 /// Knobs for a [`DatasetCache`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Resident-byte limit when the cache owns a private budget
-    /// (ignored when built over a governor lease). Default 256 MiB.
+    /// Resident-byte limit of the cache's private budget. Default 256 MiB.
     pub limit_bytes: usize,
 }
 
@@ -106,12 +99,11 @@ pub struct CacheStats {
     pub resident_bytes: usize,
 }
 
-/// A named-dataset cache with governor-arbitrated memory and
-/// evict-to-spill under pressure. See the module docs.
+/// A named-dataset cache with a private memory budget and evict-to-spill
+/// under pressure. See the module docs.
 pub struct DatasetCache {
     inner: Mutex<Inner>,
     budget: MemoryBudget,
-    governor: Option<MemoryGovernor>,
     store: Arc<dyn SpillStore>,
     tracer: Tracer,
     resident_gauge: Gauge,
@@ -131,28 +123,10 @@ impl std::fmt::Debug for DatasetCache {
 impl DatasetCache {
     /// A cache with a private byte budget and an in-memory spill store.
     pub fn new(config: CacheConfig) -> Self {
-        let budget = MemoryBudget::new(config.limit_bytes);
-        DatasetCache::build(budget, None, Arc::new(SharedMemStore::new()))
-    }
-
-    /// A cache leasing from `governor`'s shared pool — the cache
-    /// competes with live reducers under the governor's spill policy,
-    /// and evicts (rather than holding memory) when picked as a victim.
-    pub fn with_governor(governor: &MemoryGovernor, store: Arc<dyn SpillStore>) -> Self {
-        let budget = governor.lease(0);
-        DatasetCache::build(budget, Some(governor.clone()), store)
-    }
-
-    fn build(
-        budget: MemoryBudget,
-        governor: Option<MemoryGovernor>,
-        store: Arc<dyn SpillStore>,
-    ) -> Self {
         DatasetCache {
             inner: Mutex::new(Inner::default()),
-            budget,
-            governor,
-            store,
+            budget: MemoryBudget::new(config.limit_bytes),
+            store: Arc::new(SharedMemStore::new()),
             tracer: Tracer::disabled(),
             resident_gauge: Gauge::detached(),
             hits_counter: Counter::detached(),
@@ -186,12 +160,6 @@ impl DatasetCache {
         self.tracer = tracer.clone();
     }
 
-    /// The governor this cache leases from, if any — iterative runs
-    /// reuse it so rounds and cache share one arbitration domain.
-    pub fn governor(&self) -> Option<&MemoryGovernor> {
-        self.governor.as_ref()
-    }
-
     /// Store `partitions` under `name`, replacing any previous dataset.
     /// Partition count and order are preserved verbatim by [`get`]
     /// (partition-stable placement). Under memory pressure the dataset —
@@ -200,7 +168,6 @@ impl DatasetCache {
     /// [`get`]: DatasetCache::get
     pub fn put(&self, name: &str, partitions: Vec<SegmentBuf>) -> Result<()> {
         let mut inner = self.lock()?;
-        self.honor_shed_locked(&mut inner)?;
         self.remove_locked(&mut inner, name)?;
         let bytes: usize = partitions.iter().map(part_bytes).sum();
         let resident = self.charge_locked(&mut inner, bytes, Some(name));
@@ -234,7 +201,6 @@ impl DatasetCache {
     /// was never cached.
     pub fn get(&self, name: &str) -> Result<Option<Vec<SegmentBuf>>> {
         let mut inner = self.lock()?;
-        self.honor_shed_locked(&mut inner)?;
         inner.clock += 1;
         let stamp = inner.clock;
         let Some(ds) = inner.datasets.get_mut(name) else {
@@ -352,12 +318,10 @@ impl DatasetCache {
             return true;
         }
         loop {
-            if self.budget.try_grant_or_request(bytes) {
+            if self.budget.try_grant(bytes) {
                 return true;
             }
-            // Grant denied: shed our coldest dataset and retry. The
-            // governor may have posted a shed request against us on the
-            // way — honor it as part of the same sweep.
+            // Grant denied: shed our coldest dataset and retry.
             let victim = self.coldest_resident(inner, keep);
             match victim {
                 Some(name) => {
@@ -368,23 +332,6 @@ impl DatasetCache {
                 None => return false,
             }
         }
-    }
-
-    /// If the governor asked this lease to shed, evict LRU datasets
-    /// until the request is satisfied (or nothing resident remains).
-    fn honor_shed_locked(&self, inner: &mut Inner) -> Result<()> {
-        let mut owed = self.budget.take_shed_request();
-        while owed > 0 {
-            match self.coldest_resident(inner, None) {
-                Some(name) => {
-                    let freed = inner.datasets[&name].resident_bytes;
-                    self.evict_locked(inner, &name)?;
-                    owed = owed.saturating_sub(freed);
-                }
-                None => break,
-            }
-        }
-        Ok(())
     }
 
     fn coldest_resident(&self, inner: &Inner, keep: Option<&str>) -> Option<String> {
@@ -482,7 +429,6 @@ fn part_bytes(seg: &SegmentBuf) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onepass_core::governor::{LargestConsumer, MemoryGovernor};
     use onepass_core::obs::MetricsRegistry;
 
     fn seg(tag: u8, n: usize) -> SegmentBuf {
@@ -535,25 +481,6 @@ mod tests {
             assert_eq!(a[0].get(i), big.get(i));
         }
         assert!(cache.stats().reloads >= 1);
-    }
-
-    #[test]
-    fn governor_shed_request_is_honored() {
-        let gov = MemoryGovernor::new(1 << 20, Arc::new(LargestConsumer));
-        let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
-        let cache = DatasetCache::with_governor(&gov, store);
-        cache.put("hot", vec![seg(1, 100)]).unwrap();
-        assert!(cache.stats().resident_bytes > 0);
-
-        // A sibling lease requesting more than the pool's slack forces
-        // the policy to pick the cache (largest consumer) as victim.
-        let sibling = gov.lease(0);
-        assert!(!sibling.try_grant_or_request(1 << 20));
-        // Next cache touch honors the posted shed request.
-        let _ = cache.get("hot").unwrap();
-        assert!(cache.stats().evictions >= 1);
-        // And the data still reads back.
-        assert_eq!(cache.get("hot").unwrap().unwrap()[0].len(), 100);
     }
 
     #[test]

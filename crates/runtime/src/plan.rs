@@ -536,26 +536,19 @@ fn run_stages(
 
     // Under adaptive memory policy, all concurrently-live stages share one
     // governed pool sized for the whole plan, so a memory-hungry stage
-    // can borrow slack from (and shed back to) its neighbours. A cache
-    // leased from a governor brings its own pool — reusing it puts the
-    // rounds' reducers and the cache in one arbitration domain, which is
-    // what lets reducer pressure evict cached datasets instead of
-    // spilling live tables.
+    // can borrow slack from (and shed back to) its neighbours.
     let governor = match &config.memory_policy {
         MemoryPolicy::Static => None,
-        MemoryPolicy::Adaptive { policy } => match cache.and_then(|c| c.governor().cloned()) {
-            Some(g) => Some(g),
-            None => {
-                let pool = plan.stages.iter().fold(0usize, |acc, st| {
-                    acc.saturating_add(
-                        st.job
-                            .reduce_budget_bytes
-                            .saturating_mul(st.job.reducers.max(1)),
-                    )
-                });
-                Some(MemoryGovernor::new(pool, Arc::clone(policy)))
-            }
-        },
+        MemoryPolicy::Adaptive { policy } => {
+            let pool = plan.stages.iter().fold(0usize, |acc, st| {
+                acc.saturating_add(
+                    st.job
+                        .reduce_budget_bytes
+                        .saturating_mul(st.job.reducers.max(1)),
+                )
+            });
+            Some(MemoryGovernor::new(pool, Arc::clone(policy)))
+        }
     };
 
     // One pass builds every stage's feed and, with it, the sending ends of

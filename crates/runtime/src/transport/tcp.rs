@@ -79,8 +79,8 @@ impl Conn {
     }
 
     /// Write one whole encoded frame — length prefix included, as
-    /// [`Frame::encode`] or [`Enc::seal`](super::wire::Enc::seal) built it
-    /// — with a single `write_all` of that buffer.
+    /// [`Frame::encode`] or the wire module's `Enc::seal` built it — with
+    /// a single `write_all` of that buffer.
     pub(crate) fn send_encoded(&self, buf: &[u8]) -> Result<()> {
         if buf.len() > 4 + MAX_FRAME {
             return Err(Error::InvalidState(format!(

@@ -15,24 +15,13 @@ use onepass_runtime::job::HashPartitioner;
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 
+mod common;
+use common::word_map;
+
 const DATASET: &str = "counts";
 
-fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
-    for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
-        out.emit(w, &1u64.to_le_bytes());
-    }
-}
-
 fn splits() -> Vec<Split> {
-    (0..6)
-        .map(|s| {
-            Split::new(
-                (0..150)
-                    .map(|i| format!("w{} w{} common", (s * 7 + i) % 41, i % 13).into_bytes())
-                    .collect(),
-            )
-        })
-        .collect()
+    common::splits(6, 150)
 }
 
 fn count_job(collect: CollectOutput) -> JobSpec {

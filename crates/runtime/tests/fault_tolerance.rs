@@ -1,10 +1,10 @@
-//! End-to-end recovery tests: a seeded fault plan kills at least one map
-//! and one reduce task mid-run, and the engine must finish with output
-//! byte-identical to a clean run — under both spill backends. Exhausted
-//! retry budgets must surface as `Err` without hanging, and a reducer
-//! whose final merge fails part-way releases each final exactly once.
-//! Two cases pin the fixed constants under faults: a Hadoop reducer that
-//! merges in passes at F = 10, and one-pass map tasks that push mid-task.
+//! Recovery tests that count what recovery did: exhausted retry budgets
+//! must surface as `Err` without hanging, a reducer whose final merge
+//! fails part-way releases each final exactly once, a run frees nothing
+//! its caller holds, and two cases pin the fixed constants under faults:
+//! a Hadoop reducer that merges in passes at F = 10, and one-pass map
+//! tasks that push mid-task. That seeded kills leave every catalog row's
+//! answer and attempt accounting intact is `tests/walk.rs`'s to check.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,38 +16,21 @@ use onepass_groupby::{Aggregator, EmitKind, ListAgg, StateBuf, SumAgg};
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 
-fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
-    for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
-        out.emit(w, &1u64.to_le_bytes());
-    }
-}
+mod common;
+use common::{reference, word_map};
 
-/// A deterministic multi-split workload big enough that every map task
-/// and every reducer sees real data.
 fn splits() -> Vec<Split> {
-    (0..6)
-        .map(|s| {
-            Split::new(
-                (0..200)
-                    .map(|i| format!("w{} w{} common", (s * 7 + i) % 23, i % 11).into_bytes())
-                    .collect(),
-            )
-        })
-        .collect()
+    common::splits(6, 200)
 }
 
-fn wc_job(preset_onepass: bool) -> JobSpec {
-    let b = JobSpec::builder("wc-ft")
+fn wc_job() -> JobSpec {
+    JobSpec::builder("wc-ft")
         .map_fn(Arc::new(word_map))
         .aggregate(Arc::new(SumAgg))
-        .reducers(3);
-    if preset_onepass {
-        b.preset_onepass()
-    } else {
-        b.preset_hadoop()
-    }
-    .build()
-    .unwrap()
+        .reducers(3)
+        .preset_onepass()
+        .build()
+        .unwrap()
 }
 
 fn finals(report: &JobReport) -> BTreeMap<Vec<u8>, Vec<u8>> {
@@ -79,80 +62,12 @@ fn env_seed(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn recovery_roundtrip(spill: SpillBackend, preset_onepass: bool) {
-    let seed = env_seed(42);
-    let job = wc_job(preset_onepass);
-    let clean = Engine::with_config(EngineConfig::builder().spill(spill).build())
-        .run(&job, splits())
-        .expect("clean run");
-
-    let tracer = Tracer::enabled();
-    let faulty = Engine::with_config(
-        EngineConfig::builder()
-            .spill(spill)
-            .tracer(tracer.clone())
-            .max_attempts(3)
-            .faults(seeded_plan(seed))
-            .build(),
-    )
-    .run(&job, splits())
-    .unwrap_or_else(|e| panic!("recovered run failed (seed {seed}): {e:?}"));
-
-    // Byte-identical output despite a map and a reduce task dying mid-run.
-    assert_eq!(
-        finals(&clean),
-        finals(&faulty),
-        "{spill:?} output differs (seed {seed})"
-    );
-
-    // The report accounts for the extra attempts, without double-counting
-    // committed tasks.
-    assert_eq!(faulty.map_tasks, clean.map_tasks);
-    assert_eq!(faulty.map_attempts, clean.map_tasks + 1);
-    assert_eq!(faulty.reduce_attempts, job.reducers + 1);
-    assert_eq!(faulty.failed_attempts, 2);
-    // A retried map must not double-count its output. The committed
-    // record count is schedule-independent; the shuffled count is
-    // physical (with worker-scoped in-node combining it depends on how
-    // tasks landed on workers), so bound it instead of pinning it — the
-    // byte-identical output check above is the true double-count guard.
-    assert_eq!(faulty.map_output_records, clean.map_output_records);
-    assert!(
-        faulty.shuffled_records > 0 && faulty.shuffled_records <= faulty.map_output_records,
-        "combining must not inflate shuffle traffic ({} shuffled, {} emitted)",
-        faulty.shuffled_records,
-        faulty.map_output_records
-    );
-
-    // The trace layer saw the recovery.
-    let events = tracer.drain();
-    let retries = events.iter().filter(|e| e.name == "retry").count();
-    let failed = events.iter().filter(|e| e.name == "task_failed").count();
-    assert_eq!(retries, 2, "one map retry + one reduce retry");
-    assert_eq!(failed, 2);
-}
-
-#[test]
-fn seeded_kill_recovers_byte_identical_memory_spill() {
-    recovery_roundtrip(SpillBackend::Memory, true);
-}
-
-#[test]
-fn seeded_kill_recovers_byte_identical_tempfile_spill() {
-    recovery_roundtrip(SpillBackend::TempFiles, true);
-}
-
-#[test]
-fn seeded_kill_recovers_on_the_hadoop_path_too() {
-    recovery_roundtrip(SpillBackend::TempFiles, false);
-}
-
 #[test]
 fn exhausted_retries_fail_cleanly_without_hanging() {
     // Attempts 0 and 1 of map 2 both die, but only 2 attempts are allowed.
     let plan = FaultPlan::new().fail_map(2, 0, 1).fail_map(2, 1, 1);
     let err = Engine::with_config(EngineConfig::builder().max_attempts(2).faults(plan).build())
-        .run(&wc_job(true), splits());
+        .run(&wc_job(), splits());
     assert!(
         err.is_err(),
         "exhausting max_attempts must surface the error"
@@ -165,7 +80,7 @@ fn exhausted_retries_fail_cleanly_without_hanging() {
 /// TCP worker, each caller split is held once again and reads as before.
 #[test]
 fn a_run_keeps_no_reference_to_its_callers_splits() {
-    let job = wc_job(true);
+    let job = wc_job();
     let input = splits();
     let want: Vec<Vec<Vec<u8>>> = input.iter().map(|s| s.records.to_vec()).collect();
     let registry = JobRegistry::new();
@@ -218,7 +133,7 @@ fn recovery_is_deterministic_across_runs() {
                 .faults(seeded_plan(env_seed(7)))
                 .build(),
         )
-        .run(&wc_job(true), splits())
+        .run(&wc_job(), splits())
         .expect("recovered run")
     };
     let a = run();
@@ -275,7 +190,7 @@ fn final_list(report: &JobReport) -> Vec<(Vec<u8>, Vec<u8>)> {
 /// whose reducers run on the coordinator all the same.
 #[test]
 fn a_failed_finish_releases_each_final_exactly_once() {
-    let clean = Engine::new().run(&wc_job(true), splits()).unwrap();
+    let clean = Engine::new().run(&wc_job(), splits()).unwrap();
     let want = final_list(&clean);
     let key = want[env_seed(11) as usize % want.len()].0.clone();
     let failing = Arc::new(FinishFailsOnce {
@@ -311,17 +226,6 @@ fn a_failed_finish_releases_each_final_exactly_once() {
         assert_eq!(final_list(&report), want, "{transport:?}");
     }
     worker.shutdown();
-}
-
-/// Word counts of `records`, each value rendered by `value`.
-fn reference(records: &[Vec<u8>], value: impl Fn(u64) -> Vec<u8>) -> BTreeMap<Vec<u8>, Vec<u8>> {
-    let mut counts: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-    for r in records {
-        for w in r.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
-            *counts.entry(w.to_vec()).or_default() += 1;
-        }
-    }
-    counts.into_iter().map(|(k, c)| (k, value(c))).collect()
 }
 
 /// `(seed-planned run, its trace)`, three attempts allowed per task.

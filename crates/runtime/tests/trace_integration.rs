@@ -11,19 +11,14 @@ use onepass_core::metrics::{Phase, PHASE};
 use onepass_core::trace::{chrome_trace_json, complete_spans, TraceEvent, Tracer, LANE};
 use onepass_groupby::SumAgg;
 use onepass_runtime::driver::EngineConfig;
-use onepass_runtime::job::{JobSpec, JobSpecBuilder, MapEmitter, ReduceBackend};
+use onepass_runtime::job::{JobSpec, JobSpecBuilder, ReduceBackend};
 use onepass_runtime::map_task::Split;
 use onepass_runtime::{Engine, JobReport};
 use onepass_workloads::clickgen::{ClickGen, ClickGenConfig};
 use onepass_workloads::{make_splits, per_user_count, sessionization};
 
-fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
-    for w in record.split(|&b| b == b' ') {
-        if !w.is_empty() {
-            out.emit(w, &1u64.to_le_bytes());
-        }
-    }
-}
+mod common;
+use common::word_map;
 
 fn input() -> Vec<Split> {
     ["a b a", "c b", "a d c", "b a", "d d a", "c a b"]

@@ -1,7 +1,9 @@
-//! Distributed-mode integration tests: the same job must produce
-//! byte-identical output (and identical transport-agnostic shuffle
-//! accounting) whether it runs on the in-proc fabric or on TCP worker
-//! processes — including when a worker is killed mid-job.
+//! Distributed-mode integration tests: what a TCP run must do besides
+//! answering like an in-proc one (`tests/walk.rs` holds every catalog
+//! row to its reference on both transports, with and without a worker
+//! killed mid-job): span and shuffle accounting, knobs that travel,
+//! errors that name their cause, and failed reduces that neither hang
+//! nor escape the job's `retries`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -12,26 +14,11 @@ use onepass_groupby::{Aggregator, EmitKind, ListAgg, StateBuf, SumAgg};
 use onepass_runtime::prelude::*;
 use onepass_runtime::transport::worker::spawn_local;
 
-fn word_map(record: &[u8], out: &mut dyn MapEmitter) {
-    for w in record.split(|&b| b == b' ').filter(|w| !w.is_empty()) {
-        out.emit(w, &1u64.to_le_bytes());
-    }
-}
+mod common;
+use common::word_map;
 
 fn splits() -> Vec<Split> {
-    splits_of(6, 150)
-}
-
-fn splits_of(count: usize, records: usize) -> Vec<Split> {
-    (0..count)
-        .map(|s| {
-            Split::new(
-                (0..records)
-                    .map(|i| format!("w{} w{} common", (s * 7 + i) % 23, i % 11).into_bytes())
-                    .collect(),
-            )
-        })
-        .collect()
+    common::splits(6, 150)
 }
 
 /// A hash map side over a holistic aggregate: nothing combines, every
@@ -66,11 +53,7 @@ fn finals(report: &JobReport) -> BTreeMap<Vec<u8>, Vec<u8>> {
 }
 
 fn run_inproc() -> JobReport {
-    run_inproc_on(splits())
-}
-
-fn run_inproc_on(splits: Vec<Split>) -> JobReport {
-    Engine::new().run(&wc_job(), splits).unwrap()
+    Engine::new().run(&wc_job(), splits()).unwrap()
 }
 
 fn run_tcp(workers: &[&str]) -> JobReport {
@@ -85,19 +68,6 @@ fn run_tcp_on(workers: &[&str], splits: Vec<Split>, tracer: Tracer) -> JobReport
         .tracer(tracer)
         .build();
     Engine::with_config(cfg).run(&wc_job(), splits).unwrap()
-}
-
-#[test]
-fn tcp_two_workers_matches_inproc_byte_for_byte() {
-    let base = run_inproc();
-    let w1 = spawn_local(registry(), WorkerOptions::default()).unwrap();
-    let w2 = spawn_local(registry(), WorkerOptions::default()).unwrap();
-    let dist = run_tcp(&[w1.addr(), w2.addr()]);
-    assert_eq!(finals(&base), finals(&dist), "distributed output differs");
-    assert_eq!(dist.map_tasks, base.map_tasks);
-    assert_eq!(dist.reduce_tasks, base.reduce_tasks);
-    w1.shutdown();
-    w2.shutdown();
 }
 
 /// The coordinator stamps the lifetime of every remote map it waits on,
@@ -149,38 +119,6 @@ fn shuffle_accounting_is_transport_agnostic() {
     w2.shutdown();
 }
 
-/// Kill one worker after its third completed map (the moral equivalent
-/// of `kill -9` mid-job): the survivor absorbs the rerun map attempts,
-/// and the output stays byte-identical.
-#[test]
-fn worker_killed_mid_job_is_byte_identical() {
-    // Enough maps behind the third that the job is far from done at the
-    // kill.
-    let input = || splits_of(24, 600);
-    let base = run_inproc_on(input());
-    let dying = spawn_local(
-        registry(),
-        WorkerOptions {
-            map_slots: 1,
-            die_after_maps: Some(3),
-        },
-    )
-    .unwrap();
-    let survivor = spawn_local(registry(), WorkerOptions::default()).unwrap();
-    let dist = run_tcp_on(
-        &[dying.addr(), survivor.addr()],
-        input(),
-        Tracer::disabled(),
-    );
-    assert_eq!(
-        finals(&base),
-        finals(&dist),
-        "output diverged after worker loss"
-    );
-    survivor.shutdown();
-    dying.shutdown();
-}
-
 /// Both workers die after their first map: the attempts still to run fail
 /// at once, the retry budget runs out, and the job returns an error naming
 /// the lost workers instead of waiting for a worker that will never come.
@@ -198,7 +136,7 @@ fn losing_every_worker_fails_the_job_naming_them() {
         })
         .build();
     let err = Engine::with_config(cfg)
-        .run(&wc_job(), splits_of(8, 150))
+        .run(&wc_job(), common::splits(8, 150))
         .unwrap_err();
     let msg = err.to_string();
     assert!(
@@ -238,13 +176,13 @@ fn empty_worker_list_is_a_config_error() {
     assert!(err.to_string().contains("worker address"), "got: {err}");
 }
 
-/// The coordinator's heartbeat thread lives inside the executor's thread
-/// scope and sleeps 250 ms between pings; `close` must wake it, or every
-/// job's wall is rounded up to the next tick and `JOBS` jobs take at least
-/// `JOBS` ticks however small they are. Woken, the whole run reads about
-/// 0.4 s on a 2-vCPU host against the 2 s bound — a margin of four to five
-/// times, which leaves a loaded host its slack; unwoken it cannot come in
-/// under the bound at all.
+/// The coordinator's driver thread pings the workers every 250 ms, and
+/// it exits as soon as the scheduler drops its task queue, not at its
+/// next ping: a job that waited out a ping period would round every
+/// job's wall up to it, and `JOBS` jobs would take at least `JOBS`
+/// periods however small they are. As it is, the whole run reads about
+/// 0.4 s on a 2-vCPU host against the 2 s bound — a margin of four to
+/// five times, which leaves a loaded host its slack.
 #[test]
 fn tiny_tcp_jobs_are_not_rounded_up_to_the_heartbeat_period() {
     const JOBS: u32 = 8;
@@ -411,7 +349,7 @@ fn non_default_knobs_reach_the_workers() {
         .unwrap();
     let segments = |cfg: EngineConfig, metrics: &MetricsRegistry| {
         let report = Engine::with_config(cfg)
-            .run(&list, splits_of(6, 1500))
+            .run(&list, common::splits(6, 1500))
             .unwrap();
         let cell = metrics.counter(
             names::ENGINE_SHUFFLE_SEGMENTS,

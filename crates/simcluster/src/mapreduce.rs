@@ -805,8 +805,8 @@ impl World {
         self.maybe_speculate();
     }
 
-    /// Mirror of the engine's straggler scan: once enough maps have
-    /// committed to estimate a median duration, clone any original
+    /// Hadoop's straggler scan, as the model runs it: once enough maps
+    /// have committed to estimate a median duration, clone any original
     /// attempt that has been running longer than `slow_factor`× that
     /// median (at most one clone per task); the first finisher commits.
     /// Pending (unscheduled) work keeps priority — clones only take

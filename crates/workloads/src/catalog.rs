@@ -252,8 +252,8 @@ impl Workload {
             }
             _ => return Err(Error::Config(format!("{} is not served", self.name))),
         };
-        // The backends produce byte-identical final answers (the engine's
-        // determinism suite pins that), so this changes when answers
+        // The backends produce byte-identical final answers (the catalog
+        // walker, `tests/walk.rs`, pins that), so this changes when answers
         // surface, never what they say.
         if matches!(self.served, Served::Shape { early: true }) && config.early_every > 0 {
             query.stages[0].backend = ReduceBackend::IncHash {

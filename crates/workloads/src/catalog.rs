@@ -9,14 +9,26 @@
 //! serving tier's [`standard_catalog`](crate::serving::standard_catalog)
 //! and `exp_table1`. A new row reaches every surface its shape and
 //! fields declare.
+//!
+//! A run of a row is the pair (row, [`Settings`]): [`run`] is the one
+//! place a row's shape decides how it runs, and every caller (`onepass
+//! run|plan`, the catalog walker) runs rows through it. [`registry`] is
+//! the one set of jobs a worker serves.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use onepass_core::error::{Error, Result};
+use onepass_core::json::fmt_f64;
 use onepass_groupby::PeriodicCount;
+use onepass_runtime::cache::CacheStats;
+use onepass_runtime::knobs::Settings;
 use onepass_runtime::map_task::Split;
 use onepass_runtime::serve::StreamingQuery;
-use onepass_runtime::{DatasetCache, Engine, JobSpecBuilder, Plan, ReduceBackend};
+use onepass_runtime::{
+    CacheConfig, DatasetCache, Engine, JobRegistry, JobReport, JobSpecBuilder, Plan, PlanReport,
+    ReduceBackend,
+};
 use onepass_simcluster::WorkloadProfile;
 
 use crate::serving::{CatalogConfig, CLICKS_INGEST, DOCS_INGEST};
@@ -82,11 +94,14 @@ pub enum Shape {
     /// A plan over the input, built from `(k, reducers)` (`onepass plan`).
     Plan(Input, fn(usize, usize) -> Result<Plan>),
     /// An iterative or two-input plan that generates its own input and
-    /// runs through a dataset cache (`onepass plan`). Returns the rounds
-    /// (plan runs) it took and its answer as `(key, value)` pairs, for
-    /// `--dump-out`.
-    Iterative(fn(&Engine, &DatasetCache, &Params) -> Result<(usize, Pairs)>),
+    /// runs through a dataset cache (`onepass plan`), given its reducers
+    /// per round. Returns the rounds (plan runs) it took and its answer as
+    /// `(key, value)` pairs, for `--dump-out`.
+    Iterative(fn(&Engine, &DatasetCache, &Params, usize) -> Result<Iterated>),
 }
+
+/// What an iterative plan answers: the rounds it took and its pairs.
+pub type Iterated = (usize, Pairs);
 
 /// An answer as `(key, value)` pairs.
 pub type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
@@ -107,14 +122,16 @@ pub enum Served {
     Job(Input, fn(&CatalogConfig) -> JobSpecBuilder),
 }
 
-/// What an [`Shape::Iterative`] plan runs with: its input sizes and loop
-/// bounds.
+/// What a [`run`] of a row reads besides its [`Settings`]: a job or plan
+/// row's input splits, or an iterative row's input sizes and loop bounds.
 pub struct Params {
-    /// Records (graph nodes, points, clicks) to generate.
+    /// A job or plan row's input, cut into map splits; an iterative row
+    /// generates its own input and reads none.
+    pub splits: Vec<Split>,
+    /// Records (graph nodes, points, clicks) an iterative row generates.
     pub records: usize,
-    /// Reducers per round.
-    pub reducers: usize,
-    /// Centroid count, for a plan that takes one.
+    /// A plan's k: top-k's (the served k when `None`), or k-means'
+    /// centroid count (3 when `None`).
     pub k: Option<usize>,
     /// Maximum rounds.
     pub rounds: usize,
@@ -122,6 +139,148 @@ pub struct Params {
     pub eps: Option<u64>,
     /// Rows of a dimension table.
     pub users: usize,
+}
+
+impl Params {
+    /// A run over `records`: a job or plan row reads [`Input::splits`] of
+    /// them, an iterative row generates that many and runs at most ten
+    /// rounds against the served join's dimension table.
+    pub fn new(row: &Workload, records: usize) -> Params {
+        let splits = row.reads().map_or_else(Vec::new, |i| i.splits(records));
+        Params {
+            splits,
+            records,
+            k: None,
+            rounds: 10,
+            eps: None,
+            users: CatalogConfig::default().join_users,
+        }
+    }
+}
+
+/// Records to a split in an iterative row's rounds (the iterative plans'
+/// `records_per_split`).
+const ROUND_SPLIT: usize = 256;
+
+/// What a [`run`] of a row answered.
+pub enum Answer {
+    /// A job row's report.
+    Job(Box<JobReport>),
+    /// A plan row's report.
+    Plan(PlanReport),
+    /// An iterative row's answer.
+    Rounds {
+        /// Rounds (plan runs) it took.
+        rounds: usize,
+        /// Its answer.
+        pairs: Pairs,
+        /// Wall time over all rounds.
+        wall: Duration,
+        /// Its dataset cache at the end.
+        cache: CacheStats,
+    },
+}
+
+impl Answer {
+    /// The final answer, sorted: what `--dump-out` writes and what the
+    /// catalog walker holds to a reference. A job that discarded its
+    /// output has none.
+    pub fn finals(&self) -> Pairs {
+        let mut finals = match self {
+            Answer::Job(report) => {
+                let finals = report.final_pairs();
+                finals.map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+            }
+            Answer::Plan(report) => report.sorted_final_outputs(),
+            Answer::Rounds { pairs, .. } => pairs.clone(),
+        };
+        finals.sort_unstable();
+        finals
+    }
+
+    /// The run's `--report-jsonl` lines: the job's or plan's report, or
+    /// one `{"type":"plan",…}` line of an iterative row's rounds and cache.
+    pub fn to_jsonl(&self, row: &Workload) -> String {
+        match self {
+            Answer::Job(report) => report.to_jsonl(),
+            Answer::Plan(report) => report.to_jsonl(),
+            Answer::Rounds {
+                rounds,
+                wall,
+                cache,
+                ..
+            } => format!(
+                "{{\"type\":\"plan\",\"plan\":\"{}\",\"rounds\":{rounds},\"wall_s\":{},\
+                 \"cache_resident_bytes\":{},\"cache_hits\":{},\"cache_evictions\":{},\
+                 \"cache_reloads\":{}}}\n",
+                row.name,
+                fmt_f64(wall.as_secs_f64()),
+                cache.resident_bytes,
+                cache.hits,
+                cache.evictions,
+                cache.reloads,
+            ),
+        }
+    }
+}
+
+/// Run `row` under `settings` over `params`. A job row runs
+/// `settings.job`, which must be the row's job ([`Workload::job`] plus
+/// knobs); a plan row builds its plan from `params.k` and
+/// `settings.job.reducers`; an iterative row runs its rounds over a fresh
+/// dataset cache reporting to the engine's tracer and metrics. The
+/// engine runs as `settings.engine` says: in-proc or on TCP workers that
+/// serve [`registry`], under its fault plan (see [`Workload::map_tasks`]).
+pub fn run(row: &Workload, settings: Settings, params: Params) -> Result<Answer> {
+    let Settings { job, engine } = settings;
+    let (tracer, metrics) = (engine.tracer.clone(), engine.metrics.clone());
+    let engine = Engine::with_config(engine);
+    match row.shape {
+        Shape::Job(..) => Ok(Answer::Job(Box::new(engine.run(&job, params.splits)?))),
+        Shape::Plan(_, plan) => {
+            let k = params.k.unwrap_or(CatalogConfig::default().k);
+            let plan = plan(k, job.reducers)?;
+            Ok(Answer::Plan(engine.run_plan(&plan, params.splits)?))
+        }
+        Shape::Iterative(rounds) => {
+            let mut cache = DatasetCache::new(CacheConfig::default());
+            if let Some(metrics) = &metrics {
+                cache.attach_metrics(metrics);
+            }
+            cache.attach_tracer(&tracer);
+            let started = Instant::now();
+            let (rounds, pairs) = rounds(&engine, &cache, &params, job.reducers)?;
+            Ok(Answer::Rounds {
+                rounds,
+                pairs,
+                wall: started.elapsed(),
+                cache: cache.stats(),
+            })
+        }
+    }
+}
+
+/// Every job a worker serves: each job row's job and each plan row's
+/// stage jobs (built with the served k and reducers). A worker rebuilds a
+/// spec by name and sets the travelling knobs onto it, so one registry
+/// serves every [`run`] of those rows. df-histogram's first stage is the
+/// inverted-index row's job under the same name; its entry replaces the
+/// job row's, which differs only in rows that do not travel.
+pub fn registry() -> JobRegistry {
+    let registry = JobRegistry::new();
+    let served = CatalogConfig::default();
+    for w in CATALOG {
+        let jobs = match w.shape {
+            Shape::Job(_, job) => vec![job().build().expect("a valid job")],
+            Shape::Plan(_, plan) => {
+                let plan = plan(served.k, served.reducers).expect("a valid plan");
+                plan.jobs().cloned().collect()
+            }
+            Shape::Iterative(_) => Vec::new(),
+        };
+        jobs.into_iter().for_each(|job| registry.register_spec(job));
+    }
+    registry
 }
 
 /// One workload.
@@ -230,10 +389,37 @@ impl Workload {
     /// The record family its job, plan or served query reads; `None` for
     /// an unserved plan that generates its own input.
     pub fn input(&self) -> Option<Input> {
-        match (self.served, self.shape) {
-            (Served::Job(input, _), _) => Some(input),
-            (_, Shape::Job(input, _) | Shape::Plan(input, _)) => Some(input),
-            (_, Shape::Iterative(_)) => None,
+        match self.served {
+            Served::Job(input, _) => Some(input),
+            _ => self.reads(),
+        }
+    }
+
+    /// The record family a job or plan row reads; `None` for a row that
+    /// generates its own input.
+    pub fn reads(&self) -> Option<Input> {
+        match self.shape {
+            Shape::Job(input, _) | Shape::Plan(input, _) => Some(input),
+            Shape::Iterative(_) => None,
+        }
+    }
+
+    /// The job a run's [`Settings`] start from: a job row's job, or for
+    /// any other row a placeholder whose reducer count its plan reads.
+    pub fn job(&self) -> JobSpecBuilder {
+        match self.shape {
+            Shape::Job(_, job) => job(),
+            _ => JobSpecBuilder::new("plan"),
+        }
+    }
+
+    /// The map tasks a seeded `FaultPlan` draws its map kill from for a
+    /// [`run`] over `params`: a job or plan row's splits, or the splits of
+    /// an iterative row's generated records.
+    pub fn map_tasks(&self, params: &Params) -> usize {
+        match self.reads() {
+            Some(_) => params.splits.len(),
+            None => params.records.div_ceil(ROUND_SPLIT),
         }
     }
 
@@ -266,7 +452,12 @@ impl Workload {
 }
 
 /// Cached PageRank over a `records`-node graph: node → rank pairs.
-fn run_pagerank(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usize, Pairs)> {
+fn run_pagerank(
+    engine: &Engine,
+    cache: &DatasetCache,
+    n: &Params,
+    reducers: usize,
+) -> Result<Iterated> {
     let nodes = n.records.max(1);
     let graph = pagerank::graph_records(pagerank::GraphConfig {
         nodes,
@@ -275,7 +466,7 @@ fn run_pagerank(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(us
     let cfg = pagerank::PageRankConfig {
         rounds: n.rounds,
         eps: n.eps,
-        reducers: n.reducers,
+        reducers,
         ..pagerank::PageRankConfig::new(nodes)
     };
     let (ranks, rounds) = pagerank::run_cached(engine, cache, &graph, &cfg)?;
@@ -287,7 +478,12 @@ fn run_pagerank(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(us
 
 /// Cached k-means (k defaults to 3) over `records` points: `c<id>` →
 /// coordinates pairs.
-fn run_kmeans(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usize, Pairs)> {
+fn run_kmeans(
+    engine: &Engine,
+    cache: &DatasetCache,
+    n: &Params,
+    reducers: usize,
+) -> Result<Iterated> {
     let k = n.k.unwrap_or(3);
     let points = kmeans::point_records(kmeans::PointsConfig {
         points: n.records.max(k),
@@ -297,7 +493,7 @@ fn run_kmeans(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usiz
     let cfg = kmeans::KMeansConfig {
         rounds: n.rounds,
         eps: n.eps.map(|e| e as i64).or(Some(0)),
-        reducers: n.reducers,
+        reducers,
         ..kmeans::KMeansConfig::new(k)
     };
     let (centroids, rounds) = kmeans::run_cached(engine, cache, &points, &cfg)?;
@@ -311,14 +507,19 @@ fn run_kmeans(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usiz
 /// The cached hybrid-hash clicks ⋈ users join in two plan runs (build,
 /// probe): `records` clicks over twice `users` users (half miss the
 /// dimension table), one uid → country + url pair per joined row.
-fn run_join(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usize, Pairs)> {
+fn run_join(
+    engine: &Engine,
+    cache: &DatasetCache,
+    n: &Params,
+    reducers: usize,
+) -> Result<Iterated> {
     let mut gen = ClickGen::new(ClickGenConfig {
         users: n.users * 2,
         ..Default::default()
     });
     let clicks = gen.text_records(n.records);
     let users = join::user_records(n.users);
-    let joined = join::run_join(engine, cache, &users, &clicks, n.reducers)?;
+    let joined = join::run_join(engine, cache, &users, &clicks, reducers)?;
     let pairs = joined.iter().map(|(uid, cc, url)| {
         let value = [&cc[..], &url.to_le_bytes()].concat();
         (uid.to_string().into_bytes(), value)
@@ -330,12 +531,42 @@ fn run_join(engine: &Engine, cache: &DatasetCache, n: &Params) -> Result<(usize,
 mod tests {
     use super::*;
     use crate::serving::standard_catalog;
+    use onepass_runtime::{JobSpec, MapEmitter};
 
     #[test]
     fn names_are_unique() {
         for (i, w) in CATALOG.iter().enumerate() {
             assert!(CATALOG[..i].iter().all(|v| v.name != w.name), "{}", w.name);
             assert_eq!(find(w.name).map(|f| f.name), Some(w.name));
+        }
+    }
+
+    /// One registry entry serves the inverted-index row and df-histogram's
+    /// first stage: the same job under one name, so whichever registers
+    /// last maps and combines a document as the other would.
+    #[test]
+    fn df_histogram_stage_one_is_the_inverted_index_job() {
+        let row = inverted_index::job().build().unwrap();
+        let plan = inverted_index::df_histogram_plan(3).unwrap();
+        let stage = plan.jobs().next().unwrap();
+        assert_eq!(stage.name, row.name);
+        let served = registry().build(&row.name).unwrap();
+        struct Emitted(Pairs);
+        impl MapEmitter for Emitted {
+            fn emit(&mut self, key: &[u8], value: &[u8]) {
+                self.0.push((key.to_vec(), value.to_vec()));
+            }
+        }
+        let doc = &Input::Docs.records(1)[0];
+        let map = |job: &JobSpec| {
+            let mut out = Emitted(Vec::new());
+            job.map_fn.map(doc, &mut out);
+            out.0
+        };
+        assert!(!map(&row).is_empty());
+        for job in [stage, &served] {
+            assert_eq!(map(job), map(&row));
+            assert_eq!(job.agg.combinable(), row.agg.combinable());
         }
     }
 

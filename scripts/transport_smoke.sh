@@ -9,9 +9,12 @@
 #   2b. run sessionization under a tight --budget-kb both ways: the
 #      outputs must match, and the distributed run's reducers (which run
 #      on the coordinator, under its budget) must spill,
+#   2c. run the two plans (top-k, df-histogram) solo and on the same two
+#      workers, which serve every plan stage: the dumps must match,
 #   3. restart one worker with --die-after-maps so it severs its
 #      connection mid-job (the scripted `kill -9`); rerunning its maps on
-#      the survivor must still produce byte-identical output.
+#      the survivor must still produce byte-identical output, for a job
+#      and for a plan.
 #
 # Set SMOKE_OUT_DIR to keep logs and dumps (CI uploads it on failure).
 set -e
@@ -46,17 +49,18 @@ worker_addr() {
 }
 
 # Coordinator dials fail fast if a worker is mid-restart, so retry the
-# whole run until the fleet answers.
+# whole run (`$RUN` unless a command is given) until the fleet answers.
 run_dist() {
     out=$1
     fleet=$2
+    cmd=${3:-$RUN}
     for _ in $(seq 1 20); do
-        if $RUN --workers "$fleet" --dump-out "$out"; then
+        if $cmd --workers "$fleet" --dump-out "$out"; then
             return 0
         fi
         sleep 0.25
     done
-    echo "FAIL: distributed run never succeeded"
+    echo "FAIL: distributed run never succeeded" >&2
     exit 1
 }
 
@@ -96,6 +100,22 @@ if ! grep -q '^reduce spill:' "$OUT/tight-dist.out" ||
 fi
 echo "ok: the tight budget held ($(grep '^reduce spill:' "$OUT/tight-dist.out"))"
 
+# 2c. Plans: every stage's maps run on the workers.
+TOPK="./target/release/onepass plan top-k --records 100000"
+DFH="./target/release/onepass plan df-histogram --records 100000"
+$TOPK --dump-out "$OUT/topk-solo.tsv" > /dev/null
+$DFH --dump-out "$OUT/dfh-solo.tsv" > /dev/null
+run_dist "$OUT/topk-dist.tsv" "$W1,$W2" "$TOPK" > /dev/null
+run_dist "$OUT/dfh-dist.tsv" "$W1,$W2" "$DFH" > /dev/null
+for plan in topk dfh; do
+    if ! cmp -s "$OUT/$plan-solo.tsv" "$OUT/$plan-dist.tsv"; then
+        echo "FAIL: distributed $plan plan output differs from single-process"
+        diff "$OUT/$plan-solo.tsv" "$OUT/$plan-dist.tsv" | head -20
+        exit 1
+    fi
+done
+echo "ok: two-worker plan outputs are byte-identical"
+
 # 3. Worker loss mid-job: the first worker dies cold after one completed
 # map; the survivor reruns its maps.
 kill "$P1"
@@ -114,5 +134,13 @@ if ! cmp -s "$OUT/solo.tsv" "$OUT/killed.tsv"; then
     exit 1
 fi
 echo "ok: output survives a mid-job worker kill byte-identically"
+
+run_dist "$OUT/dfh-killed.tsv" "$W1,$W2" "$DFH" > /dev/null
+if ! cmp -s "$OUT/dfh-solo.tsv" "$OUT/dfh-killed.tsv"; then
+    echo "FAIL: plan output diverged after mid-job worker loss"
+    diff "$OUT/dfh-solo.tsv" "$OUT/dfh-killed.tsv" | head -20
+    exit 1
+fi
+echo "ok: a plan survives a mid-job worker kill byte-identically"
 
 echo "transport smoke: all checks passed"

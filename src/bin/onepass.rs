@@ -41,9 +41,12 @@
 //! so predicted and measured runs join on metric name.
 //!
 //! Distributed mode: `onepass worker --listen ADDR` starts a worker
-//! process serving every benchmark workload by name; `onepass run
-//! <workload> --workers a:1,b:2` places that run's map tasks on those
-//! workers over the framed-TCP transport and runs its reduces itself.
+//! process serving every job of every job and plan row by name; `onepass
+//! run|plan <workload> --workers a:1,b:2` places that run's map tasks on
+//! those workers over the framed-TCP transport and runs its reduces
+//! itself. Iterative plans run in-process only. Remote map attempts run
+//! no injected faults, so `--kill-map` and `--fault-seed` exit 2 beside
+//! `--workers`; `--kill-reduce` reaches a TCP run.
 //! Killing a worker mid-job (`kill -9`, or `--die-after-maps N` for a
 //! scripted drill) is survived: the coordinator reruns lost map attempts
 //! on survivors and the output stays byte-identical to a single-process
@@ -53,9 +56,9 @@ use std::time::Duration;
 
 use onepass::prelude::*;
 use onepass::runtime::knobs::{self, Settings, KNOBS};
-use onepass::runtime::{dump_pairs, JobSpecBuilder};
+use onepass::runtime::{dump_pairs, JobReport, JobSpecBuilder};
 use onepass_core::config::{fmt_bytes, fmt_secs};
-use onepass_workloads::catalog::{Input, Params, Shape, Workload, CATALOG};
+use onepass_workloads::catalog::{self, Answer, Input, Pairs, Params, Shape, Workload, CATALOG};
 use onepass_workloads::serving::CatalogConfig;
 use SystemType::{HashOnePass, Hop, StockHadoop};
 
@@ -101,7 +104,7 @@ fn usage() -> ! {
          onepass worker --listen ADDR [--slots N] [--die-after-maps N]\n  \
          onepass plan <{plans}> [--records N] [--k K]\n  \
          \x20           [--rounds N] [--converge-eps E] [--users N] [KNOBS]\n  \
-         \x20           [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
+         \x20           [--workers ADDR,ADDR,...] [--trace-out FILE] [--report-jsonl FILE] [--dump-out FILE]\n  \
          onepass sim <workload> [--system {systems}] [--storage single-hdd|hdd+ssd|separated] [--scale F]\n  \
          \x20           [--adaptive-memory] [--kill-map T] [--kill-reduce P] [--straggle-map T:FACTOR] [--speculate]\n  \
          \x20           [--trace-out FILE] [--report-jsonl FILE]\n  \
@@ -411,7 +414,7 @@ fn main() {
     let parsed = |cmd| Args::parse(cmd, &args[1..]);
     match args.first().map(|s| s.as_str()) {
         Some("run") => cmd_run(parsed("run")),
-        Some("plan") => cmd_plan(parsed("plan")),
+        Some("plan") => cmd_run(parsed("plan")),
         Some("sim") => cmd_sim(parsed("sim")),
         Some("worker") => cmd_worker(parsed("worker")),
         Some("serve") => cmd_serve(parsed("serve")),
@@ -432,10 +435,10 @@ fn main() {
 }
 
 /// `onepass worker --listen ADDR`: serve jobs to a coordinator. Every
-/// workload `run` takes is registered by job name; the coordinator's `JobInit`
-/// sets the travelling knobs onto the registered spec, so one worker
-/// fleet serves any `onepass run --workers` configuration of these
-/// workloads.
+/// job row's job and every plan row's stage jobs are registered by job
+/// name ([`catalog::registry`]); the coordinator's `JobInit` sets the
+/// travelling knobs onto the registered spec, so one worker fleet serves
+/// any `onepass run|plan --workers` configuration of these workloads.
 fn cmd_worker(mut args: Args) {
     let listen = args.value("listen").unwrap_or_else(|| usage());
     let slots: usize = args.num("slots").unwrap_or(2);
@@ -444,12 +447,7 @@ fn cmd_worker(mut args: Args) {
     // `kill -9` mid-job).
     let die_after_maps = args.num("die-after-maps");
     args.finish();
-    let registry = JobRegistry::new();
-    for w in CATALOG {
-        if let Shape::Job(_, job) = w.shape {
-            registry.register_spec(job().build().expect("workload job is valid"));
-        }
-    }
+    let registry = catalog::registry();
     let listener = std::net::TcpListener::bind(&listen)
         .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
     // Print the *bound* address, not the requested one: `--listen
@@ -474,28 +472,26 @@ fn cmd_worker(mut args: Args) {
     .expect("worker accept loop failed");
 }
 
+/// `onepass run` (job rows) and `onepass plan` (the rest): claim the
+/// flags the command's rows take, then run the row through
+/// [`catalog::run`].
 fn cmd_run(mut args: Args) {
     let w = workload(&mut args);
-    let Shape::Job(input, job) = w.shape else {
-        unreachable!("`run` takes job rows")
-    };
-    let &(system, preset, _) = system(&mut args, HashOnePass);
-    let records: usize = args.num("records").unwrap_or(200_000);
-    // --dump-out FILE: retain the final output pairs and write them,
-    // sorted, to FILE — the hook the distributed smoke test diffs across
-    // single-process and multi-worker runs.
+    let run = args.cmd == "run";
+    let iterative = matches!(w.shape, Shape::Iterative(_));
+    let system = run.then(|| system(&mut args, HashOnePass));
+    let mut params = Params::new(w, args.num("records").unwrap_or(200_000));
+    if !run {
+        params.k = args.num("k");
+    }
+    if iterative {
+        params.rounds = args.num("rounds").unwrap_or(params.rounds);
+        params.eps = args.num("converge-eps");
+        params.users = args.num("users").unwrap_or(params.users);
+    }
+    // --dump-out FILE: write the sorted final pairs to FILE — the hook the
+    // smoke tests diff across single-process and multi-worker runs.
     let dump_out = args.value("dump-out");
-    let job = preset(job().collect_mode(if dump_out.is_some() {
-        CollectOutput::Collect
-    } else {
-        CollectOutput::Discard
-    }))
-    .build()
-    .expect("valid job");
-
-    let splits = input.splits(records);
-    let input_records: usize = splits.iter().map(Split::record_count).sum();
-
     let outputs = Outputs::from_args(&mut args);
     // Distributed mode: place map tasks on `onepass worker` processes
     // instead of in-process threads.
@@ -508,21 +504,22 @@ fn cmd_run(mut args: Args) {
                 .collect()
         })
         .unwrap_or_default();
+    // Fault-tolerance flags (`run` only): a deterministic fault plan
+    // (first attempt of the named task dies after a handful of records).
+    // Any of them raises the default retry depth so the run recovers.
+    let flags = ["fault-seed", "kill-map", "kill-reduce"];
+    let [fault_seed, kill_map, kill_reduce] = flags.map(|f| run.then(|| args.num(f)).flatten());
 
-    // Fault-tolerance flags: a deterministic fault plan (first attempt of
-    // the named task dies after a handful of records). Any of them raises
-    // the default retry depth so the run recovers.
-    let fault_seed: Option<u64> = args.num("fault-seed");
-    let kill_map: Option<usize> = args.num("kill-map");
-    let kill_reduce: Option<usize> = args.num("kill-reduce");
-    let any_fault = fault_seed.is_some() || kill_map.is_some() || kill_reduce.is_some();
-
-    let mut engine = outputs.engine().max_attempts(if any_fault { 3 } else { 1 });
-    if !workers.is_empty() {
-        engine = engine.transport(Transport::Tcp { workers });
-    }
+    let preset: Preset = system.map_or(|job| job, |s| s.1);
+    let job = preset(w.job()).collect_mode(if dump_out.is_some() {
+        CollectOutput::Collect
+    } else {
+        CollectOutput::Discard
+    });
+    let any_fault = fault_seed.or(kill_map).or(kill_reduce).is_some();
+    let engine = outputs.engine().max_attempts(if any_fault { 3 } else { 1 });
     let mut settings = Settings {
-        job,
+        job: job.build().expect("valid job"),
         engine: engine.build(),
     };
     args.knobs(&mut settings);
@@ -530,9 +527,33 @@ fn cmd_run(mut args: Args) {
     if let Err(e) = settings.job.validate() {
         die(e);
     }
+    if !workers.is_empty() {
+        // Refused before any worker is dialed: what the workers would drop.
+        if iterative {
+            die(format!(
+                "`onepass plan {}` takes no --workers: its round jobs are not registered on workers",
+                w.name
+            ));
+        }
+        if kill_map.or(fault_seed).is_some() {
+            die(
+                "--kill-map and --fault-seed kill no map under --workers: remote map attempts \
+                 run no injected faults; --kill-reduce P is the fault that reaches a --workers \
+                 run (reduces run here)",
+            );
+        }
+        let served = CatalogConfig::default().k;
+        if params.k.is_some_and(|k| k != served) {
+            die(format!(
+                "--k does not reach --workers: their plan stages combine with k {served}"
+            ));
+        }
+        settings.engine.transport = Transport::Tcp { workers };
+    }
 
+    let reducers = settings.job.reducers;
     let mut faults = match fault_seed {
-        Some(seed) => FaultPlan::seeded(seed, splits.len(), settings.job.reducers),
+        Some(seed) => FaultPlan::seeded(seed as u64, w.map_tasks(&params), reducers),
         None => FaultPlan::new(),
     };
     if let Some(t) = kill_map {
@@ -542,25 +563,48 @@ fn cmd_run(mut args: Args) {
         faults = faults.fail_reduce(p, 0, 3);
     }
     settings.engine.faults = faults.into_injector();
-    let knobs_line = knobs::to_json(&settings, KNOBS);
-    let Settings { job, engine } = settings;
+    let knobs = KNOBS.iter().filter(|k| run || k.taken_by("plan"));
+    let knobs_line = knobs::to_json(&settings, knobs);
 
-    eprintln!(
-        "running {} on the {system} configuration ({input_records} records)...",
-        w.name
-    );
-    let report = Engine::with_config(engine)
-        .run(&job, splits)
-        .expect("job failed");
-    outputs.finish(|| knobs_line + &report.to_jsonl());
+    let on = system.map_or(String::new(), |s| format!(" on the {} configuration", s.0));
+    let read: usize = params.splits.iter().map(Split::record_count).sum();
+    let records = if iterative { params.records } else { read };
+    eprintln!("running {}{on} ({records} records)...", w.name);
+    let answer = catalog::run(w, settings, params).expect("run failed");
+    outputs.finish(|| knobs_line + &answer.to_jsonl(w));
     if let Some(path) = &dump_out {
-        let finals = report
-            .outputs
-            .iter()
-            .filter(|o| o.kind == onepass::groupby::EmitKind::Final);
-        write_dump(path, finals.map(|o| (&o.key[..], &o.value[..])));
+        write_dump(path, &answer.finals());
     }
+    match answer {
+        Answer::Job(report) => print_job(&report),
+        Answer::Plan(report) => print_plan(w, &report),
+        Answer::Rounds {
+            rounds,
+            wall,
+            cache,
+            ..
+        } => {
+            let wall = wall.as_secs_f64();
+            println!("plan:              {}", w.name);
+            println!("rounds run:        {rounds}");
+            println!(
+                "wall time:         {} ({} per round)",
+                fmt_secs(wall),
+                fmt_secs(wall / rounds.max(1) as f64)
+            );
+            println!(
+                "cache:             {} resident, {} hits, {} evictions, {} spill reloads",
+                fmt_bytes(cache.resident_bytes as u64),
+                cache.hits,
+                cache.evictions,
+                cache.reloads
+            );
+        }
+    }
+}
 
+/// A job row's console summary.
+fn print_job(report: &JobReport) {
     println!("job:               {} [{}]", report.name, report.backend);
     println!("wall time:         {}", fmt_secs(report.wall.as_secs_f64()));
     println!(
@@ -608,136 +652,38 @@ fn cmd_run(mut args: Args) {
     }
 }
 
-/// `--dump-out FILE`: write `pairs` in the one dump format
-/// ([`dump_pairs`]) every surface compares runs by.
-fn write_dump<'a>(path: &str, pairs: impl IntoIterator<Item = (&'a [u8], &'a [u8])>) {
-    let mut n = 0;
-    let dump = dump_pairs(pairs.into_iter().inspect(|_| n += 1));
-    std::fs::write(path, dump).expect("write output dump");
-    eprintln!("wrote {n} final pairs to {path}");
+/// A plan row's console summary.
+fn print_plan(w: &Workload, report: &PlanReport) {
+    let wall = report.wall.as_secs_f64();
+    println!("plan:              {}", w.name);
+    println!("wall time:         {}", fmt_secs(wall));
+    if let Some(t) = report.first_final_at {
+        println!(
+            "first answer at:   {} ({}% of wall)",
+            fmt_secs(t.as_secs_f64()),
+            (t.as_secs_f64() / wall * 100.0) as u32
+        );
+    }
+    for s in &report.stages {
+        let sink = if s.is_sink { " -> output" } else { "" };
+        println!(
+            "stage {}:           {} [{}] done at {} ({} groups{})",
+            s.stage,
+            s.name,
+            s.report.backend,
+            fmt_secs(s.report.wall.as_secs_f64()),
+            s.report.groups_out,
+            sink
+        );
+    }
 }
 
-fn cmd_plan(mut args: Args) {
-    let w = workload(&mut args);
-    let records: usize = args.num("records").unwrap_or(200_000);
-    let k: Option<usize> = args.num("k");
-    let dump_out = args.value("dump-out");
-    let outputs = Outputs::from_args(&mut args);
-
-    // The stages build their own job specs; of the job rows a plan reads
-    // only the reducer count, which this placeholder spec holds.
-    let mut settings = Settings {
-        job: JobSpecBuilder::new("plan").build().expect("default job"),
-        engine: outputs.engine().build(),
-    };
-    args.knobs(&mut settings);
-    let knobs_line = knobs::to_json(&settings, KNOBS.iter().filter(|k| k.taken_by("plan")));
-    let reducers = settings.job.reducers;
-    let engine = Engine::with_config(settings.engine);
-
-    // Each shape runs its plan and hands back its report lines, its final
-    // pairs and its console lines.
-    let (report, finals, console) = match w.shape {
-        Shape::Plan(input, plan) => {
-            args.finish();
-            // The served plans' k, so a default `plan` dump is a served tenant's.
-            let plan = plan(k.unwrap_or(CatalogConfig::default().k), reducers);
-            let plan = plan.expect("valid plan");
-            let splits = input.splits(records);
-            let input_records: usize = splits.iter().map(Split::record_count).sum();
-            eprintln!(
-                "running the {} plan ({} stages, {input_records} records)...",
-                w.name,
-                plan.stage_count(),
-            );
-            let report = engine.run_plan(&plan, splits).expect("plan failed");
-            let wall = report.wall.as_secs_f64();
-            let mut console = vec![format!("wall time:         {}", fmt_secs(wall))];
-            if let Some(t) = report.first_final_at {
-                console.push(format!(
-                    "first answer at:   {} ({}% of wall)",
-                    fmt_secs(t.as_secs_f64()),
-                    (t.as_secs_f64() / wall * 100.0) as u32
-                ));
-            }
-            for s in &report.stages {
-                let sink = if s.is_sink { " -> output" } else { "" };
-                console.push(format!(
-                    "stage {}:           {} [{}] done at {} ({} groups{})",
-                    s.stage,
-                    s.name,
-                    s.report.backend,
-                    fmt_secs(s.report.wall.as_secs_f64()),
-                    s.report.groups_out,
-                    sink
-                ));
-            }
-            (report.to_jsonl(), report.sorted_final_outputs(), console)
-        }
-        Shape::Iterative(run) => {
-            let params = Params {
-                records,
-                reducers,
-                k,
-                rounds: args.num("rounds").unwrap_or(10),
-                eps: args.num("converge-eps"),
-                // The served join's dimension table, by default.
-                users: args
-                    .num("users")
-                    .unwrap_or(CatalogConfig::default().join_users),
-            };
-            args.finish();
-            let mut cache = DatasetCache::new(CacheConfig::default());
-            if let Some(r) = &outputs.rig {
-                cache.attach_metrics(&r.registry);
-            }
-            cache.attach_tracer(&outputs.tracer);
-            eprintln!(
-                "running the {} plan ({records} records, ≤{} rounds)...",
-                w.name, params.rounds,
-            );
-            let started = std::time::Instant::now();
-            let (rounds, pairs) = run(&engine, &cache, &params).expect("plan failed");
-            let wall = started.elapsed().as_secs_f64();
-            let stats = cache.stats();
-            let (resident, hits, evictions, reloads) = (
-                stats.resident_bytes,
-                stats.hits,
-                stats.evictions,
-                stats.reloads,
-            );
-            let console = vec![
-                format!("rounds run:        {rounds}"),
-                format!(
-                    "wall time:         {} ({} per round)",
-                    fmt_secs(wall),
-                    fmt_secs(wall / rounds.max(1) as f64)
-                ),
-                format!(
-                    "cache:             {} resident, {hits} hits, {evictions} evictions, \
-                     {reloads} spill reloads",
-                    fmt_bytes(resident as u64)
-                ),
-            ];
-            let report = format!(
-                "{{\"type\":\"plan\",\"plan\":\"{}\",\"rounds\":{rounds},\
-                 \"wall_s\":{},\"cache_resident_bytes\":{resident},\"cache_hits\":{hits},\
-                 \"cache_evictions\":{evictions},\"cache_reloads\":{reloads}}}\n",
-                w.name,
-                onepass_core::json::fmt_f64(wall),
-            );
-            (report, pairs, console)
-        }
-        Shape::Job(..) => unreachable!("`plan` takes no job rows"),
-    };
-    outputs.finish(|| knobs_line + &report);
-    if let Some(path) = dump_out {
-        write_dump(&path, finals.iter().map(|(k, v)| (&k[..], &v[..])));
-    }
-    println!("plan:              {}", w.name);
-    for line in console {
-        println!("{line}");
-    }
+/// `--dump-out FILE`: write `pairs` in the one dump format
+/// ([`dump_pairs`]) every surface compares runs by.
+fn write_dump(path: &str, pairs: &Pairs) {
+    let dump = dump_pairs(pairs.iter().map(|(k, v)| (&k[..], &v[..])));
+    std::fs::write(path, dump).expect("write output dump");
+    eprintln!("wrote {} final pairs to {path}", pairs.len());
 }
 
 fn cmd_sim(mut args: Args) {

@@ -4,8 +4,8 @@
 //! served dump. An iterative row's `plan` must dump its answer. A row
 //! with a simulator profile must simulate under every `--system`, its
 //! `--report-jsonl` line equal to the library's report of the same spec,
-//! and a job row must be registered on `onepass worker`. A new row is
-//! covered with no edit here.
+//! and a job row's job and every stage job of a plan row must be
+//! registered on `onepass worker`. A new row is covered with no edit here.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -106,7 +106,13 @@ fn every_catalog_row_runs_on_every_surface_it_declares() {
                 assert!(jobs.contains(&name), "{}: worker has {jobs:?}", w.name);
                 onepass(&[&["run", w.name][..], &sized].concat());
             }
-            Shape::Plan(..) => onepass(&[&["plan", w.name, "--k", &k][..], &sized].concat()),
+            Shape::Plan(_, plan) => {
+                let plan = plan(config.k, config.reducers).expect("a valid plan");
+                for job in plan.jobs() {
+                    assert!(jobs.contains(&job.name), "{}: worker has {jobs:?}", w.name);
+                }
+                onepass(&[&["plan", w.name, "--k", &k][..], &sized].concat())
+            }
             Shape::Iterative(_) => {
                 onepass(&[&["plan", w.name, "--rounds", "2"][..], &sized].concat())
             }

@@ -157,6 +157,22 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
     ] {
         assert_eq!(onepass(line).status.code(), Some(2), "{line}");
     }
+    // What a worker would drop is refused before any worker is dialed
+    // (nothing listens on the address): remote map attempts run no
+    // injected faults, iterative round jobs are not registered on
+    // workers, and a worker's plan stage combines with the served k.
+    for (line, names) in [
+        ("run page-frequency --kill-map 1", "--kill-reduce"),
+        ("run page-frequency --fault-seed 3", "--kill-reduce"),
+        ("plan pagerank", "round jobs"),
+        ("plan top-k --k 3", "--k"),
+    ] {
+        let line = format!("{line} --records 1000 --workers 127.0.0.1:9");
+        let out = onepass(&line);
+        assert_eq!(out.status.code(), Some(2), "{line}");
+        let msg = String::from_utf8(out.stderr).unwrap();
+        assert!(msg.contains(names), "{line}: {msg}");
+    }
     // Fixed values are no flags: the retry backoff and the pool's
     // high-water mark. Nor is engine speculation or its slow-task fault:
     // the engine never clones a map task.

@@ -2,14 +2,16 @@
 //! across the knob table.
 //!
 //! A draw is a pure function of one seed. It picks a [`CATALOG`] row, one
-//! value for each [`KNOBS`] row the row's shape takes, a split count and a
-//! venue: a transport and a fault. A job row takes every knob row; a plan
-//! or iterative row takes `reducers` and the engine's rows, as `onepass
-//! plan` does. A choice row's values are read from its `syntax`, a
-//! numeric row's from [`NUMERIC`]. Job and plan rows run in-proc or on two
-//! TCP loopback workers; iterative rows run in-proc. The fault is none, a
-//! `FaultPlan::seeded` map and reduce kill, or (on TCP) a worker that dies
-//! after its first map.
+//! value for each [`KNOBS`] row the row's shape takes, a split count (zero
+//! splits: an empty input) and a venue: a transport and a fault. A job row
+//! takes every knob row; a plan or iterative row takes `reducers` and the
+//! engine's rows, as `onepass plan` does. A choice row's values are read
+//! from its `syntax`, a numeric row's from [`NUMERIC`]. Job and plan rows
+//! run in-proc or on two TCP loopback workers; iterative rows run in-proc.
+//! The fault is none, a `FaultPlan::seeded` map and reduce kill, or (on
+//! TCP) a worker that dies after its first map. Every draw runs through
+//! the runner `onepass run|plan` runs, `catalog::run`, and its TCP workers
+//! serve what `onepass worker` serves, `catalog::registry()`.
 //!
 //! The draw's sorted final answer must equal the row's reference (with
 //! `collect-output=discard`, its group count must), and a seeded kill
@@ -33,8 +35,8 @@ use onepass_core::error::Error;
 use onepass_core::trace::TraceEvent;
 use onepass_runtime::knobs::{self, Access, Knob, Settings, KNOBS};
 use onepass_runtime::transport::worker::spawn_local;
-use onepass_runtime::{JobReport, JobSpecBuilder};
-use onepass_workloads::catalog::{self, Input, Pairs, Params, Shape, CATALOG};
+use onepass_runtime::JobReport;
+use onepass_workloads::catalog::{self, Answer, Input, Pairs, Params, Shape, CATALOG};
 use onepass_workloads::clickgen::Click;
 use onepass_workloads::docgen::parse_doc;
 use onepass_workloads::sessionization::DEFAULT_GAP_S;
@@ -51,8 +53,13 @@ const NUMERIC: &[(&str, &[&str])] = &[
     ("retries", &["1", "3"]),
 ];
 
-/// How many splits a job or plan row's input is cut into.
-const SPLITS: &[&str] = &["1", "3", "6"];
+/// How many splits a job or plan row's input is cut into; zero splits
+/// hold no records, so the row runs over an empty input.
+const SPLITS: &[&str] = &["1", "3", "6", "0"];
+
+/// The pseudo-value a row shows with when its seeded kills fire (see
+/// [`Draw::kills_fire`]): an empty input has no map task to kill.
+const KILLS_FIRE: &str = "seeded-kills-fire";
 
 /// Where a draw runs, and what kills what.
 const VENUES: &[&str] = &[
@@ -194,8 +201,16 @@ impl Draw {
         self.seeded() && self.get("retries") == "1"
     }
 
-    /// The pairs of values this draw shows to work together. A draw that
-    /// must fail shows only that a seeded kill under `retries 1` fails.
+    /// A seeded kill in-proc over a non-empty input: its map and reduce
+    /// kill both fire.
+    fn kills_fire(&self) -> bool {
+        let empty = self.values.iter().any(|(n, v)| *n == "splits" && v == "0");
+        self.get("venue") == "in-proc+seeded-kill" && !empty
+    }
+
+    /// The pairs of values this draw shows to work together, and
+    /// `(row, KILLS_FIRE)` if its kills fire. A draw that must fail shows
+    /// only that a seeded kill under `retries 1` fails.
     fn pairs(&self) -> Vec<(String, String)> {
         if self.must_fail() {
             let venue = format!("venue={}", self.get("venue"));
@@ -209,6 +224,9 @@ impl Draw {
             for b in &cells[i + 1..] {
                 pairs.push((a.clone(), b.clone()));
             }
+        }
+        if self.kills_fire() {
+            pairs.push((cells[0].clone(), KILLS_FIRE.to_string()));
         }
         pairs
     }
@@ -244,7 +262,8 @@ impl fmt::Display for Draw {
     }
 }
 
-/// Every pair of values a shape's draws can show working together.
+/// Every pair of values a shape's draws can show working together, and
+/// each row with [`KILLS_FIRE`].
 fn universe(shape: &str) -> BTreeSet<(String, String)> {
     let rows = CATALOG.iter().filter(|w| shape_of(w.name) == shape);
     let mut dims = dims(shape);
@@ -258,6 +277,9 @@ fn universe(shape: &str) -> BTreeSet<(String, String)> {
                 }
             }
         }
+    }
+    for row in &dims[0].1 {
+        pairs.insert((format!("row={row}"), KILLS_FIRE.to_string()));
     }
     pairs
 }
@@ -322,19 +344,38 @@ fn row_records(input: Input) -> &'static [Vec<u8>] {
     }
 }
 
-/// A job or plan row's reference over its records, computed once.
-fn row_reference(row: &'static str, input: Input) -> Arc<(Pairs, u64)> {
-    static REFERENCES: Mutex<BTreeMap<&str, Arc<(Pairs, u64)>>> = Mutex::new(BTreeMap::new());
-    let mut references = REFERENCES.lock().unwrap_or_else(PoisonError::into_inner);
-    let computed = || Arc::new(reference(row, row_records(input)));
-    Arc::clone(references.entry(row).or_insert_with(computed))
+/// The records a draw reads: none over zero splits.
+fn draw_records(d: &Draw, input: Input) -> &'static [Vec<u8>] {
+    match d.num("splits") {
+        0 => &[],
+        _ => row_records(input),
+    }
 }
 
-/// An iterative row's parameters for `reducers`.
-fn params(reducers: usize) -> Params {
+/// A job or plan row's reference over `records`, computed once.
+fn row_reference(row: &'static str, records: &'static [Vec<u8>]) -> Arc<(Pairs, u64)> {
+    type References = BTreeMap<(&'static str, usize), Arc<(Pairs, u64)>>;
+    static REFERENCES: Mutex<References> = Mutex::new(BTreeMap::new());
+    let mut references = REFERENCES.lock().unwrap_or_else(PoisonError::into_inner);
+    let computed = || Arc::new(reference(row, records));
+    Arc::clone(
+        references
+            .entry((row, records.len()))
+            .or_insert_with(computed),
+    )
+}
+
+/// What a draw's run reads: its records over its split count, or an
+/// iterative row's input sizes and loop bounds.
+fn draw_params(d: &Draw, input: Option<Input>) -> Params {
+    let splits = input.map_or_else(Vec::new, |input| {
+        let records = draw_records(d, input);
+        let per_split = records.len().div_ceil(d.num("splits").max(1)).max(1);
+        make_splits(records.to_vec(), per_split)
+    });
     Params {
+        splits,
         records: ITERATIVE_RECORDS,
-        reducers,
         k: None,
         rounds: ROUNDS,
         eps: None,
@@ -342,46 +383,18 @@ fn params(reducers: usize) -> Params {
     }
 }
 
-/// What a row answered.
-enum Answer {
-    Job(Box<JobReport>),
-    Pairs(Pairs),
-    Rounds(usize, Pairs),
-}
-
-/// Run `d` and hold its answer to the reference; panics naming the draw.
+/// Run `d` through the catalog's runner and hold its answer to the
+/// reference; panics naming the draw.
 fn run(d: &Draw) -> Outcome {
     let row = catalog::find(d.row).expect("a catalog row");
     let reducers = d.num("reducers");
+    let input = row.reads();
+    let params = draw_params(d, input);
     let tracer = Tracer::enabled();
-    let placeholder = || JobSpecBuilder::new("plan").build().expect("default job");
-    let registry = JobRegistry::new();
-    let (mut settings, input) = match row.shape {
-        Shape::Job(input, job) => {
-            registry.register_spec(job().build().expect("a valid job"));
-            (d.settings(job().build().expect("a valid job")), Some(input))
-        }
-        Shape::Plan(input, plan) => {
-            let plan = plan(CatalogConfig::default().k, reducers).expect("a valid plan");
-            for job in plan.jobs() {
-                registry.register_spec(job.clone());
-            }
-            (d.settings(placeholder()), Some(input))
-        }
-        Shape::Iterative(_) => (d.settings(placeholder()), None),
-    };
-    let splits = input.map_or_else(Vec::new, |input| {
-        let records = row_records(input);
-        make_splits(records.to_vec(), records.len().div_ceil(d.num("splits")))
-    });
+    let mut settings = d.settings(row.job().build().expect("a valid job"));
     settings.engine.tracer = tracer.clone();
     if d.seeded() {
-        // An iterative row's first round cuts its input 256 records a split.
-        let map_tasks = match row.shape {
-            Shape::Iterative(_) => ITERATIVE_RECORDS.div_ceil(256),
-            _ => splits.len(),
-        };
-        let plan = FaultPlan::seeded(d.fault_seed, map_tasks, reducers);
+        let plan = FaultPlan::seeded(d.fault_seed, row.map_tasks(&params), reducers);
         settings.engine.faults = plan.into_injector();
     }
     let mut workers = Vec::new();
@@ -390,27 +403,14 @@ fn run(d: &Draw) -> Outcome {
             map_slots: 1,
             die_after_maps: d.get("venue").ends_with("worker-dies").then_some(1),
         };
-        workers.push(spawn_local(registry.clone(), dies).expect("spawn worker"));
-        workers.push(spawn_local(registry, WorkerOptions::default()).expect("spawn worker"));
+        workers.push(spawn_local(catalog::registry(), dies).expect("spawn worker"));
+        let healthy = WorkerOptions::default();
+        workers.push(spawn_local(catalog::registry(), healthy).expect("spawn worker"));
         let addrs = workers.iter().map(|w| w.addr().to_string()).collect();
         settings.engine.transport = Transport::Tcp { workers: addrs };
     }
 
-    let Settings { job, engine } = settings;
-    let engine = Engine::with_config(engine);
-    let result = match row.shape {
-        Shape::Job(..) => engine.run(&job, splits).map(|r| Answer::Job(Box::new(r))),
-        Shape::Plan(_, plan) => {
-            let plan = plan(CatalogConfig::default().k, reducers).expect("a valid plan");
-            let report = engine.run_plan(&plan, splits);
-            report.map(|r| Answer::Pairs(r.sorted_final_outputs()))
-        }
-        Shape::Iterative(run) => {
-            let cache = DatasetCache::new(CacheConfig::default());
-            let answer = run(&engine, &cache, &params(reducers));
-            answer.map(|(rounds, pairs)| Answer::Rounds(rounds, pairs))
-        }
-    };
+    let result = catalog::run(row, settings, params);
     for w in workers {
         w.shutdown();
     }
@@ -424,14 +424,18 @@ fn run(d: &Draw) -> Outcome {
         }
     }
     let answer = result.unwrap_or_else(|e| panic!("{d}: {e}"));
-    let reference = || row_reference(d.row, input.expect("a row that reads records"));
-    match answer {
-        Answer::Job(report) => check_job(d, &report, &reference(), &outcome),
-        Answer::Pairs(got) => check_pairs(d, got, reference().0.clone()),
-        Answer::Rounds(rounds, got) => {
-            let (want_rounds, want) = reference_iterative(d.row, &params(reducers));
-            assert_eq!(rounds, want_rounds, "{d}: rounds");
-            check_pairs(d, got, want);
+    let reference = || {
+        let input = input.expect("a row that reads records");
+        row_reference(d.row, draw_records(d, input))
+    };
+    match &answer {
+        Answer::Job(report) => check_job(d, report, &reference(), &outcome),
+        Answer::Plan(_) => check_pairs(d, answer.finals(), reference().0.clone()),
+        Answer::Rounds { rounds, .. } => {
+            let p = draw_params(d, None);
+            let (want_rounds, want) = reference_iterative(d.row, &p, reducers);
+            assert_eq!(*rounds, want_rounds, "{d}: rounds");
+            check_pairs(d, answer.finals(), want);
         }
     }
     outcome
@@ -464,23 +468,30 @@ fn check_job(d: &Draw, report: &JobReport, (want, emitted): &(Pairs, u64), o: &O
         let got = finals.map(|o| (o.key.clone(), o.value.clone())).collect();
         check_pairs(d, got, want.clone());
     }
+    // An empty input has no map task to kill.
     let kills = usize::from(d.seeded());
+    let map_kills = usize::from(d.seeded() && report.map_tasks > 0);
     if d.tcp() {
         if d.seeded() {
             assert_eq!(o.reduce_kills, 1, "{d}: reduce kills");
         }
         return;
     }
-    assert_eq!((o.map_kills, o.reduce_kills), (kills, kills), "{d}: kills");
-    assert_eq!(report.failed_attempts, 2 * kills, "{d}: failed attempts");
+    assert_eq!(
+        (o.map_kills, o.reduce_kills),
+        (map_kills, kills),
+        "{d}: kills"
+    );
+    let failed = map_kills + kills;
+    assert_eq!(report.failed_attempts, failed, "{d}: failed attempts");
     assert_eq!(
         report.map_attempts,
-        report.map_tasks + kills,
+        report.map_tasks + map_kills,
         "{d}: map attempts"
     );
     let reduces = report.reduce_tasks + kills;
     assert_eq!(report.reduce_attempts, reduces, "{d}: reduce attempts");
-    assert_eq!(o.retries, 2 * kills, "{d}: retries");
+    assert_eq!(o.retries, failed, "{d}: retries");
 }
 
 /// Run `d` on its own thread, failing on a hang.
@@ -562,6 +573,10 @@ fn reference(row: &str, records: &[Vec<u8>]) -> (Pairs, u64) {
                 url_counts().into_iter().map(|(url, n)| (n, url)).collect();
             top.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
             top.truncate(CatalogConfig::default().k);
+            // Every URL routes to the top key: no URL, no group.
+            if top.is_empty() {
+                return (Vec::new(), emitted);
+            }
             let mut value = Vec::new();
             for (n, url) in top {
                 value.extend_from_slice(&n.to_le_bytes());
@@ -599,7 +614,7 @@ fn reference(row: &str, records: &[Vec<u8>]) -> (Pairs, u64) {
 
 /// An iterative row's rounds and answer under `p`, computed without the
 /// engine, over the input its catalog entry generates.
-fn reference_iterative(row: &str, p: &Params) -> (usize, Pairs) {
+fn reference_iterative(row: &str, p: &Params, reducers: usize) -> (usize, Pairs) {
     match row {
         "pagerank" => {
             let nodes = p.records.max(1);
@@ -610,7 +625,7 @@ fn reference_iterative(row: &str, p: &Params) -> (usize, Pairs) {
             let cfg = pagerank::PageRankConfig {
                 rounds: p.rounds,
                 eps: p.eps,
-                reducers: p.reducers,
+                reducers,
                 ..pagerank::PageRankConfig::new(nodes)
             };
             let (ranks, rounds) = pagerank::reference(&pagerank::graph_records(config), &cfg);
@@ -629,7 +644,7 @@ fn reference_iterative(row: &str, p: &Params) -> (usize, Pairs) {
             let cfg = kmeans::KMeansConfig {
                 rounds: p.rounds,
                 eps: p.eps.map(|e| e as i64).or(Some(0)),
-                reducers: p.reducers,
+                reducers,
                 ..kmeans::KMeansConfig::new(k)
             };
             let (centroids, rounds) = kmeans::reference(&points, &cfg).expect("k-means");

@@ -19,17 +19,18 @@ use crate::job::{
 use crate::shuffle::{Segment, ShuffleTx};
 
 /// Raw input records packed end to end in one buffer, each behind a
-/// `u32` little-endian length — how a split arrives off the wire: the
-/// frame body is the arena and a record is a slice of it, never a `Vec`
-/// of its own. The arena is `Arc`-shared, so `clone()` copies no byte.
+/// `u32` little-endian length: the one form a split holds its raw records
+/// in. A split is packed once, where it is made ([`Split::new`]), and the
+/// layout is the wire's, so a `NewSplit` frame's records are one copy of
+/// the arena and a received frame body is the arena as it stands. A record
+/// is a slice of the arena, never a `Vec` of its own, and the arena is
+/// `Arc`-shared, so `clone()` copies no byte.
 #[derive(Debug, Clone, Default)]
 pub struct PackedRecords {
     arena: Arc<Vec<u8>>,
     /// Offset of the first length prefix in `arena`.
     start: usize,
     count: usize,
-    /// Record bytes, length prefixes excluded.
-    bytes: u64,
 }
 
 impl PackedRecords {
@@ -42,16 +43,13 @@ impl PackedRecords {
         let mut rest = arena
             .get(start..)
             .ok_or_else(|| corrupt("start past the end"))?;
-        let mut bytes = 0u64;
         for _ in 0..count {
             let (len, tail) = rest
                 .split_first_chunk::<4>()
                 .ok_or_else(|| corrupt("record count exceeds the block"))?;
-            let len = u32::from_le_bytes(*len) as usize;
             rest = tail
-                .get(len..)
+                .get(u32::from_le_bytes(*len) as usize..)
                 .ok_or_else(|| corrupt("record length exceeds the block"))?;
-            bytes += len as u64;
         }
         if !rest.is_empty() {
             return Err(corrupt("bytes after the last record"));
@@ -60,19 +58,23 @@ impl PackedRecords {
             arena: Arc::new(arena),
             start,
             count: count as usize,
-            bytes,
         })
     }
 
-    /// Pack `records` the way a `NewSplit` frame carries them.
-    #[cfg(test)]
-    pub(crate) fn pack(records: &[&[u8]]) -> Self {
-        let mut arena = Vec::new();
-        for r in records {
-            arena.extend_from_slice(&(r.len() as u32).to_le_bytes());
+    /// Pack `records` into one arena allocated at its exact size.
+    pub fn pack<R: AsRef<[u8]>>(records: &[R]) -> Self {
+        let bytes: usize = records.iter().map(|r| r.as_ref().len()).sum();
+        let mut arena = Vec::with_capacity(bytes + 4 * records.len());
+        for r in records.iter().map(AsRef::as_ref) {
+            let len = u32::try_from(r.len()).expect("a record is under 4 GiB");
+            arena.extend_from_slice(&len.to_le_bytes());
             arena.extend_from_slice(r);
         }
-        Self::from_len_prefixed(arena, 0, records.len() as u64).expect("well-formed block")
+        PackedRecords {
+            arena: Arc::new(arena),
+            start: 0,
+            count: records.len(),
+        }
     }
 
     /// Number of records.
@@ -87,37 +89,67 @@ impl PackedRecords {
 
     /// Total record bytes (length prefixes excluded).
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        (self.len_prefixed().len() - 4 * self.count) as u64
+    }
+
+    /// The records as the wire carries them: every `[u32 len][bytes]`, in
+    /// order, with nothing before or after.
+    pub(crate) fn len_prefixed(&self) -> &[u8] {
+        &self.arena[self.start..]
+    }
+
+    /// The shared block the records live in; its `Arc` counts the splits
+    /// (and frame bodies) that hold it.
+    pub fn arena(&self) -> &Arc<Vec<u8>> {
+        &self.arena
     }
 
     /// The records, in order, as slices of the arena.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        let mut rest = &self.arena[self.start..];
-        (0..self.count).map(move |_| {
-            // `from_len_prefixed` walked these same prefixes.
-            let (len, tail) = rest
-                .split_first_chunk::<4>()
-                .expect("prefix validated at construction");
-            let (record, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
-            rest = tail;
-            record
-        })
+    pub fn iter(&self) -> Records<'_> {
+        Records(self.len_prefixed())
+    }
+}
+
+/// The records of a [`PackedRecords`], in order, as slices of its arena.
+#[derive(Debug, Clone)]
+pub struct Records<'a>(&'a [u8]);
+
+impl<'a> Records<'a> {
+    /// Each record as an owned `Vec`. A bridge for callers written against
+    /// the per-record `Vec` input a split held before it was one arena
+    /// (the benchmark's probe input reads `split.records.iter().cloned()`);
+    /// it goes once that caller reads slices. (`Iterator::cloned` does not
+    /// apply: `[u8]` is unsized.)
+    pub fn cloned(self) -> impl Iterator<Item = Vec<u8>> + 'a {
+        self.map(<[u8]>::to_vec)
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        // `pack` wrote, or `from_len_prefixed` walked, these prefixes: the
+        // slice ends where the last record does.
+        let (len, tail) = self.0.split_first_chunk::<4>()?;
+        let (record, rest) = tail.split_at(u32::from_le_bytes(*len) as usize);
+        self.0 = rest;
+        Some(record)
     }
 }
 
 /// One unit of input: a block of records, the granularity of a map task
-/// (Hadoop's 64 MB HDFS block, §II-A). The three representations are
-/// mapped in field order — `records`, `packed`, `pairs` — under one
-/// contiguous record index. Every payload is `Arc`-shared: `clone()` bumps
-/// one `Arc` per payload present (two for `pairs`) and copies no record
-/// byte, so a caller that keeps its splits across runs hands the engine
-/// clones, and the engine frees nothing the caller still holds.
+/// (Hadoop's 64 MB HDFS block, §II-A). It holds raw records in one arena,
+/// `records`, and a cache-hit split holds framed pairs too; the two are
+/// mapped in that order under one contiguous record index. Both payloads
+/// are `Arc`-shared: `clone()` bumps one `Arc` per payload (two for
+/// `pairs`) and copies no record byte, so a caller that keeps its splits
+/// across runs hands the engine clones, and the engine frees nothing the
+/// caller still holds.
 #[derive(Debug, Clone, Default)]
 pub struct Split {
-    /// The input records (e.g. click-log lines or documents).
-    pub records: Arc<Vec<Vec<u8>>>,
-    /// More raw records, packed in one arena: a split received over TCP.
-    pub packed: Option<PackedRecords>,
+    /// The input records (e.g. click-log lines or documents), packed.
+    pub records: PackedRecords,
     /// Already-framed `(key, value)` pairs — a cache-hit split. The
     /// segment is Arc-shared straight out of the
     /// [`DatasetCache`](crate::cache::DatasetCache): no input decode,
@@ -134,11 +166,13 @@ pub struct Split {
 }
 
 impl Split {
-    /// Create a split from records.
+    /// Create a split from records, packing them into one arena (the
+    /// record `Vec`s are freed here).
     pub fn new(records: Vec<Vec<u8>>) -> Self {
         Split {
-            records: Arc::new(records),
-            ..Default::default()
+            records: PackedRecords::pack(&records),
+            pairs: None,
+            aligned: None,
         }
     }
 
@@ -150,18 +184,14 @@ impl Split {
         }
     }
 
-    /// Total input records (raw, packed and cached pairs).
+    /// Total input records (raw and cached pairs).
     pub fn record_count(&self) -> usize {
-        self.records.len()
-            + self.packed.as_ref().map_or(0, |p| p.len())
-            + self.pairs.as_ref().map_or(0, |p| p.len())
+        self.records.len() + self.pairs.as_ref().map_or(0, |p| p.len())
     }
 
     /// Total payload bytes.
     pub fn bytes(&self) -> u64 {
-        let raw: u64 = self.records.iter().map(|r| r.len() as u64).sum();
-        raw + self.packed.as_ref().map_or(0, |p| p.bytes())
-            + self.pairs.as_ref().map_or(0, |p| p.payload_bytes() as u64)
+        self.records.bytes() + self.pairs.as_ref().map_or(0, |p| p.payload_bytes() as u64)
     }
 }
 
@@ -365,10 +395,10 @@ pub(crate) fn run_map_task(
         }};
     }
 
-    // Raw records, packed records and cached pairs share one
-    // flush/fault/stat protocol; each continues the record index where
-    // the one before stopped, so fault schedules hit the same logical
-    // positions whichever representation holds a record.
+    // Raw records and cached pairs share one flush/fault/stat protocol;
+    // pairs continue the record index where the raw records stopped, so
+    // fault schedules hit the same logical positions whichever
+    // representation holds a record.
     macro_rules! map_one {
         ($record_idx:expr, $apply:expr) => {{
             if ctx.cancelled() {
@@ -403,15 +433,7 @@ pub(crate) fn run_map_task(
             .map_fn
             .map(record, em));
     }
-    let mut base = split.records.len();
-    if let Some(packed) = &split.packed {
-        for (i, record) in packed.iter().enumerate() {
-            map_one!(base + i, |em: &mut BufEmitter<'_>| job
-                .map_fn
-                .map(record, em));
-        }
-        base += packed.len();
-    }
+    let base = split.records.len();
     if let Some(pairs) = &split.pairs {
         for i in 0..pairs.len() {
             let (key, value) = pairs.get(i);
@@ -937,11 +959,11 @@ mod tests {
         assert_eq!(dones, 0, "failed attempt must not announce MapDone");
     }
 
-    /// `records`, then `packed`, then `pairs`, under one record index: an
-    /// injected fault at index *k* fires at the same logical record
-    /// whichever representation holds it.
+    /// `records`, then `pairs`, under one record index: an injected fault
+    /// at index *k* fires at the same logical record whichever
+    /// representation holds it.
     #[test]
-    fn three_representations_map_in_order_under_one_record_index() {
+    fn records_then_pairs_map_in_order_under_one_record_index() {
         // Emits each input as `(position seen, input)`, so the shuffled
         // segment is the order the loop visited them in.
         let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -958,7 +980,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        // The same six logical records held one way and three ways. (A
+        // The same six logical records held one way and two ways. (A
         // pair reaches the default `map_pair` re-encoded as an edge record.)
         let all_raw = Split::new(
             [b"r0", b"r1", b"p2", b"p3", b"k4", b"k5"]
@@ -966,8 +988,7 @@ mod tests {
                 .into(),
         );
         let mixed = Split {
-            records: vec![b"r0".to_vec(), b"r1".to_vec()].into(),
-            packed: Some(PackedRecords::pack(&[b"p2", b"p3"])),
+            records: PackedRecords::pack(&[b"r0", b"r1", b"p2", b"p3"]),
             pairs: Some(onepass_core::SegmentBuf::from_pairs([
                 (&b"k"[..], &b"4"[..]),
                 (b"k", b"5"),

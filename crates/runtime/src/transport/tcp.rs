@@ -221,7 +221,7 @@ mod tests {
                 panic!("not a NewSplit");
             };
             assert_eq!(task, 7);
-            let got: Vec<&[u8]> = split.packed.as_ref().unwrap().iter().collect();
+            let got: Vec<&[u8]> = split.records.iter().collect();
             assert_eq!(got, want);
             conn.rx_bytes()
         });

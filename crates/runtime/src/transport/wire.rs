@@ -334,19 +334,15 @@ impl Frame {
                 attempt,
                 split,
             } => {
-                let n = split.record_count();
-                let pairs = split.pairs.as_ref().map_or(0, |p| p.len());
-                let mut e =
-                    Enc::with_capacity(T_NEW_SPLIT, 24 + split.bytes() as usize + 4 * (n + pairs));
+                let packed = split.records.len_prefixed();
+                let pairs = split.pairs.as_ref();
+                let pair_bytes = pairs.map_or(0, |p| p.payload_bytes() + 8 * p.len());
+                let mut e = Enc::with_capacity(T_NEW_SPLIT, 24 + packed.len() + pair_bytes);
                 e.u64(*task);
                 e.u64(*attempt);
-                e.u64(n as u64);
-                for r in split.records.iter() {
-                    e.bytes(r);
-                }
-                for r in split.packed.iter().flat_map(|p| p.iter()) {
-                    e.bytes(r);
-                }
+                e.u64(split.record_count() as u64);
+                // The arena's layout is the wire's: one copy carries it.
+                e.buf.extend_from_slice(packed);
                 for (k, v) in split.pairs.iter().flat_map(|p| p.iter()) {
                     e.u32(codec::pair_len(k, v));
                     codec::append_pair(&mut e.buf, k, v);
@@ -450,12 +446,12 @@ impl Frame {
             T_NEW_SPLIT => {
                 let (task, attempt, n) = (d.u64()?, d.u64()?, d.u64()?);
                 let at = d.pos;
-                let packed = PackedRecords::from_len_prefixed(body, at, n)?;
+                let records = PackedRecords::from_len_prefixed(body, at, n)?;
                 return Ok(Frame::NewSplit {
                     task,
                     attempt,
                     split: Split {
-                        packed: Some(packed),
+                        records,
                         ..Split::default()
                     },
                 });
@@ -545,8 +541,7 @@ mod tests {
                 6,
                 0,
                 Split {
-                    records: vec![b"raw".to_vec()].into(),
-                    packed: Some(PackedRecords::pack(&[b"pk1", b"", b"pack2"])),
+                    records: PackedRecords::pack(&[&b"raw"[..], b"pk1", b"", b"pack2"]),
                     pairs: Some(pairs()),
                     aligned: None,
                 },
@@ -640,17 +635,12 @@ mod tests {
     #[test]
     fn bulk_frames_are_byte_identical_to_the_two_pass_encoding() {
         let raw = || vec![b"a b".to_vec(), vec![], b"c".to_vec()];
-        let pk = || Some(PackedRecords::pack(&[b"pk1", b"", b"pack2"]));
         let mixed = Split {
-            records: raw().into(),
-            packed: pk(),
+            records: PackedRecords::pack(&[&b"a b"[..], b"", b"c", b"pk1", b"", b"pack2"]),
             pairs: Some(pairs()),
             aligned: None,
         };
-        let packed_only = Split {
-            packed: pk(),
-            ..Default::default()
-        };
+        let packed_only = Split::new(vec![b"pk1".to_vec(), vec![], b"pack2".to_vec()]);
         let segment = Frame::Segment {
             map_task: 1,
             attempt: 0,
@@ -671,6 +661,34 @@ mod tests {
         ] {
             assert_eq!(frame.encode(), hex(golden), "{frame:?}");
         }
+    }
+
+    /// A split packed where it is made and the split a worker decodes
+    /// from its frame hold the same arena layout, so each encodes to the
+    /// same bytes: the body a worker receives is the arena it maps.
+    #[test]
+    fn a_made_split_and_its_received_copy_encode_alike() {
+        let made = new_split(
+            7,
+            1,
+            Split::new(vec![b"a b".to_vec(), vec![], b"c".to_vec()]),
+        );
+        let wire = made.encode();
+        let body = read_body(&mut &wire[..]).unwrap();
+        let body_at = body.as_ptr();
+        let received = Frame::decode(body).unwrap();
+        assert_eq!(received.encode(), wire);
+        let Frame::NewSplit { split, .. } = received else {
+            panic!("not a NewSplit");
+        };
+        assert_eq!(
+            split.records.arena().as_ptr(),
+            body_at,
+            "records copied out of the body"
+        );
+        assert_eq!(split.records.len_prefixed(), &wire[4 + 25..]);
+        let got: Vec<&[u8]> = split.records.iter().collect();
+        assert_eq!(got, [&b"a b"[..], b"", b"c"]);
     }
 
     /// `JobInit` is read only at this build's version: the unversioned tag
@@ -765,8 +783,8 @@ mod tests {
         let Frame::NewSplit { split, .. } = decode_wire(&one_of_each()[1].encode()).unwrap() else {
             panic!("not a NewSplit");
         };
-        assert!(split.records.is_empty() && split.pairs.is_none());
-        let got: Vec<&[u8]> = split.packed.as_ref().unwrap().iter().collect();
+        assert!(split.pairs.is_none());
+        let got: Vec<&[u8]> = split.records.iter().collect();
         assert_eq!(got[..4], [&b"raw"[..], b"pk1", b"", b"pack2"]);
         assert_eq!(got[4], crate::codec::encode_pair(b"key", b"value"));
         assert_eq!((split.record_count(), got.len()), (7, 7));
@@ -880,19 +898,15 @@ mod tests {
                     .map(|i| (text(i), text(i - 1)))
                     .collect(),
             },
-            1 => {
-                let refs: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
-                new_split(
-                    a,
-                    b,
-                    Split {
-                        records: if flag { recs.clone() } else { Vec::new() }.into(),
-                        packed: (c % 2 == 0).then(|| PackedRecords::pack(&refs)),
-                        pairs: (c % 3 == 0).then(kv),
-                        aligned: None,
-                    },
-                )
-            }
+            1 => new_split(
+                a,
+                b,
+                Split {
+                    records: PackedRecords::pack(if flag { &recs[..] } else { &[] }),
+                    pairs: (c % 3 == 0).then(kv),
+                    aligned: None,
+                },
+            ),
             2 => Frame::Segment {
                 map_task: a,
                 attempt: b,
@@ -930,8 +944,7 @@ mod tests {
     fn touch(frame: &Frame) -> usize {
         match frame {
             Frame::NewSplit { split, .. } => {
-                let packed = split.packed.as_ref().expect("received splits are packed");
-                packed.iter().map(<[u8]>::len).sum::<usize>() + split.record_count()
+                split.records.iter().map(<[u8]>::len).sum::<usize>() + split.record_count()
             }
             Frame::Segment { records, .. } => records.iter().map(|(k, v)| k.len() + v.len()).sum(),
             _ => 0,

@@ -43,32 +43,32 @@ pub use serving::{standard_catalog, CatalogConfig};
 pub use tenantgen::{assign_tenants, TenantGenConfig, TenantSpec};
 pub use zipf::Zipf;
 
-use onepass_runtime::map_task::Split;
+use onepass_runtime::map_task::{PackedRecords, Split};
 
 /// Chop `records` into splits of at most `per_split` records each — the
 /// workload-side analogue of HDFS 64 MB blocks. The last split holds the
-/// remainder.
+/// remainder. Each split packs its records into one arena, as
+/// [`Split::new`] does.
 ///
-/// The splits are cut off the back of `records` and the first one keeps
-/// its allocation, shrunk in place, so the input's record index is never
-/// freed as one block. Freeing a block that large (24 MB for a million
-/// records) would raise glibc's dynamic mmap threshold, and with it every
-/// arena's trim threshold, for the rest of the process.
+/// The splits are cut off the back of `records`: each tail is packed into
+/// its split's arena, its records are freed, and the input's record index
+/// is shrunk in place, so no block larger than one split's index is ever
+/// freed. Freeing a block as large as the whole index (24 MB for a
+/// million records) would raise glibc's dynamic mmap threshold, and with
+/// it every arena's trim threshold, for the rest of the process.
 pub fn make_splits(mut records: Vec<Vec<u8>>, per_split: usize) -> Vec<Split> {
     assert!(per_split > 0);
-    if records.is_empty() {
-        return Vec::new();
-    }
-    let full = records.len() / per_split;
     let mut splits = Vec::with_capacity(records.len().div_ceil(per_split));
-    if full > 0 && records.len() > full * per_split {
-        splits.push(Split::new(records.split_off(full * per_split)));
+    while !records.is_empty() {
+        let at = (records.len() - 1) / per_split * per_split;
+        splits.push(Split {
+            records: PackedRecords::pack(&records[at..]),
+            pairs: None,
+            aligned: None,
+        });
+        records.truncate(at);
+        records.shrink_to_fit();
     }
-    for i in (1..full).rev() {
-        splits.push(Split::new(records.split_off(i * per_split)));
-    }
-    records.shrink_to_fit();
-    splits.push(Split::new(records));
     // Cut back to front: the remainder, cut first, ends up last.
     splits.reverse();
     splits

@@ -1,23 +1,26 @@
-//! `make_splits` never frees its input's record index as one block, and
-//! a split's clone shares every payload instead of copying it.
+//! `make_splits` packs each split into one arena, allocating per split
+//! and not per record, and never frees its input's record index as one
+//! block; a split's clone shares every payload instead of copying it.
 //!
 //! A global allocator records the largest block the calling thread frees
 //! while it cuts splits. glibc raises its dynamic mmap threshold (and
 //! every arena's trim threshold with it) to the size of the largest
 //! mmapped block a program frees, so a cut that freed a million records'
 //! 24 MB index would leave every arena keeping up to 48 MB of freed
-//! memory for the rest of the process. The cut must free nothing larger
-//! than one split's own record index.
+//! memory for the rest of the process. The cut frees the input's records
+//! one by one and no arena at all, so the largest block it may free is
+//! one split's share of the input's record index.
 //!
-//! The same allocator counts the blocks a clone allocates: none, for raw,
-//! packed and pair splits alike.
+//! The same allocator counts the blocks a cut and a clone allocate: a
+//! few per split for the cut, and none for a clone of a raw or a pair
+//! split.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use onepass_core::SegmentBuf;
-use onepass_runtime::map_task::{PackedRecords, Split};
+use onepass_runtime::map_task::Split;
 use onepass_workloads::make_splits;
 
 thread_local! {
@@ -75,20 +78,35 @@ fn records(len: usize) -> Vec<Vec<u8>> {
     (0..len).map(|i| i.to_string().into_bytes()).collect()
 }
 
+/// `f()`, and the blocks this thread allocated while it ran.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, ALLOCATIONS.with(Cell::get))
+}
+
 /// Cut `len` records into `per_split`-record splits, returning the split
 /// sizes and the largest block freed while cutting. Checks that the
-/// records come out in input order.
+/// records come out in input order, and that the cut allocated a few
+/// blocks per split — never one per record.
 fn cut(len: usize, per_split: usize) -> (Vec<usize>, usize) {
     let input = records(len);
     LARGEST_FREE.with(|m| m.set(0));
-    COUNTING.with(|on| on.set(true));
-    let splits = make_splits(input, per_split);
-    COUNTING.with(|on| on.set(false));
+    let (splits, blocks) = allocations(|| make_splits(input, per_split));
     let largest = LARGEST_FREE.with(Cell::get);
-    let flat: Vec<&Vec<u8>> = splits.iter().flat_map(|s| s.records.iter()).collect();
+    // An arena, its `Arc` and one shrink of the input's index per split,
+    // and the list of splits.
+    assert!(
+        blocks <= 3 * splits.len() + 1,
+        "{blocks} allocations cutting {} splits",
+        splits.len()
+    );
+    let flat: Vec<&[u8]> = splits.iter().flat_map(|s| s.records.iter()).collect();
     assert_eq!(flat.len(), len);
     for (i, r) in flat.into_iter().enumerate() {
-        assert_eq!(r, &i.to_string().into_bytes(), "record {i} out of order");
+        assert_eq!(r, i.to_string().as_bytes(), "record {i} out of order");
     }
     (splits.iter().map(|s| s.records.len()).collect(), largest)
 }
@@ -137,39 +155,21 @@ fn empty_input_has_no_splits() {
     assert_eq!(largest, 0);
 }
 
-/// `f()`, and the blocks this thread allocated while it ran.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    ALLOCATIONS.with(|n| n.set(0));
-    COUNTING.with(|on| on.set(true));
-    let out = f();
-    COUNTING.with(|on| on.set(false));
-    (out, ALLOCATIONS.with(Cell::get))
-}
-
 #[test]
 fn a_cloned_split_allocates_nothing_and_shares_its_records() {
     let input = records(20_000);
-    let mut arena = Vec::new();
-    for r in &input {
-        arena.extend_from_slice(&(r.len() as u32).to_le_bytes());
-        arena.extend_from_slice(r);
-    }
-    let packed = Split {
-        packed: Some(PackedRecords::from_len_prefixed(arena, 0, 20_000).unwrap()),
-        ..Split::default()
-    };
     let pairs = Split::from_segment(SegmentBuf::from_pairs(
         input.iter().map(|r| (r.as_slice(), r.as_slice())),
     ));
     let raw = Split::new(input);
-    for (name, split) in [("raw", raw), ("packed", packed), ("pair", pairs)] {
+    for (name, split) in [("raw", raw), ("pair", pairs)] {
         let (clone, blocks) = allocations(|| split.clone());
         assert_eq!(
             blocks, 0,
             "cloning a {name} split allocated {blocks} blocks"
         );
         assert!(
-            Arc::ptr_eq(&clone.records, &split.records),
+            Arc::ptr_eq(clone.records.arena(), split.records.arena()),
             "a {name} split's clone copied its records"
         );
         assert_eq!(clone.record_count(), 20_000, "{name}");

@@ -20,7 +20,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::hashlib::fingerprint;
@@ -280,11 +280,9 @@ pub struct SegEntry {
 #[derive(Debug, Clone, Default)]
 pub struct SegmentBuf {
     arena: Arc<Vec<u8>>,
-    /// The entry table. A segment read from framed bytes builds it on
-    /// first use: a coordinator that only forwards and logs a worker's
-    /// segment never needs one.
-    entries: Arc<OnceLock<Vec<SegEntry>>>,
-    len: usize,
+    /// The entry table; a segment read from framed bytes builds it in the
+    /// walk that validates them.
+    entries: Arc<Vec<SegEntry>>,
     payload: usize,
     /// `Some(start)` when `arena[start..]` is exactly this segment's
     /// framed encoding, records in entry order: set by
@@ -302,8 +300,7 @@ impl SegmentBuf {
             .sum();
         SegmentBuf {
             arena,
-            len: entries.len(),
-            entries: Arc::new(OnceLock::from(entries)),
+            entries: Arc::new(entries),
             payload,
             framed_from: None,
         }
@@ -335,31 +332,27 @@ impl SegmentBuf {
                 "framed records at {start} of a {n}-byte buffer"
             )));
         }
-        let (mut len, mut payload) = (0, 0);
-        walk_framed(&data, start, |e| {
-            len += 1;
-            payload += (e.key_len + e.val_len) as usize;
-        })?;
-        Ok(SegmentBuf {
-            arena: data,
-            entries: Arc::default(),
-            len,
-            payload,
-            framed_from: Some(start as u32),
-        })
-    }
-
-    /// The entry table, indexed from the framed bytes on first use.
-    #[inline]
-    fn entries(&self) -> &[SegEntry] {
-        self.entries.get_or_init(|| {
-            let mut entries = Vec::with_capacity(self.len);
-            if let Some(start) = self.framed_from {
-                walk_framed(&self.arena, start as usize, |e| entries.push(e))
-                    .expect("framed bytes were validated when the segment was read");
+        let mut entries = Vec::new();
+        let mut pos = start;
+        while pos < n {
+            let Some((header, rest)) = data[pos..].split_first_chunk::<8>() else {
+                return Err(Error::Corrupt("truncated record header".into()));
+            };
+            let (klen, vlen) = record_lens(header);
+            let body = pos + 8;
+            if rest.len() < klen + vlen {
+                return Err(Error::Corrupt("truncated record payload".into()));
             }
-            entries
-        })
+            entries.push(SegEntry {
+                key_off: body as u32,
+                key_len: klen as u32,
+                val_len: vlen as u32,
+            });
+            pos = body + klen + vlen;
+        }
+        let mut seg = SegmentBuf::from_parts(data, entries);
+        seg.framed_from = Some(start as u32);
+        Ok(seg)
     }
 
     /// Bytes [`SegmentBuf::append_framed`] appends: an 8-byte header per
@@ -394,12 +387,12 @@ impl SegmentBuf {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when the segment carries no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Total key + value bytes (headers and entry tables excluded).
@@ -410,14 +403,14 @@ impl SegmentBuf {
     /// Key bytes of the `i`-th record.
     #[inline]
     pub fn key(&self, i: usize) -> &[u8] {
-        let e = self.entries()[i];
+        let e = self.entries[i];
         &self.arena[e.key_off as usize..(e.key_off + e.key_len) as usize]
     }
 
     /// Value bytes of the `i`-th record.
     #[inline]
     pub fn value(&self, i: usize) -> &[u8] {
-        let e = self.entries()[i];
+        let e = self.entries[i];
         let start = (e.key_off + e.key_len) as usize;
         &self.arena[start..start + e.val_len as usize]
     }
@@ -435,9 +428,8 @@ impl SegmentBuf {
 
     /// Iterate `(key, value)` slice pairs in entry order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> + '_ {
-        // One look at the lazily built table per walk, not two per record.
         let arena = &self.arena[..];
-        self.entries().iter().map(move |e| {
+        self.entries.iter().map(move |e| {
             let (key, value) = (e.key_off as usize, (e.key_off + e.key_len) as usize);
             (
                 &arena[key..value],
@@ -459,7 +451,7 @@ impl SegmentBuf {
     /// memory-bounded consumer cut an oversized batch into budget-sized
     /// sort buffers without copying payload.
     pub fn sorted_range_by_key(&self, range: std::ops::Range<usize>) -> SegmentBuf {
-        let entries = sort_entries(&self.arena, &self.entries()[range], false);
+        let entries = sort_entries(&self.arena, &self.entries[range], false);
         SegmentBuf::from_parts(Arc::clone(&self.arena), entries)
     }
 
@@ -477,31 +469,6 @@ impl SegmentBuf {
         }
         acc
     }
-}
-
-/// Walk the framed records of `data[start..]`, handing `entry` each one's
-/// entry. `data` is foreign bytes: a header whose lengths overrun it is
-/// `Error::Corrupt`.
-fn walk_framed(data: &[u8], start: usize, mut entry: impl FnMut(SegEntry)) -> Result<()> {
-    let n = data.len();
-    let mut pos = start;
-    while pos < n {
-        let Some((header, rest)) = data[pos..].split_first_chunk::<8>() else {
-            return Err(Error::Corrupt("truncated record header".into()));
-        };
-        let (klen, vlen) = record_lens(header);
-        let body = pos + 8;
-        if rest.len() < klen + vlen {
-            return Err(Error::Corrupt("truncated record payload".into()));
-        }
-        entry(SegEntry {
-            key_off: body as u32,
-            key_len: klen as u32,
-            val_len: vlen as u32,
-        });
-        pos = body + klen + vlen;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -753,11 +720,6 @@ impl OwnedKv {
         }
     }
 
-    /// Borrow both sides as the slice pair the operator APIs consume.
-    pub fn as_pair(&self) -> (&[u8], &[u8]) {
-        (&self.key, &self.value)
-    }
-
     /// Payload size in bytes.
     pub fn payload_bytes(&self) -> usize {
         self.key.len() + self.value.len()
@@ -936,11 +898,7 @@ mod tests {
             data.extend_from_slice(v);
         }
         let seg = SegmentBuf::from_framed(Arc::new(data.clone()), 0).unwrap();
-        // Counted and re-framed without an entry table: a segment that is
-        // only forwarded never indexes its records.
         assert_eq!(seg.len(), 2);
-        seg.append_framed(&mut Vec::new());
-        assert!(seg.entries.get().is_none());
         assert_eq!(seg.get(0), (b"ka".as_slice(), b"v1".as_slice()));
         assert_eq!(seg.get(1), (b"key2".as_slice(), b"".as_slice()));
         assert_eq!(seg.payload_bytes(), 2 + 2 + 4);
@@ -989,7 +947,7 @@ mod tests {
     fn owned_kv_roundtrips_through_segments() {
         let seg = SegmentBuf::from_pairs([(b"k".as_slice(), b"v".as_slice())]);
         let kv = seg.owned(0);
-        assert_eq!(kv.as_pair(), (b"k".as_slice(), b"v".as_slice()));
+        assert_eq!((&kv.key[..], &kv.value[..]), seg.get(0));
         assert_eq!(kv.payload_bytes(), 2);
         let back: SegmentBuf = vec![kv].into_iter().collect();
         assert_eq!(back.get(0), seg.get(0));

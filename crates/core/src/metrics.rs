@@ -254,15 +254,6 @@ impl Series {
         })
     }
 
-    /// Mean of y values (None when empty).
-    pub fn mean_y(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            None
-        } else {
-            Some(self.points.iter().map(|&(_, y)| y).sum::<f64>() / self.points.len() as f64)
-        }
-    }
-
     /// Mean of y over points whose x lies in `[x0, x1)`.
     pub fn mean_y_in(&self, x0: f64, x1: f64) -> Option<f64> {
         let ys: Vec<f64> = self
@@ -393,7 +384,7 @@ mod tests {
         s.push(2.0, 20.0);
         assert_eq!(s.len(), 3);
         assert_eq!(s.max_y(), Some(30.0));
-        assert_eq!(s.mean_y(), Some(20.0));
+        assert_eq!(s.mean_y_in(0.0, 3.0), Some(20.0));
         assert_eq!(s.mean_y_in(1.0, 3.0), Some(25.0));
         assert_eq!(s.mean_y_in(5.0, 6.0), None);
     }

@@ -1,4 +1,4 @@
-//! Live metrics: a sharded, lock-free registry of counters, gauges and
+//! Live metrics: a registry of lock-free counters, gauges and
 //! log-bucketed histograms, with a background sampler and two exporters.
 //!
 //! The paper's empirical method is in-depth instrumentation of the
@@ -12,10 +12,10 @@
 //!
 //! # Architecture
 //!
-//! * [`MetricsRegistry`] — a cheaply cloneable handle to a set of
-//!   *shards*, each an `RwLock<BTreeMap<key, metric>>`. The lock is
-//!   taken only to **register** a metric (slow path, once per metric);
-//!   after that, updates go through handles.
+//! * [`MetricsRegistry`] — a cheaply cloneable handle to one
+//!   `Mutex<BTreeMap<(name, sorted labels), cell>>`. The lock is taken
+//!   only to **register** a metric (once per job, partition, task or
+//!   tenant) and to snapshot; updates go through handles.
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — handles wrapping an
 //!   `Arc` of atomic cells. Updating is one (or a few) relaxed atomic
 //!   operations: no locks, no allocation, safe from any thread. Hot
@@ -25,8 +25,8 @@
 //!   a 128-entry scan and any quantile is bounded by one octave of
 //!   relative error.
 //! * [`MetricsSampler`] — a background thread snapshotting the whole
-//!   registry on a period into a time series of [`MetricsSnapshot`]s,
-//!   optionally streaming each snapshot as a JSONL line.
+//!   registry on start, on a period and on stop, and streaming each
+//!   [`MetricsSnapshot`] to a writer as one JSONL line, keeping none.
 //! * [`MetricsServer`] — a minimal blocking HTTP listener (std only)
 //!   answering every GET with [`MetricsRegistry::render_prometheus`]
 //!   text exposition.
@@ -45,11 +45,11 @@ use std::fmt;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use crate::json::fmt_f64;
 
@@ -150,9 +150,6 @@ pub mod names {
     /// Counter: feeds that stalled on the ingest pressure gate.
     pub const SERVE_BACKPRESSURE_STALLS: &str = "onepass_serve_backpressure_stalls_total";
 }
-
-/// Registration shards; updates never touch these locks.
-const NUM_SHARDS: usize = 8;
 
 /// Histogram bucket count: one bucket per binary exponent.
 const NUM_BUCKETS: usize = 128;
@@ -399,24 +396,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// What kind of metric a registry entry is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl Kind {
-    fn label(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
-        }
-    }
-}
-
+/// A registered metric's atomic cell; its variant is the metric's kind.
 #[derive(Clone)]
 enum Cell {
     Counter(Arc<AtomicU64>),
@@ -424,25 +404,34 @@ enum Cell {
     Histogram(Arc<HistogramCore>),
 }
 
-struct Entry {
-    name: String,
-    labels: Vec<(String, String)>,
-    kind: Kind,
-    cell: Cell,
+impl Cell {
+    fn kind(&self) -> &'static str {
+        match self {
+            Cell::Counter(_) => "counter",
+            Cell::Gauge(_) => "gauge",
+            Cell::Histogram(_) => "histogram",
+        }
+    }
 }
+
+/// A metric's identity: its name and its labels, sorted by label name.
+type MetricKey = (String, Vec<(String, String)>);
 
 struct RegistryInner {
     created: Instant,
-    shards: [RwLock<BTreeMap<String, Entry>>; NUM_SHARDS],
+    metrics: Mutex<BTreeMap<MetricKey, Cell>>,
 }
 
-/// The sharded metrics registry. Cloning shares the same metric set.
+/// The metrics registry: one ordered map from name and sorted labels to
+/// a cell. Cloning shares the same metric set.
 ///
-/// Handles obtained from [`counter`](MetricsRegistry::counter) /
+/// The lock is taken to register a metric (once per job, partition,
+/// task or tenant, never per record) and to snapshot; updates go through
+/// handles. Handles obtained from [`counter`](MetricsRegistry::counter) /
 /// [`gauge`](MetricsRegistry::gauge) /
 /// [`histogram`](MetricsRegistry::histogram) stay valid for the life of
-/// the registry; asking twice for the same name + labels returns a
-/// handle to the same cell.
+/// the registry; asking twice for the same name + labels, in any label
+/// order, returns a handle to the same cell.
 #[derive(Clone)]
 pub struct MetricsRegistry {
     inner: Arc<RegistryInner>,
@@ -460,45 +449,13 @@ impl fmt::Debug for MetricsRegistry {
     }
 }
 
-/// Canonical registry key: name + sorted labels.
-fn metric_key(name: &str, labels: &[(String, String)]) -> String {
-    let mut key = String::with_capacity(name.len() + 16 * labels.len());
-    key.push_str(name);
-    for (k, v) in labels {
-        key.push('\u{1}');
-        key.push_str(k);
-        key.push('\u{2}');
-        key.push_str(v);
-    }
-    key
-}
-
-fn shard_of(key: &str) -> usize {
-    // FNV-1a.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % NUM_SHARDS
-}
-
-fn sorted_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    out.sort();
-    out
-}
-
 impl MetricsRegistry {
     /// An empty registry; `at_s` timestamps count from this instant.
     pub fn new() -> Self {
         MetricsRegistry {
             inner: Arc::new(RegistryInner {
                 created: Instant::now(),
-                shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
+                metrics: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -510,7 +467,7 @@ impl MetricsRegistry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.read().len()).sum()
+        self.inner.metrics.lock().len()
     }
 
     /// True when nothing has been registered.
@@ -518,37 +475,33 @@ impl MetricsRegistry {
         self.len() == 0
     }
 
-    fn register(&self, name: &str, labels: &[(&str, &str)], kind: Kind) -> Cell {
-        let labels = sorted_labels(labels);
-        let key = metric_key(name, &labels);
-        let shard = &self.inner.shards[shard_of(&key)];
-        if let Some(e) = shard.read().get(&key) {
-            assert!(
-                e.kind == kind,
-                "metric `{name}` already registered as a {}, requested as a {}",
-                e.kind.label(),
-                kind.label()
-            );
-            return e.cell.clone();
-        }
-        let mut w = shard.write();
-        let e = w.entry(key).or_insert_with(|| Entry {
-            name: name.to_string(),
-            labels,
-            kind,
-            cell: match kind {
-                Kind::Counter => Cell::Counter(Arc::new(AtomicU64::new(0))),
-                Kind::Gauge => Cell::Gauge(Arc::new(AtomicU64::new(0))),
-                Kind::Histogram => Cell::Histogram(Arc::new(HistogramCore::new())),
-            },
-        });
+    /// The cell registered under `name` + `labels`, made by `new` if there
+    /// is none.
+    ///
+    /// # Panics
+    /// If the cell there is not of `kind`.
+    fn register(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        kind: &'static str,
+        new: fn() -> Cell,
+    ) -> Cell {
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        labels.sort();
+        let mut metrics = self.inner.metrics.lock();
+        let cell = metrics
+            .entry((name.to_string(), labels))
+            .or_insert_with(new);
         assert!(
-            e.kind == kind,
-            "metric `{name}` already registered as a {}, requested as a {}",
-            e.kind.label(),
-            kind.label()
+            cell.kind() == kind,
+            "metric `{name}` already registered as a {}, requested as a {kind}",
+            cell.kind()
         );
-        e.cell.clone()
+        cell.clone()
     }
 
     /// Get-or-register a counter.
@@ -556,7 +509,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` + `labels` was already registered with a different kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.register(name, labels, Kind::Counter) {
+        match self.register(name, labels, "counter", || Cell::Counter(Arc::default())) {
             Cell::Counter(cell) => Counter { cell },
             _ => unreachable!(),
         }
@@ -567,7 +520,7 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` + `labels` was already registered with a different kind.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, labels, Kind::Gauge) {
+        match self.register(name, labels, "gauge", || Cell::Gauge(Arc::default())) {
             Cell::Gauge(bits) => Gauge { bits },
             _ => unreachable!(),
         }
@@ -578,31 +531,32 @@ impl MetricsRegistry {
     /// # Panics
     /// If `name` + `labels` was already registered with a different kind.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.register(name, labels, Kind::Histogram) {
+        match self.register(name, labels, "histogram", || {
+            Cell::Histogram(Arc::new(HistogramCore::new()))
+        }) {
             Cell::Histogram(core) => Histogram { core },
             _ => unreachable!(),
         }
     }
 
-    /// Snapshot every metric, sorted by name then labels.
+    /// Snapshot every metric, sorted by name then labels (the map's own
+    /// order).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut metrics = Vec::new();
-        for shard in &self.inner.shards {
-            let guard = shard.read();
-            for e in guard.values() {
-                let value = match &e.cell {
+        let metrics = self
+            .inner
+            .metrics
+            .lock()
+            .iter()
+            .map(|((name, labels), cell)| MetricSample {
+                name: name.clone(),
+                labels: labels.clone(),
+                value: match cell {
                     Cell::Counter(c) => SampleValue::Counter(c.load(Ordering::Relaxed)),
                     Cell::Gauge(g) => SampleValue::Gauge(f64::from_bits(g.load(Ordering::Relaxed))),
                     Cell::Histogram(h) => SampleValue::Histogram(h.snapshot()),
-                };
-                metrics.push(MetricSample {
-                    name: e.name.clone(),
-                    labels: e.labels.clone(),
-                    value,
-                });
-            }
-        }
-        metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+                },
+            })
+            .collect();
         MetricsSnapshot {
             at_s: self.elapsed_s(),
             metrics,
@@ -860,16 +814,13 @@ impl MetricsSnapshot {
     }
 }
 
-/// Background thread snapshotting a registry on a period.
-///
-/// Snapshots accumulate in memory and are returned by
-/// [`stop`](MetricsSampler::stop); with
-/// [`start_streaming`](MetricsSampler::start_streaming) each snapshot is
-/// also written as a JSONL line as it is taken. A final snapshot is
-/// always taken on stop, so even sub-period runs yield one sample.
+/// Background thread snapshotting a registry on start and then on a
+/// period, writing each snapshot to a writer as one JSONL line as it is
+/// taken. Stopping (or dropping) the sampler writes a final snapshot and
+/// flushes, so even a sub-period run yields two lines.
 pub struct MetricsSampler {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Vec<MetricsSnapshot>>>,
+    stop: mpsc::Sender<()>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for MetricsSampler {
@@ -879,43 +830,29 @@ impl fmt::Debug for MetricsSampler {
 }
 
 impl MetricsSampler {
-    /// Start sampling `registry` every `period`; when `writer` is given,
-    /// each snapshot is streamed to it as one JSONL line (flushed on stop).
+    /// Start sampling `registry` every `period`, streaming each snapshot
+    /// to `writer`.
     pub fn start_streaming(
         registry: MetricsRegistry,
         period: Duration,
-        mut writer: Option<Box<dyn std::io::Write + Send>>,
+        mut writer: Box<dyn std::io::Write + Send>,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("metrics-sampler".into())
             .spawn(move || {
-                let mut snaps = Vec::new();
-                let tick = Duration::from_millis(2);
-                let mut since_sample = Duration::ZERO;
+                let mut last = false;
                 loop {
-                    if stop2.load(Ordering::Relaxed) {
+                    let _ = writer.write_all(registry.snapshot().to_jsonl().as_bytes());
+                    if last {
                         break;
                     }
-                    std::thread::sleep(tick);
-                    since_sample += tick;
-                    if since_sample >= period {
-                        since_sample = Duration::ZERO;
-                        let snap = registry.snapshot();
-                        if let Some(w) = writer.as_mut() {
-                            let _ = w.write_all(snap.to_jsonl().as_bytes());
-                        }
-                        snaps.push(snap);
-                    }
+                    last = !matches!(
+                        stopped.recv_timeout(period),
+                        Err(mpsc::RecvTimeoutError::Timeout)
+                    );
                 }
-                let snap = registry.snapshot();
-                if let Some(w) = writer.as_mut() {
-                    let _ = w.write_all(snap.to_jsonl().as_bytes());
-                    let _ = w.flush();
-                }
-                snaps.push(snap);
-                snaps
+                let _ = writer.flush();
             })
             .expect("spawn metrics-sampler");
         MetricsSampler {
@@ -924,23 +861,19 @@ impl MetricsSampler {
         }
     }
 
-    /// Stop the sampler and return every snapshot taken (a final one is
-    /// appended on the way out).
-    pub fn stop(mut self) -> Vec<MetricsSnapshot> {
-        self.stop.store(true, Ordering::Relaxed);
-        match self.handle.take() {
-            Some(h) => h.join().unwrap_or_default(),
-            None => Vec::new(),
+    /// Stop the sampler once its final snapshot is written and flushed.
+    /// Dropping it does this too; a second call does nothing.
+    pub fn stop(&mut self) {
+        let _ = self.stop.send(());
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
         }
     }
 }
 
 impl Drop for MetricsSampler {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.stop();
     }
 }
 
@@ -1276,23 +1209,142 @@ mod tests {
         }
     }
 
+    /// A writer the test keeps a handle on while the sampler owns a clone.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        fn lines(&self) -> Vec<String> {
+            let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+            text.lines().map(str::to_string).collect()
+        }
+    }
+
     #[test]
     fn sampler_collects_snapshots() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("onepass_work_total", &[]);
-        let sampler = MetricsSampler::start_streaming(reg.clone(), Duration::from_millis(5), None);
-        c.inc(10);
-        // `stop` appends a final snapshot, so what is asserted holds
-        // however many periods elapsed (the streaming test below waits
-        // for a periodic one).
-        let snaps = sampler.stop();
-        assert!(!snaps.is_empty());
-        let last = snaps.last().unwrap();
-        match &last.find("onepass_work_total", &[]).unwrap().value {
-            SampleValue::Counter(v) => assert_eq!(*v, 10),
-            other => panic!("wrong kind: {other:?}"),
+        c.inc(1);
+        let buf = SharedBuf::default();
+        let mut sampler =
+            MetricsSampler::start_streaming(reg, Duration::from_millis(5), Box::new(buf.clone()));
+        // Wait for the start line and a periodic one to reach the writer,
+        // not for time to pass; then `stop` writes the final one, which
+        // sees this update.
+        while buf.lines().len() < 2 {
+            std::thread::yield_now();
         }
+        c.inc(9);
+        sampler.stop();
+        let lines = buf.lines();
+        assert!(
+            lines.len() >= 3,
+            "the start line, a periodic one and the final one"
+        );
+        for line in &lines {
+            assert_eq!(MetricsSnapshot::check_jsonl_line(line), Ok(1), "{line}");
+        }
+        let last = Json::parse(lines.last().unwrap()).unwrap();
+        let counters = last.get("counters").and_then(Json::as_arr).unwrap();
+        assert_eq!(counters[0].get("value").and_then(Json::as_f64), Some(10.0));
     }
+
+    #[test]
+    fn threads_registering_one_name_in_any_label_order_share_one_cell() {
+        let reg = MetricsRegistry::new();
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let reg = &reg;
+                s.spawn(move || {
+                    let labels = [("stage", "s0"), ("side", "map"), ("dir", "in")];
+                    let mut order = labels.to_vec();
+                    order.rotate_left(t as usize % 3);
+                    if t % 2 == 1 {
+                        order.reverse();
+                    }
+                    let c = reg.counter("onepass_race_total", &order);
+                    for _ in 0..1000 {
+                        c.inc(t + 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(reg.len(), 1);
+        let c = reg.counter(
+            "onepass_race_total",
+            &[("dir", "in"), ("side", "map"), ("stage", "s0")],
+        );
+        assert_eq!(c.value(), 1000 * (1..=8).sum::<u64>());
+    }
+
+    /// Both exporters of a fixed registry, pinned as text: names and
+    /// label sets in sorted order whatever order they were registered or
+    /// labelled in.
+    #[test]
+    fn exporters_render_a_fixed_registry_as_pinned_text() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("onepass_c_seconds", &[("stage", "s1")])
+            .observe(0.25);
+        reg.gauge("onepass_b", &[("tenant", "t\"2"), ("side", "map")])
+            .set(-0.5);
+        reg.counter("onepass_a_total", &[("stage", "s1"), ("dir", "out")])
+            .inc(7);
+        reg.counter("onepass_a_total", &[("stage", "s0"), ("dir", "out")])
+            .inc(3);
+        let h = reg.histogram("onepass_c_seconds", &[("stage", "s0")]);
+        for v in [1.0, 3.0, 3.5] {
+            h.observe(v);
+        }
+        reg.gauge("onepass_b", &[]).set(2.0);
+        let mut snap = reg.snapshot();
+        snap.at_s = 1.5;
+        assert_eq!(reg.render_prometheus(), PINNED_PROMETHEUS);
+        assert_eq!(snap.to_jsonl(), PINNED_JSONL);
+    }
+
+    const PINNED_PROMETHEUS: &str = "\
+# TYPE onepass_a_total counter
+onepass_a_total{dir=\"out\",stage=\"s0\"} 3
+onepass_a_total{dir=\"out\",stage=\"s1\"} 7
+# TYPE onepass_b gauge
+onepass_b 2
+onepass_b{side=\"map\",tenant=\"t\\\"2\"} -0.5
+# TYPE onepass_c_seconds summary
+onepass_c_seconds{stage=\"s0\",quantile=\"0.5\"} 4
+onepass_c_seconds{stage=\"s0\",quantile=\"0.95\"} 4
+onepass_c_seconds{stage=\"s0\",quantile=\"0.99\"} 4
+onepass_c_seconds_sum{stage=\"s0\"} 7.5
+onepass_c_seconds_count{stage=\"s0\"} 3
+onepass_c_seconds{stage=\"s1\",quantile=\"0.5\"} 0.5
+onepass_c_seconds{stage=\"s1\",quantile=\"0.95\"} 0.5
+onepass_c_seconds{stage=\"s1\",quantile=\"0.99\"} 0.5
+onepass_c_seconds_sum{stage=\"s1\"} 0.25
+onepass_c_seconds_count{stage=\"s1\"} 1
+";
+    const PINNED_JSONL: &str = concat!(
+        "{\"type\":\"metrics\",\"at_s\":1.5,",
+        "\"counters\":[",
+        "{\"name\":\"onepass_a_total\",\"labels\":{\"dir\":\"out\",\"stage\":\"s0\"},\"value\":3},",
+        "{\"name\":\"onepass_a_total\",\"labels\":{\"dir\":\"out\",\"stage\":\"s1\"},\"value\":7}],",
+        "\"gauges\":[",
+        "{\"name\":\"onepass_b\",\"labels\":{},\"value\":2},",
+        "{\"name\":\"onepass_b\",\"labels\":{\"side\":\"map\",\"tenant\":\"t\\\"2\"},\"value\":-0.5}],",
+        "\"histograms\":[",
+        "{\"name\":\"onepass_c_seconds\",\"labels\":{\"stage\":\"s0\"},",
+        "\"count\":3,\"sum\":7.5,\"p50\":4,\"p95\":4,\"p99\":4},",
+        "{\"name\":\"onepass_c_seconds\",\"labels\":{\"stage\":\"s1\"},",
+        "\"count\":1,\"sum\":0.25,\"p50\":0.5,\"p95\":0.5,\"p99\":0.5}]}\n",
+    );
 
     #[test]
     fn http_server_answers_with_exposition() {
@@ -1338,44 +1390,5 @@ mod tests {
         let mut resp = String::new();
         conn.read_to_string(&mut resp).unwrap();
         assert!(resp.contains("onepass_http_total 7\n"), "{resp}");
-    }
-
-    #[test]
-    fn streaming_sampler_writes_jsonl() {
-        use std::sync::Mutex;
-        #[derive(Clone)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Buf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let reg = MetricsRegistry::new();
-        reg.counter("onepass_stream_total", &[]).inc(1);
-        let buf = Buf(Arc::new(Mutex::new(Vec::new())));
-        let sampler = MetricsSampler::start_streaming(
-            reg,
-            Duration::from_millis(5),
-            Some(Box::new(buf.clone())),
-        );
-        // Wait for a periodic sample to reach the writer, not for time to
-        // pass; `stop` then appends the final one.
-        while buf.0.lock().unwrap().is_empty() {
-            std::thread::yield_now();
-        }
-        drop(sampler.stop());
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(
-            text.lines().count() >= 2,
-            "a periodic line and the final one"
-        );
-        for line in text.lines() {
-            let doc = Json::parse(line).expect("each line is valid JSON");
-            assert_eq!(doc.get("type").and_then(Json::as_str), Some("metrics"));
-        }
     }
 }

@@ -34,12 +34,6 @@ impl Table {
         self
     }
 
-    /// Append a row of `&str` cells.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -119,8 +113,8 @@ mod tests {
     #[test]
     fn text_alignment() {
         let mut t = Table::new("demo", &["name", "value"]);
-        t.row_str(&["sessionization", "76"]);
-        t.row_str(&["pf", "40"]);
+        t.row(&["sessionization".into(), "76".into()]);
+        t.row(&["pf".into(), "40".into()]);
         let s = t.to_text();
         assert!(s.contains("== demo =="));
         let lines: Vec<&str> = s.lines().collect();
@@ -133,7 +127,7 @@ mod tests {
     #[test]
     fn csv_escaping() {
         let mut t = Table::new("", &["a", "b"]);
-        t.row_str(&["x,y", "he said \"hi\""]);
+        t.row(&["x,y".into(), "he said \"hi\"".into()]);
         let csv = t.to_csv();
         assert_eq!(csv, "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n");
     }
@@ -142,7 +136,7 @@ mod tests {
     #[should_panic(expected = "row arity")]
     fn arity_mismatch_panics() {
         let mut t = Table::new("", &["a", "b"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Structured trace events: task spans, lane and phase sub-spans,
-//! instants and counters, exportable as Chrome trace-event JSON.
+//! Structured trace events: task spans, lane and phase sub-spans and
+//! instants, exportable as Chrome trace-event JSON.
 //!
 //! The paper's argument is built on *seeing* where a MapReduce job spends
 //! its time — per-phase CPU attribution (Table II) and task timelines
@@ -41,8 +41,6 @@ pub enum EventKind {
     End,
     /// A point event (Chrome `ph:"i"`).
     Instant,
-    /// A sampled counter value (Chrome `ph:"C"`).
-    Counter,
 }
 
 /// The lane an event belongs to: a task group (`"map"`, `"reduce"`,
@@ -65,9 +63,9 @@ impl Track {
 /// One recorded event.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Begin/end/instant/counter.
+    /// Begin/end/instant.
     pub kind: EventKind,
-    /// Event name (span name, instant name, or counter name).
+    /// Event name (span name or instant name).
     pub name: &'static str,
     /// Category — `"task"`, `"lane"`, [`crate::metrics::PHASE`] (spans
     /// only a [`crate::metrics::Stamp`] emits) or an operator family like
@@ -281,23 +279,6 @@ impl LocalTracer {
         }
     }
 
-    /// Record a counter sample now.
-    #[inline]
-    pub fn counter(&mut self, name: &'static str, value: f64) {
-        if self.enabled {
-            self.counter_at(name, self.now(), value);
-        }
-    }
-
-    /// Record a counter sample at an explicit timestamp (sim time).
-    #[inline]
-    pub fn counter_at(&mut self, name: &'static str, ts: Duration, value: f64) {
-        if self.enabled {
-            self.push(EventKind::Counter, name, "counter", ts);
-            self.buf.last_mut().expect("just pushed").args = vec![(name, value)];
-        }
-    }
-
     /// A second buffer on the same tracer and track, for handing to a
     /// helper object (e.g. a group-by operator owned by a task) without
     /// giving up this one. Both flush into the same shared stream.
@@ -371,7 +352,7 @@ pub fn complete_spans(events: &[TraceEvent]) -> Result<Vec<CompletedSpan>> {
                     end: e.ts,
                 });
             }
-            EventKind::Instant | EventKind::Counter => {}
+            EventKind::Instant => {}
         }
     }
     if let Some((track, stack)) = open.iter().find(|(_, s)| !s.is_empty()) {
@@ -467,9 +448,8 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             EventKind::Begin => ("B", String::new()),
             EventKind::End => ("E", String::new()),
             EventKind::Instant => ("i", ",\"s\":\"t\"".to_string()),
-            EventKind::Counter => ("C", String::new()),
         };
-        let args = if e.args.is_empty() && e.kind != EventKind::Counter {
+        let args = if e.args.is_empty() {
             String::new()
         } else {
             format!(",\"args\":{}", args_json(&e.args))
@@ -504,7 +484,6 @@ mod tests {
         let mut local = tracer.local(Track::new("map", 0));
         local.begin("task", "map");
         local.instant("spill", "io", &[("bytes", 100.0)]);
-        local.counter("mem", 5.0);
         local.end("task", "map");
         drop(local);
         assert!(tracer.drain().is_empty());
@@ -650,12 +629,11 @@ mod tests {
     }
 
     #[test]
-    fn instants_and_counters_do_not_disturb_pairing() {
+    fn instants_do_not_disturb_pairing() {
         let tracer = Tracer::enabled();
         let mut local = tracer.local(Track::new("map", 0));
         local.begin_at("task", "t", Duration::from_micros(0));
         local.instant_at("spill", "io", Duration::from_micros(1), &[]);
-        local.counter_at("mem", Duration::from_micros(2), 42.0);
         local.end_at("task", "t", Duration::from_micros(3));
         drop(local);
         let spans = complete_spans(&tracer.drain()).unwrap();
@@ -714,7 +692,6 @@ mod tests {
             Duration::from_micros(2),
             &[("bytes", 4096.0)],
         );
-        local.counter_at("mem", Duration::from_micros(3), 17.0);
         local.end_at("map_task", "task", Duration::from_micros(9));
         drop(local);
 
@@ -725,8 +702,8 @@ mod tests {
             .iter()
             .map(|e| e.get("ph").and_then(Json::as_str).unwrap())
             .collect();
-        // 2 metadata (process) + 1 metadata (thread) + B + i + C + E.
-        assert_eq!(phases, ["M", "M", "M", "B", "i", "C", "E"]);
+        // 2 metadata (process) + 1 metadata (thread) + B + i + E.
+        assert_eq!(phases, ["M", "M", "M", "B", "i", "E"]);
         let begin = &events[3];
         assert_eq!(begin.get("name").and_then(Json::as_str), Some("map_task"));
         assert_eq!(begin.get("ts").and_then(Json::as_f64), Some(1.0));

@@ -4,10 +4,10 @@
 //! Technique 2: "we further implement an incremental hash technique, which
 //! maintains a state for each key, and updates it incrementally." The
 //! reduce computation is applied "to all groups simultaneously" (§IV-3) as
-//! records stream in, an optional [`EarlyEmit`] policy may publish a group
-//! *while input is still arriving* ("output a group as soon as the count of
-//! its items has reached the threshold"), and states that fit in memory
-//! cost zero I/O.
+//! records stream in, an optional early-emit period publishes a count
+//! *while input is still arriving*, each time it reaches a multiple of the
+//! period ("output a group as soon as the count of its items has reached
+//! the threshold"), and states that fit in memory cost zero I/O.
 //!
 //! Technique 3: "For the case that the memory cannot hold the states of
 //! all the keys, we further optimize the incremental hash by borrowing an
@@ -26,8 +26,8 @@
 //! Mechanics:
 //! * a record whose key is resident updates that state in place
 //!   (incremental hash), bumps the entry's own hit counter and, if there
-//!   is an early-emit policy, shows it the updated state — the common case
-//!   touches one hash table and nothing else;
+//!   is an early-emit period, checks the updated count against it — the
+//!   common case touches one hash table and nothing else;
 //! * a record whose key is *not* resident is inserted while the budget
 //!   has room; once it is full, the miss is counted in an online
 //!   frequent-items summary ([`MisraGries`]) and a **hotness gate**
@@ -65,6 +65,7 @@
 //! spill I/O drops by orders of magnitude versus sort-merge — the §V
 //! claim `exp_section5` reproduces.
 
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use onepass_core::error::Result;
@@ -98,36 +99,21 @@ const COLD_FANOUT: usize = 16;
 /// Fanout of the hybrid-hash children that resolve cold buckets.
 const RESOLVE_FANOUT: usize = 8;
 
-/// Decides whether an updated group should be emitted early.
-pub trait EarlyEmit: Send + Sync {
-    /// Inspect `(key, state)` after an update; return `true` to emit the
-    /// current (finished copy of the) state as an early answer.
-    fn ready(&self, key: &[u8], state: &[u8]) -> bool;
-}
-
-/// Early-emit policy: fire every time a little-endian u64 state reaches
-/// a multiple of `period` — a periodic refresh of hot groups while input
-/// is still arriving (the serving front-end's per-tenant early answers).
-#[derive(Debug, Clone, Copy)]
-pub struct PeriodicCount(pub u64);
-
-impl EarlyEmit for PeriodicCount {
-    fn ready(&self, _key: &[u8], state: &[u8]) -> bool {
-        self.0 != 0 && le_u64(state).is_some_and(|n| n > 0 && n % self.0 == 0)
-    }
-}
-
-/// Publish `state` as an early answer, rendered in `out`, if `policy`
-/// fires on it; returns the number of answers published.
-fn emit_if_ready(
-    policy: &dyn EarlyEmit,
+/// Publish `state` as an early answer, rendered in `out`, when it is a
+/// little-endian count at a non-zero multiple of `every` (`None` never
+/// fires) — a periodic refresh of hot groups while input is still
+/// arriving (the serving front-end's per-tenant early answers). Returns
+/// the number of answers published.
+fn emit_if_due(
+    every: Option<NonZeroU64>,
     agg: &dyn Aggregator,
     key: &[u8],
     state: &[u8],
     out: &mut Vec<u8>,
     sink: &mut dyn Sink,
 ) -> u64 {
-    if !policy.ready(key, state) {
+    let Some(every) = every else { return 0 };
+    if !le_u64(state).is_some_and(|n| n > 0 && n % every.get() == 0) {
         return 0;
     }
     sink.emit(key, render(agg, key, state, out), EmitKind::Early);
@@ -161,7 +147,8 @@ pub struct FreqHashGrouper {
     /// The hot-key gate's summary; `None` = gate off. Counts misses only:
     /// records whose key was not resident while the budget was full.
     sketch: Option<MisraGries>,
-    early: Option<Arc<dyn EarlyEmit>>,
+    /// Early-emit period of a count state; `None` = no early emission.
+    early_every: Option<NonZeroU64>,
     /// Cached cold-bucket hasher (member 1_000_003 of the default
     /// [`SeededFamily`]) — built once so per-record cold routing never
     /// re-derives the member.
@@ -202,7 +189,7 @@ impl std::fmt::Debug for FreqHashGrouper {
 /// §V technique 2 by name: builds a [`FreqHashGrouper`] with the hot-key
 /// gate off — no summary, a miss on a full table goes straight to the
 /// cold buckets, and `finish` publishes no hot-key early answers — and an
-/// optional per-update [`EarlyEmit`] policy.
+/// optional early-emit period.
 pub enum IncHashGrouper {}
 
 #[allow(clippy::new_ret_no_self)]
@@ -216,14 +203,16 @@ impl IncHashGrouper {
         Self::with_early(store, budget, agg, None)
     }
 
-    /// An incremental hash grouper with an optional early-emit policy.
+    /// An incremental hash grouper that, given `early_every`, publishes a
+    /// count state as an early answer each time it reaches a multiple of
+    /// it.
     pub fn with_early(
         store: Arc<dyn SpillStore>,
         budget: MemoryBudget,
         agg: Arc<dyn Aggregator>,
-        early: Option<Arc<dyn EarlyEmit>>,
+        early_every: Option<NonZeroU64>,
     ) -> FreqHashGrouper {
-        FreqHashGrouper::build(store, budget, agg, None, early)
+        FreqHashGrouper::build(store, budget, agg, None, early_every)
     }
 }
 
@@ -239,7 +228,7 @@ impl FreqHashGrouper {
         budget: MemoryBudget,
         agg: Arc<dyn Aggregator>,
         sketch: Option<MisraGries>,
-        early: Option<Arc<dyn EarlyEmit>>,
+        early_every: Option<NonZeroU64>,
     ) -> Self {
         let io_base = store.stats();
         // Member index chosen not to collide with the hybrid children's
@@ -250,7 +239,7 @@ impl FreqHashGrouper {
             budget,
             agg,
             sketch,
-            early,
+            early_every,
             cold_hasher,
             states: FpTable::new(),
             out: Vec::new(),
@@ -285,8 +274,8 @@ impl FreqHashGrouper {
         self.evictions
     }
 
-    /// Absorb `value` into `key`'s resident state and show the early-emit
-    /// policy the result; false if not resident.
+    /// Absorb `value` into `key`'s resident state and check the result
+    /// against the early-emit period; false if not resident.
     fn update_resident(&mut self, fp: u64, key: &[u8], value: &[u8], sink: &mut dyn Sink) -> bool {
         let Some(resident) = self.states.get_mut(fp, key) else {
             return false;
@@ -303,16 +292,14 @@ impl FreqHashGrouper {
             after,
         );
         self.peak_reserved = self.peak_reserved.max(self.reserved);
-        if let Some(policy) = &self.early {
-            self.early_emits += emit_if_ready(
-                policy.as_ref(),
-                self.agg.as_ref(),
-                key,
-                &resident.state,
-                &mut self.out,
-                sink,
-            );
-        }
+        self.early_emits += emit_if_due(
+            self.early_every,
+            self.agg.as_ref(),
+            key,
+            &resident.state,
+            &mut self.out,
+            sink,
+        );
         true
     }
 
@@ -339,16 +326,14 @@ impl FreqHashGrouper {
         self.unsettled += state.len();
         self.reserved += fixed + state.len();
         self.peak_reserved = self.peak_reserved.max(self.reserved);
-        if let Some(policy) = &self.early {
-            self.early_emits += emit_if_ready(
-                policy.as_ref(),
-                self.agg.as_ref(),
-                key,
-                &state,
-                &mut self.out,
-                sink,
-            );
-        }
+        self.early_emits += emit_if_due(
+            self.early_every,
+            self.agg.as_ref(),
+            key,
+            &state,
+            &mut self.out,
+            sink,
+        );
         let complete = self.cold.is_none();
         self.states.insert(
             fp,
@@ -824,7 +809,7 @@ mod tests {
             Arc::new(SharedMemStore::new()),
             MemoryBudget::unlimited(),
             Arc::new(CountAgg),
-            Some(Arc::new(PeriodicCount(period))),
+            NonZeroU64::new(period),
         )
     }
 

@@ -42,7 +42,7 @@ pub mod sortmerge;
 pub mod state;
 
 pub use aggregate::{Aggregator, AvgAgg, CountAgg, FirstAgg, ListAgg, MaxAgg, StateInput, SumAgg};
-pub use freq_hash::{EarlyEmit, FreqHashGrouper, IncHashGrouper, PeriodicCount};
+pub use freq_hash::{FreqHashGrouper, IncHashGrouper};
 pub use hybrid_hash::HybridHashGrouper;
 pub use join::{JoinAgg, TAG_BUILD, TAG_PROBE};
 pub use merge::MultiPassMerger;

@@ -351,7 +351,7 @@ mod tests {
         let backends = vec![
             ReduceBackend::SortMerge { snapshots: false },
             ReduceBackend::HybridHash,
-            ReduceBackend::IncHash { early: None },
+            ReduceBackend::IncHash { early_every: None },
             ReduceBackend::FreqHash,
         ];
         type Count = fn(&[u8]) -> u64;
@@ -370,7 +370,7 @@ mod tests {
                     .reducers(2)
                     .map_side(MapSideMode::Hash)
                     .shuffle(ShuffleMode::Push)
-                    .backend(backend.clone())
+                    .backend(backend)
                     .build()
                     .unwrap();
                 let report = Engine::new().run(&job, input()).unwrap();
@@ -471,7 +471,7 @@ mod tests {
         for backend in [
             ReduceBackend::SortMerge { snapshots: false },
             ReduceBackend::HybridHash,
-            ReduceBackend::IncHash { early: None },
+            ReduceBackend::IncHash { early_every: None },
             ReduceBackend::FreqHash,
         ] {
             let label = backend.label();

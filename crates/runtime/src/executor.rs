@@ -107,8 +107,8 @@ pub(crate) fn build_grouper(
             g.set_tracer(tracer);
             Box::new(g)
         }
-        ReduceBackend::IncHash { early } => {
-            let mut g = IncHashGrouper::with_early(store, budget, agg, early.clone());
+        ReduceBackend::IncHash { early_every } => {
+            let mut g = IncHashGrouper::with_early(store, budget, agg, *early_every);
             g.set_tracer(tracer);
             Box::new(g)
         }

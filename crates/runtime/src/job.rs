@@ -1,13 +1,13 @@
 //! Job specification: the MapReduce programming model plus the execution
 //! knobs the paper studies.
 
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use onepass_core::config::MIB;
 use onepass_core::error::{Error, Result};
 use onepass_core::hashlib::{fingerprint, MultiplyShift, SeededFamily};
 use onepass_groupby::Aggregator;
-use onepass_groupby::EarlyEmit;
 
 /// Receives the key/value pairs a map function emits.
 pub trait MapEmitter {
@@ -195,7 +195,7 @@ pub enum ShuffleMode {
 }
 
 /// The reduce-side group-by implementation (Table III's "Group By" row).
-#[derive(Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceBackend {
     /// Hadoop: buffer sorted segments, spill merged runs, multi-pass merge
     /// with factor F = [`DEFAULT_MERGE_FACTOR`], blocking final merge.
@@ -212,31 +212,15 @@ pub enum ReduceBackend {
     },
     /// §V technique 1: hybrid hash, eight buckets per recursion level.
     HybridHash,
-    /// §V technique 2: incremental hash; optional early-emit policy.
+    /// §V technique 2: incremental hash; optional early-emit period.
     /// The frequent-key operator with its hot-key gate off.
     IncHash {
-        /// Early-emission policy applied after each state update.
-        early: Option<Arc<dyn EarlyEmit>>,
+        /// Publish a count state as an early answer each time it reaches
+        /// a multiple of this; `None` never does.
+        early_every: Option<NonZeroU64>,
     },
     /// §V technique 3: incremental hash + frequent-key residency.
     FreqHash,
-}
-
-impl std::fmt::Debug for ReduceBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReduceBackend::SortMerge { snapshots } => f
-                .debug_struct("SortMerge")
-                .field("snapshots", snapshots)
-                .finish(),
-            ReduceBackend::HybridHash => f.write_str("HybridHash"),
-            ReduceBackend::IncHash { early } => f
-                .debug_struct("IncHash")
-                .field("early", &early.is_some())
-                .finish(),
-            ReduceBackend::FreqHash => f.write_str("FreqHash"),
-        }
-    }
 }
 
 impl ReduceBackend {
@@ -255,7 +239,7 @@ impl ReduceBackend {
     pub fn incremental(&self) -> bool {
         match self {
             ReduceBackend::SortMerge { .. } | ReduceBackend::HybridHash => false,
-            ReduceBackend::IncHash { early } => early.is_some(),
+            ReduceBackend::IncHash { early_every } => early_every.is_some(),
             ReduceBackend::FreqHash => true,
         }
     }

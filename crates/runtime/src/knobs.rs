@@ -284,10 +284,10 @@ fn backend_set(j: &mut JobSpec, v: &str) -> Result<()> {
         "sort-merge" => ReduceBackend::SortMerge { snapshots: false },
         "sort-merge+snapshots" => ReduceBackend::SortMerge { snapshots: true },
         "hybrid-hash" => ReduceBackend::HybridHash,
-        // An early-emit policy is a closure and has no text form: a spec
-        // that already runs inc-hash keeps its own; any other takes none.
+        // An early-emit period has no text form: a spec that already runs
+        // inc-hash keeps its own; any other takes none.
         "inc-hash" if matches!(j.backend, ReduceBackend::IncHash { .. }) => return Ok(()),
-        "inc-hash" => ReduceBackend::IncHash { early: None },
+        "inc-hash" => ReduceBackend::IncHash { early_every: None },
         "freq-hash" => ReduceBackend::FreqHash,
         _ => return Err(bad("not a reduce backend")),
     };

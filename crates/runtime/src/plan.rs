@@ -250,11 +250,6 @@ impl Plan {
         self.stages.len()
     }
 
-    /// Name of a stage's job.
-    pub fn stage_name(&self, stage: StageId) -> &str {
-        &self.stages[stage.0].job.name
-    }
-
     /// The stages' jobs as the plan runs them, in stage-id order — what to
     /// [`register_spec`](crate::transport::JobRegistry::register_spec) on
     /// the workers of a plan run over TCP.
@@ -734,7 +729,7 @@ mod tests {
             .map_fn(Arc::new(word_map)) // replaced by `add_pair_stage`
             .aggregate(Arc::new(SumAgg))
             .reducers(2)
-            .backend(ReduceBackend::IncHash { early: None })
+            .backend(ReduceBackend::IncHash { early_every: None })
             .build()
             .unwrap();
         let pairs: Arc<dyn PairMap> =
@@ -901,7 +896,7 @@ mod tests {
             .map_fn(Arc::new(key_range))
             .aggregate(Arc::new(SumAgg))
             .reducers(1)
-            .backend(ReduceBackend::IncHash { early: None })
+            .backend(ReduceBackend::IncHash { early_every: None })
             .build()
             .unwrap();
         let starts = (0..records).map(|i| ((i * PUSH_RECORDS) as u64).to_le_bytes().to_vec());
@@ -1074,6 +1069,6 @@ mod tests {
         assert_eq!(plan.stage_count(), 3);
         assert_eq!(plan.order, vec![0, 1, 2]);
         assert_eq!(plan.incoming, vec![vec![], vec![0], vec![1]]);
-        assert_eq!(plan.stage_name(StageId(1)), "b");
+        assert_eq!(plan.jobs().nth(1).unwrap().name, "b");
     }
 }

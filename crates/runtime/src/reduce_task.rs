@@ -775,7 +775,7 @@ mod tests {
         let job = JobSpec::builder("t")
             .aggregate(Arc::new(SumAgg))
             .reducers(1)
-            .backend(ReduceBackend::IncHash { early: None })
+            .backend(ReduceBackend::IncHash { early_every: None })
             .build()
             .unwrap();
         let (tx, rxs) = shuffle_fabric(1, 64);
@@ -935,7 +935,7 @@ mod tests {
             let job = JobSpec::builder("t")
                 .aggregate(Arc::clone(&observer) as Arc<dyn onepass_groupby::Aggregator>)
                 .reducers(1)
-                .backend(ReduceBackend::IncHash { early: None })
+                .backend(ReduceBackend::IncHash { early_every: None })
                 .build()
                 .unwrap();
             let (tx, rxs) = shuffle_fabric(1, 64);

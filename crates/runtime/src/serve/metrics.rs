@@ -8,7 +8,6 @@
 //! while the unlabeled histogram carries the p50/p99 the load harness
 //! reports.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use onepass_core::obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
@@ -34,8 +33,6 @@ pub(crate) struct ServeMetrics {
     sheds_total: Counter,
     shed_bytes_total: Counter,
     backpressure_stalls_total: Counter,
-    /// Guards per-tenant gauge creation (shard workers race).
-    tenant_gauge_lock: Mutex<()>,
 }
 
 impl ServeMetrics {
@@ -60,7 +57,6 @@ impl ServeMetrics {
             sheds_total: counter(names::SERVE_SHEDS),
             shed_bytes_total: counter(names::SERVE_SHED_BYTES),
             backpressure_stalls_total: counter(names::SERVE_BACKPRESSURE_STALLS),
-            tenant_gauge_lock: Mutex::new(()),
             registry,
         }
     }
@@ -106,7 +102,6 @@ impl ServeMetrics {
     pub(crate) fn on_first_answer(&self, tenant: &str, ttfa: Duration) {
         self.ttfa_seconds.observe_duration(ttfa);
         if let Some(r) = &self.registry {
-            let _guard = self.tenant_gauge_lock.lock().expect("tenant gauge lock");
             r.gauge(names::SERVE_TENANT_TTFA_SECONDS, &[("tenant", tenant)])
                 .set(ttfa.as_secs_f64().max(f64::MIN_POSITIVE));
         }

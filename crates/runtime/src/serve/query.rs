@@ -187,7 +187,7 @@ mod tests {
             .map_fn(Arc::new(identity_map))
             .aggregate(Arc::new(SumAgg))
             .reducers(1)
-            .backend(ReduceBackend::IncHash { early: None })
+            .backend(ReduceBackend::IncHash { early_every: None })
             .build()
             .unwrap()
     }

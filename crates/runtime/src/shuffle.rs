@@ -159,7 +159,7 @@ impl PressureGate {
 
 /// Sending side of the shuffle, shared by all map workers.
 ///
-/// All volume accounting (records / bytes / segments) lives here, *above*
+/// All volume accounting (records / bytes) lives here, *above*
 /// the [`SegmentSink`](crate::transport::SegmentSink) that actually moves
 /// the data — so `shuffled_records`/`shuffled_bytes` in a
 /// [`JobReport`](crate::report::JobReport) are transport-agnostic: the
@@ -170,11 +170,10 @@ pub struct ShuffleTx {
     sink: Arc<dyn crate::transport::SegmentSink>,
     bytes: Arc<AtomicU64>,
     records: Arc<AtomicU64>,
-    segments: Arc<AtomicU64>,
     pressure: Option<PressureGate>,
-    /// Live mirrors of `bytes` / `segments` (detached when metrics are
-    /// off; a job's own totals are read from the fields above, which no
-    /// other round or same-named stage shares).
+    /// Live byte and segment counters (detached when metrics are off; a
+    /// job's own totals are read from the fields above, which no other
+    /// round or same-named stage shares).
     obs: (Counter, Counter),
 }
 
@@ -187,7 +186,6 @@ impl ShuffleTx {
             sink,
             bytes: Arc::new(AtomicU64::new(0)),
             records: Arc::new(AtomicU64::new(0)),
-            segments: Arc::new(AtomicU64::new(0)),
             pressure: None,
             obs: (Counter::detached(), Counter::detached()),
         }
@@ -224,7 +222,6 @@ impl ShuffleTx {
         }
         self.bytes.fetch_add(seg.payload_bytes(), Ordering::Relaxed);
         self.records.fetch_add(seg.len() as u64, Ordering::Relaxed);
-        self.segments.fetch_add(1, Ordering::Relaxed);
         self.obs.0.inc(seg.payload_bytes());
         self.obs.1.inc(1);
         self.sink.send_segment(seg, self.pressure.as_ref());
@@ -264,11 +261,6 @@ impl ShuffleTx {
     /// task) so combine-table flushes are included.
     pub fn shuffled_records(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
-    }
-
-    /// Total segments shuffled so far.
-    pub fn shuffled_segments(&self) -> u64 {
-        self.segments.load(Ordering::Relaxed)
     }
 }
 
@@ -353,13 +345,15 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let (tx, _rxs) = shuffle_fabric(1, 16);
+        let (tx, rxs) = shuffle_fabric(1, 16);
         tx.send_segment(seg(0, 4)); // keys "k0".."k3" (2 B) + "v" (1 B)
         assert_eq!(tx.shuffled_bytes(), 4 * 3);
-        assert_eq!(tx.shuffled_segments(), 1);
-        // Empty segments are dropped silently.
+        assert_eq!(tx.shuffled_records(), 4);
+        assert!(matches!(rxs[0].try_recv(), Ok(ShuffleMsg::Segment(_))));
+        // Empty segments are dropped silently: nothing reaches the reducer.
         tx.send_segment(seg(0, 0));
-        assert_eq!(tx.shuffled_segments(), 1);
+        assert!(rxs[0].try_recv().is_err(), "an empty segment was forwarded");
+        assert_eq!(tx.shuffled_records(), 4);
     }
 
     #[test]

@@ -67,19 +67,19 @@ pub struct StreamAnswer {
 /// A live one-pass analytics session.
 ///
 /// ```
+/// use std::num::NonZeroU64;
 /// use std::sync::Arc;
 /// use onepass_runtime::{JobSpec, ReduceBackend};
 /// use onepass_runtime::job::identity_map;
 /// use onepass_runtime::stream::StreamSession;
 /// use onepass_groupby::{CountAgg, EmitKind};
-/// use onepass_groupby::PeriodicCount;
 ///
 /// let job = JobSpec::builder("alerts")
 ///     .map_fn(Arc::new(identity_map))
 ///     .aggregate(Arc::new(CountAgg))
 ///     .reducers(2)
 ///     .backend(ReduceBackend::IncHash {
-///         early: Some(Arc::new(PeriodicCount(3))),
+///         early_every: NonZeroU64::new(3),
 ///     })
 ///     .build()
 ///     .unwrap();
@@ -248,46 +248,17 @@ impl StreamSession {
         Ok(answers)
     }
 
-    /// Push a routed map-output buffer into the per-partition groupers,
-    /// then service any shed requests the governor posted on this
-    /// session's leases (mirrors the reduce task's segment-boundary
-    /// governance, so a session under cross-tenant pressure spills
-    /// through its operators' own correctness-neutral spill paths).
+    /// Push a routed map-output buffer into the per-partition groupers on
+    /// the caller's thread, then service any shed requests the governor
+    /// posted on this session's leases (mirrors the reduce task's
+    /// segment-boundary governance, so a session under cross-tenant
+    /// pressure spills through its operators' own correctness-neutral
+    /// spill paths).
     fn push_routed(&mut self, mut buf: KvBuf, answers: &mut Vec<StreamAnswer>) -> Result<()> {
-        let total = buf.len();
         let segments = buf.freeze_into_segments(self.groupers.len());
-        // Partitions are independent: for large batches, push each
-        // partition's records on its own thread (the reducer-side
-        // parallelism of the batch engine, without leaving the streaming
-        // API). Small batches stay on the caller's thread.
-        const PARALLEL_THRESHOLD: usize = 4096;
-        if total < PARALLEL_THRESHOLD || self.groupers.len() == 1 {
-            let mut sink = CaptureSink(answers);
-            for (p, seg) in segments.iter().enumerate() {
-                self.groupers[p].push_batch(seg, &mut sink)?;
-            }
-            self.service_shed_requests()?;
-            return Ok(());
-        }
-
-        let results: Vec<Result<Vec<StreamAnswer>>> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (grouper, seg) in self.groupers.iter_mut().zip(segments) {
-                handles.push(scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    let mut sink = CaptureSink(&mut local);
-                    grouper.push_batch(&seg, &mut sink)?;
-                    Ok(local)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stream worker panicked"))
-                .collect()
-        })
-        .expect("stream scope panicked");
-        for r in results {
-            answers.extend(r?);
+        let mut sink = CaptureSink(answers);
+        for (grouper, seg) in self.groupers.iter_mut().zip(segments) {
+            grouper.push_batch(&seg, &mut sink)?;
         }
         self.service_shed_requests()
     }
@@ -351,7 +322,7 @@ mod tests {
     use super::*;
     use crate::job::ReduceBackend;
     use onepass_groupby::CountAgg;
-    use onepass_groupby::PeriodicCount;
+    use std::num::NonZeroU64;
 
     fn session(backend: ReduceBackend) -> StreamSession {
         let job = JobSpec::builder("stream")
@@ -367,7 +338,7 @@ mod tests {
     #[test]
     fn early_answers_flow_mid_stream() {
         let mut s = session(ReduceBackend::IncHash {
-            early: Some(Arc::new(PeriodicCount(3))),
+            early_every: NonZeroU64::new(3),
         });
         let batch1: Vec<&[u8]> = vec![b"x", b"y", b"x"];
         assert!(
@@ -400,23 +371,23 @@ mod tests {
         let (_, stats) = s.close().unwrap();
         assert_eq!(stats.len(), 2);
 
-        let mut s = session(ReduceBackend::IncHash { early: None });
+        let mut s = session(ReduceBackend::IncHash { early_every: None });
         let b: Vec<&[u8]> = vec![b"a"];
         s.feed(b).unwrap();
         assert_eq!(s.records_in(), 1);
     }
 
     #[test]
-    fn large_batches_take_the_parallel_path_and_stay_exact() {
+    fn one_large_batch_over_many_partitions_stays_exact() {
         let job = JobSpec::builder("stream")
             .map_fn(Arc::new(crate::job::identity_map))
             .aggregate(Arc::new(CountAgg))
             .reducers(4)
-            .backend(ReduceBackend::IncHash { early: None })
+            .backend(ReduceBackend::IncHash { early_every: None })
             .build()
             .unwrap();
         let mut s = StreamSession::new(job).unwrap();
-        // One batch well above the parallel threshold.
+        // One batch of 20,000 records over four partitions.
         let keys: Vec<Vec<u8>> = (0..20_000u32)
             .map(|i| format!("k{}", i % 257).into_bytes())
             .collect();
@@ -447,7 +418,7 @@ mod tests {
                 .map_fn(Arc::new(crate::job::identity_map))
                 .aggregate(Arc::new(CountAgg))
                 .reducers(1)
-                .backend(ReduceBackend::IncHash { early: None })
+                .backend(ReduceBackend::IncHash { early_every: None })
                 .build()
                 .unwrap();
             StreamSession::with_options(
@@ -491,7 +462,7 @@ mod tests {
             .map_fn(crate::job::pair_map_fn(Arc::new(route)))
             .aggregate(Arc::new(onepass_groupby::SumAgg))
             .reducers(2)
-            .backend(ReduceBackend::IncHash { early: None })
+            .backend(ReduceBackend::IncHash { early_every: None })
             .build()
             .unwrap();
         let mut s = StreamSession::new(job).unwrap();

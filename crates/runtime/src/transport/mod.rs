@@ -28,7 +28,9 @@
 //! [`SegmentBuf::from_framed`]: onepass_core::SegmentBuf::from_framed
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::job::JobSpec;
 use crate::shuffle::{PressureGate, Segment};
@@ -111,10 +113,7 @@ impl JobRegistry {
         name: impl Into<String>,
         factory: impl Fn() -> JobSpec + Send + Sync + 'static,
     ) {
-        self.inner
-            .lock()
-            .unwrap()
-            .insert(name.into(), Arc::new(factory));
+        self.inner.lock().insert(name.into(), Arc::new(factory));
     }
 
     /// Register a concrete spec under its own `spec.name` (the spec is
@@ -126,13 +125,13 @@ impl JobRegistry {
 
     /// Instantiate the spec registered under `name`, if any.
     pub fn build(&self, name: &str) -> Option<JobSpec> {
-        let factory = self.inner.lock().unwrap().get(name).cloned();
+        let factory = self.inner.lock().get(name).cloned();
         factory.map(|f| f())
     }
 
     /// Names currently registered, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.lock().unwrap().keys().cloned().collect();
+        let mut v: Vec<String> = self.inner.lock().keys().cloned().collect();
         v.sort();
         v
     }

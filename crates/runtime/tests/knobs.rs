@@ -3,6 +3,8 @@
 //! sending its rows as text and setting them onto a default-built spec
 //! (what a TCP worker does with `JobInit`) reproduces every scalar.
 
+use std::num::NonZeroU64;
+
 use onepass_runtime::knobs::{apply, find, pairs, Settings, KNOBS};
 use onepass_runtime::prelude::*;
 
@@ -165,15 +167,20 @@ fn travelling_pairs_applied_to_a_default_spec_reproduce_the_job() {
 
 #[test]
 fn setting_the_backend_keeps_what_has_no_text_form_when_the_kind_matches() {
-    use onepass_groupby::PeriodicCount;
     let built = |backend| fresh(JobSpec::builder("t").backend(backend).build().unwrap());
     let backend = find("backend").unwrap();
 
     let mut s = built(ReduceBackend::IncHash {
-        early: Some(std::sync::Arc::new(PeriodicCount(3))),
+        early_every: NonZeroU64::new(3),
     });
     backend.set(&mut s, "inc-hash").unwrap();
-    assert!(s.job.backend.incremental(), "early-emit policy was dropped");
+    assert_eq!(
+        s.job.backend,
+        ReduceBackend::IncHash {
+            early_every: NonZeroU64::new(3)
+        },
+        "early-emit period was dropped"
+    );
 
     let mut s = built(ReduceBackend::FreqHash);
     backend.set(&mut s, "inc-hash").unwrap();

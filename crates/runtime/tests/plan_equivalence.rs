@@ -194,7 +194,7 @@ fn pipelined_sink_overlaps_its_upstream() {
             sink_ran: Arc::clone(&sink_ran),
         }))
         .reducers(2)
-        .backend(ReduceBackend::IncHash { early: None })
+        .backend(ReduceBackend::IncHash { early_every: None })
         .reduce_budget_bytes(2048) // small: force spills mid-stream
         .build()
         .unwrap();

@@ -40,11 +40,6 @@ impl Dfs {
     pub fn primary_blocks(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.blocks).filter(move |&b| self.primary(b) == node)
     }
-
-    /// Expected blocks per node (load-balance sanity).
-    pub fn blocks_per_node(&self) -> f64 {
-        self.blocks as f64 / self.data_nodes as f64
-    }
 }
 
 #[cfg(test)]
@@ -71,6 +66,8 @@ mod tests {
     fn load_balance_metric() {
         let dfs = Dfs::place(100, 10);
         assert_eq!(dfs.blocks(), 100);
-        assert!((dfs.blocks_per_node() - 10.0).abs() < 1e-9);
+        for node in 0..10 {
+            assert_eq!(dfs.primary_blocks(node).count(), 10);
+        }
     }
 }

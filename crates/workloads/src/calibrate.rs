@@ -80,7 +80,7 @@ pub fn calibrate(records: usize) -> Calibration {
         .reducers(4)
         .collect_mode(CollectOutput::Discard)
         .map_side(MapSideMode::Hash)
-        .backend(ReduceBackend::IncHash { early: None })
+        .backend(ReduceBackend::IncHash { early_every: None })
         .build()
         .expect("valid job");
     let o = engine.run(&hashjob, gen_splits()).expect("hash run");
@@ -94,7 +94,7 @@ pub fn calibrate(records: usize) -> Calibration {
         .collect_mode(CollectOutput::Discard)
         .map_side(MapSideMode::Hash)
         .shuffle(ShuffleMode::Push)
-        .backend(ReduceBackend::IncHash { early: None })
+        .backend(ReduceBackend::IncHash { early_every: None })
         .build()
         .expect("valid job");
     let i = engine.run(&incjob, gen_splits()).expect("inc run");

@@ -15,12 +15,11 @@
 //! run|plan`, the catalog walker) runs rows through it. [`registry`] is
 //! the one set of jobs a worker serves.
 
-use std::sync::Arc;
+use std::num::NonZeroU64;
 use std::time::{Duration, Instant};
 
 use onepass_core::error::{Error, Result};
 use onepass_core::json::fmt_f64;
-use onepass_groupby::PeriodicCount;
 use onepass_runtime::cache::CacheStats;
 use onepass_runtime::knobs::Settings;
 use onepass_runtime::map_task::Split;
@@ -441,10 +440,9 @@ impl Workload {
         // The backends produce byte-identical final answers (the catalog
         // walker, `tests/walk.rs`, pins that), so this changes when answers
         // surface, never what they say.
-        if matches!(self.served, Served::Shape { early: true }) && config.early_every > 0 {
-            query.stages[0].backend = ReduceBackend::IncHash {
-                early: Some(Arc::new(PeriodicCount(config.early_every))),
-            };
+        let early_every = NonZeroU64::new(config.early_every);
+        if matches!(self.served, Served::Shape { early: true }) && early_every.is_some() {
+            query.stages[0].backend = ReduceBackend::IncHash { early_every };
         }
         let input = self.input().expect("a served row reads a record family");
         Ok(query.with_ingest(input.ingest()))

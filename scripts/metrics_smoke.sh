@@ -8,7 +8,9 @@
 #      keeps it up even if the run finishes first),
 #   3. check the exposition contains per-stage progress gauges, a
 #      nonzero TTFA histogram, and phase busy-time counters,
-#   4. validate the JSONL snapshot stream with `onepass metrics-validate`.
+#   4. validate the JSONL snapshot stream with `onepass metrics-validate`,
+#      and check it holds the sampler's start snapshot and, last, the
+#      final one.
 #
 # Set SMOKE_OUT_DIR to keep the logs and snapshots (CI uploads it on
 # failure).
@@ -91,5 +93,18 @@ wait "$PLAN_PID"
 ./target/release/onepass metrics-validate "$OUT/snaps.jsonl"
 grep -q '"name":"onepass_innode_combine_ratio"' "$OUT/snaps.jsonl" \
     || { echo "FAIL: snapshots missing onepass_innode_combine_ratio"; exit 1; }
+
+# The sampler writes on start, every period and once more on stop: at
+# least two lines however fast the plan runs (the timed lines between
+# are pinned by the `obs::sampler_collects_snapshots` unit test), and
+# the last one sees both stages done.
+LINES=$(wc -l < "$OUT/snaps.jsonl")
+[ "$LINES" -ge 2 ] || { echo "FAIL: $LINES snapshot line(s), want the start one and the final one"; exit 1; }
+LAST=$(tail -n 1 "$OUT/snaps.jsonl")
+for stage in url-counts top-k; do
+    echo "$LAST" | grep -q "{\"name\":\"onepass_stage_progress_ratio\",\"labels\":{\"stage\":\"$stage\"},\"value\":1}" \
+        || { echo "FAIL: last snapshot lacks progress 1 for stage $stage"; exit 1; }
+done
+echo "ok: $LINES snapshot lines, the last with both stages at progress 1"
 
 echo "metrics smoke: all checks passed"

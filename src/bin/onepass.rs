@@ -300,7 +300,7 @@ impl MetricsRig {
             MetricsSampler::start_streaming(
                 registry.clone(),
                 Duration::from_millis(100),
-                Some(Box::new(std::io::BufWriter::new(file))),
+                Box::new(std::io::BufWriter::new(file)),
             )
         });
         Some(MetricsRig {
@@ -315,7 +315,7 @@ impl MetricsRig {
     /// Flush the final snapshot, keep the HTTP endpoint up for the
     /// requested linger, then shut everything down.
     fn finish(self) {
-        if let Some(sampler) = self.sampler {
+        if let Some(mut sampler) = self.sampler {
             sampler.stop();
             if let Some(path) = &self.out_path {
                 eprintln!("wrote metrics snapshots to {path}");

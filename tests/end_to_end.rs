@@ -101,7 +101,7 @@ fn sessionization_agrees_across_backends_and_memory_pressure() {
     // Constrained memory + hash backends must produce identical sessions.
     for backend in [
         ReduceBackend::HybridHash,
-        ReduceBackend::IncHash { early: None },
+        ReduceBackend::IncHash { early_every: None },
         ReduceBackend::FreqHash,
     ] {
         let label = backend.label();
@@ -162,7 +162,7 @@ fn per_user_count_streaming_equals_batch() {
     // Streaming run over the same data.
     let job = per_user_count::job()
         .reducers(2)
-        .backend(ReduceBackend::IncHash { early: None })
+        .backend(ReduceBackend::IncHash { early_every: None })
         .build()
         .unwrap();
     let mut session = StreamSession::new(job).unwrap();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use onepass_bench::save;
 use onepass_core::table::Table;
 use onepass_groupby::SumAgg;
-use onepass_runtime::{JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
+use onepass_runtime::{JobSpec, ReduceBackend};
 
 struct SystemRow {
     name: &'static str,
@@ -17,17 +17,18 @@ struct SystemRow {
 }
 
 fn group_by_label(job: &JobSpec) -> &'static str {
-    match (&job.backend, job.map_side) {
-        (ReduceBackend::SortMerge { .. }, MapSideMode::SortSpill) => "Sort-Merge",
-        (ReduceBackend::SortMerge { .. }, _) => "Sort-Merge (hash map side)",
-        _ => "Hash only",
+    if job.backend.sorts_map_output() {
+        "Sort-Merge"
+    } else {
+        "Hash only"
     }
 }
 
 fn shuffle_label(job: &JobSpec) -> &'static str {
-    match job.shuffle {
-        ShuffleMode::Pull => "Pull",
-        ShuffleMode::Push => "Push / Pull",
+    if job.backend.pushes() {
+        "Push / Pull"
+    } else {
+        "Pull"
     }
 }
 

@@ -228,7 +228,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{MapEmitter, MapSideMode, ReduceBackend, ShuffleMode};
+    use crate::job::{MapEmitter, ReduceBackend};
     use crate::report::TaskKind;
     use onepass_core::error::Error;
     use onepass_groupby::{Aggregator, EmitKind, ListAgg, SumAgg};
@@ -343,9 +343,9 @@ mod tests {
         assert!(report.first_early_at.unwrap() <= report.first_final_at.unwrap());
     }
 
-    /// Every backend behind both hash map sides: combining (`SumAgg`) and
-    /// partition-only (`ListAgg` does not combine; a list's length is the
-    /// count).
+    /// Every backend, behind the map side it implies, over a combining
+    /// (`SumAgg`) and a partition-only aggregate (`ListAgg` does not
+    /// combine; a list's length is the count).
     #[test]
     fn all_backends_agree() {
         let backends = vec![
@@ -368,8 +368,6 @@ mod tests {
                     .map_fn(Arc::new(word_map))
                     .aggregate(Arc::clone(agg))
                     .reducers(2)
-                    .map_side(MapSideMode::Hash)
-                    .shuffle(ShuffleMode::Push)
                     .backend(backend)
                     .build()
                     .unwrap();
@@ -380,7 +378,8 @@ mod tests {
                     expected(),
                     "{label} (combining: {combined}) diverged"
                 );
-                // Ten words; combining collapses each table's repeats.
+                // Ten words; combining collapses each table's or each
+                // key streak's repeats.
                 assert_eq!(report.shuffled_records < 10, combined, "{label}");
             }
         }

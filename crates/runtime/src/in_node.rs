@@ -1,10 +1,11 @@
 //! The map-side hash combiner — §V's map option 2, "in-memory hash combine
-//! per partition" — and its scope. Every [`MapSideMode::Hash`] job over a
-//! combinable aggregate combines through one table type,
-//! `WorkerCombiner`; the only thing that varies is how many task attempts
-//! share a table before it ships ([`CombineScope`]): all the attempts a
-//! map worker completes (the "in-node combiner" idea, cf. in-node/in-mapper
-//! combining and M3R's partition-local aggregation), or one.
+//! per partition" — and its scope. Every job whose backend hashes (does
+//! not [sort map output]) over a combinable aggregate combines through
+//! one table type, `WorkerCombiner`; the only thing that varies is how
+//! many task attempts share a table before it ships ([`CombineScope`]):
+//! all the attempts a map worker completes (the "in-node combiner" idea,
+//! cf. in-node/in-mapper combining and M3R's partition-local
+//! aggregation), or one.
 //!
 //! # Protocol
 //!
@@ -60,7 +61,7 @@
 //! whole is what buys one fold per record.
 //!
 //! [`KvBuf`]: onepass_core::bytes_kv::KvBuf
-//! [`MapSideMode::Hash`]: crate::job::MapSideMode::Hash
+//! [sort map output]: crate::job::ReduceBackend::sorts_map_output
 
 use std::sync::Arc;
 
@@ -186,14 +187,7 @@ impl WorkerCombiner {
             }
             let mut records = SegmentBufBuilder::new();
             table.drain(|key, state| records.push(key, &state));
-            let seg = Segment {
-                map_task: trigger_task,
-                attempt: trigger_attempt,
-                partition: p,
-                sorted: false,
-                combined: true,
-                records: records.finish(),
-            };
+            let seg = Segment::new(trigger_task, trigger_attempt, p, records.finish());
             sent_records += seg.len() as u64;
             segments.push(seg);
         }
@@ -331,7 +325,6 @@ impl<'a> MapSlot<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::MapSideMode;
     use crate::shuffle::{shuffle_fabric, ShuffleMsg};
     use onepass_groupby::SumAgg;
     use std::time::Duration;
@@ -382,7 +375,6 @@ mod tests {
             .unwrap();
         assert_eq!(a, 11, "values combined, not re-counted");
         for seg in &segs {
-            assert!(seg.combined && !seg.sorted);
             assert_eq!((seg.map_task, seg.attempt), (1, 0), "trigger stamps");
         }
         // Every contributor announced, each to every reducer.
@@ -450,7 +442,7 @@ mod tests {
             .map_fn(Arc::new(word_map))
             .aggregate(Arc::new(SumAgg))
             .reducers(2)
-            .map_side(MapSideMode::Hash)
+            .preset_onepass()
             .build()
             .unwrap()
     }
@@ -498,9 +490,6 @@ mod tests {
         slot.drain();
         let (segs, dones) = drain(rxs);
         assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), 3 + 2);
-        for seg in &segs {
-            assert!(!seg.sorted && seg.combined);
-        }
         assert!(segs.iter().any(|s| s.map_task == 1), "own stamps");
         let count = |task: usize, key: &[u8]| {
             segs.iter()

@@ -140,9 +140,9 @@ impl Partitioner for HashPartitioner {
 /// map side's combine table.
 pub const MAP_BUFFER_BYTES: usize = 16 * MIB as usize;
 
-/// Records a map task emits between pushes under [`ShuffleMode::Push`]
-/// (MapReduce Online's pipelined batch). Plan edges cut their splits to
-/// the same size.
+/// Records a map task emits between pushes when its backend
+/// [`pushes`](ReduceBackend::pushes) (MapReduce Online's pipelined
+/// batch). Plan edges cut their splits to the same size.
 pub const PUSH_RECORDS: usize = 4096;
 
 /// Whether final/early output pairs are collected into the report.
@@ -165,36 +165,13 @@ impl CollectOutput {
     }
 }
 
-/// How a map task turns its output buffer into shuffle segments — the
-/// choice §V's map module offers. Either way the map side combines iff
-/// the aggregate is combinable: that is a property of the reduce
-/// function, not a setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapSideMode {
-    /// Hadoop: sort the buffer on `(partition, key)`; segments arrive at
-    /// reducers sorted by key. A combinable aggregate collapses each
-    /// key-streak.
-    SortSpill,
-    /// §V's hash map side. With a combinable aggregate, option 2:
-    /// in-memory hash combine per partition ("in most cases the map output
-    /// fits in memory so Hybrid Hash is simply in-memory hashing"; see
-    /// `in_node.rs`). Otherwise option 1: "the map output is scanned once
-    /// for partitioning, and no effort is spent for grouping."
-    Hash,
-}
-
-/// How map output reaches the reducers (§IV-2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShuffleMode {
-    /// Hadoop: reducers receive a completed map task's output only after
-    /// the task finishes (and its output is persisted).
-    Pull,
-    /// MapReduce Online / the proposed system: mappers push output
-    /// eagerly, in [`PUSH_RECORDS`]-record batches, while still running.
-    Push,
-}
-
 /// The reduce-side group-by implementation (Table III's "Group By" row).
+/// Table III couples each system's map side and shuffle to its group-by,
+/// so the backend also decides those: [`sorts_map_output`] and
+/// [`pushes`] are the two columns it implies.
+///
+/// [`sorts_map_output`]: ReduceBackend::sorts_map_output
+/// [`pushes`]: ReduceBackend::pushes
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceBackend {
     /// Hadoop: buffer sorted segments, spill merged runs, multi-pass merge
@@ -243,6 +220,24 @@ impl ReduceBackend {
             ReduceBackend::FreqHash => true,
         }
     }
+
+    /// Does a map task sort its buffer on `(partition, key)` before it
+    /// ships? Sort-merge reduces key-sorted segments (Hadoop and HOP sort
+    /// on the map side). A hash backend needs no order: its map side
+    /// scans the buffer once for partitioning, "and no effort is spent
+    /// for grouping" (§V), and over a combinable aggregate it folds into
+    /// the in-node combine table (`in_node.rs`). Either way a map side
+    /// combines iff the aggregate is combinable.
+    pub fn sorts_map_output(&self) -> bool {
+        matches!(self, ReduceBackend::SortMerge { .. })
+    }
+
+    /// Does a map task push its output every [`PUSH_RECORDS`] records
+    /// while it runs (MapReduce Online and the one-pass system), rather
+    /// than leave reducers to fetch it once the task finished (Hadoop)?
+    pub fn pushes(&self) -> bool {
+        !matches!(self, ReduceBackend::SortMerge { snapshots: false })
+    }
 }
 
 /// A complete MapReduce job specification.
@@ -258,11 +253,8 @@ pub struct JobSpec {
     /// Number of reduce tasks. Keys route to them by
     /// [`HashPartitioner::default`].
     pub reducers: usize,
-    /// Map-side processing mode.
-    pub map_side: MapSideMode,
-    /// Shuffle communication mode.
-    pub shuffle: ShuffleMode,
-    /// Reduce-side group-by backend.
+    /// Reduce-side group-by backend; it also decides the map side and
+    /// the shuffle (Table III).
     pub backend: ReduceBackend,
     /// Reduce memory budget bytes per reduce task.
     pub reduce_budget_bytes: usize,
@@ -295,7 +287,7 @@ impl JobSpec {
     /// shipping their own segments: a hash map side over a combinable
     /// aggregate (`in_node.rs`).
     pub fn hash_combines(&self) -> bool {
-        self.map_side == MapSideMode::Hash && self.agg.combinable()
+        !self.backend.sorts_map_output() && self.agg.combinable()
     }
 
     /// Validate cross-field constraints.
@@ -313,9 +305,9 @@ pub struct JobSpecBuilder {
 }
 
 impl JobSpecBuilder {
-    /// New builder; defaults: Hadoop configuration (sort-spill map side,
-    /// pull shuffle, sort-merge reduce, F=10, 4 reducers, 64 MiB reduce
-    /// budget).
+    /// New builder; defaults: Hadoop configuration (sort-merge reduce at
+    /// F=10, so a sort-spill map side and pull shuffle; 4 reducers, 64 MiB
+    /// reduce budget).
     pub fn new(name: impl Into<String>) -> Self {
         JobSpecBuilder {
             spec: JobSpec {
@@ -323,8 +315,6 @@ impl JobSpecBuilder {
                 map_fn: Arc::new(identity_map),
                 agg: Arc::new(onepass_groupby::CountAgg),
                 reducers: 4,
-                map_side: MapSideMode::SortSpill,
-                shuffle: ShuffleMode::Pull,
                 backend: ReduceBackend::SortMerge { snapshots: false },
                 reduce_budget_bytes: 64 * MIB as usize,
                 collect_output: CollectOutput::Collect,
@@ -347,18 +337,6 @@ impl JobSpecBuilder {
     /// Set the number of reduce tasks.
     pub fn reducers(mut self, n: usize) -> Self {
         self.spec.reducers = n;
-        self
-    }
-
-    /// Set the map-side mode.
-    pub fn map_side(mut self, m: MapSideMode) -> Self {
-        self.spec.map_side = m;
-        self
-    }
-
-    /// Set the shuffle mode.
-    pub fn shuffle(mut self, s: ShuffleMode) -> Self {
-        self.spec.shuffle = s;
         self
     }
 
@@ -389,28 +367,23 @@ impl JobSpecBuilder {
 
 /// Convenience presets matching the systems in Table III.
 impl JobSpecBuilder {
-    /// Stock Hadoop: sort-spill map, pull shuffle, sort-merge reduce.
+    /// Stock Hadoop: sort-merge reduce, so a sort-spill map side and pull
+    /// shuffle.
     pub fn preset_hadoop(self) -> Self {
-        self.map_side(MapSideMode::SortSpill)
-            .shuffle(ShuffleMode::Pull)
-            .backend(ReduceBackend::SortMerge { snapshots: false })
+        self.backend(ReduceBackend::SortMerge { snapshots: false })
     }
 
-    /// MapReduce Online (HOP): sort-spill map, push shuffle, sort-merge
-    /// reduce with periodic snapshots at 25/50/75%.
+    /// MapReduce Online (HOP): sort-merge reduce with periodic snapshots
+    /// at 25/50/75%, so a sort-spill map side and push shuffle.
     pub fn preset_hop(self) -> Self {
-        self.map_side(MapSideMode::SortSpill)
-            .shuffle(ShuffleMode::Push)
-            .backend(ReduceBackend::SortMerge { snapshots: true })
+        self.backend(ReduceBackend::SortMerge { snapshots: true })
     }
 
-    /// The paper's proposed system: hash map side (combining when the
-    /// aggregate is combinable), push shuffle, frequent-key incremental
-    /// hash.
+    /// The paper's proposed system: frequent-key incremental hash, so a
+    /// hash map side (combining when the aggregate is combinable) and
+    /// push shuffle.
     pub fn preset_onepass(self) -> Self {
-        self.map_side(MapSideMode::Hash)
-            .shuffle(ShuffleMode::Push)
-            .backend(ReduceBackend::FreqHash)
+        self.backend(ReduceBackend::FreqHash)
     }
 }
 
@@ -427,8 +400,8 @@ mod tests {
     #[test]
     fn builder_defaults_are_hadoop() {
         let job = JobSpec::builder("t").build().unwrap();
-        assert_eq!(job.map_side, MapSideMode::SortSpill);
-        assert_eq!(job.shuffle, ShuffleMode::Pull);
+        assert!(job.backend.sorts_map_output());
+        assert!(!job.backend.pushes());
         assert!(matches!(job.backend, ReduceBackend::SortMerge { .. }));
         assert_eq!(job.backend.label(), "sort-merge");
         assert!(!job.backend.incremental());
@@ -441,7 +414,7 @@ mod tests {
             .preset_onepass()
             .build()
             .unwrap();
-        assert_eq!(job.map_side, MapSideMode::Hash);
+        assert!(!job.backend.sorts_map_output());
         assert!(!job.hash_combines());
         assert!(job.backend.incremental());
 
@@ -450,7 +423,7 @@ mod tests {
             .preset_onepass()
             .build()
             .unwrap();
-        assert_eq!(job.map_side, MapSideMode::Hash);
+        assert!(!job.backend.sorts_map_output());
         assert!(job.hash_combines());
 
         let hadoop = JobSpec::builder("count")
@@ -493,7 +466,52 @@ mod tests {
     fn hop_preset_has_snapshots() {
         let job = JobSpec::builder("t").preset_hop().build().unwrap();
         assert_eq!(job.backend.label(), "sort-merge+snapshots (HOP)");
-        assert_eq!(job.shuffle, ShuffleMode::Push);
+        assert!(job.backend.pushes());
+    }
+
+    /// Table III, one row per backend: whether the map side sorts,
+    /// whether it pushes, and whether it folds into a combine table under
+    /// a combinable (`SumAgg`) and a holistic (`ListAgg`) aggregate.
+    #[test]
+    fn the_backend_decides_the_map_side_and_the_shuffle() {
+        let table = [
+            (
+                ReduceBackend::SortMerge { snapshots: false },
+                (true, false),
+                (false, false),
+            ),
+            (
+                ReduceBackend::SortMerge { snapshots: true },
+                (true, true),
+                (false, false),
+            ),
+            (ReduceBackend::HybridHash, (false, true), (true, false)),
+            (
+                ReduceBackend::IncHash { early_every: None },
+                (false, true),
+                (true, false),
+            ),
+            (ReduceBackend::FreqHash, (false, true), (true, false)),
+        ];
+        for (backend, sorts_pushes, combines) in table {
+            assert_eq!(
+                (backend.sorts_map_output(), backend.pushes()),
+                sorts_pushes,
+                "{backend:?}"
+            );
+            let combines_under = |agg: Arc<dyn onepass_groupby::Aggregator>| {
+                let job = JobSpec::builder("t").aggregate(agg).backend(backend);
+                job.build().unwrap().hash_combines()
+            };
+            assert_eq!(
+                (
+                    combines_under(Arc::new(SumAgg)),
+                    combines_under(Arc::new(ListAgg))
+                ),
+                combines,
+                "{backend:?}"
+            );
+        }
     }
 
     /// Twenty fixed keys: lengths 0–31, every tail length, 4-byte user

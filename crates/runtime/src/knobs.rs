@@ -16,6 +16,11 @@
 //! * `--report-jsonl` leads with [`to_json`], and [`JobSpec`]'s `Debug`
 //!   prints the job rows.
 //!
+//! A system of Table III is one row, `backend`: its map side and its
+//! shuffle follow from the group-by
+//! ([`ReduceBackend::sorts_map_output`], [`ReduceBackend::pushes`]), so
+//! neither is a row of its own.
+//!
 //! A field-exhaustive destructuring at the bottom of this file names every
 //! field of both structs as either a row or "not a knob", so a new field
 //! does not compile until someone decides which it is.
@@ -25,7 +30,7 @@ use onepass_core::governor::{policy_by_name, MemoryPolicy};
 use onepass_core::json::escape;
 
 use crate::driver::{EngineConfig, SpillBackend};
-use crate::job::{CollectOutput, JobSpec, MapSideMode, ReduceBackend, ShuffleMode};
+use crate::job::{CollectOutput, JobSpec, ReduceBackend};
 
 /// Everything the table can read or write: one job and the engine that
 /// runs it.
@@ -227,17 +232,9 @@ macro_rules! choices {
     };
 }
 
-choices!(MAP_SIDE, MapSideMode {
-    "sort-spill" => MapSideMode::SortSpill,
-    "hash" => MapSideMode::Hash
-});
 choices!(COLLECT, CollectOutput {
     "collect" => CollectOutput::Collect,
     "discard" => CollectOutput::Discard
-});
-choices!(SHUFFLE, ShuffleMode {
-    "pull" => ShuffleMode::Pull,
-    "push" => ShuffleMode::Push
 });
 choices!(SPILL, SpillBackend {
     "memory" => SpillBackend::Memory,
@@ -325,28 +322,14 @@ pub const KNOBS: &[Knob] = &[
         access: field!(Job.reducers),
     },
     Knob {
-        name: "map-side",
-        syntax: MAP_SIDE,
-        help: "how a map task turns its buffer into shuffle segments",
-        travels: true,
-        takers: "",
-        access: field!(Job.map_side),
-    },
-    Knob {
-        name: "shuffle",
-        syntax: SHUFFLE,
-        help: "reducers fetch finished map output, or mappers push 4096-record batches",
-        travels: true,
-        takers: "",
-        access: field!(Job.shuffle),
-    },
-    Knob {
         name: "backend",
         syntax: "sort-merge|sort-merge+snapshots|hybrid-hash|inc-hash|freq-hash",
         help: "reduce-side group-by (sort-merge at F = 10, snapshots at 25/50/75%; \
-               inc-hash = freq-hash with the hot-key summary off)",
-        // Reducers run in the coordinator's executor on every transport.
-        travels: false,
+               inc-hash = freq-hash with the hot-key summary off); it implies the \
+               map side and the shuffle (Table III)",
+        // Reducers run in the coordinator's executor on every transport,
+        // but a map attempt sorts and pushes as the backend implies.
+        travels: true,
         takers: "",
         access: Job(backend_get, backend_set),
     },
@@ -426,8 +409,6 @@ const _: fn(Settings) = |Settings { job, engine }| {
         agg: _,
         // Rows.
         reducers: _,
-        map_side: _,
-        shuffle: _,
         backend: _,
         reduce_budget_bytes: _,
         collect_output: _,

@@ -46,8 +46,8 @@ pub use driver::{Engine, EngineConfig, EngineConfigBuilder, SpillBackend};
 pub use in_node::WorkerCombiner;
 pub use iterate::{IterativePlan, RoundContext};
 pub use job::{
-    pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode, PairMap,
-    Partitioner, ReduceBackend, ShuffleMode,
+    pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, PairMap, Partitioner,
+    ReduceBackend,
 };
 pub use plan::{Plan, PlanBuilder, StageId};
 pub use report::{dump_pairs, JobOutput, JobReport, PlanReport, StageReport, TaskKind, TaskSpan};
@@ -68,8 +68,8 @@ pub mod prelude {
     pub use crate::driver::{Engine, EngineConfig, EngineConfigBuilder, SpillBackend};
     pub use crate::iterate::{IterativePlan, RoundContext};
     pub use crate::job::{
-        pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, MapSideMode,
-        PairMap, Partitioner, ReduceBackend, ShuffleMode,
+        pair_map_fn, CollectOutput, JobSpec, JobSpecBuilder, MapEmitter, MapFn, PairMap,
+        Partitioner, ReduceBackend,
     };
     pub use crate::map_task::Split;
     pub use crate::plan::{Plan, PlanBuilder, StageId};

@@ -1,6 +1,6 @@
 //! Map task execution: read a split, apply the map function, and turn the
-//! output buffer into shuffle segments under one of the two map-side
-//! modes (Fig. 1's map task vs Fig. 5's map module).
+//! output buffer into shuffle segments the way the job's reduce backend
+//! implies (Fig. 1's sorting map task vs Fig. 5's hashing map module).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -13,8 +13,7 @@ use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
 
 use crate::job::{
-    HashPartitioner, JobSpec, MapEmitter, MapSideMode, Partitioner, ShuffleMode, MAP_BUFFER_BYTES,
-    PUSH_RECORDS,
+    HashPartitioner, JobSpec, MapEmitter, Partitioner, MAP_BUFFER_BYTES, PUSH_RECORDS,
 };
 use crate::shuffle::{Segment, ShuffleTx};
 
@@ -331,22 +330,26 @@ impl Drop for MapRun<'_> {
 /// Execute one map task over `split`, sending segments through `tx`.
 /// `buf` is the slot's reusable output arena, handed in empty.
 ///
-/// * `SortSpill` — sort the buffer on `(partition, key)` (the Table II
-///   CPU cost), combine key-streaks when the aggregate is combinable,
-///   persist the output via `map_store` (the synchronous map-output write
-///   of §III-B.2), then ship per-partition sorted segments.
-/// * `Hash` over a holistic aggregate — single partition-clustering scan,
-///   no sort, no combine; raw segments.
-/// * `Hash` over a combinable aggregate — the attempt's whole output stays
+/// * A sort-merge backend ([`sorts_map_output`]) — sort the buffer on
+///   `(partition, key)` (the Table II CPU cost), combine key-streaks when
+///   the aggregate is combinable, persist the output via `map_store` (the
+///   synchronous map-output write of §III-B.2), then ship per-partition
+///   sorted segments.
+/// * A hash backend over a holistic aggregate — single
+///   partition-clustering scan, no sort, no combine; raw segments.
+/// * A hash backend over a combinable aggregate — the attempt's whole output stays
 ///   in `buf`, unrouted, and nothing ships: no segments, no `MapDone`, no
 ///   mid-task flushes.
 ///   The caller (`in_node::MapSlot`) folds a successful attempt's buffer
 ///   into its combine table, which ships the segments and announces the
 ///   `MapDone`; `in_node.rs` has the protocol.
 ///
-/// Under push shuffle a shipping task additionally flushes every
+/// When the backend [`pushes`] a shipping task additionally flushes every
 /// [`PUSH_RECORDS`] emitted records, so reducers receive data while the
 /// task is still running.
+///
+/// [`sorts_map_output`]: crate::job::ReduceBackend::sorts_map_output
+/// [`pushes`]: crate::job::ReduceBackend::pushes
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_map_task(
     job: &JobSpec,
@@ -369,7 +372,7 @@ pub(crate) fn run_map_task(
     let ships = !job.hash_combines();
     let buffer_limit = if ships { MAP_BUFFER_BYTES } else { usize::MAX };
     let partitioner = ships.then(HashPartitioner::default);
-    let pushes = ships && job.shuffle == ShuffleMode::Push;
+    let pushes = ships && job.backend.pushes();
     let mut since_flush = 0usize;
     let mut map_run = map_store.map(|store| MapRun {
         store,
@@ -459,7 +462,8 @@ pub(crate) fn run_map_task(
     Ok(stats)
 }
 
-/// Turn the buffer into segments according to the map-side mode.
+/// Turn the buffer into segments: sorted when the backend sorts map
+/// output, combined when the aggregate is combinable.
 #[allow(clippy::too_many_arguments)]
 fn flush_buffer(
     job: &JobSpec,
@@ -484,7 +488,7 @@ fn flush_buffer(
 
     // A combining hash map side's buffer never comes here: the combiner
     // ships it.
-    let sorted = job.map_side == MapSideMode::SortSpill;
+    let sorted = job.backend.sorts_map_output();
     if sorted {
         let t = Stamp::start(Phase::MapSort);
         buf.sort_by_partition_key();
@@ -511,14 +515,7 @@ fn flush_buffer(
                 }
                 records.push(buf.key(start), &state);
             }
-            segs.push(Segment {
-                map_task: task_id,
-                attempt,
-                partition: p,
-                sorted: true,
-                combined: true,
-                records: records.finish(),
-            });
+            segs.push(Segment::new(task_id, attempt, p, records.finish()));
         }
         t.stop(&mut stats.profile, trace);
         segs
@@ -533,14 +530,7 @@ fn flush_buffer(
             .into_iter()
             .enumerate()
             .filter(|(_, r)| !r.is_empty())
-            .map(|(p, records)| Segment {
-                map_task: task_id,
-                attempt,
-                partition: p,
-                sorted,
-                combined: false,
-                records,
-            })
+            .map(|(p, records)| Segment::new(task_id, attempt, p, records))
             .collect()
     };
     buf.clear();
@@ -649,7 +639,6 @@ mod tests {
                                              // Combine collapsed duplicates: only distinct words shuffle.
         assert_eq!(stats.shuffled_records, 3);
         for seg in &segs {
-            assert!(seg.sorted && seg.combined);
             let mut keys: Vec<_> = seg.records.iter().map(|(k, _)| k.to_vec()).collect();
             let orig = keys.clone();
             keys.sort();
@@ -671,14 +660,11 @@ mod tests {
             .map_fn(Arc::new(word_map))
             .aggregate(Arc::new(ListAgg))
             .reducers(2)
-            .map_side(MapSideMode::Hash)
+            .preset_onepass()
             .build()
             .unwrap();
-        let (segs, stats) = run_with(job);
+        let (_, stats) = run_with(job);
         assert_eq!(stats.shuffled_records, 6, "no combine: all records shuffle");
-        for seg in &segs {
-            assert!(!seg.sorted && !seg.combined);
-        }
         assert_eq!(
             stats.profile.time(Phase::MapSort),
             std::time::Duration::ZERO
@@ -691,7 +677,7 @@ mod tests {
             .map_fn(Arc::new(word_map))
             .aggregate(Arc::new(ListAgg))
             .reducers(1)
-            .shuffle(ShuffleMode::Push)
+            .preset_hop()
             .build()
             .unwrap();
         // 3 × PUSH_RECORDS emitted pairs: pushes are due twice before the
@@ -741,8 +727,7 @@ mod tests {
             .map_fn(map_fn)
             .aggregate(Arc::new(ListAgg))
             .reducers(2)
-            .map_side(MapSideMode::Hash)
-            .shuffle(ShuffleMode::Push)
+            .preset_onepass()
             .build()
             .unwrap();
         let split = Split::new(
@@ -976,7 +961,7 @@ mod tests {
                 }))
                 .aggregate(Arc::new(ListAgg))
                 .reducers(1)
-                .map_side(MapSideMode::Hash)
+                .preset_onepass()
                 .build()
                 .unwrap()
         };

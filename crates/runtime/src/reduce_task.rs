@@ -4,8 +4,9 @@
 //! The task is a backend-agnostic driver over one
 //! [`GroupBy`] operator from `onepass-groupby`:
 //! sort-merge (Hadoop's reducer, Fig. 1 right half) and the three hash
-//! backends are fed the same way — key-sorted segments through
-//! `push_sorted`, the rest through `push_batch`. What the driver owns is
+//! backends are fed the same way — a sort-merge job's segments, which its
+//! map side key-sorted, through `push_sorted`, a hash job's through
+//! `push_batch`. What the driver owns is
 //! everything around the operator: the shuffle loop, attempt dedup,
 //! retry-and-replay, governor duties, and MapReduce Online's snapshot
 //! *schedule* (§III-D) — at configured map-completion fractions it asks
@@ -291,8 +292,8 @@ struct ReduceState<'a> {
     last_limit: usize,
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
-    /// The backend, built when the first segment says whether its values
-    /// are raw or combined states; `None` until any data arrives.
+    /// The backend, built when the first segment arrives; `None` until
+    /// any data does.
     grouper: Option<Box<dyn GroupBy>>,
 
     /// Committed segments kept for replay; only populated when retries are
@@ -412,10 +413,10 @@ impl ReduceState<'_> {
             let g = match &mut self.grouper {
                 Some(g) => g,
                 slot => {
-                    // The aggregate the backend runs: the raw job aggregate
-                    // when segments carry raw values; a `StateInput` wrapper
-                    // when map-side combine ran.
-                    let agg = if seg.combined {
+                    // The aggregate the backend runs: a `StateInput`
+                    // wrapper when the map side combined (the aggregate is
+                    // combinable), else the raw job aggregate.
+                    let agg = if self.job.agg.combinable() {
                         Arc::new(StateInput(Arc::clone(&self.job.agg)))
                     } else {
                         Arc::clone(&self.job.agg)
@@ -429,7 +430,7 @@ impl ReduceState<'_> {
                     )?)
                 }
             };
-            if seg.sorted {
+            if self.job.backend.sorts_map_output() {
                 g.push_sorted(&seg.records, sink)
             } else {
                 g.push_batch(&seg.records, sink)
@@ -593,7 +594,7 @@ impl ReduceState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobSpec, ShuffleMode};
+    use crate::job::JobSpec;
     use crate::shuffle::{shuffle_fabric, Segment};
     use onepass_core::bytes_kv::SegmentBuf;
     use onepass_core::fault::FaultPlan;
@@ -606,14 +607,8 @@ mod tests {
             .map(|(k, v)| (k.as_bytes().to_vec(), v.to_le_bytes().to_vec()))
             .collect();
         records.sort();
-        Segment {
-            map_task,
-            attempt: 0,
-            partition: 0,
-            sorted: true,
-            combined: false,
-            records: SegmentBuf::from_pairs(records.iter().map(|(k, v)| (&k[..], &v[..]))),
-        }
+        let records = SegmentBuf::from_pairs(records.iter().map(|(k, v)| (&k[..], &v[..])));
+        Segment::new(map_task, 0, 0, records)
     }
 
     fn job_sortmerge(snapshots: bool) -> JobSpec {
@@ -621,7 +616,6 @@ mod tests {
             .aggregate(Arc::new(SumAgg))
             .reducers(1)
             .backend(ReduceBackend::SortMerge { snapshots })
-            .shuffle(ShuffleMode::Pull)
             .build()
             .unwrap()
     }
@@ -780,12 +774,8 @@ mod tests {
             .unwrap();
         let (tx, rxs) = shuffle_fabric(1, 64);
         // Combined segments: values are partial sums (states).
-        let mut seg = sorted_seg(0, &[("a", 5), ("b", 7)]);
-        seg.combined = true;
-        tx.send_segment(seg);
-        let mut seg = sorted_seg(1, &[("a", 3)]);
-        seg.combined = true;
-        tx.send_segment(seg);
+        tx.send_segment(sorted_seg(0, &[("a", 5), ("b", 7)]));
+        tx.send_segment(sorted_seg(1, &[("a", 3)]));
         tx.map_done(0, 0);
         tx.map_done(1, 0);
         let mut sink = VecSink::default();

@@ -10,7 +10,7 @@
 //! queue, FIFO) until a seat frees; beyond that they are rejected
 //! outright — load shedding at the front door instead of collapse inside.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Admission configuration.
@@ -95,6 +95,13 @@ impl FairShareAdmission {
         }
     }
 
+    /// The seat counts and counters. A holder that panicked left them
+    /// consistent (every update is a few integer stores), so a poisoned
+    /// lock is taken as it stands.
+    fn seats(&self) -> MutexGuard<'_, (Seats, AdmissionCounters)> {
+        self.seats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The fair share each tenant brings to its session's leases, bytes.
     pub fn fair_share_bytes(&self) -> usize {
         (self.pool_bytes / self.config.max_tenants).max(self.config.min_lease_bytes)
@@ -105,7 +112,7 @@ impl FairShareAdmission {
     ///
     /// [`release`]: FairShareAdmission::release
     pub fn admit(&self) -> Result<usize, AdmissionError> {
-        let mut guard = self.seats.lock().expect("admission lock");
+        let mut guard = self.seats();
         if guard.0.active < self.config.max_tenants {
             guard.0.active += 1;
             guard.1.admitted += 1;
@@ -134,7 +141,7 @@ impl FairShareAdmission {
             let (g, timeout) = self
                 .freed
                 .wait_timeout(guard, deadline - now)
-                .expect("admission lock");
+                .unwrap_or_else(PoisonError::into_inner);
             guard = g;
             if timeout.timed_out() && guard.0.active >= self.config.max_tenants {
                 guard.0.waiting -= 1;
@@ -146,7 +153,7 @@ impl FairShareAdmission {
 
     /// Free a seat (tenant closed or detached); wakes one waiter.
     pub fn release(&self) {
-        let mut guard = self.seats.lock().expect("admission lock");
+        let mut guard = self.seats();
         guard.0.active = guard.0.active.saturating_sub(1);
         drop(guard);
         self.freed.notify_one();
@@ -154,12 +161,12 @@ impl FairShareAdmission {
 
     /// Active tenants right now.
     pub fn active(&self) -> usize {
-        self.seats.lock().expect("admission lock").0.active
+        self.seats().0.active
     }
 
     /// Counter snapshot.
     pub fn counters(&self) -> AdmissionCounters {
-        self.seats.lock().expect("admission lock").1
+        self.seats().1
     }
 }
 

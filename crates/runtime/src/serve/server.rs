@@ -26,7 +26,7 @@
 //! and its seat and share are released.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -65,8 +65,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             pool_bytes: 256 << 20,
-            policy: onepass_core::governor::policy_by_name("largest-consumer")
-                .expect("largest-consumer is registered"),
+            policy: Arc::new(onepass_core::governor::LargestConsumer),
             admission: AdmissionConfig::default(),
             shards: 4,
             queue_depth: 64,
@@ -186,7 +185,7 @@ pub struct Server {
     /// One per shard: its worker reports here once its sessions closed.
     closed_acks: Vec<Receiver<()>>,
     /// Reaped on drop, not at close (see [`shard_worker`]).
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     closed: AtomicBool,
     ingest_records: AtomicU64,
     /// Subscriptions that made it into a shard queue, ever.
@@ -205,7 +204,8 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Start the serving core: spawn shard workers, build the shared
     /// governor pool. `registry` enables the `onepass_serve_*` metrics
-    /// family (pass `None` to skip every probe).
+    /// family (pass `None` to skip every probe). A shard thread the system
+    /// will not spawn is an `Error::Io`.
     pub fn start(
         config: ServeConfig,
         catalog: QueryCatalog,
@@ -235,8 +235,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("serve-shard-{i}"))
-                .spawn(move || shard_worker(rx, ack_tx, shared))
-                .expect("spawn shard worker");
+                .spawn(move || shard_worker(rx, ack_tx, shared))?;
             shards.push(tx);
             closed_acks.push(ack_rx);
             workers.push(handle);
@@ -247,7 +246,7 @@ impl Server {
             shared,
             shards,
             closed_acks,
-            workers: Mutex::new(workers),
+            workers,
             closed: AtomicBool::new(false),
             ingest_records: AtomicU64::new(0),
             subscribed: AtomicUsize::new(0),
@@ -384,7 +383,7 @@ impl Drop for Server {
         let _ = self.close();
         // Hanging up every queue ends each worker's linger loop.
         self.shards.clear();
-        for w in std::mem::take(&mut *self.workers.lock().expect("workers lock")) {
+        for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }

@@ -6,7 +6,8 @@
 //! completed mappers" (§II-A). Under **push**, mappers transmit output
 //! eagerly in fine-grained batches while still running — MapReduce
 //! Online's pipelining (§III-D), which is also what the paper's proposed
-//! system adopts (§IV-2).
+//! system adopts (§IV-2). Which one a job runs follows from its reduce
+//! backend ([`ReduceBackend::pushes`](crate::ReduceBackend::pushes)).
 //!
 //! In-process, both reduce to bounded channels; the difference the engine
 //! preserves is *when* data is sent (at flush/batch boundaries vs at task
@@ -39,16 +40,33 @@ pub struct Segment {
     pub attempt: usize,
     /// Destination reducer partition.
     pub partition: usize,
-    /// Records are sorted by key (sort-spill map side).
+    /// Not read by the engine, and `false` in every segment it makes: a
+    /// reducer knows its segments are key-sorted from its job's backend
+    /// ([`ReduceBackend::sorts_map_output`](crate::ReduceBackend::sorts_map_output)).
+    /// Kept so that code building a `Segment` field by field compiles.
     pub sorted: bool,
-    /// Values are partial aggregate states (combine was applied), not raw
-    /// values.
+    /// Not read by the engine, and `false` in every segment it makes: a
+    /// reducer knows its values are combined states from its job's
+    /// aggregate ([`Aggregator::combinable`](onepass_groupby::Aggregator::combinable)).
+    /// Kept so that code building a `Segment` field by field compiles.
     pub combined: bool,
     /// The records, backed by a flat arena.
     pub records: SegmentBuf,
 }
 
 impl Segment {
+    /// `records` for `partition` from `attempt` of `map_task`.
+    pub fn new(map_task: usize, attempt: usize, partition: usize, records: SegmentBuf) -> Segment {
+        Segment {
+            map_task,
+            attempt,
+            partition,
+            sorted: false,
+            combined: false,
+            records,
+        }
+    }
+
     /// Payload bytes in this segment.
     pub fn payload_bytes(&self) -> u64 {
         self.records.payload_bytes() as u64
@@ -294,14 +312,7 @@ mod tests {
         for i in 0..n {
             b.push(format!("k{i}").as_bytes(), b"v");
         }
-        Segment {
-            map_task: 0,
-            attempt: 0,
-            partition,
-            sorted: false,
-            combined: false,
-            records: b.finish(),
-        }
+        Segment::new(0, 0, partition, b.finish())
     }
 
     #[test]

@@ -178,7 +178,7 @@ mod tests {
     use onepass_core::obs::{names, MetricsRegistry};
     use onepass_groupby::SumAgg;
 
-    use crate::job::{JobSpec, MapEmitter, MapSideMode};
+    use crate::job::{JobSpec, MapEmitter, ReduceBackend};
     use crate::map_task::Split;
     use crate::{Engine, EngineConfig};
 
@@ -187,12 +187,12 @@ mod tests {
     }
 
     /// Ten records over three keys in each of four splits, counted.
-    fn run(map_side: MapSideMode) -> MetricsRegistry {
+    fn run(backend: ReduceBackend) -> MetricsRegistry {
         let job = JobSpec::builder("ratio")
             .map_fn(Arc::new(key_map))
             .aggregate(Arc::new(SumAgg))
             .reducers(2)
-            .map_side(map_side)
+            .backend(backend)
             .build()
             .unwrap();
         let splits = (0..4)
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn attempts_folded_into_a_combine_table_observe_no_ratio_of_their_own() {
         let l: &[(&str, &str)] = &[("stage", "ratio")];
-        let registry = run(MapSideMode::Hash);
+        let registry = run(ReduceBackend::FreqHash);
         let per_task = registry
             .histogram(names::ENGINE_COMBINE_RATIO, l)
             .snapshot();
@@ -221,7 +221,7 @@ mod tests {
         assert!(per_flush.count > 0 && per_flush.sum > 0.0);
 
         // A task that ships its own output still observes 3 / 10.
-        let registry = run(MapSideMode::SortSpill);
+        let registry = run(ReduceBackend::SortMerge { snapshots: false });
         let per_task = registry
             .histogram(names::ENGINE_COMBINE_RATIO, l)
             .snapshot();

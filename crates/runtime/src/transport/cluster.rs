@@ -117,22 +117,15 @@ impl<'a> TcpCluster<'a> {
                     map_task,
                     attempt,
                     partition,
-                    sorted,
-                    combined,
                     records,
                 } => {
                     // Into the coordinator fabric: accounting and
                     // backpressure happen here, exactly as for local map
                     // workers. `records` still points into the frame body
                     // it arrived in, which the reducer reads in place.
-                    shuffle_tx.send_segment(Segment {
-                        map_task: map_task as usize,
-                        attempt: attempt as usize,
-                        partition: partition as usize,
-                        sorted,
-                        combined,
-                        records,
-                    });
+                    let (task, attempt) = (map_task as usize, attempt as usize);
+                    let seg = Segment::new(task, attempt, partition as usize, records);
+                    shuffle_tx.send_segment(seg);
                 }
                 Frame::MapDone { map_task, attempt } => {
                     shuffle_tx.map_done(map_task as usize, attempt as usize);

@@ -149,8 +149,6 @@ impl SegmentSink for TcpSink {
             map_task: seg.map_task as u64,
             attempt: seg.attempt as u64,
             partition: seg.partition as u64,
-            sorted: seg.sorted,
-            combined: seg.combined,
             records: seg.records,
         });
     }

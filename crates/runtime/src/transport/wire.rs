@@ -40,8 +40,10 @@ use crate::map_task::{MapTaskStats, PackedRecords, Split};
 /// The frame set and knob text this build speaks. A peer of another
 /// version is refused at `JobInit`; builds from before the version
 /// existed sent `JobInit` under tag 1 and count as version 0. Version 2
-/// sends `shuffle` as `pull|push`, where version 1 sent `push:RECORDS`.
-pub(crate) const WIRE_VERSION: u64 = 2;
+/// sent `shuffle` as `pull|push`, where version 1 sent `push:RECORDS`.
+/// Version 3 sends `backend` where version 2 sent `map-side` and
+/// `shuffle`, and a `Segment` without its two flag bytes.
+pub(crate) const WIRE_VERSION: u64 = 3;
 
 /// Upper bound on a single frame body; a larger length prefix means the
 /// stream is corrupt (or not speaking this protocol).
@@ -141,8 +143,6 @@ pub(crate) enum Frame {
         map_task: u64,
         attempt: u64,
         partition: u64,
-        sorted: bool,
-        combined: bool,
         /// Travels as framed key/value records.
         records: SegmentBuf,
     },
@@ -211,9 +211,6 @@ impl Enc {
         buf.extend_from_slice(&[0; 4]);
         buf.push(tag);
         Enc { buf, blob_at: None }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
     }
     fn u32(&mut self, v: usize) {
         self.buf.extend_from_slice(&(v as u32).to_le_bytes());
@@ -353,16 +350,12 @@ impl Frame {
                 map_task,
                 attempt,
                 partition,
-                sorted,
-                combined,
                 records,
             } => {
-                let mut e = Enc::with_capacity(T_SEGMENT, 30 + records.framed_len());
+                let mut e = Enc::with_capacity(T_SEGMENT, 28 + records.framed_len());
                 e.u64(*map_task);
                 e.u64(*attempt);
                 e.u64(*partition);
-                e.u8(*sorted as u8);
-                e.u8(*combined as u8);
                 e.open_blob();
                 records.append_framed(&mut e.buf);
                 e
@@ -458,14 +451,11 @@ impl Frame {
             }
             T_SEGMENT => {
                 let (map_task, attempt, partition) = (d.u64()?, d.u64()?, d.u64()?);
-                let (sorted, combined) = (d.u8()? != 0, d.u8()? != 0);
                 let at = d.blob_to_end()?;
                 return Ok(Frame::Segment {
                     map_task,
                     attempt,
                     partition,
-                    sorted,
-                    combined,
                     records: SegmentBuf::from_framed(Arc::new(body), at)?,
                 });
             }
@@ -559,8 +549,6 @@ mod tests {
                 map_task: 1,
                 attempt: 0,
                 partition: 3,
-                sorted: true,
-                combined: false,
                 records: pairs(),
             },
             Frame::MapDone {
@@ -623,15 +611,18 @@ mod tests {
     }
 
     // Whole wire frames as commit 26379b8's `Frame::encode` + `Conn::send`
-    // wrote them (captured by running that commit).
+    // wrote them (captured by running that commit). `SEGMENT` is wire
+    // version 3's: that commit's bytes less the two flag bytes (`01 00`)
+    // after the partition, and a body length two less.
     const NEW_SPLIT_RECORDS: &str = "290000000203000000000000000100000000000000030000000000000003000000612062000000000100000063";
     const NEW_SPLIT_PACKED: &str = "2d0000000204000000000000000000000000000000030000000000000003000000706b3100000000050000007061636b32";
     const NEW_SPLIT_PAIRS: &str = "3d000000020500000000000000020000000000000003000000000000000c000000030000006b657976616c75650600000000000000763206000000020000006b33";
     const NEW_SPLIT_MIXED: &str = "61000000020600000000000000000000000000000009000000000000000300000061206200000000010000006303000000706b3100000000050000007061636b320c000000030000006b657976616c75650600000000000000763206000000020000006b33";
-    const SEGMENT: &str = "430000000501000000000000000000000000000000030000000000000001002400000003000000050000006b657976616c75650000000002000000763202000000000000006b33";
+    const SEGMENT: &str = "41000000050100000000000000000000000000000003000000000000002400000003000000050000006b657976616c75650000000002000000763202000000000000006b33";
 
-    /// The single-pass encoders write the bytes the parent's two-pass
-    /// encoding wrote, so peers on either side of this change interoperate.
+    /// The single-pass encoders write the bytes the two-pass encoding
+    /// wrote (a `Segment` as version 3 lays it out), so the layout is
+    /// pinned byte for byte.
     #[test]
     fn bulk_frames_are_byte_identical_to_the_two_pass_encoding() {
         let raw = || vec![b"a b".to_vec(), vec![], b"c".to_vec()];
@@ -645,8 +636,6 @@ mod tests {
             map_task: 1,
             attempt: 0,
             partition: 3,
-            sorted: true,
-            combined: false,
             records: pairs(),
         };
         for (frame, golden) in [
@@ -731,8 +720,6 @@ mod tests {
             map_task: 1,
             attempt: 0,
             partition: 3,
-            sorted: false,
-            combined: true,
             records: pairs(),
         };
         let wire = sent.encode();
@@ -758,10 +745,10 @@ mod tests {
         let framed = records.framed_bytes().expect("read from framed bytes");
         assert_eq!(
             framed.as_ptr() as usize,
-            at + 31,
+            at + 29,
             "payload starts after the header"
         );
-        assert_eq!(framed, &wire[35..]);
+        assert_eq!(framed, &wire[33..]);
         // A locally built segment has no framed bytes to reuse.
         assert!(pairs().framed_bytes().is_none());
         assert!(records.sorted_by_key().framed_bytes().is_none());
@@ -771,12 +758,10 @@ mod tests {
             map_task: 1,
             attempt: 0,
             partition: 9,
-            sorted: false,
-            combined: true,
             records: records.clone(),
         }
         .encode();
-        assert_eq!(forwarded[35..], wire[35..]);
+        assert_eq!(forwarded[33..], wire[33..]);
         assert_eq!(forwarded[21], 9);
 
         // A NewSplit's records stay in its body too.
@@ -841,8 +826,8 @@ mod tests {
         // A record blob shorter or longer than the rest of its frame.
         for delta in [-1i32, 1] {
             let mut wire = one_of_each()[4].encode();
-            let n = u32::from_le_bytes(wire[31..35].try_into().unwrap());
-            wire[31..35].copy_from_slice(&n.wrapping_add_signed(delta).to_le_bytes());
+            let n = u32::from_le_bytes(wire[29..33].try_into().unwrap());
+            wire[29..33].copy_from_slice(&n.wrapping_add_signed(delta).to_le_bytes());
             assert!(matches!(decode_wire(&wire), Err(Error::Corrupt(_))));
         }
 
@@ -911,8 +896,6 @@ mod tests {
                 map_task: a,
                 attempt: b,
                 partition: c,
-                sorted: flag,
-                combined: !flag,
                 records: kv(),
             },
             3 => Frame::MapDone {
@@ -992,7 +975,7 @@ mod tests {
             for mutant in [truncated, extended, flipped] {
                 let outcome = ok_or_corrupt(Frame::decode(mutant.clone()))
                     .map_err(|e| TestCaseError::fail(format!("{frame:?} as {mutant:?}: {e}")))?;
-                // (A flipped flag byte decodes; it need not re-encode alike.)
+                // (A mutant that decodes need not re-encode alike.)
                 if let Some(f) = outcome {
                     touch(&f);
                     f.encode();

@@ -76,21 +76,17 @@ impl WorkerHandle {
         &self.addr
     }
 
-    /// Stop accepting connections and join the accept loop. Connections
-    /// already serving a job drain on their own.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(&self.addr);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
+    /// Stop the worker here rather than at the end of the scope: drops
+    /// the handle, which does the work.
+    pub fn shutdown(self) {}
 }
 
+/// Stop accepting connections and join the accept loop. Connections
+/// already serving a job drain on their own.
 impl Drop for WorkerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        // Unblock the accept loop.
         let _ = TcpStream::connect(&self.addr);
         if let Some(j) = self.join.take() {
             let _ = j.join();

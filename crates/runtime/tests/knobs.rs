@@ -37,8 +37,6 @@ fn default_built() -> Settings {
 /// pairs put the settings in a state where that value is legal).
 const PERTURBED: &[&[(&str, &str)]] = &[
     &[("reducers", "3")],
-    &[("map-side", "hash")],
-    &[("shuffle", "push")],
     &[("backend", "hybrid-hash")],
     &[("backend", "sort-merge+snapshots")],
     &[("backend", "inc-hash")],
@@ -58,8 +56,6 @@ fn scalars(s: &Settings) -> String {
         "{:?} {:?}",
         (
             j.reducers,
-            j.map_side,
-            j.shuffle,
             &j.backend,
             j.reduce_budget_bytes,
             j.collect_output,
@@ -72,8 +68,7 @@ fn scalars(s: &Settings) -> String {
 fn travelling_scalars(s: &Settings) -> String {
     let mut travelled = default_built();
     travelled.job.reducers = s.job.reducers;
-    travelled.job.map_side = s.job.map_side;
-    travelled.job.shuffle = s.job.shuffle;
+    travelled.job.backend = s.job.backend;
     scalars(&travelled)
 }
 
@@ -207,14 +202,22 @@ fn bad_pairs_are_errors_that_name_the_knob() {
         "syntax shown"
     );
     assert!(err("reducer", "8").contains("\"reducer\""), "unknown name");
-    for behind in ["map-workers", "backend", "budget-kb", "spill", "retries"] {
+    for behind in ["map-workers", "budget-kb", "spill", "retries"] {
         let why = err(behind, "2");
         assert!(
             why.contains(&format!("{behind:?} is not one a worker takes")),
             "{why}"
         );
     }
-    assert!(err("shuffle", "push:4096").contains("shuffle"));
+    // The map side and the shuffle follow from the backend: no row.
+    for gone in ["map-side", "shuffle"] {
+        let why = err(gone, "push");
+        assert!(
+            why.contains(&format!("{gone:?} is not one a worker takes")),
+            "{why}"
+        );
+    }
+    assert!(err("backend", "sort-merge:10").contains("backend"));
     // Rows that stay behind name themselves when set from bad text too.
     let set_err = |name: &str, value: &str| {
         find(name)
@@ -257,7 +260,6 @@ fn job_debug_prints_the_job_rows() {
         .unwrap();
     let text = format!("{job:?}");
     assert!(text.contains("reducers: 3"), "{text}");
-    assert!(text.contains("shuffle: push,"), "{text}");
     assert!(text.contains("backend: sort-merge+snapshots,"), "{text}");
     assert!(
         !text.contains("retries"),
@@ -283,9 +285,9 @@ fn travelling_pairs_of_every_preset_are_pinned() {
         })
         .collect();
     let want = [
-        ("hadoop", "map-side=sort-spill shuffle=pull"),
-        ("hop", "map-side=sort-spill shuffle=push"),
-        ("onepass", "map-side=hash shuffle=push"),
+        ("hadoop", "backend=sort-merge"),
+        ("hop", "backend=sort-merge+snapshots"),
+        ("onepass", "backend=freq-hash"),
     ]
     .map(|(name, rest)| format!("{name}: reducers=4 {rest}"));
     assert_eq!(sent, want);

@@ -30,8 +30,6 @@ fn wc_job() -> JobSpec {
         .map_fn(Arc::new(word_map))
         .aggregate(Arc::new(ListAgg))
         .reducers(3)
-        .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push)
         .backend(ReduceBackend::HybridHash)
         .build()
         .unwrap()
@@ -235,8 +233,9 @@ impl onepass_groupby::Aggregator for SpillSpy {
     }
 }
 
-/// Every travelling knob — `reducers`, `map-side`, `shuffle`, what a map
-/// attempt reads — set away from what the workers' registry holds: the
+/// Every travelling knob — `reducers` and `backend`, what a map attempt
+/// reads (the backend decides whether it sorts and whether it pushes) —
+/// set away from what the workers' registry holds: the
 /// output (which is knob-invariant by design) must match the in-proc run,
 /// and the counters must show that the knobs arrived. The reduce-side
 /// rows stay behind and act on the coordinator's reducers.
@@ -252,14 +251,12 @@ fn non_default_knobs_reach_the_workers() {
     };
     let spy = || Arc::new(SpillSpy(Arc::clone(&on_disk))) as Arc<dyn Aggregator>;
     // The workers know the jobs by name, with the builder's defaults
-    // (four reducers, a sort-spill map side, pull).
+    // (four reducers, sort-merge: a sort-spill map side that pulls).
     let registry = JobRegistry::new();
     registry.register_spec(builder("wc-knobs", spy()).build().unwrap());
     registry.register_spec(builder("wc-knobs-list", Arc::new(ListAgg)).build().unwrap());
     let job = builder("wc-knobs", spy())
         .reducers(3)
-        .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push)
         .backend(ReduceBackend::HybridHash)
         .reduce_budget_bytes(1024)
         .build()
@@ -324,7 +321,7 @@ fn non_default_knobs_reach_the_workers() {
         .sum();
     assert_eq!(
         dist.shuffled_records, distinct as u64,
-        "the map side did not travel"
+        "the backend did not travel"
     );
     // The reduce-side rows act on the coordinator's reducers. (How much
     // spills depends on arrival order; that it spills does not.)
@@ -339,12 +336,12 @@ fn non_default_knobs_reach_the_workers() {
 
     // A list does not combine, so every emitted record ships, and a push
     // every 4096 records a task emits cuts as many segments on the workers
-    // as in-proc: the shuffle row travelled (pull would cut one per task
-    // and partition). 1,500 three-word records per task push twice.
+    // as in-proc: the backend row travelled (the registry's sort-merge
+    // would pull, one segment per task and partition). 1,500 three-word
+    // records per task push twice.
     let list = builder("wc-knobs-list", Arc::new(ListAgg))
         .reducers(3)
-        .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push)
+        .backend(ReduceBackend::HybridHash)
         .build()
         .unwrap();
     let segments = |cfg: EngineConfig, metrics: &MetricsRegistry| {
@@ -373,7 +370,7 @@ fn non_default_knobs_reach_the_workers() {
     );
     assert_eq!(
         remote_segments, local_segments,
-        "the shuffle did not travel"
+        "the backend did not travel"
     );
 }
 

@@ -12,7 +12,7 @@
 
 use onepass_core::config::MIB;
 use onepass_core::metrics::Phase;
-use onepass_runtime::{CollectOutput, Engine, MapSideMode, ReduceBackend, ShuffleMode};
+use onepass_runtime::{CollectOutput, Engine, ReduceBackend};
 use onepass_simcluster::CostModel;
 
 use crate::{make_splits, per_user_count, sessionization, ClickGen, ClickGenConfig};
@@ -79,7 +79,6 @@ pub fn calibrate(records: usize) -> Calibration {
     let hashjob = per_user_count::job()
         .reducers(4)
         .collect_mode(CollectOutput::Discard)
-        .map_side(MapSideMode::Hash)
         .backend(ReduceBackend::IncHash { early_every: None })
         .build()
         .expect("valid job");
@@ -92,8 +91,6 @@ pub fn calibrate(records: usize) -> Calibration {
     let incjob = sessionization::job()
         .reducers(4)
         .collect_mode(CollectOutput::Discard)
-        .map_side(MapSideMode::Hash)
-        .shuffle(ShuffleMode::Push)
         .backend(ReduceBackend::IncHash { early_every: None })
         .build()
         .expect("valid job");

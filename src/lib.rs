@@ -79,9 +79,9 @@ pub mod prelude {
     pub use onepass_runtime::stream::{SessionOptions, StreamSession};
     pub use onepass_runtime::{
         pair_map_fn, CacheConfig, CollectOutput, DatasetCache, Engine, EngineConfig,
-        EngineConfigBuilder, IterativePlan, JobRegistry, JobSpec, MapEmitter, MapFn, MapSideMode,
-        PairMap, Plan, PlanBuilder, PlanReport, ReduceBackend, RoundContext, ShuffleMode,
-        SpillBackend, StageId, StageReport, Transport, WorkerOptions,
+        EngineConfigBuilder, IterativePlan, JobRegistry, JobSpec, MapEmitter, MapFn, PairMap, Plan,
+        PlanBuilder, PlanReport, ReduceBackend, RoundContext, SpillBackend, StageId, StageReport,
+        Transport, WorkerOptions,
     };
     pub use onepass_simcluster::{
         run_sim_job, run_sim_job_traced, ClusterSpec, SimFaults, SimJobSpec, StorageConfig,

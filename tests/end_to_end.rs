@@ -107,7 +107,6 @@ fn sessionization_agrees_across_backends_and_memory_pressure() {
         let label = backend.label();
         let job = sessionization::job()
             .reducers(2)
-            .map_side(MapSideMode::Hash)
             .backend(backend)
             .reduce_budget_bytes(64 * 1024)
             .build()

@@ -861,8 +861,6 @@ fn fault_seeds_that_once_failed_fire_both_kills_and_answer_exactly() {
                 fault_seed,
                 &[
                     ("reducers", "3"),
-                    ("map-side", "hash"),
-                    ("shuffle", "push"),
                     ("backend", "freq-hash"),
                     ("budget-kb", "65536"),
                     ("map-workers", "3"),

@@ -25,7 +25,8 @@ pub enum Error {
         /// Bytes the budget could still grant.
         available: usize,
     },
-    /// Corrupt or truncated on-disk run data.
+    /// Corrupt or truncated bytes this process did not write: a spill
+    /// run read back, or a frame off the wire.
     Corrupt(String),
     /// The task attempt was cancelled by the driver (the job is failing
     /// on another task). Not a failure: the driver treats it as a
@@ -47,7 +48,7 @@ impl fmt::Display for Error {
                 f,
                 "memory budget exceeded: requested {requested} B, {available} B available"
             ),
-            Error::Corrupt(msg) => write!(f, "corrupt run data: {msg}"),
+            Error::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             Error::Cancelled => write!(f, "task attempt cancelled"),
         }
     }

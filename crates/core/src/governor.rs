@@ -1,16 +1,18 @@
-//! Adaptive memory governance: a job-wide byte pool with leased,
-//! rebalanced child budgets.
+//! Pooled memory governance: one byte pool with leased, rebalanced child
+//! budgets, for work that shares memory because it runs side by side.
 //!
 //! The paper's one-pass operators are defined by what happens at the
 //! memory boundary (§IV, Table III): hybrid hash partitions, incremental
 //! hash overflows, frequent hash evicts cold keys, and the sort-merge
-//! reducer spills runs. With a *static* split of job memory, a skewed
-//! reducer hits its boundary while its neighbors sit on idle headroom —
-//! the pathology M3R's in-memory budget sharing attacks. The
-//! [`MemoryGovernor`] removes it:
+//! reducer spills runs. A batch reducer meets that boundary at its own
+//! fixed budget (`JobSpec::reduce_budget_bytes`), as the paper's per-task
+//! budgets do. The serving tier's sessions instead come and go on one
+//! shared pool, where a static split leaves a busy session at its
+//! boundary while idle neighbours sit on headroom — the pathology M3R's
+//! in-memory budget sharing attacks. The [`MemoryGovernor`] removes it:
 //!
-//! * the governor owns the **pool** (job-wide limit) and [`lease`]s child
-//!   [`MemoryBudget`]s to tasks;
+//! * the governor owns the **pool** and [`lease`]s child
+//!   [`MemoryBudget`]s to operators;
 //! * a task that exhausts its lease escalates
 //!   ([`MemoryBudget::try_grant_or_request`]) instead of spilling
 //!   immediately. The governor grows the lease from uncommitted pool
@@ -28,7 +30,7 @@
 //!
 //! [`lease`]: MemoryGovernor::lease
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 use crate::memory::{Escalator, MemoryBudget, WeakBudget};
@@ -84,70 +86,10 @@ pub fn policy_by_name(name: &str) -> Option<Arc<dyn SpillPolicy>> {
     }
 }
 
-/// High-water fraction: above this pool utilization the shuffle
-/// backpressures map-side pushes instead of growing reducer buffers.
+/// High-water fraction: above this pool utilization the serving tier's
+/// pressure gate (`onepass_runtime::shuffle::PressureGate`) holds ingest
+/// back instead of growing session buffers.
 pub const DEFAULT_HIGH_WATER: f64 = 0.85;
-
-/// How the engine allocates reduce-side memory across tasks.
-#[derive(Clone, Default)]
-pub enum MemoryPolicy {
-    /// Every task gets a fixed, independent budget slice (the seed
-    /// behaviour).
-    #[default]
-    Static,
-    /// Tasks lease from a shared pool under a [`MemoryGovernor`] that
-    /// rebalances limits and, under pressure, sheds via `policy`.
-    Adaptive {
-        /// Victim-selection policy under global pressure.
-        policy: Arc<dyn SpillPolicy>,
-    },
-}
-
-impl MemoryPolicy {
-    /// The adaptive policy with the default victim rule
-    /// ([`LargestConsumer`]).
-    pub fn adaptive() -> Self {
-        MemoryPolicy::Adaptive {
-            policy: Arc::new(LargestConsumer),
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            MemoryPolicy::Static => "static".into(),
-            MemoryPolicy::Adaptive { policy, .. } => format!("adaptive/{}", policy.name()),
-        }
-    }
-}
-
-impl std::fmt::Debug for MemoryPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MemoryPolicy::Static => f.write_str("Static"),
-            MemoryPolicy::Adaptive { policy } => f
-                .debug_struct("Adaptive")
-                .field("policy", &policy.name())
-                .finish(),
-        }
-    }
-}
-
-/// Monotonic governor activity counters (report gauges).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GovernorCounters {
-    /// Leases handed out over the governor's lifetime.
-    pub leases: u64,
-    /// Successful lease-limit raises (slack grants + reclaims).
-    pub rebalances: u64,
-    /// Shed requests posted on victim leases.
-    pub sheds: u64,
-    /// Total bytes requested across all shed requests.
-    pub shed_bytes_requested: u64,
-    /// Escalations denied outright (no slack, no reclaimable headroom,
-    /// no useful victim).
-    pub denied: u64,
-}
 
 struct LeaseEntry {
     id: usize,
@@ -162,11 +104,6 @@ pub(crate) struct GovInner {
     min_grant: usize,
     leases: Mutex<Vec<LeaseEntry>>,
     next_id: AtomicUsize,
-    leases_total: AtomicU64,
-    rebalances: AtomicU64,
-    sheds: AtomicU64,
-    shed_bytes: AtomicU64,
-    denied: AtomicU64,
 }
 
 impl GovInner {
@@ -194,7 +131,6 @@ impl Escalator for GovInner {
         // 1. Uncommitted pool slack: grow the lease outright.
         if committed.saturating_add(grant) <= global {
             requester.set_limit(requester.limit() + grant);
-            self.rebalances.fetch_add(1, Ordering::Relaxed);
             return true;
         }
 
@@ -208,7 +144,6 @@ impl Escalator for GovInner {
             if slack >= grant {
                 donor.set_limit(donor.limit() - grant);
                 requester.set_limit(requester.limit() + grant);
-                self.rebalances.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
         }
@@ -224,25 +159,18 @@ impl Escalator for GovInner {
                 limit: b.limit(),
             })
             .collect();
-        match self.policy.pick_victim(&stats, lease_id) {
-            Some(victim) if victim != lease_id => {
-                if let Some((_, v)) = live.iter().find(|(id, _)| *id == victim) {
-                    v.request_shed(grant);
-                    self.sheds.fetch_add(1, Ordering::Relaxed);
-                    self.shed_bytes.fetch_add(grant as u64, Ordering::Relaxed);
-                } else {
-                    self.denied.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            _ => {
-                self.denied.fetch_add(1, Ordering::Relaxed);
-            }
+        let victim = self
+            .policy
+            .pick_victim(&stats, lease_id)
+            .filter(|&v| v != lease_id);
+        if let Some((_, v)) = victim.and_then(|v| live.iter().find(|(id, _)| *id == v)) {
+            v.request_shed(grant);
         }
         false
     }
 }
 
-/// The job-wide memory governor. Cheap to clone (shared state).
+/// The pooled memory governor. Cheap to clone (shared state).
 #[derive(Clone)]
 pub struct MemoryGovernor {
     inner: Arc<GovInner>,
@@ -268,11 +196,6 @@ impl MemoryGovernor {
                 min_grant: (global_limit / 64).clamp(256, 1 << 20),
                 leases: Mutex::new(Vec::new()),
                 next_id: AtomicUsize::new(0),
-                leases_total: AtomicU64::new(0),
-                rebalances: AtomicU64::new(0),
-                sheds: AtomicU64::new(0),
-                shed_bytes: AtomicU64::new(0),
-                denied: AtomicU64::new(0),
             }),
         }
     }
@@ -293,7 +216,6 @@ impl MemoryGovernor {
                 id,
                 budget: budget.downgrade(),
             });
-        self.inner.leases_total.fetch_add(1, Ordering::Relaxed);
         budget
     }
 
@@ -303,7 +225,7 @@ impl MemoryGovernor {
     }
 
     /// Is pool utilization at or above [`DEFAULT_HIGH_WATER`]? The
-    /// shuffle uses this to backpressure map-side pushes.
+    /// serving tier's pressure gate holds ingest back while it is.
     pub fn over_high_water(&self) -> bool {
         let limit = self.inner.pool.limit();
         limit > 0 && self.inner.pool.used() as f64 >= DEFAULT_HIGH_WATER * limit as f64
@@ -312,17 +234,6 @@ impl MemoryGovernor {
     /// The victim-selection policy's name.
     pub fn policy_name(&self) -> &'static str {
         self.inner.policy.name()
-    }
-
-    /// Snapshot the activity counters.
-    pub fn counters(&self) -> GovernorCounters {
-        GovernorCounters {
-            leases: self.inner.leases_total.load(Ordering::Relaxed),
-            rebalances: self.inner.rebalances.load(Ordering::Relaxed),
-            sheds: self.inner.sheds.load(Ordering::Relaxed),
-            shed_bytes_requested: self.inner.shed_bytes.load(Ordering::Relaxed),
-            denied: self.inner.denied.load(Ordering::Relaxed),
-        }
     }
 
     /// Live (un-dropped) leases right now.
@@ -352,7 +263,6 @@ mod tests {
         a.release(400);
         b.release(300);
         assert_eq!(g.pool().used(), 0);
-        assert_eq!(g.counters().leases, 2);
     }
 
     #[test]
@@ -372,9 +282,12 @@ mod tests {
         assert!(hot.limit() > 500, "hot lease limit must have grown");
         assert!(idle.limit() < 500, "idle lease must have donated");
         assert!(idle.limit() >= idle.used(), "donor keeps what it uses");
-        let c = g.counters();
-        assert!(c.rebalances >= 1);
-        assert_eq!(c.sheds, 0, "no shed under mere skew");
+        assert_eq!(hot.limit() + idle.limit(), 1000, "a rebalance moves limit");
+        assert_eq!(
+            hot.shed_requested() + idle.shed_requested(),
+            0,
+            "no shed under mere skew"
+        );
         assert!(g.pool().used() <= g.pool().limit());
     }
 
@@ -385,7 +298,6 @@ mod tests {
         assert!(only.try_grant(200));
         assert!(only.try_grant_or_request(100), "pool has 800 B slack");
         assert!(only.limit() >= 300);
-        assert_eq!(g.counters().rebalances, 1);
     }
 
     #[test]
@@ -403,9 +315,6 @@ mod tests {
             "victim must carry the shed request"
         );
         assert_eq!(small.shed_requested(), 0, "requester is not the victim");
-        let c = g.counters();
-        assert_eq!(c.sheds, 1);
-        assert!(c.shed_bytes_requested >= 200);
 
         // After the victim sheds, the next escalation reclaims its now-
         // idle headroom.
@@ -483,11 +392,6 @@ mod tests {
         let p = policy_by_name("largest-consumer").expect("known policy");
         assert_eq!(p.name(), "largest-consumer");
         assert!(policy_by_name("nope").is_none());
-        assert_eq!(
-            MemoryPolicy::adaptive().label(),
-            "adaptive/largest-consumer"
-        );
-        assert_eq!(MemoryPolicy::Static.label(), "static");
     }
 
     #[test]

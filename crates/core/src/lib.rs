@@ -17,9 +17,10 @@
 //!   the caller computed once: key arena, no per-key allocation.
 //! * [`memory`] — budgeted memory accounting, the mechanism by which
 //!   operators detect "buffer full" (Hadoop's `io.sort.mb` analogue).
-//! * [`governor`] — the adaptive memory governor: a job-wide pool leasing
-//!   hierarchical budgets to tasks, rebalancing under skew and picking
-//!   spill victims via pluggable policies under global pressure.
+//! * [`governor`] — the pooled memory governor of the serving tier: one
+//!   pool leasing hierarchical budgets to sessions, rebalancing under skew
+//!   and picking spill victims via a pluggable policy under global
+//!   pressure.
 //! * [`io`] — the *file management library*: spill-run files with counted
 //!   sequential I/O, backed either by real temp files or by an in-memory
 //!   store for tests.

@@ -8,14 +8,12 @@
 //! provides that boundary as an explicit, testable object instead of
 //! relying on the allocator.
 //!
-//! Budgets can be **hierarchical**: a child created with
-//! [`MemoryBudget::with_parent`] charges every grant against its parent as
-//! well, so a job-wide pool observes the sum of its children. The
-//! [`crate::governor`] module leases such children to concurrent tasks and
-//! rebalances their limits at runtime; a leased budget additionally carries
-//! an escalation link so an operator that exhausts its lease can ask for
-//! more *before* falling back to spilling
-//! ([`MemoryBudget::try_grant_or_request`]).
+//! Budgets can be **hierarchical**: a lease from the [`crate::governor`]
+//! charges every grant against the governor's pool as well, so the pool
+//! observes the sum of its leases, and the governor rebalances their
+//! limits at runtime. A lease also carries an escalation link, so an
+//! operator that exhausts it can ask for more *before* falling back to
+//! spilling ([`MemoryBudget::try_grant_or_request`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -24,7 +22,7 @@ use crate::error::{Error, Result};
 
 /// Escalation target for leased budgets: implemented by the memory
 /// governor. Kept crate-private; external code interacts through
-/// [`crate::governor::MemoryGovernor`].
+/// [`crate::governor`].
 pub(crate) trait Escalator: Send + Sync {
     /// A lease has run out of budget and wants `bytes` more. Returns
     /// `true` if the lease's limit was raised (the caller should retry its
@@ -94,15 +92,10 @@ impl MemoryBudget {
         Self::build(limit, None, None)
     }
 
-    /// Create a child budget of `limit` bytes whose grants are also
-    /// charged against `parent`. Releasing (and dropping the last clone
-    /// of) the child returns its bytes to the parent.
-    pub fn with_parent(parent: &MemoryBudget, limit: usize) -> Self {
-        Self::build(limit, Some(parent.clone()), None)
-    }
-
-    /// Create a governor lease: a child of `parent` that escalates to
-    /// `escalator` when it runs dry.
+    /// Create a governor lease: a child of `parent` whose grants are also
+    /// charged against `parent`, and which escalates to `escalator` when it
+    /// runs dry. Releasing (and dropping the last clone of) the lease
+    /// returns its bytes to the parent.
     pub(crate) fn leased(
         parent: &MemoryBudget,
         limit: usize,
@@ -159,12 +152,6 @@ impl MemoryBudget {
     /// Highest `used` value ever observed.
     pub fn high_water(&self) -> usize {
         self.inner.high_water.load(Ordering::Relaxed)
-    }
-
-    /// True when this budget was leased from a [`crate::governor`]
-    /// governor (it has an escalation link).
-    pub fn is_leased(&self) -> bool {
-        self.inner.escalator.is_some()
     }
 
     /// Try to reserve `bytes`; returns `false` (without reserving) if this
@@ -325,56 +312,15 @@ impl WeakBudget {
     }
 }
 
-/// RAII reservation: releases its bytes on drop. Useful for scoped buffers.
-#[derive(Debug)]
-pub struct Reservation {
-    budget: MemoryBudget,
-    bytes: usize,
-}
-
-impl Reservation {
-    /// Reserve `bytes` from `budget`, failing if unavailable.
-    pub fn take(budget: &MemoryBudget, bytes: usize) -> Result<Self> {
-        budget.grant(bytes)?;
-        Ok(Reservation {
-            budget: budget.clone(),
-            bytes,
-        })
-    }
-
-    /// Grow this reservation by `extra` bytes.
-    pub fn grow(&mut self, extra: usize) -> Result<()> {
-        self.budget.grant(extra)?;
-        self.bytes += extra;
-        Ok(())
-    }
-
-    /// Resize the reservation to exactly `new_bytes` (grow or shrink).
-    pub fn resize(&mut self, new_bytes: usize) -> Result<()> {
-        if new_bytes > self.bytes {
-            self.grow(new_bytes - self.bytes)
-        } else {
-            self.budget.release(self.bytes - new_bytes);
-            self.bytes = new_bytes;
-            Ok(())
-        }
-    }
-
-    /// Bytes currently held by this reservation.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Drop for Reservation {
-    fn drop(&mut self) {
-        self.budget.release(self.bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::{LargestConsumer, MemoryGovernor};
+
+    /// A governor over a `limit`-byte pool: the one maker of child budgets.
+    fn pool(limit: usize) -> MemoryGovernor {
+        MemoryGovernor::new(limit, Arc::new(LargestConsumer))
+    }
 
     #[test]
     fn grant_and_release_track_usage() {
@@ -404,20 +350,6 @@ mod tests {
             }
             other => panic!("expected MemoryExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn reservation_releases_on_drop() {
-        let b = MemoryBudget::new(100);
-        {
-            let mut r = Reservation::take(&b, 30).unwrap();
-            r.grow(20).unwrap();
-            assert_eq!(b.used(), 50);
-            r.resize(10).unwrap();
-            assert_eq!(b.used(), 10);
-            assert_eq!(r.bytes(), 10);
-        }
-        assert_eq!(b.used(), 0);
     }
 
     #[test]
@@ -456,19 +388,24 @@ mod tests {
         b.release(100);
 
         // Partial over-release: only the held bytes come back.
-        let pool = MemoryBudget::new(100);
-        let child = MemoryBudget::with_parent(&pool, 100);
+        let gov = pool(100);
+        let child = gov.lease(100);
         child.grant(30).unwrap();
         child.release(50);
         assert_eq!(child.used(), 0);
-        assert_eq!(pool.used(), 0, "pool must see exactly 30 freed, not 50");
+        assert_eq!(
+            gov.pool().used(),
+            0,
+            "pool must see exactly 30 freed, not 50"
+        );
     }
 
     #[test]
     fn child_grants_charge_parent() {
-        let pool = MemoryBudget::new(100);
-        let a = MemoryBudget::with_parent(&pool, 80);
-        let b = MemoryBudget::with_parent(&pool, 80);
+        let gov = pool(100);
+        let pool = gov.pool();
+        let a = gov.lease(80);
+        let b = gov.lease(80);
         assert!(a.try_grant(60));
         assert_eq!(pool.used(), 60);
         // b is within its own limit, but the pool can't cover it.
@@ -485,27 +422,14 @@ mod tests {
 
     #[test]
     fn raising_child_limit_allows_more() {
-        let pool = MemoryBudget::new(100);
-        let child = MemoryBudget::with_parent(&pool, 10);
+        let gov = pool(100);
+        let child = gov.lease(10);
         assert!(!child.try_grant(20));
         child.set_limit(50);
         assert!(child.try_grant(20));
         assert_eq!(child.limit(), 50);
-        assert_eq!(pool.used(), 20);
+        assert_eq!(gov.pool().used(), 20);
         child.release(20);
-    }
-
-    #[test]
-    fn dropping_child_refunds_parent() {
-        let pool = MemoryBudget::new(100);
-        {
-            let child = MemoryBudget::with_parent(&pool, 100);
-            child.grant(70).unwrap();
-            assert_eq!(pool.used(), 70);
-            // child dropped without releasing — simulates an abandoned
-            // attempt after a panic.
-        }
-        assert_eq!(pool.used(), 0, "dead lease must refund the pool");
     }
 
     #[test]

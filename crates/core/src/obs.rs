@@ -80,9 +80,6 @@ pub mod names {
     pub const ENGINE_SHUFFLE_BYTES: &str = "onepass_engine_shuffle_bytes_total";
     /// Counter `{stage}`: shuffle segments.
     pub const ENGINE_SHUFFLE_SEGMENTS: &str = "onepass_engine_shuffle_segments_total";
-    /// Counter `{stage}`: sends that stalled on memory pressure (shuffle
-    /// pushes and plan edges).
-    pub const ENGINE_BACKPRESSURE_STALLS: &str = "onepass_engine_backpressure_stalls_total";
     /// Counter `{stage,side,phase}`: per-phase busy time — a task's
     /// [`Profile`](crate::metrics::Profile), published when it finishes.
     pub const ENGINE_PHASE_MICROS: &str = "onepass_engine_phase_micros_total";
@@ -100,14 +97,6 @@ pub mod names {
     pub const PLAN_EDGE_DEPTH: &str = "onepass_plan_edge_depth";
     /// Gauge `{stage}`: the finished job's wall clock.
     pub const JOB_WALL_SECONDS: &str = "onepass_job_wall_seconds";
-    /// Gauge `{stage}`: governor lease-limit rebalances of the finished job.
-    pub const GOVERNOR_REBALANCES: &str = "onepass_governor_rebalances";
-    /// Gauge `{stage}`: shed requests the governor posted.
-    pub const GOVERNOR_SHEDS: &str = "onepass_governor_sheds";
-    /// Gauge `{stage}`: bytes of shedding those requests asked for.
-    pub const GOVERNOR_SHED_BYTES: &str = "onepass_governor_shed_bytes";
-    /// Gauge `{stage}`: high-water mark of the governed pool.
-    pub const GOVERNOR_POOL_HIGH_WATER: &str = "onepass_governor_pool_high_water_bytes";
     /// Counter `{stage,dir}`: bytes on the coordinator's worker sockets.
     pub const TRANSPORT_BYTES: &str = "onepass_transport_bytes_total";
     /// Histogram `{stage}`: heartbeat round trips.

@@ -111,9 +111,9 @@ pub trait GroupBy: Send {
     /// Shed at least `target_bytes` of resident state through the
     /// operator's own spill path, returning the bytes actually freed.
     ///
-    /// Called at batch boundaries when a
-    /// [`MemoryGovernor`](onepass_core::governor::MemoryGovernor) picks
-    /// this operator as a spill victim under global pressure. Shedding is
+    /// Called at batch boundaries when the serving tier's memory governor
+    /// ([`onepass_core::governor`]) picks this operator as a spill victim
+    /// under global pressure. Shedding is
     /// a correctness-neutral reordering: shed state flows through the same
     /// tagged overflow/run machinery the operator's normal spill uses, so
     /// final output is byte-identical. The default does nothing (an

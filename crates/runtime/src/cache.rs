@@ -11,7 +11,7 @@
 //! entirely (each cached partition routes to its own reducer).
 //!
 //! Memory comes from a private [`MemoryBudget`]: the cache never draws
-//! on the pool live reducers lease from. When a grant is denied,
+//! on a governed pool. When a grant is denied,
 //! least-recently-used datasets are spilled to the [`SpillStore`] (one
 //! run per partition, so partition boundaries survive the round-trip)
 //! and transparently reloaded on next use.

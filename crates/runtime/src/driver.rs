@@ -1,7 +1,7 @@
 //! The engine facade: public configuration types ([`EngineConfig`] and
 //! friends) and the [`Engine`] entry point. The actual machinery lives in
 //! two focused layers: `scheduler` (task queues, retries) and `executor` (worker pools, shuffle wiring,
-//! shared spill/governor services, report assembly). Thread fan-out uses
+//! shared spill services, report assembly). Thread fan-out uses
 //! crossbeam scoped threads; all inter-task communication is
 //! channel-based (no shared mutable state beyond the spill stores' atomic
 //! counters).
@@ -28,7 +28,6 @@ use std::time::Instant;
 
 use onepass_core::error::Result;
 use onepass_core::fault::{FaultInjector, FaultPlan};
-use onepass_core::governor::MemoryPolicy;
 use onepass_core::trace::Tracer;
 
 use crate::executor;
@@ -67,15 +66,6 @@ pub struct EngineConfig {
     pub max_attempts: usize,
     /// Planned fault schedule for recovery testing. Default inert.
     pub faults: FaultInjector,
-    /// Reduce-side memory governance. [`MemoryPolicy::Static`] (default)
-    /// gives every reduce task a fixed private budget of
-    /// `job.reduce_budget_bytes`. [`MemoryPolicy::Adaptive`] pools
-    /// `reduce_budget_bytes × reducers` under a
-    /// [`MemoryGovernor`](onepass_core::governor::MemoryGovernor) that
-    /// rebalances lease limits between concurrent reducers, picks spill
-    /// victims via the configured policy under global pressure, and gates
-    /// map-side shuffle pushes above the high-water fraction.
-    pub memory_policy: MemoryPolicy,
     /// Live-metrics registry. `None` (default) builds no instruments:
     /// every probe site then costs one branch, exactly like the disabled
     /// tracer. Hand in a registry (shared with a
@@ -111,7 +101,6 @@ impl Default for EngineConfig {
             tracer: Tracer::disabled(),
             max_attempts: 1,
             faults: FaultInjector::none(),
-            memory_policy: MemoryPolicy::Static,
             metrics: None,
             transport: Transport::default(),
         }
@@ -159,12 +148,6 @@ impl EngineConfigBuilder {
     /// Install a planned fault schedule.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.cfg.faults = plan.into_injector();
-        self
-    }
-
-    /// Reduce-side memory governance policy.
-    pub fn memory_policy(mut self, policy: MemoryPolicy) -> Self {
-        self.cfg.memory_policy = policy;
         self
     }
 
@@ -219,7 +202,6 @@ impl Engine {
             clock: Instant::now(),
             tap: None,
             partition_output: false,
-            governor: None,
             track_offset: 0,
         })
     }
@@ -446,7 +428,6 @@ mod tests {
             .spill(SpillBackend::TempFiles)
             .max_attempts(3)
             .faults(FaultPlan::new().fail_map(0, 0, 1))
-            .memory_policy(MemoryPolicy::adaptive())
             .metrics(onepass_core::obs::MetricsRegistry::new())
             .transport(Transport::Tcp {
                 workers: vec!["127.0.0.1:7777".into()],
@@ -456,51 +437,11 @@ mod tests {
         assert_eq!(cfg.spill, SpillBackend::TempFiles);
         assert_eq!(cfg.max_attempts, 3);
         assert!(cfg.faults.is_active());
-        assert!(matches!(cfg.memory_policy, MemoryPolicy::Adaptive { .. }));
         assert!(cfg.metrics.is_some());
         assert!(matches!(cfg.transport, Transport::Tcp { ref workers } if workers.len() == 1));
         let defaults = EngineConfig::builder().build();
-        assert!(matches!(defaults.memory_policy, MemoryPolicy::Static));
         assert!(defaults.metrics.is_none());
         assert!(matches!(defaults.transport, Transport::InProc));
-    }
-
-    #[test]
-    fn adaptive_policy_matches_static_output() {
-        for backend in [
-            ReduceBackend::SortMerge { snapshots: false },
-            ReduceBackend::HybridHash,
-            ReduceBackend::IncHash { early_every: None },
-            ReduceBackend::FreqHash,
-        ] {
-            let label = backend.label();
-            let job = JobSpec::builder("wc")
-                .map_fn(Arc::new(word_map))
-                .aggregate(Arc::new(SumAgg))
-                .reducers(2)
-                .reduce_budget_bytes(2048)
-                .backend(backend)
-                .build()
-                .unwrap();
-            let many: Vec<String> = (0..300)
-                .map(|i| format!("w{} w{} a", i % 53, i % 17))
-                .collect();
-            let refs: Vec<&str> = many.iter().map(|s| s.as_str()).collect();
-            let input = splits(&refs, 25);
-
-            let static_rep = Engine::new().run(&job, input.clone()).unwrap();
-            let adaptive = Engine::with_config(
-                EngineConfig::builder()
-                    .memory_policy(MemoryPolicy::adaptive())
-                    .build(),
-            );
-            let adaptive_rep = adaptive.run(&job, input).unwrap();
-            assert_eq!(
-                final_counts(&static_rep),
-                final_counts(&adaptive_rep),
-                "{label}: adaptive governance changed the output"
-            );
-        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crossbeam::channel::unbounded;
 use onepass_core::bytes_kv::{SegmentBuf, SegmentBufBuilder};
 use onepass_core::config::DEFAULT_MERGE_FACTOR;
 use onepass_core::error::{Error, Result};
-use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
 use onepass_core::io::{FileSpillStore, SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
 use onepass_core::trace::{LocalTracer, Track};
@@ -65,10 +64,6 @@ pub(crate) struct ExecParams<'a> {
     /// partition of the stage's dataset ([`JobReport::partitions`]),
     /// key-sorted on its own thread, instead of collecting outputs.
     pub partition_output: bool,
-    /// Governor override. `Some` pools this job's reducers with other
-    /// concurrently-live stages of a plan; `None` derives a governor (or
-    /// static budgets) from `config.memory_policy` as a standalone job.
-    pub governor: Option<MemoryGovernor>,
     /// Added to every trace track id so concurrent stages of a plan don't
     /// collide in the flamegraph (stage `i` uses `i * 1_000_000`).
     pub track_offset: u64,
@@ -150,7 +145,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         clock,
         tap,
         partition_output,
-        governor,
         track_offset,
     } = params;
     job.validate()?;
@@ -195,32 +189,12 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     };
     let (shuffle_tx, shuffle_rxs) = shuffle_fabric(job.reducers, CHANNEL_DEPTH);
 
-    // Adaptive governance: pool the per-reducer budgets job-wide and gate
-    // map pushes on pool pressure. Static keeps the seed behaviour: a
-    // fixed private budget per reduce attempt. A plan-supplied governor
-    // (pooling across stages) takes precedence.
-    let governor = match governor {
-        Some(g) => Some(g),
-        None => match &config.memory_policy {
-            MemoryPolicy::Static => None,
-            MemoryPolicy::Adaptive { policy } => Some(MemoryGovernor::new(
-                job.reduce_budget_bytes.saturating_mul(job.reducers.max(1)),
-                Arc::clone(policy),
-            )),
-        },
-    };
-    let shuffle_tx = match &governor {
-        Some(g) => shuffle_tx.with_pressure(g.clone(), CHANNEL_DEPTH),
-        None => shuffle_tx,
-    };
-
     // Live metrics: one handle set per executed job, labeled by job name
     // (which is the stage name inside a plan).
     let telemetry = StageTelemetry::new(config.metrics.as_ref(), &job.name);
     let shuffle_tx = shuffle_tx.with_metrics(
         telemetry.shuffle_bytes.clone(),
         telemetry.shuffle_segments.clone(),
-        telemetry.backpressure_stalls.clone(),
     );
 
     // Map-side persistence store (shared; only totals are read): every
@@ -284,7 +258,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
             let evt_tx = evt_tx.clone();
             let map_store = map_store.as_ref();
             let injector = injector.clone();
-            let governor = governor.as_ref();
             let innode_ratio = telemetry.innode_combine_ratio.clone();
             scope.spawn(move |_| {
                 let mut slot = MapSlot::new(
@@ -292,7 +265,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     &shuffle_tx,
                     map_store,
                     CombineScope::Worker,
-                    governor,
                     innode_ratio,
                 );
                 while let Ok(asg) = task_rx.recv() {
@@ -343,7 +315,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
         for (partition, rx) in shuffle_rxs.into_iter().enumerate() {
             let red_res_tx = red_res_tx.clone();
             let injector = injector.clone();
-            let governor = governor.clone();
             let tap = tap.clone();
             let sink_obs = SinkObs::new(&telemetry);
             scope.spawn(move |_| {
@@ -355,16 +326,10 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                 // state a failed attempt abandoned can never starve or
                 // corrupt its successor.
                 let mut resources = || -> Result<(Arc<dyn SpillStore>, MemoryBudget)> {
-                    let store = make_store(spill)?;
-                    // Under the governor, a retry's fresh lease starts
-                    // back at the nominal share; whatever the failed
-                    // attempt was holding drained back to the pool when
-                    // its budget dropped.
-                    let budget = match &governor {
-                        Some(g) => g.lease(job.reduce_budget_bytes),
-                        None => MemoryBudget::new(job.reduce_budget_bytes),
-                    };
-                    Ok((store, budget))
+                    Ok((
+                        make_store(spill)?,
+                        MemoryBudget::new(job.reduce_budget_bytes),
+                    ))
                 };
                 let opts = ReduceRetryOpts {
                     max_attempts: reduce_attempts,
@@ -494,14 +459,6 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
     if let Some(ms) = &map_store {
         report.map_write_io = ms.stats();
     }
-    if let Some(g) = &governor {
-        let c = g.counters();
-        report.mem_rebalances = c.rebalances;
-        report.mem_sheds = c.sheds;
-        report.mem_shed_bytes = c.shed_bytes_requested;
-        report.mem_pool_high_water = g.pool().high_water() as u64;
-    }
-    report.backpressure_stalls = shuffle_tx.backpressure_stalls();
     report.wall = start.elapsed();
     telemetry.publish_report(&report);
     Ok(report)

@@ -35,9 +35,8 @@
 //! *When* step 3 happens is the scope, computed by the caller and never
 //! configured:
 //!
-//! * [`CombineScope::Worker`] — when the table's leased budget runs over,
-//!   when the governor posts a shed request against it, and once more
-//!   when the worker drains. Hot keys are built and shipped once per
+//! * [`CombineScope::Worker`] — when the table's budget runs over, and
+//!   once more when the worker drains. Hot keys are built and shipped once per
 //!   worker rather than once per task. This is every in-proc job: the
 //!   engine never runs two attempts of one task at once, so a committed
 //!   attempt's data can be neither lost (worker threads do not die alone)
@@ -51,11 +50,7 @@
 //!
 //! # Memory accounting
 //!
-//! The combine table holds a [`MemoryBudget`]. Under adaptive governance
-//! the executor hands it a governor *lease*, so map-side combine state is
-//! debited from the same pool as reduce-side hash tables and the
-//! governor can demand a flush (via a shed request) under global
-//! pressure. Otherwise the table gets a private budget of
+//! The combine table holds a private [`MemoryBudget`] of
 //! [`MAP_BUFFER_BYTES`]. Note the attempt's arena is bounded by its
 //! split's output, not by the push granularity — buffering the attempt
 //! whole is what buys one fold per record.
@@ -68,7 +63,6 @@ use std::sync::Arc;
 use onepass_core::bytes_kv::{KvBuf, SegmentBufBuilder};
 use onepass_core::error::{Error, Result};
 use onepass_core::fp_table::{FpTable, ENTRY_OVERHEAD};
-use onepass_core::governor::MemoryGovernor;
 use onepass_core::hashlib::fingerprint;
 use onepass_core::io::SpillStore;
 use onepass_core::memory::MemoryBudget;
@@ -160,10 +154,9 @@ impl WorkerCombiner {
         self.contributors.push((task, attempt));
     }
 
-    /// Whether the table should flush now: over its lease, or the
-    /// governor posted a shed request against it.
+    /// Whether the table should flush now: over its budget.
     pub fn should_flush(&self) -> bool {
-        self.budget.over_limit() || self.budget.take_shed_request() > 0
+        self.budget.over_limit()
     }
 
     /// Ship the table: one combined segment per non-empty partition,
@@ -232,24 +225,17 @@ pub(crate) struct MapSlot<'a> {
 }
 
 impl<'a> MapSlot<'a> {
-    /// A slot shipping through `tx`. A combining job's table charges
-    /// a `governor` lease when there is one, so its bytes are debited
-    /// from the same pool as reduce tables.
+    /// A slot shipping through `tx`.
     pub fn new(
         job: &'a JobSpec,
         tx: &'a ShuffleTx,
         map_store: Option<&'a Arc<dyn SpillStore>>,
         scope: CombineScope,
-        governor: Option<&MemoryGovernor>,
         ratio: Histogram,
     ) -> Self {
-        let combiner = job.hash_combines().then(|| {
-            let budget = match governor {
-                Some(g) => g.lease(MAP_BUFFER_BYTES),
-                None => MemoryBudget::new(MAP_BUFFER_BYTES),
-            };
-            WorkerCombiner::new(job.reducers, budget)
-        });
+        let combiner = job
+            .hash_combines()
+            .then(|| WorkerCombiner::new(job.reducers, MemoryBudget::new(MAP_BUFFER_BYTES)));
         MapSlot {
             job,
             tx,
@@ -427,7 +413,7 @@ mod tests {
         assert!(c.should_flush(), "tiny budget must run over");
         let (tx, _rxs) = shuffle_fabric(1, 8);
         c.flush(&tx, None, &Histogram::detached()).unwrap();
-        assert_eq!(budget.used(), 0, "flush returns the lease");
+        assert_eq!(budget.used(), 0, "flush returns the bytes");
         assert!(!c.should_flush());
     }
 
@@ -462,14 +448,7 @@ mod tests {
     fn task_scope_ships_each_attempt_combined_and_unsorted() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(
-            &job,
-            &tx,
-            None,
-            CombineScope::Task,
-            None,
-            Histogram::detached(),
-        );
+        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, Histogram::detached());
         for (task, split) in word_splits().iter().enumerate() {
             let stats = slot
                 .run_attempt(
@@ -509,14 +488,7 @@ mod tests {
     fn worker_scope_holds_attempts_until_the_slot_drains() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(
-            &job,
-            &tx,
-            None,
-            CombineScope::Worker,
-            None,
-            Histogram::detached(),
-        );
+        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Worker, Histogram::detached());
         for (task, split) in word_splits().iter().enumerate() {
             slot.run_attempt(
                 task,
@@ -539,14 +511,7 @@ mod tests {
     fn failed_attempt_never_reaches_the_table() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(
-            &job,
-            &tx,
-            None,
-            CombineScope::Task,
-            None,
-            Histogram::detached(),
-        );
+        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, Histogram::detached());
         let [split, _] = word_splits();
         let failing = MapAttemptCtx {
             attempt: 0,

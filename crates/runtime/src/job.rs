@@ -136,8 +136,8 @@ impl Partitioner for HashPartitioner {
 }
 
 /// Map output buffer bytes per map task (Hadoop `io.sort.mb`): the
-/// sort-spill flush bound, and the budget (or governor lease) of a hash
-/// map side's combine table.
+/// sort-spill flush bound, and the budget of a hash map side's combine
+/// table.
 pub const MAP_BUFFER_BYTES: usize = 16 * MIB as usize;
 
 /// Records a map task emits between pushes when its backend

@@ -26,7 +26,6 @@
 //! does not compile until someone decides which it is.
 
 use onepass_core::error::{Error, Result};
-use onepass_core::governor::{policy_by_name, MemoryPolicy};
 use onepass_core::json::escape;
 
 use crate::driver::{EngineConfig, SpillBackend};
@@ -66,13 +65,12 @@ pub struct Knob {
     pub help: &'static str,
     /// Sent to TCP workers in `JobInit`: the rows a map attempt reads.
     /// Rows that stay behind configure machinery a worker does not run —
-    /// reducers, the scheduler, the memory pool (see DESIGN.md "Closures
-    /// don't travel").
+    /// reducers and the scheduler (see DESIGN.md "Closures don't
+    /// travel").
     pub travels: bool,
     /// Space-separated commands that take the row as a `--<name>` flag:
     /// `run`, `plan` (stages build their own specs, so of the job rows only
-    /// `reducers`), `serve` (the catalog's `reducers` and the tenant pool's
-    /// policy). Empty for a row with no flag: `--system`'s preset or a
+    /// `reducers`), `serve` (the catalog's `reducers`). Empty for a row with no flag: `--system`'s preset or a
     /// builder sets it, and it still travels, prints and reports by name.
     pub takers: &'static str,
     /// Where the value lives and how it converts.
@@ -291,24 +289,6 @@ fn backend_set(j: &mut JobSpec, v: &str) -> Result<()> {
     Ok(())
 }
 
-fn mem_policy_get(e: &EngineConfig) -> String {
-    match &e.memory_policy {
-        MemoryPolicy::Static => "static".into(),
-        MemoryPolicy::Adaptive { policy, .. } => policy.name().into(),
-    }
-}
-
-fn mem_policy_set(e: &mut EngineConfig, v: &str) -> Result<()> {
-    e.memory_policy = if v == "static" {
-        MemoryPolicy::Static
-    } else {
-        MemoryPolicy::Adaptive {
-            policy: policy_by_name(v).ok_or_else(|| bad("not a memory policy"))?,
-        }
-    };
-    Ok(())
-}
-
 use Access::{Engine, Job};
 
 /// Every knob, in the order flags are applied and pairs are sent.
@@ -387,14 +367,6 @@ pub const KNOBS: &[Knob] = &[
             },
         ),
     },
-    Knob {
-        name: "mem-policy",
-        syntax: "static|largest-consumer",
-        help: "fixed private reduce budgets, or one pool that sheds from its largest lease",
-        travels: false,
-        takers: "run plan serve",
-        access: Engine(mem_policy_get, mem_policy_set),
-    },
 ];
 
 /// Every field of both structs, classified. Adding a field to either
@@ -424,6 +396,5 @@ const _: fn(Settings) = |Settings { job, engine }| {
         map_workers: _,
         spill: _,
         max_attempts: _,
-        memory_policy: _,
     } = engine;
 };

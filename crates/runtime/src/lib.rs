@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::transport::{worker::WorkerOptions, JobRegistry, Transport};
     pub use onepass_core::fault::{FaultInjector, FaultPlan};
     pub use onepass_core::governor::{
-        policy_by_name, LargestConsumer, MemoryGovernor, MemoryPolicy, SpillPolicy,
+        policy_by_name, LargestConsumer, MemoryGovernor, SpillPolicy,
     };
     pub use onepass_core::{OwnedKv, SegmentBuf, SegmentBufBuilder};
 }

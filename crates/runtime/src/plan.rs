@@ -52,7 +52,6 @@ use std::time::Instant;
 use crossbeam::channel::{bounded, Sender};
 use onepass_core::bytes_kv::SegmentBufBuilder;
 use onepass_core::error::{Error, Result};
-use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
 use onepass_core::obs::{names, Gauge};
 use onepass_core::trace::Track;
 use onepass_groupby::EmitKind;
@@ -64,7 +63,6 @@ use crate::job::{pair_map_fn, CollectOutput, JobSpec, PairMap, PUSH_RECORDS};
 use crate::map_task::Split;
 use crate::report::{PlanReport, StageReport};
 use crate::scheduler::SplitFeed;
-use crate::shuffle::PressureGate;
 
 /// Trace-track stride between stages, so concurrent stages of a plan get
 /// disjoint map/reduce track ids in the flamegraph.
@@ -367,9 +365,6 @@ struct EdgeWriter {
     /// The pairs of the split being cut, up to [`PUSH_RECORDS`].
     batch: SegmentBufBuilder,
     outs: Vec<EdgeTx>,
-    /// Gates edge sends on shared-governor memory pressure, exactly like
-    /// map-side shuffle pushes within a job.
-    gate: Option<PressureGate>,
     /// `onepass_plan_edge_depth{stage}` — sampled after each send so a
     /// scraper sees how far ahead this stage runs of its consumers.
     depth: Gauge,
@@ -391,9 +386,6 @@ impl EdgeWriter {
         }
         let split = Split::from_segment(std::mem::take(&mut self.batch).finish());
         for tx in &self.outs {
-            if let Some(g) = &self.gate {
-                g.admit(tx);
-            }
             // A send error means the downstream stage already hung up (it
             // failed); its own error surfaces when the stages are joined.
             let _ = tx.send(Ok(split.clone()));
@@ -529,23 +521,6 @@ fn run_stages(
     let config = engine.config();
     let record_source = plan.record_source();
 
-    // Under adaptive memory policy, all concurrently-live stages share one
-    // governed pool sized for the whole plan, so a memory-hungry stage
-    // can borrow slack from (and shed back to) its neighbours.
-    let governor = match &config.memory_policy {
-        MemoryPolicy::Static => None,
-        MemoryPolicy::Adaptive { policy } => {
-            let pool = plan.stages.iter().fold(0usize, |acc, st| {
-                acc.saturating_add(
-                    st.job
-                        .reduce_budget_bytes
-                        .saturating_mul(st.job.reducers.max(1)),
-                )
-            });
-            Some(MemoryGovernor::new(pool, Arc::clone(policy)))
-        }
-    };
-
     // One pass builds every stage's feed and, with it, the sending ends of
     // its incoming edges: one bounded channel per stage that has upstreams,
     // a clone of its sender in each upstream's `outs` (fan-in), so the feed
@@ -597,12 +572,8 @@ fn run_stages(
         }
         let mut handles = Vec::with_capacity(n);
         for (s, (feed, outs)) in feeds.into_iter().zip(outs).enumerate() {
-            let governor = governor.clone();
             let tap = (!outs.is_empty()).then(|| {
                 let outs = outs.clone();
-                let gate = governor
-                    .as_ref()
-                    .map(|g| PressureGate::new(g.clone(), EDGE_DEPTH));
                 let depth = Gauge::of(
                     config.metrics.as_ref(),
                     names::PLAN_EDGE_DEPTH,
@@ -612,7 +583,6 @@ fn run_stages(
                     let mut edge = EdgeWriter {
                         batch: SegmentBufBuilder::new(),
                         outs: outs.clone(),
-                        gate: gate.clone(),
                         depth: depth.clone(),
                     };
                     Box::new(move |key: &[u8], value: &[u8], kind: EmitKind| {
@@ -644,7 +614,6 @@ fn run_stages(
                     clock,
                     tap,
                     partition_output: stage.cache_output.is_some(),
-                    governor,
                     track_offset: s as u64 * TRACK_STRIDE,
                 });
                 st_trace.end("stage", "plan");
@@ -830,7 +799,6 @@ mod tests {
         let mut edge = EdgeWriter {
             batch: SegmentBufBuilder::new(),
             outs: vec![tx_a, tx_b],
-            gate: None,
             depth: Gauge::detached(),
         };
         for _ in 0..=PUSH_RECORDS {
@@ -1037,30 +1005,6 @@ mod tests {
         b.connect(s2, s3);
         b.connect(s3, s2);
         assert!(matches!(b.build(), Err(Error::Config(_))));
-    }
-
-    #[test]
-    fn pipelined_plan_shares_one_governed_pool() {
-        use onepass_core::governor::MemoryPolicy;
-        let engine = Engine::with_config(
-            EngineConfig::builder()
-                .memory_policy(MemoryPolicy::adaptive())
-                .build(),
-        );
-        let plan = histogram_plan();
-        let report = engine.run_plan(&plan, input()).unwrap();
-        let expected = BTreeMap::from([(4, 1), (2, 2), (1, 1)]);
-        assert_eq!(hist_of(&report), expected);
-        // Every stage leased from the shared plan-wide pool (each stage
-        // samples the pool's high-water mark when it finishes, so later
-        // stages see an equal-or-higher value).
-        let hw: Vec<u64> = report
-            .stages
-            .iter()
-            .map(|s| s.report.mem_pool_high_water)
-            .collect();
-        assert!(hw.iter().all(|&h| h > 0), "{hw:?}");
-        assert!(hw[1] >= hw[0], "{hw:?}");
     }
 
     #[test]

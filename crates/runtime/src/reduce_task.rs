@@ -8,7 +8,7 @@
 //! map side key-sorted, through `push_sorted`, a hash job's through
 //! `push_batch`. What the driver owns is
 //! everything around the operator: the shuffle loop, attempt dedup,
-//! retry-and-replay, governor duties, and MapReduce Online's snapshot
+//! retry-and-replay, and MapReduce Online's snapshot
 //! *schedule* (§III-D) — at configured map-completion fractions it asks
 //! the operator for a `snapshot`, which sort-merge answers by re-reading
 //! everything received so far, with the corresponding I/O charge.
@@ -61,10 +61,6 @@ pub struct ReduceResult {
     pub stats: OpStats,
     /// Snapshots emitted (sort-merge + snapshots backend only).
     pub snapshots_taken: u64,
-    /// Governor shed requests this task honoured.
-    pub sheds_honoured: u64,
-    /// Bytes those sheds freed.
-    pub shed_bytes_freed: u64,
     /// Execution attempts consumed (1 = succeeded first try).
     pub attempts: usize,
 }
@@ -209,16 +205,6 @@ pub(crate) fn run_reduce_task_open(
     opts: &ReduceRetryOpts,
 ) -> Result<ReduceResult> {
     let (store, budget) = resources()?;
-    if budget.is_leased() {
-        trace.instant(
-            "mem_lease",
-            "mem",
-            &[
-                ("partition", partition as f64),
-                ("limit_bytes", budget.limit() as f64),
-            ],
-        );
-    }
     let sized = total_map_tasks.unwrap_or(0);
     let mut task = ReduceState {
         job,
@@ -229,7 +215,6 @@ pub(crate) fn run_reduce_task_open(
         trace,
         attempt: 0,
         absorbed: 0,
-        last_limit: budget.limit(),
         store,
         budget,
         grouper: None,
@@ -240,8 +225,6 @@ pub(crate) fn run_reduce_task_open(
         maps_done: 0,
         snapshot_plan: Vec::new(),
         snapshots_taken: 0,
-        sheds: 0,
-        shed_bytes: 0,
         waited: Profile::new(),
     };
     if let Some(total) = total_map_tasks {
@@ -263,14 +246,12 @@ pub(crate) fn run_reduce_task_open(
         partition,
         stats,
         snapshots_taken: task.snapshots_taken,
-        sheds_honoured: task.sheds,
-        shed_bytes_freed: task.shed_bytes,
         attempts: task.attempt + 1,
     })
 }
 
 /// One reduce task's state: what survives across attempts (retained
-/// segments, dedup bookkeeping, the snapshot schedule, governance totals)
+/// segments, dedup bookkeeping, the snapshot schedule)
 /// and the current attempt's operator and resources, which a retry
 /// replaces wholesale so it never trusts data structures a failure may
 /// have corrupted.
@@ -287,9 +268,6 @@ struct ReduceState<'a> {
     /// Records absorbed by the current attempt; the injector's trigger
     /// counter. Restarts at the replayed total when an attempt is rebuilt.
     absorbed: u64,
-    /// Lease limit at the last check; a change means the governor
-    /// rebalanced this task's share.
-    last_limit: usize,
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     /// The backend, built when the first segment arrives; `None` until
@@ -311,9 +289,6 @@ struct ReduceState<'a> {
     /// repeats a snapshot its predecessor published.
     snapshot_plan: Vec<usize>,
     snapshots_taken: u64,
-    /// Shed requests this task honoured, and the bytes they freed.
-    sheds: u64,
-    shed_bytes: u64,
     /// `Phase::Shuffle`: time blocked on the shuffle channel. Kept apart
     /// from the operator's profile, which a retry replaces.
     waited: Profile,
@@ -440,7 +415,7 @@ impl ReduceState<'_> {
         Ok(())
     }
 
-    /// Retry ladder shared by absorb / shed / snapshot / finish failures:
+    /// Retry ladder shared by absorb / snapshot / finish failures:
     /// burn an attempt, back off, take fresh resources, replay the
     /// retained segments into a fresh operator. Returns the latest error
     /// once the attempt budget is exhausted.
@@ -469,7 +444,6 @@ impl ReduceState<'_> {
     /// committed so far.
     fn replay(&mut self) -> Result<()> {
         (self.store, self.budget) = (self.resources)()?;
-        self.last_limit = self.budget.limit();
         self.absorbed = 0;
         let retained = std::mem::take(&mut self.retained);
         let replayed = retained.iter().try_for_each(|seg| self.absorb(seg, true));
@@ -477,55 +451,13 @@ impl ReduceState<'_> {
         replayed
     }
 
-    /// Absorb one committed segment, recovering on failure, then service
-    /// the governor.
+    /// Absorb one committed segment, recovering on failure.
     fn deliver(&mut self, seg: Segment) -> Result<()> {
         let absorbed = self.absorb(&seg, false);
         if self.opts.max_attempts > 1 {
             self.retained.push(seg);
         }
-        match absorbed {
-            Ok(()) => self.govern(),
-            Err(e) => self.recover(e),
-        }
-    }
-
-    /// Service governor demands between segments: record an observed lease
-    /// rebalance and honour a posted shed request (spill victim duty).
-    /// Static budgets never carry either, so this is branch-only overhead.
-    fn govern(&mut self) -> Result<()> {
-        let at = ("partition", self.partition as f64);
-        let limit = self.budget.limit();
-        if limit != self.last_limit {
-            self.last_limit = limit;
-            self.trace
-                .instant("mem_rebalance", "mem", &[at, ("limit_bytes", limit as f64)]);
-        }
-        let target = self.budget.take_shed_request();
-        if target == 0 {
-            return Ok(());
-        }
-        let shed = match &mut self.grouper {
-            Some(g) => guarded(|| g.shed(target)),
-            None => Ok(0),
-        };
-        match shed {
-            Ok(freed) => {
-                self.sheds += 1;
-                self.shed_bytes += freed as u64;
-                self.trace.instant(
-                    "mem_shed",
-                    "mem",
-                    &[
-                        at,
-                        ("target_bytes", target as f64),
-                        ("freed_bytes", freed as f64),
-                    ],
-                );
-                Ok(())
-            }
-            Err(e) => self.recover(e),
-        }
+        absorbed.or_else(|e| self.recover(e))
     }
 
     /// A map task just committed: take the snapshots that are now due.

@@ -170,18 +170,9 @@ pub struct JobReport {
     /// Attempts that ended in a real failure and were retried or gave up
     /// (attempts cancelled by a failing job are not failures).
     pub failed_attempts: usize,
-    /// Governor lease-limit rebalances (slack grants + donor transfers).
-    /// Zero under [`MemoryPolicy::Static`](onepass_core::governor::MemoryPolicy).
-    pub mem_rebalances: u64,
-    /// Shed requests the governor posted to victim operators.
-    pub mem_sheds: u64,
-    /// Total bytes of shedding requested across those requests.
-    pub mem_shed_bytes: u64,
-    /// High-water mark of the governed global pool, in bytes (0 when
-    /// static).
-    pub mem_pool_high_water: u64,
-    /// Map-side shuffle pushes that stalled at least once on the
-    /// pressure gate.
+    /// Always 0: a batch job's map side never waits on memory pressure
+    /// (a reducer owns its budget). Kept only as a field for readers that
+    /// predate that; it is in neither the JSONL nor the console summary.
     pub backpressure_stalls: u64,
 }
 
@@ -282,8 +273,6 @@ impl JobReport {
                 "\"reduce_spill_bytes_read\":{},\"groups_out\":{},\"early_emits\":{},",
                 "\"snapshots\":{},\"first_early_s\":{},\"first_final_s\":{},",
                 "\"map_attempts\":{},\"reduce_attempts\":{},\"failed_attempts\":{},",
-                "\"mem_rebalances\":{},\"mem_sheds\":{},\"mem_shed_bytes\":{},",
-                "\"mem_pool_high_water\":{},\"backpressure_stalls\":{},",
                 "\"map_profile\":{},\"reduce_profile\":{}}}\n"
             ),
             escape(&self.name),
@@ -309,11 +298,6 @@ impl JobReport {
             self.map_attempts,
             self.reduce_attempts,
             self.failed_attempts,
-            self.mem_rebalances,
-            self.mem_sheds,
-            self.mem_shed_bytes,
-            self.mem_pool_high_water,
-            self.backpressure_stalls,
             self.map_profile.to_json(),
             self.reduce_profile.to_json(),
         ));
@@ -524,14 +508,9 @@ mod tests {
         assert_eq!(summary.get("map_tasks").and_then(Json::as_f64), Some(2.0));
         assert_eq!(summary.get("wall_s").and_then(Json::as_f64), Some(1.5));
         assert!(summary.get("first_early_s").is_some_and(Json::is_null));
-        assert_eq!(
-            summary.get("mem_rebalances").and_then(Json::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(
-            summary.get("backpressure_stalls").and_then(Json::as_f64),
-            Some(0.0)
-        );
+        for gone in ["mem_rebalances", "mem_sheds", "backpressure_stalls"] {
+            assert!(summary.get(gone).is_none(), "{gone} is no key");
+        }
         assert!(summary
             .get("map_profile")
             .and_then(|p| p.get("phases"))

@@ -78,7 +78,9 @@ impl DeadLetterQueue {
     pub fn retry_sweep(&mut self, mut feed_one: impl FnMut(&[u8]) -> bool) -> usize {
         let mut recovered = 0;
         for _ in 0..self.pending.len() {
-            let mut entry = self.pending.pop_front().expect("len-bounded loop");
+            let Some(mut entry) = self.pending.pop_front() else {
+                break;
+            };
             self.retries_total += 1;
             if feed_one(&entry.record) {
                 recovered += 1;

@@ -152,8 +152,7 @@ impl Frontend {
                         conns2.fetch_sub(1, Ordering::AcqRel);
                     }
                 }
-            })
-            .expect("spawn serve accept loop");
+            })?;
         Ok(Frontend {
             local_addr,
             stop,

@@ -217,8 +217,11 @@ impl Server {
         super::install_poison_panic_filter();
         let governor = MemoryGovernor::new(config.pool_bytes, Arc::clone(&config.policy));
         let metrics = ServeMetrics::new(registry);
-        let gate = PressureGate::new(governor.clone(), config.queue_depth)
-            .with_stall_metric(metrics.backpressure_stalls());
+        let gate = PressureGate::new(
+            governor.clone(),
+            config.queue_depth,
+            metrics.backpressure_stalls(),
+        );
         let shared = Arc::new(Shared {
             catalog,
             governor,

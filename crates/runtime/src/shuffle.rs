@@ -112,53 +112,44 @@ pub enum ShuffleMsg {
     },
 }
 
-/// Pressure-driven shrink of the effective shuffle queue depth.
+/// Pressure-driven shrink of the effective depth of a bounded queue: the
+/// serving tier's ingest gate.
 ///
 /// When the memory governor reports pool utilization above its high-water
-/// fraction, map-side pushes stop filling reducer queues to their full
-/// [`CHANNEL_DEPTH`] and instead wait for them to drain below a shrunken
-/// depth. Reducers under memory pressure are usually pressure *sources*
-/// (large in-flight hash state); slowing the mappers gives the governor's
-/// rebalancing and shedding a chance to act before more segments pile up
-/// — MapReduce Online's "wait until reducers are able to keep up again"
-/// (§III-D), extended from queue-full to memory-pressure.
+/// fraction, a producer stops filling a consumer's queue to its full depth
+/// and instead waits for it to drain below a shrunken depth. Consumers
+/// under memory pressure are usually pressure *sources* (large in-flight
+/// hash state); slowing the producer gives the governor's rebalancing and
+/// shedding a chance to act before more batches pile up — MapReduce
+/// Online's "wait until reducers are able to keep up again" (§III-D),
+/// extended from queue-full to memory-pressure.
 #[derive(Clone)]
 pub struct PressureGate {
     governor: MemoryGovernor,
     /// Effective queue depth while over high water.
     shrunk_depth: usize,
-    stalls: Arc<AtomicU64>,
-    /// Live mirror of `stalls` (a detached cell when metrics are off).
-    stall_metric: Counter,
+    /// Admissions that stalled at least once.
+    stalls: Counter,
 }
 
 impl PressureGate {
-    /// Max iterations of the 50µs wait loop per segment (~50ms cap), so a
-    /// stuck governor can never deadlock the map side.
+    /// Max iterations of the 50µs wait loop per admission (~50ms cap), so
+    /// a stuck governor can never deadlock the producer.
     const MAX_WAIT_ITERS: u32 = 1000;
 
     /// Gate on `governor` pressure with a shrunken queue depth of
-    /// `depth / 8` (min 1). Also used by the plan layer to gate
-    /// cross-stage edge channels on the shared governor.
-    pub(crate) fn new(governor: MemoryGovernor, depth: usize) -> Self {
+    /// `depth / 8` (min 1), counting each stalled admission in `stalls`.
+    pub(crate) fn new(governor: MemoryGovernor, depth: usize, stalls: Counter) -> Self {
         PressureGate {
             governor,
             shrunk_depth: (depth / 8).max(1),
-            stalls: Arc::new(AtomicU64::new(0)),
-            stall_metric: Counter::detached(),
+            stalls,
         }
-    }
-
-    /// Also mirror each stall into a live metrics counter.
-    pub(crate) fn with_stall_metric(mut self, counter: Counter) -> Self {
-        self.stall_metric = counter;
-        self
     }
 
     /// Wait (bounded) while the pool is over high water and `sender`'s
     /// queue is at or above the shrunken depth. Counts at most one stall
-    /// per gated segment. Generic over the message type so shuffle
-    /// segment channels and plan edge channels share one gate.
+    /// per admission.
     pub fn admit<T>(&self, sender: &Sender<T>) {
         let mut stalled = false;
         for _ in 0..Self::MAX_WAIT_ITERS {
@@ -167,8 +158,7 @@ impl PressureGate {
             }
             if !stalled {
                 stalled = true;
-                self.stalls.fetch_add(1, Ordering::Relaxed);
-                self.stall_metric.inc(1);
+                self.stalls.inc(1);
             }
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
@@ -188,7 +178,6 @@ pub struct ShuffleTx {
     sink: Arc<dyn crate::transport::SegmentSink>,
     bytes: Arc<AtomicU64>,
     records: Arc<AtomicU64>,
-    pressure: Option<PressureGate>,
     /// Live byte and segment counters (detached when metrics are off; a
     /// job's own totals are read from the fields above, which no other
     /// round or same-named stage shares).
@@ -204,32 +193,14 @@ impl ShuffleTx {
             sink,
             bytes: Arc::new(AtomicU64::new(0)),
             records: Arc::new(AtomicU64::new(0)),
-            pressure: None,
             obs: (Counter::detached(), Counter::detached()),
         }
     }
 
-    /// Gate map-side pushes on `governor` pool pressure: while utilization
-    /// is over the governor's high-water fraction, pushes treat each
-    /// reducer queue as if its depth were `depth / 8` (min 1). Call before
+    /// Mirror shuffle volume into live metrics counters. Call before
     /// cloning the tx out to map workers.
-    pub fn with_pressure(mut self, governor: MemoryGovernor, depth: usize) -> Self {
-        self.pressure = Some(PressureGate::new(governor, depth));
-        self
-    }
-
-    /// Mirror shuffle volume (and, if a pressure gate is installed,
-    /// stalls) into live metrics counters. Call after
-    /// [`with_pressure`](Self::with_pressure) and before cloning the tx
-    /// out to map workers.
-    pub(crate) fn with_metrics(
-        mut self,
-        bytes: Counter,
-        segments: Counter,
-        stalls: Counter,
-    ) -> Self {
+    pub(crate) fn with_metrics(mut self, bytes: Counter, segments: Counter) -> Self {
         self.obs = (bytes, segments);
-        self.pressure = self.pressure.map(|g| g.with_stall_metric(stalls));
         self
     }
 
@@ -242,14 +213,7 @@ impl ShuffleTx {
         self.records.fetch_add(seg.len() as u64, Ordering::Relaxed);
         self.obs.0.inc(seg.payload_bytes());
         self.obs.1.inc(1);
-        self.sink.send_segment(seg, self.pressure.as_ref());
-    }
-
-    /// Map-side sends that stalled at least once on memory pressure.
-    pub fn backpressure_stalls(&self) -> u64 {
-        self.pressure
-            .as_ref()
-            .map_or(0, |g| g.stalls.load(Ordering::Relaxed))
+        self.sink.send_segment(seg);
     }
 
     /// Announce a completed map task attempt to every reducer.
@@ -367,37 +331,47 @@ mod tests {
         assert_eq!(tx.shuffled_records(), 4);
     }
 
+    /// The serving tier's use: a producer admits each batch through the
+    /// gate before sending it on a bounded queue.
     #[test]
     fn pressure_gate_stalls_over_high_water_and_releases_under() {
-        use onepass_core::governor::{MemoryGovernor, MemoryPolicy};
+        use onepass_core::governor::{LargestConsumer, MemoryGovernor};
 
-        let MemoryPolicy::Adaptive { policy } = MemoryPolicy::adaptive() else {
-            unreachable!()
+        let gov = MemoryGovernor::new(1000, Arc::new(LargestConsumer));
+        let stalls = Counter::detached();
+        let gate = PressureGate::new(gov.clone(), 16, stalls.clone());
+        let (tx, rx) = bounded::<u32>(16);
+        let send = |v| {
+            gate.admit(&tx);
+            tx.send(v).unwrap();
         };
-        let gov = MemoryGovernor::new(1000, policy);
-        let (tx, rxs) = shuffle_fabric(1, 16);
-        let tx = tx.with_pressure(gov.clone(), 16);
 
         // Fill the queue past the shrunken depth (16 / 8 = 2) with no
         // pressure: nothing stalls.
-        for _ in 0..4 {
-            tx.send_segment(seg(0, 1));
-        }
-        assert_eq!(tx.backpressure_stalls(), 0);
+        (0..4).for_each(send);
+        assert_eq!(stalls.value(), 0);
 
-        // Push the pool over high water; the next send stalls (bounded)
-        // because the queue is already >= shrunk depth.
+        // Push the pool over high water; the next admission stalls
+        // (bounded) because the queue is already >= shrunk depth.
         let lease = gov.lease(900);
         assert!(lease.grant(900).is_ok());
         assert!(gov.over_high_water());
-        tx.send_segment(seg(0, 1));
-        assert_eq!(tx.backpressure_stalls(), 1);
+        send(4);
+        assert_eq!(stalls.value(), 1);
+
+        // Drained below the shrunken depth, the queue admits at once even
+        // under pressure.
+        while rx.len() > 1 {
+            rx.recv().unwrap();
+        }
+        send(5);
+        assert_eq!(stalls.value(), 1);
 
         // Release the pressure: sends flow freely again.
         lease.release(900);
-        tx.send_segment(seg(0, 1));
-        assert_eq!(tx.backpressure_stalls(), 1);
-        assert_eq!(rxs[0].len(), 6);
+        (6..10).for_each(send);
+        assert_eq!(stalls.value(), 1);
+        assert_eq!(rx.len(), 6);
     }
 
     #[test]

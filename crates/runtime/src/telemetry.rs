@@ -39,7 +39,6 @@ pub(crate) struct StageTelemetry {
     records_out: Counter,
     pub shuffle_bytes: Counter,
     pub shuffle_segments: Counter,
-    pub backpressure_stalls: Counter,
     combine_ratio: Histogram,
     pub innode_combine_ratio: Histogram,
     ttfa: Histogram,
@@ -63,7 +62,6 @@ impl StageTelemetry {
             records_out: counter(names::ENGINE_RECORDS_OUT),
             shuffle_bytes: counter(names::ENGINE_SHUFFLE_BYTES),
             shuffle_segments: counter(names::ENGINE_SHUFFLE_SEGMENTS),
-            backpressure_stalls: counter(names::ENGINE_BACKPRESSURE_STALLS),
             combine_ratio: histogram(names::ENGINE_COMBINE_RATIO),
             innode_combine_ratio: histogram(names::INNODE_COMBINE_RATIO),
             ttfa: histogram(names::PLAN_TTFA_SECONDS),
@@ -102,22 +100,13 @@ impl StageTelemetry {
         }
     }
 
-    /// End of run: the gauges that restate the finished job's report
-    /// (wall clock and governor state).
+    /// End of run: the gauge that restates the finished job's wall clock.
     pub fn publish_report(&self, report: &JobReport) {
-        let Some(registry) = &self.registry else {
-            return;
-        };
-        let l: &[(&str, &str)] = &[("stage", &self.stage)];
-        let gauge = |name, v: f64| registry.gauge(name, l).set(v);
-        gauge(names::JOB_WALL_SECONDS, report.wall.as_secs_f64());
-        gauge(names::GOVERNOR_REBALANCES, report.mem_rebalances as f64);
-        gauge(names::GOVERNOR_SHEDS, report.mem_sheds as f64);
-        gauge(names::GOVERNOR_SHED_BYTES, report.mem_shed_bytes as f64);
-        gauge(
-            names::GOVERNOR_POOL_HIGH_WATER,
-            report.mem_pool_high_water as f64,
-        );
+        if let Some(registry) = &self.registry {
+            let l: &[(&str, &str)] = &[("stage", &self.stage)];
+            let wall = registry.gauge(names::JOB_WALL_SECONDS, l);
+            wall.set(report.wall.as_secs_f64());
+        }
     }
 }
 

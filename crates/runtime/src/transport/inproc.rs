@@ -7,7 +7,7 @@
 use crossbeam::channel::Sender;
 
 use super::SegmentSink;
-use crate::shuffle::{PressureGate, Segment, ShuffleMsg};
+use crate::shuffle::{Segment, ShuffleMsg};
 
 /// In-proc channel sink: routes segments by partition, broadcasts control
 /// messages to every partition. Send errors mean the reducer hung up (job
@@ -24,12 +24,8 @@ impl InProcSink {
 }
 
 impl SegmentSink for InProcSink {
-    fn send_segment(&self, seg: Segment, gate: Option<&PressureGate>) {
-        let p = seg.partition;
-        if let Some(gate) = gate {
-            gate.admit(&self.senders[p]);
-        }
-        let _ = self.senders[p].send(ShuffleMsg::Segment(seg));
+    fn send_segment(&self, seg: Segment) {
+        let _ = self.senders[seg.partition].send(ShuffleMsg::Segment(seg));
     }
 
     fn map_done(&self, map_task: usize, attempt: usize) {

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::job::JobSpec;
-use crate::shuffle::{PressureGate, Segment};
+use crate::shuffle::Segment;
 
 pub(crate) mod cluster;
 pub(crate) mod coordinator;
@@ -71,11 +71,8 @@ pub enum Transport {
 /// transport-agnostic by construction: the numbers are identical whether
 /// the sink is an in-proc channel set or a TCP connection.
 pub trait SegmentSink: Send + Sync {
-    /// Deliver a segment to its destination partition. `gate`, when
-    /// present, is the memory-pressure gate the sink should consult
-    /// before enqueueing (in-proc fabric); transports with their own
-    /// flow control (TCP) may ignore it.
-    fn send_segment(&self, seg: Segment, gate: Option<&PressureGate>);
+    /// Deliver a segment to its destination partition.
+    fn send_segment(&self, seg: Segment);
     /// Announce a completed map task attempt to every partition.
     fn map_done(&self, map_task: usize, attempt: usize);
     /// Tell every partition the job is aborting.

@@ -17,7 +17,7 @@ use onepass_core::obs::Counter;
 
 use super::wire::{read_body, Frame, MAX_FRAME};
 use super::SegmentSink;
-use crate::shuffle::{PressureGate, Segment, ShuffleTx};
+use crate::shuffle::{Segment, ShuffleTx};
 
 /// One framed, bidirectional connection.
 pub(crate) struct Conn {
@@ -141,7 +141,7 @@ impl TcpSink {
 }
 
 impl SegmentSink for TcpSink {
-    fn send_segment(&self, seg: Segment, _gate: Option<&PressureGate>) {
+    fn send_segment(&self, seg: Segment) {
         // Send errors mean the coordinator hung up (job over or this
         // worker was declared dead); the map task keeps running and its
         // MapOk/MapFailed send will fail the same way.

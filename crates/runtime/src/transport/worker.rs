@@ -256,7 +256,6 @@ fn map_slot(
         shuffle_tx,
         None,
         CombineScope::Task,
-        None,
         Histogram::detached(),
     );
     while let Ok((task, attempt, split)) = map_rx.recv() {

@@ -45,7 +45,6 @@ const PERTURBED: &[&[(&str, &str)]] = &[
     &[("map-workers", "1")],
     &[("spill", "temp-files")],
     &[("retries", "5")],
-    &[("mem-policy", "largest-consumer")],
 ];
 
 /// Every scalar the table claims to describe, read from the fields — not
@@ -60,7 +59,7 @@ fn scalars(s: &Settings) -> String {
             j.reduce_budget_bytes,
             j.collect_output,
         ),
-        (e.map_workers, e.spill, e.max_attempts, &e.memory_policy,)
+        (e.map_workers, e.spill, e.max_attempts)
     )
 }
 
@@ -209,13 +208,16 @@ fn bad_pairs_are_errors_that_name_the_knob() {
             "{why}"
         );
     }
-    // The map side and the shuffle follow from the backend: no row.
-    for gone in ["map-side", "shuffle"] {
+    // The map side and the shuffle follow from the backend, and a batch
+    // reducer owns its budget (the pooled governor is the serving tier's):
+    // no row, so neither a worker nor a command takes one.
+    for gone in ["map-side", "shuffle", "mem-policy"] {
         let why = err(gone, "push");
         assert!(
             why.contains(&format!("{gone:?} is not one a worker takes")),
             "{why}"
         );
+        assert!(find(gone).is_none(), "{gone} is a row");
     }
     assert!(err("backend", "sort-merge:10").contains("backend"));
     // Rows that stay behind name themselves when set from bad text too.

@@ -154,9 +154,10 @@ pub struct SimJobSpec {
     /// `max_attempts` and `FaultPlan`; stragglers and speculation model
     /// Hadoop's, which the engine does not have.
     pub faults: SimFaults,
-    /// Mirror of the engine's adaptive memory governor: pool the
-    /// reducer shuffle buffers job-wide, spill only on *global*
-    /// pressure, and pick the largest consumer as the spill victim.
+    /// A pooled-memory cost model: pool the reducer shuffle buffers
+    /// job-wide, spill only on *global* pressure, and pick the largest
+    /// consumer as the spill victim (the rule of the serving tier's
+    /// governor; the engine's batch reducers own their budgets).
     /// Default off (per-reducer private caps, the Hadoop behaviour).
     pub adaptive_memory: bool,
 }
@@ -895,7 +896,7 @@ impl World {
     }
 
     /// Spill once `reducer` has buffered more: its own buffer when full
-    /// or, under the adaptive governor mirror, the largest buffer when
+    /// or, under the pooled-memory model, the largest buffer when
     /// the job-wide pool is full — skewed reducers borrow slack from idle
     /// siblings, so spills happen only under global pressure.
     fn spill_if_full(&mut self, reducer: usize) {

@@ -162,6 +162,14 @@ fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// Report a failure the command line did not spell wrong (a refused
+/// worker, an address in use, a file that cannot be written) as `what`
+/// failing with `err`, and exit 1.
+fn fatal(what: impl std::fmt::Display, err: impl std::fmt::Display) -> ! {
+    eprintln!("onepass: {what}: {err}");
+    std::process::exit(1);
+}
+
 /// The command line after the subcommand: positionals plus `--name
 /// [value]` flags. The command that runs claims each flag it knows;
 /// whatever [`Args::finish`] finds unclaimed is a misspelling, and is
@@ -291,12 +299,14 @@ impl MetricsRig {
         }
         let registry = MetricsRegistry::new();
         let server = addr.map(|a| {
-            let s = MetricsServer::serve(registry.clone(), &a).expect("bind --metrics-addr");
+            let s = MetricsServer::serve(registry.clone(), &a)
+                .unwrap_or_else(|e| fatal(format!("bind --metrics-addr {a}"), e));
             eprintln!("serving metrics on http://{}/metrics", s.local_addr());
             s
         });
         let sampler = out_path.as_ref().map(|path| {
-            let file = std::fs::File::create(path).expect("create --metrics-out file");
+            let file = std::fs::File::create(path)
+                .unwrap_or_else(|e| fatal(format!("create --metrics-out {path}"), e));
             MetricsSampler::start_streaming(
                 registry.clone(),
                 Duration::from_millis(100),
@@ -368,11 +378,12 @@ impl Outputs {
         }
         if let Some(path) = &self.trace_out {
             std::fs::write(path, chrome_trace_json(&self.tracer.drain()))
-                .expect("write trace file");
+                .unwrap_or_else(|e| fatal(format!("write --trace-out {path}"), e));
             eprintln!("wrote Chrome trace to {path}");
         }
         if let Some(path) = &self.report_jsonl {
-            std::fs::write(path, report()).expect("write report file");
+            std::fs::write(path, report())
+                .unwrap_or_else(|e| fatal(format!("write --report-jsonl {path}"), e));
             eprintln!("wrote JSONL report to {path}");
         }
     }
@@ -449,7 +460,7 @@ fn cmd_worker(mut args: Args) {
     args.finish();
     let registry = catalog::registry();
     let listener = std::net::TcpListener::bind(&listen)
-        .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
+        .unwrap_or_else(|e| fatal(format!("bind --listen {listen}"), e));
     // Print the *bound* address, not the requested one: `--listen
     // 127.0.0.1:0` picks an ephemeral port, and scripts parse this line
     // to find it (fixed ports collide on shared CI hosts).
@@ -469,7 +480,7 @@ fn cmd_worker(mut args: Args) {
             die_after_maps,
         },
     )
-    .expect("worker accept loop failed");
+    .unwrap_or_else(|e| fatal("worker accept loop", e));
 }
 
 /// `onepass run` (job rows) and `onepass plan` (the rest): claim the
@@ -477,7 +488,8 @@ fn cmd_worker(mut args: Args) {
 /// [`catalog::run`].
 fn cmd_run(mut args: Args) {
     let w = workload(&mut args);
-    let run = args.cmd == "run";
+    let cmd = args.cmd;
+    let run = cmd == "run";
     let iterative = matches!(w.shape, Shape::Iterative(_));
     let system = run.then(|| system(&mut args, HashOnePass));
     let mut params = Params::new(w, args.num("records").unwrap_or(200_000));
@@ -570,7 +582,8 @@ fn cmd_run(mut args: Args) {
     let read: usize = params.splits.iter().map(Split::record_count).sum();
     let records = if iterative { params.records } else { read };
     eprintln!("running {}{on} ({records} records)...", w.name);
-    let answer = catalog::run(w, settings, params).expect("run failed");
+    let answer =
+        catalog::run(w, settings, params).unwrap_or_else(|e| fatal(format!("{cmd} {}", w.name), e));
     outputs.finish(|| knobs_line + &answer.to_jsonl(w));
     if let Some(path) = &dump_out {
         write_dump(path, &answer.finals());
@@ -640,16 +653,6 @@ fn print_job(report: &JobReport) {
     }
     let sort = report.map_profile.time(Phase::MapSort);
     println!("map sort cpu:      {}", fmt_secs(sort.as_secs_f64()));
-    if report.mem_rebalances > 0 || report.mem_sheds > 0 || report.backpressure_stalls > 0 {
-        println!(
-            "mem governance:    {} rebalances, {} sheds ({} requested), {} push stalls, pool peak {}",
-            report.mem_rebalances,
-            report.mem_sheds,
-            fmt_bytes(report.mem_shed_bytes),
-            report.backpressure_stalls,
-            fmt_bytes(report.mem_pool_high_water)
-        );
-    }
 }
 
 /// A plan row's console summary.
@@ -682,7 +685,7 @@ fn print_plan(w: &Workload, report: &PlanReport) {
 /// ([`dump_pairs`]) every surface compares runs by.
 fn write_dump(path: &str, pairs: &Pairs) {
     let dump = dump_pairs(pairs.iter().map(|(k, v)| (&k[..], &v[..])));
-    std::fs::write(path, dump).expect("write output dump");
+    std::fs::write(path, dump).unwrap_or_else(|e| fatal(format!("write --dump-out {path}"), e));
     eprintln!("wrote {} final pairs to {path}", pairs.len());
 }
 
@@ -790,27 +793,20 @@ fn cmd_serve(mut args: Args) {
     let await_timeout = Duration::from_millis(args.num("await-timeout-ms").unwrap_or(120_000));
     let rig = MetricsRig::from_args(&mut args);
 
-    // The serving tier reads two knobs: the catalog's reducer count and
-    // the tenant pool's shed policy. They start from
-    // the serving defaults and go through the same table as everywhere.
+    // The serving tier reads one knob, the catalog's reducer count: it
+    // starts from the serving default and goes through the same table as
+    // everywhere. The tenant pool sheds by the serving default's policy.
     let defaults = ServeConfig::default();
     let mut settings = Settings {
         job: JobSpecBuilder::new("serve")
             .reducers(CatalogConfig::default().reducers)
             .build()
             .expect("default job"),
-        engine: EngineConfig::builder()
-            .memory_policy(MemoryPolicy::Adaptive {
-                policy: defaults.policy.clone(),
-            })
-            .build(),
+        engine: EngineConfig::default(),
     };
     args.knobs(&mut settings);
     args.finish();
-    let MemoryPolicy::Adaptive { policy } = settings.engine.memory_policy else {
-        die("`onepass serve` pools tenant memory: its memory policy cannot be static");
-    };
-    let policy_name = policy.name();
+    let policy_name = defaults.policy.name();
     // Exactly `onepass run`'s records over `--records`, which is what makes
     // a tenant's finals comparable byte-for-byte to a solo run.
     let clicks = Input::Clicks.records(records);
@@ -824,7 +820,6 @@ fn cmd_serve(mut args: Args) {
     });
     let config = ServeConfig {
         pool_bytes: pool_mb << 20,
-        policy,
         admission: AdmissionConfig {
             max_tenants,
             ..AdmissionConfig::default()
@@ -838,9 +833,10 @@ fn cmd_serve(mut args: Args) {
     };
     let server = Arc::new(
         Server::start(config, catalog, rig.as_ref().map(|r| r.registry.clone()))
-            .expect("start serving core"),
+            .unwrap_or_else(|e| fatal("start serving core", e)),
     );
-    let mut front = Frontend::bind(Arc::clone(&server), &listen).expect("bind front door");
+    let mut front = Frontend::bind(Arc::clone(&server), &listen)
+        .unwrap_or_else(|e| fatal(format!("bind --listen {listen}"), e));
     // Scripts parse this line for the bound (possibly ephemeral) port.
     println!("serving tenants on {}", front.local_addr());
     eprintln!(
@@ -1002,16 +998,18 @@ fn cmd_loadgen(mut args: Args) {
     }
 
     if let Some(dir) = &dump_dir {
-        std::fs::create_dir_all(dir).expect("create --dump-dir");
+        let failed = |e: std::io::Error| -> ! { fatal(format!("write --dump-dir {dir}"), e) };
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| failed(e));
         for o in outcomes.iter().filter(|o| o.error.is_none()) {
             let path = format!("{dir}/{}.{}.dump", o.id, o.query);
-            std::fs::write(&path, &o.dump).expect("write tenant dump");
+            std::fs::write(&path, &o.dump).unwrap_or_else(|e| failed(e));
         }
         eprintln!("wrote per-tenant dumps to {dir}/");
     }
     if let Some(path) = &report_path {
-        let mut out =
-            std::io::BufWriter::new(std::fs::File::create(path).expect("create --report"));
+        let failed = |e: std::io::Error| -> ! { fatal(format!("write --report {path}"), e) };
+        let file = std::fs::File::create(path).unwrap_or_else(|e| failed(e));
+        let mut out = std::io::BufWriter::new(file);
         for o in &outcomes {
             writeln!(
                 out,
@@ -1026,8 +1024,9 @@ fn cmd_loadgen(mut args: Args) {
                 o.dlq_dead,
                 o.error.is_none()
             )
-            .expect("write --report line");
+            .unwrap_or_else(|e| failed(e));
         }
+        out.flush().unwrap_or_else(|e| failed(e));
         eprintln!("wrote per-tenant report to {path}");
     }
 

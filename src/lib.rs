@@ -60,7 +60,7 @@ pub use onepass_workloads as workloads;
 /// The commonly-used API surface in one import.
 pub mod prelude {
     pub use onepass_core::fault::{FaultInjector, FaultPlan};
-    pub use onepass_core::governor::{policy_by_name, MemoryGovernor, MemoryPolicy, SpillPolicy};
+    pub use onepass_core::governor::{policy_by_name, MemoryGovernor, SpillPolicy};
     pub use onepass_core::memory::MemoryBudget;
     pub use onepass_core::metrics::Phase;
     pub use onepass_core::obs::{

@@ -191,6 +191,21 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
             "{msg}"
         );
     }
+    // A batch reducer owns its budget, and the serving pool sheds by its
+    // one policy: no command takes a memory policy.
+    for line in [
+        "run per-user-count --records 1000",
+        "plan top-k --records 1000",
+        "serve --records 1000",
+    ] {
+        let out = onepass(&format!("{line} --mem-policy largest-consumer"));
+        assert_eq!(out.status.code(), Some(2), "{line}");
+        let msg = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            msg.contains("unknown (or repeated) flag --mem-policy "),
+            "{line}: {msg}"
+        );
+    }
 
     // A workload the command does not know, or does not take, names the
     // workload and the ones it does take.
@@ -204,6 +219,27 @@ fn malformed_and_misspelt_flags_exit_2_naming_the_flag() {
         let msg = String::from_utf8(out.stderr).unwrap();
         assert!(msg.contains(bad) && msg.contains(taken), "{line}: {msg}");
     }
+}
+
+/// A run that fails for a reason outside its command line (here: no
+/// worker listens on the address) is one `onepass:` line and exit 1, not
+/// a panic.
+#[test]
+fn a_refused_worker_is_one_line_and_exit_1() {
+    let out = onepass("run page-frequency --records 100 --workers 127.0.0.1:1");
+    assert_eq!(out.status.code(), Some(1));
+    let msg = String::from_utf8(out.stderr).unwrap();
+    assert!(!msg.contains("panicked"), "{msg}");
+    let lines: Vec<&str> = msg.lines().filter(|l| l.starts_with("onepass:")).collect();
+    assert_eq!(lines.len(), 1, "{msg}");
+    assert!(
+        lines[0].starts_with("onepass: run page-frequency: "),
+        "{msg}"
+    );
+    assert!(
+        lines[0].contains("127.0.0.1:1"),
+        "the worker is named: {msg}"
+    );
 }
 
 /// The simulator still models Hadoop's speculation (`run` takes neither

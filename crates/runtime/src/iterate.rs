@@ -28,7 +28,8 @@ use crate::map_task::Split;
 use crate::plan::Plan;
 use crate::report::PlanReport;
 
-/// What a convergence check sees after each round.
+/// What a convergence check sees after each round, while the round's
+/// report is still alive.
 pub struct RoundContext<'a> {
     /// Round index, starting at 0.
     pub round: usize,
@@ -47,7 +48,7 @@ pub struct RoundContext<'a> {
 /// let engine = Engine::new();
 /// let cache = DatasetCache::new(CacheConfig::default());
 /// let mut iter = IterativePlan::new(|round, _cache| round_plan(round));
-/// let reports = iter
+/// let rounds = iter
 ///     .run_until(&engine, &cache, 10, |ctx| Ok(ctx.round >= 9))
 ///     .unwrap();
 /// ```
@@ -66,34 +67,33 @@ where
     }
 
     /// Run rounds until `converged` returns true or `max_rounds` rounds
-    /// have run, whichever is first. Returns every round's report, in
-    /// order; the convergence check runs after each round, so at least
-    /// one round always executes (with `max_rounds > 0`).
+    /// have run, whichever is first. Returns the number of rounds run;
+    /// the convergence check runs after each round, so at least one
+    /// round always executes (with `max_rounds > 0`). A finished round
+    /// keeps nothing: its report drops once the check has seen it, and
+    /// the cache holds the latest datasets.
     pub fn run_until<C>(
         &mut self,
         engine: &Engine,
         cache: &DatasetCache,
         max_rounds: usize,
         mut converged: C,
-    ) -> Result<Vec<PlanReport>>
+    ) -> Result<usize>
     where
         C: FnMut(&RoundContext<'_>) -> Result<bool>,
     {
-        let mut reports = Vec::new();
         for round in 0..max_rounds {
             let (plan, input) = (self.body)(round, cache)?;
             let report = engine.run_plan_with_cache(&plan, input, Some(cache))?;
-            let done = converged(&RoundContext {
+            if converged(&RoundContext {
                 round,
                 cache,
                 report: &report,
-            })?;
-            reports.push(report);
-            if done {
-                break;
+            })? {
+                return Ok(round + 1);
             }
         }
-        Ok(reports)
+        Ok(max_rounds)
     }
 }
 
@@ -148,8 +148,13 @@ mod tests {
                 Ok((b.build()?, Vec::new()))
             }
         });
-        let reports = iter
+        let rounds = iter
             .run_until(&engine, &cache, 10, |ctx| {
+                // The check sees the whole round: the cache-output stage's
+                // published partitions are still in its report.
+                let stage = &ctx.report.stages[0];
+                assert_eq!(stage.report.partitions.len(), 2);
+                assert!(stage.report.partitions.iter().any(|p| !p.is_empty()));
                 let state = ctx.cache.get("state").unwrap().unwrap();
                 let v: u64 = state
                     .iter()
@@ -161,7 +166,7 @@ mod tests {
                 Ok(v >= 40) // 5 -> 10 -> 20 -> 40: stops after round 3
             })
             .unwrap();
-        assert_eq!(reports.len(), 4);
+        assert_eq!(rounds, 4);
         let state = cache.get("state").unwrap().unwrap();
         let total: u64 = state
             .iter()

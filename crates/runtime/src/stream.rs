@@ -31,8 +31,8 @@ use crate::job::{HashPartitioner, JobSpec, MapEmitter, MapFn, Partitioner};
 /// private budget carved from the job's `reduce_budget_bytes`. Serving
 /// many sessions side by side instead wants every session *leasing* from
 /// one job-wide [`MemoryGovernor`] pool, so spill policies arbitrate
-/// across sessions (tenants) the same way they arbitrate across reduce
-/// partitions in the batch engine.
+/// across sessions (tenants). Only the serving tier pools memory: a
+/// batch reducer owns its budget.
 #[derive(Clone, Default)]
 pub struct SessionOptions {
     /// When set, per-partition budgets are leases from this governor's
@@ -100,8 +100,7 @@ pub struct StreamSession {
     job: JobSpec,
     groupers: Vec<Box<dyn GroupBy>>,
     /// Clones of each grouper's budget, kept so governor-posted shed
-    /// requests can be serviced at feed boundaries (the streaming
-    /// analogue of the reduce task's batch-boundary governance).
+    /// requests can be serviced at feed boundaries.
     budgets: Vec<MemoryBudget>,
     records_in: u64,
     sheds: u64,
@@ -250,10 +249,9 @@ impl StreamSession {
 
     /// Push a routed map-output buffer into the per-partition groupers on
     /// the caller's thread, then service any shed requests the governor
-    /// posted on this session's leases (mirrors the reduce task's
-    /// segment-boundary governance, so a session under cross-tenant
-    /// pressure spills through its operators' own correctness-neutral
-    /// spill paths).
+    /// posted on this session's leases at this batch boundary, so a
+    /// session under cross-tenant pressure spills through its operators'
+    /// own correctness-neutral spill paths.
     fn push_routed(&mut self, mut buf: KvBuf, answers: &mut Vec<StreamAnswer>) -> Result<()> {
         let segments = buf.freeze_into_segments(self.groupers.len());
         let mut sink = CaptureSink(answers);

@@ -330,7 +330,7 @@ pub fn run_cached(
         }
     });
     let eps = cfg.eps;
-    let reports = iter.run_until(engine, cache, cfg.rounds.max(1), |ctx| {
+    let rounds = iter.run_until(engine, cache, cfg.rounds.max(1), |ctx| {
         if ctx.round == 0 {
             return Ok(false);
         }
@@ -342,7 +342,7 @@ pub fn run_cached(
         current = next;
         Ok(done)
     })?;
-    Ok((cached_centroids(cache)?, reports.len()))
+    Ok((cached_centroids(cache)?, rounds))
 }
 
 /// Pure-Rust reference: same integer math, same seeding, same stopping

@@ -344,7 +344,7 @@ pub fn run_cached(
         }
     });
     let eps = cfg.eps;
-    let reports = iter.run_until(engine, cache, cfg.rounds.max(1), |ctx| {
+    let rounds = iter.run_until(engine, cache, cfg.rounds.max(1), |ctx| {
         if ctx.round == 0 {
             return Ok(false); // parse round: state already in place
         }
@@ -352,10 +352,7 @@ pub fn run_cached(
         Ok(eps.is_some_and(|eps| delta <= eps))
     })?;
     let parts = cached(cache, RANKS_DATASET)?;
-    Ok((
-        ranks_of(parts.iter().flat_map(SegmentBuf::iter)),
-        reports.len(),
-    ))
+    Ok((ranks_of(parts.iter().flat_map(SegmentBuf::iter)), rounds))
 }
 
 /// Pure-Rust reference: the same fixed-point iteration, single-threaded.

@@ -274,6 +274,23 @@ impl FreqHashGrouper {
         self.evictions
     }
 
+    /// Shed at least `target_bytes` of resident state, returning the
+    /// bytes actually freed: one coldest-first eviction round sized by
+    /// the request. A stream session calls it at a batch boundary when
+    /// the serving tier's memory governor
+    /// ([`onepass_core::governor`]) picks this operator's lease as a
+    /// spill victim. Shedding is a correctness-neutral reordering: the
+    /// shed states land in the cold buckets the exact pass already
+    /// resolves, and a re-admitted key comes back incomplete, so
+    /// `finish` moves it to its bucket too and the finals are the same
+    /// bytes.
+    pub fn shed(&mut self, target_bytes: usize) -> Result<usize> {
+        let t = Stamp::start(Phase::ReduceGroup);
+        let freed = self.evict_bytes(target_bytes);
+        t.stop(&mut self.profile, &mut self.trace);
+        freed
+    }
+
     /// Absorb `value` into `key`'s resident state and check the result
     /// against the early-emit period; false if not resident.
     fn update_resident(&mut self, fp: u64, key: &[u8], value: &[u8], sink: &mut dyn Sink) -> bool {
@@ -515,18 +532,6 @@ impl GroupBy for FreqHashGrouper {
         settle(&self.budget, &mut self.unsettled);
         t.stop(&mut self.profile, &mut self.trace);
         pushed
-    }
-
-    fn shed(&mut self, target_bytes: usize) -> Result<usize> {
-        // Shed = one coldest-first eviction round sized by the request:
-        // the shed states land in the cold buckets the exact pass already
-        // resolves, so re-admitted keys stay correct (they come back
-        // incomplete, and finish moves every incomplete resident to its
-        // bucket).
-        let t = Stamp::start(Phase::ReduceGroup);
-        let freed = self.evict_bytes(target_bytes);
-        t.stop(&mut self.profile, &mut self.trace);
-        freed
     }
 
     fn finish(&mut self, sink: &mut dyn Sink) -> Result<OpStats> {

@@ -177,8 +177,10 @@ pub struct HybridHashGrouper {
     /// resident key in this set is incomplete: at emit time its partial
     /// state is flushed to run 0 for the child pass to merge, instead of
     /// being emitted here. Without this, a key whose admission *flips*
-    /// mid-stream (possible once a shed or a governor limit-raise frees
-    /// budget) would get two Finals — one here, one from the run-0 child.
+    /// mid-stream (possible when budget frees up between its records: a
+    /// child resolving a leased incremental operator's cold bucket
+    /// escalates to the governor, which may grant later what it denied
+    /// earlier) would get two Finals — one here, one from the run-0 child.
     run0_keys: FpTable<()>,
     records_in: u64,
     groups_out: u64,
@@ -318,14 +320,11 @@ impl HybridHashGrouper {
     /// Move every resident state for which `pick` names a bucket into
     /// that bucket's run as a partial state, releasing its budget. Stops
     /// at the first write error, leaving the remaining states resident.
-    fn spill_residents(
-        &mut self,
-        mut pick: impl FnMut(&mut Self, u64, &[u8], &[u8]) -> Option<usize>,
-    ) -> Result<()> {
+    fn spill_residents(&mut self, pick: impl Fn(&Self, u64, &[u8]) -> Option<usize>) -> Result<()> {
         settle(&self.budget, &mut self.unsettled);
         let mut resident = std::mem::take(&mut self.resident);
         let result = spill_entries(&mut resident, |fp, key, state| {
-            let Some(bucket) = pick(self, fp, key, state) else {
+            let Some(bucket) = pick(self, fp, key) else {
                 return Ok(false);
             };
             self.write_spill(bucket, key, TAG_STATE, state)?;
@@ -349,7 +348,7 @@ impl HybridHashGrouper {
         self.spill = Some(writers);
         self.spills += 1;
         let before = self.resident.len();
-        self.spill_residents(|g, fp, _, _| {
+        self.spill_residents(|g, fp, _| {
             Some(g.hasher.bucket_fp(fp, g.fanout)).filter(|&b| b != 0)
         })?;
         self.trace.instant(
@@ -404,7 +403,7 @@ impl HybridHashGrouper {
         let t = Stamp::start(Phase::ReduceFn);
         settle(&self.budget, &mut self.unsettled);
         if !self.run0_keys.is_empty() {
-            self.spill_residents(|g, fp, key, _| g.run0_keys.get(fp, key).map(|_| 0))?;
+            self.spill_residents(|g, fp, key| g.run0_keys.get(fp, key).map(|_| 0))?;
         }
         let (agg, out, groups_out) = (self.agg.as_ref(), &mut self.out, &mut self.groups_out);
         self.resident.drain(|key, state| {
@@ -426,33 +425,6 @@ impl GroupBy for HybridHashGrouper {
             .try_for_each(|(key, value)| self.push_tagged(key, value, TAG_RAW));
         settle(&self.budget, &mut self.unsettled);
         pushed
-    }
-
-    fn shed(&mut self, target_bytes: usize) -> Result<usize> {
-        let start = self.reserved;
-        if self.spill.is_none() {
-            if self.resident.is_empty() {
-                return Ok(0);
-            }
-            // Partitioning *is* the natural shed: every non-bucket-0
-            // state moves to its bucket's run.
-            self.partition()?;
-        }
-        if start - self.reserved < target_bytes && !self.resident.is_empty() {
-            // Still short: evict bucket-0 residents into run 0 (their
-            // overflow run) as partial states. `run0_keys` keeps any
-            // later re-admission of these keys correct.
-            let mut planned = start - self.reserved;
-            self.spill_residents(|g, fp, key, state| {
-                if planned >= target_bytes {
-                    return None;
-                }
-                planned += state_cost(key, state);
-                g.run0_keys.insert(fp, key, ());
-                Some(0)
-            })?;
-        }
-        Ok(start - self.reserved)
     }
 
     fn finish(&mut self, sink: &mut dyn Sink) -> Result<OpStats> {

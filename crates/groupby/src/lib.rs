@@ -19,7 +19,12 @@
 //!   ([`FreqHashGrouper::new`]) hot keys keep resident state and cold
 //!   records spill: early answers for hot keys with orders-of-magnitude
 //!   less spill I/O (§V technique 3). One operator; technique 2 is
-//!   technique 3 with the summary off.
+//!   technique 3 with the summary off. It is the one operator a stream
+//!   session runs, and so the one that sheds when the serving tier's
+//!   shared pool asks ([`FreqHashGrouper::shed`]). The blocking operators
+//!   never shed: a batch reducer owns its budget, and a hybrid-hash child
+//!   resolving a leased operator's cold bucket only asks its lease for
+//!   more.
 //!
 //! Every per-key state they hold is a [`StateBuf`]: up to 15 bytes in the
 //! table slot itself, so a count or a sum costs no heap allocation.
@@ -106,21 +111,6 @@ pub trait GroupBy: Send {
     fn snapshot(&mut self, sink: &mut dyn Sink) -> Result<()> {
         let _ = sink;
         Ok(())
-    }
-
-    /// Shed at least `target_bytes` of resident state through the
-    /// operator's own spill path, returning the bytes actually freed.
-    ///
-    /// Called at batch boundaries when the serving tier's memory governor
-    /// ([`onepass_core::governor`]) picks this operator as a spill victim
-    /// under global pressure. Shedding is
-    /// a correctness-neutral reordering: shed state flows through the same
-    /// tagged overflow/run machinery the operator's normal spill uses, so
-    /// final output is byte-identical. The default does nothing (an
-    /// operator with nothing shedable returns 0).
-    fn shed(&mut self, target_bytes: usize) -> Result<usize> {
-        let _ = target_bytes;
-        Ok(0)
     }
 
     /// Flush all remaining groups into `sink` and return statistics.

@@ -256,14 +256,6 @@ impl GroupBy for SortMergeGrouper {
         self.buffer(batch.clone())
     }
 
-    fn shed(&mut self, _target_bytes: usize) -> Result<usize> {
-        // The whole buffer is one merged-run spill away from free; partial
-        // sheds would merge twice for no I/O saving.
-        let freed = self.reserved;
-        self.spill_buffered()?;
-        Ok(freed)
-    }
-
     /// MapReduce Online snapshot: non-destructively re-read everything
     /// received so far (on-disk runs + in-memory segments), aggregate, and
     /// emit approximate answers. The re-read is the snapshot's I/O cost.

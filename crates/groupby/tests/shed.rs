@@ -1,18 +1,15 @@
-//! `GroupBy::shed` correctness: shedding mid-stream at arbitrary points
-//! must free budget bytes AND leave final output byte-identical to an
-//! unshed run — for every backend. The nasty cases are re-admission after
-//! a shed (a shed key's records keep arriving), which must not produce
-//! duplicate Final emissions.
+//! `FreqHashGrouper::shed` correctness: shedding mid-stream at arbitrary
+//! points must free budget bytes AND leave final output byte-identical to
+//! an unshed run — with the hot-key gate on and off. The nasty cases are
+//! re-admission after a shed (a shed key's records keep arriving), which
+//! must not produce duplicate Final emissions.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use onepass_core::io::SharedMemStore;
 use onepass_core::memory::MemoryBudget;
-use onepass_groupby::{
-    CountAgg, EmitKind, FreqHashGrouper, GroupBy, HybridHashGrouper, IncHashGrouper,
-    SortMergeGrouper, VecSink,
-};
+use onepass_groupby::{CountAgg, EmitKind, FreqHashGrouper, GroupBy, IncHashGrouper, VecSink};
 
 fn records(n: u32, distinct: u32) -> Vec<(Vec<u8>, Vec<u8>)> {
     (0..n)
@@ -37,7 +34,7 @@ fn truth(recs: &[(Vec<u8>, Vec<u8>)]) -> BTreeMap<Vec<u8>, u64> {
 /// each batch boundary, then finish. Asserts no duplicate finals and
 /// exact counts; returns the finals as emitted.
 fn run_with_sheds(
-    op: &mut dyn GroupBy,
+    op: &mut FreqHashGrouper,
     recs: &[(Vec<u8>, Vec<u8>)],
     every: usize,
     target: usize,
@@ -87,16 +84,6 @@ fn run_with_sheds(
 }
 
 #[test]
-fn sortmerge_shed_is_correct() {
-    let store = SharedMemStore::new();
-    let budget = MemoryBudget::new(1 << 16);
-    let mut g =
-        SortMergeGrouper::new(Arc::new(store), budget.clone(), 4, Arc::new(CountAgg)).unwrap();
-    run_with_sheds(&mut g, &records(3000, 250), 500, 1 << 12);
-    assert_eq!(budget.used(), 0);
-}
-
-#[test]
 fn inc_hash_shed_is_correct() {
     // Ample budget: every shed key is re-admitted; it comes back
     // incomplete, so it is not emitted twice.
@@ -113,30 +100,6 @@ fn inc_hash_shed_under_pressure_is_correct() {
     let budget = MemoryBudget::new(1800);
     let mut g = IncHashGrouper::new(Arc::new(store), budget.clone(), Arc::new(CountAgg));
     run_with_sheds(&mut g, &records(2500, 300), 300, 600);
-    assert_eq!(budget.used(), 0);
-}
-
-#[test]
-fn hybrid_shed_before_partition_is_correct() {
-    // Budget never exhausts on its own: the shed itself forces the
-    // partition, then seals bucket 0.
-    let store = SharedMemStore::new();
-    let budget = MemoryBudget::new(1 << 16);
-    let mut g =
-        HybridHashGrouper::new(Arc::new(store), budget.clone(), 4, Arc::new(CountAgg)).unwrap();
-    run_with_sheds(&mut g, &records(3000, 250), 700, 1 << 14);
-    assert_eq!(budget.used(), 0);
-}
-
-#[test]
-fn hybrid_shed_after_partition_is_correct() {
-    // Tight budget: the operator partitions by itself first, later sheds
-    // evict already-resident bucket-0 states into run 0.
-    let store = SharedMemStore::new();
-    let budget = MemoryBudget::new(2000);
-    let mut g =
-        HybridHashGrouper::new(Arc::new(store), budget.clone(), 4, Arc::new(CountAgg)).unwrap();
-    run_with_sheds(&mut g, &records(2500, 400), 300, 800);
     assert_eq!(budget.used(), 0);
 }
 

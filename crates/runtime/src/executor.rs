@@ -102,32 +102,29 @@ pub(crate) fn build_grouper(
             g.set_tracer(tracer);
             Box::new(g)
         }
-        ReduceBackend::IncHash { early_every } => {
-            let mut g = IncHashGrouper::with_early(store, budget, agg, *early_every);
-            g.set_tracer(tracer);
-            Box::new(g)
-        }
-        ReduceBackend::FreqHash => {
-            let mut g = FreqHashGrouper::new(store, budget, agg);
+        ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash => {
+            let mut g = build_incremental_grouper(job, store, budget, agg)?;
             g.set_tracer(tracer);
             Box::new(g)
         }
     })
 }
 
-/// Build an *incremental* grouper (IncHash / FreqHash), rejecting blocking
-/// backends with a config error. Used by
-/// [`StreamSession`](crate::stream::StreamSession).
+/// Build the incremental hash operator for `job` (IncHash is its gate-off
+/// spelling, FreqHash its gate-on one), rejecting blocking backends with
+/// a config error. [`StreamSession`](crate::stream::StreamSession) holds
+/// what it returns, so it can ask the operator to shed.
 pub(crate) fn build_incremental_grouper(
     job: &JobSpec,
     store: Arc<dyn SpillStore>,
     budget: MemoryBudget,
     agg: Arc<dyn Aggregator>,
-) -> Result<Box<dyn GroupBy>> {
+) -> Result<FreqHashGrouper> {
     match &job.backend {
-        ReduceBackend::IncHash { .. } | ReduceBackend::FreqHash => {
-            build_grouper(job, store, budget, agg, LocalTracer::disabled())
+        ReduceBackend::IncHash { early_every } => {
+            Ok(IncHashGrouper::with_early(store, budget, agg, *early_every))
         }
+        ReduceBackend::FreqHash => Ok(FreqHashGrouper::new(store, budget, agg)),
         other => Err(Error::Config(format!(
             "incremental grouping requires an incremental backend; {} is blocking",
             other.label()

@@ -212,15 +212,6 @@ impl ReduceBackend {
         }
     }
 
-    /// Does this backend produce incremental (early) output?
-    pub fn incremental(&self) -> bool {
-        match self {
-            ReduceBackend::SortMerge { .. } | ReduceBackend::HybridHash => false,
-            ReduceBackend::IncHash { early_every } => early_every.is_some(),
-            ReduceBackend::FreqHash => true,
-        }
-    }
-
     /// Does a map task sort its buffer on `(partition, key)` before it
     /// ships? Sort-merge reduces key-sorted segments (Hadoop and HOP sort
     /// on the map side). A hash backend needs no order: its map side
@@ -404,7 +395,6 @@ mod tests {
         assert!(!job.backend.pushes());
         assert!(matches!(job.backend, ReduceBackend::SortMerge { .. }));
         assert_eq!(job.backend.label(), "sort-merge");
-        assert!(!job.backend.incremental());
     }
 
     #[test]
@@ -416,7 +406,6 @@ mod tests {
             .unwrap();
         assert!(!job.backend.sorts_map_output());
         assert!(!job.hash_combines());
-        assert!(job.backend.incremental());
 
         let job = JobSpec::builder("count")
             .aggregate(Arc::new(SumAgg))

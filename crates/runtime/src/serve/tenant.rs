@@ -14,7 +14,7 @@
 //! before any grouper state is touched, so a map panic leaves the session
 //! clean), quarantined in the DLQ, and retried at later feed boundaries.
 
-use onepass_core::error::Result;
+use onepass_core::error::{Error, Result};
 use onepass_groupby::{EmitKind, OpStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -49,7 +49,10 @@ pub struct TenantSession {
     /// The tenant that opened it (a shared session's first subscriber).
     id: String,
     query_name: String,
-    sessions: Vec<StreamSession>,
+    /// Stage 0, fed the ingest stream: the source of early answers.
+    head: StreamSession,
+    /// Stages 1.., each fed its predecessor's finals at close.
+    rest: Vec<StreamSession>,
     dlq: DeadLetterQueue,
 }
 
@@ -58,7 +61,7 @@ impl std::fmt::Debug for TenantSession {
         f.debug_struct("TenantSession")
             .field("id", &self.id)
             .field("query", &self.query_name)
-            .field("stages", &self.sessions.len())
+            .field("stages", &(1 + self.rest.len()))
             .field("dlq_pending", &self.dlq.pending())
             .finish()
     }
@@ -66,7 +69,8 @@ impl std::fmt::Debug for TenantSession {
 
 impl TenantSession {
     /// Open the cascade for `query` with the given session options (the
-    /// serving layer passes a governor lease share here).
+    /// serving layer passes a governor lease share here). A query without
+    /// stages is a config error.
     pub fn open(
         id: &str,
         query_name: &str,
@@ -75,12 +79,22 @@ impl TenantSession {
         dlq: DlqConfig,
     ) -> Result<TenantSession> {
         super::install_poison_panic_filter();
+        let mut stages = query.open(opts)?.into_iter();
+        let head = stages
+            .next()
+            .ok_or_else(|| Error::Config(format!("query {query_name} has no stages")))?;
         Ok(TenantSession {
             id: id.to_string(),
             query_name: query_name.to_string(),
-            sessions: query.open(opts)?,
+            head,
+            rest: stages.collect(),
             dlq: DeadLetterQueue::new(dlq),
         })
+    }
+
+    /// Every stage, head first.
+    fn stages(&self) -> impl Iterator<Item = &StreamSession> {
+        std::iter::once(&self.head).chain(&self.rest)
     }
 
     /// Id of the tenant that opened the session.
@@ -100,21 +114,21 @@ impl TenantSession {
 
     /// Total bytes of governor lease the session holds across stages.
     pub fn lease_bytes(&self) -> usize {
-        self.sessions.iter().map(|s| s.budget_bytes()).sum()
+        self.stages().map(|s| s.budget_bytes()).sum()
     }
 
     /// Move every partition lease of every stage by `delta` bytes: a
     /// tenant joining the session brings its fair share, one leaving
     /// takes it away.
     pub(crate) fn resize_leases(&self, delta: isize) {
-        for s in &self.sessions {
+        for s in self.stages() {
             s.resize_budgets(delta);
         }
     }
 
     /// Governor-requested sheds serviced across all stages.
     pub fn shed_stats(&self) -> (u64, u64) {
-        self.sessions.iter().fold((0, 0), |(n, b), s| {
+        self.stages().fold((0, 0), |(n, b), s| {
             let (sn, sb) = s.shed_stats();
             (n + sn, b + sb)
         })
@@ -125,7 +139,7 @@ impl TenantSession {
     /// quarantined records get one bounded retry per feed boundary.
     pub fn feed(&mut self, records: &[Vec<u8>]) -> Result<Vec<StreamAnswer>> {
         let mut answers = Vec::new();
-        let head = &mut self.sessions[0];
+        let head = &mut self.head;
         let fed = quiet_catch(|| head.feed(records.iter().map(|r| r.as_slice())));
         match fed {
             Ok(res) => answers.extend(res?),
@@ -143,9 +157,7 @@ impl TenantSession {
             }
         }
         // Bounded retry of earlier poisons at this feed boundary.
-        let head = &mut self.sessions[0];
-        let dlq = &mut self.dlq;
-        dlq.retry_sweep(
+        self.dlq.retry_sweep(
             |rec| match quiet_catch(|| head.feed(std::iter::once(rec))) {
                 Ok(Ok(a)) => {
                     answers.extend(a);
@@ -161,43 +173,36 @@ impl TenantSession {
     /// each stage's finals into the next, returning the last stage's
     /// finals plus stats and DLQ accounting.
     pub fn close(mut self) -> Result<TenantClose> {
-        {
-            let head = &mut self.sessions[0];
-            self.dlq
-                .drain(|rec| matches!(quiet_catch(|| head.feed(std::iter::once(rec))), Ok(Ok(_))));
-        }
+        let head = &mut self.head;
+        self.dlq
+            .drain(|rec| matches!(quiet_catch(|| head.feed(std::iter::once(rec))), Ok(Ok(_))));
+        let records_in = self.head.records_in();
         let mut stats = Vec::new();
-        let mut stages = self.sessions.into_iter();
-        let mut current = stages.next().expect("cascade has at least one stage");
-        let records_in = current.records_in();
-        loop {
-            let (answers, st) = current.close()?;
+        let mut finals_of = |stage: StreamSession| -> Result<Vec<StreamAnswer>> {
+            let (answers, st) = stage.close()?;
             stats.extend(st);
-            let finals: Vec<StreamAnswer> = answers
+            Ok(answers
                 .into_iter()
                 .filter(|a| a.kind == EmitKind::Final)
-                .collect();
-            match stages.next() {
-                None => {
-                    return Ok(TenantClose {
-                        answers: finals,
-                        stats,
-                        records_in,
-                        dlq_poisoned: self.dlq.poisoned_total(),
-                        dlq_recovered: self.dlq.recovered_total(),
-                        dlq_dead: self.dlq.dead_total(),
-                    });
-                }
-                Some(mut next) => {
-                    next.feed_pairs(
-                        finals
-                            .iter()
-                            .map(|a| (a.key.as_slice(), a.value.as_slice())),
-                    )?;
-                    current = next;
-                }
-            }
+                .collect())
+        };
+        let mut finals = finals_of(self.head)?;
+        for mut next in self.rest {
+            next.feed_pairs(
+                finals
+                    .iter()
+                    .map(|a| (a.key.as_slice(), a.value.as_slice())),
+            )?;
+            finals = finals_of(next)?;
         }
+        Ok(TenantClose {
+            answers: finals,
+            stats,
+            records_in,
+            dlq_poisoned: self.dlq.poisoned_total(),
+            dlq_recovered: self.dlq.recovered_total(),
+            dlq_dead: self.dlq.dead_total(),
+        })
     }
 }
 
@@ -209,4 +214,26 @@ fn quiet_catch<T>(f: impl FnOnce() -> T) -> std::result::Result<T, ()> {
     let out = catch_unwind(AssertUnwindSafe(f));
     super::QUIET_PANICS.with(|q| q.set(false));
     out.map_err(|_| ())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::query::DEFAULT_INGEST;
+
+    #[test]
+    fn a_query_without_stages_is_a_config_error() {
+        let empty = StreamingQuery {
+            stages: vec![],
+            ingest: DEFAULT_INGEST.to_string(),
+        };
+        let opened = TenantSession::open(
+            "t0",
+            "empty",
+            &empty,
+            &SessionOptions::default(),
+            DlqConfig::default(),
+        );
+        assert!(matches!(opened, Err(Error::Config(_))), "{opened:?}");
+    }
 }

@@ -11,7 +11,9 @@
 //! Only incremental backends make sense here, so the session rejects
 //! blocking ones (sort-merge, hybrid hash) at construction: with those,
 //! *no* answer can be produced until the stream closes, which defeats the
-//! purpose (exactly Table III's point about Hadoop).
+//! purpose (exactly Table III's point about Hadoop). Every partition is
+//! therefore a [`FreqHashGrouper`] (IncHash is its gate-off spelling),
+//! and that concrete operator is what a governed session asks to shed.
 
 use std::sync::Arc;
 
@@ -20,7 +22,7 @@ use onepass_core::error::{Error, Result};
 use onepass_core::governor::MemoryGovernor;
 use onepass_core::io::{SharedMemStore, SpillStore};
 use onepass_core::memory::MemoryBudget;
-use onepass_groupby::{EmitKind, GroupBy, OpStats, Sink};
+use onepass_groupby::{EmitKind, FreqHashGrouper, GroupBy, OpStats, Sink};
 
 use crate::executor;
 use crate::job::{HashPartitioner, JobSpec, MapEmitter, MapFn, Partitioner};
@@ -98,7 +100,7 @@ pub struct StreamAnswer {
 /// ```
 pub struct StreamSession {
     job: JobSpec,
-    groupers: Vec<Box<dyn GroupBy>>,
+    groupers: Vec<FreqHashGrouper>,
     /// Clones of each grouper's budget, kept so governor-posted shed
     /// requests can be serviced at feed boundaries.
     budgets: Vec<MemoryBudget>,
@@ -149,7 +151,7 @@ impl StreamSession {
             .lease_bytes
             .unwrap_or(job.reduce_budget_bytes / job.reducers)
             .max(1024);
-        let mut groupers: Vec<Box<dyn GroupBy>> = Vec::with_capacity(job.reducers);
+        let mut groupers = Vec::with_capacity(job.reducers);
         let mut budgets = Vec::with_capacity(job.reducers);
         for _ in 0..job.reducers {
             let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
@@ -262,8 +264,9 @@ impl StreamSession {
     }
 
     /// Check every partition lease for a governor-posted shed request and
-    /// service it through the grouper's spill path. No-op for private
-    /// (non-leased) budgets — those never carry requests.
+    /// service it with [`FreqHashGrouper::shed`]: one coldest-first
+    /// eviction round into the operator's own cold buckets. No-op for
+    /// private (non-leased) budgets — those never carry requests.
     fn service_shed_requests(&mut self) -> Result<()> {
         for (g, b) in self.groupers.iter_mut().zip(&self.budgets) {
             let want = b.take_shed_request();
@@ -438,6 +441,9 @@ mod tests {
             let refs: Vec<&[u8]> = chunk.iter().map(|k| k.as_slice()).collect();
             a.feed(refs.clone()).unwrap();
             b.feed(refs).unwrap();
+        }
+        for x in [&a, &b] {
+            assert!(x.shed_stats().0 > 0, "no shed serviced: {x:?}");
         }
         let count = |s: StreamSession| {
             let (answers, _) = s.close().unwrap();

@@ -178,9 +178,9 @@ fn setting_the_backend_keeps_what_has_no_text_form_when_the_kind_matches() {
 
     let mut s = built(ReduceBackend::FreqHash);
     backend.set(&mut s, "inc-hash").unwrap();
-    assert!(matches!(&s.job.backend, ReduceBackend::IncHash { .. }));
-    assert!(
-        !s.job.backend.incremental(),
+    assert_eq!(
+        s.job.backend,
+        ReduceBackend::IncHash { early_every: None },
         "a different kind takes defaults"
     );
 }

@@ -87,7 +87,10 @@ pub mod names {
     /// shipped its own output (1.0 = the combiner saved nothing).
     pub const ENGINE_COMBINE_RATIO: &str = "onepass_engine_combine_ratio";
     /// Histogram `{stage}`: shuffled / absorbed records per combine-table
-    /// flush — the ratio of every hash map task over a combinable aggregate.
+    /// flush — the ratio of every hash map task over a combinable
+    /// aggregate while its map slot combines. Once a slot stops combining
+    /// (`in_node.rs`) its attempts ship themselves and observe none here;
+    /// each observes `onepass_engine_combine_ratio`, at 1.0.
     pub const INNODE_COMBINE_RATIO: &str = "onepass_innode_combine_ratio";
     /// Histogram `{stage}`: time to each partition's first final answer,
     /// against the job (or plan) clock.

@@ -264,6 +264,12 @@ impl FreqHashGrouper {
         self.trace = trace;
     }
 
+    /// The budget this operator charges: a private one, or a lease from
+    /// a governor pool whose shed requests it carries.
+    pub fn budget(&self) -> &MemoryBudget {
+        &self.budget
+    }
+
     /// Number of keys currently resident.
     pub fn resident_keys(&self) -> usize {
         self.states.len()

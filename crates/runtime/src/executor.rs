@@ -26,7 +26,7 @@ use onepass_groupby::{
 };
 
 use crate::driver::{EngineConfig, SpillBackend};
-use crate::in_node::{CombineScope, MapSlot};
+use crate::in_node::{CombineScope, MapSlot, SAMPLE_WINDOW};
 use crate::job::{JobSpec, ReduceBackend};
 use crate::map_task::MapAttemptCtx;
 use crate::reduce_task::{run_reduce_task_open, ReduceResult, ReduceRetryOpts};
@@ -263,6 +263,7 @@ pub(crate) fn execute(params: ExecParams<'_>) -> Result<JobReport> {
                     map_store,
                     CombineScope::Worker,
                     innode_ratio,
+                    SAMPLE_WINDOW,
                 );
                 while let Ok(asg) = task_rx.recv() {
                     let MapAssignment {

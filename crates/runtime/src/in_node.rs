@@ -1,11 +1,37 @@
 //! The map-side hash combiner — §V's map option 2, "in-memory hash combine
-//! per partition" — and its scope. Every job whose backend hashes (does
-//! not [sort map output]) over a combinable aggregate combines through
-//! one table type, `WorkerCombiner`; the only thing that varies is how
-//! many task attempts share a table before it ships ([`CombineScope`]):
-//! all the attempts a map worker completes (the "in-node combiner" idea,
-//! cf. in-node/in-mapper combining and M3R's partition-local
-//! aggregation), or one.
+//! per partition" — its scope, and the rule that turns it off. Every job
+//! whose backend hashes (does not [sort map output]) over a combinable
+//! aggregate may combine, through one table type, `WorkerCombiner`; each
+//! map slot decides from its own keys whether it does ([rule](#the-rule)),
+//! and how many task attempts share a table before it ships is the
+//! [`CombineScope`]: all the attempts a map worker completes (the
+//! "in-node combiner" idea, cf. in-node/in-mapper combining and M3R's
+//! partition-local aggregation), or one.
+//!
+//! # The rule
+//!
+//! A fold costs about what the reducer's upsert of the same record
+//! costs, so it pays only when most records hit a key the table already
+//! holds. A [`MapSlot`] decides once: while undecided it fingerprints the
+//! first [`SAMPLE_WINDOW`] keys it emits, across its attempts, into a set
+//! allocated once per slot ([`KeySample`]), and if more than half of
+//! them are distinct it stops combining for the rest of the job. The
+//! switch lands at emit time, inside the running attempt
+//! (`map_task::run_map_task`), before the attempt's output sits in the
+//! buffer whole:
+//!
+//! * the table ships the earlier attempts it holds, with their held
+//!   `MapDone`s (step 3 below);
+//! * the attempt's buffered records are routed once;
+//! * from then on the attempt, and every later one in the slot, ships
+//!   like a holistic hash attempt: routed at emit, frozen into segments
+//!   without a copy, pushed, and closed by its own `MapDone`. Each value
+//!   passes through [`Aggregator::init`] on the way, so every segment of
+//!   a combinable job carries states and the reducer's `StateInput`
+//!   contract holds either way.
+//!
+//! A slot that never fills its window, or whose keys repeat, combines by
+//! the protocol below to the end of the job.
 //!
 //! # Protocol
 //!
@@ -35,8 +61,9 @@
 //! *When* step 3 happens is the scope, computed by the caller and never
 //! configured:
 //!
-//! * [`CombineScope::Worker`] — when the table's budget runs over, and
-//!   once more when the worker drains. Hot keys are built and shipped once per
+//! * [`CombineScope::Worker`] — when the table's budget runs over, when
+//!   the slot stops combining, and once more when the worker drains. Hot
+//!   keys are built and shipped once per
 //!   worker rather than once per task. This is every in-proc job: the
 //!   engine never runs two attempts of one task at once, so a committed
 //!   attempt's data can be neither lost (worker threads do not die alone)
@@ -46,14 +73,16 @@
 //!   segments and `MapDone` on the wire before the `MapOk` that commits
 //!   the attempt to the scheduler (Segments → `MapDone` → `MapOk`), and a
 //!   table outliving the attempt would die with the worker after the
-//!   coordinator was told the data is safe.
+//!   coordinator was told the data is safe. Its slot decides by the same
+//!   rule; its table is empty whenever an attempt runs.
 //!
 //! # Memory accounting
 //!
 //! The combine table holds a private [`MemoryBudget`] of
 //! [`MAP_BUFFER_BYTES`]. Note the attempt's arena is bounded by its
 //! split's output, not by the push granularity — buffering the attempt
-//! whole is what buys one fold per record.
+//! whole is what buys one fold per record. The key sample is a fixed
+//! `u64` set of twice the window, 256 KiB per combining slot.
 //!
 //! [`KvBuf`]: onepass_core::bytes_kv::KvBuf
 //! [sort map output]: crate::job::ReduceBackend::sorts_map_output
@@ -76,12 +105,117 @@ use crate::map_task::{run_map_task, MapAttemptCtx, MapTaskStats, Split};
 use crate::reduce_task::panic_message;
 use crate::shuffle::{Segment, ShuffleTx};
 
+/// Keys a map slot samples before it decides whether to combine: the
+/// first this many it emits, over all its attempts. A constant, not a
+/// knob (DESIGN.md, "The map-side combiner and its scope").
+pub(crate) const SAMPLE_WINDOW: usize = 16 * 1024;
+
+/// The fingerprints of the first keys a slot emits: an open-addressed
+/// set of twice the window, allocated once per slot, so an offer never
+/// allocates and the load stays at most one half.
+pub(crate) struct KeySample {
+    /// Key fingerprints; 0 marks an empty slot (a 0 fingerprint is
+    /// stored as 1).
+    set: Box<[u64]>,
+    window: usize,
+    seen: usize,
+    distinct: usize,
+}
+
+impl KeySample {
+    fn new(window: usize) -> Self {
+        KeySample {
+            set: vec![0; (2 * window).next_power_of_two()].into_boxed_slice(),
+            window,
+            seen: 0,
+            distinct: 0,
+        }
+    }
+
+    /// Count one emitted key; keys past the window are not looked at.
+    pub fn offer(&mut self, key: &[u8]) {
+        if self.full() {
+            return;
+        }
+        self.seen += 1;
+        let fp = fingerprint(key).max(1);
+        let mask = self.set.len() - 1;
+        let mut i = fp as usize & mask;
+        loop {
+            match self.set[i] {
+                0 => {
+                    self.set[i] = fp;
+                    self.distinct += 1;
+                    return;
+                }
+                held if held == fp => return,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn full(&self) -> bool {
+        self.seen == self.window
+    }
+}
+
+/// A combining slot's state, which a running attempt consults at emit
+/// time: the table of earlier attempts and, until the slot has seen its
+/// window of keys, the sample it decides from.
+pub(crate) struct Combining {
+    table: WorkerCombiner,
+    sample: Option<KeySample>,
+    /// `onepass_innode_combine_ratio`, observed once per table flush.
+    ratio: Histogram,
+}
+
+impl Combining {
+    /// The sample to offer each emitted key to, while the slot is
+    /// undecided.
+    pub fn sample(&mut self) -> Option<&mut KeySample> {
+        self.sample.as_mut()
+    }
+
+    /// The slot's choice once its window is full, `None` before: true
+    /// when more than half of the sampled keys were distinct, and the
+    /// slot stops combining. Either way the sample goes; a slot that
+    /// stops writes one `stop_combining` instant on `trace`, with the
+    /// share and the window.
+    pub fn decide(&mut self, trace: &mut LocalTracer) -> Option<bool> {
+        let sample = self.sample.take_if(|s| s.full())?;
+        let stops = 2 * sample.distinct > sample.seen;
+        if stops {
+            trace.instant(
+                "stop_combining",
+                "map",
+                &[
+                    (
+                        "distinct_share",
+                        sample.distinct as f64 / sample.seen as f64,
+                    ),
+                    ("window", sample.window as f64),
+                ],
+            );
+        }
+        Some(stops)
+    }
+
+    /// Ship the table: its segments, then the `MapDone`s it holds. A
+    /// failed map-output write aborts the fabric, since the held attempts
+    /// already reported success.
+    pub fn flush(&mut self, tx: &ShuffleTx, map_store: Option<&Arc<dyn SpillStore>>) {
+        if self.table.flush(tx, map_store, &self.ratio).is_err() {
+            tx.abort();
+        }
+    }
+}
+
 /// How many task attempts share a combine table before it ships (see the
 /// module docs for when each applies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CombineScope {
-    /// Every attempt a map worker completes, until the budget runs over
-    /// or the worker drains.
+    /// Every attempt a map worker completes, until the budget runs over,
+    /// the slot stops combining, or the worker drains.
     Worker,
     /// One attempt: the table ships as soon as it is folded.
     Task,
@@ -211,43 +345,46 @@ impl WorkerCombiner {
 }
 
 /// One map slot — an executor map-worker thread, or a map slot of a TCP
-/// worker: the reusable output arena every attempt maps into and, for a
-/// combining job, the combine table its attempts fold into.
+/// worker: the reusable output arena every attempt maps into and, while
+/// a combinable job's slot combines, the table its attempts fold into.
 pub(crate) struct MapSlot<'a> {
     job: &'a JobSpec,
     tx: &'a ShuffleTx,
     map_store: Option<&'a Arc<dyn SpillStore>>,
     buf: KvBuf,
-    combiner: Option<WorkerCombiner>,
+    /// `None` for a job that never combines, and from the moment the
+    /// slot stops combining.
+    combining: Option<Combining>,
     scope: CombineScope,
-    /// `onepass_innode_combine_ratio`, observed once per table flush.
-    ratio: Histogram,
 }
 
 impl<'a> MapSlot<'a> {
-    /// A slot shipping through `tx`.
+    /// A slot shipping through `tx`, deciding from its first `window`
+    /// keys whether to combine ([`SAMPLE_WINDOW`] outside tests).
     pub fn new(
         job: &'a JobSpec,
         tx: &'a ShuffleTx,
         map_store: Option<&'a Arc<dyn SpillStore>>,
         scope: CombineScope,
         ratio: Histogram,
+        window: usize,
     ) -> Self {
-        let combiner = job
-            .hash_combines()
-            .then(|| WorkerCombiner::new(job.reducers, MemoryBudget::new(MAP_BUFFER_BYTES)));
+        let combining = job.hash_combines().then(|| Combining {
+            table: WorkerCombiner::new(job.reducers, MemoryBudget::new(MAP_BUFFER_BYTES)),
+            sample: Some(KeySample::new(window)),
+            ratio,
+        });
         MapSlot {
             job,
             tx,
             map_store,
             buf: KvBuf::new(),
-            combiner,
+            combining,
             scope,
-            ratio,
         }
     }
 
-    /// Run one attempt: map the split, then — for a combining job —
+    /// Run one attempt: map the split, then — while the slot combines —
     /// fold a successful attempt's output into the table and flush the
     /// table if its scope or its budget says so.
     pub fn run_attempt(
@@ -270,6 +407,7 @@ impl<'a> MapSlot<'a> {
                 trace,
                 ctx,
                 &mut self.buf,
+                &mut self.combining,
             )
         }))
         .unwrap_or_else(|p| {
@@ -281,12 +419,13 @@ impl<'a> MapSlot<'a> {
         // Only a *successful* attempt reaches the table — a failed or
         // cancelled attempt's buffer is simply discarded, exactly as a
         // failed attempt never announces MapDone.
-        if let (Some(c), Ok(stats)) = (self.combiner.as_mut(), result.as_mut()) {
+        if let (Some(c), Ok(stats)) = (self.combining.as_mut(), result.as_mut()) {
             let t = Stamp::start(Phase::MapHash);
-            c.fold_task(task, ctx.attempt, &self.buf, self.job.agg.as_ref());
+            c.table
+                .fold_task(task, ctx.attempt, &self.buf, self.job.agg.as_ref());
             t.stop(&mut stats.profile, trace);
-            if c.should_flush() || self.scope == CombineScope::Task {
-                self.flush();
+            if c.table.should_flush() || self.scope == CombineScope::Task {
+                c.flush(self.tx, self.map_store);
             }
         }
         result
@@ -296,14 +435,8 @@ impl<'a> MapSlot<'a> {
     /// Segments go first, then the held-back `MapDone`s, so the reducers
     /// waiting on those tasks can now finish.
     pub fn drain(mut self) {
-        self.flush();
-    }
-
-    fn flush(&mut self) {
-        if let Some(c) = &mut self.combiner {
-            if c.flush(self.tx, self.map_store, &self.ratio).is_err() {
-                self.tx.abort();
-            }
+        if let Some(c) = &mut self.combining {
+            c.flush(self.tx, self.map_store);
         }
     }
 }
@@ -312,7 +445,9 @@ impl<'a> MapSlot<'a> {
 mod tests {
     use super::*;
     use crate::shuffle::{shuffle_fabric, ShuffleMsg};
-    use onepass_groupby::SumAgg;
+    use onepass_core::trace::{TraceEvent, Tracer, Track};
+    use onepass_groupby::{StateInput, SumAgg};
+    use std::collections::BTreeMap;
     use std::time::Duration;
 
     /// Deferred-mode buffer: pairs land unrouted in partition 0; the
@@ -448,7 +583,14 @@ mod tests {
     fn task_scope_ships_each_attempt_combined_and_unsorted() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, Histogram::detached());
+        let mut slot = MapSlot::new(
+            &job,
+            &tx,
+            None,
+            CombineScope::Task,
+            Histogram::detached(),
+            SAMPLE_WINDOW,
+        );
         for (task, split) in word_splits().iter().enumerate() {
             let stats = slot
                 .run_attempt(
@@ -488,7 +630,14 @@ mod tests {
     fn worker_scope_holds_attempts_until_the_slot_drains() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Worker, Histogram::detached());
+        let mut slot = MapSlot::new(
+            &job,
+            &tx,
+            None,
+            CombineScope::Worker,
+            Histogram::detached(),
+            SAMPLE_WINDOW,
+        );
         for (task, split) in word_splits().iter().enumerate() {
             slot.run_attempt(
                 task,
@@ -511,7 +660,14 @@ mod tests {
     fn failed_attempt_never_reaches_the_table() {
         let job = hash_combine_job();
         let (tx, rxs) = shuffle_fabric(2, 1024);
-        let mut slot = MapSlot::new(&job, &tx, None, CombineScope::Task, Histogram::detached());
+        let mut slot = MapSlot::new(
+            &job,
+            &tx,
+            None,
+            CombineScope::Task,
+            Histogram::detached(),
+            SAMPLE_WINDOW,
+        );
         let [split, _] = word_splits();
         let failing = MapAttemptCtx {
             attempt: 0,
@@ -543,5 +699,229 @@ mod tests {
         let (segs, dones) = drain(rxs);
         assert!(segs.is_empty());
         assert_eq!(dones, vec![(7, 0)]);
+    }
+
+    /// One record, and so one emitted key, per string.
+    fn split_of(keys: impl IntoIterator<Item = String>) -> Split {
+        Split::new(keys.into_iter().map(String::into_bytes).collect())
+    }
+
+    fn numbered(prefix: &str, n: usize) -> impl Iterator<Item = String> + '_ {
+        (0..n).map(move |i| format!("{prefix}{i}"))
+    }
+
+    fn records(segs: &[Segment]) -> usize {
+        segs.iter().map(Segment::len).sum()
+    }
+
+    /// Each key's answer as a reducer gives it: every shipped value is a
+    /// `SumAgg` state, merged through `StateInput` whatever its source.
+    fn answers<'s>(segs: impl IntoIterator<Item = &'s Segment>) -> BTreeMap<Vec<u8>, u64> {
+        let agg = StateInput(SumAgg);
+        let mut states: BTreeMap<Vec<u8>, StateBuf> = BTreeMap::new();
+        for (k, v) in segs.into_iter().flat_map(|s| s.records.iter()) {
+            match states.get_mut(k) {
+                Some(state) => agg.update(k, state, v),
+                None => {
+                    states.insert(k.to_vec(), agg.init(k, v));
+                }
+            }
+        }
+        states
+            .into_iter()
+            .map(|(k, s)| (k, u64::from_le_bytes(s[..].try_into().unwrap())))
+            .collect()
+    }
+
+    /// What a slot deciding from a `window`-key sample shipped for
+    /// `splits` (tasks 0.., first attempts), each channel's messages in
+    /// arrival order, and the `stop_combining` instants it wrote.
+    fn run_slot(
+        scope: CombineScope,
+        window: usize,
+        splits: &[Split],
+    ) -> (Vec<Vec<ShuffleMsg>>, Vec<TraceEvent>) {
+        let job = hash_combine_job();
+        let (tx, rxs) = shuffle_fabric(job.reducers, 1 << 16);
+        let tracer = Tracer::enabled();
+        let mut trace = tracer.local(Track::new("map", 0));
+        let mut slot = MapSlot::new(&job, &tx, None, scope, Histogram::detached(), window);
+        for (task, split) in splits.iter().enumerate() {
+            slot.run_attempt(task, split, &mut trace, &MapAttemptCtx::first())
+                .unwrap();
+        }
+        slot.drain();
+        drop(trace);
+        let channels = rxs
+            .iter()
+            .map(|rx| std::iter::from_fn(|| rx.try_recv().ok()).collect())
+            .collect();
+        let stops = tracer
+            .drain()
+            .into_iter()
+            .filter(|e| e.name == "stop_combining")
+            .collect();
+        (channels, stops)
+    }
+
+    fn segments(channels: &[Vec<ShuffleMsg>]) -> Vec<Segment> {
+        let segment = |m: &ShuffleMsg| match m {
+            ShuffleMsg::Segment(s) => Some(s.clone()),
+            _ => None,
+        };
+        channels.iter().flatten().filter_map(segment).collect()
+    }
+
+    /// Past a window of distinct keys the slot stops folding: a hot key
+    /// that follows ships once per emit, and the answers are a
+    /// combining slot's.
+    #[test]
+    fn distinct_keys_ship_uncombined_past_the_window() {
+        let keys = numbered("k", 8).chain(std::iter::repeat_n("hot".to_string(), 10));
+        let splits = [split_of(keys)];
+        let (shipped, stops) = run_slot(CombineScope::Worker, 8, &splits);
+        let shipped = segments(&shipped);
+        assert_eq!(records(&shipped), 18, "nothing folded");
+        assert_eq!(stops.len(), 1);
+        assert_eq!(stops[0].args, [("distinct_share", 1.0), ("window", 8.0)]);
+
+        let (combined, stops) = run_slot(CombineScope::Worker, 64, &splits);
+        let combined = segments(&combined);
+        assert!(stops.is_empty(), "an unfilled window keeps combining");
+        assert_eq!(records(&combined), 9, "`hot` folded into one state");
+        assert_eq!(answers(&shipped), answers(&combined));
+        assert_eq!(answers(&shipped)[&b"hot"[..]], 10);
+    }
+
+    /// Zipf-distributed keys repeat well within the window, so the slot
+    /// keeps one table for every attempt and ships each key once.
+    #[test]
+    fn zipf_keys_keep_combining() {
+        // Inverse-CDF draws from Zipf(1.1) over 512 keys.
+        let weights: Vec<f64> = (1..=512).map(|r| (r as f64).powf(-1.1)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let mut u = (rng >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let rank = weights.iter().position(|w| {
+                u -= w;
+                u < 0.0
+            });
+            format!("z{}", rank.unwrap_or(511))
+        };
+        let splits: Vec<Split> = (0..4)
+            .map(|_| split_of((0..1000).map(|_| draw()).collect::<Vec<_>>()))
+            .collect();
+        let (channels, stops) = run_slot(CombineScope::Worker, 1024, &splits);
+        assert!(stops.is_empty(), "{stops:?}");
+        let shipped = segments(&channels);
+        let distinct = answers(&shipped).len();
+        assert!(distinct < 512);
+        assert_eq!(records(&shipped), distinct, "one state per key");
+        assert_eq!(answers(&shipped).values().sum::<u64>(), 4000);
+    }
+
+    /// A slot whose table holds earlier attempts when it stops ships
+    /// them, with their `MapDone`s, before the stopping attempt's first
+    /// segment: on every channel, task 0 is done before task 1 starts.
+    #[test]
+    fn earlier_folded_attempts_flush_before_the_switching_attempt_ships() {
+        // Task 0's 6 keys fold under the 16-key window; task 1 fills it.
+        let splits = [split_of(numbered("a", 6)), split_of(numbered("b", 30))];
+        let (channels, stops) = run_slot(CombineScope::Worker, 16, &splits);
+        assert_eq!(stops.len(), 1);
+        let task = |m: &ShuffleMsg| match m {
+            ShuffleMsg::Segment(s) => (s.map_task, s.attempt),
+            ShuffleMsg::MapDone { map_task, attempt } => (*map_task, *attempt),
+            other => panic!("unexpected {other:?}"),
+        };
+        for channel in &channels {
+            let order: Vec<_> = channel.iter().map(task).collect();
+            let first_of_1 = order.iter().position(|&t| t == (1, 0)).unwrap();
+            assert!(order[..first_of_1].contains(&(0, 0)), "{order:?}");
+            assert!(!order[first_of_1..].contains(&(0, 0)), "{order:?}");
+            assert!(matches!(
+                channel.last(),
+                Some(ShuffleMsg::MapDone { map_task: 1, .. })
+            ));
+        }
+        let shipped = segments(&channels);
+        let folded = shipped.iter().filter(|s| s.map_task == 0);
+        assert_eq!(folded.map(Segment::len).sum::<usize>(), 6);
+        assert_eq!(answers(&shipped).len(), 36);
+    }
+
+    /// An attempt that fails after its slot stopped combining has pushed
+    /// segments but announces no `MapDone`; its retry ships everything
+    /// again, and a reducer committing only announced attempts counts
+    /// each key once.
+    #[test]
+    fn a_fault_past_the_window_commits_the_retry_exactly_once() {
+        let job = hash_combine_job();
+        let (tx, rxs) = shuffle_fabric(job.reducers, 1 << 16);
+        let mut slot = MapSlot::new(
+            &job,
+            &tx,
+            None,
+            CombineScope::Worker,
+            Histogram::detached(),
+            8,
+        );
+        let split = split_of(numbered("k", 5000));
+        let failing = MapAttemptCtx {
+            attempt: 0,
+            injector: onepass_core::fault::FaultPlan::new()
+                .fail_map(0, 0, 4500)
+                .into_injector(),
+            cancel: None,
+        };
+        let trace = &mut LocalTracer::disabled();
+        assert!(slot.run_attempt(0, &split, trace, &failing).is_err());
+        let retry = MapAttemptCtx {
+            attempt: 1,
+            ..MapAttemptCtx::first()
+        };
+        slot.run_attempt(0, &split, trace, &retry).unwrap();
+        slot.drain();
+        let (segs, dones) = drain(rxs);
+        assert!(
+            segs.iter().any(|s| s.attempt == 0),
+            "the failed attempt pushed past the window"
+        );
+        assert_eq!(dones, [(0, 1), (0, 1)]);
+        let committed = segs
+            .iter()
+            .filter(|s| dones.contains(&(s.map_task, s.attempt)));
+        let got = answers(committed);
+        assert_eq!(got.len(), 5000);
+        assert!(got.values().all(|&n| n == 1));
+    }
+
+    /// A TCP worker's slot is task-scoped and decides by the same rule:
+    /// once it stops, later attempts ship uncombined with their own
+    /// `MapDone`s; a slot whose keys repeat keeps shipping each attempt
+    /// combined.
+    #[test]
+    fn task_scope_slot_decides_the_same_way() {
+        let hot = || split_of(std::iter::repeat_n("hot".to_string(), 12));
+        let splits = [split_of(numbered("k", 12)), hot()];
+        let (channels, stops) = run_slot(CombineScope::Task, 8, &splits);
+        assert_eq!(stops.len(), 1);
+        let shipped = segments(&channels);
+        assert_eq!(records(&shipped), 24, "`hot` ships once per emit");
+        assert!(shipped.iter().all(|s| s.attempt == 0));
+        for channel in &channels {
+            let dones = channel
+                .iter()
+                .filter(|m| matches!(m, ShuffleMsg::MapDone { .. }));
+            assert_eq!(dones.count(), 2);
+        }
+
+        let (channels, stops) = run_slot(CombineScope::Task, 8, &[hot(), hot()]);
+        assert!(stops.is_empty());
+        assert_eq!(records(&segments(&channels)), 2, "one state per attempt");
     }
 }

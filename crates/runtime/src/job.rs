@@ -274,9 +274,11 @@ impl JobSpec {
         JobSpecBuilder::new(name)
     }
 
-    /// True when map attempts fold into a combine table instead of
+    /// True when map attempts may fold into a combine table instead of
     /// shipping their own segments: a hash map side over a combinable
-    /// aggregate (`in_node.rs`).
+    /// aggregate. Each map slot of such a job decides from the first keys
+    /// it emits whether it does, and stops combining where most of them
+    /// are distinct (`in_node.rs`).
     pub fn hash_combines(&self) -> bool {
         !self.backend.sorts_map_output() && self.agg.combinable()
     }

@@ -11,7 +11,9 @@ use onepass_core::fault::{FaultAction, FaultInjector, FaultTarget};
 use onepass_core::io::{RunWriter, SpillStore};
 use onepass_core::metrics::{Phase, Profile, Stamp};
 use onepass_core::trace::LocalTracer;
+use onepass_groupby::Aggregator;
 
+use crate::in_node::{Combining, KeySample};
 use crate::job::{
     HashPartitioner, JobSpec, MapEmitter, Partitioner, MAP_BUFFER_BYTES, PUSH_RECORDS,
 };
@@ -243,10 +245,11 @@ impl MapAttemptCtx {
 
 /// Emitter collecting map output into a [`KvBuf`], partitioned up front.
 ///
-/// With `partitioner: None` (a combining hash map side) every pair lands
-/// unrouted: the combiner's fold fingerprints each key anyway, so it
-/// routes from that fingerprint via [`Partitioner::partition_fp`] and the
-/// per-emit partition call would be a second hash of the same bytes.
+/// With `partitioner: None` (an attempt deferring to its slot's combine
+/// table) every pair lands unrouted: the combiner's fold fingerprints
+/// each key anyway, so it routes from that fingerprint via
+/// [`Partitioner::partition_fp`] and the per-emit partition call would be
+/// a second hash of the same bytes.
 struct BufEmitter<'a> {
     buf: &'a mut KvBuf,
     partitioner: Option<&'a HashPartitioner>,
@@ -254,6 +257,11 @@ struct BufEmitter<'a> {
     /// Partition-aligned cache-hit splits pin every emission to one
     /// partition ([`Split::aligned`]), skipping the per-key hash.
     fixed: Option<u32>,
+    /// A combinable job's attempt that ships turns each value into a
+    /// state as it lands, as a combine table's first contact would.
+    init: Option<&'a dyn Aggregator>,
+    /// The slot's key sample, while the slot is undecided.
+    sample: Option<&'a mut KeySample>,
     emitted: u64,
 }
 
@@ -265,7 +273,13 @@ impl MapEmitter for BufEmitter<'_> {
                 .partitioner
                 .map_or(0, |pt| pt.partition(key, self.reducers) as u32),
         };
-        self.buf.push(p, key, value);
+        match self.init {
+            Some(agg) => self.buf.push(p, key, &agg.init(key, value)),
+            None => self.buf.push(p, key, value),
+        }
+        if let Some(sample) = self.sample.as_deref_mut() {
+            sample.offer(key);
+        }
         self.emitted += 1;
     }
 }
@@ -328,7 +342,9 @@ impl Drop for MapRun<'_> {
 }
 
 /// Execute one map task over `split`, sending segments through `tx`.
-/// `buf` is the slot's reusable output arena, handed in empty.
+/// `buf` is the slot's reusable output arena, handed in empty;
+/// `combining` is the slot's combine state, `None` once a combinable
+/// job's slot has stopped combining and always for any other job.
 ///
 /// * A sort-merge backend ([`sorts_map_output`]) — sort the buffer on
 ///   `(partition, key)` (the Table II CPU cost), combine key-streaks when
@@ -337,12 +353,18 @@ impl Drop for MapRun<'_> {
 ///   sorted segments.
 /// * A hash backend over a holistic aggregate — single
 ///   partition-clustering scan, no sort, no combine; raw segments.
-/// * A hash backend over a combinable aggregate — the attempt's whole output stays
-///   in `buf`, unrouted, and nothing ships: no segments, no `MapDone`, no
-///   mid-task flushes.
+/// * A hash backend over a combinable aggregate, while the slot
+///   combines — the attempt's whole output stays in `buf`, unrouted, and
+///   nothing ships: no segments, no `MapDone`, no mid-task flushes.
 ///   The caller (`in_node::MapSlot`) folds a successful attempt's buffer
 ///   into its combine table, which ships the segments and announces the
-///   `MapDone`; `in_node.rs` has the protocol.
+///   `MapDone`; `in_node.rs` has the protocol. Each emitted key is
+///   offered to the slot's sample while the slot is undecided; when the
+///   sample says stop, the table ships its earlier attempts, the buffer
+///   is routed once, and the attempt ships as below.
+/// * A hash backend over a combinable aggregate whose slot has stopped
+///   combining — as for a holistic aggregate, but each value lands as
+///   its [`Aggregator::init`] state.
 ///
 /// When the backend [`pushes`] a shipping task additionally flushes every
 /// [`PUSH_RECORDS`] emitted records, so reducers receive data while the
@@ -360,19 +382,23 @@ pub(crate) fn run_map_task(
     trace: &mut LocalTracer,
     ctx: &MapAttemptCtx,
     buf: &mut KvBuf,
+    combining: &mut Option<Combining>,
 ) -> Result<MapTaskStats> {
     let mut stats = MapTaskStats {
         input_records: split.record_count() as u64,
         input_bytes: split.bytes(),
         ..Default::default()
     };
-    // A combining hash attempt buffers whole, so neither checkpoint
-    // applies to it (the arena is bounded by the split's output; the
-    // combiner's budget governs the table instead).
-    let ships = !job.hash_combines();
-    let buffer_limit = if ships { MAP_BUFFER_BYTES } else { usize::MAX };
-    let partitioner = ships.then(HashPartitioner::default);
-    let pushes = ships && job.backend.pushes();
+    // An attempt deferring to a combine table buffers whole, so neither
+    // checkpoint applies to it (the arena is bounded by the split's
+    // output; the combiner's budget governs the table instead).
+    let mut ships = combining.is_none();
+    // Whether the slot is still sampling its keys; once it has decided,
+    // the record loop looks no further.
+    let mut sampling = combining.as_mut().is_some_and(|c| c.sample().is_some());
+    let partitioner = HashPartitioner::default();
+    let pushes = job.backend.pushes();
+    let init = job.hash_combines().then_some(job.agg.as_ref());
     let mut since_flush = 0usize;
     let mut map_run = map_store.map(|store| MapRun {
         store,
@@ -397,6 +423,23 @@ pub(crate) fn run_map_task(
             )?;
         }};
     }
+    macro_rules! emitter {
+        ($buf:expr) => {
+            BufEmitter {
+                buf: $buf,
+                partitioner: ships.then_some(&partitioner),
+                reducers: job.reducers,
+                fixed: split.aligned,
+                init: init.filter(|_| ships),
+                sample: if sampling {
+                    combining.as_mut().and_then(Combining::sample)
+                } else {
+                    None
+                },
+                emitted: 0,
+            }
+        };
+    }
 
     // Raw records and cached pairs share one flush/fault/stat protocol;
     // pairs continue the record index where the raw records stopped, so
@@ -408,21 +451,38 @@ pub(crate) fn run_map_task(
                 return Err(Error::Cancelled);
             }
             check_fault(ctx, task_id, $record_idx)?;
-            let mut emitter = BufEmitter {
-                buf,
-                partitioner: partitioner.as_ref(),
-                reducers: job.reducers,
-                fixed: split.aligned,
-                emitted: 0,
-            };
+            let mut emitter = emitter!(buf);
             #[allow(clippy::redundant_closure_call)]
             $apply(&mut emitter);
             let emitted = emitter.emitted;
             stats.output_records += emitted;
             since_flush += emitted as usize;
 
-            let buffer_full = buf.arena_bytes() >= buffer_limit;
-            let push_due = pushes && since_flush >= PUSH_RECORDS;
+            let decided = if sampling {
+                combining.as_mut().and_then(|c| c.decide(trace))
+            } else {
+                None
+            };
+            if let Some(stops) = decided {
+                sampling = false;
+                if stops {
+                    // The slot stops combining here, mid-attempt: the
+                    // table ships the attempts it holds, then this
+                    // attempt's buffer is routed once and it ships from
+                    // now on.
+                    if let Some(mut c) = combining.take() {
+                        c.flush(tx, map_store);
+                    }
+                    ships = true;
+                    let deferred = std::mem::take(buf);
+                    let mut emitter = emitter!(buf);
+                    for (_, key, value) in deferred.iter() {
+                        emitter.emit(key, value);
+                    }
+                }
+            }
+            let buffer_full = ships && buf.arena_bytes() >= MAP_BUFFER_BYTES;
+            let push_due = ships && pushes && since_flush >= PUSH_RECORDS;
             if buffer_full || push_due {
                 flush!();
                 map_fn = Stamp::start(Phase::MapFn);
@@ -486,8 +546,8 @@ fn flush_buffer(
     );
     let combine_on = job.agg.combinable();
 
-    // A combining hash map side's buffer never comes here: the combiner
-    // ships it.
+    // A buffer deferred to a combine table never comes here: the table
+    // ships it, or the attempt routes it when its slot stops combining.
     let sorted = job.backend.sorts_map_output();
     if sorted {
         let t = Stamp::start(Phase::MapSort);
@@ -618,6 +678,7 @@ mod tests {
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
             &mut KvBuf::new(),
+            &mut None,
         )
         .unwrap();
         let (segs, dones) = drain_segments(rxs);
@@ -711,6 +772,7 @@ mod tests {
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
             &mut KvBuf::new(),
+            &mut None,
         )
         .unwrap();
         assert!(
@@ -754,6 +816,7 @@ mod tests {
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
             &mut KvBuf::new(),
+            &mut None,
         )
         .unwrap();
         let wall = wall.elapsed();
@@ -825,6 +888,7 @@ mod tests {
                 &mut LocalTracer::disabled(),
                 &ctx,
                 &mut KvBuf::new(),
+                &mut None,
             )
             .unwrap_err();
             assert_eq!(matches!(err, Error::Cancelled), want_cancelled, "{err}");
@@ -861,6 +925,7 @@ mod tests {
             &mut trace,
             &MapAttemptCtx::first(),
             &mut KvBuf::new(),
+            &mut None,
         )
         .unwrap();
         drop(trace);
@@ -900,6 +965,7 @@ mod tests {
             &mut LocalTracer::disabled(),
             &ctx,
             &mut KvBuf::new(),
+            &mut None,
         )
         .unwrap_err();
         assert!(matches!(err, Error::Cancelled));
@@ -936,6 +1002,7 @@ mod tests {
             &mut LocalTracer::disabled(),
             &ctx,
             &mut KvBuf::new(),
+            &mut None,
         )
         .unwrap_err();
         assert!(matches!(err, Error::Io(_)));
@@ -996,6 +1063,7 @@ mod tests {
                 &mut LocalTracer::disabled(),
                 ctx,
                 &mut KvBuf::new(),
+                &mut None,
             );
             let (segs, _) = drain_segments(rxs);
             let visited: Vec<Vec<u8>> = segs
@@ -1047,6 +1115,7 @@ mod tests {
             &mut LocalTracer::disabled(),
             &MapAttemptCtx::first(),
             &mut KvBuf::new(),
+            &mut None,
         )
         .unwrap();
         assert_eq!(stats.output_records, 0);

@@ -101,9 +101,6 @@ pub struct StreamAnswer {
 pub struct StreamSession {
     job: JobSpec,
     groupers: Vec<FreqHashGrouper>,
-    /// Clones of each grouper's budget, kept so governor-posted shed
-    /// requests can be serviced at feed boundaries.
-    budgets: Vec<MemoryBudget>,
     records_in: u64,
     sheds: u64,
     shed_bytes: u64,
@@ -152,14 +149,12 @@ impl StreamSession {
             .unwrap_or(job.reduce_budget_bytes / job.reducers)
             .max(1024);
         let mut groupers = Vec::with_capacity(job.reducers);
-        let mut budgets = Vec::with_capacity(job.reducers);
         for _ in 0..job.reducers {
             let store: Arc<dyn SpillStore> = Arc::new(SharedMemStore::new());
             let budget = match &opts.governor {
                 Some(gov) => gov.lease(per_partition),
                 None => MemoryBudget::new(per_partition),
             };
-            budgets.push(budget.clone());
             let agg = Arc::clone(&job.agg);
             // Grouper construction goes through the executor's shared
             // service, which rejects blocking backends with a config
@@ -172,7 +167,6 @@ impl StreamSession {
         Ok(StreamSession {
             job,
             groupers,
-            budgets,
             records_in: 0,
             sheds: 0,
             shed_bytes: 0,
@@ -268,8 +262,8 @@ impl StreamSession {
     /// eviction round into the operator's own cold buckets. No-op for
     /// private (non-leased) budgets — those never carry requests.
     fn service_shed_requests(&mut self) -> Result<()> {
-        for (g, b) in self.groupers.iter_mut().zip(&self.budgets) {
-            let want = b.take_shed_request();
+        for g in &mut self.groupers {
+            let want = g.budget().take_shed_request();
             if want > 0 {
                 let freed = g.shed(want)?;
                 self.sheds += 1;
@@ -292,14 +286,14 @@ impl StreamSession {
     /// Sum of this session's per-partition budget limits (lease sizes in
     /// governed mode).
     pub fn budget_bytes(&self) -> usize {
-        self.budgets.iter().map(|b| b.limit()).sum()
+        self.groupers.iter().map(|g| g.budget().limit()).sum()
     }
 
     /// Move every partition's budget limit by `delta` bytes (floored at
     /// 1 KiB): a serving session that pools its subscribers' fair shares
     /// grows when a tenant joins it and shrinks when one leaves.
     pub(crate) fn resize_budgets(&self, delta: isize) {
-        for b in &self.budgets {
+        for b in self.groupers.iter().map(FreqHashGrouper::budget) {
             b.set_limit(b.limit().saturating_add_signed(delta).max(1024));
         }
     }

@@ -33,7 +33,7 @@ use super::tcp::{Conn, TcpSink};
 use super::wire::Frame;
 use super::JobRegistry;
 use crate::driver::EngineConfig;
-use crate::in_node::{CombineScope, MapSlot};
+use crate::in_node::{CombineScope, MapSlot, SAMPLE_WINDOW};
 use crate::job::JobSpec;
 use crate::knobs::{self, Settings};
 use crate::map_task::{MapAttemptCtx, Split};
@@ -257,6 +257,7 @@ fn map_slot(
         None,
         CombineScope::Task,
         Histogram::detached(),
+        SAMPLE_WINDOW,
     );
     while let Ok((task, attempt, split)) = map_rx.recv() {
         if dead.load(Ordering::Relaxed) {

@@ -432,4 +432,37 @@ mod tests {
         let (got, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
         assert_eq!((got, rounds), (want, 4));
     }
+
+    /// At 20k points one map slot sees every key of a round, past its
+    /// 16 Ki-key sample. The parse round's keys are all distinct, so it
+    /// stops combining; an assign round emits k keys, so its slot keeps
+    /// folding every point into k states. The centroids are the
+    /// reference's.
+    #[test]
+    fn cached_rounds_past_the_sample_window_match_the_reference() {
+        use onepass_core::trace::Tracer;
+        let pcfg = PointsConfig {
+            points: 20_000,
+            ..Default::default()
+        };
+        let records = point_records(pcfg);
+        let mut cfg = KMeansConfig::new(pcfg.clusters);
+        cfg.rounds = 4;
+        cfg.eps = None;
+        let (want, want_rounds) = reference(&records, &cfg).unwrap();
+
+        let tracer = Tracer::enabled();
+        let engine = Engine::with_config(
+            onepass_runtime::EngineConfig::builder()
+                .map_workers(1)
+                .tracer(tracer.clone())
+                .build(),
+        );
+        let cache = DatasetCache::new(CacheConfig::default());
+        let (got, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
+        assert_eq!((got, rounds), (want, want_rounds));
+        let stops = tracer.drain();
+        let stops = stops.iter().filter(|e| e.name == "stop_combining");
+        assert_eq!(stops.count(), 1, "only the parse round stops combining");
+    }
 }

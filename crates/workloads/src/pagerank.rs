@@ -443,4 +443,35 @@ mod tests {
         assert_eq!(cached, want);
         assert_eq!(rounds, want_rounds);
     }
+
+    /// At 20k nodes one map slot sees every key of a round, past its
+    /// 16 Ki-key sample. The parse round's keys are all distinct and a
+    /// rank round's mostly are, so the slot stops combining in every
+    /// round, and the ranks are still the reference's.
+    #[test]
+    fn cached_rounds_past_the_sample_window_match_the_reference() {
+        use onepass_core::trace::Tracer;
+        let gcfg = GraphConfig {
+            nodes: 20_000,
+            ..GraphConfig::default()
+        };
+        let records = graph_records(gcfg);
+        let mut cfg = PageRankConfig::new(gcfg.nodes);
+        cfg.rounds = 4;
+        let (want, want_rounds) = reference(&records, &cfg);
+
+        let tracer = Tracer::enabled();
+        let engine = Engine::with_config(
+            onepass_runtime::EngineConfig::builder()
+                .map_workers(1)
+                .tracer(tracer.clone())
+                .build(),
+        );
+        let cache = DatasetCache::new(CacheConfig::default());
+        let (cached, rounds) = run_cached(&engine, &cache, &records, &cfg).unwrap();
+        assert_eq!((cached, rounds), (want, want_rounds));
+        let stops = tracer.drain();
+        let stops = stops.iter().filter(|e| e.name == "stop_combining");
+        assert_eq!(stops.count(), rounds, "one stop per round's slot");
+    }
 }

@@ -99,28 +99,29 @@ impl Aggregator for SessionizeAgg {
     }
 
     fn finish(&self, _key: &[u8], state: &[u8], out: &mut Vec<u8>) {
-        // Decode, order by timestamp, split at gaps.
-        let mut clicks: Vec<(u32, u32)> = state
+        // Order by timestamp, then url, as one `u64` per click:
+        // `(ts << 32) | url` sorts exactly as the `(ts, url)` pair does.
+        let mut clicks: Vec<u64> = state
             .chunks_exact(8)
             .map(|c| {
-                (
-                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                    u32::from_le_bytes(c[4..8].try_into().unwrap()),
-                )
+                let ts = u32::from_le_bytes(c[0..4].try_into().unwrap());
+                let url = u32::from_le_bytes(c[4..8].try_into().unwrap());
+                (u64::from(ts) << 32) | u64::from(url)
             })
             .collect();
         clicks.sort_unstable();
         out.reserve(state.len() + 16);
+        let ts = |click: u64| (click >> 32) as u32;
         let mut session_start = 0usize;
         for i in 1..=clicks.len() {
             let boundary =
-                i == clicks.len() || clicks[i].0.saturating_sub(clicks[i - 1].0) > self.gap_s;
+                i == clicks.len() || ts(clicks[i]).saturating_sub(ts(clicks[i - 1])) > self.gap_s;
             if boundary {
                 let session = &clicks[session_start..i];
                 out.extend_from_slice(&(session.len() as u32).to_le_bytes());
-                for &(ts, url) in session {
-                    out.extend_from_slice(&ts.to_le_bytes());
-                    out.extend_from_slice(&url.to_le_bytes());
+                for &click in session {
+                    out.extend_from_slice(&ts(click).to_le_bytes());
+                    out.extend_from_slice(&(click as u32).to_le_bytes());
                 }
                 session_start = i;
             }
@@ -301,5 +302,56 @@ mod tests {
             "peak {} on a {tight}-byte budget",
             fh_stats.peak_mem
         );
+    }
+
+    /// The pre-`u64` `finish`: decode to `(ts, url)` tuples, sort them,
+    /// split at gaps.
+    fn tuple_finish(gap_s: u32, state: &[u8]) -> Vec<u8> {
+        let mut clicks: Vec<(u32, u32)> = state
+            .chunks_exact(8)
+            .map(|c| {
+                (
+                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
+                    u32::from_le_bytes(c[4..8].try_into().unwrap()),
+                )
+            })
+            .collect();
+        clicks.sort_unstable();
+        let mut out = Vec::new();
+        for session in clicks.chunk_by(|a, b| b.0.saturating_sub(a.0) <= gap_s) {
+            out.extend_from_slice(&(session.len() as u32).to_le_bytes());
+            for &(ts, url) in session {
+                out.extend_from_slice(&ts.to_le_bytes());
+                out.extend_from_slice(&url.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// A `u32` that is small (so gaps and ties are common) or anywhere
+    /// in the range (so the high bits get exercised), half the time each.
+    fn near_or_far(near: u32) -> impl proptest::strategy::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        (any::<bool>(), 0..near, any::<u32>()).prop_map(|(far, n, f)| if far { f } else { n })
+    }
+
+    proptest::proptest! {
+        /// `finish` sorts one `u64` per click; the bytes are the tuple
+        /// sort's, whatever order the clicks arrive in, ties included.
+        #[test]
+        fn u64_finish_matches_the_tuple_sort(
+            runs in proptest::collection::vec(
+                proptest::collection::vec((near_or_far(5_000), 0u32..8), 0..40),
+                0..6,
+            ),
+            gap_s in near_or_far(3_000),
+        ) {
+            // Runs concatenate as merged partial states do: each run in
+            // its own order, the runs in any order.
+            let clicks: Vec<(u32, u32)> = runs.into_iter().flatten().collect();
+            let state = enc(&clicks);
+            let agg = SessionizeAgg { gap_s };
+            proptest::prop_assert_eq!(finished(&agg, &state), tuple_finish(gap_s, &state));
+        }
     }
 }
